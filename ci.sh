@@ -24,13 +24,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> simperf smoke (event-loop throughput floor at N=64)"
-cargo bench -q -p bench --bench simperf -- --smoke
-# The full-mode snapshot (with the N=1024 row) is checked in; the smoke
-# mode above guards the floor without rewriting machine-dependent wall
-# times on every CI run.
+echo "==> simperf smoke (event-loop throughput floors at N=64 and N=1024)"
+simperf_out=$(cargo bench -q -p bench --bench simperf -- --smoke)
+echo "$simperf_out"
+echo "$simperf_out" | grep -q 'OK (.*at N=64,'
+echo "$simperf_out" | grep -q 'OK (.*at N=1024,'
+# The full-mode snapshot is checked in; the smoke mode above guards the
+# floors (N=64: the event queue; N=1024: activity-proportional
+# estimation) without rewriting machine-dependent wall times on every CI
+# run.
 test -s crates/bench/BENCH_simperf.json
 grep -q '"bench": "simperf"' crates/bench/BENCH_simperf.json
+grep -q '"num_clients": 64' crates/bench/BENCH_simperf.json
 grep -q '"num_clients": 1024' crates/bench/BENCH_simperf.json
 
 echo "==> fanin smoke (N=4, short run)"

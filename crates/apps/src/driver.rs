@@ -5,19 +5,28 @@
 //! exchange, updates an [`E2eEstimator`], records the estimate series (the
 //! "estimated" curves of Figure 4), and — when a toggler is attached —
 //! actuates the socket's dynamic-Nagle switch.
+//!
+//! The estimate source of the single-connection drivers is an
+//! [`EstimateRecorder`], which does that work only when the socket has
+//! changed since the previous tick and otherwise defers it (DESIGN.md
+//! §12, "Activity-proportional estimation").
+
+use std::borrow::Cow;
 
 use batchpolicy::{
     AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, EpsilonGreedy, TickController,
 };
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
 use e2e_core::compose::compose_two;
-use e2e_core::hints::{HintEstimate, HintEstimator};
+use e2e_core::hints::HintEstimator;
 use e2e_core::{
     AggregateEstimate, E2eEstimator, Estimate, EstimatorRegistry, ValidateConfig, ValidateStats,
 };
-use littles::wire::WireScale;
+use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
-use tcpsim::{HostCtx, KnobSetting, SocketId, Unit};
+use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
+
+use crate::runlog::{Run, RunLog};
 
 /// One recorded estimate sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,18 +37,117 @@ pub struct EstimateSample {
     pub estimate: Estimate,
 }
 
+/// What one estimator update reads from a socket: its local queue
+/// snapshots at `now`, the peer's latest exchange, and the smoothed RTT
+/// that anchors the validator's delay bound (ignored with validation
+/// disabled).
+fn estimator_inputs(
+    socket: &TcpSocket,
+    now: Nanos,
+    unit: Unit,
+) -> (EndpointSnapshots, Option<WireExchange>, Option<Nanos>) {
+    let snaps = socket.local_snapshots(now, unit);
+    let local = EndpointSnapshots {
+        unacked: snaps.unacked,
+        unread: snaps.unread,
+        ackdelay: snaps.ackdelay,
+    };
+    (local, socket.remote().unit(unit).cur, socket.srtt())
+}
+
+/// The two figures of an [`Estimate`] that a recorder's range queries
+/// read, and so all it logs per tick.
+#[derive(Debug, Clone, Copy)]
+struct LoggedEstimate {
+    latency: Nanos,
+    throughput: f64,
+}
+
+impl PartialEq for LoggedEstimate {
+    /// Bitwise, so that a run only ever merges samples whose sums are
+    /// interchangeable.
+    fn eq(&self, other: &Self) -> bool {
+        self.latency == other.latency && self.throughput.to_bits() == other.throughput.to_bits()
+    }
+}
+
+/// Everything the estimator was fed at a recorder's last full step, plus
+/// the three queue occupancies at that instant. While the socket's
+/// [`estimator_stamp`](TcpSocket::estimator_stamp) stays put, no `TRACK`
+/// ran, so each queue's integral grows at exactly its occupancy and the
+/// inputs of any later tick follow from these without touching the
+/// socket.
+#[derive(Debug, Clone, Copy)]
+struct Frozen {
+    local: EndpointSnapshots,
+    /// Occupancy of (unacked, unread, ackdelay) at `local`'s instant.
+    sizes: [i64; 3],
+    remote: Option<WireExchange>,
+    srtt: Option<Nanos>,
+}
+
+impl Frozen {
+    fn capture(socket: &TcpSocket, now: Nanos, unit: Unit) -> Self {
+        let (local, remote, srtt) = estimator_inputs(socket, now, unit);
+        let q = socket.queues();
+        Frozen {
+            local,
+            sizes: [q.unacked.size(unit), q.unread.size(unit), q.ackdelay.size(unit)],
+            remote,
+            srtt,
+        }
+    }
+
+    /// The local snapshots a fresh read at `at` would return.
+    fn local_at(&self, at: Nanos) -> EndpointSnapshots {
+        EndpointSnapshots {
+            unacked: self.local.unacked.advanced(self.sizes[0], at),
+            unread: self.local.unread.advanced(self.sizes[1], at),
+            ackdelay: self.local.ackdelay.advanced(self.sizes[2], at),
+        }
+    }
+}
+
+/// The part of a recorder that a tick over a static socket reads and
+/// writes — kept together so that such a tick stays within a cache line
+/// or two of the recorder.
+#[derive(Debug, Clone, Copy, Default)]
+struct Deferral {
+    /// The socket last stepped against and its estimator stamp then.
+    seen: Option<(SocketId, u64)>,
+    /// Ticks since that step which found the stamp unchanged and have
+    /// not been run through the estimator yet.
+    pending: Option<Run<()>>,
+    /// Ticks ever deferred.
+    deferred: u64,
+}
+
 /// Per-unit estimate recording (no actuation).
 ///
-/// The series grows by one sample per tick for the lifetime of the run;
-/// it is intended for bounded experiment windows. Long-lived deployments
-/// should drain or cap `series` periodically.
-#[derive(Debug)]
+/// Cost and memory follow the connection's *activity*, not the tick
+/// count. A tick that finds the socket's
+/// [`estimator_stamp`](TcpSocket::estimator_stamp) where the previous
+/// tick left it only extends a pending run of deferred ticks; the next
+/// tick that sees a change (or any query) first replays that run through
+/// the unchanged [`E2eEstimator::update_validated`], with the inputs a
+/// fresh read would have returned (see `Frozen`), so every estimate,
+/// checkpoint and validator verdict is the one a tick-by-tick recorder
+/// produces. The sample log is run-length encoded, and over a static
+/// stretch the logged figures repeat, so it grows with the number of
+/// exchanges and queue events rather than with elapsed time.
+#[derive(Debug, Clone)]
 pub struct EstimateRecorder {
     /// The message unit this recorder estimates in.
     pub unit: Unit,
+    deferral: Deferral,
     estimator: E2eEstimator,
-    /// The recorded series.
-    pub series: Vec<EstimateSample>,
+    /// Inputs of the last full step; `Some` whenever `deferral.seen` is.
+    frozen: Option<Frozen>,
+    /// The recorded series of (latency, throughput), one sample per tick
+    /// that produced an estimate.
+    log: RunLog<LoggedEstimate>,
+    /// The newest recorded sample in full.
+    last: Option<EstimateSample>,
     /// Checkpoints of the estimator's cumulative (local, remote) windows,
     /// taken at ticks that folded in a fresh exchange. Range queries
     /// difference two checkpoints and evaluate the decomposition over the
@@ -58,8 +166,11 @@ impl EstimateRecorder {
     pub fn new(unit: Unit) -> Self {
         EstimateRecorder {
             unit,
+            deferral: Deferral::default(),
             estimator: E2eEstimator::new(WireScale::default(), 1.0),
-            series: Vec::new(),
+            frozen: None,
+            log: RunLog::default(),
+            last: None,
             cum_series: Vec::new(),
             cum_epoch: 0,
         }
@@ -82,30 +193,140 @@ impl EstimateRecorder {
 
     /// Validation counters, if validation is enabled.
     pub fn validation_stats(&self) -> Option<ValidateStats> {
-        self.estimator.validation_stats()
+        self.settled().estimator.validation_stats()
     }
 
     /// Runs one tick against `sock`.
-    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
-        let now = ctx.now();
-        let snaps = ctx.socket(sock).local_snapshots(now, self.unit);
-        let local = EndpointSnapshots {
-            unacked: snaps.unacked,
-            unread: snaps.unread,
-            ackdelay: snaps.ackdelay,
+    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) { // hot-path: every client, every tick
+        self.tick_socket(ctx.now(), sock, ctx.socket(sock));
+    }
+
+    /// [`Self::tick`] against a socket held outside a simulation
+    /// (benchmarks and tests that drive a [`TcpSocket`] by hand).
+    pub fn tick_socket(&mut self, now: Nanos, sock: SocketId, socket: &TcpSocket) {
+        let stamp = socket.estimator_stamp();
+        if self.deferral.seen == Some((sock, stamp)) {
+            self.defer(now);
+            if cfg!(debug_assertions) {
+                self.assert_static(now, socket);
+            }
+            return;
+        }
+        self.flush();
+        let frozen = Frozen::capture(socket, now, self.unit);
+        self.step(now, frozen.local, frozen.remote, frozen.srtt);
+        self.frozen = Some(frozen);
+        self.deferral.seen = Some((sock, stamp));
+    }
+
+    /// Books a tick at `now` over a socket nothing has touched since the
+    /// last full step.
+    fn defer(&mut self, now: Nanos) {
+        self.deferral.deferred += 1;
+        if let Some(run) = &mut self.deferral.pending {
+            if run.try_extend(now) {
+                return;
+            }
+            // The tick period changed: a run holds one spacing.
+            self.flush();
+        }
+        self.deferral.pending = Some(Run::new(now, ()));
+    }
+
+    /// The deferral precondition, checked rather than trusted: what a
+    /// deferred tick will be replayed with must be what the socket
+    /// returns right now. A mutation site that misses the stamp fails
+    /// here, in every debug-assertion run of the integration suite.
+    fn assert_static(&self, now: Nanos, socket: &TcpSocket) {
+        let frozen = self.frozen.expect("a tick is deferred only after a full step");
+        let (local, remote, srtt) = estimator_inputs(socket, now, self.unit);
+        assert_eq!(frozen.local_at(now), local, "queue moved under an unchanged stamp");
+        assert_eq!(frozen.remote, remote, "exchange arrived under an unchanged stamp");
+        assert_eq!(frozen.srtt, srtt, "SRTT moved under an unchanged stamp");
+    }
+
+    /// Runs every deferred tick through the estimator, oldest first.
+    pub fn flush(&mut self) {
+        let Some(run) = self.deferral.pending.take() else {
+            return;
         };
-        let remote = ctx.socket(sock).remote().unit(self.unit).cur;
-        // The socket's smoothed RTT anchors the validator's delay bound;
-        // with validation disabled it is ignored.
-        let srtt = ctx.socket(sock).srtt();
+        let frozen = self.frozen.expect("a tick is deferred only after a full step");
+        for k in 0..run.count {
+            let at = run.at(k);
+            self.step(at, frozen.local_at(at), frozen.remote, frozen.srtt);
+        }
+    }
+
+    /// One estimator update and its bookkeeping.
+    fn step(
+        &mut self,
+        now: Nanos,
+        local: EndpointSnapshots,
+        remote: Option<WireExchange>,
+        srtt: Option<Nanos>,
+    ) {
         if let Some(estimate) = self.estimator.update_validated(now, local, remote, srtt) {
-            self.series.push(EstimateSample { at: now, estimate });
+            self.log.push(
+                now,
+                LoggedEstimate {
+                    latency: estimate.latency,
+                    throughput: estimate.throughput,
+                },
+            );
+            self.last = Some(EstimateSample { at: now, estimate });
         }
         if self.estimator.remote_epoch() != self.cum_epoch {
             self.cum_epoch = self.estimator.remote_epoch();
             let (cl, cr) = self.estimator.cumulative_windows();
             self.cum_series.push((now, cl, cr));
         }
+    }
+
+    /// This recorder with no tick pending: itself, or a flushed copy.
+    /// Queries take `&self`; the copy is small now that the log is.
+    fn settled(&self) -> Cow<'_, Self> {
+        if self.deferral.pending.is_none() {
+            return Cow::Borrowed(self);
+        }
+        let mut copy = self.clone();
+        copy.flush();
+        Cow::Owned(copy)
+    }
+
+    /// The newest recorded sample, every tick so far accounted for.
+    pub fn latest(&mut self) -> Option<EstimateSample> {
+        self.flush();
+        self.last
+    }
+
+    /// The estimator, as of the last [`flush`](Self::flush).
+    pub fn estimator(&self) -> &E2eEstimator {
+        &self.estimator
+    }
+
+    /// Every recorded `(time, latency, throughput)` sample up to the last
+    /// [`flush`](Self::flush), expanded from the run-length log.
+    pub fn samples(&self) -> impl Iterator<Item = (Nanos, Nanos, f64)> + '_ {
+        self.log.runs().flat_map(|run| {
+            (0..run.count).map(move |k| (run.at(k), run.value.latency, run.value.throughput))
+        })
+    }
+
+    /// The cumulative-window checkpoints up to the last
+    /// [`flush`](Self::flush): `(time, local, remote)` at every tick that
+    /// folded in a fresh exchange.
+    pub fn checkpoints(&self) -> &[(Nanos, EndpointWindows, EndpointWindows)] {
+        &self.cum_series
+    }
+
+    /// Runs in the sample log — what its memory is proportional to.
+    pub fn log_runs(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Ticks that found the socket unchanged and were deferred.
+    pub fn deferred_ticks(&self) -> u64 {
+        self.deferral.deferred
     }
 
     /// The cumulative-window difference across the checkpoints falling in
@@ -139,18 +360,17 @@ impl EstimateRecorder {
     /// Falls back to the plain mean of recorded samples when the range
     /// holds fewer than two exchange checkpoints.
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        if let Some((near, far)) = self.range_windows(from, to) {
+        let this = self.settled();
+        if let Some((near, far)) = this.range_windows(from, to) {
             let lv = combine_delays(&near, &far).latency();
             let rv = combine_delays(&far, &near).latency();
             return Some(lv.max(rv));
         }
         let mut sum = 0u128;
         let mut n = 0u64;
-        for s in &self.series {
-            if s.at >= from && s.at < to {
-                sum += s.estimate.latency.as_nanos() as u128;
-                n += 1;
-            }
+        for (sample, k) in this.log.counts_in(from, to) {
+            sum += sample.latency.as_nanos() as u128 * k as u128;
+            n += k;
         }
         (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
     }
@@ -160,25 +380,38 @@ impl EstimateRecorder {
     /// (see [`Self::mean_latency_in`]), otherwise the plain mean of the
     /// per-tick samples.
     pub fn mean_throughput_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        if let Some((near, _)) = self.range_windows(from, to) {
+        let this = self.settled();
+        if let Some((near, _)) = this.range_windows(from, to) {
             return Some(near.unread.throughput());
         }
-        let samples: Vec<f64> = self
-            .series
-            .iter()
-            .filter(|s| s.at >= from && s.at < to)
-            .map(|s| s.estimate.throughput)
-            .collect();
-        (!samples.is_empty()).then(|| samples.iter().sum::<f64>() / samples.len() as f64)
+        // The sequential sum a per-tick log would form: samples of a run
+        // are added one by one (`x · k` rounds differently), except zeros,
+        // which leave any partial sum unchanged.
+        let mut sum = 0.0f64;
+        let mut n = 0u64;
+        for (sample, k) in this.log.counts_in(from, to) {
+            n += k;
+            if sample.throughput.to_bits() != 0 {
+                for _ in 0..k {
+                    sum += sample.throughput;
+                }
+            }
+        }
+        (n > 0).then(|| sum / n as f64)
     }
 }
 
 /// Hint-based estimate recording (server side of §3.3).
+///
+/// The log is run-length encoded: while no new hint arrives the
+/// estimator returns its cached estimate, and a tick only extends the
+/// newest run.
 #[derive(Debug, Default)]
 pub struct HintRecorder {
     estimator: HintEstimator,
-    /// The recorded series.
-    pub series: Vec<(Nanos, HintEstimate)>,
+    /// The hint-estimated latency (if defined) at every tick that had an
+    /// estimate.
+    log: RunLog<Option<Nanos>>,
 }
 
 impl HintRecorder {
@@ -186,7 +419,7 @@ impl HintRecorder {
     pub fn new() -> Self {
         HintRecorder {
             estimator: HintEstimator::new(WireScale::default()),
-            series: Vec::new(),
+            log: RunLog::default(),
         }
     }
 
@@ -194,21 +427,50 @@ impl HintRecorder {
     pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
         if let Some(hint) = ctx.socket(sock).remote().hint.cur {
             if let Some(est) = self.estimator.update(hint) {
-                self.series.push((ctx.now(), est));
+                self.log.push(ctx.now(), est.latency);
             }
         }
     }
 
+    /// Sum and count of the defined hint-estimated latencies recorded in
+    /// `[from, to)`, in nanoseconds.
+    pub(crate) fn latency_sum_in(&self, from: Nanos, to: Nanos) -> (u64, u64) {
+        let (mut sum, mut n) = (0u64, 0u64);
+        for (latency, k) in self.log.counts_in(from, to) {
+            if let Some(latency) = latency {
+                sum += latency.as_nanos() * k;
+                n += k;
+            }
+        }
+        (sum, n)
+    }
+
     /// Mean hint-estimated latency over `[from, to)`.
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let vals: Vec<u64> = self
-            .series
-            .iter()
-            .filter(|(at, e)| *at >= from && *at < to && e.latency.is_some())
-            .map(|(_, e)| e.latency.expect("filtered").as_nanos())
-            .collect();
-        (!vals.is_empty())
-            .then(|| Nanos::from_nanos(vals.iter().sum::<u64>() / vals.len() as u64))
+        let (sum, n) = self.latency_sum_in(from, to);
+        (n > 0).then(|| Nanos::from_nanos(sum / n))
+    }
+}
+
+/// How often a driver's headline (Nagle) decision was "batch".
+#[derive(Debug, Clone, Copy, Default)]
+struct OnTicks {
+    on: u64,
+    ticks: u64,
+}
+
+impl OnTicks {
+    fn record(&mut self, on: bool) {
+        self.on += u64::from(on);
+        self.ticks += 1;
+    }
+
+    /// Fraction of decisions with batching on (zero before the first).
+    fn fraction(&self) -> f64 {
+        if self.ticks == 0 {
+            return 0.0;
+        }
+        self.on as f64 / self.ticks as f64
     }
 }
 
@@ -220,8 +482,8 @@ pub struct AimdDriver {
     /// The estimate source.
     pub recorder: EstimateRecorder,
     controller: AimdBatchLimit,
-    /// Recorded (time, limit) trajectory.
-    pub limits: Vec<(Nanos, u64)>,
+    /// The limit applied at every deciding tick.
+    limits: RunLog<u64>,
 }
 
 impl AimdDriver {
@@ -230,7 +492,7 @@ impl AimdDriver {
         AimdDriver {
             recorder: EstimateRecorder::new(unit),
             controller,
-            limits: Vec::new(),
+            limits: RunLog::default(),
         }
     }
 
@@ -238,27 +500,26 @@ impl AimdDriver {
     /// uniform knob path (`KnobSetting::CorkLimit`).
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.series.last().copied() {
+        if let Some(sample) = self.recorder.latest() {
             let limit = self.controller.update(&sample.estimate);
-            self.limits.push((ctx.now(), limit));
+            self.limits.push(ctx.now(), limit);
             ctx.apply(sock, KnobSetting::CorkLimit(limit));
         }
     }
 
     /// The most recently applied limit.
     pub fn current_limit(&self) -> Option<u64> {
-        self.limits.last().map(|(_, l)| *l)
+        self.limits.last()
     }
 
     /// Mean limit over the recorded trajectory in `[from, to)`.
     pub fn mean_limit_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        let vals: Vec<u64> = self
-            .limits
-            .iter()
-            .filter(|(at, _)| *at >= from && *at < to)
-            .map(|(_, l)| *l)
-            .collect();
-        (!vals.is_empty()).then(|| vals.iter().sum::<u64>() as f64 / vals.len() as f64)
+        let (mut sum, mut n) = (0u64, 0u64);
+        for (limit, k) in self.limits.counts_in(from, to) {
+            sum += limit * k;
+            n += k;
+        }
+        (n > 0).then(|| sum as f64 / n as f64)
     }
 }
 
@@ -278,8 +539,7 @@ pub struct ListenerDriver {
     pub unit: Unit,
     registry: EstimatorRegistry,
     controller: TickController<CircuitBreaker<EpsilonGreedy>>,
-    /// Recorded toggle decisions (time, batching-on).
-    pub toggles: Vec<(Nanos, bool)>,
+    toggles: OnTicks,
     /// Recorded aggregate series.
     pub series: Vec<(Nanos, AggregateEstimate)>,
 }
@@ -294,7 +554,7 @@ impl ListenerDriver {
             unit,
             registry: EstimatorRegistry::new(WireScale::default(), 1.0),
             controller,
-            toggles: Vec::new(),
+            toggles: OnTicks::default(),
             series: Vec::new(),
         }
     }
@@ -328,21 +588,14 @@ impl ListenerDriver {
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
         let now = ctx.now();
         for &sock in socks {
-            let snaps = ctx.socket(sock).local_snapshots(now, self.unit);
-            let local = EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            };
-            let remote = ctx.socket(sock).remote().unit(self.unit).cur;
-            let srtt = ctx.socket(sock).srtt();
+            let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, self.unit);
             self.registry
                 .update_validated(sock.0 as u64, now, local, remote, srtt);
         }
         if let Some(agg) = self.registry.aggregate() {
             let on = self.controller.offer_aggregate(now, &agg);
             self.series.push((now, agg));
-            self.toggles.push((now, on));
+            self.toggles.record(on);
             for &sock in socks {
                 ctx.set_nagle(sock, on);
             }
@@ -356,10 +609,7 @@ impl ListenerDriver {
 
     /// Fraction of ticks with batching on.
     pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        self.toggles.fraction()
     }
 
     /// Mean aggregate estimated latency over `[from, to)`.
@@ -399,8 +649,7 @@ pub struct ProxyDriver {
     front: EstimatorRegistry,
     backs: Vec<EstimatorRegistry>,
     controllers: Vec<TickController<CircuitBreaker<ControlPlane>>>,
-    /// Per-shard recorded headline (Nagle) decisions (time, batching-on).
-    pub toggles: Vec<Vec<(Nanos, bool)>>,
+    toggles: Vec<OnTicks>,
     /// Recorded front-leg (client → proxy) aggregate series.
     pub front_series: Vec<(Nanos, AggregateEstimate)>,
     /// Per-shard recorded *composed* (front + back) estimate series — the
@@ -423,7 +672,7 @@ impl ProxyDriver {
                 .map(|_| EstimatorRegistry::new(WireScale::default(), 1.0))
                 .collect(),
             controllers,
-            toggles: vec![Vec::new(); shards],
+            toggles: vec![OnTicks::default(); shards],
             front_series: Vec::new(),
             shard_series: vec![Vec::new(); shards],
         }
@@ -503,14 +752,7 @@ impl ProxyDriver {
         assert_eq!(upstreams.len(), self.backs.len(), "one upstream per shard");
         let now = ctx.now();
         let feed = |reg: &mut EstimatorRegistry, conn: u64, ctx: &HostCtx<'_>, sock: SocketId, unit| {
-            let snaps = ctx.socket(sock).local_snapshots(now, unit);
-            let local = EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            };
-            let remote = ctx.socket(sock).remote().unit(unit).cur;
-            let srtt = ctx.socket(sock).srtt();
+            let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, unit);
             reg.update_validated(conn, now, local, remote, srtt);
         };
         for &sock in client_socks {
@@ -538,7 +780,7 @@ impl ProxyDriver {
             // shared noise to each plane's signal.
             let on = self.controllers[shard].offer_aggregate(now, &back);
             self.shard_series[shard].push((now, composed));
-            self.toggles[shard].push((now, on));
+            self.toggles[shard].record(on);
             for setting in plane_settings(&self.controllers[shard], on) {
                 ctx.apply(sock, setting);
             }
@@ -547,11 +789,7 @@ impl ProxyDriver {
 
     /// Fraction of one shard's decisions with batching on.
     pub fn on_fraction(&self, shard: usize) -> f64 {
-        let t = &self.toggles[shard];
-        if t.is_empty() {
-            return 0.0;
-        }
-        t.iter().filter(|(_, on)| *on).count() as f64 / t.len() as f64
+        self.toggles[shard].fraction()
     }
 
     /// The newest composed (front + back) service estimate for one shard.
@@ -579,8 +817,7 @@ pub struct PolicyDriver {
     /// The estimate source.
     pub recorder: EstimateRecorder,
     controller: TickController<CircuitBreaker<EpsilonGreedy>>,
-    /// Recorded toggle decisions (time, batching-on).
-    pub toggles: Vec<(Nanos, bool)>,
+    toggles: OnTicks,
 }
 
 impl PolicyDriver {
@@ -591,7 +828,7 @@ impl PolicyDriver {
         PolicyDriver {
             recorder: EstimateRecorder::new(unit),
             controller,
-            toggles: Vec::new(),
+            toggles: OnTicks::default(),
         }
     }
 
@@ -617,19 +854,16 @@ impl PolicyDriver {
     /// Runs one tick: estimate, decide, actuate.
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.series.last().copied() {
+        if let Some(sample) = self.recorder.latest() {
             let on = self.controller.offer(ctx.now(), &sample.estimate);
-            self.toggles.push((ctx.now(), on));
+            self.toggles.record(on);
             ctx.set_nagle(sock, on);
         }
     }
 
     /// Fraction of ticks with batching on.
     pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        self.toggles.fraction()
     }
 }
 
@@ -659,8 +893,7 @@ pub struct PlaneDriver {
     /// The estimate source.
     pub recorder: EstimateRecorder,
     controller: TickController<CircuitBreaker<ControlPlane>>,
-    /// Recorded headline (Nagle) decisions (time, batching-on).
-    pub toggles: Vec<(Nanos, bool)>,
+    toggles: OnTicks,
 }
 
 impl PlaneDriver {
@@ -671,7 +904,7 @@ impl PlaneDriver {
         PlaneDriver {
             recorder: EstimateRecorder::new(unit),
             controller,
-            toggles: Vec::new(),
+            toggles: OnTicks::default(),
         }
     }
 
@@ -703,9 +936,9 @@ impl PlaneDriver {
     /// knob's setting.
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.series.last().copied() {
+        if let Some(sample) = self.recorder.latest() {
             let on = self.controller.offer(ctx.now(), &sample.estimate);
-            self.toggles.push((ctx.now(), on));
+            self.toggles.record(on);
             for setting in plane_settings(&self.controller, on) {
                 ctx.apply(sock, setting);
             }
@@ -714,10 +947,7 @@ impl PlaneDriver {
 
     /// Fraction of ticks with batching on.
     pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        self.toggles.fraction()
     }
 }
 
@@ -730,8 +960,7 @@ pub struct ListenerPlaneDriver {
     pub unit: Unit,
     registry: EstimatorRegistry,
     controller: TickController<CircuitBreaker<ControlPlane>>,
-    /// Recorded headline (Nagle) decisions (time, batching-on).
-    pub toggles: Vec<(Nanos, bool)>,
+    toggles: OnTicks,
     /// Recorded aggregate series.
     pub series: Vec<(Nanos, AggregateEstimate)>,
 }
@@ -745,7 +974,7 @@ impl ListenerPlaneDriver {
             unit,
             registry: EstimatorRegistry::new(WireScale::default(), 1.0),
             controller,
-            toggles: Vec::new(),
+            toggles: OnTicks::default(),
             series: Vec::new(),
         }
     }
@@ -784,21 +1013,14 @@ impl ListenerPlaneDriver {
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
         let now = ctx.now();
         for &sock in socks {
-            let snaps = ctx.socket(sock).local_snapshots(now, self.unit);
-            let local = EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            };
-            let remote = ctx.socket(sock).remote().unit(self.unit).cur;
-            let srtt = ctx.socket(sock).srtt();
+            let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, self.unit);
             self.registry
                 .update_validated(sock.0 as u64, now, local, remote, srtt);
         }
         if let Some(agg) = self.registry.aggregate() {
             let on = self.controller.offer_aggregate(now, &agg);
             self.series.push((now, agg));
-            self.toggles.push((now, on));
+            self.toggles.record(on);
             let settings = plane_settings(&self.controller, on);
             for &sock in socks {
                 for &setting in &settings {
@@ -815,10 +1037,7 @@ impl ListenerPlaneDriver {
 
     /// Fraction of ticks with batching on.
     pub fn on_fraction(&self) -> f64 {
-        if self.toggles.is_empty() {
-            return 0.0;
-        }
-        self.toggles.iter().filter(|(_, on)| *on).count() as f64 / self.toggles.len() as f64
+        self.toggles.fraction()
     }
 
     /// Mean aggregate estimated latency over `[from, to)`.

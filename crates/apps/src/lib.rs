@@ -28,6 +28,7 @@ pub mod kv;
 pub mod loadgen;
 pub mod proxy;
 pub mod resp;
+mod runlog;
 pub mod runner;
 pub mod server;
 pub mod shard;

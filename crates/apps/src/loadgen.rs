@@ -329,7 +329,7 @@ impl LancetClient {
         }
     }
 
-    fn tick(&mut self, ctx: &mut HostCtx<'_>) {
+    fn tick(&mut self, ctx: &mut HostCtx<'_>) { // hot-path: every client, every tick period
         let now = ctx.now();
         if now >= self.warmup_end && self.tracker_at_warmup.is_none() {
             self.tracker_at_warmup = Some(self.tracker.snapshot(now));

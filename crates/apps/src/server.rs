@@ -66,10 +66,13 @@ pub struct ServerStats {
 pub struct RedisServer {
     costs: AppCosts,
     kv: KvStore,
-    /// Live connections, keyed by socket id. BTreeMap, not HashMap: the
-    /// tick path iterates connections, and simulation state must iterate
-    /// in a deterministic order.
+    /// Connection state, keyed by socket id.
     conns: BTreeMap<usize, Conn>,
+    /// The keys of `conns` in ascending order — the order the tick path
+    /// visits connections, whatever order they were accepted in. Kept
+    /// alongside the map so a tick does not rebuild it; like the map it
+    /// only grows (a reset connection keeps its entry and its socket).
+    socks: Vec<SocketId>,
     /// Request-batch size distribution (requests per processing pass).
     pub batch_hist: Histogram,
     /// Aggregate statistics.
@@ -81,8 +84,9 @@ pub struct RedisServer {
     /// decision per tick, every knob applied to every connection.
     pub plane: Option<ListenerPlaneDriver>,
     /// Per-connection hint-based estimate recording (paper §3.3), when
-    /// enabled via [`with_hint_recorder`](RedisServer::with_hint_recorder).
-    pub hint_recorders: BTreeMap<usize, HintRecorder>,
+    /// enabled via [`with_hint_recorder`](RedisServer::with_hint_recorder):
+    /// one recorder per entry of `socks`, at the same index.
+    hint_recorders: Vec<HintRecorder>,
     hints_enabled: bool,
     tick_period: Nanos,
 }
@@ -94,11 +98,12 @@ impl RedisServer {
             costs,
             kv: KvStore::new(),
             conns: BTreeMap::new(),
+            socks: Vec::new(),
             batch_hist: Histogram::new(),
             stats: ServerStats::default(),
             policy: None,
             plane: None,
-            hint_recorders: BTreeMap::new(),
+            hint_recorders: Vec::new(),
             hints_enabled: false,
             tick_period: Nanos::from_micros(500),
         }
@@ -141,22 +146,33 @@ impl RedisServer {
     /// Mean hint-estimated latency pooled over every connection's
     /// recorder in `[from, to)`.
     pub fn hint_mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let vals: Vec<u64> = self
-            .hint_recorders
-            .values()
-            .flat_map(|r| r.series.iter())
-            .filter(|(at, e)| *at >= from && *at < to && e.latency.is_some())
-            .map(|(_, e)| e.latency.expect("filtered").as_nanos())
-            .collect();
-        (!vals.is_empty())
-            .then(|| Nanos::from_nanos(vals.iter().sum::<u64>() / vals.len() as u64))
+        let (mut sum, mut n) = (0u64, 0u64);
+        for r in &self.hint_recorders {
+            let (s, k) = r.latency_sum_in(from, to);
+            sum += s;
+            n += k;
+        }
+        (n > 0).then(|| Nanos::from_nanos(sum / n))
+    }
+
+    /// The state of connection `sock`, created (and entered into the
+    /// tick order) on first use.
+    fn conn(&mut self, sock: SocketId) -> &mut Conn {
+        self.conns.entry(sock.0).or_insert_with(|| {
+            let at = self.socks.binary_search(&sock).unwrap_or_else(|at| at);
+            self.socks.insert(at, sock);
+            if self.hints_enabled {
+                self.hint_recorders.insert(at, HintRecorder::new());
+            }
+            Conn::new()
+        })
     }
 
     /// Writes a response, stashing whatever the send buffer rejects so
     /// the byte stream stays intact under backpressure (flushed on
     /// `Writable`).
     fn send_or_backlog(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, wire: Vec<u8>) {
-        let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+        let conn = self.conn(sock);
         if conn.out_backlog.is_empty() {
             let sent = ctx.send(sock, &wire);
             if sent < wire.len() {
@@ -170,7 +186,7 @@ impl RedisServer {
 
     /// Drains the write backlog as far as the send buffer allows.
     fn flush(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+        let conn = self.conn(sock);
         conn.flush_pending = false;
         while let Some(front) = self
             .conns
@@ -192,7 +208,7 @@ impl RedisServer {
     }
 
     fn process(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+        let conn = self.conn(sock);
         conn.call_pending = false;
         let (data, _msgs) = ctx.recv(sock, usize::MAX);
         let conn = self.conns.get_mut(&sock.0).expect("just inserted");
@@ -231,17 +247,17 @@ impl App for RedisServer {
     fn on_wake(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, reason: WakeReason) {
         match reason {
             WakeReason::Accepted => {
-                self.conns.insert(sock.0, Conn::new());
+                *self.conn(sock) = Conn::new();
             }
             WakeReason::Readable => {
-                let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+                let conn = self.conn(sock);
                 if !conn.call_pending {
                     conn.call_pending = true;
                     ctx.wake_app_thread(token(KIND_PROCESS, sock.0));
                 }
             }
             WakeReason::Writable => {
-                let conn = self.conns.entry(sock.0).or_insert_with(Conn::new);
+                let conn = self.conn(sock);
                 if !conn.out_backlog.is_empty() && !conn.flush_pending {
                     conn.flush_pending = true;
                     let at = ctx.app_free_at();
@@ -259,24 +275,18 @@ impl App for RedisServer {
             KIND_PROCESS => self.process(ctx, sock),
             KIND_FLUSH => self.flush(ctx, sock),
             KIND_TICK => {
-                // Sorted connection order (BTreeMap) keeps the tick path
+                // Ascending socket order keeps the tick path
                 // deterministic however many connections fan in.
-                let socks: Vec<SocketId> = self.conns.keys().map(|&s| SocketId(s)).collect();
-                if self.hints_enabled {
-                    for &s in &socks {
-                        self.hint_recorders
-                            .entry(s.0)
-                            .or_default()
-                            .tick(ctx, s);
-                    }
+                for (rec, &s) in self.hint_recorders.iter_mut().zip(&self.socks) {
+                    rec.tick(ctx, s);
                 }
                 if let Some(policy) = self.policy.as_mut() {
                     // One listener-wide decision over the aggregate, not
                     // one per connection.
-                    policy.tick(ctx, &socks);
+                    policy.tick(ctx, &self.socks);
                 }
                 if let Some(plane) = self.plane.as_mut() {
-                    plane.tick(ctx, &socks);
+                    plane.tick(ctx, &self.socks);
                 }
                 ctx.call_after(self.tick_period, token(KIND_TICK, 0));
             }

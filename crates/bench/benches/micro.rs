@@ -3,7 +3,9 @@
 //! The paper's premise is that the counters are "easily maintained" —
 //! cheap enough to update on every socket-buffer change. This suite
 //! quantifies that: TRACK, snapshotting, GETAVGS, the 36-byte wire
-//! encode/decode, a full estimator update, and RESP parsing.
+//! encode/decode, a full estimator update, a recorder tick over a static
+//! and over an active socket (cache-cold, as at N = 1024), and RESP
+//! parsing.
 //!
 //! Uses a small hand-rolled harness (median of timed batches) instead of
 //! criterion: the workspace builds with no registry dependencies. Wall-
@@ -17,10 +19,14 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use e2e_apps::driver::EstimateRecorder;
 use e2e_core::combine::EndpointSnapshots;
 use e2e_core::E2eEstimator;
 use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::{Ewma, Nanos, QueueState, Snapshot};
+use tcpsim::segment::{E2eOption, Flags};
+use tcpsim::seq::SeqNum;
+use tcpsim::{FlowId, Segment, SocketId, TcpConfig, TcpSocket, TxEnv, Unit};
 
 /// Times `f` over batches of `iters` calls and prints the median ns/iter.
 fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) {
@@ -114,6 +120,76 @@ fn bench_estimator() {
     });
 }
 
+/// One `EstimateRecorder::tick` per connection, swept round-robin over
+/// 1024 connections so that — as in the N = 1024 fan-in — each tick finds
+/// its recorder and its socket out of cache. This is the row to hold
+/// against the benchmark's `apps.app_call.client.ns_per_event` (a client
+/// tick runs three of these plus one timer re-arm): `static` leaves the
+/// sockets untouched between sweeps, so every tick after the first is
+/// deferred; `active` moves a queue and delivers a fresh exchange on
+/// every socket before each sweep (untimed), so every tick replays
+/// nothing and steps the estimator in full.
+fn bench_recorder_tick() {
+    const CONNS: usize = 1024;
+    const SWEEPS: u64 = 200;
+    const BATCHES: usize = 9;
+    let period = Nanos::from_micros(500);
+
+    for active in [false, true] {
+        let mut actions = Vec::new();
+        let mut socks: Vec<TcpSocket> = (0..CONNS)
+            .map(|i| TcpSocket::client(FlowId(i as u64), TcpConfig::default(), Nanos::ZERO, &mut actions))
+            .collect();
+        let mut recorders: Vec<EstimateRecorder> =
+            (0..CONNS).map(|_| EstimateRecorder::new(Unit::Bytes)).collect();
+        let mut now = Nanos::ZERO;
+        let mut per_tick = [0f64; BATCHES];
+        for slot in per_tick.iter_mut() {
+            let mut timed = 0u128;
+            for _ in 0..SWEEPS {
+                now += period;
+                if active {
+                    let t = now.as_nanos();
+                    let snap = Snapshot {
+                        time: now,
+                        total: t / 10_000,
+                        integral: (t as u128) * 3,
+                    };
+                    let exchange = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
+                    let mut seg = Segment::control(
+                        FlowId(0),
+                        SeqNum::new(0),
+                        SeqNum::new(0),
+                        Flags::default(),
+                        0,
+                    );
+                    seg.options.e2e = Some(E2eOption::single(Unit::Bytes, exchange));
+                    for sock in socks.iter_mut() {
+                        let q = &mut sock.queues_mut().unacked;
+                        q.track_bytes(now, 1_448);
+                        q.track_bytes(now, -1_448);
+                        actions.clear();
+                        sock.on_segment(now, &seg, TxEnv::default(), &mut actions);
+                    }
+                }
+                let start = Instant::now();
+                for (i, (rec, sock)) in recorders.iter_mut().zip(&socks).enumerate() {
+                    rec.tick_socket(now, SocketId(i), sock);
+                }
+                timed += start.elapsed().as_nanos();
+            }
+            *slot = timed as f64 / (SWEEPS * CONNS as u64) as f64;
+        }
+        per_tick.sort_by(|a, b| a.total_cmp(b));
+        let name = if active { "recorder_tick_active" } else { "recorder_tick_static" };
+        println!(
+            "{name:<28} {:>10.1} ns/iter (median of {BATCHES} batches x {SWEEPS} sweeps of {CONNS})",
+            per_tick[BATCHES / 2]
+        );
+        black_box(&recorders);
+    }
+}
+
 fn bench_ewma() {
     let mut e = Ewma::new(0.3);
     let mut x = 1.0;
@@ -138,6 +214,7 @@ fn main() {
     bench_snapshot_and_averages();
     bench_wire();
     bench_estimator();
+    bench_recorder_tick();
     bench_ewma();
     bench_resp();
 }

@@ -14,8 +14,9 @@
 //! the BinaryHeap + BTreeSet event queue and map-keyed flow tables; the
 //! JSON carries the measured speedup against it so simulator performance
 //! ratchets like every other benched quantity. The `--smoke` mode (used
-//! by ci.sh) runs only N ∈ {1, 64} and asserts a conservative
-//! events-per-second floor instead of rewriting the JSON.
+//! by ci.sh) runs the same widths and asserts conservative
+//! events-per-second floors at N = 64 and N = 1024 instead of rewriting
+//! the JSON.
 //!
 //! ```sh
 //! cargo bench -p bench --bench simperf            # full, writes JSON
@@ -43,16 +44,19 @@ const SEED: u64 = 0x51BE;
 /// Pre-refactor baseline, simulated events per wall-clock second, per
 /// fan-in width — measured with this harness at commit 293b9d7 (lazy
 /// deletion BinaryHeap + two BTreeSets in `EventQueue`, BTreeMap-keyed
-/// flow/route/timer tables, per-event `Vec` allocation). N = 1024 was
-/// measured once for the record; the regression gate compares N = 64.
+/// flow/route/timer tables, per-event `Vec` allocation).
 const BASELINE_EVENTS_PER_SEC: [(usize, f64); 3] =
     [(1, 355_887.0), (64, 318_193.0), (1024, 201_805.0)];
 
-/// ci.sh smoke floor: simulated events per wall-clock second at N = 64.
-/// Deliberately far below the measured post-refactor rate so shared-CI
-/// scheduling noise cannot flake the gate, yet far above the
-/// pre-refactor baseline so a regression to the old hot path fails.
-const SMOKE_FLOOR_EPS: f64 = 1_000_000.0;
+/// ci.sh smoke floors: simulated events per wall-clock second, per
+/// fan-in width. Deliberately below the measured rates (N = 64: ~1.9 M;
+/// N = 1024: ~1.1 M, floor at ~70 %) so shared-CI scheduling noise cannot
+/// flake the gate. The N = 64 floor is far above the pre-refactor event
+/// queue (0.32 M). The N = 1024 floor is a coarse guard: per-tick
+/// estimation regardless of activity measured 0.82 M on the same
+/// machine, so the sharp gate for that is the repo benchmark's
+/// `fanin1024_set`, which times the steady state only.
+const SMOKE_FLOORS_EPS: [(usize, f64); 2] = [(64, 1_000_000.0), (1024, 750_000.0)];
 
 struct Row {
     num_clients: usize,
@@ -93,14 +97,13 @@ fn bench_width(n: usize) -> Row {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let widths: &[usize] = if smoke { &NS[..2] } else { &NS };
 
     println!("=== Simulator self-bench (events/sec, wall per sim-second) ===\n");
     println!(
         "{:>6} | {:>12} {:>9} | {:>14} {:>14} | {:>8}",
         "N", "events", "wall-s", "events/sec", "wall/sim-sec", "speedup"
     );
-    let rows: Vec<Row> = widths.iter().map(|&n| {
+    let rows: Vec<Row> = NS.iter().map(|&n| {
         let row = bench_width(n);
         println!(
             "{:>6} | {:>12} {:>9.3} | {:>14.0} {:>14.4} | {:>8}",
@@ -117,21 +120,23 @@ fn main() {
     }).collect();
 
     if smoke {
-        let n64 = rows
-            .iter()
-            .find(|r| r.num_clients == 64)
-            .expect("N=64 row in smoke set");
-        assert!(
-            n64.events_per_sec >= SMOKE_FLOOR_EPS,
-            "simulator throughput regressed: {:.0} events/sec at N=64, floor {:.0}",
-            n64.events_per_sec,
-            SMOKE_FLOOR_EPS
-        );
-        println!(
-            "\nsimperf smoke: OK ({:.2}M events/sec at N=64, floor {:.1}M)",
-            n64.events_per_sec / 1e6,
-            SMOKE_FLOOR_EPS / 1e6
-        );
+        println!();
+        for (n, floor) in SMOKE_FLOORS_EPS {
+            let row = rows
+                .iter()
+                .find(|r| r.num_clients == n)
+                .expect("every floored width is benched");
+            assert!(
+                row.events_per_sec >= floor,
+                "simulator throughput regressed: {:.0} events/sec at N={n}, floor {floor:.0}",
+                row.events_per_sec,
+            );
+            println!(
+                "simperf smoke: OK ({:.2}M events/sec at N={n}, floor {:.2}M)",
+                row.events_per_sec / 1e6,
+                floor / 1e6
+            );
+        }
         return;
     }
 

@@ -121,12 +121,12 @@ impl QueueState {
     ///
     /// Useful when the state is shared and the caller only has `&self`.
     pub fn peek(&self, now: Nanos) -> Snapshot {
-        let dt = now.saturating_sub(self.time);
         Snapshot {
-            time: self.time.max(now),
+            time: self.time,
             total: self.total,
-            integral: self.integral + self.size.max(0) as u128 * dt.as_nanos() as u128,
+            integral: self.integral,
         }
+        .advanced(self.size, now)
     }
 }
 
@@ -146,6 +146,20 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// This snapshot moved forward to `now`, for a queue whose occupancy
+    /// stayed at `size` since it was taken (no `TRACK` call in between):
+    /// the integral accrues `size · dt`, nothing departs. This is the
+    /// arithmetic of [`QueueState::peek`], so a snapshot advanced over a
+    /// stretch without events equals a fresh `peek` at `now` bit for bit.
+    pub fn advanced(&self, size: i64, now: Nanos) -> Snapshot {
+        let dt = now.saturating_sub(self.time);
+        Snapshot {
+            time: self.time.max(now),
+            total: self.total,
+            integral: self.integral + size.max(0) as u128 * dt.as_nanos() as u128,
+        }
+    }
+
     /// The `GETAVGS` procedure: averages over the window from `prev` to
     /// `self`.
     ///
@@ -213,6 +227,23 @@ impl Averages {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn advanced_snapshot_equals_a_later_peek() {
+        let us = Nanos::from_micros;
+        let mut q = QueueState::new(us(3));
+        q.track(us(10), 5);
+        q.track(us(25), -2);
+        // No TRACK after t = 25 µs: a snapshot taken at 40 µs and moved
+        // forward at the held occupancy is the snapshot taken later.
+        let at_40 = q.peek(us(40));
+        for later in [40, 41, 500, 1 << 42] {
+            assert_eq!(at_40.advanced(q.size(), us(later)), q.peek(us(later)));
+        }
+        // An empty (or, defensively, negative) occupancy accrues nothing.
+        assert_eq!(at_40.advanced(0, us(90)).integral, at_40.integral);
+        assert_eq!(at_40.advanced(-1, us(90)).integral, at_40.integral);
+    }
 
     #[test]
     fn paper_worked_example() {

@@ -251,6 +251,13 @@ pub struct TcpSocket {
     /// them in any profile.
     invariants: SocketInvariants,
     remote: RemoteStore,
+    /// Change stamp over the state an end-to-end estimator reads from this
+    /// socket: advanced whenever one of the three instrumented queues, the
+    /// [`RemoteStore`] or the smoothed RTT may have changed. While two
+    /// reads return the same stamp, the queues were piecewise linear in
+    /// between (no `TRACK` call), so a periodic tick can extrapolate its
+    /// previous snapshots instead of taking new ones.
+    estimator_stamp: u64,
     stats: SocketStats,
     /// Dynamic-Nagle switch (used only in [`NagleMode::Dynamic`]).
     nagle_dynamic_on: bool,
@@ -321,6 +328,7 @@ impl TcpSocket {
             queues: SocketQueues::new(now),
             invariants: SocketInvariants::new(),
             remote: RemoteStore::default(),
+            estimator_stamp: 0,
             stats: SocketStats::default(),
             nagle_dynamic_on: false,
             batch_limit: config.batch_limit.map(|b| b as usize),
@@ -455,6 +463,24 @@ impl TcpSocket {
         &self.remote
     }
 
+    /// The estimator change stamp: equal across two reads only if no
+    /// instrumented queue, nothing in [`remote`](Self::remote) and not
+    /// [`srtt`](Self::srtt) changed in between. It is all a tick over a
+    /// static connection reads of the socket.
+    #[inline]
+    pub fn estimator_stamp(&self) -> u64 {
+        self.estimator_stamp
+    }
+
+    /// The instrumented queues for a `TRACK` call; advances the
+    /// estimator stamp. Every queue mutation in this file goes through
+    /// here, so the stamp cannot miss one.
+    #[inline]
+    fn touch_queues(&mut self) -> &mut SocketQueues {
+        self.estimator_stamp += 1;
+        &mut self.queues
+    }
+
     /// Statistics.
     pub fn stats(&self) -> &SocketStats {
         &self.stats
@@ -470,7 +496,7 @@ impl TcpSocket {
     /// directly; the stack's own bookkeeping goes through the tracked
     /// send/receive paths so the ledgers stay in balance.
     pub fn queues_mut(&mut self) -> &mut SocketQueues {
-        &mut self.queues
+        self.touch_queues()
     }
 
     /// Runs every stateful invariant gate against the current queue and
@@ -620,8 +646,8 @@ impl TcpSocket {
         if accepted > 0 {
             self.snd.mark_boundary();
             self.invariants.unacked.enter(accepted as u64);
-            self.queues.unacked.track_bytes(now, accepted as i64);
-            self.queues.unacked.track_messages(now, 1);
+            self.touch_queues().unacked.track_bytes(now, accepted as i64);
+            self.touch_queues().unacked.track_messages(now, 1);
         }
         self.poll_transmit(now, env, actions);
         self.verify_invariants(now);
@@ -635,9 +661,9 @@ impl TcpSocket {
         let (bytes, messages) = self.rcv.read(max);
         if !bytes.is_empty() {
             self.invariants.unread.leave(bytes.len() as u64);
-            self.queues.unread.track_bytes(now, -(bytes.len() as i64));
+            self.touch_queues().unread.track_bytes(now, -(bytes.len() as i64));
             if messages > 0 {
-                self.queues.unread.track_messages(now, -(messages as i64));
+                self.touch_queues().unread.track_messages(now, -(messages as i64));
             }
             let read_pos = self.rcv.read_pos();
             let mut pkts = 0i64;
@@ -649,7 +675,7 @@ impl TcpSocket {
                 pkts += self.unread_packets.pop_front().expect("front exists").1 as i64;
             }
             if pkts > 0 {
-                self.queues.unread.track_packets(now, -pkts);
+                self.touch_queues().unread.track_packets(now, -pkts);
             }
             // Window-update ACK: reading reopened a window that had
             // squeezed below one MSS.
@@ -901,7 +927,7 @@ impl TcpSocket {
             actions.push(Action::CancelTimer(TimerKind::Delack));
         }
         self.flush_ackdelay(now);
-        self.queues.unacked.track_packets(now, wire_packets as i64);
+        self.touch_queues().unacked.track_packets(now, wire_packets as i64);
         self.in_flight.push_back(InFlight {
             offset,
             len: len as u32, // lint:allow(cast-truncation): segment length is MSS-bounded, far under u32::MAX
@@ -927,19 +953,20 @@ impl TcpSocket {
     /// Drains the ackdelay queue bookkeeping (an ACK covering everything
     /// received is about to leave, either pure or piggybacked).
     fn flush_ackdelay(&mut self, now: Nanos) {
-        if self.pending_ack_bytes > 0 {
-            self.invariants.ackdelay.leave(self.pending_ack_bytes as u64);
-            self.queues.ackdelay.track_bytes(now, -self.pending_ack_bytes);
+        let (bytes, packets, messages) = (
+            self.pending_ack_bytes,
+            self.pending_ack_packets,
+            self.pending_ack_messages,
+        );
+        if bytes > 0 {
+            self.invariants.ackdelay.leave(bytes as u64);
+            self.touch_queues().ackdelay.track_bytes(now, -bytes);
         }
-        if self.pending_ack_packets > 0 {
-            self.queues
-                .ackdelay
-                .track_packets(now, -self.pending_ack_packets);
+        if packets > 0 {
+            self.touch_queues().ackdelay.track_packets(now, -packets);
         }
-        if self.pending_ack_messages > 0 {
-            self.queues
-                .ackdelay
-                .track_messages(now, -self.pending_ack_messages);
+        if messages > 0 {
+            self.touch_queues().ackdelay.track_messages(now, -messages);
         }
         self.pending_ack_bytes = 0;
         self.pending_ack_packets = 0;
@@ -1001,11 +1028,13 @@ impl TcpSocket {
             }
             self.remote.received += 1;
             self.remote.last_received_at = Some(now);
+            self.estimator_stamp += 1;
         }
         if let Some(hint) = seg.options.hint {
             self.remote.hint.push(hint.snapshot);
             self.remote.received += 1;
             self.remote.last_received_at = Some(now);
+            self.estimator_stamp += 1;
         }
 
         match self.state {
@@ -1053,9 +1082,9 @@ impl TcpSocket {
                     let res = self.snd.on_ack(data_upto);
                     if res.bytes > 0 {
                         self.invariants.unacked.leave(res.bytes as u64);
-                        self.queues.unacked.track_bytes(now, -(res.bytes as i64));
+                        self.touch_queues().unacked.track_bytes(now, -(res.bytes as i64));
                         if res.messages > 0 {
-                            self.queues
+                            self.touch_queues()
                                 .unacked
                                 .track_messages(now, -(res.messages as i64));
                         }
@@ -1073,10 +1102,11 @@ impl TcpSocket {
                             }
                         }
                         if pkts > 0 {
-                            self.queues.unacked.track_packets(now, -pkts);
+                            self.touch_queues().unacked.track_packets(now, -pkts);
                         }
                         if let Some(rtt) = rtt_sample {
                             self.rtt.sample(rtt);
+                            self.estimator_stamp += 1;
                         }
                         self.cc.on_ack(res.bytes);
                         if self.snd.in_flight() == 0 && (fin_acked || !self.fin_sent) {
@@ -1174,15 +1204,15 @@ impl TcpSocket {
                 if res.in_order_bytes > 0 {
                     self.stats.bytes_received += res.in_order_bytes as u64;
                     self.invariants.unread.enter(res.in_order_bytes as u64);
-                    self.queues
+                    self.touch_queues()
                         .unread
                         .track_bytes(now, res.in_order_bytes as i64);
                     if res.in_order_messages > 0 {
-                        self.queues
+                        self.touch_queues()
                             .unread
                             .track_messages(now, res.in_order_messages as i64);
                     }
-                    self.queues.unread.track_packets(now, seg.wire_packets as i64);
+                    self.touch_queues().unread.track_packets(now, seg.wire_packets as i64);
                     self.unread_packets
                         .push_back((self.rcv.rcv_nxt(), seg.wire_packets));
 
@@ -1190,14 +1220,14 @@ impl TcpSocket {
                     self.pending_ack_packets += seg.wire_packets as i64;
                     self.pending_ack_messages += res.in_order_messages as i64;
                     self.invariants.ackdelay.enter(res.in_order_bytes as u64);
-                    self.queues
+                    self.touch_queues()
                         .ackdelay
                         .track_bytes(now, res.in_order_bytes as i64);
-                    self.queues
+                    self.touch_queues()
                         .ackdelay
                         .track_packets(now, seg.wire_packets as i64);
                     if res.in_order_messages > 0 {
-                        self.queues
+                        self.touch_queues()
                             .ackdelay
                             .track_messages(now, res.in_order_messages as i64);
                     }
@@ -1295,7 +1325,7 @@ impl TcpSocket {
                         let stale_packets: i64 =
                             self.in_flight.iter().map(|f| f.wire_packets as i64).sum();
                         if stale_packets > 0 {
-                            self.queues.unacked.track_packets(now, -stale_packets);
+                            self.touch_queues().unacked.track_packets(now, -stale_packets);
                         }
                         self.in_flight.clear();
                         if self.snd.in_flight() > 0 {

@@ -7,12 +7,13 @@
 //! ledgers).
 
 use e2e_batching::batchpolicy::Objective;
+use e2e_batching::e2e_apps::driver::EstimateRecorder;
 use e2e_batching::e2e_apps::{
     run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
-use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig};
+use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig, Unit};
 
 fn n16_cfg(nagle: NagleSetting) -> RunConfig {
     RunConfig {
@@ -75,20 +76,27 @@ fn n16_dynamic_policy_is_deterministic_and_aggregates() {
     );
 }
 
-/// Builds the 16-client star directly and checks that every server-side
-/// socket's invariant ledgers booked real traffic: the conservation /
-/// continuity gates ran against live data on all 16 connections, not on
-/// idle sockets.
-#[test]
-fn invariant_gates_are_nonvacuous_on_all_16_connections() {
+/// The 16-client star of the two tests below, built directly so the
+/// sockets and recorders stay inspectable, run to `end`.
+fn run_star16(
+    per_client_rps: f64,
+    recorder: Option<Unit>,
+    end: Nanos,
+) -> NetSim<LancetClient, RedisServer> {
     let n = 16;
     let profile = CostProfile::calibrated();
     let tcp = TcpConfig::default();
     let warmup = Nanos::from_millis(20);
-    let end = Nanos::from_millis(120);
 
     let clients: Vec<LancetClient> = (0..n)
-        .map(|_| LancetClient::new(WorkloadSpec::fig4a(3_000.0), profile.app, tcp, warmup, end))
+        .map(|_| {
+            let spec = WorkloadSpec::fig4a(per_client_rps);
+            let client = LancetClient::new(spec, profile.app, tcp, warmup, end);
+            match recorder {
+                Some(unit) => client.with_recorder(EstimateRecorder::new(unit)),
+                None => client,
+            }
+        })
         .collect();
     let server = RedisServer::new(profile.app);
     let client_hosts: Vec<Host> = (0..n)
@@ -121,6 +129,17 @@ fn invariant_gates_are_nonvacuous_on_all_16_connections() {
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, end);
+    sim
+}
+
+/// Builds the 16-client star directly and checks that every server-side
+/// socket's invariant ledgers booked real traffic: the conservation /
+/// continuity gates ran against live data on all 16 connections, not on
+/// idle sockets.
+#[test]
+fn invariant_gates_are_nonvacuous_on_all_16_connections() {
+    let n = 16;
+    let sim = run_star16(3_000.0, None, Nanos::from_millis(120));
 
     assert_eq!(
         sim.server_host().socket_count(),
@@ -148,5 +167,33 @@ fn invariant_gates_are_nonvacuous_on_all_16_connections() {
         let inv = sim.host(i).socket(sock).invariants();
         assert!(inv.unacked.entered() > 0, "client {i}: sent nothing");
         assert!(inv.unread.entered() > 0, "client {i}: received nothing");
+    }
+}
+
+/// At a per-connection rate well under the tick rate most ticks find
+/// their socket untouched and are deferred. Each of those asserts (under
+/// the debug assertions this suite runs with) that the extrapolated
+/// inputs equal a fresh read of the socket — so this run is the check
+/// that the estimator stamp covers every mutation site, on every
+/// connection, and it must not be vacuous.
+#[test]
+fn deferred_ticks_are_cross_checked_on_all_16_connections() {
+    let end = Nanos::from_millis(220);
+    let sim = run_star16(250.0, Some(Unit::Bytes), end);
+    for (i, client) in sim.clients.iter().enumerate() {
+        let recorder = &client.recorders[0];
+        let ticks = end.as_nanos() / Nanos::from_micros(500).as_nanos();
+        assert!(
+            recorder.deferred_ticks() > ticks / 2,
+            "client {i}: only {} of ~{ticks} ticks deferred",
+            recorder.deferred_ticks()
+        );
+        assert!(client.completed > 20, "client {i}: idle connection");
+        assert!(
+            recorder
+                .mean_latency_in(Nanos::from_millis(20), end)
+                .is_some(),
+            "client {i}: no estimate"
+        );
     }
 }

@@ -18,11 +18,9 @@ use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig, Unit};
 /// Where the default-scale wire clock wraps: `(u32::MAX + 1) << 10` ns.
 const WIRE_WRAP: Nanos = Nanos::from_nanos(1u64 << 42);
 
-/// Runs a single low-rate connection from before the wire-clock wrap to
-/// comfortably past it, with validation on, and checks the metadata
-/// plane never hiccuped.
-#[test]
-fn estimator_and_validator_survive_u32_wire_clock_wrap() {
+/// One client at `rate` requests/s against one server until `end`, the
+/// client carrying a validating byte-unit recorder ticked every `tick`.
+fn soak(rate: f64, tick: Nanos, warmup: Nanos, end: Nanos) -> NetSim<LancetClient, RedisServer> {
     let profile = CostProfile::calibrated();
     let tcp = TcpConfig {
         exchange: ExchangeConfig {
@@ -33,15 +31,8 @@ fn estimator_and_validator_survive_u32_wire_clock_wrap() {
         ..TcpConfig::default()
     };
 
-    // ~73.5 minutes of virtual time. A low request rate and a coarse
-    // estimator tick keep the event count (and the test's wall clock)
-    // manageable; the wire clock advances with virtual time regardless.
-    let warmup = Nanos::from_secs(1);
-    let end = WIRE_WRAP + Nanos::from_secs(10);
-    let rate = 200.0;
-
     let client = LancetClient::new(WorkloadSpec::fig4a(rate), profile.app, tcp, warmup, end)
-        .with_tick_period(Nanos::from_millis(5))
+        .with_tick_period(tick)
         .with_recorder(EstimateRecorder::new(Unit::Bytes).with_validation(ValidateConfig::default()));
     let server = RedisServer::new(profile.app);
     let client_host = Host::new(
@@ -70,6 +61,21 @@ fn estimator_and_validator_survive_u32_wire_clock_wrap() {
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, end);
+    sim
+}
+
+/// Runs a single low-rate connection from before the wire-clock wrap to
+/// comfortably past it, with validation on, and checks the metadata
+/// plane never hiccuped.
+#[test]
+fn estimator_and_validator_survive_u32_wire_clock_wrap() {
+    // ~73.5 minutes of virtual time. A low request rate and a coarse
+    // estimator tick keep the event count (and the test's wall clock)
+    // manageable; the wire clock advances with virtual time regardless.
+    let warmup = Nanos::from_secs(1);
+    let end = WIRE_WRAP + Nanos::from_secs(10);
+    let rate = 200.0;
+    let sim = soak(rate, Nanos::from_millis(5), warmup, end);
 
     let lg = &sim.clients[0];
     let expected = rate * (end - warmup).as_secs_f64();
@@ -136,5 +142,41 @@ fn estimator_and_validator_survive_u32_wire_clock_wrap() {
     assert!(
         (0.2..5.0).contains(&ratio),
         "estimate shifted across the wrap: before {before_wrap}, after {after_wrap}"
+    );
+}
+
+/// A long-lived, mostly idle connection must not pay for the ticks it
+/// sits through: the recorder's sample log grows with the exchanges the
+/// peer sends, not with elapsed time.
+#[test]
+fn recorder_log_grows_with_exchanges_not_ticks() {
+    let tick = Nanos::from_micros(500);
+    let end = Nanos::from_secs(4);
+    let sim = soak(25.0, tick, Nanos::from_millis(100), end);
+
+    let lg = &sim.clients[0];
+    let recorder = &lg.recorders[0];
+    let ticks = end.as_nanos() / tick.as_nanos();
+    let sock = lg.sock.expect("client connected");
+    let exchanges = sim.host(0).socket(sock).remote().received;
+    assert!(lg.completed > 50 && exchanges > 50, "the connection carried traffic");
+    assert!(
+        recorder.mean_latency_in(Nanos::from_millis(100), end).is_some(),
+        "estimates were recorded"
+    );
+
+    let runs = recorder.log_runs() as u64;
+    assert!(
+        runs <= 4 * exchanges,
+        "{runs} log runs for {exchanges} exchanges"
+    );
+    assert!(
+        runs * 10 < ticks,
+        "{runs} log runs over {ticks} ticks: the log still grows per tick"
+    );
+    assert!(
+        recorder.deferred_ticks() * 10 > ticks * 8,
+        "only {} of {ticks} ticks deferred",
+        recorder.deferred_ticks()
     );
 }
