@@ -1,10 +1,15 @@
 //! Estimation and policy plumbing shared by client and server apps.
 //!
-//! A [`PolicyDriver`] is what an endpoint runs on its periodic tick: it
-//! snapshots the socket's local queues, pairs them with the peer's latest
-//! exchange, updates an [`E2eEstimator`], records the estimate series (the
-//! "estimated" curves of Figure 4), and — when a toggler is attached —
-//! actuates the socket's dynamic-Nagle switch.
+//! Every driver here is the paper's §4–5 loop — tick → estimate → decide
+//! → actuate — at one seat. A [`PlaneDriver`] watches one connection: on
+//! the endpoint's periodic tick it updates an [`EstimateRecorder`] (the
+//! "estimated" curves of Figure 4), offers the estimate to a
+//! [`ControlPlane`], and actuates every knob the plane controls through
+//! [`HostCtx::apply`]. A [`ListenerPlaneDriver`] does the same over the
+//! throughput-weighted aggregate of many connections, and a
+//! [`ProxyDriver`] holds one such seat per shard. Dynamic Nagle toggling
+//! is the plane with only its Nagle knob attached; [`AimdDriver`] is the
+//! §5 gradual limit on its own.
 //!
 //! The estimate source of the single-connection drivers is an
 //! [`EstimateRecorder`], which does that work only when the socket has
@@ -13,9 +18,7 @@
 
 use std::borrow::Cow;
 
-use batchpolicy::{
-    AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, EpsilonGreedy, TickController,
-};
+use batchpolicy::{AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, TickController};
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
 use e2e_core::compose::compose_two;
 use e2e_core::hints::HintEstimator;
@@ -523,355 +526,10 @@ impl AimdDriver {
     }
 }
 
-/// Listener-wide estimation plus actuation (paper §3.2, last paragraph).
-///
-/// Where a [`PolicyDriver`] watches one connection, a `ListenerDriver`
-/// runs one [`E2eEstimator`] per accepted connection inside an
-/// [`EstimatorRegistry`], folds their latest estimates into a
-/// throughput-weighted [`AggregateEstimate`] each tick, makes a *single*
-/// ε-greedy decision on the aggregate, and applies it to every
-/// connection — the listener-wide Nagle default a server actually toggles.
-/// With one connection the aggregate degenerates to that connection's
-/// estimate, so the two-host experiments behave identically.
-#[derive(Debug)]
-pub struct ListenerDriver {
-    /// The message unit the per-connection estimators use.
-    pub unit: Unit,
-    registry: EstimatorRegistry,
-    controller: TickController<CircuitBreaker<EpsilonGreedy>>,
-    toggles: OnTicks,
-    /// Recorded aggregate series.
-    pub series: Vec<(Nanos, AggregateEstimate)>,
-}
-
-impl ListenerDriver {
-    /// Creates a driver estimating in `unit` and deciding with the given
-    /// ε-greedy controller (wrapped in a — possibly disabled — circuit
-    /// breaker). The registry's estimators are unsmoothed, matching
-    /// [`EstimateRecorder`].
-    pub fn new(unit: Unit, controller: TickController<CircuitBreaker<EpsilonGreedy>>) -> Self {
-        ListenerDriver {
-            unit,
-            registry: EstimatorRegistry::new(WireScale::default(), 1.0),
-            controller,
-            toggles: OnTicks::default(),
-            series: Vec::new(),
-        }
-    }
-
-    /// Applies a staleness bound to every per-connection estimator the
-    /// registry creates (see [`EstimatorRegistry::with_staleness_bound`]).
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.registry = self.registry.with_staleness_bound(bound);
-        self
-    }
-
-    /// Applies peer-state validation to every per-connection estimator
-    /// the registry creates.
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.registry = self.registry.with_validation(config);
-        self
-    }
-
-    /// Validation counters summed across every connection's estimator.
-    pub fn validation_stats(&self) -> ValidateStats {
-        self.registry.validation_stats()
-    }
-
-    /// The circuit breaker around the listener-wide toggler.
-    pub fn breaker(&self) -> &CircuitBreaker<EpsilonGreedy> {
-        self.controller.inner()
-    }
-
-    /// Runs one tick over every live connection: update each estimator,
-    /// aggregate, decide once, actuate everywhere.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
-        let now = ctx.now();
-        for &sock in socks {
-            let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, self.unit);
-            self.registry
-                .update_validated(sock.0 as u64, now, local, remote, srtt);
-        }
-        if let Some(agg) = self.registry.aggregate() {
-            let on = self.controller.offer_aggregate(now, &agg);
-            self.series.push((now, agg));
-            self.toggles.record(on);
-            for &sock in socks {
-                ctx.set_nagle(sock, on);
-            }
-        }
-    }
-
-    /// Connections the registry has seen.
-    pub fn connections(&self) -> usize {
-        self.registry.connections()
-    }
-
-    /// Fraction of ticks with batching on.
-    pub fn on_fraction(&self) -> f64 {
-        self.toggles.fraction()
-    }
-
-    /// Mean aggregate estimated latency over `[from, to)`.
-    pub fn mean_aggregate_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (at, agg) in &self.series {
-            if *at >= from && *at < to {
-                sum += agg.latency.as_nanos() as u128;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
-    }
-}
-
-/// Proxy-side estimation and per-shard actuation (the two-tier topology's
-/// policy seat).
-///
-/// The proxy terminates every client connection (the *front* leg) and
-/// holds one upstream connection per shard (the *back* legs). This driver
-/// runs one front [`EstimatorRegistry`] over all accepted client
-/// connections, one back registry per shard, and — per shard — composes
-/// the two legs into a service-level [`AggregateEstimate`]
-/// ([`compose_two`]: latencies summed along the path as in Figure 3,
-/// confidence the weakest leg's). The composed series is the *reporting*
-/// view: it is what ranks shards by end-to-end delay. Each shard's
-/// [`ControlPlane`] decides on the *back-leg* estimate alone — the leg
-/// its knob actually controls — so the shared front leg's queueing noise
-/// (identical for every shard) cannot drown the per-shard signal. The
-/// decision actuates on that shard's upstream socket: a hot shard can
-/// batch while cold shards stay latency-optimal, independently.
-#[derive(Debug)]
-pub struct ProxyDriver {
-    /// The message unit the per-connection estimators use.
-    pub unit: Unit,
-    front: EstimatorRegistry,
-    backs: Vec<EstimatorRegistry>,
-    controllers: Vec<TickController<CircuitBreaker<ControlPlane>>>,
-    toggles: Vec<OnTicks>,
-    /// Recorded front-leg (client → proxy) aggregate series.
-    pub front_series: Vec<(Nanos, AggregateEstimate)>,
-    /// Per-shard recorded *composed* (front + back) estimate series — the
-    /// service-level view that ranks shards by end-to-end latency.
-    pub shard_series: Vec<Vec<(Nanos, AggregateEstimate)>>,
-}
-
-impl ProxyDriver {
-    /// Creates a driver estimating in `unit` with one controller per
-    /// shard (each wrapped in a — possibly disabled — circuit breaker).
-    pub fn new(
-        unit: Unit,
-        controllers: Vec<TickController<CircuitBreaker<ControlPlane>>>,
-    ) -> Self {
-        let shards = controllers.len();
-        ProxyDriver {
-            unit,
-            front: EstimatorRegistry::new(WireScale::default(), 1.0),
-            backs: (0..shards)
-                .map(|_| EstimatorRegistry::new(WireScale::default(), 1.0))
-                .collect(),
-            controllers,
-            toggles: vec![OnTicks::default(); shards],
-            front_series: Vec::new(),
-            shard_series: vec![Vec::new(); shards],
-        }
-    }
-
-    /// Applies a staleness bound to every estimator the driver's
-    /// registries create.
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.front = self.front.with_staleness_bound(bound);
-        self.backs = self
-            .backs
-            .drain(..)
-            .map(|b| b.with_staleness_bound(bound))
-            .collect();
-        self
-    }
-
-    /// Applies peer-state validation to every estimator the driver's
-    /// registries create.
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.front = self.front.with_validation(config);
-        self.backs = self
-            .backs
-            .drain(..)
-            .map(|b| b.with_validation(config))
-            .collect();
-        self
-    }
-
-    /// Validation counters summed across the front registry and every
-    /// shard's back registry.
-    pub fn validation_stats(&self) -> ValidateStats {
-        let mut total = self.front.validation_stats();
-        for b in &self.backs {
-            total.merge(&b.validation_stats());
-        }
-        total
-    }
-
-    /// Validation counters for one shard's back-leg registry alone —
-    /// after a shard crash this is where the replacement connection's
-    /// epoch change (and the resync it forces) shows up.
-    pub fn back_validation_stats(&self, shard: usize) -> ValidateStats {
-        self.backs[shard].validation_stats()
-    }
-
-    /// Number of shards the driver controls.
-    pub fn num_shards(&self) -> usize {
-        self.controllers.len()
-    }
-
-    /// The circuit breaker around one shard's plane.
-    pub fn breaker(&self, shard: usize) -> &CircuitBreaker<ControlPlane> {
-        self.controllers[shard].inner()
-    }
-
-    /// One shard's control plane.
-    pub fn plane(&self, shard: usize) -> &ControlPlane {
-        self.controllers[shard].inner().inner()
-    }
-
-    /// Client connections the front registry has seen.
-    pub fn front_connections(&self) -> usize {
-        self.front.connections()
-    }
-
-    /// Runs one tick: update the front registry over every client
-    /// connection and each shard's back registry over its upstream
-    /// connection, compose per-shard service estimates, and let each
-    /// shard's plane decide and actuate on its own upstream socket.
-    pub fn tick(
-        &mut self,
-        ctx: &mut HostCtx<'_>,
-        client_socks: &[SocketId],
-        upstreams: &[Option<SocketId>],
-    ) {
-        assert_eq!(upstreams.len(), self.backs.len(), "one upstream per shard");
-        let now = ctx.now();
-        let feed = |reg: &mut EstimatorRegistry, conn: u64, ctx: &HostCtx<'_>, sock: SocketId, unit| {
-            let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, unit);
-            reg.update_validated(conn, now, local, remote, srtt);
-        };
-        for &sock in client_socks {
-            feed(&mut self.front, sock.0 as u64, ctx, sock, self.unit);
-        }
-        let front = self.front.aggregate();
-        if let Some(f) = front {
-            self.front_series.push((now, f));
-        }
-        for (shard, up) in upstreams.iter().enumerate() {
-            let Some(sock) = *up else { continue };
-            feed(&mut self.backs[shard], 0, ctx, sock, self.unit);
-            let Some(back) = self.backs[shard].aggregate() else {
-                continue;
-            };
-            // Until the front leg estimates (e.g. clients still idle) the
-            // back leg alone is the best available service view.
-            let composed = match front.as_ref() {
-                Some(f) => compose_two(f, &back),
-                None => back,
-            };
-            // Decide on the back leg: the Nagle knob only shapes
-            // proxy → shard traffic, and the front leg's aggregate delay
-            // is common to every shard — composing it in would only add
-            // shared noise to each plane's signal.
-            let on = self.controllers[shard].offer_aggregate(now, &back);
-            self.shard_series[shard].push((now, composed));
-            self.toggles[shard].record(on);
-            for setting in plane_settings(&self.controllers[shard], on) {
-                ctx.apply(sock, setting);
-            }
-        }
-    }
-
-    /// Fraction of one shard's decisions with batching on.
-    pub fn on_fraction(&self, shard: usize) -> f64 {
-        self.toggles[shard].fraction()
-    }
-
-    /// The newest composed (front + back) service estimate for one shard.
-    pub fn latest_composed(&self, shard: usize) -> Option<&AggregateEstimate> {
-        self.shard_series[shard].last().map(|(_, e)| e)
-    }
-
-    /// Mean composed service latency for one shard over `[from, to)`.
-    pub fn shard_mean_latency_in(&self, shard: usize, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (at, agg) in &self.shard_series[shard] {
-            if *at >= from && *at < to {
-                sum += agg.latency.as_nanos() as u128;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
-    }
-}
-
-/// Estimation plus actuation: drives the socket's dynamic-Nagle switch.
-#[derive(Debug)]
-pub struct PolicyDriver {
-    /// The estimate source.
-    pub recorder: EstimateRecorder,
-    controller: TickController<CircuitBreaker<EpsilonGreedy>>,
-    toggles: OnTicks,
-}
-
-impl PolicyDriver {
-    /// Creates a driver estimating in `unit` and deciding with the given
-    /// ε-greedy controller (wrapped in a — possibly disabled — circuit
-    /// breaker).
-    pub fn new(unit: Unit, controller: TickController<CircuitBreaker<EpsilonGreedy>>) -> Self {
-        PolicyDriver {
-            recorder: EstimateRecorder::new(unit),
-            controller,
-            toggles: OnTicks::default(),
-        }
-    }
-
-    /// Bounds how long this driver's estimator trusts a cached remote
-    /// window.
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.recorder = self.recorder.with_staleness_bound(bound);
-        self
-    }
-
-    /// Validates every incoming exchange before it can influence the
-    /// policy's estimate.
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.recorder = self.recorder.with_validation(config);
-        self
-    }
-
-    /// The circuit breaker around the toggler.
-    pub fn breaker(&self) -> &CircuitBreaker<EpsilonGreedy> {
-        self.controller.inner()
-    }
-
-    /// Runs one tick: estimate, decide, actuate.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.latest() {
-            let on = self.controller.offer(ctx.now(), &sample.estimate);
-            self.toggles.record(on);
-            ctx.set_nagle(sock, on);
-        }
-    }
-
-    /// Fraction of ticks with batching on.
-    pub fn on_fraction(&self) -> f64 {
-        self.toggles.fraction()
-    }
-}
-
 /// The settings a plane driver actuates this tick: the plane's learned
 /// settings while the surrounding breaker is closed, its safe static
 /// corner otherwise. `on` is the breaker-filtered headline decision, so
-/// for a Nagle-only plane this is exactly `[Nagle(on)]` either way —
-/// the single-knob drivers' actuation, through the uniform apply path.
+/// for a Nagle-only plane this is exactly `[Nagle(on)]` either way.
 fn plane_settings(
     controller: &TickController<CircuitBreaker<ControlPlane>>,
     on: bool,
@@ -951,9 +609,32 @@ impl PlaneDriver {
     }
 }
 
-/// Listener-wide multi-knob actuation: the [`ListenerDriver`] shape with
-/// a [`ControlPlane`] deciding on the aggregate, every knob's setting
-/// applied to every accepted connection.
+/// Feeds one connection's queue state, as of now, to its estimator in
+/// `registry`.
+fn feed(
+    registry: &mut EstimatorRegistry,
+    ctx: &HostCtx<'_>,
+    unit: Unit,
+    conn: u64,
+    sock: SocketId,
+) {
+    let now = ctx.now();
+    let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, unit);
+    registry.update_validated(conn, now, local, remote, srtt);
+}
+
+/// Listener-wide estimation plus multi-knob actuation (paper §3.2, last
+/// paragraph): the control seat over a *set* of connections.
+///
+/// Where a [`PlaneDriver`] watches one connection, this runs one
+/// [`E2eEstimator`] per connection inside an [`EstimatorRegistry`], folds
+/// their latest estimates into a throughput-weighted
+/// [`AggregateEstimate`] each tick, lets one [`ControlPlane`] make a
+/// *single* decision on the aggregate, and applies every knob's setting
+/// to every connection — the listener-wide default a server actually
+/// toggles. With one connection the aggregate degenerates to that
+/// connection's estimate. A [`ProxyDriver`] holds one of these per
+/// shard, over that shard's upstream connection.
 #[derive(Debug)]
 pub struct ListenerPlaneDriver {
     /// The message unit the per-connection estimators use.
@@ -961,14 +642,15 @@ pub struct ListenerPlaneDriver {
     registry: EstimatorRegistry,
     controller: TickController<CircuitBreaker<ControlPlane>>,
     toggles: OnTicks,
-    /// Recorded aggregate series.
-    pub series: Vec<(Nanos, AggregateEstimate)>,
+    /// The estimate logged at every deciding tick.
+    series: Vec<(Nanos, AggregateEstimate)>,
 }
 
 impl ListenerPlaneDriver {
     /// Creates a driver estimating in `unit` and deciding with the given
     /// control plane (wrapped in a — possibly disabled — circuit
-    /// breaker).
+    /// breaker). The registry's estimators are unsmoothed, matching
+    /// [`EstimateRecorder`].
     pub fn new(unit: Unit, controller: TickController<CircuitBreaker<ControlPlane>>) -> Self {
         ListenerPlaneDriver {
             unit,
@@ -980,7 +662,7 @@ impl ListenerPlaneDriver {
     }
 
     /// Applies a staleness bound to every per-connection estimator the
-    /// registry creates.
+    /// registry creates (see [`EstimatorRegistry::with_staleness_bound`]).
     pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
         self.registry = self.registry.with_staleness_bound(bound);
         self
@@ -1011,28 +693,37 @@ impl ListenerPlaneDriver {
     /// Runs one tick over every live connection: update each estimator,
     /// aggregate, decide once across every knob, actuate everywhere.
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
-        let now = ctx.now();
         for &sock in socks {
-            let (local, remote, srtt) = estimator_inputs(ctx.socket(sock), now, self.unit);
-            self.registry
-                .update_validated(sock.0 as u64, now, local, remote, srtt);
+            feed(&mut self.registry, ctx, self.unit, sock.0 as u64, sock);
         }
-        if let Some(agg) = self.registry.aggregate() {
-            let on = self.controller.offer_aggregate(now, &agg);
-            self.series.push((now, agg));
-            self.toggles.record(on);
-            let settings = plane_settings(&self.controller, on);
-            for &sock in socks {
-                for &setting in &settings {
-                    ctx.apply(sock, setting);
-                }
-            }
-        }
+        self.decide(ctx, socks, None);
     }
 
-    /// Connections the registry has seen.
-    pub fn connections(&self) -> usize {
-        self.registry.connections()
+    /// The deciding half of a tick: aggregate the registry, offer the
+    /// aggregate to the plane, and apply every knob's setting to every
+    /// socket in `socks`. What is logged is the aggregate, composed with
+    /// the leg in `front` of it when there is one. Nothing happens until
+    /// the registry has an estimate.
+    fn decide(
+        &mut self,
+        ctx: &mut HostCtx<'_>,
+        socks: &[SocketId],
+        front: Option<&AggregateEstimate>,
+    ) {
+        let Some(aggregate) = self.registry.aggregate() else {
+            return;
+        };
+        let now = ctx.now();
+        let on = self.controller.offer_aggregate(now, &aggregate);
+        let logged = front.map_or(aggregate, |f| compose_two(f, &aggregate));
+        self.series.push((now, logged));
+        self.toggles.record(on);
+        let settings = plane_settings(&self.controller, on);
+        for &sock in socks {
+            for &setting in &settings {
+                ctx.apply(sock, setting);
+            }
+        }
     }
 
     /// Fraction of ticks with batching on.
@@ -1040,7 +731,7 @@ impl ListenerPlaneDriver {
         self.toggles.fraction()
     }
 
-    /// Mean aggregate estimated latency over `[from, to)`.
+    /// Mean logged latency over `[from, to)`.
     pub fn mean_aggregate_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
         let mut sum = 0u128;
         let mut n = 0u64;
@@ -1051,5 +742,154 @@ impl ListenerPlaneDriver {
             }
         }
         (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
+    }
+}
+
+/// Proxy-side estimation and per-shard actuation (the two-tier topology's
+/// policy seat).
+///
+/// The proxy terminates every client connection (the *front* leg) and
+/// holds one upstream connection per shard (the *back* legs). This driver
+/// runs one front [`EstimatorRegistry`] over all accepted client
+/// connections and one [`ListenerPlaneDriver`] seat per shard over that
+/// shard's upstream, and — per shard — composes the two legs into a
+/// service-level [`AggregateEstimate`] ([`compose_two`]: latencies summed
+/// along the path as in Figure 3, confidence the weakest leg's). The
+/// composed series is what each seat logs, the *reporting* view: it is
+/// what ranks shards by end-to-end delay. Each shard's [`ControlPlane`]
+/// decides on the *back-leg* estimate alone — the leg its knob actually
+/// controls — so the shared front leg's queueing noise (identical for
+/// every shard) cannot drown the per-shard signal. The decision actuates
+/// on that shard's upstream socket: a hot shard can batch while cold
+/// shards stay latency-optimal, independently.
+#[derive(Debug)]
+pub struct ProxyDriver {
+    /// The message unit the per-connection estimators use.
+    pub unit: Unit,
+    front: EstimatorRegistry,
+    seats: Vec<ListenerPlaneDriver>,
+}
+
+impl ProxyDriver {
+    /// Creates a driver estimating in `unit` with one controller per
+    /// shard (each wrapped in a — possibly disabled — circuit breaker).
+    pub fn new(unit: Unit, controllers: Vec<TickController<CircuitBreaker<ControlPlane>>>) -> Self {
+        ProxyDriver {
+            unit,
+            front: EstimatorRegistry::new(WireScale::default(), 1.0),
+            seats: controllers
+                .into_iter()
+                .map(|c| ListenerPlaneDriver::new(unit, c))
+                .collect(),
+        }
+    }
+
+    /// Applies a staleness bound to every estimator the driver's
+    /// registries create.
+    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
+        self.front = self.front.with_staleness_bound(bound);
+        self.seats = self
+            .seats
+            .into_iter()
+            .map(|s| s.with_staleness_bound(bound))
+            .collect();
+        self
+    }
+
+    /// Applies peer-state validation to every estimator the driver's
+    /// registries create.
+    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
+        self.front = self.front.with_validation(config);
+        self.seats = self
+            .seats
+            .into_iter()
+            .map(|s| s.with_validation(config))
+            .collect();
+        self
+    }
+
+    /// Validation counters summed across the front registry and every
+    /// shard's back registry.
+    pub fn validation_stats(&self) -> ValidateStats {
+        let mut total = self.front.validation_stats();
+        for seat in &self.seats {
+            total.merge(&seat.validation_stats());
+        }
+        total
+    }
+
+    /// Validation counters for one shard's back-leg registry alone —
+    /// after a shard crash this is where the replacement connection's
+    /// epoch change (and the resync it forces) shows up.
+    pub fn back_validation_stats(&self, shard: usize) -> ValidateStats {
+        self.seats[shard].validation_stats()
+    }
+
+    /// Number of shards the driver controls.
+    pub fn num_shards(&self) -> usize {
+        self.seats.len()
+    }
+
+    /// The circuit breaker around one shard's plane.
+    pub fn breaker(&self, shard: usize) -> &CircuitBreaker<ControlPlane> {
+        self.seats[shard].breaker()
+    }
+
+    /// One shard's control plane.
+    pub fn plane(&self, shard: usize) -> &ControlPlane {
+        self.seats[shard].plane()
+    }
+
+    /// Runs one tick: update the front registry over every client
+    /// connection and each shard's back registry over its upstream
+    /// connection, compose per-shard service estimates, and let each
+    /// shard's plane decide and actuate on its own upstream socket.
+    pub fn tick(
+        &mut self,
+        ctx: &mut HostCtx<'_>,
+        client_socks: &[SocketId],
+        upstreams: &[Option<SocketId>],
+    ) {
+        assert_eq!(upstreams.len(), self.seats.len(), "one upstream per shard");
+        for &sock in client_socks {
+            feed(&mut self.front, ctx, self.unit, sock.0 as u64, sock);
+        }
+        let front = self.front.aggregate();
+        for (seat, up) in self.seats.iter_mut().zip(upstreams) {
+            let Some(sock) = *up else { continue };
+            // Connection 0 whatever the socket: a replacement upstream
+            // after a shard crash continues the same estimator, which is
+            // how its new epoch gets noticed.
+            feed(&mut seat.registry, ctx, self.unit, 0, sock);
+            // The plane decides on the back leg: the Nagle knob only
+            // shapes proxy → shard traffic, and the front leg's aggregate
+            // delay is common to every shard — composing it in would only
+            // add shared noise to each plane's signal. What is logged is
+            // the composed view; until the front leg estimates (e.g.
+            // clients still idle) the back leg alone is the best
+            // available service view.
+            seat.decide(ctx, &[sock], front.as_ref());
+        }
+    }
+
+    /// Fraction of one shard's decisions with batching on.
+    pub fn on_fraction(&self, shard: usize) -> f64 {
+        self.seats[shard].on_fraction()
+    }
+
+    /// One shard's recorded *composed* (front + back) estimate series —
+    /// the service-level view that ranks shards by end-to-end latency.
+    pub fn shard_series(&self, shard: usize) -> &[(Nanos, AggregateEstimate)] {
+        &self.seats[shard].series
+    }
+
+    /// The newest composed (front + back) service estimate for one shard.
+    pub fn latest_composed(&self, shard: usize) -> Option<&AggregateEstimate> {
+        self.seats[shard].series.last().map(|(_, e)| e)
+    }
+
+    /// Mean composed service latency for one shard over `[from, to)`.
+    pub fn shard_mean_latency_in(&self, shard: usize, from: Nanos, to: Nanos) -> Option<Nanos> {
+        self.seats[shard].mean_aggregate_latency_in(from, to)
     }
 }

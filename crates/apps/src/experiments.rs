@@ -276,9 +276,6 @@ pub fn dynamic_toggle(rates: &[f64], warmup: Nanos, measure: Nanos, seed: u64) -
         warmup,
         measure,
         seed,
-        nagle: NagleSetting::Dynamic {
-            objective: Objective::MinLatency,
-        },
         ..RunConfig::new(WorkloadSpec::fig4a(rates[0]), NagleSetting::Off)
     };
     run_sweep(rates, WorkloadSpec::fig4a, &base, true)
@@ -429,7 +426,7 @@ pub struct ChaosCell {
     pub off: PointResult,
     /// Static Nagle-on baseline under this fault.
     pub on: PointResult,
-    /// Adaptive policy (Dynamic + staleness bound + circuit breaker).
+    /// Adaptive policy (dynamic Nagle + staleness bound + circuit breaker).
     pub adaptive: PointResult,
 }
 
@@ -683,11 +680,7 @@ pub fn knobs(
                 })
                 .collect();
             let nagle_only = run_point(&RunConfig {
-                nagle: NagleSetting::Plane {
-                    objective: Objective::MinLatency,
-                    delack: false,
-                    cork: false,
-                },
+                nagle: NagleSetting::dynamic(Objective::MinLatency),
                 ..base
             });
             let joint = run_point(&RunConfig {
@@ -765,9 +758,7 @@ pub fn chaos(
             ..base
         });
         let adaptive = run_point(&RunConfig {
-            nagle: NagleSetting::Dynamic {
-                objective: Objective::MinLatency,
-            },
+            nagle: NagleSetting::dynamic(Objective::MinLatency),
             staleness_bound: Some(CHAOS_STALENESS_BOUND),
             breaker: Some(BreakerConfig::default()),
             ..base
@@ -866,7 +857,7 @@ pub struct AdversaryCell {
     pub off: PointResult,
     /// Static Nagle-on baseline under this fault.
     pub on: PointResult,
-    /// Adaptive policy with peer-state validation (Dynamic + staleness
+    /// Adaptive policy with peer-state validation (dynamic Nagle + staleness
     /// bound + safe-on circuit breaker + validator).
     pub guarded: PointResult,
     /// The same adaptive policy with validation disabled — garbled or
@@ -1034,9 +1025,7 @@ pub fn adversary(
             ..base
         });
         let guarded_cfg = RunConfig {
-            nagle: NagleSetting::Dynamic {
-                objective: Objective::MinLatency,
-            },
+            nagle: NagleSetting::dynamic(Objective::MinLatency),
             staleness_bound: Some(CHAOS_STALENESS_BOUND),
             breaker: Some(adversary_breaker()),
             ..base

@@ -16,21 +16,15 @@
 //! proxy collapses (a dead hot shard head-of-line-blocks every client's
 //! pipelined connection).
 
-use batchpolicy::{BreakerConfig, ControlPlane, EpsilonGreedy, Objective, RetryConfig, TickController};
+use batchpolicy::{BreakerConfig, Objective, RetryConfig};
 use e2e_core::ValidateConfig;
 use littles::Nanos;
-use simnet::{
-    run, CpuContext, EventQueue, FaultConfig, Histogram, LinkConfig, Pcg32, RestartSchedule,
-    ShardBrownout, ShardFaultPlan, WindowSchedule,
-};
-use tcpsim::{Host, HostId, NagleMode, TierSim, Unit};
+use simnet::{FaultConfig, Pcg32, RestartSchedule, ShardBrownout, ShardFaultPlan, WindowSchedule};
+use tcpsim::NagleMode;
 
 use crate::cost::CostProfile;
-use crate::driver::ProxyDriver;
-use crate::loadgen::{KeyPool, LancetClient};
-use crate::proxy::{ProxyApp, Resilience, ShardRouter};
-use crate::runner::{shield, tcp_config, Overrides};
-use crate::server::RedisServer;
+use crate::proxy::Resilience;
+use crate::tier::{run_tier, TierPoint};
 use crate::workload::WorkloadSpec;
 
 /// The proxy's defense ladder, weakest to strongest.
@@ -268,170 +262,55 @@ fn fault_config(cfg: &FailoverRunConfig, hot_shard: usize, cold_shard: usize) ->
 
 /// Executes one failover experiment point.
 pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
-    let n = cfg.num_clients;
     let k = cfg.num_shards;
-    assert!(n > 0, "a run needs at least one client");
-    assert!(k > 1, "failover needs at least two shards");
-
-    let ov = Overrides::default();
-    // Batching is not under study here: every leg runs `TCP_NODELAY`
-    // so the defense arms are compared on identical transport behavior.
-    let front_tcp = tcp_config(NagleMode::Off, &ov);
-    let upstream_tcp = tcp_config(NagleMode::Off, &ov);
-    let shard_tcp = tcp_config(NagleMode::Off, &ov);
-
-    let router = ShardRouter::new(k, cfg.seed);
-    let mut owned: Vec<Vec<u64>> = vec![Vec::new(); k];
-    for idx in 0..cfg.workload.key_space as u64 {
-        let key = format!("key:{idx:012}");
-        owned[router.route(key.as_bytes())].push(idx);
-    }
-    let hot_shard = owned
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, keys)| keys.len())
-        .map(|(s, _)| s)
-        .expect("at least one shard");
-    // The brownout victim: the cold shard owning the most keys (so the
-    // stalls hit real traffic without touching the hot path).
-    let cold_shard = owned
-        .iter()
-        .enumerate()
-        .filter(|(s, _)| *s != hot_shard)
-        .max_by_key(|(_, keys)| keys.len())
-        .map(|(s, _)| s)
-        .expect("at least two shards");
-    let hot: Vec<u64> = owned[hot_shard].clone();
-    let cold: Vec<u64> = owned
-        .iter()
-        .enumerate()
-        .filter(|(s, _)| *s != hot_shard)
-        .flat_map(|(_, keys)| keys.iter().copied())
-        .collect();
-
-    // Same fork-per-client discipline as the shard harness, but on its
-    // own declared stream so the two grids never correlate draws.
-    let mut skew_rng = Pcg32::named(cfg.seed, "failover.skew");
-    let mut spec = cfg.workload;
-    spec.rate_rps = cfg.workload.rate_rps / n as f64;
-    let end = cfg.warmup + cfg.measure;
-
-    let clients: Vec<LancetClient> = (0..n)
-        .map(|_| {
-            LancetClient::new(spec, cfg.profile.app, front_tcp, cfg.warmup, end).with_key_pool(
-                KeyPool::new(hot.clone(), cold.clone(), cfg.hot_fraction, skew_rng.fork()),
-            )
-        })
-        .collect();
-
-    // Estimation planes run in every arm (the full arm's hedge timing
-    // and breaker confidence feed read them; the other arms pay the same
-    // overhead so the comparison isolates the defense, not the
-    // estimator). Nagle actuation is inert on the statically pinned
-    // upstreams.
-    let tick = Nanos::from_millis(1);
-    let controllers = (0..k)
-        .map(|j| {
-            let seed = cfg.seed ^ 0xD ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let toggler = EpsilonGreedy::new(Objective::MinLatency, 0.01, 8, 0.5, seed).with_settle(3);
-            let plane = ControlPlane::new(toggler, 8);
-            TickController::new(shield(plane, None), tick)
-        })
-        .collect();
-    // Peer-state validation on every registry: after a shard crash the
-    // replacement connection's exchanges carry a new epoch, and the back
-    // registry must resynchronize rather than difference counters across
-    // the wipe.
-    let driver =
-        ProxyDriver::new(Unit::Bytes, controllers).with_validation(ValidateConfig::default());
-
-    let shard_hosts_ids: Vec<HostId> = (0..k).map(|j| HostId::from_index(n + 1 + j)).collect();
-    let mut proxy = ProxyApp::new(cfg.profile.app, upstream_tcp, shard_hosts_ids, router.clone())
-        .with_driver(driver);
     let retry = FailoverRunConfig::retry_config();
-    proxy = match cfg.arm {
-        FailoverArm::NoDefense => proxy,
-        FailoverArm::TimeoutOnly => proxy.with_resilience(Resilience::timeout_only(retry)),
-        FailoverArm::Retry => proxy.with_resilience(Resilience::with_retries(retry)),
-        FailoverArm::Full => proxy.with_resilience(Resilience::full(
-            retry,
-            FailoverRunConfig::breaker_config(),
-        )),
-    };
-
-    let shards: Vec<RedisServer> = (0..k).map(|_| RedisServer::new(cfg.profile.app)).collect();
-
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::with_multiplier("client-app", cfg.profile.client_app_multiplier),
-                CpuContext::new("client-softirq"),
-                cfg.profile.client_stack,
-                front_tcp,
-            )
-        })
-        .collect();
-    let proxy_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("proxy-app"),
-        CpuContext::new("proxy-softirq"),
-        cfg.profile.client_stack,
-        front_tcp,
+    let run = run_tier(
+        TierPoint {
+            workload: cfg.workload,
+            profile: cfg.profile,
+            warmup: cfg.warmup,
+            measure: cfg.measure,
+            seed: cfg.seed,
+            num_clients: cfg.num_clients,
+            num_shards: k,
+            hot_fraction: cfg.hot_fraction,
+            // Batching is not under study here: every leg runs
+            // `TCP_NODELAY` so the defense arms are compared on identical
+            // transport behavior. The estimation planes still run in
+            // every arm (the full arm's hedge timing and breaker
+            // confidence feed read them; the other arms pay the same
+            // overhead so the comparison isolates the defense, not the
+            // estimator).
+            upstream: NagleMode::Off,
+            objective: Objective::MinLatency,
+            // Peer-state validation on every registry: after a shard
+            // crash the replacement connection's exchanges carry a new
+            // epoch, and the back registry must resynchronize rather than
+            // difference counters across the wipe.
+            validate: Some(ValidateConfig::default()),
+            resilience: match cfg.arm {
+                FailoverArm::NoDefense => None,
+                FailoverArm::TimeoutOnly => Some(Resilience::timeout_only(retry)),
+                FailoverArm::Retry => Some(Resilience::with_retries(retry)),
+                FailoverArm::Full => {
+                    Some(Resilience::full(retry, FailoverRunConfig::breaker_config()))
+                }
+            },
+            skew: Pcg32::named(cfg.seed, "failover.skew"),
+        },
+        // The brownout victim is the cold shard owning the most keys (so
+        // the stalls hit real traffic without touching the hot path).
+        |hot_shard, cold_shard| fault_config(cfg, hot_shard, cold_shard),
     );
-    let shard_hosts: Vec<Host> = (0..k)
-        .map(|j| {
-            Host::new(
-                HostId::from_index(n + 1 + j),
-                CpuContext::new("shard-app"),
-                CpuContext::new("shard-softirq"),
-                cfg.profile.server_stack,
-                shard_tcp,
-            )
-        })
-        .collect();
+    let sim = &run.sim;
 
-    let back_link = LinkConfig {
-        propagation: Nanos::from_micros(80),
-        ..LinkConfig::default()
-    };
-    let mut sim = TierSim::two_tier_with_faults(
-        clients,
-        proxy,
-        shards,
-        client_hosts,
-        proxy_host,
-        shard_hosts,
-        LinkConfig::default(),
-        back_link,
-        cfg.seed,
-        fault_config(cfg, hot_shard, cold_shard),
-    );
-    let mut queue = EventQueue::new();
-    sim.start(&mut queue);
-
-    let mut events = run(&mut sim, &mut queue, cfg.warmup);
-    events += run(&mut sim, &mut queue, end);
-    events += run(&mut sim, &mut queue, end + Nanos::from_millis(20));
-
-    let mut hist = Histogram::new();
-    for lg in &sim.clients {
-        hist.merge(&lg.hist);
-    }
-    let achieved_rps: f64 = sim.clients.iter().map(|lg| lg.achieved_rps()).sum();
-    let dedup_hits: u64 = (0..k).map(|j| sim.shards[j].kv().dedup_hits()).sum();
+    let dedup_hits: u64 = sim.shards.iter().map(|s| s.kv().dedup_hits()).sum();
     let shard_crashes = sim.fault_plan().map(|p| p.shard_crashes()).unwrap_or(0);
     let endpoint_restarts = sim.fault_plan().map(|p| p.restarts()).unwrap_or(0);
-    let back_epoch_changes = sim
-        .proxy
-        .driver
-        .as_ref()
-        .map(|d| {
-            (0..k)
-                .map(|j| d.back_validation_stats(j).epoch_changes)
-                .sum()
-        })
-        .unwrap_or(0);
+    let driver = sim.proxy.driver.as_ref().expect("run_tier attaches one");
+    let back_epoch_changes = (0..k)
+        .map(|j| driver.back_validation_stats(j).epoch_changes)
+        .sum();
 
     let stats = &sim.proxy.stats;
     let (retries, hedges, budget_denied) = sim
@@ -442,13 +321,13 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
 
     FailoverPointResult {
         offered_rps: cfg.workload.rate_rps,
-        achieved_rps,
-        measured_mean: hist.mean(),
-        measured_p50: hist.p50(),
-        measured_p99: hist.p99(),
-        samples: hist.count(),
-        hot_shard,
-        cold_shard,
+        achieved_rps: run.achieved_rps,
+        measured_mean: run.hist.mean(),
+        measured_p50: run.hist.p50(),
+        measured_p99: run.hist.p99(),
+        samples: run.hist.count(),
+        hot_shard: run.hot_shard,
+        cold_shard: run.cold_shard,
         per_shard_requests: stats.per_shard.clone(),
         shard_crashes,
         endpoint_restarts,
@@ -463,7 +342,7 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
         failovers: stats.failovers,
         orphan_responses: stats.orphan_responses,
         dedup_hits,
-        events,
+        events: run.events,
     }
 }
 

@@ -27,18 +27,19 @@ pub mod grid;
 pub mod kv;
 pub mod loadgen;
 pub mod proxy;
+pub mod report;
 pub mod resp;
 mod runlog;
 pub mod runner;
 pub mod server;
 pub mod shard;
 pub mod sweep;
+mod tier;
 pub mod workload;
 
 pub use cost::{AppCosts, CostProfile};
 pub use driver::{
-    EstimateRecorder, HintRecorder, ListenerDriver, ListenerPlaneDriver, PlaneDriver, PolicyDriver,
-    ProxyDriver,
+    EstimateRecorder, HintRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
 };
 pub use failover::{
     run_failover_point, FailoverArm, FailoverPointResult, FailoverRunConfig, FailoverScenario,

@@ -13,7 +13,8 @@
 //!   ground truth, optionally forwarded to the server as hints;
 //! * per-unit [`EstimateRecorder`]s — the byte/packet/message Little's-law
 //!   estimates of §3.2 (the "estimated" curves of Figure 4);
-//! * optionally a [`PolicyDriver`] toggling Nagle dynamically.
+//! * optionally a [`PlaneDriver`] steering Nagle (and, when attached,
+//!   delayed ACKs and the cork limit) dynamically, or an [`AimdDriver`].
 
 use std::collections::VecDeque;
 
@@ -23,7 +24,7 @@ use simnet::{Histogram, Pcg32};
 use tcpsim::{App, HostCtx, SocketId, TcpConfig, WakeReason};
 
 use crate::cost::AppCosts;
-use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver, PolicyDriver};
+use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver};
 use crate::resp::{encode_get, encode_set, Response, ResponseParser};
 use crate::workload::WorkloadSpec;
 
@@ -122,11 +123,10 @@ pub struct LancetClient {
     tracker_at_end: Option<Snapshot>,
     /// Little's-law estimate recorders (one per unit under study).
     pub recorders: Vec<EstimateRecorder>,
-    /// Optional dynamic-Nagle policy.
-    pub policy: Option<PolicyDriver>,
     /// Optional §5 AIMD batch-limit policy.
     pub aimd: Option<AimdDriver>,
-    /// Optional multi-knob control plane.
+    /// Optional control plane: dynamic Nagle, plus whichever further
+    /// knobs it has attached.
     pub plane: Option<PlaneDriver>,
 
     /// Requests issued.
@@ -171,7 +171,6 @@ impl LancetClient {
             tracker_at_warmup: None,
             tracker_at_end: None,
             recorders: Vec::new(),
-            policy: None,
             aimd: None,
             plane: None,
             sent: 0,
@@ -208,12 +207,6 @@ impl LancetClient {
         self
     }
 
-    /// Attaches a dynamic-Nagle policy (requires `NagleMode::Dynamic`).
-    pub fn with_policy(mut self, policy: PolicyDriver) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Attaches a §5 AIMD batch-limit policy (used with `NagleMode::Off`;
     /// the limit gate replaces Nagle).
     pub fn with_aimd(mut self, aimd: AimdDriver) -> Self {
@@ -221,8 +214,8 @@ impl LancetClient {
         self
     }
 
-    /// Attaches a multi-knob control plane (requires `NagleMode::Dynamic`
-    /// so the plane's Nagle decisions take effect).
+    /// Attaches a control plane (requires `NagleMode::Dynamic` so the
+    /// plane's Nagle decisions take effect).
     pub fn with_plane(mut self, plane: PlaneDriver) -> Self {
         self.plane = Some(plane);
         self
@@ -340,9 +333,6 @@ impl LancetClient {
         if let Some(sock) = self.sock {
             for rec in &mut self.recorders {
                 rec.tick(ctx, sock);
-            }
-            if let Some(policy) = self.policy.as_mut() {
-                policy.tick(ctx, sock);
             }
             if let Some(aimd) = self.aimd.as_mut() {
                 aimd.tick(ctx, sock);

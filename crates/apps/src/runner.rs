@@ -14,13 +14,11 @@ use batchpolicy::{
 use e2e_core::{DelaySet, Estimate, MultiConnectionAggregator, ValidateConfig, ValidateStats};
 use littles::Nanos;
 use simnet::{run, CpuContext, EventQueue, FaultConfig, FaultCounters, Histogram, LinkConfig};
-use tcpsim::config::ExchangeConfig;
+use tcpsim::config::{CostConfig, ExchangeConfig};
 use tcpsim::{Host, HostId, NagleMode, NetSim, TcpConfig, Unit};
 
 use crate::cost::CostProfile;
-use crate::driver::{
-    AimdDriver, EstimateRecorder, ListenerDriver, ListenerPlaneDriver, PlaneDriver, PolicyDriver,
-};
+use crate::driver::{AimdDriver, EstimateRecorder, ListenerPlaneDriver, PlaneDriver};
 use crate::loadgen::LancetClient;
 use crate::server::RedisServer;
 use crate::workload::WorkloadSpec;
@@ -35,12 +33,6 @@ pub enum NagleSetting {
     /// Nagle enabled only at the server (toggling Redis's own setting,
     /// as Figure 2 does), client stays `TCP_NODELAY`.
     ServerOnly,
-    /// Toggled dynamically by per-endpoint ε-greedy policies under the
-    /// given objective.
-    Dynamic {
-        /// The optimization objective.
-        objective: Objective,
-    },
     /// Nagle replaced by the §5 gradual batching limit, adapted with AIMD
     /// under the given objective (client side; the server keeps
     /// `TCP_NODELAY`).
@@ -61,12 +53,11 @@ pub enum NagleSetting {
         /// A fixed cork limit of two MSS (`false` = no limit).
         cork: bool,
     },
-    /// The multi-knob control plane: per-endpoint [`ControlPlane`]s
-    /// route the estimate's per-queue components to a Nagle toggler and,
+    /// The control plane: per-endpoint [`ControlPlane`]s route the
+    /// estimate's per-queue components to an ε-greedy Nagle toggler and,
     /// optionally, delayed-ACK and cork-limit controllers, with
     /// coordinated exploration. With `delack` and `cork` both false this
-    /// is the Nagle-only plane — bit-identical to
-    /// [`Dynamic`](NagleSetting::Dynamic).
+    /// is plain dynamic Nagle toggling ([`NagleSetting::dynamic`]).
     Plane {
         /// The optimization objective.
         objective: Objective,
@@ -75,6 +66,19 @@ pub enum NagleSetting {
         /// Attach the adaptive cork-limit controller.
         cork: bool,
     },
+}
+
+impl NagleSetting {
+    /// Nagle toggled dynamically by per-endpoint ε-greedy policies under
+    /// `objective` (the paper's §5 proposal): the control plane with only
+    /// its Nagle knob attached.
+    pub fn dynamic(objective: Objective) -> Self {
+        NagleSetting::Plane {
+            objective,
+            delack: false,
+            cork: false,
+        }
+    }
 }
 
 /// Optional stack/policy overrides for ablation studies (§5 knobs). All
@@ -133,7 +137,7 @@ pub struct RunConfig {
     /// confidence and eventually trip local-only fallback. `None` trusts
     /// cached windows forever (the pre-fault behaviour).
     pub staleness_bound: Option<Nanos>,
-    /// Circuit breaker around the dynamic policies; `None` runs them
+    /// Circuit breaker around the control planes; `None` runs them
     /// unprotected.
     pub breaker: Option<BreakerConfig>,
     /// Peer-state validation: every incoming exchange window is checked
@@ -238,9 +242,11 @@ pub struct PointResult {
     pub packets_to_client: u64,
     /// Nagle holds observed (both endpoints).
     pub nagle_holds: u64,
-    /// Fraction of dynamic-policy decisions with batching on (client).
+    /// Fraction of client 0's plane decisions with Nagle on (Plane runs
+    /// only).
     pub client_on_fraction: Option<f64>,
-    /// Fraction of dynamic-policy decisions with batching on (server).
+    /// Fraction of the server listener's plane decisions with Nagle on
+    /// (Plane runs only).
     pub server_on_fraction: Option<f64>,
     /// Mean AIMD batch limit over the window (AimdLimit runs only).
     pub aimd_mean_limit: Option<f64>,
@@ -251,16 +257,16 @@ pub struct PointResult {
     /// Per-connection results, indexed by client.
     pub per_client: Vec<ClientResult>,
     /// Mean server-side listener aggregate estimate over the window
-    /// (Dynamic runs only — the `L` the listener-wide policy acted on).
+    /// (Plane runs only — the `L` the listener-wide plane acted on).
     pub server_aggregate_latency: Option<Nanos>,
     /// Per-link fault-injection counters, indexed like `per_client`
     /// (empty when the run had no fault plan).
     pub link_faults: Vec<FaultCounters>,
     /// Total scheduled link-blackout time overlapping the run.
     pub fault_blackout_time: Nanos,
-    /// Circuit-breaker trips at client 0 (Dynamic runs only).
+    /// Circuit-breaker trips at client 0 (Plane runs only).
     pub client_breaker_trips: Option<u64>,
-    /// Circuit-breaker trips at the server listener (Dynamic runs only).
+    /// Circuit-breaker trips at the server listener (Plane runs only).
     pub server_breaker_trips: Option<u64>,
     /// Nagle-arm switches of the server listener's control plane
     /// (Plane runs only).
@@ -277,7 +283,7 @@ pub struct PointResult {
     /// The server plane's final cork limit (Plane runs with `cork` only).
     pub plane_cork_limit: Option<u64>,
     /// Merged peer-state validation counters across every estimator in
-    /// the run — the per-client recorders, the dynamic-policy recorders,
+    /// the run — the per-client recorders, the client planes' recorders,
     /// and the server listener registry (`None` without a validator).
     pub validation: Option<ValidateStats>,
     /// Endpoint restarts the clients observed (socket reset + reconnect).
@@ -329,6 +335,25 @@ pub(crate) fn tcp_config(nagle: NagleMode, ov: &Overrides) -> TcpConfig {
     config
 }
 
+/// Host `idx`; `tcp` is what its accepted connections run.
+pub(crate) fn new_host(
+    idx: usize,
+    app: CpuContext,
+    softirq: &'static str,
+    costs: CostConfig,
+    tcp: TcpConfig,
+) -> Host {
+    let id = HostId::from_index(idx);
+    Host::new(id, app, CpuContext::new(softirq), costs, tcp)
+}
+
+/// Load-generator host `idx`: its app thread is scaled by the profile's
+/// client multiplier.
+pub(crate) fn client_host(idx: usize, profile: &CostProfile, tcp: TcpConfig) -> Host {
+    let app = CpuContext::with_multiplier("client-app", profile.client_app_multiplier);
+    new_host(idx, app, "client-softirq", profile.client_stack, tcp)
+}
+
 /// Executes one experiment point.
 pub fn run_point(cfg: &RunConfig) -> PointResult {
     let n = cfg.num_clients;
@@ -337,9 +362,7 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         NagleSetting::Off | NagleSetting::AimdLimit { .. } => (NagleMode::Off, NagleMode::Off),
         NagleSetting::On => (NagleMode::On, NagleMode::On),
         NagleSetting::ServerOnly => (NagleMode::Off, NagleMode::On),
-        NagleSetting::Dynamic { .. } | NagleSetting::Plane { .. } => {
-            (NagleMode::Dynamic, NagleMode::Dynamic)
-        }
+        NagleSetting::Plane { .. } => (NagleMode::Dynamic, NagleMode::Dynamic),
         NagleSetting::Corner { nagle, .. } => {
             let mode = if nagle { NagleMode::On } else { NagleMode::Off };
             (mode, mode)
@@ -379,13 +402,21 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         }
         r
     };
-    // A control plane for one endpoint: the Nagle bandit always (seeded
-    // exactly like the Dynamic policy at the same endpoint, so a
-    // Nagle-only plane replays the same RNG stream), plus whichever of
-    // the two other knobs the configuration attaches. The exploration
-    // window (8 decisions) gives a perturbed knob a few ticks to show up
-    // in the estimate before the turn rotates.
-    let plane_for = |objective: Objective, delack: bool, cork: bool, seed: u64| -> ControlPlane {
+    // A controller for one endpoint of a Plane run: the Nagle bandit
+    // always, plus whichever of the two other knobs the configuration
+    // attaches. The bandit's seed does not depend on which are attached,
+    // so every plane at an endpoint replays the same Nagle RNG stream.
+    // The exploration window (8 decisions) gives a perturbed knob a few
+    // ticks to show up in the estimate before the turn rotates.
+    let controller_for = |seed: u64| {
+        let NagleSetting::Plane {
+            objective,
+            delack,
+            cork,
+        } = cfg.nagle
+        else {
+            return None;
+        };
         let mut plane = ControlPlane::new(EpsilonGreedy::new(objective, 0.05, 4, alpha, seed), 8);
         if delack {
             plane = plane.with_delack(DelAckToggler::new(
@@ -398,7 +429,7 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
             // of one MSS raise it only when the estimate rewards corking.
             plane = plane.with_cork(AimdBatchLimit::new(objective, 0, 0, 65_536, 1_448));
         }
-        plane
+        Some(TickController::new(shield(plane, cfg.breaker), tick))
     };
 
     let mut clients = Vec::with_capacity(n);
@@ -425,90 +456,23 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
                 AimdBatchLimit::new(objective, 1, 1, 65_536, 1_448),
             ));
         }
-        if let NagleSetting::Dynamic { objective } = cfg.nagle {
-            // Client 0 keeps the legacy policy seed; the golden-gamma
-            // spread gives every further client an independent stream.
-            let seed = cfg.seed ^ 0xC ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut driver = PolicyDriver::new(
-                Unit::Bytes,
-                TickController::new(
-                    shield(
-                        EpsilonGreedy::new(objective, 0.05, 4, alpha, seed),
-                        cfg.breaker,
-                    ),
-                    tick,
-                ),
-            );
-            if let Some(bound) = cfg.staleness_bound {
-                driver = driver.with_staleness_bound(bound);
-            }
-            if let Some(v) = cfg.validate {
-                driver = driver.with_validation(v);
-            }
-            client = client.with_policy(driver);
-        }
-        if let NagleSetting::Plane {
-            objective,
-            delack,
-            cork,
-        } = cfg.nagle
-        {
-            // Same per-client seed spread as the Dynamic policy: a
-            // Nagle-only plane is the same controller, decision for
-            // decision.
-            let seed = cfg.seed ^ 0xC ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut driver = PlaneDriver::new(
-                Unit::Bytes,
-                TickController::new(shield(plane_for(objective, delack, cork, seed), cfg.breaker), tick),
-            );
-            if let Some(bound) = cfg.staleness_bound {
-                driver = driver.with_staleness_bound(bound);
-            }
-            if let Some(v) = cfg.validate {
-                driver = driver.with_validation(v);
-            }
+        // Client 0 keeps the legacy policy seed; the golden-gamma spread
+        // gives every further client an independent stream.
+        let seed = cfg.seed ^ 0xC ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        if let Some(controller) = controller_for(seed) {
+            let mut driver = PlaneDriver::new(Unit::Bytes, controller);
+            // The plane's own estimate source, guarded like the others.
+            driver.recorder = recorder(Unit::Bytes);
             client = client.with_plane(driver);
         }
         clients.push(client);
     }
 
     let mut server = RedisServer::new(cfg.profile.app).with_hint_recorder();
-    if let NagleSetting::Dynamic { objective } = cfg.nagle {
-        // One listener-wide ε-greedy toggler fed the throughput-weighted
-        // aggregate over every accepted connection.
-        let mut driver = ListenerDriver::new(
-            Unit::Bytes,
-            TickController::new(
-                shield(
-                    EpsilonGreedy::new(objective, 0.05, 4, alpha, cfg.seed ^ 0x5),
-                    cfg.breaker,
-                ),
-                tick,
-            ),
-        );
-        if let Some(bound) = cfg.staleness_bound {
-            driver = driver.with_staleness_bound(bound);
-        }
-        if let Some(v) = cfg.validate {
-            driver = driver.with_validation(v);
-        }
-        server = server.with_policy(driver);
-    }
-    if let NagleSetting::Plane {
-        objective,
-        delack,
-        cork,
-    } = cfg.nagle
-    {
-        // One listener-wide plane fed the throughput-weighted aggregate,
-        // seeded exactly like the Dynamic listener policy.
-        let mut driver = ListenerPlaneDriver::new(
-            Unit::Bytes,
-            TickController::new(
-                shield(plane_for(objective, delack, cork, cfg.seed ^ 0x5), cfg.breaker),
-                tick,
-            ),
-        );
+    // One listener-wide plane fed the throughput-weighted aggregate over
+    // every accepted connection.
+    if let Some(controller) = controller_for(cfg.seed ^ 0x5) {
+        let mut driver = ListenerPlaneDriver::new(Unit::Bytes, controller);
         if let Some(bound) = cfg.staleness_bound {
             driver = driver.with_staleness_bound(bound);
         }
@@ -518,24 +482,10 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         server = server.with_plane(driver);
     }
 
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::with_multiplier("client-app", cfg.profile.client_app_multiplier),
-                CpuContext::new("client-softirq"),
-                cfg.profile.client_stack,
-                tcp,
-            )
-        })
-        .collect();
-    let server_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("server-app"),
-        CpuContext::new("server-softirq"),
-        cfg.profile.server_stack,
-        tcp_server, // accept config
-    );
+    let client_hosts: Vec<Host> = (0..n).map(|i| client_host(i, &cfg.profile, tcp)).collect();
+    let server_app = CpuContext::new("server-app");
+    let server_stack = cfg.profile.server_stack;
+    let server_host = new_host(n, server_app, "server-softirq", server_stack, tcp_server);
 
     let mut sim = NetSim::star_with_faults(
         clients,
@@ -644,7 +594,8 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         .map(|s| sim.server_host().socket(s).stats().nagle_holds)
         .sum();
 
-    let server_plane = sim.server.plane.as_ref().map(|p| p.plane());
+    let listener = sim.server.plane.as_ref();
+    let server_plane = listener.map(|p| p.plane());
 
     // One merged view of every validator's verdict counters. Gated on the
     // config so a validation-free run reports `None` rather than a
@@ -652,22 +603,13 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
     let validation: Option<ValidateStats> = cfg.validate.map(|_| {
         let mut stats = ValidateStats::default();
         for lg in &sim.clients {
-            for r in &lg.recorders {
-                if let Some(s) = r.validation_stats() {
-                    stats.merge(&s);
-                }
-            }
-            if let Some(s) = lg.policy.as_ref().and_then(|p| p.recorder.validation_stats()) {
-                stats.merge(&s);
-            }
-            if let Some(s) = lg.plane.as_ref().and_then(|p| p.recorder.validation_stats()) {
+            let plane = lg.plane.iter().map(|p| &p.recorder);
+            let recorders = lg.recorders.iter().chain(plane);
+            for s in recorders.filter_map(|r| r.validation_stats()) {
                 stats.merge(&s);
             }
         }
-        if let Some(p) = sim.server.policy.as_ref() {
-            stats.merge(&p.validation_stats());
-        }
-        if let Some(p) = sim.server.plane.as_ref() {
+        if let Some(p) = listener {
             stats.merge(&p.validation_stats());
         }
         stats
@@ -691,31 +633,12 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         packets_to_server: (0..n).map(|i| sim.link_for(i).a_to_b.packets_sent()).sum(),
         packets_to_client: (0..n).map(|i| sim.link_for(i).b_to_a.packets_sent()).sum(),
         nagle_holds: client_nagle_holds + server_nagle_holds,
-        client_on_fraction: lg0
-            .policy
-            .as_ref()
-            .map(|p| p.on_fraction())
-            .or_else(|| lg0.plane.as_ref().map(|p| p.on_fraction())),
+        client_on_fraction: lg0.plane.as_ref().map(|p| p.on_fraction()),
         aimd_mean_limit: lg0.aimd.as_ref().and_then(|a| a.mean_limit_in(from, to)),
-        server_on_fraction: sim
-            .server
-            .policy
-            .as_ref()
-            .map(|p| p.on_fraction())
-            .or_else(|| sim.server.plane.as_ref().map(|p| p.on_fraction())),
+        server_on_fraction: listener.map(|p| p.on_fraction()),
         exchanges_received: per_client.iter().map(|c| c.exchanges_received).sum(),
         num_clients: n,
-        server_aggregate_latency: sim
-            .server
-            .policy
-            .as_ref()
-            .and_then(|p| p.mean_aggregate_latency_in(from, to))
-            .or_else(|| {
-                sim.server
-                    .plane
-                    .as_ref()
-                    .and_then(|p| p.mean_aggregate_latency_in(from, to))
-            }),
+        server_aggregate_latency: listener.and_then(|p| p.mean_aggregate_latency_in(from, to)),
         per_client,
         link_faults: sim
             .fault_plan()
@@ -725,17 +648,8 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
             .fault_plan()
             .map(|p| p.blackout_time_until(to))
             .unwrap_or(Nanos::ZERO),
-        client_breaker_trips: lg0
-            .policy
-            .as_ref()
-            .map(|p| p.breaker().trips())
-            .or_else(|| lg0.plane.as_ref().map(|p| p.breaker().trips())),
-        server_breaker_trips: sim
-            .server
-            .policy
-            .as_ref()
-            .map(|p| p.breaker().trips())
-            .or_else(|| sim.server.plane.as_ref().map(|p| p.breaker().trips())),
+        client_breaker_trips: lg0.plane.as_ref().map(|p| p.breaker().trips()),
+        server_breaker_trips: listener.map(|p| p.breaker().trips()),
         plane_nagle_switches: server_plane.map(|p| p.nagle_switches()),
         plane_delack_switches: server_plane.map(|p| p.delack_switches()),
         plane_cork_switches: server_plane.map(|p| p.cork_switches()),

@@ -10,16 +10,16 @@
 //! Like Redis, the server disables Nagle by default; experiments override
 //! this through [`TcpConfig::nagle`](tcpsim::TcpConfig) on the accept
 //! configuration, including the `Dynamic` mode driven by an attached
-//! [`PolicyDriver`].
+//! [`ListenerPlaneDriver`].
 
 use std::collections::BTreeMap;
 
 use littles::Nanos;
 use simnet::Histogram;
-use tcpsim::{App, HostCtx, SocketId, Unit, WakeReason};
+use tcpsim::{App, HostCtx, SocketId, WakeReason};
 
 use crate::cost::AppCosts;
-use crate::driver::{HintRecorder, ListenerDriver, ListenerPlaneDriver};
+use crate::driver::{HintRecorder, ListenerPlaneDriver};
 use crate::kv::KvStore;
 use crate::resp::{encode_response, Command, CommandParser};
 
@@ -77,11 +77,8 @@ pub struct RedisServer {
     pub batch_hist: Histogram,
     /// Aggregate statistics.
     pub stats: ServerStats,
-    /// Optional listener-wide dynamic-batching policy: one aggregate
-    /// decision per tick, applied to every connection.
-    pub policy: Option<ListenerDriver>,
-    /// Optional listener-wide multi-knob control plane: one aggregate
-    /// decision per tick, every knob applied to every connection.
+    /// Optional listener-wide control plane: one aggregate decision per
+    /// tick, every knob it controls applied to every connection.
     pub plane: Option<ListenerPlaneDriver>,
     /// Per-connection hint-based estimate recording (paper §3.3), when
     /// enabled via [`with_hint_recorder`](RedisServer::with_hint_recorder):
@@ -101,7 +98,6 @@ impl RedisServer {
             socks: Vec::new(),
             batch_hist: Histogram::new(),
             stats: ServerStats::default(),
-            policy: None,
             plane: None,
             hint_recorders: Vec::new(),
             hints_enabled: false,
@@ -109,14 +105,7 @@ impl RedisServer {
         }
     }
 
-    /// Attaches a listener-wide dynamic-Nagle policy (requires the accept
-    /// configuration to use [`NagleMode::Dynamic`](tcpsim::NagleMode)).
-    pub fn with_policy(mut self, policy: ListenerDriver) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Attaches a listener-wide multi-knob control plane (requires the
+    /// Attaches a listener-wide control plane (requires the
     /// accept configuration to use [`NagleMode::Dynamic`](tcpsim::NagleMode)).
     pub fn with_plane(mut self, plane: ListenerPlaneDriver) -> Self {
         self.plane = Some(plane);
@@ -133,14 +122,6 @@ impl RedisServer {
     /// The store (for inspection).
     pub fn kv(&self) -> &KvStore {
         &self.kv
-    }
-
-    /// Estimate unit used by the attached policy or plane, if any.
-    pub fn policy_unit(&self) -> Option<Unit> {
-        self.policy
-            .as_ref()
-            .map(|p| p.unit)
-            .or_else(|| self.plane.as_ref().map(|p| p.unit))
     }
 
     /// Mean hint-estimated latency pooled over every connection's
@@ -239,7 +220,7 @@ impl RedisServer {
 
 impl App for RedisServer {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.policy.is_some() || self.plane.is_some() || self.hints_enabled {
+        if self.plane.is_some() || self.hints_enabled {
             ctx.call_after(self.tick_period, token(KIND_TICK, 0));
         }
     }
@@ -280,12 +261,9 @@ impl App for RedisServer {
                 for (rec, &s) in self.hint_recorders.iter_mut().zip(&self.socks) {
                     rec.tick(ctx, s);
                 }
-                if let Some(policy) = self.policy.as_mut() {
+                if let Some(plane) = self.plane.as_mut() {
                     // One listener-wide decision over the aggregate, not
                     // one per connection.
-                    policy.tick(ctx, &self.socks);
-                }
-                if let Some(plane) = self.plane.as_mut() {
                     plane.tick(ctx, &self.socks);
                 }
                 ctx.call_after(self.tick_period, token(KIND_TICK, 0));

@@ -18,17 +18,14 @@
 //! [`ShardSetting::Adaptive`] (per-shard planes free to batch the hot
 //! upstream while leaving cold ones latency-optimal).
 
-use batchpolicy::{ControlPlane, EpsilonGreedy, Objective, TickController};
+use batchpolicy::Objective;
 use littles::Nanos;
-use simnet::{run, CpuContext, EventQueue, Histogram, LinkConfig, Pcg32};
-use tcpsim::{Host, HostId, NagleMode, TierSim, Unit};
+use simnet::{FaultConfig, Pcg32};
+use tcpsim::NagleMode;
 
 use crate::cost::CostProfile;
-use crate::driver::ProxyDriver;
-use crate::loadgen::{KeyPool, LancetClient};
-use crate::proxy::{ProxyApp, ShardRouter};
-use crate::runner::{shield, tcp_config, CpuUtil, Overrides};
-use crate::server::RedisServer;
+use crate::runner::CpuUtil;
+use crate::tier::{run_tier, TierPoint};
 use crate::workload::WorkloadSpec;
 
 /// How the proxy's upstream (proxy → shard) batching is controlled. The
@@ -137,190 +134,39 @@ pub struct ShardPointResult {
     pub events: u64,
 }
 
-/// Partitions the workload's key indices by routed shard; returns
-/// per-shard index lists.
-fn partition_keys(spec: &WorkloadSpec, router: &ShardRouter) -> Vec<Vec<u64>> {
-    let mut owned: Vec<Vec<u64>> = vec![Vec::new(); router.num_shards()];
-    for idx in 0..spec.key_space as u64 {
-        let key = format!("key:{idx:012}");
-        owned[router.route(key.as_bytes())].push(idx);
-    }
-    owned
-}
-
 /// Executes one two-tier experiment point.
 pub fn run_shard_point(cfg: &ShardRunConfig) -> ShardPointResult {
-    let n = cfg.num_clients;
     let k = cfg.num_shards;
-    assert!(n > 0, "a run needs at least one client");
-    assert!(k > 1, "skew needs at least two shards");
-
-    let ov = Overrides::default();
-    // Front leg pinned NODELAY in every arm; only the upstream mode
-    // varies (Dynamic so per-shard planes can actuate, or a static pin).
-    let front_tcp = tcp_config(NagleMode::Off, &ov);
-    let upstream_mode = match cfg.setting {
-        ShardSetting::Corner { nagle: true } => NagleMode::On,
-        ShardSetting::Corner { nagle: false } => NagleMode::Off,
-        ShardSetting::Adaptive { .. } => NagleMode::Dynamic,
+    // Only the upstream mode varies between arms; in corner arms the
+    // planes still run (under the default objective), inert.
+    let (upstream, objective) = match cfg.setting {
+        ShardSetting::Corner { nagle: true } => (NagleMode::On, Objective::MinLatency),
+        ShardSetting::Corner { nagle: false } => (NagleMode::Off, Objective::MinLatency),
+        ShardSetting::Adaptive { objective } => (NagleMode::Dynamic, objective),
     };
-    let upstream_tcp = tcp_config(upstream_mode, &ov);
-    // Shards answer with NODELAY in every arm: the knob under study is
-    // the proxy's request batching, not the shard's response batching.
-    let shard_tcp = tcp_config(NagleMode::Off, &ov);
-
-    // Key → shard ownership and the hot/cold split. The hot shard is the
-    // one owning the largest slice (deterministic in the seed).
-    let router = ShardRouter::new(k, cfg.seed);
-    let owned = partition_keys(&cfg.workload, &router);
-    let hot_shard = owned
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, keys)| keys.len())
-        .map(|(s, _)| s)
-        .expect("at least one shard");
-    let hot: Vec<u64> = owned[hot_shard].clone();
-    let cold: Vec<u64> = owned
-        .iter()
-        .enumerate()
-        .filter(|(s, _)| *s != hot_shard)
-        .flat_map(|(_, keys)| keys.iter().copied())
-        .collect();
-
-    // The skew stream: one named construction, forked per client so the
-    // draws never perturb arrival/value RNG sequences.
-    let mut skew_rng = Pcg32::named(cfg.seed, "shard.skew");
-
-    let mut spec = cfg.workload;
-    spec.rate_rps = cfg.workload.rate_rps / n as f64;
-    let end = cfg.warmup + cfg.measure;
-
-    let clients: Vec<LancetClient> = (0..n)
-        .map(|_| {
-            LancetClient::new(spec, cfg.profile.app, front_tcp, cfg.warmup, end).with_key_pool(
-                KeyPool::new(hot.clone(), cold.clone(), cfg.hot_fraction, skew_rng.fork()),
-            )
-        })
-        .collect();
-
-    // Per-shard planes: Nagle bandits seeded independently per shard
-    // (0xD keeps the streams disjoint from the star harness's client
-    // policies at 0xC and listener at 0x5). In corner arms the identical
-    // machinery runs but its Nagle actuation is inert on statically
-    // pinned sockets — every arm pays the same estimation overhead.
-    let objective = match cfg.setting {
-        ShardSetting::Adaptive { objective } => objective,
-        ShardSetting::Corner { .. } => Objective::MinLatency,
-    };
-    let tick = Nanos::from_millis(1);
-    let controllers = (0..k)
-        .map(|j| {
-            let seed = cfg.seed ^ 0xD ^ (j as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            // Calmer than the star harness's client planes (ε .05, dwell
-            // 4, α .4): a wrong arm on a saturated shard is catastrophic,
-            // so the per-shard bandits explore rarely, dwell longer, and
-            // smooth harder — the per-window signal between arms is tens
-            // of µs against comparable sampling noise on a sparse
-            // upstream. The settle period keeps post-switch windows
-            // (still dominated by the previous arm's traffic) from being
-            // credited to the new arm.
-            let toggler =
-                EpsilonGreedy::new(objective, 0.01, 8, 0.5, seed).with_settle(3);
-            let plane = ControlPlane::new(toggler, 8);
-            TickController::new(shield(plane, None), tick)
-        })
-        .collect();
-    let driver = ProxyDriver::new(Unit::Bytes, controllers);
-
-    let shard_hosts_ids: Vec<HostId> = (0..k).map(|j| HostId::from_index(n + 1 + j)).collect();
-    let proxy = ProxyApp::new(cfg.profile.app, upstream_tcp, shard_hosts_ids, router.clone())
-        .with_driver(driver);
-
-    let shards: Vec<RedisServer> = (0..k).map(|_| RedisServer::new(cfg.profile.app)).collect();
-
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::with_multiplier("client-app", cfg.profile.client_app_multiplier),
-                CpuContext::new("client-softirq"),
-                cfg.profile.client_stack,
-                front_tcp,
-            )
-        })
-        .collect();
-    // The proxy runs the lean client stack: it is an L7 router, not a
-    // store — parse, hash, re-frame. Keeping it off the critical path
-    // lets the back-leg queueing (the hot *shard's* backlog) dominate
-    // each shard's composed estimate instead of shared proxy read delay.
-    let proxy_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("proxy-app"),
-        CpuContext::new("proxy-softirq"),
-        cfg.profile.client_stack,
-        front_tcp, // accept config for client-facing connections
+    let run = run_tier(
+        TierPoint {
+            workload: cfg.workload,
+            profile: cfg.profile,
+            warmup: cfg.warmup,
+            measure: cfg.measure,
+            seed: cfg.seed,
+            num_clients: cfg.num_clients,
+            num_shards: k,
+            hot_fraction: cfg.hot_fraction,
+            upstream,
+            objective,
+            validate: None,
+            resilience: None,
+            skew: Pcg32::named(cfg.seed, "shard.skew"),
+        },
+        |_, _| FaultConfig::default(),
     );
-    let shard_hosts: Vec<Host> = (0..k)
-        .map(|j| {
-            Host::new(
-                HostId::from_index(n + 1 + j),
-                CpuContext::new("shard-app"),
-                CpuContext::new("shard-softirq"),
-                cfg.profile.server_stack,
-                shard_tcp, // accept config for the proxy's upstreams
-            )
-        })
-        .collect();
+    let (from, to) = (cfg.warmup, cfg.warmup + cfg.measure);
+    let hot_shard = run.hot_shard;
 
-    // The back leg crosses the fabric (proxy and shards sit in different
-    // racks), so its propagation is real: a Nagle hold on an upstream
-    // waits a full ACK round trip. That is what makes the knob a genuine
-    // per-shard tradeoff — on a sparse cold upstream a held request eats
-    // the round trip for nothing, while on the hot upstream the same hold
-    // window coalesces several requests into one delivery and spares the
-    // shard's receive path.
-    let back_link = LinkConfig {
-        propagation: Nanos::from_micros(80),
-        ..LinkConfig::default()
-    };
-    let mut sim = TierSim::two_tier(
-        clients,
-        proxy,
-        shards,
-        client_hosts,
-        proxy_host,
-        shard_hosts,
-        LinkConfig::default(),
-        back_link,
-        cfg.seed,
-    );
-    let mut queue = EventQueue::new();
-    sim.start(&mut queue);
-
-    let mut events = run(&mut sim, &mut queue, cfg.warmup);
-    let proxy_snap = (
-        sim.proxy_host().app_cpu.busy_snapshot(queue.now()),
-        sim.proxy_host().softirq_cpu.busy_snapshot(queue.now()),
-    );
-    events += run(&mut sim, &mut queue, end);
-    events += run(&mut sim, &mut queue, end + Nanos::from_millis(20));
-
-    let (from, to) = (cfg.warmup, end);
-    let proxy_cpu = CpuUtil {
-        app: sim.proxy_host().app_cpu.utilization_since(&proxy_snap.0, to),
-        softirq: sim
-            .proxy_host()
-            .softirq_cpu
-            .utilization_since(&proxy_snap.1, to),
-    };
-
-    let mut hist = Histogram::new();
-    for lg in &sim.clients {
-        hist.merge(&lg.hist);
-    }
-    let achieved_rps: f64 = sim.clients.iter().map(|lg| lg.achieved_rps()).sum();
-
-    let driver = sim.proxy.driver.as_ref().expect("driver attached above");
+    let proxy = &run.sim.proxy;
+    let driver = proxy.driver.as_ref().expect("run_tier attaches one");
     let shard_estimates: Vec<Option<Nanos>> = (0..k)
         .map(|j| driver.shard_mean_latency_in(j, from, to))
         .collect();
@@ -336,7 +182,7 @@ pub fn run_shard_point(cfg: &ShardRunConfig) -> ShardPointResult {
     // produced by the same proxy tick, so entries align by timestamp;
     // walk windows where every shard reported inside [from, to).
     let hot_rank_fraction = {
-        let series: Vec<_> = (0..k).map(|j| &driver.shard_series[j]).collect();
+        let series: Vec<_> = (0..k).map(|j| driver.shard_series(j)).collect();
         let windows = series.iter().map(|s| s.len()).min().unwrap_or(0);
         let mut ranked = 0u64;
         let mut total = 0u64;
@@ -354,22 +200,23 @@ pub fn run_shard_point(cfg: &ShardRunConfig) -> ShardPointResult {
         (total > 0).then(|| ranked as f64 / total as f64)
     };
 
+    let stats = &proxy.stats;
     ShardPointResult {
         offered_rps: cfg.workload.rate_rps,
-        achieved_rps,
-        measured_mean: hist.mean(),
-        measured_p50: hist.p50(),
-        measured_p99: hist.p99(),
-        samples: hist.count(),
+        achieved_rps: run.achieved_rps,
+        measured_mean: run.hist.mean(),
+        measured_p50: run.hist.p50(),
+        measured_p99: run.hist.p99(),
+        samples: run.hist.count(),
         hot_shard,
-        per_shard_requests: sim.proxy.stats.per_shard.clone(),
+        per_shard_requests: stats.per_shard.clone(),
         shard_estimates,
-        shard_rtt_p99: sim.proxy.stats.back_rtt.iter().map(|h| h.p99()).collect(),
+        shard_rtt_p99: stats.back_rtt.iter().map(|h| h.p99()).collect(),
         hot_rank_fraction,
         shard_on_fraction,
         shard_arm_scores,
-        proxy_cpu,
-        events,
+        proxy_cpu: run.proxy_cpu,
+        events: run.events,
     }
 }
 

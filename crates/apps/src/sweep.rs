@@ -7,6 +7,7 @@
 //! cutoff rate where batching starts winning, and the latency improvement
 //! at a given rate.
 
+use batchpolicy::Objective;
 use littles::Nanos;
 
 use crate::grid::{default_threads, run_grid};
@@ -103,16 +104,9 @@ pub fn run_sweep(
             rate_rps: rate,
             off: run_point(&mk(NagleSetting::Off)),
             on: run_point(&mk(NagleSetting::On)),
-            dynamic: include_dynamic.then(|| {
-                // Inherit the base config's objective when it is
-                // already dynamic; default to the paper's
-                // "prefer latency" policy otherwise.
-                let objective = match base.nagle {
-                    NagleSetting::Dynamic { objective } => objective,
-                    _ => batchpolicy::Objective::MinLatency,
-                };
-                run_point(&mk(NagleSetting::Dynamic { objective }))
-            }),
+            // The paper's "prefer latency" policy.
+            dynamic: include_dynamic
+                .then(|| run_point(&mk(NagleSetting::dynamic(Objective::MinLatency)))),
         }
     });
     SweepResult { rows }

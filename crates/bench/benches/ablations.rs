@@ -35,9 +35,7 @@ fn us(n: Option<Nanos>) -> f64 {
 }
 
 fn dynamic() -> NagleSetting {
-    NagleSetting::Dynamic {
-        objective: Objective::MinLatency,
-    }
+    NagleSetting::dynamic(Objective::MinLatency)
 }
 
 fn main() {

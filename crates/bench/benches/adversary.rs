@@ -15,7 +15,7 @@ use bench::params::{MEASURE, SEED, WARMUP};
 use e2e_apps::experiments::{
     adversary, AdversaryClass, CHAOS_BOUND_FACTOR, CHAOS_BOUND_SLACK,
 };
-use littles::Nanos;
+use e2e_apps::report::json_us;
 
 const INTENSITIES: [f64; 2] = [0.5, 1.0];
 // Fan-in stays small: the adversarial faults target the metadata plane,
@@ -26,11 +26,6 @@ const NS: [usize; 2] = [1, 2];
 // here (off collapses, on holds), so a poisoned policy pinned on the
 // wrong arm shows up as a large, unambiguous P99 regression.
 const RATE_RPS: f64 = 95_000.0;
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
 
 fn json_ratio(r: Option<f64>) -> String {
     r.map(|r| format!("{r:.3}")).unwrap_or_else(|| "null".into())

@@ -14,7 +14,7 @@ use bench::params::{MEASURE, SEED, WARMUP};
 use e2e_apps::experiments::{
     chaos, ChaosClass, CHAOS_BOUND_FACTOR, CHAOS_BOUND_SLACK,
 };
-use littles::Nanos;
+use e2e_apps::report::json_us;
 use simnet::FaultCounters;
 
 const INTENSITIES: [f64; 2] = [0.5, 1.0];
@@ -25,11 +25,6 @@ const NS: [usize; 2] = [4, 8];
 // Moderate per-connection load: high enough that batching matters, low
 // enough that a lossy go-back-N connection still drains its backlog.
 const RATE_RPS: f64 = 24_000.0;
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
 
 fn main() {
     println!("=== Chaos: fault classes x intensity x fan-in ===\n");

@@ -23,6 +23,7 @@ use e2e_apps::experiments::{
     FAILOVER_NAIVE_FACTOR,
 };
 use e2e_apps::{FailoverArm, FailoverPointResult};
+use e2e_apps::report::json_us;
 use littles::Nanos;
 
 // Aggregate offered load: hot enough that a crashed hot shard's traffic
@@ -38,11 +39,6 @@ const HOT_FRACTION: f64 = 0.7;
 // horizon, and the seed fixes which shard owns the hot key pool.
 const MEASURE: Nanos = Nanos::from_millis(800);
 const SEED: u64 = 0xFA11;
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
 
 fn point_json(r: &FailoverPointResult) -> String {
     format!(

@@ -12,20 +12,10 @@
 
 use bench::params::{MEASURE, SEED, WARMUP};
 use e2e_apps::experiments::fanin;
-use littles::Nanos;
+use e2e_apps::report::{json_us, us};
 
 const NS: [usize; 6] = [1, 4, 16, 64, 256, 1024];
 const RATES: [f64; 5] = [40_000.0, 60_000.0, 75_000.0, 88_000.0, 105_000.0];
-
-fn fmt(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
 
 fn json_rate(r: Option<f64>) -> String {
     r.map(|v| format!("{v:.0}")).unwrap_or_else(|| "null".into())
@@ -46,10 +36,10 @@ fn main() {
             println!(
                 "{:>8.0} | {:>9} {:>9} | {:>9} {:>9}",
                 p.rate_rps,
-                fmt(p.off.measured_mean),
-                fmt(p.off.estimated_bytes),
-                fmt(p.on.measured_mean),
-                fmt(p.on.estimated_bytes),
+                us(p.off.measured_mean),
+                us(p.off.estimated_bytes),
+                us(p.on.measured_mean),
+                us(p.on.estimated_bytes),
             );
             rows.push(format!(
                 "    {{\"num_clients\": {}, \"rate_rps\": {:.0}, \"off_meas_us\": {}, \"off_est_us\": {}, \"on_meas_us\": {}, \"on_est_us\": {}}}",

@@ -11,6 +11,7 @@
 
 use bench::params::{MEASURE, SEED, WARMUP};
 use e2e_apps::experiments::{knobs, KNOBS_BOUND_FACTOR, KNOBS_BOUND_SLACK};
+use e2e_apps::report::json_us;
 use littles::Nanos;
 
 // Client per-response cost c: the calibrated default, the Figure 2
@@ -25,11 +26,6 @@ const NS: [usize; 3] = [1, 4, 8];
 // effect, low enough that the single-connection high-c cell stays
 // un-saturated.
 const RATE_RPS: f64 = 24_000.0;
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
 
 fn main() {
     println!("=== Knobs: static corners vs adaptive planes, c x N ===\n");

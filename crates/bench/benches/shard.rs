@@ -20,7 +20,7 @@ use e2e_apps::experiments::{
     shard, SHARD_BOUND_FACTOR, SHARD_BOUND_SLACK, SHARD_HOT_RANK_MIN,
 };
 use e2e_apps::ShardPointResult;
-use littles::Nanos;
+use e2e_apps::report::json_us;
 
 // Aggregate offered load: comfortably unsaturated, moderate, and hot
 // enough that the skewed shard's per-delivery receive work saturates its
@@ -30,11 +30,6 @@ const NUM_CLIENTS: usize = 8;
 const NUM_SHARDS: usize = 4;
 // Fraction of the key space's traffic concentrated on the hot shard.
 const HOT_FRACTION: f64 = 0.7;
-
-fn json_us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "null".into())
-}
 
 fn json_frac(f: Option<f64>) -> String {
     f.map(|v| format!("{v:.3}")).unwrap_or_else(|| "null".into())

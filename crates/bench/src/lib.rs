@@ -3,7 +3,8 @@
 //! Every bench target regenerates one of the paper's figures (or an
 //! ablation from §5) and prints the series the figure plots; `micro` is a
 //! Criterion suite for the measurement primitives themselves (the paper's
-//! "easily maintained counters" claim, quantified).
+//! "easily maintained counters" claim, quantified). The grid benches
+//! format latencies with `e2e_apps::report`.
 //!
 //! | target           | regenerates                                   |
 //! |------------------|-----------------------------------------------|
@@ -21,6 +22,15 @@
 //! | `knobs`          | Client cost × fan-in: joint multi-knob plane  |
 //! |                  | vs static corners + Nagle-only plane          |
 //! |                  | (BENCH_knobs.json)                            |
+//! | `adversary`      | Metadata corruption / endpoint restarts:      |
+//! |                  | guarded vs exposed adaptive arms              |
+//! |                  | (BENCH_adversary.json)                        |
+//! | `shard`          | Two-tier proxy, skewed keys: per-shard planes |
+//! |                  | vs global static pins (BENCH_shard.json)      |
+//! | `failover`       | Shard crash / brownout × proxy defense ladder |
+//! |                  | vs never-failed oracle (BENCH_failover.json)  |
+//! | `simperf`        | Simulator events/sec by fan-in width, wall    |
+//! |                  | clock (BENCH_simperf.json; `--smoke` floors)  |
 //! | `micro`          | Criterion: TRACK/GETAVGS/wire/estimator costs |
 
 /// Shared quick-run parameters so every figure bench uses the same

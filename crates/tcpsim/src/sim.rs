@@ -376,24 +376,6 @@ impl HostCtx<'_> {
         changed
     }
 
-    /// Flips the dynamic-Nagle switch on a socket (the paper's toggling
-    /// actuator); a convenience wrapper over [`apply`](Self::apply) with
-    /// [`KnobSetting::Nagle`].
-    pub fn set_nagle(&mut self, sock: SocketId, on: bool) {
-        self.apply(sock, KnobSetting::Nagle(on));
-    }
-
-    /// Sets the gradual batching limit on a socket (the §5 AIMD
-    /// actuator); a convenience wrapper over [`apply`](Self::apply) with
-    /// [`KnobSetting::CorkLimit`] (`None` maps to `0`, disabling the
-    /// limit).
-    pub fn set_batch_limit(&mut self, sock: SocketId, limit: Option<usize>) {
-        self.apply(
-            sock,
-            KnobSetting::CorkLimit(limit.map_or(0, |l| l as u64)),
-        );
-    }
-
     /// Re-runs a socket's transmit path after an actuator changed its
     /// gating state, applying any resulting actions in app context.
     fn repoll(&mut self, sock: SocketId) {

@@ -63,7 +63,7 @@ impl App for Writer {
         let sock = self.sock.expect("connected");
         if token == u64::MAX {
             let (_, on) = self.toggle_at.expect("toggle scheduled");
-            ctx.set_nagle(sock, on);
+            ctx.apply(sock, KnobSetting::Nagle(on));
         } else {
             let len = self.writes[token as usize].1;
             ctx.send(sock, &vec![0xAB; len]);

@@ -18,12 +18,8 @@ use e2e_apps::experiments::{
     adversary, AdversaryCell, AdversaryClass, AdversaryData, CHAOS_BOUND_FACTOR as BOUND_FACTOR,
     CHAOS_BOUND_SLACK as BOUND_SLACK,
 };
+use e2e_apps::report::{json_us, us};
 use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 fn ratio(r: Option<f64>) -> String {
     r.map(|r| format!("{r:.2}")).unwrap_or_else(|| "n/a".into())
@@ -186,10 +182,6 @@ fn main() {
 /// object per cell with all four P99s, both oracle ratios, the guarded
 /// arm's validation counters, and the restart/corruption tallies.
 fn to_json(data: &AdversaryData) -> String {
-    fn us(v: Option<Nanos>) -> String {
-        v.map(|n| format!("{:.1}", n.as_micros_f64()))
-            .unwrap_or_else(|| "null".into())
-    }
     fn num(v: Option<f64>) -> String {
         v.map(|r| format!("{r:.3}")).unwrap_or_else(|| "null".into())
     }
@@ -212,11 +204,11 @@ fn to_json(data: &AdversaryData) -> String {
                 c.class.name(),
                 c.intensity,
                 c.num_clients,
-                us(c.off.measured_p99),
-                us(c.on.measured_p99),
-                us(c.guarded.measured_p99),
-                us(c.exposed.measured_p99),
-                us(c.oracle_p99()),
+                json_us(c.off.measured_p99),
+                json_us(c.on.measured_p99),
+                json_us(c.guarded.measured_p99),
+                json_us(c.exposed.measured_p99),
+                json_us(c.oracle_p99()),
                 num(c.regression()),
                 num(c.exposed_regression()),
                 c.guarded.client_breaker_trips.unwrap_or(0)

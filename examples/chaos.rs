@@ -17,12 +17,8 @@ use e2e_apps::experiments::{
     chaos, ChaosCell, ChaosClass, ChaosData, CHAOS_BOUND_FACTOR as BOUND_FACTOR,
     CHAOS_BOUND_SLACK as BOUND_SLACK,
 };
+use e2e_apps::report::{json_us, us};
 use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 fn print_cells(data: &ChaosData) {
     println!(
@@ -156,10 +152,6 @@ fn main() {
 /// object per cell with the three P99s, the oracle ratio, breaker trips,
 /// and the per-link fault counters summed over links.
 fn to_json(data: &ChaosData) -> String {
-    fn us(v: Option<Nanos>) -> String {
-        v.map(|n| format!("{:.1}", n.as_micros_f64()))
-            .unwrap_or_else(|| "null".into())
-    }
     let rows: Vec<String> = data
         .cells
         .iter()
@@ -181,10 +173,10 @@ fn to_json(data: &ChaosData) -> String {
                 c.class.name(),
                 c.intensity,
                 c.num_clients,
-                us(c.off.measured_p99),
-                us(c.on.measured_p99),
-                us(c.adaptive.measured_p99),
-                us(c.oracle_p99()),
+                json_us(c.off.measured_p99),
+                json_us(c.on.measured_p99),
+                json_us(c.adaptive.measured_p99),
+                json_us(c.oracle_p99()),
                 c.regression()
                     .map(|r| format!("{r:.3}"))
                     .unwrap_or_else(|| "null".into()),

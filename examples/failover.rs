@@ -17,12 +17,8 @@ use e2e_apps::experiments::{
     FAILOVER_NAIVE_FACTOR,
 };
 use e2e_apps::{FailoverArm, FailoverPointResult};
+use e2e_apps::report::us;
 use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 fn print_cells(data: &FailoverData) {
     for c in &data.cells {

@@ -13,12 +13,8 @@
 //! ```
 
 use e2e_apps::experiments::fanin;
+use e2e_apps::report::us;
 use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");

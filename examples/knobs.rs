@@ -16,12 +16,8 @@ use e2e_apps::experiments::{
     knobs, KnobsCell, KnobsData, KNOBS_BOUND_FACTOR as BOUND_FACTOR,
     KNOBS_BOUND_SLACK as BOUND_SLACK,
 };
+use e2e_apps::report::{json_us, us};
 use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 fn print_cells(data: &KnobsData) {
     println!(
@@ -147,10 +143,6 @@ fn main() {
 /// object per cell with every corner's P99, the two adaptive P99s, the
 /// regression ratio, and the joint plane's per-knob counters.
 fn to_json(data: &KnobsData) -> String {
-    fn us(v: Option<Nanos>) -> String {
-        v.map(|n| format!("{:.1}", n.as_micros_f64()))
-            .unwrap_or_else(|| "null".into())
-    }
     let rows: Vec<String> = data
         .cells
         .iter()
@@ -158,7 +150,7 @@ fn to_json(data: &KnobsData) -> String {
             let corners: Vec<String> = c
                 .corners
                 .iter()
-                .map(|k| format!("\"{}\": {}", k.label(), us(k.result.measured_p99)))
+                .map(|k| format!("\"{}\": {}", k.label(), json_us(k.result.measured_p99)))
                 .collect();
             format!(
                 concat!(
@@ -173,9 +165,9 @@ fn to_json(data: &KnobsData) -> String {
                 c.num_clients,
                 corners.join(", "),
                 c.best_corner_label().unwrap_or_else(|| "n/a".into()),
-                us(c.best_corner_p99()),
-                us(c.nagle_only.measured_p99),
-                us(c.joint.measured_p99),
+                json_us(c.best_corner_p99()),
+                json_us(c.nagle_only.measured_p99),
+                json_us(c.joint.measured_p99),
                 c.regression()
                     .map(|r| format!("{r:.3}"))
                     .unwrap_or_else(|| "null".into()),

@@ -17,12 +17,8 @@ use e2e_apps::experiments::{
     shard, ShardCell, ShardData, SHARD_BOUND_FACTOR, SHARD_BOUND_SLACK, SHARD_HOT_RANK_MIN,
 };
 use e2e_apps::ShardPointResult;
+use e2e_apps::report::us;
 use littles::Nanos;
-
-fn us(n: Option<Nanos>) -> String {
-    n.map(|v| format!("{:.1}", v.as_micros_f64()))
-        .unwrap_or_else(|| "n/a".into())
-}
 
 fn pct(f: Option<f64>) -> String {
     f.map(|v| format!("{:.0}%", v * 100.0))

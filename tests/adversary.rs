@@ -44,9 +44,7 @@ fn guarded_cfg(n: usize, fault: FaultConfig) -> RunConfig {
         },
         ..RunConfig::new(
             WorkloadSpec::fig4a(24_000.0),
-            NagleSetting::Dynamic {
-                objective: Objective::MinLatency,
-            },
+            NagleSetting::dynamic(Objective::MinLatency),
         )
     }
 }

@@ -68,9 +68,9 @@ fn faulted_adaptive_run_is_deterministic() {
     let cfg = RunConfig {
         staleness_bound: Some(CHAOS_STALENESS_BOUND),
         breaker: Some(e2e_batching::batchpolicy::BreakerConfig::default()),
-        ..faulted_n8_cfg(NagleSetting::Dynamic {
-            objective: e2e_batching::batchpolicy::Objective::MinLatency,
-        })
+        ..faulted_n8_cfg(NagleSetting::dynamic(
+            e2e_batching::batchpolicy::Objective::MinLatency,
+        ))
     };
     let a = run_point(&cfg);
     let b = run_point(&cfg);

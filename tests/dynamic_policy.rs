@@ -19,9 +19,7 @@ fn cfg(rate: f64, nagle: NagleSetting) -> RunConfig {
 }
 
 fn dynamic() -> NagleSetting {
-    NagleSetting::Dynamic {
-        objective: Objective::MinLatency,
-    }
+    NagleSetting::dynamic(Objective::MinLatency)
 }
 
 #[test]

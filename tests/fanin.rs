@@ -54,9 +54,7 @@ fn n16_fanin_is_deterministic_across_invocations() {
 /// produce a server-side aggregate view.
 #[test]
 fn n16_dynamic_policy_is_deterministic_and_aggregates() {
-    let cfg = n16_cfg(NagleSetting::Dynamic {
-        objective: Objective::MinLatency,
-    });
+    let cfg = n16_cfg(NagleSetting::dynamic(Objective::MinLatency));
     let a = run_point(&cfg);
     let b = run_point(&cfg);
 

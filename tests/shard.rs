@@ -135,7 +135,7 @@ fn invariant_gates_are_nonvacuous_on_proxy_sockets() {
         })
         .collect();
 
-    let mut sim = TierSim::two_tier(
+    let mut sim = TierSim::two_tier_with_faults(
         clients,
         proxy,
         shards,
@@ -145,6 +145,7 @@ fn invariant_gates_are_nonvacuous_on_proxy_sockets() {
         LinkConfig::default(),
         LinkConfig::default(),
         0x5AAD,
+        FaultConfig::default(),
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
