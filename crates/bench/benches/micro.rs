@@ -4,8 +4,8 @@
 //! cheap enough to update on every socket-buffer change. This suite
 //! quantifies that: TRACK, snapshotting, GETAVGS, the 36-byte wire
 //! encode/decode, a full estimator update, a recorder tick over a static
-//! and over an active socket (cache-cold, as at N = 1024), and RESP
-//! parsing.
+//! and over an active socket (cache-cold, as at N = 1024), one socket-
+//! timer re-arm, and RESP parsing.
 //!
 //! Uses a small hand-rolled harness (median of timed batches) instead of
 //! criterion: the workspace builds with no registry dependencies. Wall-
@@ -24,9 +24,13 @@ use e2e_core::combine::EndpointSnapshots;
 use e2e_core::E2eEstimator;
 use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::{Ewma, Nanos, QueueState, Snapshot};
+use simnet::{CpuContext, EventQueue};
 use tcpsim::segment::{E2eOption, Flags};
 use tcpsim::seq::SeqNum;
-use tcpsim::{FlowId, Segment, SocketId, TcpConfig, TcpSocket, TxEnv, Unit};
+use tcpsim::{
+    CostConfig, Event, FlowId, Host, HostId, Segment, SocketId, TcpConfig, TcpSocket, TimerKind,
+    TxEnv, Unit,
+};
 
 /// Times `f` over batches of `iters` calls and prints the median ns/iter.
 fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) {
@@ -190,6 +194,44 @@ fn bench_recorder_tick() {
     }
 }
 
+/// One RTO re-arm as `apply_actions` performs it on every ACK: cancel the
+/// socket's pending `Event::Timer` (unlinking its cell from the wheel) and
+/// schedule the next one 200 ms ahead, round-robin over 1 024 sockets that
+/// each hold a live timer. This is the per-ACK cost that used to be paid at
+/// pop time (a dead event cascading down the wheel and dispatching as a
+/// no-op); hold it against the benchmark's `tcpsim.softirq_rx.ns_per_event`.
+fn bench_timer_rearm() {
+    const TIMERS: usize = 1024;
+    let id = HostId::from_index(0);
+    let mut host = Host::new(
+        id,
+        CpuContext::new("app"),
+        CpuContext::new("softirq"),
+        CostConfig::default(),
+        TcpConfig::default(),
+    );
+    let mut actions = Vec::new();
+    for i in 0..TIMERS {
+        let flow = FlowId(i as u64);
+        host.add_socket(TcpSocket::client(flow, TcpConfig::default(), Nanos::ZERO, &mut actions));
+    }
+    let mut queue: EventQueue<Event> = EventQueue::new();
+    let mut next = 0;
+    let mut rearm = || {
+        let sock = SocketId(next);
+        next = (next + 1) % TIMERS;
+        let event = Event::Timer {
+            host: id,
+            sock,
+            kind: TimerKind::Rto,
+        };
+        host.arm_timer(sock, TimerKind::Rto, &mut queue, Nanos::from_millis(200), event);
+    };
+    (0..TIMERS).for_each(|_| rearm());
+    bench("timer_rearm", 1_000_000, rearm);
+    assert_eq!(queue.len(), TIMERS, "a re-arm replaces, it does not add");
+}
+
 fn bench_ewma() {
     let mut e = Ewma::new(0.3);
     let mut x = 1.0;
@@ -215,6 +257,7 @@ fn main() {
     bench_wire();
     bench_estimator();
     bench_recorder_tick();
+    bench_timer_rearm();
     bench_ewma();
     bench_resp();
 }

@@ -29,8 +29,9 @@
 //! |                  | vs global static pins (BENCH_shard.json)      |
 //! | `failover`       | Shard crash / brownout × proxy defense ladder |
 //! |                  | vs never-failed oracle (BENCH_failover.json)  |
-//! | `simperf`        | Simulator events/sec by fan-in width, wall    |
-//! |                  | clock (BENCH_simperf.json; `--smoke` floors)  |
+//! | `simperf`        | Simulator wall time per simulated second by   |
+//! |                  | fan-in width (BENCH_simperf.json; `--smoke`   |
+//! |                  | ceilings)                                     |
 //! | `micro`          | Criterion: TRACK/GETAVGS/wire/estimator costs |
 
 /// Shared quick-run parameters so every figure bench uses the same

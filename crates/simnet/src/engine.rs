@@ -10,7 +10,8 @@
 //! [`EventToken`]s. The queue is backed by the hierarchical timer wheel in
 //! [`wheel`](crate::wheel): O(1) schedule and cancel, amortized-O(1) pop,
 //! and no heap allocation in steady state — the slab and slot storage are
-//! recycled. (It replaced a lazy-deletion `BinaryHeap` + `BTreeSet` pair
+//! recycled, and a cancelled event leaves the queue (and frees its cell)
+//! at once, so only live events are ever resident. (It replaced a lazy-deletion `BinaryHeap` + `BTreeSet` pair
 //! that allocated tree nodes on every schedule.)
 
 use littles::Nanos;
@@ -100,8 +101,7 @@ impl<E> EventQueue<E> {
             .map(|(at, event)| (Nanos::from_nanos(at), event))
     }
 
-    /// Timestamp of the next live event without popping it. Read-only:
-    /// cancelled entries are skipped, not pruned.
+    /// Timestamp of the next live event without popping it. Read-only.
     pub fn peek_time(&self) -> Option<Nanos> {
         self.wheel.peek().map(Nanos::from_nanos)
     }

@@ -17,17 +17,35 @@
 //!   `trailing_zeros` instructions); slots above level 0 are *cascaded* —
 //!   drained and re-slotted at finer levels — as the cursor reaches them.
 //! * Every scheduled event owns a generation-checked cell in a slab, and
-//!   the cells themselves form **intrusive FIFO lists**: each slot is just
-//!   a `(head, tail)` pair of slab indices and each cell carries a `next`
-//!   link. Scheduling, cancelling, popping, and cascading therefore move
-//!   indices around preallocated storage and never allocate — the slab's
-//!   high-water mark is the only growth point, so steady state performs
-//!   zero heap allocations (asserted by `simnet/tests/hot_path_alloc.rs`).
-//! * Cancellation vacates the cell in O(1) (the event is dropped, the
-//!   token's generation goes stale) but leaves it linked; the cell is
-//!   reaped for reuse when its slot is next visited — the wheel's analogue
-//!   of the old heap's lazy deletion, with exact [`TimerWheel::len`]
-//!   maintained by a live counter.
+//!   the cells themselves form **intrusive doubly-linked FIFO lists**:
+//!   each slot is just a `(head, tail)` pair of slab indices and each cell
+//!   carries `prev`/`next` links. Scheduling, cancelling, popping, and
+//!   cascading therefore move indices around preallocated storage and
+//!   never allocate — the slab's high-water mark is the only growth point,
+//!   so steady state performs zero heap allocations (asserted by
+//!   `simnet/tests/hot_path_alloc.rs`).
+//! * Cancellation **unlinks** the cell in O(1): the event is dropped, the
+//!   token's generation goes stale, the cell leaves its slot's list (the
+//!   slot is found from the invariant below), the slot's occupancy bit
+//!   clears if that emptied it, and the cell is back on the free list
+//!   before `cancel` returns. Only live entries are ever linked, so a
+//!   timer that is re-armed a million times occupies one cell, not a
+//!   million, and `pop`/`peek` never meet a dead entry. Lazy reaping is
+//!   not an option: a TCP socket re-arms its 200 ms RTO on every ACK, and
+//!   leaving superseded cells linked until their slot came due kept
+//!   ~93 000 of them resident on one busy connection, each cascading
+//!   through four levels on its way to being dropped.
+//!
+//! # Placement invariant
+//!
+//! A linked cell with timestamp `at` lives at level
+//! `level_for(cursor, at)`, slot `(at >> 6·level) & 63`. `schedule` places
+//! it there; `pop` only ever moves the cursor to the start of the lowest
+//! occupied slot of the lowest occupied level, which changes no block
+//! above that level (so coarser cells stay put), leaves other slots of
+//! that level differing from the cursor in exactly that block, and
+//! cascades the one slot whose cells now agree with it. `cancel` relies
+//! on this to find a cell's slot without storing it.
 //!
 //! # Ordering
 //!
@@ -42,8 +60,7 @@
 //! the cursor in block `l'` — so the former compares smaller. Within a
 //! level, a lower slot index is a smaller block value, hence earlier. This
 //! is what makes a read-only [`TimerWheel::peek`] possible: scan in (level,
-//! slot) order and take the minimum live timestamp of the first slot with
-//! any live entry.
+//! slot) order and take the minimum timestamp of the first occupied slot.
 
 /// Bits per wheel level: each level fans out into `2^BITS` slots.
 pub const BITS: u32 = 6;
@@ -94,16 +111,17 @@ fn level_for(cursor: u64, at: u64) -> usize {
 #[derive(Debug)]
 struct Cell<E> {
     gen: u32,
-    /// Intrusive link to the next cell in the same slot (or [`NIL`]).
+    /// Intrusive links to the neighbours in the same slot (or [`NIL`]).
+    prev: u32,
     next: u32,
     at: u64,
-    /// `Some` while live; `None` once cancelled (awaiting reap) or fired.
+    /// `Some` while linked; `None` on the free list.
     event: Option<E>,
 }
 
 #[derive(Debug)]
 struct Level {
-    /// Bit `s` set ⇔ slot `s`'s list is non-empty (possibly all stale).
+    /// Bit `s` set ⇔ slot `s`'s list is non-empty.
     occupied: u64,
     head: [u32; SLOTS],
     tail: [u32; SLOTS],
@@ -131,7 +149,7 @@ pub struct TimerWheel<E> {
     live: usize,
     levels: Vec<Level>,
     cells: Vec<Cell<E>>,
-    /// Reusable slab indices (fired or reaped cells).
+    /// Reusable slab indices (fired or cancelled cells).
     free: Vec<u32>,
 }
 
@@ -173,21 +191,78 @@ impl<E> TimerWheel<E> {
         self.live == 0
     }
 
+    /// Slab cells ever allocated. A cell is reused the moment its entry
+    /// fires or is cancelled, so this is the peak of [`len`](Self::len)
+    /// over the wheel's life — not the number of schedules or cancels.
+    pub fn slab_len(&self) -> usize {
+        self.cells.len()
+    }
+
+    #[inline]
+    fn cell(&mut self, idx: u32) -> &mut Cell<E> {
+        &mut self.cells[idx as usize]
+    }
+
+    /// The (level, slot) a timestamp maps to under the current cursor.
+    #[inline]
+    fn position(&self, at: u64) -> (usize, usize) {
+        let lvl = level_for(self.cursor, at);
+        (lvl, ((at >> (BITS * lvl as u32)) & SLOT_MASK) as usize)
+    }
+
     /// Appends cell `idx` to the slot its timestamp maps to.
     // hot-path: runs on every schedule and once per cascade hop
     #[inline]
     fn place(&mut self, idx: u32, at: u64) {
-        let lvl = level_for(self.cursor, at);
-        let slot = ((at >> (BITS * lvl as u32)) & SLOT_MASK) as usize;
-        self.cells[idx as usize].next = NIL;
-        let tail = self.levels[lvl].tail[slot];
+        let (lvl, slot) = self.position(at);
+        let level = &mut self.levels[lvl];
+        let tail = std::mem::replace(&mut level.tail[slot], idx);
         if tail == NIL {
-            self.levels[lvl].head[slot] = idx;
-            self.levels[lvl].occupied |= 1 << slot;
+            level.head[slot] = idx;
+            level.occupied |= 1 << slot;
         } else {
-            self.cells[tail as usize].next = idx;
+            self.cell(tail).next = idx;
         }
-        self.levels[lvl].tail[slot] = idx;
+        let cell = self.cell(idx);
+        cell.prev = tail;
+        cell.next = NIL;
+    }
+
+    /// Unlinks cell `idx` (neighbours `prev`/`next`) from `slot` at `lvl`,
+    /// clearing the occupancy bit if the list empties.
+    // hot-path: runs once per pop and once per cancel
+    #[inline]
+    fn unlink(&mut self, lvl: usize, slot: usize, idx: u32, prev: u32, next: u32) {
+        let level = &mut self.levels[lvl];
+        if prev == NIL {
+            debug_assert_eq!(level.head[slot], idx, "cell is not where its time says");
+            level.head[slot] = next;
+        }
+        if next == NIL {
+            debug_assert_eq!(level.tail[slot], idx, "cell is not where its time says");
+            level.tail[slot] = prev;
+        }
+        if prev == NIL && next == NIL {
+            level.occupied &= !(1 << slot);
+        }
+        if prev != NIL {
+            self.cell(prev).next = next;
+        }
+        if next != NIL {
+            self.cell(next).prev = prev;
+        }
+    }
+
+    /// Vacates a just-unlinked cell: takes its event, stales its tokens,
+    /// and returns it to the free list.
+    #[inline]
+    fn release(&mut self, idx: u32) -> Option<E> {
+        let cell = self.cell(idx);
+        cell.gen = cell.gen.wrapping_add(1);
+        let event = cell.event.take();
+        self.free.push(idx);
+        self.live -= 1;
+        event
     }
 
     /// Schedules `event` at absolute nanosecond `at` (clamped up to the
@@ -196,157 +271,114 @@ impl<E> TimerWheel<E> {
     // hot-path: runs once per scheduled event; must not allocate per call
     pub fn schedule(&mut self, at: u64, event: E) -> WheelToken {
         let at = at.max(self.cursor);
-        let idx = match self.free.pop() {
+        let (idx, gen) = match self.free.pop() {
             Some(idx) => {
-                let cell = &mut self.cells[idx as usize];
+                let cell = self.cell(idx);
                 cell.at = at;
                 cell.event = Some(event);
-                idx
+                (idx, cell.gen)
             }
             None => {
                 let idx = u32::try_from(self.cells.len()).expect("wheel slab capacity");
                 self.cells.push(Cell {
                     gen: 0,
+                    prev: NIL,
                     next: NIL,
                     at,
                     event: Some(event),
                 });
-                idx
+                (idx, 0)
             }
         };
-        let token = pack(idx, self.cells[idx as usize].gen);
         self.place(idx, at);
         self.live += 1;
-        WheelToken(token)
+        WheelToken(pack(idx, gen))
     }
 
     /// Cancels a scheduled entry. Returns whether the token named a live
     /// entry; stale tokens (already fired or already cancelled) are a true
-    /// no-op. O(1): the cell is vacated in place — its event dropped and
-    /// its generation bumped — and reaped for reuse when its slot is next
-    /// visited.
+    /// no-op. O(1): the cell is unlinked from its slot and back on the
+    /// free list when this returns.
     // hot-path: runs once per cancelled timer; must not allocate per call
     pub fn cancel(&mut self, token: WheelToken) -> bool {
         let (idx, gen) = unpack(token.0);
-        let Some(cell) = self.cells.get_mut(idx as usize) else {
+        let Some(cell) = self.cells.get(idx as usize) else {
             return false;
         };
-        if cell.gen != gen || cell.event.is_none() {
+        // Firing and cancelling both bump the generation, so a matching
+        // one means the cell is linked.
+        if cell.gen != gen {
             return false;
         }
-        cell.event = None;
-        cell.gen = cell.gen.wrapping_add(1);
-        self.live -= 1;
+        debug_assert!(cell.event.is_some(), "current generation on a free cell");
+        let (at, prev, next) = (cell.at, cell.prev, cell.next);
+        let (lvl, slot) = self.position(at);
+        self.unlink(lvl, slot, idx, prev, next);
+        self.release(idx);
         true
     }
 
-    /// Pops the earliest live entry, advancing the cursor to its
-    /// timestamp. The cursor never moves past any live entry's time.
+    /// Pops the earliest entry, advancing the cursor to its timestamp.
+    /// The cursor never moves past any entry's time.
     // hot-path: the event-loop inner loop; must not allocate per call
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        if self.live == 0 {
-            return None;
-        }
         loop {
-            let lvl = self
-                .levels
-                .iter()
-                .position(|l| l.occupied != 0)
-                .expect("live entries imply an occupied slot");
-            let slot = self.levels[lvl].occupied.trailing_zeros() as usize;
+            let lvl = self.levels.iter().position(|l| l.occupied != 0)?;
+            let level = &self.levels[lvl];
+            let slot = level.occupied.trailing_zeros() as usize;
+            let head = level.head[slot];
             let slot_time = self.slot_start(lvl, slot);
             debug_assert!(slot_time >= self.cursor, "wheel cursor passed a slot");
             self.cursor = slot_time;
-            // Detach the slot's whole list; live cells are either returned
-            // (level 0) or re-slotted finer (cascade), stale ones reaped.
-            let mut head = self.levels[lvl].head[slot];
-            let orig_tail = self.levels[lvl].tail[slot];
-            self.levels[lvl].head[slot] = NIL;
-            self.levels[lvl].tail[slot] = NIL;
-            self.levels[lvl].occupied &= !(1 << slot);
             if lvl == 0 {
                 // A level-0 slot names one exact nanosecond; FIFO order in
                 // its list is insertion order, which is the tie-break.
-                while head != NIL {
-                    let idx = head as usize;
-                    head = self.cells[idx].next;
-                    if let Some(event) = self.cells[idx].event.take() {
-                        debug_assert_eq!(self.cells[idx].at, slot_time);
-                        self.cells[idx].gen = self.cells[idx].gen.wrapping_add(1);
-                        self.free.push(idx as u32);
-                        self.live -= 1;
-                        // Reattach the unconsumed remainder of the list
-                        // (a suffix of the original, so it keeps the
-                        // original tail).
-                        if head != NIL {
-                            self.reattach_front(slot, head, orig_tail);
-                        }
-                        return Some((slot_time, event));
-                    }
-                    self.free.push(idx as u32); // reap a cancelled cell
-                }
-            } else {
-                // Cascade: walk the coarse slot and re-slot each live
-                // entry at the finer level it now maps to. Front-to-back
-                // walk + tail append keeps same-time entries in order.
-                while head != NIL {
-                    let idx = head as usize;
-                    head = self.cells[idx].next;
-                    if self.cells[idx].event.is_some() {
-                        let at = self.cells[idx].at;
-                        debug_assert!(level_for(self.cursor, at) < lvl);
-                        self.place(idx as u32, at);
-                    } else {
-                        self.free.push(idx as u32); // reap a cancelled cell
-                    }
-                }
+                let next = self.cell(head).next;
+                debug_assert_eq!(self.cell(head).at, slot_time);
+                self.unlink(0, slot, head, NIL, next);
+                let event = self.release(head).expect("linked cells hold an event");
+                return Some((slot_time, event));
+            }
+            // Cascade: detach the coarse slot and re-slot each entry at
+            // the finer level it now maps to. Front-to-back walk + tail
+            // append keeps same-time entries in order.
+            let level = &mut self.levels[lvl];
+            level.head[slot] = NIL;
+            level.tail[slot] = NIL;
+            level.occupied &= !(1 << slot);
+            let mut idx = head;
+            while idx != NIL {
+                let cell = self.cell(idx);
+                let (at, next) = (cell.at, cell.next);
+                debug_assert!(level_for(self.cursor, at) < lvl);
+                self.place(idx, at);
+                idx = next;
             }
         }
     }
 
-    /// Relinks a detached list `head..=tail` at the front of level-0
-    /// `slot` (which pop just emptied — the list is a suffix of the
-    /// slot's original, so `tail` is the original tail).
-    // hot-path: runs once per pop from a shared-timestamp slot
-    #[inline]
-    fn reattach_front(&mut self, slot: usize, head: u32, tail: u32) {
-        debug_assert_eq!(self.levels[0].head[slot], NIL);
-        debug_assert_eq!(self.cells[tail as usize].next, NIL);
-        self.levels[0].head[slot] = head;
-        self.levels[0].tail[slot] = tail;
-        self.levels[0].occupied |= 1 << slot;
-    }
-
-    /// Timestamp of the earliest live entry, without mutating anything —
-    /// stale entries are skipped read-only, not reaped.
+    /// Timestamp of the earliest entry, without mutating anything.
     pub fn peek(&self) -> Option<u64> {
-        if self.live == 0 {
-            return None;
+        let (lvl, level) = self
+            .levels
+            .iter()
+            .enumerate()
+            .find(|(_, l)| l.occupied != 0)?;
+        // The first occupied slot holds the global earliest (lower level
+        // ⇒ earlier; lower slot ⇒ earlier).
+        let slot = level.occupied.trailing_zeros() as usize;
+        if lvl == 0 {
+            return Some(self.slot_start(0, slot));
         }
-        for (lvl, level) in self.levels.iter().enumerate() {
-            let mut bits = level.occupied;
-            while bits != 0 {
-                let slot = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                // The first slot with any live entry holds the global
-                // earliest (lower level ⇒ earlier; lower slot ⇒ earlier);
-                // above level 0 its entries span a range, so take the min.
-                let mut earliest: Option<u64> = None;
-                let mut idx = level.head[slot];
-                while idx != NIL {
-                    let cell = &self.cells[idx as usize];
-                    if cell.event.is_some() {
-                        earliest = Some(earliest.map_or(cell.at, |e| e.min(cell.at)));
-                    }
-                    idx = cell.next;
-                }
-                if earliest.is_some() {
-                    debug_assert!(lvl > 0 || earliest == Some(self.slot_start(0, slot)));
-                    return earliest;
-                }
-            }
+        // Above level 0 a slot's entries span a range, so take the min.
+        let mut earliest = u64::MAX;
+        let mut idx = level.head[slot];
+        while idx != NIL {
+            let cell = &self.cells[idx as usize];
+            earliest = earliest.min(cell.at);
+            idx = cell.next;
         }
-        unreachable!("live entries imply a live slot reference")
+        Some(earliest)
     }
 
     /// The earliest timestamp covered by `slot` at `lvl`, given the
@@ -431,14 +463,71 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_read_only_and_skips_stale() {
+    fn peek_is_read_only_and_cancel_unlinks() {
         let mut w: TimerWheel<u32> = TimerWheel::new();
         let tok = w.schedule(100, 1);
         w.schedule(1 << 20, 2);
-        w.cancel(tok);
+        assert!(w.cancel(tok));
+        // The cancelled cell left its slot at once: nothing at level 1
+        // (where 100 lived) is occupied, and the cell is reusable.
+        assert_eq!(w.levels[1].occupied, 0);
+        assert_eq!(w.free, vec![0]);
         assert_eq!(w.peek(), Some(1 << 20));
         assert_eq!(w.peek(), Some(1 << 20), "peek does not consume");
+        assert_eq!(w.now_ns(), 0, "peek does not move the cursor");
         assert_eq!(w.pop(), Some((1 << 20, 2)));
+    }
+
+    #[test]
+    fn cancel_unlinks_head_middle_tail_and_only_cell() {
+        // Five same-slot entries (level 1, slot 2: times 128..192), then
+        // cancel the head, the tail, a middle one, and finally the rest.
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let toks: Vec<WheelToken> = (0..5).map(|v| w.schedule(130 + v, v as u32)).collect();
+        let linked = |w: &TimerWheel<u32>| {
+            let (mut out, mut idx, mut prev) = (Vec::new(), w.levels[1].head[2], NIL);
+            while idx != NIL {
+                let cell = &w.cells[idx as usize];
+                assert_eq!(cell.prev, prev, "prev links mirror next links");
+                out.push(cell.event.expect("linked cells are live"));
+                prev = idx;
+                idx = cell.next;
+            }
+            assert_eq!(w.levels[1].tail[2], prev);
+            out
+        };
+        assert_eq!(linked(&w), vec![0, 1, 2, 3, 4]);
+        assert!(w.cancel(toks[0]));
+        assert_eq!(linked(&w), vec![1, 2, 3, 4]);
+        assert!(w.cancel(toks[4]));
+        assert_eq!(linked(&w), vec![1, 2, 3]);
+        assert!(w.cancel(toks[2]));
+        assert_eq!(linked(&w), vec![1, 3]);
+        assert_eq!(w.peek(), Some(131));
+        assert!(w.cancel(toks[1]));
+        assert_ne!(w.levels[1].occupied, 0);
+        assert!(w.cancel(toks[3]));
+        assert_eq!(w.levels[1].occupied, 0, "emptying a slot clears its bit");
+        assert_eq!((w.len(), w.peek(), w.pop()), (0, None, None));
+        assert_eq!(w.free.len(), 5);
+    }
+
+    #[test]
+    fn cancel_finds_cells_after_the_cursor_moved() {
+        // Entries placed under cursor 0 are cancelled after pops moved the
+        // cursor (and cascaded some of them): the placement invariant must
+        // still name each cell's slot.
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let far = w.schedule(1 << 30, 0);
+        let same_slot = w.schedule((1 << 12) + 70, 1);
+        let cascaded = w.schedule((1 << 12) + 5, 2);
+        w.schedule(1 << 12, 3);
+        assert_eq!(w.pop(), Some((1 << 12, 3))); // cascades level 2 → 0
+        assert!(w.cancel(cascaded), "now at level 0");
+        assert!(w.cancel(same_slot), "now at level 1");
+        assert!(w.cancel(far), "untouched at level 5");
+        assert!(w.levels.iter().all(|l| l.occupied == 0));
+        assert_eq!(w.pop(), None);
     }
 
     #[test]
@@ -456,5 +545,14 @@ mod tests {
             "slab grew to {} cells for one-in-flight churn",
             w.cells.len()
         );
+        // Re-arm churn (cancel + schedule far ahead, never popping) reuses
+        // the one cell the cancel just freed.
+        let mut tok = w.schedule(w.now_ns() + 200_000_000, 0);
+        let cells = w.cells.len();
+        for round in 0..10_000u64 {
+            assert!(w.cancel(tok));
+            tok = w.schedule(w.now_ns() + 200_000_000 + round, 0);
+        }
+        assert_eq!(w.cells.len(), cells, "cancelled cells must be reused at once");
     }
 }

@@ -4,9 +4,10 @@
 //! allocate per call" — a promise the old `BinaryHeap` + `BTreeSet`
 //! implementation broke on every schedule (tree-node allocation). This
 //! test installs a counting global allocator, warms the timer wheel to its
-//! high-water mark (slab cells, slot-deque capacity, cascade scratch),
-//! then replays the same churn pattern and asserts the steady-state phase
-//! performs **zero** heap allocations.
+//! high-water mark (slab cells and the free list), then replays the same
+//! churn pattern — including the re-arm of standing timers, whose cancels
+//! unlink cells from the head and middle of coarse slots — and asserts the
+//! steady-state phase performs **zero** heap allocations.
 //!
 //! The file holds exactly one test so no sibling test thread can allocate
 //! concurrently and pollute the counter.
@@ -49,12 +50,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Standing timers re-armed round-robin during the churn (per-socket RTOs).
+const STANDING: usize = 64;
+
 /// One churn phase: a deterministic mix of schedules (spanning several
-/// wheel levels), cancels, and pops. Identical across phases modulo the
-/// advancing clock, so capacity warmed by earlier phases covers later
-/// ones.
-fn churn(q: &mut EventQueue<u64>, rng: &mut Pcg32, tokens: &mut Vec<EventToken>) {
+/// wheel levels), cancels, pops, and re-arms of the standing timers.
+/// Identical across phases modulo the advancing clock, so capacity warmed
+/// by earlier phases covers later ones.
+fn churn(
+    q: &mut EventQueue<u64>,
+    rng: &mut Pcg32,
+    tokens: &mut Vec<EventToken>,
+    standing: &mut [Option<EventToken>; STANDING],
+) {
     for i in 0..20_000u64 {
+        // Re-arm one standing timer 200 ms ahead: its superseded cell sits
+        // wherever in a coarse slot its neighbours left it.
+        let slot = &mut standing[i as usize % STANDING];
+        if let Some(tok) = slot.take() {
+            q.cancel(tok);
+        }
+        *slot = Some(q.schedule(Nanos::from_millis(200), u64::MAX));
+
         let delay = match rng.gen_range(4) {
             0 => rng.gen_range(64),
             1 => rng.gen_range(1 << 10),
@@ -74,6 +91,7 @@ fn churn(q: &mut EventQueue<u64>, rng: &mut Pcg32, tokens: &mut Vec<EventToken>)
     }
     while q.pop().is_some() {}
     tokens.clear();
+    *standing = [None; STANDING]; // all fired in the drain
 }
 
 #[test]
@@ -81,18 +99,16 @@ fn steady_state_hot_path_does_not_allocate() {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut rng = Pcg32::new(0xA110_C8);
     let mut tokens: Vec<EventToken> = Vec::with_capacity(32_768);
+    let mut standing = [None; STANDING];
 
-    // Warm until a whole churn phase allocates nothing: the slab and free
-    // list, each level's slot deques, and the cascade scratch all reach
-    // their high-water marks. As the clock advances, phases keep landing
-    // in previously untouched higher-level slots, so the warmup must
-    // cycle every slot the delay distribution can reach — a fixed number
-    // of phases is not enough, a fixed point is. An implementation that
-    // allocates per call (the old heap + BTreeSet) never reaches one.
+    // Warm until a whole churn phase allocates nothing: the slab and the
+    // free list reach their high-water marks. A fixed number of phases is
+    // not assumed, a fixed point is. An implementation that allocates per
+    // call (the old heap + BTreeSet) never reaches one.
     let mut warm_phases = 0;
     loop {
         let before = ALLOCS.load(Ordering::SeqCst);
-        churn(&mut q, &mut rng, &mut tokens);
+        churn(&mut q, &mut rng, &mut tokens, &mut standing);
         if ALLOCS.load(Ordering::SeqCst) == before {
             break;
         }
@@ -106,7 +122,7 @@ fn steady_state_hot_path_does_not_allocate() {
 
     // And hold the fixed point: one more full phase, zero allocations.
     let before = ALLOCS.load(Ordering::SeqCst);
-    churn(&mut q, &mut rng, &mut tokens);
+    churn(&mut q, &mut rng, &mut tokens, &mut standing);
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,

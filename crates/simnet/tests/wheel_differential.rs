@@ -7,11 +7,15 @@
 //! any divergence in popped (time, payload) pairs, peeked times, or exact
 //! `len` is a wheel bug. Dedicated cases cover the corners the random
 //! sweep may under-sample: far-future timestamps that live in the top
-//! wheel levels, cancel-after-fire staleness, and mass cancellation.
+//! wheel levels, cancel-after-fire staleness, mass cancellation, cancels
+//! at each position of a slot's list and across a cascade, and the re-arm
+//! churn of per-socket timers (cancel + reschedule ~200 ms ahead between
+//! pops), where the slab must track peak live entries, not cancellations.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use simnet::wheel::{TimerWheel, WheelToken};
 use simnet::{EventQueue, EventToken, Nanos, Pcg32};
 
 /// Reference scheduler: same `(time, seq)` total order and stale-cancel
@@ -32,12 +36,15 @@ impl RefModel {
         seq
     }
 
-    fn cancel(&mut self, seq: u64) {
+    /// Returns whether `seq` was still pending.
+    fn cancel(&mut self, seq: u64) -> bool {
         // Stale tokens (already fired or already cancelled) are no-ops.
         let pending = self.heap.iter().any(|Reverse((_, s, _))| *s == seq);
-        if pending && !self.cancelled.contains(&seq) {
+        let live = pending && !self.cancelled.contains(&seq);
+        if live {
             self.cancelled.push(seq);
         }
+        live
     }
 
     fn pop(&mut self) -> Option<(u64, u32)> {
@@ -242,4 +249,114 @@ fn mass_cancellation_keeps_len_exact() {
     }
     assert_eq!(popped, survivors);
     assert!(q.is_empty());
+}
+
+/// Pops both sides and checks they agree on the (time, payload) pair.
+fn pop_both(w: &mut TimerWheel<u32>, model: &mut RefModel, ctx: &str) -> Option<(u64, u32)> {
+    let got = w.pop();
+    assert_eq!(got, model.pop(), "{ctx}: pop diverged");
+    got
+}
+
+#[test]
+fn cancel_at_every_list_position_and_across_a_cascade() {
+    let mut w: TimerWheel<u32> = TimerWheel::new();
+    let mut model = RefModel::default();
+    let add = |w: &mut TimerWheel<u32>, model: &mut RefModel, at: u64, v: u32| {
+        (w.schedule(at, v), model.schedule_at(at, v))
+    };
+    // Five entries in one level-2 slot (4096..8191), one of them sharing a
+    // timestamp with its neighbour; cancel head, tail, middle.
+    let base = 1 << 12;
+    let same: Vec<_> = [10, 20, 20, 30, 40]
+        .iter()
+        .enumerate()
+        .map(|(i, d)| add(&mut w, &mut model, base + d, i as u32))
+        .collect();
+    // An only-cell slot one level up, and a near event that moves the
+    // cursor so the level-2 slot cascades before the later cancels.
+    let lonely = add(&mut w, &mut model, 1 << 20, 90);
+    add(&mut w, &mut model, base, 91);
+    for &i in &[0usize, 4, 2] {
+        assert!(w.cancel(same[i].0) && model.cancel(same[i].1));
+        assert_eq!(w.peek(), model.peek());
+        assert_eq!(w.len(), model.len());
+    }
+    assert!(w.cancel(lonely.0) && model.cancel(lonely.1), "only cell of its slot");
+    assert_eq!(pop_both(&mut w, &mut model, "cascade"), Some((base, 91)));
+    // The survivors now sit at finer levels than where they were placed.
+    assert!(w.cancel(same[1].0) && model.cancel(same[1].1), "across a cascade");
+    assert!(!w.cancel(same[1].0) && !model.cancel(same[1].1), "second cancel is stale");
+    assert_eq!(pop_both(&mut w, &mut model, "survivor"), Some((base + 30, 3)));
+    assert_eq!(pop_both(&mut w, &mut model, "drained"), None);
+    assert_eq!(w.slab_len(), 7, "seven entries were live at once");
+}
+
+#[test]
+fn rearm_churn_matches_reference_and_slab_tracks_peak_live() {
+    // K "sockets" each own one timer that is cancelled and rescheduled
+    // ~200 ms ahead between pops — the per-ACK RTO pattern — over one-shot
+    // background events whose pops move the clock by microseconds or,
+    // now and then, far enough to cascade (and fire) the standing timers.
+    const RTO: u64 = 200_000_000;
+    const BACKGROUND: u32 = 1_000;
+    let mut rng = Pcg32::new(0x7E_A2B1);
+    let (mut rearms, mut fired) = (0u32, 0u32);
+    for round in 0..60 {
+        let k = 1 + rng.gen_range(64) as usize;
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let mut model = RefModel::default();
+        let mut timers: Vec<Option<(WheelToken, u64)>> = vec![None; k];
+        let mut peak_live = 0;
+        for op in 0..1_500u32 {
+            let ctx = format!("round {round} op {op}");
+            match rng.gen_range(100) {
+                0..=59 => {
+                    let s = rng.gen_range(k as u64) as usize;
+                    if let Some((token, seq)) = timers[s].take() {
+                        assert!(w.cancel(token) && model.cancel(seq), "{ctx}: live timer");
+                        assert!(!w.cancel(token), "{ctx}: cancelled token is stale");
+                        rearms += 1;
+                    }
+                    let at = w.now_ns() + RTO + rng.gen_range(1 << 16);
+                    timers[s] = Some((w.schedule(at, s as u32), model.schedule_at(at, s as u32)));
+                }
+                60..=74 => {
+                    let delay = match rng.gen_range(8) {
+                        0 => rng.gen_range(1 << 27),
+                        _ => rng.gen_range(1 << 14),
+                    };
+                    let at = w.now_ns() + delay;
+                    w.schedule(at, BACKGROUND + op);
+                    model.schedule_at(at, BACKGROUND + op);
+                }
+                75..=94 => {
+                    if let Some((_, v)) = pop_both(&mut w, &mut model, &ctx) {
+                        if v < BACKGROUND {
+                            // Only a socket's current arm can fire.
+                            let (token, _) = timers[v as usize].take().expect("armed");
+                            assert!(!w.cancel(token), "{ctx}: fired token is stale");
+                            fired += 1;
+                        }
+                    }
+                }
+                95..=96 => {
+                    for (token, seq) in timers.iter_mut().filter_map(Option::take) {
+                        assert!(w.cancel(token) && model.cancel(seq), "{ctx}: mass cancel");
+                    }
+                }
+                _ => assert_eq!(w.peek(), model.peek(), "{ctx}: peek diverged"),
+            }
+            assert_eq!(w.len(), model.len(), "{ctx}: len diverged");
+            peak_live = peak_live.max(w.len());
+            assert!(
+                w.slab_len() <= peak_live,
+                "{ctx}: slab {} > peak live {peak_live} after {rearms} re-arms",
+                w.slab_len()
+            );
+        }
+        while pop_both(&mut w, &mut model, "drain").is_some() {}
+        assert_eq!(w.len(), 0);
+    }
+    assert!(rearms > 20_000 && fired > 1_000, "vacuous: {rearms} re-arms, {fired} fires");
 }

@@ -3,10 +3,13 @@
 //! Each host mirrors the paper's experimental machines: one pinned
 //! application context and one pinned softirq context ([`CpuContext`]s),
 //! plus a NIC whose transmit ring is what auto-corking watches. The host
-//! owns its sockets and the per-(socket, timer) generation counters used to
-//! cancel timers scheduled in the global event queue.
+//! owns its sockets and, like a real socket, exactly one timer per
+//! (socket, [`TimerKind`]): the slot holds the [`EventToken`] of the pending
+//! `Event::Timer` in the global event queue, so re-arming or cancelling
+//! removes the superseded event from the queue instead of leaving it to
+//! fire as a no-op.
 
-use simnet::{CpuContext, Nanos};
+use simnet::{CpuContext, EventQueue, EventToken, Nanos};
 
 use crate::config::{CostConfig, TcpConfig};
 use crate::segment::{FlowId, Segment};
@@ -35,9 +38,9 @@ pub struct Host {
     flows: FlowMap<SocketId>,
     /// Packets handed to the NIC, not yet completed.
     nic_in_flight: u32,
-    /// Per-socket timer generation counters for cancellation, indexed by
-    /// `SocketId` and [`TimerKind`].
-    timer_gens: Vec<[u64; TimerKind::COUNT]>,
+    /// Queue token of each socket's pending timer, indexed by `SocketId`
+    /// and [`TimerKind`]; `None` while that timer is not armed.
+    timers: Vec<[Option<EventToken>; TimerKind::COUNT]>,
     /// Total doorbells rung (one per transmit batch).
     pub doorbells: u64,
     /// Counter-state generations issued (wrapping); each registered socket
@@ -69,7 +72,7 @@ impl Host {
             sockets: Vec::new(),
             flows: FlowMap::new(),
             nic_in_flight: 0,
-            timer_gens: Vec::new(),
+            timers: Vec::new(),
             doorbells: 0,
             epochs_issued: 0,
             cork_waiters: Vec::new(),
@@ -85,7 +88,7 @@ impl Host {
         let id = SocketId(self.sockets.len());
         self.flows.set(sock.flow(), id);
         self.sockets.push(sock);
-        self.timer_gens.push([0; TimerKind::COUNT]);
+        self.timers.push([None; TimerKind::COUNT]);
         id
     }
 
@@ -162,24 +165,58 @@ impl Host {
         std::mem::swap(&mut self.cork_waiters, out);
     }
 
-    /// Bumps and returns the generation for a timer, invalidating any
-    /// previously scheduled instance.
-    // hot-path: runs on every timer arm/cancel; must not allocate per call
-    pub fn bump_timer(&mut self, sock: SocketId, kind: TimerKind) -> u64 {
-        if sock.0 >= self.timer_gens.len() {
-            self.timer_gens.resize_with(sock.0 + 1, || [0; TimerKind::COUNT]);
-        }
-        let gen = &mut self.timer_gens[sock.0][kind as usize];
-        *gen += 1;
-        *gen
+    #[inline]
+    fn timer_slot(&mut self, sock: SocketId, kind: TimerKind) -> &mut Option<EventToken> {
+        &mut self.timers[sock.0][kind as usize]
     }
 
-    /// Current generation for a timer.
+    /// Arms a timer: `event` fires `delay` from now, and the instance it
+    /// supersedes, if any, leaves `queue` (first, so the new event reuses
+    /// the cell that one vacates).
+    // hot-path: runs on every timer arm; must not allocate per call
+    pub fn arm_timer<E>(
+        &mut self,
+        sock: SocketId,
+        kind: TimerKind,
+        queue: &mut EventQueue<E>,
+        delay: Nanos,
+        event: E,
+    ) {
+        let slot = self.timer_slot(sock, kind);
+        if let Some(superseded) = slot.take() {
+            queue.cancel(superseded);
+        }
+        *slot = Some(queue.schedule(delay, event));
+    }
+
+    /// Removes a timer's pending instance, if any, from `queue`.
+    // hot-path: runs on every timer arm/cancel; must not allocate per call
+    pub fn cancel_timer<E>(&mut self, sock: SocketId, kind: TimerKind, queue: &mut EventQueue<E>) {
+        if let Some(token) = self.timer_slot(sock, kind).take() {
+            queue.cancel(token);
+        }
+    }
+
+    /// Removes every pending timer of `sock` from `queue` (the socket was
+    /// reset: nothing armed on the old connection may fire on the new one).
+    pub fn cancel_timers<E>(&mut self, sock: SocketId, queue: &mut EventQueue<E>) {
+        for token in self.timers[sock.0].iter_mut().filter_map(Option::take) {
+            queue.cancel(token);
+        }
+    }
+
+    /// The pending instance of a timer was popped from the queue: the slot
+    /// empties. Every dispatched `Event::Timer` is the one its slot names —
+    /// superseded instances left the queue when they were superseded.
     // hot-path: runs on every timer fire; must not allocate per call
-    pub fn timer_gen(&self, sock: SocketId, kind: TimerKind) -> u64 {
-        self.timer_gens
-            .get(sock.0)
-            .map_or(0, |gens| gens[kind as usize])
+    pub fn timer_fired(&mut self, sock: SocketId, kind: TimerKind) {
+        let pending = self.timer_slot(sock, kind).take();
+        debug_assert!(pending.is_some(), "{kind:?} fired without being armed");
+    }
+
+    /// Whether a timer has a pending instance in the event queue.
+    pub fn timer_pending(&self, sock: SocketId, kind: TimerKind) -> bool {
+        self.timers[sock.0][kind as usize].is_some()
     }
 
     /// Softirq receive cost for a segment: one per-delivery charge (the
@@ -206,8 +243,8 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
     use crate::socket::Action;
-use crate::payload::Payload;
     use littles::Nanos;
 
     fn host() -> Host {
@@ -243,17 +280,33 @@ use crate::payload::Payload;
     }
 
     #[test]
-    fn timer_generations_invalidate() {
+    fn one_queue_token_per_socket_timer() {
         let mut h = host();
-        let s = SocketId(0);
-        assert_eq!(h.timer_gen(s, TimerKind::Rto), 0);
-        let g1 = h.bump_timer(s, TimerKind::Rto);
-        assert_eq!(g1, 1);
-        let g2 = h.bump_timer(s, TimerKind::Rto);
-        assert_eq!(g2, 2);
-        assert_eq!(h.timer_gen(s, TimerKind::Rto), 2);
+        let mut actions: Vec<Action> = Vec::new();
+        let sock = TcpSocket::client(FlowId(7), TcpConfig::default(), Nanos::ZERO, &mut actions);
+        let s = h.add_socket(sock);
+        let mut q: EventQueue<TimerKind> = EventQueue::new();
+        let rto = Nanos::from_millis(200);
+        // Re-arming replaces the queued instance instead of adding one.
+        for _ in 0..3 {
+            h.arm_timer(s, TimerKind::Rto, &mut q, rto, TimerKind::Rto);
+        }
+        assert_eq!(q.len(), 1);
+        assert!(h.timer_pending(s, TimerKind::Rto));
         // Independent per timer kind.
-        assert_eq!(h.timer_gen(s, TimerKind::Delack), 0);
+        assert!(!h.timer_pending(s, TimerKind::Delack));
+        h.arm_timer(s, TimerKind::Delack, &mut q, Nanos::from_millis(40), TimerKind::Delack);
+        assert_eq!(q.len(), 2);
+        // Firing empties the slot, so a later cancel cannot hit a stranger.
+        assert_eq!(q.pop().map(|(_, k)| k), Some(TimerKind::Delack));
+        h.timer_fired(s, TimerKind::Delack);
+        h.cancel_timer(s, TimerKind::Delack, &mut q);
+        assert_eq!(q.len(), 1);
+        // A reset socket takes all of its timers out of the queue.
+        h.arm_timer(s, TimerKind::Cork, &mut q, Nanos::from_micros(200), TimerKind::Cork);
+        h.cancel_timers(s, &mut q);
+        assert!(q.is_empty());
+        assert!(!h.timer_pending(s, TimerKind::Rto) && !h.timer_pending(s, TimerKind::Cork));
     }
 
     #[test]

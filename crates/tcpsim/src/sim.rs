@@ -72,8 +72,6 @@ pub enum Event {
         sock: SocketId,
         /// Which timer.
         kind: TimerKind,
-        /// Generation at scheduling time (stale generations are ignored).
-        gen: u64,
     },
     /// The stack wants the application's attention (softirq context).
     AppWake {
@@ -506,20 +504,14 @@ fn apply_actions(
                     // waiter list covering every corked socket.
                     host.note_cork_wait(sock);
                 }
-                let gen = host.bump_timer(sock, kind);
-                queue.schedule(
-                    delay,
-                    Event::Timer {
-                        host: host_id,
-                        sock,
-                        kind,
-                        gen,
-                    },
-                );
+                let event = Event::Timer {
+                    host: host_id,
+                    sock,
+                    kind,
+                };
+                host.arm_timer(sock, kind, queue, delay, event);
             }
-            Action::CancelTimer(kind) => {
-                host.bump_timer(sock, kind);
-            }
+            Action::CancelTimer(kind) => host.cancel_timer(sock, kind, queue),
             Action::Wake(reason) => {
                 queue.schedule(
                     Nanos::ZERO,
@@ -800,12 +792,9 @@ impl SimCore {
                 host: h,
                 sock,
                 kind,
-                gen,
             } => {
                 let host = &mut self.hosts[h.index()];
-                if host.timer_gen(sock, kind) != gen {
-                    return None; // cancelled or superseded
-                }
+                host.timer_fired(sock, kind);
                 let env = TxEnv {
                     nic_in_flight: host.nic_in_flight(),
                 };
@@ -886,8 +875,8 @@ impl SimCore {
                 // its state. The flow mapping is dropped so in-flight and
                 // retransmitted segments for the old connection are
                 // discarded as strays (the softirq path ignores unknown
-                // flows that are not SYNs); pending timers are invalidated
-                // by bumping their generations. The application is woken
+                // flows that are not SYNs); pending timers leave the event
+                // queue. The application is woken
                 // with `Reset` to re-establish a fresh connection, whose
                 // new socket gets a new epoch.
                 let host = &mut self.hosts[target];
@@ -900,9 +889,7 @@ impl SimCore {
                     let flow = sock.flow();
                     sock.reset();
                     host.remove_flow(flow);
-                    host.bump_timer(id, TimerKind::Rto);
-                    host.bump_timer(id, TimerKind::Delack);
-                    host.bump_timer(id, TimerKind::Cork);
+                    host.cancel_timers(id, queue);
                     queue.schedule(
                         Nanos::ZERO,
                         Event::AppWake {
@@ -959,9 +946,7 @@ impl SimCore {
                     let flow = host.socket(id).flow();
                     host.socket_mut(id).reset();
                     host.remove_flow(flow);
-                    host.bump_timer(id, TimerKind::Rto);
-                    host.bump_timer(id, TimerKind::Delack);
-                    host.bump_timer(id, TimerKind::Cork);
+                    host.cancel_timers(id, queue);
                     queue.schedule(
                         Nanos::ZERO,
                         Event::AppWake {

@@ -125,7 +125,11 @@ struct Digest {
 /// actuating Nagle directly) at the last commit that had them (PR 13),
 /// same config: 25 % loss intensity with the breaker, the staleness
 /// bound and the validator all live, so trips, rejections and the
-/// safe-mode actuation path are part of what is pinned.
+/// safe-mode actuation path are part of what is pinned. The two `events`
+/// figures were re-recorded when superseded timer arms stopped being
+/// dispatched (they left the queue instead of popping as no-ops; N=1 was
+/// 23 523, N=8 103 935): `events` counts live events only, and no other
+/// field of either digest moved.
 #[test]
 fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
     let ns = |v: Option<Nanos>| v.expect("the run measured traffic").as_nanos();
@@ -145,7 +149,7 @@ fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
                 server_trips: 1,
                 accepted: 252,
                 rejected: 612,
-                events: 23_523,
+                events: 20_209,
             },
         ),
         (
@@ -163,7 +167,7 @@ fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
                 server_trips: 2,
                 accepted: 5_775,
                 rejected: 1_142,
-                events: 103_935,
+                events: 86_304,
             },
         ),
     ];
