@@ -1,8 +1,9 @@
 //! The paper's figures as runnable experiments.
 //!
 //! Each function regenerates one figure's data on the simulated testbed
-//! and returns a serializable structure the examples and benches print.
-//! See EXPERIMENTS.md for the paper-vs-measured comparison.
+//! and returns a structure the `experiments` bench registry prints,
+//! gates and emits as `BENCH_*.json`. See EXPERIMENTS.md for the
+//! paper-vs-measured comparison.
 
 use batchpolicy::{figure1_model, BatchOutcome, BreakerConfig, Figure1Params, Objective};
 use e2e_core::ValidateConfig;
@@ -281,6 +282,54 @@ pub fn dynamic_toggle(rates: &[f64], warmup: Nanos, measure: Nanos, seed: u64) -
     run_sweep(rates, WorkloadSpec::fig4a, &base, true)
 }
 
+/// A degradation bound every grid states the same way: an arm's P99 must
+/// stay within `factor × reference + slack`, where the reference is the
+/// cell's oracle (best static mode, best corner, never-failed run).
+#[derive(Debug, Clone, Copy)]
+pub struct Bound {
+    /// Multiplicative allowance on the reference P99.
+    pub factor: f64,
+    /// Additive slack, so a tiny reference P99 does not gate on noise.
+    pub slack: Nanos,
+}
+
+impl Bound {
+    /// `p99 ÷ reference` (> 1 means worse than the reference); `None`
+    /// when either side measured nothing. A zero reference counts as 1 ns.
+    pub fn ratio(p99: Option<Nanos>, reference: Option<Nanos>) -> Option<f64> {
+        Some(p99?.as_nanos() as f64 / reference?.as_nanos().max(1) as f64)
+    }
+
+    /// True if `p99 ≤ factor × reference + slack`. A cell where either
+    /// side produced no samples is a failed run, not a pass.
+    pub fn holds(&self, p99: Option<Nanos>, reference: Option<Nanos>) -> bool {
+        let Bound { factor, slack } = *self;
+        match (p99, reference) {
+            (Some(p99), Some(reference)) => {
+                p99 <= Nanos::from_nanos((reference.as_nanos() as f64 * factor) as u64) + slack
+            }
+            _ => false,
+        }
+    }
+
+    /// The worst (largest) of a grid's per-cell ratios.
+    pub fn worst(ratios: impl Iterator<Item = Option<f64>>) -> Option<f64> {
+        ratios.flatten().max_by(|a, b| a.total_cmp(b))
+    }
+}
+
+impl std::fmt::Display for Bound {
+    /// `3x + 300.00µs`-style, for gate messages.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}x + {}", self.factor, self.slack)
+    }
+}
+
+/// The lower of two optional P99s (either one if the other is missing).
+fn lower_p99(a: Option<Nanos>, b: Option<Nanos>) -> Option<Nanos> {
+    [a, b].into_iter().flatten().min()
+}
+
 /// Staleness bound used by the adaptive chaos profile: a peer snapshot
 /// older than this stops being trusted and the estimator falls back to
 /// local-only estimation with zero confidence. Four exchange intervals
@@ -289,15 +338,15 @@ pub fn dynamic_toggle(rates: &[f64], warmup: Nanos, measure: Nanos, seed: u64) -
 pub const CHAOS_STALENESS_BOUND: Nanos = Nanos::from_millis(2);
 
 /// The stated degradation bound the adaptive policy must satisfy in every
-/// chaos cell: P99 within `CHAOS_BOUND_FACTOR × oracle +
-/// CHAOS_BOUND_SLACK`, where the oracle is the better static mode for
-/// that cell. The factor absorbs ε-greedy exploration (a few percent of
-/// decisions deliberately sample the worse mode) plus run-to-run
-/// divergence in which packets a fault episode hits; the slack keeps
-/// cells whose oracle P99 is tiny from gating on scheduler noise.
-pub const CHAOS_BOUND_FACTOR: f64 = 3.0;
-/// Additive slack for the chaos degradation bound.
-pub const CHAOS_BOUND_SLACK: Nanos = Nanos::from_micros(300);
+/// chaos cell, where the oracle is the better static mode for that cell.
+/// The factor absorbs ε-greedy exploration (a few percent of decisions
+/// deliberately sample the worse mode) plus run-to-run divergence in
+/// which packets a fault episode hits; the slack keeps cells whose oracle
+/// P99 is tiny from gating on scheduler noise.
+pub const CHAOS_BOUND: Bound = Bound {
+    factor: 3.0,
+    slack: Nanos::from_micros(300),
+};
 
 /// The fault classes the chaos experiment sweeps. Each maps one intensity
 /// knob in `(0, 1]` onto a single-dimension [`FaultConfig`], so a cell
@@ -434,33 +483,18 @@ impl ChaosCell {
     /// The static oracle: the better (lower) of the two static P99s —
     /// what an omniscient operator would have picked for this cell.
     pub fn oracle_p99(&self) -> Option<Nanos> {
-        match (self.off.measured_p99, self.on.measured_p99) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        lower_p99(self.off.measured_p99, self.on.measured_p99)
     }
 
     /// Adaptive-vs-oracle P99 ratio (> 1 means the adaptive policy was
     /// worse than the best static choice).
     pub fn regression(&self) -> Option<f64> {
-        let oracle = self.oracle_p99()?;
-        let adaptive = self.adaptive.measured_p99?;
-        Some(adaptive.as_nanos() as f64 / oracle.as_nanos().max(1) as f64)
+        Bound::ratio(self.adaptive.measured_p99, self.oracle_p99())
     }
 
-    /// True if the adaptive P99 stays within `factor × oracle + slack`.
-    /// The additive slack absorbs oracle P99s so small that a fixed ratio
-    /// would gate on scheduling noise.
-    pub fn within_bound(&self, factor: f64, slack: Nanos) -> bool {
-        match (self.oracle_p99(), self.adaptive.measured_p99) {
-            (Some(oracle), Some(adaptive)) => {
-                let bound = Nanos::from_nanos((oracle.as_nanos() as f64 * factor) as u64) + slack;
-                adaptive <= bound
-            }
-            // A cell where either side produced no samples is a failed
-            // run, not a pass.
-            _ => false,
-        }
+    /// True if the adaptive P99 stays within `bound` of the oracle.
+    pub fn within_bound(&self, bound: Bound) -> bool {
+        bound.holds(self.adaptive.measured_p99, self.oracle_p99())
     }
 }
 
@@ -474,21 +508,19 @@ pub struct ChaosData {
 impl ChaosData {
     /// The worst adaptive-vs-oracle P99 ratio across the grid.
     pub fn worst_regression(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .filter_map(|c| c.regression())
-            .max_by(|a, b| a.total_cmp(b))
+        Bound::worst(self.cells.iter().map(|c| c.regression()))
     }
 }
 
 /// The degradation bound the joint adaptive control plane must satisfy
-/// in every knob-grid cell: P99 within `KNOBS_BOUND_FACTOR ×
-/// best-static-corner + KNOBS_BOUND_SLACK`. Much tighter than the chaos
-/// bound — the grid is fault-free, so the only adaptive overheads are
-/// ε-greedy exploration and the knobs' convergence transient.
-pub const KNOBS_BOUND_FACTOR: f64 = 1.1;
-/// Additive slack for the knob-grid degradation bound.
-pub const KNOBS_BOUND_SLACK: Nanos = Nanos::from_micros(100);
+/// in every knob-grid cell, against the best static corner. Much tighter
+/// than the chaos bound — the grid is fault-free, so the only adaptive
+/// overheads are ε-greedy exploration and the knobs' convergence
+/// transient.
+pub const KNOBS_BOUND: Bound = Bound {
+    factor: 1.1,
+    slack: Nanos::from_micros(100),
+};
 
 /// Delayed-ACK timeout used uniformly across every knob-grid arm. The
 /// Linux-default 40 ms would turn each Nagle/delayed-ACK interaction
@@ -563,23 +595,13 @@ impl KnobsCell {
     /// Joint-vs-best-corner P99 ratio (> 1 means the joint plane was
     /// worse than the best static corner).
     pub fn regression(&self) -> Option<f64> {
-        let best = self.best_corner_p99()?;
-        let joint = self.joint.measured_p99?;
-        Some(joint.as_nanos() as f64 / best.as_nanos().max(1) as f64)
+        Bound::ratio(self.joint.measured_p99, self.best_corner_p99())
     }
 
-    /// True if the joint plane's P99 stays within `factor × best-corner +
-    /// slack`.
-    pub fn within_bound(&self, factor: f64, slack: Nanos) -> bool {
-        match (self.best_corner_p99(), self.joint.measured_p99) {
-            (Some(best), Some(joint)) => {
-                let bound = Nanos::from_nanos((best.as_nanos() as f64 * factor) as u64) + slack;
-                joint <= bound
-            }
-            // A cell where either side produced no samples is a failed
-            // run, not a pass.
-            _ => false,
-        }
+    /// True if the joint plane's P99 stays within `bound` of the best
+    /// static corner.
+    pub fn within_bound(&self, bound: Bound) -> bool {
+        bound.holds(self.joint.measured_p99, self.best_corner_p99())
     }
 
     /// True if the joint plane's P99 strictly beats the Nagle-only
@@ -602,10 +624,7 @@ pub struct KnobsData {
 impl KnobsData {
     /// The worst joint-vs-best-corner P99 ratio across the grid.
     pub fn worst_regression(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .filter_map(|c| c.regression())
-            .max_by(|a, b| a.total_cmp(b))
+        Bound::worst(self.cells.iter().map(|c| c.regression()))
     }
 
     /// The cell at the grid's highest client cost and fan-in — where the
@@ -868,53 +887,32 @@ pub struct AdversaryCell {
 impl AdversaryCell {
     /// The static oracle: the better (lower) of the two static P99s.
     pub fn oracle_p99(&self) -> Option<Nanos> {
-        match (self.off.measured_p99, self.on.measured_p99) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn ratio_to_oracle(&self, arm: &PointResult) -> Option<f64> {
-        let oracle = self.oracle_p99()?;
-        let p99 = arm.measured_p99?;
-        Some(p99.as_nanos() as f64 / oracle.as_nanos().max(1) as f64)
+        lower_p99(self.off.measured_p99, self.on.measured_p99)
     }
 
     /// Guarded-vs-oracle P99 ratio (> 1 means the guarded policy was
     /// worse than the best static choice).
     pub fn regression(&self) -> Option<f64> {
-        self.ratio_to_oracle(&self.guarded)
+        Bound::ratio(self.guarded.measured_p99, self.oracle_p99())
     }
 
     /// Exposed-vs-oracle P99 ratio — how badly unvalidated metadata
     /// poisons the same policy stack.
     pub fn exposed_regression(&self) -> Option<f64> {
-        self.ratio_to_oracle(&self.exposed)
+        Bound::ratio(self.exposed.measured_p99, self.oracle_p99())
     }
 
-    fn arm_within_bound(&self, arm: &PointResult, factor: f64, slack: Nanos) -> bool {
-        match (self.oracle_p99(), arm.measured_p99) {
-            (Some(oracle), Some(p99)) => {
-                let bound = Nanos::from_nanos((oracle.as_nanos() as f64 * factor) as u64) + slack;
-                p99 <= bound
-            }
-            // A cell where either side produced no samples is a failed
-            // run, not a pass.
-            _ => false,
-        }
-    }
-
-    /// True if the guarded P99 stays within `factor × oracle + slack` —
-    /// the same degradation bound the chaos grid enforces.
-    pub fn within_bound(&self, factor: f64, slack: Nanos) -> bool {
-        self.arm_within_bound(&self.guarded, factor, slack)
+    /// True if the guarded P99 stays within `bound` of the oracle — the
+    /// same degradation bound the chaos grid enforces ([`CHAOS_BOUND`]).
+    pub fn within_bound(&self, bound: Bound) -> bool {
+        bound.holds(self.guarded.measured_p99, self.oracle_p99())
     }
 
     /// True if the *exposed* arm stays within the bound. The experiment's
     /// point is that at least one cell fails this: without validation the
     /// same policy stack degrades past the bound.
-    pub fn exposed_within_bound(&self, factor: f64, slack: Nanos) -> bool {
-        self.arm_within_bound(&self.exposed, factor, slack)
+    pub fn exposed_within_bound(&self, bound: Bound) -> bool {
+        bound.holds(self.exposed.measured_p99, self.oracle_p99())
     }
 }
 
@@ -928,19 +926,7 @@ pub struct AdversaryData {
 impl AdversaryData {
     /// The worst guarded-vs-oracle P99 ratio across the grid.
     pub fn worst_regression(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .filter_map(|c| c.regression())
-            .max_by(|a, b| a.total_cmp(b))
-    }
-
-    /// True if at least one exposed arm broke the degradation bound —
-    /// i.e. the validator is demonstrably load-bearing on this grid, not
-    /// a no-op rubber stamp.
-    pub fn poisoning_demonstrated(&self, factor: f64, slack: Nanos) -> bool {
-        self.cells
-            .iter()
-            .any(|c| !c.exposed_within_bound(factor, slack))
+        Bound::worst(self.cells.iter().map(|c| c.regression()))
     }
 }
 
@@ -1055,15 +1041,15 @@ pub fn adversary(
 /// adaptive planes consume the very signal being measured — once the
 /// hot upstream flips to batching, its delay drops back into the pack.
 pub const SHARD_HOT_RANK_MIN: f64 = 0.9;
-/// Degradation bound for every shard-grid cell: adaptive P99 within
-/// `SHARD_BOUND_FACTOR × best-static-corner + SHARD_BOUND_SLACK`. Looser
-/// than the knob-grid bound because at unsaturated rates the per-shard
-/// planes pay exploration excursions on upstreams where both corners are
-/// already cheap; the headline claim (strictly beating the best corner)
-/// is asserted separately on the saturated cell.
-pub const SHARD_BOUND_FACTOR: f64 = 1.5;
-/// Additive slack for the shard-grid degradation bound.
-pub const SHARD_BOUND_SLACK: Nanos = Nanos::from_micros(60);
+/// Degradation bound for every shard-grid cell, against the best static
+/// corner. Looser than the knob-grid bound because at unsaturated rates
+/// the per-shard planes pay exploration excursions on upstreams where
+/// both corners are already cheap; the headline claim (strictly beating
+/// the best corner) is asserted separately on the saturated cell.
+pub const SHARD_BOUND: Bound = Bound {
+    factor: 1.5,
+    slack: Nanos::from_micros(60),
+};
 
 /// One cell of the sharded-proxy grid: both static upstream corners and
 /// the per-shard adaptive planes, at one aggregate rate.
@@ -1083,30 +1069,18 @@ impl ShardCell {
     /// The best (lowest) static-corner P99 — the global pin an operator
     /// sweeping both corners would have picked for the whole fleet.
     pub fn best_corner_p99(&self) -> Option<Nanos> {
-        [self.off.measured_p99, self.on.measured_p99]
-            .into_iter()
-            .flatten()
-            .min()
+        lower_p99(self.off.measured_p99, self.on.measured_p99)
     }
 
     /// Adaptive-vs-best-corner P99 ratio (< 1 means the per-shard planes
     /// beat every global static choice).
     pub fn regression(&self) -> Option<f64> {
-        let best = self.best_corner_p99()?;
-        let adaptive = self.adaptive.measured_p99?;
-        Some(adaptive.as_nanos() as f64 / best.as_nanos().max(1) as f64)
+        Bound::ratio(self.adaptive.measured_p99, self.best_corner_p99())
     }
 
-    /// True if the adaptive P99 stays within `factor × best-corner +
-    /// slack`.
-    pub fn within_bound(&self, factor: f64, slack: Nanos) -> bool {
-        match (self.best_corner_p99(), self.adaptive.measured_p99) {
-            (Some(best), Some(adaptive)) => {
-                let bound = Nanos::from_nanos((best.as_nanos() as f64 * factor) as u64) + slack;
-                adaptive <= bound
-            }
-            _ => false,
-        }
+    /// True if the adaptive P99 stays within `bound` of the best corner.
+    pub fn within_bound(&self, bound: Bound) -> bool {
+        bound.holds(self.adaptive.measured_p99, self.best_corner_p99())
     }
 }
 
@@ -1170,13 +1144,13 @@ pub fn shard(
     ShardData { cells }
 }
 
-/// Degradation bound for the full defense stack in every failover cell:
-/// P99 within `FAILOVER_BOUND_FACTOR × never-failed oracle +
-/// FAILOVER_BOUND_SLACK`. The slack absorbs the deadline-scan
+/// Degradation bound for the full defense stack in every failover cell,
+/// against the never-failed oracle. The slack absorbs the deadline-scan
 /// granularity (a hedge can fire at most one proxy tick late).
-pub const FAILOVER_BOUND_FACTOR: f64 = 3.0;
-/// Additive slack for the full-stack failover bound.
-pub const FAILOVER_BOUND_SLACK: Nanos = Nanos::from_micros(300);
+pub const FAILOVER_BOUND: Bound = Bound {
+    factor: 3.0,
+    slack: Nanos::from_micros(300),
+};
 /// The naive proxy must exceed this P99 multiple of the oracle in at
 /// least one cell — the collapse the defense ladder exists to prevent.
 pub const FAILOVER_NAIVE_FACTOR: f64 = 10.0;
@@ -1208,24 +1182,16 @@ impl FailoverCell {
 
     /// One arm's P99 as a multiple of the oracle's.
     pub fn p99_ratio(&self, arm: FailoverArm) -> Option<f64> {
-        let oracle = self.oracle.measured_p99?;
-        let armed = self.arm(arm).measured_p99?;
-        Some(armed.as_nanos() as f64 / oracle.as_nanos().max(1) as f64)
+        Bound::ratio(self.arm(arm).measured_p99, self.oracle.measured_p99)
     }
 
     /// True when the full stack holds the cell's acceptance bound: P99
-    /// within `factor × oracle + slack` and goodput within
+    /// within `bound` of the oracle and goodput within
     /// [`FAILOVER_GOODPUT_MIN`] of the oracle's.
-    pub fn full_within_bound(&self, factor: f64, slack: Nanos) -> bool {
+    pub fn full_within_bound(&self, bound: Bound) -> bool {
         let full = self.arm(FailoverArm::Full);
-        match (self.oracle.measured_p99, full.measured_p99) {
-            (Some(oracle), Some(p99)) => {
-                let bound =
-                    Nanos::from_nanos((oracle.as_nanos() as f64 * factor) as u64) + slack;
-                p99 <= bound && full.achieved_rps >= FAILOVER_GOODPUT_MIN * self.oracle.achieved_rps
-            }
-            _ => false,
-        }
+        bound.holds(full.measured_p99, self.oracle.measured_p99)
+            && full.achieved_rps >= FAILOVER_GOODPUT_MIN * self.oracle.achieved_rps
     }
 
     /// True when the naive proxy's P99 blew past `factor ×` the oracle

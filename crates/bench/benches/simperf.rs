@@ -26,6 +26,7 @@
 
 use std::time::Instant;
 
+use bench::{Doc, Json};
 use e2e_apps::runner::{run_point, NagleSetting, PointResult, RunConfig};
 use e2e_apps::workload::WorkloadSpec;
 use littles::Nanos;
@@ -143,27 +144,21 @@ fn main() {
         return;
     }
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"num_clients\": {}, \"wall_secs\": {:.3}, \"wall_per_sim_sec\": {:.4}, \
-                 \"baseline_wall_secs\": {:.3}, \"speedup\": {:.2}, \"events\": {}}}",
-                r.num_clients,
-                r.wall_secs,
-                r.wall_per_sim_sec,
-                r.baseline_wall_secs,
-                r.speedup(),
-                r.events,
-            )
-        })
-        .collect();
-    let doc = format!(
-        "{{\n  \"version\": 2,\n  \"bench\": \"simperf\",\n  \"rate_rps\": {RATE:.0},\n  \
-         \"count\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        json_rows.len(),
-        json_rows.join(",\n")
-    );
-    std::fs::write("BENCH_simperf.json", &doc).expect("write BENCH_simperf.json");
-    println!("\nwrote BENCH_simperf.json ({} rows)", json_rows.len());
+    let json_rows = rows.iter().map(|r| {
+        Json::obj([
+            ("num_clients", r.num_clients.into()),
+            ("wall_secs", Json::fixed(r.wall_secs, 3)),
+            ("wall_per_sim_sec", Json::fixed(r.wall_per_sim_sec, 4)),
+            ("baseline_wall_secs", Json::fixed(r.baseline_wall_secs, 3)),
+            ("speedup", Json::fixed(r.speedup(), 2)),
+            ("events", r.events.into()),
+        ])
+    });
+    let doc = Doc {
+        version: 2,
+        header: vec![("rate_rps", Json::fixed(RATE, 0))],
+        sections: vec![("rows", Json::arr(json_rows))],
+    };
+    let path = doc.write("simperf").expect("write BENCH_simperf.json");
+    println!("\nwrote {} ({} rows)", path.display(), doc.count());
 }

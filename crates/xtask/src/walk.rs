@@ -196,11 +196,15 @@ mod tests {
         for p in [
             "/r/crates/bench/benches/micro.rs",
             "/r/crates/apps/src/runner.rs",
-            "/r/examples/figure4.rs",
+            "/r/examples/quickstart.rs",
         ] {
             let ctx = classify(Path::new("/r"), Path::new(p));
             assert!(!ctx.simulation_crate, "{p}");
             assert!(!ctx.strict_library, "{p}");
         }
+        // The experiment registry lives under `benches/` so that it stays
+        // test-like (float comparisons and `expect` allowed in gates).
+        let registry = "/r/crates/bench/benches/experiments/registry/grids.rs";
+        assert!(classify(Path::new("/r"), Path::new(registry)).testlike);
     }
 }

@@ -9,7 +9,7 @@
 //! trips the circuit-breaker fallback path.
 
 use e2e_batching::e2e_apps::experiments::{
-    chaos, ChaosClass, CHAOS_BOUND_FACTOR, CHAOS_BOUND_SLACK, CHAOS_STALENESS_BOUND,
+    chaos, ChaosClass, CHAOS_BOUND, CHAOS_STALENESS_BOUND,
 };
 use e2e_batching::e2e_apps::{
     run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
@@ -191,7 +191,7 @@ fn adaptive_policy_bounded_and_fallback_trips_under_blackout() {
             assert!(p.samples > 0, "{}/{label}: no samples", c.class.name());
         }
         assert!(
-            c.within_bound(CHAOS_BOUND_FACTOR, CHAOS_BOUND_SLACK),
+            c.within_bound(CHAOS_BOUND),
             "{}: adaptive p99 {:?} breaks the stated bound vs oracle {:?}",
             c.class.name(),
             c.adaptive.measured_p99,
