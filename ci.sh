@@ -24,15 +24,16 @@ cargo build --release
 echo "==> cargo test -q --workspace (root integration tests + every crate's own)"
 cargo test -q --workspace
 
-echo "==> simperf smoke (wall-per-simulated-second ceilings at N=64 and N=1024)"
+echo "==> simperf smoke (wall-per-simulated-second ceilings at N=64 and N=1024, tick share at N=1024)"
 simperf_out=$(cargo bench -q -p bench --bench simperf -- --smoke)
 echo "$simperf_out"
+echo "$simperf_out" | grep -q 'OK (ticks .* of events at N=1024,'
 echo "$simperf_out" | grep -q 'OK (.*wall-s per sim-s at N=64,'
 echo "$simperf_out" | grep -q 'OK (.*wall-s per sim-s at N=1024,'
 # The full-mode snapshot is checked in; the smoke mode above guards the
 # ceilings (N=64: the event queue; N=1024: activity-proportional
-# estimation) without rewriting machine-dependent wall times on every CI
-# run.
+# estimation and demand-armed client ticks) without rewriting
+# machine-dependent wall times on every CI run.
 test -s crates/bench/BENCH_simperf.json
 grep -q '"bench": "simperf"' crates/bench/BENCH_simperf.json
 grep -q '"num_clients": 64' crates/bench/BENCH_simperf.json

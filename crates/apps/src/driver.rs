@@ -13,8 +13,11 @@
 //!
 //! The estimate source of the single-connection drivers is an
 //! [`EstimateRecorder`], which does that work only when the socket has
-//! changed since the previous tick and otherwise defers it (DESIGN.md
-//! §12, "Activity-proportional estimation").
+//! changed since the previous tick and otherwise defers it; the deferred
+//! ticks are later replayed through the unchanged estimator, except that
+//! a long stretch's middle — where every replayed tick provably repeats
+//! the one before — is applied in closed form (DESIGN.md §12,
+//! "Activity-proportional estimation").
 
 use std::borrow::Cow;
 
@@ -66,6 +69,15 @@ struct LoggedEstimate {
     throughput: f64,
 }
 
+impl LoggedEstimate {
+    fn of(estimate: Estimate) -> Self {
+        LoggedEstimate {
+            latency: estimate.latency,
+            throughput: estimate.throughput,
+        }
+    }
+}
+
 impl PartialEq for LoggedEstimate {
     /// Bitwise, so that a run only ever merges samples whose sums are
     /// interchangeable.
@@ -114,15 +126,19 @@ impl Frozen {
 /// The part of a recorder that a tick over a static socket reads and
 /// writes — kept together so that such a tick stays within a cache line
 /// or two of the recorder.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct Deferral {
     /// The socket last stepped against and its estimator stamp then.
     seen: Option<(SocketId, u64)>,
     /// Ticks since that step which found the stamp unchanged and have
-    /// not been run through the estimator yet.
-    pending: Option<Run<()>>,
+    /// not been run through the estimator yet: one run, unless the tick
+    /// period changed under them.
+    pending: RunLog<()>,
     /// Ticks ever deferred.
     deferred: u64,
+    /// Deferred ticks run through the estimator one by one; the rest of
+    /// those flushed so far were applied in closed form.
+    replayed: u64,
 }
 
 /// Per-unit estimate recording (no actuation).
@@ -135,9 +151,13 @@ struct Deferral {
 /// the unchanged [`E2eEstimator::update_validated`], with the inputs a
 /// fresh read would have returned (see `Frozen`), so every estimate,
 /// checkpoint and validator verdict is the one a tick-by-tick recorder
-/// produces. The sample log is run-length encoded, and over a static
-/// stretch the logged figures repeat, so it grows with the number of
-/// exchanges and queue events rather than with elapsed time.
+/// produces. From the third tick of a static stretch on, a replayed tick
+/// can only repeat its predecessor, so [`flush`](Self::flush) applies all
+/// but the stretch's last in closed form
+/// ([`E2eEstimator::skip_static`]): replay cost follows the number of
+/// stretches, not their length. The sample log is run-length encoded, and
+/// over a static stretch the logged figures repeat, so it grows with the
+/// number of exchanges and queue events rather than with elapsed time.
 #[derive(Debug, Clone)]
 pub struct EstimateRecorder {
     /// The message unit this recorder estimates in.
@@ -199,41 +219,42 @@ impl EstimateRecorder {
         self.settled().estimator.validation_stats()
     }
 
-    /// Runs one tick against `sock`.
-    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) { // hot-path: every client, every tick
-        self.tick_socket(ctx.now(), sock, ctx.socket(sock));
+    /// Runs one tick against `sock`; returns whether it found the socket
+    /// as the previous tick left it (and so was deferred).
+    // hot-path: every client, every tick
+    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) -> bool {
+        self.tick_socket(ctx.now(), sock, ctx.socket(sock))
     }
 
     /// [`Self::tick`] against a socket held outside a simulation
     /// (benchmarks and tests that drive a [`TcpSocket`] by hand).
-    pub fn tick_socket(&mut self, now: Nanos, sock: SocketId, socket: &TcpSocket) {
+    pub fn tick_socket(&mut self, now: Nanos, sock: SocketId, socket: &TcpSocket) -> bool {
         let stamp = socket.estimator_stamp();
         if self.deferral.seen == Some((sock, stamp)) {
-            self.defer(now);
+            self.deferral.deferred += 1;
+            self.deferral.pending.push(now, ());
             if cfg!(debug_assertions) {
                 self.assert_static(now, socket);
             }
-            return;
+            return true;
         }
         self.flush();
         let frozen = Frozen::capture(socket, now, self.unit);
         self.step(now, frozen.local, frozen.remote, frozen.srtt);
         self.frozen = Some(frozen);
         self.deferral.seen = Some((sock, stamp));
+        false
     }
 
-    /// Books a tick at `now` over a socket nothing has touched since the
-    /// last full step.
-    fn defer(&mut self, now: Nanos) {
-        self.deferral.deferred += 1;
-        if let Some(run) = &mut self.deferral.pending {
-            if run.try_extend(now) {
-                return;
-            }
-            // The tick period changed: a run holds one spacing.
-            self.flush();
-        }
-        self.deferral.pending = Some(Run::new(now, ()));
+    /// Books `count` ticks, `step` apart and the first at `first`, that
+    /// were never run because nothing could have changed under them: the
+    /// caller slept on the socket's estimator stamp (see
+    /// [`HostCtx::call_on_change`]) from a tick this recorder deferred
+    /// until after the last of them. Equal to `count` deferred
+    /// [`tick`](Self::tick)s.
+    pub fn tick_static(&mut self, first: Nanos, step: Nanos, count: u64) {
+        self.deferral.deferred += count;
+        self.deferral.pending.push_n(first, step, (), count);
     }
 
     /// The deferral precondition, checked rather than trusted: what a
@@ -248,34 +269,85 @@ impl EstimateRecorder {
         assert_eq!(frozen.srtt, srtt, "SRTT moved under an unchanged stamp");
     }
 
-    /// Runs every deferred tick through the estimator, oldest first.
+    /// Accounts for every deferred tick, oldest first: through the
+    /// estimator one by one, except where a stretch of them can only
+    /// repeat the tick before.
+    // hot-path: every tick that ends a static stretch
     pub fn flush(&mut self) {
-        let Some(run) = self.deferral.pending.take() else {
-            return;
-        };
-        let frozen = self.frozen.expect("a tick is deferred only after a full step");
-        for k in 0..run.count {
-            let at = run.at(k);
-            self.step(at, frozen.local_at(at), frozen.remote, frozen.srtt);
+        let pending = std::mem::take(&mut self.deferral.pending);
+        for run in pending.runs() {
+            let frozen = self.frozen.expect("a tick is deferred only after a full step");
+            let mut k = 0;
+            while k < run.count {
+                let at = run.at(k);
+                let logged = self.step(at, frozen.local_at(at), frozen.remote, frozen.srtt);
+                self.deferral.replayed += 1;
+                k += 1;
+                // The run's first tick closes a window of its own length
+                // and the second one of the run's spacing over the frozen
+                // queues; from there on the inputs repeat. The last tick is
+                // always stepped, so that `last` carries its own time and
+                // confidence.
+                if k < 2 || k + 1 >= run.count {
+                    continue;
+                }
+                // lint:allow(hot-path-alloc): debug builds only, `assert_skip`'s witness
+                let before = cfg!(debug_assertions).then(|| self.estimator.clone());
+                let skipped = self.estimator.skip_static(
+                    run.step,
+                    run.count - 1 - k,
+                    frozen.remote,
+                    |t| frozen.local_at(t),
+                );
+                if let Some(sample) = logged {
+                    self.log.push_n(run.at(k), run.step, sample, skipped);
+                }
+                if let Some(slow) = before.filter(|_| skipped > 0) {
+                    self.assert_skip(slow, run, k..k + skipped, &frozen, logged);
+                }
+                k += skipped;
+            }
         }
     }
 
-    /// One estimator update and its bookkeeping.
+    /// The skip precondition, checked rather than trusted: `slow`, the
+    /// estimator from before the skip, is stepped through the skipped
+    /// ticks one at a time, and each must log what the skip logged for it;
+    /// stepped once more, through the tick that follows, it and the
+    /// estimator that skipped must be in the very same state.
+    fn assert_skip(
+        &self,
+        mut slow: E2eEstimator,
+        run: &Run<()>,
+        skipped: std::ops::Range<u64>,
+        frozen: &Frozen,
+        logged: Option<LoggedEstimate>,
+    ) {
+        for k in skipped.clone() {
+            let at = run.at(k);
+            let estimate =
+                slow.update_validated(at, frozen.local_at(at), frozen.remote, frozen.srtt);
+            assert_eq!(estimate.map(LoggedEstimate::of), logged, "tick {k} of a skip at {at}");
+        }
+        let next = run.at(skipped.end);
+        let mut fast = self.estimator.clone();
+        for estimator in [&mut slow, &mut fast] {
+            estimator.update_validated(next, frozen.local_at(next), frozen.remote, frozen.srtt);
+        }
+        assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "after the skip of {skipped:?}");
+    }
+
+    /// One estimator update and its bookkeeping; returns what it logged.
     fn step(
         &mut self,
         now: Nanos,
         local: EndpointSnapshots,
         remote: Option<WireExchange>,
         srtt: Option<Nanos>,
-    ) {
-        if let Some(estimate) = self.estimator.update_validated(now, local, remote, srtt) {
-            self.log.push(
-                now,
-                LoggedEstimate {
-                    latency: estimate.latency,
-                    throughput: estimate.throughput,
-                },
-            );
+    ) -> Option<LoggedEstimate> {
+        let estimate = self.estimator.update_validated(now, local, remote, srtt);
+        if let Some(estimate) = estimate {
+            self.log.push(now, LoggedEstimate::of(estimate));
             self.last = Some(EstimateSample { at: now, estimate });
         }
         if self.estimator.remote_epoch() != self.cum_epoch {
@@ -283,12 +355,13 @@ impl EstimateRecorder {
             let (cl, cr) = self.estimator.cumulative_windows();
             self.cum_series.push((now, cl, cr));
         }
+        estimate.map(LoggedEstimate::of)
     }
 
     /// This recorder with no tick pending: itself, or a flushed copy.
     /// Queries take `&self`; the copy is small now that the log is.
     fn settled(&self) -> Cow<'_, Self> {
-        if self.deferral.pending.is_none() {
+        if self.deferral.pending.is_empty() {
             return Cow::Borrowed(self);
         }
         let mut copy = self.clone();
@@ -330,6 +403,12 @@ impl EstimateRecorder {
     /// Ticks that found the socket unchanged and were deferred.
     pub fn deferred_ticks(&self) -> u64 {
         self.deferral.deferred
+    }
+
+    /// Deferred ticks that [`flush`](Self::flush) ran through the
+    /// estimator one by one; it applied the others in closed form.
+    pub fn replayed_ticks(&self) -> u64 {
+        self.deferral.replayed
     }
 
     /// The cumulative-window difference across the checkpoints falling in

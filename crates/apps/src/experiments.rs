@@ -219,16 +219,6 @@ pub struct FaninData {
     pub rows: Vec<FaninRow>,
 }
 
-impl FaninData {
-    /// The measured cutoff at a given fan-in width.
-    pub fn cutoff_for(&self, num_clients: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.num_clients == num_clients)
-            .and_then(|r| r.cutoff_measured)
-    }
-}
-
 /// Runs the fan-in experiment: for each `N ∈ ns`, sweep the *aggregate*
 /// offered rate over `rates` with the load split across N connections
 /// into one shared server.

@@ -15,6 +15,18 @@
 //!   estimates of §3.2 (the "estimated" curves of Figure 4);
 //! * optionally a [`PlaneDriver`] steering Nagle (and, when attached,
 //!   delayed ACKs and the cork limit) dynamically, or an [`AimdDriver`].
+//!
+//! All of it runs off one tick per `tick_period`. A client that only
+//! records (no plane, no AIMD seat) does not pay for the ticks that would
+//! find its socket untouched: a tick that found every recorder static
+//! parks the chain on the socket's estimator stamp
+//! ([`HostCtx::call_on_change`]) instead of re-arming it, and the tick that
+//! resumes it books the grid instants slept through into the recorders as
+//! the static ticks they would have been. The park's deadline is the next
+//! tick with a job of its own — the tracker snapshots at the two window
+//! edges — and once the window has closed the chain is periodic again, so
+//! when a run ends every recorder has been ticked through its last instant
+//! and nothing needs settling (DESIGN.md §12, "Demand-armed ticks").
 
 use std::collections::VecDeque;
 
@@ -101,6 +113,13 @@ pub struct LancetClient {
     /// Whether the arrival/tick chains have been started (exactly once, on
     /// the first `Connected` — a reconnect must not duplicate them).
     started: bool,
+    /// While the tick chain is parked on the socket: when it parked (the
+    /// last instant ticked).
+    parked_at: Option<Nanos>,
+    /// Ticks dispatched as events.
+    pub ticks_run: u64,
+    /// Tick instants slept through while parked and booked afterwards.
+    pub ticks_skipped: u64,
     /// Delay between a `Reset` wake and the reconnect attempt.
     reconnect_backoff: Nanos,
     /// Number of `Reset` wakes observed (crash/restart fault injections).
@@ -157,6 +176,9 @@ impl LancetClient {
             use_hints: false,
             sock: None,
             started: false,
+            parked_at: None,
+            ticks_run: 0,
+            ticks_skipped: 0,
             reconnect_backoff: Nanos::from_millis(1),
             restarts_seen: 0,
             parser: ResponseParser::new(),
@@ -322,17 +344,32 @@ impl LancetClient {
         }
     }
 
-    fn tick(&mut self, ctx: &mut HostCtx<'_>) { // hot-path: every client, every tick period
+    // hot-path: every client, every tick it cannot sleep through
+    fn tick(&mut self, ctx: &mut HostCtx<'_>) {
         let now = ctx.now();
+        let period = self.tick_period;
+        self.ticks_run += 1;
+        if let Some(parked_at) = self.parked_at.take() {
+            // The grid instants strictly between the park and now: each
+            // would have found the socket as the parking tick did.
+            let slept = (now - parked_at).as_nanos() / period.as_nanos();
+            let skipped = slept.saturating_sub(1);
+            self.ticks_skipped += skipped;
+            for rec in &mut self.recorders {
+                rec.tick_static(parked_at + period, period, skipped);
+            }
+        }
         if now >= self.warmup_end && self.tracker_at_warmup.is_none() {
             self.tracker_at_warmup = Some(self.tracker.snapshot(now));
         }
         if now >= self.measure_end && self.tracker_at_end.is_none() {
             self.tracker_at_end = Some(self.tracker.snapshot(now));
         }
+        let mut quiet = None;
         if let Some(sock) = self.sock {
+            let mut all_static = true;
             for rec in &mut self.recorders {
-                rec.tick(ctx, sock);
+                all_static &= rec.tick(ctx, sock);
             }
             if let Some(aimd) = self.aimd.as_mut() {
                 aimd.tick(ctx, sock);
@@ -340,8 +377,29 @@ impl LancetClient {
             if let Some(plane) = self.plane.as_mut() {
                 plane.tick(ctx, sock);
             }
+            // A control seat decides every tick; recorders alone can sleep.
+            if all_static && self.aimd.is_none() && self.plane.is_none() {
+                quiet = Some(sock);
+            }
         }
-        ctx.call_after(self.tick_period, token(KIND_TICK));
+        // The next tick that has a job whatever the socket does: the
+        // first at or past each window edge snapshots the tracker. Past
+        // both there is none, and the chain stays periodic to the end.
+        let edge = if self.tracker_at_warmup.is_none() {
+            Some(self.warmup_end)
+        } else if self.tracker_at_end.is_none() {
+            Some(self.measure_end)
+        } else {
+            None
+        };
+        match (quiet, edge) {
+            (Some(sock), Some(edge)) => {
+                let periods = (edge - now).as_nanos().div_ceil(period.as_nanos());
+                ctx.call_on_change(sock, period, now + period * periods, token(KIND_TICK));
+                self.parked_at = Some(now);
+            }
+            _ => ctx.call_after(period, token(KIND_TICK)),
+        }
     }
 
     fn flush(&mut self, ctx: &mut HostCtx<'_>) {

@@ -53,6 +53,16 @@ impl<T> Run<T> {
         true
     }
 
+    /// Appends `n` samples at spacing `step` to a run that is one sample
+    /// long or already has that spacing.
+    pub fn extend_by(&mut self, step: Nanos, n: u64) {
+        if self.count == 1 {
+            self.step = step;
+        }
+        debug_assert_eq!(self.step, step, "a run holds one spacing");
+        self.count += n;
+    }
+
     /// How many of the run's samples fall in `[from, to)`.
     pub fn count_in(&self, from: Nanos, to: Nanos) -> u64 {
         // Samples strictly before `t`: the index of the first one at or
@@ -97,6 +107,19 @@ impl<T: Copy + PartialEq> RunLog<T> {
         self.open = Some(Run::new(at, value));
     }
 
+    /// Appends `n` samples of `value`, `step` apart and the first at `at`
+    /// — what `n` calls of [`push`](Self::push) leave behind, in constant
+    /// time. The first two are pushed, which settles the run the stretch
+    /// lands in and that its spacing is `step`; the rest are a count.
+    pub fn push_n(&mut self, at: Nanos, step: Nanos, value: T, n: u64) {
+        for k in 0..n.min(2) {
+            self.push(at + step * k, value);
+        }
+        if let (Some(run), Some(rest)) = (&mut self.open, n.checked_sub(2)) {
+            run.extend_by(step, rest);
+        }
+    }
+
     /// The runs, oldest first.
     pub fn runs(&self) -> impl Iterator<Item = &Run<T>> {
         self.closed.iter().chain(self.open.as_ref())
@@ -111,6 +134,11 @@ impl<T: Copy + PartialEq> RunLog<T> {
     /// Number of runs stored.
     pub fn len(&self) -> usize {
         self.closed.len() + usize::from(self.open.is_some())
+    }
+
+    /// Whether nothing has been logged.
+    pub fn is_empty(&self) -> bool {
+        self.open.is_none()
     }
 
     /// The newest sample's value.
@@ -163,6 +191,37 @@ mod tests {
         }
         assert_eq!(expand(&log), pushes);
         assert!(log.len() < pushes.len());
+    }
+
+    #[test]
+    fn push_n_equals_n_pushes() {
+        // Every way a stretch can meet the open run: none yet, same value
+        // at the same / another spacing, another value; every short length.
+        let preludes: [&[(u64, u64)]; 5] = [
+            &[],
+            &[(0, 7)],
+            &[(0, 7), (50, 7)],
+            &[(0, 7), (20, 7)],
+            &[(0, 9), (50, 9)],
+        ];
+        for prelude in preludes {
+            for n in 0..6 {
+                let (mut fast, mut slow) = (RunLog::default(), RunLog::default());
+                for &(at, v) in prelude {
+                    fast.push(us(at), v);
+                    slow.push(us(at), v);
+                }
+                fast.push_n(us(100), us(50), 7, n);
+                for k in 0..n {
+                    slow.push(us(100 + 50 * k), 7);
+                }
+                // What follows lands alike, too.
+                fast.push(us(100 + 50 * n), 7);
+                slow.push(us(100 + 50 * n), 7);
+                assert_eq!(fast.closed, slow.closed, "{prelude:?} + {n}");
+                assert_eq!(fast.open, slow.open, "{prelude:?} + {n}");
+            }
+        }
     }
 
     #[test]

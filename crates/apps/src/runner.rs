@@ -193,6 +193,11 @@ pub struct ClientResult {
     pub estimated_bytes: Option<Nanos>,
     /// Exchanges received by this connection.
     pub exchanges_received: u64,
+    /// Client ticks dispatched as events.
+    pub ticks_run: u64,
+    /// Client tick instants slept through on an unchanged socket and
+    /// booked afterwards (see [`LancetClient::ticks_skipped`]).
+    pub ticks_skipped: u64,
 }
 
 /// The result of one run.
@@ -544,6 +549,8 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
                     .sock
                     .map(|sock| sim.host(i).socket(sock).remote().received)
                     .unwrap_or(0),
+                ticks_run: lg.ticks_run,
+                ticks_skipped: lg.ticks_skipped,
             }
         })
         .collect();

@@ -12,6 +12,15 @@
 //! the sample log, the checkpoints, the validator's counters, the range
 //! means (checkpointed and fallback), the estimate a per-tick consumer
 //! reads, and the estimator's final state.
+//!
+//! The replay itself skips ahead where a deferred tick can only repeat
+//! the one before (`E2eEstimator::skip_static`), so every run ends in a
+//! silence of more than 2 000 ticks — long past the staleness bound — and
+//! one scenario goes into it with a rejected exchange still on offer,
+//! which every tick re-judges and no skip may cover. A third kind of
+//! recorder is not even ticked while its socket stands still: like a
+//! `LancetClient` parked on `HostCtx::call_on_change` it sleeps through
+//! those ticks and books them afterwards (`tick_static`).
 
 use e2e_apps::driver::EstimateRecorder;
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
@@ -180,7 +189,21 @@ struct Churn {
     /// A pair whose deferred side is read through `latest()` after every
     /// tick, the way the policy drivers consume it.
     eager: Pair,
+    /// A pair whose deferred side sleeps through the ticks that find the
+    /// socket where its last tick left it, and books them on waking.
+    sleeper: Pair,
+    asleep: Option<Asleep>,
+    /// No sends from here on: the run ends in one long silence.
+    quiet_from: Nanos,
     ticks: u64,
+}
+
+/// The ticks the sleeper has slept through so far.
+struct Asleep {
+    seen: (SocketId, u64),
+    first: Nanos,
+    step: Nanos,
+    count: u64,
 }
 
 impl Churn {
@@ -196,12 +219,44 @@ impl Churn {
         Nanos::from_micros(lo + self.rng.gen_range(hi - lo))
     }
 
+    /// Books whatever the sleeper slept through.
+    fn wake_sleeper(&mut self) {
+        if let Some(a) = self.asleep.take() {
+            self.sleeper.deferred.tick_static(a.first, a.step, a.count);
+        }
+    }
+
+    /// The sleeper's tick: the reference runs it, the deferred side only
+    /// if the socket moved, the tick spacing changed, or it was awake.
+    fn tick_sleeper(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
+        let now = ctx.now();
+        self.sleeper.reference.tick(ctx, sock);
+        let seen = (sock, ctx.socket(sock).estimator_stamp());
+        if let Some(a) = &mut self.asleep {
+            if a.seen == seen && now == a.first + a.step * a.count {
+                a.count += 1;
+                return;
+            }
+        }
+        self.wake_sleeper();
+        if self.sleeper.deferred.tick(ctx, sock) {
+            let step = self.period(now);
+            self.asleep = Some(Asleep {
+                seen,
+                first: now + step,
+                step,
+                count: 0,
+            });
+        }
+    }
+
     fn tick(&mut self, ctx: &mut HostCtx<'_>) {
         let now = ctx.now();
         if let Some(sock) = self.sock {
             for pair in &mut self.pairs {
                 pair.tick(ctx, sock);
             }
+            self.tick_sleeper(ctx, sock);
             self.eager.tick(ctx, sock);
             let latest = self.eager.deferred.latest();
             let expect = self.eager.reference.series.last();
@@ -224,6 +279,9 @@ impl Churn {
     }
 
     fn send(&mut self, ctx: &mut HostCtx<'_>) {
+        if ctx.now() >= self.quiet_from {
+            return;
+        }
         if let Some(sock) = self.sock {
             let len = [48, 700, 1_448, 4_000, 16_000][self.rng.gen_range(5) as usize];
             ctx.send(sock, &vec![0x5a; len]);
@@ -325,6 +383,11 @@ impl App for LazyServer {
 #[derive(Default)]
 struct Coverage {
     deferred_ticks: u64,
+    /// Ticks the sleepers never ran.
+    slept_ticks: u64,
+    /// Recorders that went into the final silence with a rejected
+    /// exchange on offer.
+    pending_rejects: u64,
     samples: usize,
     log_runs: usize,
     stale_samples: usize,
@@ -336,9 +399,13 @@ struct Coverage {
 /// Where the default-scale wire clock wraps.
 const WIRE_WRAP: Nanos = Nanos::from_nanos(1 << 42);
 
+/// The final silence: 2 190 ticks at the later tick period.
+const SILENCE: Nanos = Nanos::from_millis(1_600);
+
 fn run_seed(seed: u64, coverage: &mut Coverage) {
     let start_at = WIRE_WRAP - Nanos::from_millis(45);
-    let end = start_at + Nanos::from_millis(160);
+    let quiet_from = start_at + Nanos::from_millis(160);
+    let end = quiet_from + SILENCE;
     let tcp = TcpConfig {
         exchange: ExchangeConfig {
             enabled: true,
@@ -369,6 +436,9 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
             Pair::new(Unit::Messages, bound, false),
         ],
         eager: Pair::new(Unit::Bytes, bound, true),
+        sleeper: Pair::new(Unit::Bytes, bound, true),
+        asleep: None,
+        quiet_from,
         ticks: 0,
     };
     let host = |i: usize| {
@@ -403,22 +473,27 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
     run(&mut sim, &mut queue, end);
 
     let client = &mut sim.clients[0];
-    assert!(client.ticks > 200, "seed {seed}: the tick chain ran");
+    assert!(client.ticks > 2_200, "seed {seed}: the tick chain ran");
+    coverage.slept_ticks += client.asleep.as_ref().map_or(0, |a| a.count);
+    client.wake_sleeper();
     let mut ranges = vec![
         (start_at, end),
         (Nanos::ZERO, WIRE_WRAP),
         (WIRE_WRAP, end),
         (end, start_at),
+        (quiet_from, end),
+        (quiet_from + Nanos::from_millis(2), quiet_from + Nanos::from_millis(7)),
     ];
     for _ in 0..300 {
         let from = start_at + Nanos::from_micros(client.rng.gen_range(160_000));
         let len = [300, 1_000, 2_500, 8_000, 40_000][client.rng.gen_range(5) as usize];
         ranges.push((from, from + Nanos::from_micros(len)));
     }
-    for pair in client
-        .pairs
-        .iter_mut()
-        .chain(std::iter::once(&mut client.eager))
+    let silent_ticks = SILENCE.as_nanos() / client.periods.1.as_nanos() - 10;
+    let lazy = client.pairs.iter_mut().chain([&mut client.sleeper]);
+    for (pair, flushes_every_tick) in lazy
+        .map(|pair| (pair, false))
+        .chain([(&mut client.eager, true)])
     {
         // First with the last run still pending…
         for &(from, to) in &ranges {
@@ -454,6 +529,22 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
             pair.assert_queries_agree(from, to);
         }
 
+        // A reject still on offer is judged again by every tick of the
+        // silence, so none of them may have been skipped; otherwise all
+        // but a handful were. (`eager` flushes after every tick: its runs
+        // are one tick long and there is never anything to skip.)
+        let rejects = pair.reference.estimator.consecutive_rejects() as u64;
+        let replayed = pair.deferred.replayed_ticks();
+        if flushes_every_tick {
+            assert_eq!(replayed, pair.deferred.deferred_ticks());
+        } else if rejects >= silent_ticks {
+            coverage.pending_rejects += 1;
+            assert!(replayed >= rejects, "seed {seed}: {replayed} replayed, {rejects} rejects");
+        } else {
+            let deferred = pair.deferred.deferred_ticks();
+            assert!(deferred > silent_ticks, "seed {seed}: deferred {deferred}");
+            assert!(replayed * 10 < deferred, "seed {seed}: {replayed} of {deferred} replayed");
+        }
         coverage.deferred_ticks += pair.deferred.deferred_ticks();
         coverage.samples += want.len();
         coverage.log_runs += pair.deferred.log_runs();
@@ -477,10 +568,17 @@ fn deferred_recorder_equals_tick_by_tick_reference() {
     }
     // The schedule must have exercised what it is there for.
     assert!(
-        coverage.deferred_ticks > 1_000,
+        coverage.deferred_ticks > 40_000,
         "deferred {}",
         coverage.deferred_ticks
     );
+    // Seeds 0xD1FF and 77 777 end on a corrupted exchange.
+    assert!(
+        coverage.pending_rejects >= 2,
+        "{} recorders held a reject through the silence",
+        coverage.pending_rejects
+    );
+    assert!(coverage.slept_ticks > 8_000, "slept {}", coverage.slept_ticks);
     assert!(
         coverage.log_runs * 2 < coverage.samples,
         "{} runs for {} samples",

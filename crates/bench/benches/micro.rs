@@ -4,8 +4,9 @@
 //! cheap enough to update on every socket-buffer change. This suite
 //! quantifies that: TRACK, snapshotting, GETAVGS, the 36-byte wire
 //! encode/decode, a full estimator update, a recorder tick over a static
-//! and over an active socket (cache-cold, as at N = 1024), one socket-
-//! timer re-arm, and RESP parsing.
+//! and over an active socket (cache-cold, as at N = 1024), the flush of a
+//! 1 000-tick static stretch, one socket-timer re-arm, the change-watch
+//! check at the head of every socket action batch, and RESP parsing.
 //!
 //! Uses a small hand-rolled harness (median of timed batches) instead of
 //! criterion: the workspace builds with no registry dependencies. Wall-
@@ -124,6 +125,20 @@ fn bench_estimator() {
     });
 }
 
+/// A bare segment carrying the peer's byte-unit exchange as of `now`.
+fn exchange_segment(now: Nanos) -> Segment {
+    let t = now.as_nanos();
+    let snap = Snapshot {
+        time: now,
+        total: t / 10_000,
+        integral: (t as u128) * 3,
+    };
+    let exchange = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
+    let mut seg = Segment::control(FlowId(0), SeqNum::new(0), SeqNum::new(0), Flags::default(), 0);
+    seg.options.e2e = Some(E2eOption::single(Unit::Bytes, exchange));
+    seg
+}
+
 /// One `EstimateRecorder::tick` per connection, swept round-robin over
 /// 1024 connections so that — as in the N = 1024 fan-in — each tick finds
 /// its recorder and its socket out of cache. This is the row to hold
@@ -153,21 +168,7 @@ fn bench_recorder_tick() {
             for _ in 0..SWEEPS {
                 now += period;
                 if active {
-                    let t = now.as_nanos();
-                    let snap = Snapshot {
-                        time: now,
-                        total: t / 10_000,
-                        integral: (t as u128) * 3,
-                    };
-                    let exchange = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
-                    let mut seg = Segment::control(
-                        FlowId(0),
-                        SeqNum::new(0),
-                        SeqNum::new(0),
-                        Flags::default(),
-                        0,
-                    );
-                    seg.options.e2e = Some(E2eOption::single(Unit::Bytes, exchange));
+                    let seg = exchange_segment(now);
                     for sock in socks.iter_mut() {
                         let q = &mut sock.queues_mut().unacked;
                         q.track_bytes(now, 1_448);
@@ -191,6 +192,67 @@ fn bench_recorder_tick() {
             per_tick[BATCHES / 2]
         );
         black_box(&recorders);
+    }
+}
+
+/// One `EstimateRecorder::flush` of 1 000 deferred ticks — what the tick
+/// that ends a 0.5 s silence pays. The estimator holds a remote window, so
+/// every one of the 1 000 logs a sample; two are replayed at the front,
+/// one at the end, the rest go in closed form (tick by tick this is
+/// ~95 µs).
+fn bench_recorder_flush() {
+    let period = Nanos::from_micros(500);
+    let mut actions = Vec::new();
+    let mut sock = TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
+    let mut rec = EstimateRecorder::new(Unit::Bytes);
+    let mut now = Nanos::ZERO;
+    for _ in 0..3 {
+        now += period;
+        actions.clear();
+        sock.on_segment(now, &exchange_segment(now), TxEnv::default(), &mut actions);
+        rec.tick_socket(now, SocketId(0), &sock);
+    }
+    bench("recorder_flush_static_1k", 20_000, || {
+        rec.tick_static(now + period, period, 1_000);
+        now += period * 1_000;
+        rec.flush();
+    });
+    assert_eq!(rec.samples().count() as u64, rec.deferred_ticks() + 2);
+}
+
+/// The check at the head of `apply_actions` — has a continuation parked on
+/// this socket's estimator stamp been overtaken by a change? — round-robin
+/// over 1 024 sockets, none of which has changed: with no watch armed (a
+/// server, a busy client) and with one on every socket (a fan-in of
+/// sleeping clients).
+fn bench_change_watch() {
+    const SOCKS: usize = 1024;
+    for armed in [false, true] {
+        let id = HostId::from_index(0);
+        let mut host = Host::new(
+            id,
+            CpuContext::new("app"),
+            CpuContext::new("softirq"),
+            CostConfig::default(),
+            TcpConfig::default(),
+        );
+        let mut actions = Vec::new();
+        let mut queue: EventQueue<Event> = EventQueue::new();
+        for i in 0..SOCKS {
+            let flow = FlowId(i as u64);
+            let sock = host.add_socket(TcpSocket::client(flow, TcpConfig::default(), Nanos::ZERO, &mut actions));
+            if armed {
+                let event = Event::AppCall { host: id, token: 3 };
+                host.arm_watch(sock, &mut queue, Nanos::from_micros(500), Nanos::from_secs(1), 3, event);
+            }
+        }
+        let mut next = 0;
+        let name = if armed { "change_watch_check_armed" } else { "change_watch_check_idle" };
+        bench(name, 1_000_000, || {
+            black_box(host.take_changed_watch(SocketId(next), &mut queue));
+            next = (next + 1) % SOCKS;
+        });
+        assert_eq!(queue.len(), if armed { SOCKS } else { 0 }, "nothing changed, nothing fired");
     }
 }
 
@@ -257,7 +319,9 @@ fn main() {
     bench_wire();
     bench_estimator();
     bench_recorder_tick();
+    bench_recorder_flush();
     bench_timer_rearm();
+    bench_change_watch();
     bench_ewma();
     bench_resp();
 }

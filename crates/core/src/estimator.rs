@@ -377,6 +377,87 @@ impl E2eEstimator {
         Some(est)
     }
 
+    /// Skips ahead over updates that could only repeat the previous one.
+    ///
+    /// For a connection nothing is happening to — no `TRACK` since the
+    /// update before the previous one, so every integral grows at its held
+    /// occupancy and nothing departs — updates `step` apart all see the
+    /// integer local windows the previous update saw and, absent a new
+    /// exchange, the same cached remote window: each returns the previous
+    /// latency and throughput and moves only `prev_local` and the running
+    /// local sums. This applies up to `max` such updates in closed form,
+    /// `local(t)` being the snapshots an update at `t` would be fed, and
+    /// returns how many. It applies fewer, possibly none, wherever an
+    /// update could do anything else:
+    ///
+    /// * `remote_latest` is an exchange the estimator has not adopted —
+    ///   fresh, or rejected by the validator, which is offered it again
+    ///   (and counts and demotes again) on every update;
+    /// * the smoother has not settled on the repeated latency;
+    /// * the staleness bound lapses: the skip ends at the last update
+    ///   still inside the bound (replay across it, then skip again).
+    ///
+    /// [`last`](Self::last) is left where it was, although each skipped
+    /// update would have restamped `at` and, under a staleness bound, aged
+    /// `confidence`: follow the skip with a real update before reading it.
+    pub fn skip_static(
+        &mut self,
+        step: Nanos,
+        max: u64,
+        remote_latest: Option<WireExchange>,
+        local: impl Fn(Nanos) -> EndpointSnapshots,
+    ) -> u64 {
+        let Some(prev) = self.prev_local else {
+            return 0;
+        };
+        let from = prev.unacked.time;
+        let ticks = self.repeatable_updates(from, step, max, remote_latest);
+        if ticks == 0 {
+            return 0;
+        }
+        let end = local(from + step * ticks);
+        // The sum of `ticks` adjacent windows is the window across them.
+        if let Some(w) = EndpointWindows::between(&prev, &end) {
+            self.cum_local.merge(&w);
+        }
+        self.prev_local = Some(end);
+        ticks
+    }
+
+    /// How many of up to `max` updates at `from + k·step` would repeat the
+    /// one at `from` (see [`skip_static`](Self::skip_static)).
+    fn repeatable_updates(
+        &self,
+        from: Nanos,
+        step: Nanos,
+        max: u64,
+        remote_latest: Option<WireExchange>,
+    ) -> u64 {
+        if step.is_zero() || (remote_latest.is_some() && remote_latest != self.prev_remote) {
+            return 0;
+        }
+        let (Some(_), Some(fresh_at)) = (self.cached_remote, self.remote_fresh_at) else {
+            // No remote window, no estimates: only the sums move.
+            return max;
+        };
+        // The estimate being repeated is the one formed at `from`.
+        let Some(last) = self.last.filter(|e| e.at == from) else {
+            return 0;
+        };
+        let at_rest = (last.latency.as_nanos() as f64).to_bits();
+        if self.smoother.value().map(f64::to_bits) != Some(at_rest) {
+            return 0;
+        }
+        match self.staleness_bound {
+            // An update at `t` is inside the bound while `t − fresh_at ≤ bound`.
+            Some(bound) if !last.remote_stale => {
+                let inside = fresh_at.saturating_add(bound).saturating_sub(from);
+                (inside.as_nanos() / step.as_nanos()).min(max)
+            }
+            _ => max,
+        }
+    }
+
     /// The most recent estimate, if any.
     pub fn last(&self) -> Option<Estimate> {
         self.last
@@ -705,6 +786,111 @@ mod tests {
         );
         assert!(poisoned.latency < honest.latency, "net underestimation");
         assert!((poisoned.confidence - 1.0).abs() < 1e-9, "and reports full confidence");
+    }
+
+    /// A connection that goes quiet after `synthetic_run`'s tenth period:
+    /// one request stays unacked, nothing else moves. Returns the warmed-up
+    /// estimator, the time of its last update and the snapshots any later
+    /// tick would read.
+    fn gone_quiet(
+        mut est: E2eEstimator,
+    ) -> (E2eEstimator, Nanos, impl Fn(Nanos) -> EndpointSnapshots) {
+        let us = Nanos::from_micros;
+        let (locals, remotes) = synthetic_run();
+        for i in 0..10 {
+            est.update(us((i as u64 + 1) * 100), locals[i], Some(remotes[i]));
+        }
+        let base = locals[9];
+        let local = move |t: Nanos| EndpointSnapshots {
+            unacked: base.unacked.advanced(1, t),
+            unread: base.unread.advanced(0, t),
+            ackdelay: base.ackdelay.advanced(0, t),
+        };
+        (est, us(1_000), local)
+    }
+
+    /// `n` ticks `step` apart after `from`, by `update` alone and with the
+    /// middle skipped; the two estimators must end up in the same state.
+    /// Returns how many ticks the skip covered.
+    fn skip_vs_stepwise(
+        est: E2eEstimator,
+        from: Nanos,
+        local: impl Fn(Nanos) -> EndpointSnapshots,
+        remote: Option<WireExchange>,
+        n: u64,
+    ) -> u64 {
+        let step = Nanos::from_micros(100);
+        let (mut slow, mut fast) = (est.clone(), est);
+        let mut samples = Vec::new();
+        let sample_at = |est: &mut E2eEstimator, k: u64| {
+            let at = from + step * k;
+            let e = est.update(at, local(at), remote);
+            e.map(|e| (e.latency, e.throughput.to_bits(), e.remote_stale))
+        };
+        for k in 1..=n {
+            samples.push(sample_at(&mut slow, k));
+        }
+        let (mut k, mut skipped) = (0, 0);
+        while k < n {
+            k += 1;
+            let sample = sample_at(&mut fast, k);
+            assert_eq!(sample, samples[k as usize - 1], "tick {k}");
+            if k >= 2 && k + 1 < n {
+                let m = fast.skip_static(step, n - 1 - k, remote, &local);
+                for j in k..k + m {
+                    assert_eq!(samples[j as usize], sample, "skipped tick {}", j + 1);
+                }
+                k += m;
+                skipped += m;
+            }
+        }
+        assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        skipped
+    }
+
+    #[test]
+    fn skip_covers_all_but_the_ends_of_a_silence() {
+        let (_, remotes) = synthetic_run();
+        let (est, from, local) = gone_quiet(E2eEstimator::new(WireScale::UNSCALED, 1.0));
+        // Two ticks in, one at the end: everything between is skipped,
+        // whether the peer's last exchange is still on offer or not.
+        assert_eq!(skip_vs_stepwise(est.clone(), from, &local, Some(remotes[9]), 2_500), 2_497);
+        assert_eq!(skip_vs_stepwise(est, from, &local, None, 40), 37);
+    }
+
+    #[test]
+    fn skip_stops_at_the_staleness_bound_and_resumes_past_it() {
+        let (_, remotes) = synthetic_run();
+        let bound = Nanos::from_micros(1_250);
+        let est = E2eEstimator::new(WireScale::UNSCALED, 1.0).with_staleness_bound(bound);
+        let (est, from, local) = gone_quiet(est);
+        // Ticks 1–12 are inside the bound (age ≤ 1 250 µs), 13 is the first
+        // stale one and must be a real update; so are 1, 2 and 30.
+        assert_eq!(skip_vs_stepwise(est, from, &local, Some(remotes[9]), 30), 26);
+    }
+
+    #[test]
+    fn skip_refuses_a_pending_reject_and_an_unsettled_smoother() {
+        let (_, remotes) = synthetic_run();
+        let validated = E2eEstimator::new(WireScale::UNSCALED, 1.0)
+            .with_validation(ValidateConfig::default());
+        let (est, from, local) = gone_quiet(validated);
+        // A garbled exchange stays on offer: every tick re-rejects it.
+        let mut garbled = remotes[10];
+        garbled.unread.total ^= 0x4000_0000;
+        assert_eq!(skip_vs_stepwise(est.clone(), from, &local, Some(garbled), 30), 0);
+        let mut replayed = est.clone();
+        for k in 1..=30 {
+            let at = from + Nanos::from_micros(100 * k);
+            replayed.update(at, local(at), Some(garbled));
+        }
+        assert_eq!(replayed.validation_stats().unwrap().rejected, 30);
+        // The same estimator with nothing pending skips.
+        assert_eq!(skip_vs_stepwise(est, from, &local, Some(remotes[9]), 30), 27);
+
+        // A smoother still converging changes state on every tick.
+        let (est, from, local) = gone_quiet(E2eEstimator::new(WireScale::UNSCALED, 0.3));
+        assert_eq!(skip_vs_stepwise(est, from, &local, Some(remotes[9]), 12), 0);
     }
 
     #[test]

@@ -84,13 +84,13 @@ impl<E> EventQueue<E> {
         EventToken(self.wheel.schedule(at.as_nanos(), event).0)
     }
 
-    /// Cancels a previously scheduled event. Cancelling an event that has
-    /// already fired (or was already cancelled) is a true no-op: the
-    /// token's generation no longer matches its slab cell, so `len` stays
-    /// exact.
+    /// Cancels a previously scheduled event and returns whether it was
+    /// still queued. Cancelling an event that has already fired (or was
+    /// already cancelled) is a true no-op: the token's generation no
+    /// longer matches its slab cell, so `len` stays exact.
     // hot-path: runs once per cancelled timer; must not allocate per call
-    pub fn cancel(&mut self, token: EventToken) {
-        self.wheel.cancel(WheelToken(token.0));
+    pub fn cancel(&mut self, token: EventToken) -> bool {
+        self.wheel.cancel(WheelToken(token.0))
     }
 
     /// Pops the next live event, advancing the clock to its timestamp.
@@ -207,7 +207,7 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         let tok = q.schedule(Nanos::from_nanos(1), 1);
         q.schedule(Nanos::from_nanos(2), 2);
-        q.cancel(tok);
+        assert!(q.cancel(tok), "the event was still queued");
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().map(|(_, e)| e), Some(2));
     }
@@ -217,7 +217,7 @@ mod tests {
         let mut q: EventQueue<u32> = EventQueue::new();
         let tok = q.schedule(Nanos::from_nanos(1), 1);
         assert_eq!(q.pop().map(|(_, e)| e), Some(1));
-        q.cancel(tok);
+        assert!(!q.cancel(tok), "a fired event's token is stale");
         // Regression: the stale cancel must not affect live bookkeeping —
         // `len` stays exact and later events still fire.
         assert_eq!(q.len(), 0);

@@ -7,7 +7,11 @@
 //! (socket, [`TimerKind`]): the slot holds the [`EventToken`] of the pending
 //! `Event::Timer` in the global event queue, so re-arming or cancelling
 //! removes the superseded event from the queue instead of leaving it to
-//! fire as a no-op.
+//! fire as a no-op. Beside the timers sits at most one *change watch* per
+//! socket — an application continuation parked until the socket's
+//! [`estimator_stamp`](TcpSocket::estimator_stamp) moves (see
+//! `HostCtx::call_on_change`); it, too, holds exactly one queued event, its
+//! deadline's.
 
 use simnet::{CpuContext, EventQueue, EventToken, Nanos};
 
@@ -19,6 +23,33 @@ use crate::table::FlowMap;
 // `HostId` moved to the topology layer (hosts are graph nodes now);
 // re-exported here so `tcpsim::host::HostId` keeps working.
 pub use simnet::HostId;
+
+/// An application continuation parked on one socket's
+/// [`estimator_stamp`](TcpSocket::estimator_stamp): due at the first
+/// instant `armed_at + k·period` after the stamp moves, or at the deadline.
+#[derive(Debug, Clone, Copy)]
+struct Watch {
+    /// The socket's stamp when the application parked.
+    stamp: u64,
+    armed_at: Nanos,
+    period: Nanos,
+    deadline_at: Nanos,
+    /// The deadline's call in the event queue — the one event the watch
+    /// keeps queued. Stale once that call has been made.
+    deadline: EventToken,
+    /// The application's continuation token.
+    token: u64,
+}
+
+/// What one socket keeps in the global event queue.
+#[derive(Debug, Default)]
+struct Pending {
+    /// Queue token of each pending timer, indexed by [`TimerKind`]; `None`
+    /// while that timer is not armed.
+    timers: [Option<EventToken>; TimerKind::COUNT],
+    /// The continuation parked on the socket, if any.
+    watch: Option<Watch>,
+}
 
 /// One simulated machine.
 #[derive(Debug)]
@@ -38,9 +69,9 @@ pub struct Host {
     flows: FlowMap<SocketId>,
     /// Packets handed to the NIC, not yet completed.
     nic_in_flight: u32,
-    /// Queue token of each socket's pending timer, indexed by `SocketId`
-    /// and [`TimerKind`]; `None` while that timer is not armed.
-    timers: Vec<[Option<EventToken>; TimerKind::COUNT]>,
+    /// Each socket's pending timers and parked continuation, indexed by
+    /// `SocketId`.
+    pending: Vec<Pending>,
     /// Total doorbells rung (one per transmit batch).
     pub doorbells: u64,
     /// Counter-state generations issued (wrapping); each registered socket
@@ -72,7 +103,7 @@ impl Host {
             sockets: Vec::new(),
             flows: FlowMap::new(),
             nic_in_flight: 0,
-            timers: Vec::new(),
+            pending: Vec::new(),
             doorbells: 0,
             epochs_issued: 0,
             cork_waiters: Vec::new(),
@@ -88,7 +119,7 @@ impl Host {
         let id = SocketId(self.sockets.len());
         self.flows.set(sock.flow(), id);
         self.sockets.push(sock);
-        self.timers.push([None; TimerKind::COUNT]);
+        self.pending.push(Pending::default());
         id
     }
 
@@ -167,7 +198,7 @@ impl Host {
 
     #[inline]
     fn timer_slot(&mut self, sock: SocketId, kind: TimerKind) -> &mut Option<EventToken> {
-        &mut self.timers[sock.0][kind as usize]
+        &mut self.pending[sock.0].timers[kind as usize]
     }
 
     /// Arms a timer: `event` fires `delay` from now, and the instance it
@@ -200,7 +231,7 @@ impl Host {
     /// Removes every pending timer of `sock` from `queue` (the socket was
     /// reset: nothing armed on the old connection may fire on the new one).
     pub fn cancel_timers<E>(&mut self, sock: SocketId, queue: &mut EventQueue<E>) {
-        for token in self.timers[sock.0].iter_mut().filter_map(Option::take) {
+        for token in self.pending[sock.0].timers.iter_mut().filter_map(Option::take) {
             queue.cancel(token);
         }
     }
@@ -216,7 +247,72 @@ impl Host {
 
     /// Whether a timer has a pending instance in the event queue.
     pub fn timer_pending(&self, sock: SocketId, kind: TimerKind) -> bool {
-        self.timers[sock.0][kind as usize].is_some()
+        self.pending[sock.0].timers[kind as usize].is_some()
+    }
+
+    /// Parks a continuation on `sock`: `event` (the call carrying `token`)
+    /// is queued for `deadline`, and
+    /// [`take_changed_watch`](Self::take_changed_watch) trades it for an
+    /// earlier call once the socket's estimator stamp has moved from where
+    /// it stands now. A watch still pending on the socket is superseded,
+    /// its deadline call leaving `queue` — one parked continuation per
+    /// socket, one queued event per continuation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid id or a zero `period`.
+    pub fn arm_watch<E>(
+        &mut self,
+        sock: SocketId,
+        queue: &mut EventQueue<E>,
+        period: Nanos,
+        deadline: Nanos,
+        token: u64,
+        event: E,
+    ) {
+        assert!(!period.is_zero(), "a watch needs a positive period");
+        let stamp = self.socket(sock).estimator_stamp();
+        // lint:allow(panic-reachability): `socket(sock)` has just bounds-checked the id
+        let watch = &mut self.pending[sock.0].watch;
+        if let Some(superseded) = watch.take() {
+            queue.cancel(superseded.deadline);
+        }
+        *watch = Some(Watch {
+            stamp,
+            armed_at: queue.now(),
+            period,
+            deadline_at: deadline,
+            deadline: queue.schedule_at(deadline, event),
+            token,
+        });
+    }
+
+    /// The change check every socket entry point ends in: when `sock`
+    /// carries a watch and its estimator stamp has moved since the watch
+    /// was armed, the watch is spent, its deadline call leaves `queue`, and
+    /// the `(time, token)` of the call to queue instead comes back — the
+    /// first instant of the watch's grid strictly after now (the deadline
+    /// itself at the latest). `None` otherwise, including for a watch whose
+    /// deadline call has already been made: the application has the
+    /// continuation back and the change owes it nothing.
+    // hot-path: runs on every socket action batch; must not allocate per call
+    #[inline]
+    pub fn take_changed_watch<E>(
+        &mut self,
+        sock: SocketId,
+        queue: &mut EventQueue<E>,
+    ) -> Option<(Nanos, u64)> {
+        let slot = &mut self.pending.get_mut(sock.0)?.watch;
+        if slot.as_ref()?.stamp == self.sockets.get(sock.0)?.estimator_stamp() {
+            return None;
+        }
+        let watch = slot.take()?;
+        if !queue.cancel(watch.deadline) {
+            return None;
+        }
+        let periods = (queue.now() - watch.armed_at).as_nanos() / watch.period.as_nanos();
+        let next = watch.armed_at + watch.period * (periods + 1);
+        Some((next.min(watch.deadline_at), watch.token))
     }
 
     /// Softirq receive cost for a segment: one per-delivery charge (the
@@ -307,6 +403,61 @@ mod tests {
         h.cancel_timers(s, &mut q);
         assert!(q.is_empty());
         assert!(!h.timer_pending(s, TimerKind::Rto) && !h.timer_pending(s, TimerKind::Cork));
+    }
+
+    #[test]
+    fn watch_trades_its_deadline_for_the_next_grid_instant_after_a_change() {
+        let us = Nanos::from_micros;
+        let mut h = host();
+        let mut actions: Vec<Action> = Vec::new();
+        let sock = TcpSocket::client(FlowId(7), TcpConfig::default(), Nanos::ZERO, &mut actions);
+        let s = h.add_socket(sock);
+        let mut q: EventQueue<&str> = EventQueue::new();
+        // Moves the clock to `at` with an event of no consequence.
+        let advance = |q: &mut EventQueue<&str>, at: Nanos| {
+            q.schedule_at(at, "clock");
+            while q.now() < at {
+                q.pop();
+            }
+        };
+        let touch = |h: &mut Host| {
+            h.socket_mut(s).queues_mut();
+        };
+
+        // Parked at 1 ms on a 500 µs grid, deadline eight periods out.
+        advance(&mut q, us(1_000));
+        h.arm_watch(s, &mut q, us(500), us(5_000), 9, "deadline");
+        assert_eq!(q.len(), 1, "the deadline's call is the one queued event");
+        assert_eq!(h.take_changed_watch(s, &mut q), None, "nothing moved");
+        assert_eq!(q.len(), 1);
+
+        // The tie: a change at exactly a grid instant is due one period on.
+        advance(&mut q, us(2_000));
+        touch(&mut h);
+        assert_eq!(h.take_changed_watch(s, &mut q), Some((us(2_500), 9)));
+        assert!(q.is_empty(), "the deadline's call left the queue");
+        assert_eq!(h.take_changed_watch(s, &mut q), None, "a watch fires once");
+
+        // Mid-period: the next grid instant; inside the last period (or a
+        // deadline off the grid): the deadline itself. A re-arm supersedes.
+        h.arm_watch(s, &mut q, us(500), us(9_000), 9, "superseded");
+        h.arm_watch(s, &mut q, us(500), us(4_100), 9, "deadline");
+        assert_eq!(q.len(), 1);
+        advance(&mut q, us(2_720));
+        touch(&mut h);
+        assert_eq!(h.take_changed_watch(s, &mut q), Some((us(3_000), 9)));
+        h.arm_watch(s, &mut q, us(500), us(4_100), 9, "deadline");
+        advance(&mut q, us(3_900));
+        touch(&mut h);
+        assert_eq!(h.take_changed_watch(s, &mut q), Some((us(4_100), 9)));
+
+        // Once the deadline's call has been made the application has its
+        // continuation back: a later change owes it nothing.
+        h.arm_watch(s, &mut q, us(500), us(4_400), 9, "deadline");
+        advance(&mut q, us(4_500));
+        assert!(q.is_empty(), "the deadline fired");
+        touch(&mut h);
+        assert_eq!(h.take_changed_watch(s, &mut q), None);
     }
 
     #[test]

@@ -345,6 +345,33 @@ impl HostCtx<'_> {
         self.call_at(done, token);
     }
 
+    /// Parks a periodic continuation on a socket nothing is happening to:
+    /// schedules `on_call(token)` at the first instant `now + k·period`
+    /// strictly after the event in which `sock`'s
+    /// [`estimator_stamp`](TcpSocket::estimator_stamp) moves from where it
+    /// stands now, or at `deadline`, whichever comes first — exactly one
+    /// call, and until the change only the deadline's event is queued.
+    /// The caller accounts for the grid instants in between, at each of
+    /// which a periodic `call_after(period, token)` chain would have found
+    /// the stamp unchanged.
+    ///
+    /// **Tie rule.** The call is queued when the change is noticed (or,
+    /// for the deadline, now), so among events carrying its exact
+    /// nanosecond it runs after those already queued; a periodic chain's
+    /// call, queued one period earlier, runs before anything queued during
+    /// that period. The two orders differ only when another event on this
+    /// host lands exactly on a grid instant, and then by rule: a change at
+    /// exactly `now + k·period` leaves that instant unchanged-as-found and
+    /// the call comes one period later.
+    pub fn call_on_change(&mut self, sock: SocketId, period: Nanos, deadline: Nanos, token: u64) {
+        let event = Event::AppCall {
+            host: self.host_id,
+            token,
+        };
+        self.host
+            .arm_watch(sock, self.queue, period, deadline, token, event);
+    }
+
     /// Applies one control-plane [`KnobSetting`] to a socket through the
     /// uniform actuation path: dispatches to the socket's `apply`,
     /// executes any disposal actions it emits (a delayed-ACK flush or
@@ -422,6 +449,9 @@ fn apply_actions(
 ) {
     let now = queue.now();
     let host_id = host.id;
+    // Every socket entry point ends here, so this is where a continuation
+    // parked on the socket's estimator stamp learns that it moved.
+    release_watch(host, sock, queue);
     let mut transmitted = false;
     for action in actions.drain(..) {
         match action {
@@ -533,6 +563,38 @@ fn apply_actions(
         cpu.run(now, host.costs.tx_doorbell);
         host.doorbells += 1;
     }
+}
+
+/// Queues the call of the continuation parked on `sock` (see
+/// [`HostCtx::call_on_change`]) if the socket's estimator stamp has moved
+/// under it.
+// hot-path: runs on every socket action batch; must not allocate per call
+#[inline]
+fn release_watch(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>) {
+    if let Some((at, token)) = host.take_changed_watch(sock, queue) {
+        queue.schedule_at(at, Event::AppCall { host: host.id, token });
+    }
+}
+
+/// One socket's share of a crash: its state is gone ([`TcpSocket::reset`]),
+/// its flow mapping and pending timers with it, a continuation parked on
+/// it is released (the reset moved the stamp), and the application wakes
+/// with `Reset`.
+fn crash_socket(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>) {
+    let host_id = host.id;
+    let flow = host.socket(sock).flow();
+    host.socket_mut(sock).reset();
+    host.remove_flow(flow);
+    host.cancel_timers(sock, queue);
+    release_watch(host, sock, queue);
+    queue.schedule(
+        Nanos::ZERO,
+        Event::AppWake {
+            host: host_id,
+            sock,
+            reason: WakeReason::Reset,
+        },
+    );
 }
 
 /// Applies one deterministic bit flip to an exchange option. Fields
@@ -881,23 +943,9 @@ impl SimCore {
                 // new socket gets a new epoch.
                 let host = &mut self.hosts[target];
                 for i in 0..host.socket_count() {
-                    let id = SocketId(i);
-                    let sock = host.socket_mut(id);
-                    if sock.state() == TcpState::Closed {
-                        continue;
+                    if host.socket(SocketId(i)).state() != TcpState::Closed {
+                        crash_socket(host, SocketId(i), queue);
                     }
-                    let flow = sock.flow();
-                    sock.reset();
-                    host.remove_flow(flow);
-                    host.cancel_timers(id, queue);
-                    queue.schedule(
-                        Nanos::ZERO,
-                        Event::AppWake {
-                            host: HostId::from_index(target),
-                            sock: id,
-                            reason: WakeReason::Reset,
-                        },
-                    );
                 }
             }
             Event::ShardCrash => {
@@ -942,19 +990,7 @@ impl SimCore {
                     .collect();
                 ends.extend(far);
                 for (h, id) in ends {
-                    let host = &mut self.hosts[h];
-                    let flow = host.socket(id).flow();
-                    host.socket_mut(id).reset();
-                    host.remove_flow(flow);
-                    host.cancel_timers(id, queue);
-                    queue.schedule(
-                        Nanos::ZERO,
-                        Event::AppWake {
-                            host: HostId::from_index(h),
-                            sock: id,
-                            reason: WakeReason::Reset,
-                        },
-                    );
+                    crash_socket(&mut self.hosts[h], id, queue);
                 }
             }
             Event::AppWake {

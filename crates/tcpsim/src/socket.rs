@@ -434,8 +434,11 @@ impl TcpSocket {
     /// ignores all input, and never shares counters again. The host drops
     /// the flow mapping and invalidates pending timers; the application is
     /// woken separately to re-establish a fresh connection (whose new
-    /// socket gets a new epoch).
+    /// socket gets a new epoch). Counts as a change for
+    /// [`estimator_stamp`](Self::estimator_stamp): whoever waits on the
+    /// stamp must not sleep through the connection's death.
     pub fn reset(&mut self) {
+        self.estimator_stamp += 1;
         self.state = TcpState::Closed;
         self.rto_armed = false;
         self.corked_since = None;

@@ -8,9 +8,12 @@
 
 use e2e_batching::batchpolicy::Objective;
 use e2e_batching::e2e_apps::driver::EstimateRecorder;
+use e2e_batching::e2e_apps::experiments::{AdversaryClass, CHAOS_STALENESS_BOUND};
+use e2e_batching::e2e_apps::runner::{ClientResult, PointResult};
 use e2e_batching::e2e_apps::{
     run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
 };
+use e2e_batching::e2e_core::ValidateConfig;
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
 use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig, Unit};
@@ -169,11 +172,14 @@ fn invariant_gates_are_nonvacuous_on_all_16_connections() {
 }
 
 /// At a per-connection rate well under the tick rate most ticks find
-/// their socket untouched and are deferred. Each of those asserts (under
+/// their socket untouched and are deferred — the first of a stretch by
+/// running (the client parks on it), the rest booked when the client
+/// wakes. Each tick that does run over an unchanged stamp asserts (under
 /// the debug assertions this suite runs with) that the extrapolated
-/// inputs equal a fresh read of the socket — so this run is the check
-/// that the estimator stamp covers every mutation site, on every
-/// connection, and it must not be vacuous.
+/// inputs equal a fresh read of the socket, and every flush cross-checks
+/// what it skipped against a one-tick-at-a-time replay — so this run is
+/// the check that the estimator stamp covers every mutation site, on
+/// every connection, and it must not be vacuous.
 #[test]
 fn deferred_ticks_are_cross_checked_on_all_16_connections() {
     let end = Nanos::from_millis(220);
@@ -194,4 +200,144 @@ fn deferred_ticks_are_cross_checked_on_all_16_connections() {
             "client {i}: no estimate"
         );
     }
+}
+
+/// Every field of a [`PointResult`] as text, one per line, except the
+/// three that describe the implementation rather than the simulated
+/// system: `events` and the per-client tick counters, returned beside it.
+/// The destructuring is exhaustive, so a new field cannot stay out of the
+/// comparison unnoticed.
+fn describe(r: PointResult) -> (String, u64, Vec<(u64, u64)>) {
+    let PointResult {
+        offered_rps,
+        achieved_rps,
+        measured_mean,
+        measured_p50,
+        measured_p99,
+        samples,
+        estimated_bytes,
+        estimated_packets,
+        estimated_messages,
+        estimated_hint,
+        tracker_mean,
+        srtt,
+        client_cpu,
+        server_cpu,
+        packets_to_server,
+        packets_to_client,
+        nagle_holds,
+        client_on_fraction,
+        server_on_fraction,
+        aimd_mean_limit,
+        exchanges_received,
+        num_clients,
+        per_client,
+        server_aggregate_latency,
+        link_faults,
+        fault_blackout_time,
+        client_breaker_trips,
+        server_breaker_trips,
+        plane_nagle_switches,
+        plane_delack_switches,
+        plane_cork_switches,
+        plane_explorations,
+        plane_cork_limit,
+        validation,
+        client_restarts,
+        fault_restarts,
+        events,
+    } = r;
+    let mut lines = vec![
+        format!("offered_rps {offered_rps:?} achieved_rps {achieved_rps:?} samples {samples}"),
+        format!("measured mean {measured_mean:?} p50 {measured_p50:?} p99 {measured_p99:?}"),
+        format!(
+            "estimated bytes {estimated_bytes:?} packets {estimated_packets:?} \
+             messages {estimated_messages:?} hint {estimated_hint:?}"
+        ),
+        format!("tracker_mean {tracker_mean:?} srtt {srtt:?}"),
+        format!("client_cpu {client_cpu:?} server_cpu {server_cpu:?}"),
+        format!(
+            "packets {packets_to_server}+{packets_to_client} nagle_holds {nagle_holds} \
+             exchanges_received {exchanges_received} num_clients {num_clients}"
+        ),
+        format!(
+            "on_fraction {client_on_fraction:?}/{server_on_fraction:?} \
+             aimd_mean_limit {aimd_mean_limit:?} server_aggregate {server_aggregate_latency:?}"
+        ),
+        format!("link_faults {link_faults:?} blackout {fault_blackout_time:?}"),
+        format!(
+            "breaker_trips {client_breaker_trips:?}/{server_breaker_trips:?} plane \
+             {plane_nagle_switches:?} {plane_delack_switches:?} {plane_cork_switches:?} \
+             {plane_explorations:?} {plane_cork_limit:?}"
+        ),
+        format!("validation {validation:?}"),
+        format!("restarts client {client_restarts} fault {fault_restarts}"),
+    ];
+    let mut ticks = Vec::new();
+    for (i, client) in per_client.into_iter().enumerate() {
+        let ClientResult {
+            offered_rps,
+            achieved_rps,
+            samples,
+            measured_mean,
+            measured_p99,
+            estimated_bytes,
+            exchanges_received,
+            ticks_run,
+            ticks_skipped,
+        } = client;
+        lines.push(format!(
+            "client {i}: offered {offered_rps:?} achieved {achieved_rps:?} samples {samples} \
+             mean {measured_mean:?} p99 {measured_p99:?} bytes {estimated_bytes:?} \
+             exchanges {exchanges_received}"
+        ));
+        ticks.push((ticks_run, ticks_skipped));
+    }
+    (lines.join("\n") + "\n", events, ticks)
+}
+
+/// Demand-armed ticks and skip-ahead replay change what the simulator
+/// does, not what it simulates. Two runs whose clients only record — so
+/// their tick chains park — are held, field by field, against what the
+/// last commit with a purely periodic tick chain (ac22b8f, PR 17)
+/// reported for them: sixteen quiet connections with hints on, and four
+/// connections whose processes are killed every 50 ms while a validator
+/// and a staleness bound guard the estimators. Every simulated figure is
+/// equal; only `events` fell, and every client slept through ticks.
+#[test]
+fn parked_clients_report_what_periodic_clients_reported() {
+    let quiet = RunConfig {
+        warmup: Nanos::from_millis(50),
+        measure: Nanos::from_millis(250),
+        num_clients: 16,
+        seed: 0x9A4C,
+        ..RunConfig::new(WorkloadSpec::fig4a(4_000.0), NagleSetting::Off)
+    };
+    let chaos = RunConfig {
+        num_clients: 4,
+        fault: AdversaryClass::Restart.fault_at(1.0),
+        staleness_bound: Some(CHAOS_STALENESS_BOUND),
+        validate: Some(ValidateConfig::default()),
+        ..quiet
+    };
+    let golden = include_str!("golden/parked_points.txt");
+    let mut got = String::new();
+    // (label, config, `events` at ac22b8f)
+    for (label, cfg, periodic_events) in [("quiet16", quiet, 39_397u64), ("restart4", chaos, 30_606)] {
+        assert!(cfg.use_hints, "hints on");
+        let (text, events, ticks) = describe(run_point(&cfg));
+        got += &format!("[{label}]\n{text}");
+        assert!(
+            events < periodic_events,
+            "{label}: {events} events, {periodic_events} with a periodic chain"
+        );
+        assert_eq!(ticks.len(), cfg.num_clients);
+        for (i, (run, skipped)) in ticks.into_iter().enumerate() {
+            assert!(skipped > 0 && run > 0, "{label} client {i}: {run} run, {skipped} skipped");
+            // Together: every 500 µs instant of the 320 ms run, give or
+            // take the connection set-up and an open last park.
+            assert!((600..=640).contains(&(run + skipped)), "{label} client {i}: {run} + {skipped}");
+        }
+    }
+    assert_eq!(got, golden, "a simulated figure moved");
 }
