@@ -21,6 +21,9 @@ cargo run -q -p xtask -- lint
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> rustdoc (broken or private intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo test -q --workspace (root integration tests + every crate's own)"
 cargo test -q --workspace
 

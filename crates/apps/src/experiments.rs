@@ -717,8 +717,8 @@ pub fn knobs(
 /// adaptive) at the same aggregate `rate_rps`.
 ///
 /// The adaptive run is the graceful-degradation configuration under test:
-/// ε-greedy dynamic toggling behind a [`CircuitBreaker`]
-/// (batchpolicy::CircuitBreaker) with the default trip/backoff profile,
+/// ε-greedy dynamic toggling behind a [`batchpolicy::CircuitBreaker`]
+/// with the default trip/backoff profile,
 /// with estimator confidence driven by [`CHAOS_STALENESS_BOUND`].
 pub fn chaos(
     classes: &[ChaosClass],

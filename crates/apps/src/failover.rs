@@ -3,7 +3,7 @@
 //! The two-tier harness ([`crate::shard`]) measures batching under a
 //! healthy shard tier; this one measures *survival*: the same skewed
 //! N-client → proxy → K-shard topology with a tier-aware
-//! [`ShardFaultPlan`](simnet::ShardFaultPlan) killing or browning out
+//! [`ShardFaultPlan`] killing or browning out
 //! shards mid-run, against a ladder of proxy defense arms
 //! ([`FailoverArm`]): the naive no-defense proxy, deadlines only,
 //! budgeted retries, and the full retry + hedge + breaker stack with

@@ -18,7 +18,7 @@ const DEDUP_WINDOW: usize = 4096;
 /// *idempotently*: a SET whose id was already applied is acknowledged
 /// without re-executing, so a retry racing its original — or a hedge
 /// racing its primary — never double-applies. The window of remembered
-/// ids is bounded ([`DEDUP_WINDOW`]); untagged commands bypass it.
+/// ids is bounded (`DEDUP_WINDOW`); untagged commands bypass it.
 #[derive(Debug, Default)]
 pub struct KvStore {
     map: HashMap<Payload, Payload>,

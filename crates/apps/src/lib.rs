@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conn;
 pub mod cost;
 pub mod driver;
 pub mod experiments;

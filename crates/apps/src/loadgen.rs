@@ -7,7 +7,10 @@
 //! moment the client application *finishes processing* its response,
 //! matching the end-to-end definition of the paper's Figure 1.
 //!
-//! The client also runs the measurement machinery under study:
+//! The socket side — wake latches, response parser, write backlog, reset
+//! teardown — is the shared connection seat (`conn::Conn`); what is the
+//! client's own is the `pending` FIFO that pairs responses with arrival
+//! times. The client also runs the measurement machinery under study:
 //!
 //! * a [`RequestTracker`] (`create`/`complete`) — the application-level
 //!   ground truth, optionally forwarded to the server as hints;
@@ -35,21 +38,18 @@ use littles::{Nanos, Snapshot};
 use simnet::{Histogram, Pcg32};
 use tcpsim::{App, HostCtx, SocketId, TcpConfig, WakeReason};
 
+use crate::conn::{token, Conn};
 use crate::cost::AppCosts;
 use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver};
-use crate::resp::{encode_get, encode_set, Response, ResponseParser};
+use crate::resp::{encode_get, encode_set};
 use crate::workload::WorkloadSpec;
 
-const TOKEN_KIND_SHIFT: u32 = 32;
-const KIND_ARRIVAL: u64 = 1;
-const KIND_PROCESS: u64 = 2;
-const KIND_TICK: u64 = 3;
-const KIND_FLUSH: u64 = 4;
-const KIND_RECONNECT: u64 = 5;
-
-fn token(kind: u64) -> u64 {
-    kind << TOKEN_KIND_SHIFT
-}
+// Continuation tokens: one connection, so a kind needs no index.
+const ARRIVAL: u64 = token(1, 0);
+const PROCESS: u64 = token(2, 0);
+const TICK: u64 = token(3, 0);
+const FLUSH: u64 = token(4, 0);
+const RECONNECT: u64 = token(5, 0);
 
 /// A skewed key-selection pool: draws from a small *hot* set of key
 /// indices with probability `hot_fraction`, from the *cold* remainder
@@ -124,13 +124,11 @@ pub struct LancetClient {
     reconnect_backoff: Nanos,
     /// Number of `Reset` wakes observed (crash/restart fault injections).
     pub restarts_seen: u64,
-    parser: ResponseParser,
+    /// Parser, wake latches and write backlog of the current connection.
+    conn: Conn,
     /// In-flight requests: (arrival time, is_set), FIFO (RESP responses
     /// arrive in order).
     pending: VecDeque<(Nanos, bool)>,
-    backlog: VecDeque<Vec<u8>>,
-    call_pending: bool,
-    flush_pending: bool,
     key_counter: u64,
     key_pool: Option<KeyPool>,
 
@@ -181,11 +179,8 @@ impl LancetClient {
             ticks_skipped: 0,
             reconnect_backoff: Nanos::from_millis(1),
             restarts_seen: 0,
-            parser: ResponseParser::new(),
+            conn: Conn::default(),
             pending: VecDeque::new(),
-            backlog: VecDeque::new(),
-            call_pending: false,
-            flush_pending: false,
             key_counter: 0,
             key_pool: None,
             hist: Histogram::new(),
@@ -291,46 +286,28 @@ impl LancetClient {
             // requests during the outage are lost (not queued) — the
             // restarted process has no memory of them.
             let gap = ctx.rng.exp_duration(self.spec.mean_interarrival());
-            ctx.call_after(gap, token(KIND_ARRIVAL));
+            ctx.call_after(gap, ARRIVAL);
             return;
         };
         let (wire, is_set) = self.next_wire(ctx);
         self.tracker.create(now, 1);
         ctx.charge_app(self.costs.client_request(wire.len()));
-        if self.backlog.is_empty() {
-            let accepted = if self.use_hints {
-                let hint = self.tracker.snapshot(now);
-                ctx.send_with_hint(sock, &wire, hint)
-            } else {
-                ctx.send(sock, &wire)
-            };
-            if accepted < wire.len() {
-                self.backlog.push_back(wire[accepted..].to_vec());
-            }
-        } else {
-            self.backlog.push_back(wire);
-        }
+        let hint = self.use_hints.then(|| self.tracker.snapshot(now));
+        self.conn.send(ctx, sock, wire, hint);
         self.pending.push_back((now, is_set));
         self.sent += 1;
         // Self-perpetuating Poisson arrivals.
         let gap = ctx.rng.exp_duration(self.spec.mean_interarrival());
-        ctx.call_after(gap, token(KIND_ARRIVAL));
+        ctx.call_after(gap, ARRIVAL);
     }
 
     fn process(&mut self, ctx: &mut HostCtx<'_>) {
-        self.call_pending = false;
         let now = ctx.now();
-        let Some(sock) = self.sock else {
+        if !self.conn.read(ctx, self.sock) {
             return; // crashed between the wake and this call
-        };
-        let (data, _) = ctx.recv(sock, usize::MAX);
-        self.parser.feed(&data);
-        while let Some(resp) = self.parser.next_response() {
-            let payload = match &resp {
-                Response::Value(v) => v.len(),
-                Response::Ok | Response::Nil => 0,
-            };
-            let done = ctx.charge_app(self.costs.client_response(payload));
+        }
+        while let Some(resp) = self.conn.parser.next_response() {
+            let done = ctx.charge_app(self.costs.client_response(resp.payload_len()));
             let (sent_at, _is_set) = self
                 .pending
                 .pop_front()
@@ -395,29 +372,13 @@ impl LancetClient {
         match (quiet, edge) {
             (Some(sock), Some(edge)) => {
                 let periods = (edge - now).as_nanos().div_ceil(period.as_nanos());
-                ctx.call_on_change(sock, period, now + period * periods, token(KIND_TICK));
+                ctx.call_on_change(sock, period, now + period * periods, TICK);
                 self.parked_at = Some(now);
             }
-            _ => ctx.call_after(period, token(KIND_TICK)),
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut HostCtx<'_>) {
-        self.flush_pending = false;
-        let Some(sock) = self.sock else {
-            return; // crashed between the wake and this call
-        };
-        while let Some(front) = self.backlog.front_mut() {
-            let accepted = ctx.send(sock, front);
-            if accepted < front.len() {
-                front.drain(..accepted);
-                break;
-            }
-            self.backlog.pop_front();
+            _ => ctx.call_after(period, TICK),
         }
     }
 }
-
 
 impl App for LancetClient {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -433,22 +394,12 @@ impl App for LancetClient {
                 if !self.started {
                     self.started = true;
                     let gap = ctx.rng.exp_duration(self.spec.mean_interarrival());
-                    ctx.call_after(gap, token(KIND_ARRIVAL));
-                    ctx.call_after(self.tick_period, token(KIND_TICK));
+                    ctx.call_after(gap, ARRIVAL);
+                    ctx.call_after(self.tick_period, TICK);
                 }
             }
-            WakeReason::Readable => {
-                if !self.call_pending {
-                    self.call_pending = true;
-                    ctx.wake_app_thread(token(KIND_PROCESS));
-                }
-            }
-            WakeReason::Writable => {
-                if !self.backlog.is_empty() && !self.flush_pending {
-                    self.flush_pending = true;
-                    ctx.call_at(ctx.app_free_at(), token(KIND_FLUSH));
-                }
-            }
+            WakeReason::Readable => self.conn.on_readable(ctx, PROCESS),
+            WakeReason::Writable => self.conn.on_writable(ctx, FLUSH),
             WakeReason::Accepted => {}
             WakeReason::Reset => {
                 // The process crashed: every pending request's response is
@@ -464,28 +415,25 @@ impl App for LancetClient {
                     self.tracker.complete(now, lost);
                 }
                 self.pending.clear();
-                self.backlog.clear();
-                self.parser = ResponseParser::new();
-                self.call_pending = false;
-                self.flush_pending = false;
+                self.conn = Conn::default();
                 self.sock = None;
-                ctx.call_after(self.reconnect_backoff, token(KIND_RECONNECT));
+                ctx.call_after(self.reconnect_backoff, RECONNECT);
             }
         }
     }
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
-        match tok >> TOKEN_KIND_SHIFT {
-            KIND_ARRIVAL => self.arrival(ctx),
-            KIND_PROCESS => self.process(ctx),
-            KIND_TICK => self.tick(ctx),
-            KIND_FLUSH => self.flush(ctx),
-            KIND_RECONNECT => {
+        match tok {
+            ARRIVAL => self.arrival(ctx),
+            PROCESS => self.process(ctx),
+            TICK => self.tick(ctx),
+            FLUSH => self.conn.flush(ctx, self.sock),
+            RECONNECT => {
                 if self.sock.is_none() {
                     ctx.connect(self.config);
                 }
             }
-            other => panic!("unknown client token kind {other}"),
+            other => panic!("unknown client token {other:#x}"),
         }
     }
 }

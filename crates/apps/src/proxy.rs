@@ -7,6 +7,11 @@
 //! requesting client in FIFO order per shard — exactly the structure of a
 //! Redis Cluster proxy or a memcached router like mcrouter.
 //!
+//! Both kinds of connection sit on the shared seat (`conn::Conn`): one
+//! per client socket, and one inside each upstream beside what only an
+//! upstream has — the `waiting` FIFO that pairs responses with requests
+//! and the reconnect ladder.
+//!
 //! Because both legs are real [`tcpsim`] connections, every batching
 //! mechanism under study runs twice per request, and the proxy is the
 //! natural seat for the paper's estimation machinery: it sees the
@@ -35,17 +40,16 @@ use littles::Nanos;
 use simnet::{Histogram, Pcg32};
 use tcpsim::{App, HostCtx, HostId, SocketId, TcpConfig, WakeReason};
 
+use crate::conn::{token, untoken, Conn};
 use crate::cost::AppCosts;
 use crate::driver::ProxyDriver;
-use crate::resp::{
-    encode_get, encode_get_with_id, encode_response, encode_set, encode_set_with_id, Command,
-    CommandParser, Response, ResponseParser,
-};
+use crate::resp::{encode_response, Command, Response};
 
-const TOKEN_KIND_SHIFT: u32 = 32;
+// Token kinds; the index is a client socket unless a kind says otherwise.
 const KIND_PROCESS: u64 = 1;
 const KIND_TICK: u64 = 2;
 const KIND_FLUSH: u64 = 3;
+/// Process / flush an upstream; the index is the shard.
 const KIND_UP_PROCESS: u64 = 4;
 const KIND_UP_FLUSH: u64 = 5;
 /// Fire a scheduled retry; the index is the request id.
@@ -54,10 +58,6 @@ const KIND_RETRY: u64 = 6;
 const KIND_RECONNECT: u64 = 7;
 /// Deadline/hedge scan (resilient proxies only; idx unused).
 const KIND_SCAN: u64 = 8;
-
-fn token(kind: u64, idx: usize) -> u64 {
-    (kind << TOKEN_KIND_SHIFT) | idx as u64
-}
 
 /// Virtual nodes per shard on the hash ring. Enough to spread each
 /// shard's arcs well; small enough that ring construction stays trivial.
@@ -84,7 +84,7 @@ fn key_hash(key: &[u8]) -> u64 {
 
 /// Consistent-hash key → shard routing.
 ///
-/// Each shard owns [`VNODES`] points on a 64-bit ring, placed by the
+/// Each shard owns `VNODES` points on a 64-bit ring, placed by the
 /// `"shard.salt"` named RNG stream (so ring layout depends only on the
 /// seed, never on call order elsewhere); a key maps to the owner of the
 /// first point at or clockwise of its hash. Adding or removing one shard
@@ -154,36 +154,13 @@ impl ShardRouter {
     }
 }
 
-/// One client-facing connection's state.
-struct ClientConn {
-    parser: CommandParser,
-    call_pending: bool,
-    /// Responses (or tails) awaiting client-socket send-buffer space.
-    out_backlog: VecDeque<Vec<u8>>,
-    flush_pending: bool,
-}
-
-impl ClientConn {
-    fn new() -> Self {
-        ClientConn {
-            parser: CommandParser::new(),
-            call_pending: false,
-            out_backlog: VecDeque::new(),
-            flush_pending: false,
-        }
-    }
-}
-
 /// One upstream (proxy → shard) connection's state.
 struct Upstream {
     sock: SocketId,
     connected: bool,
-    parser: ResponseParser,
-    call_pending: bool,
-    /// Commands (or tails) awaiting upstream send-buffer space; also
-    /// buffers everything issued before the handshake completes.
-    out_backlog: VecDeque<Vec<u8>>,
-    flush_pending: bool,
+    /// The connection seat; its backlog also holds everything issued
+    /// before the handshake completes.
+    conn: Conn,
     /// Requests awaiting responses from this shard with the time each
     /// command was forwarded, in request order (RESP responses come back
     /// FIFO per connection).
@@ -193,6 +170,13 @@ struct Upstream {
     /// Consecutive re-dials since the last successful connect; indexes
     /// the reconnect backoff ladder.
     reconnect_attempts: u32,
+}
+
+impl Upstream {
+    /// The socket, while the connection is up.
+    fn live(&self) -> Option<SocketId> {
+        self.connected.then_some(self.sock)
+    }
 }
 
 /// The proxy's failure-handling configuration — one per arm of the
@@ -306,7 +290,8 @@ pub struct ProxyApp {
     /// Deadline/hedge scan cadence. Much finer than the estimation tick:
     /// a hedge fired one tick late is a hedge that loses to the deadline.
     scan_period: Nanos,
-    conns: BTreeMap<usize, ClientConn>,
+    /// Client-facing connections by socket, entered on first use.
+    conns: BTreeMap<usize, Conn>,
     /// Upstream state, indexed by shard.
     ups: Vec<Upstream>,
     /// Upstream socket → shard (the wake path's reverse map). Stale
@@ -453,90 +438,16 @@ impl ProxyApp {
         self.reqs.len()
     }
 
-    /// Writes to a client socket, stashing what the send buffer rejects.
-    fn send_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, wire: Vec<u8>) {
-        let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-        if conn.out_backlog.is_empty() {
-            let sent = ctx.send(sock, &wire);
-            if sent < wire.len() {
-                let conn = self.conns.get_mut(&sock.0).expect("conn");
-                conn.out_backlog.push_back(wire[sent..].to_vec());
-            }
-        } else {
-            conn.out_backlog.push_back(wire);
-        }
-    }
-
-    /// Writes to a shard's upstream, buffering while unconnected or
-    /// backpressured.
-    fn send_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize, wire: Vec<u8>) {
-        let up = &mut self.ups[shard];
-        if up.connected && up.out_backlog.is_empty() {
-            let sock = up.sock;
-            let sent = ctx.send(sock, &wire);
-            if sent < wire.len() {
-                self.ups[shard].out_backlog.push_back(wire[sent..].to_vec());
-            }
-        } else {
-            up.out_backlog.push_back(wire);
-        }
-    }
-
-    /// Drains a client socket's write backlog as far as the buffer allows.
-    fn flush_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-        conn.flush_pending = false;
-        while let Some(front) = self
-            .conns
-            .get_mut(&sock.0)
-            .expect("conn")
-            .out_backlog
-            .front_mut()
-        {
-            let sent = ctx.send(sock, front);
-            let done = sent == front.len();
-            let conn = self.conns.get_mut(&sock.0).expect("conn");
-            let front = conn.out_backlog.front_mut().expect("non-empty");
-            if !done {
-                front.drain(..sent);
-                break;
-            }
-            conn.out_backlog.pop_front();
-        }
-    }
-
-    /// Drains a shard upstream's write backlog.
-    fn flush_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
-        self.ups[shard].flush_pending = false;
-        if !self.ups[shard].connected {
-            return;
-        }
-        let sock = self.ups[shard].sock;
-        while let Some(front) = self.ups[shard].out_backlog.front_mut() {
-            let sent = ctx.send(sock, front);
-            if sent < front.len() {
-                front.drain(..sent);
-                break;
-            }
-            self.ups[shard].out_backlog.pop_front();
-        }
+    /// The client-facing connection on `sock`.
+    fn front(&mut self, sock: SocketId) -> &mut Conn {
+        self.conns.entry(sock.0).or_default()
     }
 
     /// One processing pass over a client connection: read, route every
     /// complete command to its shard, remember who to answer.
     fn process_client(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-        conn.call_pending = false;
-        let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        let conn = self.conns.get_mut(&sock.0).expect("just inserted");
-        conn.parser.feed(&data);
-        while let Some(cmd) = self
-            .conns
-            .get_mut(&sock.0)
-            .expect("conn")
-            .parser
-            .next_command()
-        {
+        self.front(sock).read(ctx, Some(sock));
+        while let Some(cmd) = self.front(sock).parser.next_command() {
             self.admit(ctx, sock, cmd);
         }
     }
@@ -544,17 +455,9 @@ impl ProxyApp {
     /// Admits one client command: route (diverting an open-breaker home
     /// shard to the failover), register in the pending table, dispatch.
     fn admit(&mut self, ctx: &mut HostCtx<'_>, client: SocketId, cmd: Command) {
-        let (payload, home, failover) = match &cmd {
-            Command::Set { key, value, .. } => {
-                let (h, f) = self.router.route_with_failover(key);
-                (key.len() + value.len(), h, f)
-            }
-            Command::Get { key, .. } => {
-                let (h, f) = self.router.route_with_failover(key);
-                (key.len(), h, f)
-            }
-        };
-        ctx.charge_app(self.costs.proxy_forward(payload));
+        let (Command::Set { key, .. } | Command::Get { key, .. }) = &cmd;
+        let (home, failover) = self.router.route_with_failover(key);
+        ctx.charge_app(self.costs.proxy_forward(cmd.payload_len()));
         let now = ctx.now();
         let mut target = home;
         if self.resilience.is_some() {
@@ -596,31 +499,20 @@ impl ProxyApp {
         self.stats.per_shard[target] += 1;
     }
 
-    /// Encodes and sends one attempt of a pending request to `shard`.
-    /// Resilient mode tags the wire with the request id so the shard's
-    /// store can deduplicate retried/hedged writes; naive mode keeps the
-    /// untagged wire byte-identical to the pre-resilience proxy.
+    /// Encodes and sends one attempt of a pending request to `shard`,
+    /// holding it while the upstream is unconnected. Resilient mode tags
+    /// the wire with the request id so the shard's store can deduplicate
+    /// retried/hedged writes; naive mode keeps the untagged wire
+    /// byte-identical to the pre-resilience proxy.
     fn dispatch(&mut self, ctx: &mut HostCtx<'_>, id: u64, shard: usize) {
         let req = self.reqs.get(&id).expect("dispatching a pending request");
-        let tagged = self.resilience.is_some();
-        let wire = match &req.cmd {
-            Command::Set { key, value, .. } => {
-                if tagged {
-                    encode_set_with_id(key, value, id)
-                } else {
-                    encode_set(key, value)
-                }
-            }
-            Command::Get { key, .. } => {
-                if tagged {
-                    encode_get_with_id(key, id)
-                } else {
-                    encode_get(key)
-                }
-            }
-        };
-        self.ups[shard].waiting.push_back((id, ctx.now()));
-        self.send_upstream(ctx, shard, wire);
+        let wire = req.cmd.to_wire(self.resilience.map(|_| id));
+        let up = &mut self.ups[shard];
+        up.waiting.push_back((id, ctx.now()));
+        match up.live() {
+            Some(sock) => up.conn.send(ctx, sock, wire, None),
+            None => up.conn.hold(wire),
+        }
     }
 
     /// True when the shard's breaker (if any) admits new attempts.
@@ -634,19 +526,12 @@ impl ProxyApp {
     /// One processing pass over a shard upstream: read, relay every
     /// complete response to the client that asked, FIFO.
     fn process_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
-        self.ups[shard].call_pending = false;
-        if !self.ups[shard].connected {
+        let up = &mut self.ups[shard];
+        if !up.conn.read(ctx, up.live()) {
             return;
         }
-        let sock = self.ups[shard].sock;
-        let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        self.ups[shard].parser.feed(&data);
-        while let Some(resp) = self.ups[shard].parser.next_response() {
-            let payload = match &resp {
-                Response::Value(v) => v.len(),
-                Response::Ok | Response::Nil => 0,
-            };
-            ctx.charge_app(self.costs.proxy_forward(payload));
+        while let Some(resp) = self.ups[shard].conn.parser.next_response() {
+            ctx.charge_app(self.costs.proxy_forward(resp.payload_len()));
             let Some((id, sent_at)) = self.ups[shard].waiting.pop_front() else {
                 if self.resilience.is_none() {
                     panic!("response without a waiting client");
@@ -666,7 +551,8 @@ impl ProxyApp {
                     for a in req.live.iter().filter(|a| a.shard != shard) {
                         self.zombies.push((id, a.shard, a.deadline));
                     }
-                    self.send_client(ctx, req.client, encode_response(&resp));
+                    let wire = encode_response(&resp);
+                    self.front(req.client).send(ctx, req.client, wire, None);
                     self.stats.responses += 1;
                 }
                 None => {
@@ -690,11 +576,7 @@ impl ProxyApp {
             // Sorted client order (BTreeMap) keeps the tick deterministic.
             let client_socks: Vec<SocketId> =
                 self.conns.keys().map(|&s| SocketId(s)).collect();
-            let upstreams: Vec<Option<SocketId>> = self
-                .ups
-                .iter()
-                .map(|u| u.connected.then_some(u.sock))
-                .collect();
+            let upstreams: Vec<Option<SocketId>> = self.ups.iter().map(Upstream::live).collect();
             driver.tick(ctx, &client_socks, &upstreams);
             // Joint breaker feed: each *fresh* composed estimate reports
             // its confidence to the shard's breaker. Frozen estimates
@@ -832,7 +714,8 @@ impl ProxyApp {
             return;
         };
         self.stats.failed += 1;
-        self.send_client(ctx, req.client, encode_response(&Response::Nil));
+        let wire = encode_response(&Response::Nil);
+        self.front(req.client).send(ctx, req.client, wire, None);
     }
 
     /// A scheduled retry fires: issue the next attempt, alternating
@@ -871,8 +754,7 @@ impl ProxyApp {
             sent: now,
             deadline,
         });
-        let payload = cmd_payload(&req.cmd);
-        ctx.charge_app(self.costs.proxy_forward(payload));
+        ctx.charge_app(self.costs.proxy_forward(req.cmd.payload_len()));
         if target != home {
             self.stats.failovers += 1;
         }
@@ -916,15 +798,14 @@ impl ProxyApp {
             sent: now,
             deadline,
         });
-        let payload = cmd_payload(&req.cmd);
-        ctx.charge_app(self.costs.proxy_forward(payload));
+        ctx.charge_app(self.costs.proxy_forward(req.cmd.payload_len()));
         self.stats.failovers += 1;
         self.stats.per_shard[target] += 1;
         self.dispatch(ctx, id, target);
     }
 
-    /// An upstream connection reset. Tear the leg down cleanly: fresh
-    /// parser, cleared write backlog (never replayed on a new socket —
+    /// An upstream connection reset. Tear the leg down cleanly: a fresh
+    /// [`Conn`] (the write backlog is never replayed on a new socket —
     /// bytes already handed to the old socket are indistinguishable from
     /// delivered), and every in-flight request on this shard failed or
     /// retried — never left to mis-pair with the next connection's
@@ -938,9 +819,7 @@ impl ProxyApp {
         if self.resilience.is_none() {
             return;
         }
-        up.parser = ResponseParser::new();
-        up.out_backlog.clear();
-        up.flush_pending = false;
+        up.conn = Conn::default();
         let drained: Vec<u64> = up.waiting.drain(..).map(|(id, _)| id).collect();
         // The reset counts as one breaker failure; zombies on this shard
         // can never be answered now, so drop them rather than letting
@@ -969,9 +848,10 @@ impl ProxyApp {
         ctx.call_after(delay, token(KIND_RECONNECT, shard));
     }
 
-    /// Re-dials a reset upstream on a fresh socket. The old socket's
-    /// `up_by_sock` entry stays behind; wakes for it are filtered against
-    /// the upstream's current socket.
+    /// Re-dials a reset upstream on a fresh socket; commands held since
+    /// the reset go out on `Connected`. The old socket's `up_by_sock`
+    /// entry stays behind; wakes for it are filtered against the
+    /// upstream's current socket.
     fn reconnect_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
         self.ups[shard].reconnect_pending = false;
         if self.ups[shard].connected {
@@ -980,15 +860,6 @@ impl ProxyApp {
         let sock = ctx.connect_to(self.shard_hosts[shard], self.upstream_config);
         self.up_by_sock.insert(sock.0, shard);
         self.ups[shard].sock = sock;
-        self.ups[shard].parser = ResponseParser::new();
-    }
-}
-
-/// Payload size the proxy charges for re-encoding a command.
-fn cmd_payload(cmd: &Command) -> usize {
-    match cmd {
-        Command::Set { key, value, .. } => key.len() + value.len(),
-        Command::Get { key, .. } => key.len(),
     }
 }
 
@@ -1002,10 +873,7 @@ impl App for ProxyApp {
             self.ups.push(Upstream {
                 sock,
                 connected: false,
-                parser: ResponseParser::new(),
-                call_pending: false,
-                out_backlog: VecDeque::new(),
-                flush_pending: false,
+                conn: Conn::default(),
                 waiting: VecDeque::new(),
                 reconnect_pending: false,
                 reconnect_attempts: 0,
@@ -1030,13 +898,10 @@ impl App for ProxyApp {
         match reason {
             WakeReason::Connected => {
                 if let Some(shard) = upstream {
-                    self.ups[shard].connected = true;
-                    self.ups[shard].reconnect_attempts = 0;
-                    if !self.ups[shard].out_backlog.is_empty() && !self.ups[shard].flush_pending {
-                        self.ups[shard].flush_pending = true;
-                        let at = ctx.app_free_at();
-                        ctx.call_at(at, token(KIND_UP_FLUSH, shard));
-                    }
+                    let up = &mut self.ups[shard];
+                    up.connected = true;
+                    up.reconnect_attempts = 0;
+                    up.conn.on_writable(ctx, token(KIND_UP_FLUSH, shard));
                 }
             }
             WakeReason::Reset => {
@@ -1044,55 +909,30 @@ impl App for ProxyApp {
                     self.on_upstream_reset(ctx, shard);
                 }
             }
-            WakeReason::Accepted => {
-                self.conns.insert(sock.0, ClientConn::new());
-            }
+            WakeReason::Accepted => *self.front(sock) = Conn::default(),
             WakeReason::Readable => match upstream {
                 Some(shard) => {
-                    if !self.ups[shard].call_pending {
-                        self.ups[shard].call_pending = true;
-                        ctx.wake_app_thread(token(KIND_UP_PROCESS, shard));
-                    }
+                    self.ups[shard].conn.on_readable(ctx, token(KIND_UP_PROCESS, shard))
                 }
-                None => {
-                    let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-                    if !conn.call_pending {
-                        conn.call_pending = true;
-                        ctx.wake_app_thread(token(KIND_PROCESS, sock.0));
-                    }
-                }
+                None => self.front(sock).on_readable(ctx, token(KIND_PROCESS, sock.0)),
             },
             WakeReason::Writable => match upstream {
-                Some(shard) => {
-                    if self.ups[shard].connected
-                        && !self.ups[shard].out_backlog.is_empty()
-                        && !self.ups[shard].flush_pending
-                    {
-                        self.ups[shard].flush_pending = true;
-                        let at = ctx.app_free_at();
-                        ctx.call_at(at, token(KIND_UP_FLUSH, shard));
-                    }
-                }
-                None => {
-                    let conn = self.conns.entry(sock.0).or_insert_with(ClientConn::new);
-                    if !conn.out_backlog.is_empty() && !conn.flush_pending {
-                        conn.flush_pending = true;
-                        let at = ctx.app_free_at();
-                        ctx.call_at(at, token(KIND_FLUSH, sock.0));
-                    }
-                }
+                Some(shard) => self.ups[shard].conn.on_writable(ctx, token(KIND_UP_FLUSH, shard)),
+                None => self.front(sock).on_writable(ctx, token(KIND_FLUSH, sock.0)),
             },
         }
     }
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
-        let kind = tok >> TOKEN_KIND_SHIFT;
-        let idx = (tok & 0xFFFF_FFFF) as usize;
+        let (kind, idx) = untoken(tok);
         match kind {
             KIND_PROCESS => self.process_client(ctx, SocketId(idx)),
-            KIND_FLUSH => self.flush_client(ctx, SocketId(idx)),
+            KIND_FLUSH => self.front(SocketId(idx)).flush(ctx, Some(SocketId(idx))),
             KIND_UP_PROCESS => self.process_upstream(ctx, idx),
-            KIND_UP_FLUSH => self.flush_upstream(ctx, idx),
+            KIND_UP_FLUSH => {
+                let up = &mut self.ups[idx];
+                up.conn.flush(ctx, up.live());
+            }
             KIND_TICK => self.tick(ctx),
             KIND_SCAN => {
                 self.scan_deadlines(ctx);

@@ -3,9 +3,11 @@
 //! The evaluation workloads speak the protocol Redis speaks: commands are
 //! arrays of bulk strings (`*N\r\n$len\r\n<bytes>\r\n...`), SET replies
 //! with the simple string `+OK\r\n`, GET with a bulk string or the null
-//! bulk `$-1\r\n`. Parsers are incremental — they consume a TCP byte
-//! stream fed in arbitrary chunks, exactly as the server's read loop sees
-//! it.
+//! bulk `$-1\r\n`. One array encoder writes every command
+//! ([`Command::to_wire`]; [`encode_set`] / [`encode_get`] are its untagged
+//! shorthands) and one incremental parser, [`RespStream`], reads either
+//! direction: it consumes a TCP byte stream fed in arbitrary chunks,
+//! exactly as a read loop sees it.
 
 use tcpsim::Payload;
 
@@ -44,6 +46,30 @@ impl Command {
             Command::Set { id, .. } | Command::Get { id, .. } => *id,
         }
     }
+
+    /// Key plus value bytes — the size the applications' per-byte CPU
+    /// costs are charged on.
+    pub fn payload_len(&self) -> usize {
+        match self {
+            Command::Set { key, value, .. } => key.len() + value.len(),
+            Command::Get { key, .. } => key.len(),
+        }
+    }
+
+    /// The command on the wire, tagged with `id` when one is given (proxy
+    /// → shard traffic that may be retried or hedged) and plain otherwise.
+    /// The sender decides the tag: the command's own `id` is what its
+    /// previous hop sent and is not forwarded.
+    pub fn to_wire(&self, id: Option<u64>) -> Vec<u8> {
+        let id = id.map(u64::to_be_bytes);
+        let id = id.as_ref().map(|bytes| &bytes[..]);
+        match self {
+            Command::Set { key, value, .. } => {
+                encode_array(&[Some(b"SET"), Some(key), Some(value), id])
+            }
+            Command::Get { key, .. } => encode_array(&[Some(b"GET"), Some(key), id]),
+        }
+    }
 }
 
 /// A server reply.
@@ -57,41 +83,25 @@ pub enum Response {
     Nil,
 }
 
-/// Encodes a SET command.
+impl Response {
+    /// Value bytes carried (none for `Ok` and `Nil`) — the size the
+    /// applications' per-byte CPU costs are charged on.
+    pub fn payload_len(&self) -> usize {
+        match self {
+            Response::Value(v) => v.len(),
+            Response::Ok | Response::Nil => 0,
+        }
+    }
+}
+
+/// Encodes an untagged SET command.
 pub fn encode_set(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(value.len() + key.len() + 40);
-    out.extend_from_slice(b"*3\r\n$3\r\nSET\r\n");
-    push_bulk(&mut out, key);
-    push_bulk(&mut out, value);
-    out
+    encode_array(&[Some(b"SET"), Some(key), Some(value)])
 }
 
-/// Encodes a GET command.
+/// Encodes an untagged GET command.
 pub fn encode_get(key: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 24);
-    out.extend_from_slice(b"*2\r\n$3\r\nGET\r\n");
-    push_bulk(&mut out, key);
-    out
-}
-
-/// Encodes a SET tagged with a request id (proxy → shard traffic that may
-/// be retried or hedged).
-pub fn encode_set_with_id(key: &[u8], value: &[u8], id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(value.len() + key.len() + 56);
-    out.extend_from_slice(b"*4\r\n$3\r\nSET\r\n");
-    push_bulk(&mut out, key);
-    push_bulk(&mut out, value);
-    push_bulk(&mut out, &id.to_be_bytes());
-    out
-}
-
-/// Encodes a GET tagged with a request id.
-pub fn encode_get_with_id(key: &[u8], id: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + 40);
-    out.extend_from_slice(b"*3\r\n$3\r\nGET\r\n");
-    push_bulk(&mut out, key);
-    push_bulk(&mut out, &id.to_be_bytes());
-    out
+    encode_array(&[Some(b"GET"), Some(key)])
 }
 
 /// Encodes a response.
@@ -107,42 +117,30 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     }
 }
 
+/// Writes the arguments that are present as one array of bulk strings (an
+/// absent one is the request id of an untagged command).
+fn encode_array(args: &[Option<&[u8]>]) -> Vec<u8> {
+    let present = || args.iter().flatten();
+    let mut out = Vec::with_capacity(present().map(|arg| arg.len() + 16).sum::<usize>() + 8);
+    push_header(&mut out, b'*', present().count());
+    for arg in present() {
+        push_bulk(&mut out, arg);
+    }
+    out
+}
+
 fn push_bulk(out: &mut Vec<u8>, data: &[u8]) {
-    out.push(b'$');
-    out.extend_from_slice(data.len().to_string().as_bytes());
-    out.extend_from_slice(b"\r\n");
+    push_header(out, b'$', data.len());
     out.extend_from_slice(data);
     out.extend_from_slice(b"\r\n");
 }
 
-/// Incremental stream parser state shared by both directions.
-#[derive(Debug, Default)]
-struct StreamBuf {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl StreamBuf {
-    fn feed(&mut self, data: &[u8]) {
-        // Compact before growing if most of the buffer is consumed.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(data);
-    }
-
-    fn rest(&self) -> &[u8] {
-        &self.buf[self.pos..]
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    fn unread(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+/// `*<n>\r\n` opens an array of `n` elements, `$<n>\r\n` a bulk string
+/// of `n` bytes.
+fn push_header(out: &mut Vec<u8>, kind: u8, n: usize) {
+    out.push(kind);
+    out.extend_from_slice(n.to_string().as_bytes());
+    out.extend_from_slice(b"\r\n");
 }
 
 /// Reads one `\r\n`-terminated line starting at `from`; returns the line
@@ -175,13 +173,22 @@ fn read_bulk(data: &[u8]) -> Option<(Option<&[u8]>, usize)> {
     Some((Some(&data[h..h + len]), h + len + 2))
 }
 
-/// Incremental parser for client commands (the server's read side).
+/// Incremental parser over one direction of one connection's byte stream:
+/// [`next_command`](Self::next_command) on the side that serves,
+/// [`next_response`](Self::next_response) on the side that asked.
 #[derive(Debug, Default)]
-pub struct CommandParser {
-    stream: StreamBuf,
+pub struct RespStream {
+    buf: Vec<u8>,
+    /// Bytes of `buf` already parsed.
+    pos: usize,
 }
 
-impl CommandParser {
+/// The read side of a connection that carries commands.
+pub type CommandParser = RespStream;
+/// The read side of a connection that carries responses.
+pub type ResponseParser = RespStream;
+
+impl RespStream {
     /// Creates an empty parser.
     pub fn new() -> Self {
         Self::default()
@@ -189,12 +196,17 @@ impl CommandParser {
 
     /// Appends raw stream bytes.
     pub fn feed(&mut self, data: &[u8]) {
-        self.stream.feed(data);
+        // Compact before growing if most of the buffer is consumed.
+        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(data);
     }
 
-    /// Bytes buffered but not yet parsed into a complete command.
+    /// Bytes buffered but not yet parsed into a complete message.
     pub fn pending_bytes(&self) -> usize {
-        self.stream.unread()
+        self.buf.len() - self.pos
     }
 
     /// Extracts the next complete command, if any.
@@ -204,7 +216,7 @@ impl CommandParser {
     /// Panics on malformed input (the simulation's peers are trusted; a
     /// production implementation would return an error).
     pub fn next_command(&mut self) -> Option<Command> {
-        let data = self.stream.rest();
+        let data = &self.buf[self.pos..];
         let (header, mut used) = read_line(data)?;
         assert_eq!(header.first(), Some(&b'*'), "expected array header");
         let nargs = parse_usize(&header[1..]).expect("array length");
@@ -214,7 +226,7 @@ impl CommandParser {
             args.push(Payload::copy_from_slice(bulk.expect("commands have no null args")));
             used += n;
         }
-        self.stream.advance(used);
+        self.pos += used;
         let id_arg = |arg: &Payload| {
             let bytes: [u8; 8] = arg.as_ref().try_into().expect("request id is 8 bytes");
             u64::from_be_bytes(bytes)
@@ -241,24 +253,6 @@ impl CommandParser {
             other => panic!("unsupported command {:?}", String::from_utf8_lossy(other)),
         }
     }
-}
-
-/// Incremental parser for server responses (the client's read side).
-#[derive(Debug, Default)]
-pub struct ResponseParser {
-    stream: StreamBuf,
-}
-
-impl ResponseParser {
-    /// Creates an empty parser.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw stream bytes.
-    pub fn feed(&mut self, data: &[u8]) {
-        self.stream.feed(data);
-    }
 
     /// Extracts the next complete response, if any.
     ///
@@ -266,13 +260,12 @@ impl ResponseParser {
     ///
     /// Panics on malformed input.
     pub fn next_response(&mut self) -> Option<Response> {
-        let data = self.stream.rest();
-        match data.first()? {
+        let data = &self.buf[self.pos..];
+        let (resp, used) = match data.first()? {
             b'+' => {
                 let (line, used) = read_line(data)?;
                 assert_eq!(line, b"+OK", "only +OK simple strings are used");
-                self.stream.advance(used);
-                Some(Response::Ok)
+                (Response::Ok, used)
             }
             b'$' => {
                 let (bulk, used) = read_bulk(data)?;
@@ -280,11 +273,12 @@ impl ResponseParser {
                     Some(v) => Response::Value(Payload::copy_from_slice(v)),
                     None => Response::Nil,
                 };
-                self.stream.advance(used);
-                Some(resp)
+                (resp, used)
             }
             other => panic!("unexpected response type byte {other:#x}"),
-        }
+        };
+        self.pos += used;
+        Some(resp)
     }
 }
 
@@ -324,31 +318,116 @@ mod tests {
 
     #[test]
     fn tagged_commands_roundtrip_with_ids() {
-        let mut wire = encode_set_with_id(b"key:0001", b"hello", 0xDEAD_BEEF_0000_0042);
-        wire.extend(encode_get_with_id(b"key:0001", 7));
+        let key = Payload::from_static(b"key:0001");
+        let set = Command::Set {
+            key: key.clone(),
+            value: Payload::from_static(b"hello"),
+            id: Some(0xDEAD_BEEF_0000_0042),
+        };
+        let get = Command::Get { key, id: Some(7) };
+        let mut wire = set.to_wire(set.id());
+        wire.extend(get.to_wire(get.id()));
         wire.extend(encode_set(b"key:0002", b"plain"));
         let mut p = CommandParser::new();
         p.feed(&wire);
-        assert_eq!(
-            p.next_command(),
-            Some(Command::Set {
-                key: Payload::from_static(b"key:0001"),
-                value: Payload::from_static(b"hello"),
-                id: Some(0xDEAD_BEEF_0000_0042),
-            })
-        );
-        assert_eq!(
-            p.next_command(),
-            Some(Command::Get {
-                key: Payload::from_static(b"key:0001"),
-                id: Some(7),
-            })
-        );
+        assert_eq!(p.next_command(), Some(set));
+        assert_eq!(p.next_command(), Some(get));
         // Untagged traffic is unchanged and parses with no id.
         let third = p.next_command().expect("plain SET");
         assert_eq!(third.id(), None);
         assert_eq!(p.next_command(), None);
         assert_eq!(p.pending_bytes(), 0);
+    }
+
+    // The four encoders `encode_array` replaced, kept as they were: the
+    // bytes on the wire are part of every golden digest.
+    fn ref_set(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(value.len() + key.len() + 40);
+        out.extend_from_slice(b"*3\r\n$3\r\nSET\r\n");
+        ref_bulk(&mut out, key);
+        ref_bulk(&mut out, value);
+        out
+    }
+
+    fn ref_get(key: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(key.len() + 24);
+        out.extend_from_slice(b"*2\r\n$3\r\nGET\r\n");
+        ref_bulk(&mut out, key);
+        out
+    }
+
+    fn ref_set_with_id(key: &[u8], value: &[u8], id: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(value.len() + key.len() + 56);
+        out.extend_from_slice(b"*4\r\n$3\r\nSET\r\n");
+        ref_bulk(&mut out, key);
+        ref_bulk(&mut out, value);
+        ref_bulk(&mut out, &id.to_be_bytes());
+        out
+    }
+
+    fn ref_get_with_id(key: &[u8], id: u64) -> Vec<u8> {
+        let mut out = Vec::with_capacity(key.len() + 40);
+        out.extend_from_slice(b"*3\r\n$3\r\nGET\r\n");
+        ref_bulk(&mut out, key);
+        ref_bulk(&mut out, &id.to_be_bytes());
+        out
+    }
+
+    fn ref_bulk(out: &mut Vec<u8>, data: &[u8]) {
+        out.push(b'$');
+        out.extend_from_slice(data.len().to_string().as_bytes());
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(data);
+        out.extend_from_slice(b"\r\n");
+    }
+
+    #[test]
+    fn one_encoder_writes_what_the_four_wrote() {
+        let sizes = [0usize, 1, 16 * 1024];
+        let ids = [None, Some(0), Some(u64::MAX)];
+        for key_len in sizes {
+            let key: Vec<u8> = (0..key_len).map(|i| b'a' + (i % 26) as u8).collect();
+            assert_eq!(encode_get(&key), ref_get(&key));
+            for value_len in sizes {
+                // "\r\n" inside a value must not confuse the framing.
+                let value: Vec<u8> = b"\r\n$9".iter().copied().cycle().take(value_len).collect();
+                assert_eq!(encode_set(&key, &value), ref_set(&key, &value));
+                for id in ids {
+                    let set = Command::Set {
+                        key: key.clone().into(),
+                        value: value.clone().into(),
+                        id,
+                    };
+                    let get = Command::Get { key: key.clone().into(), id };
+                    let (set_wire, get_wire) = match id {
+                        None => (ref_set(&key, &value), ref_get(&key)),
+                        Some(id) => (ref_set_with_id(&key, &value, id), ref_get_with_id(&key, id)),
+                    };
+                    assert_eq!(set.to_wire(id), set_wire);
+                    assert_eq!(get.to_wire(id), get_wire);
+                    // The tag on the wire is the argument, never the
+                    // command's own field.
+                    assert_eq!(set.to_wire(None), ref_set(&key, &value));
+                    assert_eq!(set.payload_len(), key_len + value_len);
+                    assert_eq!(get.payload_len(), key_len);
+
+                    let mut p = RespStream::new();
+                    p.feed(&set_wire);
+                    p.feed(&get_wire);
+                    assert_eq!(p.next_command(), Some(set));
+                    assert_eq!(p.next_command(), Some(get));
+                    assert_eq!(p.next_command(), None);
+                    assert_eq!(p.pending_bytes(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn response_payload_is_the_value() {
+        assert_eq!(Response::Ok.payload_len(), 0);
+        assert_eq!(Response::Nil.payload_len(), 0);
+        assert_eq!(Response::Value(vec![1u8; 300].into()).payload_len(), 300);
     }
 
     #[test]

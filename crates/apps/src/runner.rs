@@ -205,9 +205,9 @@ pub struct ClientResult {
 /// With `num_clients > 1` the measured latency fields and the achieved
 /// rate aggregate over every connection (merged histograms, summed
 /// goodput), the `estimated_*` fields are throughput-weighted aggregates
-/// across the per-connection estimators, and [`per_client`]
-/// (PointResult::per_client) holds each connection's slice. Fields that
-/// describe a single client host (`client_cpu`, `srtt`,
+/// across the per-connection estimators, and
+/// [`per_client`](PointResult::per_client) holds each connection's slice.
+/// Fields that describe a single client host (`client_cpu`, `srtt`,
 /// `client_on_fraction`, `tracker_mean`, `aimd_mean_limit`) report
 /// client 0.
 #[derive(Debug, Clone)]

@@ -7,6 +7,10 @@
 //! "adaptive batching" of requests that IX performs and the paper's
 //! Figure 1 models (per-batch cost amortized over the batch).
 //!
+//! Each accepted socket gets one connection seat (`conn::Conn`: wake
+//! latches, command parser, response backlog); the server's own state is
+//! the store and `socks`, the ascending order its tick visits them in.
+//!
 //! Like Redis, the server disables Nagle by default; experiments override
 //! this through [`TcpConfig::nagle`](tcpsim::TcpConfig) on the accept
 //! configuration, including the `Dynamic` mode driven by an attached
@@ -18,38 +22,16 @@ use littles::Nanos;
 use simnet::Histogram;
 use tcpsim::{App, HostCtx, SocketId, WakeReason};
 
+use crate::conn::{token, untoken, Conn};
 use crate::cost::AppCosts;
 use crate::driver::{HintRecorder, ListenerPlaneDriver};
 use crate::kv::KvStore;
-use crate::resp::{encode_response, Command, CommandParser};
+use crate::resp::encode_response;
 
-const TOKEN_KIND_SHIFT: u32 = 32;
+// Token kinds; the index is the socket.
 const KIND_PROCESS: u64 = 1;
 const KIND_TICK: u64 = 2;
 const KIND_FLUSH: u64 = 3;
-
-fn token(kind: u64, sock: usize) -> u64 {
-    (kind << TOKEN_KIND_SHIFT) | sock as u64
-}
-
-struct Conn {
-    parser: CommandParser,
-    call_pending: bool,
-    /// Responses (or response tails) awaiting send-buffer space.
-    out_backlog: std::collections::VecDeque<Vec<u8>>,
-    flush_pending: bool,
-}
-
-impl Conn {
-    fn new() -> Self {
-        Conn {
-            parser: CommandParser::new(),
-            call_pending: false,
-            out_backlog: std::collections::VecDeque::new(),
-            flush_pending: false,
-        }
-    }
-}
 
 /// Per-run server statistics.
 #[derive(Debug, Default, Clone)]
@@ -145,66 +127,17 @@ impl RedisServer {
             if self.hints_enabled {
                 self.hint_recorders.insert(at, HintRecorder::new());
             }
-            Conn::new()
+            Conn::default()
         })
     }
 
-    /// Writes a response, stashing whatever the send buffer rejects so
-    /// the byte stream stays intact under backpressure (flushed on
-    /// `Writable`).
-    fn send_or_backlog(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, wire: Vec<u8>) {
-        let conn = self.conn(sock);
-        if conn.out_backlog.is_empty() {
-            let sent = ctx.send(sock, &wire);
-            if sent < wire.len() {
-                let conn = self.conns.get_mut(&sock.0).expect("conn");
-                conn.out_backlog.push_back(wire[sent..].to_vec());
-            }
-        } else {
-            conn.out_backlog.push_back(wire);
-        }
-    }
-
-    /// Drains the write backlog as far as the send buffer allows.
-    fn flush(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conn(sock);
-        conn.flush_pending = false;
-        while let Some(front) = self
-            .conns
-            .get_mut(&sock.0)
-            .expect("conn")
-            .out_backlog
-            .front_mut()
-        {
-            let sent = ctx.send(sock, front);
-            let done = sent == front.len();
-            let conn = self.conns.get_mut(&sock.0).expect("conn");
-            let front = conn.out_backlog.front_mut().expect("non-empty");
-            if !done {
-                front.drain(..sent);
-                break;
-            }
-            conn.out_backlog.pop_front();
-        }
-    }
-
     fn process(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        let conn = self.conn(sock);
-        conn.call_pending = false;
-        let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        let conn = self.conns.get_mut(&sock.0).expect("just inserted");
-        conn.parser.feed(&data);
-
+        self.conn(sock).read(ctx, Some(sock));
         let mut batch = 0u64;
-        while let Some(cmd) = self.conns.get_mut(&sock.0).expect("conn").parser.next_command() {
-            let payload = match &cmd {
-                Command::Set { key, value, .. } => key.len() + value.len(),
-                Command::Get { key, .. } => key.len(),
-            };
-            ctx.charge_app(self.costs.server_request(payload));
-            let resp = self.kv.execute(cmd);
-            let wire = encode_response(&resp);
-            self.send_or_backlog(ctx, sock, wire);
+        while let Some(cmd) = self.conn(sock).parser.next_command() {
+            ctx.charge_app(self.costs.server_request(cmd.payload_len()));
+            let wire = encode_response(&self.kv.execute(cmd));
+            self.conn(sock).send(ctx, sock, wire, None);
             batch += 1;
         }
         if batch > 0 {
@@ -227,34 +160,19 @@ impl App for RedisServer {
 
     fn on_wake(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, reason: WakeReason) {
         match reason {
-            WakeReason::Accepted => {
-                *self.conn(sock) = Conn::new();
-            }
-            WakeReason::Readable => {
-                let conn = self.conn(sock);
-                if !conn.call_pending {
-                    conn.call_pending = true;
-                    ctx.wake_app_thread(token(KIND_PROCESS, sock.0));
-                }
-            }
-            WakeReason::Writable => {
-                let conn = self.conn(sock);
-                if !conn.out_backlog.is_empty() && !conn.flush_pending {
-                    conn.flush_pending = true;
-                    let at = ctx.app_free_at();
-                    ctx.call_at(at, token(KIND_FLUSH, sock.0));
-                }
-            }
+            WakeReason::Accepted => *self.conn(sock) = Conn::default(),
+            WakeReason::Readable => self.conn(sock).on_readable(ctx, token(KIND_PROCESS, sock.0)),
+            WakeReason::Writable => self.conn(sock).on_writable(ctx, token(KIND_FLUSH, sock.0)),
             _ => {}
         }
     }
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
-        let kind = tok >> TOKEN_KIND_SHIFT;
-        let sock = SocketId((tok & 0xFFFF_FFFF) as usize);
+        let (kind, idx) = untoken(tok);
+        let sock = SocketId(idx);
         match kind {
             KIND_PROCESS => self.process(ctx, sock),
-            KIND_FLUSH => self.flush(ctx, sock),
+            KIND_FLUSH => self.conn(sock).flush(ctx, Some(sock)),
             KIND_TICK => {
                 // Ascending socket order keeps the tick path
                 // deterministic however many connections fan in.

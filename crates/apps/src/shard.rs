@@ -3,7 +3,7 @@
 //! The star harness ([`crate::runner`]) measures one leg; this one
 //! measures the composed path of the datacenter topology: N load
 //! generators fan into a [`ProxyApp`](crate::proxy::ProxyApp) which
-//! routes by key over K [`RedisServer`] shards. The proxy runs the
+//! routes by key over K [`RedisServer`](crate::RedisServer) shards. The proxy runs the
 //! estimation machinery on *both* legs and composes them per shard
 //! (client→proxy + proxy→shard, Figure 3 terms summed), so the run
 //! reports a per-shard service-level estimate — the signal that lets a

@@ -10,7 +10,7 @@
 //! refinement over a raw max: wire-quantized remote terms can invent
 //! up to one scaled unit per departure, so the views are compared by
 //! their quantization-discounted lower bounds (see
-//! [`wire_delay_granularity`]).
+//! `wire_delay_granularity`).
 
 use littles::wire::{WireExchange, WireScale};
 use littles::{Ewma, Nanos};

@@ -26,9 +26,6 @@
 //! * [`hints`] — the §3.3 cooperative-application interface:
 //!   [`RequestTracker`] (`create(n)` / `complete(n)`) and the single-queue
 //!   estimate derived from forwarded hints.
-//! * [`rtt_baseline`] — the inadequate baseline: why smoothed RTT is *not*
-//!   end-to-end latency (misses application read delays; inflated by
-//!   delayed ACKs).
 //! * [`multi`] — aggregation across connections for policies that toggle
 //!   batching machine-wide.
 //! * [`compose`] — composition of per-leg aggregates along a multi-hop
@@ -54,7 +51,6 @@ pub mod estimator;
 pub mod hints;
 pub mod multi;
 pub mod route;
-pub mod rtt_baseline;
 pub mod validate;
 
 pub use combine::{combine_delays, DelaySet, EndpointSnapshots, EndpointWindows, QueueWindow};
@@ -63,7 +59,6 @@ pub use estimator::{E2eEstimator, Estimate};
 pub use hints::{HintEstimator, RequestTracker};
 pub use multi::{AggregateEstimate, EstimatorRegistry, MultiConnectionAggregator};
 pub use route::Knob;
-pub use rtt_baseline::RttBaseline;
 pub use validate::{
     Admission, ExchangeValidator, RejectReason, ValidateConfig, ValidateCtx, ValidateStats,
 };

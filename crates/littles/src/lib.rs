@@ -25,8 +25,6 @@
 //!   counters per queue, three queues), with wrap-aware deltas.
 //! * [`ewma`] — exponentially weighted moving averages for smoothing noisy
 //!   estimates (paper §5, "Toggling Granularity").
-//! * [`meanvar`] — incremental weighted mean/variance (Finch's method, cited
-//!   by the paper for low-overhead online smoothing).
 //!
 //! # Examples
 //!
@@ -50,12 +48,10 @@
 #![warn(missing_docs)]
 
 pub mod ewma;
-pub mod meanvar;
 pub mod queue;
 pub mod time;
 pub mod wire;
 
 pub use ewma::{Ewma, TimeDecayEwma};
-pub use meanvar::WeightedMeanVar;
 pub use queue::{Averages, QueueState, Snapshot};
 pub use time::Nanos;

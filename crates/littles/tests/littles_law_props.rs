@@ -168,7 +168,7 @@ fn wire_roundtrip_any_snapshot() {
 fn wire_exchange_roundtrip() {
     let mut rng = SplitMix64(0xF00D);
     for _ in 0..500 {
-        let mut mk = |rng: &mut SplitMix64| WireSnapshot {
+        let mk = |rng: &mut SplitMix64| WireSnapshot {
             time: rng.next() as u32,
             total: rng.next() as u32,
             integral: rng.next() as u32,

@@ -272,8 +272,8 @@ impl UpstreamBreaker {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid configs [`CircuitBreaker::new`]
-    /// (crate::CircuitBreaker::new) rejects.
+    /// Panics on the same invalid configs
+    /// [`CircuitBreaker::new`](crate::CircuitBreaker::new) rejects.
     pub fn new(config: BreakerConfig) -> Self {
         assert!(
             config.min_confidence > 0.0 && config.min_confidence <= 1.0,

@@ -1,4 +1,4 @@
-//! Hierarchical timer wheel: the allocation-free core under [`EventQueue`].
+//! Hierarchical timer wheel: the allocation-free core under `EventQueue`.
 //!
 //! [`EventQueue`](crate::EventQueue) used to keep a lazy-deletion
 //! `BinaryHeap` plus two `BTreeSet`s, which allocated a tree node on every

@@ -20,8 +20,8 @@ pub enum NagleMode {
     #[default]
     Off,
     /// Dynamically toggled at runtime by a batching policy (the paper's
-    /// proposal). The socket consults its current [`dynamic
-    /// state`](crate::socket::TcpSocket::set_nagle_enabled) each time.
+    /// proposal). The socket consults its current [dynamic
+    /// state](crate::socket::TcpSocket::nagle_active) each time.
     Dynamic,
 }
 

@@ -142,7 +142,7 @@ impl DelAck {
     /// acknowledgment must flush it immediately (never drop it), and
     /// switching timeouts with a timer armed must re-arm from the switch
     /// instant so the trace is deterministic.
-    pub fn switch_mode(&mut self, mode: AckMode) -> AckSwitch {
+    pub(crate) fn switch_mode(&mut self, mode: AckMode) -> AckSwitch {
         if mode == self.mode {
             return AckSwitch::Nothing;
         }

@@ -6,7 +6,7 @@
 //! [`App`] and interact with the stack only through [`HostCtx`] — the
 //! simulated socket API. The classic two-host pair is the `N = 1` special
 //! case (client host 0, server host 1) and reproduces bit-identically.
-//! The machinery underneath ([`SimCore`]) is topology-agnostic: the
+//! The machinery underneath (`SimCore`) is topology-agnostic: the
 //! two-tier proxy simulation (`tier`) reuses it unchanged, with requests
 //! crossing two links instead of one.
 //!
@@ -218,17 +218,7 @@ impl HostCtx<'_> {
         let id = self.host.add_socket(sock);
         let syscall = self.host.costs.syscall;
         self.host.app_cpu.run(now, syscall);
-        apply_actions(
-            self.host,
-            self.topology,
-            self.routes,
-            self.queue,
-            self.rng,
-            self.faults,
-            id,
-            self.actions,
-            Charge::App,
-        );
+        self.run_actions(id);
         id
     }
 
@@ -246,17 +236,7 @@ impl HostCtx<'_> {
             .host
             .socket_mut(sock)
             .send(now, data, env, self.actions);
-        apply_actions(
-            self.host,
-            self.topology,
-            self.routes,
-            self.queue,
-            self.rng,
-            self.faults,
-            sock,
-            self.actions,
-            Charge::App,
-        );
+        self.run_actions(sock);
         accepted
     }
 
@@ -274,17 +254,7 @@ impl HostCtx<'_> {
         let syscall = self.host.costs.syscall;
         self.host.app_cpu.run(now, syscall);
         let out = self.host.socket_mut(sock).recv(now, max, self.actions);
-        apply_actions(
-            self.host,
-            self.topology,
-            self.routes,
-            self.queue,
-            self.rng,
-            self.faults,
-            sock,
-            self.actions,
-            Charge::App,
-        );
+        self.run_actions(sock);
         out
     }
 
@@ -295,17 +265,7 @@ impl HostCtx<'_> {
             nic_in_flight: self.host.nic_in_flight(),
         };
         self.host.socket_mut(sock).close(now, env, self.actions);
-        apply_actions(
-            self.host,
-            self.topology,
-            self.routes,
-            self.queue,
-            self.rng,
-            self.faults,
-            sock,
-            self.actions,
-            Charge::App,
-        );
+        self.run_actions(sock);
     }
 
     /// Charges `cost` of work to the application thread; returns the time
@@ -385,17 +345,7 @@ impl HostCtx<'_> {
             .socket_mut(sock)
             .apply(now, setting, self.actions);
         if !self.actions.is_empty() {
-            apply_actions(
-                self.host,
-                self.topology,
-                self.routes,
-                self.queue,
-                self.rng,
-                self.faults,
-                sock,
-                self.actions,
-                Charge::App,
-            );
+            self.run_actions(sock);
         }
         self.repoll(sock);
         changed
@@ -411,6 +361,17 @@ impl HostCtx<'_> {
         self.host
             .socket_mut(sock)
             .poll_transmit(now, env, self.actions);
+        self.run_actions(sock);
+    }
+
+    /// Immutable access to a socket (for estimators and policies).
+    pub fn socket(&self, sock: SocketId) -> &TcpSocket {
+        self.host.socket(sock)
+    }
+
+    /// Executes what a call into `sock` left in the action buffer, charged
+    /// to the application thread.
+    fn run_actions(&mut self, sock: SocketId) {
         apply_actions(
             self.host,
             self.topology,
@@ -422,11 +383,6 @@ impl HostCtx<'_> {
             self.actions,
             Charge::App,
         );
-    }
-
-    /// Immutable access to a socket (for estimators and policies).
-    pub fn socket(&self, sock: SocketId) -> &TcpSocket {
-        self.host.socket(sock)
     }
 }
 
@@ -792,6 +748,22 @@ impl SimCore {
         }
     }
 
+    /// Executes what softirq-context work on `h`'s socket `sock` left in
+    /// the action buffer, charged to the softirq context.
+    fn run_softirq_actions(&mut self, queue: &mut EventQueue<Event>, h: HostId, sock: SocketId) {
+        apply_actions(
+            &mut self.hosts[h.index()],
+            &mut self.topology,
+            &self.routes,
+            queue,
+            &mut self.rngs[h.index()],
+            &mut self.faults,
+            sock,
+            &mut self.scratch,
+            Charge::Softirq,
+        );
+    }
+
     /// Handles one event. Stack-internal events (delivery, softirq, timers,
     /// NIC completions, restarts) are fully absorbed; events that must
     /// enter application code come back as an [`AppEvent`] for the owning
@@ -838,17 +810,7 @@ impl SimCore {
                     }
                     None => return None, // stray segment for an unknown flow
                 };
-                apply_actions(
-                    host,
-                    &mut self.topology,
-                    &self.routes,
-                    queue,
-                    &mut self.rngs[h.index()],
-                    &mut self.faults,
-                    sock_id,
-                    &mut self.scratch,
-                    Charge::Softirq,
-                );
+                self.run_softirq_actions(queue, h, sock_id);
             }
             Event::Timer {
                 host: h,
@@ -867,17 +829,7 @@ impl SimCore {
                         crate::invariants::gate(s.check_invariants(now));
                     }
                 }
-                apply_actions(
-                    host,
-                    &mut self.topology,
-                    &self.routes,
-                    queue,
-                    &mut self.rngs[h.index()],
-                    &mut self.faults,
-                    sock,
-                    &mut self.scratch,
-                    Charge::Softirq,
-                );
+                self.run_softirq_actions(queue, h, sock);
             }
             Event::NicComplete { host: h, packets } => {
                 let host = &mut self.hosts[h.index()];
@@ -904,17 +856,8 @@ impl SimCore {
                         continue;
                     }
                     host.socket_mut(id).on_nic_drained(now, env, &mut self.scratch);
-                    apply_actions(
-                        host,
-                        &mut self.topology,
-                        &self.routes,
-                        queue,
-                        &mut self.rngs[h.index()],
-                        &mut self.faults,
-                        id,
-                        &mut self.scratch,
-                        Charge::Softirq,
-                    );
+                    self.run_softirq_actions(queue, h, id);
+                    let host = &mut self.hosts[h.index()];
                     if host.socket(id).is_corked() {
                         // Still held (e.g. the NIC is busy again): keep it
                         // on the waiter list for the next completion.

@@ -546,30 +546,11 @@ impl TcpSocket {
         }
     }
 
-    /// Sets the dynamic-Nagle switch (only meaningful in
-    /// [`NagleMode::Dynamic`]). Turning batching *off* flushes any held
-    /// tail on the next [`poll_transmit`](Self::poll_transmit).
-    ///
-    /// Part of the knob actuation path: external callers go through
-    /// [`apply`](Self::apply) (the `xtask` `actuation` lint enforces
-    /// this outside tests).
-    pub fn set_nagle_enabled(&mut self, on: bool) {
-        self.nagle_dynamic_on = on;
-    }
-
-    /// Sets (or clears) the gradual batching limit in bytes. The next
-    /// [`poll_transmit`](Self::poll_transmit) applies it; lowering the
-    /// limit can release held data.
-    ///
-    /// Part of the knob actuation path: external callers go through
-    /// [`apply`](Self::apply) (the `xtask` `actuation` lint enforces
-    /// this outside tests).
-    pub fn set_batch_limit(&mut self, limit: Option<usize>) {
-        self.batch_limit = limit;
-    }
-
-    /// Applies one control-plane [`KnobSetting`] through the uniform
-    /// actuation path; returns true if socket state changed.
+    /// Applies one control-plane [`KnobSetting`]; returns true if socket
+    /// state changed. This is the only way to move a knob at runtime: the
+    /// dynamic-Nagle switch (only meaningful in [`NagleMode::Dynamic`]),
+    /// the delayed-ACK mode and the gradual batching limit have no public
+    /// setter.
     ///
     /// A delayed-ACK mode switch disposes of any pending ACK
     /// deterministically — flushed immediately on a switch to quick-ack
@@ -581,7 +562,7 @@ impl TcpSocket {
         match setting {
             KnobSetting::Nagle(on) => {
                 let changed = self.nagle_dynamic_on != on;
-                self.set_nagle_enabled(on);
+                self.nagle_dynamic_on = on;
                 changed
             }
             KnobSetting::DelAck(mode) => {
@@ -602,7 +583,7 @@ impl TcpSocket {
             KnobSetting::CorkLimit(limit) => {
                 let new = if limit == 0 { None } else { Some(limit as usize) };
                 let changed = self.batch_limit != new;
-                self.set_batch_limit(new);
+                self.batch_limit = new;
                 changed
             }
         }
@@ -1369,9 +1350,10 @@ impl TcpSocket {
         self.verify_invariants(now);
     }
 
-    /// True while data is held back by auto-corking. [`on_nic_drained`]
-    /// (Self::on_nic_drained) is a no-op unless this holds, which lets the
-    /// NIC-completion path skip uncorked sockets without calling in.
+    /// True while data is held back by auto-corking.
+    /// [`on_nic_drained`](Self::on_nic_drained) is a no-op unless this
+    /// holds, which lets the NIC-completion path skip uncorked sockets
+    /// without calling in.
     // hot-path: checked for every socket on every NIC completion
     #[inline]
     pub fn is_corked(&self) -> bool {

@@ -1,14 +1,15 @@
 //! The two-tier datacenter simulation: clients → proxy → sharded servers.
 //!
 //! [`TierSim`] instantiates [`Topology::two_tier`] over the same
-//! [`SimCore`](crate::sim) machinery that powers the star [`NetSim`]:
-//! N client hosts (ids `0..n`) each hold one spoke link to a single proxy
-//! host (id `n`), which in turn holds one link per shard host (ids
-//! `n+1..=n+k`). Clients' plain [`HostCtx::connect`] terminates at the
-//! proxy; the proxy opens its per-shard upstream connections explicitly
-//! with [`HostCtx::connect_to`], through the very same TCP stack — every
-//! batching mechanism (Nagle, delayed ACKs, corking, TSO) is live on both
-//! legs of every request.
+//! [`SimCore`](crate::sim) machinery that powers the star
+//! [`NetSim`](crate::NetSim): N client hosts (ids `0..n`) each hold one
+//! spoke link to a single proxy host (id `n`), which in turn holds one
+//! link per shard host (ids `n+1..=n+k`). Clients' plain
+//! [`HostCtx::connect`](crate::HostCtx::connect) terminates at the proxy;
+//! the proxy opens its per-shard upstream connections explicitly with
+//! [`HostCtx::connect_to`](crate::HostCtx::connect_to), through the very
+//! same TCP stack — every batching mechanism (Nagle, delayed ACKs,
+//! corking, TSO) is live on both legs of every request.
 //!
 //! The event order, RNG splitting, fault machinery, and
 //! execution-context convention are identical to the star simulation —

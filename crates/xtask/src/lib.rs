@@ -19,17 +19,11 @@
 //!   `littles` and `e2e-core` (the crates meant to be embeddable).
 //! * **pub-docs** — doc comments required on `pub` items in `littles`
 //!   and `e2e-core`.
-//! * **actuation** — the raw batching-knob setters
-//!   (`set_nagle_enabled`, `set_batch_limit`, `switch_mode`) may only be
-//!   called from tcpsim's apply path (`socket.rs`, `sim.rs`,
-//!   `delack.rs`) or from tests; every other caller must route through
-//!   `TcpSocket::apply`/`HostCtx::apply` with a `KnobSetting` so ACK
-//!   disposal actions and the transmit re-run always happen.
 //! * **untrusted-wire** — raw wire-metadata decodes outside
 //!   `littles::wire`; peer bytes must take the fallible tagged path.
 //! * **rng-streams** — every `Pcg32::named` stream name must be a string
 //!   literal, declared exactly once in `crates/xtask/rng_streams.toml`,
-//!   and constructed at exactly one call site (see [`streams`]).
+//!   and constructed at exactly one call site (see `streams.rs`).
 //! * **cast-truncation** — lossy `as u32`/`as u16`/`as u8` casts and raw
 //!   `-` on wire-counter fields in the wire/clock handling code.
 //! * **panic-reachability** — panicking sites reachable from the

@@ -14,7 +14,6 @@ fn usage() -> ExitCode {
     eprintln!("  float-eq           no ==/!= on floats outside tests");
     eprintln!("  panic-hygiene      no unwrap/expect in littles or e2e-core library code");
     eprintln!("  pub-docs           doc comments required on pub items in littles/e2e-core");
-    eprintln!("  actuation          no raw batching-knob setters outside tcpsim's apply path");
     eprintln!("  untrusted-wire     no raw wire-metadata decodes outside littles' wire module");
     eprintln!("  rng-streams        every Pcg32::named stream declared once in rng_streams.toml");
     eprintln!("  cast-truncation    no unjustified narrowing casts / raw wire-counter `-`");

@@ -7,12 +7,11 @@ use crate::mask::{self, line_col, Masked};
 use crate::model::{in_test_region, test_regions};
 
 /// Rule identifiers, as accepted by `lint:allow(...)`.
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 11] = [
     "determinism",
     "float-eq",
     "panic-hygiene",
     "pub-docs",
-    "actuation",
     "untrusted-wire",
     "rng-streams",
     "cast-truncation",
@@ -47,18 +46,6 @@ const DETERMINISM_BANNED: [(&str, &str); 7] = [
 const DETERMINISM_BANNED_COLLECTIONS: [(&str, &str); 2] = [
     ("HashMap", "BTreeMap"),
     ("HashSet", "BTreeSet"),
-];
-
-/// Raw batching-knob setters that bypass the uniform actuation path.
-/// Calling one directly skips the disposal actions (delayed-ACK flush /
-/// timer re-arm) and the immediate transmit re-run that
-/// `TcpSocket::apply` / `HostCtx::apply` perform, so a mis-timed call
-/// can strand a pending ACK or a held segment. Only the apply path
-/// itself (and tests) may use them.
-const ACTUATION_BANNED: [(&str, &str); 3] = [
-    ("set_nagle_enabled", "raw dynamic-Nagle setter"),
-    ("set_batch_limit", "raw cork-limit setter"),
-    ("switch_mode", "raw delayed-ACK mode switch"),
 ];
 
 /// Topology id newtypes whose raw tuple construction is confined to
@@ -130,10 +117,6 @@ pub struct FileContext {
     /// `Pcg32::new`: every fault class must draw from its own named
     /// stream or enabling one class would shift another's draws.
     pub fault_code: bool,
-    /// File implements the uniform knob actuation path itself (tcpsim's
-    /// `socket.rs`, `sim.rs`, `delack.rs`) → `actuation` does not apply:
-    /// these are the only files allowed to touch the raw setters.
-    pub apply_path: bool,
     /// File is the wire codec itself (littles' `wire.rs`) →
     /// `untrusted-wire` does not apply: the raw decode entry points are
     /// its implementation details.
@@ -449,30 +432,6 @@ pub(crate) fn lint_file(
                  class draws from its own independent stream"
                     .to_string(),
             );
-        }
-    }
-
-    // actuation: raw knob setters outside the apply path (tests exempt —
-    // unit tests of the setters themselves are legitimate). Everything
-    // else must actuate through `apply` with a `KnobSetting`.
-    if !ctx.testlike && !ctx.apply_path {
-        for (needle, what) in ACTUATION_BANNED {
-            for offset in token_matches(text, needle) {
-                if in_test_region(&regions, offset) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "actuation",
-                    offset,
-                    format!(
-                        "`{needle}` ({what}) outside the apply path; actuate \
-                         through `TcpSocket::apply`/`HostCtx::apply` with a \
-                         `KnobSetting` so ACK disposal and the transmit re-run \
-                         happen"
-                    ),
-                );
-            }
         }
     }
 
@@ -1018,39 +977,6 @@ mod tests {
         // Outside fault code the constructor stays legal (it is how the
         // named streams themselves are built).
         assert!(lint_source("x.rs", src, &sim_ctx()).is_empty());
-    }
-
-    #[test]
-    fn actuation_bans_raw_setters() {
-        let src = "fn f() { sock.set_nagle_enabled(true); d.switch_mode(m); \
-                   c.set_batch_limit(s, None); }\n";
-        let d = lint_source("x.rs", src, &FileContext::default());
-        let rules: Vec<&str> = d.iter().map(|d| d.rule).collect();
-        assert_eq!(rules, vec!["actuation", "actuation", "actuation"]);
-    }
-
-    #[test]
-    fn actuation_exempt_in_apply_path_and_tests() {
-        let src = "fn f() { sock.set_nagle_enabled(true); }\n";
-        let apply_ctx = FileContext {
-            apply_path: true,
-            ..FileContext::default()
-        };
-        assert!(lint_source("x.rs", src, &apply_ctx).is_empty());
-        let test_ctx = FileContext {
-            testlike: true,
-            ..FileContext::default()
-        };
-        assert!(lint_source("x.rs", src, &test_ctx).is_empty());
-        let in_mod = "#[cfg(test)]\nmod tests { fn f() { sock.set_nagle_enabled(true); } }\n";
-        assert!(lint_source("x.rs", in_mod, &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn actuation_suppressible_with_justification() {
-        let src = "// lint:allow(actuation): migration shim removed next release\n\
-                   fn f() { sock.set_nagle_enabled(true); }\n";
-        assert!(lint_source("x.rs", src, &FileContext::default()).is_empty());
     }
 
     #[test]

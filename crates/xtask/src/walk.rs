@@ -65,9 +65,6 @@ pub fn classify(root: &Path, file: &Path) -> FileContext {
         strict_library: crate_dir.is_some_and(|c| STRICT_CRATES.contains(&c)) && in_src,
         testlike,
         fault_code: simulation_crate && in_src && file_name.contains("fault"),
-        apply_path: crate_dir == Some("tcpsim")
-            && in_src
-            && matches!(file_name, "socket.rs" | "sim.rs" | "delack.rs"),
         wire_module: crate_dir == Some("littles") && in_src && file_name == "wire.rs",
         cast_scope: (crate_dir == Some("littles") && in_src && file_name == "wire.rs")
             || (matches!(crate_dir, Some("core") | Some("tcpsim")) && in_src),
@@ -88,25 +85,6 @@ mod tests {
         assert!(ctx.simulation_crate);
         assert!(!ctx.strict_library);
         assert!(!ctx.testlike);
-    }
-
-    #[test]
-    fn classify_apply_path() {
-        for p in [
-            "/r/crates/tcpsim/src/socket.rs",
-            "/r/crates/tcpsim/src/sim.rs",
-            "/r/crates/tcpsim/src/delack.rs",
-        ] {
-            assert!(classify(Path::new("/r"), Path::new(p)).apply_path, "{p}");
-        }
-        for p in [
-            "/r/crates/tcpsim/src/knob.rs",
-            "/r/crates/tcpsim/tests/mechanisms.rs",
-            "/r/crates/policy/src/knob.rs",
-            "/r/crates/apps/src/driver.rs",
-        ] {
-            assert!(!classify(Path::new("/r"), Path::new(p)).apply_path, "{p}");
-        }
     }
 
     #[test]

@@ -203,27 +203,6 @@ fn derived_float_partial_eq_flagged_outside_tests() {
 }
 
 #[test]
-fn actuation_rule_bans_raw_setters_outside_apply_path() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "apps/src/actuator.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    // Line 8 is suppressed by the justified marker above it, and `apply`
-    // on line 9 is the sanctioned form.
-    assert_eq!(
-        got,
-        vec![
-            ("actuation", 4, 10), // set_nagle_enabled
-            ("actuation", 5, 9),  // set_batch_limit
-            ("actuation", 6, 13), // switch_mode
-        ]
-    );
-
-    // The apply path itself and test code keep the raw setters.
-    assert!(for_file(&diags, "tcpsim/src/sim.rs").is_empty());
-    assert!(for_file(&diags, "tcpsim/tests/toggle.rs").is_empty());
-}
-
-#[test]
 fn typed_ids_rule_bans_raw_ids_outside_topology_module() {
     let diags = fixture_diags();
     let d = for_file(&diags, "apps/src/router.rs");
