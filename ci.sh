@@ -24,6 +24,13 @@ cargo build --release
 echo "==> rustdoc (broken or private intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+echo "==> no compiler warnings (dead code, unused parameters, ...)"
+# Cargo replays cached warnings, so this also holds on a warm tree. An
+# `if`, not `! pipeline`: `set -e` does not stop on a negated pipeline.
+if cargo check -q --workspace --all-targets --offline 2>&1 | grep '^warning'; then
+    exit 1
+fi
+
 echo "==> cargo test -q --workspace (root integration tests + every crate's own)"
 cargo test -q --workspace
 

@@ -33,8 +33,9 @@ pub const TAGGED_EXCHANGE_WIRE_BYTES: usize = 1 + EXCHANGE_WIRE_BYTES;
 /// Why a wire payload failed to decode.
 ///
 /// Decoding untrusted bytes must be total: every failure is reported
-/// through this error, never a panic (the `untrusted-wire` lint keeps raw
-/// decoding confined to this module).
+/// through this error, never a panic. The raw decodes are private to this
+/// module, so other crates can only reach the bytes through
+/// [`WireExchange::try_decode_tagged`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireDecodeError {
     /// The buffer is shorter than the fixed wire size of the payload.
@@ -122,29 +123,13 @@ impl WireSnapshot {
     }
 
     /// Deserializes from 12 big-endian bytes.
-    pub fn decode(buf: &[u8; SNAPSHOT_WIRE_BYTES]) -> Self {
+    pub(crate) fn decode(buf: &[u8; SNAPSHOT_WIRE_BYTES]) -> Self {
         let u32_at =
             |i: usize| u32::from_be_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]);
         WireSnapshot {
             time: u32_at(0),
             total: u32_at(4),
             integral: u32_at(8),
-        }
-    }
-
-    /// Deserializes from an untrusted byte slice; total — never panics.
-    /// Trailing bytes beyond the first [`SNAPSHOT_WIRE_BYTES`] are ignored.
-    pub fn try_decode(buf: &[u8]) -> Result<Self, WireDecodeError> {
-        match buf.get(..SNAPSHOT_WIRE_BYTES) {
-            Some(head) => {
-                let mut arr = [0u8; SNAPSHOT_WIRE_BYTES];
-                arr.copy_from_slice(head);
-                Ok(Self::decode(&arr))
-            }
-            None => Err(WireDecodeError::Truncated {
-                need: SNAPSHOT_WIRE_BYTES,
-                got: buf.len(),
-            }),
         }
     }
 
@@ -209,6 +194,22 @@ impl WireWindow {
 /// restarted from zero (process crash, socket replaced) bumps its epoch, so
 /// the reset is detected as a generation change instead of being misread as
 /// a gigantic wrapping delta.
+///
+/// Peer bytes are untrusted, so [`try_decode_tagged`](Self::try_decode_tagged)
+/// is the only decode outside this module:
+///
+/// ```
+/// use littles::wire::WireExchange;
+/// assert!(WireExchange::try_decode_tagged(&[0u8; 36]).is_err());
+/// ```
+///
+/// ```compile_fail,E0624
+/// let _ = littles::wire::WireExchange::decode(&[0u8; 36]);
+/// ```
+///
+/// ```compile_fail,E0624
+/// let _ = littles::wire::WireExchange::try_decode(&[0u8; 36]);
+/// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireExchange {
     /// Messages sent but not yet acknowledged.
@@ -243,7 +244,7 @@ impl WireExchange {
     }
 
     /// Deserializes a 36-byte exchange payload (epoch defaults to 0).
-    pub fn decode(buf: &[u8; EXCHANGE_WIRE_BYTES]) -> Self {
+    pub(crate) fn decode(buf: &[u8; EXCHANGE_WIRE_BYTES]) -> Self {
         let part = |lo: usize| {
             let mut arr = [0u8; SNAPSHOT_WIRE_BYTES];
             arr.copy_from_slice(&buf[lo..lo + SNAPSHOT_WIRE_BYTES]);
@@ -259,7 +260,7 @@ impl WireExchange {
 
     /// Deserializes an untrusted counters-only payload; total — never
     /// panics. Trailing bytes are ignored; the epoch defaults to 0.
-    pub fn try_decode(buf: &[u8]) -> Result<Self, WireDecodeError> {
+    pub(crate) fn try_decode(buf: &[u8]) -> Result<Self, WireDecodeError> {
         match buf.get(..EXCHANGE_WIRE_BYTES) {
             Some(head) => {
                 let mut arr = [0u8; EXCHANGE_WIRE_BYTES];
@@ -385,10 +386,6 @@ mod tests {
             );
         }
         assert_eq!(
-            WireSnapshot::try_decode(&[0u8; 11]),
-            Err(WireDecodeError::Truncated { need: 12, got: 11 })
-        );
-        assert_eq!(
             WireExchange::try_decode(&[0u8; 35]),
             Err(WireDecodeError::Truncated { need: 36, got: 35 })
         );
@@ -413,7 +410,6 @@ mod tests {
             for b in buf.iter_mut() {
                 *b = next() as u8;
             }
-            assert_eq!(WireSnapshot::try_decode(&buf).is_ok(), len >= SNAPSHOT_WIRE_BYTES);
             assert_eq!(WireExchange::try_decode(&buf).is_ok(), len >= EXCHANGE_WIRE_BYTES);
             let tagged = WireExchange::try_decode_tagged(&buf);
             assert_eq!(tagged.is_ok(), len >= TAGGED_EXCHANGE_WIRE_BYTES);

@@ -159,8 +159,10 @@ fn wire_roundtrip_any_snapshot() {
         };
         let scale = WireScale::default();
         let w = WireSnapshot::pack(&s, scale);
-        let encoded = w.encode();
-        assert_eq!(WireSnapshot::decode(&encoded), w);
+        // The tagged Result path is the only decode outside `littles::wire`.
+        let ex = WireExchange::pack(&s, &s, &s, scale);
+        assert_eq!((ex.unacked, ex.unread, ex.ackdelay), (w, w, w));
+        assert_eq!(WireExchange::try_decode_tagged(&ex.encode_tagged()), Ok(ex));
     }
 }
 
@@ -179,9 +181,8 @@ fn wire_exchange_roundtrip() {
             ackdelay: mk(&mut rng),
             epoch: rng.next() as u8,
         };
-        // The counters-only form drops the epoch; the tagged Result path
-        // (the one untrusted bytes must take) preserves it.
-        assert_eq!(WireExchange::decode(&ex.encode()), ex.with_epoch(0));
+        // The tagged Result path (the one untrusted bytes must take)
+        // preserves the epoch.
         assert_eq!(WireExchange::try_decode_tagged(&ex.encode_tagged()), Ok(ex));
     }
 }

@@ -2,14 +2,14 @@
 //! the proxy's entire time arithmetic for failure handling.
 //!
 //! A proxy that survives shard failure needs four cooperating mechanisms,
-//! and all of their *timing math* lives here (an xtask lint rule keeps raw
-//! deadline/backoff arithmetic out of application code, so every proxy
-//! timeout provably goes through [`RetryPolicy`]):
+//! and all of their *timing math* lives here ([`RetryConfig`]'s fields are
+//! private to this module, so every proxy timeout provably goes through
+//! [`RetryPolicy`]):
 //!
 //! * **Deadlines** — each upstream attempt gets a fixed per-attempt
 //!   deadline; a request that outlives it is failed or retried.
 //! * **Budgeted retries** — retries are paid from a token bucket that
-//!   accrues per forwarded request ([`RetryConfig::budget_per_mille`]).
+//!   accrues per forwarded request (`RetryConfig::budget_per_mille`).
 //!   The budget bounds retry amplification: during a full outage the
 //!   proxy degrades instead of melting its surviving shards down with a
 //!   retry storm.
@@ -34,27 +34,40 @@ use littles::Nanos;
 use crate::breaker::{BreakerConfig, BreakerState};
 
 /// Tuning for [`RetryPolicy`].
+///
+/// Outside this module a config is only ever built with `default()` and
+/// handed to the policy; its knobs cannot be read, so no caller can
+/// re-derive the backoff ladder by hand:
+///
+/// ```
+/// use batchpolicy::{RetryConfig, RetryPolicy};
+/// let _ = RetryPolicy::new(RetryConfig::default());
+/// ```
+///
+/// ```compile_fail,E0616
+/// let _ = batchpolicy::RetryConfig::default().initial_backoff;
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RetryConfig {
     /// Per-attempt request deadline: an attempt unanswered for this long
     /// counts as failed (and as a breaker failure signal).
-    pub deadline: Nanos,
+    deadline: Nanos,
     /// Maximum attempts per request, initial send included (1 = never
     /// retry).
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Backoff before the first retry; doubles per subsequent retry.
-    pub initial_backoff: Nanos,
+    initial_backoff: Nanos,
     /// Backoff cap.
-    pub max_backoff: Nanos,
+    max_backoff: Nanos,
     /// Retry/hedge budget in tokens per thousand forwarded requests
     /// (e.g. 200 = the proxy will pay for at most ~20% extra attempts).
-    pub budget_per_mille: u32,
+    budget_per_mille: u32,
     /// Initial token balance, so early failures are retryable before any
     /// budget has accrued.
-    pub budget_burst: u32,
+    budget_burst: u32,
     /// Floor for the hedge delay, keeping estimate noise from hedging
     /// every request.
-    pub min_hedge_delay: Nanos,
+    min_hedge_delay: Nanos,
 }
 
 impl Default for RetryConfig {
@@ -115,11 +128,6 @@ impl RetryPolicy {
             hedges: 0,
             budget_denied: 0,
         }
-    }
-
-    /// The tuning this policy runs with.
-    pub fn config(&self) -> &RetryConfig {
-        &self.config
     }
 
     /// Accounts one forwarded request: the budget accrues

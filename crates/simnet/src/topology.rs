@@ -31,16 +31,22 @@ use crate::link::{DuplexLink, Link, LinkConfig};
 /// A host in the topology, by dense index.
 ///
 /// Mint these from topology accessors ([`Topology::host_ids`], the shape
-/// helpers) or, at a true boundary, [`HostId::from_index`] — the xtask
-/// lint bans raw tuple construction outside this module so index
-/// arithmetic cannot silently masquerade as routing.
+/// helpers) or, at a true boundary, [`HostId::from_index`] — the field is
+/// private, so index arithmetic cannot silently masquerade as routing:
+///
+/// ```
+/// assert_eq!(simnet::HostId::from_index(3).index(), 3);
+/// ```
+///
+/// ```compile_fail,E0423
+/// let _ = simnet::HostId(3);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct HostId(pub usize);
+pub struct HostId(usize);
 
 impl HostId {
-    /// Explicit conversion from a dense index — the sanctioned way to
-    /// mint a `HostId` outside this module (greppable, unlike tuple
-    /// construction).
+    /// Explicit conversion from a dense index — the only way to mint a
+    /// `HostId` outside this module.
     pub const fn from_index(index: usize) -> Self {
         HostId(index)
     }
@@ -55,9 +61,18 @@ impl HostId {
 ///
 /// Directed quantities (fault lanes, per-direction counters) pair a
 /// `LinkId` with an `a_to_b` flag naming the direction from the link's
-/// endpoint *a* toward *b* (see [`Topology::endpoints`]).
+/// endpoint *a* toward *b* (see [`Topology::endpoints`]). Like
+/// [`HostId`], it is minted only through [`LinkId::from_index`]:
+///
+/// ```
+/// assert_eq!(simnet::LinkId::from_index(0).index(), 0);
+/// ```
+///
+/// ```compile_fail,E0423
+/// let _ = simnet::LinkId(0);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LinkId(pub usize);
+pub struct LinkId(usize);
 
 impl LinkId {
     /// Explicit conversion from a dense index (see [`HostId::from_index`]).

@@ -100,7 +100,7 @@ impl App for ScriptClient {
 
 fn make_host(id: usize) -> Host {
     Host::new(
-        HostId(id),
+        HostId::from_index(id),
         CpuContext::new(if id == 0 { "client-app" } else { "server-app" }),
         CpuContext::new(if id == 0 { "client-sirq" } else { "server-sirq" }),
         CostConfig::default(),

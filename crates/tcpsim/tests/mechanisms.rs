@@ -73,7 +73,7 @@ impl App for Writer {
 
 fn host(id: usize) -> Host {
     Host::new(
-        HostId(id),
+        HostId::from_index(id),
         CpuContext::new("app"),
         CpuContext::new("softirq"),
         CostConfig::default(),
@@ -175,7 +175,13 @@ fn toggling_off_flushes_a_held_tail() {
     let client_writes_done = sim.client().writes.len();
     assert_eq!(client_writes_done, 2);
     // Drive a toggle through the app path.
-    queue.schedule(Nanos::ZERO, Event::AppCall { host: HostId(0), token: u64::MAX });
+    queue.schedule(
+        Nanos::ZERO,
+        Event::AppCall {
+            host: HostId::from_index(0),
+            token: u64::MAX,
+        },
+    );
     sim.client_mut().toggle_at = Some((Nanos::from_millis(8), false));
     run(&mut sim, &mut queue, Nanos::from_millis(20));
     assert_eq!(

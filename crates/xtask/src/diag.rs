@@ -11,8 +11,8 @@ pub struct Diagnostic {
     pub line: u32,
     /// 1-based column (byte offset within the line).
     pub col: u32,
-    /// Stable rule identifier (`determinism`, `float-eq`, `panic-hygiene`,
-    /// `pub-docs`, `bad-suppression`).
+    /// Stable rule identifier (a name from `rules::RULES`, or one of the
+    /// meta-diagnostics `bad-suppression` / `stale-allow`).
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,

@@ -17,10 +17,6 @@
 //! * **float-eq** — `==`/`!=` on floating-point values outside tests.
 //! * **panic-hygiene** — `.unwrap()`/`.expect(` in the library code of
 //!   `littles` and `e2e-core` (the crates meant to be embeddable).
-//! * **pub-docs** — doc comments required on `pub` items in `littles`
-//!   and `e2e-core`.
-//! * **untrusted-wire** — raw wire-metadata decodes outside
-//!   `littles::wire`; peer bytes must take the fallible tagged path.
 //! * **rng-streams** — every `Pcg32::named` stream name must be a string
 //!   literal, declared exactly once in `crates/xtask/rng_streams.toml`,
 //!   and constructed at exactly one call site (see `streams.rs`).
@@ -62,8 +58,6 @@ pub use rules::FileContext;
 pub(crate) struct FileAnalysis {
     /// Path relative to the linted root, as shown in diagnostics.
     pub(crate) label: String,
-    /// Original source text.
-    pub(crate) source: String,
     /// Masked source with comment and literal tables.
     pub(crate) masked: mask::Masked,
     /// Semantic model (fns, impls, calls, index sites, markers).
@@ -112,7 +106,6 @@ pub fn lint_root_with(root: &Path, opts: LintOptions) -> std::io::Result<Vec<Dia
         let model = model::build(&source, &masked, &toks);
         analyses.push(FileAnalysis {
             label,
-            source,
             masked,
             model,
             ctx,
@@ -121,7 +114,7 @@ pub fn lint_root_with(root: &Path, opts: LintOptions) -> std::io::Result<Vec<Dia
     }
 
     for fa in &analyses {
-        rules::lint_file(&fa.label, &fa.source, &fa.masked, &fa.allows, &fa.ctx, &mut diags);
+        rules::lint_file(&fa.label, &fa.masked, &fa.allows, &fa.ctx, &mut diags);
     }
 
     streams::check(root, &analyses, &mut diags);

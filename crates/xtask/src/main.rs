@@ -10,15 +10,9 @@ fn usage() -> ExitCode {
     eprintln!("usage: cargo run -p xtask -- lint [--json] [--update-ratchet] [ROOT]");
     eprintln!();
     eprintln!("Lints the workspace (or ROOT) with the repo-specific rules:");
-    eprintln!("  determinism        no wall clocks / OS entropy in simulation crates");
-    eprintln!("  float-eq           no ==/!= on floats outside tests");
-    eprintln!("  panic-hygiene      no unwrap/expect in littles or e2e-core library code");
-    eprintln!("  pub-docs           doc comments required on pub items in littles/e2e-core");
-    eprintln!("  untrusted-wire     no raw wire-metadata decodes outside littles' wire module");
-    eprintln!("  rng-streams        every Pcg32::named stream declared once in rng_streams.toml");
-    eprintln!("  cast-truncation    no unjustified narrowing casts / raw wire-counter `-`");
-    eprintln!("  panic-reachability reachable panic sites ratcheted down via baseline");
-    eprintln!("  hot-path-alloc     allocations in hot-path code ratcheted down via baseline");
+    for (name, summary) in xtask::rules::RULES {
+        eprintln!("  {name:<18} {summary}");
+    }
     eprintln!();
     eprintln!("Suppress with `// lint:allow(<rule>): <justification>` on the same");
     eprintln!("or preceding line. `--update-ratchet` regenerates the baseline");

@@ -6,20 +6,40 @@ use crate::diag::Diagnostic;
 use crate::mask::{self, line_col, Masked};
 use crate::model::{in_test_region, test_regions};
 
-/// Rule identifiers, as accepted by `lint:allow(...)`.
-pub const RULES: [&str; 11] = [
-    "determinism",
-    "float-eq",
-    "panic-hygiene",
-    "pub-docs",
-    "untrusted-wire",
-    "rng-streams",
-    "cast-truncation",
-    "panic-reachability",
-    "hot-path-alloc",
-    "typed-ids",
-    "retry-policy",
+/// Rule identifiers, as accepted by `lint:allow(...)`, each with the
+/// one-line summary the usage text prints.
+pub const RULES: [(&str, &str); 7] = [
+    (
+        "determinism",
+        "no wall clocks / OS entropy in simulation crates",
+    ),
+    ("float-eq", "no ==/!= on floats outside tests"),
+    (
+        "panic-hygiene",
+        "no unwrap/expect in littles or e2e-core library code",
+    ),
+    (
+        "rng-streams",
+        "every Pcg32::named stream declared once in rng_streams.toml",
+    ),
+    (
+        "cast-truncation",
+        "no unjustified narrowing casts / raw wire-counter `-`",
+    ),
+    (
+        "panic-reachability",
+        "reachable panic sites ratcheted down via baseline",
+    ),
+    (
+        "hot-path-alloc",
+        "allocations in hot-path code ratcheted down via baseline",
+    ),
 ];
+
+/// Whether `rule` names an entry of [`RULES`].
+fn is_rule(rule: &str) -> bool {
+    RULES.iter().any(|(name, _)| *name == rule)
+}
 
 /// Rules that run in the cross-file workspace pass (`lint_root`), not in
 /// [`lint_source`]. Their `lint:allow` markers are only checked for
@@ -48,57 +68,12 @@ const DETERMINISM_BANNED_COLLECTIONS: [(&str, &str); 2] = [
     ("HashSet", "BTreeSet"),
 ];
 
-/// Topology id newtypes whose raw tuple construction is confined to
-/// `simnet::topology`. After the star → graph generalization a host and
-/// a link index live in different spaces (client `i`, proxy `n`, shard
-/// `n+1+j` vs per-edge link numbering), so a literal `HostId(expr)` in
-/// routing code is exactly the off-by-one class the newtypes exist to
-/// catch. `from_index` is the sanctioned constructor: it keeps every
-/// index→id conversion greppable and inside the topology module's
-/// numbering contract.
-const TYPED_ID_NEWTYPES: [&str; 2] = ["HostId", "LinkId"];
-
-/// Wire-metadata decode entry points that assume trusted bytes. The
-/// exchange payload arrives from the peer and may be garbled, truncated,
-/// or produced by a peer that restarted mid-stream, so everything outside
-/// `littles::wire` must go through the `try_decode_tagged` Result path
-/// (which also carries the peer's counter epoch) and handle the error.
-/// The infallible array decodes and the untagged/snapshot-level decodes
-/// are implementation details of the wire module itself.
-const UNTRUSTED_WIRE_BANNED: [(&str, &str); 4] = [
-    ("WireExchange::decode", "infallible exchange decode"),
-    ("WireSnapshot::decode", "infallible snapshot decode"),
-    (
-        "WireExchange::try_decode",
-        "untagged exchange decode (drops the peer epoch)",
-    ),
-    (
-        "WireSnapshot::try_decode",
-        "snapshot-level decode (skips exchange framing and epoch)",
-    ),
-];
-
 /// `u32` wire-counter fields of `WireSnapshot` whose deltas must use
 /// `wrapping_sub`: the time field wraps every `2^42 ns ≈ 73 min` of
 /// simulated time at the default scale, and the counters wrap under
 /// long-horizon load, so a raw `-` yields a garbage delta (or a debug
 /// overflow panic) on the far side of the wrap.
 const WIRE_COUNTER_FIELDS: [&str; 3] = ["time", "total", "integral"];
-
-/// Retry-ladder knobs whose *reads* are confined to the policy crate's
-/// retry/breaker modules. Reading one elsewhere means some caller is
-/// re-deriving backoff, jitter, or budget arithmetic by hand instead of
-/// asking `RetryPolicy` (`attempt_deadline` / `request_attempt` /
-/// `hedge_delay` / `reconnect_backoff`) — which forks the ladder and
-/// silently diverges from the audited, deterministic one. Struct-literal
-/// initialization (`initial_backoff: ..`) builds a config and is fine.
-const RETRY_CONFIG_FIELDS: [&str; 5] = [
-    "initial_backoff",
-    "max_backoff",
-    "min_hedge_delay",
-    "budget_per_mille",
-    "budget_burst",
-];
 
 /// How a file relates to the rule scopes, derived from its path.
 #[derive(Debug, Clone, Default)]
@@ -107,7 +82,7 @@ pub struct FileContext {
     /// e2e-core, batchpolicy) → `determinism` applies.
     pub simulation_crate: bool,
     /// File is library code of littles or e2e-core → `panic-hygiene`
-    /// and `pub-docs` apply.
+    /// applies.
     pub strict_library: bool,
     /// File is test-like by location (`tests/`, `benches/`, `examples/`)
     /// → `float-eq` and `panic-hygiene` do not apply.
@@ -117,28 +92,12 @@ pub struct FileContext {
     /// `Pcg32::new`: every fault class must draw from its own named
     /// stream or enabling one class would shift another's draws.
     pub fault_code: bool,
-    /// File is the wire codec itself (littles' `wire.rs`) →
-    /// `untrusted-wire` does not apply: the raw decode entry points are
-    /// its implementation details.
-    pub wire_module: bool,
     /// File handles wire counters or clock values (littles' `wire.rs`,
     /// `e2e-core` src, `tcpsim` src) → `cast-truncation` applies: lossy
     /// `as u32`/`as u16`/`as u8` casts and raw `-` on wire-counter
     /// fields must be proven bounded (or modular by design) and carry a
     /// justified `lint:allow`.
     pub cast_scope: bool,
-    /// File is the topology module itself (simnet's `topology.rs`) →
-    /// `typed-ids` does not apply: the raw `HostId(..)`/`LinkId(..)`
-    /// tuple constructors are its implementation details. Everywhere
-    /// else index arithmetic must go through `from_index` so a grep for
-    /// it finds every place a raw index becomes an id.
-    pub topology_module: bool,
-    /// File owns a sanctioned backoff ladder (batchpolicy's `retry.rs`
-    /// and `breaker.rs`) → `retry-policy` does not apply: the raw
-    /// deadline/backoff/jitter arithmetic is their implementation
-    /// detail. Everywhere else must ask `RetryPolicy` for deadlines,
-    /// retry delays, and hedge windows.
-    pub retry_module: bool,
 }
 
 /// A parsed `lint:allow` marker. `used` is flipped by [`allowed`] when
@@ -190,9 +149,7 @@ pub(crate) fn parse_allows(file: &str, masked: &Masked, diags: &mut Vec<Diagnost
             Some((rule, justification.to_string()))
         });
         match parsed {
-            Some((rule, justification))
-                if RULES.contains(&rule.as_str()) && !justification.is_empty() =>
-            {
+            Some((rule, justification)) if is_rule(&rule) && !justification.is_empty() => {
                 allows.push(Allow {
                     line: *line,
                     rule,
@@ -200,20 +157,21 @@ pub(crate) fn parse_allows(file: &str, masked: &Masked, diags: &mut Vec<Diagnost
                 });
             }
             Some((rule, justification)) => {
-                let why = if !RULES.contains(&rule.as_str()) {
+                let why = if !is_rule(&rule) {
                     format!("unknown rule `{rule}`")
                 } else if justification.is_empty() {
                     "missing justification".to_string()
                 } else {
                     unreachable!("well-formed markers are accepted above")
                 };
+                let names = RULES.map(|(name, _)| name);
                 diags.push(Diagnostic {
                     file: file.to_string(),
                     line: *line,
                     col: 1,
                     rule: "bad-suppression",
                     message: format!(
-                        "{why}; use `lint:allow(<rule>): <justification>` with a rule from {RULES:?}"
+                        "{why}; use `lint:allow(<rule>): <justification>` with a rule from {names:?}"
                     ),
                 });
             }
@@ -352,7 +310,7 @@ pub fn lint_source(file: &str, source: &str, ctx: &FileContext) -> Vec<Diagnosti
     let masked = mask::mask(source);
     let mut diags = Vec::new();
     let allows = parse_allows(file, &masked, &mut diags);
-    lint_file(file, source, &masked, &allows, ctx, &mut diags);
+    lint_file(file, &masked, &allows, ctx, &mut diags);
     stale_allows(file, &allows, false, &mut diags);
     diags.sort();
     diags
@@ -362,7 +320,6 @@ pub fn lint_source(file: &str, source: &str, ctx: &FileContext) -> Vec<Diagnosti
 /// markers (so the caller can later judge their staleness).
 pub(crate) fn lint_file(
     file: &str,
-    source: &str,
     masked: &Masked,
     allows: &[Allow],
     ctx: &FileContext,
@@ -435,103 +392,6 @@ pub(crate) fn lint_file(
         }
     }
 
-    // retry-policy: raw deadline/backoff arithmetic outside the policy
-    // crate's retry/breaker modules (tests exempt — driving a ladder
-    // with hand-picked knobs is legitimate there). A field *read* of a
-    // ladder knob, or a copy of the jitter hash, means some caller is
-    // re-deriving backoff math by hand instead of asking `RetryPolicy`.
-    if !ctx.testlike && !ctx.retry_module {
-        for field in RETRY_CONFIG_FIELDS {
-            for offset in token_matches(text, field) {
-                if in_test_region(&regions, offset) {
-                    continue;
-                }
-                // Struct-literal initialization (`initial_backoff: ..`)
-                // builds a config and is fine; only reads leak the math.
-                if offset == 0 || bytes[offset - 1] != b'.' {
-                    continue;
-                }
-                push(
-                    diags,
-                    "retry-policy",
-                    offset,
-                    format!(
-                        "`.{field}` read outside `policy::retry`; derive deadlines \
-                         and backoff through `RetryPolicy` (`attempt_deadline` / \
-                         `request_attempt` / `hedge_delay` / `reconnect_backoff`) \
-                         so the ladder, jitter, and budget stay in one audited place"
-                    ),
-                );
-            }
-        }
-        for offset in token_matches(text, "splitmix64") {
-            if in_test_region(&regions, offset) {
-                continue;
-            }
-            push(
-                diags,
-                "retry-policy",
-                offset,
-                "`splitmix64` (the backoff jitter hash) outside `policy::retry`; \
-                 ask `RetryPolicy` for jittered delays instead of re-deriving them"
-                    .to_string(),
-            );
-        }
-    }
-
-    // typed-ids: raw tuple construction of the topology id newtypes
-    // outside `simnet::topology` (tests exempt — hand-built fixture
-    // topologies are legitimate). A bare `HostId(i)` bakes the module's
-    // numbering convention into the call site; `from_index` keeps the
-    // conversion explicit and greppable.
-    if !ctx.testlike && !ctx.topology_module {
-        for needle in TYPED_ID_NEWTYPES {
-            for offset in token_matches(text, needle) {
-                if in_test_region(&regions, offset) {
-                    continue;
-                }
-                if bytes.get(offset + needle.len()) != Some(&b'(') {
-                    continue;
-                }
-                push(
-                    diags,
-                    "typed-ids",
-                    offset,
-                    format!(
-                        "raw `{needle}(..)` construction outside `simnet::topology`; \
-                         use `{needle}::from_index` (or carry an id handed out by \
-                         the topology) so index arithmetic stays inside the \
-                         numbering contract"
-                    ),
-                );
-            }
-        }
-    }
-
-    // untrusted-wire: raw decode of peer metadata outside the wire
-    // module (tests exempt — roundtrip/fuzz tests of the codec itself
-    // are legitimate). Peer bytes are untrusted input: consumers must
-    // take the fallible tagged path and handle the error.
-    if !ctx.testlike && !ctx.wire_module {
-        for (needle, what) in UNTRUSTED_WIRE_BANNED {
-            for offset in token_matches(text, needle) {
-                if in_test_region(&regions, offset) {
-                    continue;
-                }
-                push(
-                    diags,
-                    "untrusted-wire",
-                    offset,
-                    format!(
-                        "`{needle}` ({what}) outside `littles::wire`; peer bytes \
-                         are untrusted — decode with \
-                         `WireExchange::try_decode_tagged` and handle the `Err`"
-                    ),
-                );
-            }
-        }
-    }
-
     // float-eq: `==` / `!=` with a float operand, outside tests.
     if !ctx.testlike {
         for op in ["==", "!="] {
@@ -595,11 +455,6 @@ pub(crate) fn lint_file(
                 );
             }
         }
-    }
-
-    // pub-docs: doc comment required above pub items.
-    if ctx.strict_library && !ctx.testlike {
-        check_pub_docs(file, source, text, &regions, &allows, diags);
     }
 
     // cast-truncation: lossy narrowing casts and raw arithmetic on wire
@@ -758,86 +613,6 @@ fn check_derived_float_eq(
     }
 }
 
-/// Items that `pub-docs` recognises after the `pub` keyword.
-const PUB_ITEMS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "union",
-];
-
-fn check_pub_docs(
-    file: &str,
-    source: &str,
-    masked_text: &str,
-    regions: &[(usize, usize)],
-    allows: &[Allow],
-    diags: &mut Vec<Diagnostic>,
-) {
-    let source_lines: Vec<&str> = source.lines().collect();
-    let mut offset = 0usize;
-    for (idx, line) in masked_text.lines().enumerate() {
-        let line_start = offset;
-        offset += line.len() + 1;
-        let trimmed = line.trim_start();
-        let Some(rest) = trimmed.strip_prefix("pub ") else {
-            continue;
-        };
-        // `pub(crate)` / `pub(super)` items are not public API.
-        let first = rest.split_whitespace().next().unwrap_or("");
-        let second = rest.split_whitespace().nth(1).unwrap_or("");
-        let item = if first == "unsafe" || first == "async" {
-            second
-        } else {
-            first
-        };
-        if !PUB_ITEMS.contains(&item) {
-            continue;
-        }
-        // `pub mod x;` declarations are documented by the module file's
-        // own `//!` inner docs (which rustc's missing_docs enforces).
-        if item == "mod" && trimmed.trim_end().ends_with(';') {
-            continue;
-        }
-        if in_test_region(regions, line_start) {
-            continue;
-        }
-        // Walk upward over attributes (including multi-line ones, whose
-        // trailing line ends with `)]`) to the expected doc position.
-        let mut prev = idx;
-        while prev > 0 {
-            let p = source_lines[prev - 1].trim();
-            if p.starts_with("#[") || p.starts_with("#![") {
-                prev -= 1;
-            } else if p.ends_with(")]") && !p.starts_with("//") {
-                // Closing line of a multi-line attribute: skip up to and
-                // including the line that opened it.
-                let mut j = prev - 1;
-                while j > 0 && !source_lines[j].trim_start().starts_with("#[") {
-                    j -= 1;
-                }
-                prev = j;
-            } else {
-                break;
-            }
-        }
-        let documented = prev > 0 && {
-            let p = source_lines[prev - 1].trim_start();
-            p.starts_with("///") || p.starts_with("/**") || p.ends_with("*/")
-        };
-        if !documented {
-            let line_no = idx as u32 + 1;
-            let col = (line.len() - trimmed.len()) as u32 + 1;
-            if !allowed(allows, "pub-docs", line_no) {
-                diags.push(Diagnostic {
-                    file: file.to_string(),
-                    line: line_no,
-                    col,
-                    rule: "pub-docs",
-                    message: format!("missing doc comment on `pub {item}`"),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -980,100 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_ids_bans_raw_construction() {
-        let src = "fn f(n: usize) { route(HostId(n + 1), LinkId(0)); }\n";
-        let d = lint_source("x.rs", src, &FileContext::default());
-        let got: Vec<(&str, u32)> = d.iter().map(|d| (d.rule, d.line)).collect();
-        assert_eq!(got, vec![("typed-ids", 1), ("typed-ids", 1)]);
-        assert!(d[0].message.contains("HostId::from_index"), "{}", d[0].message);
-    }
-
-    #[test]
-    fn typed_ids_allows_from_index_and_bare_mentions() {
-        let src = "use simnet::topology::{HostId, LinkId};\n\
-                   fn f(n: usize) -> HostId { let _l: LinkId = links[0]; HostId::from_index(n) }\n";
-        assert!(lint_source("x.rs", src, &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn typed_ids_exempt_in_topology_module_and_tests() {
-        let src = "fn f() { let h = HostId(3); }\n";
-        let topo_ctx = FileContext {
-            topology_module: true,
-            ..sim_ctx()
-        };
-        assert!(lint_source("x.rs", src, &topo_ctx).is_empty());
-        let test_ctx = FileContext {
-            testlike: true,
-            ..FileContext::default()
-        };
-        assert!(lint_source("x.rs", src, &test_ctx).is_empty());
-        let in_mod = "#[cfg(test)]\nmod tests { fn f() { let h = HostId(3); } }\n";
-        assert!(lint_source("x.rs", in_mod, &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn typed_ids_suppressible_with_justification() {
-        let src = "// lint:allow(typed-ids): FFI shim mirrors the C header's layout\n\
-                   fn f() { let h = HostId(3); }\n";
-        assert!(lint_source("x.rs", src, &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn untrusted_wire_bans_raw_decodes() {
-        let src = "fn f(b: &[u8; 36], s: &[u8; 12], t: &[u8]) {\n\
-                   let _a = WireExchange::decode(b);\n\
-                   let _b = WireSnapshot::decode(s);\n\
-                   let _c = WireExchange::try_decode(t);\n\
-                   let _d = WireSnapshot::try_decode(t);\n\
-                   }\n";
-        let d = lint_source("x.rs", src, &FileContext::default());
-        let rules: Vec<&str> = d.iter().map(|d| d.rule).collect();
-        assert_eq!(
-            rules,
-            vec![
-                "untrusted-wire",
-                "untrusted-wire",
-                "untrusted-wire",
-                "untrusted-wire"
-            ]
-        );
-    }
-
-    #[test]
-    fn untrusted_wire_allows_the_tagged_result_path() {
-        // `try_decode_tagged` must not be caught by the `try_decode`
-        // needle: `_` is an identifier byte, so the token match fails.
-        let src = "fn f(t: &[u8]) { let _ = WireExchange::try_decode_tagged(t); }\n";
-        assert!(lint_source("x.rs", src, &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn untrusted_wire_exempt_in_wire_module_and_tests() {
-        let src = "fn f(b: &[u8; 36]) { let _ = WireExchange::decode(b); }\n";
-        let wire_ctx = FileContext {
-            wire_module: true,
-            ..FileContext::default()
-        };
-        assert!(lint_source("x.rs", src, &wire_ctx).is_empty());
-        let test_ctx = FileContext {
-            testlike: true,
-            ..FileContext::default()
-        };
-        assert!(lint_source("x.rs", src, &test_ctx).is_empty());
-        let in_mod =
-            "#[cfg(test)]\nmod tests { fn f() { let _ = WireExchange::decode(&BUF); } }\n";
-        assert!(lint_source("x.rs", in_mod, &FileContext::default()).is_empty());
-    }
-
-    #[test]
-    fn untrusted_wire_suppressible_with_justification() {
-        let src = "// lint:allow(untrusted-wire): fuzz harness feeds the codec directly\n\
-                   fn f(b: &[u8; 36]) { let _ = WireExchange::decode(b); }\n";
-        assert!(lint_source("x.rs", src, &FileContext::default()).is_empty());
-    }
-
-    #[test]
     fn panic_hygiene_in_strict_library() {
         let ctx = FileContext {
             strict_library: true,
@@ -1085,39 +766,6 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, "panic-hygiene");
         assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn pub_docs_requires_doc_comment() {
-        let ctx = FileContext {
-            strict_library: true,
-            ..FileContext::default()
-        };
-        let src = "/// Documented.\npub fn a() {}\n\npub fn b() {}\n";
-        let d = lint_source("x.rs", src, &ctx);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "pub-docs");
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn pub_docs_sees_through_attributes() {
-        let ctx = FileContext {
-            strict_library: true,
-            ..FileContext::default()
-        };
-        let src = "/// Documented.\n#[derive(Debug)]\npub struct A;\n";
-        assert!(lint_source("x.rs", src, &ctx).is_empty());
-    }
-
-    #[test]
-    fn pub_crate_is_exempt() {
-        let ctx = FileContext {
-            strict_library: true,
-            ..FileContext::default()
-        };
-        let src = "pub(crate) fn helper() {}\n";
-        assert!(lint_source("x.rs", src, &ctx).is_empty());
     }
 
     #[test]

@@ -8,8 +8,8 @@ use crate::rules::FileContext;
 /// everything that runs inside the simulation.
 pub const SIMULATION_CRATES: [&str; 5] = ["littles", "simnet", "tcpsim", "core", "policy"];
 
-/// Crate directories held to the stricter library bar (`panic-hygiene`,
-/// `pub-docs`): the embeddable measurement/estimation libraries.
+/// Crate directories held to the stricter library bar (`panic-hygiene`):
+/// the embeddable measurement/estimation libraries.
 pub const STRICT_CRATES: [&str; 2] = ["littles", "core"];
 
 /// Directory names never descended into.
@@ -65,13 +65,8 @@ pub fn classify(root: &Path, file: &Path) -> FileContext {
         strict_library: crate_dir.is_some_and(|c| STRICT_CRATES.contains(&c)) && in_src,
         testlike,
         fault_code: simulation_crate && in_src && file_name.contains("fault"),
-        wire_module: crate_dir == Some("littles") && in_src && file_name == "wire.rs",
         cast_scope: (crate_dir == Some("littles") && in_src && file_name == "wire.rs")
             || (matches!(crate_dir, Some("core") | Some("tcpsim")) && in_src),
-        topology_module: crate_dir == Some("simnet") && in_src && file_name == "topology.rs",
-        retry_module: crate_dir == Some("policy")
-            && in_src
-            && matches!(file_name, "retry.rs" | "breaker.rs"),
     }
 }
 
@@ -85,54 +80,6 @@ mod tests {
         assert!(ctx.simulation_crate);
         assert!(!ctx.strict_library);
         assert!(!ctx.testlike);
-    }
-
-    #[test]
-    fn classify_wire_module() {
-        let ctx = classify(Path::new("/r"), Path::new("/r/crates/littles/src/wire.rs"));
-        assert!(ctx.wire_module);
-        assert!(ctx.strict_library, "the codec is still held to the library bar");
-        for p in [
-            "/r/crates/littles/src/queue.rs",
-            "/r/crates/littles/tests/wire.rs",
-            "/r/crates/core/src/wire.rs",
-            "/r/crates/apps/src/driver.rs",
-        ] {
-            assert!(!classify(Path::new("/r"), Path::new(p)).wire_module, "{p}");
-        }
-    }
-
-    #[test]
-    fn classify_topology_module() {
-        let ctx = classify(Path::new("/r"), Path::new("/r/crates/simnet/src/topology.rs"));
-        assert!(ctx.topology_module);
-        assert!(ctx.simulation_crate, "the topology module is still simulation code");
-        for p in [
-            "/r/crates/simnet/src/engine.rs",
-            "/r/crates/simnet/tests/topology.rs",
-            "/r/crates/tcpsim/src/topology.rs",
-            "/r/crates/apps/src/shard.rs",
-        ] {
-            assert!(!classify(Path::new("/r"), Path::new(p)).topology_module, "{p}");
-        }
-    }
-
-    #[test]
-    fn classify_retry_module() {
-        for p in [
-            "/r/crates/policy/src/retry.rs",
-            "/r/crates/policy/src/breaker.rs",
-        ] {
-            assert!(classify(Path::new("/r"), Path::new(p)).retry_module, "{p}");
-        }
-        for p in [
-            "/r/crates/policy/src/aimd.rs",
-            "/r/crates/policy/tests/retry.rs",
-            "/r/crates/apps/src/proxy.rs",
-            "/r/crates/apps/src/failover.rs",
-        ] {
-            assert!(!classify(Path::new("/r"), Path::new(p)).retry_module, "{p}");
-        }
     }
 
     #[test]

@@ -67,7 +67,6 @@ fn strict_library_rules_and_positions() {
         vec![
             ("panic-hygiene", 5, 6),  // .unwrap()
             ("panic-hygiene", 10, 6), // .expect(
-            ("pub-docs", 13, 1),      // undocumented pub fn
             ("float-eq", 14, 7),      // y == 0.25
         ]
     );
@@ -200,68 +199,6 @@ fn derived_float_partial_eq_flagged_outside_tests() {
     // The float-field derive on line 4 is flagged; the integer-only
     // derive on line 10 and the justified float derive on line 16 are not.
     assert_eq!(got, vec![("float-eq", 4, 1)]);
-}
-
-#[test]
-fn typed_ids_rule_bans_raw_ids_outside_topology_module() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "apps/src/router.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    // Line 7 is suppressed by the justified marker above it, and
-    // `from_index` on line 8 is the sanctioned constructor.
-    assert_eq!(
-        got,
-        vec![
-            ("typed-ids", 4, 13), // HostId(n + 1)
-            ("typed-ids", 5, 13), // LinkId(0)
-        ]
-    );
-    assert!(d[0].message.contains("HostId::from_index"), "{}", d[0].message);
-
-    // The topology module itself keeps the raw tuple constructors.
-    assert!(for_file(&diags, "simnet/src/topology.rs").is_empty());
-}
-
-#[test]
-fn retry_policy_rule_confines_backoff_arithmetic() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "apps/src/retry_use.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    // The knob read on line 8 is suppressed by the justified marker
-    // above it; the struct-literal initializers in `build` and the
-    // `attempt_deadline` call are the sanctioned forms.
-    assert_eq!(
-        got,
-        vec![
-            ("retry-policy", 4, 20), // cfg.initial_backoff read
-            ("retry-policy", 5, 31), // cfg.max_backoff read
-            ("retry-policy", 6, 18), // splitmix64 copy
-        ]
-    );
-    assert!(d[0].message.contains("attempt_deadline"), "{}", d[0].message);
-
-    // The ladder modules themselves keep their raw arithmetic.
-    assert!(for_file(&diags, "policy/src/retry.rs").is_empty());
-}
-
-#[test]
-fn untrusted_wire_rule_bans_raw_decodes_outside_wire_module() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "apps/src/wire_use.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    // Line 7 is suppressed by the justified marker above it, and the
-    // tagged decode on line 8 is the sanctioned Result path.
-    assert_eq!(
-        got,
-        vec![
-            ("untrusted-wire", 3, 14), // WireExchange::decode
-            ("untrusted-wire", 4, 14), // WireSnapshot::decode
-            ("untrusted-wire", 5, 14), // WireExchange::try_decode
-        ]
-    );
-
-    // The wire module itself keeps its raw decode entry points.
-    assert!(for_file(&diags, "littles/src/wire.rs").is_empty());
 }
 
 #[test]

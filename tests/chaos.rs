@@ -114,7 +114,7 @@ fn invariant_gates_nonvacuous_under_reorder_dup_loss() {
     let client_hosts: Vec<Host> = (0..n)
         .map(|i| {
             Host::new(
-                HostId(i),
+                HostId::from_index(i),
                 CpuContext::new("client-app"),
                 CpuContext::new("client-softirq"),
                 profile.client_stack,
@@ -123,7 +123,7 @@ fn invariant_gates_nonvacuous_under_reorder_dup_loss() {
         })
         .collect();
     let server_host = Host::new(
-        HostId(n),
+        HostId::from_index(n),
         CpuContext::new("server-app"),
         CpuContext::new("server-softirq"),
         profile.server_stack,

@@ -103,7 +103,7 @@ fn run_star16(
     let client_hosts: Vec<Host> = (0..n)
         .map(|i| {
             Host::new(
-                HostId(i),
+                HostId::from_index(i),
                 CpuContext::new("client-app"),
                 CpuContext::new("client-softirq"),
                 profile.client_stack,
@@ -112,7 +112,7 @@ fn run_star16(
         })
         .collect();
     let server_host = Host::new(
-        HostId(n),
+        HostId::from_index(n),
         CpuContext::new("server-app"),
         CpuContext::new("server-softirq"),
         profile.server_stack,

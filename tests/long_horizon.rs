@@ -36,14 +36,14 @@ fn soak(rate: f64, tick: Nanos, warmup: Nanos, end: Nanos) -> NetSim<LancetClien
         .with_recorder(EstimateRecorder::new(Unit::Bytes).with_validation(ValidateConfig::default()));
     let server = RedisServer::new(profile.app);
     let client_host = Host::new(
-        HostId(0),
+        HostId::from_index(0),
         CpuContext::new("client-app"),
         CpuContext::new("client-softirq"),
         profile.client_stack,
         tcp,
     );
     let server_host = Host::new(
-        HostId(1),
+        HostId::from_index(1),
         CpuContext::new("server-app"),
         CpuContext::new("server-softirq"),
         profile.server_stack,
