@@ -58,7 +58,7 @@ fn estimator_inputs(
         unread: snaps.unread,
         ackdelay: snaps.ackdelay,
     };
-    (local, socket.remote().unit(unit).cur, socket.srtt())
+    (local, socket.remote().unit(unit), socket.srtt())
 }
 
 /// The two figures of an [`Estimate`] that a recorder's range queries
@@ -507,7 +507,7 @@ impl HintRecorder {
 
     /// Runs one tick against `sock`, consuming the latest forwarded hint.
     pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
-        if let Some(hint) = ctx.socket(sock).remote().hint.cur {
+        if let Some(hint) = ctx.socket(sock).remote().hint {
             if let Some(est) = self.estimator.update(hint) {
                 self.log.push(ctx.now(), est.latency);
             }

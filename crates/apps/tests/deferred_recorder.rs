@@ -67,7 +67,7 @@ impl Reference {
             unread: snaps.unread,
             ackdelay: snaps.ackdelay,
         };
-        let remote = ctx.socket(sock).remote().unit(self.unit).cur;
+        let remote = ctx.socket(sock).remote().unit(self.unit);
         let srtt = ctx.socket(sock).srtt();
         if let Some(estimate) = self.estimator.update_validated(now, local, remote, srtt) {
             self.series.push((now, estimate));

@@ -171,8 +171,8 @@ fn bench_recorder_tick() {
                     let seg = exchange_segment(now);
                     for sock in socks.iter_mut() {
                         let q = &mut sock.queues_mut().unacked;
-                        q.track_bytes(now, 1_448);
-                        q.track_bytes(now, -1_448);
+                        q.track(now, Unit::Bytes, 1_448);
+                        q.track(now, Unit::Bytes, -1_448);
                         actions.clear();
                         sock.on_segment(now, &seg, TxEnv::default(), &mut actions);
                     }

@@ -6,8 +6,11 @@
 //! points at AIMD as the principled template for *batch-limit* adaptation
 //! (implemented separately in `batchpolicy::aimd`).
 
+/// Initial congestion window in MSS units (RFC 6928: 10).
+const INITIAL_WINDOW_MSS: usize = 10;
 
-use crate::config::CcConfig;
+/// Cap on the congestion window, bytes.
+const MAX_WINDOW_BYTES: usize = 8 * 1024 * 1024;
 
 /// Congestion-window state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,21 +18,18 @@ pub struct CongestionControl {
     cwnd: usize,
     ssthresh: usize,
     mss: usize,
-    config: CcConfig,
     /// Bytes acked since the last cwnd increment (congestion-avoidance
     /// accumulator).
     acked_accum: usize,
 }
 
 impl CongestionControl {
-    /// Creates a controller in slow start with the configured initial
-    /// window.
-    pub fn new(config: CcConfig, mss: usize) -> Self {
+    /// Creates a controller in slow start with the initial window.
+    pub fn new(mss: usize) -> Self {
         CongestionControl {
-            cwnd: config.initial_window_mss as usize * mss,
-            ssthresh: config.max_window_bytes,
+            cwnd: INITIAL_WINDOW_MSS * mss,
+            ssthresh: MAX_WINDOW_BYTES,
             mss,
-            config,
             acked_accum: 0,
         }
     }
@@ -65,7 +65,7 @@ impl CongestionControl {
                 self.cwnd += self.mss;
             }
         }
-        self.cwnd = self.cwnd.min(self.config.max_window_bytes);
+        self.cwnd = self.cwnd.min(MAX_WINDOW_BYTES);
     }
 
     /// Multiplicative decrease on loss detection (RTO in this stack).
@@ -89,13 +89,7 @@ mod tests {
     use super::*;
 
     fn cc() -> CongestionControl {
-        CongestionControl::new(
-            CcConfig {
-                initial_window_mss: 10,
-                max_window_bytes: 1_000_000,
-            },
-            1000,
-        )
+        CongestionControl::new(1000)
     }
 
     #[test]
@@ -157,7 +151,7 @@ mod tests {
         for _ in 0..10_000 {
             c.on_ack(1000);
         }
-        assert_eq!(c.cwnd(), 1_000_000);
+        assert_eq!(c.cwnd(), MAX_WINDOW_BYTES);
     }
 
     #[test]

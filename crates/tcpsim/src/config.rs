@@ -1,9 +1,14 @@
 //! Stack configuration.
 //!
-//! Every mechanism the paper discusses is independently switchable so the
-//! benchmarks can ablate them: Nagle ([`NagleMode`], including the dynamic
-//! mode driven by a policy), delayed ACKs, auto-corking, TSO, and the
-//! end-to-end metadata exchange. Cost parameters ([`CostConfig`]) translate
+//! The switches the benchmarks ablate are settable: Nagle ([`NagleMode`],
+//! including the dynamic mode driven by a policy), the delayed-ACK timeout
+//! and quick-ack start, auto-corking and TSO on/off, the RTO bounds, the
+//! gradual batch limit, and the end-to-end metadata exchange. The values
+//! no experiment varies are constants beside the mechanism they shape:
+//! the TSO super-segment size and deferral (`socket`), the cork threshold
+//! and safety valve ([`crate::gates`]), the every-second-segment ACK rule
+//! and piggybacking ([`crate::delack`]), and the initial and maximum
+//! congestion window ([`crate::cc`]). Cost parameters ([`CostConfig`]) translate
 //! stack activity into CPU time on the simulated cores; the defaults are
 //! calibrated in `e2e-apps` to put the figure experiments in the paper's
 //! operating regime (saturation in the tens of kRPS for 16 KiB SETs).
@@ -28,15 +33,9 @@ pub enum NagleMode {
 /// Delayed-acknowledgment parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DelAckConfig {
-    /// Acknowledge immediately once this many full-sized segments are
-    /// pending an ACK (RFC 1122's "every second segment").
-    pub ack_every_segments: u32,
     /// Maximum time an ACK may be delayed (Linux's minimum delack timer is
     /// ~40 ms; RFC 1122 allows up to 500 ms).
     pub timeout: Nanos,
-    /// When true, ACKs ride on any outgoing data segment (piggybacking),
-    /// clearing the pending-delack state.
-    pub piggyback: bool,
     /// Start the socket in quick-ack mode (`TCP_QUICKACK`-style): every
     /// data segment is acknowledged immediately. The mode can also be
     /// switched at runtime through the knob actuation path
@@ -47,59 +46,33 @@ pub struct DelAckConfig {
 impl Default for DelAckConfig {
     fn default() -> Self {
         DelAckConfig {
-            ack_every_segments: 2,
             timeout: Nanos::from_millis(40),
-            piggyback: true,
             quick: false,
         }
     }
 }
 
-/// Auto-corking parameters (Linux `tcp_autocorking`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Auto-corking switch (Linux `tcp_autocorking`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CorkConfig {
-    /// Master switch (on by default in Linux).
+    /// Master switch (on by default in Linux, off here).
     pub enabled: bool,
-    /// A small segment is corked only while at least this many packets sit
-    /// unfinished in the NIC transmit ring.
-    pub min_inflight_packets: u32,
-    /// Safety valve: corked data is flushed after this long even if the
-    /// ring never drains (prevents the iSCSI-style stalls reported on the
-    /// kernel list).
-    pub max_delay: Nanos,
 }
 
-impl Default for CorkConfig {
-    fn default() -> Self {
-        CorkConfig {
-            enabled: false,
-            min_inflight_packets: 1,
-            max_delay: Nanos::from_micros(50),
-        }
-    }
-}
-
-/// TCP segmentation offload parameters.
+/// TCP segmentation offload switch. When on, up to 64 KiB aggregate into
+/// one super-segment handed to the NIC, with Linux's deferral
+/// (`tcp_tso_should_defer`): when window-limited with more data queued and
+/// an ACK guaranteed to arrive, a sub-half-max chunk is held so trains
+/// fill out instead of ossifying at whatever size the ACK clock frees.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TsoConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Maximum bytes aggregated into one super-segment handed to the NIC.
-    pub max_bytes: usize,
-    /// TSO deferral (Linux `tcp_tso_should_defer`): when window-limited
-    /// with more data queued and an ACK guaranteed to arrive, hold a
-    /// sub-half-max chunk so trains fill out instead of ossifying at
-    /// whatever size the ACK clock happens to free.
-    pub defer: bool,
 }
 
 impl Default for TsoConfig {
     fn default() -> Self {
-        TsoConfig {
-            enabled: true,
-            max_bytes: 65_536,
-            defer: true,
-        }
+        TsoConfig { enabled: true }
     }
 }
 
@@ -158,24 +131,6 @@ impl Default for RtoConfig {
     }
 }
 
-/// Congestion-control parameters (Reno-style slow start + AIMD).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CcConfig {
-    /// Initial congestion window in MSS units (RFC 6928: 10).
-    pub initial_window_mss: u32,
-    /// Cap on the congestion window, bytes.
-    pub max_window_bytes: usize,
-}
-
-impl Default for CcConfig {
-    fn default() -> Self {
-        CcConfig {
-            initial_window_mss: 10,
-            max_window_bytes: 8 * 1024 * 1024,
-        }
-    }
-}
-
 /// Full per-socket TCP configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
@@ -195,8 +150,6 @@ pub struct TcpConfig {
     pub tso: TsoConfig,
     /// Retransmission timer bounds.
     pub rto: RtoConfig,
-    /// Congestion control parameters.
-    pub cc: CcConfig,
     /// End-to-end metadata exchange.
     pub exchange: ExchangeConfig,
     /// Initial gradual-batch (cork) limit in bytes: a sub-limit segment
@@ -218,7 +171,6 @@ impl Default for TcpConfig {
             cork: CorkConfig::default(),
             tso: TsoConfig::default(),
             rto: RtoConfig::default(),
-            cc: CcConfig::default(),
             exchange: ExchangeConfig::default(),
             batch_limit: None,
         }
@@ -286,7 +238,6 @@ mod tests {
         assert!(c.mss > 500 && c.mss < 9000);
         assert!(c.sndbuf >= c.mss * 10);
         assert_eq!(c.nagle, NagleMode::Off, "Redis default is TCP_NODELAY");
-        assert!(c.delack.ack_every_segments >= 1);
         assert!(c.rto.min_rto <= c.rto.max_rto);
     }
 

@@ -12,6 +12,10 @@ use littles::Nanos;
 
 use crate::config::DelAckConfig;
 
+/// Acknowledge immediately once this many full-sized segments are pending
+/// an ACK (RFC 1122's "every second segment").
+const ACK_EVERY_SEGMENTS: u32 = 2;
+
 /// What the receive path should do about acknowledging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckDecision {
@@ -34,8 +38,8 @@ pub enum AckMode {
     /// the ackdelay queue stays empty at the cost of more pure-ACK
     /// packets.
     Quick,
-    /// Classic delayed ACKs: one ACK per `ack_every_segments` full
-    /// segments, bounded by the given timeout.
+    /// Classic delayed ACKs: one ACK per two full segments, bounded by
+    /// the given timeout.
     Delayed {
         /// Upper bound on how long a pending ACK may wait.
         timeout: Nanos,
@@ -70,8 +74,6 @@ pub struct DelAck {
     pending_any: bool,
     /// Is the delack timer armed (as far as this machine knows)?
     timer_armed: bool,
-    /// Statistics: ACKs sent immediately by threshold.
-    immediate_acks: u64,
     /// Statistics: delack timers that actually fired.
     timeout_acks: u64,
     /// Statistics: ACKs that piggybacked on outgoing data.
@@ -94,7 +96,6 @@ impl DelAck {
             pending_full: 0,
             pending_any: false,
             timer_armed: false,
-            immediate_acks: 0,
             timeout_acks: 0,
             piggybacked_acks: 0,
         }
@@ -111,8 +112,7 @@ impl DelAck {
             self.pending_full += packets;
         }
         let quick = matches!(self.mode, AckMode::Quick);
-        if force_quick || quick || self.pending_full >= self.config.ack_every_segments {
-            self.immediate_acks += 1;
+        if force_quick || quick || self.pending_full >= ACK_EVERY_SEGMENTS {
             self.note_ack_sent_inner();
             AckDecision::SendNow
         } else if self.timer_armed {
@@ -150,7 +150,6 @@ impl DelAck {
         match mode {
             AckMode::Quick => {
                 if self.pending_any {
-                    self.immediate_acks += 1;
                     self.note_ack_sent_inner();
                     AckSwitch::Flush
                 } else {
@@ -185,9 +184,6 @@ impl DelAck {
     /// if this cleared a pending delayed ACK (caller should cancel the
     /// timer).
     pub fn on_piggyback(&mut self) -> bool {
-        if !self.config.piggyback {
-            return false;
-        }
         let had = self.pending_any;
         if had {
             self.piggybacked_acks += 1;
@@ -213,11 +209,6 @@ impl DelAck {
         self.timer_armed
     }
 
-    /// ACKs sent immediately due to the segment-count threshold.
-    pub fn immediate_acks(&self) -> u64 {
-        self.immediate_acks
-    }
-
     /// ACKs sent because the delack timer expired.
     pub fn timeout_acks(&self) -> u64 {
         self.timeout_acks
@@ -234,12 +225,7 @@ mod tests {
     use super::*;
 
     fn da() -> DelAck {
-        DelAck::new(DelAckConfig {
-            ack_every_segments: 2,
-            timeout: Nanos::from_millis(40),
-            piggyback: true,
-            quick: false,
-        })
+        DelAck::new(DelAckConfig::default())
     }
 
     #[test]
@@ -312,19 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn piggyback_disabled_keeps_pending() {
-        let mut d = DelAck::new(DelAckConfig {
-            ack_every_segments: 2,
-            timeout: Nanos::from_millis(40),
-            piggyback: false,
-            quick: false,
-        });
-        d.on_data(false, 1, false);
-        assert!(!d.on_piggyback());
-        assert!(d.has_pending());
-    }
-
-    #[test]
     fn quick_mode_acks_every_segment_immediately() {
         let mut d = da();
         assert_eq!(d.switch_mode(AckMode::Quick), AckSwitch::Nothing);
@@ -391,24 +364,10 @@ mod tests {
     #[test]
     fn quick_config_starts_in_quick_mode() {
         let mut d = DelAck::new(DelAckConfig {
-            ack_every_segments: 2,
             timeout: Nanos::from_millis(40),
-            piggyback: true,
             quick: true,
         });
         assert_eq!(d.mode(), AckMode::Quick);
         assert_eq!(d.on_data(false, 1, false), AckDecision::SendNow);
-    }
-
-    #[test]
-    fn threshold_one_acks_every_segment() {
-        let mut d = DelAck::new(DelAckConfig {
-            ack_every_segments: 1,
-            timeout: Nanos::from_millis(40),
-            piggyback: true,
-            quick: false,
-        });
-        assert_eq!(d.on_data(true, 1, false), AckDecision::SendNow);
-        assert_eq!(d.on_data(true, 1, false), AckDecision::SendNow);
     }
 }

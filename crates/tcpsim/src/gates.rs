@@ -14,16 +14,18 @@
 //! Both are pure functions here so they can be tested exhaustively and
 //! reused by the policy ablations.
 
+use littles::Nanos;
+
 use crate::config::CorkConfig;
 
-/// Reasons the transmit path held a segment (for stats and tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HoldReason {
-    /// Nagle: partial segment with unacked data outstanding.
-    Nagle,
-    /// Auto-cork: partial segment with packets in the NIC ring.
-    Cork,
-}
+/// A small segment is corked only while at least this many packets sit
+/// unfinished in the NIC transmit ring.
+const CORK_MIN_INFLIGHT_PACKETS: u32 = 1;
+
+/// Auto-cork safety valve: corked data is flushed after this long even if
+/// the ring never drains (prevents the iSCSI-style stalls reported on the
+/// kernel list).
+pub(crate) const CORK_MAX_DELAY: Nanos = Nanos::from_micros(50);
 
 /// Nagle's transmit test.
 ///
@@ -60,21 +62,20 @@ pub fn nagle_allows(
 /// Auto-corking's transmit test.
 ///
 /// Returns `true` when the segment should be *held* (corked): corking is
-/// enabled, the segment is sub-MSS, and the NIC ring still holds at least
-/// the configured number of unfinished packets.
+/// enabled, the segment is sub-MSS, and the NIC ring still holds an
+/// unfinished packet.
 pub fn cork_holds(
     config: &CorkConfig,
     payload_len: usize,
     mss: usize,
     nic_in_flight_packets: u32,
 ) -> bool {
-    config.enabled && payload_len < mss && nic_in_flight_packets >= config.min_inflight_packets
+    config.enabled && payload_len < mss && nic_in_flight_packets >= CORK_MIN_INFLIGHT_PACKETS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use littles::Nanos;
 
     #[test]
     fn nagle_off_always_sends() {
@@ -107,34 +108,19 @@ mod tests {
         assert!(nagle_allows(true, 10, 1448, 5000, true));
     }
 
-    fn cork_cfg(enabled: bool, min: u32) -> CorkConfig {
-        CorkConfig {
-            enabled,
-            min_inflight_packets: min,
-            max_delay: Nanos::from_micros(50),
-        }
-    }
-
     #[test]
     fn cork_disabled_never_holds() {
-        assert!(!cork_holds(&cork_cfg(false, 1), 10, 1448, 100));
+        assert!(!cork_holds(&CorkConfig { enabled: false }, 10, 1448, 100));
     }
 
     #[test]
     fn cork_holds_small_segment_with_ring_backlog() {
-        assert!(cork_holds(&cork_cfg(true, 1), 10, 1448, 1));
-        assert!(!cork_holds(&cork_cfg(true, 1), 10, 1448, 0));
+        assert!(cork_holds(&CorkConfig { enabled: true }, 10, 1448, 1));
+        assert!(!cork_holds(&CorkConfig { enabled: true }, 10, 1448, 0));
     }
 
     #[test]
     fn cork_never_holds_full_segments() {
-        assert!(!cork_holds(&cork_cfg(true, 1), 1448, 1448, 10));
-    }
-
-    #[test]
-    fn cork_threshold_respected() {
-        let cfg = cork_cfg(true, 3);
-        assert!(!cork_holds(&cfg, 10, 1448, 2));
-        assert!(cork_holds(&cfg, 10, 1448, 3));
+        assert!(!cork_holds(&CorkConfig { enabled: true }, 1448, 1448, 10));
     }
 }

@@ -577,7 +577,7 @@ mod tests {
     fn verify_passes_on_consistent_socket_state() {
         let now = Nanos::from_micros(5);
         let mut queues = SocketQueues::new(Nanos::ZERO);
-        queues.unacked.track_bytes(Nanos::ZERO, 100);
+        queues.unacked.track(Nanos::ZERO, Unit::Bytes, 100);
         let mut inv = SocketInvariants::new();
         inv.unacked.enter(100);
         assert_eq!(inv.verify(&queues, 0, 0, now), Ok(()));
@@ -589,7 +589,7 @@ mod tests {
         // (incorrectly) told only 90: the conservation gate fires.
         let now = Nanos::from_micros(5);
         let mut queues = SocketQueues::new(Nanos::ZERO);
-        queues.unacked.track_bytes(Nanos::ZERO, 90);
+        queues.unacked.track(Nanos::ZERO, Unit::Bytes, 90);
         let mut inv = SocketInvariants::new();
         inv.unacked.enter(100);
         assert!(matches!(

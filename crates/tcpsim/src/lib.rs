@@ -11,7 +11,8 @@
 //!   piggybacking, whose interaction with Nagle drives the motivating
 //!   pathology;
 //! * **auto-corking** ([`gates`], NIC ring in [`host`]);
-//! * **TSO aggregation** (transmit path in [`socket`]);
+//! * **TSO aggregation** (the send side of a [`socket`], which owns a
+//!   connection as a control block, a send side and a receive side);
 //! * **doorbell batching** (per-flush charging in [`sim`]);
 //! * plus the supporting machinery a TCP needs: sequence arithmetic
 //!   ([`seq`]), socket buffers ([`buffer`]), SRTT/RTO ([`rtt`]), and

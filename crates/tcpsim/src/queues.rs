@@ -66,19 +66,14 @@ impl InstrumentedQueue {
         }
     }
 
-    /// Records `n` bytes entering (`n > 0`) or leaving (`n < 0`).
-    pub fn track_bytes(&mut self, now: Nanos, n: i64) {
-        self.bytes.track(now, n);
-    }
-
-    /// Records packets entering or leaving.
-    pub fn track_packets(&mut self, now: Nanos, n: i64) {
-        self.packets.track(now, n);
-    }
-
-    /// Records whole application messages entering or leaving.
-    pub fn track_messages(&mut self, now: Nanos, n: i64) {
-        self.messages.track(now, n);
+    /// Records `n` of `unit` (bytes, packets or whole application
+    /// messages) entering (`n > 0`) or leaving (`n < 0`).
+    pub fn track(&mut self, now: Nanos, unit: Unit, n: i64) {
+        match unit {
+            Unit::Bytes => self.bytes.track(now, n),
+            Unit::Packets => self.packets.track(now, n),
+            Unit::Messages => self.messages.track(now, n),
+        }
     }
 
     /// Current occupancy in the given unit.
@@ -137,20 +132,6 @@ impl SocketQueues {
         let s = self.snapshots(now, unit);
         WireExchange::pack(&s.unacked, &s.unread, &s.ackdelay, scale)
     }
-
-    /// Monotonicity gate ([`crate::invariants`]): checks that none of the
-    /// three queues' counters regressed between `prev` and a fresh snapshot
-    /// at `now` in the same unit. Returns the first violation found.
-    pub fn check_monotone_since(
-        &self,
-        prev: &QueueSnapshots,
-        now: Nanos,
-    ) -> Result<(), crate::invariants::InvariantViolation> {
-        let cur = self.snapshots(now, prev.unit);
-        crate::invariants::check_snapshot_monotone("unacked", &prev.unacked, &cur.unacked)?;
-        crate::invariants::check_snapshot_monotone("unread", &prev.unread, &cur.unread)?;
-        crate::invariants::check_snapshot_monotone("ackdelay", &prev.ackdelay, &cur.ackdelay)
-    }
 }
 
 /// The three full-resolution snapshots of one endpoint at one instant.
@@ -175,9 +156,9 @@ mod tests {
     #[test]
     fn units_are_independent() {
         let mut q = InstrumentedQueue::new(Nanos::ZERO);
-        q.track_bytes(Nanos::ZERO, 1000);
-        q.track_packets(Nanos::ZERO, 2);
-        q.track_messages(Nanos::ZERO, 1);
+        q.track(Nanos::ZERO, Unit::Bytes, 1000);
+        q.track(Nanos::ZERO, Unit::Packets, 2);
+        q.track(Nanos::ZERO, Unit::Messages, 1);
         assert_eq!(q.size(Unit::Bytes), 1000);
         assert_eq!(q.size(Unit::Packets), 2);
         assert_eq!(q.size(Unit::Messages), 1);
@@ -186,9 +167,9 @@ mod tests {
     #[test]
     fn snapshots_capture_all_three_queues() {
         let mut qs = SocketQueues::new(Nanos::ZERO);
-        qs.unacked.track_bytes(Nanos::ZERO, 100);
-        qs.unread.track_bytes(Nanos::ZERO, 200);
-        qs.ackdelay.track_bytes(Nanos::ZERO, 300);
+        qs.unacked.track(Nanos::ZERO, Unit::Bytes, 100);
+        qs.unread.track(Nanos::ZERO, Unit::Bytes, 200);
+        qs.ackdelay.track(Nanos::ZERO, Unit::Bytes, 300);
         let t = Nanos::from_micros(10);
         let s = qs.snapshots(t, Unit::Bytes);
         assert_eq!(s.unacked.integral, 100 * 10_000);
@@ -213,15 +194,15 @@ mod tests {
         let s0m = q.peek(Nanos::ZERO, Unit::Messages);
 
         // Tiny message: 10 bytes, resident 100 µs.
-        q.track_bytes(Nanos::ZERO, 10);
-        q.track_messages(Nanos::ZERO, 1);
-        q.track_bytes(Nanos::from_micros(100), -10);
-        q.track_messages(Nanos::from_micros(100), -1);
+        q.track(Nanos::ZERO, Unit::Bytes, 10);
+        q.track(Nanos::ZERO, Unit::Messages, 1);
+        q.track(Nanos::from_micros(100), Unit::Bytes, -10);
+        q.track(Nanos::from_micros(100), Unit::Messages, -1);
         // Huge message: 16 KiB, resident 10 µs.
-        q.track_bytes(Nanos::from_micros(100), 16384);
-        q.track_messages(Nanos::from_micros(100), 1);
-        q.track_bytes(Nanos::from_micros(110), -16384);
-        q.track_messages(Nanos::from_micros(110), -1);
+        q.track(Nanos::from_micros(100), Unit::Bytes, 16384);
+        q.track(Nanos::from_micros(100), Unit::Messages, 1);
+        q.track(Nanos::from_micros(110), Unit::Bytes, -16384);
+        q.track(Nanos::from_micros(110), Unit::Messages, -1);
 
         let end = Nanos::from_micros(200);
         let byte_delay = q

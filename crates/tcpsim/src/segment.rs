@@ -98,11 +98,6 @@ impl E2eOption {
         opt
     }
 
-    /// The exchange for a unit, if carried.
-    pub fn get(&self, unit: Unit) -> Option<WireExchange> {
-        self.exchanges[unit.index()]
-    }
-
     /// Number of units carried.
     pub fn count(&self) -> usize {
         self.exchanges.iter().flatten().count()

@@ -54,6 +54,19 @@ impl SeqNum {
     }
 }
 
+/// Unwraps a 32-bit sequence into a 64-bit stream offset given the last
+/// seen (seq, offset) pair. Deltas ≥ 2³¹ are treated as old data.
+pub(crate) fn unwrap_seq(seq: SeqNum, last_seq: SeqNum, last_offset: u64) -> Option<u64> {
+    let delta = seq - last_seq; // wrapping distance
+    if delta < 1 << 31 {
+        Some(last_offset + delta as u64)
+    } else {
+        // Behind the last-seen point.
+        let back = last_seq - seq;
+        last_offset.checked_sub(back as u64)
+    }
+}
+
 impl core::ops::Add<u32> for SeqNum {
     type Output = SeqNum;
 

@@ -849,8 +849,7 @@ impl SimCore {
                 // uncorked sockets it would have skipped anyway.
                 waiters.sort_unstable();
                 waiters.dedup();
-                for i in 0..waiters.len() {
-                    let id = waiters[i];
+                for &id in &waiters {
                     let host = &mut self.hosts[h.index()];
                     if !host.socket(id).is_corked() {
                         continue;
@@ -1052,11 +1051,6 @@ impl<C: App, S: App> NetSim<C, S> {
         HostId::from_index(self.clients.len())
     }
 
-    /// Index of the server host.
-    pub fn server_index(&self) -> usize {
-        self.clients.len()
-    }
-
     /// The first client application (convenience for the N = 1 case).
     pub fn client(&self) -> &C {
         &self.clients[0]
@@ -1079,22 +1073,12 @@ impl<C: App, S: App> NetSim<C, S> {
 
     /// The server host (shared by every connection).
     pub fn server_host(&self) -> &Host {
-        &self.core.hosts[self.server_index()]
-    }
-
-    /// The link serving client 0 (the two-host pair's only link).
-    pub fn link(&self) -> &DuplexLink {
-        self.core.topology.link(LinkId::from_index(0))
+        &self.core.hosts[self.clients.len()]
     }
 
     /// The link serving client `i`.
     pub fn link_for(&self, client: usize) -> &DuplexLink {
         self.core.topology.link(LinkId::from_index(client))
-    }
-
-    /// The topology (for inspection).
-    pub fn topology(&self) -> &Topology {
-        &self.core.topology
     }
 
     /// The fault plan, if fault injection is active (for audit counters).

@@ -1,0 +1,744 @@
+//! The TCP socket state machine.
+//!
+//! A [`TcpSocket`] is a pure state machine: its methods mutate socket state
+//! and append [`Action`]s — segments to transmit, timers to (re)arm or
+//! cancel, application wakeups — that the host layer executes (charging CPU
+//! and driving the link). Keeping the socket side-effect-free makes every
+//! TCP behaviour unit-testable without a simulator.
+//!
+//! A connection is three parts, each the only writer of its state (the
+//! owner reads their fields and writes through their methods): `Tcb` — flow,
+//! RFC 793 state, epoch, configuration; `Tx` — send buffer, in-flight
+//! ranges, RTT and congestion window, go-back-N recovery, the RTO, the
+//! batching gates under study (Nagle including the dynamically toggled
+//! mode, auto-corking against the NIC ring, TSO aggregation, the gradual
+//! batch limit), our FIN and what we share; `Rx` — reassembly, the ACK
+//! cursor, delayed ACKs, the peer's FIN and what the peer shared.
+//!
+//! The parts decide; the owner books. The three instrumented queues
+//! (*unacked*, *unread*, *ackdelay*) the paper's end-to-end estimator
+//! consumes, their invariant ledgers and the estimator change stamp stay
+//! on [`TcpSocket`], written only through `touch_queues()`: one `TRACK`
+//! sink serves both directions, and the stamp must see every call.
+
+mod rx;
+mod tcb;
+mod tx;
+
+use crate::payload::Payload;
+use littles::wire::{WireExchange, WireSnapshot};
+use littles::{Nanos, Snapshot};
+
+use crate::buffer::SendChunk;
+use crate::config::TcpConfig;
+use crate::delack::{AckSwitch, DelAck};
+use crate::invariants::{gate, ActuationState, InvariantViolation, SocketInvariants};
+use crate::knob::KnobSetting;
+use crate::queues::{InstrumentedQueue, QueueSnapshots, SocketQueues, Unit};
+use crate::segment::{Flags, FlowId, Segment, TimestampOption};
+use crate::seq::SeqNum;
+
+use rx::Rx;
+use tcb::{Tcb, TcbEvent};
+use tx::Tx;
+
+/// Selects one of a socket's three instrumented queues.
+type PickQueue = fn(&mut SocketQueues) -> &mut InstrumentedQueue;
+
+/// Index of a socket within its host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SocketId(pub usize);
+
+/// Connection state (the subset of RFC 793 this stack uses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TcpState {
+    /// Active open sent, awaiting SYN-ACK.
+    SynSent,
+    /// Passive open received SYN, sent SYN-ACK.
+    SynReceived,
+    /// Data may flow.
+    Established,
+    /// We sent FIN, awaiting its ACK.
+    FinWait1,
+    /// Our FIN is acked; awaiting the peer's FIN.
+    FinWait2,
+    /// Peer sent FIN; we may still send.
+    CloseWait,
+    /// We sent FIN after CloseWait, awaiting its ACK.
+    LastAck,
+    /// Fully closed.
+    Closed,
+}
+
+/// Socket timers, armed and cancelled through [`Action`]s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TimerKind {
+    /// Retransmission timeout.
+    Rto,
+    /// Delayed-ACK timeout.
+    Delack,
+    /// Auto-cork flush safety valve.
+    Cork,
+}
+
+impl TimerKind {
+    /// Number of timer kinds — the width of dense per-socket timer tables.
+    pub const COUNT: usize = 3;
+}
+
+/// Why the application is being woken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WakeReason {
+    /// Active open completed.
+    Connected,
+    /// Passive open completed (a new connection was accepted).
+    Accepted,
+    /// In-order data (or EOF) is available to read.
+    Readable,
+    /// Send-buffer space was freed.
+    Writable,
+    /// The endpoint process restarted: the socket was torn down with all
+    /// of its counter state and the application should re-establish the
+    /// connection.
+    Reset,
+}
+
+/// Side effects requested by the socket, executed by the host.
+// Box would shrink the variant, but actions are short-lived and on the
+// hot path; the size imbalance is acceptable.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+pub enum Action {
+    /// Transmit a segment.
+    Transmit(Segment),
+    /// Arm (or re-arm) a timer `delay` from now.
+    ArmTimer(TimerKind, Nanos),
+    /// Cancel a timer if pending.
+    CancelTimer(TimerKind),
+    /// Wake the application.
+    Wake(WakeReason),
+}
+
+/// Transmit-path environment the host supplies (state the socket cannot
+/// know): the NIC ring occupancy, which auto-corking consults.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TxEnv {
+    /// Packets handed to the NIC that have not yet been completed.
+    pub nic_in_flight: u32,
+}
+
+/// Everything the peer has shared with us: the latest value of each kind.
+/// The estimators keep their own baselines, so nothing older is stored.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RemoteStore {
+    /// The latest queue-state exchange per unit, indexed by
+    /// [`Unit::index`].
+    pub exchanges: [Option<WireExchange>; 3],
+    /// The latest application request-queue hint.
+    pub hint: Option<WireSnapshot>,
+    /// Exchanges received in total — an epoch counter: any fresh peer
+    /// metadata bumps it, so staleness detectors can compare epochs.
+    pub received: u64,
+}
+
+impl RemoteStore {
+    /// The latest exchange in a unit.
+    pub fn unit(&self, unit: Unit) -> Option<WireExchange> {
+        self.exchanges[unit.index()]
+    }
+}
+
+/// Transmit/receive statistics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SocketStats {
+    /// Data segments transmitted (TSO super-segments count once).
+    pub data_segments_sent: u64,
+    /// Wire packets transmitted (TSO parts counted individually).
+    pub wire_packets_sent: u64,
+    /// Payload bytes transmitted (including retransmissions).
+    pub bytes_sent: u64,
+    /// Pure ACK segments transmitted.
+    pub pure_acks_sent: u64,
+    /// Segments retransmitted after an RTO.
+    pub retransmissions: u64,
+    /// Times the transmit path held a partial segment due to Nagle.
+    pub nagle_holds: u64,
+    /// Times the transmit path corked a partial segment.
+    pub cork_holds: u64,
+    /// Times TSO deferral held a window-limited sub-half-max chunk.
+    pub tso_defers: u64,
+    /// Times the AIMD batch-limit gate held queued data.
+    pub batch_limit_holds: u64,
+    /// Payload bytes received in order.
+    pub bytes_received: u64,
+    /// Wire packets received.
+    pub wire_packets_received: u64,
+    /// End-to-end exchanges attached to outgoing segments.
+    pub exchanges_sent: u64,
+    /// Hint options attached to outgoing segments.
+    pub hints_sent: u64,
+    /// Duplicate ACKs received.
+    pub dup_acks: u64,
+    /// Fast retransmissions triggered by triple duplicate ACKs.
+    pub fast_retransmits: u64,
+}
+
+/// A simulated TCP socket: one connection's three parts and the `TRACK`
+/// sink they share.
+#[derive(Debug, Clone)]
+pub struct TcpSocket {
+    tcb: Tcb,
+    tx: Tx,
+    rx: Rx,
+    queues: SocketQueues,
+    /// Runtime conservation gates (see [`crate::invariants`]); checks are
+    /// debug-only but the ledgers are always booked so tests can inspect
+    /// them in any profile.
+    invariants: SocketInvariants,
+    /// Change stamp over the state an end-to-end estimator reads from this
+    /// socket: advanced whenever one of the three instrumented queues, the
+    /// [`RemoteStore`] or the smoothed RTT may have changed. While two
+    /// reads return the same stamp, the queues were piecewise linear in
+    /// between (no `TRACK` call), so a periodic tick can extrapolate its
+    /// previous snapshots instead of taking new ones.
+    estimator_stamp: u64,
+    stats: SocketStats,
+}
+
+impl TcpSocket {
+    fn open(flow: FlowId, config: TcpConfig, now: Nanos, state: TcpState) -> Self {
+        TcpSocket {
+            tcb: Tcb { flow, config, state, epoch: 0 },
+            tx: Tx::new(&config),
+            rx: Rx::new(&config),
+            queues: SocketQueues::new(now),
+            invariants: SocketInvariants::new(),
+            estimator_stamp: 0,
+            stats: SocketStats::default(),
+        }
+    }
+
+    /// Creates an actively opening socket and emits its SYN.
+    pub fn client(flow: FlowId, config: TcpConfig, now: Nanos, actions: &mut Vec<Action>) -> Self {
+        let mut sock = Self::open(flow, config, now, TcpState::SynSent);
+        sock.send_handshake(now, actions);
+        sock
+    }
+
+    /// Creates a passively opened socket in response to a SYN and emits the
+    /// SYN-ACK.
+    pub fn server_on_syn(
+        flow: FlowId,
+        config: TcpConfig,
+        now: Nanos,
+        syn: &Segment,
+        actions: &mut Vec<Action>,
+    ) -> Self {
+        debug_assert!(syn.flags.syn);
+        let mut sock = Self::open(flow, config, now, TcpState::SynReceived);
+        sock.rx.on_peer_syn(syn.seq);
+        sock.send_handshake(now, actions);
+        sock
+    }
+
+    /// Connection identifier.
+    pub fn flow(&self) -> FlowId {
+        self.tcb.flow
+    }
+
+    /// Current connection state.
+    pub fn state(&self) -> TcpState {
+        self.tcb.state
+    }
+
+    /// Counter-state generation stamped on outgoing exchanges.
+    pub fn epoch(&self) -> u8 {
+        self.tcb.epoch
+    }
+
+    /// Assigns the counter-state generation (the host does this once at
+    /// registration).
+    pub(crate) fn set_epoch(&mut self, epoch: u8) {
+        self.tcb.set_epoch(epoch);
+    }
+
+    /// Tears the socket down in place — the endpoint-restart fault. The
+    /// process behind this endpoint is gone, and every bit of connection
+    /// and queue-counter state went with it: the socket stops transmitting,
+    /// ignores all input, and never shares counters again. The host drops
+    /// the flow mapping and invalidates pending timers; the application is
+    /// woken separately to re-establish a fresh connection (whose new
+    /// socket gets a new epoch). Counts as a change for
+    /// [`estimator_stamp`](Self::estimator_stamp): whoever waits on the
+    /// stamp must not sleep through the connection's death.
+    pub fn reset(&mut self) {
+        self.estimator_stamp += 1;
+        self.tcb.transition(TcbEvent::Crash);
+        self.tx.reset();
+    }
+
+    /// The socket's configuration.
+    pub fn config(&self) -> &TcpConfig {
+        &self.tcb.config
+    }
+
+    /// The instrumented queues.
+    pub fn queues(&self) -> &SocketQueues {
+        &self.queues
+    }
+
+    /// Local queue snapshots at `now` in `unit`.
+    pub fn local_snapshots(&self, now: Nanos, unit: Unit) -> QueueSnapshots {
+        self.queues.snapshots(now, unit)
+    }
+
+    /// Everything the peer has shared.
+    pub fn remote(&self) -> &RemoteStore {
+        &self.rx.remote
+    }
+
+    /// The estimator change stamp: equal across two reads only if no
+    /// instrumented queue, nothing in [`remote`](Self::remote) and not
+    /// [`srtt`](Self::srtt) changed in between. It is all a tick over a
+    /// static connection reads of the socket.
+    #[inline]
+    pub fn estimator_stamp(&self) -> u64 {
+        self.estimator_stamp
+    }
+
+    /// The instrumented queues for a `TRACK` call; advances the
+    /// estimator stamp. Every queue mutation in this module goes through
+    /// here, so the stamp cannot miss one.
+    #[inline]
+    fn touch_queues(&mut self) -> &mut SocketQueues {
+        self.estimator_stamp += 1;
+        &mut self.queues
+    }
+
+    /// `TRACK`s `counts` (per [`Unit::index`]) into the queue `pick` picks.
+    fn track(&mut self, now: Nanos, pick: PickQueue, counts: [i64; 3]) {
+        for (unit, n) in Unit::ALL.into_iter().zip(counts) {
+            if n != 0 {
+                pick(self.touch_queues()).track(now, unit, n);
+            }
+        }
+    }
+
+    /// Statistics.
+    pub fn stats(&self) -> &SocketStats {
+        &self.stats
+    }
+
+    /// The runtime invariant ledgers and gates.
+    pub fn invariants(&self) -> &SocketInvariants {
+        &self.invariants
+    }
+
+    /// Mutable access to the instrumented queues — fault injection for
+    /// invariant-gate tests. Production code never mutates the queues
+    /// directly; the stack's own bookkeeping goes through the tracked
+    /// send/receive paths so the ledgers stay in balance.
+    pub fn queues_mut(&mut self) -> &mut SocketQueues {
+        self.touch_queues()
+    }
+
+    /// Runs every stateful invariant gate against the current queue and
+    /// cursor state, returning the first violation. The host calls this
+    /// (wrapped in [`gate`]) after each event; tests may call it directly.
+    pub fn check_invariants(&mut self, now: Nanos) -> Result<(), InvariantViolation> {
+        let (rcv, snd) = (&self.rx.rcv, &self.tx.snd);
+        self.invariants.verify(&self.queues, rcv.rcv_nxt(), rcv.read_pos(), now)?;
+        let state = ActuationState {
+            ack_pending: self.rx.delack.has_pending(),
+            has_unsent: snd.unsent() > 0,
+            in_flight: snd.in_flight() > 0,
+            tx_timer_armed: self.tx.rto_armed,
+            cork_timer_armed: self.tx.corked,
+            window_open: self.tx.window() >= self.tcb.config.mss,
+            established: self.tcb.state == TcpState::Established,
+        };
+        self.invariants.verify_actuation(&state)
+    }
+
+    fn verify_invariants(&mut self, now: Nanos) {
+        if cfg!(debug_assertions) {
+            gate(self.check_invariants(now));
+        }
+    }
+
+    /// Smoothed RTT, if measured.
+    pub fn srtt(&self) -> Option<Nanos> {
+        self.tx.rtt.srtt()
+    }
+
+    /// Delayed-ACK machinery (for stats).
+    pub fn delack(&self) -> &DelAck {
+        &self.rx.delack
+    }
+
+    /// Whether Nagle currently applies to the transmit path.
+    pub fn nagle_active(&self) -> bool {
+        self.tx.nagle_active(self.tcb.config.nagle)
+    }
+
+    /// Applies one control-plane [`KnobSetting`]; returns true if socket
+    /// state changed. This is the only way to move a knob at runtime: the
+    /// dynamic-Nagle switch (only meaningful in
+    /// [`NagleMode::Dynamic`](crate::config::NagleMode::Dynamic)), the
+    /// delayed-ACK mode and the gradual batching limit have no public
+    /// setter.
+    ///
+    /// A delayed-ACK mode switch disposes of any pending ACK
+    /// deterministically — flushed immediately on a switch to quick-ack
+    /// (the acknowledgment the peer waits for is never dropped), re-armed
+    /// from the switch instant on a timeout change. Callers must execute
+    /// the returned actions and then re-run the transmit path so a
+    /// loosened gate releases held data; `HostCtx::apply` does both.
+    pub fn apply(&mut self, now: Nanos, setting: KnobSetting, actions: &mut Vec<Action>) -> bool {
+        let KnobSetting::DelAck(mode) = setting else {
+            return self.tx.apply(setting);
+        };
+        let changed = self.rx.delack.mode() != mode;
+        let decision = self.rx.switch_ack_mode(mode);
+        self.settle_ack(now, decision, actions);
+        self.verify_invariants(now);
+        changed
+    }
+
+    /// Installs the application's request-queue hint (the ancillary-data
+    /// path of §3.3); it will be forwarded to the peer on the next
+    /// transmit.
+    pub fn set_hint(&mut self, snapshot: Snapshot) {
+        self.tx.set_hint(snapshot);
+    }
+
+    /// Bytes available to read.
+    pub fn recv_available(&self) -> usize {
+        self.rx.rcv.available()
+    }
+
+    /// Accepts application data for transmission; each call marks one
+    /// message boundary (the send-syscall approximation of §3.3). Returns
+    /// the bytes accepted (less than `data.len()` if the buffer is full)
+    /// and appends transmit actions.
+    pub fn send(
+        &mut self,
+        now: Nanos,
+        data: &[u8],
+        env: TxEnv,
+        actions: &mut Vec<Action>,
+    ) -> usize {
+        if !matches!(self.tcb.state, TcpState::Established | TcpState::CloseWait) {
+            return 0;
+        }
+        let accepted = self.tx.push(data);
+        if accepted > 0 {
+            self.invariants.unacked.enter(accepted as u64);
+            self.track(now, |q| &mut q.unacked, [accepted as i64, 0, 1]);
+        }
+        self.poll_transmit(now, env, actions);
+        self.verify_invariants(now);
+        accepted
+    }
+
+    /// Reads up to `max` bytes of in-order data; returns the bytes and the
+    /// number of whole messages consumed, updating the unread queue.
+    pub fn recv(&mut self, now: Nanos, max: usize, actions: &mut Vec<Action>) -> (Payload, usize) {
+        let window_before = self.rx.rcv.window();
+        let (bytes, messages, packets) = self.rx.read(max);
+        if !bytes.is_empty() {
+            self.invariants.unread.leave(bytes.len() as u64);
+            let left = [-(bytes.len() as i64), -packets, -(messages as i64)];
+            self.track(now, |q| &mut q.unread, left);
+            // Window-update ACK: reading reopened a window that had
+            // squeezed below one MSS.
+            let mss = self.tcb.config.mss;
+            if window_before < mss && self.rx.rcv.window() >= 2 * mss {
+                self.emit_pure_ack(now, actions);
+            }
+        }
+        self.verify_invariants(now);
+        (bytes, messages)
+    }
+
+    /// Initiates a graceful close (sends FIN once buffered data drains).
+    pub fn close(&mut self, now: Nanos, env: TxEnv, actions: &mut Vec<Action>) {
+        if self.tcb.transition(TcbEvent::Close) {
+            self.tx.want_fin();
+            self.poll_transmit(now, env, actions);
+        }
+    }
+
+    /// Runs the transmit path: emits as many segments as the gates
+    /// (window, Nagle, cork) allow.
+    pub fn poll_transmit(&mut self, now: Nanos, env: TxEnv, actions: &mut Vec<Action>) {
+        if !matches!(
+            self.tcb.state,
+            TcpState::Established | TcpState::CloseWait | TcpState::FinWait1 | TcpState::LastAck
+        ) {
+            return;
+        }
+        while let Some((chunk, retransmit)) =
+            self.tx.next_chunk(&self.tcb.config, env, &mut self.stats, actions)
+        {
+            self.emit_data(now, chunk, retransmit, actions);
+        }
+        // Emit FIN once everything (including retransmittable data) is out.
+        if let Some(end) = self.tx.end_pass() {
+            let flags = Flags { fin: true, ack: true, ..Flags::default() };
+            actions.push(Action::Transmit(self.header(now, Tcb::seq(end), flags)));
+            self.tx.arm_rto(actions);
+        }
+    }
+
+    /// Builds every segment's header — the one place the ACK field and the
+    /// advertised window are written. A SYN carries no options, a FIN
+    /// timestamps, and ACKs and data timestamps plus what we share, when due.
+    fn header(&mut self, now: Nanos, seq: SeqNum, flags: Flags) -> Segment {
+        let window = self.rx.rcv.window() as u32; // lint:allow(cast-truncation): advertised window is clamped to the receive buffer capacity, far under u32::MAX
+        let (flow, ack, tsecr) = (self.tcb.flow, self.rx.rcv_seq, self.rx.ts_recent);
+        let mut seg = Segment::control(flow, seq, ack, flags, window);
+        if !flags.syn {
+            let tsval = now.as_nanos() as u32; // lint:allow(cast-truncation): tsval wraps mod 2^32 per RFC 7323 and is only echoed, never differenced
+            seg.options.timestamps = Some(TimestampOption { tsval, tsecr });
+            if !flags.fin {
+                let (tcb, queues) = (&self.tcb, &self.queues);
+                self.tx.attach_exchange(now, tcb, queues, &mut self.stats, &mut seg.options);
+            }
+        }
+        seg
+    }
+
+    /// (Re)sends the handshake segment the state owes — a SYN from
+    /// `SynSent`, a SYN-ACK from `SynReceived` — and arms the RTO.
+    fn send_handshake(&mut self, now: Nanos, actions: &mut Vec<Action>) {
+        let ack = self.tcb.state == TcpState::SynReceived;
+        let seg = self.header(now, Tcb::ISS, Flags { syn: true, ack, ..Flags::default() });
+        actions.push(Action::Transmit(seg));
+        self.tx.arm_rto(actions);
+    }
+
+    fn emit_data(&mut self, now: Nanos, chunk: SendChunk, retx: bool, actions: &mut Vec<Action>) {
+        let (offset, len) = (chunk.offset, chunk.bytes.len());
+        gate(self.invariants.on_transmit(offset, len, retx));
+        let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32; // lint:allow(cast-truncation): wire_packets <= len/mss + 1, bounded by the send buffer
+        let psh = chunk.boundaries.last() == Some(&(offset + len as u64));
+        self.tx.on_sent(now, &chunk, wire_packets, retx);
+        let flags = Flags { ack: true, psh, ..Flags::default() };
+        let mut seg = self.header(now, Tcb::seq(offset), flags);
+        seg.payload = chunk.bytes;
+        seg.boundaries = chunk.boundaries;
+        seg.wire_packets = wire_packets;
+        self.ack_sent(now, true, actions);
+        self.track(now, |q| &mut q.unacked, [0, i64::from(wire_packets), 0]);
+        self.stats.data_segments_sent += 1;
+        self.stats.wire_packets_sent += u64::from(wire_packets);
+        self.stats.bytes_sent += len as u64;
+        self.stats.retransmissions += u64::from(retx);
+        actions.push(Action::Transmit(seg));
+        self.tx.arm_rto(actions);
+    }
+
+    /// An ACK covering everything received is leaving, pure or riding data
+    /// (`piggyback`): drains the ackdelay queue.
+    fn ack_sent(&mut self, now: Nanos, piggyback: bool, actions: &mut Vec<Action>) {
+        let [bytes, packets, messages] = self.rx.ack_sent(piggyback, actions);
+        if bytes > 0 {
+            self.invariants.ackdelay.leave(bytes as u64);
+        }
+        self.track(now, |q| &mut q.ackdelay, [-bytes, -packets, -messages]);
+    }
+
+    /// Carries out a delayed-ACK decision: the ACK goes now (its timer
+    /// cancelled), or its timer is (re)armed.
+    fn settle_ack(&mut self, now: Nanos, decision: AckSwitch, actions: &mut Vec<Action>) {
+        match decision {
+            AckSwitch::Nothing => {}
+            AckSwitch::Flush => {
+                actions.push(Action::CancelTimer(TimerKind::Delack));
+                self.emit_pure_ack(now, actions);
+            }
+            AckSwitch::Rearm(delay) => actions.push(Action::ArmTimer(TimerKind::Delack, delay)),
+        }
+    }
+
+    fn emit_pure_ack(&mut self, now: Nanos, actions: &mut Vec<Action>) {
+        let flags = Flags { ack: true, ..Flags::default() };
+        let seg = self.header(now, Tcb::seq(self.tx.snd.nxt()), flags);
+        self.ack_sent(now, false, actions);
+        self.stats.pure_acks_sent += 1;
+        actions.push(Action::Transmit(seg));
+    }
+
+    /// Processes one incoming segment. The host calls this after charging
+    /// softirq receive costs.
+    pub fn on_segment(&mut self, now: Nanos, seg: &Segment, env: TxEnv, actions: &mut Vec<Action>) {
+        self.stats.wire_packets_received += u64::from(seg.wire_packets);
+        self.estimator_stamp += self.rx.take_options(&seg.options);
+        match self.tcb.state {
+            TcpState::SynSent => {
+                if seg.flags.syn && seg.flags.ack {
+                    self.rx.on_peer_syn(seg.seq);
+                    self.tcb.transition(TcbEvent::Handshake);
+                    // It acknowledges only our SYN: `on_ack` takes its window.
+                    self.tx.on_ack(now, seg, self.tcb.config.mss, &mut self.stats, actions);
+                    self.tx.disarm_rto(actions);
+                    self.emit_pure_ack(now, actions);
+                    actions.push(Action::Wake(WakeReason::Connected));
+                }
+                return;
+            }
+            TcpState::SynReceived if seg.flags.ack && seg.ack == Tcb::ISS + 1 => {
+                self.tcb.transition(TcbEvent::Handshake);
+                self.tx.disarm_rto(actions);
+                actions.push(Action::Wake(WakeReason::Accepted));
+                // Fall through: the ACK may carry data.
+            }
+            TcpState::Closed => return,
+            _ => {}
+        }
+        if seg.flags.ack {
+            self.on_ack(now, seg, actions);
+        }
+        // Data: `Rx` reassembles and decides the ACK; the unread and
+        // ackdelay queues are booked here.
+        if let Some((res, rcv_nxt_before, arrived)) = self.rx.reassemble(seg) {
+            let (rcv_nxt, ooo, dup) = (self.rx.rcv.rcv_nxt(), res.out_of_order, res.duplicate);
+            gate(self.invariants.on_rx_segment(ooo, dup, rcv_nxt_before, rcv_nxt));
+            if res.in_order_bytes > 0 {
+                self.stats.bytes_received += res.in_order_bytes as u64;
+                self.invariants.unread.enter(res.in_order_bytes as u64);
+                self.track(now, |q| &mut q.unread, arrived);
+                self.invariants.ackdelay.enter(res.in_order_bytes as u64);
+                self.track(now, |q| &mut q.ackdelay, arrived);
+                actions.push(Action::Wake(WakeReason::Readable));
+            }
+            let decision = self.rx.ack_due(seg, &res, self.tcb.config.mss);
+            self.settle_ack(now, decision, actions);
+        }
+        if seg.flags.fin && self.rx.on_fin(seg) {
+            self.tcb.transition(TcbEvent::PeerFin);
+            self.emit_pure_ack(now, actions);
+            actions.push(Action::Wake(WakeReason::Readable)); // EOF
+        }
+        // New ACKs or window may unblock the transmit path.
+        self.poll_transmit(now, env, actions);
+        self.verify_invariants(now);
+    }
+
+    /// ACK processing: `Tx` decides; the unacked queue is booked here.
+    fn on_ack(&mut self, now: Nanos, seg: &Segment, actions: &mut Vec<Action>) {
+        let acked = self.tx.on_ack(now, seg, self.tcb.config.mss, &mut self.stats, actions);
+        let [bytes, packets, messages] = acked.freed;
+        if bytes > 0 {
+            self.invariants.unacked.leave(bytes as u64);
+            self.track(now, |q| &mut q.unacked, [-bytes, -packets, -messages]);
+            self.estimator_stamp += u64::from(acked.sampled);
+            if self.tx.snd.room() > 0 {
+                actions.push(Action::Wake(WakeReason::Writable));
+            }
+        }
+        // An ACK past our FIN leaves nothing in flight: the RTO goes.
+        if acked.fin_acked && self.tcb.transition(TcbEvent::FinAcked) {
+            self.tx.disarm_rto(actions);
+        }
+        if let Some(chunk) = acked.fast_retransmit {
+            self.emit_data(now, chunk, true, actions);
+        }
+    }
+
+    /// Handles a fired timer. The host guarantees stale (cancelled) timers
+    /// never reach the socket.
+    pub fn on_timer(&mut self, now: Nanos, kind: TimerKind, env: TxEnv, actions: &mut Vec<Action>) {
+        let handshake = matches!(self.tcb.state, TcpState::SynSent | TcpState::SynReceived);
+        match kind {
+            TimerKind::Delack => {
+                if self.rx.on_delack_timer() {
+                    self.emit_pure_ack(now, actions);
+                }
+            }
+            TimerKind::Cork => {
+                self.tx.uncork(true);
+                self.poll_transmit(now, env, actions);
+            }
+            TimerKind::Rto if !self.tx.rto_armed => return,
+            TimerKind::Rto if handshake => {
+                self.tx.backoff();
+                self.send_handshake(now, actions);
+            }
+            TimerKind::Rto => {
+                let stale = self.tx.go_back_n();
+                self.track(now, |q| &mut q.unacked, [0, -stale, 0]);
+                self.poll_transmit(now, env, actions);
+                self.tx.rearm_rto(actions);
+            }
+        }
+        self.verify_invariants(now);
+    }
+
+    /// True while data is held back by auto-corking.
+    /// [`on_nic_drained`](Self::on_nic_drained) is a no-op unless this
+    /// holds, which lets the NIC-completion path skip uncorked sockets
+    /// without calling in.
+    // hot-path: checked for every socket on every NIC completion
+    #[inline]
+    pub fn is_corked(&self) -> bool {
+        self.tx.corked
+    }
+
+    /// Called by the host when the NIC ring drains: corked data may now be
+    /// flushed.
+    pub fn on_nic_drained(&mut self, now: Nanos, env: TxEnv, actions: &mut Vec<Action>) {
+        if self.tx.uncork(false) {
+            actions.push(Action::CancelTimer(TimerKind::Cork));
+            self.poll_transmit(now, env, actions);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::seq::unwrap_seq;
+
+    // Regression tests for the sequence-unwrap path: stream offsets are
+    // u64 but wire sequence numbers are a 32-bit circular space, so a
+    // long-lived flow crosses the wrap and every (seq, offset) pair must
+    // survive the round trip. These pin the `as u32` modular arithmetic
+    // the cast-truncation lint allows in `Tcb::seq` and the ACK cursor.
+
+    #[test]
+    fn unwrap_seq_round_trips_across_u32_wrap() {
+        // A flow that has already shipped just under 4 GiB: the next
+        // segments straddle the sequence wrap.
+        let last_offset: u64 = (1 << 32) - 1000;
+        let last_seq = SeqNum::new(u32::MAX.wrapping_sub(999));
+        for delta in [0u32, 1, 999, 1000, 1001, 65_535] {
+            let seq = last_seq + delta;
+            assert_eq!(
+                unwrap_seq(seq, last_seq, last_offset),
+                Some(last_offset + u64::from(delta)),
+                "delta {delta} must unwrap past the wrap point"
+            );
+        }
+    }
+
+    #[test]
+    fn unwrap_seq_treats_large_backward_deltas_as_old_data() {
+        let last_offset: u64 = 5_000_000_000; // past one full wrap
+        let last_seq = SeqNum::new((last_offset % (1 << 32)) as u32);
+        // A little behind: still unwrappable (retransmitted old data).
+        assert_eq!(
+            unwrap_seq(SeqNum::new(last_seq.raw().wrapping_sub(100)), last_seq, last_offset),
+            Some(last_offset - 100)
+        );
+        // Half the space ahead reads as behind (deltas ≥ 2³¹ are "old"):
+        // it unwraps backward, not forward.
+        assert_eq!(
+            unwrap_seq(last_seq + (1 << 31), last_seq, last_offset),
+            Some(last_offset - (1 << 31))
+        );
+        // Behind the start of the stream: unrepresentable, rejected.
+        assert_eq!(unwrap_seq(SeqNum::new(u32::MAX), SeqNum::new(10), 10), None);
+    }
+}

@@ -1,0 +1,157 @@
+//! The receive side of a connection.
+
+use std::collections::VecDeque;
+
+use crate::buffer::{IngestResult, RecvBuffer};
+use crate::config::TcpConfig;
+use crate::delack::{AckDecision, AckMode, AckSwitch, DelAck};
+use crate::payload::Payload;
+use crate::segment::{Options, Segment};
+use crate::seq::{unwrap_seq, SeqNum};
+
+use super::{Action, RemoteStore, TimerKind};
+
+/// The receive side; the owner reads the fields, only these methods write
+/// them.
+#[derive(Debug, Clone)]
+pub(super) struct Rx {
+    pub(super) rcv: RecvBuffer,
+    /// The next sequence number expected from the peer: one past its SYN,
+    /// advanced with every in-order byte and once more for its FIN. Every
+    /// ACK field carries it, and arriving sequence numbers unwrap against
+    /// it paired with `rcv.rcv_nxt()`.
+    pub(super) rcv_seq: SeqNum,
+    /// Most recent peer timestamp value, echoed back.
+    pub(super) ts_recent: u32,
+    pub(super) delack: DelAck,
+    pub(super) remote: RemoteStore,
+    /// Received-but-unacked counts for the ackdelay queue, indexed by
+    /// [`Unit::index`](crate::queues::Unit::index).
+    pending_ack: [i64; 3],
+    /// Unread-queue packet accounting: (end offset, wire packets).
+    unread_packets: VecDeque<(u64, u32)>,
+    peer_fin: bool,
+}
+
+impl Rx {
+    pub(super) fn new(config: &TcpConfig) -> Self {
+        Rx {
+            rcv: RecvBuffer::new(config.rcvbuf),
+            rcv_seq: SeqNum::new(0),
+            ts_recent: 0,
+            delack: DelAck::new(config.delack),
+            remote: RemoteStore::default(),
+            pending_ack: [0; 3],
+            unread_packets: VecDeque::new(),
+            peer_fin: false,
+        }
+    }
+
+    /// The peer's SYN: its sequence space starts one past `seq`.
+    pub(super) fn on_peer_syn(&mut self, seq: SeqNum) {
+        self.rcv_seq = seq + 1;
+    }
+
+    /// Takes the peer's timestamp and shared state off an arriving segment;
+    /// returns how many shares (exchange, hint) it carried.
+    pub(super) fn take_options(&mut self, options: &Options) -> u64 {
+        if let Some(ts) = options.timestamps {
+            self.ts_recent = ts.tsval;
+        }
+        if let Some(e2e) = options.e2e {
+            // The option's epoch tag covers every unit it carries; stamp it
+            // onto each stored exchange so downstream consumers (estimator,
+            // validator) see the generation.
+            for (slot, exchange) in self.remote.exchanges.iter_mut().zip(e2e.exchanges) {
+                if let Some(exchange) = exchange {
+                    *slot = Some(exchange.with_epoch(e2e.epoch));
+                }
+            }
+        }
+        if let Some(hint) = options.hint {
+            self.remote.hint = Some(hint.snapshot);
+        }
+        let shares = u64::from(options.e2e.is_some()) + u64::from(options.hint.is_some());
+        self.remote.received += shares;
+        shares
+    }
+
+    /// Reassembles a data segment: the buffer's verdict, `rcv_nxt` before
+    /// it, and what became in order per unit (now awaiting the application
+    /// and an ACK). `None` without payload, or for a sequence number too
+    /// far behind to place.
+    pub(super) fn reassemble(&mut self, seg: &Segment) -> Option<(IngestResult, u64, [i64; 3])> {
+        let before = self.rcv.rcv_nxt();
+        let offset = unwrap_seq(seg.seq, self.rcv_seq, before).filter(|_| !seg.payload.is_empty())?;
+        let res = self.rcv.ingest(offset, &seg.payload, &seg.boundaries);
+        self.rcv_seq += (self.rcv.rcv_nxt() - before) as u32; // lint:allow(cast-truncation): in-order advance is bounded by the receive buffer; seq space is modular
+        let mut arrived = [0; 3];
+        if res.in_order_bytes > 0 {
+            let packets = i64::from(seg.wire_packets);
+            arrived = [res.in_order_bytes as i64, packets, res.in_order_messages as i64];
+            self.unread_packets.push_back((self.rcv.rcv_nxt(), seg.wire_packets));
+            for (pending, n) in self.pending_ack.iter_mut().zip(arrived) {
+                *pending += n;
+            }
+        }
+        Some((res, before, arrived))
+    }
+
+    /// The delayed-ACK verdict on a reassembled data segment: out-of-order
+    /// or duplicate data and window pressure force a quick ACK.
+    pub(super) fn ack_due(&mut self, seg: &Segment, res: &IngestResult, mss: usize) -> AckSwitch {
+        let full_sized = seg.payload.len() >= mss;
+        let force_quick = res.out_of_order || res.duplicate || self.rcv.window() < mss;
+        match self.delack.on_data(full_sized, seg.wire_packets, force_quick) {
+            AckDecision::SendNow => AckSwitch::Flush,
+            AckDecision::Arm(delay) => AckSwitch::Rearm(delay),
+            AckDecision::AlreadyArmed => AckSwitch::Nothing,
+        }
+    }
+
+    /// Switches the delayed-ACK mode.
+    pub(super) fn switch_ack_mode(&mut self, mode: AckMode) -> AckSwitch {
+        self.delack.switch_mode(mode)
+    }
+
+    /// The delack timer fired; true if an ACK is due.
+    pub(super) fn on_delack_timer(&mut self) -> bool {
+        self.delack.on_timer()
+    }
+
+    /// An ACK covering everything received is leaving, pure or riding data
+    /// (`piggyback`, which clears a delayed ACK and its timer): returns the
+    /// ackdelay counts it drains.
+    pub(super) fn ack_sent(&mut self, piggyback: bool, actions: &mut Vec<Action>) -> [i64; 3] {
+        if piggyback && self.delack.on_piggyback() {
+            actions.push(Action::CancelTimer(TimerKind::Delack));
+        }
+        std::mem::take(&mut self.pending_ack)
+    }
+
+    /// Reads up to `max` bytes: the bytes, the whole messages, and the
+    /// wire packets that left the unread queue with them.
+    pub(super) fn read(&mut self, max: usize) -> (Payload, usize, i64) {
+        let (bytes, messages) = self.rcv.read(max);
+        let read_pos = self.rcv.read_pos();
+        let mut packets = 0;
+        while let Some(&(_, n)) = self.unread_packets.front().filter(|&&(end, _)| end <= read_pos) {
+            self.unread_packets.pop_front();
+            packets += i64::from(n);
+        }
+        (bytes, messages, packets)
+    }
+
+    /// The peer's FIN: taken, and the ACK cursor moved past it, when it
+    /// lands exactly at `rcv_nxt` for the first time.
+    pub(super) fn on_fin(&mut self, seg: &Segment) -> bool {
+        let rcv_nxt = self.rcv.rcv_nxt();
+        let at = unwrap_seq(seg.seq, self.rcv_seq, rcv_nxt).map(|o| o + seg.payload.len() as u64);
+        if self.peer_fin || at != Some(rcv_nxt) {
+            return false;
+        }
+        self.rcv_seq += 1;
+        self.peer_fin = true;
+        true
+    }
+}

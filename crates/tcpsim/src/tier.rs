@@ -131,13 +131,8 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
         HostId::from_index(self.clients.len())
     }
 
-    /// Index of the proxy host.
-    pub fn proxy_index(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Index of shard `j`'s host.
-    pub fn shard_index(&self, shard: usize) -> usize {
+    fn shard_index(&self, shard: usize) -> usize {
         assert!(shard < self.shards.len(), "no shard {shard}");
         self.clients.len() + 1 + shard
     }
@@ -154,7 +149,7 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
 
     /// The proxy host (both tiers' connections terminate here).
     pub fn proxy_host(&self) -> &Host {
-        &self.core.hosts[self.proxy_index()]
+        &self.core.hosts[self.clients.len()]
     }
 
     /// Shard `j`'s host.
@@ -174,11 +169,6 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
         self.core
             .topology
             .link(LinkId::from_index(self.clients.len() + shard))
-    }
-
-    /// The topology (for inspection).
-    pub fn topology(&self) -> &Topology {
-        &self.core.topology
     }
 
     /// The fault plan, if fault injection is active (for audit counters).

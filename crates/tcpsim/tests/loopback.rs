@@ -434,10 +434,11 @@ fn e2e_exchange_reaches_peer() {
         ],
         Nanos::from_secs(1),
     );
-    // Both sides should have stored at least a (prev, cur) pair.
+    // Both sides should have received several exchanges and stored the
+    // latest byte-unit one.
     let server_remote = sim.host(1).socket(SocketId(0)).remote();
     assert!(server_remote.received >= 2, "server saw exchanges");
-    assert!(server_remote.unit(Unit::Bytes).pair().is_some());
+    assert!(server_remote.unit(Unit::Bytes).is_some());
     let client_remote = sim.host(0).socket(SocketId(0)).remote();
     assert!(client_remote.received >= 2, "client saw exchanges");
 }
@@ -482,7 +483,7 @@ fn invariant_gate_fires_on_corrupted_queue_state() {
     // Ten phantom bytes appear in the unacked queue without ever passing
     // through `send`: the double-entry ledger no longer balances against
     // the reported occupancy and the conservation gate must fire.
-    sock.queues_mut().unacked.track_bytes(now, 10);
+    sock.queues_mut().unacked.track(now, Unit::Bytes, 10);
     let err = sock
         .check_invariants(now)
         .expect_err("conservation gate must fire on corrupted state");
@@ -507,7 +508,7 @@ fn invariant_gate_panics_in_debug_on_corruption() {
     let now = q.now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let sock = sim.host_mut(0).socket_mut(SocketId(0));
-        sock.queues_mut().unread.track_bytes(now, 42);
+        sock.queues_mut().unread.track(now, Unit::Bytes, 42);
         gate(sock.check_invariants(now));
     }));
     if cfg!(debug_assertions) {

@@ -216,11 +216,7 @@ fn tso_aggregates_and_defer_counts() {
 #[test]
 fn tso_disabled_sends_mss_segments() {
     let config = TcpConfig {
-        tso: tcpsim::config::TsoConfig {
-            enabled: false,
-            max_bytes: 65_536,
-            defer: false,
-        },
+        tso: tcpsim::config::TsoConfig { enabled: false },
         ..TcpConfig::default()
     };
     let (sim, _) = run_writer(

@@ -1,24 +1,21 @@
-//! Loss-recovery tests driven directly through the socket API: fast
-//! retransmit on triple duplicate ACKs (once per window), Karn's rule
-//! excluding retransmitted ranges from RTT sampling, and SRTT recovery
-//! once the loss episode ends. Segments are relayed by hand so individual
-//! packets can be dropped or replayed deterministically.
+//! Loss-recovery tests driven directly through the socket API: handshake
+//! retransmission on the RTO, fast retransmit on triple duplicate ACKs
+//! (once per window), Karn's rule excluding retransmitted ranges from RTT
+//! sampling, and SRTT recovery once the loss episode ends. Segments are
+//! relayed by hand so individual packets can be dropped or replayed
+//! deterministically.
 
 use littles::Nanos;
 use tcpsim::config::{TcpConfig, TsoConfig};
 use tcpsim::segment::{FlowId, Segment};
-use tcpsim::socket::{Action, TcpSocket, TcpState, TimerKind, TxEnv};
+use tcpsim::socket::{Action, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
 
 const MSS: usize = 1448;
 
 fn config() -> TcpConfig {
     TcpConfig {
         // One MSS per segment so the relay can drop individual packets.
-        tso: TsoConfig {
-            enabled: false,
-            max_bytes: 65_536,
-            defer: false,
-        },
+        tso: TsoConfig { enabled: false },
         ..TcpConfig::default()
     }
 }
@@ -53,6 +50,77 @@ fn established(now: Nanos) -> (TcpSocket, TcpSocket) {
     assert_eq!(client.state(), TcpState::Established);
     assert_eq!(server.state(), TcpState::Established);
     (client, server)
+}
+
+// The simulator's fault layer never drops a SYN or SYN-ACK, so the
+// handshake's retransmission path is only reachable by hand.
+
+#[test]
+fn lost_syn_is_resent_by_the_rto_with_backoff() {
+    let t0 = Nanos::from_millis(1);
+    let env = TxEnv::default();
+    let initial_rto = config().rto.initial_rto;
+    let mut actions = Vec::new();
+    let mut client = TcpSocket::client(FlowId(1), config(), t0, &mut actions);
+    assert!(actions.contains(&Action::ArmTimer(TimerKind::Rto, initial_rto)));
+    let syn = segs(&mut actions).remove(0); // lost on the wire
+
+    // The RTO re-sends the very same SYN and re-arms at twice the timeout.
+    let t1 = t0 + initial_rto;
+    client.on_timer(t1, TimerKind::Rto, env, &mut actions);
+    assert!(actions.contains(&Action::ArmTimer(TimerKind::Rto, initial_rto * 2)));
+    let resent = segs(&mut actions);
+    assert_eq!(resent, vec![syn]);
+    assert_eq!(client.state(), TcpState::SynSent);
+
+    // The copy opens the connection as the original would have.
+    let mut server = TcpSocket::server_on_syn(FlowId(1), config(), t1, &resent[0], &mut actions);
+    let synack = segs(&mut actions).remove(0);
+    client.on_segment(t1, &synack, env, &mut actions);
+    assert!(actions.contains(&Action::Wake(WakeReason::Connected)));
+    for ack in segs(&mut actions) {
+        server.on_segment(t1, &ack, env, &mut actions);
+    }
+    assert_eq!(client.state(), TcpState::Established);
+    assert_eq!(server.state(), TcpState::Established);
+}
+
+#[test]
+fn lost_syn_ack_is_resent_and_the_handshake_completes() {
+    let t0 = Nanos::from_millis(1);
+    let env = TxEnv::default();
+    let initial_rto = config().rto.initial_rto;
+    let mut actions = Vec::new();
+    let mut client = TcpSocket::client(FlowId(1), config(), t0, &mut actions);
+    let syn = segs(&mut actions).remove(0);
+    let mut server = TcpSocket::server_on_syn(FlowId(1), config(), t0, &syn, &mut actions);
+    assert!(actions.contains(&Action::ArmTimer(TimerKind::Rto, initial_rto)));
+    let synack = segs(&mut actions).remove(0); // lost on the wire
+
+    // The server's RTO re-sends the same SYN-ACK, backed off.
+    let t1 = t0 + initial_rto;
+    server.on_timer(t1, TimerKind::Rto, env, &mut actions);
+    assert!(actions.contains(&Action::ArmTimer(TimerKind::Rto, initial_rto * 2)));
+    let resent = segs(&mut actions);
+    assert_eq!(resent, vec![synack]);
+    assert_eq!(server.state(), TcpState::SynReceived);
+
+    // It completes the handshake: the client's ACK is accepted, the
+    // server's RTO is cancelled, and data flows.
+    client.on_segment(t1, &resent[0], env, &mut actions);
+    assert_eq!(client.state(), TcpState::Established);
+    for ack in segs(&mut actions) {
+        server.on_segment(t1, &ack, env, &mut actions);
+    }
+    assert_eq!(server.state(), TcpState::Established);
+    assert!(actions.contains(&Action::Wake(WakeReason::Accepted)));
+    assert!(actions.contains(&Action::CancelTimer(TimerKind::Rto)));
+    actions.clear();
+    assert_eq!(client.send(t1, &[7; 100], env, &mut actions), 100);
+    for seg in segs(&mut actions) {
+        server.on_segment(t1, &seg, env, &mut actions);
+    }
+    assert_eq!(server.recv_available(), 100);
 }
 
 #[test]

@@ -73,7 +73,8 @@ pub(crate) struct FileAnalysis {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LintOptions {
     /// Regenerate the ratchet baseline files from the current tree
-    /// instead of diffing against them.
+    /// instead of diffing against them; a rule whose total would rise
+    /// is a diagnostic and blocks every write.
     pub update_ratchet: bool,
 }
 

@@ -16,7 +16,8 @@ fn usage() -> ExitCode {
     eprintln!();
     eprintln!("Suppress with `// lint:allow(<rule>): <justification>` on the same");
     eprintln!("or preceding line. `--update-ratchet` regenerates the baseline");
-    eprintln!("files under crates/xtask/lint_baselines/ from the current tree.");
+    eprintln!("files under crates/xtask/lint_baselines/ from the current tree,");
+    eprintln!("and refuses (exit 1, nothing written) if a rule's total would rise.");
     ExitCode::from(2)
 }
 

@@ -8,12 +8,15 @@
 //! its baseline is a diagnostic at the first offending site, and a count
 //! *below* baseline is a diagnostic against the stale baseline entry —
 //! so the numbers are forced to ratchet monotonically downward.
-//! `--update-ratchet` regenerates the files from the current tree.
+//! `--update-ratchet` regenerates the files from the current tree — but
+//! only if no rule's total over all files rises above its checked-in
+//! total (moving sites between files, as a file split does, is fine);
+//! otherwise it reports the rule with both totals and writes nothing.
 //!
 //! Baseline format: `<count> <file>` per line, `#` comments allowed.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::diag::Diagnostic;
 use crate::graph::Graph;
@@ -33,7 +36,8 @@ const DISPATCH_ROOTS: [&str; 3] = ["handle", "run", "run_until_idle"];
 type Site = (usize, usize, &'static str);
 
 /// Runs both ratchet rules; with `update`, rewrites the baselines
-/// instead of diffing against them.
+/// instead of diffing against them — all of them, or none if a total
+/// would rise.
 pub(crate) fn check(
     root: &Path,
     files: &[FileAnalysis],
@@ -42,6 +46,8 @@ pub(crate) fn check(
 ) -> std::io::Result<()> {
     let models: Vec<_> = files.iter().map(|fa| &fa.model).collect();
     let graph = Graph::build(&models);
+    let before = diags.len();
+    let mut writes: Vec<(PathBuf, String)> = Vec::new();
 
     let dispatch = graph.select(|n| {
         let fa = &files[n.file];
@@ -86,9 +92,9 @@ pub(crate) fn check(
          # The count may only go down; regenerate with\n\
          # `cargo run -p xtask -- lint --update-ratchet`.\n",
         panic_sites,
-        update,
+        update.then_some(&mut writes),
         diags,
-    )?;
+    );
 
     // hot-path-alloc: allocations in functions marked `// hot-path` or
     // reachable from the per-event dispatch. Sites outside simulation
@@ -133,13 +139,25 @@ pub(crate) fn check(
          # down; regenerate with\n\
          # `cargo run -p xtask -- lint --update-ratchet`.\n",
         alloc_sites,
-        update,
+        update.then_some(&mut writes),
         diags,
-    )
+    );
+    if diags.len() > before {
+        // A rising total (or a malformed baseline) blocks every write.
+        return Ok(());
+    }
+    for (path, text) in writes {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(&path, text)?;
+    }
+    Ok(())
 }
 
-/// Diffs (or, with `update`, rewrites) one rule's per-file site counts
-/// against its baseline file.
+/// Diffs one rule's per-file site counts against its baseline file or,
+/// given `writes`, queues the regenerated file there unless the rule's
+/// total would rise above the checked-in one.
 #[allow(clippy::too_many_arguments)]
 fn ratchet(
     root: &Path,
@@ -148,9 +166,9 @@ fn ratchet(
     baseline_file: &str,
     header: &str,
     sites: Vec<Site>,
-    update: bool,
+    writes: Option<&mut Vec<(PathBuf, String)>>,
     diags: &mut Vec<Diagnostic>,
-) -> std::io::Result<()> {
+) {
     // Per-file surviving sites (suppressed ones drop out of the count —
     // a justified allow marker is the per-site escape hatch).
     let mut per_file: BTreeMap<&str, Vec<(usize, &'static str)>> = BTreeMap::new();
@@ -166,25 +184,14 @@ fn ratchet(
         sites.sort();
     }
 
-    let rel = format!("{BASELINE_DIR}/{baseline_file}");
-    let path = root.join(&rel);
-    if update {
-        let mut out = String::from(header);
-        for (label, sites) in &per_file {
-            out.push_str(&format!("{} {}\n", sites.len(), label));
-        }
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(&path, out)?;
-        return Ok(());
-    }
-
     // Parse the baseline; a missing file is an empty baseline (every
     // site then reads as over-baseline, and ci.sh asserts the file is
     // checked in).
+    let rel = format!("{BASELINE_DIR}/{baseline_file}");
+    let path = root.join(&rel);
+    let checked_in = std::fs::read_to_string(&path).ok();
     let mut baseline: BTreeMap<String, (u32, usize)> = BTreeMap::new();
-    if let Ok(text) = std::fs::read_to_string(&path) {
+    if let Some(text) = &checked_in {
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx as u32 + 1;
             let line = raw.trim();
@@ -207,6 +214,34 @@ fn ratchet(
                 }),
             }
         }
+    }
+
+    if let Some(writes) = writes {
+        // Sites may move between files (a file split does that), but the
+        // rule's total may not grow by regenerating. With no file checked
+        // in there is no total to hold, and the first write seeds it.
+        let old: usize = baseline.values().map(|&(_, c)| c).sum();
+        let new: usize = per_file.values().map(Vec::len).sum();
+        if checked_in.is_some() && new > old {
+            diags.push(Diagnostic {
+                file: rel,
+                line: 1,
+                col: 1,
+                rule,
+                message: format!(
+                    "--update-ratchet would raise the {rule} total from {old} \
+                     to {new}; the ratchet only moves down — remove the new \
+                     sites (or justify each with lint:allow); nothing was written"
+                ),
+            });
+            return;
+        }
+        let mut out = String::from(header);
+        for (label, sites) in &per_file {
+            out.push_str(&format!("{} {}\n", sites.len(), label));
+        }
+        writes.push((path, out));
+        return;
     }
 
     for (label, sites) in &per_file {
@@ -247,5 +282,4 @@ fn ratchet(
             });
         }
     }
-    Ok(())
 }

@@ -179,6 +179,52 @@ fn ratchet_rules_count_reachable_sites_against_baselines() {
 }
 
 #[test]
+fn update_ratchet_refuses_to_raise_a_rule_total() {
+    // A scratch tree holding only the dispatch fixture (2 reachable panic
+    // sites, 3 allocation sites) and baselines granting totals of 2 and 2.
+    let root = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("update_ratchet_tree");
+    let _ = std::fs::remove_dir_all(&root);
+    let src = root.join("crates/simnet/src");
+    let baselines = root.join("crates/xtask/lint_baselines");
+    std::fs::create_dir_all(&src).expect("mkdir src");
+    std::fs::create_dir_all(&baselines).expect("mkdir baselines");
+    std::fs::copy(
+        fixtures_root().join("crates/simnet/src/dispatch.rs"),
+        src.join("dispatch.rs"),
+    )
+    .expect("copy fixture");
+    let panic = "1 crates/simnet/src/dispatch.rs\n1 crates/simnet/src/quiet.rs\n";
+    let alloc = "2 crates/simnet/src/dispatch.rs\n";
+    std::fs::write(baselines.join("panic_reachability.txt"), panic).expect("write");
+    std::fs::write(baselines.join("hot_path_alloc.txt"), alloc).expect("write");
+    let update = || {
+        Command::new(env!("CARGO_BIN_EXE_xtask"))
+            .args(["lint", "--update-ratchet"])
+            .arg(&root)
+            .output()
+            .expect("run xtask")
+    };
+
+    // hot-path-alloc would rise 2 → 3: refused, and neither file written
+    // (panic-reachability only moves a site between files, 2 → 2).
+    let out = update();
+    assert_eq!(out.status.code(), Some(1), "a rising total must fail");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("hot-path-alloc total from 2 to 3"), "{stdout}");
+    assert!(!stdout.contains("panic-reachability"), "{stdout}");
+    let read = |name: &str| std::fs::read_to_string(baselines.join(name)).expect("read");
+    assert_eq!(read("panic_reachability.txt"), panic);
+    assert_eq!(read("hot_path_alloc.txt"), alloc);
+
+    // With the allocation total at 3 the same regeneration goes through.
+    std::fs::write(baselines.join("hot_path_alloc.txt"), "3 crates/simnet/src/dispatch.rs\n")
+        .expect("write");
+    assert_eq!(update().status.code(), Some(0));
+    assert!(read("panic_reachability.txt").ends_with("\n2 crates/simnet/src/dispatch.rs\n"));
+    assert!(read("hot_path_alloc.txt").ends_with("\n3 crates/simnet/src/dispatch.rs\n"));
+}
+
+#[test]
 fn stale_allow_reported_when_nothing_left_to_suppress() {
     let diags = fixture_diags();
     let d = for_file(&diags, "simnet/src/stale.rs");
