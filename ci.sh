@@ -53,7 +53,12 @@ echo "==> every bench target compiles (micro included)"
 cargo bench -q -p bench --no-run
 
 echo "==> experiments smoke (all 13 registry entries: figures, §5 sketches, six grids)"
-cargo bench -q -p bench --bench experiments -- --smoke
+# The smoke stdout is the tracked crates/bench/SMOKE.txt, so the
+# `git status` check below also fails on any drift in a smoke line —
+# including fig1, fig2 and ablations, which emit no JSON. Redirect, then
+# print: a pipe through `tee` would hide a failure from `set -e`.
+cargo bench -q -p bench --bench experiments -- --smoke >crates/bench/SMOKE.txt
+cat crates/bench/SMOKE.txt
 
 echo "==> experiments regenerate their checked-in BENCH_*.json byte for byte"
 # Every grid is deterministic, so the checked-in file is the golden: a
@@ -62,7 +67,7 @@ echo "==> experiments regenerate their checked-in BENCH_*.json byte for byte"
 # `git diff` alone would pass. Full mode writes the file first and exits
 # non-zero on any gate afterwards, so the diff is on disk either way.
 # No names = every entry, so a new emitting entry is covered without
-# editing this file (the figure-only entries ride along, ~25 s).
+# editing this file (the entries that emit nothing ride along, ~25 s).
 # (simperf is exempt: it records machine-dependent wall times.)
 cargo bench -q -p bench --bench experiments >/dev/null
 # Column 2 of --porcelain is worktree-vs-index ("??" = untracked): staged

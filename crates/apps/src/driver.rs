@@ -589,11 +589,6 @@ impl AimdDriver {
         }
     }
 
-    /// The most recently applied limit.
-    pub fn current_limit(&self) -> Option<u64> {
-        self.limits.last()
-    }
-
     /// Mean limit over the recorded trajectory in `[from, to)`.
     pub fn mean_limit_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
         let (mut sum, mut n) = (0u64, 0u64);

@@ -4,8 +4,7 @@
 //! stack: a Redis-like key-value server ([`server::RedisServer`]), a
 //! Lancet-like open-loop load generator ([`loadgen::LancetClient`]), the
 //! RESP protocol they speak ([`resp`]), calibrated CPU cost profiles
-//! ([`cost`]), and the harnesses that regenerate every figure
-//! ([`experiments`]).
+//! ([`cost`]), and what the experiment grids share ([`experiments`]).
 //!
 //! The entry points most users want:
 //!
@@ -13,8 +12,10 @@
 //!   get measured + estimated performance.
 //! * [`sweep::run_sweep`] — a load sweep across Nagle on/off/dynamic (the
 //!   Figure 4 harness).
-//! * [`experiments`] — `figure2()`, `figure4a()`, `figure4b()`,
-//!   `dynamic_toggle()`: the paper's figures as functions.
+//! * [`experiments`] — each grid's arm configurations (`chaos_arms()`,
+//!   `knobs_arms()`, …), its degradation bound and fault classes, and
+//!   `figure2()`. The `experiments` bench registry runs, prints, emits
+//!   and gates them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -226,6 +226,18 @@ impl Resilience {
     }
 }
 
+/// A resilient proxy's live defense state, built from its [`Resilience`].
+struct Defense {
+    /// The deadline/retry/hedge arithmetic.
+    policy: RetryPolicy,
+    /// Grant retries for attempts that die.
+    retries: bool,
+    /// Hedge late attempts to the failover replica.
+    hedging: bool,
+    /// Per-shard routing breakers (empty unless configured).
+    breakers: Vec<UpstreamBreaker>,
+}
+
 /// One in-flight copy of a request.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
@@ -302,12 +314,8 @@ pub struct ProxyApp {
     pub driver: Option<ProxyDriver>,
     /// Aggregate statistics.
     pub stats: ProxyStats,
-    /// Failure-handling configuration; `None` = naive no-defense build.
-    resilience: Option<Resilience>,
-    /// The deadline/retry/hedge arithmetic (present iff `resilience`).
-    policy: Option<RetryPolicy>,
-    /// Per-shard routing breakers (empty unless configured).
-    breakers: Vec<UpstreamBreaker>,
+    /// Failure handling; `None` = naive no-defense build.
+    defense: Option<Defense>,
     /// Pending requests by id. BTreeMap: the deadline scan iterates, and
     /// simulation state must iterate deterministically.
     reqs: BTreeMap<u64, PendingReq>,
@@ -359,9 +367,7 @@ impl ProxyApp {
                 back_rtt: vec![Histogram::new(); shards],
                 ..ProxyStats::default()
             },
-            resilience: None,
-            policy: None,
-            breakers: Vec::new(),
+            defense: None,
             reqs: BTreeMap::new(),
             next_req_id: 1,
             zombies: Vec::new(),
@@ -373,31 +379,38 @@ impl ProxyApp {
     /// retries, hedging, breakers). Requests gain idempotency ids on the
     /// wire; upstream resets are recovered by re-dialing with backoff.
     pub fn with_resilience(mut self, resilience: Resilience) -> Self {
-        self.policy = Some(RetryPolicy::new(resilience.retry));
-        self.breakers = match resilience.breaker {
-            Some(b) => (0..self.shard_hosts.len())
-                .map(|_| UpstreamBreaker::new(b))
-                .collect(),
-            None => Vec::new(),
-        };
-        self.resilience = Some(resilience);
+        let shards = self.shard_hosts.len();
+        self.defense = Some(Defense {
+            policy: RetryPolicy::new(resilience.retry),
+            retries: resilience.retries_enabled,
+            hedging: resilience.hedging_enabled,
+            breakers: resilience.breaker.map_or_else(Vec::new, |b| {
+                vec![UpstreamBreaker::new(b); shards]
+            }),
+        });
         self
     }
 
     /// The retry/hedge policy, when resilience is attached (for audit
     /// counters: retries, hedges, budget denials).
     pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.policy.as_ref()
-    }
-
-    /// One shard's routing breaker, when breakers are configured.
-    pub fn upstream_breaker(&self, shard: usize) -> Option<&UpstreamBreaker> {
-        self.breakers.get(shard)
+        self.defense.as_ref().map(|d| &d.policy)
     }
 
     /// Total breaker trips across shards.
     pub fn breaker_trips(&self) -> u64 {
-        self.breakers.iter().map(|b| b.trips()).sum()
+        self.defense.iter().flat_map(|d| &d.breakers).map(|b| b.trips()).sum()
+    }
+
+    /// One shard's routing breaker, when breakers are configured.
+    fn breaker(&mut self, shard: usize) -> Option<&mut UpstreamBreaker> {
+        self.defense.as_mut()?.breakers.get_mut(shard)
+    }
+
+    /// The deadline of an attempt sent at `now` (never scanned without a
+    /// defense).
+    fn deadline(&self, now: Nanos) -> Nanos {
+        self.defense.as_ref().map_or(Nanos::ZERO, |d| d.policy.attempt_deadline(now))
     }
 
     /// Attaches the per-shard estimation/control driver.
@@ -418,11 +431,6 @@ impl ProxyApp {
     /// The router (for key → shard audits).
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    /// The upstream socket serving a shard, once opened.
-    pub fn upstream_sock(&self, shard: usize) -> Option<SocketId> {
-        self.ups.get(shard).map(|u| u.sock)
     }
 
     /// Depth of a shard upstream's FIFO pairing queue: attempts written
@@ -460,21 +468,14 @@ impl ProxyApp {
         ctx.charge_app(self.costs.proxy_forward(cmd.payload_len()));
         let now = ctx.now();
         let mut target = home;
-        if self.resilience.is_some() {
-            if !self.shard_allowed(home, now) && failover != home && self.shard_allowed(failover, now)
-            {
-                target = failover;
-                self.stats.failovers += 1;
-            }
-            if let Some(p) = self.policy.as_mut() {
-                p.on_request();
-            }
+        if !self.shard_allowed(home, now) && failover != home && self.shard_allowed(failover, now) {
+            target = failover;
+            self.stats.failovers += 1;
         }
-        let deadline = self
-            .policy
-            .as_ref()
-            .map(|p| p.attempt_deadline(now))
-            .unwrap_or(Nanos::ZERO);
+        if let Some(d) = self.defense.as_mut() {
+            d.policy.on_request();
+        }
+        let deadline = self.deadline(now);
         let id = self.next_req_id;
         self.next_req_id += 1;
         self.reqs.insert(
@@ -506,7 +507,7 @@ impl ProxyApp {
     /// byte-identical to the pre-resilience proxy.
     fn dispatch(&mut self, ctx: &mut HostCtx<'_>, id: u64, shard: usize) {
         let req = self.reqs.get(&id).expect("dispatching a pending request");
-        let wire = req.cmd.to_wire(self.resilience.map(|_| id));
+        let wire = req.cmd.to_wire(self.defense.as_ref().map(|_| id));
         let up = &mut self.ups[shard];
         up.waiting.push_back((id, ctx.now()));
         match up.live() {
@@ -517,10 +518,7 @@ impl ProxyApp {
 
     /// True when the shard's breaker (if any) admits new attempts.
     fn shard_allowed(&mut self, shard: usize, now: Nanos) -> bool {
-        match self.breakers.get_mut(shard) {
-            Some(b) => b.allow(now),
-            None => true,
-        }
+        self.breaker(shard).is_none_or(|b| b.allow(now))
     }
 
     /// One processing pass over a shard upstream: read, relay every
@@ -533,7 +531,7 @@ impl ProxyApp {
         while let Some(resp) = self.ups[shard].conn.parser.next_response() {
             ctx.charge_app(self.costs.proxy_forward(resp.payload_len()));
             let Some((id, sent_at)) = self.ups[shard].waiting.pop_front() else {
-                if self.resilience.is_none() {
+                if self.defense.is_none() {
                     panic!("response without a waiting client");
                 }
                 self.stats.orphan_responses += 1;
@@ -543,7 +541,7 @@ impl ProxyApp {
             match self.reqs.remove(&id) {
                 Some(req) => {
                     self.stats.back_rtt[shard].record(now - sent_at);
-                    if let Some(b) = self.breakers.get_mut(shard) {
+                    if let Some(b) = self.breaker(shard) {
                         b.record_success(now);
                     }
                     // Any other live attempt (a hedge loser) stays on the
@@ -563,7 +561,7 @@ impl ProxyApp {
                     self.stats.orphan_responses += 1;
                     self.zombies
                         .retain(|&(zid, zshard, _)| !(zid == id && zshard == shard));
-                    if let Some(b) = self.breakers.get_mut(shard) {
+                    if let Some(b) = self.breaker(shard) {
                         b.record_success(now);
                     }
                 }
@@ -583,11 +581,12 @@ impl ProxyApp {
             // (dead upstream → no updates) are fed once, not every tick,
             // so stale confidence cannot out-vote accumulating timeouts.
             let now = ctx.now();
-            for shard in 0..self.breakers.len() {
+            let breakers = self.defense.iter_mut().flat_map(|d| &mut d.breakers);
+            for (shard, breaker) in breakers.enumerate() {
                 if let Some(est) = driver.latest_composed(shard) {
                     if est.at > self.conf_fed_at[shard] {
                         self.conf_fed_at[shard] = est.at;
-                        self.breakers[shard].note_confidence(now, est.confidence);
+                        breaker.note_confidence(now, est.confidence);
                     }
                 }
             }
@@ -601,7 +600,9 @@ impl ProxyApp {
     /// the composed estimate's P99 view calls late.
     fn scan_deadlines(&mut self, ctx: &mut HostCtx<'_>) {
         let now = ctx.now();
-        let resilience = self.resilience.expect("scan only runs resilient");
+        let Some(defense) = &self.defense else {
+            return;
+        };
         let mut expired: Vec<(u64, usize)> = Vec::new();
         let mut hedges: Vec<(u64, usize)> = Vec::new();
         for (&id, req) in &self.reqs {
@@ -610,7 +611,7 @@ impl ProxyApp {
                     expired.push((id, a.shard));
                 }
             }
-            if resilience.hedging_enabled
+            if defense.hedging
                 && !req.hedged
                 && req.failover != req.home
                 && req.live.len() == 1
@@ -628,12 +629,7 @@ impl ProxyApp {
                         .as_ref()
                         .and_then(|d| d.latest_composed(req.failover))
                         .map(|e| e.smoothed_latency);
-                    let delay = self
-                        .policy
-                        .as_ref()
-                        .expect("resilient proxies have a policy")
-                        .hedge_delay(est_mean);
-                    if now >= a.sent + delay {
+                    if now >= a.sent + defense.policy.hedge_delay(est_mean) {
                         hedges.push((id, req.failover));
                     }
                 }
@@ -652,7 +648,7 @@ impl ProxyApp {
         for (id, shard, deadline) in zombies {
             if now >= deadline {
                 self.stats.timeouts += 1;
-                if let Some(b) = self.breakers.get_mut(shard) {
+                if let Some(b) = self.breaker(shard) {
                     b.record_failure(now);
                 }
             } else {
@@ -678,7 +674,7 @@ impl ProxyApp {
             self.stats.timeouts += 1;
             // Resets feed the breaker once per event at the teardown
             // site, not once per drained attempt.
-            if let Some(b) = self.breakers.get_mut(shard) {
+            if let Some(b) = self.breaker(shard) {
                 b.record_failure(now);
             }
         }
@@ -686,24 +682,18 @@ impl ProxyApp {
         if !req.live.is_empty() || req.retry_scheduled {
             return;
         }
-        let attempts = req.attempts;
-        let retries_on = self
-            .resilience
-            .map(|r| r.retries_enabled)
-            .unwrap_or(false);
-        if retries_on {
-            if let Some(delay) = self
-                .policy
-                .as_mut()
-                .expect("resilient proxies have a policy")
-                .request_attempt(AttemptKind::Retry, attempts, id)
-            {
-                self.reqs.get_mut(&id).expect("still pending").retry_scheduled = true;
+        let retry = self
+            .defense
+            .as_mut()
+            .filter(|d| d.retries)
+            .and_then(|d| d.policy.request_attempt(AttemptKind::Retry, req.attempts, id));
+        match retry {
+            Some(delay) => {
+                req.retry_scheduled = true;
                 ctx.call_after(delay, token(KIND_RETRY, id as usize));
-                return;
             }
+            None => self.fail_request(ctx, id),
         }
-        self.fail_request(ctx, id);
     }
 
     /// Fails a pending request back to its client as `Nil` (keeping the
@@ -743,11 +733,7 @@ impl ProxyApp {
         } else {
             alt
         };
-        let deadline = self
-            .policy
-            .as_ref()
-            .expect("resilient proxies have a policy")
-            .attempt_deadline(now);
+        let deadline = self.deadline(now);
         let req = self.reqs.get_mut(&id).expect("still pending");
         req.live.push(Attempt {
             shard: target,
@@ -775,21 +761,14 @@ impl ProxyApp {
         if req.hedged || req.live.len() != 1 || req.live[0].shard == target {
             return;
         }
-        let attempts = req.attempts;
-        if self
-            .policy
+        let granted = self
+            .defense
             .as_mut()
-            .expect("resilient proxies have a policy")
-            .request_attempt(AttemptKind::Hedge, attempts, id)
-            .is_none()
-        {
+            .and_then(|d| d.policy.request_attempt(AttemptKind::Hedge, req.attempts, id));
+        if granted.is_none() {
             return;
         }
-        let deadline = self
-            .policy
-            .as_ref()
-            .expect("resilient proxies have a policy")
-            .attempt_deadline(now);
+        let deadline = self.deadline(now);
         let req = self.reqs.get_mut(&id).expect("still pending");
         req.hedged = true;
         req.attempts += 1;
@@ -816,36 +795,31 @@ impl ProxyApp {
         let now = ctx.now();
         let up = &mut self.ups[shard];
         up.connected = false;
-        if self.resilience.is_none() {
+        let Some(defense) = self.defense.as_mut() else {
             return;
-        }
+        };
         up.conn = Conn::default();
         let drained: Vec<u64> = up.waiting.drain(..).map(|(id, _)| id).collect();
         // The reset counts as one breaker failure; zombies on this shard
         // can never be answered now, so drop them rather than letting
         // their expiry inflate that into a streak.
         self.zombies.retain(|&(_, s, _)| s != shard);
-        if let Some(b) = self.breakers.get_mut(shard) {
+        if let Some(b) = defense.breakers.get_mut(shard) {
             b.record_failure(now);
         }
+        // One re-dial at a time, on the backoff ladder; it is queued after
+        // the retries of the drained attempts.
+        let redial = (!up.reconnect_pending).then(|| {
+            up.reconnect_pending = true;
+            up.reconnect_attempts += 1;
+            defense.policy.reconnect_backoff(up.reconnect_attempts, shard as u64)
+        });
         for id in drained {
             self.attempt_failed(ctx, id, shard, false);
         }
-        self.schedule_reconnect(ctx, shard);
-    }
-
-    fn schedule_reconnect(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
-        if self.ups[shard].reconnect_pending {
-            return;
+        if let Some(delay) = redial {
+            ctx.call_after(delay, token(KIND_RECONNECT, shard));
         }
-        self.ups[shard].reconnect_pending = true;
-        self.ups[shard].reconnect_attempts += 1;
-        let delay = self
-            .policy
-            .as_ref()
-            .expect("resilient proxies have a policy")
-            .reconnect_backoff(self.ups[shard].reconnect_attempts, shard as u64);
-        ctx.call_after(delay, token(KIND_RECONNECT, shard));
     }
 
     /// Re-dials a reset upstream on a fresh socket; commands held since
@@ -880,7 +854,7 @@ impl App for ProxyApp {
             });
         }
         ctx.call_after(self.tick_period, token(KIND_TICK, 0));
-        if self.resilience.is_some() {
+        if self.defense.is_some() {
             ctx.call_after(self.scan_period, token(KIND_SCAN, 0));
         }
     }

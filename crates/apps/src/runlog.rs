@@ -140,11 +140,6 @@ impl<T: Copy + PartialEq> RunLog<T> {
     pub fn is_empty(&self) -> bool {
         self.open.is_none()
     }
-
-    /// The newest sample's value.
-    pub fn last(&self) -> Option<T> {
-        self.open.as_ref().map(|run| run.value)
-    }
 }
 
 #[cfg(test)]
@@ -173,8 +168,8 @@ mod tests {
         log.push(us(500 * 101), 8);
         log.push(us(500 * 101 + 200), 8); // spacing change
         assert_eq!(log.len(), 3);
-        assert_eq!(log.last(), Some(8));
         assert_eq!(expand(&log).len(), 103);
+        assert_eq!(expand(&log).last(), Some(&(us(500 * 101 + 200), 8)));
     }
 
     #[test]

@@ -1,25 +1,28 @@
 //! The paper's figures (1, 2, 4a, 4b) and its §5 sketches (dynamic
-//! toggling, AIMD batch limits, the design-knob ablations). Only
-//! Figure 4 emits JSON; the rest print the series their figure plots and
-//! are pinned by `tests/figure_shapes.rs`, `tests/dynamic_policy.rs` and
-//! `tests/aimd_limit.rs`.
+//! toggling, AIMD batch limits, the design-knob ablations). Figure 4 and
+//! the two §5 sweeps emit JSON; the rest print the series their figure
+//! plots and are pinned by `tests/figure_shapes.rs`,
+//! `tests/dynamic_policy.rs` and `tests/aimd_limit.rs`.
 
 use batchpolicy::{figure1_model, AimdBatchLimit, Figure1Params, Objective};
-use bench::params::{MEASURE, SEED, SMOKE_MEASURE, SMOKE_WARMUP, WARMUP};
+use bench::params::{MEASURE, SEED, WARMUP};
 use bench::{Doc, Json};
-use e2e_apps::experiments::{self, Figure4Data};
+use e2e_apps::experiments::{self, PAPER_SLO};
 use e2e_apps::report::us;
 use e2e_apps::runner::Overrides;
 use e2e_apps::{run_point, NagleSetting, PointResult, RunConfig, WorkloadSpec};
 use e2e_core::{DelaySet, Estimate};
 use littles::Nanos;
 
-use super::{json_rate, json_ratio, Gates};
+use super::{json_rate, json_ratio, sweep, windows, Gates};
 
-/// (warmup, measure) of the single-point entries for the mode.
-fn windows(smoke: bool) -> (Nanos, Nanos) {
-    if smoke { (SMOKE_WARMUP, SMOKE_MEASURE) } else { (WARMUP, MEASURE) }
-}
+/// The Figure 4 rate grid (requests/second), spanning from well below the
+/// measured cutoff (~75 kRPS) past both knees (no-Nagle ≈ 88 kRPS, Nagle
+/// ≈ 115 kRPS with the calibrated profile).
+const FIG4_RATES: [f64; 16] = [
+    5_000.0, 10_000.0, 20_000.0, 30_000.0, 40_000.0, 50_000.0, 60_000.0, 65_000.0, 70_000.0,
+    75_000.0, 80_000.0, 85_000.0, 88_000.0, 95_000.0, 105_000.0, 115_000.0,
+];
 
 /// Figure 1, the paper's motivating example, exactly: n = 3 requests
 /// queued at the server, per-request cost α = 2, per-batch cost β = 4,
@@ -32,7 +35,8 @@ pub fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
         "{:>3} | {:>12} {:>12} | {:>12} {:>12} | outcome",
         "c", "batch lat", "nobatch lat", "batch tput", "nobatch tput"
     );
-    for (c, out) in experiments::figure1().iter().enumerate() {
+    for c in 0..=6 {
+        let out = figure1_model(Figure1Params::paper(c as f64));
         let outcome = match (out.batching_improves_latency(), out.batching_improves_throughput()) {
             (true, true) => "batching improves BOTH (Fig 1a)",
             (false, true) => "throughput up, latency down (Fig 1c)",
@@ -112,34 +116,43 @@ pub fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
 /// Figure 4a: SET-only, where the byte-estimated cutoff should coincide
 /// with the measured one.
 pub fn fig4a(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
-    fig4(smoke, experiments::figure4a, 0xF4A, "paper 4a: these coincide")
+    fig4(smoke, "4a", WorkloadSpec::fig4a, 0xF4A, "paper 4a: these coincide")
 }
 
 /// Figure 4b: the 95:5 SET:GET mix, where the 16 KiB GET responses
 /// dominate the byte counters while message units and hints stay faithful.
 pub fn fig4b(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let note = "paper 4b: these diverge — bytes mislead on mixed sizes";
-    fig4(smoke, experiments::figure4b, 0xF4B, note)
+    fig4(smoke, "4b", WorkloadSpec::fig4b, 0xF4B, note)
 }
 
 /// Measured mean latency under Nagle off/on next to the byte-unit
 /// estimates (the paper's prototype), the message-unit estimates and the
 /// hint-based estimates, then the headline numbers: SLO-sustainable range
-/// per configuration, extension factor, and whether the estimated cutoff
-/// coincides with the measured one. The smoke grid is a coarse five-point
-/// sweep over shorter windows.
+/// per configuration, extension factor (paper 4a: ≈ 1.93×), and whether
+/// the estimated cutoff coincides with the measured one. The smoke grid
+/// is a coarse five-point sweep over shorter windows.
 fn fig4(
     smoke: bool,
-    sweep: fn(&[f64], Nanos, Nanos, u64) -> Figure4Data,
+    variant: &str,
+    spec_at: fn(f64) -> WorkloadSpec,
     smoke_seed: u64,
     cutoff_note: &str,
 ) -> Option<Doc> {
     let data = if smoke {
         let rates = [10_000.0, 40_000.0, 70_000.0, 85_000.0, 105_000.0];
-        sweep(&rates, Nanos::from_millis(100), Nanos::from_millis(300), smoke_seed)
+        let window = (Nanos::from_millis(100), Nanos::from_millis(300));
+        sweep(&rates, spec_at, 1, window, smoke_seed, false)
     } else {
-        sweep(&experiments::default_rates(), WARMUP, MEASURE, SEED)
+        sweep(&FIG4_RATES, spec_at, 1, (WARMUP, MEASURE), SEED, false)
     };
+    let sustainable_off = data.sustainable_rate(PAPER_SLO, |r| &r.off);
+    let sustainable_on = data.sustainable_rate(PAPER_SLO, |r| &r.on);
+    let extension_factor = match (sustainable_off, sustainable_on) {
+        (Some(off), Some(on)) if off > 0.0 => Some(on / off),
+        _ => None,
+    };
+    let (cutoff_measured, cutoff_estimated) = (data.cutoff_rate(), data.estimated_cutoff_rate());
     println!(
         "{:>8} | {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9}",
         "rate", "off-meas", "off-byte", "off-msg", "off-hint", "on-meas", "on-byte", "on-msg",
@@ -153,7 +166,7 @@ fn fig4(
         Json::obj(keys.into_iter().zip(columns(p).map(Json::us)))
     };
     let mut rows = Vec::new();
-    for row in &data.sweep.rows {
+    for row in &data.rows {
         let (off, on) = (columns(&row.off).map(us), columns(&row.on).map(us));
         println!(
             "{:>8.0} | {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9}",
@@ -166,21 +179,22 @@ fn fig4(
         ]));
     }
     println!(
-        "\nSLO (500 µs) sustainable: off = {:?}, on = {:?}, extension = {:.2}x",
-        data.sustainable_off, data.sustainable_on, data.extension_factor.unwrap_or(f64::NAN)
+        "\nSLO (500 µs) sustainable: off = {sustainable_off:?}, on = {sustainable_on:?}, \
+         extension = {:.2}x",
+        extension_factor.unwrap_or(f64::NAN)
     );
     println!(
-        "cutoff (Nagle starts winning): measured = {:?}, byte-estimated = {:?} ({cutoff_note})",
-        data.cutoff_measured, data.cutoff_estimated
+        "cutoff (Nagle starts winning): measured = {cutoff_measured:?}, byte-estimated = \
+         {cutoff_estimated:?} ({cutoff_note})"
     );
     let header = vec![
-        ("variant", data.variant.as_str().into()),
-        ("slo_us", Json::fixed(data.slo.as_micros_f64(), 1)),
-        ("sustainable_off_rps", json_rate(data.sustainable_off)),
-        ("sustainable_on_rps", json_rate(data.sustainable_on)),
-        ("extension_factor", json_ratio(data.extension_factor)),
-        ("cutoff_measured_rps", json_rate(data.cutoff_measured)),
-        ("cutoff_estimated_rps", json_rate(data.cutoff_estimated)),
+        ("variant", variant.into()),
+        ("slo_us", Json::fixed(PAPER_SLO.as_micros_f64(), 1)),
+        ("sustainable_off_rps", json_rate(sustainable_off)),
+        ("sustainable_on_rps", json_rate(sustainable_on)),
+        ("extension_factor", json_ratio(extension_factor)),
+        ("cutoff_measured_rps", json_rate(cutoff_measured)),
+        ("cutoff_estimated_rps", json_rate(cutoff_estimated)),
     ];
     Some(Doc { version: 1, header, sections: vec![("rows", Json::Arr(rows))] })
 }
@@ -189,20 +203,21 @@ fn fig4(
 /// static configurations against per-endpoint ε-greedy togglers driven by
 /// live end-to-end estimates. The dynamic policy should track — and
 /// thanks to per-endpoint asymmetry sometimes beat — the better static
-/// setting at every load.
+/// setting at every load. Each JSON row holds the three mean latencies
+/// and the dynamic arm's per-endpoint on-fractions.
 pub fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
-    let (warmup, measure) = windows(smoke);
     let rates: &[f64] = if smoke {
         &[40_000.0, 85_000.0]
     } else {
         &[10_000.0, 40_000.0, 70_000.0, 85_000.0, 100_000.0]
     };
-    let sweep = experiments::dynamic_toggle(rates, warmup, measure, SEED);
+    let data = sweep(rates, WorkloadSpec::fig4a, 1, windows(smoke), SEED, true);
     println!(
         "{:>8} | {:>10} {:>10} {:>10} | {:>8} {:>8} | winner",
         "rate", "off", "on", "dynamic", "cli-on%", "srv-on%"
     );
-    for row in &sweep.rows {
+    let mut rows = Vec::new();
+    for row in &data.rows {
         let dynamic = row.dynamic.as_ref().expect("dynamic included");
         let (off, on, dy) = (row.off.measured_mean, row.on.measured_mean, dynamic.measured_mean);
         // An arm that measured nothing collapsed: it loses to anything.
@@ -220,19 +235,28 @@ pub fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
             dynamic.client_on_fraction.unwrap_or(0.0) * 100.0,
             dynamic.server_on_fraction.unwrap_or(0.0) * 100.0,
         );
+        rows.push(Json::obj([
+            ("rate_rps", Json::fixed(row.rate_rps, 0)),
+            ("off_us", Json::us(off)),
+            ("on_us", Json::us(on)),
+            ("dynamic_us", Json::us(dy)),
+            ("client_on_fraction", json_ratio(dynamic.client_on_fraction)),
+            ("server_on_fraction", json_ratio(dynamic.server_on_fraction)),
+        ]));
     }
     println!(
         "\nEach endpoint runs its own ε-greedy bandit over its own estimates, so the dynamic\n\
          column should track min(off, on) at every rate — and can beat both by settling on\n\
          asymmetric per-endpoint settings."
     );
-    None
+    Some(Doc { version: 1, header: vec![], sections: vec![("rows", Json::Arr(rows))] })
 }
 
 /// The §5 "Better Batching Heuristics" sketch, running: an AIMD-adapted
 /// gradual batching limit instead of binary Nagle toggling. The limit
 /// should shrink toward "send immediately" at low load and grow toward
-/// full trains under load — without any on/off cliff. (Runs on
+/// full trains under load — without any on/off cliff. Each JSON row holds
+/// the three mean latencies and the AIMD arm's mean limit. (Runs on
 /// `RunConfig`'s default seed, like `tests/aimd_limit.rs`.)
 pub fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let (warmup, measure) = windows(smoke);
@@ -242,6 +266,7 @@ pub fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
         &[10_000.0, 40_000.0, 70_000.0, 85_000.0, 95_000.0]
     };
     println!("{:>8} | {:>10} {:>10} {:>10} | {:>12}", "rate", "off", "on", "aimd", "mean limit B");
+    let mut rows = Vec::new();
     for &rate in rates {
         let point = |nagle| {
             let base = RunConfig::new(WorkloadSpec::fig4a(rate), nagle);
@@ -254,13 +279,20 @@ pub fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
             us(off.measured_mean), us(on.measured_mean), us(aimd.measured_mean),
             aimd.aimd_mean_limit.unwrap_or(f64::NAN),
         );
+        rows.push(Json::obj([
+            ("rate_rps", Json::fixed(rate, 0)),
+            ("off_us", Json::us(off.measured_mean)),
+            ("on_us", Json::us(on.measured_mean)),
+            ("aimd_us", Json::us(aimd.measured_mean)),
+            ("mean_limit_bytes", Json::opt(aimd.aimd_mean_limit, |l| Json::fixed(l, 0))),
+        ]));
     }
     println!(
         "\nAIMD adapts a byte threshold (1 B … 64 KiB) by additive increase on improvement\n\
          and multiplicative decrease on regression — the paper's congestion-control-style\n\
          alternative to on/off toggling."
     );
-    None
+    Some(Doc { version: 1, header: vec![], sections: vec![("rows", Json::Arr(rows))] })
 }
 
 /// §5 ablations — the design knobs the paper calls out as open

@@ -2,10 +2,12 @@
 //!
 //! An [`Entry`] is the one definition of an experiment: its `exec`
 //! function picks the full grid (what the checked-in `BENCH_<name>.json`
-//! was produced from) or the smoke grid (a few cells, for CI), prints the
-//! table, builds the JSON rows and files every gate with [`gate!`]. Cell
-//! gates run in both modes; headline gates that need the whole grid run
-//! in full mode only.
+//! was produced from) or the smoke grid (a few cells, for CI), enumerates
+//! the cells and runs each one's arms (from `e2e_apps::experiments`, one
+//! `run_grid` job per cell), computes the oracle, prints the table,
+//! builds the JSON rows and files every gate with [`gate!`]. Cell gates
+//! run in both modes; headline gates that need the whole grid run in full
+//! mode only.
 
 /// Files one gate with a [`Gates`]: like `assert!`, but a failure is
 /// recorded instead of panicking.
@@ -18,7 +20,10 @@ macro_rules! gate {
 mod figures;
 mod grids;
 
+use bench::params::{MEASURE, SMOKE_MEASURE, SMOKE_WARMUP, WARMUP};
 use bench::{Doc, Json};
+use e2e_apps::{run_sweep, NagleSetting, RunConfig, SweepResult, WorkloadSpec};
+use littles::Nanos;
 
 /// One registered experiment.
 pub struct Entry {
@@ -50,10 +55,10 @@ pub static REGISTRY: [Entry; 13] = [
     Entry { name: "fig4b", emits: true, exec: figures::fig4b,
         title: "Figure 4b, SET:GET = 95:5: latency (µs) vs offered load",
         smoke_ok: "coarse five-point sweep ran" },
-    Entry { name: "dynamic_toggle", emits: false, exec: figures::dynamic_toggle,
+    Entry { name: "dynamic_toggle", emits: true, exec: figures::dynamic_toggle,
         title: "§5 dynamic Nagle toggling vs static (mean latency, µs)",
         smoke_ok: "off / on / dynamic ran below and past the knee" },
-    Entry { name: "aimd_limit", emits: false, exec: figures::aimd_limit,
+    Entry { name: "aimd_limit", emits: true, exec: figures::aimd_limit,
         title: "§5 AIMD gradual batch limit vs static Nagle (mean latency, µs)",
         smoke_ok: "off / on / AIMD ran below and past the knee" },
     Entry { name: "ablations", emits: false, exec: figures::ablations,
@@ -98,6 +103,32 @@ impl Gates {
             self.failures.push(msg.to_string());
         }
     }
+}
+
+/// The shared (warmup, measure) window for the mode.
+fn windows(smoke: bool) -> (Nanos, Nanos) {
+    if smoke { (SMOKE_WARMUP, SMOKE_MEASURE) } else { (WARMUP, MEASURE) }
+}
+
+/// Nagle off vs on (plus the ε-greedy dynamic policy when `dynamic`) at
+/// each of `rates`, the workload `spec_at(rate)` spread over
+/// `num_clients` connections: one `run_grid` job per rate.
+fn sweep(
+    rates: &[f64],
+    spec_at: fn(f64) -> WorkloadSpec,
+    num_clients: usize,
+    (warmup, measure): (Nanos, Nanos),
+    seed: u64,
+    dynamic: bool,
+) -> SweepResult {
+    let base = RunConfig {
+        warmup,
+        measure,
+        seed,
+        num_clients,
+        ..RunConfig::new(spec_at(rates[0]), NagleSetting::Off)
+    };
+    run_sweep(rates, spec_at, &base, dynamic)
 }
 
 /// A P99 ratio as a table cell: two decimals, `n/a` when absent.

@@ -22,7 +22,9 @@
 //! | `fig4b`             | Figure 4b (95:5 mix, byte-estimate breakdown; |
 //! |                     | BENCH_fig4b.json)                             |
 //! | `dynamic_toggle`    | §5 dynamic on/off toggling vs static          |
+//! |                     | (BENCH_dynamic_toggle.json)                   |
 //! | `aimd_limit`        | §5 AIMD gradual batch limit vs static         |
+//! |                     | (BENCH_aimd_limit.json)                       |
 //! | `ablations`         | §5 knobs: granularity, smoothing, exchange    |
 //! |                     | interval, mechanism on/off, AIMD controller   |
 //! | `fanin`             | Fan-in: N ∈ {1,…,1024} connections, cutoff    |

@@ -133,12 +133,6 @@ impl E2eEstimator {
         }
     }
 
-    /// Convenience constructor with the default wire scale and mild
-    /// smoothing.
-    pub fn with_defaults() -> Self {
-        Self::new(WireScale::default(), 0.3)
-    }
-
     /// Bounds how long a cached remote window stays trustworthy.
     ///
     /// # Panics
@@ -895,7 +889,7 @@ mod tests {
 
     #[test]
     fn default_snapshot_window_is_rejected() {
-        let mut est = E2eEstimator::with_defaults();
+        let mut est = E2eEstimator::new(WireScale::default(), 0.3);
         let s = EndpointSnapshots {
             unacked: Snapshot::default(),
             unread: Snapshot::default(),

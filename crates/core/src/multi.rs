@@ -173,11 +173,6 @@ impl EstimatorRegistry {
         }
     }
 
-    /// Defaults matching [`E2eEstimator::with_defaults`].
-    pub fn with_defaults() -> Self {
-        Self::new(WireScale::default(), 0.3)
-    }
-
     /// Applies a staleness bound (see
     /// [`E2eEstimator::with_staleness_bound`]) to every estimator the
     /// registry creates from here on.
@@ -397,14 +392,14 @@ mod tests {
 
     #[test]
     fn registry_is_empty_until_connections_estimate() {
-        let reg = EstimatorRegistry::with_defaults();
+        let reg = EstimatorRegistry::new(WireScale::default(), 0.3);
         assert_eq!(reg.connections(), 0);
         assert!(reg.aggregate().is_none());
     }
 
     #[test]
     fn registry_creates_estimators_lazily_and_removes_them() {
-        let mut reg = EstimatorRegistry::with_defaults();
+        let mut reg = EstimatorRegistry::new(WireScale::default(), 0.3);
         let s = EndpointSnapshots {
             unacked: littles::Snapshot::default(),
             unread: littles::Snapshot::default(),

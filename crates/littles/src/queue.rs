@@ -92,12 +92,6 @@ impl QueueState {
         self.total
     }
 
-    /// Time of the last update.
-    #[inline]
-    pub fn last_update(&self) -> Nanos {
-        self.time
-    }
-
     /// Raw time-weighted occupancy integral, in item-nanoseconds, as of the
     /// last update.
     #[inline]

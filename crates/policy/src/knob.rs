@@ -203,12 +203,6 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// A plane with the Nagle controller only: exactly the single-knob
-    /// ε-greedy policy, decision-for-decision.
-    pub fn nagle_only(nagle: EpsilonGreedy) -> Self {
-        Self::new(nagle, 1)
-    }
-
     /// Creates a plane; more knobs are attached with
     /// [`with_delack`](ControlPlane::with_delack) /
     /// [`with_cork`](ControlPlane::with_cork). `exploration_window` is
@@ -411,7 +405,7 @@ mod tests {
     #[test]
     fn nagle_only_plane_matches_plain_epsilon_greedy() {
         let mut plain = greedy(7);
-        let mut plane = ControlPlane::nagle_only(greedy(7));
+        let mut plane = ControlPlane::new(greedy(7), 1);
         for i in 0..2_000u64 {
             let p_lat = if plain.current() { 100 } else { 500 };
             let q_lat = if plane.current() { 100 } else { 500 };
@@ -495,8 +489,8 @@ mod tests {
     #[test]
     fn aggregate_and_estimate_paths_agree_for_nagle_only() {
         use e2e_core::AggregateEstimate;
-        let mut by_est = ControlPlane::nagle_only(greedy(5));
-        let mut by_agg = ControlPlane::nagle_only(greedy(5));
+        let mut by_est = ControlPlane::new(greedy(5), 1);
+        let mut by_agg = ControlPlane::new(greedy(5), 1);
         for i in 0..1_000u64 {
             let e_lat = if by_est.current() { 100 } else { 500 };
             let a_lat = if by_agg.current() { 100 } else { 500 };

@@ -7,7 +7,7 @@
 //! [`Objective`] turns an estimate into a scalar score (higher is better)
 //! so arm-comparison logic stays policy-agnostic.
 
-use e2e_core::{AggregateEstimate, Estimate};
+use e2e_core::Estimate;
 use littles::Nanos;
 
 /// A scoring rule over `(latency, throughput)`.
@@ -74,14 +74,6 @@ impl Objective {
             }
             Objective::Weighted { latency_weight } => est.throughput - latency_weight * latency_us,
         }
-    }
-
-    /// Scores a listener-wide aggregate. The aggregate's latency is the
-    /// throughput-weighted mean over connections and its throughput the
-    /// total, so a multi-connection policy scores exactly like a
-    /// single-connection one over the connection-shaped view.
-    pub fn score_aggregate(&self, agg: &AggregateEstimate) -> f64 {
-        self.score(&agg.to_estimate())
     }
 }
 

@@ -22,13 +22,9 @@ pub struct TickController<T> {
 }
 
 impl<T: BatchToggler> TickController<T> {
-    /// A 1 ms period — the order of a kernel tick at HZ=1000, the paper's
-    /// suggested granularity.
-    pub fn kernel_tick(inner: T) -> Self {
-        Self::new(inner, Nanos::from_millis(1))
-    }
-
-    /// Creates a controller with an explicit period.
+    /// Creates a controller with an explicit period (a 1 ms period is the
+    /// order of a kernel tick at HZ=1000, the paper's suggested
+    /// granularity).
     ///
     /// # Panics
     ///
@@ -143,16 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_tick_is_one_ms() {
-        let inner = EpsilonGreedy::with_defaults(Objective::MinLatency, 3);
-        let c = TickController::kernel_tick(inner);
-        assert_eq!(c.period(), Nanos::from_millis(1));
-    }
-
-    #[test]
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
-        let inner = EpsilonGreedy::with_defaults(Objective::MinLatency, 4);
+        let inner = EpsilonGreedy::new(Objective::MinLatency, 0.05, 4, 0.4, 4);
         let _ = TickController::new(inner, Nanos::ZERO);
     }
 

@@ -127,11 +127,6 @@ impl EpsilonGreedy {
         self
     }
 
-    /// Reasonable defaults: ε = 0.05, dwell 4 ticks, score α = 0.4.
-    pub fn with_defaults(objective: Objective, seed: u64) -> Self {
-        Self::new(objective, 0.05, 4, 0.4, seed)
-    }
-
     /// Number of arm switches so far.
     pub fn switches(&self) -> u64 {
         self.switches

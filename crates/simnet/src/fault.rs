@@ -154,48 +154,35 @@ pub struct ShardBrownout {
     pub windows: WindowSchedule,
 }
 
-/// A back-leg blackout scoped to one shard's proxy↔shard link: inside the
-/// windows every packet on that link is dropped in both directions, while
-/// the rest of the fabric stays healthy. Schedule-driven and RNG-free.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardLinkBlackout {
-    /// Which shard (tier-local index `0..k`) loses its back-leg link.
-    pub shard: usize,
-    /// When that link is dark.
-    pub windows: WindowSchedule,
-}
-
 /// Tier-aware shard faults for the two-tier topology: deterministic shard
-/// crash/restart schedules, slow-shard CPU brownouts, and back-leg
-/// blackouts targeting a specific shard link. The default (everything
-/// `None`) consumes zero RNG draws and leaves runs bit-identical to the
-/// shard goldens recorded before this plan existed.
+/// crash/restart schedules and slow-shard CPU brownouts. The default
+/// (everything `None`) consumes zero RNG draws and leaves runs
+/// bit-identical to the shard goldens recorded before this plan existed.
 ///
 /// Crash timing rides on a [`RestartSchedule`]; which shard dies is either
 /// pinned (`crash_target`, fully deterministic, zero draws) or drawn from
 /// the dedicated `fault.shard_crash` stream — never from `fault.restart`,
 /// so shard chaos composes with client-endpoint restart chaos without
-/// shifting either stream. Brownouts and link blackouts are purely
-/// schedule-driven and exempt from the named-stream accounting, like every
-/// other [`WindowSchedule`] fault.
+/// shifting either stream. Brownouts are purely schedule-driven and exempt
+/// from the named-stream accounting, like every other [`WindowSchedule`]
+/// fault.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardFaultPlan {
     /// Scheduled shard crashes (socket state lost on both ends; the proxy
     /// is woken with `Reset` and must re-establish the connection).
     pub crash: Option<RestartSchedule>,
-    /// Pin every crash to this shard (tier-local index). `None` draws the
-    /// victim from the `fault.shard_crash` stream per fired crash.
+    /// Pin every crash to this shard (tier-local index, checked in range
+    /// when the plan is installed). `None` draws the victim from the
+    /// `fault.shard_crash` stream per fired crash.
     pub crash_target: Option<usize>,
     /// Slow-shard CPU brownout windows.
     pub brownout: Option<ShardBrownout>,
-    /// Back-leg blackout windows on one shard link.
-    pub link_blackout: Option<ShardLinkBlackout>,
 }
 
 impl ShardFaultPlan {
     /// True if any shard fault class is configured.
     pub fn is_enabled(&self) -> bool {
-        self.crash.is_some() || self.brownout.is_some() || self.link_blackout.is_some()
+        self.crash.is_some() || self.brownout.is_some()
     }
 }
 
@@ -281,9 +268,8 @@ pub struct FaultConfig {
     pub corrupt: Option<CorruptConfig>,
     /// Scheduled client-endpoint restarts (crash + reconnect).
     pub restart: Option<RestartSchedule>,
-    /// Tier-aware shard faults (crash/restart, brownout, back-leg
-    /// blackout). Only meaningful on the two-tier topology; star sims
-    /// ignore it.
+    /// Tier-aware shard faults (crash/restart, brownout). Only meaningful
+    /// on the two-tier topology; star sims ignore it.
     pub shard: ShardFaultPlan,
     /// Faults are inert before this time: no packets are touched and no
     /// RNG draws are consumed, so the handshake and early steady state
@@ -373,11 +359,6 @@ pub struct FaultPlan {
     counters: Vec<FaultCounters>,
     restarts: u64,
     shard_crashes: u64,
-    /// Shard `j`'s back-leg link is `LinkId(shard_link_base + j)`; set by
-    /// the two-tier harness so [`ShardLinkBlackout`] can be resolved to a
-    /// concrete directed-link index. `None` (star topologies) makes the
-    /// shard link blackout a no-op.
-    shard_link_base: Option<usize>,
 }
 
 impl FaultPlan {
@@ -396,15 +377,7 @@ impl FaultPlan {
             counters: vec![FaultCounters::default(); 2 * num_links],
             restarts: 0,
             shard_crashes: 0,
-            shard_link_base: None,
         }
-    }
-
-    /// Tells the plan where the shard tier's back-leg links start (shard
-    /// `j` ⇒ `LinkId(base + j)`). The two-tier harness calls this at
-    /// install time; without it the shard link blackout never matches.
-    pub fn bind_shard_links(&mut self, base: usize) {
-        self.shard_link_base = Some(base);
     }
 
     /// The configuration this plan was built from.
@@ -429,16 +402,6 @@ impl FaultPlan {
         // drops everything and consumes no randomness.
         if let Some(b) = &self.config.blackout {
             if b.contains(now) {
-                self.counters[idx].blackout_drops += 1;
-                decision.drop = true;
-                return decision;
-            }
-        }
-
-        // Back-leg blackout scoped to one shard link — same RNG-free
-        // discipline, but only the targeted link goes dark.
-        if let (Some(lb), Some(base)) = (&self.config.shard.link_blackout, self.shard_link_base) {
-            if link.index() == base + lb.shard && lb.windows.contains(now) {
                 self.counters[idx].blackout_drops += 1;
                 decision.drop = true;
                 return decision;
@@ -531,12 +494,13 @@ impl FaultPlan {
 
     /// Picks which of `num_shards` shards crashes for one scheduled shard
     /// crash, and counts it. A pinned [`ShardFaultPlan::crash_target`] is
-    /// fully deterministic and draws nothing; otherwise exactly one value
-    /// comes from the `fault.shard_crash` stream per fired crash.
+    /// returned as is (the installer checks it is in range) and draws
+    /// nothing; otherwise exactly one value comes from the
+    /// `fault.shard_crash` stream per fired crash.
     pub fn pick_shard_crash_target(&mut self, num_shards: usize) -> usize {
         self.shard_crashes += 1;
         match self.config.shard.crash_target {
-            Some(t) => t.min(num_shards.saturating_sub(1)),
+            Some(t) => t,
             None => self.shard_crash_rng.gen_range(num_shards.max(1) as u64) as usize,
         }
     }
@@ -597,40 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_link_blackout_darkens_only_the_bound_link() {
-        let cfg = FaultConfig {
-            shard: ShardFaultPlan {
-                link_blackout: Some(ShardLinkBlackout {
-                    shard: 1,
-                    windows: WindowSchedule {
-                        first_at: us(100),
-                        period: Nanos::ZERO,
-                        duration: us(50),
-                    },
-                }),
-                ..ShardFaultPlan::default()
-            },
-            ..FaultConfig::default()
-        };
-        // Unbound (star topology): the shard blackout never matches.
-        let mut unbound = FaultPlan::new(cfg, 5, 6);
-        assert!(!unbound.on_transmit(LinkId::from_index(5), true, us(120)).drop);
-        // Bound with base 4 (N = 4 clients): shard 1 ⇒ LinkId(5).
-        let mut plan = FaultPlan::new(cfg, 5, 6);
-        plan.bind_shard_links(4);
-        assert!(!plan.on_transmit(LinkId::from_index(4), true, us(120)).drop);
-        assert!(plan.on_transmit(LinkId::from_index(5), true, us(120)).drop);
-        assert!(plan.on_transmit(LinkId::from_index(5), false, us(130)).drop);
-        assert!(!plan.on_transmit(LinkId::from_index(5), true, us(99)).drop);
-        assert!(!plan.on_transmit(LinkId::from_index(5), true, us(150)).drop);
-        assert_eq!(plan.counters(LinkId::from_index(5), true).blackout_drops, 1);
-        assert_eq!(plan.counters(LinkId::from_index(5), false).blackout_drops, 1);
-        // RNG-free, like every schedule-driven fault.
-        assert_eq!(plan.loss_rng, Pcg32::named(5, "fault.loss"));
-        assert_eq!(plan.shard_crash_rng, Pcg32::named(5, "fault.shard_crash"));
-    }
-
-    #[test]
     fn pinned_shard_crash_target_draws_nothing() {
         let cfg = FaultConfig {
             shard: ShardFaultPlan {
@@ -649,16 +579,6 @@ mod tests {
         }
         assert_eq!(plan.shard_crashes(), 16);
         assert_eq!(plan.shard_crash_rng, Pcg32::named(9, "fault.shard_crash"));
-        // Out-of-range pins clamp instead of panicking.
-        let cfg2 = FaultConfig {
-            shard: ShardFaultPlan {
-                crash_target: Some(9),
-                ..cfg.shard
-            },
-            ..cfg
-        };
-        let mut plan2 = FaultPlan::new(cfg2, 9, 8);
-        assert_eq!(plan2.pick_shard_crash_target(4), 3);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use engine::{run, run_until_idle, EventQueue, EventToken, World};
 pub use fault::{
     CorruptConfig, CorruptTarget, DuplicateConfig, FaultConfig, FaultCounters, FaultDecision,
     FaultPlan, GilbertElliott, JitterConfig, ReorderConfig, RestartSchedule, ShardBrownout,
-    ShardFaultPlan, ShardLinkBlackout, WindowSchedule,
+    ShardFaultPlan, WindowSchedule,
 };
 pub use hist::Histogram;
 pub use link::{DuplexLink, Link, LinkConfig};

@@ -30,8 +30,9 @@ use crate::link::{DuplexLink, Link, LinkConfig};
 
 /// A host in the topology, by dense index.
 ///
-/// Mint these from topology accessors ([`Topology::host_ids`], the shape
-/// helpers) or, at a true boundary, [`HostId::from_index`] — the field is
+/// Read these from topology accessors ([`Topology::endpoints`],
+/// [`Topology::neighbors`]) or mint one, at a true boundary, with
+/// [`HostId::from_index`] — the field is
 /// private, so index arithmetic cannot silently masquerade as routing:
 ///
 /// ```
@@ -225,11 +226,6 @@ impl Topology {
         self.links.len()
     }
 
-    /// All host ids, in dense order.
-    pub fn host_ids(&self) -> impl Iterator<Item = HostId> {
-        (0..self.num_hosts()).map(HostId)
-    }
-
     /// The hosts adjacent to `host`, with the link serving each.
     ///
     /// # Panics
@@ -291,15 +287,6 @@ impl Topology {
     /// Panics on an out-of-range link.
     pub fn link(&self, id: LinkId) -> &DuplexLink {
         &self.links[id.0]
-    }
-
-    /// Mutable access to the duplex link with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range link.
-    pub fn link_mut(&mut self, id: LinkId) -> &mut DuplexLink {
-        &mut self.links[id.0]
     }
 
     /// The `(a, b)` endpoints of a link.

@@ -690,13 +690,12 @@ impl SimCore {
                 assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
                 self.hosts[first + b.shard].app_cpu.set_stall_schedule(b.windows);
             }
+            if let Some(target) = config.shard.crash_target {
+                assert!(target < count, "crash target shard {target} of {count}");
+            }
         }
         let links = self.topology.num_links();
-        let mut plan = FaultPlan::new(config, seed, links);
-        if let Some((first, _)) = self.shard_tier {
-            plan.bind_shard_links(first - 1);
-        }
-        self.faults = Some(plan);
+        self.faults = Some(FaultPlan::new(config, seed, links));
     }
 
     /// Queues the first scheduled restart, when the fault plan has one.

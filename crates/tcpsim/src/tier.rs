@@ -19,9 +19,9 @@
 //! the proxy's application thread, the shared-CPU choke point of the
 //! topology. The tier-aware shard faults
 //! ([`ShardFaultPlan`](simnet::ShardFaultPlan)) add scheduled shard
-//! crashes (both ends of each proxy↔shard connection reset), slow-shard
-//! CPU brownouts, and per-shard back-leg blackouts on top — composable
-//! with the client-tier restart chaos, each class on its own RNG stream.
+//! crashes (both ends of each proxy↔shard connection reset) and
+//! slow-shard CPU brownouts on top — composable with the client-tier
+//! restart chaos, each class on its own RNG stream.
 
 use simnet::{DuplexLink, EventQueue, FaultConfig, FaultPlan, HostId, LinkConfig, LinkId, Topology, World};
 
@@ -51,7 +51,8 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
     /// # Panics
     ///
     /// Panics when `clients` or `shards` is empty, the app and host lists
-    /// disagree in length, or a host id does not match its topology index.
+    /// disagree in length, a host id does not match its topology index, or
+    /// a shard fault names a shard the tier does not have.
     #[allow(clippy::too_many_arguments)]
     pub fn two_tier_with_faults(
         clients: Vec<C>,
@@ -83,9 +84,9 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
         let default_peers = vec![proxy_id; n + 1 + k];
         let topology = Topology::two_tier(n, k, client_link, shard_link);
         let mut core = SimCore::new(hosts, topology, default_peers, n, seed);
-        // Shard `j` runs on host `n+1+j` over back-leg link `n+j`; telling
-        // the core makes the tier-aware shard faults (crash, brownout,
-        // per-link blackout) resolvable. Star sims leave this unset.
+        // Shard `j` runs on host `n+1+j`; telling the core makes the
+        // tier-aware shard faults (crash, brownout) resolvable. Star sims
+        // leave this unset.
         core.shard_tier = Some((n + 1, k));
         core.install_faults(fault_config, seed, proxy_id);
         TierSim {

@@ -329,3 +329,38 @@ fn shard_crash_takes_both_ends_timers_out_of_the_queue() {
     assert!(queue.len() <= 16, "{} events resident after recovery", queue.len());
     assert!(sim.clients[0].received > 64 * 15_000, "traffic resumed through the new upstream");
 }
+
+/// A crash pinned to a shard the tier does not have is refused when the
+/// plan is installed, instead of silently crashing a different shard.
+#[test]
+#[should_panic(expected = "crash target shard 1 of 1")]
+fn out_of_range_crash_target_is_refused_at_install() {
+    let faults = FaultConfig {
+        shard: ShardFaultPlan {
+            crash: Some(RestartSchedule {
+                first_at: Nanos::from_millis(5),
+                period: Nanos::ZERO,
+            }),
+            crash_target: Some(1),
+            ..ShardFaultPlan::default()
+        },
+        ..FaultConfig::default()
+    };
+    let relay = Relay {
+        shard: HostId::from_index(2),
+        front: None,
+        back: None,
+    };
+    let _ = TierSim::two_tier_with_faults(
+        vec![PacedClient::new(Nanos::from_micros(20))],
+        relay,
+        vec![EchoServer],
+        vec![host(0)],
+        host(1),
+        vec![host(2)],
+        LinkConfig::default(),
+        LinkConfig::default(),
+        7,
+        faults,
+    );
+}
