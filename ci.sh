@@ -8,15 +8,20 @@ echo "==> linter self-test (lexer, model, call graph, rules, fixtures)"
 cargo test -q -p xtask
 
 echo "==> workspace-rule inputs are checked in"
-# The RNG-stream manifest and the ratchet baselines are part of the
-# linted contract: a missing file would silently read as an empty
-# baseline, so their presence is asserted explicitly.
+# The RNG-stream manifest, the ratchet baselines and clippy.toml's banned
+# lists are part of the linted contract: a missing file would silently
+# read as an empty baseline or an empty ban, so their presence is
+# asserted explicitly.
+test -s clippy.toml
 test -s crates/xtask/rng_streams.toml
 test -s crates/xtask/lint_baselines/panic_reachability.txt
 test -s crates/xtask/lint_baselines/hot_path_alloc.txt
 
 echo "==> xtask lint (all rules; ratchets must not move up)"
 cargo run -q -p xtask -- lint
+
+echo "==> clippy (clippy.toml bans wall clocks, sleeps and hash maps; float_cmp; unwrap in littles/e2e-core)"
+cargo clippy -q --workspace --all-targets --offline -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release

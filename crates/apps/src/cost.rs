@@ -93,7 +93,7 @@ impl AppCosts {
 }
 
 /// A complete cost profile for one experiment.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostProfile {
     /// Stack costs on the client host.
     pub client_stack: CostConfig,

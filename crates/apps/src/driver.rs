@@ -420,7 +420,7 @@ impl EstimateRecorder {
             .iter()
             .filter(|(at, _, _)| *at >= from && *at < to);
         let first = inside.next()?;
-        let last = inside.last()?;
+        let last = inside.next_back()?;
         let near = last.1.since(&first.1);
         let far = last.2.since(&first.2);
         (!near.unacked.dt.is_zero()).then_some((near, far))

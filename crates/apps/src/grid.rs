@@ -138,6 +138,6 @@ mod tests {
     #[test]
     fn default_threads_is_sane() {
         let t = default_threads();
-        assert!(t >= 1 && t <= 16);
+        assert!((1..=16).contains(&t));
     }
 }

@@ -1,6 +1,11 @@
 //! The in-memory key-value store behind the Redis-like server.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
+#[expect(
+    clippy::disallowed_types,
+    reason = "KvStore's two hash collections are lookup-only, never iterated"
+)]
+use std::collections::{HashMap, HashSet};
 
 use tcpsim::Payload;
 
@@ -20,6 +25,10 @@ const DEDUP_WINDOW: usize = 4096;
 /// racing its primary — never double-applies. The window of remembered
 /// ids is bounded (`DEDUP_WINDOW`); untagged commands bypass it.
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "`map` and `seen` are lookup-only, never iterated"
+)]
 pub struct KvStore {
     map: HashMap<Payload, Payload>,
     sets: u64,

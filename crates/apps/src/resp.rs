@@ -157,7 +157,6 @@ fn parse_usize(data: &[u8]) -> Option<usize> {
 
 /// Reads a `$len\r\n<bytes>\r\n` bulk string; returns the payload and the
 /// bytes consumed. A `$-1` null bulk returns `None` payload.
-#[allow(clippy::type_complexity)]
 fn read_bulk(data: &[u8]) -> Option<(Option<&[u8]>, usize)> {
     let (header, h) = read_line(data)?;
     if header.first() != Some(&b'$') {

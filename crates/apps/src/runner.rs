@@ -83,7 +83,7 @@ impl NagleSetting {
 
 /// Optional stack/policy overrides for ablation studies (§5 knobs). All
 /// `None` means the calibrated defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Default)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Overrides {
     /// Metadata-exchange minimum interval.
     pub exchange_interval: Option<Nanos>,
@@ -168,7 +168,7 @@ impl RunConfig {
 }
 
 /// One side's CPU utilizations over the measurement window.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuUtil {
     /// Application-thread utilization (may exceed 1.0 when oversubscribed).
     pub app: f64,

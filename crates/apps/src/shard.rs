@@ -186,8 +186,7 @@ pub fn run_shard_point(cfg: &ShardRunConfig) -> ShardPointResult {
         let windows = series.iter().map(|s| s.len()).min().unwrap_or(0);
         let mut ranked = 0u64;
         let mut total = 0u64;
-        for w in 0..windows {
-            let at = series[0][w].0;
+        for (w, &(at, _)) in series[0].iter().take(windows).enumerate() {
             if at < from || at >= to {
                 continue;
             }

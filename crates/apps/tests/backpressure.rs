@@ -28,7 +28,7 @@ use simnet::{
 };
 use tcpsim::{Host, HostId, NetSim, TcpConfig, TierSim};
 
-const SEED: u64 = 0xBAC2_106;
+const SEED: u64 = 0x0BAC_2106;
 const WARMUP: Nanos = Nanos::from_millis(5);
 const END: Nanos = Nanos::from_millis(30);
 const DRAIN: Nanos = Nanos::from_millis(40);

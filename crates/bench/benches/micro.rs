@@ -2,16 +2,16 @@
 //!
 //! The paper's premise is that the counters are "easily maintained" —
 //! cheap enough to update on every socket-buffer change. This suite
-//! quantifies that: TRACK, snapshotting, GETAVGS, the 36-byte wire
-//! encode/decode, a full estimator update, a recorder tick over a static
-//! and over an active socket (cache-cold, as at N = 1024), the flush of a
-//! 1 000-tick static stretch, one socket-timer re-arm, the change-watch
-//! check at the head of every socket action batch, and RESP parsing.
+//! quantifies what the repo benchmark's probes (`benchmark/benches/
+//! probes.rs`: TRACK, the wire encode/decode, a full estimator update,
+//! RESP parsing) do not: snapshotting, GETAVGS, packing one wire
+//! snapshot, a recorder tick over a static and over an active socket
+//! (cache-cold, as at N = 1024), the flush of a 1 000-tick static
+//! stretch, one socket-timer re-arm, the change-watch check at the head
+//! of every socket action batch, and an EWMA update.
 //!
 //! Uses a small hand-rolled harness (median of timed batches) instead of
-//! criterion: the workspace builds with no registry dependencies. Wall-
-//! clock timing is fine here — benches are excluded from the determinism
-//! lint, which covers only the simulation crates.
+//! criterion: the workspace builds with no registry dependencies.
 //!
 //! ```sh
 //! cargo bench -p bench --bench micro
@@ -21,8 +21,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use e2e_apps::driver::EstimateRecorder;
-use e2e_core::combine::EndpointSnapshots;
-use e2e_core::E2eEstimator;
 use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::{Ewma, Nanos, QueueState, Snapshot};
 use simnet::{CpuContext, EventQueue};
@@ -34,6 +32,10 @@ use tcpsim::{
 };
 
 /// Times `f` over batches of `iters` calls and prints the median ns/iter.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a micro-benchmark times host work"
+)]
 fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) {
     // Warmup.
     for _ in 0..iters / 4 {
@@ -51,16 +53,6 @@ fn bench<F: FnMut()>(name: &str, iters: u64, mut f: F) {
     per_iter.sort_by(|a, b| a.total_cmp(b));
     println!("{name:<28} {:>10.1} ns/iter (median of {BATCHES} batches x {iters})",
         per_iter[BATCHES / 2]);
-}
-
-fn bench_track() {
-    let mut q = QueueState::new(Nanos::ZERO);
-    let mut t = 0u64;
-    bench("track_one_update", 1_000_000, || {
-        t += 100;
-        q.track(Nanos::from_nanos(t), 1);
-        q.track(Nanos::from_nanos(t + 50), -1);
-    });
 }
 
 fn bench_snapshot_and_averages() {
@@ -84,44 +76,14 @@ fn bench_snapshot_and_averages() {
     });
 }
 
-fn bench_wire() {
+fn bench_wire_pack() {
     let snap = Snapshot {
         time: Nanos::from_micros(12_345),
         total: 777,
         integral: 123_456_789,
     };
-    let ex = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
-    bench("wire_encode_36B", 1_000_000, || {
-        black_box(ex.encode());
-    });
-    let bytes = ex.encode_tagged();
-    bench("wire_decode_37B", 1_000_000, || {
-        black_box(WireExchange::try_decode_tagged(&bytes).ok());
-    });
     bench("wire_pack_snapshot", 1_000_000, || {
         black_box(WireSnapshot::pack(&snap, WireScale::default()));
-    });
-}
-
-fn bench_estimator() {
-    let mut est = E2eEstimator::new(WireScale::UNSCALED, 0.3);
-    let mut t = 0u64;
-    let mut total = 0u64;
-    bench("estimator_update", 200_000, || {
-        t += 1_000_000;
-        total += 50;
-        let snap = Snapshot {
-            time: Nanos::from_nanos(t),
-            total,
-            integral: (t as u128) * 3,
-        };
-        let local = EndpointSnapshots {
-            unacked: snap,
-            unread: snap,
-            ackdelay: snap,
-        };
-        let remote = WireExchange::pack(&snap, &snap, &snap, WireScale::UNSCALED);
-        black_box(est.update(Nanos::from_nanos(t), local, Some(remote)));
     });
 }
 
@@ -148,6 +110,10 @@ fn exchange_segment(now: Nanos) -> Segment {
 /// deferred; `active` moves a queue and delivers a fresh exchange on
 /// every socket before each sweep (untimed), so every tick replays
 /// nothing and steps the estimator in full.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times each sweep's ticks alone, not the untimed setup"
+)]
 fn bench_recorder_tick() {
     const CONNS: usize = 1024;
     const SWEEPS: u64 = 200;
@@ -303,25 +269,12 @@ fn bench_ewma() {
     });
 }
 
-fn bench_resp() {
-    use e2e_apps::resp::{encode_set, CommandParser};
-    let wire = encode_set(&[b'k'; 16], &vec![7u8; 16 * 1024]);
-    bench("resp_parse_16KiB_set", 50_000, || {
-        let mut p = CommandParser::new();
-        p.feed(&wire);
-        black_box(p.next_command());
-    });
-}
-
 fn main() {
-    bench_track();
     bench_snapshot_and_averages();
-    bench_wire();
-    bench_estimator();
+    bench_wire_pack();
     bench_recorder_tick();
     bench_recorder_flush();
     bench_timer_rearm();
     bench_change_watch();
     bench_ewma();
-    bench_resp();
 }

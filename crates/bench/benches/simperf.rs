@@ -100,6 +100,10 @@ impl Row {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "simperf measures host seconds per simulated second"
+)]
 fn bench_width(n: usize) -> Row {
     let cfg = RunConfig {
         warmup: WARMUP,

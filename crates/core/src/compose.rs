@@ -32,8 +32,8 @@ pub fn compose_legs(legs: &[AggregateEstimate]) -> Option<AggregateEstimate> {
     let mut out = *first;
     for leg in &legs[1..] {
         out.at = out.at.max(leg.at);
-        out.latency = out.latency + leg.latency;
-        out.smoothed_latency = out.smoothed_latency + leg.smoothed_latency;
+        out.latency += leg.latency;
+        out.smoothed_latency += leg.smoothed_latency;
         out.throughput = out.throughput.min(leg.throughput);
         out.connections += leg.connections;
         out.confidence = out.confidence.min(leg.confidence);

@@ -26,7 +26,7 @@ fn wire_delay_granularity(scale: WireScale, w: &QueueWindow) -> Nanos {
 }
 
 /// One end-to-end performance estimate over a measurement window.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
     /// When the estimate was formed.
     pub at: Nanos,

@@ -83,7 +83,7 @@ pub struct HintEstimator {
 }
 
 /// An estimate derived from the hint queue alone.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HintEstimate {
     /// Average end-to-end latency of the client's requests.
     pub latency: Option<Nanos>,

@@ -21,7 +21,7 @@ pub struct MultiConnectionAggregator {
 }
 
 /// The aggregate result.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregateEstimate {
     /// When the newest contributing estimate was formed.
     pub at: Nanos,

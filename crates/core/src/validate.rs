@@ -39,7 +39,7 @@ use littles::Nanos;
 use crate::combine::EndpointWindows;
 
 /// Bounds for peer-state plausibility checks.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): config equality is bit-exact on purpose
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ValidateConfig {
     /// Multiplier applied to the locally observed reference rate when
     /// bounding a remote queue's `Δtotal/Δtime`.

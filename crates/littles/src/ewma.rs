@@ -28,7 +28,7 @@ use crate::time::Nanos;
 /// e.update(20.0);
 /// assert_eq!(e.value(), Some(15.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,
@@ -77,7 +77,7 @@ impl Ewma {
 /// constant, so the average is insensitive to the sampling cadence: two
 /// quick samples move it no more than one sample carrying the same
 /// information over the same span.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimeDecayEwma {
     tau: Nanos,
     value: Option<f64>,
@@ -128,7 +128,7 @@ mod tests {
     fn first_sample_initializes() {
         let mut e = Ewma::new(0.1);
         assert_eq!(e.value(), None);
-        assert_eq!(e.update(42.0), 42.0);
+        assert_eq!(e.update(42.0).to_bits(), 42.0f64.to_bits());
     }
 
     #[test]

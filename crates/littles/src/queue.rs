@@ -187,7 +187,7 @@ impl Snapshot {
 }
 
 /// Window averages returned by `GETAVGS`.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Averages {
     /// Window length.
     pub window: Nanos,
@@ -312,7 +312,7 @@ mod tests {
         let end = q.snapshot(Nanos::from_micros(10));
         let a = end.averages_since(&start).unwrap();
         assert_eq!(a.delay, None);
-        assert_eq!(a.throughput, 0.0);
+        assert_eq!(a.throughput.to_bits(), 0.0f64.to_bits());
         // Stalled queue: fallback applies.
         assert_eq!(a.delay_or(Nanos::from_micros(10)), Nanos::from_micros(10));
     }

@@ -13,7 +13,7 @@ use e2e_core::Estimate;
 use crate::objective::Objective;
 
 /// Additive-increase/multiplicative-decrease controller for a batch limit.
-#[derive(Debug, Clone, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, PartialEq)]
 pub struct AimdBatchLimit {
     objective: Objective,
     limit: u64,

@@ -339,7 +339,7 @@ mod tests {
             assert_eq!(b.state(), BreakerState::Open);
             expect = (expect * 2).min(ms(80));
             assert_eq!(b.backoff(), expect);
-            t = t + b.backoff();
+            t += b.backoff();
         }
         assert_eq!(b.backoff(), ms(80), "backoff pinned at the cap");
         assert_eq!(b.reopens(), 6);

@@ -24,7 +24,7 @@
 
 
 /// Model parameters.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Params {
     /// Number of requests queued at time 0.
     pub n: u32,
@@ -49,7 +49,7 @@ impl Figure1Params {
 }
 
 /// Average performance of one processing discipline.
-#[derive(Debug, Clone, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Mean request latency (request issue → client finishes processing
     /// the response), in model time units.

@@ -5,12 +5,13 @@
 //! estimate decomposes into per-queue components (`e2e_core::route`),
 //! and each component is caused by a different batching mechanism — so
 //! one estimate can drive *all* of them: Nagle, the delayed-ACK mode,
-//! and the send-side cork limit. A [`ControlPlane`] composes one
-//! [`KnobController`] per knob, routes each its own component view, and
-//! coordinates exploration so that **at most one knob perturbs the
-//! system per window** — otherwise two knobs exploring at once would
-//! poison each other's credit assignment (knob A flips, latency moves,
-//! knob B's bandit learns from a change it didn't cause).
+//! and the send-side cork limit. A [`ControlPlane`] holds one controller
+//! per knob — an [`EpsilonGreedy`] for Nagle, a [`DelAckToggler`] for the
+//! ACK mode, an [`AimdBatchLimit`] for the cork limit — routes each its
+//! own component view, and coordinates exploration so that **at most one
+//! knob perturbs the system per window** — otherwise two knobs exploring
+//! at once would poison each other's credit assignment (knob A flips,
+//! latency moves, knob B's bandit learns from a change it didn't cause).
 //!
 //! The plane itself implements [`BatchToggler`] (its headline decision
 //! is the Nagle arm), so the existing composition stack —
@@ -26,77 +27,7 @@ use littles::Nanos;
 use tcpsim::{AckMode, KnobSetting};
 
 use crate::aimd::AimdBatchLimit;
-use crate::toggler::{BatchToggler, EpsilonGreedy, StaticToggler};
-
-/// One knob's controller: consulted with the knob's routed component
-/// view each decision, and told whether this is its exploration turn.
-pub trait KnobController {
-    /// Which knob this controller drives.
-    fn knob(&self) -> Knob;
-
-    /// Feeds the knob's component view of the latest estimate; returns
-    /// the setting to hold until the next decision. `may_explore` is
-    /// true only on this knob's exploration turn — outside it the
-    /// controller must not perturb the system to learn (it may still
-    /// retreat to safety, e.g. AIMD's multiplicative decrease).
-    fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting;
-
-    /// The current setting without feeding new data.
-    fn setting(&self) -> KnobSetting;
-
-    /// Times the emitted setting changed.
-    fn switches(&self) -> u64;
-
-    /// Deliberate exploratory perturbations taken.
-    fn explorations(&self) -> u64;
-}
-
-/// The ε-greedy toggler drives the Nagle knob: its two arms are
-/// hold-tails-on and hold-tails-off, scored on the full estimate.
-impl KnobController for EpsilonGreedy {
-    fn knob(&self) -> Knob {
-        Knob::Nagle
-    }
-
-    fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting {
-        KnobSetting::Nagle(self.decide_gated(view, may_explore))
-    }
-
-    fn setting(&self) -> KnobSetting {
-        KnobSetting::Nagle(BatchToggler::current(self))
-    }
-
-    fn switches(&self) -> u64 {
-        EpsilonGreedy::switches(self)
-    }
-
-    fn explorations(&self) -> u64 {
-        EpsilonGreedy::explorations(self)
-    }
-}
-
-/// A static baseline pins the Nagle knob and never explores.
-impl KnobController for StaticToggler {
-    fn knob(&self) -> Knob {
-        Knob::Nagle
-    }
-
-    fn decide(&mut self, view: &Estimate, _may_explore: bool) -> KnobSetting {
-        KnobSetting::Nagle(BatchToggler::decide(self, view))
-    }
-
-    fn setting(&self) -> KnobSetting {
-        KnobSetting::Nagle(BatchToggler::current(self))
-    }
-
-    fn switches(&self) -> u64 {
-        0
-    }
-
-    fn explorations(&self) -> u64 {
-        0
-    }
-}
+use crate::toggler::{BatchToggler, EpsilonGreedy};
 
 /// The delayed-ACK knob as a two-armed bandit: arm "on" delays ACKs
 /// (batching them, up to `timeout`), arm "off" quick-acks every
@@ -126,6 +57,29 @@ impl DelAckToggler {
         self.timeout
     }
 
+    /// Feeds the `L_ackdelay^remote` view of the latest estimate; returns
+    /// the ACK mode to hold until the next decision. `may_explore` is true
+    /// only on this knob's exploration turn.
+    pub fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting {
+        let on = self.greedy.decide_gated(view, may_explore);
+        KnobSetting::DelAck(self.mode(on))
+    }
+
+    /// The current ACK mode without feeding new data.
+    pub fn setting(&self) -> KnobSetting {
+        KnobSetting::DelAck(self.mode(self.greedy.current()))
+    }
+
+    /// Times the emitted mode changed.
+    pub fn switches(&self) -> u64 {
+        self.greedy.switches()
+    }
+
+    /// Deliberate exploratory flips taken.
+    pub fn explorations(&self) -> u64 {
+        self.greedy.explorations()
+    }
+
     fn mode(&self, on: bool) -> AckMode {
         if on {
             AckMode::Delayed {
@@ -137,62 +91,16 @@ impl DelAckToggler {
     }
 }
 
-impl KnobController for DelAckToggler {
-    fn knob(&self) -> Knob {
-        Knob::DelAck
-    }
-
-    fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting {
-        let on = self.greedy.decide_gated(view, may_explore);
-        KnobSetting::DelAck(self.mode(on))
-    }
-
-    fn setting(&self) -> KnobSetting {
-        KnobSetting::DelAck(self.mode(self.greedy.current()))
-    }
-
-    fn switches(&self) -> u64 {
-        self.greedy.switches()
-    }
-
-    fn explorations(&self) -> u64 {
-        self.greedy.explorations()
-    }
-}
-
-/// The AIMD batch-limit controller drives the cork knob: its limit is
-/// the `KnobSetting::CorkLimit` actuator, scored on the sender-hold
-/// plus far-unread component. Additive probes count as explorations
-/// and are withheld outside the knob's turn; the multiplicative
-/// decrease is a safety response and always fires.
-impl KnobController for AimdBatchLimit {
-    fn knob(&self) -> Knob {
-        Knob::Cork
-    }
-
-    fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting {
-        KnobSetting::CorkLimit(self.update_gated(view, may_explore))
-    }
-
-    fn setting(&self) -> KnobSetting {
-        KnobSetting::CorkLimit(self.limit())
-    }
-
-    fn switches(&self) -> u64 {
-        self.increases() + self.decreases()
-    }
-
-    fn explorations(&self) -> u64 {
-        self.increases()
-    }
-}
-
 /// The composed multi-knob control plane.
 ///
 /// Holds one controller per knob (delayed-ACK and cork optional — a
 /// Nagle-only plane is the paper's single-knob policy), routes each its
 /// component view, and rotates a single exploration turn round-robin
-/// across the adaptive knobs every `exploration_window` decisions.
+/// across the adaptive knobs every `exploration_window` decisions. Each
+/// controller is told whether the turn is its own: outside it the
+/// controller must not perturb the system to learn, though it may still
+/// retreat to safety. The cork knob's additive probes count as its
+/// explorations; its multiplicative decrease always fires.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     nagle: EpsilonGreedy,
@@ -252,18 +160,14 @@ impl ControlPlane {
     fn decide_views(&mut self, view_of: impl Fn(Knob) -> Estimate) -> bool {
         let turn = self.turn();
         self.decisions += 1;
-        let nagle_setting =
-            KnobController::decide(&mut self.nagle, &view_of(Knob::Nagle), turn == 0);
-        let KnobSetting::Nagle(on) = nagle_setting else {
-            unreachable!("nagle controller emits nagle settings");
-        };
+        let on = self.nagle.decide_gated(&view_of(Knob::Nagle), turn == 0);
         let mut idx = 1;
         if let Some(d) = self.delack.as_mut() {
             let _ = d.decide(&view_of(Knob::DelAck), turn == idx);
             idx += 1;
         }
         if let Some(c) = self.cork.as_mut() {
-            let _ = KnobController::decide(c, &view_of(Knob::Cork), turn == idx);
+            let _ = c.update_gated(&view_of(Knob::Cork), turn == idx);
         }
         on
     }
@@ -271,12 +175,12 @@ impl ControlPlane {
     /// The current setting of every controlled knob, in canonical order.
     /// This is what a driver actuates after each decision.
     pub fn settings(&self) -> Vec<KnobSetting> {
-        let mut v = vec![KnobController::setting(&self.nagle)];
+        let mut v = vec![KnobSetting::Nagle(self.nagle.current())];
         if let Some(d) = &self.delack {
             v.push(d.setting());
         }
         if let Some(c) = &self.cork {
-            v.push(KnobController::setting(c));
+            v.push(KnobSetting::CorkLimit(c.limit()));
         }
         v
     }
@@ -300,12 +204,12 @@ impl ControlPlane {
 
     /// Arm switches of the Nagle controller.
     pub fn nagle_switches(&self) -> u64 {
-        KnobController::switches(&self.nagle)
+        self.nagle.switches()
     }
 
     /// Exploratory flips of the Nagle controller.
     pub fn nagle_explorations(&self) -> u64 {
-        KnobController::explorations(&self.nagle)
+        self.nagle.explorations()
     }
 
     /// Mode switches of the delayed-ACK controller (0 when absent).
@@ -322,14 +226,12 @@ impl ControlPlane {
     pub fn cork_switches(&self) -> u64 {
         self.cork
             .as_ref()
-            .map_or(0, |c| KnobController::switches(c))
+            .map_or(0, |c| c.increases() + c.decreases())
     }
 
     /// Additive probes of the cork controller (0 when absent).
     pub fn cork_explorations(&self) -> u64 {
-        self.cork
-            .as_ref()
-            .map_or(0, |c| KnobController::explorations(c))
+        self.cork.as_ref().map_or(0, AimdBatchLimit::increases)
     }
 
     /// The cork controller's current limit, if one is attached.
@@ -509,20 +411,6 @@ mod tests {
             let d_a = by_agg.decide_aggregate(&a);
             assert_eq!(d_e, d_a, "decision {i}");
         }
-    }
-
-    #[test]
-    fn static_controller_never_explores() {
-        let mut s = StaticToggler::always_on();
-        for _ in 0..10 {
-            assert_eq!(
-                KnobController::decide(&mut s, &est_with(100, 0, 0), true),
-                KnobSetting::Nagle(true)
-            );
-        }
-        assert_eq!(KnobController::switches(&s), 0);
-        assert_eq!(KnobController::explorations(&s), 0);
-        assert_eq!(KnobController::knob(&s), Knob::Nagle);
     }
 
     #[test]

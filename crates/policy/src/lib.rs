@@ -22,7 +22,7 @@
 //!   jitter, estimate-driven hedging, and the per-upstream routing
 //!   breaker.
 //! * [`aimd`] — additive-increase/multiplicative-decrease batch limits.
-//! * [`knob`] — the multi-knob control plane: a [`KnobController`] per
+//! * [`knob`] — the multi-knob control plane: one controller per
 //!   batching mechanism (Nagle, delayed ACKs, cork limit), each fed its
 //!   routed component of the estimate, with coordinated exploration so at
 //!   most one knob perturbs the system per window.
@@ -45,7 +45,7 @@ pub mod toggler;
 pub use aimd::AimdBatchLimit;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use figure1::{figure1_model, BatchOutcome, Figure1Params, Metrics};
-pub use knob::{ControlPlane, DelAckToggler, KnobController};
+pub use knob::{ControlPlane, DelAckToggler};
 pub use objective::Objective;
 pub use retry::{AttemptKind, RetryConfig, RetryPolicy, UpstreamBreaker};
 pub use tick::TickController;

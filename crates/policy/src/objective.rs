@@ -11,7 +11,7 @@ use e2e_core::Estimate;
 use littles::Nanos;
 
 /// A scoring rule over `(latency, throughput)`.
-#[derive(Debug, Clone, Copy, PartialEq)] // lint:allow(float-eq): bit-exact equality is intended — determinism tests pin exact values
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Objective {
     /// Prefer the lowest latency, ignoring throughput.
     MinLatency,

@@ -234,7 +234,7 @@ mod tests {
     fn zero_window_utilization_is_zero() {
         let c = CpuContext::new("app");
         let snap = c.busy_snapshot(Nanos::ZERO);
-        assert_eq!(c.utilization_since(&snap, Nanos::ZERO), 0.0);
+        assert_eq!(c.utilization_since(&snap, Nanos::ZERO).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

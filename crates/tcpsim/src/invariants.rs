@@ -4,8 +4,9 @@
 //! *unread*, and *ackdelay* queue counters, so those counters must obey
 //! conservation laws or the Little's-law averages silently drift. This
 //! module is the runtime half of the repo's correctness story (the static
-//! half is `cargo run -p xtask -- lint`): an independent ledger per queue
-//! double-books every enter/leave event and a set of gate functions checks
+//! half is clippy plus `cargo run -p xtask -- lint`): an independent
+//! ledger per queue double-books every enter/leave event and a set of gate
+//! functions checks
 //!
 //! * **conservation** — bytes entered minus bytes left equals the current
 //!   occupancy reported by the instrumented queue, and is never negative;

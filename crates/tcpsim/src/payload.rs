@@ -234,10 +234,12 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "exercises the Hash impl through a lookup-only map, never iterated"
+    )]
     fn usable_as_hash_map_key() {
-        // lint:allow(determinism): exercises the Hash impl; lookup-only
         use std::collections::HashMap;
-        // lint:allow(determinism): lookup-only map, never iterated
         let mut m: HashMap<Payload, u32> = HashMap::new();
         m.insert(Payload::from_static(b"k"), 7);
         assert_eq!(m.get(&Payload::copy_from_slice(b"k")), Some(&7));

@@ -391,7 +391,10 @@ impl HostCtx<'_> {
 /// app wakes. The destination host comes from the flow's [`FlowRoute`]
 /// (registered at `connect_to` time): whichever end did not send the
 /// segment receives it.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "split borrows of SimCore: each argument is a disjoint field"
+)]
 fn apply_actions(
     host: &mut Host,
     topology: &mut Topology,
@@ -865,9 +868,7 @@ impl SimCore {
                 self.cork_scratch = waiters;
             }
             Event::Restart => {
-                let Some(plan) = self.faults.as_mut() else {
-                    return None;
-                };
+                let plan = self.faults.as_mut()?;
                 let target = plan.pick_restart_target(self.restart_pool);
                 if let Some(rs) = plan.config().restart {
                     if !rs.period.is_zero() {
@@ -890,12 +891,8 @@ impl SimCore {
                 }
             }
             Event::ShardCrash => {
-                let Some((first, count)) = self.shard_tier else {
-                    return None;
-                };
-                let Some(plan) = self.faults.as_mut() else {
-                    return None;
-                };
+                let (first, count) = self.shard_tier?;
+                let plan = self.faults.as_mut()?;
                 let target = first + plan.pick_shard_crash_target(count);
                 if let Some(cs) = plan.config().shard.crash {
                     if !cs.period.is_zero() {

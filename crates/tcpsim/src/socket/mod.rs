@@ -104,9 +104,10 @@ pub enum WakeReason {
 }
 
 /// Side effects requested by the socket, executed by the host.
-// Box would shrink the variant, but actions are short-lived and on the
-// hot path; the size imbalance is acceptable.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "actions are short-lived and on the hot path; the size imbalance is acceptable"
+)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Transmit a segment.

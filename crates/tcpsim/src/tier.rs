@@ -53,7 +53,10 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
     /// Panics when `clients` or `shards` is empty, the app and host lists
     /// disagree in length, a host id does not match its topology index, or
     /// a shard fault names a shard the tier does not have.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per topology part; the callers name each at the call site"
+    )]
     pub fn two_tier_with_faults(
         clients: Vec<C>,
         proxy: P,

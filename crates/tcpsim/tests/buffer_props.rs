@@ -151,7 +151,7 @@ fn seqnum_ordering_laws() {
     let mut rng = Pcg32::new(0x5EED_0004);
     for _ in 0..1000 {
         let base = rng.next_u32();
-        let delta = 1 + rng.gen_range(((1u64 << 31) - 2) as u64) as u32;
+        let delta = 1 + rng.gen_range((1u64 << 31) - 2) as u32;
         let a = SeqNum::new(base);
         let b = a + delta;
         assert!(a.before(b));

@@ -318,7 +318,7 @@ fn repeated_rto_does_not_shrink_the_recovery_point() {
         if server.recv_available() == 5 * MSS && pending.is_empty() {
             break;
         }
-        t = t + Nanos::from_micros(100);
+        t += Nanos::from_micros(100);
         let mut acks = Vec::new();
         for seg in &pending {
             server.on_segment(t, seg, env, &mut actions);
@@ -326,7 +326,7 @@ fn repeated_rto_does_not_shrink_the_recovery_point() {
         }
         server.on_timer(t, TimerKind::Delack, env, &mut actions);
         acks.extend(segs(&mut actions));
-        t = t + Nanos::from_micros(100);
+        t += Nanos::from_micros(100);
         pending.clear();
         for ack in &acks {
             client.on_segment(t, ack, env, &mut actions);

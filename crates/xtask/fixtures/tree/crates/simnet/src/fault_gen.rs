@@ -4,6 +4,6 @@
 pub fn streams(seed: u64) {
     let _named = Pcg32::named(seed, "fault.loss");
     let _adhoc = Pcg32::new(seed, 7);
-    // lint:allow(determinism): fixture justifies sharing the link stream
+    // lint:allow(rng-streams): fixture justifies sharing the link stream
     let _justified = Pcg32::new(seed, 9);
 }

@@ -80,15 +80,15 @@ mod tests {
     #[test]
     fn display_is_file_line_col() {
         let d = Diagnostic {
-            file: "crates/littles/src/queue.rs".into(),
+            file: "crates/littles/src/wire.rs".into(),
             line: 42,
             col: 7,
-            rule: "panic-hygiene",
-            message: "no unwrap in library code".into(),
+            rule: "cast-truncation",
+            message: "`as u32` silently truncates".into(),
         };
         assert_eq!(
             d.to_string(),
-            "crates/littles/src/queue.rs:42:7: panic-hygiene: no unwrap in library code"
+            "crates/littles/src/wire.rs:42:7: cast-truncation: `as u32` silently truncates"
         );
     }
 

@@ -5,21 +5,13 @@
 //! recording their spans), lexed into a token stream ([`lex`]), lifted
 //! into a per-file semantic model of fns/impls/calls ([`model`]), and
 //! joined into an approximate workspace call graph ([`graph`]). The
-//! rules enforce the properties this repository's simulation depends on:
+//! rules enforce what this repository's simulation depends on and
+//! neither rustc nor clippy can express:
 //!
-//! * **determinism** — the simulation crates (`littles`, `simnet`,
-//!   `tcpsim`, `e2e-core`, `batchpolicy`) must not read wall clocks, OS
-//!   entropy, or sleep: all time comes from the discrete-event clock and
-//!   all randomness from the seeded [`Pcg32`](../simnet/rng) stream. The
-//!   same rule bans `HashMap`/`HashSet` there — their iteration order is
-//!   seeded from OS entropy, so iterated state must use the B-tree
-//!   variants (justify lookup-only uses with a `lint:allow`).
-//! * **float-eq** — `==`/`!=` on floating-point values outside tests.
-//! * **panic-hygiene** — `.unwrap()`/`.expect(` in the library code of
-//!   `littles` and `e2e-core` (the crates meant to be embeddable).
 //! * **rng-streams** — every `Pcg32::named` stream name must be a string
 //!   literal, declared exactly once in `crates/xtask/rng_streams.toml`,
-//!   and constructed at exactly one call site (see `streams.rs`).
+//!   and constructed at exactly one call site; fault-injection source
+//!   may not build an ad-hoc `Pcg32::new` (see `streams.rs`).
 //! * **cast-truncation** — lossy `as u32`/`as u16`/`as u8` casts and raw
 //!   `-` on wire-counter fields in the wire/clock handling code.
 //! * **panic-reachability** — panicking sites reachable from the
@@ -27,11 +19,16 @@
 //! * **hot-path-alloc** — allocations in `// hot-path` functions or
 //!   code reachable from per-event dispatch, same ratchet mechanism.
 //!
+//! Wall clocks, sleeps and hash-ordered maps (`disallowed_methods` /
+//! `disallowed_types` over the root `clippy.toml`), float equality
+//! (`float_cmp`) and `unwrap`/`expect` in the `littles` and `e2e-core`
+//! libraries (`unwrap_used` / `expect_used`) are clippy's to check.
+//!
 //! Violations can be suppressed with a justified marker on the same or
 //! the preceding line:
 //!
 //! ```text
-//! // lint:allow(determinism): bench harness measures real time on purpose
+//! // lint:allow(cast-truncation): sequence space is modular by design
 //! ```
 //!
 //! A marker with no justification (or an unknown rule) is itself a

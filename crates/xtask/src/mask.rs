@@ -162,9 +162,8 @@ pub fn mask(source: &str) -> Masked {
                         lit_kind = LitKind::Str;
                     }
                     lit_start = prefix;
-                    for k in prefix..=i {
-                        blank!(k);
-                    }
+                    // The prefix (`b`, `r`, `#`s, `"`) holds no newline.
+                    out[prefix..=i].fill(b' ');
                 } else if b == b'\'' && !is_lifetime(bytes, i) {
                     state = State::Char;
                     lit_kind = LitKind::Char;

@@ -326,7 +326,10 @@ fn innermost_fn(scopes: &[Scope]) -> Option<usize> {
 /// Records the call at token `i` (the callee identifier) against the
 /// innermost enclosing fn, resolving the syntactic form and capturing the
 /// first string-literal argument.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the model-building state is passed as disjoint borrows"
+)]
 fn record_call(
     fns: &mut [FnModel],
     scopes: &[Scope],
@@ -435,13 +438,12 @@ fn parse_impl_header(toks: &[Tok], masked: &Masked, i: usize) -> Option<(String,
     while k < toks.len() {
         match toks[k].kind {
             TokKind::Punct(b'<') => angle += 1,
-            TokKind::Punct(b'>') => {
+            TokKind::Punct(b'>')
                 if !(k >= 1
                     && matches!(toks[k - 1].kind, TokKind::Punct(b'-'))
-                    && toks[k - 1].end == toks[k].start)
-                {
-                    angle -= 1;
-                }
+                    && toks[k - 1].end == toks[k].start) =>
+            {
+                angle -= 1;
             }
             TokKind::Punct(b'{') if angle <= 0 => {
                 open_idx = Some(k);

@@ -5,7 +5,10 @@
 //! enabling one fault class would shift another's sequence — which
 //! silently breaks every bitwise-replay guarantee, so both duplication
 //! and undeclared names are diagnostics. Declared-but-unused entries are
-//! flagged too, keeping the manifest an accurate inventory.
+//! flagged too, keeping the manifest an accurate inventory. In
+//! fault-injection source the rule also bans an ad-hoc `Pcg32::new`: it
+//! shares (or collides with) another consumer's stream, so enabling one
+//! fault class would shift the draws of every other.
 //!
 //! The manifest is a hand-parsed TOML subset (zero registry deps):
 //!
@@ -118,7 +121,8 @@ pub(crate) fn check(root: &Path, files: &[FileAnalysis], diags: &mut Vec<Diagnos
         None => Vec::new(),
     };
 
-    // Every `Pcg32::named` call site in non-test code, by stream name.
+    // Every `Pcg32::named` call site in non-test code, by stream name;
+    // fault code's `Pcg32::new` sites are reported on the way.
     struct Site<'a> {
         fa: &'a FileAnalysis,
         offset: usize,
@@ -133,13 +137,28 @@ pub(crate) fn check(root: &Path, files: &[FileAnalysis], diags: &mut Vec<Diagnos
                 continue;
             }
             for call in &f.calls {
-                if call.kind != CallKind::Path
-                    || call.name != "named"
-                    || call.qual.as_deref() != Some("Pcg32")
-                {
+                if call.kind != CallKind::Path || call.qual.as_deref() != Some("Pcg32") {
                     continue;
                 }
                 let (line, col) = line_col(&fa.masked.text, call.offset);
+                if call.name == "new" && fa.ctx.fault_code {
+                    if !rules::allowed(&fa.allows, "rng-streams", line) {
+                        diags.push(Diagnostic {
+                            file: fa.label.clone(),
+                            line,
+                            col,
+                            rule: "rng-streams",
+                            message: "ad-hoc `Pcg32::new` in fault-injection code; use \
+                                      `Pcg32::named(seed, \"fault.<class>\")` so each fault \
+                                      class draws from its own independent stream"
+                                .to_string(),
+                        });
+                    }
+                    continue;
+                }
+                if call.name != "named" {
+                    continue;
+                }
                 match &call.first_str_arg {
                     Some((name, _)) => by_name
                         .entry(name.clone())

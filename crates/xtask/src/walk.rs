@@ -4,13 +4,9 @@ use std::path::{Path, PathBuf};
 
 use crate::rules::FileContext;
 
-/// Crate directories (under `crates/`) whose code must be deterministic:
-/// everything that runs inside the simulation.
+/// Crate directories (under `crates/`) that hold the simulation's event
+/// loops: the ratchets walk the call graph from their dispatch roots.
 pub const SIMULATION_CRATES: [&str; 5] = ["littles", "simnet", "tcpsim", "core", "policy"];
-
-/// Crate directories held to the stricter library bar (`panic-hygiene`):
-/// the embeddable measurement/estimation libraries.
-pub const STRICT_CRATES: [&str; 2] = ["littles", "core"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];
@@ -62,7 +58,6 @@ pub fn classify(root: &Path, file: &Path) -> FileContext {
     let simulation_crate = crate_dir.is_some_and(|c| SIMULATION_CRATES.contains(&c));
     FileContext {
         simulation_crate,
-        strict_library: crate_dir.is_some_and(|c| STRICT_CRATES.contains(&c)) && in_src,
         testlike,
         fault_code: simulation_crate && in_src && file_name.contains("fault"),
         cast_scope: (crate_dir == Some("littles") && in_src && file_name == "wire.rs")
@@ -78,8 +73,10 @@ mod tests {
     fn classify_simulation_src() {
         let ctx = classify(Path::new("/r"), Path::new("/r/crates/tcpsim/src/sim.rs"));
         assert!(ctx.simulation_crate);
-        assert!(!ctx.strict_library);
         assert!(!ctx.testlike);
+        assert!(!ctx.fault_code);
+        let fault = classify(Path::new("/r"), Path::new("/r/crates/simnet/src/fault.rs"));
+        assert!(fault.fault_code);
     }
 
     #[test]
@@ -102,18 +99,11 @@ mod tests {
     }
 
     #[test]
-    fn classify_strict_library() {
-        let ctx = classify(Path::new("/r"), Path::new("/r/crates/littles/src/queue.rs"));
-        assert!(ctx.simulation_crate);
-        assert!(ctx.strict_library);
-    }
-
-    #[test]
     fn classify_testlike_in_sim_crate() {
         let ctx = classify(Path::new("/r"), Path::new("/r/crates/core/tests/props.rs"));
-        assert!(ctx.simulation_crate, "tests of sim crates stay deterministic");
-        assert!(!ctx.strict_library, "panic-hygiene does not cover tests");
-        assert!(ctx.testlike);
+        assert!(ctx.simulation_crate);
+        assert!(ctx.testlike, "no rule counts sites in tests");
+        assert!(!ctx.cast_scope);
     }
 
     #[test]
@@ -125,10 +115,10 @@ mod tests {
         ] {
             let ctx = classify(Path::new("/r"), Path::new(p));
             assert!(!ctx.simulation_crate, "{p}");
-            assert!(!ctx.strict_library, "{p}");
+            assert!(!ctx.fault_code, "{p}");
         }
-        // The experiment registry lives under `benches/` so that it stays
-        // test-like (float comparisons and `expect` allowed in gates).
+        // The experiment registry lives under `benches/`, so it is
+        // test-like: its gates' `expect`s count against no ratchet.
         let registry = "/r/crates/bench/benches/experiments/registry/grids.rs";
         assert!(classify(Path::new("/r"), Path::new(registry)).testlike);
     }

@@ -24,73 +24,15 @@ fn for_file<'a>(diags: &'a [Diagnostic], suffix: &str) -> Vec<&'a Diagnostic> {
 }
 
 #[test]
-fn determinism_rule_positions() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "tcpsim/src/clock.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    assert_eq!(
-        got,
-        vec![
-            ("determinism", 4, 24), // Instant::now
-            ("determinism", 5, 24), // SystemTime::now
-            ("determinism", 6, 10), // thread::sleep
-            ("determinism", 11, 11), // thread_rng
-        ]
-    );
-}
-
-#[test]
-fn hash_collections_banned_in_simulation_crates() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "simnet/src/maps.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    // The justified lookup-only HashSet on line 9 is suppressed by the
-    // marker on line 8; everything else is flagged.
-    assert_eq!(
-        got,
-        vec![
-            ("determinism", 2, 23), // use ... HashMap
-            ("determinism", 3, 23), // use ... HashSet
-            ("determinism", 6, 16), // HashMap type annotation
-            ("determinism", 6, 36), // HashMap::new()
-        ]
-    );
-}
-
-#[test]
-fn strict_library_rules_and_positions() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "littles/src/lib_code.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    assert_eq!(
-        got,
-        vec![
-            ("panic-hygiene", 5, 6),  // .unwrap()
-            ("panic-hygiene", 10, 6), // .expect(
-            ("float-eq", 14, 7),      // y == 0.25
-        ]
-    );
-}
-
-#[test]
-fn testlike_files_keep_determinism_but_drop_hygiene_rules() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "littles/tests/test_code.rs");
-    let got: Vec<(&str, u32)> = d.iter().map(|d| (d.rule, d.line)).collect();
-    // unwrap() and float == on lines 3-4 are fine in tests; the wall-clock
-    // read on line 8 is not — nondeterministic tests are flaky tests.
-    assert_eq!(got, vec![("determinism", 8)]);
-}
-
-#[test]
 fn fault_code_requires_named_rng_streams() {
     let diags = fixture_diags();
     let d = for_file(&diags, "simnet/src/fault_gen.rs");
     let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
     // `Pcg32::named` on line 5 is the sanctioned form; the ad-hoc
-    // constructor on line 6 is flagged; the justified one on line 9 is
-    // suppressed by the marker above it.
-    assert_eq!(got, vec![("determinism", 6, 18)]);
+    // constructor on line 6 is an rng-streams diagnostic; the justified
+    // one on line 8 is suppressed by the marker above it.
+    assert_eq!(got, vec![("rng-streams", 6, 25)]);
+    assert!(d[0].message.contains("ad-hoc `Pcg32::new`"), "{}", d[0].message);
 }
 
 #[test]
@@ -227,42 +169,24 @@ fn update_ratchet_refuses_to_raise_a_rule_total() {
 #[test]
 fn stale_allow_reported_when_nothing_left_to_suppress() {
     let diags = fixture_diags();
-    let d = for_file(&diags, "simnet/src/stale.rs");
+    let d = for_file(&diags, "tcpsim/src/stale.rs");
     let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
     assert_eq!(got, vec![("stale-allow", 5, 1)]);
     assert!(
-        d[0].message.contains("lint:allow(determinism)"),
+        d[0].message.contains("lint:allow(cast-truncation)"),
         "{}",
         d[0].message
     );
 }
 
 #[test]
-fn derived_float_partial_eq_flagged_outside_tests() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "apps/src/derive_eq.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    // The float-field derive on line 4 is flagged; the integer-only
-    // derive on line 10 and the justified float derive on line 16 are not.
-    assert_eq!(got, vec![("float-eq", 4, 1)]);
-}
-
-#[test]
 fn suppressions_require_justification() {
     let diags = fixture_diags();
-    let d = for_file(&diags, "simnet/src/suppressed.rs");
+    let d = for_file(&diags, "tcpsim/src/suppressed.rs");
     let got: Vec<(&str, u32)> = d.iter().map(|d| (d.rule, d.line)).collect();
     // Lines 5 and 10 are suppressed by justified markers; the bare marker
     // on line 14 is itself flagged and does NOT suppress line 15.
-    assert_eq!(got, vec![("bad-suppression", 14), ("determinism", 15)]);
-}
-
-#[test]
-fn non_simulation_crates_may_read_clocks() {
-    let diags = fixture_diags();
-    let d = for_file(&diags, "apps/src/app.rs");
-    let got: Vec<(&str, u32, u32)> = d.iter().map(|d| (d.rule, d.line, d.col)).collect();
-    assert_eq!(got, vec![("float-eq", 9, 7)]);
+    assert_eq!(got, vec![("bad-suppression", 14), ("cast-truncation", 15)]);
 }
 
 #[test]

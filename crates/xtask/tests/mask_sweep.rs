@@ -103,7 +103,7 @@ fn random_compositions_preserve_length_and_leak_nothing() {
                         "round {round}: content kept its delimiter: {body:?}"
                     );
                 }
-                LitKind::Char => assert!(body.len() >= 1, "round {round}: empty char"),
+                LitKind::Char => assert!(!body.is_empty(), "round {round}: empty char"),
             }
         }
     }

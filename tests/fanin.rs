@@ -23,7 +23,7 @@ fn n16_cfg(nagle: NagleSetting) -> RunConfig {
         warmup: Nanos::from_millis(50),
         measure: Nanos::from_millis(150),
         num_clients: 16,
-        seed: 0xFA41_16,
+        seed: 0x00FA_4116,
         ..RunConfig::new(WorkloadSpec::fig4a(64_000.0), nagle)
     }
 }

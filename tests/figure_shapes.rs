@@ -57,8 +57,8 @@ fn fig4a_cutoff_exists_and_estimates_find_it() {
     );
     // Figure 4a's second key claim: the estimated cutoff coincides with
     // the measured one (within one grid step here).
-    let m_idx = rates.iter().position(|&r| r == measured).unwrap();
-    let e_idx = rates.iter().position(|&r| r == estimated).unwrap();
+    let m_idx = rates.iter().position(|r| r.to_bits() == measured.to_bits()).unwrap();
+    let e_idx = rates.iter().position(|r| r.to_bits() == estimated.to_bits()).unwrap();
     assert!(
         m_idx.abs_diff(e_idx) <= 1,
         "cutoffs should coincide: measured {measured}, estimated {estimated}"

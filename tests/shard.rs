@@ -27,7 +27,7 @@ fn k4_cfg(setting: ShardSetting) -> ShardRunConfig {
         hot_fraction: 0.7,
         warmup: Nanos::from_millis(50),
         measure: Nanos::from_millis(150),
-        seed: 0x5AAD_16,
+        seed: 0x005A_AD16,
         ..ShardRunConfig::new(WorkloadSpec::shard(30_000.0), setting)
     }
 }
@@ -269,7 +269,6 @@ fn fifo_pairing_survives_upstream_reconnect() {
                     duration: Nanos::from_millis(4),
                 },
             }),
-            ..ShardFaultPlan::default()
         },
         start_at: warmup,
         ..FaultConfig::default()
