@@ -4,24 +4,18 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "==> linter self-test (lexer, model, call graph, rules, fixtures)"
-cargo test -q -p xtask
-
-echo "==> workspace-rule inputs are checked in"
-# The RNG-stream manifest, the ratchet baselines and clippy.toml's banned
-# lists are part of the linted contract: a missing file would silently
-# read as an empty baseline or an empty ban, so their presence is
-# asserted explicitly.
+echo "==> clippy.toml is checked in"
+# Its banned lists are part of the linted contract: a missing file would
+# silently read as an empty ban, so its presence is asserted explicitly.
 test -s clippy.toml
-test -s crates/xtask/rng_streams.toml
-test -s crates/xtask/lint_baselines/panic_reachability.txt
-test -s crates/xtask/lint_baselines/hot_path_alloc.txt
 
-echo "==> xtask lint (all rules; ratchets must not move up)"
-cargo run -q -p xtask -- lint
-
-echo "==> clippy (clippy.toml bans wall clocks, sleeps and hash maps; float_cmp; unwrap in littles/e2e-core)"
+echo "==> clippy (clippy.toml bans wall clocks, sleeps, hash maps and string-named RNG streams; float_cmp; unwrap/expect/panic in library code; wire-counter casts in littles)"
 cargo clippy -q --workspace --all-targets --offline -- -D warnings
+
+echo "==> the benchmark package still builds against the workspace"
+# benchmark/ is a package of its own, outside the workspace: without this
+# step a renamed item it imports would first fail in the benchmark run.
+cargo check -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo build --release"
 cargo build --release

@@ -16,7 +16,7 @@
 //! changed since the previous tick and otherwise defers it; the deferred
 //! ticks are later replayed through the unchanged estimator, except that
 //! a long stretch's middle — where every replayed tick provably repeats
-//! the one before — is applied in closed form (DESIGN.md §12,
+//! the one before — is applied in closed form (DESIGN.md §11,
 //! "Activity-proportional estimation").
 
 use std::borrow::Cow;
@@ -262,6 +262,10 @@ impl EstimateRecorder {
     /// returns right now. A mutation site that misses the stamp fails
     /// here, in every debug-assertion run of the integration suite.
     fn assert_static(&self, now: Nanos, socket: &TcpSocket) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the stretch began with a full step, which sets `frozen`"
+        )]
         let frozen = self.frozen.expect("a tick is deferred only after a full step");
         let (local, remote, srtt) = estimator_inputs(socket, now, self.unit);
         assert_eq!(frozen.local_at(now), local, "queue moved under an unchanged stamp");
@@ -276,6 +280,10 @@ impl EstimateRecorder {
     pub fn flush(&mut self) {
         let pending = std::mem::take(&mut self.deferral.pending);
         for run in pending.runs() {
+            #[expect(
+                clippy::expect_used,
+                reason = "the stretch began with a full step, which sets `frozen`"
+            )]
             let frozen = self.frozen.expect("a tick is deferred only after a full step");
             let mut k = 0;
             while k < run.count {
@@ -291,7 +299,7 @@ impl EstimateRecorder {
                 if k < 2 || k + 1 >= run.count {
                     continue;
                 }
-                // lint:allow(hot-path-alloc): debug builds only, `assert_skip`'s witness
+                // Debug builds only: `assert_skip`'s witness.
                 let before = cfg!(debug_assertions).then(|| self.estimator.clone());
                 let skipped = self.estimator.skip_static(
                     run.step,

@@ -56,6 +56,10 @@ pub struct Figure2Data {
 }
 
 impl Figure2Data {
+    #[expect(
+        clippy::expect_used,
+        reason = "the four cells are built together, so every lookup hits"
+    )]
     fn cell(&self, platform: &str, nagle_on: bool) -> &PointResult {
         &self
             .cells

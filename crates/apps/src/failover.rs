@@ -19,7 +19,9 @@
 use batchpolicy::{BreakerConfig, Objective, RetryConfig};
 use e2e_core::ValidateConfig;
 use littles::Nanos;
-use simnet::{FaultConfig, Pcg32, RestartSchedule, ShardBrownout, ShardFaultPlan, WindowSchedule};
+use simnet::{
+    FaultConfig, Pcg32, RestartSchedule, ShardBrownout, ShardFaultPlan, Stream, WindowSchedule,
+};
 use tcpsim::NagleMode;
 
 use crate::cost::CostProfile;
@@ -296,7 +298,7 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
                     Some(Resilience::full(retry, FailoverRunConfig::breaker_config()))
                 }
             },
-            skew: Pcg32::named(cfg.seed, "failover.skew"),
+            skew: Pcg32::stream(cfg.seed, Stream::FailoverSkew),
         },
         // The brownout victim is the cold shard owning the most keys (so
         // the stalls hit real traffic without touching the hot path).
@@ -307,6 +309,7 @@ pub fn run_failover_point(cfg: &FailoverRunConfig) -> FailoverPointResult {
     let dedup_hits: u64 = sim.shards.iter().map(|s| s.kv().dedup_hits()).sum();
     let shard_crashes = sim.fault_plan().map(|p| p.shard_crashes()).unwrap_or(0);
     let endpoint_restarts = sim.fault_plan().map(|p| p.restarts()).unwrap_or(0);
+    #[expect(clippy::expect_used, reason = "run_tier attaches a driver to every proxy it builds")]
     let driver = sim.proxy.driver.as_ref().expect("run_tier attaches one");
     let back_epoch_changes = (0..k)
         .map(|j| driver.back_validation_stats(j).epoch_changes)

@@ -46,6 +46,10 @@ pub fn default_threads() -> usize {
 /// # Panics
 ///
 /// Panics if `threads == 0`, or propagates the panic of any job.
+#[expect(
+    clippy::expect_used,
+    reason = "a worker panic is re-raised, and every index is claimed exactly once"
+)]
 pub fn run_grid<T, F>(count: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,

@@ -55,6 +55,10 @@ impl KvStore {
         self.seen.insert(id);
         self.seen_order.push_back(id);
         if self.seen_order.len() > DEDUP_WINDOW {
+            #[expect(
+                clippy::expect_used,
+                reason = "the window was just pushed past DEDUP_WINDOW > 0 entries"
+            )]
             let old = self.seen_order.pop_front().expect("non-empty");
             self.seen.remove(&old);
         }

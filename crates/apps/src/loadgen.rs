@@ -29,7 +29,7 @@
 //! tick with a job of its own — the tracker snapshots at the two window
 //! edges — and once the window has closed the chain is periodic again, so
 //! when a run ends every recorder has been ticked through its last instant
-//! and nothing needs settling (DESIGN.md §12, "Demand-armed ticks").
+//! and nothing needs settling (DESIGN.md §11, "Demand-armed ticks").
 
 use std::collections::VecDeque;
 
@@ -308,6 +308,10 @@ impl LancetClient {
         }
         while let Some(resp) = self.conn.parser.next_response() {
             let done = ctx.charge_app(self.costs.client_response(resp.payload_len()));
+            #[expect(
+                clippy::expect_used,
+                reason = "TCP delivers responses in order, one per pending request"
+            )]
             let (sent_at, _is_set) = self
                 .pending
                 .pop_front()
@@ -422,6 +426,7 @@ impl App for LancetClient {
         }
     }
 
+    #[expect(clippy::panic, reason = "tokens are minted by this client; any other is a bug")]
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
         match tok {
             ARRIVAL => self.arrival(ctx),

@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use batchpolicy::{AttemptKind, BreakerConfig, RetryConfig, RetryPolicy, UpstreamBreaker};
 use littles::Nanos;
-use simnet::{Histogram, Pcg32};
+use simnet::{Histogram, Pcg32, Stream};
 use tcpsim::{App, HostCtx, HostId, SocketId, TcpConfig, WakeReason};
 
 use crate::conn::{token, untoken, Conn};
@@ -105,7 +105,7 @@ impl ShardRouter {
     /// Panics when `num_shards` is zero.
     pub fn new(num_shards: usize, seed: u64) -> Self {
         assert!(num_shards > 0, "router needs at least one shard");
-        let mut rng = Pcg32::named(seed, "shard.salt");
+        let mut rng = Pcg32::stream(seed, Stream::ShardSalt);
         let mut ring: Vec<(u64, usize)> = (0..num_shards)
             .flat_map(|shard| (0..VNODES).map(move |v| (shard, v)))
             .map(|(shard, _)| (rng.next_u64(), shard))
@@ -506,6 +506,7 @@ impl ProxyApp {
     /// retried/hedged writes; naive mode keeps the untagged wire
     /// byte-identical to the pre-resilience proxy.
     fn dispatch(&mut self, ctx: &mut HostCtx<'_>, id: u64, shard: usize) {
+        #[expect(clippy::expect_used, reason = "only requests held in `reqs` are dispatched")]
         let req = self.reqs.get(&id).expect("dispatching a pending request");
         let wire = req.cmd.to_wire(self.defense.as_ref().map(|_| id));
         let up = &mut self.ups[shard];
@@ -523,6 +524,7 @@ impl ProxyApp {
 
     /// One processing pass over a shard upstream: read, relay every
     /// complete response to the client that asked, FIFO.
+    #[expect(clippy::panic, reason = "without retries, an unpaired response breaks FIFO pairing")]
     fn process_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
         let up = &mut self.ups[shard];
         if !up.conn.read(ctx, up.live()) {
@@ -678,6 +680,10 @@ impl ProxyApp {
                 b.record_failure(now);
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "a timed-out attempt belongs to a request still in `reqs`"
+        )]
         let req = self.reqs.get_mut(&id).expect("still pending");
         if !req.live.is_empty() || req.retry_scheduled {
             return;
@@ -734,6 +740,7 @@ impl ProxyApp {
             alt
         };
         let deadline = self.deadline(now);
+        #[expect(clippy::expect_used, reason = "a retry fires only for a request still in `reqs`")]
         let req = self.reqs.get_mut(&id).expect("still pending");
         req.live.push(Attempt {
             shard: target,
@@ -769,6 +776,10 @@ impl ProxyApp {
             return;
         }
         let deadline = self.deadline(now);
+        #[expect(
+            clippy::expect_used,
+            reason = "the hedge fires only for a request still in `reqs`"
+        )]
         let req = self.reqs.get_mut(&id).expect("still pending");
         req.hedged = true;
         req.attempts += 1;
@@ -897,6 +908,7 @@ impl App for ProxyApp {
         }
     }
 
+    #[expect(clippy::panic, reason = "tokens are minted by this proxy; any other is a bug")]
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
         let (kind, idx) = untoken(tok);
         match kind {

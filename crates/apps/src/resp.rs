@@ -214,6 +214,11 @@ impl RespStream {
     ///
     /// Panics on malformed input (the simulation's peers are trusted; a
     /// production implementation would return an error).
+    #[expect(
+        clippy::expect_used,
+        clippy::panic,
+        reason = "documented: simulated peers are trusted, malformed input is a bug"
+    )]
     pub fn next_command(&mut self) -> Option<Command> {
         let data = &self.buf[self.pos..];
         let (header, mut used) = read_line(data)?;
@@ -258,6 +263,10 @@ impl RespStream {
     /// # Panics
     ///
     /// Panics on malformed input.
+    #[expect(
+        clippy::panic,
+        reason = "documented: simulated peers are trusted, malformed input is a bug"
+    )]
     pub fn next_response(&mut self) -> Option<Response> {
         let data = &self.buf[self.pos..];
         let (resp, used) = match data.first()? {

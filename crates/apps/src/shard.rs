@@ -20,7 +20,7 @@
 
 use batchpolicy::Objective;
 use littles::Nanos;
-use simnet::{FaultConfig, Pcg32};
+use simnet::{FaultConfig, Pcg32, Stream};
 use tcpsim::NagleMode;
 
 use crate::cost::CostProfile;
@@ -158,7 +158,7 @@ pub fn run_shard_point(cfg: &ShardRunConfig) -> ShardPointResult {
             objective,
             validate: None,
             resilience: None,
-            skew: Pcg32::named(cfg.seed, "shard.skew"),
+            skew: Pcg32::stream(cfg.seed, Stream::ShardSkew),
         },
         |_, _| FaultConfig::default(),
     );
@@ -166,6 +166,7 @@ pub fn run_shard_point(cfg: &ShardRunConfig) -> ShardPointResult {
     let hot_shard = run.hot_shard;
 
     let proxy = &run.sim.proxy;
+    #[expect(clippy::expect_used, reason = "run_tier attaches a driver to every proxy it builds")]
     let driver = proxy.driver.as_ref().expect("run_tier attaches one");
     let shard_estimates: Vec<Option<Nanos>> = (0..k)
         .map(|j| driver.shard_mean_latency_in(j, from, to))

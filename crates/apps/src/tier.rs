@@ -95,6 +95,7 @@ pub(crate) fn run_tier(
         let key = format!("key:{idx:012}");
         owned[router.route(key.as_bytes())].push(idx);
     }
+    #[expect(clippy::expect_used, reason = "a two-tier run has at least two shards")]
     let largest = |skip: Option<usize>| {
         (0..k)
             .filter(|s| Some(*s) != skip)

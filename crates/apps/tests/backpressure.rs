@@ -128,6 +128,10 @@ fn tier(rate_rps: f64) -> String {
     for idx in 0..spec.key_space as u64 {
         owned[router.route(format!("key:{idx:012}").as_bytes())].push(idx);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a test-local stream; the figures it pins were recorded with this label"
+    )]
     let mut skew = Pcg32::named(SEED, "backpressure.skew");
     let clients: Vec<LancetClient> = (0..n)
         .map(|_| {

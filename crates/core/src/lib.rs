@@ -44,7 +44,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod combine;
 pub mod compose;

@@ -33,6 +33,8 @@
 //! stale/starved exchange — trip, fall back to the safe corner, restore
 //! with hysteresis.
 
+use std::num::Wrapping;
+
 use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
 
@@ -235,7 +237,7 @@ impl ExchangeValidator {
         }
         // Within an epoch the wire clock only moves forward: a wrapping
         // delta in the upper half-range means the clock regressed.
-        let dt_scaled = cur.unacked.time.wrapping_sub(prev.unacked.time);
+        let Wrapping(dt_scaled) = cur.unacked.time - prev.unacked.time;
         if dt_scaled == 0 || dt_scaled >= 1 << 31 {
             return Err(RejectReason::Time);
         }
@@ -300,9 +302,9 @@ mod tests {
 
     fn snap(time: u32, total: u32, integral: u32) -> WireSnapshot {
         WireSnapshot {
-            time,
-            total,
-            integral,
+            time: Wrapping(time),
+            total: Wrapping(total),
+            integral: Wrapping(integral),
         }
     }
 
@@ -416,7 +418,7 @@ mod tests {
         let mut v = ExchangeValidator::new(ValidateConfig::default());
         let prev = exchange(1_000, 100, 10_000, 1);
         let mut bad = exchange(501_000, 150, 20_000, 1);
-        bad.unacked.time = 0; // disagrees with the other stamps
+        bad.unacked.time = Wrapping(0); // disagrees with the other stamps
         for expected in [0.5, 0.25, 0.125] {
             let verdict = v.admit(&prev, &bad, WireScale::UNSCALED, &ValidateCtx::default());
             assert!(matches!(verdict, Admission::Reject(_)));

@@ -46,7 +46,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::cast_possible_truncation
+)]
 
 pub mod ewma;
 pub mod queue;

@@ -172,6 +172,10 @@ impl Snapshot {
         let throughput = d_total / (dt_ns / 1e9);
         // `D = Q / λ` simplifies to `Δintegral / Δtotal`, directly in
         // nanoseconds (item-ns over items).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a rounded, non-negative f64 delay; `as` saturates at u64::MAX ns"
+        )]
         let delay = if d_total > 0.0 {
             Some(Nanos::from_nanos((d_integral / d_total).round() as u64))
         } else {

@@ -71,6 +71,10 @@ impl Nanos {
     ///
     /// Panics if `s` is negative or NaN.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "clamped to u64::MAX above; `as` rounds nothing further"
+    )]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s >= 0.0, "negative duration: {s}");
         Nanos((s * 1e9).round().min(u64::MAX as f64) as u64)

@@ -9,13 +9,17 @@
 //!
 //! 32-bit counters wrap; deltas between two successive snapshots are
 //! computed with wrapping subtraction and remain exact as long as no counter
-//! advances by ≥ 2³² scaled units between exchanges. With the default
+//! advances by ≥ 2³² scaled units between exchanges. The counters are
+//! [`Wrapping<u32>`](Wrapping), so a plain `-` between two of them *is* the
+//! wrapping subtraction, and [`WireSnapshot::pack`] is the one place a wider
+//! value is narrowed into one. With the default
 //! [`WireScale`] (time in ~µs, integral in item-~ms) that allows windows of
 //! over an hour and integral growth of ~4×10⁹ item-ms between exchanges —
 //! comfortably beyond any sane exchange interval. The tradeoff is precision:
 //! quantization error is bounded by one scaled unit per counter and is
 //! analyzed in the tests.
 
+use std::num::Wrapping;
 
 use crate::queue::Snapshot;
 use crate::time::Nanos;
@@ -92,40 +96,57 @@ impl WireScale {
 /// A queue snapshot packed into three 4-byte counters.
 ///
 /// This is the unit the paper's metadata exchange ships: `(time, total,
-/// integral)`, each 32 bits, wrapping.
+/// integral)`, each 32 bits, wrapping. Every counter is a [`Wrapping<u32>`],
+/// so the only arithmetic on them wraps, and a bare `u32` is refused:
+///
+/// ```compile_fail,E0308
+/// let _ = littles::wire::WireSnapshot {
+///     time: 1u32,
+///     ..Default::default()
+/// };
+/// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WireSnapshot {
     /// Scaled, wrapped timestamp.
-    pub time: u32,
+    pub time: Wrapping<u32>,
     /// Wrapped cumulative departures.
-    pub total: u32,
+    pub total: Wrapping<u32>,
     /// Scaled, wrapped occupancy integral.
-    pub integral: u32,
+    pub integral: Wrapping<u32>,
 }
 
 impl WireSnapshot {
     /// Packs a full-resolution snapshot.
+    ///
+    /// Each counter keeps its low 32 bits: the wire clock wraps every
+    /// 2^(32 + `time_shift`) ns, and `total` and the scaled integral wrap
+    /// by the same contract. Peers only ever difference two packed values.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the wire counters are modular by contract; this is their one narrowing"
+    )]
     pub fn pack(s: &Snapshot, scale: WireScale) -> Self {
         WireSnapshot {
-            time: (s.time.as_nanos() >> scale.time_shift) as u32, // lint:allow(cast-truncation): modular by design — the wire clock wraps at 2^(32+time_shift) ns
-            total: s.total as u32, // lint:allow(cast-truncation): wrapping wire counter by contract; peers difference it with wrapping_sub
-            integral: (s.integral >> scale.integral_shift) as u32, // lint:allow(cast-truncation): scaled occupancy integral wraps by contract, like `total`
+            time: Wrapping((s.time.as_nanos() >> scale.time_shift) as u32),
+            total: Wrapping(s.total as u32),
+            integral: Wrapping((s.integral >> scale.integral_shift) as u32),
         }
     }
 
     /// Serializes to 12 big-endian bytes.
     pub fn encode(&self) -> [u8; SNAPSHOT_WIRE_BYTES] {
         let mut out = [0u8; SNAPSHOT_WIRE_BYTES];
-        out[0..4].copy_from_slice(&self.time.to_be_bytes());
-        out[4..8].copy_from_slice(&self.total.to_be_bytes());
-        out[8..12].copy_from_slice(&self.integral.to_be_bytes());
+        out[0..4].copy_from_slice(&self.time.0.to_be_bytes());
+        out[4..8].copy_from_slice(&self.total.0.to_be_bytes());
+        out[8..12].copy_from_slice(&self.integral.0.to_be_bytes());
         out
     }
 
     /// Deserializes from 12 big-endian bytes.
     pub(crate) fn decode(buf: &[u8; SNAPSHOT_WIRE_BYTES]) -> Self {
-        let u32_at =
-            |i: usize| u32::from_be_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]);
+        let u32_at = |i: usize| {
+            Wrapping(u32::from_be_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]))
+        };
         WireSnapshot {
             time: u32_at(0),
             total: u32_at(4),
@@ -139,15 +160,14 @@ impl WireSnapshot {
     /// Correct as long as each counter advanced by fewer than 2³² scaled
     /// units since `prev`. Returns `None` for an empty window.
     pub fn window_since(&self, prev: &WireSnapshot, scale: WireScale) -> Option<WireWindow> {
-        let dt_scaled = self.time.wrapping_sub(prev.time);
+        let Wrapping(dt_scaled) = self.time - prev.time;
         if dt_scaled == 0 {
             return None;
         }
         Some(WireWindow {
-            dt: Nanos::from_nanos((dt_scaled as u64) << scale.time_shift),
-            d_total: self.total.wrapping_sub(prev.total) as u64,
-            d_integral: (self.integral.wrapping_sub(prev.integral) as u128)
-                << scale.integral_shift,
+            dt: Nanos::from_nanos(u64::from(dt_scaled) << scale.time_shift),
+            d_total: u64::from((self.total - prev.total).0),
+            d_integral: u128::from((self.integral - prev.integral).0) << scale.integral_shift,
         })
     }
 }
@@ -176,6 +196,10 @@ impl WireWindow {
 
     /// Little's-law delay `D = Δintegral / Δtotal`, `None` if nothing
     /// departed.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Δintegral / Δtotal ≤ Δintegral < 2^(32 + integral_shift) ns, inside u64 for every shift ≤ 32"
+    )]
     pub fn delay(&self) -> Option<Nanos> {
         if self.d_total == 0 {
             return None;
@@ -335,9 +359,9 @@ mod tests {
     #[test]
     fn snapshot_roundtrip() {
         let w = WireSnapshot {
-            time: 0xDEAD_BEEF,
-            total: 42,
-            integral: 0x0102_0304,
+            time: Wrapping(0xDEAD_BEEF),
+            total: Wrapping(42),
+            integral: Wrapping(0x0102_0304),
         };
         assert_eq!(WireSnapshot::decode(&w.encode()), w);
     }
@@ -346,19 +370,19 @@ mod tests {
     fn exchange_roundtrip() {
         let ex = WireExchange {
             unacked: WireSnapshot {
-                time: 1,
-                total: 2,
-                integral: 3,
+                time: Wrapping(1),
+                total: Wrapping(2),
+                integral: Wrapping(3),
             },
             unread: WireSnapshot {
-                time: 4,
-                total: 5,
-                integral: 6,
+                time: Wrapping(4),
+                total: Wrapping(5),
+                integral: Wrapping(6),
             },
             ackdelay: WireSnapshot {
-                time: 7,
-                total: 8,
-                integral: 9,
+                time: Wrapping(7),
+                total: Wrapping(8),
+                integral: Wrapping(9),
             },
             epoch: 0,
         };
@@ -408,7 +432,7 @@ mod tests {
             let len = (next() % 64) as usize;
             let mut buf = vec![0u8; len];
             for b in buf.iter_mut() {
-                *b = next() as u8;
+                *b = next().to_le_bytes()[0];
             }
             assert_eq!(WireExchange::try_decode(&buf).is_ok(), len >= EXCHANGE_WIRE_BYTES);
             let tagged = WireExchange::try_decode_tagged(&buf);
@@ -439,14 +463,14 @@ mod tests {
     fn wrapping_delta_survives_overflow() {
         // Counters near the wrap point: the delta must still be correct.
         let prev = WireSnapshot {
-            time: u32::MAX - 10,
-            total: u32::MAX - 2,
-            integral: u32::MAX - 100,
+            time: Wrapping(u32::MAX - 10),
+            total: Wrapping(u32::MAX - 2),
+            integral: Wrapping(u32::MAX - 100),
         };
         let cur = WireSnapshot {
-            time: 20,
-            total: 3,
-            integral: 50,
+            time: Wrapping(20),
+            total: Wrapping(3),
+            integral: Wrapping(50),
         };
         let w = cur.window_since(&prev, WireScale::UNSCALED).unwrap();
         assert_eq!(w.dt.as_nanos(), 31);
@@ -476,9 +500,9 @@ mod tests {
     #[test]
     fn empty_window_is_none() {
         let w = WireSnapshot {
-            time: 7,
-            total: 1,
-            integral: 2,
+            time: Wrapping(7),
+            total: Wrapping(1),
+            integral: Wrapping(2),
         };
         assert!(w.window_since(&w, WireScale::UNSCALED).is_none());
     }
@@ -511,8 +535,7 @@ mod tests {
     fn pack_time_wraps_modulo_wire_clock() {
         // The wire clock is (nanos >> time_shift) mod 2^32: with the
         // default shift of 10 it wraps every ~73 minutes. Packing is
-        // modular *by design* — this pins the behaviour the
-        // cast-truncation lint allows at the `as u32` in `pack`, and
+        // modular *by design* — this pins the narrowing `pack` makes, and
         // shows the wrapped difference still recovers the elapsed time.
         let scale = WireScale::default();
         let period = 1u64 << (32 + scale.time_shift); // ~2^42 ns
@@ -524,9 +547,6 @@ mod tests {
         // The raw packed value wrapped past zero…
         assert!(wa.time < wb.time, "packed clock must wrap: {} vs {}", wa.time, wb.time);
         // …but the wrapping difference is exactly the elapsed wire ticks.
-        assert_eq!(
-            wa.time.wrapping_sub(wb.time),
-            ((4_096u64 * 2) >> scale.time_shift) as u32
-        );
+        assert_eq!(wa.time - wb.time, Wrapping((4_096 * 2) >> scale.time_shift));
     }
 }

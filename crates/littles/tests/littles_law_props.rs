@@ -7,8 +7,10 @@
 //!
 //! Cases are generated with a seeded SplitMix64 sweep instead of proptest:
 //! the workspace builds with no registry dependencies, and a fixed seed
-//! keeps the suite bit-for-bit deterministic (the property the repo's own
-//! linter enforces for the simulation crates).
+//! keeps the suite bit-for-bit deterministic (the property `clippy.toml`
+//! enforces across the workspace).
+
+use std::num::Wrapping;
 
 use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::{Nanos, QueueState, Snapshot};
@@ -171,9 +173,9 @@ fn wire_exchange_roundtrip() {
     let mut rng = SplitMix64(0xF00D);
     for _ in 0..500 {
         let mk = |rng: &mut SplitMix64| WireSnapshot {
-            time: rng.next() as u32,
-            total: rng.next() as u32,
-            integral: rng.next() as u32,
+            time: Wrapping(rng.next() as u32),
+            total: Wrapping(rng.next() as u32),
+            integral: Wrapping(rng.next() as u32),
         };
         let ex = WireExchange {
             unacked: mk(&mut rng),
@@ -191,19 +193,19 @@ fn wire_exchange_roundtrip() {
 fn wire_window_delta_correct_across_wrap() {
     let mut rng = SplitMix64(0xFACADE);
     for _ in 0..500 {
-        let base_t = rng.next() as u32;
+        let base_t = Wrapping(rng.next() as u32);
         let dt = rng.range(1, 1_000_000) as u32;
-        let base_total = rng.next() as u32;
+        let base_total = Wrapping(rng.next() as u32);
         let dtotal = rng.range(0, 1_000_000) as u32;
         let prev = WireSnapshot {
             time: base_t,
             total: base_total,
-            integral: 0,
+            integral: Wrapping(0),
         };
         let cur = WireSnapshot {
-            time: base_t.wrapping_add(dt),
-            total: base_total.wrapping_add(dtotal),
-            integral: 0,
+            time: base_t + Wrapping(dt),
+            total: base_total + Wrapping(dtotal),
+            integral: Wrapping(0),
         };
         let w = cur
             .window_since(&prev, WireScale::UNSCALED)

@@ -32,11 +32,11 @@
 //!   CPU brownouts, and back-leg blackouts confined to one shard link.
 //!
 //! Every random fault class draws from its own *named* PCG stream
-//! ([`Pcg32::named`]), so enabling one class never shifts another class's
+//! ([`Pcg32::stream`]), so enabling one class never shifts another class's
 //! draws, and a fully disabled [`FaultConfig`] (the default) consumes zero
 //! draws — lossless runs stay bit-identical to the golden digest.
 
-use crate::rng::Pcg32;
+use crate::rng::{Pcg32, Stream};
 use crate::topology::LinkId;
 use littles::Nanos;
 
@@ -366,13 +366,13 @@ impl FaultPlan {
     pub fn new(config: FaultConfig, seed: u64, num_links: usize) -> Self {
         FaultPlan {
             config,
-            loss_rng: Pcg32::named(seed, "fault.loss"),
-            reorder_rng: Pcg32::named(seed, "fault.reorder"),
-            dup_rng: Pcg32::named(seed, "fault.duplicate"),
-            jitter_rng: Pcg32::named(seed, "fault.jitter"),
-            corrupt_rng: Pcg32::named(seed, "fault.corrupt"),
-            restart_rng: Pcg32::named(seed, "fault.restart"),
-            shard_crash_rng: Pcg32::named(seed, "fault.shard_crash"),
+            loss_rng: Pcg32::stream(seed, Stream::FaultLoss),
+            reorder_rng: Pcg32::stream(seed, Stream::FaultReorder),
+            dup_rng: Pcg32::stream(seed, Stream::FaultDuplicate),
+            jitter_rng: Pcg32::stream(seed, Stream::FaultJitter),
+            corrupt_rng: Pcg32::stream(seed, Stream::FaultCorrupt),
+            restart_rng: Pcg32::stream(seed, Stream::FaultRestart),
+            shard_crash_rng: Pcg32::stream(seed, Stream::FaultShardCrash),
             ge_bad: vec![false; 2 * num_links],
             counters: vec![FaultCounters::default(); 2 * num_links],
             restarts: 0,
@@ -536,6 +536,25 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// Each random fault class owns its registered stream from
+    /// construction on: none is an ad-hoc `Pcg32::new`, and no two share.
+    #[test]
+    fn every_fault_class_draws_from_its_own_stream() {
+        let plan = FaultPlan::new(FaultConfig::default(), 0x5EED, 2);
+        let pins = [
+            (&plan.loss_rng, Stream::FaultLoss),
+            (&plan.reorder_rng, Stream::FaultReorder),
+            (&plan.dup_rng, Stream::FaultDuplicate),
+            (&plan.jitter_rng, Stream::FaultJitter),
+            (&plan.corrupt_rng, Stream::FaultCorrupt),
+            (&plan.restart_rng, Stream::FaultRestart),
+            (&plan.shard_crash_rng, Stream::FaultShardCrash),
+        ];
+        for (rng, stream) in pins {
+            assert_eq!(*rng, Pcg32::stream(0x5EED, stream), "{stream:?}");
+        }
+    }
+
     fn us(n: u64) -> Nanos {
         Nanos::from_micros(n)
     }
@@ -578,7 +597,7 @@ mod tests {
             assert_eq!(plan.pick_shard_crash_target(4), 2);
         }
         assert_eq!(plan.shard_crashes(), 16);
-        assert_eq!(plan.shard_crash_rng, Pcg32::named(9, "fault.shard_crash"));
+        assert_eq!(plan.shard_crash_rng, Pcg32::stream(9, Stream::FaultShardCrash));
     }
 
     #[test]
@@ -739,7 +758,7 @@ mod tests {
         assert!(plan.on_transmit(LinkId::from_index(0), true, us(1120)).drop); // next period
         assert_eq!(plan.counters(LinkId::from_index(0), true).blackout_drops, 3);
         // Blackouts are RNG-free.
-        assert_eq!(plan.loss_rng, Pcg32::named(5, "fault.loss"));
+        assert_eq!(plan.loss_rng, Pcg32::stream(5, Stream::FaultLoss));
     }
 
     #[test]
@@ -809,9 +828,9 @@ mod tests {
             assert!(!d.drop && !d.duplicate && d.extra_delay.is_zero());
         }
         // Zero RNG draws consumed and zero faults counted before start.
-        assert_eq!(plan.loss_rng, Pcg32::named(11, "fault.loss"));
-        assert_eq!(plan.dup_rng, Pcg32::named(11, "fault.duplicate"));
-        assert_eq!(plan.jitter_rng, Pcg32::named(11, "fault.jitter"));
+        assert_eq!(plan.loss_rng, Pcg32::stream(11, Stream::FaultLoss));
+        assert_eq!(plan.dup_rng, Pcg32::stream(11, Stream::FaultDuplicate));
+        assert_eq!(plan.jitter_rng, Pcg32::stream(11, Stream::FaultJitter));
         assert!(plan.per_link_counters().iter().all(|c| c.total() == 0));
         // From start_at on, the layer is live.
         let touched = (100..2_100u64)

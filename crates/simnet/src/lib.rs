@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cpu;
 pub mod engine;
@@ -56,5 +57,5 @@ pub use fault::{
 pub use hist::Histogram;
 pub use link::{DuplexLink, Link, LinkConfig};
 pub use littles::Nanos;
-pub use rng::Pcg32;
+pub use rng::{Pcg32, Stream};
 pub use topology::{HostId, LinkId, Topology, TopologyBuilder};

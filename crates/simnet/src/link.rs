@@ -172,6 +172,7 @@ impl DuplexLink {
     /// # Panics
     ///
     /// Panics for any endpoint other than 0 or 1.
+    #[expect(clippy::panic, reason = "documented: a third endpoint is a caller bug")]
     pub fn from_endpoint(&mut self, from: usize) -> &mut Link {
         match from {
             0 => &mut self.a_to_b,

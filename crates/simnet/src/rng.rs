@@ -12,6 +12,62 @@ use littles::Nanos;
 const PCG_MULT: u64 = 6364136223846793005;
 const PCG_INC: u64 = 1442695040888963407;
 
+/// The registered named streams: every [`Pcg32::stream`] in the workspace
+/// draws from one of these.
+///
+/// Two consumers sharing a stream would correlate their draws (enabling
+/// one fault class would shift another's sequence), so each variant is
+/// constructed at exactly one site; no type can enforce that part (see
+/// DESIGN.md §7). The type does make a misspelt stream a compile error:
+///
+/// ```compile_fail,E0599
+/// let _ = simnet::Pcg32::stream(1, simnet::rng::Stream::FaultLos);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// Per-packet random and Gilbert–Elliott loss decisions.
+    FaultLoss,
+    /// Per-packet reorder decisions and extra-delay draws.
+    FaultReorder,
+    /// Per-packet duplication decisions.
+    FaultDuplicate,
+    /// Per-packet jitter magnitude draws.
+    FaultJitter,
+    /// Per-packet payload corruption decisions.
+    FaultCorrupt,
+    /// Link-restart scheduling draws.
+    FaultRestart,
+    /// Shard crash victim selection when no target is pinned.
+    FaultShardCrash,
+    /// Consistent-hash ring vnode placement for the shard router.
+    ShardSalt,
+    /// Hot/cold key selection for the skewed shard workload (forked per
+    /// client).
+    ShardSkew,
+    /// Hot/cold key selection for the failover grid workload (forked per
+    /// client).
+    FailoverSkew,
+}
+
+impl Stream {
+    /// The string hashed into the seed. Changing one moves every draw of
+    /// that stream, and with it the goldens.
+    pub const fn label(self) -> &'static str {
+        match self {
+            Stream::FaultLoss => "fault.loss",
+            Stream::FaultReorder => "fault.reorder",
+            Stream::FaultDuplicate => "fault.duplicate",
+            Stream::FaultJitter => "fault.jitter",
+            Stream::FaultCorrupt => "fault.corrupt",
+            Stream::FaultRestart => "fault.restart",
+            Stream::FaultShardCrash => "fault.shard_crash",
+            Stream::ShardSalt => "shard.salt",
+            Stream::ShardSkew => "shard.skew",
+            Stream::FailoverSkew => "failover.skew",
+        }
+    }
+}
+
 /// A PCG32 pseudo-random generator.
 ///
 /// # Examples
@@ -49,16 +105,32 @@ impl Pcg32 {
         Pcg32::new(self.next_u64())
     }
 
-    /// Creates a generator for a named stream derived from `seed`.
+    /// Creates the generator for one of the workspace's registered streams.
     ///
-    /// The label is folded into the seed (FNV-1a) before the usual
-    /// SplitMix64 whitening, so each `(seed, label)` pair yields a
-    /// reproducible stream unrelated to both `Pcg32::new(seed)` and any
-    /// other label. Fault injection draws every fault class from its own
-    /// named stream so that enabling one class never perturbs another —
-    /// and disabling all of them consumes zero draws, keeping lossless
-    /// runs bit-identical.
+    /// The stream's [`label`](Stream::label) is folded into the seed
+    /// (FNV-1a) before the usual SplitMix64 whitening, so each
+    /// `(seed, stream)` pair yields a reproducible sequence unrelated to
+    /// both `Pcg32::new(seed)` and every other stream. Fault injection
+    /// draws each fault class from its own stream so that enabling one
+    /// class never perturbs another, and disabling all of them consumes
+    /// zero draws, keeping lossless runs bit-identical.
+    pub fn stream(seed: u64, stream: Stream) -> Self {
+        Self::labelled(seed, stream.label())
+    }
+
+    /// Creates a generator for an arbitrary string label, hashed exactly as
+    /// [`stream`](Self::stream) hashes a [`Stream`]'s label.
+    ///
+    /// This exists for callers outside the workspace (the repository
+    /// benchmark replays a workload with it). Inside the workspace every
+    /// stream is a [`Stream`] variant: `clippy.toml` bans this method there,
+    /// so a new stream gets a documented variant instead of a string that a
+    /// typo could silently fork.
     pub fn named(seed: u64, label: &str) -> Self {
+        Self::labelled(seed, label)
+    }
+
+    fn labelled(seed: u64, label: &str) -> Self {
         const FNV_OFFSET: u64 = 0xcbf29ce484222325;
         const FNV_PRIME: u64 = 0x100000001b3;
         let mut h = FNV_OFFSET;
@@ -207,23 +279,46 @@ mod tests {
         assert!(same < 4);
     }
 
+    const ALL: [Stream; 10] = [
+        Stream::FaultLoss,
+        Stream::FaultReorder,
+        Stream::FaultDuplicate,
+        Stream::FaultJitter,
+        Stream::FaultCorrupt,
+        Stream::FaultRestart,
+        Stream::FaultShardCrash,
+        Stream::ShardSalt,
+        Stream::ShardSkew,
+        Stream::FailoverSkew,
+    ];
+
     #[test]
     fn named_streams_are_reproducible_and_distinct() {
-        let mut a = Pcg32::named(11, "fault.loss");
-        let mut a2 = Pcg32::named(11, "fault.loss");
-        let mut b = Pcg32::named(11, "fault.reorder");
+        let mut a = Pcg32::stream(11, Stream::FaultLoss);
+        let mut a2 = Pcg32::stream(11, Stream::FaultLoss);
+        let mut b = Pcg32::stream(11, Stream::FaultReorder);
         let mut plain = Pcg32::new(11);
         for _ in 0..50 {
             assert_eq!(a.next_u64(), a2.next_u64());
         }
-        let mut a = Pcg32::named(11, "fault.loss");
+        let mut a = Pcg32::stream(11, Stream::FaultLoss);
         let vs_sibling = (0..64).filter(|_| a.next_u32() == b.next_u32()).count();
-        assert!(vs_sibling < 4, "{vs_sibling} collisions with sibling label");
-        let mut a = Pcg32::named(11, "fault.loss");
+        assert!(vs_sibling < 4, "{vs_sibling} collisions with sibling stream");
+        let mut a = Pcg32::stream(11, Stream::FaultLoss);
         let vs_plain = (0..64)
             .filter(|_| a.next_u32() == plain.next_u32())
             .count();
         assert!(vs_plain < 4, "{vs_plain} collisions with unlabeled stream");
+    }
+
+    #[test]
+    fn stream_labels_are_distinct_and_hash_like_named() {
+        for (i, s) in ALL.iter().enumerate() {
+            assert!(ALL[..i].iter().all(|t| t.label() != s.label()), "{s:?}");
+            #[expect(clippy::disallowed_methods, reason = "pins named() to stream()")]
+            let named = Pcg32::named(3, s.label());
+            assert_eq!(Pcg32::stream(3, *s), named, "{s:?}");
+        }
     }
 
     #[test]

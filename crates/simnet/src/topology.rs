@@ -244,6 +244,7 @@ impl Topology {
     ///
     /// Panics when the hosts are not adjacent (multi-hop routing is the
     /// protocol layer's job, one link at a time).
+    #[expect(clippy::panic, reason = "routing over a missing link is a topology-construction bug")]
     pub fn hop_index(&self, from: HostId, to: HostId) -> (LinkId, bool) {
         let list = &self.adj[from.0];
         match list.binary_search_by_key(&to, |(peer, _, _)| *peer) {

@@ -279,6 +279,7 @@ impl<E> TimerWheel<E> {
                 (idx, cell.gen)
             }
             None => {
+                #[expect(clippy::expect_used, reason = "2^32 live timers would exhaust memory first")]
                 let idx = u32::try_from(self.cells.len()).expect("wheel slab capacity");
                 self.cells.push(Cell {
                     gen: 0,
@@ -336,6 +337,7 @@ impl<E> TimerWheel<E> {
                 let next = self.cell(head).next;
                 debug_assert_eq!(self.cell(head).at, slot_time);
                 self.unlink(0, slot, head, NIL, next);
+                #[expect(clippy::expect_used, reason = "only released cells lose their event, and those are unlinked")]
                 let event = self.release(head).expect("linked cells hold an event");
                 return Some((slot_time, event));
             }

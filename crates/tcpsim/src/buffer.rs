@@ -368,11 +368,11 @@ impl RecvBuffer {
         self.push_ready(data.slice(skip, data.len()));
         self.rcv_nxt = end;
         // Pull in any out-of-order data that is now contiguous.
-        while let Some((&start, _)) = self.ooo.first_key_value() {
-            if start > self.rcv_nxt {
+        while let Some(first) = self.ooo.first_entry() {
+            if *first.key() > self.rcv_nxt {
                 break;
             }
-            let (start, seg) = self.ooo.pop_first().expect("checked non-empty");
+            let (start, seg) = first.remove_entry();
             let seg_end = start + seg.len() as u64;
             if seg_end <= self.rcv_nxt {
                 continue; // fully duplicate
@@ -418,6 +418,7 @@ impl RecvBuffer {
     }
 
     /// Removes and returns the first `n` ready bytes.
+    #[expect(clippy::expect_used, reason = "callers pass n <= ready_len, the bytes in `ready`")]
     fn take_ready(&mut self, n: usize) -> Payload {
         if n == 0 {
             return Payload::new();

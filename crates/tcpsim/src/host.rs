@@ -272,7 +272,7 @@ impl Host {
     ) {
         assert!(!period.is_zero(), "a watch needs a positive period");
         let stamp = self.socket(sock).estimator_stamp();
-        // lint:allow(panic-reachability): `socket(sock)` has just bounds-checked the id
+        // `socket(sock)` has just bounds-checked the id.
         let watch = &mut self.pending[sock.0].watch;
         if let Some(superseded) = watch.take() {
             queue.cancel(superseded.deadline);

@@ -4,7 +4,7 @@
 //! *unread*, and *ackdelay* queue counters, so those counters must obey
 //! conservation laws or the Little's-law averages silently drift. This
 //! module is the runtime half of the repo's correctness story (the static
-//! half is clippy plus `cargo run -p xtask -- lint`): an independent
+//! half is rustc and clippy): an independent
 //! ledger per queue double-books every enter/leave event and a set of gate
 //! functions checks
 //!
@@ -171,6 +171,7 @@ impl fmt::Display for InvariantViolation {
 /// Debug-assert wrapper: panics with the violation message in builds with
 /// debug assertions (tests, dev), does nothing in release.
 #[inline]
+#[expect(clippy::panic, reason = "the invariant gate: failing loudly is its job")]
 pub fn gate(result: Result<(), InvariantViolation>) {
     if cfg!(debug_assertions) {
         if let Err(v) = result {

@@ -6,9 +6,8 @@
 //! path so a changed gate takes effect immediately). Routing all
 //! actuation through one path lets the control plane drive any knob
 //! uniformly and lets the invariant gates check that no actuation can
-//! strand a pending ACK or starve the sender — mis-actuations the
-//! `xtask` lint guards against by banning direct setter calls outside
-//! this path.
+//! strand a pending ACK or starve the sender. The socket has no per-knob
+//! setter, so `apply` is the only way in.
 
 use crate::delack::AckMode;
 

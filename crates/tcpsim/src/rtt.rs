@@ -36,20 +36,20 @@ impl RttEstimator {
     /// retransmitted (Karn's rule: retransmitted segments give ambiguous
     /// samples and must be excluded — the caller enforces this).
     pub fn sample(&mut self, rtt: Nanos) {
-        match self.srtt {
+        let srtt = match self.srtt {
             None => {
                 // First measurement: SRTT = R, RTTVAR = R/2.
-                self.srtt = Some(rtt);
                 self.rttvar = rtt / 2;
+                rtt
             }
             Some(srtt) => {
                 // RTTVAR = 3/4 RTTVAR + 1/4 |SRTT − R|; SRTT = 7/8 SRTT + 1/8 R.
                 let err = if srtt >= rtt { srtt - rtt } else { rtt - srtt };
                 self.rttvar = self.rttvar * 3 / 4 + err / 4;
-                self.srtt = Some(srtt * 7 / 8 + rtt / 8);
+                srtt * 7 / 8 + rtt / 8
             }
-        }
-        let srtt = self.srtt.expect("just set");
+        };
+        self.srtt = Some(srtt);
         // RTO = SRTT + max(G, 4·RTTVAR); take clock granularity G as 1 µs.
         let var_term = (self.rttvar * 4).max(Nanos::from_micros(1));
         self.rto = (srtt + var_term).clamp(self.config.min_rto, self.config.max_rto);

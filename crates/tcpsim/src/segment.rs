@@ -200,7 +200,8 @@ impl Segment {
     /// Sequence number one past the last byte this segment occupies
     /// (SYN and FIN each consume one sequence number).
     pub fn end_seq(&self) -> SeqNum {
-        let mut consumed = self.payload.len() as u32; // lint:allow(cast-truncation): payload length is bounded by the u32 send-sequence space
+        // Payload length is bounded by the u32 send-sequence space.
+        let mut consumed = self.payload.len() as u32;
         if self.flags.syn {
             consumed += 1;
         }

@@ -52,6 +52,13 @@ impl SeqNum {
     pub fn in_range(self, lo: SeqNum, hi: SeqNum) -> bool {
         self.at_or_after(lo) && self.before(hi)
     }
+
+    /// The sequence number `bytes` stream bytes past `self`. Sequence space
+    /// is modular, so only the low 32 bits of a 64-bit stream distance
+    /// matter: this is the one place a stream offset narrows into it.
+    pub(crate) fn advance(self, bytes: u64) -> SeqNum {
+        self + bytes as u32
+    }
 }
 
 /// Unwraps a 32-bit sequence into a 64-bit stream offset given the last

@@ -133,6 +133,7 @@ impl FlowRoute {
     /// # Panics
     ///
     /// Panics when `host` is neither end of the flow.
+    #[expect(clippy::panic, reason = "documented: asking a third host is a caller bug")]
     pub fn other(&self, host: HostId) -> HostId {
         if host == self.initiator {
             self.acceptor
@@ -429,6 +430,7 @@ fn apply_actions(
                     Charge::App => host.app_cpu.busy_until(),
                     Charge::Softirq => host.softirq_cpu.busy_until(),
                 };
+                #[expect(clippy::expect_used, reason = "a flow is routed before its first segment")]
                 let dst = routes
                     .get(seg.flow)
                     .expect("transmit on an unrouted flow")

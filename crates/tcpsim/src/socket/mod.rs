@@ -496,11 +496,15 @@ impl TcpSocket {
     /// advertised window are written. A SYN carries no options, a FIN
     /// timestamps, and ACKs and data timestamps plus what we share, when due.
     fn header(&mut self, now: Nanos, seq: SeqNum, flags: Flags) -> Segment {
-        let window = self.rx.rcv.window() as u32; // lint:allow(cast-truncation): advertised window is clamped to the receive buffer capacity, far under u32::MAX
+        // The advertised window is clamped to the receive buffer capacity,
+        // far under u32::MAX.
+        let window = self.rx.rcv.window() as u32;
         let (flow, ack, tsecr) = (self.tcb.flow, self.rx.rcv_seq, self.rx.ts_recent);
         let mut seg = Segment::control(flow, seq, ack, flags, window);
         if !flags.syn {
-            let tsval = now.as_nanos() as u32; // lint:allow(cast-truncation): tsval wraps mod 2^32 per RFC 7323 and is only echoed, never differenced
+            // tsval wraps mod 2^32 per RFC 7323 and is only echoed, never
+            // differenced.
+            let tsval = now.as_nanos() as u32;
             seg.options.timestamps = Some(TimestampOption { tsval, tsecr });
             if !flags.fin {
                 let (tcb, queues) = (&self.tcb, &self.queues);
@@ -522,7 +526,8 @@ impl TcpSocket {
     fn emit_data(&mut self, now: Nanos, chunk: SendChunk, retx: bool, actions: &mut Vec<Action>) {
         let (offset, len) = (chunk.offset, chunk.bytes.len());
         gate(self.invariants.on_transmit(offset, len, retx));
-        let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32; // lint:allow(cast-truncation): wire_packets <= len/mss + 1, bounded by the send buffer
+        // wire_packets <= len/mss + 1, bounded by the send buffer.
+        let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32;
         let psh = chunk.boundaries.last() == Some(&(offset + len as u64));
         self.tx.on_sent(now, &chunk, wire_packets, retx);
         let flags = Flags { ack: true, psh, ..Flags::default() };
@@ -705,8 +710,8 @@ mod tests {
     // Regression tests for the sequence-unwrap path: stream offsets are
     // u64 but wire sequence numbers are a 32-bit circular space, so a
     // long-lived flow crosses the wrap and every (seq, offset) pair must
-    // survive the round trip. These pin the `as u32` modular arithmetic
-    // the cast-truncation lint allows in `Tcb::seq` and the ACK cursor.
+    // survive the round trip. These pin the modular narrowing
+    // `SeqNum::advance` makes for `Tcb::seq` and the ACK cursor.
 
     #[test]
     fn unwrap_seq_round_trips_across_u32_wrap() {

@@ -84,7 +84,7 @@ impl Rx {
         let before = self.rcv.rcv_nxt();
         let offset = unwrap_seq(seg.seq, self.rcv_seq, before).filter(|_| !seg.payload.is_empty())?;
         let res = self.rcv.ingest(offset, &seg.payload, &seg.boundaries);
-        self.rcv_seq += (self.rcv.rcv_nxt() - before) as u32; // lint:allow(cast-truncation): in-order advance is bounded by the receive buffer; seq space is modular
+        self.rcv_seq = self.rcv_seq.advance(self.rcv.rcv_nxt() - before);
         let mut arrived = [0; 3];
         if res.in_order_bytes > 0 {
             let packets = i64::from(seg.wire_packets);

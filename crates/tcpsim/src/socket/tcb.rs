@@ -42,7 +42,7 @@ impl Tcb {
 
     /// The sequence number of stream byte `offset` (the SYN took `ISS`).
     pub(super) fn seq(offset: u64) -> SeqNum {
-        Self::ISS + 1 + (offset as u32) // lint:allow(cast-truncation): sequence arithmetic is modular; SeqNum wraps by design
+        Self::ISS.advance(1 + offset)
     }
 
     pub(super) fn set_epoch(&mut self, epoch: u8) {

@@ -306,7 +306,7 @@ impl Tx {
     /// Records a transmitted range.
     pub(super) fn on_sent(&mut self, now: Nanos, chunk: &SendChunk, wire_packets: u32, retx: bool) {
         let (offset, sent_at, retransmitted) = (chunk.offset, now, retx);
-        let len = chunk.bytes.len() as u32; // lint:allow(cast-truncation): segment length is MSS-bounded, far under u32::MAX
+        let len = chunk.bytes.len() as u32; // MSS-bounded, far under u32::MAX
         self.in_flight.push_back(InFlight { offset, len, wire_packets, sent_at, retransmitted });
     }
 
