@@ -33,6 +33,9 @@ fi
 echo "==> cargo test -q --workspace (root integration tests + every crate's own)"
 cargo test -q --workspace
 
+echo "==> SACK sweep, 512 seeds (release; every byte once and in order under loss, reordering and duplication)"
+cargo test -q --release -p tcpsim --test sack_sweep -- --ignored
+
 echo "==> simperf smoke (wall-per-simulated-second ceilings at N=64 and N=1024, tick share at N=1024)"
 simperf_out=$(cargo bench -q -p bench --bench simperf -- --smoke)
 echo "$simperf_out"

@@ -113,14 +113,6 @@ pub fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     Some(Doc { version: 1, header: vec![], sections })
 }
 
-/// The one arm of the full chaos grid known to measure nothing: bursty
-/// loss at full intensity parks the N=4 Nagle-off arm in go-back-N
-/// collapse for the whole window (EXPERIMENTS.md: the † cell of the chaos
-/// table, known divergence 4), and the oracle falls back to the Nagle-on
-/// arm. Every other arm of every cell, and every smoke arm, must measure
-/// traffic.
-const CHAOS_COLLAPSED_ARM: (&str, &str) = ("loss/1.00/N=4", "off");
-
 /// Chaos: fault injection across the star topology. For each fault class
 /// at each intensity and fan-in width, the two static Nagle baselines and
 /// the adaptive policy (ε-greedy toggling behind a circuit breaker,
@@ -128,12 +120,12 @@ const CHAOS_COLLAPSED_ARM: (&str, &str) = ("loss/1.00/N=4", "off");
 /// graceful degradation: adaptive P99 within [`CHAOS_BOUND`] of the
 /// static oracle — the better static mode — in every cell.
 pub fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
-    // Fan-in starts at 4 in the full grid: the aggregate rate over a
-    // single connection puts bursty loss into the documented go-back-N
-    // collapse regime (EXPERIMENTS.md, known divergence 4), where no arm
-    // measures anything. 24 kRPS is moderate per-connection load: high
-    // enough that batching matters, low enough that a lossy go-back-N
-    // connection still drains its backlog.
+    // Fan-in starts at 4 in the full grid: at N = 1 the loss cells
+    // measure nothing in any arm (EXPERIMENTS.md, the chaos grid's N = 1
+    // note: one connection carries the whole 24 kRPS, and an RTO stall
+    // there outlasts the window). 24 kRPS is moderate load: high enough
+    // that batching matters, low enough that a lossy connection still
+    // drains its backlog.
     let (cells, rate, seed) = if smoke {
         (cube(&[4], &[ChaosClass::Loss, ChaosClass::Blackout], &[1.0]), 40_000.0, 0xC405)
     } else {
@@ -184,8 +176,7 @@ pub fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         ]));
 
         for (arm, p) in [("off", off), ("on", on), ("adaptive", adaptive)] {
-            let excused = !smoke && (tag.as_str(), arm) == CHAOS_COLLAPSED_ARM;
-            gate!(gates, p.samples > 0 || excused, "{tag} [{arm}]: no samples survived the faults");
+            gate!(gates, p.samples > 0, "{tag} [{arm}]: no samples survived the faults");
         }
         // The fault layer must actually have fired for this cell — a chaos
         // run where nothing went wrong gates nothing. Stalls and jitter

@@ -24,7 +24,7 @@ use e2e_apps::driver::EstimateRecorder;
 use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::{Ewma, Nanos, QueueState, Snapshot};
 use simnet::{CpuContext, EventQueue};
-use tcpsim::segment::{E2eOption, Flags};
+use tcpsim::segment::{E2eOption, Flags, OptionSlot};
 use tcpsim::seq::SeqNum;
 use tcpsim::{
     CostConfig, Event, FlowId, Host, HostId, Segment, SocketId, TcpConfig, TcpSocket, TimerKind,
@@ -97,7 +97,7 @@ fn exchange_segment(now: Nanos) -> Segment {
     };
     let exchange = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
     let mut seg = Segment::control(FlowId(0), SeqNum::new(0), SeqNum::new(0), Flags::default(), 0);
-    seg.options.e2e = Some(E2eOption::single(Unit::Bytes, exchange));
+    seg.options.slot = Some(OptionSlot::E2e(E2eOption::single(Unit::Bytes, exchange)));
     seg
 }
 

@@ -21,6 +21,7 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::payload::Payload;
+use crate::segment::MAX_SACK_BLOCKS;
 
 /// Gathers stream bytes `[from, from + n)` out of a contiguous chunk list
 /// (each entry is `(start_offset, bytes)`). A range inside one chunk is an
@@ -229,10 +230,17 @@ impl SendBuffer {
         AckResult { bytes: n, messages }
     }
 
-    /// Rewinds the send pointer to the first unacknowledged byte (go-back-N
-    /// after an RTO).
+    /// Rewinds the send pointer to the first unacknowledged byte (the RTO:
+    /// everything unacked is resent, save what the peer SACKed).
     pub fn rewind_to_una(&mut self) {
         self.nxt = self.una;
+    }
+
+    /// Moves the send pointer forward to `offset` without transmitting:
+    /// the RTO resend steps over a range the peer already holds.
+    pub fn skip_to(&mut self, offset: u64) {
+        debug_assert!(offset <= self.end, "skip past the buffered data");
+        self.nxt = self.nxt.max(offset);
     }
 }
 
@@ -270,6 +278,9 @@ pub struct RecvBuffer {
     ready_len: usize,
     /// Out-of-order segments keyed by start offset.
     ooo: BTreeMap<u64, Payload>,
+    /// Start offset of the latest out-of-order arrival; the first SACK
+    /// block is the range holding it.
+    latest_ooo: u64,
     /// Message-end offsets within in-order data, not yet consumed.
     boundaries: VecDeque<u64>,
     /// Out-of-order message-end offsets waiting for in-order delivery.
@@ -288,6 +299,9 @@ pub struct IngestResult {
     pub duplicate: bool,
     /// True if the segment landed out of order.
     pub out_of_order: bool,
+    /// True if in-order data arrived while out-of-order data was held:
+    /// the segment filled all or part of a gap.
+    pub filled_gap: bool,
 }
 
 impl RecvBuffer {
@@ -299,6 +313,7 @@ impl RecvBuffer {
             ready: VecDeque::new(),
             ready_len: 0,
             ooo: BTreeMap::new(),
+            latest_ooo: 0,
             boundaries: VecDeque::new(),
             ooo_boundaries: BTreeMap::new(),
             capacity,
@@ -355,14 +370,21 @@ impl RecvBuffer {
             };
         }
         if offset > self.rcv_nxt {
-            // Out of order: stash (trimming handled at assembly).
-            self.ooo.insert(offset, data.clone());
+            // Out of order: stash (trimming handled at assembly). A shorter
+            // copy at the same offset never replaces what is stored: data
+            // reported in a SACK block must stay held.
+            let stored = self.ooo.entry(offset).or_default();
+            if stored.len() < data.len() {
+                *stored = data.clone();
+            }
+            self.latest_ooo = offset;
             return IngestResult {
                 out_of_order: true,
                 ..IngestResult::default()
             };
         }
         let rcv_nxt_before = self.rcv_nxt;
+        let filled_gap = !self.ooo.is_empty();
         // Overlapping or exactly in order: take the new suffix.
         let skip = (self.rcv_nxt - offset) as usize;
         self.push_ready(data.slice(skip, data.len()));
@@ -398,7 +420,47 @@ impl RecvBuffer {
             in_order_messages,
             duplicate: false,
             out_of_order: false,
+            filled_gap,
         }
+    }
+
+    /// The out-of-order store as SACK ranges `[start, end)` (RFC 2018):
+    /// stored segments merged where they touch or overlap, the range
+    /// holding the latest out-of-order arrival first, then the highest
+    /// others, descending. All `None` while nothing is held out of order.
+    pub fn sack_ranges(&self) -> [Option<(u64, u64)>; MAX_SACK_BLOCKS] {
+        let mut out = [None; MAX_SACK_BLOCKS];
+        if self.ooo.is_empty() {
+            return out;
+        }
+        let mut stored = self.ooo.iter().map(|(&start, p)| (start, start + p.len() as u64));
+        let mut merged = stored.next();
+        let mut latest = None;
+        // The highest ranges not holding the latest arrival, ascending.
+        let mut highest = [None; MAX_SACK_BLOCKS];
+        let mut close = |range: (u64, u64)| {
+            if (range.0..range.1).contains(&self.latest_ooo) {
+                latest = Some(range);
+            } else {
+                highest.rotate_left(1);
+                highest[MAX_SACK_BLOCKS - 1] = Some(range);
+            }
+        };
+        for (start, end) in stored {
+            match merged {
+                Some((s, e)) if start <= e => merged = Some((s, e.max(end))),
+                _ => {
+                    merged.map(&mut close);
+                    merged = Some((start, end));
+                }
+            }
+        }
+        merged.map(&mut close);
+        let order = latest.into_iter().chain(highest.into_iter().rev().flatten());
+        for (slot, range) in out.iter_mut().zip(order) {
+            *slot = Some(range);
+        }
+        out
     }
 
     /// Reads up to `max` in-order bytes; returns the bytes and the number
@@ -673,6 +735,30 @@ mod tests {
         assert_eq!(r.window(), 5);
         r.read(5);
         assert_eq!(r.window(), 10);
+    }
+
+    #[test]
+    fn sack_ranges_merge_and_lead_with_the_latest_arrival() {
+        let mut r = RecvBuffer::new(100);
+        assert_eq!(r.sack_ranges(), [None; 3]);
+        // Holes at [0, 2), [4, 6), [8, 10), [12, 14); stored: 2..4, 6..8
+        // (two touching segments), 10..12 and 14..16.
+        for (at, data) in [(6, b"gh"), (2, b"cd"), (10, b"kl"), (7, b"hi"), (14, b"op")] {
+            r.ingest(at, &Payload::from_static(data), &[]);
+        }
+        // The latest arrival (14) leads; then the highest others, descending.
+        assert_eq!(r.sack_ranges(), [Some((14, 16)), Some((10, 12)), Some((6, 9))]);
+        // A shorter copy at a stored offset leads, but does not shrink it.
+        r.ingest(7, &Payload::from_static(b"h"), &[]);
+        assert_eq!(r.sack_ranges(), [Some((6, 9)), Some((14, 16)), Some((10, 12))]);
+        r.ingest(3, &Payload::from_static(b"d"), &[]);
+        assert_eq!(r.sack_ranges(), [Some((2, 4)), Some((14, 16)), Some((10, 12))]);
+        // Filling [0, 2) pulls 2..4 in order: the latest arrival is gone,
+        // so the highest ranges are reported.
+        r.ingest(0, &Payload::from_static(b"ab"), &[]);
+        assert_eq!(r.sack_ranges(), [Some((14, 16)), Some((10, 12)), Some((6, 9))]);
+        r.ingest(4, &Payload::from_static(b"efghijklmnop"), &[]);
+        assert_eq!(r.sack_ranges(), [None; 3]);
     }
 
     #[test]

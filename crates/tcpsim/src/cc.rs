@@ -49,14 +49,19 @@ impl CongestionControl {
         self.cwnd < self.ssthresh
     }
 
-    /// Processes a cumulative ACK covering `acked_bytes` of new data.
-    pub fn on_ack(&mut self, acked_bytes: usize) {
+    /// Processes a cumulative ACK covering `acked_bytes` of new data. With
+    /// `byte_counting` (RFC 3465), slow start grows by every byte acked
+    /// rather than by at most one MSS per ACK: one stretch ACK per TSO
+    /// super-segment would otherwise grow the window by an MSS per round
+    /// trip after an RTO.
+    pub fn on_ack(&mut self, acked_bytes: usize, byte_counting: bool) {
         if acked_bytes == 0 {
             return;
         }
         if self.in_slow_start() {
-            // Exponential growth: cwnd += min(acked, MSS) per ACK.
-            self.cwnd += acked_bytes.min(self.mss);
+            // Exponential growth: cwnd += min(acked, MSS) per ACK, or every
+            // byte acked with byte counting.
+            self.cwnd += if byte_counting { acked_bytes } else { acked_bytes.min(self.mss) };
         } else {
             // Additive increase: one MSS per cwnd of acked data.
             self.acked_accum += acked_bytes;
@@ -105,7 +110,7 @@ mod tests {
         let before = c.cwnd();
         // ACK a full window in MSS-sized chunks.
         for _ in 0..10 {
-            c.on_ack(1000);
+            c.on_ack(1000, false);
         }
         assert_eq!(c.cwnd(), before * 2);
     }
@@ -116,13 +121,13 @@ mod tests {
         c.on_rto(); // cwnd = 1 MSS, ssthresh = 5000
         // Grow back to ssthresh via slow start.
         while c.in_slow_start() {
-            c.on_ack(1000);
+            c.on_ack(1000, false);
         }
         let at_ca = c.cwnd();
         // One full window of ACKs in CA adds exactly one MSS.
         let mut acked = 0;
         while acked < at_ca {
-            c.on_ack(1000);
+            c.on_ack(1000, false);
             acked += 1000;
         }
         assert_eq!(c.cwnd(), at_ca + 1000);
@@ -149,7 +154,7 @@ mod tests {
     fn window_never_exceeds_cap() {
         let mut c = cc();
         for _ in 0..10_000 {
-            c.on_ack(1000);
+            c.on_ack(1000, false);
         }
         assert_eq!(c.cwnd(), MAX_WINDOW_BYTES);
     }
@@ -163,10 +168,19 @@ mod tests {
     }
 
     #[test]
+    fn byte_counting_takes_a_stretch_ack_whole() {
+        let (mut per_ack, mut counted) = (cc(), cc());
+        per_ack.on_ack(4000, false);
+        counted.on_ack(4000, true);
+        assert_eq!(per_ack.cwnd(), 11_000, "one MSS per ACK");
+        assert_eq!(counted.cwnd(), 14_000, "every byte acked");
+    }
+
+    #[test]
     fn zero_ack_is_noop() {
         let mut c = cc();
         let before = c.cwnd();
-        c.on_ack(0);
+        c.on_ack(0, false);
         assert_eq!(c.cwnd(), before);
     }
 }

@@ -16,6 +16,8 @@
 //! * **continuity** — freshly transmitted stream data starts exactly where
 //!   the previous transmission ended, and the receiver's `rcv_nxt` /
 //!   `read_pos` cursors advance without gaps.
+//! * **SACK** — every arriving SACK block lies inside (`una`, highest
+//!   offset sent], and no retransmission resends a range the peer SACKed.
 //!
 //! Gates return `Result` so tests can prove they fire on corrupted state;
 //! the socket wraps them in `debug_assert!`-style checks ([`gate`]) that
@@ -100,6 +102,29 @@ pub enum InvariantViolation {
         /// Bytes stranded in the ackdelay ledger.
         stranded: u64,
     },
+    /// A retransmission resent bytes the peer already reported holding in
+    /// a SACK block.
+    RetransmitSacked {
+        /// Start of the retransmitted range.
+        offset: u64,
+        /// End of the retransmitted range.
+        end: u64,
+        /// The SACKed range it overlaps, `[start, end)`.
+        sacked: (u64, u64),
+    },
+    /// An arriving SACK block does not lie inside (`una`, highest offset
+    /// sent]: the peer claims data at or below the cumulative ACK, or data
+    /// never sent.
+    SackOutOfWindow {
+        /// Block start (stream offset).
+        left: u64,
+        /// Block end (stream offset).
+        right: u64,
+        /// The sender's first unacked offset.
+        una: u64,
+        /// One past the highest offset sent.
+        high: u64,
+    },
     /// The sender holds unsent data with nothing in flight, an open
     /// window, and no transmit or cork timer armed — no future event can
     /// release it. A batching gate (e.g. a mis-actuated cork limit) is
@@ -152,6 +177,15 @@ impl fmt::Display for InvariantViolation {
             InvariantViolation::RxClassificationBroken { kind, before, after } => write!(
                 f,
                 "{kind} arrival moved rcv_nxt: {before} → {after}"
+            ),
+            InvariantViolation::RetransmitSacked { offset, end, sacked } => write!(
+                f,
+                "retransmission [{offset}, {end}) overlaps SACKed range [{}, {})",
+                sacked.0, sacked.1
+            ),
+            InvariantViolation::SackOutOfWindow { left, right, una, high } => write!(
+                f,
+                "SACK block [{left}, {right}) outside (una {una}, high {high}]"
             ),
             InvariantViolation::AckDropped { stranded } => write!(
                 f,
@@ -298,6 +332,7 @@ pub struct SocketInvariants {
     last_read_pos: u64,
     rx_out_of_order: u64,
     rx_duplicates: u64,
+    sack_blocks: u64,
 }
 
 impl SocketInvariants {
@@ -373,6 +408,45 @@ impl SocketInvariants {
         }
         self.next_tx_offset = offset + len as u64;
         Ok(())
+    }
+
+    /// SACK gate for a retransmission: it must not resend a range the peer
+    /// already reported holding (`sacked`, the overlapped SACKed range).
+    pub fn on_retransmit(
+        &mut self,
+        offset: u64,
+        len: usize,
+        sacked: Option<(u64, u64)>,
+    ) -> Result<(), InvariantViolation> {
+        match sacked {
+            Some(sacked) => {
+                let end = offset + len as u64;
+                Err(InvariantViolation::RetransmitSacked { offset, end, sacked })
+            }
+            None => Ok(()),
+        }
+    }
+
+    /// SACK gate for one arriving block `[left, right)`: it must lie inside
+    /// (`una`, `high`], with `high` one past the highest offset sent. Also
+    /// tallies the blocks so fault runs can prove the gate saw some.
+    pub fn on_sack_block(
+        &mut self,
+        left: u64,
+        right: u64,
+        una: u64,
+        high: u64,
+    ) -> Result<(), InvariantViolation> {
+        self.sack_blocks += 1;
+        if left <= una || right > high || left >= right {
+            return Err(InvariantViolation::SackOutOfWindow { left, right, una, high });
+        }
+        Ok(())
+    }
+
+    /// SACK blocks checked so far.
+    pub fn sack_blocks(&self) -> u64 {
+        self.sack_blocks
     }
 
     /// Runs every stateful gate against the socket's instrumented queues
@@ -550,6 +624,24 @@ mod tests {
         assert!(matches!(
             inv.on_transmit(200, 10, false),
             Err(InvariantViolation::TxDiscontinuity { .. })
+        ));
+    }
+
+    #[test]
+    fn sack_gates_fire_on_out_of_window_blocks_and_sacked_resends() {
+        let mut inv = SocketInvariants::new();
+        assert_eq!(inv.on_sack_block(200, 300, 100, 300), Ok(()));
+        for (left, right) in [(100, 200), (50, 150), (200, 301), (250, 250)] {
+            assert!(matches!(
+                inv.on_sack_block(left, right, 100, 300),
+                Err(InvariantViolation::SackOutOfWindow { .. })
+            ));
+        }
+        assert_eq!(inv.sack_blocks(), 5);
+        assert_eq!(inv.on_retransmit(100, 100, None), Ok(()));
+        assert!(matches!(
+            inv.on_retransmit(100, 150, Some((200, 300))),
+            Err(InvariantViolation::RetransmitSacked { offset: 100, end: 250, .. })
         ));
     }
 

@@ -8,11 +8,15 @@
 //! transmit-side per-segment costs are charged once — that asymmetry is
 //! precisely the benefit of segmentation offload.
 //!
-//! Options model the two header extensions the stack uses: RFC 7323
-//! timestamps (for RTT sampling) and the paper's end-to-end queue-state
-//! exchange ([`E2eOption`], §5 "Metadata Exchange": 36 bytes of counters in
-//! a TCP option). Option bytes count toward the wire length so the overhead
-//! benchmarks can quantify the exchange's cost.
+//! Options model the header extensions the stack uses: RFC 7323
+//! timestamps (for RTT sampling), RFC 2018 selective acknowledgments
+//! ([`SackOption`]) and the paper's end-to-end queue-state exchange
+//! ([`E2eOption`], §5 "Metadata Exchange": 36 bytes of counters in a TCP
+//! option). The exchange and the SACK blocks share one option slot
+//! ([`OptionSlot`]): a real header's 40 bytes of option space cannot hold
+//! both beside timestamps either, so a segment that must carry SACK blocks
+//! defers a due exchange to the next one. Option bytes count toward the
+//! wire length so the overhead benchmarks can quantify the exchange's cost.
 
 use crate::payload::Payload;
 use littles::wire::{WireExchange, EXCHANGE_WIRE_BYTES};
@@ -40,6 +44,15 @@ pub const fn e2e_option_bytes(units: usize) -> usize {
 /// Wire bytes of the single-unit exchange option (the paper's 36 bytes of
 /// counters plus option framing).
 pub const E2E_OPTION_BYTES: usize = e2e_option_bytes(1);
+
+/// Most SACK blocks one option carries beside timestamps (RFC 2018 §3).
+pub const MAX_SACK_BLOCKS: usize = 3;
+
+/// Wire bytes of a SACK option carrying `blocks` blocks: kind + length +
+/// 8 bytes per block, padded to a 4-byte boundary.
+pub const fn sack_option_bytes(blocks: usize) -> usize {
+    (2 + 8 * blocks).div_ceil(4) * 4
+}
 
 /// Wire bytes of the application-hint option: kind + length + one 12-byte
 /// queue snapshot, padded to a 4-byte boundary.
@@ -104,6 +117,53 @@ impl E2eOption {
     }
 }
 
+/// One SACK block: the receiver holds the sequence range `[left, right)`
+/// above its cumulative ACK.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SackBlock {
+    /// First sequence number held.
+    pub left: SeqNum,
+    /// One past the last sequence number held.
+    pub right: SeqNum,
+}
+
+/// The RFC 2018 selective-acknowledgment option: up to
+/// [`MAX_SACK_BLOCKS`] blocks of out-of-order data the receiver holds, the
+/// block holding the latest arrival first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SackOption {
+    blocks: [SackBlock; MAX_SACK_BLOCKS],
+    len: u8,
+}
+
+impl SackOption {
+    /// Appends a block; false (and nothing changes) once the option is full.
+    pub fn push(&mut self, block: SackBlock) -> bool {
+        let Some(slot) = self.blocks.get_mut(usize::from(self.len)) else {
+            return false;
+        };
+        *slot = block;
+        self.len += 1;
+        true
+    }
+
+    /// The blocks carried, in wire order.
+    pub fn blocks(&self) -> &[SackBlock] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
+/// What fills the option slot the end-to-end exchange shares with SACK.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OptionSlot {
+    /// End-to-end queue-state exchange (attached occasionally; see
+    /// [`ExchangeConfig`](crate::config::ExchangeConfig)).
+    E2e(E2eOption),
+    /// Selective acknowledgment: sent on every segment while the receiver
+    /// holds out-of-order data, pre-empting a due exchange.
+    Sack(SackOption),
+}
+
 /// The cooperative-application hint option (paper §3.3): a userspace-
 /// maintained queue state for the single logical request queue, passed to
 /// `send` via ancillary data and forwarded to the peer. When present, the
@@ -119,22 +179,48 @@ pub struct HintOption {
 pub struct Options {
     /// RTT-sampling timestamps.
     pub timestamps: Option<TimestampOption>,
-    /// End-to-end queue-state exchange (attached occasionally; see
-    /// [`ExchangeConfig`](crate::config::ExchangeConfig)).
-    pub e2e: Option<E2eOption>,
+    /// The end-to-end exchange or SACK blocks, whichever this segment
+    /// carries.
+    pub slot: Option<OptionSlot>,
     /// Application request-queue hint (client side only).
     pub hint: Option<HintOption>,
 }
 
 impl Options {
+    /// The end-to-end exchange, if this segment carries one.
+    pub fn e2e(&self) -> Option<&E2eOption> {
+        match &self.slot {
+            Some(OptionSlot::E2e(e2e)) => Some(e2e),
+            _ => None,
+        }
+    }
+
+    /// The end-to-end exchange, mutably (fault injection garbles it).
+    pub fn e2e_mut(&mut self) -> Option<&mut E2eOption> {
+        match &mut self.slot {
+            Some(OptionSlot::E2e(e2e)) => Some(e2e),
+            _ => None,
+        }
+    }
+
+    /// The SACK blocks, if this segment carries any.
+    pub fn sack(&self) -> Option<&SackOption> {
+        match &self.slot {
+            Some(OptionSlot::Sack(sack)) => Some(sack),
+            _ => None,
+        }
+    }
+
     /// Wire bytes these options occupy in each packet's header.
     pub fn wire_bytes(&self) -> usize {
         let mut n = 0;
         if self.timestamps.is_some() {
             n += TIMESTAMP_OPTION_BYTES;
         }
-        if let Some(e2e) = &self.e2e {
-            n += e2e_option_bytes(e2e.count());
+        match &self.slot {
+            Some(OptionSlot::E2e(e2e)) => n += e2e_option_bytes(e2e.count()),
+            Some(OptionSlot::Sack(sack)) => n += sack_option_bytes(sack.blocks().len()),
+            None => {}
         }
         if self.hint.is_some() {
             n += HINT_OPTION_BYTES;
@@ -299,11 +385,28 @@ mod tests {
         let base = s.wire_len();
         s.options.timestamps = Some(TimestampOption { tsval: 1, tsecr: 2 });
         assert_eq!(s.wire_len(), base + TIMESTAMP_OPTION_BYTES);
-        s.options.e2e = Some(E2eOption::single(Unit::Bytes, WireExchange::default()));
+        s.options.slot = Some(OptionSlot::E2e(E2eOption::single(Unit::Bytes, WireExchange::default())));
         assert_eq!(
             s.wire_len(),
             base + TIMESTAMP_OPTION_BYTES + E2E_OPTION_BYTES
         );
+    }
+
+    #[test]
+    fn sack_option_counts_2_plus_8n_padded() {
+        assert_eq!([1, 2, 3].map(sack_option_bytes), [12, 20, 28]);
+        let mut sack = SackOption::default();
+        let block = SackBlock { left: SeqNum::new(10), right: SeqNum::new(20) };
+        for _ in 0..MAX_SACK_BLOCKS {
+            assert!(sack.push(block));
+        }
+        assert!(!sack.push(block), "a fourth block does not fit beside timestamps");
+        let mut s = data_segment(10, 2);
+        let base = s.wire_len();
+        s.options.slot = Some(OptionSlot::Sack(sack));
+        assert_eq!(s.wire_len(), base + 2 * 28, "charged per wire packet");
+        assert_eq!(s.options.sack().map(|o| o.blocks().len()), Some(3));
+        assert!(s.options.e2e().is_none());
     }
 
     #[test]

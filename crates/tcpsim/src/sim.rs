@@ -465,7 +465,7 @@ fn apply_actions(
                             // the data payload survives, but the shared
                             // counters lie. Applied before duplication so
                             // both copies carry the same lie.
-                            if let Some(opt) = seg.options.e2e.as_mut() {
+                            if let Some(opt) = seg.options.e2e_mut() {
                                 if let Some(target) =
                                     plan.corrupt_exchange(link_id, a_to_b, depart)
                                 {
@@ -1111,5 +1111,19 @@ impl<C: App, S: App> World for NetSim<C, S> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `Deliver` / `SoftirqRx` event carries a `Segment` by value, so
+    /// the segment's options set the event queue's slot size. SACK blocks
+    /// share the exchange's option slot rather than adding a field, which
+    /// keeps the event within 256 bytes.
+    #[test]
+    fn event_stays_within_256_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 256, "{}", std::mem::size_of::<Event>());
     }
 }

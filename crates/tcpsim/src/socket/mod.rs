@@ -9,11 +9,12 @@
 //! A connection is three parts, each the only writer of its state (the
 //! owner reads their fields and writes through their methods): `Tcb` — flow,
 //! RFC 793 state, epoch, configuration; `Tx` — send buffer, in-flight
-//! ranges, RTT and congestion window, go-back-N recovery, the RTO, the
+//! ranges, RTT and congestion window, SACK-based recovery, the RTO, the
 //! batching gates under study (Nagle including the dynamically toggled
 //! mode, auto-corking against the NIC ring, TSO aggregation, the gradual
 //! batch limit), our FIN and what we share; `Rx` — reassembly, the ACK
-//! cursor, delayed ACKs, the peer's FIN and what the peer shared.
+//! cursor, the SACK blocks, delayed ACKs, the peer's FIN and what the
+//! peer shared.
 //!
 //! The parts decide; the owner books. The three instrumented queues
 //! (*unacked*, *unread*, *ackdelay*) the paper's end-to-end estimator
@@ -35,7 +36,7 @@ use crate::delack::{AckSwitch, DelAck};
 use crate::invariants::{gate, ActuationState, InvariantViolation, SocketInvariants};
 use crate::knob::KnobSetting;
 use crate::queues::{InstrumentedQueue, QueueSnapshots, SocketQueues, Unit};
-use crate::segment::{Flags, FlowId, Segment, TimestampOption};
+use crate::segment::{Flags, FlowId, OptionSlot, Segment, TimestampOption};
 use crate::seq::SeqNum;
 
 use rx::Rx;
@@ -160,7 +161,7 @@ pub struct SocketStats {
     pub bytes_sent: u64,
     /// Pure ACK segments transmitted.
     pub pure_acks_sent: u64,
-    /// Segments retransmitted after an RTO.
+    /// Segments retransmitted, by the RTO or in fast recovery.
     pub retransmissions: u64,
     /// Times the transmit path held a partial segment due to Nagle.
     pub nagle_holds: u64,
@@ -180,8 +181,14 @@ pub struct SocketStats {
     pub hints_sent: u64,
     /// Duplicate ACKs received.
     pub dup_acks: u64,
-    /// Fast retransmissions triggered by triple duplicate ACKs.
+    /// Segments retransmitted in fast recovery (the part of
+    /// `retransmissions` no RTO waited for).
     pub fast_retransmits: u64,
+    /// Fast-recovery episodes: started by the third duplicate ACK or by
+    /// SACK evidence that the first unacked byte was lost (RFC 6675).
+    pub sack_recoveries: u64,
+    /// Retransmission timeouts that fired on data or a FIN in flight.
+    pub rto_fires: u64,
 }
 
 /// A simulated TCP socket: one connection's three parts and the `TRACK`
@@ -480,7 +487,7 @@ impl TcpSocket {
             return;
         }
         while let Some((chunk, retransmit)) =
-            self.tx.next_chunk(&self.tcb.config, env, &mut self.stats, actions)
+            self.tx.next_chunk(now, &self.tcb.config, env, &mut self.stats, actions)
         {
             self.emit_data(now, chunk, retransmit, actions);
         }
@@ -493,8 +500,10 @@ impl TcpSocket {
     }
 
     /// Builds every segment's header — the one place the ACK field and the
-    /// advertised window are written. A SYN carries no options, a FIN
-    /// timestamps, and ACKs and data timestamps plus what we share, when due.
+    /// advertised window are written. A SYN carries no options; every
+    /// other segment carries timestamps and, while out-of-order data is
+    /// held, SACK blocks; ACKs and data add what we share, when due (a due
+    /// exchange waits while the SACK blocks hold its option slot).
     fn header(&mut self, now: Nanos, seq: SeqNum, flags: Flags) -> Segment {
         // The advertised window is clamped to the receive buffer capacity,
         // far under u32::MAX.
@@ -506,6 +515,7 @@ impl TcpSocket {
             // differenced.
             let tsval = now.as_nanos() as u32;
             seg.options.timestamps = Some(TimestampOption { tsval, tsecr });
+            seg.options.slot = self.rx.sack().map(OptionSlot::Sack);
             if !flags.fin {
                 let (tcb, queues) = (&self.tcb, &self.queues);
                 self.tx.attach_exchange(now, tcb, queues, &mut self.stats, &mut seg.options);
@@ -526,6 +536,9 @@ impl TcpSocket {
     fn emit_data(&mut self, now: Nanos, chunk: SendChunk, retx: bool, actions: &mut Vec<Action>) {
         let (offset, len) = (chunk.offset, chunk.bytes.len());
         gate(self.invariants.on_transmit(offset, len, retx));
+        if retx {
+            gate(self.invariants.on_retransmit(offset, len, self.tx.sacked_overlap(offset, len)));
+        }
         // wire_packets <= len/mss + 1, bounded by the send buffer.
         let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32;
         let psh = chunk.boundaries.last() == Some(&(offset + len as u64));
@@ -587,7 +600,8 @@ impl TcpSocket {
                     self.rx.on_peer_syn(seg.seq);
                     self.tcb.transition(TcbEvent::Handshake);
                     // It acknowledges only our SYN: `on_ack` takes its window.
-                    self.tx.on_ack(now, seg, self.tcb.config.mss, &mut self.stats, actions);
+                    let (stats, invariants) = (&mut self.stats, &mut self.invariants);
+                    self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
                     self.tx.disarm_rto(actions);
                     self.emit_pure_ack(now, actions);
                     actions.push(Action::Wake(WakeReason::Connected));
@@ -619,7 +633,8 @@ impl TcpSocket {
                 self.track(now, |q| &mut q.ackdelay, arrived);
                 actions.push(Action::Wake(WakeReason::Readable));
             }
-            let decision = self.rx.ack_due(seg, &res, self.tcb.config.mss);
+            let rto = self.tx.rtt.rto();
+            let decision = self.rx.ack_due(now, rto, seg, &res, self.tcb.config.mss);
             self.settle_ack(now, decision, actions);
         }
         if seg.flags.fin && self.rx.on_fin(seg) {
@@ -634,7 +649,8 @@ impl TcpSocket {
 
     /// ACK processing: `Tx` decides; the unacked queue is booked here.
     fn on_ack(&mut self, now: Nanos, seg: &Segment, actions: &mut Vec<Action>) {
-        let acked = self.tx.on_ack(now, seg, self.tcb.config.mss, &mut self.stats, actions);
+        let (stats, invariants) = (&mut self.stats, &mut self.invariants);
+        let acked = self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
         let [bytes, packets, messages] = acked.freed;
         if bytes > 0 {
             self.invariants.unacked.leave(bytes as u64);
@@ -673,7 +689,8 @@ impl TcpSocket {
                 self.send_handshake(now, actions);
             }
             TimerKind::Rto => {
-                let stale = self.tx.go_back_n();
+                self.stats.rto_fires += 1;
+                let stale = self.tx.on_rto();
                 self.track(now, |q| &mut q.unacked, [0, -stale, 0]);
                 self.poll_transmit(now, env, actions);
                 self.tx.rearm_rto(actions);

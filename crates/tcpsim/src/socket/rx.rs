@@ -2,14 +2,21 @@
 
 use std::collections::VecDeque;
 
+use littles::Nanos;
+
 use crate::buffer::{IngestResult, RecvBuffer};
 use crate::config::TcpConfig;
 use crate::delack::{AckDecision, AckMode, AckSwitch, DelAck};
 use crate::payload::Payload;
-use crate::segment::{Options, Segment};
+use crate::segment::{Options, SackBlock, SackOption, Segment};
 use crate::seq::{unwrap_seq, SeqNum};
 
 use super::{Action, RemoteStore, TimerKind};
+
+/// Segments ACKed at once after an impaired arrival on a lossy connection
+/// (Linux's quick-ACK mode, `TCP_MAX_QUICKACKS`): the sender is recovering
+/// with a small window and waits on every ACK.
+const QUICK_ACKS: u32 = 16;
 
 /// The receive side; the owner reads the fields, only these methods write
 /// them.
@@ -31,6 +38,12 @@ pub(super) struct Rx {
     /// Unread-queue packet accounting: (end offset, wire packets).
     unread_packets: VecDeque<(u64, u32)>,
     peer_fin: bool,
+    /// When the last data segment arrived.
+    last_data_at: Nanos,
+    /// Data has arrived out of order on this connection: it is lossy.
+    seen_hole: bool,
+    /// Segments still to ACK at once after an impaired arrival.
+    quick_acks: u32,
 }
 
 impl Rx {
@@ -44,6 +57,9 @@ impl Rx {
             pending_ack: [0; 3],
             unread_packets: VecDeque::new(),
             peer_fin: false,
+            last_data_at: Nanos::ZERO,
+            seen_hole: false,
+            quick_acks: 0,
         }
     }
 
@@ -58,7 +74,7 @@ impl Rx {
         if let Some(ts) = options.timestamps {
             self.ts_recent = ts.tsval;
         }
-        if let Some(e2e) = options.e2e {
+        if let Some(&e2e) = options.e2e() {
             // The option's epoch tag covers every unit it carries; stamp it
             // onto each stored exchange so downstream consumers (estimator,
             // validator) see the generation.
@@ -71,9 +87,24 @@ impl Rx {
         if let Some(hint) = options.hint {
             self.remote.hint = Some(hint.snapshot);
         }
-        let shares = u64::from(options.e2e.is_some()) + u64::from(options.hint.is_some());
+        let shares = u64::from(options.e2e().is_some()) + u64::from(options.hint.is_some());
         self.remote.received += shares;
         shares
+    }
+
+    /// The SACK blocks every ACK carries while out-of-order data is held
+    /// (RFC 2018): the reassembly store's merged ranges, the one holding
+    /// the latest arrival first.
+    pub(super) fn sack(&self) -> Option<SackOption> {
+        let ranges = self.rcv.sack_ranges();
+        ranges[0]?;
+        let rcv_nxt = self.rcv.rcv_nxt();
+        let seq = |offset: u64| self.rcv_seq.advance(offset - rcv_nxt);
+        let mut sack = SackOption::default();
+        for (start, end) in ranges.into_iter().flatten() {
+            sack.push(SackBlock { left: seq(start), right: seq(end) });
+        }
+        Some(sack)
     }
 
     /// Reassembles a data segment: the buffer's verdict, `rcv_nxt` before
@@ -98,10 +129,28 @@ impl Rx {
     }
 
     /// The delayed-ACK verdict on a reassembled data segment: out-of-order
-    /// or duplicate data and window pressure force a quick ACK.
-    pub(super) fn ack_due(&mut self, seg: &Segment, res: &IngestResult, mss: usize) -> AckSwitch {
+    /// or duplicate data, data filling a gap (RFC 5681 §4.2: the sender is
+    /// recovering and waits on this ACK) and window pressure force a quick
+    /// ACK.
+    pub(super) fn ack_due(
+        &mut self,
+        now: Nanos,
+        rto: Nanos,
+        seg: &Segment,
+        res: &IngestResult,
+        mss: usize,
+    ) -> AckSwitch {
         let full_sized = seg.payload.len() >= mss;
-        let force_quick = res.out_of_order || res.duplicate || self.rcv.window() < mss;
+        self.seen_hole |= res.out_of_order;
+        let gap = now.saturating_sub(std::mem::replace(&mut self.last_data_at, now));
+        let idle = self.seen_hole && gap > rto;
+        let impaired = res.out_of_order || res.duplicate || res.filled_gap || idle;
+        if impaired && self.seen_hole {
+            self.quick_acks = QUICK_ACKS;
+        }
+        let quick = self.quick_acks > 0;
+        self.quick_acks = self.quick_acks.saturating_sub(1);
+        let force_quick = impaired || quick || self.rcv.window() < mss;
         match self.delack.on_data(full_sized, seg.wire_packets, force_quick) {
             AckDecision::SendNow => AckSwitch::Flush,
             AckDecision::Arm(delay) => AckSwitch::Rearm(delay),

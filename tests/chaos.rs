@@ -160,15 +160,20 @@ fn invariant_gates_nonvacuous_under_reorder_dup_loss() {
     let socks: Vec<_> = sim.server_host().socket_ids().collect();
     let mut ooo = 0u64;
     let mut dups = 0u64;
+    // SACK blocks the servers' gate checked: clients report the holes
+    // that lost responses leave in their receive streams.
+    let mut sack_blocks = 0u64;
     for s in &socks {
         let inv = sim.server_host().socket(*s).invariants();
         ooo += inv.rx_out_of_order();
         dups += inv.rx_duplicates();
+        sack_blocks += inv.sack_blocks();
         assert!(inv.unread.entered() > 0, "socket {s:?}: no request bytes");
         assert!(inv.unacked.entered() > 0, "socket {s:?}: no response bytes");
     }
     assert!(ooo > 0, "no out-of-order arrival ever classified");
     assert!(dups > 0, "no duplicate arrival ever classified");
+    assert!(sack_blocks > 0, "the SACK-block gate never saw a block");
 }
 
 /// (c) + (d) on a reduced chaos grid: the adaptive policy stays within

@@ -120,16 +120,16 @@ struct Digest {
 }
 
 /// (b) `NagleSetting::dynamic` — the plane with only its Nagle knob —
-/// against digests recorded from the dedicated single-knob drivers
+/// against digests first recorded from the dedicated single-knob drivers
 /// (client policy + listener policy, `CircuitBreaker<EpsilonGreedy>`
 /// actuating Nagle directly) at the last commit that had them (PR 13),
 /// same config: 25 % loss intensity with the breaker, the staleness
 /// bound and the validator all live, so trips, rejections and the
-/// safe-mode actuation path are part of what is pinned. The two `events`
-/// figures were re-recorded when superseded timer arms stopped being
-/// dispatched (they left the queue instead of popping as no-ops; N=1 was
-/// 23 523, N=8 103 935): `events` counts live events only, and no other
-/// field of either digest moved.
+/// safe-mode actuation path are part of what is pinned. That provenance
+/// ends with go-back-N: both digests were re-recorded when SACK recovery
+/// replaced it, since every lossy trajectory moved. (Before that, the two
+/// `events` figures were re-recorded once when superseded timer arms
+/// stopped being dispatched; `events` counts live events only.)
 #[test]
 fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
     let ns = |v: Option<Nanos>| v.expect("the run measured traffic").as_nanos();
@@ -137,37 +137,37 @@ fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
         (
             1usize,
             Digest {
-                samples: 353,
-                p50_ns: 72_351_744,
-                p99_ns: 148_897_792,
-                mean_ns: 61_291_897,
-                estimated_bytes_ns: 77_624_096,
-                server_aggregate_ns: 337_456,
-                client_on: 4606894517453975458,
-                server_on: 4606895173265697650,
+                samples: 981,
+                p50_ns: 116_391_936,
+                p99_ns: 136_314_880,
+                mean_ns: 118_702_090,
+                estimated_bytes_ns: 224_498_799,
+                server_aggregate_ns: 2_083_881,
+                client_on: 4606688873635374066,
+                server_on: 4606238612044395345,
                 client_trips: 1,
                 server_trips: 1,
-                accepted: 252,
-                rejected: 612,
-                events: 20_209,
+                accepted: 359,
+                rejected: 270,
+                events: 24_707,
             },
         ),
         (
             8,
             Digest {
-                samples: 3_035,
-                p50_ns: 380_928,
-                p99_ns: 110_100_480,
-                mean_ns: 6_696_584,
-                estimated_bytes_ns: 5_553_919,
-                server_aggregate_ns: 884_181,
+                samples: 3_290,
+                p50_ns: 251_904,
+                p99_ns: 87_031_808,
+                mean_ns: 4_633_945,
+                estimated_bytes_ns: 10_038_366,
+                server_aggregate_ns: 565_302,
                 client_on: 4606605298481635834,
-                server_on: 4604392033609482613,
+                server_on: 4605541015746761646,
                 client_trips: 2,
                 server_trips: 2,
-                accepted: 5_775,
-                rejected: 1_142,
-                events: 86_304,
+                accepted: 7_061,
+                rejected: 573,
+                events: 100_214,
             },
         ),
     ];
