@@ -17,6 +17,11 @@ echo "==> the benchmark package still builds against the workspace"
 # step a renamed item it imports would first fail in the benchmark run.
 cargo check -q --offline --locked --manifest-path benchmark/Cargo.toml
 
+echo "==> BENCHMARK.json matches the benchmark's own metric and workload tables"
+# The benchmark prints its declaration from the tables it measures with;
+# a metric or workload added, renamed or re-bounded in one place only fails here.
+cargo run -q --offline --locked --manifest-path benchmark/Cargo.toml -- --describe | diff - BENCHMARK.json
+
 echo "==> cargo build --release"
 cargo build --release
 

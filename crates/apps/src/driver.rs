@@ -796,7 +796,7 @@ impl ListenerPlaneDriver {
             return;
         };
         let now = ctx.now();
-        let on = self.controller.offer_aggregate(now, &aggregate);
+        let on = self.controller.offer(now, &aggregate.to_estimate());
         let logged = front.map_or(aggregate, |f| compose_two(f, &aggregate));
         self.series.push((now, logged));
         self.toggles.record(on);

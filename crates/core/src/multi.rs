@@ -46,7 +46,12 @@ pub struct AggregateEstimate {
 impl AggregateEstimate {
     /// Views the aggregate as a single connection-shaped [`Estimate`], so
     /// policy code written against one connection accepts a listener-wide
-    /// view unchanged.
+    /// view unchanged. This is how an aggregate enters the policy stack.
+    ///
+    /// The view is `remote_stale` only when every contributing connection
+    /// is. A stale connection's confidence is zero, so beside fresh ones
+    /// it already pulls the throughput-weighted confidence down; it must
+    /// not trip a breaker on its own.
     pub fn to_estimate(&self) -> Estimate {
         Estimate {
             at: self.at,
@@ -56,7 +61,7 @@ impl AggregateEstimate {
             local_view: self.latency,
             remote_view: self.latency,
             confidence: self.confidence,
-            remote_stale: self.stale_connections > 0,
+            remote_stale: self.connections > 0 && self.stale_connections == self.connections,
             components: self.components,
         }
     }
@@ -374,8 +379,24 @@ mod tests {
         assert!((agg.confidence - 0.9).abs() < 1e-9);
         assert_eq!(agg.stale_connections, 1);
         let e = agg.to_estimate();
-        assert!(e.remote_stale, "any stale contributor marks the view");
+        assert!(
+            !e.remote_stale,
+            "one stale contributor of two is not a stale view"
+        );
         assert!((e.confidence - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn all_stale_contributions_mark_the_view_stale() {
+        let mut a = MultiConnectionAggregator::new();
+        for latency_us in [100, 1_000] {
+            let mut e = est(latency_us, 1_000.0);
+            e.remote_stale = true;
+            a.add(e);
+        }
+        let agg = a.aggregate().unwrap();
+        assert_eq!(agg.stale_connections, 2);
+        assert!(agg.to_estimate().remote_stale);
     }
 
     #[test]

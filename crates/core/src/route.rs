@@ -28,7 +28,6 @@
 use littles::Nanos;
 
 use crate::estimator::Estimate;
-use crate::multi::AggregateEstimate;
 
 /// One of the batching knobs the control plane can drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,31 +82,11 @@ impl Estimate {
     }
 }
 
-impl AggregateEstimate {
-    /// The aggregate as seen by one knob's controller (see
-    /// [`Estimate::knob_view`]); components were throughput-weighted the
-    /// same way the headline latency was.
-    pub fn knob_view(&self, knob: Knob) -> AggregateEstimate {
-        if matches!(knob, Knob::Nagle) {
-            return *self;
-        }
-        let component = match knob {
-            Knob::Nagle => unreachable!(),
-            Knob::DelAck => self.components.ackdelay_far,
-            Knob::Cork => self.components.unacked_near + self.components.unread_far,
-        };
-        AggregateEstimate {
-            latency: component,
-            smoothed_latency: component,
-            ..*self
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::combine::DelaySet;
+    use crate::multi::AggregateEstimate;
 
     fn est() -> Estimate {
         Estimate {
@@ -164,10 +143,11 @@ mod tests {
             stale_connections: 0,
             components: est().components,
         };
-        assert_eq!(agg.knob_view(Knob::Nagle), agg);
-        assert_eq!(agg.knob_view(Knob::DelAck).latency, Nanos::from_micros(15));
-        assert_eq!(agg.knob_view(Knob::Cork).latency, Nanos::from_micros(90));
-        assert_eq!(agg.knob_view(Knob::Cork).connections, 2);
+        let e = agg.to_estimate();
+        assert_eq!(e.knob_view(Knob::Nagle), e);
+        assert_eq!(e.knob_view(Knob::DelAck).latency, Nanos::from_micros(15));
+        assert_eq!(e.knob_view(Knob::Cork).latency, Nanos::from_micros(90));
+        assert!((e.knob_view(Knob::Cork).throughput - 1_000.0).abs() < 1e-9);
     }
 
     #[test]

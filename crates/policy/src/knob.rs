@@ -22,7 +22,7 @@
 //! decision (same RNG stream, same scores), so every Nagle-only result
 //! in the repo is a special case of the plane, not a parallel code path.
 
-use e2e_core::{AggregateEstimate, Estimate, Knob};
+use e2e_core::{Estimate, Knob};
 use littles::Nanos;
 use tcpsim::{AckMode, KnobSetting};
 
@@ -157,21 +157,6 @@ impl ControlPlane {
         (self.decisions / u64::from(self.exploration_window)) as usize % self.knobs()
     }
 
-    fn decide_views(&mut self, view_of: impl Fn(Knob) -> Estimate) -> bool {
-        let turn = self.turn();
-        self.decisions += 1;
-        let on = self.nagle.decide_gated(&view_of(Knob::Nagle), turn == 0);
-        let mut idx = 1;
-        if let Some(d) = self.delack.as_mut() {
-            let _ = d.decide(&view_of(Knob::DelAck), turn == idx);
-            idx += 1;
-        }
-        if let Some(c) = self.cork.as_mut() {
-            let _ = c.update_gated(&view_of(Knob::Cork), turn == idx);
-        }
-        on
-    }
-
     /// The current setting of every controlled knob, in canonical order.
     /// This is what a driver actuates after each decision.
     pub fn settings(&self) -> Vec<KnobSetting> {
@@ -248,14 +233,20 @@ impl ControlPlane {
 
 impl BatchToggler for ControlPlane {
     fn decide(&mut self, estimate: &Estimate) -> bool {
-        self.decide_views(|k| estimate.knob_view(k))
-    }
-
-    fn decide_aggregate(&mut self, aggregate: &AggregateEstimate) -> bool {
-        // Route the aggregate per knob, then give each controller the
-        // connection-shaped view. For the Nagle knob this is exactly
-        // `aggregate.to_estimate()` — the single-knob policy's path.
-        self.decide_views(|k| aggregate.knob_view(k).to_estimate())
+        let turn = self.turn();
+        self.decisions += 1;
+        let on = self
+            .nagle
+            .decide_gated(&estimate.knob_view(Knob::Nagle), turn == 0);
+        let mut idx = 1;
+        if let Some(d) = self.delack.as_mut() {
+            let _ = d.decide(&estimate.knob_view(Knob::DelAck), turn == idx);
+            idx += 1;
+        }
+        if let Some(c) = self.cork.as_mut() {
+            let _ = c.update_gated(&estimate.knob_view(Knob::Cork), turn == idx);
+        }
+        on
     }
 
     fn current(&self) -> bool {
@@ -408,7 +399,7 @@ mod tests {
                 components: e.components,
             };
             let d_e = by_est.decide(&e);
-            let d_a = by_agg.decide_aggregate(&a);
+            let d_a = by_agg.decide(&a.to_estimate());
             assert_eq!(d_e, d_a, "decision {i}");
         }
     }

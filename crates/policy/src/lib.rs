@@ -14,13 +14,14 @@
 //!   baselines and the ε-greedy dynamic toggler.
 //! * [`tick`] — the toggling-granularity controller (the paper suggests a
 //!   kernel tick).
-//! * [`breaker`] — a circuit-breaker wrapper that reverts to a safe
-//!   static mode when estimator confidence collapses under faults and
-//!   re-probes with exponential backoff.
+//! * [`breaker`] — one closed/open/half-open lifecycle with exponential
+//!   re-probe backoff, in two views: a circuit-breaker wrapper that
+//!   reverts a toggler to a safe static mode when estimator confidence
+//!   collapses under faults, and the proxy's per-upstream routing
+//!   breaker.
 //! * [`retry`] — the proxy's failure-handling time arithmetic: request
 //!   deadlines, budgeted retries with exponential backoff + deterministic
-//!   jitter, estimate-driven hedging, and the per-upstream routing
-//!   breaker.
+//!   jitter, and estimate-driven hedging.
 //! * [`aimd`] — additive-increase/multiplicative-decrease batch limits.
 //! * [`knob`] — the multi-knob control plane: one controller per
 //!   batching mechanism (Nagle, delayed ACKs, cork limit), each fed its
@@ -44,10 +45,10 @@ pub mod tick;
 pub mod toggler;
 
 pub use aimd::AimdBatchLimit;
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, UpstreamBreaker};
 pub use figure1::{figure1_model, BatchOutcome, Figure1Params, Metrics};
 pub use knob::{ControlPlane, DelAckToggler};
 pub use objective::Objective;
-pub use retry::{AttemptKind, RetryConfig, RetryPolicy, UpstreamBreaker};
+pub use retry::{AttemptKind, RetryConfig, RetryPolicy};
 pub use tick::TickController;
 pub use toggler::{BatchToggler, EpsilonGreedy, StaticToggler};

@@ -1,5 +1,5 @@
-//! Request deadlines, budgeted retries, hedging, and upstream breakers —
-//! the proxy's entire time arithmetic for failure handling.
+//! Request deadlines, budgeted retries and hedging — the proxy's time
+//! arithmetic for failure handling.
 //!
 //! A proxy that survives shard failure needs four cooperating mechanisms,
 //! and all of their *timing math* lives here ([`RetryConfig`]'s fields are
@@ -23,15 +23,13 @@
 //!   to the failover shard and the first response wins. Hedges spend from
 //!   the same budget as retries.
 //!
-//! The per-upstream [`UpstreamBreaker`] closes the loop: timeout and
-//! connection-reset events feed the same trip streak as low
-//! composed-estimate confidence (the joint signal the ISSUE's Dapper
-//! framing calls for), and while open, new requests route straight to the
-//! failover shard instead of queueing behind a corpse.
+//! The per-upstream [`UpstreamBreaker`](crate::UpstreamBreaker), in
+//! [`crate::breaker`], closes the loop: timeout and connection-reset
+//! events feed the same trip streak as low composed-estimate confidence,
+//! and while open, new requests route straight to the failover shard
+//! instead of queueing behind a corpse.
 
 use littles::Nanos;
-
-use crate::breaker::{BreakerConfig, BreakerState};
 
 /// Tuning for [`RetryPolicy`].
 ///
@@ -250,144 +248,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A per-upstream circuit breaker fed jointly by hard failure events
-/// (attempt timeouts, connection resets) and composed-estimate
-/// confidence.
-///
-/// Unlike [`CircuitBreaker`](crate::CircuitBreaker) — which guards a
-/// *batching toggler* against learning from garbage — this breaker guards
-/// *routing*: while it is open, [`allow`](Self::allow) is false and the
-/// proxy sends new requests to the failover shard instead of queueing
-/// them behind a dead upstream. It reuses [`BreakerConfig`] (the
-/// `safe_on` field is meaningless for routing and ignored) and the same
-/// open/half-open/closed lifecycle with exponential re-probe backoff.
-#[derive(Debug, Clone)]
-pub struct UpstreamBreaker {
-    config: BreakerConfig,
-    state: BreakerState,
-    /// When the current open period ends (valid while `Open`).
-    reopen_at: Nanos,
-    /// Current re-probe backoff; doubles per failed probe, capped.
-    backoff: Nanos,
-    fail_streak: u32,
-    ok_streak: u32,
-    trips: u64,
-    reopens: u64,
-}
-
-impl UpstreamBreaker {
-    /// Builds a breaker with the given tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid configs
-    /// [`CircuitBreaker::new`](crate::CircuitBreaker::new) rejects.
-    pub fn new(config: BreakerConfig) -> Self {
-        assert!(
-            config.min_confidence > 0.0 && config.min_confidence <= 1.0,
-            "min_confidence out of range"
-        );
-        assert!(config.trip_after >= 1, "trip_after must be at least one");
-        assert!(config.restore_after >= 1, "restore_after must be at least one");
-        assert!(
-            !config.initial_backoff.is_zero() && config.initial_backoff <= config.max_backoff,
-            "backoff range inverted or zero"
-        );
-        UpstreamBreaker {
-            backoff: config.initial_backoff,
-            config,
-            state: BreakerState::Closed,
-            reopen_at: Nanos::ZERO,
-            fail_streak: 0,
-            ok_streak: 0,
-            trips: 0,
-            reopens: 0,
-        }
-    }
-
-    /// Current state, advancing `Open → HalfOpen` when the backoff has
-    /// elapsed.
-    pub fn state_at(&mut self, now: Nanos) -> BreakerState {
-        if self.state == BreakerState::Open && now >= self.reopen_at {
-            self.state = BreakerState::HalfOpen;
-            self.ok_streak = 0;
-        }
-        self.state
-    }
-
-    /// True when new requests may be sent to this upstream (closed, or
-    /// half-open probing).
-    pub fn allow(&mut self, now: Nanos) -> bool {
-        self.state_at(now) != BreakerState::Open
-    }
-
-    /// Records a hard failure: an attempt deadline expired or the
-    /// connection reset.
-    pub fn record_failure(&mut self, now: Nanos) {
-        match self.state_at(now) {
-            BreakerState::Closed => {
-                self.fail_streak += 1;
-                if self.fail_streak >= self.config.trip_after {
-                    self.trip(now);
-                }
-            }
-            // A failed probe re-opens immediately with doubled backoff.
-            BreakerState::HalfOpen => {
-                self.reopens += 1;
-                self.trip(now);
-            }
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Records a successful response from this upstream.
-    pub fn record_success(&mut self, now: Nanos) {
-        match self.state_at(now) {
-            BreakerState::Closed => self.fail_streak = 0,
-            BreakerState::HalfOpen => {
-                self.ok_streak += 1;
-                if self.ok_streak >= self.config.restore_after {
-                    self.state = BreakerState::Closed;
-                    self.fail_streak = 0;
-                    self.backoff = self.config.initial_backoff;
-                }
-            }
-            BreakerState::Open => {}
-        }
-    }
-
-    /// Feeds the composed estimate's confidence for this upstream: low
-    /// confidence counts toward the same trip streak as hard failures
-    /// (the estimator distrusting the back leg is evidence of the same
-    /// sickness a timeout is), high confidence relaxes it.
-    pub fn note_confidence(&mut self, now: Nanos, confidence: f64) {
-        if confidence < self.config.min_confidence {
-            self.record_failure(now);
-        } else if self.state_at(now) == BreakerState::Closed {
-            self.fail_streak = 0;
-        }
-    }
-
-    fn trip(&mut self, now: Nanos) {
-        self.state = BreakerState::Open;
-        self.reopen_at = now + self.backoff;
-        self.backoff = (self.backoff + self.backoff).min(self.config.max_backoff);
-        self.fail_streak = 0;
-        self.ok_streak = 0;
-        self.trips += 1;
-    }
-
-    /// Times the breaker tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
-    /// Failed probes: half-open periods that fell back to open.
-    pub fn reopens(&self) -> u64 {
-        self.reopens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,75 +353,5 @@ mod tests {
         // Estimate beyond the deadline: capped at half — any later and
         // the duplicate has less runway than the original already burned.
         assert_eq!(p.hedge_delay(Some(us(5000))), us(500));
-    }
-
-    fn bcfg() -> BreakerConfig {
-        BreakerConfig {
-            min_confidence: 0.5,
-            trip_after: 3,
-            safe_on: false,
-            initial_backoff: us(100),
-            max_backoff: us(400),
-            restore_after: 2,
-        }
-    }
-
-    #[test]
-    fn breaker_trips_on_failures_and_reprobes_with_backoff() {
-        let mut b = UpstreamBreaker::new(bcfg());
-        assert!(b.allow(us(0)));
-        b.record_failure(us(1));
-        b.record_failure(us(2));
-        assert!(b.allow(us(3)), "below trip_after");
-        b.record_failure(us(3));
-        assert_eq!(b.trips(), 1);
-        assert!(!b.allow(us(50)), "open");
-        // Backoff elapses → half-open probe allowed.
-        assert!(b.allow(us(103)));
-        assert_eq!(b.state_at(us(103)), BreakerState::HalfOpen);
-        // Failed probe: re-open with doubled backoff.
-        b.record_failure(us(104));
-        assert_eq!(b.reopens(), 1);
-        assert!(!b.allow(us(250)));
-        assert!(b.allow(us(304)), "200µs after the re-trip");
-        // Two good responses close it.
-        b.record_success(us(305));
-        b.record_success(us(306));
-        assert_eq!(b.state_at(us(306)), BreakerState::Closed);
-        // Closed resets the backoff ladder.
-        b.record_failure(us(400));
-        b.record_failure(us(401));
-        b.record_failure(us(402));
-        assert!(!b.allow(us(420)));
-        assert!(b.allow(us(502)), "initial backoff again after restore");
-    }
-
-    #[test]
-    fn confidence_feeds_the_same_trip_streak() {
-        let mut b = UpstreamBreaker::new(bcfg());
-        b.record_failure(us(1)); // a timeout...
-        b.note_confidence(us(2), 0.1); // ...plus collapsing confidence...
-        b.note_confidence(us(3), 0.2); // ...jointly trip the breaker.
-        assert_eq!(b.trips(), 1);
-        assert!(!b.allow(us(10)));
-        // And high confidence relaxes a partial streak.
-        let mut c = UpstreamBreaker::new(bcfg());
-        c.record_failure(us(1));
-        c.record_failure(us(2));
-        c.note_confidence(us(3), 0.9);
-        c.record_failure(us(4));
-        c.record_failure(us(5));
-        assert_eq!(c.trips(), 0, "streak was reset by confident estimate");
-    }
-
-    #[test]
-    fn successes_keep_a_closed_breaker_closed() {
-        let mut b = UpstreamBreaker::new(bcfg());
-        for t in 0..100u64 {
-            b.record_failure(us(2 * t));
-            b.record_success(us(2 * t + 1));
-        }
-        assert_eq!(b.trips(), 0);
-        assert!(b.allow(us(1000)));
     }
 }

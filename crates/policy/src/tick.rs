@@ -7,7 +7,7 @@
 //! fixed decision period, ignoring estimates that arrive in between — the
 //! knob the granularity-ablation benchmark sweeps.
 
-use e2e_core::{AggregateEstimate, Estimate};
+use e2e_core::Estimate;
 use littles::Nanos;
 
 use crate::toggler::BatchToggler;
@@ -51,22 +51,6 @@ impl<T: BatchToggler> TickController<T> {
             self.last_decision = Some(now);
             self.decisions += 1;
             self.inner.decide(estimate)
-        } else {
-            self.inner.current()
-        }
-    }
-
-    /// Offers a listener-wide aggregate at time `now`, with the same
-    /// once-per-period gating as [`offer`](TickController::offer).
-    pub fn offer_aggregate(&mut self, now: Nanos, aggregate: &AggregateEstimate) -> bool {
-        let due = match self.last_decision {
-            None => true,
-            Some(last) => now.saturating_sub(last) >= self.period,
-        };
-        if due {
-            self.last_decision = Some(now);
-            self.decisions += 1;
-            self.inner.decide_aggregate(aggregate)
         } else {
             self.inner.current()
         }
@@ -143,29 +127,5 @@ mod tests {
     fn zero_period_rejected() {
         let inner = EpsilonGreedy::new(Objective::MinLatency, 0.05, 4, 0.4, 4);
         let _ = TickController::new(inner, Nanos::ZERO);
-    }
-
-    #[test]
-    fn aggregate_offers_share_the_period_gate() {
-        let inner = EpsilonGreedy::new(Objective::MinLatency, 0.0, 1, 1.0, 5);
-        let mut c = TickController::new(inner, Nanos::from_millis(1));
-        let agg = AggregateEstimate {
-            at: Nanos::ZERO,
-            latency: Nanos::from_micros(100),
-            smoothed_latency: Nanos::from_micros(100),
-            throughput: 1.0,
-            connections: 4,
-            confidence: 1.0,
-            stale_connections: 0,
-            components: DelaySet::default(),
-        };
-        c.offer_aggregate(Nanos::ZERO, &agg);
-        assert_eq!(c.decisions(), 1);
-        // Within the period, neither flavour decides again.
-        c.offer(Nanos::from_micros(100), &est(100));
-        c.offer_aggregate(Nanos::from_micros(200), &agg);
-        assert_eq!(c.decisions(), 1);
-        c.offer_aggregate(Nanos::from_micros(1_100), &agg);
-        assert_eq!(c.decisions(), 2);
     }
 }

@@ -7,7 +7,7 @@
 //! otherwise exploits the better arm — "a light method \[that\] will
 //! suffice", as the paper speculates.
 
-use e2e_core::{AggregateEstimate, Estimate};
+use e2e_core::Estimate;
 use littles::Ewma;
 use simnet::Pcg32;
 
@@ -16,16 +16,9 @@ use crate::objective::Objective;
 /// A batching on/off policy consulted at every policy tick.
 pub trait BatchToggler {
     /// Feeds the latest estimate; returns whether batching should be
-    /// enabled until the next tick.
+    /// enabled until the next tick. A listener-wide aggregate (paper
+    /// §3.2) enters here too, as `AggregateEstimate::to_estimate`.
     fn decide(&mut self, estimate: &Estimate) -> bool;
-
-    /// Feeds a listener-wide aggregate (paper §3.2: per-connection
-    /// estimates "can be averaged if a batching policy simultaneously
-    /// affects multiple connections"). The default folds the aggregate
-    /// into its connection-shaped view and decides as usual.
-    fn decide_aggregate(&mut self, aggregate: &AggregateEstimate) -> bool {
-        self.decide(&aggregate.to_estimate())
-    }
 
     /// The current setting without feeding new data.
     fn current(&self) -> bool;
@@ -204,7 +197,7 @@ impl BatchToggler for EpsilonGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e2e_core::DelaySet;
+    use e2e_core::{AggregateEstimate, DelaySet};
     use littles::Nanos;
 
     fn est(latency_us: u64, tput: f64) -> Estimate {
@@ -384,8 +377,9 @@ mod tests {
         }
     }
 
-    /// Fed an aggregate instead of a single-connection estimate, the
-    /// bandit converges exactly the same way.
+    /// Fed an aggregate's connection-shaped view instead of a
+    /// single-connection estimate, the bandit converges exactly the same
+    /// way.
     #[test]
     fn converges_on_aggregates_like_on_estimates() {
         let mut single = EpsilonGreedy::new(Objective::MinLatency, 0.05, 2, 0.5, 1);
@@ -394,7 +388,7 @@ mod tests {
             let s_lat = if single.current() { 100 } else { 500 };
             single.decide(&est(s_lat, 10_000.0));
             let m_lat = if multi.current() { 100 } else { 500 };
-            multi.decide_aggregate(&agg(m_lat, 10_000.0, 16));
+            multi.decide(&agg(m_lat, 10_000.0, 16).to_estimate());
         }
         assert!(multi.current(), "aggregate-fed bandit settles on 'on'");
         assert_eq!(single.current(), multi.current());

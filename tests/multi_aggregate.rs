@@ -167,7 +167,7 @@ fn policy_on_aggregate_converges_like_hot_connection_alone() {
         agg.add(synthetic_estimate(hot_lat, 10_000.0));
         agg.add(synthetic_estimate(300, 100.0));
         agg.add(synthetic_estimate(300, 10.0));
-        multi_decisions.push(multi.decide_aggregate(&agg.aggregate().expect("aggregate")));
+        multi_decisions.push(multi.decide(&agg.aggregate().expect("aggregate").to_estimate()));
     }
     assert!(multi.current(), "aggregate-fed policy settles on batching");
     let on_solo = solo_decisions.iter().filter(|&&d| d).count();
