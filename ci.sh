@@ -22,6 +22,21 @@ echo "==> BENCHMARK.json matches the benchmark's own metric and workload tables"
 # a metric or workload added, renamed or re-bounded in one place only fails here.
 cargo run -q --offline --locked --manifest-path benchmark/Cargo.toml -- --describe | diff - BENCHMARK.json
 
+# One benchmark run re-checks that its harness equals the runner's, that
+# every socket's invariants hold and that every completed request was
+# sampled, and reports all three as `"correct"` on its last stdout line.
+bench_correct() {
+    result=$(benchmark/run.sh --workload "$1" --seconds 1 --seed 1 --trace 0 | tail -n 1)
+    echo "$result"
+    echo "$result" | grep -q '"correct": *true'
+}
+
+echo "==> benchmark is correct on star64_mix_plane (plane seats on every client and the listener)"
+bench_correct star64_mix_plane
+
+echo "==> benchmark is correct on tier8x4_brownout (per-shard seats on the composed proxy estimate)"
+bench_correct tier8x4_brownout
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -1,22 +1,22 @@
 //! Estimation and policy plumbing shared by client and server apps.
 //!
 //! Every driver here is the paper's §4–5 loop — tick → estimate → decide
-//! → actuate — at one seat. A [`PlaneDriver`] watches one connection: on
-//! the endpoint's periodic tick it updates an [`EstimateRecorder`] (the
-//! "estimated" curves of Figure 4), offers the estimate to a
-//! [`ControlPlane`], and actuates every knob the plane controls through
-//! [`HostCtx::apply`]. A [`ListenerPlaneDriver`] does the same over the
-//! throughput-weighted aggregate of many connections, and a
-//! [`ProxyDriver`] holds one such seat per shard. Dynamic Nagle toggling
-//! is the plane with only its Nagle knob attached; [`AimdDriver`] is the
-//! §5 gradual limit on its own.
+//! → actuate — at one seat. A [`Seat`] owns one [`ControlPlane`] and an
+//! estimate source: each tick it offers the source's [`Estimate`] to the
+//! plane and actuates every knob the plane controls through
+//! [`HostCtx::apply`]. A [`PlaneDriver`] is the seat over one
+//! connection's [`EstimateRecorder`] (the "estimated" curves of Figure
+//! 4); a [`ListenerPlaneDriver`] is the seat over a [`ListenerRecorder`],
+//! whose estimate is the throughput-weighted aggregate of many
+//! connections; a [`ProxyDriver`] holds one listener seat per shard.
+//! Dynamic Nagle toggling is the plane with only its Nagle knob attached;
+//! [`AimdDriver`] is the §5 gradual limit on its own.
 //!
-//! The estimate source of the single-connection drivers is an
-//! [`EstimateRecorder`], which does that work only when the socket has
-//! changed since the previous tick and otherwise defers it; the deferred
-//! ticks are later replayed through the unchanged estimator, except that
-//! a long stretch's middle — where every replayed tick provably repeats
-//! the one before — is applied in closed form (DESIGN.md §11,
+//! An [`EstimateRecorder`] does its work only when the socket has changed
+//! since the previous tick and otherwise defers it; the deferred ticks
+//! are later replayed through the unchanged estimator, except that a long
+//! stretch's middle — where every replayed tick provably repeats the one
+//! before — is applied in closed form (DESIGN.md §11,
 //! "Activity-proportional estimation").
 
 use std::borrow::Cow;
@@ -25,23 +25,12 @@ use batchpolicy::{AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, Ti
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
 use e2e_core::compose::compose_two;
 use e2e_core::hints::HintEstimator;
-use e2e_core::{
-    AggregateEstimate, E2eEstimator, Estimate, EstimatorRegistry, ValidateConfig, ValidateStats,
-};
+use e2e_core::{E2eEstimator, Estimate, EstimatorRegistry, ValidateConfig, ValidateStats};
 use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
 
 use crate::runlog::{Run, RunLog};
-
-/// One recorded estimate sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimateSample {
-    /// Sample time.
-    pub at: Nanos,
-    /// The estimate.
-    pub estimate: Estimate,
-}
 
 /// What one estimator update reads from a socket: its local queue
 /// snapshots at `now`, the peer's latest exchange, and the smoothed RTT
@@ -169,8 +158,8 @@ pub struct EstimateRecorder {
     /// The recorded series of (latency, throughput), one sample per tick
     /// that produced an estimate.
     log: RunLog<LoggedEstimate>,
-    /// The newest recorded sample in full.
-    last: Option<EstimateSample>,
+    /// The newest recorded estimate in full.
+    last: Option<Estimate>,
     /// Checkpoints of the estimator's cumulative (local, remote) windows,
     /// taken at ticks that folded in a fresh exchange. Range queries
     /// difference two checkpoints and evaluate the decomposition over the
@@ -356,7 +345,7 @@ impl EstimateRecorder {
         let estimate = self.estimator.update_validated(now, local, remote, srtt);
         if let Some(estimate) = estimate {
             self.log.push(now, LoggedEstimate::of(estimate));
-            self.last = Some(EstimateSample { at: now, estimate });
+            self.last = Some(estimate);
         }
         if self.estimator.remote_epoch() != self.cum_epoch {
             self.cum_epoch = self.estimator.remote_epoch();
@@ -377,8 +366,8 @@ impl EstimateRecorder {
         Cow::Owned(copy)
     }
 
-    /// The newest recorded sample, every tick so far accounted for.
-    pub fn latest(&mut self) -> Option<EstimateSample> {
+    /// The newest recorded estimate, every tick so far accounted for.
+    pub fn latest(&mut self) -> Option<Estimate> {
         self.flush();
         self.last
     }
@@ -542,28 +531,6 @@ impl HintRecorder {
     }
 }
 
-/// How often a driver's headline (Nagle) decision was "batch".
-#[derive(Debug, Clone, Copy, Default)]
-struct OnTicks {
-    on: u64,
-    ticks: u64,
-}
-
-impl OnTicks {
-    fn record(&mut self, on: bool) {
-        self.on += u64::from(on);
-        self.ticks += 1;
-    }
-
-    /// Fraction of decisions with batching on (zero before the first).
-    fn fraction(&self) -> f64 {
-        if self.ticks == 0 {
-            return 0.0;
-        }
-        self.on as f64 / self.ticks as f64
-    }
-}
-
 /// Estimation plus AIMD actuation: drives the socket's gradual batch
 /// limit (paper §5, "Better Batching Heuristics") instead of a binary
 /// Nagle switch.
@@ -590,8 +557,8 @@ impl AimdDriver {
     /// uniform knob path (`KnobSetting::CorkLimit`).
     pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.latest() {
-            let limit = self.controller.update(&sample.estimate);
+        if let Some(estimate) = self.recorder.latest() {
+            let limit = self.controller.update(&estimate);
             self.limits.push(ctx.now(), limit);
             ctx.apply(sock, KnobSetting::CorkLimit(limit));
         }
@@ -608,86 +575,79 @@ impl AimdDriver {
     }
 }
 
-/// The settings a plane driver actuates this tick: the plane's learned
-/// settings while the surrounding breaker is closed, its safe static
-/// corner otherwise. `on` is the breaker-filtered headline decision, so
-/// for a Nagle-only plane this is exactly `[Nagle(on)]` either way.
-fn plane_settings(
-    controller: &TickController<CircuitBreaker<ControlPlane>>,
-    on: bool,
-) -> Vec<KnobSetting> {
-    let breaker = controller.inner();
-    if breaker.state() == BreakerState::Closed {
-        breaker.inner().settings()
-    } else {
-        debug_assert_eq!(on, breaker.safe_on(), "degraded decision is the safe mode");
-        breaker.inner().safe_settings(on)
-    }
-}
+/// What a [`Seat`] estimates with.
+pub trait EstimateSource {
+    /// An unsmoothed source estimating in `unit`.
+    fn new(unit: Unit) -> Self;
 
-/// Estimation plus multi-knob actuation: one [`ControlPlane`] decision
-/// per tick, routed per-knob component views, every controlled knob
-/// actuated through [`HostCtx::apply`].
-#[derive(Debug)]
-pub struct PlaneDriver {
-    /// The estimate source.
-    pub recorder: EstimateRecorder,
-    controller: TickController<CircuitBreaker<ControlPlane>>,
-    toggles: OnTicks,
-}
-
-impl PlaneDriver {
-    /// Creates a driver estimating in `unit` and deciding with the given
-    /// control plane (wrapped in a — possibly disabled — circuit
-    /// breaker).
-    pub fn new(unit: Unit, controller: TickController<CircuitBreaker<ControlPlane>>) -> Self {
-        PlaneDriver {
-            recorder: EstimateRecorder::new(unit),
-            controller,
-            toggles: OnTicks::default(),
-        }
-    }
-
-    /// Bounds how long this driver's estimator trusts a cached remote
-    /// window.
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.recorder = self.recorder.with_staleness_bound(bound);
-        self
-    }
+    /// Bounds how long the source's estimators trust a cached remote
+    /// window (see [`E2eEstimator::with_staleness_bound`]).
+    fn with_staleness_bound(self, bound: Nanos) -> Self;
 
     /// Validates every incoming exchange before it can influence the
-    /// plane's estimate.
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.recorder = self.recorder.with_validation(config);
-        self
+    /// source's estimate (see [`E2eEstimator::with_validation`]).
+    fn with_validation(self, config: ValidateConfig) -> Self;
+}
+
+impl EstimateSource for EstimateRecorder {
+    fn new(unit: Unit) -> Self {
+        EstimateRecorder::new(unit)
     }
 
-    /// The circuit breaker around the plane.
-    pub fn breaker(&self) -> &CircuitBreaker<ControlPlane> {
-        self.controller.inner()
+    fn with_staleness_bound(self, bound: Nanos) -> Self {
+        EstimateRecorder::with_staleness_bound(self, bound)
     }
 
-    /// The control plane itself.
-    pub fn plane(&self) -> &ControlPlane {
-        self.controller.inner().inner()
+    fn with_validation(self, config: ValidateConfig) -> Self {
+        EstimateRecorder::with_validation(self, config)
     }
+}
 
-    /// Runs one tick: estimate, decide across every knob, actuate each
-    /// knob's setting.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        self.recorder.tick(ctx, sock);
-        if let Some(sample) = self.recorder.latest() {
-            let on = self.controller.offer(ctx.now(), &sample.estimate);
-            self.toggles.record(on);
-            for setting in plane_settings(&self.controller, on) {
-                ctx.apply(sock, setting);
-            }
+/// Listener-wide estimate recording (paper §3.2, last paragraph): one
+/// [`E2eEstimator`] per connection inside an [`EstimatorRegistry`], whose
+/// throughput-weighted aggregate is the estimate, and the estimate
+/// logged at every deciding tick. With one connection the aggregate is
+/// that connection's estimate.
+#[derive(Debug)]
+pub struct ListenerRecorder {
+    unit: Unit,
+    registry: EstimatorRegistry,
+    /// The estimate logged at every deciding tick.
+    series: Vec<(Nanos, Estimate)>,
+}
+
+impl EstimateSource for ListenerRecorder {
+    fn new(unit: Unit) -> Self {
+        ListenerRecorder {
+            unit,
+            registry: EstimatorRegistry::new(WireScale::default(), 1.0),
+            series: Vec::new(),
         }
     }
 
-    /// Fraction of ticks with batching on.
-    pub fn on_fraction(&self) -> f64 {
-        self.toggles.fraction()
+    fn with_staleness_bound(mut self, bound: Nanos) -> Self {
+        self.registry = self.registry.with_staleness_bound(bound);
+        self
+    }
+
+    fn with_validation(mut self, config: ValidateConfig) -> Self {
+        self.registry = self.registry.with_validation(config);
+        self
+    }
+}
+
+impl ListenerRecorder {
+    /// Mean logged latency over `[from, to)`.
+    pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
+        let mut sum = 0u128;
+        let mut n = 0u64;
+        for (at, estimate) in &self.series {
+            if *at >= from && *at < to {
+                sum += estimate.latency.as_nanos() as u128;
+                n += 1;
+            }
+        }
+        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
     }
 }
 
@@ -705,63 +665,58 @@ fn feed(
     registry.update_validated(conn, now, local, remote, srtt);
 }
 
-/// Listener-wide estimation plus multi-knob actuation (paper §3.2, last
-/// paragraph): the control seat over a *set* of connections.
-///
-/// Where a [`PlaneDriver`] watches one connection, this runs one
-/// [`E2eEstimator`] per connection inside an [`EstimatorRegistry`], folds
-/// their latest estimates into a throughput-weighted
-/// [`AggregateEstimate`] each tick, lets one [`ControlPlane`] make a
-/// *single* decision on the aggregate, and applies every knob's setting
-/// to every connection — the listener-wide default a server actually
-/// toggles. With one connection the aggregate degenerates to that
-/// connection's estimate. A [`ProxyDriver`] holds one of these per
-/// shard, over that shard's upstream connection.
+/// One control seat: a [`ControlPlane`], wrapped in a — possibly
+/// disabled — circuit breaker, deciding on the estimate of its source
+/// `S` once per tick and actuating every knob it controls through
+/// [`HostCtx::apply`].
 #[derive(Debug)]
-pub struct ListenerPlaneDriver {
-    /// The message unit the per-connection estimators use.
-    pub unit: Unit,
-    registry: EstimatorRegistry,
+pub struct Seat<S> {
+    /// The estimate source.
+    pub recorder: S,
     controller: TickController<CircuitBreaker<ControlPlane>>,
-    toggles: OnTicks,
-    /// The estimate logged at every deciding tick.
-    series: Vec<(Nanos, AggregateEstimate)>,
+    /// Headline (Nagle) decisions that were "batch", and all decisions.
+    on: u64,
+    decisions: u64,
 }
 
-impl ListenerPlaneDriver {
-    /// Creates a driver estimating in `unit` and deciding with the given
-    /// control plane (wrapped in a — possibly disabled — circuit
-    /// breaker). The registry's estimators are unsmoothed, matching
-    /// [`EstimateRecorder`].
+/// The seat over one connection: it decides on that connection's
+/// estimate and actuates its socket.
+pub type PlaneDriver = Seat<EstimateRecorder>;
+
+/// The seat over a set of connections: it decides once on their
+/// aggregate and applies every knob's setting to every connection — the
+/// listener-wide default a server actually toggles. A [`ProxyDriver`]
+/// holds one of these per shard, over that shard's upstream connection.
+pub type ListenerPlaneDriver = Seat<ListenerRecorder>;
+
+impl<S: EstimateSource> Seat<S> {
+    /// Creates a seat estimating in `unit` and deciding with the given
+    /// control plane.
     pub fn new(unit: Unit, controller: TickController<CircuitBreaker<ControlPlane>>) -> Self {
-        ListenerPlaneDriver {
-            unit,
-            registry: EstimatorRegistry::new(WireScale::default(), 1.0),
+        Seat {
+            recorder: S::new(unit),
             controller,
-            toggles: OnTicks::default(),
-            series: Vec::new(),
+            on: 0,
+            decisions: 0,
         }
     }
 
-    /// Applies a staleness bound to every per-connection estimator the
-    /// registry creates (see [`EstimatorRegistry::with_staleness_bound`]).
+    /// Bounds how long the seat's estimators trust a cached remote
+    /// window.
     pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.registry = self.registry.with_staleness_bound(bound);
+        self.recorder = self.recorder.with_staleness_bound(bound);
         self
     }
 
-    /// Applies peer-state validation to every per-connection estimator
-    /// the registry creates.
+    /// Validates every incoming exchange before it can influence the
+    /// plane's estimate.
     pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.registry = self.registry.with_validation(config);
+        self.recorder = self.recorder.with_validation(config);
         self
     }
+}
 
-    /// Validation counters summed across every connection's estimator.
-    pub fn validation_stats(&self) -> ValidateStats {
-        self.registry.validation_stats()
-    }
-
+impl<S> Seat<S> {
     /// The circuit breaker around the plane.
     pub fn breaker(&self) -> &CircuitBreaker<ControlPlane> {
         self.controller.inner()
@@ -772,58 +727,79 @@ impl ListenerPlaneDriver {
         self.controller.inner().inner()
     }
 
-    /// Runs one tick over every live connection: update each estimator,
-    /// aggregate, decide once across every knob, actuate everywhere.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
-        for &sock in socks {
-            feed(&mut self.registry, ctx, self.unit, sock.0 as u64, sock);
+    /// Fraction of decisions with batching on (zero before the first).
+    pub fn on_fraction(&self) -> f64 {
+        if self.decisions == 0 {
+            return 0.0;
         }
-        self.decide(ctx, socks, None);
+        self.on as f64 / self.decisions as f64
     }
 
-    /// The deciding half of a tick: aggregate the registry, offer the
-    /// aggregate to the plane, and apply every knob's setting to every
-    /// socket in `socks`. What is logged is the aggregate, composed with
-    /// the leg in `front` of it when there is one. Nothing happens until
-    /// the registry has an estimate.
-    fn decide(
-        &mut self,
-        ctx: &mut HostCtx<'_>,
-        socks: &[SocketId],
-        front: Option<&AggregateEstimate>,
-    ) {
-        let Some(aggregate) = self.registry.aggregate() else {
-            return;
+    /// The deciding half of a tick: offer `estimate` to the plane, count
+    /// the headline decision, and apply every knob's setting to every
+    /// socket in `socks` — the plane's learned settings while the breaker
+    /// is closed, its safe static corner otherwise.
+    fn decide(&mut self, ctx: &mut HostCtx<'_>, estimate: &Estimate, socks: &[SocketId]) {
+        let on = self.controller.offer(ctx.now(), estimate);
+        self.on += u64::from(on);
+        self.decisions += 1;
+        let breaker = self.controller.inner();
+        let settings = if breaker.state() == BreakerState::Closed {
+            breaker.inner().settings()
+        } else {
+            debug_assert_eq!(on, breaker.safe_on(), "degraded decision is the safe mode");
+            breaker.inner().safe_settings(on)
         };
-        let now = ctx.now();
-        let on = self.controller.offer(now, &aggregate.to_estimate());
-        let logged = front.map_or(aggregate, |f| compose_two(f, &aggregate));
-        self.series.push((now, logged));
-        self.toggles.record(on);
-        let settings = plane_settings(&self.controller, on);
         for &sock in socks {
             for &setting in &settings {
                 ctx.apply(sock, setting);
             }
         }
     }
+}
 
-    /// Fraction of ticks with batching on.
-    pub fn on_fraction(&self) -> f64 {
-        self.toggles.fraction()
+impl PlaneDriver {
+    /// Runs one tick: estimate, decide across every knob, actuate each
+    /// knob's setting on the socket.
+    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
+        self.recorder.tick(ctx, sock);
+        if let Some(estimate) = self.recorder.latest() {
+            self.decide(ctx, &estimate, &[sock]);
+        }
+    }
+}
+
+impl ListenerPlaneDriver {
+    /// Validation counters summed across every connection's estimator.
+    pub fn validation_stats(&self) -> ValidateStats {
+        self.recorder.registry.validation_stats()
     }
 
-    /// Mean logged latency over `[from, to)`.
-    pub fn mean_aggregate_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (at, agg) in &self.series {
-            if *at >= from && *at < to {
-                sum += agg.latency.as_nanos() as u128;
-                n += 1;
-            }
+    /// Runs one tick over every live connection: update each estimator,
+    /// aggregate, decide once across every knob, actuate everywhere.
+    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
+        let rec = &mut self.recorder;
+        for &sock in socks {
+            feed(&mut rec.registry, ctx, rec.unit, sock.0 as u64, sock);
         }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
+        self.decide_on_aggregate(ctx, socks, None);
+    }
+
+    /// Decides on the registry's aggregate over `socks`, logging it
+    /// composed with the leg in `front` of it when there is one. Nothing
+    /// happens until the registry has an estimate.
+    fn decide_on_aggregate(
+        &mut self,
+        ctx: &mut HostCtx<'_>,
+        socks: &[SocketId],
+        front: Option<&Estimate>,
+    ) {
+        let Some(aggregate) = self.recorder.registry.aggregate() else {
+            return;
+        };
+        let logged = front.map_or(aggregate, |f| compose_two(f, &aggregate));
+        self.recorder.series.push((ctx.now(), logged));
+        self.decide(ctx, &aggregate, socks);
     }
 }
 
@@ -835,7 +811,7 @@ impl ListenerPlaneDriver {
 /// runs one front [`EstimatorRegistry`] over all accepted client
 /// connections and one [`ListenerPlaneDriver`] seat per shard over that
 /// shard's upstream, and — per shard — composes the two legs into a
-/// service-level [`AggregateEstimate`] ([`compose_two`]: latencies summed
+/// service-level [`Estimate`] ([`compose_two`]: latencies summed
 /// along the path as in Figure 3, confidence the weakest leg's). The
 /// composed series is what each seat logs, the *reporting* view: it is
 /// what ranks shards by end-to-end delay. Each shard's [`ControlPlane`]
@@ -912,11 +888,6 @@ impl ProxyDriver {
         self.seats.len()
     }
 
-    /// The circuit breaker around one shard's plane.
-    pub fn breaker(&self, shard: usize) -> &CircuitBreaker<ControlPlane> {
-        self.seats[shard].breaker()
-    }
-
     /// One shard's control plane.
     pub fn plane(&self, shard: usize) -> &ControlPlane {
         self.seats[shard].plane()
@@ -942,7 +913,7 @@ impl ProxyDriver {
             // Connection 0 whatever the socket: a replacement upstream
             // after a shard crash continues the same estimator, which is
             // how its new epoch gets noticed.
-            feed(&mut seat.registry, ctx, self.unit, 0, sock);
+            feed(&mut seat.recorder.registry, ctx, self.unit, 0, sock);
             // The plane decides on the back leg: the Nagle knob only
             // shapes proxy → shard traffic, and the front leg's aggregate
             // delay is common to every shard — composing it in would only
@@ -950,7 +921,7 @@ impl ProxyDriver {
             // the composed view; until the front leg estimates (e.g.
             // clients still idle) the back leg alone is the best
             // available service view.
-            seat.decide(ctx, &[sock], front.as_ref());
+            seat.decide_on_aggregate(ctx, &[sock], front.as_ref());
         }
     }
 
@@ -961,17 +932,17 @@ impl ProxyDriver {
 
     /// One shard's recorded *composed* (front + back) estimate series —
     /// the service-level view that ranks shards by end-to-end latency.
-    pub fn shard_series(&self, shard: usize) -> &[(Nanos, AggregateEstimate)] {
-        &self.seats[shard].series
+    pub fn shard_series(&self, shard: usize) -> &[(Nanos, Estimate)] {
+        &self.seats[shard].recorder.series
     }
 
     /// The newest composed (front + back) service estimate for one shard.
-    pub fn latest_composed(&self, shard: usize) -> Option<&AggregateEstimate> {
-        self.seats[shard].series.last().map(|(_, e)| e)
+    pub fn latest_composed(&self, shard: usize) -> Option<&Estimate> {
+        self.seats[shard].recorder.series.last().map(|(_, e)| e)
     }
 
     /// Mean composed service latency for one shard over `[from, to)`.
     pub fn shard_mean_latency_in(&self, shard: usize, from: Nanos, to: Nanos) -> Option<Nanos> {
-        self.seats[shard].mean_aggregate_latency_in(from, to)
+        self.seats[shard].recorder.mean_latency_in(from, to)
     }
 }

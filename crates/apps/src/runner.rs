@@ -226,8 +226,6 @@ pub struct PointResult {
     pub samples: u64,
     /// Byte-unit Little's-law estimate (the paper's prototype).
     pub estimated_bytes: Option<Nanos>,
-    /// Packet-unit estimate.
-    pub estimated_packets: Option<Nanos>,
     /// Message-unit (send-syscall) estimate.
     pub estimated_messages: Option<Nanos>,
     /// Hint-based estimate recorded at the server (§3.3).
@@ -447,7 +445,6 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
             cfg.warmup + cfg.measure,
         )
         .with_recorder(recorder(Unit::Bytes))
-        .with_recorder(recorder(Unit::Packets))
         .with_recorder(recorder(Unit::Messages));
         if cfg.use_hints {
             client = client.with_hints();
@@ -630,7 +627,6 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         measured_p99: hist.p99(),
         samples: hist.count(),
         estimated_bytes: rec(Unit::Bytes),
-        estimated_packets: rec(Unit::Packets),
         estimated_messages: rec(Unit::Messages),
         estimated_hint: sim.server.hint_mean_latency_in(from, to),
         tracker_mean: lg0.tracker_averages().and_then(|a| a.delay),
@@ -645,7 +641,7 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
         server_on_fraction: listener.map(|p| p.on_fraction()),
         exchanges_received: per_client.iter().map(|c| c.exchanges_received).sum(),
         num_clients: n,
-        server_aggregate_latency: listener.and_then(|p| p.mean_aggregate_latency_in(from, to)),
+        server_aggregate_latency: listener.and_then(|p| p.recorder.mean_latency_in(from, to)),
         per_client,
         link_faults: sim
             .fault_plan()

@@ -126,7 +126,6 @@ mod tests {
             measured_p99: None,
             samples: 100,
             estimated_bytes: Some(Nanos::from_micros(est_us)),
-            estimated_packets: None,
             estimated_messages: None,
             estimated_hint: None,
             tracker_mean: None,

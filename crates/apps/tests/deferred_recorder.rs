@@ -261,7 +261,7 @@ impl Churn {
             let latest = self.eager.deferred.latest();
             let expect = self.eager.reference.series.last();
             assert_eq!(
-                latest.map(|s| (s.at, s.estimate)),
+                latest.map(|e| (e.at, e)),
                 expect.copied(),
                 "the estimate a per-tick consumer reads"
             );

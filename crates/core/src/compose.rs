@@ -11,50 +11,39 @@
 //! is only as trustworthy as its least-trusted segment.
 
 use crate::combine::DelaySet;
-use crate::multi::AggregateEstimate;
+use crate::estimator::Estimate;
 
-/// Composes per-leg aggregates into one service-level estimate for the
-/// whole path, leg order front-to-back (client-facing leg first).
+/// Composes two legs' estimates into one service-level estimate for the
+/// whole path, `front` the client-facing leg — the two-tier proxy case.
 ///
-/// * latency / smoothed latency / delay components: summed across legs
-///   (the request traverses every leg in series);
-/// * throughput: the minimum across legs (the path drains no faster than
-///   its bottleneck);
-/// * confidence: the minimum across legs;
-/// * `at`: the newest leg's timestamp (the estimate is as fresh as the
-///   most recently updated leg, but see confidence for trust);
-/// * connection counts (total and stale): summed.
+/// * latency, smoothed latency, both views and the delay components:
+///   summed (the request traverses both legs in series);
+/// * throughput: the minimum (the path drains no faster than its
+///   bottleneck);
+/// * confidence: the minimum;
+/// * `at`: the newer leg's timestamp (the estimate is as fresh as the
+///   more recently updated leg, but see confidence for trust);
+/// * `remote_stale`: only when both legs are.
 ///
-/// Returns `None` when `legs` is empty — a path with no observed legs has
-/// no estimate.
-pub fn compose_legs(legs: &[AggregateEstimate]) -> Option<AggregateEstimate> {
-    let first = legs.first()?;
-    let mut out = *first;
-    for leg in &legs[1..] {
-        out.at = out.at.max(leg.at);
-        out.latency += leg.latency;
-        out.smoothed_latency += leg.smoothed_latency;
-        out.throughput = out.throughput.min(leg.throughput);
-        out.connections += leg.connections;
-        out.confidence = out.confidence.min(leg.confidence);
-        out.stale_connections += leg.stale_connections;
-        out.components = DelaySet {
-            unacked_near: out.components.unacked_near + leg.components.unacked_near,
-            ackdelay_far: out.components.ackdelay_far + leg.components.ackdelay_far,
-            unread_near: out.components.unread_near + leg.components.unread_near,
-            unread_far: out.components.unread_far + leg.components.unread_far,
-        };
+/// A longer path composes by chaining: the result is an estimate too.
+pub fn compose_two(front: &Estimate, back: &Estimate) -> Estimate {
+    let (f, b) = (&front.components, &back.components);
+    Estimate {
+        at: front.at.max(back.at),
+        latency: front.latency + back.latency,
+        smoothed_latency: front.smoothed_latency + back.smoothed_latency,
+        throughput: front.throughput.min(back.throughput),
+        local_view: front.local_view + back.local_view,
+        remote_view: front.remote_view + back.remote_view,
+        confidence: front.confidence.min(back.confidence),
+        remote_stale: front.remote_stale && back.remote_stale,
+        components: DelaySet {
+            unacked_near: f.unacked_near + b.unacked_near,
+            ackdelay_far: f.ackdelay_far + b.ackdelay_far,
+            unread_near: f.unread_near + b.unread_near,
+            unread_far: f.unread_far + b.unread_far,
+        },
     }
-    Some(out)
-}
-
-/// [`compose_legs`] over exactly two legs — the two-tier proxy case,
-/// named for call-site clarity.
-pub fn compose_two(front: &AggregateEstimate, back: &AggregateEstimate) -> AggregateEstimate {
-    // The None arm is unreachable (the slice is non-empty by
-    // construction), but falling back to the front leg keeps this
-    // panic-free library code.
-    compose_legs(&[*front, *back]).unwrap_or(*front)
 }
 
 #[cfg(test)]
@@ -62,15 +51,16 @@ mod tests {
     use super::*;
     use littles::Nanos;
 
-    fn leg(latency_us: u64, tput: f64, confidence: f64, at_us: u64) -> AggregateEstimate {
-        AggregateEstimate {
+    fn leg(latency_us: u64, tput: f64, confidence: f64, at_us: u64) -> Estimate {
+        Estimate {
             at: Nanos::from_micros(at_us),
             latency: Nanos::from_micros(latency_us),
             smoothed_latency: Nanos::from_micros(latency_us),
             throughput: tput,
-            connections: 1,
+            local_view: Nanos::from_micros(latency_us),
+            remote_view: Nanos::from_micros(latency_us),
             confidence,
-            stale_connections: 0,
+            remote_stale: false,
             components: DelaySet {
                 unacked_near: Nanos::from_micros(latency_us),
                 ackdelay_far: Nanos::ZERO,
@@ -78,18 +68,6 @@ mod tests {
                 unread_far: Nanos::ZERO,
             },
         }
-    }
-
-    #[test]
-    fn no_legs_no_estimate() {
-        assert!(compose_legs(&[]).is_none());
-    }
-
-    #[test]
-    fn single_leg_passes_through() {
-        let l = leg(100, 5_000.0, 0.8, 10);
-        let c = compose_legs(&[l]).unwrap();
-        assert_eq!(c, l);
     }
 
     #[test]
@@ -101,7 +79,7 @@ mod tests {
         assert_eq!(c.smoothed_latency, Nanos::from_micros(350));
         assert!((c.throughput - 4_000.0).abs() < 1e-9, "bottleneck leg wins");
         assert_eq!(c.at, Nanos::from_micros(30), "freshest leg stamps the path");
-        assert_eq!(c.connections, 2);
+        assert_eq!(c.local_view, Nanos::from_micros(350));
     }
 
     #[test]
@@ -125,12 +103,13 @@ mod tests {
     }
 
     #[test]
-    fn stale_counts_accumulate() {
+    fn stale_only_when_both_legs_are() {
         let mut front = leg(100, 1_000.0, 1.0, 10);
-        front.stale_connections = 2;
         let mut back = leg(100, 1_000.0, 1.0, 10);
-        back.stale_connections = 1;
-        assert_eq!(compose_two(&front, &back).stale_connections, 3);
+        front.remote_stale = true;
+        assert!(!compose_two(&front, &back).remote_stale);
+        back.remote_stale = true;
+        assert!(compose_two(&front, &back).remote_stale);
     }
 
     #[test]
@@ -140,7 +119,7 @@ mod tests {
             leg(50, 2_000.0, 0.7, 15),
             leg(25, 6_000.0, 1.0, 10),
         ];
-        let c = compose_legs(&legs).unwrap();
+        let c = compose_two(&compose_two(&legs[0], &legs[1]), &legs[2]);
         assert_eq!(c.latency, Nanos::from_micros(175));
         assert!((c.throughput - 2_000.0).abs() < 1e-9);
         assert!((c.confidence - 0.7).abs() < 1e-9);

@@ -28,7 +28,7 @@
 //!   estimate derived from forwarded hints.
 //! * [`multi`] — aggregation across connections for policies that toggle
 //!   batching machine-wide.
-//! * [`compose`] — composition of per-leg aggregates along a multi-hop
+//! * [`compose`] — composition of per-leg estimates along a multi-hop
 //!   path (client → proxy → shard), latencies summed per Figure 3,
 //!   confidence the weakest leg's.
 //! * [`route`] — per-knob views on estimates: each batching knob's
@@ -55,10 +55,10 @@ pub mod route;
 pub mod validate;
 
 pub use combine::{combine_delays, DelaySet, EndpointSnapshots, EndpointWindows, QueueWindow};
-pub use compose::{compose_legs, compose_two};
+pub use compose::compose_two;
 pub use estimator::{E2eEstimator, Estimate};
 pub use hints::{HintEstimator, RequestTracker};
-pub use multi::{AggregateEstimate, EstimatorRegistry, MultiConnectionAggregator};
+pub use multi::{EstimatorRegistry, MultiConnectionAggregator};
 pub use route::Knob;
 pub use validate::{
     Admission, ExchangeValidator, RejectReason, ValidateConfig, ValidateCtx, ValidateStats,

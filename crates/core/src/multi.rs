@@ -20,53 +20,6 @@ pub struct MultiConnectionAggregator {
     estimates: Vec<Estimate>,
 }
 
-/// The aggregate result.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AggregateEstimate {
-    /// When the newest contributing estimate was formed.
-    pub at: Nanos,
-    /// Throughput-weighted mean latency.
-    pub latency: Nanos,
-    /// Throughput-weighted mean of the per-connection smoothed latencies.
-    pub smoothed_latency: Nanos,
-    /// Total throughput across connections (items/second).
-    pub throughput: f64,
-    /// Number of connections that contributed.
-    pub connections: usize,
-    /// Throughput-weighted mean of the per-connection confidences.
-    pub confidence: f64,
-    /// Connections whose contribution was a stale local-only fallback.
-    pub stale_connections: usize,
-    /// Throughput-weighted mean of the per-connection delay components,
-    /// aggregated field-by-field so per-knob routing (see
-    /// [`crate::route::Knob`]) works on the listener-wide view too.
-    pub components: DelaySet,
-}
-
-impl AggregateEstimate {
-    /// Views the aggregate as a single connection-shaped [`Estimate`], so
-    /// policy code written against one connection accepts a listener-wide
-    /// view unchanged. This is how an aggregate enters the policy stack.
-    ///
-    /// The view is `remote_stale` only when every contributing connection
-    /// is. A stale connection's confidence is zero, so beside fresh ones
-    /// it already pulls the throughput-weighted confidence down; it must
-    /// not trip a breaker on its own.
-    pub fn to_estimate(&self) -> Estimate {
-        Estimate {
-            at: self.at,
-            latency: self.latency,
-            smoothed_latency: self.smoothed_latency,
-            throughput: self.throughput,
-            local_view: self.latency,
-            remote_view: self.latency,
-            confidence: self.confidence,
-            remote_stale: self.connections > 0 && self.stale_connections == self.connections,
-            components: self.components,
-        }
-    }
-}
-
 impl MultiConnectionAggregator {
     /// Creates an empty aggregator.
     pub fn new() -> Self {
@@ -79,9 +32,18 @@ impl MultiConnectionAggregator {
     }
 
     /// Computes the throughput-weighted aggregate and clears the round.
-    /// Connections with zero throughput contribute equally with a tiny
-    /// weight so an all-idle round still yields a (plain-mean) answer.
-    pub fn aggregate(&mut self) -> Option<AggregateEstimate> {
+    ///
+    /// Each connection's latency, smoothed latency, delay components and
+    /// confidence are weighted by its share of the total throughput, so a
+    /// connection with zero throughput contributes nothing; only a round
+    /// where every connection is idle takes the plain mean instead. The
+    /// aggregate's throughput is the total, its `at` the newest
+    /// contribution's, and both its views are its latency. It is
+    /// `remote_stale` only when every contribution is: a stale
+    /// connection's confidence is zero, so beside fresh ones it already
+    /// pulls the weighted confidence down, and it must not trip a breaker
+    /// on its own.
+    pub fn aggregate(&mut self) -> Option<Estimate> {
         if self.estimates.is_empty() {
             return None;
         }
@@ -110,8 +72,6 @@ impl MultiConnectionAggregator {
             unread_near: weighted(|e| e.components.unread_near),
             unread_far: weighted(|e| e.components.unread_far),
         };
-        // Confidence is weighted like latency: a stale idle connection
-        // should not collapse the listener-wide confidence on its own.
         let confidence = if total_tput > 0.0 {
             self.estimates
                 .iter()
@@ -120,7 +80,7 @@ impl MultiConnectionAggregator {
         } else {
             self.estimates.iter().map(|e| e.confidence).sum::<f64>() / n as f64
         };
-        let stale_connections = self.estimates.iter().filter(|e| e.remote_stale).count();
+        let remote_stale = self.estimates.iter().all(|e| e.remote_stale);
         let at = self
             .estimates
             .iter()
@@ -128,14 +88,15 @@ impl MultiConnectionAggregator {
             .max()
             .unwrap_or(Nanos::ZERO);
         self.estimates.clear();
-        Some(AggregateEstimate {
+        Some(Estimate {
             at,
             latency,
             smoothed_latency,
             throughput: total_tput,
-            connections: n,
+            local_view: latency,
+            remote_view: latency,
             confidence,
-            stale_connections,
+            remote_stale,
             components,
         })
     }
@@ -275,7 +236,7 @@ impl EstimatorRegistry {
 
     /// Throughput-weighted aggregate over every connection's latest
     /// estimate. `None` until at least one connection has estimated.
-    pub fn aggregate(&self) -> Option<AggregateEstimate> {
+    pub fn aggregate(&self) -> Option<Estimate> {
         let mut agg = MultiConnectionAggregator::new();
         for est in self.estimators.iter().flatten().filter_map(|e| e.last()) {
             agg.add(est);
@@ -313,14 +274,62 @@ mod tests {
         assert!(a.aggregate().is_none());
     }
 
+    /// With one connection the aggregate is that connection's estimate:
+    /// every field but the two views, through fresh ticks, smoothing and a
+    /// stale remote window alike.
     #[test]
     fn single_connection_passthrough() {
-        let mut a = MultiConnectionAggregator::new();
-        a.add(est(100, 5_000.0));
-        let agg = a.aggregate().unwrap();
-        assert_eq!(agg.latency, Nanos::from_micros(100));
-        assert_eq!(agg.connections, 1);
-        assert!((agg.throughput - 5_000.0).abs() < 1e-9);
+        use littles::QueueState;
+        let us = Nanos::from_micros;
+        let mut reg =
+            EstimatorRegistry::new(WireScale::UNSCALED, 0.3).with_staleness_bound(us(250));
+        let [mut c_unacked, mut c_unread, c_ackdelay, s_unacked, mut s_unread, mut s_ackdelay] =
+            [(); 6].map(|_| QueueState::new(Nanos::ZERO));
+        let mut exchange = None;
+        let (mut checked, mut stale) = (0, 0);
+        for period in 0..40u64 {
+            // Hold times vary per period, so no figure comes out round.
+            let t0 = us(period * 100);
+            let hold = 20 + period % 7 * 5;
+            c_unacked.track(t0, 1);
+            c_unacked.track(t0 + us(hold), -1);
+            s_ackdelay.track(t0 + us(5), 1);
+            s_ackdelay.track(t0 + us(12), -1);
+            s_unread.track(t0 + us(5), 1);
+            s_unread.track(t0 + us(5 + hold / 2), -1);
+            c_unread.track(t0 + us(60), 1);
+            c_unread.track(t0 + us(65 + period % 3 * 10), -1);
+            let tick = t0 + us(100);
+            // The peer goes quiet after period 30: the last ticks run on
+            // a cached remote window until it is stale.
+            if period < 30 {
+                exchange = Some(WireExchange::pack(
+                    &s_unacked.peek(tick),
+                    &s_unread.peek(tick),
+                    &s_ackdelay.peek(tick),
+                    WireScale::UNSCALED,
+                ));
+            }
+            let local = EndpointSnapshots {
+                unacked: c_unacked.peek(tick),
+                unread: c_unread.peek(tick),
+                ackdelay: c_ackdelay.peek(tick),
+            };
+            reg.update(3, tick, local, exchange);
+            let (Some(conn), Some(agg)) = (reg.last(3), reg.aggregate()) else {
+                continue;
+            };
+            assert_eq!(agg.at, conn.at);
+            assert_eq!(agg.latency, conn.latency);
+            assert_eq!(agg.smoothed_latency, conn.smoothed_latency);
+            assert_eq!(agg.throughput.to_bits(), conn.throughput.to_bits());
+            assert_eq!(agg.confidence.to_bits(), conn.confidence.to_bits());
+            assert_eq!(agg.remote_stale, conn.remote_stale);
+            assert_eq!(agg.components, conn.components);
+            checked += 1;
+            stale += u32::from(conn.remote_stale);
+        }
+        assert!(checked > 30 && stale > 0, "{checked} ticks, {stale} stale");
     }
 
     #[test]
@@ -360,14 +369,14 @@ mod tests {
         let mut a = MultiConnectionAggregator::new();
         a.add(est(100, 9_000.0));
         a.add(est(1_000, 1_000.0));
-        let e = a.aggregate().unwrap().to_estimate();
-        assert_eq!(e.latency, Nanos::from_micros(190));
+        let e = a.aggregate().unwrap();
         assert_eq!(e.smoothed_latency, Nanos::from_micros(190));
-        assert!((e.throughput - 10_000.0).abs() < 1e-9);
+        assert_eq!(e.local_view, e.latency, "both views are the aggregate latency");
+        assert_eq!(e.remote_view, e.latency);
     }
 
     #[test]
-    fn confidence_is_weighted_and_stale_contributions_counted() {
+    fn confidence_is_weighted_and_one_fresh_contribution_keeps_the_view_fresh() {
         let mut a = MultiConnectionAggregator::new();
         let busy = est(100, 9_000.0); // fresh, confidence 1.0
         let mut quiet = est(1_000, 1_000.0);
@@ -375,10 +384,7 @@ mod tests {
         quiet.remote_stale = true;
         a.add(busy);
         a.add(quiet);
-        let agg = a.aggregate().unwrap();
-        assert!((agg.confidence - 0.9).abs() < 1e-9);
-        assert_eq!(agg.stale_connections, 1);
-        let e = agg.to_estimate();
+        let e = a.aggregate().unwrap();
         assert!(
             !e.remote_stale,
             "one stale contributor of two is not a stale view"
@@ -394,9 +400,7 @@ mod tests {
             e.remote_stale = true;
             a.add(e);
         }
-        let agg = a.aggregate().unwrap();
-        assert_eq!(agg.stale_connections, 2);
-        assert!(agg.to_estimate().remote_stale);
+        assert!(a.aggregate().unwrap().remote_stale);
     }
 
     #[test]

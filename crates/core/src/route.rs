@@ -86,7 +86,7 @@ impl Estimate {
 mod tests {
     use super::*;
     use crate::combine::DelaySet;
-    use crate::multi::AggregateEstimate;
+    use crate::multi::MultiConnectionAggregator;
 
     fn est() -> Estimate {
         Estimate {
@@ -133,17 +133,11 @@ mod tests {
 
     #[test]
     fn aggregate_views_route_the_same_components() {
-        let agg = AggregateEstimate {
-            at: Nanos::from_micros(10),
-            latency: Nanos::from_micros(100),
-            smoothed_latency: Nanos::from_micros(100),
-            throughput: 1_000.0,
-            connections: 2,
-            confidence: 1.0,
-            stale_connections: 0,
-            components: est().components,
-        };
-        let e = agg.to_estimate();
+        let mut agg = MultiConnectionAggregator::new();
+        for throughput in [600.0, 400.0] {
+            agg.add(Estimate { throughput, ..est() });
+        }
+        let e = agg.aggregate().unwrap();
         assert_eq!(e.knob_view(Knob::Nagle), e);
         assert_eq!(e.knob_view(Knob::DelAck).latency, Nanos::from_micros(15));
         assert_eq!(e.knob_view(Knob::Cork).latency, Nanos::from_micros(90));

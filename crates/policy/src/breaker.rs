@@ -515,23 +515,18 @@ mod tests {
         }
     }
 
-    /// A listener-wide aggregate enters through `to_estimate`, whose
-    /// all-stale rule is the breaker's view of aggregate staleness.
+    /// A listener-wide aggregate is `remote_stale` only when every
+    /// contribution is; that rule is the breaker's view of aggregate
+    /// staleness.
     #[test]
     fn aggregate_path_shares_the_state_machine() {
-        use e2e_core::AggregateEstimate;
+        use e2e_core::MultiConnectionAggregator;
         let agg = |at: Nanos, confidence: f64, stale: usize| {
-            AggregateEstimate {
-                at,
-                latency: Nanos::from_micros(100),
-                smoothed_latency: Nanos::from_micros(100),
-                throughput: 1_000.0,
-                connections: 4,
-                confidence,
-                stale_connections: stale,
-                components: DelaySet::default(),
+            let mut a = MultiConnectionAggregator::new();
+            for i in 0..4 {
+                a.add(est(at, confidence, i < stale));
             }
-            .to_estimate()
+            a.aggregate().expect("four contributions")
         };
         let mut b = breaker();
         // Partially stale but confident overall: stays closed.

@@ -381,25 +381,19 @@ mod tests {
 
     #[test]
     fn aggregate_and_estimate_paths_agree_for_nagle_only() {
-        use e2e_core::AggregateEstimate;
+        use e2e_core::MultiConnectionAggregator;
         let mut by_est = ControlPlane::new(greedy(5), 1);
         let mut by_agg = ControlPlane::new(greedy(5), 1);
         for i in 0..1_000u64 {
             let e_lat = if by_est.current() { 100 } else { 500 };
             let a_lat = if by_agg.current() { 100 } else { 500 };
             let e = est_with(e_lat + i % 5, 10, 20);
-            let a = AggregateEstimate {
-                at: e.at,
-                latency: Nanos::from_micros(a_lat + i % 5),
-                smoothed_latency: Nanos::from_micros(a_lat + i % 5),
-                throughput: e.throughput,
-                connections: 8,
-                confidence: 1.0,
-                stale_connections: 0,
-                components: e.components,
-            };
+            let mut a = MultiConnectionAggregator::new();
+            for _ in 0..8 {
+                a.add(est_with(a_lat + i % 5, 10, 20));
+            }
             let d_e = by_est.decide(&e);
-            let d_a = by_agg.decide(&a.to_estimate());
+            let d_a = by_agg.decide(&a.aggregate().expect("eight contributions"));
             assert_eq!(d_e, d_a, "decision {i}");
         }
     }

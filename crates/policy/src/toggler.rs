@@ -17,7 +17,8 @@ use crate::objective::Objective;
 pub trait BatchToggler {
     /// Feeds the latest estimate; returns whether batching should be
     /// enabled until the next tick. A listener-wide aggregate (paper
-    /// §3.2) enters here too, as `AggregateEstimate::to_estimate`.
+    /// §3.2) enters here too: `MultiConnectionAggregator::aggregate`
+    /// returns an [`Estimate`].
     fn decide(&mut self, estimate: &Estimate) -> bool;
 
     /// The current setting without feeding new data.
@@ -197,7 +198,7 @@ impl BatchToggler for EpsilonGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e2e_core::{AggregateEstimate, DelaySet};
+    use e2e_core::{DelaySet, MultiConnectionAggregator};
     use littles::Nanos;
 
     fn est(latency_us: u64, tput: f64) -> Estimate {
@@ -364,22 +365,17 @@ mod tests {
         let _ = EpsilonGreedy::new(Objective::MinLatency, 1.5, 1, 0.5, 0);
     }
 
-    fn agg(latency_us: u64, tput: f64, connections: usize) -> AggregateEstimate {
-        AggregateEstimate {
-            at: Nanos::ZERO,
-            latency: Nanos::from_micros(latency_us),
-            smoothed_latency: Nanos::from_micros(latency_us),
-            throughput: tput,
-            connections,
-            confidence: 1.0,
-            stale_connections: 0,
-            components: DelaySet::default(),
+    /// The aggregate of `connections` equal connections sharing `tput`.
+    fn agg(latency_us: u64, tput: f64, connections: usize) -> Estimate {
+        let mut a = MultiConnectionAggregator::new();
+        for _ in 0..connections {
+            a.add(est(latency_us, tput / connections as f64));
         }
+        a.aggregate().expect("at least one connection")
     }
 
-    /// Fed an aggregate's connection-shaped view instead of a
-    /// single-connection estimate, the bandit converges exactly the same
-    /// way.
+    /// Fed a listener-wide aggregate instead of a single-connection
+    /// estimate, the bandit converges exactly the same way.
     #[test]
     fn converges_on_aggregates_like_on_estimates() {
         let mut single = EpsilonGreedy::new(Objective::MinLatency, 0.05, 2, 0.5, 1);
@@ -388,7 +384,7 @@ mod tests {
             let s_lat = if single.current() { 100 } else { 500 };
             single.decide(&est(s_lat, 10_000.0));
             let m_lat = if multi.current() { 100 } else { 500 };
-            multi.decide(&agg(m_lat, 10_000.0, 16).to_estimate());
+            multi.decide(&agg(m_lat, 10_000.0, 16));
         }
         assert!(multi.current(), "aggregate-fed bandit settles on 'on'");
         assert_eq!(single.current(), multi.current());

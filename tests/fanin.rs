@@ -216,7 +216,6 @@ fn describe(r: PointResult) -> (String, u64, Vec<(u64, u64)>) {
         measured_p99,
         samples,
         estimated_bytes,
-        estimated_packets,
         estimated_messages,
         estimated_hint,
         tracker_mean,
@@ -251,7 +250,7 @@ fn describe(r: PointResult) -> (String, u64, Vec<(u64, u64)>) {
         format!("offered_rps {offered_rps:?} achieved_rps {achieved_rps:?} samples {samples}"),
         format!("measured mean {measured_mean:?} p50 {measured_p50:?} p99 {measured_p99:?}"),
         format!(
-            "estimated bytes {estimated_bytes:?} packets {estimated_packets:?} \
+            "estimated bytes {estimated_bytes:?} \
              messages {estimated_messages:?} hint {estimated_hint:?}"
         ),
         format!("tracker_mean {tracker_mean:?} srtt {srtt:?}"),

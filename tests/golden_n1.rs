@@ -35,7 +35,7 @@ fn fmt_f64(v: f64) -> String {
 
 fn digest_point(label: &str, r: &PointResult) -> String {
     format!(
-        "{label} samples={} achieved={} mean={} p50={} p99={} est_b={} est_p={} est_m={} \
+        "{label} samples={} achieved={} mean={} p50={} p99={} est_b={} est_m={} \
          est_h={} tracker={} srtt={} ccpu={}/{} scpu={}/{} pkts={}+{} holds={} exch={}",
         r.samples,
         fmt_f64(r.achieved_rps),
@@ -43,7 +43,6 @@ fn digest_point(label: &str, r: &PointResult) -> String {
         fmt_ns(r.measured_p50),
         fmt_ns(r.measured_p99),
         fmt_ns(r.estimated_bytes),
-        fmt_ns(r.estimated_packets),
         fmt_ns(r.estimated_messages),
         fmt_ns(r.estimated_hint),
         fmt_ns(r.tracker_mean),

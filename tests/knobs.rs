@@ -45,7 +45,6 @@ fn assert_bitwise_equal(a: &PointResult, b: &PointResult) {
     assert_eq!(a.measured_p50, b.measured_p50);
     assert_eq!(a.measured_p99, b.measured_p99);
     assert_eq!(a.estimated_bytes, b.estimated_bytes);
-    assert_eq!(a.estimated_packets, b.estimated_packets);
     assert_eq!(a.estimated_messages, b.estimated_messages);
     assert_eq!(a.estimated_hint, b.estimated_hint);
     assert_eq!(a.tracker_mean, b.tracker_mean);

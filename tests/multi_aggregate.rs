@@ -109,7 +109,6 @@ fn aggregate_is_dominated_by_the_hot_connection() {
     let hot = reg.last(0).expect("hot connection estimated");
     let cold = reg.last(1).expect("cold connection estimated");
     let agg = reg.aggregate().expect("aggregate");
-    assert_eq!(agg.connections, 3);
 
     // The weighted aggregate must sit near the hot connection's latency
     // (within ~10%), far from the plain mean of the three.
@@ -167,7 +166,7 @@ fn policy_on_aggregate_converges_like_hot_connection_alone() {
         agg.add(synthetic_estimate(hot_lat, 10_000.0));
         agg.add(synthetic_estimate(300, 100.0));
         agg.add(synthetic_estimate(300, 10.0));
-        multi_decisions.push(multi.decide(&agg.aggregate().expect("aggregate").to_estimate()));
+        multi_decisions.push(multi.decide(&agg.aggregate().expect("aggregate")));
     }
     assert!(multi.current(), "aggregate-fed policy settles on batching");
     let on_solo = solo_decisions.iter().filter(|&&d| d).count();
