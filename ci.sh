@@ -31,6 +31,12 @@ bench_correct() {
     echo "$result" | grep -q '"correct": *true'
 }
 
+echo "==> benchmark is correct on star1_set (one connection: the per-event hot path, the copy-free byte path)"
+bench_correct star1_set
+
+echo "==> benchmark is correct on fanin1024_set (the widest fan-in: 1024 connections on one listener)"
+bench_correct fanin1024_set
+
 echo "==> benchmark is correct on star64_mix_plane (plane seats on every client and the listener)"
 bench_correct star64_mix_plane
 

@@ -6,10 +6,13 @@
 //! thread, a burst of `Writable` wakes one flush, and only with something
 //! to flush), reads into one [`RespStream`], and keeps writes in order
 //! under backpressure — what the send buffer rejects waits in a backlog
-//! and nothing newer overtakes it. `Conn::default()` is the teardown: a
-//! reset connection's unparsed bytes, unsent bytes and latches die with it
-//! (bytes handed to the old socket are indistinguishable from delivered,
-//! so nothing is replayed on the next one).
+//! and nothing newer overtakes it. Bytes move as [`Payload`] views both
+//! ways: a read hands the socket's views to the parser, a write hands the
+//! encoded buffer to the socket, and a rejected tail is a sub-view of it.
+//! `Conn::default()` is the teardown: a reset connection's unparsed bytes,
+//! unsent bytes and latches die with it (bytes handed to the old socket
+//! are indistinguishable from delivered, so nothing is replayed on the
+//! next one).
 //!
 //! A connection that is down — a crashed client before its reconnect, an
 //! upstream before its handshake or after a reset — is the `None` of an
@@ -20,7 +23,7 @@
 use std::collections::VecDeque;
 
 use littles::Snapshot;
-use tcpsim::{HostCtx, SocketId};
+use tcpsim::{HostCtx, Payload, SocketId};
 
 use crate::resp::RespStream;
 
@@ -49,7 +52,7 @@ pub(crate) struct Conn {
     flush_queued: bool,
     /// Messages the send buffer has not taken yet, oldest first; the front
     /// one may be the rejected tail of a partly written message.
-    backlog: VecDeque<Vec<u8>>,
+    backlog: VecDeque<Payload>,
 }
 
 impl Conn {
@@ -79,8 +82,7 @@ impl Conn {
         let Some(sock) = sock else {
             return false;
         };
-        let (data, _msgs) = ctx.recv(sock, usize::MAX);
-        self.parser.feed(&data);
+        ctx.recv(sock, usize::MAX, &mut self.parser);
         true
     }
 
@@ -91,9 +93,9 @@ impl Conn {
             return;
         };
         while let Some(front) = self.backlog.front_mut() {
-            let accepted = ctx.send(sock, front);
+            let accepted = ctx.send(sock, front.clone());
             if accepted < front.len() {
-                front.drain(..accepted);
+                *front = front.slice(accepted, front.len());
                 break;
             }
             self.backlog.pop_front();
@@ -109,26 +111,27 @@ impl Conn {
         &mut self,
         ctx: &mut HostCtx<'_>,
         sock: SocketId,
-        wire: Vec<u8>,
+        wire: impl Into<Payload>,
         hint: Option<Snapshot>,
     ) {
+        let wire = wire.into();
         if !self.backlog.is_empty() {
             self.backlog.push_back(wire);
             return;
         }
         let accepted = match hint {
-            Some(hint) => ctx.send_with_hint(sock, &wire, hint),
-            None => ctx.send(sock, &wire),
+            Some(hint) => ctx.send_with_hint(sock, wire.clone(), hint),
+            None => ctx.send(sock, wire.clone()),
         };
         if accepted < wire.len() {
-            self.backlog.push_back(wire[accepted..].to_vec());
+            self.backlog.push_back(wire.slice(accepted, wire.len()));
         }
     }
 
     /// Keeps one message for a connection that is not up yet; its
     /// `Connected` wake flushes it.
-    pub(crate) fn hold(&mut self, wire: Vec<u8>) {
-        self.backlog.push_back(wire);
+    pub(crate) fn hold(&mut self, wire: impl Into<Payload>) {
+        self.backlog.push_back(wire.into());
     }
 }
 
@@ -330,7 +333,7 @@ mod tests {
     fn default_is_the_teardown() {
         let mut conn = Conn::default();
         conn.hold(message(1).0);
-        conn.parser.feed(b"*2\r\n$3\r\nGET");
+        conn.parser.feed(&b"*2\r\n$3\r\nGET"[..]);
         conn.read_queued = true;
         conn.flush_queued = true;
         conn = Conn::default();

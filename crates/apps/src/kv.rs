@@ -19,6 +19,11 @@ const DEDUP_WINDOW: usize = 4096;
 
 /// A trivially simple hash-map KV store.
 ///
+/// A SET keeps its value as the view the parser handed out, so the value
+/// is never copied. A key is copied when it is first inserted (16 B): a
+/// key view would pin the whole request buffer it arrived in for as long
+/// as the key lives, and an overwrite replaces only the value.
+///
 /// Commands tagged with a request id (see [`Command::id`]) are applied
 /// *idempotently*: a SET whose id was already applied is acknowledged
 /// without re-executing, so a retry racing its original — or a hedge
@@ -77,7 +82,12 @@ impl KvStore {
                     }
                 }
                 self.sets += 1;
-                self.map.insert(key, value);
+                match self.map.get_mut(&key) {
+                    Some(stored) => *stored = value,
+                    None => {
+                        self.map.insert(Payload::copy_from_slice(&key), value);
+                    }
+                }
                 Response::Ok
             }
             Command::Get { key, id: _ } => {
@@ -183,6 +193,36 @@ mod tests {
             }),
             Response::Value(Payload::from_static(b"2"))
         );
+    }
+
+    #[test]
+    fn the_store_owns_its_keys_and_keeps_value_views() {
+        let mut kv = KvStore::new();
+        let mut set = |wire: &Payload| {
+            let (key, value) = (wire.slice(0, 4), wire.slice(4, wire.len()));
+            kv.execute(Command::Set {
+                key,
+                value,
+                id: None,
+            });
+        };
+        let first = Payload::from(b"key1first".to_vec());
+        set(&first);
+        let second = Payload::from(b"key1second".to_vec());
+        set(&second);
+        let (key, value) = kv.map.get_key_value(&b"key1"[..]).expect("stored");
+        // The key is a copy, made on first insert: it points into neither
+        // command's buffer, so neither is pinned by it.
+        for wire in [&first, &second] {
+            let range = wire.as_ref().as_ptr_range();
+            assert!(!range.contains(&key.as_ref().as_ptr()));
+        }
+        // The value is the latest command's view, not a copy.
+        assert!(std::ptr::eq(
+            value.as_ref().as_ptr(),
+            second.as_ref()[4..].as_ptr()
+        ));
+        assert_eq!(kv.len(), 1);
     }
 
     #[test]

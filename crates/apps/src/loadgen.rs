@@ -41,8 +41,8 @@ use tcpsim::{App, HostCtx, SocketId, TcpConfig, WakeReason};
 use crate::conn::{token, Conn};
 use crate::cost::AppCosts;
 use crate::driver::{AimdDriver, EstimateRecorder, PlaneDriver};
-use crate::resp::{encode_get, encode_set};
-use crate::workload::WorkloadSpec;
+use crate::resp::{encode_get, encode_set_with};
+use crate::workload::{key_bytes, WorkloadSpec};
 
 // Continuation tokens: one connection, so a kind needs no index.
 const ARRIVAL: u64 = token(1, 0);
@@ -264,18 +264,20 @@ impl LancetClient {
             None => self.key_counter % self.spec.key_space as u64,
         };
         self.key_counter += 1;
-        let key = format!("key:{key_idx:012}");
+        let key = key_bytes(key_idx);
         debug_assert_eq!(key.len(), self.spec.key_size);
         if is_set {
-            let mut value = vec![0u8; self.spec.value_size];
+            // The value is written once, into the request's own buffer.
             // Cheap deterministic fill (contents are irrelevant, but
             // non-constant data keeps accidental compression-like
             // shortcuts impossible).
-            let n = 8.min(value.len());
-            ctx.rng.fill_bytes(&mut value[..n]);
-            (encode_set(key.as_bytes(), &value), true)
+            let wire = encode_set_with(&key, self.spec.value_size, |value| {
+                let n = 8.min(value.len());
+                ctx.rng.fill_bytes(&mut value[..n]);
+            });
+            (wire, true)
         } else {
-            (encode_get(key.as_bytes()), false)
+            (encode_get(&key), false)
         }
     }
 

@@ -21,7 +21,7 @@ use crate::loadgen::{KeyPool, LancetClient};
 use crate::proxy::{ProxyApp, Resilience, ShardRouter};
 use crate::runner::{client_host, new_host, shield, tcp_config, CpuUtil, Overrides};
 use crate::server::RedisServer;
-use crate::workload::WorkloadSpec;
+use crate::workload::{key_bytes, WorkloadSpec};
 
 /// One two-tier experiment point.
 pub(crate) struct TierPoint {
@@ -92,8 +92,7 @@ pub(crate) fn run_tier(
     let router = ShardRouter::new(k, point.seed);
     let mut owned: Vec<Vec<u64>> = vec![Vec::new(); k];
     for idx in 0..point.workload.key_space as u64 {
-        let key = format!("key:{idx:012}");
-        owned[router.route(key.as_bytes())].push(idx);
+        owned[router.route(&key_bytes(idx))].push(idx);
     }
     #[expect(clippy::expect_used, reason = "a two-tier run has at least two shards")]
     let largest = |skip: Option<usize>| {

@@ -30,7 +30,7 @@ use littles::Nanos;
 use simnet::fault::{CorruptConfig, FaultConfig, RestartSchedule};
 use simnet::{run, CpuContext, EventQueue, LinkConfig, Pcg32};
 use tcpsim::config::{CostConfig, DelAckConfig, ExchangeConfig};
-use tcpsim::{App, Host, HostCtx, HostId, NetSim, SocketId, TcpConfig, Unit, WakeReason};
+use tcpsim::{App, Host, HostCtx, HostId, NetSim, Payload, SocketId, TcpConfig, Unit, WakeReason};
 
 /// The tick-by-tick recorder `EstimateRecorder` must stay equal to.
 struct Reference {
@@ -284,7 +284,7 @@ impl Churn {
         }
         if let Some(sock) = self.sock {
             let len = [48, 700, 1_448, 4_000, 16_000][self.rng.gen_range(5) as usize];
-            ctx.send(sock, &vec![0x5a; len]);
+            ctx.send(sock, vec![0x5a; len]);
         }
         // Mostly bursts, now and then a silence many ticks (and more than
         // one staleness bound) long.
@@ -339,7 +339,7 @@ impl App for Churn {
             KIND_READ => {
                 self.read_pending = false;
                 if let Some(sock) = self.sock {
-                    ctx.recv(sock, usize::MAX);
+                    ctx.recv(sock, usize::MAX, &mut Vec::<Payload>::new());
                 }
             }
             other => panic!("unknown token {other}"),
@@ -371,10 +371,10 @@ impl App for LazyServer {
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         let sock = SocketId(token as usize);
         self.read_pending[sock.0] = false;
-        let (data, _) = ctx.recv(sock, usize::MAX);
-        if !data.is_empty() && ctx.rng.gen_bool(0.75) {
+        let (read, _) = ctx.recv(sock, usize::MAX, &mut Vec::<Payload>::new());
+        if read > 0 && ctx.rng.gen_bool(0.75) {
             let len = 32 + ctx.rng.gen_range(3_000) as usize;
-            ctx.send(sock, &vec![0xa5; len]);
+            ctx.send(sock, vec![0xa5; len]);
         }
     }
 }

@@ -10,13 +10,16 @@
 //! queues can count in message units as well as bytes (paper §3.3).
 //!
 //! Internally both halves store [`Payload`] chunks rather than flat byte
-//! deques: one application message is one chunk, and segmenting it into
-//! MSS-sized transmissions is O(1) [`Payload::slice`] sub-views per
-//! segment instead of a per-segment byte copy. At the paper's 16 KiB SET
-//! workload this removes two full-message copies per request from the
-//! simulator's hot path; bytes only get copied when a chunk is first
-//! pushed, when a transmission or read genuinely spans chunks, and when
-//! the application drains a multi-segment read into one contiguous view.
+//! deques, and neither copies a byte an application handed it or a peer
+//! delivered. `push` keeps the application's buffer itself (the accepted
+//! prefix is a sub-view when the buffer is full), and segmenting it into
+//! MSS-sized transmissions is O(1) [`Payload::slice`] sub-views. On the
+//! receiving side each in-order segment is a view of the sender's buffer,
+//! and a view that continues the previous one in the same allocation joins
+//! it ([`Payload::try_append`]), so a 16 KiB request that arrives as twelve
+//! segments is one ready chunk again. `read` hands the ready views out as
+//! they are. The one copy left is a transmission that spans two pushed
+//! chunks, which is gathered into a fresh buffer.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -86,14 +89,14 @@ impl SendBuffer {
     }
 
     /// Appends as much of `bytes` as capacity allows; returns the number of
-    /// bytes accepted. The accepted prefix is copied once into a fresh
-    /// chunk; all later segmentation of it is copy-free sub-views.
-    pub fn push(&mut self, bytes: &[u8]) -> usize {
+    /// bytes accepted. The payload is kept as it is, never copied: all of
+    /// it when it fits, else the accepted prefix as a sub-view.
+    pub fn push(&mut self, bytes: Payload) -> usize {
         let room = self.capacity.saturating_sub((self.end - self.una) as usize);
         let n = bytes.len().min(room);
         if n > 0 {
-            self.chunks
-                .push_back((self.end, Payload::copy_from_slice(&bytes[..n])));
+            let kept = if n == bytes.len() { bytes } else { bytes.slice(0, n) };
+            self.chunks.push_back((self.end, kept));
             self.end += n as u64;
         }
         n
@@ -346,8 +349,15 @@ impl RecvBuffer {
         self.capacity.saturating_sub(self.ready_len)
     }
 
+    /// Queues an in-order view, joined onto the last one when it continues
+    /// it in the same allocation.
     fn push_ready(&mut self, view: Payload) {
         self.ready_len += view.len();
+        if let Some(last) = self.ready.back_mut() {
+            if last.try_append(&view) {
+                return;
+            }
+        }
         self.ready.push_back(view);
     }
 
@@ -463,52 +473,37 @@ impl RecvBuffer {
         out
     }
 
-    /// Reads up to `max` in-order bytes; returns the bytes and the number
-    /// of whole messages consumed. A read served entirely by one chunk is
-    /// copy-free; a multi-chunk read concatenates once.
+    /// Reads up to `max` in-order bytes into `out`, as the ready views they
+    /// are (the last one split if `max` falls inside it), and returns the
+    /// bytes read and the number of whole messages consumed. No byte is
+    /// copied.
     // hot-path: runs per application recv
-    pub fn read(&mut self, max: usize) -> (Payload, usize) {
+    pub fn read(&mut self, max: usize, out: &mut impl Extend<Payload>) -> (usize, usize) {
         let n = self.ready_len.min(max);
-        let bytes = self.take_ready(n);
+        self.ready_len -= n;
+        let mut left = n;
+        while left > 0 {
+            let Some(front) = self.ready.front_mut() else {
+                break;
+            };
+            if front.len() > left {
+                let rest = front.slice(left, front.len());
+                out.extend(Some(front.slice(0, left)));
+                *front = rest;
+                left = 0;
+            } else {
+                left -= front.len();
+                out.extend(self.ready.pop_front());
+            }
+        }
+        debug_assert_eq!(left, 0, "ready_len ran past the ready views");
         self.read_pos += n as u64;
         let mut messages = 0;
         while self.boundaries.front().is_some_and(|&b| b <= self.read_pos) {
             self.boundaries.pop_front();
             messages += 1;
         }
-        (bytes, messages)
-    }
-
-    /// Removes and returns the first `n` ready bytes.
-    #[expect(clippy::expect_used, reason = "callers pass n <= ready_len, the bytes in `ready`")]
-    fn take_ready(&mut self, n: usize) -> Payload {
-        if n == 0 {
-            return Payload::new();
-        }
-        self.ready_len -= n;
-        let front = self.ready.front().expect("n > 0 implies a ready chunk");
-        if front.len() > n {
-            // Split the front chunk: both halves are O(1) views.
-            let head = front.slice(0, n);
-            let rest = front.slice(n, front.len());
-            self.ready[0] = rest;
-            return head;
-        }
-        if front.len() == n {
-            return self.ready.pop_front().expect("front exists");
-        }
-        // Spans several chunks: concatenate once.
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let chunk = self.ready.pop_front().expect("ready covers n bytes");
-            let take = (n - out.len()).min(chunk.len());
-            out.extend_from_slice(&chunk[..take]);
-            if take < chunk.len() {
-                let rest = chunk.slice(take, chunk.len());
-                self.ready.push_front(rest);
-            }
-        }
-        out.into()
+        (n, messages)
     }
 }
 
@@ -516,12 +511,25 @@ impl RecvBuffer {
 mod tests {
     use super::*;
 
+    fn p(bytes: &[u8]) -> Payload {
+        Payload::copy_from_slice(bytes)
+    }
+
+    /// Reads up to `max` bytes, flattened: the bytes and the messages.
+    fn read_flat(r: &mut RecvBuffer, max: usize) -> (Vec<u8>, usize) {
+        let mut views: Vec<Payload> = Vec::new();
+        let (n, messages) = r.read(max, &mut views);
+        let bytes = views.concat();
+        assert_eq!(bytes.len(), n);
+        (bytes, messages)
+    }
+
     #[test]
     fn send_push_respects_capacity() {
         let mut b = SendBuffer::new(10);
-        assert_eq!(b.push(b"hello"), 5);
-        assert_eq!(b.push(b"worldxxx"), 5);
-        assert_eq!(b.push(b"y"), 0);
+        assert_eq!(b.push(p(b"hello")), 5);
+        assert_eq!(b.push(p(b"worldxxx")), 5);
+        assert_eq!(b.push(p(b"y")), 0);
         assert_eq!(b.buffered(), 10);
         assert_eq!(b.room(), 0);
     }
@@ -529,7 +537,7 @@ mod tests {
     #[test]
     fn send_chunks_advance_nxt() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdefgh");
+        b.push(p(b"abcdefgh"));
         let c1 = b.take_chunk(3).unwrap();
         assert_eq!(&c1.bytes[..], b"abc");
         assert_eq!(c1.offset, 0);
@@ -543,7 +551,7 @@ mod tests {
     #[test]
     fn send_chunk_within_one_push_is_a_view() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdefgh");
+        b.push(p(b"abcdefgh"));
         let base = b.take_chunk(3).unwrap();
         let more = b.take_chunk(3).unwrap();
         // Same backing allocation: slicing, not copying.
@@ -556,9 +564,9 @@ mod tests {
     #[test]
     fn send_chunk_spanning_pushes_concatenates() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abc");
-        b.push(b"def");
-        b.push(b"ghi");
+        b.push(p(b"abc"));
+        b.push(p(b"def"));
+        b.push(p(b"ghi"));
         let c = b.take_chunk(8).unwrap();
         assert_eq!(&c.bytes[..], b"abcdefgh");
         let rest = b.take_chunk(8).unwrap();
@@ -568,9 +576,9 @@ mod tests {
     #[test]
     fn send_boundaries_ride_chunks() {
         let mut b = SendBuffer::new(100);
-        b.push(b"req1");
+        b.push(p(b"req1"));
         b.mark_boundary();
-        b.push(b"req2!");
+        b.push(p(b"req2!"));
         b.mark_boundary();
         let c = b.take_chunk(6).unwrap();
         assert_eq!(c.boundaries, vec![4]);
@@ -581,9 +589,9 @@ mod tests {
     #[test]
     fn ack_frees_bytes_and_messages() {
         let mut b = SendBuffer::new(100);
-        b.push(b"req1");
+        b.push(p(b"req1"));
         b.mark_boundary();
-        b.push(b"req2");
+        b.push(p(b"req2"));
         b.mark_boundary();
         b.take_chunk(100);
         let r = b.on_ack(4);
@@ -606,7 +614,7 @@ mod tests {
     #[test]
     fn partial_ack_keeps_retransmit_exact() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdef");
+        b.push(p(b"abcdef"));
         b.take_chunk(6);
         // Ack into the middle of the (single) chunk: the chunk stays, and
         // both retransmit and further acks stay offset-exact.
@@ -621,7 +629,7 @@ mod tests {
     #[test]
     fn retransmit_rereads_unacked_range() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdef");
+        b.push(p(b"abcdef"));
         b.take_chunk(6);
         let c = b.retransmit_chunk(2, 3);
         assert_eq!(&c.bytes[..], b"cde");
@@ -631,7 +639,7 @@ mod tests {
     #[test]
     fn rewind_resends_everything_unacked() {
         let mut b = SendBuffer::new(100);
-        b.push(b"abcdef");
+        b.push(p(b"abcdef"));
         b.take_chunk(6);
         b.on_ack(2);
         b.rewind_to_una();
@@ -654,7 +662,7 @@ mod tests {
         assert_eq!(res.in_order_bytes, 5);
         assert_eq!(res.in_order_messages, 1);
         assert_eq!(r.available(), 5);
-        let (bytes, msgs) = r.read(100);
+        let (bytes, msgs) = read_flat(&mut r, 100);
         assert_eq!(&bytes[..], b"hello");
         assert_eq!(msgs, 1);
     }
@@ -664,8 +672,124 @@ mod tests {
         let mut r = RecvBuffer::new(100);
         let seg = Payload::from_static(b"hello");
         r.ingest(0, &seg, &[5]);
-        let (bytes, _) = r.read(100);
-        assert!(std::ptr::eq(seg.as_ref().as_ptr(), bytes.as_ref().as_ptr()));
+        let mut views: Vec<Payload> = Vec::new();
+        assert_eq!(r.read(100, &mut views), (5, 1));
+        assert_eq!(views.len(), 1);
+        assert!(std::ptr::eq(seg.as_ref().as_ptr(), views[0].as_ref().as_ptr()));
+    }
+
+    #[test]
+    fn push_keeps_an_owned_buffer_without_copying() {
+        let mut b = SendBuffer::new(100);
+        let msg = vec![7u8; 40];
+        let at = msg.as_ptr();
+        assert_eq!(b.push(msg.into()), 40);
+        let c = b.take_chunk(100).unwrap();
+        assert!(std::ptr::eq(c.bytes.as_ref().as_ptr(), at));
+        assert_eq!(c.bytes.len(), 40);
+    }
+
+    #[test]
+    fn a_partly_accepted_push_keeps_the_prefix_as_a_view() {
+        let mut b = SendBuffer::new(10);
+        let msg = Payload::from(b"abcdefghijklmnop".to_vec());
+        assert_eq!(b.push(msg.clone()), 10);
+        let c = b.take_chunk(100).unwrap();
+        assert_eq!(&c.bytes[..], b"abcdefghij");
+        assert!(std::ptr::eq(c.bytes.as_ref().as_ptr(), msg.as_ref().as_ptr()));
+        // The caller still holds the rejected tail as a view of its own.
+        let tail = msg.slice(10, msg.len());
+        assert_eq!(&tail[..], b"klmnop");
+    }
+
+    #[test]
+    fn in_order_views_of_one_allocation_coalesce() {
+        let msg = Payload::from((0..=255u8).collect::<Vec<u8>>());
+        let mut r = RecvBuffer::new(1024);
+        for at in (0..256).step_by(50) {
+            let end = (at + 50).min(256);
+            r.ingest(at as u64, &msg.slice(at, end), &[]);
+        }
+        assert_eq!(r.ready.len(), 1, "six adjacent segments are one ready chunk");
+        let mut views: Vec<Payload> = Vec::new();
+        assert_eq!(r.read(usize::MAX, &mut views), (256, 0));
+        assert_eq!(views.len(), 1);
+        assert_eq!(views[0], msg);
+        assert!(std::ptr::eq(views[0].as_ref().as_ptr(), msg.as_ref().as_ptr()));
+    }
+
+    #[test]
+    fn views_that_do_not_continue_each_other_never_join() {
+        let a = Payload::from(b"abcdefgh".to_vec());
+        let twin = Payload::from(b"abcdefgh".to_vec());
+        // Different allocations with equal bytes: two chunks.
+        let mut r = RecvBuffer::new(100);
+        r.ingest(0, &a.slice(0, 4), &[]);
+        r.ingest(4, &twin.slice(4, 8), &[]);
+        assert_eq!(r.ready.len(), 2);
+        // An out-of-order arrival joins nothing while the hole is open;
+        // once [0, 4) fills it the two are in stream order and adjacent in
+        // `a`, so they are one chunk.
+        let mut r = RecvBuffer::new(100);
+        r.ingest(4, &a.slice(4, 8), &[]);
+        assert_eq!(r.ready.len(), 0);
+        r.ingest(0, &a.slice(0, 4), &[]);
+        assert_eq!(r.ready.len(), 1);
+        // A hole filled from another allocation does not join either side.
+        let mut r = RecvBuffer::new(100);
+        r.ingest(0, &a.slice(0, 2), &[]);
+        r.ingest(4, &a.slice(4, 8), &[]);
+        r.ingest(2, &twin.slice(2, 4), &[]);
+        assert_eq!(r.ready.len(), 3);
+        // A duplicate, and an overlap whose new suffix is of another
+        // allocation, add nothing and a separate chunk respectively.
+        let mut r = RecvBuffer::new(100);
+        r.ingest(0, &a.slice(0, 4), &[]);
+        assert!(r.ingest(0, &a.slice(0, 4), &[]).duplicate);
+        r.ingest(2, &twin.slice(2, 6), &[]);
+        assert_eq!(r.ready.len(), 2);
+        assert_eq!(r.available(), 6);
+        let (bytes, _) = read_flat(&mut r, 100);
+        assert_eq!(&bytes[..], b"abcdef");
+    }
+
+    #[test]
+    fn read_returns_every_byte_once_in_order_with_its_messages() {
+        // Three messages of 700, 300 and 1000 bytes, each its own
+        // allocation, cut into 128-byte segments that straddle them, one
+        // segment of every four a copy; read back in reads of 1..=333.
+        let msgs: Vec<Payload> = [700usize, 300, 1000]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i * 7 + j) as u8).collect::<Vec<u8>>().into())
+            .collect();
+        let stream = msgs.concat();
+        let ends = [700u64, 1000, 2000];
+        let mut send = SendBuffer::new(1 << 20);
+        for m in &msgs {
+            send.push(m.clone());
+            send.mark_boundary();
+        }
+        let mut r = RecvBuffer::new(1 << 20);
+        let mut k = 0;
+        while let Some(c) = send.take_chunk(128) {
+            let bytes = if k % 4 == 3 { p(&c.bytes) } else { c.bytes };
+            r.ingest(c.offset, &bytes, &c.boundaries);
+            k += 1;
+        }
+        let (mut out, mut pos, mut step) = (Vec::new(), 0u64, 1usize);
+        while r.available() > 0 {
+            let mut views: Vec<Payload> = Vec::new();
+            let (n, messages) = r.read(step, &mut views);
+            assert_eq!(views.iter().map(|v| v.len()).sum::<usize>(), n);
+            let expected = ends.iter().filter(|&&e| e > pos && e <= pos + n as u64).count();
+            assert_eq!(messages, expected, "read of {n} bytes at {pos}");
+            out.extend(views.concat());
+            pos += n as u64;
+            step = step * 7 % 333 + 1;
+        }
+        assert_eq!(out, stream);
+        assert_eq!(r.available_messages(), 0);
     }
 
     #[test]
@@ -677,7 +801,7 @@ mod tests {
         let res2 = r.ingest(0, &Payload::from_static(b"hello"), &[]);
         assert_eq!(res2.in_order_bytes, 10);
         assert_eq!(res2.in_order_messages, 1);
-        let (bytes, _) = r.read(100);
+        let (bytes, _) = read_flat(&mut r, 100);
         assert_eq!(&bytes[..], b"helloworld");
     }
 
@@ -697,7 +821,7 @@ mod tests {
         let res = r.ingest(1, &Payload::from_static(b"bcdef"), &[]);
         assert!(!res.duplicate);
         assert_eq!(r.rcv_nxt(), 6);
-        let (bytes, _) = r.read(100);
+        let (bytes, _) = read_flat(&mut r, 100);
         assert_eq!(&bytes[..], b"abcdef");
     }
 
@@ -706,11 +830,11 @@ mod tests {
         let mut r = RecvBuffer::new(100);
         r.ingest(0, &Payload::from_static(b"req1req2"), &[4, 8]);
         assert_eq!(r.available_messages(), 2);
-        let (_, msgs) = r.read(3);
+        let (_, msgs) = read_flat(&mut r, 3);
         assert_eq!(msgs, 0, "message 1 not fully consumed yet");
-        let (_, msgs) = r.read(1);
+        let (_, msgs) = read_flat(&mut r, 1);
         assert_eq!(msgs, 1);
-        let (_, msgs) = r.read(100);
+        let (_, msgs) = read_flat(&mut r, 100);
         assert_eq!(msgs, 1);
     }
 
@@ -718,12 +842,12 @@ mod tests {
     fn recv_partial_reads_split_chunks_exactly() {
         let mut r = RecvBuffer::new(100);
         r.ingest(0, &Payload::from_static(b"abcdefgh"), &[]);
-        let (a, _) = r.read(3);
+        let (a, _) = read_flat(&mut r, 3);
         assert_eq!(&a[..], b"abc");
         assert_eq!(r.available(), 5);
-        let (b, _) = r.read(2);
+        let (b, _) = read_flat(&mut r, 2);
         assert_eq!(&b[..], b"de");
-        let (c, _) = r.read(100);
+        let (c, _) = read_flat(&mut r, 100);
         assert_eq!(&c[..], b"fgh");
         assert_eq!(r.available(), 0);
     }
@@ -733,7 +857,7 @@ mod tests {
         let mut r = RecvBuffer::new(10);
         r.ingest(0, &Payload::from_static(b"abcde"), &[]);
         assert_eq!(r.window(), 5);
-        r.read(5);
+        read_flat(&mut r, 5);
         assert_eq!(r.window(), 10);
     }
 
@@ -769,7 +893,7 @@ mod tests {
         let res = r.ingest(0, &Payload::from_static(b"abc"), &[]);
         assert_eq!(res.in_order_bytes, 9);
         assert_eq!(res.in_order_messages, 1);
-        let (bytes, msgs) = r.read(100);
+        let (bytes, msgs) = read_flat(&mut r, 100);
         assert_eq!(&bytes[..], b"abcdefghi");
         assert_eq!(msgs, 1);
     }

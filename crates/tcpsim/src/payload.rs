@@ -4,13 +4,18 @@
 //! a reference-counted buffer plus a byte range — because the workspace
 //! must build with no registry access and the simulator only ever needs
 //! immutable payloads. Cloning shares the allocation, and [`Payload::slice`]
-//! produces a sub-view in O(1) without copying, which is what lets the
-//! socket buffers hand MSS-sized segments out of a 16 KiB application
-//! message without per-segment byte copies.
+//! produces a sub-view in O(1) without copying.
+//!
+//! A request's bytes are one allocation from the client's encode to the
+//! server's store: the send buffer keeps the application's buffer and
+//! segments are sub-views of it, the receive buffer re-joins in-order
+//! views of one allocation with [`Payload::try_append`], and the RESP
+//! parser hands keys and values out as sub-views of what it read.
 //!
 //! The empty payload carries no allocation at all, so pure ACKs (the most
 //! common segment at fan-in) construct without touching the heap.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -93,6 +98,59 @@ impl Payload {
         }
     }
 
+    /// Extends this view by `next` when `next` continues it: the same
+    /// allocation, starting where this view ends (O(1), no copy). An empty
+    /// side always joins. Returns false, leaving both unchanged, otherwise.
+    ///
+    /// ```
+    /// use tcpsim::Payload;
+    ///
+    /// let p = Payload::copy_from_slice(b"abcdef");
+    /// let mut head = p.slice(0, 2);
+    /// assert!(head.try_append(&p.slice(2, 4)));
+    /// assert_eq!(&head[..], b"abcd");
+    /// // A gap, or bytes of another allocation, never join.
+    /// assert!(!head.try_append(&p.slice(5, 6)));
+    /// assert!(!head.try_append(&Payload::copy_from_slice(b"ef")));
+    /// ```
+    // hot-path: runs per in-order segment delivered and per parser join
+    pub fn try_append(&mut self, next: &Payload) -> bool {
+        if next.is_empty() {
+            return true;
+        }
+        if self.is_empty() {
+            *self = next.clone();
+            return true;
+        }
+        match (&self.buf, &next.buf) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) && self.end == next.start => {
+                self.end = next.end;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Appends a copy of `bytes`: in place when this view is the only
+    /// one of its allocation and runs to its end (so repeated appends grow
+    /// like a `Vec`), into a fresh allocation holding both otherwise.
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        if let Some(buf) = self.buf.as_mut().and_then(Arc::get_mut) {
+            if buf.len() == self.end {
+                buf.extend_from_slice(bytes);
+                self.end = buf.len();
+                return;
+            }
+        }
+        let mut joined = Vec::with_capacity(self.len() + bytes.len());
+        joined.extend_from_slice(self);
+        joined.extend_from_slice(bytes);
+        *self = joined.into();
+    }
+
     fn as_slice(&self) -> &[u8] {
         match &self.buf {
             Some(b) => &b[self.start..self.end],
@@ -121,6 +179,15 @@ impl AsRef<[u8]> for Payload {
     }
 }
 
+impl Borrow<[u8]> for Payload {
+    /// The viewed bytes: consistent with `Eq`, `Ord` and `Hash`, which see
+    /// only those, so `[Payload]::concat` flattens and a map keyed by
+    /// payloads looks up by `&[u8]`.
+    fn borrow(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
 impl From<Vec<u8>> for Payload {
     /// Takes ownership of the vector without copying its bytes.
     fn from(v: Vec<u8>) -> Self {
@@ -137,7 +204,16 @@ impl From<Vec<u8>> for Payload {
 }
 
 impl From<&[u8]> for Payload {
+    /// Copies the borrowed bytes once.
     fn from(v: &[u8]) -> Self {
+        Payload::copy_from_slice(v)
+    }
+}
+
+impl From<&Vec<u8>> for Payload {
+    /// Copies the borrowed bytes once; pass the `Vec` by value to move it
+    /// in without a copy.
+    fn from(v: &Vec<u8>) -> Self {
         Payload::copy_from_slice(v)
     }
 }
@@ -224,6 +300,61 @@ mod tests {
         let ptr = v.as_ptr();
         let p = Payload::from(v);
         assert!(std::ptr::eq(ptr, p.as_ref().as_ptr()));
+    }
+
+    #[test]
+    fn adjacent_views_of_one_allocation_append_in_place() {
+        let p = Payload::from(b"abcdefgh".to_vec());
+        let mut v = p.slice(1, 3);
+        assert!(v.try_append(&p.slice(3, 6)));
+        assert_eq!(&v[..], b"bcdef");
+        assert!(std::ptr::eq(v.as_ref().as_ptr(), p.as_ref()[1..].as_ptr()));
+        // Empty on either side joins; the result is the other side.
+        let mut empty = Payload::new();
+        assert!(empty.try_append(&v));
+        assert!(std::ptr::eq(empty.as_ref().as_ptr(), v.as_ref().as_ptr()));
+        assert!(v.try_append(&Payload::new()));
+        assert_eq!(v.len(), 5);
+    }
+
+    #[test]
+    fn extend_copies_in_place_only_when_unshared() {
+        let mut v = Payload::copy_from_slice(b"ab");
+        v.extend_from_slice(b"cd");
+        assert_eq!(&v[..], b"abcd");
+        // Unique and running to the end: the bytes stay where they were
+        // copied to the first time, so growth is amortized.
+        let mut grown = Payload::copy_from_slice(b"x");
+        grown.extend_from_slice(&[b'y'; 64]);
+        let at = grown.as_ref().as_ptr();
+        let cap = grown.buf.as_ref().map_or(0, |b| b.capacity());
+        let fits = cap - grown.len();
+        grown.extend_from_slice(&vec![b'z'; fits]);
+        assert!(std::ptr::eq(grown.as_ref().as_ptr(), at));
+        // Shared: the other view keeps its bytes, this one moves.
+        let other = v.clone();
+        v.extend_from_slice(b"e");
+        assert_eq!((&v[..], &other[..]), (&b"abcde"[..], &b"abcd"[..]));
+        // A sub-view that stops short of its allocation's end never
+        // overwrites what lies behind it.
+        let whole = Payload::from(b"abcdef".to_vec());
+        let mut head = whole.slice(0, 2);
+        drop(whole);
+        head.extend_from_slice(b"XY");
+        assert_eq!(&head[..], b"abXY");
+    }
+
+    #[test]
+    fn views_that_do_not_continue_never_append() {
+        let p = Payload::from(b"abcdefgh".to_vec());
+        let q = Payload::from(b"abcdefgh".to_vec());
+        let mut v = p.slice(0, 4);
+        // A gap, an overlap, a view behind it, the same range of an equal
+        // but separate allocation: all refused, and `v` is untouched.
+        for other in [p.slice(5, 8), p.slice(3, 8), p.slice(0, 4), q.slice(4, 8)] {
+            assert!(!v.try_append(&other));
+            assert_eq!(&v[..], b"abcd");
+        }
     }
 
     #[test]

@@ -225,8 +225,10 @@ impl HostCtx<'_> {
 
     /// Sends application data (one message boundary per call — the
     /// send-syscall approximation). Returns bytes accepted. Charged to the
-    /// application thread.
-    pub fn send(&mut self, sock: SocketId, data: &[u8]) -> usize {
+    /// application thread. An owned buffer moves into the send buffer
+    /// without a copy; a caller keeps a [`Payload`] clone to resend the
+    /// rejected tail as `wire.slice(accepted, wire.len())`.
+    pub fn send(&mut self, sock: SocketId, data: impl Into<Payload>) -> usize {
         let now = self.now();
         let syscall = self.host.costs.syscall;
         self.host.app_cpu.run(now, syscall);
@@ -243,20 +245,31 @@ impl HostCtx<'_> {
 
     /// Like [`send`](Self::send), but first installs the application's
     /// request-queue hint (the ancillary-data path of §3.3).
-    pub fn send_with_hint(&mut self, sock: SocketId, data: &[u8], hint: Snapshot) -> usize {
+    pub fn send_with_hint(
+        &mut self,
+        sock: SocketId,
+        data: impl Into<Payload>,
+        hint: Snapshot,
+    ) -> usize {
         self.host.socket_mut(sock).set_hint(hint);
         self.send(sock, data)
     }
 
-    /// Reads up to `max` in-order bytes; returns the bytes and the number
-    /// of whole messages consumed. Charged to the application thread.
-    pub fn recv(&mut self, sock: SocketId, max: usize) -> (Payload, usize) {
+    /// Reads up to `max` in-order bytes into `out`, as views of what the
+    /// peer sent (no copy); returns the bytes read and the number of whole
+    /// messages consumed. Charged to the application thread.
+    pub fn recv(
+        &mut self,
+        sock: SocketId,
+        max: usize,
+        out: &mut impl Extend<Payload>,
+    ) -> (usize, usize) {
         let now = self.now();
         let syscall = self.host.costs.syscall;
         self.host.app_cpu.run(now, syscall);
-        let out = self.host.socket_mut(sock).recv(now, max, self.actions);
+        let read = self.host.socket_mut(sock).recv(now, max, out, self.actions);
         self.run_actions(sock);
-        out
+        read
     }
 
     /// Initiates a graceful close.

@@ -428,18 +428,19 @@ impl TcpSocket {
     /// Accepts application data for transmission; each call marks one
     /// message boundary (the send-syscall approximation of §3.3). Returns
     /// the bytes accepted (less than `data.len()` if the buffer is full)
-    /// and appends transmit actions.
+    /// and appends transmit actions. An owned buffer (`Vec<u8>` or
+    /// [`Payload`]) is kept without a copy; borrowed bytes are copied once.
     pub fn send(
         &mut self,
         now: Nanos,
-        data: &[u8],
+        data: impl Into<Payload>,
         env: TxEnv,
         actions: &mut Vec<Action>,
     ) -> usize {
         if !matches!(self.tcb.state, TcpState::Established | TcpState::CloseWait) {
             return 0;
         }
-        let accepted = self.tx.push(data);
+        let accepted = self.tx.push(data.into());
         if accepted > 0 {
             self.invariants.unacked.enter(accepted as u64);
             self.track(now, |q| &mut q.unacked, [accepted as i64, 0, 1]);
@@ -449,14 +450,21 @@ impl TcpSocket {
         accepted
     }
 
-    /// Reads up to `max` bytes of in-order data; returns the bytes and the
+    /// Reads up to `max` bytes of in-order data into `out`, as views of
+    /// the delivered segments (no copy); returns the bytes read and the
     /// number of whole messages consumed, updating the unread queue.
-    pub fn recv(&mut self, now: Nanos, max: usize, actions: &mut Vec<Action>) -> (Payload, usize) {
+    pub fn recv(
+        &mut self,
+        now: Nanos,
+        max: usize,
+        out: &mut impl Extend<Payload>,
+        actions: &mut Vec<Action>,
+    ) -> (usize, usize) {
         let window_before = self.rx.rcv.window();
-        let (bytes, messages, packets) = self.rx.read(max);
-        if !bytes.is_empty() {
-            self.invariants.unread.leave(bytes.len() as u64);
-            let left = [-(bytes.len() as i64), -packets, -(messages as i64)];
+        let (bytes, messages, packets) = self.rx.read(max, out);
+        if bytes > 0 {
+            self.invariants.unread.leave(bytes as u64);
+            let left = [-(bytes as i64), -packets, -(messages as i64)];
             self.track(now, |q| &mut q.unread, left);
             // Window-update ACK: reading reopened a window that had
             // squeezed below one MSS.

@@ -178,10 +178,14 @@ impl Rx {
         std::mem::take(&mut self.pending_ack)
     }
 
-    /// Reads up to `max` bytes: the bytes, the whole messages, and the
-    /// wire packets that left the unread queue with them.
-    pub(super) fn read(&mut self, max: usize) -> (Payload, usize, i64) {
-        let (bytes, messages) = self.rcv.read(max);
+    /// Reads up to `max` bytes into `out`: the bytes, the whole messages,
+    /// and the wire packets that left the unread queue with them.
+    pub(super) fn read(
+        &mut self,
+        max: usize,
+        out: &mut impl Extend<Payload>,
+    ) -> (usize, usize, i64) {
+        let (bytes, messages) = self.rcv.read(max, out);
         let read_pos = self.rcv.read_pos();
         let mut packets = 0;
         while let Some(&(_, n)) = self.unread_packets.front().filter(|&&(end, _)| end <= read_pos) {

@@ -11,6 +11,7 @@ use crate::config::{NagleMode, TcpConfig};
 use crate::gates::{cork_holds, nagle_allows, CORK_MAX_DELAY};
 use crate::invariants::{gate, SocketInvariants};
 use crate::knob::KnobSetting;
+use crate::payload::Payload;
 use crate::queues::{SocketQueues, Unit};
 use crate::rtt::RttEstimator;
 use crate::segment::{E2eOption, HintOption, OptionSlot, Options, SackOption, Segment};
@@ -230,7 +231,7 @@ impl Tx {
     }
 
     /// Queues one message; returns the bytes accepted.
-    pub(super) fn push(&mut self, data: &[u8]) -> usize {
+    pub(super) fn push(&mut self, data: Payload) -> usize {
         let accepted = self.snd.push(data);
         if accepted > 0 {
             self.snd.mark_boundary();

@@ -37,7 +37,7 @@ fn send_buffer_preserves_stream() {
         let mut buf = SendBuffer::new(1 << 20);
         let mut expected = Vec::new();
         for m in &msgs {
-            assert_eq!(buf.push(m), m.len());
+            assert_eq!(buf.push(m.into()), m.len());
             buf.mark_boundary();
             expected.extend_from_slice(m);
         }
@@ -69,7 +69,7 @@ fn send_buffer_ack_accounting() {
         let mut ends = Vec::new();
         let mut total = 0usize;
         for len in &msg_lens {
-            buf.push(&vec![0u8; *len]);
+            buf.push(vec![0u8; *len].into());
             buf.mark_boundary();
             total += len;
             ends.push(total as u64);
@@ -135,8 +135,10 @@ fn recv_buffer_reassembles_any_order() {
         let mut msgs = 0usize;
         while rcv.available() > 0 {
             let read_size = range(&mut rng, 1, 500);
-            let (bytes, m) = rcv.read(read_size);
-            out.extend_from_slice(&bytes);
+            let mut views: Vec<Payload> = Vec::new();
+            let (n, m) = rcv.read(read_size, &mut views);
+            assert_eq!(views.iter().map(|v| v.len()).sum::<usize>(), n);
+            out.extend_from_slice(&views.concat());
             msgs += m;
         }
         assert_eq!(out, data);

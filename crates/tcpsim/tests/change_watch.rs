@@ -32,6 +32,14 @@ use tcpsim::host::Host;
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
 use tcpsim::socket::{SocketId, TimerKind, WakeReason};
 use tcpsim::tier::TierSim;
+use tcpsim::Payload;
+
+/// Everything readable on `sock`, flattened into one buffer.
+fn recv_flat(ctx: &mut HostCtx<'_>, sock: SocketId) -> Vec<u8> {
+    let mut views: Vec<Payload> = Vec::new();
+    ctx.recv(sock, usize::MAX, &mut views);
+    views.concat()
+}
 
 const TICK: u64 = u64::MAX;
 const SEND: u64 = u64::MAX - 1;
@@ -203,7 +211,7 @@ impl App for Chatter {
                 };
                 if let Some(sock) = self.sock {
                     let len = [48, 700, 1_448, 6_000][rng.gen_range(4) as usize];
-                    ctx.send(sock, &vec![0x5a; len]);
+                    ctx.send(sock, vec![0x5a; len]);
                 }
                 let gap = if rng.gen_bool(0.3) {
                     3_000 + rng.gen_range(22_000)
@@ -213,7 +221,7 @@ impl App for Chatter {
                 ctx.call_after(Nanos::from_micros(gap), SEND);
             }
             sock => {
-                ctx.recv(SocketId(sock as usize), usize::MAX);
+                recv_flat(ctx, SocketId(sock as usize));
             }
         }
     }
@@ -234,7 +242,7 @@ impl App for LazyEcho {
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         let sock = SocketId(token as usize);
-        let (data, _) = ctx.recv(sock, usize::MAX);
+        let data = recv_flat(ctx, sock);
         if !data.is_empty() && ctx.rng.gen_bool(0.8) {
             ctx.send(sock, &data[..data.len().min(2_000)]);
         }
@@ -276,7 +284,7 @@ impl App for Relay {
             return self.ticks.tick(ctx, self.back);
         }
         let from = SocketId(token as usize);
-        let (data, _) = ctx.recv(from, usize::MAX);
+        let data = recv_flat(ctx, from);
         let to = if Some(from) == self.front { self.back } else { self.front };
         if let Some(to) = to {
             ctx.send(to, &data);
@@ -542,7 +550,7 @@ fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
             match token {
                 TICK => self.ticks.tick(ctx, self.sock),
                 _ => {
-                    ctx.send(self.sock.expect("connected"), b"ping");
+                    ctx.send(self.sock.expect("connected"), &b"ping"[..]);
                 }
             }
         }

@@ -10,7 +10,14 @@ use tcpsim::config::{CostConfig, NagleMode, TcpConfig};
 use tcpsim::host::{Host, HostId};
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
 use tcpsim::socket::{SocketId, TcpState, WakeReason};
-use tcpsim::Unit;
+use tcpsim::{Payload, Unit};
+
+/// Everything readable on `sock`, flattened into one buffer.
+fn recv_flat(ctx: &mut HostCtx<'_>, sock: SocketId) -> Vec<u8> {
+    let mut views: Vec<Payload> = Vec::new();
+    ctx.recv(sock, usize::MAX, &mut views);
+    views.concat()
+}
 
 /// An echo server: reads whatever arrives and writes it straight back.
 #[derive(Default)]
@@ -32,7 +39,7 @@ impl App for EchoServer {
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         let sock = SocketId(token as usize);
-        let (data, _msgs) = ctx.recv(sock, usize::MAX);
+        let data = recv_flat(ctx, sock);
         if !data.is_empty() {
             self.echoed += data.len() as u64;
             ctx.send(sock, &data);
@@ -92,7 +99,7 @@ impl App for ScriptClient {
             assert_eq!(sent, payload.len(), "send buffer overflow in test");
         } else {
             let sock = SocketId(token as usize);
-            let (data, _) = ctx.recv(sock, usize::MAX);
+            let data = recv_flat(ctx, sock);
             self.received.extend_from_slice(&data);
         }
     }
@@ -329,7 +336,7 @@ fn unread_delay_reflects_slow_reader() {
         }
         fn on_call(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
             let sock = self.sock.expect("accepted");
-            let _ = ctx.recv(sock, usize::MAX);
+            let _ = recv_flat(ctx, sock);
         }
     }
 

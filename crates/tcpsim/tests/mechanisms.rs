@@ -11,6 +11,14 @@ use tcpsim::host::{Host, HostId};
 use tcpsim::knob::KnobSetting;
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
 use tcpsim::socket::{SocketId, WakeReason};
+use tcpsim::Payload;
+
+/// Everything readable on `sock`, flattened into one buffer.
+fn recv_flat(ctx: &mut HostCtx<'_>, sock: SocketId) -> Vec<u8> {
+    let mut views: Vec<Payload> = Vec::new();
+    ctx.recv(sock, usize::MAX, &mut views);
+    views.concat()
+}
 
 /// Sink server: accepts and reads everything, never responds.
 #[derive(Default)]
@@ -30,7 +38,7 @@ impl App for Sink {
     }
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
         if let Some(sock) = self.sock {
-            let (data, _) = ctx.recv(sock, usize::MAX);
+            let data = recv_flat(ctx, sock);
             self.received += data.len() as u64;
         }
     }
@@ -66,7 +74,7 @@ impl App for Writer {
             ctx.apply(sock, KnobSetting::Nagle(on));
         } else {
             let len = self.writes[token as usize].1;
-            ctx.send(sock, &vec![0xAB; len]);
+            ctx.send(sock, vec![0xAB; len]);
         }
     }
 }
@@ -288,7 +296,7 @@ impl App for SwitchSink {
             let (_, mode) = self.switch.expect("switch scheduled");
             ctx.apply(sock, KnobSetting::DelAck(mode));
         } else {
-            let (data, _) = ctx.recv(sock, usize::MAX);
+            let data = recv_flat(ctx, sock);
             self.received += data.len() as u64;
         }
     }
@@ -397,7 +405,7 @@ impl App for KnobWriter {
             ctx.apply(sock, setting);
         } else {
             let len = self.writes[token as usize].1;
-            ctx.send(sock, &vec![0xAB; len]);
+            ctx.send(sock, vec![0xAB; len]);
         }
     }
 }

@@ -11,6 +11,7 @@ use littles::Nanos;
 use tcpsim::config::{NagleMode, TcpConfig, TsoConfig};
 use tcpsim::segment::{FlowId, Segment};
 use tcpsim::socket::{Action, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
+use tcpsim::Payload;
 
 const MSS: usize = 1448;
 
@@ -122,7 +123,7 @@ fn lost_syn_ack_is_resent_and_the_handshake_completes() {
     assert!(actions.contains(&Action::Wake(WakeReason::Accepted)));
     assert!(actions.contains(&Action::CancelTimer(TimerKind::Rto)));
     actions.clear();
-    assert_eq!(client.send(t1, &[7; 100], env, &mut actions), 100);
+    assert_eq!(client.send(t1, vec![7; 100], env, &mut actions), 100);
     for seg in segs(&mut actions) {
         server.on_segment(t1, &seg, env, &mut actions);
     }
@@ -136,7 +137,7 @@ fn triple_dup_acks_trigger_exactly_one_fast_retransmit() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    let sent = client.send(t0, &vec![0xCD; 5 * MSS], env, &mut actions);
+    let sent = client.send(t0, vec![0xCD; 5 * MSS], env, &mut actions);
     assert_eq!(sent, 5 * MSS);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5, "TSO off: one MSS per segment");
@@ -201,7 +202,7 @@ fn karn_excludes_retransmitted_ranges_and_srtt_recovers() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0xEE; 5 * MSS], env, &mut actions);
+    client.send(t0, vec![0xEE; 5 * MSS], env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5);
 
@@ -257,7 +258,7 @@ fn karn_excludes_retransmitted_ranges_and_srtt_recovers() {
     // Episode over. The first cleanly-ACKed transmission after recovery
     // is sampled from its send time.
     let t8 = t4 + Nanos::from_millis(1);
-    client.send(t8, &vec![0x11; MSS], env, &mut actions);
+    client.send(t8, vec![0x11; MSS], env, &mut actions);
     let fresh = segs(&mut actions);
     assert_eq!(fresh.len(), 1);
     let t9 = t8 + Nanos::from_micros(30);
@@ -280,7 +281,7 @@ fn repeated_rto_does_not_shrink_the_recovery_point() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0x42; 5 * MSS], env, &mut actions);
+    client.send(t0, vec![0x42; 5 * MSS], env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5);
 
@@ -340,7 +341,7 @@ fn replayed_in_order_segment_is_classified_duplicate() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0x7A; MSS], env, &mut actions);
+    client.send(t0, vec![0x7A; MSS], env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 1);
 
@@ -407,7 +408,7 @@ fn two_holes_in_one_flight_are_repaired_within_one_rtt_without_an_rto() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0x5A; 8 * MSS], env, &mut actions);
+    client.send(t0, vec![0x5A; 8 * MSS], env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 8);
     // Lose segments 1 and 4 once each.
@@ -445,20 +446,20 @@ fn dropped_tso_super_segment_is_lost_by_the_byte_rule_on_the_first_sack() {
     // Warm the congestion window past 16 KiB, as a loaded connection's is.
     let mut t = t0;
     for _ in 0..40 {
-        client.send(t, &vec![0; 16 * 1024], env, &mut actions);
+        client.send(t, vec![0; 16 * 1024], env, &mut actions);
         let flight = segs(&mut actions);
         relay(&mut client, &mut server, &mut t, flight, &mut |_| false);
-        server.recv(t, usize::MAX, &mut actions);
+        server.recv(t, usize::MAX, &mut Vec::<Payload>::new(), &mut actions);
         actions.clear();
     }
     let t0 = t;
 
     // A 16 KiB SET leaves as one TSO super-segment, which the link drops
     // whole; the next request's super-segment arrives out of order.
-    client.send(t0, &vec![1; 16 * 1024], env, &mut actions);
+    client.send(t0, vec![1; 16 * 1024], env, &mut actions);
     let first = segs(&mut actions);
     let t1 = t0 + Nanos::from_micros(1_600);
-    client.send(t1, &vec![2; 16 * 1024], env, &mut actions);
+    client.send(t1, vec![2; 16 * 1024], env, &mut actions);
     let second = segs(&mut actions);
     assert!(first.iter().chain(&second).all(|s| s.wire_packets > 1 || s.len() < MSS));
     let mut acks = Vec::new();
@@ -490,7 +491,7 @@ fn rto_after_sacks_resends_only_unsacked_bytes() {
     let (mut client, mut server) = established(t0);
     let mut actions = Vec::new();
 
-    client.send(t0, &vec![0x33; 5 * MSS], env, &mut actions);
+    client.send(t0, vec![0x33; 5 * MSS], env, &mut actions);
     let data = segs(&mut actions);
     assert_eq!(data.len(), 5);
     // Lose 0 and 2; 1, 3 and 4 arrive and are SACKed. Three SACKed
@@ -530,13 +531,13 @@ fn a_stream_with_no_out_of_order_arrival_carries_no_sack_option() {
     let mut wire = Vec::new();
     for i in 0..20u8 {
         t += Nanos::from_micros(300);
-        client.send(t, &vec![i; 3 * MSS + 17], env, &mut actions);
+        client.send(t, vec![i; 3 * MSS + 17], env, &mut actions);
         let data = segs(&mut actions);
         wire.extend(data.iter().cloned());
         for seg in &data {
             server.on_segment(t, seg, env, &mut actions);
         }
-        server.send(t, b"+OK\r\n", env, &mut actions);
+        server.send(t, &b"+OK\r\n"[..], env, &mut actions);
         server.on_timer(t, TimerKind::Delack, env, &mut actions);
         let back = segs(&mut actions);
         wire.extend(back.iter().cloned());
@@ -544,8 +545,8 @@ fn a_stream_with_no_out_of_order_arrival_carries_no_sack_option() {
             client.on_segment(t, seg, env, &mut actions);
         }
         wire.extend(segs(&mut actions));
-        server.recv(t, usize::MAX, &mut actions);
-        client.recv(t, usize::MAX, &mut actions);
+        server.recv(t, usize::MAX, &mut Vec::<Payload>::new(), &mut actions);
+        client.recv(t, usize::MAX, &mut Vec::<Payload>::new(), &mut actions);
         wire.extend(segs(&mut actions));
     }
     assert!(wire.len() > 60);

@@ -14,6 +14,7 @@ use simnet::Pcg32;
 use tcpsim::config::TcpConfig;
 use tcpsim::segment::{FlowId, Segment};
 use tcpsim::socket::{Action, TcpSocket, TimerKind, TxEnv, WakeReason};
+use tcpsim::Payload;
 
 const CLIENT: usize = 0;
 const SERVER: usize = 1;
@@ -77,9 +78,10 @@ impl World {
                 }
                 Action::CancelTimer(kind) => self.timers[side][kind_index(kind)] = None,
                 Action::Wake(WakeReason::Readable) => {
-                    let mut more = Vec::new();
-                    let (bytes, _) = self.socks[side].recv(Nanos::from_nanos(now), usize::MAX, &mut more);
-                    self.read[1 - side].extend_from_slice(&bytes);
+                    let (mut more, mut views) = (Vec::new(), Vec::<Payload>::new());
+                    let at = Nanos::from_nanos(now);
+                    self.socks[side].recv(at, usize::MAX, &mut views, &mut more);
+                    self.read[1 - side].extend_from_slice(&views.concat());
                     self.apply(now, side, more);
                 }
                 Action::Wake(_) => {}

@@ -20,6 +20,14 @@ use tcpsim::host::Host;
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
 use tcpsim::socket::{SocketId, TcpState, TimerKind, WakeReason};
 use tcpsim::tier::TierSim;
+use tcpsim::Payload;
+
+/// Everything readable on `sock`, flattened into one buffer.
+fn recv_flat(ctx: &mut HostCtx<'_>, sock: SocketId) -> Vec<u8> {
+    let mut views: Vec<Payload> = Vec::new();
+    ctx.recv(sock, usize::MAX, &mut views);
+    views.concat()
+}
 
 const TICK: u64 = u64::MAX;
 const KINDS: [TimerKind; TimerKind::COUNT] = [TimerKind::Rto, TimerKind::Delack, TimerKind::Cork];
@@ -65,11 +73,11 @@ impl App for PacedClient {
         if token == TICK {
             let sock = self.sock.expect("connecting since on_start");
             if ctx.socket(sock).state() == TcpState::Established {
-                ctx.send(sock, &[b'x'; 64]);
+                ctx.send(sock, vec![b'x'; 64]);
             }
             ctx.call_after(self.period, TICK);
         } else {
-            self.received += ctx.recv(SocketId(token as usize), usize::MAX).0.len() as u64;
+            self.received += recv_flat(ctx, SocketId(token as usize)).len() as u64;
         }
     }
 }
@@ -88,7 +96,7 @@ impl App for EchoServer {
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         let sock = SocketId(token as usize);
-        let (data, _) = ctx.recv(sock, usize::MAX);
+        let data = recv_flat(ctx, sock);
         if !data.is_empty() && ctx.socket(sock).state() == TcpState::Established {
             ctx.send(sock, &data);
         }
@@ -119,7 +127,7 @@ impl App for Relay {
 
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         let from = SocketId(token as usize);
-        let (data, _) = ctx.recv(from, usize::MAX);
+        let data = recv_flat(ctx, from);
         let to = if Some(from) == self.front { self.back } else { self.front };
         if let Some(to) = to.filter(|&to| ctx.socket(to).state() == TcpState::Established) {
             ctx.send(to, &data);
