@@ -40,6 +40,9 @@ bench_correct fanin1024_set
 echo "==> benchmark is correct on star64_mix_plane (plane seats on every client and the listener)"
 bench_correct star64_mix_plane
 
+echo "==> benchmark is correct on star64_loss (the lossy SACK path: recovery sets the tail)"
+bench_correct star64_loss
+
 echo "==> benchmark is correct on tier8x4_brownout (per-shard seats on the composed proxy estimate)"
 bench_correct tier8x4_brownout
 

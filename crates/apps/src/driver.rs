@@ -603,17 +603,31 @@ impl EstimateSource for EstimateRecorder {
     }
 }
 
+/// What a [`ListenerRecorder`] logs at a deciding tick: the two
+/// latencies its readers use, not the whole [`Estimate`].
+#[derive(Debug, Clone, Copy)]
+pub struct LoggedLatency {
+    /// When the tick ran.
+    pub at: Nanos,
+    /// The estimate's latency.
+    pub latency: Nanos,
+    /// The estimate's smoothed latency.
+    pub smoothed_latency: Nanos,
+}
+
 /// Listener-wide estimate recording (paper §3.2, last paragraph): one
 /// [`E2eEstimator`] per connection inside an [`EstimatorRegistry`], whose
-/// throughput-weighted aggregate is the estimate, and the estimate
-/// logged at every deciding tick. With one connection the aggregate is
-/// that connection's estimate.
+/// throughput-weighted aggregate is the estimate, logged at every
+/// deciding tick. With one connection the aggregate is that connection's
+/// estimate.
 #[derive(Debug)]
 pub struct ListenerRecorder {
     unit: Unit,
     registry: EstimatorRegistry,
-    /// The estimate logged at every deciding tick.
-    series: Vec<(Nanos, Estimate)>,
+    /// The latencies logged at every deciding tick.
+    series: Vec<LoggedLatency>,
+    /// The newest logged estimate, whole.
+    latest: Option<Estimate>,
 }
 
 impl EstimateSource for ListenerRecorder {
@@ -622,6 +636,7 @@ impl EstimateSource for ListenerRecorder {
             unit,
             registry: EstimatorRegistry::new(WireScale::default(), 1.0),
             series: Vec::new(),
+            latest: None,
         }
     }
 
@@ -641,9 +656,9 @@ impl ListenerRecorder {
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
         let mut sum = 0u128;
         let mut n = 0u64;
-        for (at, estimate) in &self.series {
-            if *at >= from && *at < to {
-                sum += estimate.latency.as_nanos() as u128;
+        for logged in &self.series {
+            if logged.at >= from && logged.at < to {
+                sum += logged.latency.as_nanos() as u128;
                 n += 1;
             }
         }
@@ -798,7 +813,12 @@ impl ListenerPlaneDriver {
             return;
         };
         let logged = front.map_or(aggregate, |f| compose_two(f, &aggregate));
-        self.recorder.series.push((ctx.now(), logged));
+        self.recorder.series.push(LoggedLatency {
+            at: ctx.now(),
+            latency: logged.latency,
+            smoothed_latency: logged.smoothed_latency,
+        });
+        self.recorder.latest = Some(logged);
         self.decide(ctx, &aggregate, socks);
     }
 }
@@ -932,13 +952,13 @@ impl ProxyDriver {
 
     /// One shard's recorded *composed* (front + back) estimate series —
     /// the service-level view that ranks shards by end-to-end latency.
-    pub fn shard_series(&self, shard: usize) -> &[(Nanos, Estimate)] {
+    pub fn shard_series(&self, shard: usize) -> &[LoggedLatency] {
         &self.seats[shard].recorder.series
     }
 
     /// The newest composed (front + back) service estimate for one shard.
     pub fn latest_composed(&self, shard: usize) -> Option<&Estimate> {
-        self.seats[shard].recorder.series.last().map(|(_, e)| e)
+        self.seats[shard].recorder.latest.as_ref()
     }
 
     /// Mean composed service latency for one shard over `[from, to)`.

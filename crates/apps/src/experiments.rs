@@ -28,9 +28,9 @@ use simnet::{
 };
 
 use crate::cost::CostProfile;
-use crate::failover::{FailoverArm, FailoverRunConfig, FailoverScenario};
+use crate::failover::{FailoverArm, FailoverScenario};
 use crate::runner::{run_point, NagleSetting, Overrides, PointResult, RunConfig};
-use crate::shard::{ShardRunConfig, ShardSetting};
+use crate::tier::{ShardSetting, TierRunConfig};
 use crate::workload::WorkloadSpec;
 
 /// The paper's 500 µs latency SLO.
@@ -583,25 +583,25 @@ pub fn shard_arms(
     hot_fraction: f64,
     (warmup, measure): (Nanos, Nanos),
     seed: u64,
-) -> [ShardRunConfig; 3] {
-    let off = ShardRunConfig {
+) -> [TierRunConfig; 3] {
+    let off = TierRunConfig {
         num_clients,
         num_shards,
         hot_fraction,
         warmup,
         measure,
         seed,
-        ..ShardRunConfig::new(
+        ..TierRunConfig::shard(
             WorkloadSpec::shard(rate_rps),
             ShardSetting::Corner { nagle: false },
         )
     };
-    let on = ShardRunConfig {
-        setting: ShardSetting::Corner { nagle: true },
+    let on = TierRunConfig {
+        upstream: ShardSetting::Corner { nagle: true },
         ..off
     };
-    let adaptive = ShardRunConfig {
-        setting: ShardSetting::Adaptive {
+    let adaptive = TierRunConfig {
+        upstream: ShardSetting::Adaptive {
             objective: Objective::MinLatency,
         },
         ..off
@@ -632,23 +632,23 @@ pub fn failover_arms(
     hot_fraction: f64,
     (warmup, measure): (Nanos, Nanos),
     seed: u64,
-) -> [FailoverRunConfig; 5] {
-    let base = FailoverRunConfig {
+) -> [TierRunConfig; 5] {
+    let base = TierRunConfig {
         num_clients,
         num_shards,
         hot_fraction,
         warmup,
         measure,
         seed,
-        ..FailoverRunConfig::new(
+        ..TierRunConfig::new(
             WorkloadSpec::shard(rate_rps),
             FailoverArm::Full,
             Some(scenario),
         )
     };
     let [naive, timeout_only, retry, full] =
-        FailoverArm::ALL.map(|arm| FailoverRunConfig { arm, ..base });
-    let oracle = FailoverRunConfig {
+        FailoverArm::ALL.map(|arm| TierRunConfig { arm, ..base });
+    let oracle = TierRunConfig {
         scenario: None,
         ..base
     };

@@ -12,6 +12,10 @@
 //!   get measured + estimated performance.
 //! * [`sweep::run_sweep`] — a load sweep across Nagle on/off/dynamic (the
 //!   Figure 4 harness).
+//! * [`tier::run_tier_point`] — run one two-tier point (clients → proxy →
+//!   shards): upstream batching, fault scenario and defense arm in one
+//!   [`tier::TierRunConfig`], both grids' readouts in one
+//!   [`tier::TierPointResult`].
 //! * [`experiments`] — each grid's arm configurations (`chaos_arms()`,
 //!   `knobs_arms()`, …), its degradation bound and fault classes, and
 //!   `figure2()`. The `experiments` bench registry runs, prints, emits
@@ -35,22 +39,22 @@ pub mod resp;
 mod runlog;
 pub mod runner;
 pub mod server;
-pub mod shard;
 pub mod sweep;
-mod tier;
+pub mod tier;
 pub mod workload;
 
 pub use cost::{AppCosts, CostProfile};
 pub use driver::{
     EstimateRecorder, HintRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
 };
-pub use failover::{
-    run_failover_point, FailoverArm, FailoverPointResult, FailoverRunConfig, FailoverScenario,
-};
+pub use failover::{FailoverArm, FailoverScenario};
 pub use loadgen::{KeyPool, LancetClient};
 pub use proxy::{ProxyApp, Resilience, ShardRouter};
 pub use runner::{run_point, ClientResult, NagleSetting, PointResult, RunConfig};
 pub use server::RedisServer;
-pub use shard::{run_shard_point, ShardPointResult, ShardRunConfig, ShardSetting};
 pub use sweep::{run_sweep, SweepResult};
+pub use tier::{run_tier_point, ShardSetting, TierPointResult, TierRunConfig};
+/// The failover grid's name for [`run_tier_point`], kept for callers
+/// written against it.
+pub use tier::run_tier_point as run_failover_point;
 pub use workload::WorkloadSpec;

@@ -14,8 +14,8 @@ use e2e_apps::experiments::{
 use e2e_apps::grid::{default_threads, run_grid};
 use e2e_apps::report::us;
 use e2e_apps::{
-    run_failover_point, run_point, run_shard_point, FailoverArm, FailoverPointResult,
-    FailoverScenario, PointResult, ShardPointResult, WorkloadSpec,
+    run_point, run_tier_point, FailoverArm, FailoverScenario, PointResult, TierPointResult,
+    WorkloadSpec,
 };
 use littles::Nanos;
 use simnet::FaultCounters;
@@ -466,7 +466,7 @@ pub fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
 /// hot upstream flips to batching, its delay drops back into the pack.
 const SHARD_HOT_RANK_MIN: f64 = 0.9;
 
-fn shard_point_json(r: &ShardPointResult) -> Json {
+fn shard_point_json(r: &TierPointResult) -> Json {
     Json::obj([
         ("p99_us", Json::us(r.measured_p99)),
         ("hot_shard", r.hot_shard.into()),
@@ -489,7 +489,7 @@ pub fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         if smoke { (&[60_000.0], 0x5AAD) } else { (&[30_000.0, 60_000.0, 90_000.0], SEED) };
     let cells = run_grid(rates.len(), default_threads(), |i| {
         let arms = experiments::shard_arms(rates[i], 8, 4, 0.7, windows(smoke), seed);
-        arms.map(|cfg| run_shard_point(&cfg))
+        arms.map(|cfg| run_tier_point(&cfg))
     });
     println!(
         "{:>8} | {:>9} {:>9} {:>9} | {:>6} | {:>8} {:>8} | {:>16}",
@@ -590,7 +590,7 @@ const FAILOVER_NAIVE_FACTOR: f64 = 10.0;
 /// Goodput floor for the full stack, as a fraction of the oracle's.
 const FAILOVER_GOODPUT_MIN: f64 = 0.9;
 
-fn failover_point_json(r: &FailoverPointResult) -> Json {
+fn failover_point_json(r: &TierPointResult) -> Json {
     Json::obj([
         ("p99_us", Json::us(r.measured_p99)),
         ("mean_us", Json::us(r.measured_mean)),
@@ -634,7 +634,7 @@ pub fn failover(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     let scenarios = FailoverScenario::ALL;
     let cells = run_grid(scenarios.len(), default_threads(), |i| {
         let arms = experiments::failover_arms(scenarios[i], rate, 4, 4, 0.7, window, 0xFA11);
-        arms.map(|cfg| run_failover_point(&cfg))
+        arms.map(|cfg| run_tier_point(&cfg))
     });
     let mut rows = Vec::new();
     let (mut naive_collapsed, mut retries, mut hedges, mut trips, mut dedups) = (false, 0, 0, 0, 0);

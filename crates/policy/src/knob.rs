@@ -223,12 +223,6 @@ impl ControlPlane {
     pub fn cork_limit(&self) -> Option<u64> {
         self.cork.as_ref().map(|c| c.limit())
     }
-
-    /// Fraction of Nagle decisions that chose "on" is not tracked here;
-    /// the Nagle controller's learned arm scores are.
-    pub fn nagle_arm_score(&self, on: bool) -> Option<f64> {
-        self.nagle.arm_score(on)
-    }
 }
 
 impl BatchToggler for ControlPlane {

@@ -10,8 +10,8 @@
 
 use e2e_batching::batchpolicy::{Objective, RetryConfig};
 use e2e_batching::e2e_apps::{
-    run_shard_point, CostProfile, LancetClient, ProxyApp, RedisServer, Resilience, ShardRouter,
-    ShardRunConfig, ShardSetting, WorkloadSpec,
+    run_tier_point, CostProfile, LancetClient, ProxyApp, RedisServer, Resilience, ShardRouter,
+    ShardSetting, TierRunConfig, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{
@@ -20,15 +20,15 @@ use e2e_batching::simnet::{
 };
 use e2e_batching::tcpsim::{Host, HostId, TcpConfig, TierSim};
 
-fn k4_cfg(setting: ShardSetting) -> ShardRunConfig {
-    ShardRunConfig {
+fn k4_cfg(upstream: ShardSetting) -> TierRunConfig {
+    TierRunConfig {
         num_clients: 4,
         num_shards: 4,
         hot_fraction: 0.7,
         warmup: Nanos::from_millis(50),
         measure: Nanos::from_millis(150),
         seed: 0x005A_AD16,
-        ..ShardRunConfig::new(WorkloadSpec::shard(30_000.0), setting)
+        ..TierRunConfig::shard(WorkloadSpec::shard(30_000.0), upstream)
     }
 }
 
@@ -41,8 +41,8 @@ fn k4_skewed_grid_replays_bit_identically() {
         },
     ] {
         let cfg = k4_cfg(setting);
-        let a = run_shard_point(&cfg);
-        let b = run_shard_point(&cfg);
+        let a = run_tier_point(&cfg);
+        let b = run_tier_point(&cfg);
 
         assert!(a.samples > 0, "run must carry traffic");
         assert_eq!(a.samples, b.samples);
@@ -66,8 +66,8 @@ fn k4_skewed_grid_replays_bit_identically() {
 /// corners and the adaptive run are measuring the same offered traffic.
 #[test]
 fn all_arms_route_the_same_skew() {
-    let off = run_shard_point(&k4_cfg(ShardSetting::Corner { nagle: false }));
-    let adaptive = run_shard_point(&k4_cfg(ShardSetting::Adaptive {
+    let off = run_tier_point(&k4_cfg(ShardSetting::Corner { nagle: false }));
+    let adaptive = run_tier_point(&k4_cfg(ShardSetting::Adaptive {
         objective: Objective::MinLatency,
     }));
     assert_eq!(off.hot_shard, adaptive.hot_shard);
