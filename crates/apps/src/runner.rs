@@ -30,9 +30,6 @@ pub enum NagleSetting {
     Off,
     /// Nagle enabled on both endpoints.
     On,
-    /// Nagle enabled only at the server (toggling Redis's own setting,
-    /// as Figure 2 does), client stays `TCP_NODELAY`.
-    ServerOnly,
     /// Nagle replaced by the §5 gradual batching limit, adapted with AIMD
     /// under the given objective (client side; the server keeps
     /// `TCP_NODELAY`).
@@ -294,7 +291,7 @@ pub struct PointResult {
     /// Endpoint restarts the fault plan injected.
     pub fault_restarts: u64,
     /// Total simulator events processed across warmup, measurement, and
-    /// drain — the denominator of the self-bench's events/sec metric.
+    /// drain. A property of the implementation, not of the workload.
     pub events: u64,
 }
 
@@ -364,7 +361,6 @@ pub fn run_point(cfg: &RunConfig) -> PointResult {
     let (client_mode, server_mode) = match cfg.nagle {
         NagleSetting::Off | NagleSetting::AimdLimit { .. } => (NagleMode::Off, NagleMode::Off),
         NagleSetting::On => (NagleMode::On, NagleMode::On),
-        NagleSetting::ServerOnly => (NagleMode::Off, NagleMode::On),
         NagleSetting::Plane { .. } => (NagleMode::Dynamic, NagleMode::Dynamic),
         NagleSetting::Corner { nagle, .. } => {
             let mode = if nagle { NagleMode::On } else { NagleMode::Off };

@@ -42,11 +42,10 @@
 //! | `failover`          | Shard crash / brownout × proxy defense ladder |
 //! |                     | vs never-failed oracle (BENCH_failover.json)  |
 //!
-//! Two targets stand alone: `simperf` (simulator wall time per simulated
-//! second by fan-in width; BENCH_simperf.json, `--smoke` ceilings) and
-//! `micro` (a hand-rolled median-of-batches suite for the measurement
-//! primitives — the paper's "easily maintained counters" claim,
-//! quantified: TRACK/GETAVGS/wire/estimator/timer costs in ns/op).
+//! One target stands alone: `micro`, a hand-rolled median-of-batches
+//! suite for the measurement primitives — the paper's "easily maintained
+//! counters" claim, quantified: TRACK/GETAVGS/wire/estimator/timer costs
+//! in ns/op.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -8,37 +8,21 @@
 //! 100 Gbps — the network itself is never the bottleneck, the endpoints
 //! are).
 //!
-//! Optional uniform random loss supports the stack's retransmission tests;
-//! the figure experiments run lossless, as did the paper's testbed.
+//! A link never drops a packet on its own: loss, like every other
+//! impairment, is the fault layer's ([`fault`](crate::fault)), which
+//! draws from its own RNG stream and books each drop here with
+//! [`Link::record_drop`].
 
-
-use crate::rng::Pcg32;
 use littles::Nanos;
 
 /// Static link parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// One-way propagation delay.
     pub propagation: Nanos,
     /// Line rate in bits per second.
     pub bandwidth_bps: u64,
-    /// Probability of dropping any given packet (0 for lossless).
-    pub loss_probability: f64,
 }
-
-// Not derived: a derived `PartialEq` would compare `loss_probability` with
-// float `==`, where configs that behave identically (0.0 vs -0.0) would
-// differ and NaN would break reflexivity. Bitwise identity is the right
-// notion for "same configuration".
-impl PartialEq for LinkConfig {
-    fn eq(&self, other: &Self) -> bool {
-        self.propagation == other.propagation
-            && self.bandwidth_bps == other.bandwidth_bps
-            && self.loss_probability.total_cmp(&other.loss_probability).is_eq()
-    }
-}
-
-impl Eq for LinkConfig {}
 
 impl Default for LinkConfig {
     /// 100 Gbps with 5 µs one-way delay, lossless — the paper's testbed
@@ -47,7 +31,6 @@ impl Default for LinkConfig {
         LinkConfig {
             propagation: Nanos::from_micros(5),
             bandwidth_bps: 100_000_000_000,
-            loss_probability: 0.0,
         }
     }
 }
@@ -101,20 +84,6 @@ impl Link {
         self.busy_until + self.config.propagation
     }
 
-    /// Like [`transmit`](Self::transmit) but subject to random loss;
-    /// returns `None` when the packet is dropped (it still occupies the
-    /// pipe, as a real lost packet would).
-    pub fn transmit_lossy(&mut self, now: Nanos, bytes: usize, rng: &mut Pcg32) -> Option<Nanos> {
-        let arrival = self.transmit(now, bytes);
-        if self.config.loss_probability > 0.0 && rng.gen_bool(self.config.loss_probability) {
-            self.packets_dropped += 1;
-            self.bytes_dropped += bytes as u64;
-            None
-        } else {
-            Some(arrival)
-        }
-    }
-
     /// Books a drop decided outside the link (the fault-injection layer):
     /// the packet already went through [`transmit`](Self::transmit), so it
     /// occupied the pipe, but it never arrives.
@@ -133,7 +102,7 @@ impl Link {
         self.bytes_sent
     }
 
-    /// Packets dropped by the loss process.
+    /// Packets dropped by the fault layer.
     pub fn packets_dropped(&self) -> u64 {
         self.packets_dropped
     }
@@ -190,7 +159,6 @@ mod tests {
         Link::new(LinkConfig {
             propagation: Nanos::from_micros(prop_us),
             bandwidth_bps: gbps * 1_000_000_000,
-            loss_probability: 0.0,
         })
     }
 
@@ -200,7 +168,6 @@ mod tests {
         let cfg = LinkConfig {
             propagation: Nanos::ZERO,
             bandwidth_bps: 10_000_000_000,
-            loss_probability: 0.0,
         };
         assert_eq!(cfg.serialization_time(1250), Nanos::from_micros(1));
     }
@@ -252,55 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn lossless_link_never_drops() {
-        let mut l = gbit_link(1, 10);
-        let mut rng = Pcg32::new(1);
-        for _ in 0..100 {
-            assert!(l.transmit_lossy(Nanos::ZERO, 64, &mut rng).is_some());
-        }
-    }
-
-    #[test]
-    fn lossy_link_drops_roughly_at_rate() {
-        let mut l = Link::new(LinkConfig {
-            propagation: Nanos::ZERO,
-            bandwidth_bps: 1_000_000_000,
-            loss_probability: 0.25,
-        });
-        let mut rng = Pcg32::new(2);
-        let drops = (0..10_000)
-            .filter(|_| l.transmit_lossy(Nanos::ZERO, 64, &mut rng).is_none())
-            .count();
-        assert!((2_200..2_800).contains(&drops), "got {drops}");
-        assert_eq!(l.packets_dropped() as usize, drops);
-    }
-
-    #[test]
     fn dropped_bytes_are_booked() {
-        let mut l = Link::new(LinkConfig {
-            propagation: Nanos::ZERO,
-            bandwidth_bps: 1_000_000_000,
-            loss_probability: 1.0,
-        });
-        let mut rng = Pcg32::new(3);
-        assert!(l.transmit_lossy(Nanos::ZERO, 100, &mut rng).is_none());
+        let mut l = gbit_link(0, 1);
+        let _ = l.transmit(Nanos::ZERO, 100);
+        l.record_drop(100);
         assert_eq!(l.packets_dropped(), 1);
         assert_eq!(l.bytes_dropped(), 100);
-        // External (fault-layer) drops book the same way.
         let _ = l.transmit(Nanos::ZERO, 50);
         l.record_drop(50);
         assert_eq!(l.packets_dropped(), 2);
         assert_eq!(l.bytes_dropped(), 150);
         assert_eq!(l.bytes_sent(), 150); // dropped packets still used the pipe
-    }
-
-    #[test]
-    fn link_config_equality_is_bitwise_on_loss() {
-        let a = LinkConfig::default();
-        let mut b = a;
-        assert_eq!(a, b);
-        b.loss_probability = 0.1;
-        assert_ne!(a, b);
     }
 
     #[test]

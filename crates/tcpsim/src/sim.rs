@@ -391,7 +391,6 @@ impl HostCtx<'_> {
             self.topology,
             self.routes,
             self.queue,
-            self.rng,
             self.faults,
             sock,
             self.actions,
@@ -414,7 +413,6 @@ fn apply_actions(
     topology: &mut Topology,
     routes: &FlowMap<FlowRoute>,
     queue: &mut EventQueue<Event>,
-    rng: &mut Pcg32,
     faults: &mut Option<FaultPlan>,
     sock: SocketId,
     actions: &mut Vec<Action>,
@@ -451,7 +449,7 @@ fn apply_actions(
                 let wire_len = seg.wire_len();
                 let (link_id, a_to_b) = topology.hop_index(host_id, dst);
                 let link = topology.directed_mut(link_id, a_to_b);
-                let mut arrival = link.transmit_lossy(depart, wire_len, rng);
+                let at = link.transmit(depart, wire_len);
                 let serialized_at = link.busy_until().max(depart);
                 queue.schedule_at(
                     serialized_at + NIC_COMPLETION_DELAY,
@@ -464,15 +462,16 @@ fn apply_actions(
                 // duplicate, or delay the packet after serialization.
                 // Handshake segments are exempt so a duplicated SYN can't
                 // mint phantom server sockets.
+                let mut arrival = Some(at);
                 let mut duplicate = false;
-                if let (Some(plan), Some(t)) = (faults.as_mut(), arrival) {
+                if let Some(plan) = faults.as_mut() {
                     if !seg.flags.syn {
                         let decision = plan.on_transmit(link_id, a_to_b, depart);
                         if decision.drop {
                             topology.directed_mut(link_id, a_to_b).record_drop(wire_len);
                             arrival = None;
                         } else {
-                            arrival = Some(t + decision.extra_delay);
+                            arrival = Some(at + decision.extra_delay);
                             duplicate = decision.duplicate;
                             // Corruption garbles only the exchange option —
                             // the data payload survives, but the shared
@@ -773,7 +772,6 @@ impl SimCore {
             &mut self.topology,
             &self.routes,
             queue,
-            &mut self.rngs[h.index()],
             &mut self.faults,
             sock,
             &mut self.scratch,

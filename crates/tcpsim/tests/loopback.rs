@@ -5,7 +5,7 @@
 //! the instrumented queues — all through the public `NetSim` API.
 
 use littles::Nanos;
-use simnet::{run, CpuContext, EventQueue, LinkConfig};
+use simnet::{run, CpuContext, EventQueue, FaultConfig, GilbertElliott, LinkConfig};
 use tcpsim::config::{CostConfig, NagleMode, TcpConfig};
 use tcpsim::host::{Host, HostId};
 use tcpsim::sim::{App, Event, HostCtx, NetSim};
@@ -263,21 +263,45 @@ fn lossy_link_recovers_via_retransmission() {
     let link = LinkConfig {
         propagation: Nanos::from_micros(5),
         bandwidth_bps: 10_000_000_000,
-        // High enough that every plausible RNG stream sees several drops
-        // over the few dozen per-segment loss draws (TSO batches wire
-        // packets into far fewer segments).
-        loss_probability: 0.12,
+    };
+    // Memoryless loss: the chain never leaves its good state, which drops
+    // 12% of segments. High enough that every plausible RNG stream sees
+    // several drops over the few dozen per-segment draws (TSO batches
+    // wire packets into far fewer segments).
+    let fault = FaultConfig {
+        loss: Some(GilbertElliott {
+            p_good_to_bad: 0.0,
+            p_bad_to_good: 1.0,
+            loss_good: 0.12,
+            loss_bad: 0.0,
+        }),
+        ..FaultConfig::default()
     };
     let mut config = TcpConfig::default();
     config.rto.min_rto = Nanos::from_millis(5); // keep the test fast
     let payload: Vec<u8> = (0..50 * 1024).map(|i| (i % 241) as u8).collect();
-    let (sim, _q) = run_echo(
-        config,
+    let client = ScriptClient::new(config, vec![(Nanos::from_millis(1), payload.clone())]);
+    let mut sim = NetSim::star_with_faults(
+        vec![client],
+        EchoServer::default(),
+        vec![make_host(0)],
+        make_host(1),
         link,
-        vec![(Nanos::from_millis(1), payload.clone())],
-        Nanos::from_secs(30),
+        42,
+        fault,
     );
+    let mut queue = EventQueue::new();
+    sim.start(&mut queue);
+    run(&mut sim, &mut queue, Nanos::from_secs(30));
     assert_eq!(sim.client().received, payload, "stream must survive loss");
+    let drops: u64 = sim
+        .fault_plan()
+        .expect("the star was built with a fault plan")
+        .per_link_counters()
+        .iter()
+        .map(|c| c.drops)
+        .sum();
+    assert!(drops > 0, "the fault layer should have dropped segments");
     let retx: u64 = [0, 1]
         .iter()
         .map(|&h| sim.host(h).socket(SocketId(0)).stats().retransmissions)
