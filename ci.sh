@@ -59,8 +59,11 @@ if cargo check -q --workspace --all-targets --offline 2>&1 | grep '^warning'; th
     exit 1
 fi
 
-echo "==> cargo test -q --workspace (root integration tests + every crate's own; tests/work_ledger.rs gates allocations, events and client ticks per request)"
+echo "==> cargo test -q --workspace (root integration tests + every crate's own; tests/work_ledger.rs gates allocations, retained bytes, events and client ticks per request)"
 cargo test -q --workspace
+
+echo "==> work ledger, release (the build that ships is held to its own heap ceilings)"
+cargo test -q --release --test work_ledger
 
 echo "==> SACK sweep, 512 seeds (release; every byte once and in order under loss, reordering and duplication)"
 cargo test -q --release -p tcpsim --test sack_sweep -- --ignored
