@@ -30,7 +30,7 @@ use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
 
-use crate::runlog::{Run, RunLog};
+use crate::runlog::{Checkpoints, Delta, Run, RunLog};
 
 /// What one estimator update reads from a socket: its local queue
 /// snapshots at `now`, the peer's latest exchange, and the smoothed RTT
@@ -72,6 +72,25 @@ impl PartialEq for LoggedEstimate {
     /// interchangeable.
     fn eq(&self, other: &Self) -> bool {
         self.latency == other.latency && self.throughput.to_bits() == other.throughput.to_bits()
+    }
+}
+
+impl Delta for LoggedEstimate {
+    const ORIGIN: Self = LoggedEstimate {
+        latency: Nanos::ZERO,
+        throughput: 0.0,
+    };
+
+    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
+        self.latency.put(&prev.latency, out);
+        self.throughput.put(&prev.throughput, out);
+    }
+
+    fn get(prev: &Self, input: &mut &[u8]) -> Self {
+        LoggedEstimate {
+            latency: Nanos::get(&prev.latency, input),
+            throughput: f64::get(&prev.throughput, input),
+        }
     }
 }
 
@@ -167,8 +186,9 @@ pub struct EstimateRecorder {
     /// ratios. Checkpointing at exchange ticks keeps both sides' sums
     /// aligned to the same exchange boundaries and self-scales the memory:
     /// at high per-connection load it is one entry per tick, at high
-    /// fan-in one entry per (sparse) exchange.
-    cum_series: Vec<(Nanos, EndpointWindows, EndpointWindows)>,
+    /// fan-in one entry per (sparse) exchange. Packed: a checkpoint
+    /// differs from the one before by a few exchanges' worth.
+    cum_series: Checkpoints,
     /// `remote_epoch` at the last checkpoint.
     cum_epoch: u64,
 }
@@ -183,7 +203,7 @@ impl EstimateRecorder {
             frozen: None,
             log: RunLog::default(),
             last: None,
-            cum_series: Vec::new(),
+            cum_series: Checkpoints::default(),
             cum_epoch: 0,
         }
     }
@@ -300,7 +320,7 @@ impl EstimateRecorder {
                     self.log.push_n(run.at(k), run.step, sample, skipped);
                 }
                 if let Some(slow) = before.filter(|_| skipped > 0) {
-                    self.assert_skip(slow, run, k..k + skipped, &frozen, logged);
+                    self.assert_skip(slow, &run, k..k + skipped, &frozen, logged);
                 }
                 k += skipped;
             }
@@ -387,9 +407,11 @@ impl EstimateRecorder {
 
     /// The cumulative-window checkpoints up to the last
     /// [`flush`](Self::flush): `(time, local, remote)` at every tick that
-    /// folded in a fresh exchange.
-    pub fn checkpoints(&self) -> &[(Nanos, EndpointWindows, EndpointWindows)] {
-        &self.cum_series
+    /// folded in a fresh exchange, oldest first.
+    pub fn checkpoints(
+        &self,
+    ) -> impl Iterator<Item = (Nanos, EndpointWindows, EndpointWindows)> + '_ {
+        self.cum_series.iter()
     }
 
     /// Runs in the sample log — what its memory is proportional to.
@@ -417,7 +439,7 @@ impl EstimateRecorder {
             .iter()
             .filter(|(at, _, _)| *at >= from && *at < to);
         let first = inside.next()?;
-        let last = inside.next_back()?;
+        let last = inside.last()?;
         let near = last.1.since(&first.1);
         let far = last.2.since(&first.2);
         (!near.unacked.dt.is_zero()).then_some((near, far))

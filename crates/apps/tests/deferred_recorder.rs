@@ -519,7 +519,10 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
             .map(|(at, e)| (*at, e.latency, e.throughput.to_bits()))
             .collect();
         assert_eq!(got, want, "seed {seed}: sample log");
-        assert_eq!(pair.deferred.checkpoints(), &pair.reference.cum_series[..]);
+        assert_eq!(
+            pair.deferred.checkpoints().collect::<Vec<_>>(),
+            pair.reference.cum_series
+        );
         assert_eq!(
             format!("{:?}", pair.deferred.estimator()),
             format!("{:?}", pair.reference.estimator),

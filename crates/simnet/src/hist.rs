@@ -5,7 +5,9 @@
 //! percentiles per offered load. A [`Histogram`] stores samples in
 //! logarithmic buckets with linear sub-buckets (the HdrHistogram layout),
 //! giving a bounded relative error (≤ 1/32 ≈ 3% here) at O(1) record cost
-//! and a few KiB of memory regardless of sample count.
+//! and a few KiB of memory regardless of sample count. Only the buckets
+//! below ~2 s are allocated up front; the table grows to its full range
+//! on the first sample past them.
 
 
 use littles::Nanos;
@@ -17,6 +19,11 @@ const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
 /// Octaves covered: values up to 2^(OCTAVES + SUB_BITS) ns ≈ 154 days.
 const OCTAVES: usize = 52;
 const NUM_BUCKETS: usize = (OCTAVES + 1) * SUB_BUCKETS as usize;
+/// Buckets a new histogram allocates: the values below 2^31 ns ≈ 2.1 s,
+/// where request latencies fall. A run of many clients keeps one
+/// histogram per client, so the other half of the table waits for a
+/// sample that needs it.
+const FIRST_BUCKETS: usize = 27 * SUB_BUCKETS as usize;
 
 /// A latency histogram over nanosecond samples.
 ///
@@ -75,7 +82,7 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; NUM_BUCKETS],
+            counts: vec![0; FIRST_BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -86,7 +93,11 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, value: Nanos) {
         let v = value.as_nanos();
-        self.counts[bucket_index(v)] += 1;
+        let i = bucket_index(v);
+        if i >= self.counts.len() {
+            self.counts.resize(NUM_BUCKETS, 0);
+        }
+        self.counts[i] += 1;
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -153,6 +164,9 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -302,6 +316,81 @@ mod tests {
             let mid = bucket_midpoint(idx);
             // The midpoint must land back in the same bucket.
             assert_eq!(bucket_index(mid), idx, "value {v} mid {mid}");
+        }
+    }
+
+    /// A histogram with the whole table allocated, as every histogram
+    /// once was.
+    fn full_size() -> Histogram {
+        Histogram {
+            counts: vec![0; NUM_BUCKETS],
+            ..Histogram::new()
+        }
+    }
+
+    /// Everything a histogram answers: its count, then its mean, min, max
+    /// and every 0.1 % quantile.
+    fn readout(h: &Histogram) -> (u64, Vec<Option<Nanos>>) {
+        let quantiles = (0..=1000).map(|i| h.quantile(f64::from(i) / 1000.0));
+        (h.count(), [h.mean(), h.min(), h.max()].into_iter().chain(quantiles).collect())
+    }
+
+    /// `n` seeded samples: mostly request latencies, some past the
+    /// buckets allocated up front, some in the top bucket.
+    fn samples(seed: u64, n: usize, long: bool) -> Vec<Nanos> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let v = match (x >> 60, long) {
+                    (0, true) => x >> 1,                      // up to the top bucket
+                    (1, true) => u64::MAX - (x >> 50),        // the top bucket
+                    (2, true) => (1 << 31) + (x >> 40),       // just past the first buckets
+                    _ => (x >> 33) % 5_000_000,               // under 5 ms
+                };
+                Nanos::from_nanos(v)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sized_table_answers_as_the_full_table() {
+        for seed in 0..12 {
+            let short = samples(seed, 2_000, false);
+            let long = samples(seed + 100, 2_000, true);
+            assert!(long.iter().any(|v| bucket_index(v.as_nanos()) == NUM_BUCKETS - 1));
+            let (mut a, mut b) = (Histogram::new(), Histogram::new());
+            let (mut ra, mut rb) = (full_size(), full_size());
+            for &v in &short {
+                a.record(v);
+                ra.record(v);
+            }
+            assert_eq!(a.counts.len(), FIRST_BUCKETS, "short samples need no growth");
+            for &v in &long {
+                b.record(v);
+                rb.record(v);
+            }
+            assert_eq!(readout(&a), readout(&ra), "seed {seed}");
+            assert_eq!(readout(&b), readout(&rb), "seed {seed}");
+            // Merges between the two lengths, both ways, and into new.
+            for (into, from, r_into, r_from) in [(&a, &b, &ra, &rb), (&b, &a, &rb, &ra)] {
+                let (mut got, mut want) = (into.clone(), r_into.clone());
+                got.merge(from);
+                want.merge(r_from);
+                assert_eq!(readout(&got), readout(&want), "seed {seed}: merge");
+                let mut fresh = Histogram::new();
+                fresh.merge(&got);
+                assert_eq!(readout(&fresh), readout(&want), "seed {seed}: merge into new");
+            }
+            // Cleared, then refilled.
+            b.clear();
+            rb.clear();
+            assert_eq!(readout(&b), readout(&rb), "seed {seed}: clear");
+            for &v in short.iter().chain(&long) {
+                b.record(v);
+                rb.record(v);
+            }
+            assert_eq!(readout(&b), readout(&rb), "seed {seed}: refill");
         }
     }
 }
