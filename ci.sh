@@ -9,6 +9,15 @@ echo "==> clippy.toml is checked in"
 # silently read as an empty ban, so its presence is asserted explicitly.
 test -s clippy.toml
 
+echo "==> tests take their hosts from e2e_apps::harness (no Host::new( under tests/)"
+# star_hosts / tier_hosts hold the host layout (id = index, each role's
+# stack and CPU context names); a test that spells it out again can drift
+# from what the runners build. An `if`, not `! git grep`: `set -e` does not
+# stop on a negated pipeline.
+if git grep -n 'Host::new(' -- tests/; then
+    exit 1
+fi
+
 echo "==> clippy (clippy.toml bans wall clocks, sleeps, hash maps and string-named RNG streams; float_cmp; unwrap/expect/panic in library code; wire-counter casts in littles)"
 cargo clippy -q --workspace --all-targets --offline -- -D warnings
 

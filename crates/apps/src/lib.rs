@@ -10,6 +10,10 @@
 //!
 //! * [`runner::run_point`] — run one (workload, configuration) pair and
 //!   get measured + estimated performance.
+//! * [`harness::Harness`] — the same run, and the two-tier one, assembled
+//!   once and advanced in stages (warm-up, window, drain) by a caller
+//!   that steps the loop itself; [`harness::star_hosts`] and
+//!   [`harness::tier_hosts`] lay out a topology's hosts.
 //! * [`sweep::run_sweep`] — a load sweep across Nagle on/off/dynamic (the
 //!   Figure 4 harness).
 //! * [`tier::run_tier_point`] — run one two-tier point (clients → proxy →
@@ -31,6 +35,7 @@ pub mod driver;
 pub mod experiments;
 pub mod failover;
 pub mod grid;
+pub mod harness;
 pub mod kv;
 pub mod loadgen;
 pub mod proxy;
@@ -48,6 +53,7 @@ pub use driver::{
     EstimateRecorder, HintRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
 };
 pub use failover::{FailoverArm, FailoverScenario};
+pub use harness::Harness;
 pub use loadgen::{KeyPool, LancetClient};
 pub use proxy::{ProxyApp, Resilience, ShardRouter};
 pub use runner::{run_point, ClientResult, NagleSetting, PointResult, RunConfig};

@@ -18,15 +18,15 @@
 //! moves them.
 
 use batchpolicy::{BreakerConfig, RetryConfig};
+use e2e_apps::harness::{star_hosts, tier_hosts};
 use e2e_apps::loadgen::{KeyPool, LancetClient};
 use e2e_apps::proxy::{ProxyApp, Resilience, ShardRouter};
 use e2e_apps::{CostProfile, RedisServer, WorkloadSpec};
 use littles::Nanos;
 use simnet::{
-    run, CpuContext, EventQueue, FaultConfig, Histogram, LinkConfig, Pcg32, RestartSchedule,
-    ShardFaultPlan,
+    run, EventQueue, FaultConfig, Histogram, LinkConfig, Pcg32, RestartSchedule, ShardFaultPlan,
 };
-use tcpsim::{Host, HostId, NetSim, TcpConfig, TierSim};
+use tcpsim::{NetSim, TcpConfig, TierSim};
 
 const SEED: u64 = 0x0BAC_2106;
 const WARMUP: Nanos = Nanos::from_millis(5);
@@ -46,17 +46,6 @@ fn workload(rate_rps: f64) -> WorkloadSpec {
         set_ratio: 0.5,
         ..WorkloadSpec::fig4a(rate_rps)
     }
-}
-
-fn host(idx: usize, app: &'static str, costs: tcpsim::CostConfig) -> Host {
-    let softirq = CpuContext::new("softirq");
-    Host::new(
-        HostId::from_index(idx),
-        CpuContext::new(app),
-        softirq,
-        costs,
-        small_buffers(),
-    )
 }
 
 fn latency(hist: &Histogram) -> String {
@@ -89,11 +78,13 @@ fn pair(rate_rps: f64) -> String {
         }),
         ..FaultConfig::default()
     };
+    let (client_hosts, server_host) =
+        star_hosts(1, &profile, small_buffers(), small_buffers());
     let mut sim = NetSim::star_with_faults(
         vec![client],
         server,
-        vec![host(0, "client-app", profile.client_stack)],
-        host(1, "server-app", profile.server_stack),
+        client_hosts,
+        server_host,
         LinkConfig::default(),
         SEED,
         fault,
@@ -139,7 +130,8 @@ fn tier(rate_rps: f64) -> String {
             LancetClient::new(spec, profile.app, small_buffers(), WARMUP, END).with_key_pool(pool)
         })
         .collect();
-    let shard_ids = (0..k).map(|j| HostId::from_index(n + 1 + j)).collect();
+    let (client_hosts, proxy_host, shard_hosts) = tier_hosts(n, k, &profile, small_buffers());
+    let shard_ids = shard_hosts.iter().map(|h| h.id).collect();
     let proxy = ProxyApp::new(profile.app, small_buffers(), shard_ids, router).with_resilience(
         Resilience::full(RetryConfig::default(), BreakerConfig::default()),
     );
@@ -159,13 +151,9 @@ fn tier(rate_rps: f64) -> String {
         clients,
         proxy,
         shards,
-        (0..n)
-            .map(|i| host(i, "client-app", profile.client_stack))
-            .collect(),
-        host(n, "proxy-app", profile.client_stack),
-        (0..k)
-            .map(|j| host(n + 1 + j, "shard-app", profile.server_stack))
-            .collect(),
+        client_hosts,
+        proxy_host,
+        shard_hosts,
         LinkConfig::default(),
         LinkConfig::default(),
         SEED,

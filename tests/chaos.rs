@@ -11,15 +11,15 @@
 use e2e_batching::e2e_apps::experiments::{
     chaos_arms, ChaosClass, CHAOS_BOUND, CHAOS_STALENESS_BOUND,
 };
+use e2e_batching::e2e_apps::harness::star_hosts;
 use e2e_batching::e2e_apps::{
     run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{
-    run, CpuContext, DuplicateConfig, EventQueue, FaultConfig, GilbertElliott, LinkConfig,
-    ReorderConfig,
+    run, DuplicateConfig, EventQueue, FaultConfig, GilbertElliott, LinkConfig, ReorderConfig,
 };
-use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig};
+use e2e_batching::tcpsim::{NetSim, TcpConfig};
 
 fn faulted_n8_cfg(nagle: NagleSetting) -> RunConfig {
     RunConfig {
@@ -111,34 +111,10 @@ fn invariant_gates_nonvacuous_under_reorder_dup_loss() {
         .map(|_| LancetClient::new(WorkloadSpec::fig4a(6_000.0), profile.app, tcp, warmup, end))
         .collect();
     let server = RedisServer::new(profile.app);
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::new("client-app"),
-                CpuContext::new("client-softirq"),
-                profile.client_stack,
-                tcp,
-            )
-        })
-        .collect();
-    let server_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("server-app"),
-        CpuContext::new("server-softirq"),
-        profile.server_stack,
-        tcp,
-    );
-
-    let mut sim = NetSim::star_with_faults(
-        clients,
-        server,
-        client_hosts,
-        server_host,
-        LinkConfig::default(),
-        0xC4A05,
-        fault,
-    );
+    let (hosts, server_host) = star_hosts(n, &profile, tcp, tcp);
+    let link = LinkConfig::default();
+    let mut sim =
+        NetSim::star_with_faults(clients, server, hosts, server_host, link, 0xC4A05, fault);
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, end);

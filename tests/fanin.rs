@@ -9,14 +9,16 @@
 use e2e_batching::batchpolicy::Objective;
 use e2e_batching::e2e_apps::driver::EstimateRecorder;
 use e2e_batching::e2e_apps::experiments::{AdversaryClass, CHAOS_STALENESS_BOUND};
+use e2e_batching::e2e_apps::harness::star_hosts;
 use e2e_batching::e2e_apps::runner::{ClientResult, PointResult};
 use e2e_batching::e2e_apps::{
-    run_point, CostProfile, LancetClient, NagleSetting, RedisServer, RunConfig, WorkloadSpec,
+    run_point, CostProfile, Harness, LancetClient, NagleSetting, RedisServer, RunConfig,
+    WorkloadSpec,
 };
 use e2e_batching::e2e_core::ValidateConfig;
 use e2e_batching::littles::Nanos;
-use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
-use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig, Unit};
+use e2e_batching::simnet::{run, EventQueue, LinkConfig};
+use e2e_batching::tcpsim::{NetSim, TcpConfig, Unit};
 
 fn n16_cfg(nagle: NagleSetting) -> RunConfig {
     RunConfig {
@@ -100,33 +102,8 @@ fn run_star16(
         })
         .collect();
     let server = RedisServer::new(profile.app);
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::new("client-app"),
-                CpuContext::new("client-softirq"),
-                profile.client_stack,
-                tcp,
-            )
-        })
-        .collect();
-    let server_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("server-app"),
-        CpuContext::new("server-softirq"),
-        profile.server_stack,
-        tcp,
-    );
-
-    let mut sim = NetSim::star(
-        clients,
-        server,
-        client_hosts,
-        server_host,
-        LinkConfig::default(),
-        0x1617,
-    );
+    let (hosts, server_host) = star_hosts(n, &profile, tcp, tcp);
+    let mut sim = NetSim::star(clients, server, hosts, server_host, LinkConfig::default(), 0x1617);
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, end);
@@ -293,6 +270,33 @@ fn describe(r: PointResult) -> (String, u64, Vec<(u64, u64)>) {
         ticks.push((ticks_run, ticks_skipped));
     }
     (lines.join("\n") + "\n", events, ticks)
+}
+
+/// A harness driven in stages, the window cut into ten equal slices,
+/// reads out field for field what `run_point` reports, `events` and every
+/// client's tick counters included: where a caller stops the loop inside
+/// the window does not change the run. The plane run with every knob, a
+/// validator and a staleness bound touches every field `describe` prints.
+#[test]
+fn sliced_drive_reads_out_what_run_point_reports() {
+    let cfg = RunConfig {
+        nagle: NagleSetting::Plane {
+            objective: Objective::MinLatency,
+            delack: true,
+            cork: true,
+        },
+        staleness_bound: Some(CHAOS_STALENESS_BOUND),
+        validate: Some(ValidateConfig::default()),
+        ..n16_cfg(NagleSetting::Off)
+    };
+    let mut harness = Harness::star(&cfg);
+    harness.warm_up();
+    for slice in 1..=10 {
+        let elapsed = Nanos::from_nanos(cfg.measure.as_nanos() * slice / 10);
+        harness.run_until(cfg.warmup + elapsed);
+    }
+    harness.drain();
+    assert_eq!(describe(harness.result()), describe(run_point(&cfg)));
 }
 
 /// Demand-armed ticks and skip-ahead replay change what the simulator

@@ -8,12 +8,13 @@
 //! and estimates that keep flowing on the far side.
 
 use e2e_batching::e2e_apps::driver::EstimateRecorder;
+use e2e_batching::e2e_apps::harness::star_hosts;
 use e2e_batching::e2e_apps::{CostProfile, LancetClient, RedisServer, WorkloadSpec};
 use e2e_batching::e2e_core::ValidateConfig;
 use e2e_batching::littles::Nanos;
-use e2e_batching::simnet::{run, CpuContext, EventQueue, LinkConfig};
+use e2e_batching::simnet::{run, EventQueue, LinkConfig};
 use e2e_batching::tcpsim::config::ExchangeConfig;
-use e2e_batching::tcpsim::{Host, HostId, NetSim, TcpConfig, Unit};
+use e2e_batching::tcpsim::{NetSim, TcpConfig, Unit};
 
 /// Where the default-scale wire clock wraps: `(u32::MAX + 1) << 10` ns.
 const WIRE_WRAP: Nanos = Nanos::from_nanos(1u64 << 42);
@@ -35,29 +36,9 @@ fn soak(rate: f64, tick: Nanos, warmup: Nanos, end: Nanos) -> NetSim<LancetClien
         .with_tick_period(tick)
         .with_recorder(EstimateRecorder::new(Unit::Bytes).with_validation(ValidateConfig::default()));
     let server = RedisServer::new(profile.app);
-    let client_host = Host::new(
-        HostId::from_index(0),
-        CpuContext::new("client-app"),
-        CpuContext::new("client-softirq"),
-        profile.client_stack,
-        tcp,
-    );
-    let server_host = Host::new(
-        HostId::from_index(1),
-        CpuContext::new("server-app"),
-        CpuContext::new("server-softirq"),
-        profile.server_stack,
-        tcp,
-    );
-
-    let mut sim = NetSim::star(
-        vec![client],
-        server,
-        vec![client_host],
-        server_host,
-        LinkConfig::default(),
-        0x73_317,
-    );
+    let (hosts, server_host) = star_hosts(1, &profile, tcp, tcp);
+    let link = LinkConfig::default();
+    let mut sim = NetSim::star(vec![client], server, hosts, server_host, link, 0x73_317);
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, end);

@@ -9,16 +9,17 @@
 //! traffic in both directions.
 
 use e2e_batching::batchpolicy::{Objective, RetryConfig};
+use e2e_batching::e2e_apps::harness::{tier_hosts, Tier};
 use e2e_batching::e2e_apps::{
-    run_tier_point, CostProfile, LancetClient, ProxyApp, RedisServer, Resilience, ShardRouter,
-    ShardSetting, TierRunConfig, WorkloadSpec,
+    run_tier_point, CostProfile, FailoverArm, FailoverScenario, Harness, LancetClient, ProxyApp,
+    RedisServer, Resilience, ShardRouter, ShardSetting, TierRunConfig, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{
-    run, CpuContext, EventQueue, FaultConfig, LinkConfig, RestartSchedule, ShardBrownout,
-    ShardFaultPlan, WindowSchedule,
+    run, EventQueue, FaultConfig, LinkConfig, RestartSchedule, ShardBrownout, ShardFaultPlan,
+    WindowSchedule,
 };
-use e2e_batching::tcpsim::{Host, HostId, TcpConfig, TierSim};
+use e2e_batching::tcpsim::{Event, TcpConfig, TierSim};
 
 fn k4_cfg(upstream: ShardSetting) -> TierRunConfig {
     TierRunConfig {
@@ -61,6 +62,32 @@ fn k4_skewed_grid_replays_bit_identically() {
     }
 }
 
+/// A harness driven in stages, the window cut into ten equal slices,
+/// reads out what `run_tier_point` reports. The derived `Debug` prints
+/// every field of the result, so the comparison is field for field. The
+/// adaptive upstream under a cold-shard brownout and the full defense
+/// ladder touch both grids' columns.
+#[test]
+fn sliced_drive_reads_out_what_run_tier_point_reports() {
+    let cfg = TierRunConfig {
+        arm: FailoverArm::Full,
+        scenario: Some(FailoverScenario::BrownoutCold),
+        ..k4_cfg(ShardSetting::Adaptive {
+            objective: Objective::MinLatency,
+        })
+    };
+    let mut harness = Harness::tier(&cfg);
+    harness.warm_up();
+    for slice in 1..=10 {
+        let elapsed = Nanos::from_nanos(cfg.measure.as_nanos() * slice / 10);
+        harness.run_until(cfg.warmup + elapsed);
+    }
+    harness.drain();
+    let sliced = harness.result();
+    assert!(sliced.samples > 0 && sliced.hedges > 0, "{sliced:?}");
+    assert_eq!(format!("{sliced:?}"), format!("{:?}", run_tier_point(&cfg)));
+}
+
 /// The skew is deterministic in the seed and independent of the upstream
 /// knob: every arm routes the same keys to the same shards, so the
 /// corners and the adaptive run are measuring the same offered traffic.
@@ -82,6 +109,45 @@ fn all_arms_route_the_same_skew() {
     }
 }
 
+/// The two-tier topology built directly, so its sockets stay inspectable,
+/// and started: `n` clients at `rate` requests/s in total, drawing keys
+/// uniformly, through the proxy `defend` returns to `k` shards, on
+/// default TCP and default links.
+fn start_tier(
+    (n, k): (usize, usize),
+    rate: f64,
+    (warmup, end): (Nanos, Nanos),
+    defend: impl FnOnce(ProxyApp) -> ProxyApp,
+    faults: FaultConfig,
+) -> (Tier, EventQueue<Event>) {
+    let profile = CostProfile::shard_tier();
+    let tcp = TcpConfig::default();
+    let mut spec = WorkloadSpec::shard(rate);
+    spec.rate_rps /= n as f64;
+    let clients = (0..n)
+        .map(|_| LancetClient::new(spec, profile.app, tcp, warmup, end))
+        .collect();
+    let (client_hosts, proxy_host, shard_hosts) = tier_hosts(n, k, &profile, tcp);
+    let shard_ids = shard_hosts.iter().map(|h| h.id).collect();
+    let proxy = ProxyApp::new(profile.app, tcp, shard_ids, ShardRouter::new(k, 0x5AAD));
+    let shards = (0..k).map(|_| RedisServer::new(profile.app)).collect();
+    let mut sim = TierSim::two_tier_with_faults(
+        clients,
+        defend(proxy),
+        shards,
+        client_hosts,
+        proxy_host,
+        shard_hosts,
+        LinkConfig::default(),
+        LinkConfig::default(),
+        0x5AAD,
+        faults,
+    );
+    let mut queue = EventQueue::new();
+    sim.start(&mut queue);
+    (sim, queue)
+}
+
 /// Builds the two-tier topology directly and checks that every socket on
 /// the proxy host — the N accepted client connections *and* the K
 /// upstream connections it opened — booked real bytes through both
@@ -90,66 +156,9 @@ fn all_arms_route_the_same_skew() {
 #[test]
 fn invariant_gates_are_nonvacuous_on_proxy_sockets() {
     let (n, k) = (4, 4);
-    let profile = CostProfile::shard_tier();
-    let tcp = TcpConfig::default();
-    let warmup = Nanos::from_millis(20);
-    let end = Nanos::from_millis(120);
-
-    let mut spec = WorkloadSpec::shard(12_000.0);
-    spec.rate_rps /= n as f64;
-    let clients: Vec<LancetClient> = (0..n)
-        .map(|_| LancetClient::new(spec, profile.app, tcp, warmup, end))
-        .collect();
-    let router = ShardRouter::new(k, 0x5AAD);
-    let shard_ids: Vec<HostId> = (0..k).map(|j| HostId::from_index(n + 1 + j)).collect();
-    let proxy = ProxyApp::new(profile.app, tcp, shard_ids, router);
-    let shards: Vec<RedisServer> = (0..k).map(|_| RedisServer::new(profile.app)).collect();
-
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::new("client-app"),
-                CpuContext::new("client-softirq"),
-                profile.client_stack,
-                tcp,
-            )
-        })
-        .collect();
-    let proxy_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("proxy-app"),
-        CpuContext::new("proxy-softirq"),
-        profile.client_stack,
-        tcp,
-    );
-    let shard_hosts: Vec<Host> = (0..k)
-        .map(|j| {
-            Host::new(
-                HostId::from_index(n + 1 + j),
-                CpuContext::new("shard-app"),
-                CpuContext::new("shard-softirq"),
-                profile.server_stack,
-                tcp,
-            )
-        })
-        .collect();
-
-    let mut sim = TierSim::two_tier_with_faults(
-        clients,
-        proxy,
-        shards,
-        client_hosts,
-        proxy_host,
-        shard_hosts,
-        LinkConfig::default(),
-        LinkConfig::default(),
-        0x5AAD,
-        FaultConfig::default(),
-    );
-    let mut queue = EventQueue::new();
-    sim.start(&mut queue);
-    run(&mut sim, &mut queue, end);
+    let window = (Nanos::from_millis(20), Nanos::from_millis(120));
+    let (mut sim, mut queue) = start_tier((n, k), 12_000.0, window, |p| p, FaultConfig::default());
+    run(&mut sim, &mut queue, window.1);
 
     assert_eq!(
         sim.proxy_host().socket_count(),
@@ -203,53 +212,9 @@ fn invariant_gates_are_nonvacuous_on_proxy_sockets() {
 /// at the end (proxy healthy, accounting closed).
 #[test]
 fn fifo_pairing_survives_upstream_reconnect() {
-    let (n, k) = (2, 2);
-    let profile = CostProfile::shard_tier();
-    let tcp = TcpConfig::default();
     let warmup = Nanos::from_millis(10);
     let end = Nanos::from_millis(120);
     let crash_at = Nanos::from_millis(32);
-
-    let mut spec = WorkloadSpec::shard(24_000.0);
-    spec.rate_rps /= n as f64;
-    let clients: Vec<LancetClient> = (0..n)
-        .map(|_| LancetClient::new(spec, profile.app, tcp, warmup, end))
-        .collect();
-    let router = ShardRouter::new(k, 0x5AAD);
-    let shard_ids: Vec<HostId> = (0..k).map(|j| HostId::from_index(n + 1 + j)).collect();
-    let proxy = ProxyApp::new(profile.app, tcp, shard_ids, router)
-        .with_resilience(Resilience::timeout_only(RetryConfig::default()));
-    let shards: Vec<RedisServer> = (0..k).map(|_| RedisServer::new(profile.app)).collect();
-
-    let client_hosts: Vec<Host> = (0..n)
-        .map(|i| {
-            Host::new(
-                HostId::from_index(i),
-                CpuContext::new("client-app"),
-                CpuContext::new("client-softirq"),
-                profile.client_stack,
-                tcp,
-            )
-        })
-        .collect();
-    let proxy_host = Host::new(
-        HostId::from_index(n),
-        CpuContext::new("proxy-app"),
-        CpuContext::new("proxy-softirq"),
-        profile.client_stack,
-        tcp,
-    );
-    let shard_hosts: Vec<Host> = (0..k)
-        .map(|j| {
-            Host::new(
-                HostId::from_index(n + 1 + j),
-                CpuContext::new("shard-app"),
-                CpuContext::new("shard-softirq"),
-                profile.server_stack,
-                tcp,
-            )
-        })
-        .collect();
 
     // One 4 ms stall on shard 0 starting at 30 ms (no repeat within the
     // run), with the crash pinned to 32 ms — mid-stall, when the
@@ -273,21 +238,9 @@ fn fifo_pairing_survives_upstream_reconnect() {
         start_at: warmup,
         ..FaultConfig::default()
     };
-
-    let mut sim = TierSim::two_tier_with_faults(
-        clients,
-        proxy,
-        shards,
-        client_hosts,
-        proxy_host,
-        shard_hosts,
-        LinkConfig::default(),
-        LinkConfig::default(),
-        0x5AAD,
-        faults,
-    );
-    let mut queue = EventQueue::new();
-    sim.start(&mut queue);
+    let timeouts = |p: ProxyApp| p.with_resilience(Resilience::timeout_only(RetryConfig::default()));
+    let k = 2;
+    let (mut sim, mut queue) = start_tier((2, k), 24_000.0, (warmup, end), timeouts, faults);
 
     // Run up to just before the crash: the stall has held shard 0's
     // responses for 2 ms, so its pairing queue is provably deep.
