@@ -55,17 +55,12 @@ fn client_hosts(n: usize, profile: &CostProfile, tcp: TcpConfig) -> Vec<Host> {
 }
 
 /// The hosts of a star of `n` clients: the clients at `0..n`, the server
-/// at `n` on the server stack. `client_tcp` and `server_tcp` are what each
-/// side's accepted connections run.
-pub fn star_hosts(
-    n: usize,
-    profile: &CostProfile,
-    client_tcp: TcpConfig,
-    server_tcp: TcpConfig,
-) -> (Vec<Host>, Host) {
+/// at `n` on the server stack. `tcp` is what every accepted connection
+/// runs.
+pub fn star_hosts(n: usize, profile: &CostProfile, tcp: TcpConfig) -> (Vec<Host>, Host) {
     let app = CpuContext::new("server-app");
-    let server = host(n, app, "server-softirq", profile.server_stack, server_tcp);
-    (client_hosts(n, profile, client_tcp), server)
+    let server = host(n, app, "server-softirq", profile.server_stack, tcp);
+    (client_hosts(n, profile, tcp), server)
 }
 
 /// The hosts of `n` clients → proxy → `k` shards: the clients at `0..n`,
@@ -145,29 +140,33 @@ pub struct Harness<W, S> {
     hosts: usize,
     /// Events handled by the stages so far.
     events: u64,
-    /// Every host's (app, softirq) busy time at the end of the warm-up.
+    /// Every host's (app, softirq) busy time at the start of the
+    /// measurement window; empty until the run reaches it.
     cpu: Vec<(BusySnapshot, BusySnapshot)>,
 }
 
 impl<W: World<Event = Event>, S> Harness<W, S> {
-    /// Runs to the start of the measurement window and snapshots every
-    /// host's CPU accounting there.
+    /// Runs to the start of the measurement window.
     pub fn warm_up(&mut self) {
         self.run_until(self.window.0);
-        let now = self.queue.now();
-        self.cpu = (0..self.hosts)
-            .map(|h| {
-                let host = (self.host)(&self.world, h);
-                (
-                    host.app_cpu.busy_snapshot(now),
-                    host.softirq_cpu.busy_snapshot(now),
-                )
-            })
-            .collect();
     }
 
-    /// Runs every event due by `t`, counting them.
+    /// Runs every event due by `t`, counting them. The first call that
+    /// reaches the start of the measurement window stops there to
+    /// snapshot every host's CPU accounting, so every slicing of a run
+    /// reads the same CPU columns.
     pub fn run_until(&mut self, t: Nanos) {
+        if self.cpu.is_empty() && t >= self.window.0 {
+            self.events += run(&mut self.world, &mut self.queue, self.window.0);
+            let now = self.queue.now();
+            assert!(now <= self.window.0, "CPU snapshot taken past the window's start");
+            self.cpu = (0..self.hosts)
+                .map(|h| {
+                    let host = (self.host)(&self.world, h);
+                    (host.app_cpu.busy_snapshot(now), host.softirq_cpu.busy_snapshot(now))
+                })
+                .collect();
+        }
         self.events += run(&mut self.world, &mut self.queue, t);
     }
 
@@ -184,11 +183,11 @@ impl<W: World<Event = Event>, S> Harness<W, S> {
         self
     }
 
-    /// Host `h`'s CPU utilization over the measurement window (needs
-    /// [`warm_up`](Self::warm_up)'s snapshot).
+    /// Host `h`'s CPU utilization over the measurement window.
+    #[expect(clippy::expect_used, reason = "a readout before the window has no CPU columns")]
     fn cpu(&self, h: usize) -> CpuUtil {
         let host = (self.host)(&self.world, h);
-        let (app, softirq) = &self.cpu[h];
+        let (app, softirq) = self.cpu.get(h).expect("read out before the run reached the window");
         let end = self.window.1;
         CpuUtil {
             app: host.app_cpu.utilization_since(app, end),
@@ -203,28 +202,19 @@ impl Harness<Star, RunConfig> {
     pub fn star(cfg: &RunConfig) -> Self {
         let n = cfg.num_clients;
         assert!(n > 0, "a run needs at least one client");
-        let (client_mode, server_mode) = match cfg.nagle {
-            NagleSetting::Off | NagleSetting::AimdLimit { .. } => (NagleMode::Off, NagleMode::Off),
-            NagleSetting::On => (NagleMode::On, NagleMode::On),
-            NagleSetting::Plane { .. } => (NagleMode::Dynamic, NagleMode::Dynamic),
-            NagleSetting::Corner { nagle, .. } => {
-                let mode = if nagle { NagleMode::On } else { NagleMode::Off };
-                (mode, mode)
-            }
+        let mode = match cfg.nagle {
+            NagleSetting::Off | NagleSetting::AimdLimit { .. } => NagleMode::Off,
+            NagleSetting::On | NagleSetting::Corner { nagle: true, .. } => NagleMode::On,
+            NagleSetting::Corner { nagle: false, .. } => NagleMode::Off,
+            NagleSetting::Plane { .. } => NagleMode::Dynamic,
         };
-        let mut tcp = tcp_config(client_mode, &cfg.overrides);
-        let mut tcp_server = tcp_config(server_mode, &cfg.overrides);
-        if let NagleSetting::Corner {
-            delayed_ack, cork, ..
-        } = cfg.nagle
-        {
+        let mut tcp = tcp_config(mode, &cfg.overrides);
+        if let NagleSetting::Corner { delayed_ack, cork, .. } = cfg.nagle {
             // Pin the remaining two knobs symmetrically on both endpoints:
             // quick-ack is the runtime `KnobSetting::DelAck` actuation frozen
             // into the initial config, the fixed cork limit is two MSS.
-            for config in [&mut tcp, &mut tcp_server] {
-                config.delack.quick = !delayed_ack;
-                config.batch_limit = cork.then_some(2 * 1_448);
-            }
+            tcp.delack.quick = !delayed_ack;
+            tcp.batch_limit = cork.then_some(2 * 1_448);
         }
 
         // The aggregate load splits evenly across independent arrival streams.
@@ -326,7 +316,7 @@ impl Harness<Star, RunConfig> {
             server = server.with_plane(driver);
         }
 
-        let (client_hosts, server_host) = star_hosts(n, &cfg.profile, tcp, tcp_server);
+        let (client_hosts, server_host) = star_hosts(n, &cfg.profile, tcp);
         let mut world = NetSim::star_with_faults(
             clients,
             server,
@@ -352,9 +342,8 @@ impl Harness<Star, RunConfig> {
 
     /// The star's readout. With more than one client, measured latency
     /// merges every connection's histogram and the estimates are
-    /// throughput-weighted across the per-connection estimators. The CPU
-    /// columns read [`warm_up`](Self::warm_up)'s snapshots, so a run that
-    /// skipped it panics here.
+    /// throughput-weighted across the per-connection estimators. It panics
+    /// before the run has reached the measurement window.
     pub fn result(&self) -> PointResult {
         let (sim, cfg) = (&self.world, &self.setup);
         let n = cfg.num_clients;
@@ -625,8 +614,8 @@ impl Harness<Tier, (TierRunConfig, usize)> {
     }
 
     /// The two tiers' readout: the shard grid's batching columns and the
-    /// failover grid's defense-ladder columns. Like the star's, it needs
-    /// [`warm_up`](Self::warm_up)'s snapshots.
+    /// failover grid's defense-ladder columns. Like the star's, it panics
+    /// before the run has reached the measurement window.
     pub fn result(&self) -> TierPointResult {
         let (sim, (cfg, hot_shard)) = (&self.world, self.setup);
         let k = cfg.num_shards;

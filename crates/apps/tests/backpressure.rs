@@ -78,8 +78,7 @@ fn pair(rate_rps: f64) -> String {
         }),
         ..FaultConfig::default()
     };
-    let (client_hosts, server_host) =
-        star_hosts(1, &profile, small_buffers(), small_buffers());
+    let (client_hosts, server_host) = star_hosts(1, &profile, small_buffers());
     let mut sim = NetSim::star_with_faults(
         vec![client],
         server,

@@ -111,7 +111,7 @@ fn invariant_gates_nonvacuous_under_reorder_dup_loss() {
         .map(|_| LancetClient::new(WorkloadSpec::fig4a(6_000.0), profile.app, tcp, warmup, end))
         .collect();
     let server = RedisServer::new(profile.app);
-    let (hosts, server_host) = star_hosts(n, &profile, tcp, tcp);
+    let (hosts, server_host) = star_hosts(n, &profile, tcp);
     let link = LinkConfig::default();
     let mut sim =
         NetSim::star_with_faults(clients, server, hosts, server_host, link, 0xC4A05, fault);

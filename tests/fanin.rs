@@ -102,7 +102,7 @@ fn run_star16(
         })
         .collect();
     let server = RedisServer::new(profile.app);
-    let (hosts, server_host) = star_hosts(n, &profile, tcp, tcp);
+    let (hosts, server_host) = star_hosts(n, &profile, tcp);
     let mut sim = NetSim::star(clients, server, hosts, server_host, LinkConfig::default(), 0x1617);
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
@@ -294,6 +294,22 @@ fn sliced_drive_reads_out_what_run_point_reports() {
     for slice in 1..=10 {
         let elapsed = Nanos::from_nanos(cfg.measure.as_nanos() * slice / 10);
         harness.run_until(cfg.warmup + elapsed);
+    }
+    harness.drain();
+    assert_eq!(describe(harness.result()), describe(run_point(&cfg)));
+}
+
+/// The CPU snapshot is taken where the run first reaches the start of the
+/// measurement window, whichever call gets there: seven slices of the
+/// whole run, one straddling that start and none calling `warm_up`, read
+/// out what `run_point` reports, CPU columns included.
+#[test]
+fn slices_across_the_window_start_read_out_what_run_point_reports() {
+    let cfg = n16_cfg(NagleSetting::Off);
+    let end = cfg.warmup + cfg.measure;
+    let mut harness = Harness::star(&cfg);
+    for slice in 1..=7 {
+        harness.run_until(Nanos::from_nanos(end.as_nanos() * slice / 7));
     }
     harness.drain();
     assert_eq!(describe(harness.result()), describe(run_point(&cfg)));

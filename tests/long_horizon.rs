@@ -36,7 +36,7 @@ fn soak(rate: f64, tick: Nanos, warmup: Nanos, end: Nanos) -> NetSim<LancetClien
         .with_tick_period(tick)
         .with_recorder(EstimateRecorder::new(Unit::Bytes).with_validation(ValidateConfig::default()));
     let server = RedisServer::new(profile.app);
-    let (hosts, server_host) = star_hosts(1, &profile, tcp, tcp);
+    let (hosts, server_host) = star_hosts(1, &profile, tcp);
     let link = LinkConfig::default();
     let mut sim = NetSim::star(vec![client], server, hosts, server_host, link, 0x73_317);
     let mut queue = EventQueue::new();

@@ -268,7 +268,7 @@ fn star64() -> NetSim<LancetClient, RedisServer> {
     let clients = (0..64)
         .map(|_| LancetClient::new(WorkloadSpec::fig4a(1_000.0), profile.app, tcp, WARM, END))
         .collect();
-    let (client_hosts, server_host) = star_hosts(64, &profile, tcp, tcp);
+    let (client_hosts, server_host) = star_hosts(64, &profile, tcp);
     let server = RedisServer::new(profile.app);
     NetSim::star(clients, server, client_hosts, server_host, LinkConfig::default(), 0x0A11_0C64)
 }
