@@ -27,8 +27,8 @@ use simnet::{CpuContext, EventQueue};
 use tcpsim::segment::{E2eOption, Flags, OptionSlot};
 use tcpsim::seq::SeqNum;
 use tcpsim::{
-    CostConfig, Event, FlowId, Host, HostId, Segment, SocketId, TcpConfig, TcpSocket, TimerKind,
-    TxEnv, Unit,
+    Actions, CostConfig, Event, FlowId, Host, HostId, Segment, SocketId, TcpConfig, TcpSocket,
+    TimerKind, TxEnv, Unit,
 };
 
 /// Times `f` over batches of `iters` calls and prints the median ns/iter.
@@ -121,7 +121,7 @@ fn bench_recorder_tick() {
     let period = Nanos::from_micros(500);
 
     for active in [false, true] {
-        let mut actions = Vec::new();
+        let mut actions = Actions::new();
         let mut socks: Vec<TcpSocket> = (0..CONNS)
             .map(|i| TcpSocket::client(FlowId(i as u64), TcpConfig::default(), Nanos::ZERO, &mut actions))
             .collect();
@@ -168,7 +168,7 @@ fn bench_recorder_tick() {
 /// ~95 µs).
 fn bench_recorder_flush() {
     let period = Nanos::from_micros(500);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     let mut sock = TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
     let mut rec = EstimateRecorder::new(Unit::Bytes);
     let mut now = Nanos::ZERO;
@@ -202,7 +202,7 @@ fn bench_change_watch() {
             CostConfig::default(),
             TcpConfig::default(),
         );
-        let mut actions = Vec::new();
+        let mut actions = Actions::new();
         let mut queue: EventQueue<Event> = EventQueue::new();
         for i in 0..SOCKS {
             let flow = FlowId(i as u64);
@@ -238,7 +238,7 @@ fn bench_timer_rearm() {
         CostConfig::default(),
         TcpConfig::default(),
     );
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     for i in 0..TIMERS {
         let flow = FlowId(i as u64);
         host.add_socket(TcpSocket::client(flow, TcpConfig::default(), Nanos::ZERO, &mut actions));

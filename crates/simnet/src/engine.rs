@@ -115,6 +115,12 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.wheel.is_empty()
     }
+
+    /// Wheel cells ever allocated: the peak of [`len`](Self::len) over
+    /// the queue's life (see [`TimerWheel::slab_len`]).
+    pub fn slab_len(&self) -> usize {
+        self.wheel.slab_len()
+    }
 }
 
 /// A simulation state machine.

@@ -31,6 +31,9 @@
 //!   with cost accounting and utilization windows; this is what makes
 //!   per-packet overheads translate into saturation, reproducing the
 //!   paper's Figure 2 and the high-load side of Figure 4.
+//! * [`store`] — a free-list store whose `u32` keys stand in for bulky
+//!   values in events, so the queue moves keys instead of payloads;
+//!   allocation-free in steady state like the wheel's slab.
 //! * [`hist`] — log-bucketed latency histograms (mean/percentiles), the
 //!   simulator's analogue of Lancet's latency measurement.
 
@@ -44,6 +47,7 @@ pub mod fault;
 pub mod hist;
 pub mod link;
 pub mod rng;
+pub mod store;
 pub mod topology;
 pub mod wheel;
 
@@ -58,4 +62,5 @@ pub use hist::Histogram;
 pub use link::{DuplexLink, Link, LinkConfig};
 pub use littles::Nanos;
 pub use rng::{Pcg32, Stream};
+pub use store::{Store, StoreKey};
 pub use topology::{HostId, LinkId, Topology, TopologyBuilder};

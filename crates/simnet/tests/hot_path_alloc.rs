@@ -1,13 +1,17 @@
-//! Steady-state allocation assertion for the event-queue hot path.
+//! Steady-state allocation assertion for the event-queue hot path and the
+//! store that holds what its events name.
 //!
 //! `EventQueue::schedule_at` / `pop` / `cancel` are documented "must not
 //! allocate per call" — a promise the old `BinaryHeap` + `BTreeSet`
-//! implementation broke on every schedule (tree-node allocation). This
+//! implementation broke on every schedule (tree-node allocation) — and so
+//! are `Store::put` / `take`, which hold the segments in flight. This
 //! test installs a counting global allocator, warms the timer wheel to its
-//! high-water mark (slab cells and the free list), then replays the same
-//! churn pattern — including the re-arm of standing timers, whose cancels
-//! unlink cells from the head and middle of coarse slots — and asserts the
-//! steady-state phase performs **zero** heap allocations.
+//! high-water mark (slab cells and the free list) and the store to its
+//! own, then replays the same churn pattern — including the re-arm of
+//! standing timers, whose cancels unlink cells from the head and middle of
+//! coarse slots, and values put, cloned under a second key and taken in
+//! shuffled order — and asserts the steady-state phase performs **zero**
+//! heap allocations.
 //!
 //! The file holds exactly one test so no sibling test thread can allocate
 //! concurrently and pollute the counter.
@@ -20,7 +24,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use simnet::{EventQueue, EventToken, Nanos, Pcg32};
+use simnet::{EventQueue, EventToken, Nanos, Pcg32, Store, StoreKey};
 
 struct CountingAlloc;
 
@@ -94,12 +98,42 @@ fn churn(
     *standing = [None; STANDING]; // all fired in the drain
 }
 
+/// Values held at most at once by the store churn (segments in flight).
+const IN_FLIGHT: u64 = 512;
+
+/// A segment-sized value.
+type Value = [u8; 240];
+
+/// One store phase: values put and taken in shuffled order with up to
+/// [`IN_FLIGHT`] held, one in twenty cloned under a second key (a
+/// duplicated segment), the rest taken at the end.
+fn store_churn(store: &mut Store<Value>, rng: &mut Pcg32, held: &mut Vec<StoreKey>) {
+    for i in 0..20_000u64 {
+        let key = store.put([i as u8; 240]);
+        held.push(key);
+        if rng.gen_range(20) == 0 {
+            let copy = *store.get(key);
+            held.push(store.put(copy));
+        }
+        while held.len() as u64 > rng.gen_range(IN_FLIGHT) {
+            let at = rng.gen_range(held.len() as u64) as usize;
+            store.take(held.swap_remove(at));
+        }
+    }
+    for key in held.drain(..) {
+        store.take(key);
+    }
+    assert!(store.is_empty());
+}
+
 #[test]
 fn steady_state_hot_path_does_not_allocate() {
     let mut q: EventQueue<u64> = EventQueue::new();
     let mut rng = Pcg32::new(0x00A1_10C8);
     let mut tokens: Vec<EventToken> = Vec::with_capacity(32_768);
     let mut standing = [None; STANDING];
+    let mut store: Store<Value> = Store::new();
+    let mut held: Vec<StoreKey> = Vec::with_capacity(2 * IN_FLIGHT as usize);
 
     // Warm until a whole churn phase allocates nothing: the slab and the
     // free list reach their high-water marks. A fixed number of phases is
@@ -109,13 +143,14 @@ fn steady_state_hot_path_does_not_allocate() {
     loop {
         let before = ALLOCS.load(Ordering::SeqCst);
         churn(&mut q, &mut rng, &mut tokens, &mut standing);
+        store_churn(&mut store, &mut rng, &mut held);
         if ALLOCS.load(Ordering::SeqCst) == before {
             break;
         }
         warm_phases += 1;
         assert!(
             warm_phases < 64,
-            "event-queue hot path still allocating after {warm_phases} phases: \
+            "event-queue or store hot path still allocating after {warm_phases} phases: \
              no steady state exists"
         );
     }
@@ -123,11 +158,13 @@ fn steady_state_hot_path_does_not_allocate() {
     // And hold the fixed point: one more full phase, zero allocations.
     let before = ALLOCS.load(Ordering::SeqCst);
     churn(&mut q, &mut rng, &mut tokens, &mut standing);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let queue_allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    store_churn(&mut store, &mut rng, &mut held);
+    let store_allocs = ALLOCS.load(Ordering::SeqCst) - before - queue_allocs;
     assert_eq!(
-        after - before,
-        0,
-        "event-queue hot path allocated {} time(s) in steady state",
-        after - before
+        queue_allocs, 0,
+        "event-queue hot path allocated {queue_allocs} time(s) in steady state"
     );
+    assert_eq!(store_allocs, 0, "store allocated {store_allocs} time(s) in steady state");
+    assert!(store.high_water() <= 2 * IN_FLIGHT as usize, "{}", store.high_water());
 }

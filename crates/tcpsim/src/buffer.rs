@@ -157,12 +157,7 @@ impl SendBuffer {
         let start = self.nxt;
         let bytes = gather(&self.chunks, start, n);
         self.nxt += n as u64;
-        let boundaries: Vec<u64> = self
-            .boundaries
-            .iter()
-            .copied()
-            .filter(|&b| b > start && b <= self.nxt)
-            .collect();
+        let boundaries = self.boundaries_in(start, self.nxt);
         Some(SendChunk {
             offset: start,
             bytes,
@@ -184,18 +179,22 @@ impl SendBuffer {
             self.nxt
         );
         let bytes = gather(&self.chunks, offset, len);
-        let end = offset + len as u64;
-        let boundaries: Vec<u64> = self
-            .boundaries
-            .iter()
-            .copied()
-            .filter(|&b| b > offset && b <= end)
-            .collect();
+        let boundaries = self.boundaries_in(offset, offset + len as u64);
         SendChunk {
             offset,
             bytes,
             boundaries,
         }
+    }
+
+    /// The message boundaries in `(from, to]`. The deque is sorted (pushed
+    /// at `end`, popped on ACK), so a binary search finds the first and
+    /// the scan stops past `to`, instead of filtering every boundary not
+    /// yet acknowledged.
+    // hot-path: runs per emitted segment
+    fn boundaries_in(&self, from: u64, to: u64) -> Vec<u64> {
+        let first = self.boundaries.partition_point(|&b| b <= from);
+        self.boundaries.range(first..).copied().take_while(|&b| b <= to).collect()
     }
 
     /// Processes a cumulative acknowledgment up to stream offset `upto`.

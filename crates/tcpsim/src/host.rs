@@ -340,7 +340,7 @@ impl Host {
 mod tests {
     use super::*;
     use crate::payload::Payload;
-    use crate::socket::Action;
+    use crate::socket::Actions;
     use littles::Nanos;
 
     fn host() -> Host {
@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn socket_registration_and_flow_lookup() {
         let mut h = host();
-        let mut actions: Vec<Action> = Vec::new();
+        let mut actions = Actions::new();
         let sock = TcpSocket::client(FlowId(7), TcpConfig::default(), Nanos::ZERO, &mut actions);
         let id = h.add_socket(sock);
         assert_eq!(h.socket_for_flow(FlowId(7)), Some(id));
@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn one_queue_token_per_socket_timer() {
         let mut h = host();
-        let mut actions: Vec<Action> = Vec::new();
+        let mut actions = Actions::new();
         let sock = TcpSocket::client(FlowId(7), TcpConfig::default(), Nanos::ZERO, &mut actions);
         let s = h.add_socket(sock);
         let mut q: EventQueue<TimerKind> = EventQueue::new();
@@ -409,7 +409,7 @@ mod tests {
     fn watch_trades_its_deadline_for_the_next_grid_instant_after_a_change() {
         let us = Nanos::from_micros;
         let mut h = host();
-        let mut actions: Vec<Action> = Vec::new();
+        let mut actions = Actions::new();
         let sock = TcpSocket::client(FlowId(7), TcpConfig::default(), Nanos::ZERO, &mut actions);
         let s = h.add_socket(sock);
         let mut q: EventQueue<&str> = EventQueue::new();

@@ -60,4 +60,4 @@ pub use sim::{App, Event, FlowRoute, HostCtx, NetSim};
 pub use simnet::{LinkId, Topology};
 pub use tier::TierSim;
 pub use table::FlowMap;
-pub use socket::{Action, SocketId, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
+pub use socket::{Action, Actions, SocketId, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};

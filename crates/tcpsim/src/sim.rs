@@ -33,14 +33,14 @@ use crate::payload::Payload;
 use littles::{Nanos, Snapshot};
 use simnet::{
     CorruptTarget, DuplexLink, EventQueue, FaultConfig, FaultPlan, HostId, LinkConfig, LinkId,
-    Pcg32, Topology, World,
+    Pcg32, Store, StoreKey, Topology, World,
 };
 
 use crate::config::TcpConfig;
 use crate::host::Host;
 use crate::knob::KnobSetting;
 use crate::segment::{E2eOption, FlowId, Segment};
-use crate::socket::{Action, SocketId, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
+use crate::socket::{Action, Actions, SocketId, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
 use crate::table::FlowMap;
 
 /// Delay between a packet leaving the NIC and the transmit-completion
@@ -48,21 +48,25 @@ use crate::table::FlowMap;
 const NIC_COMPLETION_DELAY: Nanos = Nanos::from_micros(2);
 
 /// The simulation's event alphabet.
+///
+/// A segment in flight is not carried by value: it sits in the
+/// simulation's segment store and its two events carry the key, so every
+/// event fits 24 bytes.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// A segment finished traversing a link and reached `dst`'s NIC.
     Deliver {
         /// Destination host.
         dst: HostId,
-        /// The segment.
-        seg: Segment,
+        /// The segment's key in the segment store.
+        seg: StoreKey,
     },
     /// Softirq finished processing a received segment; run TCP input.
     SoftirqRx {
         /// Receiving host.
         host: HostId,
-        /// The segment.
-        seg: Segment,
+        /// The segment's key in the segment store.
+        seg: StoreKey,
     },
     /// A socket timer fired.
     Timer {
@@ -171,10 +175,10 @@ pub struct HostCtx<'a> {
     routes: &'a mut FlowMap<FlowRoute>,
     faults: &'a mut Option<FaultPlan>,
     next_flow: &'a mut u64,
-    /// Shared scratch buffer for socket actions; `apply_actions` drains
-    /// it, so it is empty between events and never reallocated in steady
-    /// state.
-    actions: &'a mut Vec<Action>,
+    /// The simulation's one action buffer and segment store;
+    /// `apply_actions` drains its list, so the list is empty between
+    /// events and neither part reallocates in steady state.
+    actions: &'a mut Actions,
     /// Where a plain [`connect`](Self::connect) goes (the server in a
     /// star, the proxy for two-tier clients).
     default_peer: HostId,
@@ -415,7 +419,7 @@ fn apply_actions(
     queue: &mut EventQueue<Event>,
     faults: &mut Option<FaultPlan>,
     sock: SocketId,
-    actions: &mut Vec<Action>,
+    actions: &mut Actions,
     charge: Charge,
 ) {
     let now = queue.now();
@@ -424,10 +428,12 @@ fn apply_actions(
     // parked on the socket's estimator stamp learns that it moved.
     release_watch(host, sock, queue);
     let mut transmitted = false;
-    for action in actions.drain(..) {
+    let Actions { list, segments } = actions;
+    for action in list.drain(..) {
         match action {
-            Action::Transmit(mut seg) => {
-                let cost = host.tx_cost(&seg);
+            Action::Transmit(key) => {
+                let seg = segments.get_mut(key);
+                let cost = host.tx_cost(seg);
                 let cpu = match charge {
                     Charge::App => &mut host.app_cpu,
                     Charge::Softirq => &mut host.softirq_cpu,
@@ -487,18 +493,19 @@ fn apply_actions(
                         }
                     }
                 }
-                if let Some(arrival) = arrival {
-                    if duplicate {
-                        queue.schedule_at(
-                            arrival + Nanos::from_micros(1),
-                            Event::Deliver {
-                                dst,
-                                seg: seg.clone(),
-                            },
-                        );
-                    }
-                    queue.schedule_at(arrival, Event::Deliver { dst, seg });
+                let Some(arrival) = arrival else {
+                    // Lost on the wire: the segment leaves the store here.
+                    segments.take(key);
+                    continue;
+                };
+                if duplicate {
+                    let copy = segments.put(segments.get(key).clone());
+                    queue.schedule_at(
+                        arrival + Nanos::from_micros(1),
+                        Event::Deliver { dst, seg: copy },
+                    );
                 }
+                queue.schedule_at(arrival, Event::Deliver { dst, seg: key });
             }
             Action::ArmTimer(kind, delay) => {
                 if kind == TimerKind::Cork {
@@ -622,8 +629,9 @@ pub(crate) struct SimCore {
     /// not to perturb the simulation in any way.
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) next_flow: u64,
-    /// Reused socket-action buffer (see `HostCtx::actions`).
-    pub(crate) scratch: Vec<Action>,
+    /// The one action buffer, and the store of every segment in flight
+    /// (see `HostCtx::actions`).
+    pub(crate) actions: Actions,
     /// Reused NIC-drain waiter buffer (see the `NicComplete` arm).
     pub(crate) cork_scratch: Vec<SocketId>,
     /// Hosts `0..restart_pool` are eligible targets for scheduled
@@ -685,7 +693,7 @@ impl SimCore {
             rngs,
             faults: None,
             next_flow: 1,
-            scratch: Vec::new(),
+            actions: Actions::new(),
             cork_scratch: Vec::new(),
             restart_pool,
             shard_tier: None,
@@ -746,7 +754,7 @@ impl SimCore {
             rngs,
             faults,
             next_flow,
-            scratch,
+            actions,
             default_peers,
             ..
         } = self;
@@ -759,7 +767,7 @@ impl SimCore {
             routes,
             faults,
             next_flow,
-            actions: scratch,
+            actions,
             default_peer: default_peers[h.index()],
         }
     }
@@ -774,7 +782,7 @@ impl SimCore {
             queue,
             &mut self.faults,
             sock,
-            &mut self.scratch,
+            &mut self.actions,
             Charge::Softirq,
         );
     }
@@ -792,11 +800,14 @@ impl SimCore {
         match event {
             Event::Deliver { dst, seg } => {
                 let host = &mut self.hosts[dst.index()];
-                let cost = host.rx_cost(&seg);
+                let cost = host.rx_cost(self.actions.segment(seg));
                 let done = host.softirq_cpu.run(now, cost);
                 queue.schedule_at(done, Event::SoftirqRx { host: dst, seg });
             }
             Event::SoftirqRx { host: h, seg } => {
+                // The segment leaves the store here, before the flow
+                // lookup, so a stray for an unknown flow leaves it too.
+                let seg = self.actions.segments.take(seg);
                 let host = &mut self.hosts[h.index()];
                 let env = TxEnv {
                     nic_in_flight: host.nic_in_flight(),
@@ -804,7 +815,7 @@ impl SimCore {
                 let sock_id = match host.socket_for_flow(seg.flow) {
                     Some(id) => {
                         let sock = host.socket_mut(id);
-                        sock.on_segment(now, &seg, env, &mut self.scratch);
+                        sock.on_segment(now, &seg, env, &mut self.actions);
                         // Conservation gates run after every stack entry
                         // point (debug builds only; see tcpsim::invariants).
                         if cfg!(debug_assertions) {
@@ -819,7 +830,7 @@ impl SimCore {
                             config,
                             now,
                             &seg,
-                            &mut self.scratch,
+                            &mut self.actions,
                         );
                         host.add_socket(sock)
                     }
@@ -839,7 +850,7 @@ impl SimCore {
                 };
                 {
                     let s = host.socket_mut(sock);
-                    s.on_timer(now, kind, env, &mut self.scratch);
+                    s.on_timer(now, kind, env, &mut self.actions);
                     if cfg!(debug_assertions) {
                         crate::invariants::gate(s.check_invariants(now));
                     }
@@ -869,7 +880,7 @@ impl SimCore {
                     if !host.socket(id).is_corked() {
                         continue;
                     }
-                    host.socket_mut(id).on_nic_drained(now, env, &mut self.scratch);
+                    host.socket_mut(id).on_nic_drained(now, env, &mut self.actions);
                     self.run_softirq_actions(queue, h, id);
                     let host = &mut self.hosts[h.index()];
                     if host.socket(id).is_corked() {
@@ -1094,6 +1105,13 @@ impl<C: App, S: App> NetSim<C, S> {
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.core.faults.as_ref()
     }
+
+    /// The store of segments in flight: `len()` is what the queue's
+    /// `Deliver` and `SoftirqRx` events name now, `high_water()` the most
+    /// it ever held.
+    pub fn segment_store(&self) -> &Store<Segment> {
+        self.core.actions.segments()
+    }
 }
 
 impl<C: App, S: App> World for NetSim<C, S> {
@@ -1129,12 +1147,18 @@ impl<C: App, S: App> World for NetSim<C, S> {
 mod tests {
     use super::*;
 
-    /// Every `Deliver` / `SoftirqRx` event carries a `Segment` by value, so
-    /// the segment's options set the event queue's slot size. SACK blocks
-    /// share the exchange's option slot rather than adding a field, which
-    /// keeps the event within 256 bytes.
+    /// The largest event sets every wheel cell's size. A segment rides
+    /// its two events as a store key, so a segment put back inline (a
+    /// 240-byte `Segment`) fails here rather than in a benchmark.
     #[test]
-    fn event_stays_within_256_bytes() {
-        assert!(std::mem::size_of::<Event>() <= 256, "{}", std::mem::size_of::<Event>());
+    fn event_stays_within_24_bytes() {
+        assert!(std::mem::size_of::<Event>() <= 24, "{}", std::mem::size_of::<Event>());
+    }
+
+    /// Every socket call's actions pass through one buffer; a transmission
+    /// carries its segment's key, not the segment.
+    #[test]
+    fn action_stays_within_16_bytes() {
+        assert!(std::mem::size_of::<Action>() <= 16, "{}", std::mem::size_of::<Action>());
     }
 }

@@ -29,6 +29,7 @@ mod tx;
 use crate::payload::Payload;
 use littles::wire::{WireExchange, WireSnapshot};
 use littles::{Nanos, Snapshot};
+use simnet::{Store, StoreKey};
 
 use crate::buffer::SendChunk;
 use crate::config::TcpConfig;
@@ -105,20 +106,89 @@ pub enum WakeReason {
 }
 
 /// Side effects requested by the socket, executed by the host.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "actions are short-lived and on the hot path; the size imbalance is acceptable"
-)]
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Transmit a segment.
-    Transmit(Segment),
+    /// Transmit the segment under this key in the [`Actions`] store.
+    Transmit(StoreKey),
     /// Arm (or re-arm) a timer `delay` from now.
     ArmTimer(TimerKind, Nanos),
     /// Cancel a timer if pending.
     CancelTimer(TimerKind),
     /// Wake the application.
     Wake(WakeReason),
+}
+
+/// The socket's output buffer: the [`Action`]s its calls asked for, in
+/// order, and the store every segment they transmit is written into.
+///
+/// A segment is put into the store once, by the transmit path that builds
+/// it; from then on only its [`StoreKey`] moves. The simulation keeps one
+/// `Actions` for all of its hosts and drains the list after every socket
+/// call, so between events the list is empty and the store holds exactly
+/// the segments in flight, each named by one `Deliver` or `SoftirqRx`
+/// event until the receiving host takes it out.
+#[derive(Debug, Default)]
+pub struct Actions {
+    pub(crate) list: Vec<Action>,
+    pub(crate) segments: Store<Segment>,
+}
+
+impl Actions {
+    /// An empty buffer with an empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn push(&mut self, action: Action) {
+        self.list.push(action);
+    }
+
+    /// Writes `seg` into the store and lists its transmission.
+    fn transmit(&mut self, seg: Segment) {
+        let key = self.segments.put(seg);
+        self.list.push(Action::Transmit(key));
+    }
+
+    /// The listed actions, oldest first.
+    pub fn iter(&self) -> std::slice::Iter<'_, Action> {
+        self.list.iter()
+    }
+
+    /// True when `action` is listed.
+    pub fn contains(&self, action: &Action) -> bool {
+        self.list.contains(action)
+    }
+
+    /// True when nothing is listed.
+    pub fn is_empty(&self) -> bool {
+        self.list.is_empty()
+    }
+
+    /// The segment a listed [`Action::Transmit`] names.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the key's segment has left the store.
+    pub fn segment(&self, key: StoreKey) -> &Segment {
+        self.segments.get(key)
+    }
+
+    /// The store of segments: every one listed or in flight.
+    pub fn segments(&self) -> &Store<Segment> {
+        &self.segments
+    }
+
+    /// Discards every listed action; a listed transmission's segment
+    /// leaves the store with it. For a caller that relays segments itself
+    /// (a test driving two sockets by hand): the simulation instead moves
+    /// each key into a `Deliver` event.
+    pub fn clear(&mut self) {
+        for action in self.list.drain(..) {
+            if let Action::Transmit(key) = action {
+                self.segments.take(key);
+            }
+        }
+    }
 }
 
 /// Transmit-path environment the host supplies (state the socket cannot
@@ -227,7 +297,7 @@ impl TcpSocket {
     }
 
     /// Creates an actively opening socket and emits its SYN.
-    pub fn client(flow: FlowId, config: TcpConfig, now: Nanos, actions: &mut Vec<Action>) -> Self {
+    pub fn client(flow: FlowId, config: TcpConfig, now: Nanos, actions: &mut Actions) -> Self {
         let mut sock = Self::open(flow, config, now, TcpState::SynSent);
         sock.send_handshake(now, actions);
         sock
@@ -240,7 +310,7 @@ impl TcpSocket {
         config: TcpConfig,
         now: Nanos,
         syn: &Segment,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> Self {
         debug_assert!(syn.flags.syn);
         let mut sock = Self::open(flow, config, now, TcpState::SynReceived);
@@ -402,7 +472,7 @@ impl TcpSocket {
     /// from the switch instant on a timeout change. Callers must execute
     /// the returned actions and then re-run the transmit path so a
     /// loosened gate releases held data; `HostCtx::apply` does both.
-    pub fn apply(&mut self, now: Nanos, setting: KnobSetting, actions: &mut Vec<Action>) -> bool {
+    pub fn apply(&mut self, now: Nanos, setting: KnobSetting, actions: &mut Actions) -> bool {
         let KnobSetting::DelAck(mode) = setting else {
             return self.tx.apply(setting);
         };
@@ -435,7 +505,7 @@ impl TcpSocket {
         now: Nanos,
         data: impl Into<Payload>,
         env: TxEnv,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> usize {
         if !matches!(self.tcb.state, TcpState::Established | TcpState::CloseWait) {
             return 0;
@@ -458,7 +528,7 @@ impl TcpSocket {
         now: Nanos,
         max: usize,
         out: &mut impl Extend<Payload>,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> (usize, usize) {
         let window_before = self.rx.rcv.window();
         let (bytes, messages, packets) = self.rx.read(max, out);
@@ -478,7 +548,7 @@ impl TcpSocket {
     }
 
     /// Initiates a graceful close (sends FIN once buffered data drains).
-    pub fn close(&mut self, now: Nanos, env: TxEnv, actions: &mut Vec<Action>) {
+    pub fn close(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
         if self.tcb.transition(TcbEvent::Close) {
             self.tx.want_fin();
             self.poll_transmit(now, env, actions);
@@ -487,7 +557,7 @@ impl TcpSocket {
 
     /// Runs the transmit path: emits as many segments as the gates
     /// (window, Nagle, cork) allow.
-    pub fn poll_transmit(&mut self, now: Nanos, env: TxEnv, actions: &mut Vec<Action>) {
+    pub fn poll_transmit(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
         if !matches!(
             self.tcb.state,
             TcpState::Established | TcpState::CloseWait | TcpState::FinWait1 | TcpState::LastAck
@@ -502,7 +572,7 @@ impl TcpSocket {
         // Emit FIN once everything (including retransmittable data) is out.
         if let Some(end) = self.tx.end_pass() {
             let flags = Flags { fin: true, ack: true, ..Flags::default() };
-            actions.push(Action::Transmit(self.header(now, Tcb::seq(end), flags)));
+            actions.transmit(self.header(now, Tcb::seq(end), flags));
             self.tx.arm_rto(actions);
         }
     }
@@ -534,14 +604,14 @@ impl TcpSocket {
 
     /// (Re)sends the handshake segment the state owes — a SYN from
     /// `SynSent`, a SYN-ACK from `SynReceived` — and arms the RTO.
-    fn send_handshake(&mut self, now: Nanos, actions: &mut Vec<Action>) {
+    fn send_handshake(&mut self, now: Nanos, actions: &mut Actions) {
         let ack = self.tcb.state == TcpState::SynReceived;
         let seg = self.header(now, Tcb::ISS, Flags { syn: true, ack, ..Flags::default() });
-        actions.push(Action::Transmit(seg));
+        actions.transmit(seg);
         self.tx.arm_rto(actions);
     }
 
-    fn emit_data(&mut self, now: Nanos, chunk: SendChunk, retx: bool, actions: &mut Vec<Action>) {
+    fn emit_data(&mut self, now: Nanos, chunk: SendChunk, retx: bool, actions: &mut Actions) {
         let (offset, len) = (chunk.offset, chunk.bytes.len());
         gate(self.invariants.on_transmit(offset, len, retx));
         if retx {
@@ -562,13 +632,13 @@ impl TcpSocket {
         self.stats.wire_packets_sent += u64::from(wire_packets);
         self.stats.bytes_sent += len as u64;
         self.stats.retransmissions += u64::from(retx);
-        actions.push(Action::Transmit(seg));
+        actions.transmit(seg);
         self.tx.arm_rto(actions);
     }
 
     /// An ACK covering everything received is leaving, pure or riding data
     /// (`piggyback`): drains the ackdelay queue.
-    fn ack_sent(&mut self, now: Nanos, piggyback: bool, actions: &mut Vec<Action>) {
+    fn ack_sent(&mut self, now: Nanos, piggyback: bool, actions: &mut Actions) {
         let [bytes, packets, messages] = self.rx.ack_sent(piggyback, actions);
         if bytes > 0 {
             self.invariants.ackdelay.leave(bytes as u64);
@@ -578,7 +648,7 @@ impl TcpSocket {
 
     /// Carries out a delayed-ACK decision: the ACK goes now (its timer
     /// cancelled), or its timer is (re)armed.
-    fn settle_ack(&mut self, now: Nanos, decision: AckSwitch, actions: &mut Vec<Action>) {
+    fn settle_ack(&mut self, now: Nanos, decision: AckSwitch, actions: &mut Actions) {
         match decision {
             AckSwitch::Nothing => {}
             AckSwitch::Flush => {
@@ -589,17 +659,17 @@ impl TcpSocket {
         }
     }
 
-    fn emit_pure_ack(&mut self, now: Nanos, actions: &mut Vec<Action>) {
+    fn emit_pure_ack(&mut self, now: Nanos, actions: &mut Actions) {
         let flags = Flags { ack: true, ..Flags::default() };
         let seg = self.header(now, Tcb::seq(self.tx.snd.nxt()), flags);
         self.ack_sent(now, false, actions);
         self.stats.pure_acks_sent += 1;
-        actions.push(Action::Transmit(seg));
+        actions.transmit(seg);
     }
 
     /// Processes one incoming segment. The host calls this after charging
     /// softirq receive costs.
-    pub fn on_segment(&mut self, now: Nanos, seg: &Segment, env: TxEnv, actions: &mut Vec<Action>) {
+    pub fn on_segment(&mut self, now: Nanos, seg: &Segment, env: TxEnv, actions: &mut Actions) {
         self.stats.wire_packets_received += u64::from(seg.wire_packets);
         self.estimator_stamp += self.rx.take_options(&seg.options);
         match self.tcb.state {
@@ -656,7 +726,7 @@ impl TcpSocket {
     }
 
     /// ACK processing: `Tx` decides; the unacked queue is booked here.
-    fn on_ack(&mut self, now: Nanos, seg: &Segment, actions: &mut Vec<Action>) {
+    fn on_ack(&mut self, now: Nanos, seg: &Segment, actions: &mut Actions) {
         let (stats, invariants) = (&mut self.stats, &mut self.invariants);
         let acked = self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
         let [bytes, packets, messages] = acked.freed;
@@ -679,7 +749,7 @@ impl TcpSocket {
 
     /// Handles a fired timer. The host guarantees stale (cancelled) timers
     /// never reach the socket.
-    pub fn on_timer(&mut self, now: Nanos, kind: TimerKind, env: TxEnv, actions: &mut Vec<Action>) {
+    pub fn on_timer(&mut self, now: Nanos, kind: TimerKind, env: TxEnv, actions: &mut Actions) {
         let handshake = matches!(self.tcb.state, TcpState::SynSent | TcpState::SynReceived);
         match kind {
             TimerKind::Delack => {
@@ -719,7 +789,7 @@ impl TcpSocket {
 
     /// Called by the host when the NIC ring drains: corked data may now be
     /// flushed.
-    pub fn on_nic_drained(&mut self, now: Nanos, env: TxEnv, actions: &mut Vec<Action>) {
+    pub fn on_nic_drained(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
         if self.tx.uncork(false) {
             actions.push(Action::CancelTimer(TimerKind::Cork));
             self.poll_transmit(now, env, actions);

@@ -11,7 +11,7 @@ use crate::payload::Payload;
 use crate::segment::{Options, SackBlock, SackOption, Segment};
 use crate::seq::{unwrap_seq, SeqNum};
 
-use super::{Action, RemoteStore, TimerKind};
+use super::{Action, Actions, RemoteStore, TimerKind};
 
 /// Segments ACKed at once after an impaired arrival on a lossy connection
 /// (Linux's quick-ACK mode, `TCP_MAX_QUICKACKS`): the sender is recovering
@@ -171,7 +171,7 @@ impl Rx {
     /// An ACK covering everything received is leaving, pure or riding data
     /// (`piggyback`, which clears a delayed ACK and its timer): returns the
     /// ackdelay counts it drains.
-    pub(super) fn ack_sent(&mut self, piggyback: bool, actions: &mut Vec<Action>) -> [i64; 3] {
+    pub(super) fn ack_sent(&mut self, piggyback: bool, actions: &mut Actions) -> [i64; 3] {
         if piggyback && self.delack.on_piggyback() {
             actions.push(Action::CancelTimer(TimerKind::Delack));
         }

@@ -18,7 +18,7 @@ use crate::segment::{E2eOption, HintOption, OptionSlot, Options, SackOption, Seg
 use crate::seq::unwrap_seq;
 
 use super::tcb::Tcb;
-use super::{Action, SocketStats, TimerKind, TxEnv};
+use super::{Action, Actions, SocketStats, TimerKind, TxEnv};
 
 /// RFC 6675's DupThresh: duplicate ACKs that start loss recovery (RFC
 /// 5681's three), and the SACK evidence that marks a hole lost — this many
@@ -255,12 +255,12 @@ impl Tx {
         self.rtt.backoff();
     }
 
-    pub(super) fn arm_rto(&mut self, actions: &mut Vec<Action>) {
+    pub(super) fn arm_rto(&mut self, actions: &mut Actions) {
         actions.push(Action::ArmTimer(TimerKind::Rto, self.rtt.rto()));
         self.rto_armed = true;
     }
 
-    pub(super) fn disarm_rto(&mut self, actions: &mut Vec<Action>) {
+    pub(super) fn disarm_rto(&mut self, actions: &mut Actions) {
         actions.push(Action::CancelTimer(TimerKind::Rto));
         self.rto_armed = false;
     }
@@ -275,7 +275,7 @@ impl Tx {
         config: &TcpConfig,
         env: TxEnv,
         stats: &mut SocketStats,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> Option<(SendChunk, bool)> {
         let mss = config.mss;
         let tso_limit = if config.tso.enabled { TSO_MAX_BYTES } else { mss };
@@ -523,7 +523,7 @@ impl Tx {
         mss: usize,
         stats: &mut SocketStats,
         invariants: &mut SocketInvariants,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> Acked {
         let prev_peer_window = std::mem::replace(&mut self.peer_window, seg.window as usize);
         let last = self.last_ack_offset;
@@ -632,7 +632,7 @@ impl Tx {
         now: Nanos,
         ack_offset: u64,
         echo: Option<u32>,
-        actions: &mut Vec<Action>,
+        actions: &mut Actions,
     ) -> Acked {
         self.dup_ack_count = 0;
         self.last_ack_offset = ack_offset;
@@ -719,7 +719,7 @@ impl Tx {
     /// alive unconditionally or the connection dies silently. This doubles
     /// as the persist/zero-window-probe timer. (Re-arming after an emit
     /// just re-sets the same deadline.)
-    pub(super) fn rearm_rto(&mut self, actions: &mut Vec<Action>) {
+    pub(super) fn rearm_rto(&mut self, actions: &mut Actions) {
         if self.snd.unsent() == 0 && self.snd.in_flight() == 0 && !self.fin_wanted {
             self.disarm_rto(actions);
         } else {

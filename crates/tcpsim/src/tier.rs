@@ -23,9 +23,13 @@
 //! slow-shard CPU brownouts on top — composable with the client-tier
 //! restart chaos, each class on its own RNG stream.
 
-use simnet::{DuplexLink, EventQueue, FaultConfig, FaultPlan, HostId, LinkConfig, LinkId, Topology, World};
+use simnet::{
+    DuplexLink, EventQueue, FaultConfig, FaultPlan, HostId, LinkConfig, LinkId, Store, Topology,
+    World,
+};
 
 use crate::host::Host;
+use crate::segment::Segment;
 use crate::sim::{App, AppEvent, Event, SimCore};
 
 /// A complete two-tier simulation: N clients, one proxy, K shards.
@@ -178,6 +182,12 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
     /// The fault plan, if fault injection is active (for audit counters).
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.core.faults.as_ref()
+    }
+
+    /// The store of segments in flight (see
+    /// [`NetSim::segment_store`](crate::NetSim::segment_store)).
+    pub fn segment_store(&self) -> &Store<Segment> {
+        self.core.actions.segments()
     }
 }
 

@@ -10,7 +10,7 @@
 use littles::Nanos;
 use tcpsim::config::{NagleMode, TcpConfig, TsoConfig};
 use tcpsim::segment::{FlowId, Segment};
-use tcpsim::socket::{Action, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
+use tcpsim::socket::{Action, Actions, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
 use tcpsim::Payload;
 
 const MSS: usize = 1448;
@@ -23,13 +23,13 @@ fn config() -> TcpConfig {
     }
 }
 
-/// Pulls the transmitted segments out of an action list, discarding
+/// Pulls the transmitted segments out of an action buffer, discarding
 /// timer and wake bookkeeping.
-fn segs(actions: &mut Vec<Action>) -> Vec<Segment> {
+fn segs(actions: &mut Actions) -> Vec<Segment> {
     let out = actions
         .iter()
         .filter_map(|a| match a {
-            Action::Transmit(s) => Some(s.clone()),
+            Action::Transmit(key) => Some(actions.segment(*key).clone()),
             _ => None,
         })
         .collect();
@@ -44,7 +44,7 @@ fn established(now: Nanos) -> (TcpSocket, TcpSocket) {
 
 fn established_with(config: TcpConfig, now: Nanos) -> (TcpSocket, TcpSocket) {
     let env = TxEnv::default();
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     let mut client = TcpSocket::client(FlowId(1), config, now, &mut actions);
     let syn = segs(&mut actions).remove(0);
     let mut server = TcpSocket::server_on_syn(FlowId(1), config, now, &syn, &mut actions);
@@ -67,7 +67,7 @@ fn lost_syn_is_resent_by_the_rto_with_backoff() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let initial_rto = config().rto.initial_rto;
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     let mut client = TcpSocket::client(FlowId(1), config(), t0, &mut actions);
     assert!(actions.contains(&Action::ArmTimer(TimerKind::Rto, initial_rto)));
     let syn = segs(&mut actions).remove(0); // lost on the wire
@@ -97,7 +97,7 @@ fn lost_syn_ack_is_resent_and_the_handshake_completes() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let initial_rto = config().rto.initial_rto;
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     let mut client = TcpSocket::client(FlowId(1), config(), t0, &mut actions);
     let syn = segs(&mut actions).remove(0);
     let mut server = TcpSocket::server_on_syn(FlowId(1), config(), t0, &syn, &mut actions);
@@ -135,7 +135,7 @@ fn triple_dup_acks_trigger_exactly_one_fast_retransmit() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
 
     let sent = client.send(t0, vec![0xCD; 5 * MSS], env, &mut actions);
     assert_eq!(sent, 5 * MSS);
@@ -200,7 +200,7 @@ fn karn_excludes_retransmitted_ranges_and_srtt_recovers() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
 
     client.send(t0, vec![0xEE; 5 * MSS], env, &mut actions);
     let data = segs(&mut actions);
@@ -279,7 +279,7 @@ fn repeated_rto_does_not_shrink_the_recovery_point() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
 
     client.send(t0, vec![0x42; 5 * MSS], env, &mut actions);
     let data = segs(&mut actions);
@@ -339,7 +339,7 @@ fn replayed_in_order_segment_is_classified_duplicate() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
 
     client.send(t0, vec![0x7A; MSS], env, &mut actions);
     let data = segs(&mut actions);
@@ -374,7 +374,7 @@ fn relay(
     drop: &mut dyn FnMut(&Segment) -> bool,
 ) -> Vec<Segment> {
     let env = TxEnv::default();
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     let mut sent = Vec::new();
     let mut pending = first;
     for _round in 0..64 {
@@ -406,7 +406,7 @@ fn two_holes_in_one_flight_are_repaired_within_one_rtt_without_an_rto() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
 
     client.send(t0, vec![0x5A; 8 * MSS], env, &mut actions);
     let data = segs(&mut actions);
@@ -442,7 +442,7 @@ fn dropped_tso_super_segment_is_lost_by_the_byte_rule_on_the_first_sack() {
     let tso = TcpConfig { nagle: NagleMode::Off, ..TcpConfig::default() };
     assert!(tso.tso.enabled);
     let (mut client, mut server) = established_with(tso, t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     // Warm the congestion window past 16 KiB, as a loaded connection's is.
     let mut t = t0;
     for _ in 0..40 {
@@ -489,7 +489,7 @@ fn rto_after_sacks_resends_only_unsacked_bytes() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
 
     client.send(t0, vec![0x33; 5 * MSS], env, &mut actions);
     let data = segs(&mut actions);
@@ -526,7 +526,7 @@ fn a_stream_with_no_out_of_order_arrival_carries_no_sack_option() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     let (mut client, mut server) = established(t0);
-    let mut actions = Vec::new();
+    let mut actions = Actions::new();
     let mut t = t0;
     let mut wire = Vec::new();
     for i in 0..20u8 {

@@ -13,7 +13,7 @@ use littles::Nanos;
 use simnet::Pcg32;
 use tcpsim::config::TcpConfig;
 use tcpsim::segment::{FlowId, Segment};
-use tcpsim::socket::{Action, TcpSocket, TimerKind, TxEnv, WakeReason};
+use tcpsim::socket::{Action, Actions, TcpSocket, TimerKind, TxEnv, WakeReason};
 use tcpsim::Payload;
 
 const CLIENT: usize = 0;
@@ -21,7 +21,7 @@ const SERVER: usize = 1;
 
 #[expect(
     clippy::large_enum_variant,
-    reason = "the segment travels by value, as in the simulator's own event"
+    reason = "the relay's own queue keeps its few segments by value"
 )]
 enum Ev {
     /// A segment reaches side `to`.
@@ -66,10 +66,10 @@ impl World {
     }
 
     /// Carries out one side's actions at `now`.
-    fn apply(&mut self, now: u64, side: usize, actions: Vec<Action>) {
-        for action in actions {
+    fn apply(&mut self, now: u64, side: usize, mut actions: Actions) {
+        for &action in actions.iter() {
             match action {
-                Action::Transmit(seg) => self.transmit(now, side, seg),
+                Action::Transmit(key) => self.transmit(now, side, actions.segment(key).clone()),
                 Action::ArmTimer(kind, delay) => {
                     self.next_gen += 1;
                     let (kind, gen) = (kind_index(kind), self.next_gen);
@@ -78,7 +78,7 @@ impl World {
                 }
                 Action::CancelTimer(kind) => self.timers[side][kind_index(kind)] = None,
                 Action::Wake(WakeReason::Readable) => {
-                    let (mut more, mut views) = (Vec::new(), Vec::<Payload>::new());
+                    let (mut more, mut views) = (Actions::new(), Vec::<Payload>::new());
                     let at = Nanos::from_nanos(now);
                     self.socks[side].recv(at, usize::MAX, &mut views, &mut more);
                     self.read[1 - side].extend_from_slice(&views.concat());
@@ -87,6 +87,7 @@ impl World {
                 Action::Wake(_) => {}
             }
         }
+        actions.clear();
     }
 
     /// The link: bursty loss (mean burst 4 segments, half lost inside a
@@ -111,12 +112,12 @@ impl World {
 
 fn established(config: TcpConfig) -> [TcpSocket; 2] {
     let (env, now) = (TxEnv::default(), Nanos::ZERO);
-    let mut actions = Vec::new();
-    let segs = |actions: &mut Vec<Action>| -> Vec<Segment> {
+    let mut actions = Actions::new();
+    let segs = |actions: &mut Actions| -> Vec<Segment> {
         let out = actions
             .iter()
             .filter_map(|a| match a {
-                Action::Transmit(s) => Some(s.clone()),
+                Action::Transmit(key) => Some(actions.segment(*key).clone()),
                 _ => None,
             })
             .collect();
@@ -165,7 +166,7 @@ fn sweep_one(seed: u64) -> u64 {
         last = now;
         assert!(now < 20_000_000_000, "seed {seed:#x}: streams never completed");
         let t = Nanos::from_nanos(now);
-        let mut actions = Vec::new();
+        let mut actions = Actions::new();
         let side = match ev {
             Ev::Deliver { to, seg } => {
                 w.socks[to].on_segment(t, &seg, env, &mut actions);

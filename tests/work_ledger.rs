@@ -44,9 +44,11 @@
 //! moves between runs is a measurement error, not noise.
 //!
 //! Host time is not gated here. `--nocapture` prints each cell's columns
-//! per request, the host milliseconds of its counted stretch and the
-//! requests in flight (sent and not completed) at `WARM` and at `END`,
-//! for information (`--release` for a meaningful host time):
+//! per request, the host milliseconds of its counted stretch, the
+//! requests in flight (sent and not completed) at `WARM` and at `END`, and
+//! the most the segment store and the wheel's slab ever held (segments in
+//! flight, events queued), for information (`--release` for a meaningful
+//! host time):
 //!
 //! ```sh
 //! cargo test --release --test work_ledger -- --nocapture
@@ -71,8 +73,8 @@ use e2e_batching::e2e_apps::{
     ShardRouter, WorkloadSpec,
 };
 use e2e_batching::littles::Nanos;
-use e2e_batching::simnet::{run, EventQueue, FaultConfig, LinkConfig, World};
-use e2e_batching::tcpsim::{Event, NetSim, TcpConfig, TierSim};
+use e2e_batching::simnet::{run, EventQueue, FaultConfig, LinkConfig, Store, World};
+use e2e_batching::tcpsim::{Event, NetSim, Segment, TcpConfig, TierSim};
 
 struct CountingAlloc;
 
@@ -317,15 +319,17 @@ fn tier4() -> TierSim<LancetClient, ProxyApp, RedisServer> {
 }
 
 /// What one counted stretch read: the gated ledger; and, printed beside
-/// it, the host milliseconds it took and the requests in flight (sent and
-/// not completed, all clients) at `WARM` and at `END`.
-type Reading = (Ledger, f64, [u64; 2]);
+/// it, the host milliseconds it took, the requests in flight (sent and
+/// not completed, all clients) at `WARM` and at `END`, and the high-water
+/// marks of the segment store and of the wheel's slab at `END`.
+type Reading = (Ledger, f64, [u64; 2], [usize; 2]);
 
 /// Counts over `WARM..END` on a started `sim`.
 fn count<W: World<Event = Event>>(
     sim: &mut W,
     queue: &mut EventQueue<Event>,
     clients: impl Fn(&W) -> &[LancetClient],
+    segments: impl Fn(&W) -> &Store<Segment>,
 ) -> Reading {
     let tally = |sim: &W| {
         clients(sim).iter().fold((0, 0, 0), |(done, ticks, sent), c| {
@@ -370,28 +374,29 @@ fn count<W: World<Event = Event>>(
         ticks: ticks_end - ticks,
         completed: done_end - done,
     };
-    (ledger, host_ms, [sent - done, sent_end - done_end])
+    let peaks = [segments(sim).high_water(), queue.slab_len()];
+    (ledger, host_ms, [sent - done, sent_end - done_end], peaks)
 }
 
 fn star64_count() -> Reading {
     let mut sim = star64();
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
-    count(&mut sim, &mut queue, |s| &s.clients)
+    count(&mut sim, &mut queue, |s| &s.clients, NetSim::segment_store)
 }
 
 fn tier4_count() -> Reading {
     let mut sim = tier4();
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
-    count(&mut sim, &mut queue, |s| &s.clients)
+    count(&mut sim, &mut queue, |s| &s.clients, TierSim::segment_store)
 }
 
 /// The harness's own world and queue, stepped here instead of by its
 /// stages.
 fn fanin1024_count() -> Reading {
     let mut harness = fanin1024();
-    count(&mut harness.world, &mut harness.queue, |s| &s.clients)
+    count(&mut harness.world, &mut harness.queue, |s| &s.clients, NetSim::segment_store)
 }
 
 #[test]
@@ -401,8 +406,8 @@ fn steady_state_work_per_request_stays_under_ceiling() {
         ("tier4", tier4_count, TIER4_CEILING),
         ("fanin1024", fanin1024_count, FANIN1024_CEILING),
     ] {
-        let (got, host_ms, [at_warm, at_end]) = measure();
-        let (again, again_ms, _) = measure();
+        let (got, host_ms, [at_warm, at_end], [segments, slab]) = measure();
+        let (again, again_ms, ..) = measure();
         let per_request = |used: i128| used as f64 / got.completed as f64;
         let events: u64 = got.events.iter().sum();
         println!(
@@ -414,6 +419,7 @@ fn steady_state_work_per_request_stays_under_ceiling() {
             per_request(got.ticks.into()),
             got.ticks as f64 / events as f64,
         );
+        println!("  high water: {segments} segments in the store, {slab} wheel slab cells");
         for (column, used) in got.columns() {
             println!("  {column:>15} {used:>12} {:>12.4} per request", per_request(used));
         }
