@@ -18,6 +18,18 @@ if git grep -n 'Host::new(' -- tests/; then
     exit 1
 fi
 
+echo "==> no layer counts or reads packets (Unit::Packets only in queues.rs and at the one rejection check)"
+# The packet unit is not counted: its name survives only because the
+# benchmark adapter builds a packet recorder, which reads an empty queue.
+# queues.rs keeps the variant, Unit::ALL, Unit::index and the empty
+# queue a read in it sees; TcpSocket::open refuses a config that would
+# exchange it. Any other use would start counting or reading it again.
+if git grep -n 'Unit::Packets' -- 'crates/*/src/*' \
+    | grep -v '^crates/tcpsim/src/queues\.rs:' \
+    | grep -v '^crates/tcpsim/src/socket/mod\.rs:[0-9]*: *!config\.exchange\.units\[Unit::Packets\.index()\],$'; then
+    exit 1
+fi
+
 echo "==> clippy (clippy.toml bans wall clocks, sleeps, hash maps and string-named RNG streams; float_cmp; unwrap/expect/panic in library code; wire-counter casts in littles)"
 cargo clippy -q --workspace --all-targets --offline -- -D warnings
 

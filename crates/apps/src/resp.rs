@@ -347,8 +347,6 @@ pub struct RespStream {
 
 /// The read side of a connection that carries commands.
 pub type CommandParser = RespStream;
-/// The read side of a connection that carries responses.
-pub type ResponseParser = RespStream;
 
 impl RespStream {
     /// Creates an empty parser.
@@ -620,7 +618,7 @@ mod tests {
 
     #[test]
     fn response_ok_roundtrip() {
-        let mut p = ResponseParser::new();
+        let mut p = RespStream::new();
         p.feed(encode_response(&Response::Ok));
         assert_eq!(p.next_response(), Some(Response::Ok));
     }
@@ -628,14 +626,14 @@ mod tests {
     #[test]
     fn response_value_roundtrip() {
         let v = vec![9u8; 16384];
-        let mut p = ResponseParser::new();
+        let mut p = RespStream::new();
         p.feed(encode_response(&Response::Value(v.clone().into())));
         assert_eq!(p.next_response(), Some(Response::Value(v.into())));
     }
 
     #[test]
     fn response_nil_roundtrip() {
-        let mut p = ResponseParser::new();
+        let mut p = RespStream::new();
         p.feed(encode_response(&Response::Nil));
         assert_eq!(p.next_response(), Some(Response::Nil));
     }
@@ -648,7 +646,7 @@ mod tests {
             encode_response(&Response::Ok),
         ]
         .concat();
-        let mut p = ResponseParser::new();
+        let mut p = RespStream::new();
         // Split mid-bulk.
         p.feed(&wire[..8]);
         assert_eq!(p.next_response(), Some(Response::Ok));

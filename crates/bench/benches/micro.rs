@@ -137,8 +137,8 @@ fn bench_recorder_tick() {
                     let seg = exchange_segment(now);
                     for sock in socks.iter_mut() {
                         let q = &mut sock.queues_mut().unacked;
-                        q.track(now, Unit::Bytes, 1_448);
-                        q.track(now, Unit::Bytes, -1_448);
+                        q.track(now, 1_448, 0);
+                        q.track(now, -1_448, 0);
                         actions.clear();
                         sock.on_segment(now, &seg, TxEnv::default(), &mut actions);
                     }

@@ -44,7 +44,7 @@ pub struct QueueState {
 
 impl QueueState {
     /// Creates an empty queue state anchored at `now`.
-    pub fn new(now: Nanos) -> Self {
+    pub const fn new(now: Nanos) -> Self {
         QueueState {
             time: now,
             size: 0,

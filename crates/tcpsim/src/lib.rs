@@ -19,9 +19,11 @@
 //!   AIMD congestion control ([`cc`]).
 //!
 //! The paper's measurement machinery lives in [`queues`]: the three
-//! instrumented queues (*unacked*, *unread*, *ackdelay*) tracked in bytes,
-//! packets, and message units simultaneously, and exchanged between peers
-//! through a TCP option ([`segment::E2eOption`], 36 bytes of counters).
+//! instrumented queues (*unacked*, *unread*, *ackdelay*) tracked in bytes
+//! and message units simultaneously, and exchanged between peers through
+//! a TCP option ([`segment::E2eOption`], 36 bytes of counters per unit).
+//! Packets, the paper's third candidate unit, are not counted; the name
+//! is kept for callers that read it, and reads an empty queue.
 //!
 //! [`sim::NetSim`] assembles two [`host::Host`]s (each with pinned app and
 //! softirq CPU contexts, mirroring the paper's core pinning) around a

@@ -9,10 +9,14 @@
 //! * **ackdelay** — data received whose acknowledgment is still pending
 //!   (`rcv_nxt − rcv_wup`).
 //!
-//! Every queue is tracked simultaneously in three message units — bytes,
-//! packets, and application messages (send-call boundaries) — so the
-//! estimator can compare the semantic-gap bridging strategies of §3.3
-//! without rerunning an experiment.
+//! Every queue is tracked simultaneously in two message units — bytes and
+//! application messages (send-call boundaries) — so the estimator can
+//! compare the semantic-gap bridging strategies of §3.3 without rerunning
+//! an experiment. The paper's third candidate, wire packets, keeps its
+//! [`Unit::Packets`] name and index only so a caller that asks for it
+//! (the benchmark adapter builds a packet recorder) reads a well-formed
+//! empty queue: nothing counts packets, and a socket configured to
+//! exchange them is rejected when it is opened.
 
 use littles::wire::{WireExchange, WireScale};
 use littles::{Nanos, QueueState, Snapshot};
@@ -26,7 +30,7 @@ pub enum Unit {
     #[default]
     Bytes,
     /// Wire packets — the paper's second prototype unit, "similarly
-    /// limited".
+    /// limited". Not counted: a queue reads empty in it.
     Packets,
     /// Application messages approximated by `send`-call boundaries, or
     /// provided exactly through the hint API.
@@ -48,11 +52,14 @@ impl Unit {
     }
 }
 
-/// One logical queue tracked in all three units at once.
+/// What a read in [`Unit::Packets`] sees: a queue nothing ever entered.
+/// Its snapshot at any `now` is `(now, 0, 0)`, as a fresh one's would be.
+static UNCOUNTED: QueueState = QueueState::new(Nanos::ZERO);
+
+/// One logical queue tracked in bytes and messages at once.
 #[derive(Debug, Clone)]
 pub struct InstrumentedQueue {
     bytes: QueueState,
-    packets: QueueState,
     messages: QueueState,
 }
 
@@ -61,18 +68,19 @@ impl InstrumentedQueue {
     pub fn new(now: Nanos) -> Self {
         InstrumentedQueue {
             bytes: QueueState::new(now),
-            packets: QueueState::new(now),
             messages: QueueState::new(now),
         }
     }
 
-    /// Records `n` of `unit` (bytes, packets or whole application
-    /// messages) entering (`n > 0`) or leaving (`n < 0`).
-    pub fn track(&mut self, now: Nanos, unit: Unit, n: i64) {
-        match unit {
-            Unit::Bytes => self.bytes.track(now, n),
-            Unit::Packets => self.packets.track(now, n),
-            Unit::Messages => self.messages.track(now, n),
+    /// Records `bytes` and `messages` (whole application messages)
+    /// entering (`> 0`) or leaving (`< 0`); a zero count leaves its unit
+    /// untouched.
+    pub fn track(&mut self, now: Nanos, bytes: i64, messages: i64) {
+        if bytes != 0 {
+            self.bytes.track(now, bytes);
+        }
+        if messages != 0 {
+            self.messages.track(now, messages);
         }
     }
 
@@ -89,8 +97,8 @@ impl InstrumentedQueue {
     fn state(&self, unit: Unit) -> &QueueState {
         match unit {
             Unit::Bytes => &self.bytes,
-            Unit::Packets => &self.packets,
             Unit::Messages => &self.messages,
+            Unit::Packets => &UNCOUNTED,
         }
     }
 }
@@ -156,20 +164,39 @@ mod tests {
     #[test]
     fn units_are_independent() {
         let mut q = InstrumentedQueue::new(Nanos::ZERO);
-        q.track(Nanos::ZERO, Unit::Bytes, 1000);
-        q.track(Nanos::ZERO, Unit::Packets, 2);
-        q.track(Nanos::ZERO, Unit::Messages, 1);
-        assert_eq!(q.size(Unit::Bytes), 1000);
-        assert_eq!(q.size(Unit::Packets), 2);
-        assert_eq!(q.size(Unit::Messages), 1);
+        q.track(Nanos::ZERO, 1000, 0);
+        assert_eq!((q.size(Unit::Bytes), q.size(Unit::Messages)), (1000, 0));
+        q.track(Nanos::from_micros(1), 0, 2);
+        assert_eq!((q.size(Unit::Bytes), q.size(Unit::Messages)), (1000, 2));
+        q.track(Nanos::from_micros(3), -1000, -1);
+        assert_eq!((q.size(Unit::Bytes), q.size(Unit::Messages)), (0, 1));
+        let now = Nanos::from_micros(4);
+        let (bytes, messages) = (q.peek(now, Unit::Bytes), q.peek(now, Unit::Messages));
+        assert_eq!((bytes.total, bytes.integral), (1000, 1000 * 3_000));
+        assert_eq!((messages.total, messages.integral), (1, 2 * 2_000 + 1_000));
+        // Packets are not counted: a well-formed empty queue.
+        let packets = q.peek(now, Unit::Packets);
+        assert_eq!((q.size(Unit::Packets), packets.total, packets.integral), (0, 0, 0));
+        assert_eq!(packets.time, now);
+    }
+
+    #[test]
+    #[should_panic(expected = "the packet unit is not counted")]
+    fn a_socket_exchanging_packets_is_rejected_when_opened() {
+        let config = crate::TcpConfig {
+            exchange: crate::config::ExchangeConfig::single(Unit::Packets),
+            ..crate::TcpConfig::default()
+        };
+        let mut actions = crate::Actions::new();
+        crate::TcpSocket::client(crate::FlowId(0), config, Nanos::ZERO, &mut actions);
     }
 
     #[test]
     fn snapshots_capture_all_three_queues() {
         let mut qs = SocketQueues::new(Nanos::ZERO);
-        qs.unacked.track(Nanos::ZERO, Unit::Bytes, 100);
-        qs.unread.track(Nanos::ZERO, Unit::Bytes, 200);
-        qs.ackdelay.track(Nanos::ZERO, Unit::Bytes, 300);
+        qs.unacked.track(Nanos::ZERO, 100, 0);
+        qs.unread.track(Nanos::ZERO, 200, 0);
+        qs.ackdelay.track(Nanos::ZERO, 300, 0);
         let t = Nanos::from_micros(10);
         let s = qs.snapshots(t, Unit::Bytes);
         assert_eq!(s.unacked.integral, 100 * 10_000);
@@ -194,15 +221,11 @@ mod tests {
         let s0m = q.peek(Nanos::ZERO, Unit::Messages);
 
         // Tiny message: 10 bytes, resident 100 µs.
-        q.track(Nanos::ZERO, Unit::Bytes, 10);
-        q.track(Nanos::ZERO, Unit::Messages, 1);
-        q.track(Nanos::from_micros(100), Unit::Bytes, -10);
-        q.track(Nanos::from_micros(100), Unit::Messages, -1);
+        q.track(Nanos::ZERO, 10, 1);
+        q.track(Nanos::from_micros(100), -10, -1);
         // Huge message: 16 KiB, resident 10 µs.
-        q.track(Nanos::from_micros(100), Unit::Bytes, 16384);
-        q.track(Nanos::from_micros(100), Unit::Messages, 1);
-        q.track(Nanos::from_micros(110), Unit::Bytes, -16384);
-        q.track(Nanos::from_micros(110), Unit::Messages, -1);
+        q.track(Nanos::from_micros(100), 16384, 1);
+        q.track(Nanos::from_micros(110), -16384, -1);
 
         let end = Nanos::from_micros(200);
         let byte_delay = q

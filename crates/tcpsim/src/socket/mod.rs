@@ -241,10 +241,6 @@ pub struct SocketStats {
     pub tso_defers: u64,
     /// Times the AIMD batch-limit gate held queued data.
     pub batch_limit_holds: u64,
-    /// Payload bytes received in order.
-    pub bytes_received: u64,
-    /// Wire packets received.
-    pub wire_packets_received: u64,
     /// End-to-end exchanges attached to outgoing segments.
     pub exchanges_sent: u64,
     /// Hint options attached to outgoing segments.
@@ -285,6 +281,11 @@ pub struct TcpSocket {
 
 impl TcpSocket {
     fn open(flow: FlowId, config: TcpConfig, now: Nanos, state: TcpState) -> Self {
+        assert!(
+            !config.exchange.units[Unit::Packets.index()],
+            "the packet unit is not counted, so it cannot be exchanged: \
+             enable bytes or messages in ExchangeConfig::units"
+        );
         TcpSocket {
             tcb: Tcb { flow, config, state, epoch: 0 },
             tx: Tx::new(&config),
@@ -297,6 +298,11 @@ impl TcpSocket {
     }
 
     /// Creates an actively opening socket and emits its SYN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.exchange` enables the packet unit: packets are
+    /// not counted, and exchanging them would only share zeros.
     pub fn client(flow: FlowId, config: TcpConfig, now: Nanos, actions: &mut Actions) -> Self {
         let mut sock = Self::open(flow, config, now, TcpState::SynSent);
         sock.send_handshake(now, actions);
@@ -305,6 +311,11 @@ impl TcpSocket {
 
     /// Creates a passively opened socket in response to a SYN and emits the
     /// SYN-ACK.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.exchange` enables the packet unit, as
+    /// [`client`](Self::client) does.
     pub fn server_on_syn(
         flow: FlowId,
         config: TcpConfig,
@@ -393,12 +404,11 @@ impl TcpSocket {
         &mut self.queues
     }
 
-    /// `TRACK`s `counts` (per [`Unit::index`]) into the queue `pick` picks.
-    fn track(&mut self, now: Nanos, pick: PickQueue, counts: [i64; 3]) {
-        for (unit, n) in Unit::ALL.into_iter().zip(counts) {
-            if n != 0 {
-                pick(self.touch_queues()).track(now, unit, n);
-            }
+    /// `TRACK`s `bytes` and `messages` into the queue `pick` picks; a call
+    /// that moves neither leaves the queues and the stamp alone.
+    fn track(&mut self, now: Nanos, pick: PickQueue, bytes: i64, messages: i64) {
+        if bytes != 0 || messages != 0 {
+            pick(self.touch_queues()).track(now, bytes, messages);
         }
     }
 
@@ -513,7 +523,7 @@ impl TcpSocket {
         let accepted = self.tx.push(data.into());
         if accepted > 0 {
             self.invariants.unacked.enter(accepted as u64);
-            self.track(now, |q| &mut q.unacked, [accepted as i64, 0, 1]);
+            self.track(now, |q| &mut q.unacked, accepted as i64, 1);
         }
         self.poll_transmit(now, env, actions);
         self.verify_invariants(now);
@@ -531,11 +541,10 @@ impl TcpSocket {
         actions: &mut Actions,
     ) -> (usize, usize) {
         let window_before = self.rx.rcv.window();
-        let (bytes, messages, packets) = self.rx.read(max, out);
+        let (bytes, messages) = self.rx.read(max, out);
         if bytes > 0 {
             self.invariants.unread.leave(bytes as u64);
-            let left = [-(bytes as i64), -packets, -(messages as i64)];
-            self.track(now, |q| &mut q.unread, left);
+            self.track(now, |q| &mut q.unread, -(bytes as i64), -(messages as i64));
             // Window-update ACK: reading reopened a window that had
             // squeezed below one MSS.
             let mss = self.tcb.config.mss;
@@ -620,14 +629,13 @@ impl TcpSocket {
         // wire_packets <= len/mss + 1, bounded by the send buffer.
         let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32;
         let psh = chunk.boundaries.last() == Some(&(offset + len as u64));
-        self.tx.on_sent(now, &chunk, wire_packets, retx);
+        self.tx.on_sent(now, &chunk, retx);
         let flags = Flags { ack: true, psh, ..Flags::default() };
         let mut seg = self.header(now, Tcb::seq(offset), flags);
         seg.payload = chunk.bytes;
         seg.boundaries = chunk.boundaries;
         seg.wire_packets = wire_packets;
         self.ack_sent(now, true, actions);
-        self.track(now, |q| &mut q.unacked, [0, i64::from(wire_packets), 0]);
         self.stats.data_segments_sent += 1;
         self.stats.wire_packets_sent += u64::from(wire_packets);
         self.stats.bytes_sent += len as u64;
@@ -639,11 +647,11 @@ impl TcpSocket {
     /// An ACK covering everything received is leaving, pure or riding data
     /// (`piggyback`): drains the ackdelay queue.
     fn ack_sent(&mut self, now: Nanos, piggyback: bool, actions: &mut Actions) {
-        let [bytes, packets, messages] = self.rx.ack_sent(piggyback, actions);
+        let [bytes, messages] = self.rx.ack_sent(piggyback, actions);
         if bytes > 0 {
             self.invariants.ackdelay.leave(bytes as u64);
         }
-        self.track(now, |q| &mut q.ackdelay, [-bytes, -packets, -messages]);
+        self.track(now, |q| &mut q.ackdelay, -bytes, -messages);
     }
 
     /// Carries out a delayed-ACK decision: the ACK goes now (its timer
@@ -670,7 +678,6 @@ impl TcpSocket {
     /// Processes one incoming segment. The host calls this after charging
     /// softirq receive costs.
     pub fn on_segment(&mut self, now: Nanos, seg: &Segment, env: TxEnv, actions: &mut Actions) {
-        self.stats.wire_packets_received += u64::from(seg.wire_packets);
         self.estimator_stamp += self.rx.take_options(&seg.options);
         match self.tcb.state {
             TcpState::SynSent => {
@@ -700,15 +707,14 @@ impl TcpSocket {
         }
         // Data: `Rx` reassembles and decides the ACK; the unread and
         // ackdelay queues are booked here.
-        if let Some((res, rcv_nxt_before, arrived)) = self.rx.reassemble(seg) {
+        if let Some((res, rcv_nxt_before, [bytes, messages])) = self.rx.reassemble(seg) {
             let (rcv_nxt, ooo, dup) = (self.rx.rcv.rcv_nxt(), res.out_of_order, res.duplicate);
             gate(self.invariants.on_rx_segment(ooo, dup, rcv_nxt_before, rcv_nxt));
             if res.in_order_bytes > 0 {
-                self.stats.bytes_received += res.in_order_bytes as u64;
                 self.invariants.unread.enter(res.in_order_bytes as u64);
-                self.track(now, |q| &mut q.unread, arrived);
+                self.track(now, |q| &mut q.unread, bytes, messages);
                 self.invariants.ackdelay.enter(res.in_order_bytes as u64);
-                self.track(now, |q| &mut q.ackdelay, arrived);
+                self.track(now, |q| &mut q.ackdelay, bytes, messages);
                 actions.push(Action::Wake(WakeReason::Readable));
             }
             let rto = self.tx.rtt.rto();
@@ -729,10 +735,10 @@ impl TcpSocket {
     fn on_ack(&mut self, now: Nanos, seg: &Segment, actions: &mut Actions) {
         let (stats, invariants) = (&mut self.stats, &mut self.invariants);
         let acked = self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
-        let [bytes, packets, messages] = acked.freed;
+        let [bytes, messages] = acked.freed;
         if bytes > 0 {
             self.invariants.unacked.leave(bytes as u64);
-            self.track(now, |q| &mut q.unacked, [-bytes, -packets, -messages]);
+            self.track(now, |q| &mut q.unacked, -bytes, -messages);
             self.estimator_stamp += u64::from(acked.sampled);
             if self.tx.snd.room() > 0 {
                 actions.push(Action::Wake(WakeReason::Writable));
@@ -768,8 +774,7 @@ impl TcpSocket {
             }
             TimerKind::Rto => {
                 self.stats.rto_fires += 1;
-                let stale = self.tx.on_rto();
-                self.track(now, |q| &mut q.unacked, [0, -stale, 0]);
+                self.tx.on_rto();
                 self.poll_transmit(now, env, actions);
                 self.tx.rearm_rto(actions);
             }

@@ -1,7 +1,5 @@
 //! The receive side of a connection.
 
-use std::collections::VecDeque;
-
 use littles::Nanos;
 
 use crate::buffer::{IngestResult, RecvBuffer};
@@ -32,11 +30,8 @@ pub(super) struct Rx {
     pub(super) ts_recent: u32,
     pub(super) delack: DelAck,
     pub(super) remote: RemoteStore,
-    /// Received-but-unacked counts for the ackdelay queue, indexed by
-    /// [`Unit::index`](crate::queues::Unit::index).
-    pending_ack: [i64; 3],
-    /// Unread-queue packet accounting: (end offset, wire packets).
-    unread_packets: VecDeque<(u64, u32)>,
+    /// Received-but-unacked bytes and messages for the ackdelay queue.
+    pending_ack: [i64; 2],
     peer_fin: bool,
     /// When the last data segment arrived.
     last_data_at: Nanos,
@@ -54,8 +49,7 @@ impl Rx {
             ts_recent: 0,
             delack: DelAck::new(config.delack),
             remote: RemoteStore::default(),
-            pending_ack: [0; 3],
-            unread_packets: VecDeque::new(),
+            pending_ack: [0; 2],
             peer_fin: false,
             last_data_at: Nanos::ZERO,
             seen_hole: false,
@@ -108,22 +102,17 @@ impl Rx {
     }
 
     /// Reassembles a data segment: the buffer's verdict, `rcv_nxt` before
-    /// it, and what became in order per unit (now awaiting the application
-    /// and an ACK). `None` without payload, or for a sequence number too
-    /// far behind to place.
-    pub(super) fn reassemble(&mut self, seg: &Segment) -> Option<(IngestResult, u64, [i64; 3])> {
+    /// it, and the bytes and messages that became in order (now awaiting
+    /// the application and an ACK). `None` without payload, or for a
+    /// sequence number too far behind to place.
+    pub(super) fn reassemble(&mut self, seg: &Segment) -> Option<(IngestResult, u64, [i64; 2])> {
         let before = self.rcv.rcv_nxt();
         let offset = unwrap_seq(seg.seq, self.rcv_seq, before).filter(|_| !seg.payload.is_empty())?;
         let res = self.rcv.ingest(offset, &seg.payload, &seg.boundaries);
         self.rcv_seq = self.rcv_seq.advance(self.rcv.rcv_nxt() - before);
-        let mut arrived = [0; 3];
-        if res.in_order_bytes > 0 {
-            let packets = i64::from(seg.wire_packets);
-            arrived = [res.in_order_bytes as i64, packets, res.in_order_messages as i64];
-            self.unread_packets.push_back((self.rcv.rcv_nxt(), seg.wire_packets));
-            for (pending, n) in self.pending_ack.iter_mut().zip(arrived) {
-                *pending += n;
-            }
+        let arrived = [res.in_order_bytes as i64, res.in_order_messages as i64];
+        for (pending, n) in self.pending_ack.iter_mut().zip(arrived) {
+            *pending += n;
         }
         Some((res, before, arrived))
     }
@@ -170,29 +159,18 @@ impl Rx {
 
     /// An ACK covering everything received is leaving, pure or riding data
     /// (`piggyback`, which clears a delayed ACK and its timer): returns the
-    /// ackdelay counts it drains.
-    pub(super) fn ack_sent(&mut self, piggyback: bool, actions: &mut Actions) -> [i64; 3] {
+    /// ackdelay bytes and messages it drains.
+    pub(super) fn ack_sent(&mut self, piggyback: bool, actions: &mut Actions) -> [i64; 2] {
         if piggyback && self.delack.on_piggyback() {
             actions.push(Action::CancelTimer(TimerKind::Delack));
         }
         std::mem::take(&mut self.pending_ack)
     }
 
-    /// Reads up to `max` bytes into `out`: the bytes, the whole messages,
-    /// and the wire packets that left the unread queue with them.
-    pub(super) fn read(
-        &mut self,
-        max: usize,
-        out: &mut impl Extend<Payload>,
-    ) -> (usize, usize, i64) {
-        let (bytes, messages) = self.rcv.read(max, out);
-        let read_pos = self.rcv.read_pos();
-        let mut packets = 0;
-        while let Some(&(_, n)) = self.unread_packets.front().filter(|&&(end, _)| end <= read_pos) {
-            self.unread_packets.pop_front();
-            packets += i64::from(n);
-        }
-        (bytes, messages, packets)
+    /// Reads up to `max` bytes into `out`: the bytes and the whole
+    /// messages that left the unread queue.
+    pub(super) fn read(&mut self, max: usize, out: &mut impl Extend<Payload>) -> (usize, usize) {
+        self.rcv.read(max, out)
     }
 
     /// The peer's FIN: taken, and the ACK cursor moved past it, when it

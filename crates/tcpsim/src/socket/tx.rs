@@ -29,14 +29,12 @@ const DUP_THRESH: u32 = 3;
 /// Largest TSO super-segment handed to the NIC, in bytes.
 const TSO_MAX_BYTES: usize = 65_536;
 
-/// A transmitted, not-yet-acknowledged range (for RTT sampling, packet
-/// accounting, Karn's rule and the SACK scoreboard).
+/// A transmitted, not-yet-acknowledged range (for RTT sampling, Karn's
+/// rule and the SACK scoreboard).
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     offset: u64,
     len: u32,
-    /// Wire packets this range was sent as, retransmissions included.
-    wire_packets: u32,
     sent_at: Nanos,
     /// True once retransmitted (excluded from RTT sampling).
     retransmitted: bool,
@@ -70,8 +68,8 @@ struct Loss {
 /// What an arriving ACK did on the send side, for the owner to book.
 #[derive(Default)]
 pub(super) struct Acked {
-    /// What left the unacked queue, per [`Unit::index`].
-    pub(super) freed: [i64; 3],
+    /// The bytes and messages that left the unacked queue.
+    pub(super) freed: [i64; 2],
     /// An unambiguous range gave an RTT sample.
     pub(super) sampled: bool,
     pub(super) fin_acked: bool,
@@ -295,7 +293,7 @@ impl Tx {
                 }
                 let max = tso_limit.min(cwnd_room - cwnd_room % mss);
                 stats.fast_retransmits += 1;
-                return Some((self.resend(now, hole, max, loss, mss), true));
+                return Some((self.resend(now, hole, max, loss), true));
             }
         }
         let unsent = self.snd.unsent();
@@ -417,12 +415,12 @@ impl Tx {
     /// `i` and the contiguous ranges after it that `loss` marks lost. Each
     /// is marked resent at `now`; one resent in part is split first, so the
     /// scoreboard marks exactly what went out.
-    fn resend(&mut self, now: Nanos, i: usize, max: usize, loss: Loss, mss: usize) -> SendChunk {
+    fn resend(&mut self, now: Nanos, i: usize, max: usize, loss: Loss) -> SendChunk {
         let una = self.snd.una();
         let mut i = i;
         if self.in_flight[i].offset < una {
             // Acked below una but not yet popped: split off the acked part.
-            self.split(i, una, mss);
+            self.split(i, una);
             i += 1;
         }
         let start = self.in_flight[i].offset;
@@ -434,7 +432,7 @@ impl Tx {
                 break;
             }
             if f.end() > limit {
-                self.split(j, limit, mss);
+                self.split(j, limit);
             }
             let resent = &mut self.in_flight[j];
             resent.retransmitted = true;
@@ -444,19 +442,14 @@ impl Tx {
         self.snd.retransmit_chunk(start, (end - start) as usize)
     }
 
-    /// Splits the range at `i` in two at offset `at`, sharing its wire
-    /// packets MSS-wise (the total is kept, so the unacked queue's packet
-    /// count balances).
-    fn split(&mut self, i: usize, at: u64, mss: usize) {
+    /// Splits the range at `i` in two at offset `at`.
+    fn split(&mut self, i: usize, at: u64) {
         let head = &mut self.in_flight[i];
         let mut tail = *head;
         let head_len = (at - head.offset) as u32; // inside a u32-long range
-        let head_packets = head_len.div_ceil(mss as u32).min(head.wire_packets);
         head.len = head_len;
-        head.wire_packets = head_packets;
         tail.offset = at;
         tail.len -= head_len;
-        tail.wire_packets -= head_packets;
         self.in_flight.insert(i + 1, tail);
     }
 
@@ -499,17 +492,15 @@ impl Tx {
     }
 
     /// Records a transmitted range: a new one for fresh data and the RTO
-    /// resend; a hole retransmission (its ranges already marked) books its
-    /// wire packets on its first range.
-    pub(super) fn on_sent(&mut self, now: Nanos, chunk: &SendChunk, wire_packets: u32, retx: bool) {
+    /// resend; a hole retransmission finds its ranges already marked.
+    pub(super) fn on_sent(&mut self, now: Nanos, chunk: &SendChunk, retx: bool) {
         let (offset, sent_at, retransmitted) = (chunk.offset, now, retx);
         let len = chunk.bytes.len() as u32; // MSS-bounded, far under u32::MAX
         let at = self.in_flight.partition_point(|f| f.offset < offset);
-        if let Some(f) = self.in_flight.get_mut(at).filter(|f| f.offset == offset) {
-            f.wire_packets += wire_packets;
+        if self.in_flight.get(at).is_some_and(|f| f.offset == offset) {
             return;
         }
-        let range = InFlight { offset, len, wire_packets, sent_at, retransmitted, sacked: false };
+        let range = InFlight { offset, len, sent_at, retransmitted, sacked: false };
         self.in_flight.insert(at, range);
     }
 
@@ -622,7 +613,7 @@ impl Tx {
         stats.fast_retransmits += 1;
         let head = self.in_flight.partition_point(|f| f.end() <= una);
         let everything = Loss { below: u64::MAX, newest_sacked: Nanos::ZERO };
-        Some(self.resend(now, head, in_flight.min(mss), everything, mss))
+        Some(self.resend(now, head, in_flight.min(mss), everything))
     }
 
     /// The cumulative ACK moved to `ack_offset`. `echo` is its timestamp
@@ -646,12 +637,10 @@ impl Tx {
         if freed.bytes == 0 {
             return acked;
         }
-        let mut packets = 0;
         let mut rtt_sample = None;
         let covered = |f: &InFlight| f.end() <= data_upto;
         while let Some(f) = self.in_flight.front().copied().filter(covered) {
             self.in_flight.pop_front();
-            packets += i64::from(f.wire_packets);
             self.sacked -= u32::from(f.sacked);
             // Karn: a resent range's ACK is ambiguous, and a SACKed one
             // arrived long before this ACK.
@@ -669,7 +658,7 @@ impl Tx {
             let rtt = echo.map(|echo| (now.as_nanos() as u32).wrapping_sub(echo));
             rtt_sample = rtt.filter(|&rtt| rtt < 1 << 31).map(|rtt| Nanos::from_nanos(rtt.into()));
         }
-        acked.freed = [freed.bytes as i64, packets, freed.messages as i64];
+        acked.freed = [freed.bytes as i64, freed.messages as i64];
         if let Some(rtt) = rtt_sample {
             self.rtt.sample(rtt);
             acked.sampled = true;
@@ -685,18 +674,11 @@ impl Tx {
 
     /// The RTO: back off, collapse the window, forget the un-SACKed ranges
     /// and rewind to the first unacked byte; the transmit path resends from
-    /// there, stepping over what the peer SACKed. Returns the wire packets
-    /// that left the unacked queue with the forgotten ranges.
-    pub(super) fn on_rto(&mut self) -> i64 {
+    /// there, stepping over what the peer SACKed.
+    pub(super) fn on_rto(&mut self) {
         self.rtt.backoff();
         self.cc.on_rto();
-        let mut stale = 0;
-        self.in_flight.retain(|f| {
-            if !f.sacked {
-                stale += i64::from(f.wire_packets);
-            }
-            f.sacked
-        });
+        self.in_flight.retain(|f| f.sacked);
         if self.snd.in_flight() > 0 {
             // A repeated RTO mid-recovery must not shrink the recovery
             // point to the partially-resent nxt, or the tail of the
@@ -710,7 +692,6 @@ impl Tx {
             // Retransmit the FIN itself.
             self.fin_sent = false;
         }
-        stale
     }
 
     /// After an RTO pass the RTO stays armed while data or the FIN is

@@ -514,7 +514,7 @@ fn invariant_gate_fires_on_corrupted_queue_state() {
     // Ten phantom bytes appear in the unacked queue without ever passing
     // through `send`: the double-entry ledger no longer balances against
     // the reported occupancy and the conservation gate must fire.
-    sock.queues_mut().unacked.track(now, Unit::Bytes, 10);
+    sock.queues_mut().unacked.track(now, 10, 0);
     let err = sock
         .check_invariants(now)
         .expect_err("conservation gate must fire on corrupted state");
@@ -539,7 +539,7 @@ fn invariant_gate_panics_in_debug_on_corruption() {
     let now = q.now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let sock = sim.host_mut(0).socket_mut(SocketId(0));
-        sock.queues_mut().unread.track(now, Unit::Bytes, 42);
+        sock.queues_mut().unread.track(now, 42, 0);
         gate(sock.check_invariants(now));
     }));
     if cfg!(debug_assertions) {

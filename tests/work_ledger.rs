@@ -5,12 +5,15 @@
 //! RESP framing, estimator, proxy routing) is commented `// hot-path:`
 //! where a function must not allocate per call. This test holds the
 //! whole path to that and to the work it schedules. It installs a
-//! counting global allocator, runs three topologies until every
+//! counting global allocator, runs four topologies until every
 //! connection is established — a 64-connection star (`NetSim`), a 4-shard
-//! two-tier run (`TierSim`) and Figure 4a's 80 kRPS over 1024 connections
-//! with the estimator and hints attached on every one, assembled by
-//! `Harness::star` — and over a further stretch of simulated time counts,
-//! per request the clients completed in it:
+//! two-tier run (`TierSim`), Figure 4a's 80 kRPS over 1024 connections
+//! with the estimator and hints attached on every one, and the
+//! benchmark's `star64_loss` (Figure 4a at 40 kRPS over 64 connections
+//! under bursty loss, the one cell where segments are dropped and
+//! resent), the last two assembled by `Harness::star` — and over a
+//! further stretch of simulated time counts, per request the clients
+//! completed in it:
 //!
 //! - heap allocations, and the bytes they requested (`layout.size()`,
 //!   `new_size` on a `realloc`), so a copy of a 16 KiB value shows as what
@@ -23,12 +26,14 @@
 //!   `fanin1024` is not in steady state when counting starts: its clients
 //!   still have a start-up backlog in flight at `WARM` (184 requests, 8 at
 //!   `END`), and the buffers that backlog gives back outweigh what the
-//!   recorders' series grow by, so its retained bytes read negative;
+//!   recorders' series grow by, so its retained bytes read negative.
+//!   `star64_loss` goes the other way: loss holds requests back, 90 are
+//!   in flight at `WARM` and 173 at `END`, and their buffers are kept;
 //! - events dispatched, by arm of `Event`. The stretch runs the loop
 //!   `simnet::run` runs, tallying each popped event before handing it to
 //!   `World::handle`, so the count is of what runs, however the code that
-//!   schedules it is spelled. Every cell is fault-free, so `Restart` and
-//!   `ShardCrash` must stay 0;
+//!   schedules it is spelled. No cell restarts an endpoint or crashes a
+//!   shard, so `Restart` and `ShardCrash` must stay 0;
 //! - client ticks (`LancetClient::ticks_run`): the one event class whose
 //!   count could follow elapsed time rather than traffic. A client whose
 //!   socket stands still sleeps through its ticks, and `fanin1024` is
@@ -67,7 +72,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
+use e2e_batching::e2e_apps::experiments::ChaosClass;
 use e2e_batching::e2e_apps::harness::{star_hosts, tier_hosts, Star};
+use e2e_batching::e2e_apps::runner::Overrides;
 use e2e_batching::e2e_apps::{
     CostProfile, Harness, LancetClient, NagleSetting, ProxyApp, RedisServer, RunConfig,
     ShardRouter, WorkloadSpec,
@@ -212,13 +219,13 @@ const STAR64_CEILING: Ledger = Ledger {
     heap: per_profile(
         Heap {
             allocs: 25_768, // 4.00 per request
-            bytes: 106_497_638, // 16 549 per request: the 16 430-byte request, ~120 B more
-            retained: 83_694, // 13.0 per request
+            bytes: 106_497_062, // 16 549 per request: the 16 430-byte request, ~120 B more
+            retained: 83_406, // 13.0 per request
         },
         Heap {
             allocs: 25_768,
-            bytes: 106_497_638,
-            retained: 83_694,
+            bytes: 106_497_062,
+            retained: 83_406,
         },
     ),
     events: [25_748, 25_742, 0, 38_235, 28_951, 25_746, 0, 0], // 22.44 per request
@@ -229,13 +236,13 @@ const TIER4_CEILING: Ledger = Ledger {
     heap: per_profile(
         Heap {
             allocs: 10_497, // 9.13 per request
-            bytes: 1_577_468, // 1 372 per request
-            retained: 56_136, // 48.8 per request
+            bytes: 1_577_340, // 1 372 per request
+            retained: 56_072, // 48.8 per request
         },
         Heap {
             allocs: 10_497,
-            bytes: 1_577_468,
-            retained: 56_136,
+            bytes: 1_577_340,
+            retained: 56_072,
         },
     ),
     events: [4_603, 4_601, 0, 8_793, 6_596, 4_603, 0, 0], // 25.39 per request
@@ -245,21 +252,39 @@ const TIER4_CEILING: Ledger = Ledger {
 const FANIN1024_CEILING: Ledger = Ledger {
     heap: per_profile(
         Heap {
-            allocs: 280_074, // 34.51 per request: mostly `assert_skip`'s witnesses
-            bytes: 300_097_392, // 36 976 per request
-            retained: -1_538_232, // -189.5 per request: the recorders' packed series
+            allocs: 280_040, // 34.50 per request: mostly `assert_skip`'s witnesses
+            bytes: 300_094_160, // 36 976 per request
+            retained: -1_541_464, // -189.9 per request: the recorders' packed series
             // grow by less than the buffers the 184 requests in flight at `WARM`
             // (8 at `END`) give back
         },
         Heap {
-            allocs: 36_066, // 4.44 per request
-            bytes: 134_018_736, // 16 513 per request
-            retained: -1_538_232,
+            allocs: 36_032, // 4.44 per request
+            bytes: 134_015_504, // 16 513 per request
+            retained: -1_541_464,
         },
     ),
     events: [32_504, 32_656, 347, 48_317, 49_062, 32_504, 0, 0], // 24.08 per request
     ticks: 20_053, // 2.47 per request, 0.103 of events
     completed: 8_116,
+};
+const STAR64_LOSS_CEILING: Ledger = Ledger {
+    heap: per_profile(
+        Heap {
+            allocs: 51_984, // 13.02 per request: the debug-only witnesses again
+            bytes: 99_063_843, // 24 809 per request
+            retained: 2_153_536, // 539.3 per request: 90 requests in flight at `WARM`,
+            // 173 at `END`, their buffers still held
+        },
+        Heap {
+            allocs: 17_316, // 4.34 per request
+            bytes: 75_443_379, // 18 894 per request
+            retained: 2_153_536,
+        },
+    ),
+    events: [16_857, 16_857, 133, 23_178, 21_284, 17_034, 0, 0], // 23.88 per request
+    ticks: 6_354, // 1.59 per request
+    completed: 3_993,
 };
 
 /// A 64-client star at 64 kRPS in total: Figure 4a requests, no
@@ -287,6 +312,26 @@ fn fanin1024() -> Harness<Star, RunConfig> {
         seed: 0x0A11_1024,
         num_clients: 1024,
         ..RunConfig::new(WorkloadSpec::fig4a(80_000.0), NagleSetting::Off)
+    })
+}
+
+/// The benchmark's `star64_loss`: Figure 4a at 40 kRPS over 64
+/// connections, a `NagleSetting::Off` star with recorders and hints,
+/// under bursty loss (`ChaosClass::Loss` at 0.25, a stationary 1 %) with
+/// the RTO clamped to 5–40 ms so recovery stays inside the stretch.
+fn star64_loss() -> Harness<Star, RunConfig> {
+    Harness::star(&RunConfig {
+        warmup: WARM,
+        measure: END - WARM,
+        seed: 0x0A11_1055,
+        num_clients: 64,
+        fault: ChaosClass::Loss.fault_at(0.25),
+        overrides: Overrides {
+            min_rto: Some(Nanos::from_millis(5)),
+            max_rto: Some(Nanos::from_millis(40)),
+            ..Overrides::default()
+        },
+        ..RunConfig::new(WorkloadSpec::fig4a(40_000.0), NagleSetting::Off)
     })
 }
 
@@ -399,12 +444,18 @@ fn fanin1024_count() -> Reading {
     count(&mut harness.world, &mut harness.queue, |s| &s.clients, NetSim::segment_store)
 }
 
+fn star64_loss_count() -> Reading {
+    let mut harness = star64_loss();
+    count(&mut harness.world, &mut harness.queue, |s| &s.clients, NetSim::segment_store)
+}
+
 #[test]
 fn steady_state_work_per_request_stays_under_ceiling() {
     for (name, measure, ceiling) in [
         ("star64", star64_count as fn() -> Reading, STAR64_CEILING),
         ("tier4", tier4_count, TIER4_CEILING),
         ("fanin1024", fanin1024_count, FANIN1024_CEILING),
+        ("star64_loss", star64_loss_count, STAR64_LOSS_CEILING),
     ] {
         let (got, host_ms, [at_warm, at_end], [segments, slab]) = measure();
         let (again, again_ms, ..) = measure();
