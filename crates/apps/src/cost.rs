@@ -29,24 +29,24 @@ use tcpsim::CostConfig;
 pub struct AppCosts {
     /// Server: fixed cost per processing pass (epoll return, dispatch) —
     /// the paper's amortizable per-batch cost β from Figure 1.
-    pub server_batch_base: Nanos,
+    pub(crate) server_batch_base: Nanos,
     /// Server: fixed cost to parse + execute one request (hash, insert).
-    pub server_request_base: Nanos,
+    pub(crate) server_request_base: Nanos,
     /// Server: additional cost per KiB of request payload (copy, alloc).
-    pub server_request_per_kib: Nanos,
+    pub(crate) server_request_per_kib: Nanos,
     /// Client: fixed cost to generate one request.
-    pub client_request_base: Nanos,
+    pub(crate) client_request_base: Nanos,
     /// Client: additional generation cost per KiB of value.
-    pub client_request_per_kib: Nanos,
+    pub(crate) client_request_per_kib: Nanos,
     /// Client: fixed cost to parse/process one response — the paper's `c`.
-    pub client_response_base: Nanos,
+    pub(crate) client_response_base: Nanos,
     /// Client: additional processing cost per KiB of response payload.
-    pub client_response_per_kib: Nanos,
+    pub(crate) client_response_per_kib: Nanos,
     /// Proxy: fixed cost to parse and forward one command or response
     /// (no store access — route, re-frame, write).
-    pub proxy_forward_base: Nanos,
+    pub(crate) proxy_forward_base: Nanos,
     /// Proxy: additional forwarding cost per KiB of payload.
-    pub proxy_forward_per_kib: Nanos,
+    pub(crate) proxy_forward_per_kib: Nanos,
 }
 
 impl Default for AppCosts {
@@ -67,26 +67,26 @@ impl Default for AppCosts {
 
 impl AppCosts {
     /// Server cost for a request with `payload` bytes.
-    pub fn server_request(&self, payload: usize) -> Nanos {
+    pub(crate) fn server_request(&self, payload: usize) -> Nanos {
         self.server_request_base
             + Nanos::from_nanos(self.server_request_per_kib.as_nanos() * payload as u64 / 1024)
     }
 
     /// Client cost to generate a request with `payload` bytes.
-    pub fn client_request(&self, payload: usize) -> Nanos {
+    pub(crate) fn client_request(&self, payload: usize) -> Nanos {
         self.client_request_base
             + Nanos::from_nanos(self.client_request_per_kib.as_nanos() * payload as u64 / 1024)
     }
 
     /// Client cost to process a response with `payload` bytes (the `c` of
     /// Figure 1).
-    pub fn client_response(&self, payload: usize) -> Nanos {
+    pub(crate) fn client_response(&self, payload: usize) -> Nanos {
         self.client_response_base
             + Nanos::from_nanos(self.client_response_per_kib.as_nanos() * payload as u64 / 1024)
     }
 
     /// Proxy cost to route one command or response with `payload` bytes.
-    pub fn proxy_forward(&self, payload: usize) -> Nanos {
+    pub(crate) fn proxy_forward(&self, payload: usize) -> Nanos {
         self.proxy_forward_base
             + Nanos::from_nanos(self.proxy_forward_per_kib.as_nanos() * payload as u64 / 1024)
     }
@@ -171,7 +171,7 @@ impl CostProfile {
 
     /// The Figure 2 VM profile: same hardware, but the client's guest work
     /// costs substantially more CPU (vm-exits, nested paging, virtio).
-    pub fn vm_client() -> Self {
+    pub(crate) fn vm_client() -> Self {
         CostProfile {
             client_app_multiplier: 2.5,
             ..Self::fig2_bare()
@@ -182,7 +182,7 @@ impl CostProfile {
     /// fixed 20 kRPS load sits at ~70% of one core) with a pronounced
     /// per-batch cost β, and a real per-response client cost `c` — the
     /// regime where Figure 1's tradeoff plays out at a fixed load.
-    pub fn fig2_bare() -> Self {
+    pub(crate) fn fig2_bare() -> Self {
         let mut p = Self::calibrated();
         p.app.server_batch_base = Nanos::from_micros(12);
         p.app.server_request_base = Nanos::from_micros(18);

@@ -10,7 +10,7 @@
 //! whose estimate is the throughput-weighted aggregate of many
 //! connections; a [`ProxyDriver`] holds one listener seat per shard.
 //! Dynamic Nagle toggling is the plane with only its Nagle knob attached;
-//! [`AimdDriver`] is the §5 gradual limit on its own.
+//! `AimdDriver` is the §5 gradual limit on its own.
 //!
 //! An [`EstimateRecorder`] does its work only when the socket has changed
 //! since the previous tick and otherwise defers it; the deferred ticks
@@ -217,7 +217,7 @@ impl EstimateRecorder {
 
     /// Validates every incoming exchange against locally observable
     /// signals before it can influence the estimate (see
-    /// [`e2e_core::validate`]).
+    /// [`e2e_core::ExchangeValidator`]).
     pub fn with_validation(mut self, config: ValidateConfig) -> Self {
         self.estimator = self.estimator.with_validation(config);
         self
@@ -508,7 +508,7 @@ impl EstimateRecorder {
 /// estimator returns its cached estimate, and a tick only extends the
 /// newest run.
 #[derive(Debug, Default)]
-pub struct HintRecorder {
+pub(crate) struct HintRecorder {
     estimator: HintEstimator,
     /// The hint-estimated latency (if defined) at every tick that had an
     /// estimate.
@@ -517,7 +517,7 @@ pub struct HintRecorder {
 
 impl HintRecorder {
     /// Creates a recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         HintRecorder {
             estimator: HintEstimator::new(WireScale::default()),
             log: RunLog::default(),
@@ -525,7 +525,7 @@ impl HintRecorder {
     }
 
     /// Runs one tick against `sock`, consuming the latest forwarded hint.
-    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
+    pub(crate) fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
         if let Some(hint) = ctx.socket(sock).remote().hint {
             if let Some(est) = self.estimator.update(hint) {
                 self.log.push(ctx.now(), est.latency);
@@ -545,21 +545,15 @@ impl HintRecorder {
         }
         (sum, n)
     }
-
-    /// Mean hint-estimated latency over `[from, to)`.
-    pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let (sum, n) = self.latency_sum_in(from, to);
-        (n > 0).then(|| Nanos::from_nanos(sum / n))
-    }
 }
 
 /// Estimation plus AIMD actuation: drives the socket's gradual batch
 /// limit (paper §5, "Better Batching Heuristics") instead of a binary
 /// Nagle switch.
 #[derive(Debug)]
-pub struct AimdDriver {
+pub(crate) struct AimdDriver {
     /// The estimate source.
-    pub recorder: EstimateRecorder,
+    pub(crate) recorder: EstimateRecorder,
     controller: AimdBatchLimit,
     /// The limit applied at every deciding tick.
     limits: RunLog<u64>,
@@ -567,7 +561,7 @@ pub struct AimdDriver {
 
 impl AimdDriver {
     /// Creates a driver estimating in `unit` with the given controller.
-    pub fn new(unit: Unit, controller: AimdBatchLimit) -> Self {
+    pub(crate) fn new(unit: Unit, controller: AimdBatchLimit) -> Self {
         AimdDriver {
             recorder: EstimateRecorder::new(unit),
             controller,
@@ -577,7 +571,7 @@ impl AimdDriver {
 
     /// Runs one tick: estimate, adapt the limit, actuate through the
     /// uniform knob path (`KnobSetting::CorkLimit`).
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
+    pub(crate) fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
         if let Some(estimate) = self.recorder.latest() {
             let limit = self.controller.update(&estimate);
@@ -587,7 +581,7 @@ impl AimdDriver {
     }
 
     /// Mean limit over the recorded trajectory in `[from, to)`.
-    pub fn mean_limit_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
+    pub(crate) fn mean_limit_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
         let (mut sum, mut n) = (0u64, 0u64);
         for (limit, k) in self.limits.counts_in(from, to) {
             sum += limit * k;
@@ -628,13 +622,13 @@ impl EstimateSource for EstimateRecorder {
 /// What a [`ListenerRecorder`] logs at a deciding tick: the two
 /// latencies its readers use, not the whole [`Estimate`].
 #[derive(Debug, Clone, Copy)]
-pub struct LoggedLatency {
+pub(crate) struct LoggedLatency {
     /// When the tick ran.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// The estimate's latency.
-    pub latency: Nanos,
+    pub(crate) latency: Nanos,
     /// The estimate's smoothed latency.
-    pub smoothed_latency: Nanos,
+    pub(crate) smoothed_latency: Nanos,
 }
 
 /// Listener-wide estimate recording (paper §3.2, last paragraph): one
@@ -675,7 +669,7 @@ impl EstimateSource for ListenerRecorder {
 
 impl ListenerRecorder {
     /// Mean logged latency over `[from, to)`.
-    pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
+    pub(crate) fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
         let mut sum = 0u128;
         let mut n = 0u64;
         for logged in &self.series {
@@ -798,7 +792,7 @@ impl<S> Seat<S> {
 impl PlaneDriver {
     /// Runs one tick: estimate, decide across every knob, actuate each
     /// knob's setting on the socket.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
+    pub(crate) fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
         if let Some(estimate) = self.recorder.latest() {
             self.decide(ctx, &estimate, &[sock]);
@@ -814,7 +808,7 @@ impl ListenerPlaneDriver {
 
     /// Runs one tick over every live connection: update each estimator,
     /// aggregate, decide once across every knob, actuate everywhere.
-    pub fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
+    pub(crate) fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
         let rec = &mut self.recorder;
         for &sock in socks {
             feed(&mut rec.registry, ctx, rec.unit, sock.0 as u64, sock);
@@ -865,7 +859,7 @@ impl ListenerPlaneDriver {
 #[derive(Debug)]
 pub struct ProxyDriver {
     /// The message unit the per-connection estimators use.
-    pub unit: Unit,
+    pub(crate) unit: Unit,
     front: EstimatorRegistry,
     seats: Vec<ListenerPlaneDriver>,
 }
@@ -882,18 +876,6 @@ impl ProxyDriver {
                 .map(|c| ListenerPlaneDriver::new(unit, c))
                 .collect(),
         }
-    }
-
-    /// Applies a staleness bound to every estimator the driver's
-    /// registries create.
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.front = self.front.with_staleness_bound(bound);
-        self.seats = self
-            .seats
-            .into_iter()
-            .map(|s| s.with_staleness_bound(bound))
-            .collect();
-        self
     }
 
     /// Applies peer-state validation to every estimator the driver's
@@ -921,7 +903,7 @@ impl ProxyDriver {
     /// Validation counters for one shard's back-leg registry alone —
     /// after a shard crash this is where the replacement connection's
     /// epoch change (and the resync it forces) shows up.
-    pub fn back_validation_stats(&self, shard: usize) -> ValidateStats {
+    pub(crate) fn back_validation_stats(&self, shard: usize) -> ValidateStats {
         self.seats[shard].validation_stats()
     }
 
@@ -939,7 +921,7 @@ impl ProxyDriver {
     /// connection and each shard's back registry over its upstream
     /// connection, compose per-shard service estimates, and let each
     /// shard's plane decide and actuate on its own upstream socket.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         ctx: &mut HostCtx<'_>,
         client_socks: &[SocketId],
@@ -974,12 +956,12 @@ impl ProxyDriver {
 
     /// One shard's recorded *composed* (front + back) estimate series —
     /// the service-level view that ranks shards by end-to-end latency.
-    pub fn shard_series(&self, shard: usize) -> &[LoggedLatency] {
+    pub(crate) fn shard_series(&self, shard: usize) -> &[LoggedLatency] {
         &self.seats[shard].recorder.series
     }
 
     /// The newest composed (front + back) service estimate for one shard.
-    pub fn latest_composed(&self, shard: usize) -> Option<&Estimate> {
+    pub(crate) fn latest_composed(&self, shard: usize) -> Option<&Estimate> {
         self.seats[shard].recorder.latest.as_ref()
     }
 

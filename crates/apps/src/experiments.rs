@@ -363,7 +363,7 @@ pub const KNOBS_BOUND: Bound = Bound {
 /// stall into an outage at simulated timescales; 500 µs keeps the stall
 /// real (it dominates the affected corners' P99) but lets every arm
 /// finish inside the measure window.
-pub const KNOBS_DELACK_TIMEOUT: Nanos = Nanos::from_micros(500);
+pub(crate) const KNOBS_DELACK_TIMEOUT: Nanos = Nanos::from_micros(500);
 
 /// The label of static corner `corner` of [`knobs_arms`], whose bits are
 /// (Nagle, delayed ACKs, two-MSS cork limit) from the top: corner 5 is
@@ -382,7 +382,7 @@ pub fn knob_corner_label(corner: usize) -> String {
 /// oracle is the best static corner.
 ///
 /// Every arm shares the same delayed-ACK timeout
-/// ([`KNOBS_DELACK_TIMEOUT`]), so the corners and the adaptive planes pay
+/// (`KNOBS_DELACK_TIMEOUT`), so the corners and the adaptive planes pay
 /// the same stall when delayed ACKs interact with Nagle.
 pub fn knobs_arms(
     client_cost: Nanos,

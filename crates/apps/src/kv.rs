@@ -24,7 +24,7 @@ const DEDUP_WINDOW: usize = 4096;
 /// key view would pin the whole request buffer it arrived in for as long
 /// as the key lives, and an overwrite replaces only the value.
 ///
-/// Commands tagged with a request id (see [`Command::id`]) are applied
+/// Commands tagged with a request id (a [`Command`]'s `id`) are applied
 /// *idempotently*: a SET whose id was already applied is acknowledged
 /// without re-executing, so a retry racing its original — or a hedge
 /// racing its primary — never double-applies. The window of remembered
@@ -106,27 +106,26 @@ impl KvStore {
     }
 
     /// Number of keys stored.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// True when no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// SETs executed.
-    pub fn sets(&self) -> u64 {
+    #[cfg(test)]
+    fn sets(&self) -> u64 {
         self.sets
     }
 
     /// GETs executed.
-    pub fn gets(&self) -> u64 {
+    #[cfg(test)]
+    fn gets(&self) -> u64 {
         self.gets
     }
 
     /// GET hits.
-    pub fn hits(&self) -> u64 {
+    #[cfg(test)]
+    fn hits(&self) -> u64 {
         self.hits
     }
 

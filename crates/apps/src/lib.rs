@@ -4,7 +4,7 @@
 //! stack: a Redis-like key-value server ([`server::RedisServer`]), a
 //! Lancet-like open-loop load generator ([`loadgen::LancetClient`]), the
 //! RESP protocol they speak ([`resp`]), calibrated CPU cost profiles
-//! ([`cost`]), and what the experiment grids share ([`experiments`]).
+//! (`cost`), and what the experiment grids share ([`experiments`]).
 //!
 //! The entry points most users want:
 //!
@@ -30,7 +30,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod conn;
-pub mod cost;
+mod cost;
 pub mod driver;
 pub mod experiments;
 pub mod failover;
@@ -43,14 +43,14 @@ pub mod report;
 pub mod resp;
 mod runlog;
 pub mod runner;
-pub mod server;
-pub mod sweep;
+mod server;
+mod sweep;
 pub mod tier;
 pub mod workload;
 
-pub use cost::{AppCosts, CostProfile};
+pub use cost::CostProfile;
 pub use driver::{
-    EstimateRecorder, HintRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
+    EstimateRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
 };
 pub use failover::{FailoverArm, FailoverScenario};
 pub use harness::Harness;

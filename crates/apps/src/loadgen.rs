@@ -17,7 +17,7 @@
 //! * per-unit [`EstimateRecorder`]s — the byte/packet/message Little's-law
 //!   estimates of §3.2 (the "estimated" curves of Figure 4);
 //! * optionally a [`PlaneDriver`] steering Nagle (and, when attached,
-//!   delayed ACKs and the cork limit) dynamically, or an [`AimdDriver`].
+//!   delayed ACKs and the cork limit) dynamically, or an `AimdDriver`.
 //!
 //! All of it runs off one tick per `tick_period`. A client that only
 //! records (no plane, no AIMD seat) does not pay for the ticks that would
@@ -119,7 +119,7 @@ pub struct LancetClient {
     /// Ticks dispatched as events.
     pub ticks_run: u64,
     /// Tick instants slept through while parked and booked afterwards.
-    pub ticks_skipped: u64,
+    pub(crate) ticks_skipped: u64,
     /// Delay between a `Reset` wake and the reconnect attempt.
     reconnect_backoff: Nanos,
     /// Number of `Reset` wakes observed (crash/restart fault injections).
@@ -135,13 +135,13 @@ pub struct LancetClient {
     /// Measured latency over the measurement window.
     pub hist: Histogram,
     /// Application-level request tracker (ground truth / hints source).
-    pub tracker: RequestTracker,
+    pub(crate) tracker: RequestTracker,
     tracker_at_warmup: Option<Snapshot>,
     tracker_at_end: Option<Snapshot>,
     /// Little's-law estimate recorders (one per unit under study).
     pub recorders: Vec<EstimateRecorder>,
     /// Optional §5 AIMD batch-limit policy.
-    pub aimd: Option<AimdDriver>,
+    pub(crate) aimd: Option<AimdDriver>,
     /// Optional control plane: dynamic Nagle, plus whichever further
     /// knobs it has attached.
     pub plane: Option<PlaneDriver>,
@@ -226,7 +226,7 @@ impl LancetClient {
 
     /// Attaches a §5 AIMD batch-limit policy (used with `NagleMode::Off`;
     /// the limit gate replaces Nagle).
-    pub fn with_aimd(mut self, aimd: AimdDriver) -> Self {
+    pub(crate) fn with_aimd(mut self, aimd: AimdDriver) -> Self {
         self.aimd = Some(aimd);
         self
     }
@@ -238,11 +238,6 @@ impl LancetClient {
         self
     }
 
-    /// The measurement window.
-    pub fn window(&self) -> (Nanos, Nanos) {
-        (self.warmup_end, self.measure_end)
-    }
-
     /// Achieved goodput over the measurement window, responses/second.
     pub fn achieved_rps(&self) -> f64 {
         let window = self.measure_end - self.warmup_end;
@@ -251,7 +246,7 @@ impl LancetClient {
 
     /// Application-level (tracker) averages over the measurement window —
     /// the ground truth the §3.3 hints convey.
-    pub fn tracker_averages(&self) -> Option<littles::Averages> {
+    pub(crate) fn tracker_averages(&self) -> Option<littles::Averages> {
         let a = self.tracker_at_warmup?;
         let b = self.tracker_at_end?;
         b.averages_since(&a)

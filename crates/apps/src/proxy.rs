@@ -116,7 +116,7 @@ impl ShardRouter {
     }
 
     /// Number of shards on the ring.
-    pub fn num_shards(&self) -> usize {
+    pub(crate) fn num_shards(&self) -> usize {
         self.num_shards
     }
 
@@ -132,7 +132,7 @@ impl ShardRouter {
     /// keeps the failover assignment consistent: removing an unrelated
     /// shard's vnodes never changes which shard backs up a key. With one
     /// shard the failover degenerates to the primary.
-    pub fn route_with_failover(&self, key: &[u8]) -> (usize, usize) {
+    pub(crate) fn route_with_failover(&self, key: &[u8]) -> (usize, usize) {
         let h = key_hash(key);
         let idx = self.owner_idx(h);
         let primary = self.ring[idx].1;
@@ -186,14 +186,14 @@ impl Upstream {
 #[derive(Debug, Clone, Copy)]
 pub struct Resilience {
     /// Deadline/backoff/budget tuning shared by retries and hedges.
-    pub retry: RetryConfig,
+    pub(crate) retry: RetryConfig,
     /// Grant retries for expired or reset attempts (off = attempts that
     /// die are failed back to the client after one deadline).
-    pub retries_enabled: bool,
+    pub(crate) retries_enabled: bool,
     /// Hedge late attempts to the failover replica.
-    pub hedging_enabled: bool,
+    pub(crate) hedging_enabled: bool,
     /// Per-upstream routing breaker tuning; `None` disables breakers.
-    pub breaker: Option<BreakerConfig>,
+    pub(crate) breaker: Option<BreakerConfig>,
 }
 
 impl Resilience {
@@ -276,7 +276,7 @@ pub struct ProxyStats {
     pub per_shard: Vec<u64>,
     /// Per-shard measured back-leg round trips (command forwarded →
     /// response parsed) — the ground truth the back-leg estimates chase.
-    pub back_rtt: Vec<Histogram>,
+    pub(crate) back_rtt: Vec<Histogram>,
     /// Attempts that outlived their deadline.
     pub timeouts: u64,
     /// Requests failed back to the client (deadline exhausted, no retry
@@ -426,11 +426,6 @@ impl ProxyApp {
         );
         self.driver = Some(driver);
         self
-    }
-
-    /// The router (for key → shard audits).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
     }
 
     /// Depth of a shard upstream's FIFO pairing queue: attempts written

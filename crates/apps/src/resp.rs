@@ -4,8 +4,8 @@
 //! arrays of bulk strings (`*N\r\n$len\r\n<bytes>\r\n...`), SET replies
 //! with the simple string `+OK\r\n`, GET with a bulk string or the null
 //! bulk `$-1\r\n`. One array encoder writes every command
-//! ([`Command::to_wire`]; [`encode_get`] is its untagged shorthand), except
-//! the client's SET, which [`encode_set_with`] writes with its value in
+//! (`Command::to_wire`; `encode_get` is its untagged shorthand), except
+//! the client's SET, which `encode_set_with` writes with its value in
 //! place ([`encode_set`] over a given value). One incremental parser,
 //! [`RespStream`], reads either direction: it consumes a TCP byte stream
 //! fed in arbitrary chunks, exactly as a read loop sees it.
@@ -52,7 +52,8 @@ pub enum Command {
 
 impl Command {
     /// The request id, when the command is proxy-tagged.
-    pub fn id(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn id(&self) -> Option<u64> {
         match self {
             Command::Set { id, .. } | Command::Get { id, .. } => *id,
         }
@@ -60,7 +61,7 @@ impl Command {
 
     /// Key plus value bytes — the size the applications' per-byte CPU
     /// costs are charged on.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         match self {
             Command::Set { key, value, .. } => key.len() + value.len(),
             Command::Get { key, .. } => key.len(),
@@ -71,7 +72,7 @@ impl Command {
     /// → shard traffic that may be retried or hedged) and plain otherwise.
     /// The sender decides the tag: the command's own `id` is what its
     /// previous hop sent and is not forwarded.
-    pub fn to_wire(&self, id: Option<u64>) -> Vec<u8> {
+    pub(crate) fn to_wire(&self, id: Option<u64>) -> Vec<u8> {
         let id = id.map(u64::to_be_bytes);
         let id = id.as_ref().map(|bytes| &bytes[..]);
         match self {
@@ -97,7 +98,7 @@ pub enum Response {
 impl Response {
     /// Value bytes carried (none for `Ok` and `Nil`) — the size the
     /// applications' per-byte CPU costs are charged on.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         match self {
             Response::Value(v) => v.len(),
             Response::Ok | Response::Nil => 0,
@@ -113,7 +114,7 @@ pub fn encode_set(key: &[u8], value: &[u8]) -> Vec<u8> {
 /// Encodes an untagged SET whose `value_len`-byte value `fill` writes in
 /// place (it is handed zeroed bytes): the frame and the value are one
 /// allocation, and the value is written once.
-pub fn encode_set_with(key: &[u8], value_len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<u8> {
+pub(crate) fn encode_set_with(key: &[u8], value_len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<u8> {
     let len = header_len(3) + bulk_len(3) + bulk_len(key.len()) + bulk_len(value_len);
     let mut out = Vec::with_capacity(len);
     push_header(&mut out, b'*', 3);
@@ -129,13 +130,13 @@ pub fn encode_set_with(key: &[u8], value_len: usize, fill: impl FnOnce(&mut [u8]
 }
 
 /// Encodes an untagged GET command.
-pub fn encode_get(key: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_get(key: &[u8]) -> Vec<u8> {
     encode_array(&[Some(b"GET"), Some(key)])
 }
 
 /// Encodes a response. `+OK` and `$-1` are shared, so replying with one
 /// allocates nothing; a value is framed into one buffer.
-pub fn encode_response(resp: &Response) -> Payload {
+pub(crate) fn encode_response(resp: &Response) -> Payload {
     static OK: LazyLock<Payload> = LazyLock::new(|| Payload::from_static(b"+OK\r\n"));
     static NIL: LazyLock<Payload> = LazyLock::new(|| Payload::from_static(b"$-1\r\n"));
     match resp {
@@ -327,7 +328,7 @@ fn parse_response(buf: &Payload) -> Option<(Response, usize)> {
 
 /// Incremental parser over one direction of one connection's byte stream:
 /// [`next_command`](Self::next_command) on the side that serves,
-/// [`next_response`](Self::next_response) on the side that asked.
+/// `next_response` on the side that asked.
 ///
 /// It keeps what it is fed as views: the unparsed bytes as one
 /// [`Payload`], and the reads not yet needed behind it. A message is
@@ -370,7 +371,8 @@ impl RespStream {
     }
 
     /// Bytes buffered but not yet parsed into a complete message.
-    pub fn pending_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_bytes(&self) -> usize {
         self.buf.len() + self.queued
     }
 
@@ -391,7 +393,7 @@ impl RespStream {
     /// # Panics
     ///
     /// Panics on malformed input.
-    pub fn next_response(&mut self) -> Option<Response> {
+    pub(crate) fn next_response(&mut self) -> Option<Response> {
         self.next_with(parse_response)
     }
 

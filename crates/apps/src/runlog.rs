@@ -222,7 +222,7 @@ impl<T: Delta> Default for Column<T> {
 
 impl<T: Delta> Column<T> {
     /// Appends an entry.
-    pub fn push(&mut self, entry: T) {
+    pub(crate) fn push(&mut self, entry: T) {
         if self.bytes.capacity() == 0 {
             // What a `Vec<T>` first allocates, so that the packed column,
             // doubling from there, grows no more often than one would.
@@ -234,7 +234,7 @@ impl<T: Delta> Column<T> {
     }
 
     /// The entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = T> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
         let (mut input, mut prev) = (&self.bytes[..], T::ORIGIN);
         std::iter::from_fn(move || {
             if input.is_empty() {
@@ -246,7 +246,7 @@ impl<T: Delta> Column<T> {
     }
 
     /// Number of entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 }
@@ -259,18 +259,18 @@ pub(crate) type Checkpoints = Column<(Nanos, EndpointWindows, EndpointWindows)>;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Run<T> {
     /// Time of the first sample.
-    pub first_at: Nanos,
+    pub(crate) first_at: Nanos,
     /// Spacing between samples; zero while the run holds one sample.
-    pub step: Nanos,
+    pub(crate) step: Nanos,
     /// Number of samples.
-    pub count: u64,
+    pub(crate) count: u64,
     /// The value every sample has.
-    pub value: T,
+    pub(crate) value: T,
 }
 
 impl<T> Run<T> {
     /// A run of one sample.
-    pub fn new(at: Nanos, value: T) -> Self {
+    pub(crate) fn new(at: Nanos, value: T) -> Self {
         Run {
             first_at: at,
             step: Nanos::ZERO,
@@ -280,13 +280,13 @@ impl<T> Run<T> {
     }
 
     /// Time of sample `k` (`k < count`).
-    pub fn at(&self, k: u64) -> Nanos {
+    pub(crate) fn at(&self, k: u64) -> Nanos {
         self.first_at + self.step * k
     }
 
     /// Appends a sample taken at `at` if it continues the run's spacing
     /// (the second sample sets the spacing); returns whether it did.
-    pub fn try_extend(&mut self, at: Nanos) -> bool {
+    pub(crate) fn try_extend(&mut self, at: Nanos) -> bool {
         if self.count == 1 {
             match at.checked_sub(self.first_at) {
                 Some(step) => self.step = step,
@@ -301,7 +301,7 @@ impl<T> Run<T> {
 
     /// Appends `n` samples at spacing `step` to a run that is one sample
     /// long or already has that spacing.
-    pub fn extend_by(&mut self, step: Nanos, n: u64) {
+    pub(crate) fn extend_by(&mut self, step: Nanos, n: u64) {
         if self.count == 1 {
             self.step = step;
         }
@@ -310,7 +310,7 @@ impl<T> Run<T> {
     }
 
     /// How many of the run's samples fall in `[from, to)`.
-    pub fn count_in(&self, from: Nanos, to: Nanos) -> u64 {
+    pub(crate) fn count_in(&self, from: Nanos, to: Nanos) -> u64 {
         // Samples strictly before `t`: the index of the first one at or
         // after it, capped at `count`.
         let before = |t: Nanos| match t.checked_sub(self.first_at) {
@@ -369,7 +369,7 @@ impl<T: Delta> Default for RunLog<T> {
 impl<T: Delta + PartialEq> RunLog<T> {
     /// Appends one sample: extends the newest run when the value and the
     /// spacing continue it, starts a new run otherwise.
-    pub fn push(&mut self, at: Nanos, value: T) {
+    pub(crate) fn push(&mut self, at: Nanos, value: T) {
         if let Some(run) = &mut self.open {
             if run.value == value && run.try_extend(at) {
                 return;
@@ -383,7 +383,7 @@ impl<T: Delta + PartialEq> RunLog<T> {
     /// — what `n` calls of [`push`](Self::push) leave behind, in constant
     /// time. The first two are pushed, which settles the run the stretch
     /// lands in and that its spacing is `step`; the rest are a count.
-    pub fn push_n(&mut self, at: Nanos, step: Nanos, value: T, n: u64) {
+    pub(crate) fn push_n(&mut self, at: Nanos, step: Nanos, value: T, n: u64) {
         for k in 0..n.min(2) {
             self.push(at + step * k, value);
         }
@@ -393,23 +393,23 @@ impl<T: Delta + PartialEq> RunLog<T> {
     }
 
     /// The runs, oldest first.
-    pub fn runs(&self) -> impl Iterator<Item = Run<T>> + '_ {
+    pub(crate) fn runs(&self) -> impl Iterator<Item = Run<T>> + '_ {
         self.closed.iter().chain(self.open)
     }
 
     /// Each run's value with the number of its samples in `[from, to)`,
     /// oldest run first — what an exact sum or mean over a range needs.
-    pub fn counts_in(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = (T, u64)> + '_ {
+    pub(crate) fn counts_in(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = (T, u64)> + '_ {
         self.runs().map(move |run| (run.value, run.count_in(from, to)))
     }
 
     /// Number of runs stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.closed.len() + usize::from(self.open.is_some())
     }
 
     /// Whether nothing has been logged.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.open.is_none()
     }
 }

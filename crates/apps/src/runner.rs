@@ -188,7 +188,7 @@ pub struct ClientResult {
     pub ticks_run: u64,
     /// Client tick instants slept through on an unchanged socket and
     /// booked afterwards (see
-    /// [`LancetClient::ticks_skipped`](crate::loadgen::LancetClient::ticks_skipped)).
+    /// `LancetClient::ticks_skipped`).
     pub ticks_skipped: u64,
 }
 

@@ -39,9 +39,9 @@ pub struct ServerStats {
     /// Requests executed.
     pub requests: u64,
     /// Processing passes (app wakeup batches).
-    pub batches: u64,
+    pub(crate) batches: u64,
     /// Largest number of requests handled in one pass.
-    pub max_batch: u64,
+    pub(crate) max_batch: u64,
 }
 
 /// The Redis-like server application.
@@ -56,7 +56,7 @@ pub struct RedisServer {
     /// only grows (a reset connection keeps its entry and its socket).
     socks: Vec<SocketId>,
     /// Request-batch size distribution (requests per processing pass).
-    pub batch_hist: Histogram,
+    pub(crate) batch_hist: Histogram,
     /// Aggregate statistics.
     pub stats: ServerStats,
     /// Optional listener-wide control plane: one aggregate decision per

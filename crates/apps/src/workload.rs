@@ -94,15 +94,9 @@ impl WorkloadSpec {
     /// # Panics
     ///
     /// Panics if the rate is not positive.
-    pub fn mean_interarrival(&self) -> Nanos {
+    pub(crate) fn mean_interarrival(&self) -> Nanos {
         assert!(self.rate_rps > 0.0, "rate must be positive");
         Nanos::from_secs_f64(1.0 / self.rate_rps)
-    }
-
-    /// Bytes on the wire for one SET request at this spec (RESP framing
-    /// included).
-    pub fn set_request_bytes(&self) -> usize {
-        crate::resp::encode_set(&vec![b'k'; self.key_size], &vec![0u8; self.value_size]).len()
     }
 }
 
@@ -140,7 +134,7 @@ mod tests {
     #[test]
     fn set_request_spans_many_segments() {
         let w = WorkloadSpec::fig4a(1.0);
-        let bytes = w.set_request_bytes();
+        let bytes = crate::resp::encode_set(&vec![b'k'; w.key_size], &vec![0u8; w.value_size]).len();
         assert!(bytes > 16_384 && bytes < 16_500, "got {bytes}");
         // ~12 MSS-sized wire packets per request.
         assert_eq!(bytes.div_ceil(1448), 12);

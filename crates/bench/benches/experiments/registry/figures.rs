@@ -29,7 +29,7 @@ const FIG4_RATES: [f64; 16] = [
 /// and a client-side processing cost c that the server cannot observe. As
 /// c grows the optimal decision flips — with the server-side activity
 /// identical throughout. Closed-form, so both modes run the same rows.
-pub fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
     println!("n = 3 queued requests, per-request α = 2, per-batch β = 4 (model time units)\n");
     println!(
         "{:>3} | {:>12} {:>12} | {:>12} {:>12} | outcome",
@@ -79,7 +79,7 @@ pub fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
 /// client on "bare metal" and "inside a VM" (application-CPU multiplier),
 /// Nagle on and off — (a) client CPU, (b) server CPU, (c) the batching
 /// outcome per platform.
-pub fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let (warmup, measure) = windows(smoke);
     let data = experiments::figure2(20_000.0, warmup, measure, SEED);
     println!(
@@ -115,13 +115,13 @@ pub fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
 
 /// Figure 4a: SET-only, where the byte-estimated cutoff should coincide
 /// with the measured one.
-pub fn fig4a(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn fig4a(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     fig4(smoke, "4a", WorkloadSpec::fig4a, 0xF4A, "paper 4a: these coincide")
 }
 
 /// Figure 4b: the 95:5 SET:GET mix, where the 16 KiB GET responses
 /// dominate the byte counters while message units and hints stay faithful.
-pub fn fig4b(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn fig4b(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let note = "paper 4b: these diverge — bytes mislead on mixed sizes";
     fig4(smoke, "4b", WorkloadSpec::fig4b, 0xF4B, note)
 }
@@ -205,7 +205,7 @@ fn fig4(
 /// thanks to per-endpoint asymmetry sometimes beat — the better static
 /// setting at every load. Each JSON row holds the three mean latencies
 /// and the dynamic arm's per-endpoint on-fractions.
-pub fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let rates: &[f64] = if smoke {
         &[40_000.0, 85_000.0]
     } else {
@@ -258,7 +258,7 @@ pub fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
 /// full trains under load — without any on/off cliff. Each JSON row holds
 /// the three mean latencies and the AIMD arm's mean limit. (Runs on
 /// `RunConfig`'s default seed, like `tests/aimd_limit.rs`.)
-pub fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let (warmup, measure) = windows(smoke);
     let rates: &[f64] = if smoke {
         &[40_000.0, 85_000.0]
@@ -300,7 +300,7 @@ pub fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
 /// (EWMA weight), metadata-exchange frequency, the other stack batching
 /// mechanisms (TSO, auto-corking, delayed-ACK timeout) toggled one at a
 /// time, and the AIMD batch-limit controller on synthetic feedback.
-pub fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     const RATE: f64 = 85_000.0;
     let (warmup, measure) = windows(smoke);
     let point = |nagle: NagleSetting, overrides: Overrides| {

@@ -63,7 +63,7 @@ fn link_faults(p: &PointResult) -> FaultCounters {
 /// load while the no-Nagle baseline only collapses on the shared server
 /// CPU — and whether the throughput-weighted aggregate estimate keeps
 /// identifying it.
-pub fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     let (ns, rates, seed): (&[usize], &[f64], u64) = if smoke {
         (&[4], &[40_000.0, 80_000.0], 0xFA41)
     } else {
@@ -119,7 +119,7 @@ pub fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
 /// estimator confidence driven by snapshot staleness). The claim is
 /// graceful degradation: adaptive P99 within [`CHAOS_BOUND`] of the
 /// static oracle — the better static mode — in every cell.
-pub fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // Fan-in starts at 4 in the full grid: at N = 1 the loss cells
     // measure nothing in any arm (EXPERIMENTS.md, the chaos grid's N = 1
     // note: one connection carries the whole 24 kRPS, and an RTO stall
@@ -222,7 +222,7 @@ pub fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
 /// adaptive plane (the paper's single-knob policy), and the joint plane
 /// driving all three knobs from one routed estimate, gated against the
 /// best static corner — the omniscient operator's pick for that cell.
-pub fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // 24 kRPS is moderate aggregate load: enough backlog that every knob
     // has a real effect, low enough that the single-connection high-c
     // cell stays un-saturated. Client per-response cost c: the calibrated
@@ -339,7 +339,7 @@ const SMOKE_EXTRA_SLACK: Nanos = Nanos::from_micros(300);
 /// stay within the chaos degradation bound of the static oracle in every
 /// cell, while at least one exposed arm must break it — proving
 /// peer-state validation is load-bearing, not a rubber stamp.
-pub fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // 95 kRPS is past the no-Nagle knee (~88 kRPS): the static arms
     // genuinely disagree here (off collapses, on holds), so a poisoned
     // policy pinned on the wrong arm shows up as a large, unambiguous P99
@@ -484,7 +484,7 @@ fn shard_point_json(r: &TierPointResult) -> Json {
 /// composed client→proxy + proxy→shard estimates. Rates run from
 /// comfortably unsaturated to hot enough that the skewed shard's
 /// per-delivery receive work saturates its core under `TCP_NODELAY`.
-pub fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     let (rates, seed): (&[f64], u64) =
         if smoke { (&[60_000.0], 0x5AAD) } else { (&[30_000.0, 60_000.0, 90_000.0], SEED) };
     let cells = run_grid(rates.len(), default_threads(), |i| {
@@ -618,7 +618,7 @@ fn failover_point_json(r: &TierPointResult) -> Json {
 /// within [`FAILOVER_BOUND`] (and goodput within
 /// [`FAILOVER_GOODPUT_MIN`]) of the oracle in *every* cell while the
 /// naive proxy collapses.
-pub fn failover(smoke: bool, gates: &mut Gates) -> Option<Doc> {
+pub(crate) fn failover(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // The grid pins its own measurement window and seed rather than the
     // shared params: the crash lands a quarter into the window and the
     // brownout duty cycle was tuned against this exact horizon, and the

@@ -26,7 +26,7 @@ use e2e_apps::{run_sweep, NagleSetting, RunConfig, SweepResult, WorkloadSpec};
 use littles::Nanos;
 
 /// One registered experiment.
-pub struct Entry {
+pub(crate) struct Entry {
     /// CLI name, and the `<name>` of `BENCH_<name>.json`.
     pub name: &'static str,
     /// Whether full mode writes `BENCH_<name>.json` (a checked-in golden).
@@ -42,7 +42,7 @@ pub struct Entry {
 
 /// Every experiment, in the order a bare invocation runs them.
 #[rustfmt::skip] // one entry per three lines reads as a table
-pub static REGISTRY: [Entry; 13] = [
+pub(crate) static REGISTRY: [Entry; 13] = [
     Entry { name: "fig1", emits: false, exec: figures::fig1,
         title: "Figure 1, on/off batching outcome vs client cost c",
         smoke_ok: "all three regimes present" },
@@ -88,7 +88,7 @@ pub static REGISTRY: [Entry; 13] = [
 /// panicked on: full mode still writes the JSON (so `git diff` shows what
 /// moved) and the process then fails with every message.
 #[derive(Default)]
-pub struct Gates {
+pub(crate) struct Gates {
     /// Gates evaluated so far.
     pub checked: usize,
     /// Messages of the gates that did not hold.
@@ -97,7 +97,7 @@ pub struct Gates {
 
 impl Gates {
     /// Files one gate: `ok` must hold, `msg` says what broke otherwise.
-    pub fn check(&mut self, ok: bool, msg: std::fmt::Arguments<'_>) {
+    pub(crate) fn check(&mut self, ok: bool, msg: std::fmt::Arguments<'_>) {
         self.checked += 1;
         if !ok {
             self.failures.push(msg.to_string());
@@ -149,7 +149,7 @@ fn json_rate(r: Option<f64>) -> Json {
 /// Parses `[--smoke] [name…]` into (smoke, selected entries); no names
 /// selects every entry. Cargo appends `--bench` to a bench target's
 /// arguments, so that one flag is ignored.
-pub fn parse_cli(
+pub(crate) fn parse_cli(
     args: impl IntoIterator<Item = String>,
 ) -> Result<(bool, Vec<&'static Entry>), String> {
     let mut smoke = false;
@@ -179,7 +179,7 @@ pub fn parse_cli(
 
 /// Runs the selected entries and returns the process exit code: 0 when
 /// every gate held, 1 on gate failures, 2 on a bad command line.
-pub fn drive(args: impl IntoIterator<Item = String>) -> i32 {
+pub(crate) fn drive(args: impl IntoIterator<Item = String>) -> i32 {
     let (smoke, selected) = match parse_cli(args) {
         Ok(cli) => cli,
         Err(usage) => {

@@ -47,7 +47,7 @@ pub struct QueueWindow {
 impl QueueWindow {
     /// Window between two full-resolution snapshots; `None` if inverted or
     /// empty.
-    pub fn between(prev: &Snapshot, cur: &Snapshot) -> Option<QueueWindow> {
+    pub(crate) fn between(prev: &Snapshot, cur: &Snapshot) -> Option<QueueWindow> {
         let dt = cur.time.checked_sub(prev.time)?;
         if dt.is_zero() {
             return None;
@@ -60,7 +60,7 @@ impl QueueWindow {
     }
 
     /// Window between two wire-encoded snapshots (wrap-aware).
-    pub fn between_wire(
+    pub(crate) fn between_wire(
         prev: &WireSnapshot,
         cur: &WireSnapshot,
         scale: WireScale,
@@ -96,18 +96,9 @@ impl QueueWindow {
         }
     }
 
-    /// Average occupancy over the window.
-    pub fn avg_occupancy(&self) -> f64 {
-        if self.dt.is_zero() {
-            0.0
-        } else {
-            self.d_integral as f64 / self.dt.as_nanos() as f64
-        }
-    }
-
     /// Accumulates an adjacent window of the same queue into this one
     /// (component-wise sums): the union window.
-    pub fn merge(&mut self, other: &QueueWindow) {
+    pub(crate) fn merge(&mut self, other: &QueueWindow) {
         self.dt += other.dt;
         self.d_total += other.d_total;
         self.d_integral += other.d_integral;
@@ -116,7 +107,7 @@ impl QueueWindow {
     /// The window spanning from `earlier`'s end to this window's end,
     /// assuming both are cumulative sums from the same origin (each
     /// component of `self` is ≥ the corresponding one in `earlier`).
-    pub fn since(&self, earlier: &QueueWindow) -> QueueWindow {
+    pub(crate) fn since(&self, earlier: &QueueWindow) -> QueueWindow {
         QueueWindow {
             dt: self.dt.saturating_sub(earlier.dt),
             d_total: self.d_total.saturating_sub(earlier.d_total),
@@ -148,14 +139,14 @@ impl EndpointWindows {
 
     /// Accumulates an adjacent window set into this one (see
     /// [`QueueWindow::merge`]).
-    pub fn merge(&mut self, other: &EndpointWindows) {
+    pub(crate) fn merge(&mut self, other: &EndpointWindows) {
         self.unacked.merge(&other.unacked);
         self.unread.merge(&other.unread);
         self.ackdelay.merge(&other.ackdelay);
     }
 
     /// Per-queue difference of two cumulative window sets (see
-    /// [`QueueWindow::since`]).
+    /// `QueueWindow::since`).
     pub fn since(&self, earlier: &EndpointWindows) -> EndpointWindows {
         EndpointWindows {
             unacked: self.unacked.since(&earlier.unacked),
@@ -165,7 +156,7 @@ impl EndpointWindows {
     }
 
     /// Windows between two wire exchanges of the same endpoint.
-    pub fn between_wire(
+    pub(crate) fn between_wire(
         prev: &WireExchange,
         cur: &WireExchange,
         scale: WireScale,

@@ -146,7 +146,7 @@ impl E2eEstimator {
 
     /// Enables peer-state validation: every fresh exchange is checked for
     /// plausibility before it can form a remote window (see
-    /// [`crate::validate`]). Rejected exchanges are discarded (the last
+    /// `crate::validate`). Rejected exchanges are discarded (the last
     /// accepted baseline is kept), demote confidence, and are counted in
     /// [`Self::validation_stats`]; an epoch change resynchronizes instead
     /// of computing a cross-generation delta.
@@ -175,7 +175,7 @@ impl E2eEstimator {
 
     /// Running sums of all (local, remote) windows folded in so far.
     /// Checkpoint these and difference two checkpoints with
-    /// [`QueueWindow::since`] to evaluate the decomposition over one long
+    /// `QueueWindow::since` to evaluate the decomposition over one long
     /// window — the low-noise way to average latency over a range (see
     /// the field docs on `cum_local`).
     pub fn cumulative_windows(&self) -> (EndpointWindows, EndpointWindows) {
@@ -184,7 +184,8 @@ impl E2eEstimator {
 
     /// Age of the cached remote window at `now`; `None` before the first
     /// remote window forms.
-    pub fn remote_age(&self, now: Nanos) -> Option<Nanos> {
+    #[cfg(test)]
+    fn remote_age(&self, now: Nanos) -> Option<Nanos> {
         self.remote_fresh_at.map(|at| now.saturating_sub(at))
     }
 
@@ -391,7 +392,7 @@ impl E2eEstimator {
     /// * the staleness bound lapses: the skip ends at the last update
     ///   still inside the bound (replay across it, then skip again).
     ///
-    /// [`last`](Self::last) is left where it was, although each skipped
+    /// `last` is left where it was, although each skipped
     /// update would have restamped `at` and, under a staleness bound, aged
     /// `confidence`: follow the skip with a real update before reading it.
     pub fn skip_static(
@@ -453,7 +454,7 @@ impl E2eEstimator {
     }
 
     /// The most recent estimate, if any.
-    pub fn last(&self) -> Option<Estimate> {
+    pub(crate) fn last(&self) -> Option<Estimate> {
         self.last
     }
 }

@@ -88,9 +88,9 @@ pub struct HintEstimate {
     /// Average end-to-end latency of the client's requests.
     pub latency: Option<Nanos>,
     /// Completed requests per second.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Average number of requests in flight.
-    pub in_flight: f64,
+    pub(crate) in_flight: f64,
 }
 
 impl HintEstimator {
@@ -123,11 +123,6 @@ impl HintEstimator {
         };
         self.last = Some(est);
         Some(est)
-    }
-
-    /// Most recent estimate.
-    pub fn last(&self) -> Option<HintEstimate> {
-        self.last
     }
 }
 

@@ -21,19 +21,19 @@
 //!
 //! * [`combine`] — the latency decomposition, as pure functions over queue
 //!   windows.
-//! * [`estimator`] — [`E2eEstimator`]: the per-connection stateful
+//! * `estimator` — [`E2eEstimator`]: the per-connection stateful
 //!   estimator an endpoint runs each policy tick.
 //! * [`hints`] — the §3.3 cooperative-application interface:
 //!   [`RequestTracker`] (`create(n)` / `complete(n)`) and the single-queue
 //!   estimate derived from forwarded hints.
-//! * [`multi`] — aggregation across connections for policies that toggle
+//! * `multi` — aggregation across connections for policies that toggle
 //!   batching machine-wide.
 //! * [`compose`] — composition of per-leg estimates along a multi-hop
 //!   path (client → proxy → shard), latencies summed per Figure 3,
 //!   confidence the weakest leg's.
-//! * [`route`] — per-knob views on estimates: each batching knob's
+//! * `route` — per-knob views on estimates: each batching knob's
 //!   controller sees the decomposition component its mechanism causes.
-//! * [`validate`] — plausibility validation of the peer's shared state:
+//! * `validate` — plausibility validation of the peer's shared state:
 //!   the exchange is untrusted input, cross-checked against locally
 //!   observable signals (SRTT, local transmit/receive rates) before it can
 //!   influence an estimate; peer restarts are detected via the exchange's
@@ -48,11 +48,11 @@
 
 pub mod combine;
 pub mod compose;
-pub mod estimator;
+mod estimator;
 pub mod hints;
-pub mod multi;
-pub mod route;
-pub mod validate;
+mod multi;
+mod route;
+mod validate;
 
 pub use combine::{combine_delays, DelaySet, EndpointSnapshots, EndpointWindows, QueueWindow};
 pub use compose::compose_two;
@@ -61,5 +61,5 @@ pub use hints::{HintEstimator, RequestTracker};
 pub use multi::{EstimatorRegistry, MultiConnectionAggregator};
 pub use route::Knob;
 pub use validate::{
-    Admission, ExchangeValidator, RejectReason, ValidateConfig, ValidateCtx, ValidateStats,
+    ExchangeValidator, ValidateConfig, ValidateCtx, ValidateStats,
 };

@@ -226,14 +226,6 @@ impl EstimatorRegistry {
             .and_then(|e| e.last())
     }
 
-    /// Drops a closed connection's estimator. The slot stays vacant so
-    /// surviving connections keep their indices.
-    pub fn remove(&mut self, conn: u64) {
-        if let Some(slot) = self.estimators.get_mut(conn as usize) {
-            *slot = None;
-        }
-    }
-
     /// Throughput-weighted aggregate over every connection's latest
     /// estimate. `None` until at least one connection has estimated.
     pub fn aggregate(&self) -> Option<Estimate> {
@@ -436,7 +428,5 @@ mod tests {
         // Default snapshots never produce an estimate.
         assert!(reg.last(7).is_none());
         assert!(reg.aggregate().is_none());
-        reg.remove(7);
-        assert_eq!(reg.connections(), 1);
     }
 }

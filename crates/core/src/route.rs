@@ -41,21 +41,9 @@ pub enum Knob {
 }
 
 impl Knob {
-    /// All knobs, in the control plane's canonical order.
-    pub const ALL: [Knob; 3] = [Knob::Nagle, Knob::DelAck, Knob::Cork];
-
-    /// Short stable name (matches `KnobSetting::knob_name`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Knob::Nagle => "nagle",
-            Knob::DelAck => "delack",
-            Knob::Cork => "cork",
-        }
-    }
-
     /// The latency component this knob is accountable for, out of the
     /// four-delay decomposition behind an estimate.
-    pub fn component(self, e: &Estimate) -> Nanos {
+    pub(crate) fn component(self, e: &Estimate) -> Nanos {
         match self {
             Knob::Nagle => e.latency,
             Knob::DelAck => e.components.ackdelay_far,
@@ -142,13 +130,5 @@ mod tests {
         assert_eq!(e.knob_view(Knob::DelAck).latency, Nanos::from_micros(15));
         assert_eq!(e.knob_view(Knob::Cork).latency, Nanos::from_micros(90));
         assert!((e.knob_view(Knob::Cork).throughput - 1_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn knob_names_match_the_actuation_surface() {
-        assert_eq!(Knob::Nagle.name(), "nagle");
-        assert_eq!(Knob::DelAck.name(), "delack");
-        assert_eq!(Knob::Cork.name(), "cork");
-        assert_eq!(Knob::ALL.len(), 3);
     }
 }

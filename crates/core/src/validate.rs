@@ -45,22 +45,22 @@ use crate::combine::EndpointWindows;
 pub struct ValidateConfig {
     /// Multiplier applied to the locally observed reference rate when
     /// bounding a remote queue's `Δtotal/Δtime`.
-    pub rate_factor: f64,
+    pub(crate) rate_factor: f64,
     /// Absolute rate slack (items/second) added to the reference before
     /// multiplying, so idle or just-started connections aren't rejected on
     /// a zero reference.
-    pub rate_floor: f64,
+    pub(crate) rate_floor: f64,
     /// Multiplier on the locally measured SRTT bounding each remote
     /// queue's implied Little's-law delay.
-    pub delay_srtt_factor: f64,
+    pub(crate) delay_srtt_factor: f64,
     /// SRTT floor used in the delay bound (guards against a tiny or
     /// not-yet-measured SRTT rejecting legitimate queueing delay).
-    pub delay_srtt_floor: Nanos,
+    pub(crate) delay_srtt_floor: Nanos,
     /// Maximum plausible average occupancy over one remote window, items.
-    pub max_occupancy: f64,
+    pub(crate) max_occupancy: f64,
     /// Maximum plausible gap between two exchanges of one epoch; a larger
     /// forward jump of the wire clock is treated as a garbled time field.
-    pub max_gap: Nanos,
+    pub(crate) max_gap: Nanos,
 }
 
 impl Default for ValidateConfig {
@@ -120,7 +120,7 @@ pub struct ValidateStats {
     /// Rejections for implausible delay.
     pub delay: u64,
     /// Rejections for implausible occupancy.
-    pub occupancy: u64,
+    pub(crate) occupancy: u64,
 }
 
 impl ValidateStats {
@@ -167,25 +167,20 @@ impl ExchangeValidator {
         }
     }
 
-    /// The configured bounds.
-    pub fn config(&self) -> &ValidateConfig {
-        &self.config
-    }
-
     /// Lifetime counters.
-    pub fn stats(&self) -> ValidateStats {
+    pub(crate) fn stats(&self) -> ValidateStats {
         self.stats
     }
 
     /// Consecutive rejections since the last accepted exchange.
-    pub fn consecutive_rejects(&self) -> u32 {
+    pub(crate) fn consecutive_rejects(&self) -> u32 {
         self.consecutive
     }
 
     /// Multiplier applied to estimate confidence: halved per consecutive
     /// rejection, so two rejected exchanges in a row already push
     /// confidence under the breaker's default trip threshold.
-    pub fn confidence_factor(&self) -> f64 {
+    pub(crate) fn confidence_factor(&self) -> f64 {
         0.5f64.powi(self.consecutive.min(32) as i32)
     }
 

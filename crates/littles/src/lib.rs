@@ -18,12 +18,12 @@
 //!
 //! # Modules
 //!
-//! * [`time`] — the `u64`-nanosecond [`Nanos`] timestamp used throughout.
-//! * [`queue`] — [`QueueState`] (`TRACK`), [`Snapshot`], and [`Averages`]
+//! * `time` — the `u64`-nanosecond [`Nanos`] timestamp used throughout.
+//! * `queue` — [`QueueState`] (`TRACK`), [`Snapshot`], and [`Averages`]
 //!   (`GETAVGS`).
 //! * [`wire`] — the compact 36-byte peer exchange format (three 4-byte
 //!   counters per queue, three queues), with wrap-aware deltas.
-//! * [`ewma`] — exponentially weighted moving averages for smoothing noisy
+//! * `ewma` — exponentially weighted moving averages for smoothing noisy
 //!   estimates (paper §5, "Toggling Granularity").
 //!
 //! # Examples
@@ -53,11 +53,11 @@
     clippy::cast_possible_truncation
 )]
 
-pub mod ewma;
-pub mod queue;
-pub mod time;
+mod ewma;
+mod queue;
+mod time;
 pub mod wire;
 
-pub use ewma::{Ewma, TimeDecayEwma};
+pub use ewma::Ewma;
 pub use queue::{Averages, QueueState, Snapshot};
 pub use time::Nanos;

@@ -194,32 +194,16 @@ impl Snapshot {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Averages {
     /// Window length.
-    pub window: Nanos,
+    pub(crate) window: Nanos,
     /// Average queue occupancy `Q` (items).
     pub avg_occupancy: f64,
     /// Departure rate `λ` (items per second); by queuing theory this equals
     /// the admitted arrival rate, i.e. the queue's throughput.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Little's-law queueing delay `D = Q/λ`; `None` when nothing departed
     /// during the window (the delay is then undefined — either the queue was
     /// idle, or items are stuck and the delay is unbounded).
     pub delay: Option<Nanos>,
-}
-
-impl Averages {
-    /// The delay, or zero when undefined *and* the queue was empty on
-    /// average; `fallback` when items were present but none departed.
-    ///
-    /// This is the pragmatic reading used by batching policies: an idle
-    /// queue contributes no latency, while a stalled queue contributes at
-    /// least the window length.
-    pub fn delay_or(&self, fallback: Nanos) -> Nanos {
-        match self.delay {
-            Some(d) => d,
-            None if self.avg_occupancy < 1e-9 => Nanos::ZERO,
-            None => fallback,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -317,17 +301,6 @@ mod tests {
         let a = end.averages_since(&start).unwrap();
         assert_eq!(a.delay, None);
         assert_eq!(a.throughput.to_bits(), 0.0f64.to_bits());
-        // Stalled queue: fallback applies.
-        assert_eq!(a.delay_or(Nanos::from_micros(10)), Nanos::from_micros(10));
-    }
-
-    #[test]
-    fn idle_queue_delay_or_is_zero() {
-        let mut q = QueueState::new(Nanos::ZERO);
-        let start = q.snapshot(Nanos::ZERO);
-        let end = q.snapshot(Nanos::from_micros(10));
-        let a = end.averages_since(&start).unwrap();
-        assert_eq!(a.delay_or(Nanos::from_secs(1)), Nanos::ZERO);
     }
 
     #[test]

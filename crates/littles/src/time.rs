@@ -92,12 +92,6 @@ impl Nanos {
         self.0 / 1_000
     }
 
-    /// Whole milliseconds (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -122,15 +116,6 @@ impl Nanos {
         Nanos(self.0.saturating_add(rhs.0))
     }
 
-    /// Checked addition.
-    #[inline]
-    pub const fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Nanos(v)),
-            None => None,
-        }
-    }
-
     /// Checked subtraction.
     #[inline]
     pub const fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
@@ -142,18 +127,8 @@ impl Nanos {
 
     /// Returns the larger of two timestamps.
     #[inline]
-    pub fn max(self, rhs: Nanos) -> Nanos {
+    pub(crate) fn max(self, rhs: Nanos) -> Nanos {
         if self >= rhs {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// Returns the smaller of two timestamps.
-    #[inline]
-    pub fn min(self, rhs: Nanos) -> Nanos {
-        if self <= rhs {
             self
         } else {
             rhs
@@ -270,7 +245,6 @@ mod tests {
 
     #[test]
     fn checked_ops() {
-        assert_eq!(Nanos::MAX.checked_add(Nanos::from_nanos(1)), None);
         assert_eq!(Nanos::ZERO.checked_sub(Nanos::from_nanos(1)), None);
         assert_eq!(
             Nanos::from_nanos(5).checked_sub(Nanos::from_nanos(2)),

@@ -25,14 +25,14 @@ use crate::queue::Snapshot;
 use crate::time::Nanos;
 
 /// Size in bytes of one encoded queue snapshot.
-pub const SNAPSHOT_WIRE_BYTES: usize = 12;
+pub(crate) const SNAPSHOT_WIRE_BYTES: usize = 12;
 
 /// Size in bytes of a full three-queue exchange (the paper's 36 bytes).
 pub const EXCHANGE_WIRE_BYTES: usize = 3 * SNAPSHOT_WIRE_BYTES;
 
 /// Size in bytes of an epoch-tagged exchange: one generation byte followed
 /// by the paper's 36 counters.
-pub const TAGGED_EXCHANGE_WIRE_BYTES: usize = 1 + EXCHANGE_WIRE_BYTES;
+pub(crate) const TAGGED_EXCHANGE_WIRE_BYTES: usize = 1 + EXCHANGE_WIRE_BYTES;
 
 /// Why a wire payload failed to decode.
 ///
@@ -134,7 +134,7 @@ impl WireSnapshot {
     }
 
     /// Serializes to 12 big-endian bytes.
-    pub fn encode(&self) -> [u8; SNAPSHOT_WIRE_BYTES] {
+    pub(crate) fn encode(&self) -> [u8; SNAPSHOT_WIRE_BYTES] {
         let mut out = [0u8; SNAPSHOT_WIRE_BYTES];
         out[0..4].copy_from_slice(&self.time.0.to_be_bytes());
         out[4..8].copy_from_slice(&self.total.0.to_be_bytes());

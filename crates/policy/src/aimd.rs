@@ -74,7 +74,7 @@ impl AimdBatchLimit {
     /// response and always fires). A multi-knob control plane uses this
     /// so the cork limit only creeps upward during its own exploration
     /// window, while still backing off immediately whenever it hurts.
-    pub fn update_gated(&mut self, estimate: &Estimate, may_increase: bool) -> u64 {
+    pub(crate) fn update_gated(&mut self, estimate: &Estimate, may_increase: bool) -> u64 {
         let score = self.objective.score(estimate);
         match self.last_score {
             Some(prev) if score < prev => {

@@ -206,14 +206,16 @@ impl<T: BatchToggler> CircuitBreaker<T> {
     }
 
     /// Failed probes: half-open periods that fell back to open.
-    pub fn reopens(&self) -> u64 {
+    #[cfg(test)]
+    fn reopens(&self) -> u64 {
         self.life.reopens
     }
 
     /// The current open period: what the latest trip or failed probe
     /// imposed, back at `initial_backoff` once a probe restores the
     /// breaker. The next failed probe doubles it, up to the cap.
-    pub fn backoff(&self) -> Nanos {
+    #[cfg(test)]
+    fn backoff(&self) -> Nanos {
         self.life.backoff
     }
 
@@ -300,7 +302,7 @@ impl UpstreamBreaker {
 
     /// Current state, advancing `Open → HalfOpen` when the backoff has
     /// elapsed.
-    pub fn state_at(&mut self, now: Nanos) -> BreakerState {
+    pub(crate) fn state_at(&mut self, now: Nanos) -> BreakerState {
         self.life.state_at(now)
     }
 
@@ -342,7 +344,8 @@ impl UpstreamBreaker {
     }
 
     /// Failed probes: half-open periods that fell back to open.
-    pub fn reopens(&self) -> u64 {
+    #[cfg(test)]
+    fn reopens(&self) -> u64 {
         self.life.reopens
     }
 }

@@ -27,13 +27,13 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Params {
     /// Number of requests queued at time 0.
-    pub n: u32,
+    pub(crate) n: u32,
     /// Per-request server cost.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Per-batch (amortizable) server cost.
-    pub beta: f64,
+    pub(crate) beta: f64,
     /// Per-response client processing cost.
-    pub c: f64,
+    pub(crate) c: f64,
 }
 
 impl Figure1Params {
@@ -57,16 +57,16 @@ pub struct Metrics {
     /// Completed requests per model time unit.
     pub throughput: f64,
     /// Time the last response finishes client processing.
-    pub completion: f64,
+    pub(crate) completion: f64,
     /// Per-request completion times.
-    pub latencies: Vec<f64>,
+    pub(crate) latencies: Vec<f64>,
 }
 
 /// Side-by-side outcome of batched vs. unbatched processing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome {
     /// Model inputs.
-    pub params: Figure1Params,
+    pub(crate) params: Figure1Params,
     /// Requests processed as one batch.
     pub batched: Metrics,
     /// Requests processed individually.

@@ -53,30 +53,30 @@ impl DelAckToggler {
     }
 
     /// The delayed-mode timeout.
-    pub fn timeout(&self) -> Nanos {
+    pub(crate) fn timeout(&self) -> Nanos {
         self.timeout
     }
 
     /// Feeds the `L_ackdelay^remote` view of the latest estimate; returns
     /// the ACK mode to hold until the next decision. `may_explore` is true
     /// only on this knob's exploration turn.
-    pub fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting {
+    pub(crate) fn decide(&mut self, view: &Estimate, may_explore: bool) -> KnobSetting {
         let on = self.greedy.decide_gated(view, may_explore);
         KnobSetting::DelAck(self.mode(on))
     }
 
     /// The current ACK mode without feeding new data.
-    pub fn setting(&self) -> KnobSetting {
+    pub(crate) fn setting(&self) -> KnobSetting {
         KnobSetting::DelAck(self.mode(self.greedy.current()))
     }
 
     /// Times the emitted mode changed.
-    pub fn switches(&self) -> u64 {
+    pub(crate) fn switches(&self) -> u64 {
         self.greedy.switches()
     }
 
     /// Deliberate exploratory flips taken.
-    pub fn explorations(&self) -> u64 {
+    pub(crate) fn explorations(&self) -> u64 {
         self.greedy.explorations()
     }
 
@@ -146,7 +146,7 @@ impl ControlPlane {
     }
 
     /// Number of knobs under control.
-    pub fn knobs(&self) -> usize {
+    pub(crate) fn knobs(&self) -> usize {
         1 + usize::from(self.delack.is_some()) + usize::from(self.cork.is_some())
     }
 

@@ -41,7 +41,8 @@ pub enum Objective {
 
 impl Objective {
     /// The 500 µs SLO the paper uses (citing IX and ZygOS).
-    pub fn paper_slo() -> Objective {
+    #[cfg(test)]
+    pub(crate) fn paper_slo() -> Objective {
         Objective::MaxThroughputUnderSlo {
             slo: Nanos::from_micros(500),
         }
@@ -49,7 +50,7 @@ impl Objective {
 
     /// Scores an estimate; higher is better. Uses the smoothed latency,
     /// except for the tail-SLO objective which scores the raw latency.
-    pub fn score(&self, est: &Estimate) -> f64 {
+    pub(crate) fn score(&self, est: &Estimate) -> f64 {
         let latency_us = est.smoothed_latency.as_micros_f64();
         match *self {
             Objective::MinLatency => -latency_us,

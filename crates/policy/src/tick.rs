@@ -56,24 +56,15 @@ impl<T: BatchToggler> TickController<T> {
         }
     }
 
-    /// Current setting without offering new data.
-    pub fn current(&self) -> bool {
-        self.inner.current()
-    }
-
     /// Decisions actually taken.
-    pub fn decisions(&self) -> u64 {
+    #[cfg(test)]
+    fn decisions(&self) -> u64 {
         self.decisions
     }
 
     /// The wrapped toggler.
     pub fn inner(&self) -> &T {
         &self.inner
-    }
-
-    /// The decision period.
-    pub fn period(&self) -> Nanos {
-        self.period
     }
 }
 

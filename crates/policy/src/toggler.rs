@@ -34,7 +34,8 @@ pub struct StaticToggler {
 
 impl StaticToggler {
     /// Batching permanently enabled.
-    pub fn always_on() -> Self {
+    #[cfg(test)]
+    pub(crate) fn always_on() -> Self {
         StaticToggler { on: true }
     }
 
@@ -122,17 +123,18 @@ impl EpsilonGreedy {
     }
 
     /// Number of arm switches so far.
-    pub fn switches(&self) -> u64 {
+    pub(crate) fn switches(&self) -> u64 {
         self.switches
     }
 
     /// Number of ε-driven exploratory flips so far.
-    pub fn explorations(&self) -> u64 {
+    pub(crate) fn explorations(&self) -> u64 {
         self.explorations
     }
 
     /// The learned score of an arm (0 = off, 1 = on), if sampled.
-    pub fn arm_score(&self, on: bool) -> Option<f64> {
+    #[cfg(test)]
+    fn arm_score(&self, on: bool) -> Option<f64> {
         self.arms[usize::from(on)].value()
     }
 
@@ -144,7 +146,7 @@ impl EpsilonGreedy {
     /// perturbs the system per window and credit assignment stays clean.
     /// `decide_gated(est, true)` is exactly `decide(est)` — same scoring,
     /// same RNG stream, same dwell accounting.
-    pub fn decide_gated(&mut self, estimate: &Estimate, may_explore: bool) -> bool {
+    pub(crate) fn decide_gated(&mut self, estimate: &Estimate, may_explore: bool) -> bool {
         if self.settling > 0 {
             self.settling -= 1;
         } else {

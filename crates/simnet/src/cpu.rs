@@ -31,10 +31,12 @@ use littles::Nanos;
 /// ```
 #[derive(Debug, Clone)]
 pub struct CpuContext {
+    /// The caller's label ("client-app", "softirq", ...), shown when a host
+    /// is printed with `{:?}`.
+    #[expect(dead_code, reason = "only the derived Debug reads the label")]
     name: &'static str,
     busy_until: Nanos,
     busy_accum: Nanos,
-    jobs: u64,
     /// Multiplier applied to every cost, in parts per 1024 (1024 = 1.0×).
     /// Models virtualization overhead (paper Figure 2: the VM client's
     /// per-request CPU cost is substantially higher).
@@ -51,7 +53,6 @@ impl CpuContext {
             name,
             busy_until: Nanos::ZERO,
             busy_accum: Nanos::ZERO,
-            jobs: 0,
             cost_multiplier_milli: 1000,
             stalls: None,
         }
@@ -91,13 +92,8 @@ impl CpuContext {
         }
     }
 
-    /// The context's label.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The effective cost of `raw` after the multiplier.
-    pub fn scaled(&self, raw: Nanos) -> Nanos {
+    pub(crate) fn scaled(&self, raw: Nanos) -> Nanos {
         Nanos::from_nanos(raw.as_nanos() * self.cost_multiplier_milli / 1000)
     }
 
@@ -116,7 +112,6 @@ impl CpuContext {
         }
         self.busy_until = start + cost;
         self.busy_accum += cost;
-        self.jobs += 1;
         self.busy_until
     }
 
@@ -125,19 +120,10 @@ impl CpuContext {
         self.busy_until
     }
 
-    /// Remaining backlog at `now` (zero when idle).
-    pub fn backlog(&self, now: Nanos) -> Nanos {
-        self.busy_until.saturating_sub(now)
-    }
-
     /// Total busy time accumulated since creation.
-    pub fn busy_accum(&self) -> Nanos {
+    #[cfg(test)]
+    fn busy_accum(&self) -> Nanos {
         self.busy_accum
-    }
-
-    /// Number of work items executed.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
     }
 
     /// Captures a snapshot for windowed utilization measurement.
@@ -145,7 +131,6 @@ impl CpuContext {
         BusySnapshot {
             at: now,
             busy_accum: self.busy_accum,
-            jobs: self.jobs,
         }
     }
 
@@ -167,11 +152,9 @@ impl CpuContext {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusySnapshot {
     /// When the snapshot was taken.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// Cumulative busy time at `at`.
-    pub busy_accum: Nanos,
-    /// Jobs executed by `at`.
-    pub jobs: u64,
+    pub(crate) busy_accum: Nanos,
 }
 
 #[cfg(test)]
@@ -192,14 +175,6 @@ mod tests {
         let d2 = c.run(Nanos::from_micros(1), Nanos::from_micros(5));
         assert_eq!(d1, Nanos::from_micros(5));
         assert_eq!(d2, Nanos::from_micros(10));
-    }
-
-    #[test]
-    fn backlog_reflects_queued_work() {
-        let mut c = CpuContext::new("app");
-        c.run(Nanos::ZERO, Nanos::from_micros(8));
-        assert_eq!(c.backlog(Nanos::from_micros(3)), Nanos::from_micros(5));
-        assert_eq!(c.backlog(Nanos::from_micros(20)), Nanos::ZERO);
     }
 
     #[test]
@@ -235,14 +210,6 @@ mod tests {
         let c = CpuContext::new("app");
         let snap = c.busy_snapshot(Nanos::ZERO);
         assert_eq!(c.utilization_since(&snap, Nanos::ZERO).to_bits(), 0.0f64.to_bits());
-    }
-
-    #[test]
-    fn job_count_tracks() {
-        let mut c = CpuContext::new("app");
-        c.run(Nanos::ZERO, Nanos::from_nanos(1));
-        c.run(Nanos::ZERO, Nanos::from_nanos(1));
-        assert_eq!(c.jobs(), 2);
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub struct ShardFaultPlan {
 
 impl ShardFaultPlan {
     /// True if any shard fault class is configured.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.crash.is_some() || self.brownout.is_some()
     }
 }
@@ -205,12 +205,12 @@ pub struct WindowSchedule {
 
 impl WindowSchedule {
     /// True if `now` falls inside one of the windows.
-    pub fn contains(&self, now: Nanos) -> bool {
+    pub(crate) fn contains(&self, now: Nanos) -> bool {
         self.window_end(now).is_some()
     }
 
     /// If `now` falls inside a window, the end of that window.
-    pub fn window_end(&self, now: Nanos) -> Option<Nanos> {
+    pub(crate) fn window_end(&self, now: Nanos) -> Option<Nanos> {
         if now < self.first_at {
             return None;
         }
@@ -229,7 +229,7 @@ impl WindowSchedule {
 
     /// Total window time overlapping `[0, until)` — e.g. how long a
     /// blackout schedule actually darkened a run of that length.
-    pub fn total_time_until(&self, until: Nanos) -> Nanos {
+    pub(crate) fn total_time_until(&self, until: Nanos) -> Nanos {
         if until <= self.first_at {
             return Nanos::ZERO;
         }
@@ -510,11 +510,6 @@ impl FaultPlan {
         self.shard_crashes
     }
 
-    /// Audit counters for one directed link.
-    pub fn counters(&self, link: LinkId, a_to_b: bool) -> FaultCounters {
-        self.counters[2 * link.index() + usize::from(a_to_b)]
-    }
-
     /// Audit counters per duplex link (both directions folded together).
     pub fn per_link_counters(&self) -> Vec<FaultCounters> {
         self.counters
@@ -701,7 +696,7 @@ mod tests {
             .count() as f64
             / total as f64;
         assert!(after_drop > 0.4, "P(drop|drop) = {after_drop:.3}");
-        assert_eq!(plan.counters(LinkId::from_index(0), true).drops, total as u64);
+        assert_eq!(plan.per_link_counters()[0].drops, total as u64);
     }
 
     #[test]
@@ -724,7 +719,7 @@ mod tests {
             }
         }
         assert!((2_000..3_000).contains(&held), "held {held}");
-        assert_eq!(plan.counters(LinkId::from_index(0), false).reorders, held);
+        assert_eq!(plan.per_link_counters()[0].reorders, held);
     }
 
     #[test]
@@ -756,7 +751,7 @@ mod tests {
         assert!(plan.on_transmit(LinkId::from_index(0), true, us(149)).drop);
         assert!(!plan.on_transmit(LinkId::from_index(0), true, us(150)).drop);
         assert!(plan.on_transmit(LinkId::from_index(0), true, us(1120)).drop); // next period
-        assert_eq!(plan.counters(LinkId::from_index(0), true).blackout_drops, 3);
+        assert_eq!(plan.per_link_counters()[0].blackout_drops, 3);
         // Blackouts are RNG-free.
         assert_eq!(plan.loss_rng, Pcg32::stream(5, Stream::FaultLoss));
     }

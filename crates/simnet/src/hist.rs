@@ -119,12 +119,14 @@ impl Histogram {
     }
 
     /// Smallest recorded sample.
-    pub fn min(&self) -> Option<Nanos> {
+    #[cfg(test)]
+    fn min(&self) -> Option<Nanos> {
         (self.count > 0).then(|| Nanos::from_nanos(self.min))
     }
 
     /// Largest recorded sample.
-    pub fn max(&self) -> Option<Nanos> {
+    #[cfg(test)]
+    fn max(&self) -> Option<Nanos> {
         (self.count > 0).then(|| Nanos::from_nanos(self.max))
     }
 
@@ -174,15 +176,6 @@ impl Histogram {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-
-    /// Discards all samples.
-    pub fn clear(&mut self) {
-        self.counts.fill(0);
-        self.count = 0;
-        self.sum = 0;
-        self.min = u64::MAX;
-        self.max = 0;
     }
 }
 
@@ -270,15 +263,6 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.mean(), Some(Nanos::from_micros(20)));
         assert_eq!(a.max(), Some(Nanos::from_micros(30)));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut h = Histogram::new();
-        h.record(Nanos::from_micros(1));
-        h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), None);
     }
 
     #[test]
@@ -382,10 +366,7 @@ mod tests {
                 fresh.merge(&got);
                 assert_eq!(readout(&fresh), readout(&want), "seed {seed}: merge into new");
             }
-            // Cleared, then refilled.
-            b.clear();
-            rb.clear();
-            assert_eq!(readout(&b), readout(&rb), "seed {seed}: clear");
+            // Refilled.
             for &v in short.iter().chain(&long) {
                 b.record(v);
                 rb.record(v);

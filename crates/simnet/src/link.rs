@@ -37,7 +37,7 @@ impl Default for LinkConfig {
 
 impl LinkConfig {
     /// Serialization time for `bytes` at the line rate.
-    pub fn serialization_time(&self, bytes: usize) -> Nanos {
+    pub(crate) fn serialization_time(&self, bytes: usize) -> Nanos {
         // bytes * 8 bits / bps seconds, computed in integer ns.
         let bits = bytes as u128 * 8;
         Nanos::from_nanos((bits * 1_000_000_000 / self.bandwidth_bps as u128) as u64)
@@ -50,27 +50,18 @@ pub struct Link {
     config: LinkConfig,
     busy_until: Nanos,
     packets_sent: u64,
-    bytes_sent: u64,
     packets_dropped: u64,
-    bytes_dropped: u64,
 }
 
 impl Link {
     /// Creates an idle link.
-    pub fn new(config: LinkConfig) -> Self {
+    pub(crate) fn new(config: LinkConfig) -> Self {
         Link {
             config,
             busy_until: Nanos::ZERO,
             packets_sent: 0,
-            bytes_sent: 0,
             packets_dropped: 0,
-            bytes_dropped: 0,
         }
-    }
-
-    /// The link's configuration.
-    pub fn config(&self) -> &LinkConfig {
-        &self.config
     }
 
     /// Enqueues a packet of `bytes` at `now`; returns its arrival time at
@@ -80,16 +71,14 @@ impl Link {
         let start = self.busy_until.max(now);
         self.busy_until = start + self.config.serialization_time(bytes);
         self.packets_sent += 1;
-        self.bytes_sent += bytes as u64;
         self.busy_until + self.config.propagation
     }
 
     /// Books a drop decided outside the link (the fault-injection layer):
     /// the packet already went through [`transmit`](Self::transmit), so it
     /// occupied the pipe, but it never arrives.
-    pub fn record_drop(&mut self, bytes: usize) {
+    pub fn record_drop(&mut self) {
         self.packets_dropped += 1;
-        self.bytes_dropped += bytes as u64;
     }
 
     /// Packets handed to the link so far (including dropped ones).
@@ -97,19 +86,9 @@ impl Link {
         self.packets_sent
     }
 
-    /// Bytes handed to the link so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
-    }
-
     /// Packets dropped by the fault layer.
     pub fn packets_dropped(&self) -> u64 {
         self.packets_dropped
-    }
-
-    /// Bytes belonging to dropped packets.
-    pub fn bytes_dropped(&self) -> u64 {
-        self.bytes_dropped
     }
 
     /// Time at which the serialization pipe drains.
@@ -129,24 +108,10 @@ pub struct DuplexLink {
 
 impl DuplexLink {
     /// Creates a duplex link with identical parameters per direction.
-    pub fn new(config: LinkConfig) -> Self {
+    pub(crate) fn new(config: LinkConfig) -> Self {
         DuplexLink {
             a_to_b: Link::new(config),
             b_to_a: Link::new(config),
-        }
-    }
-
-    /// The directional link leaving endpoint `from` (0 = a, 1 = b).
-    ///
-    /// # Panics
-    ///
-    /// Panics for any endpoint other than 0 or 1.
-    #[expect(clippy::panic, reason = "documented: a third endpoint is a caller bug")]
-    pub fn from_endpoint(&mut self, from: usize) -> &mut Link {
-        match from {
-            0 => &mut self.a_to_b,
-            1 => &mut self.b_to_a,
-            other => panic!("duplex link has endpoints 0 and 1, got {other}"),
         }
     }
 }
@@ -215,35 +180,25 @@ mod tests {
         l.transmit(Nanos::ZERO, 100);
         l.transmit(Nanos::ZERO, 200);
         assert_eq!(l.packets_sent(), 2);
-        assert_eq!(l.bytes_sent(), 300);
     }
 
     #[test]
     fn dropped_bytes_are_booked() {
         let mut l = gbit_link(0, 1);
         let _ = l.transmit(Nanos::ZERO, 100);
-        l.record_drop(100);
+        l.record_drop();
         assert_eq!(l.packets_dropped(), 1);
-        assert_eq!(l.bytes_dropped(), 100);
         let _ = l.transmit(Nanos::ZERO, 50);
-        l.record_drop(50);
+        l.record_drop();
         assert_eq!(l.packets_dropped(), 2);
-        assert_eq!(l.bytes_dropped(), 150);
-        assert_eq!(l.bytes_sent(), 150); // dropped packets still used the pipe
+        assert_eq!(l.packets_sent(), 2); // dropped packets still used the pipe
     }
 
     #[test]
     fn duplex_endpoints_are_independent() {
         let mut d = DuplexLink::new(LinkConfig::default());
-        d.from_endpoint(0).transmit(Nanos::ZERO, 1000);
+        d.a_to_b.transmit(Nanos::ZERO, 1000);
         assert_eq!(d.a_to_b.packets_sent(), 1);
         assert_eq!(d.b_to_a.packets_sent(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "endpoints 0 and 1")]
-    fn bad_endpoint_panics() {
-        let mut d = DuplexLink::new(LinkConfig::default());
-        d.from_endpoint(2);
     }
 }

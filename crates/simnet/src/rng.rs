@@ -52,7 +52,7 @@ pub enum Stream {
 impl Stream {
     /// The string hashed into the seed. Changing one moves every draw of
     /// that stream, and with it the goldens.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             Stream::FaultLoss => "fault.loss",
             Stream::FaultReorder => "fault.reorder",
@@ -107,7 +107,7 @@ impl Pcg32 {
 
     /// Creates the generator for one of the workspace's registered streams.
     ///
-    /// The stream's [`label`](Stream::label) is folded into the seed
+    /// The stream's `label` is folded into the seed
     /// (FNV-1a) before the usual SplitMix64 whitening, so each
     /// `(seed, stream)` pair yields a reproducible sequence unrelated to
     /// both `Pcg32::new(seed)` and every other stream. Fault injection

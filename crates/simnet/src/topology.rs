@@ -30,10 +30,8 @@ use crate::link::{DuplexLink, Link, LinkConfig};
 
 /// A host in the topology, by dense index.
 ///
-/// Read these from topology accessors ([`Topology::endpoints`],
-/// [`Topology::neighbors`]) or mint one, at a true boundary, with
-/// [`HostId::from_index`] — the field is
-/// private, so index arithmetic cannot silently masquerade as routing:
+/// Mint one, at a true boundary, with [`HostId::from_index`] — the field
+/// is private, so index arithmetic cannot silently masquerade as routing:
 ///
 /// ```
 /// assert_eq!(simnet::HostId::from_index(3).index(), 3);
@@ -62,7 +60,7 @@ impl HostId {
 ///
 /// Directed quantities (fault lanes, per-direction counters) pair a
 /// `LinkId` with an `a_to_b` flag naming the direction from the link's
-/// endpoint *a* toward *b* (see [`Topology::endpoints`]). Like
+/// endpoint *a* toward *b* (see [`Topology::two_tier`]). Like
 /// [`HostId`], it is minted only through [`LinkId::from_index`]:
 ///
 /// ```
@@ -91,8 +89,6 @@ impl LinkId {
 #[derive(Debug, Clone)]
 pub struct Topology {
     links: Vec<DuplexLink>,
-    /// Endpoints per link: `(a, b)`; the `a_to_b` direction is `a → b`.
-    ends: Vec<(HostId, HostId)>,
     /// Per-host adjacency `(peer, link, a_to_b)`, sorted by peer for
     /// binary-search hop lookup on the transmit hot path.
     adj: Vec<Vec<(HostId, LinkId, bool)>>,
@@ -100,7 +96,7 @@ pub struct Topology {
 
 /// Accumulates links before freezing them into a [`Topology`].
 #[derive(Debug)]
-pub struct TopologyBuilder {
+pub(crate) struct TopologyBuilder {
     num_hosts: usize,
     links: Vec<(HostId, HostId, LinkConfig)>,
 }
@@ -114,7 +110,7 @@ impl TopologyBuilder {
     /// Panics on an out-of-range host, a self-link, or a second link
     /// joining the same pair (one pipe per host pair keeps hop lookup
     /// unambiguous).
-    pub fn link(mut self, a: HostId, b: HostId, config: LinkConfig) -> Self {
+    pub(crate) fn link(mut self, a: HostId, b: HostId, config: LinkConfig) -> Self {
         assert!(a.0 < self.num_hosts, "link endpoint {a:?} out of range");
         assert!(b.0 < self.num_hosts, "link endpoint {b:?} out of range");
         assert_ne!(a, b, "self-links are not allowed: {a:?}");
@@ -135,22 +131,20 @@ impl TopologyBuilder {
     ///
     /// Panics when the graph has no links (a topology must connect
     /// something).
-    pub fn build(self) -> Topology {
+    pub(crate) fn build(self) -> Topology {
         assert!(!self.links.is_empty(), "topology needs at least one link");
         let mut links = Vec::with_capacity(self.links.len());
-        let mut ends = Vec::with_capacity(self.links.len());
         let mut adj: Vec<Vec<(HostId, LinkId, bool)>> = vec![Vec::new(); self.num_hosts];
         for (i, (a, b, config)) in self.links.into_iter().enumerate() {
             let id = LinkId(i);
             links.push(DuplexLink::new(config));
-            ends.push((a, b));
             adj[a.0].push((b, id, true));
             adj[b.0].push((a, id, false));
         }
         for list in &mut adj {
             list.sort_unstable_by_key(|(peer, _, _)| *peer);
         }
-        Topology { links, ends, adj }
+        Topology { links, adj }
     }
 }
 
@@ -160,7 +154,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics when `num_hosts < 2` (a link needs two ends).
-    pub fn builder(num_hosts: usize) -> TopologyBuilder {
+    pub(crate) fn builder(num_hosts: usize) -> TopologyBuilder {
         assert!(num_hosts >= 2, "topology needs at least two hosts");
         TopologyBuilder {
             num_hosts,
@@ -231,7 +225,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics on an out-of-range host.
-    pub fn neighbors(&self, host: HostId) -> &[(HostId, LinkId, bool)] {
+    #[cfg(test)]
+    fn neighbors(&self, host: HostId) -> &[(HostId, LinkId, bool)] {
         &self.adj[host.0]
     }
 
@@ -261,7 +256,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics when the hosts are not adjacent.
-    pub fn hop_mut(&mut self, from: HostId, to: HostId) -> &mut Link {
+    #[cfg(test)]
+    fn hop_mut(&mut self, from: HostId, to: HostId) -> &mut Link {
         let (link, a_to_b) = self.hop_index(from, to);
         self.directed_mut(link, a_to_b)
     }
@@ -289,15 +285,6 @@ impl Topology {
     pub fn link(&self, id: LinkId) -> &DuplexLink {
         &self.links[id.0]
     }
-
-    /// The `(a, b)` endpoints of a link.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-range link.
-    pub fn endpoints(&self, id: LinkId) -> (HostId, HostId) {
-        self.ends[id.0]
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +297,6 @@ mod tests {
         let t = Topology::star(1, LinkConfig::default());
         assert_eq!(t.num_hosts(), 2);
         assert_eq!(t.num_links(), 1);
-        assert_eq!(t.endpoints(LinkId(0)), (HostId(0), HostId(1)));
         assert_eq!(t.hop_index(HostId(0), HostId(1)), (LinkId(0), true));
         assert_eq!(t.hop_index(HostId(1), HostId(0)), (LinkId(0), false));
     }
@@ -353,7 +339,6 @@ mod tests {
             assert_eq!(t.hop_index(HostId(i), proxy), (LinkId(i), true));
         }
         // Shard links follow, proxy as endpoint a.
-        assert_eq!(t.endpoints(LinkId(4)), (proxy, HostId(5)));
         assert_eq!(t.hop_index(proxy, HostId(5)), (LinkId(4), true));
         assert_eq!(t.hop_index(HostId(6), proxy), (LinkId(5), false));
     }

@@ -6,7 +6,7 @@
 //! replaces it with a hierarchical timer wheel in the style of hashed
 //! hierarchical wheels (Varghese & Lauck) and production async runtimes:
 //!
-//! * [`LEVELS`] levels of [`SLOTS`] slots each. Level `l` has a granularity
+//! * `LEVELS` levels of `SLOTS` slots each. Level `l` has a granularity
 //!   of `64^l` nanoseconds, so level 0 resolves single nanoseconds and the
 //!   top level spans the whole `u64` range — there is no separate overflow
 //!   list.
@@ -63,13 +63,13 @@
 //! slot) order and take the minimum timestamp of the first occupied slot.
 
 /// Bits per wheel level: each level fans out into `2^BITS` slots.
-pub const BITS: u32 = 6;
+pub(crate) const BITS: u32 = 6;
 /// Slots per level.
-pub const SLOTS: usize = 1 << BITS;
+pub(crate) const SLOTS: usize = 1 << BITS;
 /// Number of levels. `64^11 = 2^66` exceeds the `u64` nanosecond range, so
 /// every representable timestamp maps to some level and no overflow spill
 /// list is needed.
-pub const LEVELS: usize = 11;
+pub(crate) const LEVELS: usize = 11;
 
 const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Null link / empty slot sentinel.

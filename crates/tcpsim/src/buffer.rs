@@ -111,17 +111,17 @@ impl SendBuffer {
     }
 
     /// First unacknowledged offset.
-    pub fn una(&self) -> u64 {
+    pub(crate) fn una(&self) -> u64 {
         self.una
     }
 
     /// Next offset to send.
-    pub fn nxt(&self) -> u64 {
+    pub(crate) fn nxt(&self) -> u64 {
         self.nxt
     }
 
     /// End of buffered data.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.end
     }
 
@@ -131,17 +131,17 @@ impl SendBuffer {
     }
 
     /// Bytes transmitted but not yet acknowledged.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         (self.nxt - self.una) as usize
     }
 
     /// Total buffered bytes (`sk_wmem_queued` analogue).
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         (self.end - self.una) as usize
     }
 
     /// Remaining capacity for `push`.
-    pub fn room(&self) -> usize {
+    pub(crate) fn room(&self) -> usize {
         self.capacity.saturating_sub(self.buffered())
     }
 
@@ -171,7 +171,7 @@ impl SendBuffer {
     /// # Panics
     ///
     /// Panics if the range is not fully within `[una, nxt)`.
-    pub fn retransmit_chunk(&self, offset: u64, len: usize) -> SendChunk {
+    pub(crate) fn retransmit_chunk(&self, offset: u64, len: usize) -> SendChunk {
         assert!(
             offset >= self.una && offset + len as u64 <= self.nxt,
             "retransmit range [{offset}, +{len}) outside [{}, {})",
@@ -234,13 +234,13 @@ impl SendBuffer {
 
     /// Rewinds the send pointer to the first unacknowledged byte (the RTO:
     /// everything unacked is resent, save what the peer SACKed).
-    pub fn rewind_to_una(&mut self) {
+    pub(crate) fn rewind_to_una(&mut self) {
         self.nxt = self.una;
     }
 
     /// Moves the send pointer forward to `offset` without transmitting:
     /// the RTO resend steps over a range the peer already holds.
-    pub fn skip_to(&mut self, offset: u64) {
+    pub(crate) fn skip_to(&mut self, offset: u64) {
         debug_assert!(offset <= self.end, "skip past the buffered data");
         self.nxt = self.nxt.max(offset);
     }
@@ -254,7 +254,7 @@ pub struct SendChunk {
     /// The payload.
     pub bytes: Payload,
     /// Message-end offsets within `(offset, offset + len]`.
-    pub boundaries: Vec<u64>,
+    pub(crate) boundaries: Vec<u64>,
 }
 
 /// Result of processing a cumulative ACK.
@@ -294,16 +294,16 @@ pub struct RecvBuffer {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IngestResult {
     /// Bytes that became in-order available (0 for pure out-of-order).
-    pub in_order_bytes: usize,
+    pub(crate) in_order_bytes: usize,
     /// Whole messages that became in-order available.
-    pub in_order_messages: usize,
+    pub(crate) in_order_messages: usize,
     /// True if the segment was entirely duplicate data.
-    pub duplicate: bool,
+    pub(crate) duplicate: bool,
     /// True if the segment landed out of order.
-    pub out_of_order: bool,
+    pub(crate) out_of_order: bool,
     /// True if in-order data arrived while out-of-order data was held:
     /// the segment filled all or part of a gap.
-    pub filled_gap: bool,
+    pub(crate) filled_gap: bool,
 }
 
 impl RecvBuffer {
@@ -328,7 +328,7 @@ impl RecvBuffer {
     }
 
     /// Offset of the first unread byte.
-    pub fn read_pos(&self) -> u64 {
+    pub(crate) fn read_pos(&self) -> u64 {
         self.read_pos
     }
 
@@ -339,12 +339,13 @@ impl RecvBuffer {
     }
 
     /// Whole messages available to read.
-    pub fn available_messages(&self) -> usize {
+    #[cfg(test)]
+    fn available_messages(&self) -> usize {
         self.boundaries.len()
     }
 
     /// Receive window to advertise.
-    pub fn window(&self) -> usize {
+    pub(crate) fn window(&self) -> usize {
         self.capacity.saturating_sub(self.ready_len)
     }
 
@@ -437,7 +438,7 @@ impl RecvBuffer {
     /// stored segments merged where they touch or overlap, the range
     /// holding the latest out-of-order arrival first, then the highest
     /// others, descending. All `None` while nothing is held out of order.
-    pub fn sack_ranges(&self) -> [Option<(u64, u64)>; MAX_SACK_BLOCKS] {
+    pub(crate) fn sack_ranges(&self) -> [Option<(u64, u64)>; MAX_SACK_BLOCKS] {
         let mut out = [None; MAX_SACK_BLOCKS];
         if self.ooo.is_empty() {
             return out;

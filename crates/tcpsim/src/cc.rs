@@ -14,7 +14,7 @@ const MAX_WINDOW_BYTES: usize = 8 * 1024 * 1024;
 
 /// Congestion-window state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CongestionControl {
+pub(crate) struct CongestionControl {
     cwnd: usize,
     ssthresh: usize,
     mss: usize,
@@ -25,7 +25,7 @@ pub struct CongestionControl {
 
 impl CongestionControl {
     /// Creates a controller in slow start with the initial window.
-    pub fn new(mss: usize) -> Self {
+    pub(crate) fn new(mss: usize) -> Self {
         CongestionControl {
             cwnd: INITIAL_WINDOW_MSS * mss,
             ssthresh: MAX_WINDOW_BYTES,
@@ -35,17 +35,18 @@ impl CongestionControl {
     }
 
     /// Current congestion window in bytes.
-    pub fn cwnd(&self) -> usize {
+    pub(crate) fn cwnd(&self) -> usize {
         self.cwnd
     }
 
     /// Current slow-start threshold in bytes.
-    pub fn ssthresh(&self) -> usize {
+    #[cfg(test)]
+    fn ssthresh(&self) -> usize {
         self.ssthresh
     }
 
     /// True while in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    pub(crate) fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 
@@ -54,7 +55,7 @@ impl CongestionControl {
     /// rather than by at most one MSS per ACK: one stretch ACK per TSO
     /// super-segment would otherwise grow the window by an MSS per round
     /// trip after an RTO.
-    pub fn on_ack(&mut self, acked_bytes: usize, byte_counting: bool) {
+    pub(crate) fn on_ack(&mut self, acked_bytes: usize, byte_counting: bool) {
         if acked_bytes == 0 {
             return;
         }
@@ -74,7 +75,7 @@ impl CongestionControl {
     }
 
     /// Multiplicative decrease on loss detection (RTO in this stack).
-    pub fn on_loss(&mut self) {
+    pub(crate) fn on_loss(&mut self) {
         self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
         self.cwnd = self.ssthresh;
         self.acked_accum = 0;
@@ -82,7 +83,7 @@ impl CongestionControl {
 
     /// Severe response to a retransmission timeout: collapse to one MSS
     /// and re-enter slow start (RFC 5681 §3.1).
-    pub fn on_rto(&mut self) {
+    pub(crate) fn on_rto(&mut self) {
         self.ssthresh = (self.cwnd / 2).max(2 * self.mss);
         self.cwnd = self.mss;
         self.acked_accum = 0;

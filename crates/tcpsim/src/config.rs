@@ -8,7 +8,7 @@
 //! the TSO super-segment size and deferral (`socket`), the cork threshold
 //! and safety valve ([`crate::gates`]), the every-second-segment ACK rule
 //! and piggybacking ([`crate::delack`]), and the initial and maximum
-//! congestion window ([`crate::cc`]). Cost parameters ([`CostConfig`]) translate
+//! congestion window (`crate::cc`). Cost parameters ([`CostConfig`]) translate
 //! stack activity into CPU time on the simulated cores; the defaults are
 //! calibrated in `e2e-apps` to put the figure experiments in the paper's
 //! operating regime (saturation in the tens of kRPS for 16 KiB SETs).
@@ -25,8 +25,8 @@ pub enum NagleMode {
     #[default]
     Off,
     /// Dynamically toggled at runtime by a batching policy (the paper's
-    /// proposal). The socket consults its current [dynamic
-    /// state](crate::socket::TcpSocket::nagle_active) each time.
+    /// proposal). The socket consults its current dynamic state, set by
+    /// [`KnobSetting::Nagle`](crate::KnobSetting::Nagle), each time.
     Dynamic,
 }
 
@@ -86,14 +86,14 @@ pub struct ExchangeConfig {
     /// so sparse exchange keeps fast-path header parsing cheap).
     pub min_interval: Nanos,
     /// Which message units' counters are exchanged, indexed by
-    /// [`Unit::index`](crate::queues::Unit::index). The paper exchanges
+    /// `Unit::index`. The paper exchanges
     /// one unit; enabling several lets one run compare them.
     pub units: [bool; 3],
 }
 
 impl ExchangeConfig {
     /// Enables exchange of a single unit's counters.
-    pub fn single(unit: crate::queues::Unit) -> Self {
+    pub(crate) fn single(unit: crate::queues::Unit) -> Self {
         let mut units = [false; 3];
         units[unit.index()] = true;
         ExchangeConfig {

@@ -18,7 +18,7 @@ const ACK_EVERY_SEGMENTS: u32 = 2;
 
 /// What the receive path should do about acknowledging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckDecision {
+pub(crate) enum AckDecision {
     /// Send an ACK immediately (threshold reached or quick-ack forced).
     SendNow,
     /// Delay: arm the delack timer for the given delay (only returned when
@@ -49,7 +49,7 @@ pub enum AckMode {
 /// What the caller must do after a runtime [`AckMode`] switch so that no
 /// pending ACK is dropped and no stale timer fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckSwitch {
+pub(crate) enum AckSwitch {
     /// Nothing pending: the switch is a pure state change.
     Nothing,
     /// A pending delayed ACK must be emitted *now* (and any armed delack
@@ -82,7 +82,7 @@ pub struct DelAck {
 
 impl DelAck {
     /// Creates an idle machine.
-    pub fn new(config: DelAckConfig) -> Self {
+    pub(crate) fn new(config: DelAckConfig) -> Self {
         let mode = if config.quick {
             AckMode::Quick
         } else {
@@ -106,7 +106,7 @@ impl DelAck {
     /// super-segments count their wire packets via `packets`).
     /// `force_quick` requests an immediate ACK (out-of-order data, window
     /// pressure).
-    pub fn on_data(&mut self, full_sized: bool, packets: u32, force_quick: bool) -> AckDecision {
+    pub(crate) fn on_data(&mut self, full_sized: bool, packets: u32, force_quick: bool) -> AckDecision {
         self.pending_any = true;
         if full_sized {
             self.pending_full += packets;
@@ -132,7 +132,7 @@ impl DelAck {
     }
 
     /// The current runtime acknowledgment mode.
-    pub fn mode(&self) -> AckMode {
+    pub(crate) fn mode(&self) -> AckMode {
         self.mode
     }
 
@@ -169,7 +169,7 @@ impl DelAck {
 
     /// The delack timer fired. Returns true if an ACK must be sent (it may
     /// have been cleared by a piggyback racing the timer).
-    pub fn on_timer(&mut self) -> bool {
+    pub(crate) fn on_timer(&mut self) -> bool {
         self.timer_armed = false;
         if self.pending_any {
             self.timeout_acks += 1;
@@ -183,7 +183,7 @@ impl DelAck {
     /// An ACK is riding an outgoing data segment (piggyback). Returns true
     /// if this cleared a pending delayed ACK (caller should cancel the
     /// timer).
-    pub fn on_piggyback(&mut self) -> bool {
+    pub(crate) fn on_piggyback(&mut self) -> bool {
         let had = self.pending_any;
         if had {
             self.piggybacked_acks += 1;
@@ -205,7 +205,8 @@ impl DelAck {
     }
 
     /// Whether the machine believes its timer is armed.
-    pub fn timer_armed(&self) -> bool {
+    #[cfg(test)]
+    fn timer_armed(&self) -> bool {
         self.timer_armed
     }
 

@@ -64,7 +64,7 @@ pub fn nagle_allows(
 /// Returns `true` when the segment should be *held* (corked): corking is
 /// enabled, the segment is sub-MSS, and the NIC ring still holds an
 /// unfinished packet.
-pub fn cork_holds(
+pub(crate) fn cork_holds(
     config: &CorkConfig,
     payload_len: usize,
     mss: usize,

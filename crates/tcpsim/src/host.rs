@@ -61,9 +61,9 @@ pub struct Host {
     /// The pinned softirq (network receive/transmit) context.
     pub softirq_cpu: CpuContext,
     /// CPU cost parameters.
-    pub costs: CostConfig,
+    pub(crate) costs: CostConfig,
     /// Configuration used for passively accepted sockets.
-    pub accept_config: TcpConfig,
+    pub(crate) accept_config: TcpConfig,
     sockets: Vec<TcpSocket>,
     /// Flow → socket, dense-indexed by the (small, sequential) flow id.
     flows: FlowMap<SocketId>,
@@ -73,7 +73,7 @@ pub struct Host {
     /// `SocketId`.
     pending: Vec<Pending>,
     /// Total doorbells rung (one per transmit batch).
-    pub doorbells: u64,
+    pub(crate) doorbells: u64,
     /// Counter-state generations issued (wrapping); each registered socket
     /// gets the next value as its exchange epoch.
     epochs_issued: u8,
@@ -126,13 +126,13 @@ impl Host {
     /// Drops the flow mapping for a socket (the endpoint-restart fault):
     /// segments for that flow become stray deliveries and are dropped at
     /// the softirq layer, exactly as if the owning process disappeared.
-    pub fn remove_flow(&mut self, flow: FlowId) {
+    pub(crate) fn remove_flow(&mut self, flow: FlowId) {
         self.flows.remove(flow);
     }
 
     /// Looks up the socket serving `flow`.
     // hot-path: runs on every segment delivery; must not allocate per call
-    pub fn socket_for_flow(&self, flow: FlowId) -> Option<SocketId> {
+    pub(crate) fn socket_for_flow(&self, flow: FlowId) -> Option<SocketId> {
         self.flows.get(flow).copied()
     }
 
@@ -165,17 +165,17 @@ impl Host {
     }
 
     /// Current NIC ring occupancy in packets.
-    pub fn nic_in_flight(&self) -> u32 {
+    pub(crate) fn nic_in_flight(&self) -> u32 {
         self.nic_in_flight
     }
 
     /// Adds packets to the NIC ring (at transmit).
-    pub fn nic_enqueue(&mut self, packets: u32) {
+    pub(crate) fn nic_enqueue(&mut self, packets: u32) {
         self.nic_in_flight += packets;
     }
 
     /// Removes packets from the NIC ring (at completion interrupt).
-    pub fn nic_complete(&mut self, packets: u32) {
+    pub(crate) fn nic_complete(&mut self, packets: u32) {
         self.nic_in_flight = self.nic_in_flight.saturating_sub(packets);
     }
 
@@ -183,7 +183,7 @@ impl Host {
     /// tail. Safe to call redundantly; NIC completion filters on the
     /// socket's live cork state.
     // hot-path: runs on every cork arm; must not allocate per call in steady state
-    pub fn note_cork_wait(&mut self, sock: SocketId) {
+    pub(crate) fn note_cork_wait(&mut self, sock: SocketId) {
         if self.cork_waiters.last() != Some(&sock) {
             self.cork_waiters.push(sock);
         }
@@ -191,7 +191,7 @@ impl Host {
 
     /// Moves the pending cork waiters into `out` (clearing both first),
     /// preserving registration order. Both vectors keep their capacity.
-    pub fn drain_cork_waiters_into(&mut self, out: &mut Vec<SocketId>) {
+    pub(crate) fn drain_cork_waiters_into(&mut self, out: &mut Vec<SocketId>) {
         out.clear();
         std::mem::swap(&mut self.cork_waiters, out);
     }
@@ -222,7 +222,7 @@ impl Host {
 
     /// Removes a timer's pending instance, if any, from `queue`.
     // hot-path: runs on every timer arm/cancel; must not allocate per call
-    pub fn cancel_timer<E>(&mut self, sock: SocketId, kind: TimerKind, queue: &mut EventQueue<E>) {
+    pub(crate) fn cancel_timer<E>(&mut self, sock: SocketId, kind: TimerKind, queue: &mut EventQueue<E>) {
         if let Some(token) = self.timer_slot(sock, kind).take() {
             queue.cancel(token);
         }
@@ -230,7 +230,7 @@ impl Host {
 
     /// Removes every pending timer of `sock` from `queue` (the socket was
     /// reset: nothing armed on the old connection may fire on the new one).
-    pub fn cancel_timers<E>(&mut self, sock: SocketId, queue: &mut EventQueue<E>) {
+    pub(crate) fn cancel_timers<E>(&mut self, sock: SocketId, queue: &mut EventQueue<E>) {
         for token in self.pending[sock.0].timers.iter_mut().filter_map(Option::take) {
             queue.cancel(token);
         }
@@ -240,7 +240,7 @@ impl Host {
     /// empties. Every dispatched `Event::Timer` is the one its slot names —
     /// superseded instances left the queue when they were superseded.
     // hot-path: runs on every timer fire; must not allocate per call
-    pub fn timer_fired(&mut self, sock: SocketId, kind: TimerKind) {
+    pub(crate) fn timer_fired(&mut self, sock: SocketId, kind: TimerKind) {
         let pending = self.timer_slot(sock, kind).take();
         debug_assert!(pending.is_some(), "{kind:?} fired without being armed");
     }
@@ -317,7 +317,7 @@ impl Host {
 
     /// Softirq receive cost for a segment: one per-delivery charge (the
     /// post-GRO skb) plus per-wire-packet and per-payload terms.
-    pub fn rx_cost(&self, seg: &Segment) -> Nanos {
+    pub(crate) fn rx_cost(&self, seg: &Segment) -> Nanos {
         self.costs.rx_per_delivery
             + self.costs.rx_per_packet * seg.wire_packets as u64
             + Nanos::from_nanos(
@@ -327,7 +327,7 @@ impl Host {
 
     /// Transmit cost for a segment (excluding the doorbell). Pure ACKs use
     /// the flat [`CostConfig::tx_ack`] cost.
-    pub fn tx_cost(&self, seg: &Segment) -> Nanos {
+    pub(crate) fn tx_cost(&self, seg: &Segment) -> Nanos {
         if seg.is_pure_ack() {
             return self.costs.tx_ack;
         }

@@ -217,7 +217,7 @@ pub fn gate(result: Result<(), InvariantViolation>) {
 /// An independent double-entry ledger for one queue, in one unit.
 ///
 /// The socket books every enter/leave into the ledger *and* into the
-/// instrumented queue through separate code paths; [`QueueLedger::check`]
+/// instrumented queue through separate code paths; `QueueLedger::check`
 /// then cross-validates the two. A bug that forgets one side (e.g. acking
 /// bytes out of `unacked` without tracking the departure) breaks the
 /// balance and fires the gate.
@@ -229,12 +229,12 @@ pub struct QueueLedger {
 
 impl QueueLedger {
     /// Books `n` units entering the queue.
-    pub fn enter(&mut self, n: u64) {
+    pub(crate) fn enter(&mut self, n: u64) {
         self.entered += n;
     }
 
     /// Books `n` units leaving the queue.
-    pub fn leave(&mut self, n: u64) {
+    pub(crate) fn leave(&mut self, n: u64) {
         self.left += n;
     }
 
@@ -251,7 +251,7 @@ impl QueueLedger {
     /// Net occupancy implied by the ledger (`entered − left`), or a
     /// [`InvariantViolation::NegativeBalance`] if departures outran
     /// arrivals.
-    pub fn balance(&self, queue: &'static str) -> Result<u64, InvariantViolation> {
+    pub(crate) fn balance(&self, queue: &'static str) -> Result<u64, InvariantViolation> {
         self.entered
             .checked_sub(self.left)
             .ok_or(InvariantViolation::NegativeBalance {
@@ -263,7 +263,7 @@ impl QueueLedger {
 
     /// Conservation gate: the ledger balance must equal the occupancy the
     /// instrumented queue reports.
-    pub fn check(
+    pub(crate) fn check(
         &self,
         queue: &'static str,
         reported_size: i64,
@@ -283,7 +283,7 @@ impl QueueLedger {
 
 /// Monotonicity gate for one queue's byte-unit snapshots: time, `total`,
 /// and `integral` must all be non-decreasing between checks.
-pub fn check_snapshot_monotone(
+pub(crate) fn check_snapshot_monotone(
     queue: &'static str,
     prev: &Snapshot,
     cur: &Snapshot,
@@ -325,7 +325,7 @@ pub struct SocketInvariants {
     /// Ledger for the received-but-unread queue (bytes).
     pub unread: QueueLedger,
     /// Ledger for the delayed-ACK queue (bytes).
-    pub ackdelay: QueueLedger,
+    pub(crate) ackdelay: QueueLedger,
     last_snapshots: Option<[Snapshot; 3]>,
     next_tx_offset: u64,
     last_rcv_nxt: u64,
@@ -337,7 +337,7 @@ pub struct SocketInvariants {
 
 impl SocketInvariants {
     /// Fresh invariant state for a new socket.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SocketInvariants::default()
     }
 
@@ -348,7 +348,7 @@ impl SocketInvariants {
     /// data may advance it. Also tallies the impaired arrivals so fault
     /// runs can prove these gates actually saw reordered/duplicated
     /// traffic (non-vacuousness).
-    pub fn on_rx_segment(
+    pub(crate) fn on_rx_segment(
         &mut self,
         out_of_order: bool,
         duplicate: bool,
@@ -383,7 +383,7 @@ impl SocketInvariants {
 
     /// Continuity gate for freshly transmitted data: a non-retransmitted
     /// chunk must start exactly at the end of the previous one.
-    pub fn on_transmit(
+    pub(crate) fn on_transmit(
         &mut self,
         offset: u64,
         len: usize,
@@ -412,7 +412,7 @@ impl SocketInvariants {
 
     /// SACK gate for a retransmission: it must not resend a range the peer
     /// already reported holding (`sacked`, the overlapped SACKed range).
-    pub fn on_retransmit(
+    pub(crate) fn on_retransmit(
         &mut self,
         offset: u64,
         len: usize,
@@ -430,7 +430,7 @@ impl SocketInvariants {
     /// SACK gate for one arriving block `[left, right)`: it must lie inside
     /// (`una`, `high`], with `high` one past the highest offset sent. Also
     /// tallies the blocks so fault runs can prove the gate saw some.
-    pub fn on_sack_block(
+    pub(crate) fn on_sack_block(
         &mut self,
         left: u64,
         right: u64,
@@ -455,7 +455,7 @@ impl SocketInvariants {
     /// Checks conservation for all three queues, snapshot monotonicity
     /// against the previous call, and receive-cursor sanity. Updates the
     /// remembered snapshots on success.
-    pub fn verify(
+    pub(crate) fn verify(
         &mut self,
         queues: &SocketQueues,
         rcv_nxt: u64,
@@ -512,7 +512,7 @@ impl SocketInvariants {
     ///   nothing in flight, an open window, and no timer armed has no
     ///   future event to release it
     ///   ([`InvariantViolation::SenderStarved`]).
-    pub fn verify_actuation(&self, state: &ActuationState) -> Result<(), InvariantViolation> {
+    pub(crate) fn verify_actuation(&self, state: &ActuationState) -> Result<(), InvariantViolation> {
         if !state.ack_pending {
             let stranded = self.ackdelay.balance("ackdelay")?;
             if stranded != 0 {
@@ -539,21 +539,21 @@ impl SocketInvariants {
 /// ([`SocketInvariants::verify_actuation`]) cross-checks, captured by the
 /// socket after each event.
 #[derive(Debug, Clone, Copy)]
-pub struct ActuationState {
+pub(crate) struct ActuationState {
     /// Whether the delack machine believes data awaits acknowledgment.
-    pub ack_pending: bool,
+    pub(crate) ack_pending: bool,
     /// Whether the send buffer holds unsent bytes.
-    pub has_unsent: bool,
+    pub(crate) has_unsent: bool,
     /// Whether any sent bytes are unacknowledged.
-    pub in_flight: bool,
+    pub(crate) in_flight: bool,
     /// Whether the RTO/persist timer is armed.
-    pub tx_timer_armed: bool,
+    pub(crate) tx_timer_armed: bool,
     /// Whether the auto-cork safety timer is armed.
-    pub cork_timer_armed: bool,
+    pub(crate) cork_timer_armed: bool,
     /// Whether the effective send window admits at least one MSS.
-    pub window_open: bool,
+    pub(crate) window_open: bool,
     /// Whether the connection is in `Established`.
-    pub established: bool,
+    pub(crate) established: bool,
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ pub enum KnobSetting {
     Nagle(bool),
     /// The delayed-ACK mode: quick-ack vs delayed with a runtime
     /// timeout. Switching with an ACK pending flushes or re-arms it
-    /// deterministically (see [`crate::delack::AckSwitch`]).
+    /// deterministically (see `crate::delack::AckSwitch`).
     DelAck(AckMode),
     /// The send-side cork/coalesce limit in bytes: a segment may wait
     /// for up to this many bytes to accumulate while earlier data is in

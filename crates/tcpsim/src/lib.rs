@@ -15,10 +15,10 @@
 //!   connection as a control block, a send side and a receive side);
 //! * **doorbell batching** (per-flush charging in [`sim`]);
 //! * plus the supporting machinery a TCP needs: sequence arithmetic
-//!   ([`seq`]), socket buffers ([`buffer`]), SRTT/RTO ([`rtt`]), and
-//!   AIMD congestion control ([`cc`]).
+//!   ([`seq`]), socket buffers ([`buffer`]), SRTT/RTO (`rtt`), and
+//!   AIMD congestion control (`cc`).
 //!
-//! The paper's measurement machinery lives in [`queues`]: the three
+//! The paper's measurement machinery lives in `queues`: the three
 //! instrumented queues (*unacked*, *unread*, *ackdelay*) tracked in bytes
 //! and message units simultaneously, and exchanged between peers through
 //! a TCP option ([`segment::E2eOption`], 36 bytes of counters per unit).
@@ -34,32 +34,31 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod buffer;
-pub mod cc;
+mod cc;
 pub mod config;
 pub mod delack;
 pub mod gates;
 pub mod host;
 pub mod invariants;
 pub mod knob;
-pub mod payload;
-pub mod queues;
-pub mod rtt;
+mod payload;
+mod queues;
+mod rtt;
 pub mod segment;
 pub mod seq;
 pub mod sim;
 pub mod socket;
-pub mod table;
+mod table;
 pub mod tier;
 
 pub use config::{CostConfig, NagleMode, TcpConfig};
-pub use delack::{AckMode, AckSwitch};
+pub use delack::AckMode;
 pub use host::{Host, HostId};
 pub use knob::KnobSetting;
 pub use payload::Payload;
-pub use queues::{QueueSnapshots, SocketQueues, Unit};
+pub use queues::Unit;
 pub use segment::{FlowId, Segment};
-pub use sim::{App, Event, FlowRoute, HostCtx, NetSim};
+pub use sim::{App, Event, HostCtx, NetSim};
 pub use simnet::{LinkId, Topology};
 pub use tier::TierSim;
-pub use table::FlowMap;
 pub use socket::{Action, Actions, SocketId, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};

@@ -51,7 +51,7 @@ pub struct Payload {
 
 impl Payload {
     /// An empty payload (no heap allocation).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Payload {
             buf: None,
             start: 0,
@@ -70,12 +70,12 @@ impl Payload {
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
     }
 
     /// True when the payload holds no bytes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.start == self.end
     }
 

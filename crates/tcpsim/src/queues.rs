@@ -43,7 +43,7 @@ impl Unit {
 
     /// Stable index (Bytes = 0, Packets = 1, Messages = 2), for arrays
     /// keyed by unit.
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             Unit::Bytes => 0,
             Unit::Packets => 1,
@@ -65,7 +65,7 @@ pub struct InstrumentedQueue {
 
 impl InstrumentedQueue {
     /// Creates an empty instrumented queue anchored at `now`.
-    pub fn new(now: Nanos) -> Self {
+    pub(crate) fn new(now: Nanos) -> Self {
         InstrumentedQueue {
             bytes: QueueState::new(now),
             messages: QueueState::new(now),
@@ -116,7 +116,7 @@ pub struct SocketQueues {
 
 impl SocketQueues {
     /// Creates empty instrumentation anchored at `now`.
-    pub fn new(now: Nanos) -> Self {
+    pub(crate) fn new(now: Nanos) -> Self {
         SocketQueues {
             unacked: InstrumentedQueue::new(now),
             unread: InstrumentedQueue::new(now),
@@ -125,7 +125,7 @@ impl SocketQueues {
     }
 
     /// Full-resolution snapshots of the three queues in one unit.
-    pub fn snapshots(&self, now: Nanos, unit: Unit) -> QueueSnapshots {
+    pub(crate) fn snapshots(&self, now: Nanos, unit: Unit) -> QueueSnapshots {
         QueueSnapshots {
             unit,
             at: now,
@@ -136,7 +136,7 @@ impl SocketQueues {
     }
 
     /// The 36-byte wire exchange for one unit (what rides the TCP option).
-    pub fn wire_exchange(&self, now: Nanos, unit: Unit, scale: WireScale) -> WireExchange {
+    pub(crate) fn wire_exchange(&self, now: Nanos, unit: Unit, scale: WireScale) -> WireExchange {
         let s = self.snapshots(now, unit);
         WireExchange::pack(&s.unacked, &s.unread, &s.ackdelay, scale)
     }
@@ -146,9 +146,9 @@ impl SocketQueues {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueSnapshots {
     /// The unit the snapshots are counted in.
-    pub unit: Unit,
+    pub(crate) unit: Unit,
     /// Capture time.
-    pub at: Nanos,
+    pub(crate) at: Nanos,
     /// Sent-but-unacked queue snapshot.
     pub unacked: Snapshot,
     /// Received-but-unread queue snapshot.

@@ -12,7 +12,7 @@ use crate::config::RtoConfig;
 
 /// Smoothed RTT state: `SRTT`, `RTTVAR`, and the derived `RTO`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<Nanos>,
     rttvar: Nanos,
     rto: Nanos,
@@ -22,7 +22,7 @@ pub struct RttEstimator {
 
 impl RttEstimator {
     /// Creates an estimator with the RFC 6298 initial RTO.
-    pub fn new(config: RtoConfig) -> Self {
+    pub(crate) fn new(config: RtoConfig) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: Nanos::ZERO,
@@ -35,7 +35,7 @@ impl RttEstimator {
     /// Feeds one RTT measurement from a segment that was *not*
     /// retransmitted (Karn's rule: retransmitted segments give ambiguous
     /// samples and must be excluded — the caller enforces this).
-    pub fn sample(&mut self, rtt: Nanos) {
+    pub(crate) fn sample(&mut self, rtt: Nanos) {
         let srtt = match self.srtt {
             None => {
                 // First measurement: SRTT = R, RTTVAR = R/2.
@@ -57,27 +57,29 @@ impl RttEstimator {
     }
 
     /// Exponential backoff after a retransmission timeout fires.
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.rto = (self.rto * 2).min(self.config.max_rto);
     }
 
     /// Current smoothed RTT, if any sample has been taken.
-    pub fn srtt(&self) -> Option<Nanos> {
+    pub(crate) fn srtt(&self) -> Option<Nanos> {
         self.srtt
     }
 
     /// Current RTT variance estimate.
-    pub fn rttvar(&self) -> Nanos {
+    #[cfg(test)]
+    fn rttvar(&self) -> Nanos {
         self.rttvar
     }
 
     /// Current retransmission timeout.
-    pub fn rto(&self) -> Nanos {
+    pub(crate) fn rto(&self) -> Nanos {
         self.rto
     }
 
     /// Number of samples folded in.
-    pub fn samples(&self) -> u64 {
+    #[cfg(test)]
+    fn samples(&self) -> u64 {
         self.samples
     }
 }

@@ -26,10 +26,10 @@ use crate::seq::SeqNum;
 
 /// Ethernet + IP + TCP fixed header bytes per wire packet (14 + 20 + 20),
 /// plus minimal framing overhead.
-pub const HEADER_BYTES: usize = 58;
+pub(crate) const HEADER_BYTES: usize = 58;
 
 /// Wire bytes of the timestamps option (10, padded to 12).
-pub const TIMESTAMP_OPTION_BYTES: usize = 12;
+pub(crate) const TIMESTAMP_OPTION_BYTES: usize = 12;
 
 /// Wire bytes of the end-to-end exchange option carrying `n` units'
 /// counters: kind + length + unit bitmap + epoch tag + 36 bytes per unit,
@@ -46,11 +46,11 @@ pub const fn e2e_option_bytes(units: usize) -> usize {
 pub const E2E_OPTION_BYTES: usize = e2e_option_bytes(1);
 
 /// Most SACK blocks one option carries beside timestamps (RFC 2018 §3).
-pub const MAX_SACK_BLOCKS: usize = 3;
+pub(crate) const MAX_SACK_BLOCKS: usize = 3;
 
 /// Wire bytes of a SACK option carrying `blocks` blocks: kind + length +
 /// 8 bytes per block, padded to a 4-byte boundary.
-pub const fn sack_option_bytes(blocks: usize) -> usize {
+pub(crate) const fn sack_option_bytes(blocks: usize) -> usize {
     (2 + 8 * blocks).div_ceil(4) * 4
 }
 
@@ -66,22 +66,22 @@ pub struct FlowId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags {
     /// Connection request.
-    pub syn: bool,
+    pub(crate) syn: bool,
     /// Acknowledgment field is valid.
-    pub ack: bool,
+    pub(crate) ack: bool,
     /// Sender has finished sending.
-    pub fin: bool,
+    pub(crate) fin: bool,
     /// Push: a send-call boundary ends in this segment.
-    pub psh: bool,
+    pub(crate) psh: bool,
 }
 
 /// RFC 7323 timestamps option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimestampOption {
+pub(crate) struct TimestampOption {
     /// Sender's clock at transmit (ns truncated to 32 bits in simulation).
-    pub tsval: u32,
+    pub(crate) tsval: u32,
     /// Echo of the most recent tsval received from the peer.
-    pub tsecr: u32,
+    pub(crate) tsecr: u32,
 }
 
 /// The paper's end-to-end queue-state exchange option.
@@ -93,10 +93,10 @@ pub struct TimestampOption {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct E2eOption {
     /// Per-unit exchanges, indexed by [`Unit::index`].
-    pub exchanges: [Option<WireExchange>; 3],
+    pub(crate) exchanges: [Option<WireExchange>; 3],
     /// Counter-state generation of the sharing endpoint (one tag covers
     /// every unit — they all reset together when the endpoint restarts).
-    pub epoch: u8,
+    pub(crate) epoch: u8,
 }
 
 impl E2eOption {
@@ -112,7 +112,7 @@ impl E2eOption {
     }
 
     /// Number of units carried.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.exchanges.iter().flatten().count()
     }
 }
@@ -120,15 +120,15 @@ impl E2eOption {
 /// One SACK block: the receiver holds the sequence range `[left, right)`
 /// above its cumulative ACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SackBlock {
+pub(crate) struct SackBlock {
     /// First sequence number held.
-    pub left: SeqNum,
+    pub(crate) left: SeqNum,
     /// One past the last sequence number held.
-    pub right: SeqNum,
+    pub(crate) right: SeqNum,
 }
 
 /// The RFC 2018 selective-acknowledgment option: up to
-/// [`MAX_SACK_BLOCKS`] blocks of out-of-order data the receiver holds, the
+/// `MAX_SACK_BLOCKS` blocks of out-of-order data the receiver holds, the
 /// block holding the latest arrival first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SackOption {
@@ -138,7 +138,7 @@ pub struct SackOption {
 
 impl SackOption {
     /// Appends a block; false (and nothing changes) once the option is full.
-    pub fn push(&mut self, block: SackBlock) -> bool {
+    pub(crate) fn push(&mut self, block: SackBlock) -> bool {
         let Some(slot) = self.blocks.get_mut(usize::from(self.len)) else {
             return false;
         };
@@ -148,7 +148,7 @@ impl SackOption {
     }
 
     /// The blocks carried, in wire order.
-    pub fn blocks(&self) -> &[SackBlock] {
+    pub(crate) fn blocks(&self) -> &[SackBlock] {
         &self.blocks[..usize::from(self.len)]
     }
 }
@@ -169,26 +169,26 @@ pub enum OptionSlot {
 /// `send` via ancillary data and forwarded to the peer. When present, the
 /// peer can estimate end-to-end performance from this one queue alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HintOption {
+pub(crate) struct HintOption {
     /// The application's request-queue snapshot.
-    pub snapshot: littles::wire::WireSnapshot,
+    pub(crate) snapshot: littles::wire::WireSnapshot,
 }
 
 /// Header options attached to a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Options {
     /// RTT-sampling timestamps.
-    pub timestamps: Option<TimestampOption>,
+    pub(crate) timestamps: Option<TimestampOption>,
     /// The end-to-end exchange or SACK blocks, whichever this segment
     /// carries.
     pub slot: Option<OptionSlot>,
     /// Application request-queue hint (client side only).
-    pub hint: Option<HintOption>,
+    pub(crate) hint: Option<HintOption>,
 }
 
 impl Options {
     /// The end-to-end exchange, if this segment carries one.
-    pub fn e2e(&self) -> Option<&E2eOption> {
+    pub(crate) fn e2e(&self) -> Option<&E2eOption> {
         match &self.slot {
             Some(OptionSlot::E2e(e2e)) => Some(e2e),
             _ => None,
@@ -196,7 +196,7 @@ impl Options {
     }
 
     /// The end-to-end exchange, mutably (fault injection garbles it).
-    pub fn e2e_mut(&mut self) -> Option<&mut E2eOption> {
+    pub(crate) fn e2e_mut(&mut self) -> Option<&mut E2eOption> {
         match &mut self.slot {
             Some(OptionSlot::E2e(e2e)) => Some(e2e),
             _ => None,
@@ -212,7 +212,7 @@ impl Options {
     }
 
     /// Wire bytes these options occupy in each packet's header.
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         let mut n = 0;
         if self.timestamps.is_some() {
             n += TIMESTAMP_OPTION_BYTES;
@@ -233,15 +233,15 @@ impl Options {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// The connection this segment belongs to.
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Sequence number of the first payload byte.
     pub seq: SeqNum,
     /// Cumulative acknowledgment (valid when `flags.ack`).
-    pub ack: SeqNum,
+    pub(crate) ack: SeqNum,
     /// Header flags.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
     /// Advertised receive window in bytes.
-    pub window: u32,
+    pub(crate) window: u32,
     /// Payload carried by this segment.
     pub payload: Payload,
     /// Absolute stream offsets (in bytes, from stream start) at which
@@ -249,7 +249,7 @@ pub struct Segment {
     /// simulator metadata standing in for the kernel marking send-call
     /// boundaries on skbs (§3.3's system-call approximation); it occupies
     /// no wire bytes.
-    pub boundaries: Vec<u64>,
+    pub(crate) boundaries: Vec<u64>,
     /// Header options.
     pub options: Options,
     /// Number of wire packets this segment represents (1 unless TSO
@@ -285,7 +285,8 @@ impl Segment {
 
     /// Sequence number one past the last byte this segment occupies
     /// (SYN and FIN each consume one sequence number).
-    pub fn end_seq(&self) -> SeqNum {
+    #[cfg(test)]
+    fn end_seq(&self) -> SeqNum {
         // Payload length is bounded by the u32 send-sequence space.
         let mut consumed = self.payload.len() as u32;
         if self.flags.syn {
@@ -299,13 +300,13 @@ impl Segment {
 
     /// Total bytes on the wire: per-packet headers (with options) plus
     /// payload.
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         (HEADER_BYTES + self.options.wire_bytes()) * self.wire_packets as usize
             + self.payload.len()
     }
 
     /// True if this is a pure acknowledgment (no payload, no SYN/FIN).
-    pub fn is_pure_ack(&self) -> bool {
+    pub(crate) fn is_pure_ack(&self) -> bool {
         self.is_empty() && self.flags.ack && !self.flags.syn && !self.flags.fin
     }
 }

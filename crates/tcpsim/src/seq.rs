@@ -27,7 +27,8 @@ impl SeqNum {
     }
 
     /// The raw 32-bit value.
-    pub const fn raw(self) -> u32 {
+    #[cfg(test)]
+    pub(crate) const fn raw(self) -> u32 {
         self.0
     }
 
@@ -44,7 +45,7 @@ impl SeqNum {
     }
 
     /// True if `self` is at or after `other`.
-    pub fn at_or_after(self, other: SeqNum) -> bool {
+    pub(crate) fn at_or_after(self, other: SeqNum) -> bool {
         !self.before(other)
     }
 

@@ -124,11 +124,11 @@ enum Charge {
 /// [`HostCtx::connect_to`]; every transmitted segment of the flow is
 /// delivered to [`other`](Self::other) end, whichever host sends it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowRoute {
+pub(crate) struct FlowRoute {
     /// The host that opened the connection.
-    pub initiator: HostId,
+    pub(crate) initiator: HostId,
     /// The host that accepted it.
-    pub acceptor: HostId,
+    pub(crate) acceptor: HostId,
 }
 
 impl FlowRoute {
@@ -138,7 +138,7 @@ impl FlowRoute {
     ///
     /// Panics when `host` is neither end of the flow.
     #[expect(clippy::panic, reason = "documented: asking a third host is a caller bug")]
-    pub fn other(&self, host: HostId) -> HostId {
+    pub(crate) fn other(&self, host: HostId) -> HostId {
         if host == self.initiator {
             self.acceptor
         } else if host == self.acceptor {
@@ -165,9 +165,9 @@ pub trait App {
 /// accounting.
 pub struct HostCtx<'a> {
     /// This host's id.
-    pub host_id: HostId,
+    pub(crate) host_id: HostId,
     /// The host (CPU contexts, sockets, NIC).
-    pub host: &'a mut Host,
+    pub(crate) host: &'a mut Host,
     /// This host's deterministic randomness stream.
     pub rng: &'a mut Pcg32,
     queue: &'a mut EventQueue<Event>,
@@ -474,7 +474,7 @@ fn apply_actions(
                     if !seg.flags.syn {
                         let decision = plan.on_transmit(link_id, a_to_b, depart);
                         if decision.drop {
-                            topology.directed_mut(link_id, a_to_b).record_drop(wire_len);
+                            topology.directed_mut(link_id, a_to_b).record_drop();
                             arrival = None;
                         } else {
                             arrival = Some(at + decision.extra_delay);

@@ -160,7 +160,7 @@ impl Actions {
     }
 
     /// True when nothing is listed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.list.is_empty()
     }
 
@@ -174,7 +174,7 @@ impl Actions {
     }
 
     /// The store of segments: every one listed or in flight.
-    pub fn segments(&self) -> &Store<Segment> {
+    pub(crate) fn segments(&self) -> &Store<Segment> {
         &self.segments
     }
 
@@ -196,7 +196,7 @@ impl Actions {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TxEnv {
     /// Packets handed to the NIC that have not yet been completed.
-    pub nic_in_flight: u32,
+    pub(crate) nic_in_flight: u32,
 }
 
 /// Everything the peer has shared with us: the latest value of each kind.
@@ -205,7 +205,7 @@ pub struct TxEnv {
 pub struct RemoteStore {
     /// The latest queue-state exchange per unit, indexed by
     /// [`Unit::index`].
-    pub exchanges: [Option<WireExchange>; 3],
+    pub(crate) exchanges: [Option<WireExchange>; 3],
     /// The latest application request-queue hint.
     pub hint: Option<WireSnapshot>,
     /// Exchanges received in total — an epoch counter: any fresh peer
@@ -238,13 +238,13 @@ pub struct SocketStats {
     /// Times the transmit path corked a partial segment.
     pub cork_holds: u64,
     /// Times TSO deferral held a window-limited sub-half-max chunk.
-    pub tso_defers: u64,
+    pub(crate) tso_defers: u64,
     /// Times the AIMD batch-limit gate held queued data.
     pub batch_limit_holds: u64,
     /// End-to-end exchanges attached to outgoing segments.
     pub exchanges_sent: u64,
     /// Hint options attached to outgoing segments.
-    pub hints_sent: u64,
+    pub(crate) hints_sent: u64,
     /// Duplicate ACKs received.
     pub dup_acks: u64,
     /// Segments retransmitted in fast recovery (the part of
@@ -331,18 +331,13 @@ impl TcpSocket {
     }
 
     /// Connection identifier.
-    pub fn flow(&self) -> FlowId {
+    pub(crate) fn flow(&self) -> FlowId {
         self.tcb.flow
     }
 
     /// Current connection state.
     pub fn state(&self) -> TcpState {
         self.tcb.state
-    }
-
-    /// Counter-state generation stamped on outgoing exchanges.
-    pub fn epoch(&self) -> u8 {
-        self.tcb.epoch
     }
 
     /// Assigns the counter-state generation (the host does this once at
@@ -360,15 +355,10 @@ impl TcpSocket {
     /// socket gets a new epoch). Counts as a change for
     /// [`estimator_stamp`](Self::estimator_stamp): whoever waits on the
     /// stamp must not sleep through the connection's death.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.estimator_stamp += 1;
         self.tcb.transition(TcbEvent::Crash);
         self.tx.reset();
-    }
-
-    /// The socket's configuration.
-    pub fn config(&self) -> &TcpConfig {
-        &self.tcb.config
     }
 
     /// The instrumented queues.
@@ -464,11 +454,6 @@ impl TcpSocket {
         &self.rx.delack
     }
 
-    /// Whether Nagle currently applies to the transmit path.
-    pub fn nagle_active(&self) -> bool {
-        self.tx.nagle_active(self.tcb.config.nagle)
-    }
-
     /// Applies one control-plane [`KnobSetting`]; returns true if socket
     /// state changed. This is the only way to move a knob at runtime: the
     /// dynamic-Nagle switch (only meaningful in
@@ -482,7 +467,7 @@ impl TcpSocket {
     /// from the switch instant on a timeout change. Callers must execute
     /// the returned actions and then re-run the transmit path so a
     /// loosened gate releases held data; `HostCtx::apply` does both.
-    pub fn apply(&mut self, now: Nanos, setting: KnobSetting, actions: &mut Actions) -> bool {
+    pub(crate) fn apply(&mut self, now: Nanos, setting: KnobSetting, actions: &mut Actions) -> bool {
         let KnobSetting::DelAck(mode) = setting else {
             return self.tx.apply(setting);
         };
@@ -496,7 +481,7 @@ impl TcpSocket {
     /// Installs the application's request-queue hint (the ancillary-data
     /// path of §3.3); it will be forwarded to the peer on the next
     /// transmit.
-    pub fn set_hint(&mut self, snapshot: Snapshot) {
+    pub(crate) fn set_hint(&mut self, snapshot: Snapshot) {
         self.tx.set_hint(snapshot);
     }
 
@@ -557,7 +542,7 @@ impl TcpSocket {
     }
 
     /// Initiates a graceful close (sends FIN once buffered data drains).
-    pub fn close(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
+    pub(crate) fn close(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
         if self.tcb.transition(TcbEvent::Close) {
             self.tx.want_fin();
             self.poll_transmit(now, env, actions);
@@ -566,7 +551,7 @@ impl TcpSocket {
 
     /// Runs the transmit path: emits as many segments as the gates
     /// (window, Nagle, cork) allow.
-    pub fn poll_transmit(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
+    pub(crate) fn poll_transmit(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
         if !matches!(
             self.tcb.state,
             TcpState::Established | TcpState::CloseWait | TcpState::FinWait1 | TcpState::LastAck
@@ -788,13 +773,13 @@ impl TcpSocket {
     /// without calling in.
     // hot-path: checked for every socket on every NIC completion
     #[inline]
-    pub fn is_corked(&self) -> bool {
+    pub(crate) fn is_corked(&self) -> bool {
         self.tx.corked
     }
 
     /// Called by the host when the NIC ring drains: corked data may now be
     /// flushed.
-    pub fn on_nic_drained(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
+    pub(crate) fn on_nic_drained(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
         if self.tx.uncork(false) {
             actions.push(Action::CancelTimer(TimerKind::Cork));
             self.poll_transmit(now, env, actions);

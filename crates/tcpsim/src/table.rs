@@ -18,26 +18,26 @@ use crate::segment::FlowId;
 
 /// A dense map from [`FlowId`] to `T`.
 #[derive(Debug, Clone, Default)]
-pub struct FlowMap<T> {
+pub(crate) struct FlowMap<T> {
     slots: Vec<Option<T>>,
 }
 
 impl<T> FlowMap<T> {
     /// Creates an empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FlowMap { slots: Vec::new() }
     }
 
     /// Looks up `flow`.
     // hot-path: runs on every segment delivery; must not allocate per call
     #[inline]
-    pub fn get(&self, flow: FlowId) -> Option<&T> {
+    pub(crate) fn get(&self, flow: FlowId) -> Option<&T> {
         self.slots.get(flow.0 as usize).and_then(Option::as_ref)
     }
 
     /// Binds `flow` to `value`, growing the table if the id is beyond the
     /// current high-water mark. Returns the previous binding, if any.
-    pub fn set(&mut self, flow: FlowId, value: T) -> Option<T> {
+    pub(crate) fn set(&mut self, flow: FlowId, value: T) -> Option<T> {
         let idx = flow.0 as usize;
         if idx >= self.slots.len() {
             self.slots.resize_with(idx + 1, || None);
@@ -47,27 +47,20 @@ impl<T> FlowMap<T> {
 
     /// Unbinds `flow`, returning its value if it was bound. The slot is
     /// kept (vacant) so the table never shrinks or reallocates.
-    pub fn remove(&mut self, flow: FlowId) -> Option<T> {
+    pub(crate) fn remove(&mut self, flow: FlowId) -> Option<T> {
         self.slots.get_mut(flow.0 as usize).and_then(Option::take)
     }
 
     /// Number of bound flows.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// True when no flows are bound.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.slots.iter().all(Option::is_none)
-    }
-
-    /// Iterates bound `(flow, value)` pairs in ascending flow order (the
-    /// same order the old `BTreeMap` iterated in).
-    pub fn iter(&self) -> impl Iterator<Item = (FlowId, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|v| (FlowId(i as u64), v)))
     }
 }
 
@@ -89,16 +82,6 @@ mod tests {
         assert_eq!(m.remove(FlowId(3)), None);
         assert_eq!(m.get(FlowId(3)), None);
         assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn iterates_in_ascending_flow_order() {
-        let mut m: FlowMap<&str> = FlowMap::new();
-        m.set(FlowId(9), "c");
-        m.set(FlowId(1), "a");
-        m.set(FlowId(4), "b");
-        let order: Vec<u64> = m.iter().map(|(f, _)| f.0).collect();
-        assert_eq!(order, vec![1, 4, 9]);
     }
 
     #[test]

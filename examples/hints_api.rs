@@ -14,7 +14,6 @@
 //! ```
 
 use e2e_apps::{run_point, NagleSetting, RunConfig, WorkloadSpec};
-use littles::Nanos;
 
 fn main() {
     println!("Cooperative estimation via create()/complete() hints\n");
@@ -44,5 +43,4 @@ fn main() {
          36-byte hint exchange carries the client's single logical request\n\
          queue, and Little's law does the rest (one division)."
     );
-    let _ = Nanos::ZERO; // keep the import obviously used in all cfgs
 }

@@ -2,9 +2,9 @@
 //!
 //! Runs one experiment point — a Lancet-style client issuing 16 KiB SETs
 //! at 40 kRPS against a Redis-like server over the simulated TCP stack —
-//! and prints measured latency next to every estimator the paper
-//! describes: byte-, packet-, and message-unit Little's-law estimates plus
-//! the application-hint estimate.
+//! and prints measured latency next to the estimators the sockets feed:
+//! byte- and message-unit Little's-law estimates plus the
+//! application-hint estimate.
 //!
 //! ```sh
 //! cargo run --release --example quickstart [rate_rps]
