@@ -970,3 +970,58 @@ impl ProxyDriver {
         self.seats[shard].recorder.mean_latency_in(from, to)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use batchpolicy::Objective;
+    use littles::Nanos;
+
+    use crate::harness::Harness;
+    use crate::runner::{NagleSetting, RunConfig};
+    use crate::tier::{ShardSetting, TierRunConfig};
+    use crate::workload::WorkloadSpec;
+
+    /// Every estimator the apps build smooths with α = 1, so each smoothed
+    /// latency is its raw latency, bit for bit: a client's recorders and
+    /// plane seat, the listener seat, and every proxy seat. Nothing here
+    /// keeps per-tick smoothing state that a skipped tick could miss.
+    #[test]
+    fn every_smoothed_latency_is_the_raw_latency() {
+        let plane = NagleSetting::Plane { objective: Objective::MinLatency, delack: true, cork: true };
+        let star = RunConfig {
+            num_clients: 4,
+            warmup: Nanos::from_millis(30),
+            measure: Nanos::from_millis(60),
+            ..RunConfig::new(WorkloadSpec::fig4b(20_000.0), plane)
+        };
+        let mut star = Harness::star(&star).run();
+        for client in &mut star.world.clients {
+            let seat = client.plane.as_mut().map(|p| &mut p.recorder);
+            for rec in client.recorders.iter_mut().chain(seat) {
+                let est = rec.latest().expect("a client recorder estimated");
+                assert_eq!(est.smoothed_latency, est.latency);
+            }
+        }
+        let listener = &star.world.server.plane.as_ref().expect("a listener seat").recorder;
+        assert!(!listener.series.is_empty(), "the listener seat logged nothing");
+        for logged in &listener.series {
+            assert_eq!(logged.smoothed_latency, logged.latency, "listener at {}", logged.at);
+        }
+
+        let adaptive = ShardSetting::Adaptive { objective: Objective::MinLatency };
+        let mut tier = TierRunConfig::shard(WorkloadSpec::shard(8_000.0), adaptive);
+        tier.num_clients = 2;
+        tier.num_shards = 2;
+        tier.warmup = Nanos::from_millis(30);
+        tier.measure = Nanos::from_millis(60);
+        let tier = Harness::tier(&tier).run();
+        let proxy = tier.world.proxy.driver.as_ref().expect("proxy seats");
+        for shard in 0..proxy.num_shards() {
+            let series = proxy.shard_series(shard);
+            assert!(!series.is_empty(), "shard {shard}'s seat logged nothing");
+            for logged in series {
+                assert_eq!(logged.smoothed_latency, logged.latency, "shard {shard} at {}", logged.at);
+            }
+        }
+    }
+}

@@ -538,7 +538,7 @@ pub fn adversary_arms(
 ) -> [RunConfig; 4] {
     let fault = class.fault_at(intensity);
     let off = RunConfig {
-        validate: Some(ValidateConfig::default()),
+        validate: Some(ValidateConfig),
         ..faulted_off(fault, num_clients, rate_rps, window, seed)
     };
     let on = RunConfig {

@@ -17,7 +17,9 @@
 
 use batchpolicy::{BreakerConfig, RetryConfig};
 use littles::Nanos;
-use simnet::{FaultConfig, RestartSchedule, ShardBrownout, ShardFaultPlan, WindowSchedule};
+use simnet::{
+    FaultConfig, RestartSchedule, ShardBrownout, ShardCrash, ShardFaultPlan, WindowSchedule,
+};
 
 use crate::proxy::Resilience;
 use crate::tier::TierRunConfig;
@@ -135,15 +137,16 @@ impl TierRunConfig {
             };
         };
         let shard = match scenario {
-            // One decisive crash a quarter into the measurement window,
-            // pinned to the hot shard (pinned victims draw nothing from the
-            // crash stream, keeping the cell replayable by inspection).
+            // One decisive crash of the hot shard a quarter into the
+            // measurement window.
             FailoverScenario::CrashHot => ShardFaultPlan {
-                crash: Some(RestartSchedule {
-                    first_at: self.warmup + Nanos::from_nanos(self.measure.as_nanos() / 4),
-                    period: Nanos::ZERO,
+                crash: Some(ShardCrash {
+                    shard: hot_shard,
+                    schedule: RestartSchedule {
+                        first_at: self.warmup + Nanos::from_nanos(self.measure.as_nanos() / 4),
+                        period: Nanos::ZERO,
+                    },
                 }),
-                crash_target: Some(hot_shard),
                 ..ShardFaultPlan::default()
             },
             // Periodic 4 ms app-thread stalls at 25% duty cycle on a cold
@@ -269,8 +272,8 @@ mod tests {
         assert_eq!(a.shard_crashes, 1, "the shard fault still fires");
         assert!(a.endpoint_restarts > 0, "the client fault still fires");
         assert!(a.samples > 500, "clients keep measuring through both");
-        // Composing the two chaos kinds stays deterministic: each draws
-        // from its own named stream.
+        // Composing the two chaos kinds stays deterministic: only the
+        // restarts draw, from their own named stream.
         let b = run_tier_point(&cfg);
         assert_eq!(a.events, b.events);
         assert_eq!(a.measured_p99, b.measured_p99);

@@ -565,7 +565,7 @@ impl Harness<Tier, (TierRunConfig, usize)> {
         // registry must resynchronize rather than difference counters across
         // the wipe.
         let driver =
-            ProxyDriver::new(Unit::Bytes, controllers).with_validation(ValidateConfig::default());
+            ProxyDriver::new(Unit::Bytes, controllers).with_validation(ValidateConfig);
 
         let (client_hosts, proxy_host, shard_hosts) = tier_hosts(n, k, &cfg.profile, edge_tcp);
         let shard_ids = shard_hosts.iter().map(|h| h.id).collect();

@@ -36,9 +36,6 @@ const DEDUP_WINDOW: usize = 4096;
 )]
 pub struct KvStore {
     map: HashMap<Payload, Payload>,
-    sets: u64,
-    gets: u64,
-    hits: u64,
     /// Applied tagged-SET ids, membership set + FIFO eviction order.
     seen: HashSet<u64>,
     seen_order: VecDeque<u64>,
@@ -77,11 +74,10 @@ impl KvStore {
                 if let Some(id) = id {
                     if self.already_applied(id) {
                         // Duplicate delivery of an already-applied write:
-                        // acknowledge without mutating (or re-counting).
+                        // acknowledge without mutating.
                         return Response::Ok;
                     }
                 }
-                self.sets += 1;
                 match self.map.get_mut(&key) {
                     Some(stored) => *stored = value,
                     None => {
@@ -93,12 +89,8 @@ impl KvStore {
             Command::Get { key, id: _ } => {
                 // Reads are naturally idempotent; re-executing a duplicate
                 // GET is harmless and keeps the response fresh.
-                self.gets += 1;
                 match self.map.get(&key) {
-                    Some(v) => {
-                        self.hits += 1;
-                        Response::Value(v.clone())
-                    }
+                    Some(v) => Response::Value(v.clone()),
                     None => Response::Nil,
                 }
             }
@@ -109,24 +101,6 @@ impl KvStore {
     #[cfg(test)]
     fn len(&self) -> usize {
         self.map.len()
-    }
-
-    /// SETs executed.
-    #[cfg(test)]
-    fn sets(&self) -> u64 {
-        self.sets
-    }
-
-    /// GETs executed.
-    #[cfg(test)]
-    fn gets(&self) -> u64 {
-        self.gets
-    }
-
-    /// GET hits.
-    #[cfg(test)]
-    fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Duplicate tagged SETs suppressed by the idempotency window.
@@ -157,7 +131,6 @@ mod tests {
             }),
             Response::Value(Payload::from_static(b"1"))
         );
-        assert_eq!(kv.hits(), 1);
     }
 
     #[test]
@@ -170,8 +143,7 @@ mod tests {
             }),
             Response::Nil
         );
-        assert_eq!(kv.gets(), 1);
-        assert_eq!(kv.hits(), 0);
+        assert_eq!(kv.len(), 0, "a missed GET stores nothing");
     }
 
     #[test]
@@ -227,58 +199,45 @@ mod tests {
     #[test]
     fn tagged_set_applies_exactly_once() {
         let mut kv = KvStore::new();
-        let set = |v: &'static [u8]| Command::Set {
+        let set = |v: &'static [u8], id| Command::Set {
             key: Payload::from_static(b"k"),
             value: Payload::from_static(v),
-            id: Some(42),
+            id: Some(id),
         };
-        assert_eq!(kv.execute(set(b"first")), Response::Ok);
+        let get = || Command::Get { key: Payload::from_static(b"k"), id: None };
+        assert_eq!(kv.execute(set(b"first", 42)), Response::Ok);
         // A retry or hedge duplicate: acknowledged, never re-applied —
         // even if the duplicate carries different bytes.
-        assert_eq!(kv.execute(set(b"dup")), Response::Ok);
-        assert_eq!(kv.sets(), 1);
+        assert_eq!(kv.execute(set(b"dup", 42)), Response::Ok);
         assert_eq!(kv.dedup_hits(), 1);
-        assert_eq!(
-            kv.execute(Command::Get {
-                key: Payload::from_static(b"k"),
-                id: None,
-            }),
-            Response::Value(Payload::from_static(b"first"))
-        );
+        assert_eq!(kv.execute(get()), Response::Value(Payload::from_static(b"first")));
         // A different id is a different request.
-        assert_eq!(
-            kv.execute(Command::Set {
-                key: Payload::from_static(b"k"),
-                value: Payload::from_static(b"second"),
-                id: Some(43),
-            }),
-            Response::Ok
-        );
-        assert_eq!(kv.sets(), 2);
+        assert_eq!(kv.execute(set(b"second", 43)), Response::Ok);
+        assert_eq!(kv.execute(get()), Response::Value(Payload::from_static(b"second")));
     }
 
     #[test]
     fn untagged_sets_bypass_the_window_and_duplicate_gets_are_safe() {
         let mut kv = KvStore::new();
-        for _ in 0..3 {
+        // Each untagged SET applies: the last value wins.
+        for v in [b"v1", b"v2", b"v3"] {
             kv.execute(Command::Set {
                 key: Payload::from_static(b"k"),
-                value: Payload::from_static(b"v"),
+                value: Payload::from_static(v),
                 id: None,
             });
         }
-        assert_eq!(kv.sets(), 3);
         assert_eq!(kv.dedup_hits(), 0);
+        // A duplicate GET executes again and answers again.
         for _ in 0..2 {
             assert_eq!(
                 kv.execute(Command::Get {
                     key: Payload::from_static(b"k"),
                     id: Some(7),
                 }),
-                Response::Value(Payload::from_static(b"v"))
+                Response::Value(Payload::from_static(b"v3"))
             );
         }
-        assert_eq!(kv.gets(), 2);
     }
 
     #[test]

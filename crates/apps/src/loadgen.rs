@@ -51,6 +51,9 @@ const TICK: u64 = token(3, 0);
 const FLUSH: u64 = token(4, 0);
 const RECONNECT: u64 = token(5, 0);
 
+/// Delay between a `Reset` wake and the reconnect attempt.
+const RECONNECT_BACKOFF: Nanos = Nanos::from_millis(1);
+
 /// A skewed key-selection pool: draws from a small *hot* set of key
 /// indices with probability `hot_fraction`, from the *cold* remainder
 /// otherwise. Used by the sharded-proxy experiments to concentrate load
@@ -120,8 +123,6 @@ pub struct LancetClient {
     pub ticks_run: u64,
     /// Tick instants slept through while parked and booked afterwards.
     pub(crate) ticks_skipped: u64,
-    /// Delay between a `Reset` wake and the reconnect attempt.
-    reconnect_backoff: Nanos,
     /// Number of `Reset` wakes observed (crash/restart fault injections).
     pub restarts_seen: u64,
     /// Parser, wake latches and write backlog of the current connection.
@@ -177,7 +178,6 @@ impl LancetClient {
             parked_at: None,
             ticks_run: 0,
             ticks_skipped: 0,
-            reconnect_backoff: Nanos::from_millis(1),
             restarts_seen: 0,
             conn: Conn::default(),
             pending: VecDeque::new(),
@@ -418,7 +418,7 @@ impl App for LancetClient {
                 self.pending.clear();
                 self.conn = Conn::default();
                 self.sock = None;
-                ctx.call_after(self.reconnect_backoff, RECONNECT);
+                ctx.call_after(RECONNECT_BACKOFF, RECONNECT);
             }
         }
     }

@@ -59,6 +59,12 @@ const KIND_RECONNECT: u64 = 7;
 /// Deadline/hedge scan (resilient proxies only; idx unused).
 const KIND_SCAN: u64 = 8;
 
+/// The cadence of the estimation tick (the per-shard planes).
+const TICK_PERIOD: Nanos = Nanos::from_micros(500);
+/// Deadline/hedge scan cadence. Much finer than the estimation tick: a
+/// hedge fired one tick late is a hedge that loses to the deadline.
+const SCAN_PERIOD: Nanos = Nanos::from_micros(100);
+
 /// Virtual nodes per shard on the hash ring. Enough to spread each
 /// shard's arcs well; small enough that ring construction stays trivial.
 const VNODES: usize = 64;
@@ -298,10 +304,6 @@ pub struct ProxyApp {
     upstream_config: TcpConfig,
     shard_hosts: Vec<HostId>,
     router: ShardRouter,
-    tick_period: Nanos,
-    /// Deadline/hedge scan cadence. Much finer than the estimation tick:
-    /// a hedge fired one tick late is a hedge that loses to the deadline.
-    scan_period: Nanos,
     /// Client-facing connections by socket, entered on first use.
     conns: BTreeMap<usize, Conn>,
     /// Upstream state, indexed by shard.
@@ -356,8 +358,6 @@ impl ProxyApp {
             upstream_config,
             shard_hosts,
             router,
-            tick_period: Nanos::from_micros(500),
-            scan_period: Nanos::from_micros(100),
             conns: BTreeMap::new(),
             ups: Vec::new(),
             up_by_sock: BTreeMap::new(),
@@ -589,7 +589,7 @@ impl ProxyApp {
             }
             self.driver = Some(driver);
         }
-        ctx.call_after(self.tick_period, token(KIND_TICK, 0));
+        ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
     }
 
     /// Runs on its own fine-grained cadence (resilient proxies only):
@@ -859,9 +859,9 @@ impl App for ProxyApp {
                 reconnect_attempts: 0,
             });
         }
-        ctx.call_after(self.tick_period, token(KIND_TICK, 0));
+        ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
         if self.defense.is_some() {
-            ctx.call_after(self.scan_period, token(KIND_SCAN, 0));
+            ctx.call_after(SCAN_PERIOD, token(KIND_SCAN, 0));
         }
     }
 
@@ -917,7 +917,7 @@ impl App for ProxyApp {
             KIND_TICK => self.tick(ctx),
             KIND_SCAN => {
                 self.scan_deadlines(ctx);
-                ctx.call_after(self.scan_period, token(KIND_SCAN, 0));
+                ctx.call_after(SCAN_PERIOD, token(KIND_SCAN, 0));
             }
             KIND_RETRY => self.do_retry(ctx, idx as u64),
             KIND_RECONNECT => self.reconnect_upstream(ctx, idx),

@@ -19,7 +19,6 @@
 use std::collections::BTreeMap;
 
 use littles::Nanos;
-use simnet::Histogram;
 use tcpsim::{App, HostCtx, SocketId, WakeReason};
 
 use crate::conn::{token, untoken, Conn};
@@ -33,15 +32,14 @@ const KIND_PROCESS: u64 = 1;
 const KIND_TICK: u64 = 2;
 const KIND_FLUSH: u64 = 3;
 
+/// The cadence of the tick that drives the plane and the hint recorders.
+const TICK_PERIOD: Nanos = Nanos::from_micros(500);
+
 /// Per-run server statistics.
 #[derive(Debug, Default, Clone)]
 pub struct ServerStats {
     /// Requests executed.
     pub requests: u64,
-    /// Processing passes (app wakeup batches).
-    pub(crate) batches: u64,
-    /// Largest number of requests handled in one pass.
-    pub(crate) max_batch: u64,
 }
 
 /// The Redis-like server application.
@@ -55,8 +53,6 @@ pub struct RedisServer {
     /// alongside the map so a tick does not rebuild it; like the map it
     /// only grows (a reset connection keeps its entry and its socket).
     socks: Vec<SocketId>,
-    /// Request-batch size distribution (requests per processing pass).
-    pub(crate) batch_hist: Histogram,
     /// Aggregate statistics.
     pub stats: ServerStats,
     /// Optional listener-wide control plane: one aggregate decision per
@@ -67,7 +63,6 @@ pub struct RedisServer {
     /// one recorder per entry of `socks`, at the same index.
     hint_recorders: Vec<HintRecorder>,
     hints_enabled: bool,
-    tick_period: Nanos,
 }
 
 impl RedisServer {
@@ -78,12 +73,10 @@ impl RedisServer {
             kv: KvStore::new(),
             conns: BTreeMap::new(),
             socks: Vec::new(),
-            batch_hist: Histogram::new(),
             stats: ServerStats::default(),
             plane: None,
             hint_recorders: Vec::new(),
             hints_enabled: false,
-            tick_period: Nanos::from_micros(500),
         }
     }
 
@@ -144,9 +137,6 @@ impl RedisServer {
             // The per-pass cost β (charged once, amortized over the batch).
             ctx.charge_app(self.costs.server_batch_base);
             self.stats.requests += batch;
-            self.stats.batches += 1;
-            self.stats.max_batch = self.stats.max_batch.max(batch);
-            self.batch_hist.record(Nanos::from_nanos(batch));
         }
     }
 }
@@ -154,7 +144,7 @@ impl RedisServer {
 impl App for RedisServer {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         if self.plane.is_some() || self.hints_enabled {
-            ctx.call_after(self.tick_period, token(KIND_TICK, 0));
+            ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
         }
     }
 
@@ -185,7 +175,7 @@ impl App for RedisServer {
                     // one per connection.
                     plane.tick(ctx, &self.socks);
                 }
-                ctx.call_after(self.tick_period, token(KIND_TICK, 0));
+                ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
             }
             other => panic!("unknown server token kind {other}"),
         }

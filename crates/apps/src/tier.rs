@@ -83,9 +83,9 @@ pub struct TierRunConfig {
     /// Fraction of requests drawing keys owned by the hot shard.
     pub hot_fraction: f64,
     /// Optional client-endpoint restart chaos, layered on top of the
-    /// scenario's shard faults. Restart victims draw from `fault.restart`,
-    /// shard-crash victims from `fault.shard_crash` — composing the two
-    /// shifts neither stream.
+    /// scenario's shard faults. Restart victims draw from `fault.restart`;
+    /// a shard crash names its shard and draws nothing, so composing the
+    /// two shifts no stream.
     pub client_restart: Option<RestartSchedule>,
     /// The key-skew stream, forked once per client so the draws never
     /// perturb arrival/value RNG sequences. Each grid names its own

@@ -24,7 +24,8 @@ use e2e_apps::proxy::{ProxyApp, Resilience, ShardRouter};
 use e2e_apps::{CostProfile, RedisServer, WorkloadSpec};
 use littles::Nanos;
 use simnet::{
-    run, EventQueue, FaultConfig, Histogram, LinkConfig, Pcg32, RestartSchedule, ShardFaultPlan,
+    run, EventQueue, FaultConfig, Histogram, LinkConfig, Pcg32, RestartSchedule, ShardCrash,
+    ShardFaultPlan,
 };
 use tcpsim::{NetSim, TcpConfig, TierSim};
 
@@ -137,11 +138,13 @@ fn tier(rate_rps: f64) -> String {
     let shards = (0..k).map(|_| RedisServer::new(profile.app)).collect();
     let fault = FaultConfig {
         shard: ShardFaultPlan {
-            crash: Some(RestartSchedule {
-                first_at: Nanos::from_millis(12),
-                period: Nanos::ZERO,
+            crash: Some(ShardCrash {
+                shard: 0,
+                schedule: RestartSchedule {
+                    first_at: Nanos::from_millis(12),
+                    period: Nanos::ZERO,
+                },
             }),
-            crash_target: Some(0),
             ..ShardFaultPlan::default()
         },
         ..FaultConfig::default()

@@ -48,7 +48,7 @@ impl Reference {
             estimator = estimator.with_staleness_bound(bound);
         }
         if validate {
-            estimator = estimator.with_validation(ValidateConfig::default());
+            estimator = estimator.with_validation(ValidateConfig);
         }
         Reference {
             unit,
@@ -135,7 +135,7 @@ impl Pair {
             deferred = deferred.with_staleness_bound(bound);
         }
         if validate {
-            deferred = deferred.with_validation(ValidateConfig::default());
+            deferred = deferred.with_validation(ValidateConfig);
         }
         Pair {
             deferred,

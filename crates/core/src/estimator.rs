@@ -692,7 +692,7 @@ mod tests {
         use crate::validate::ValidateConfig;
         let (locals, remotes) = synthetic_run();
         let mut est = E2eEstimator::new(WireScale::UNSCALED, 1.0)
-            .with_validation(ValidateConfig::default());
+            .with_validation(ValidateConfig);
         est.update(Nanos::from_micros(100), locals[0], Some(remotes[0]));
         let good = est
             .update(Nanos::from_micros(200), locals[1], Some(remotes[1]))
@@ -730,7 +730,7 @@ mod tests {
         let us = Nanos::from_micros;
         let (locals, remotes) = synthetic_run();
         let mut est = E2eEstimator::new(WireScale::UNSCALED, 1.0)
-            .with_validation(ValidateConfig::default());
+            .with_validation(ValidateConfig);
         est.update(us(100), locals[0], Some(remotes[0]));
         est.update(us(200), locals[1], Some(remotes[1])).unwrap();
 
@@ -868,7 +868,7 @@ mod tests {
     fn skip_refuses_a_pending_reject_and_an_unsettled_smoother() {
         let (_, remotes) = synthetic_run();
         let validated = E2eEstimator::new(WireScale::UNSCALED, 1.0)
-            .with_validation(ValidateConfig::default());
+            .with_validation(ValidateConfig);
         let (est, from, local) = gone_quiet(validated);
         // A garbled exchange stays on offer: every tick re-rejects it.
         let mut garbled = remotes[10];

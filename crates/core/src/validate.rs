@@ -40,41 +40,30 @@ use littles::Nanos;
 
 use crate::combine::EndpointWindows;
 
-/// Bounds for peer-state plausibility checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ValidateConfig {
-    /// Multiplier applied to the locally observed reference rate when
-    /// bounding a remote queue's `Δtotal/Δtime`.
-    pub(crate) rate_factor: f64,
-    /// Absolute rate slack (items/second) added to the reference before
-    /// multiplying, so idle or just-started connections aren't rejected on
-    /// a zero reference.
-    pub(crate) rate_floor: f64,
-    /// Multiplier on the locally measured SRTT bounding each remote
-    /// queue's implied Little's-law delay.
-    pub(crate) delay_srtt_factor: f64,
-    /// SRTT floor used in the delay bound (guards against a tiny or
-    /// not-yet-measured SRTT rejecting legitimate queueing delay).
-    pub(crate) delay_srtt_floor: Nanos,
-    /// Maximum plausible average occupancy over one remote window, items.
-    pub(crate) max_occupancy: f64,
-    /// Maximum plausible gap between two exchanges of one epoch; a larger
-    /// forward jump of the wire clock is treated as a garbled time field.
-    pub(crate) max_gap: Nanos,
-}
+/// Multiplier applied to the locally observed reference rate when bounding
+/// a remote queue's `Δtotal/Δtime`.
+const RATE_FACTOR: f64 = 8.0;
+/// Absolute rate slack (items/second) added to the reference before
+/// multiplying, so idle or just-started connections aren't rejected on a
+/// zero reference.
+const RATE_FLOOR: f64 = 1_000_000.0;
+/// Multiplier on the locally measured SRTT bounding each remote queue's
+/// implied Little's-law delay.
+const DELAY_SRTT_FACTOR: f64 = 64.0;
+/// SRTT floor used in the delay bound (guards against a tiny or
+/// not-yet-measured SRTT rejecting legitimate queueing delay).
+const DELAY_SRTT_FLOOR: Nanos = Nanos::from_millis(1);
+/// Maximum plausible average occupancy over one remote window, items.
+const MAX_OCCUPANCY: f64 = 1e8;
+/// Maximum plausible gap between two exchanges of one epoch; a larger
+/// forward jump of the wire clock is treated as a garbled time field.
+const MAX_GAP: Nanos = Nanos::from_secs(60);
 
-impl Default for ValidateConfig {
-    fn default() -> Self {
-        ValidateConfig {
-            rate_factor: 8.0,
-            rate_floor: 1_000_000.0,
-            delay_srtt_factor: 64.0,
-            delay_srtt_floor: Nanos::from_millis(1),
-            max_occupancy: 1e8,
-            max_gap: Nanos::from_secs(60),
-        }
-    }
-}
+/// Switches peer-state plausibility validation on where it is passed (an
+/// estimator, a registry, a driver). The bounds an [`ExchangeValidator`]
+/// checks are fixed constants of this module, so there is nothing to set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ValidateConfig;
 
 /// Why an exchange was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +139,6 @@ pub struct ValidateCtx {
 /// Stateful plausibility checker for one connection's exchange stream.
 #[derive(Debug, Clone)]
 pub struct ExchangeValidator {
-    config: ValidateConfig,
     stats: ValidateStats,
     /// Consecutive rejections since the last accepted exchange (drives the
     /// confidence demotion).
@@ -158,10 +146,9 @@ pub struct ExchangeValidator {
 }
 
 impl ExchangeValidator {
-    /// Creates a validator with the given bounds.
-    pub fn new(config: ValidateConfig) -> Self {
+    /// Creates a validator (its bounds are this module's constants).
+    pub fn new(_: ValidateConfig) -> Self {
         ExchangeValidator {
-            config,
             stats: ValidateStats::default(),
             consecutive: 0,
         }
@@ -237,7 +224,7 @@ impl ExchangeValidator {
             return Err(RejectReason::Time);
         }
         let dt = Nanos::from_nanos((dt_scaled as u64) << scale.time_shift);
-        if dt > self.config.max_gap {
+        if dt > MAX_GAP {
             return Err(RejectReason::Time);
         }
 
@@ -250,8 +237,7 @@ impl ExchangeValidator {
             Some(w) => (w.unacked.throughput(), w.unread.throughput()),
             None => (0.0, 0.0),
         };
-        let bound =
-            |reference: f64| self.config.rate_factor * (reference + self.config.rate_floor);
+        let bound = |reference: f64| RATE_FACTOR * (reference + RATE_FLOOR);
         let windows = EndpointWindows::between_wire(prev, cur, scale);
         let references = [
             (cur.unacked, prev.unacked, local_rx_rate),
@@ -263,7 +249,7 @@ impl ExchangeValidator {
                 if w.throughput() > bound(reference) {
                     return Err(RejectReason::Throughput);
                 }
-                if w.avg_occupancy() > self.config.max_occupancy {
+                if w.avg_occupancy() > MAX_OCCUPANCY {
                     return Err(RejectReason::Occupancy);
                 }
             }
@@ -274,12 +260,8 @@ impl ExchangeValidator {
         // congestion. (Checked on the combined windows so the idle/stalled
         // fallbacks match what the estimator would consume.)
         if let Some(w) = windows {
-            let srtt = ctx
-                .srtt
-                .unwrap_or(self.config.delay_srtt_floor)
-                .max(self.config.delay_srtt_floor);
-            let max_delay =
-                Nanos::from_nanos((srtt.as_nanos() as f64 * self.config.delay_srtt_factor) as u64);
+            let srtt = ctx.srtt.unwrap_or(DELAY_SRTT_FLOOR).max(DELAY_SRTT_FLOOR);
+            let max_delay = Nanos::from_nanos((srtt.as_nanos() as f64 * DELAY_SRTT_FACTOR) as u64);
             for q in [w.unacked, w.unread, w.ackdelay] {
                 if q.delay() > max_delay {
                     return Err(RejectReason::Delay);
@@ -331,7 +313,7 @@ mod tests {
 
     #[test]
     fn plausible_window_is_accepted() {
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let scale = WireScale::UNSCALED;
         let prev = exchange(1_000, 100, 10_000, 1);
         let cur = exchange(501_000, 150, 20_000, 1);
@@ -344,7 +326,7 @@ mod tests {
 
     #[test]
     fn epoch_change_is_resync_not_rejection() {
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let prev = exchange(900_000, 5_000, 900_000, 1);
         // Counters restarted from (near) zero under a new generation tag —
         // exactly what an endpoint restart produces.
@@ -359,7 +341,7 @@ mod tests {
     fn same_counters_without_epoch_are_rejected_as_time_regression() {
         // The blind spot the epoch fixes: counters reset *without* a tag
         // change look like a clock regression and must not form a window.
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let prev = exchange(900_000, 5_000, 900_000, 1);
         let cur = exchange(1_000, 3, 10, 1);
         let verdict = v.admit(&prev, &cur, WireScale::UNSCALED, &ValidateCtx::default());
@@ -368,7 +350,7 @@ mod tests {
 
     #[test]
     fn garbled_time_field_is_rejected() {
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let prev = exchange(1_000, 100, 10_000, 1);
         let mut cur = exchange(501_000, 150, 20_000, 1);
         cur.unread.time ^= 0x4000_0000; // one flipped bit in one stamp
@@ -379,7 +361,7 @@ mod tests {
 
     #[test]
     fn implausible_throughput_is_rejected() {
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let prev = exchange(1_000, 100, 10_000, 1);
         // A flipped high bit in `total`: a ~2³⁰-item delta over 500 µs.
         let mut cur = exchange(501_000, 150, 20_000, 1);
@@ -391,7 +373,7 @@ mod tests {
 
     #[test]
     fn implausible_integral_is_rejected() {
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let scale = WireScale::default();
         let prev = exchange(1_000, 100, 10, 1);
         let mut cur = exchange(1_500, 150, 12, 1);
@@ -410,7 +392,7 @@ mod tests {
 
     #[test]
     fn consecutive_rejections_demote_confidence_until_acceptance() {
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let prev = exchange(1_000, 100, 10_000, 1);
         let mut bad = exchange(501_000, 150, 20_000, 1);
         bad.unacked.time = Wrapping(0); // disagrees with the other stamps
@@ -430,7 +412,7 @@ mod tests {
     fn wire_time_wrap_is_not_a_regression() {
         // Validation must survive the ~73-minute u32 time wrap: a window
         // crossing the wrap point is forward, not regressed.
-        let mut v = ExchangeValidator::new(ValidateConfig::default());
+        let mut v = ExchangeValidator::new(ValidateConfig);
         let scale = WireScale::default();
         let prev = exchange(u32::MAX - 100, 1_000, 50, 1);
         let cur = exchange(400, 1_050, 60, 1);

@@ -18,7 +18,6 @@ pub struct TickController<T> {
     inner: T,
     period: Nanos,
     last_decision: Option<Nanos>,
-    decisions: u64,
 }
 
 impl<T: BatchToggler> TickController<T> {
@@ -35,7 +34,6 @@ impl<T: BatchToggler> TickController<T> {
             inner,
             period,
             last_decision: None,
-            decisions: 0,
         }
     }
 
@@ -49,17 +47,10 @@ impl<T: BatchToggler> TickController<T> {
         };
         if due {
             self.last_decision = Some(now);
-            self.decisions += 1;
             self.inner.decide(estimate)
         } else {
             self.inner.current()
         }
-    }
-
-    /// Decisions actually taken.
-    #[cfg(test)]
-    fn decisions(&self) -> u64 {
-        self.decisions
     }
 
     /// The wrapped toggler.
@@ -74,6 +65,23 @@ mod tests {
     use crate::objective::Objective;
     use crate::toggler::EpsilonGreedy;
     use e2e_core::DelaySet;
+
+    /// Counts the decisions it is asked for.
+    #[derive(Default)]
+    struct Counting {
+        decisions: u64,
+    }
+
+    impl BatchToggler for Counting {
+        fn decide(&mut self, _estimate: &Estimate) -> bool {
+            self.decisions += 1;
+            false
+        }
+
+        fn current(&self) -> bool {
+            false
+        }
+    }
 
     fn est(latency_us: u64) -> Estimate {
         Estimate {
@@ -91,16 +99,15 @@ mod tests {
 
     #[test]
     fn decides_once_per_period() {
-        let inner = EpsilonGreedy::new(Objective::MinLatency, 0.0, 1, 1.0, 1);
-        let mut c = TickController::new(inner, Nanos::from_millis(1));
+        let mut c = TickController::new(Counting::default(), Nanos::from_millis(1));
         // 10 offers spread over 500 µs: only the first decides.
         for i in 0..10u64 {
             c.offer(Nanos::from_micros(i * 50), &est(100));
         }
-        assert_eq!(c.decisions(), 1);
+        assert_eq!(c.inner().decisions, 1);
         // Next offer past the period decides again.
         c.offer(Nanos::from_micros(1_100), &est(100));
-        assert_eq!(c.decisions(), 2);
+        assert_eq!(c.inner().decisions, 2);
     }
 
     #[test]

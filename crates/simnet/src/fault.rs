@@ -27,9 +27,9 @@
 //!   reconnects after a backoff, and the estimator must resynchronize via
 //!   the exchange's epoch tag.
 //! * **Shard faults** — tier-aware chaos for the two-tier topology
-//!   ([`ShardFaultPlan`]): scheduled shard crash/restarts (both ends of
-//!   every proxy↔shard connection lose their socket state), slow-shard
-//!   CPU brownouts, and back-leg blackouts confined to one shard link.
+//!   ([`ShardFaultPlan`]): scheduled crash/restarts of one named shard
+//!   (both ends of every proxy↔shard connection lose their socket state)
+//!   and slow-shard CPU brownouts, both schedule-driven and RNG-free.
 //!
 //! Every random fault class draws from its own *named* PCG stream
 //! ([`Pcg32::stream`]), so enabling one class never shifts another class's
@@ -154,27 +154,29 @@ pub struct ShardBrownout {
     pub windows: WindowSchedule,
 }
 
-/// Tier-aware shard faults for the two-tier topology: deterministic shard
-/// crash/restart schedules and slow-shard CPU brownouts. The default
-/// (everything `None`) consumes zero RNG draws and leaves runs
-/// bit-identical to the shard goldens recorded before this plan existed.
-///
-/// Crash timing rides on a [`RestartSchedule`]; which shard dies is either
-/// pinned (`crash_target`, fully deterministic, zero draws) or drawn from
-/// the dedicated `fault.shard_crash` stream — never from `fault.restart`,
-/// so shard chaos composes with client-endpoint restart chaos without
-/// shifting either stream. Brownouts are purely schedule-driven and exempt
-/// from the named-stream accounting, like every other [`WindowSchedule`]
-/// fault.
+/// Scheduled crashes of one shard: its socket state is lost on both ends
+/// of every proxy↔shard connection, and the proxy is woken with `Reset`
+/// and must re-establish the connection.
+#[derive(Debug, Clone, Copy)]
+pub struct ShardCrash {
+    /// Which shard (tier-local index `0..k`, checked in range when the
+    /// plan is installed) crashes, every time.
+    pub shard: usize,
+    /// When it crashes.
+    pub schedule: RestartSchedule,
+}
+
+/// Tier-aware shard faults for the two-tier topology: a scheduled crash of
+/// one named shard and slow-shard CPU brownouts. Both name their shard and
+/// are purely schedule-driven, so neither draws from any RNG stream, and
+/// shard chaos composes with client-endpoint restart chaos without
+/// shifting the `fault.restart` stream. The default (everything `None`)
+/// leaves runs bit-identical to the shard goldens recorded before this
+/// plan existed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardFaultPlan {
-    /// Scheduled shard crashes (socket state lost on both ends; the proxy
-    /// is woken with `Reset` and must re-establish the connection).
-    pub crash: Option<RestartSchedule>,
-    /// Pin every crash to this shard (tier-local index, checked in range
-    /// when the plan is installed). `None` draws the victim from the
-    /// `fault.shard_crash` stream per fired crash.
-    pub crash_target: Option<usize>,
+    /// Scheduled crashes of one shard.
+    pub crash: Option<ShardCrash>,
     /// Slow-shard CPU brownout windows.
     pub brownout: Option<ShardBrownout>,
 }
@@ -354,7 +356,6 @@ pub struct FaultPlan {
     jitter_rng: Pcg32,
     corrupt_rng: Pcg32,
     restart_rng: Pcg32,
-    shard_crash_rng: Pcg32,
     ge_bad: Vec<bool>,
     counters: Vec<FaultCounters>,
     restarts: u64,
@@ -372,7 +373,6 @@ impl FaultPlan {
             jitter_rng: Pcg32::stream(seed, Stream::FaultJitter),
             corrupt_rng: Pcg32::stream(seed, Stream::FaultCorrupt),
             restart_rng: Pcg32::stream(seed, Stream::FaultRestart),
-            shard_crash_rng: Pcg32::stream(seed, Stream::FaultShardCrash),
             ge_bad: vec![false; 2 * num_links],
             counters: vec![FaultCounters::default(); 2 * num_links],
             restarts: 0,
@@ -492,17 +492,13 @@ impl FaultPlan {
         self.restarts
     }
 
-    /// Picks which of `num_shards` shards crashes for one scheduled shard
-    /// crash, and counts it. A pinned [`ShardFaultPlan::crash_target`] is
-    /// returned as is (the installer checks it is in range) and draws
-    /// nothing; otherwise exactly one value comes from the
-    /// `fault.shard_crash` stream per fired crash.
-    pub fn pick_shard_crash_target(&mut self, num_shards: usize) -> usize {
+    /// Counts one fired shard crash and returns the plan's
+    /// [`ShardCrash`] (its shard was checked in range at install); `None`
+    /// when the plan schedules none. Draws nothing.
+    pub fn fire_shard_crash(&mut self) -> Option<ShardCrash> {
+        let crash = self.config.shard.crash?;
         self.shard_crashes += 1;
-        match self.config.shard.crash_target {
-            Some(t) => t,
-            None => self.shard_crash_rng.gen_range(num_shards.max(1) as u64) as usize,
-        }
+        Some(crash)
     }
 
     /// Shard crash events fired so far.
@@ -543,7 +539,6 @@ mod tests {
             (&plan.jitter_rng, Stream::FaultJitter),
             (&plan.corrupt_rng, Stream::FaultCorrupt),
             (&plan.restart_rng, Stream::FaultRestart),
-            (&plan.shard_crash_rng, Stream::FaultShardCrash),
         ];
         for (rng, stream) in pins {
             assert_eq!(*rng, Pcg32::stream(0x5EED, stream), "{stream:?}");
@@ -570,57 +565,32 @@ mod tests {
         assert_eq!(plan.jitter_rng, pristine.jitter_rng);
         assert_eq!(plan.corrupt_rng, pristine.corrupt_rng);
         assert_eq!(plan.restart_rng, pristine.restart_rng);
-        assert_eq!(plan.shard_crash_rng, pristine.shard_crash_rng);
         assert!(plan.per_link_counters().iter().all(|c| c.total() == 0));
     }
 
     #[test]
-    fn pinned_shard_crash_target_draws_nothing() {
+    fn shard_crash_draws_nothing() {
         let cfg = FaultConfig {
             shard: ShardFaultPlan {
-                crash: Some(RestartSchedule {
-                    first_at: us(100),
-                    period: Nanos::ZERO,
+                crash: Some(ShardCrash {
+                    shard: 2,
+                    schedule: RestartSchedule { first_at: us(100), period: Nanos::ZERO },
                 }),
-                crash_target: Some(2),
                 ..ShardFaultPlan::default()
             },
             ..FaultConfig::default()
         };
         let mut plan = FaultPlan::new(cfg, 9, 8);
+        let pristine = plan.clone();
         for _ in 0..16 {
-            assert_eq!(plan.pick_shard_crash_target(4), 2);
+            assert_eq!(plan.fire_shard_crash().map(|c| c.shard), Some(2));
         }
         assert_eq!(plan.shard_crashes(), 16);
-        assert_eq!(plan.shard_crash_rng, Pcg32::stream(9, Stream::FaultShardCrash));
-    }
-
-    #[test]
-    fn drawn_shard_crash_targets_are_deterministic_and_independent_of_restarts() {
-        let cfg = FaultConfig {
-            shard: ShardFaultPlan {
-                crash: Some(RestartSchedule {
-                    first_at: us(100),
-                    period: us(1_000),
-                }),
-                ..ShardFaultPlan::default()
-            },
-            ..FaultConfig::default()
-        };
-        let mut a = FaultPlan::new(cfg, 42, 8);
-        let mut b = FaultPlan::new(cfg, 42, 8);
-        // Interleave client-restart picks on `b`: the shard stream must
-        // not shift (composing both chaos kinds keeps each replayable).
-        let picks_a: Vec<usize> = (0..64).map(|_| a.pick_shard_crash_target(4)).collect();
-        let picks_b: Vec<usize> = (0..64)
-            .map(|_| {
-                b.pick_restart_target(8);
-                b.pick_shard_crash_target(4)
-            })
-            .collect();
-        assert_eq!(picks_a, picks_b);
-        assert!(picks_a.iter().all(|&t| t < 4));
-        assert!(picks_a.iter().collect::<std::collections::BTreeSet<_>>().len() > 1);
+        assert_eq!(plan.restart_rng, pristine.restart_rng);
+        // A plan without a crash fires none and counts none.
+        let mut none = FaultPlan::new(FaultConfig::default(), 9, 8);
+        assert!(none.fire_shard_crash().is_none());
+        assert_eq!(none.shard_crashes(), 0);
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub use cpu::{BusySnapshot, CpuContext};
 pub use engine::{run, run_until_idle, EventQueue, EventToken, World};
 pub use fault::{
     CorruptConfig, CorruptTarget, DuplicateConfig, FaultConfig, FaultCounters, FaultPlan,
-    GilbertElliott, JitterConfig, ReorderConfig, RestartSchedule, ShardBrownout, ShardFaultPlan,
-    WindowSchedule,
+    GilbertElliott, JitterConfig, ReorderConfig, RestartSchedule, ShardBrownout, ShardCrash,
+    ShardFaultPlan, WindowSchedule,
 };
 pub use hist::Histogram;
 pub use link::{DuplexLink, Link, LinkConfig};

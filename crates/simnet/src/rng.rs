@@ -37,8 +37,6 @@ pub enum Stream {
     FaultCorrupt,
     /// Link-restart scheduling draws.
     FaultRestart,
-    /// Shard crash victim selection when no target is pinned.
-    FaultShardCrash,
     /// Consistent-hash ring vnode placement for the shard router.
     ShardSalt,
     /// Hot/cold key selection for the skewed shard workload (forked per
@@ -60,7 +58,6 @@ impl Stream {
             Stream::FaultJitter => "fault.jitter",
             Stream::FaultCorrupt => "fault.corrupt",
             Stream::FaultRestart => "fault.restart",
-            Stream::FaultShardCrash => "fault.shard_crash",
             Stream::ShardSalt => "shard.salt",
             Stream::ShardSkew => "shard.skew",
             Stream::FailoverSkew => "failover.skew",
@@ -279,14 +276,13 @@ mod tests {
         assert!(same < 4);
     }
 
-    const ALL: [Stream; 10] = [
+    const ALL: [Stream; 9] = [
         Stream::FaultLoss,
         Stream::FaultReorder,
         Stream::FaultDuplicate,
         Stream::FaultJitter,
         Stream::FaultCorrupt,
         Stream::FaultRestart,
-        Stream::FaultShardCrash,
         Stream::ShardSalt,
         Stream::ShardSkew,
         Stream::FailoverSkew,

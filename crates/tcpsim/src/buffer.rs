@@ -120,11 +120,6 @@ impl SendBuffer {
         self.nxt
     }
 
-    /// End of buffered data.
-    pub(crate) fn end(&self) -> u64 {
-        self.end
-    }
-
     /// Bytes buffered but not yet transmitted.
     pub fn unsent(&self) -> usize {
         (self.end - self.nxt) as usize

@@ -31,7 +31,7 @@ pub(crate) const CORK_MAX_DELAY: Nanos = Nanos::from_micros(50);
 ///
 /// Returns `true` when a segment of `payload_len` may be sent now:
 /// full-sized segments always pass; a partial segment passes only when
-/// nothing is in flight (or Nagle is off, or the segment carries FIN).
+/// nothing is in flight (or Nagle is off).
 ///
 /// # Examples
 ///
@@ -39,18 +39,12 @@ pub(crate) const CORK_MAX_DELAY: Nanos = Nanos::from_micros(50);
 /// use tcpsim::gates::nagle_allows;
 ///
 /// // Partial segment, data in flight, Nagle on → hold.
-/// assert!(!nagle_allows(true, 100, 1448, 5000, false));
+/// assert!(!nagle_allows(true, 100, 1448, 5000));
 /// // Same with TCP_NODELAY → send.
-/// assert!(nagle_allows(false, 100, 1448, 5000, false));
+/// assert!(nagle_allows(false, 100, 1448, 5000));
 /// ```
-pub fn nagle_allows(
-    nagle_on: bool,
-    payload_len: usize,
-    mss: usize,
-    in_flight_bytes: usize,
-    fin: bool,
-) -> bool {
-    if !nagle_on || fin {
+pub fn nagle_allows(nagle_on: bool, payload_len: usize, mss: usize, in_flight_bytes: usize) -> bool {
+    if !nagle_on {
         return true;
     }
     if payload_len >= mss {
@@ -81,31 +75,26 @@ mod tests {
     fn nagle_off_always_sends() {
         for len in [0usize, 1, 100, 1448, 4000] {
             for in_flight in [0usize, 1, 10_000] {
-                assert!(nagle_allows(false, len, 1448, in_flight, false));
+                assert!(nagle_allows(false, len, 1448, in_flight));
             }
         }
     }
 
     #[test]
     fn nagle_full_segment_always_sends() {
-        assert!(nagle_allows(true, 1448, 1448, 100_000, false));
-        assert!(nagle_allows(true, 2000, 1448, 100_000, false));
+        assert!(nagle_allows(true, 1448, 1448, 100_000));
+        assert!(nagle_allows(true, 2000, 1448, 100_000));
     }
 
     #[test]
     fn nagle_partial_with_inflight_holds() {
-        assert!(!nagle_allows(true, 1447, 1448, 1, false));
-        assert!(!nagle_allows(true, 1, 1448, 1_000_000, false));
+        assert!(!nagle_allows(true, 1447, 1448, 1));
+        assert!(!nagle_allows(true, 1, 1448, 1_000_000));
     }
 
     #[test]
     fn nagle_partial_idle_sends() {
-        assert!(nagle_allows(true, 1, 1448, 0, false));
-    }
-
-    #[test]
-    fn nagle_fin_overrides_hold() {
-        assert!(nagle_allows(true, 10, 1448, 5000, true));
+        assert!(nagle_allows(true, 1, 1448, 0));
     }
 
     #[test]

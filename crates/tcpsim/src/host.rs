@@ -72,8 +72,6 @@ pub struct Host {
     /// Each socket's pending timers and parked continuation, indexed by
     /// `SocketId`.
     pending: Vec<Pending>,
-    /// Total doorbells rung (one per transmit batch).
-    pub(crate) doorbells: u64,
     /// Counter-state generations issued (wrapping); each registered socket
     /// gets the next value as its exchange epoch.
     epochs_issued: u8,
@@ -104,7 +102,6 @@ impl Host {
             flows: FlowMap::new(),
             nic_in_flight: 0,
             pending: Vec::new(),
-            doorbells: 0,
             epochs_issued: 0,
             cork_waiters: Vec::new(),
         }

@@ -17,7 +17,6 @@ pub(crate) struct RttEstimator {
     rttvar: Nanos,
     rto: Nanos,
     config: RtoConfig,
-    samples: u64,
 }
 
 impl RttEstimator {
@@ -28,7 +27,6 @@ impl RttEstimator {
             rttvar: Nanos::ZERO,
             rto: config.initial_rto,
             config,
-            samples: 0,
         }
     }
 
@@ -53,7 +51,6 @@ impl RttEstimator {
         // RTO = SRTT + max(G, 4·RTTVAR); take clock granularity G as 1 µs.
         let var_term = (self.rttvar * 4).max(Nanos::from_micros(1));
         self.rto = (srtt + var_term).clamp(self.config.min_rto, self.config.max_rto);
-        self.samples += 1;
     }
 
     /// Exponential backoff after a retransmission timeout fires.
@@ -75,12 +72,6 @@ impl RttEstimator {
     /// Current retransmission timeout.
     pub(crate) fn rto(&self) -> Nanos {
         self.rto
-    }
-
-    /// Number of samples folded in.
-    #[cfg(test)]
-    fn samples(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -191,15 +182,14 @@ mod tests {
         for _ in 0..20 {
             e.sample(Nanos::from_micros(100));
         }
-        let srtt_before = e.srtt().unwrap();
-        let samples_before = e.samples();
+        let (srtt_before, rttvar_before) = (e.srtt().unwrap(), e.rttvar());
         // The loss episode: timeouts back the RTO off but, per RFC 6298,
         // never touch SRTT/RTTVAR — only fresh samples do.
         for _ in 0..6 {
             e.backoff();
         }
         assert_eq!(e.srtt(), Some(srtt_before));
-        assert_eq!(e.samples(), samples_before);
+        assert_eq!(e.rttvar(), rttvar_before);
         assert!(e.rto() > Nanos::from_micros(100 * 64));
         // Episode ends: the first post-recovery samples collapse the RTO
         // back toward SRTT + 4·RTTVAR and srtt re-converges.
@@ -216,9 +206,13 @@ mod tests {
 
     #[test]
     fn sample_count_tracks() {
+        // Each sample is folded in once: an equal second sample leaves SRTT
+        // and shrinks RTTVAR by a quarter, so the RTO reads how many came.
         let mut e = est();
         e.sample(Nanos::from_micros(10));
+        assert_eq!(e.rto(), Nanos::from_micros(30)); // 10 + 4·5
         e.sample(Nanos::from_micros(10));
-        assert_eq!(e.samples(), 2);
+        assert_eq!(e.srtt(), Some(Nanos::from_micros(10)));
+        assert_eq!(e.rto(), Nanos::from_micros(25)); // 10 + 4·3.75
     }
 }

@@ -69,10 +69,6 @@ pub struct Flags {
     pub(crate) syn: bool,
     /// Acknowledgment field is valid.
     pub(crate) ack: bool,
-    /// Sender has finished sending.
-    pub(crate) fin: bool,
-    /// Push: a send-call boundary ends in this segment.
-    pub(crate) psh: bool,
 }
 
 /// RFC 7323 timestamps option.
@@ -258,7 +254,7 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// A bare control segment (SYN/ACK/FIN) with no payload.
+    /// A bare control segment (SYN or ACK) with no payload.
     pub fn control(flow: FlowId, seq: SeqNum, ack: SeqNum, flags: Flags, window: u32) -> Self {
         Segment {
             flow,
@@ -284,18 +280,12 @@ impl Segment {
     }
 
     /// Sequence number one past the last byte this segment occupies
-    /// (SYN and FIN each consume one sequence number).
+    /// (a SYN consumes one sequence number).
     #[cfg(test)]
     fn end_seq(&self) -> SeqNum {
         // Payload length is bounded by the u32 send-sequence space.
-        let mut consumed = self.payload.len() as u32;
-        if self.flags.syn {
-            consumed += 1;
-        }
-        if self.flags.fin {
-            consumed += 1;
-        }
-        self.seq + consumed
+        let consumed = self.payload.len() as u32;
+        self.seq + consumed + u32::from(self.flags.syn)
     }
 
     /// Total bytes on the wire: per-packet headers (with options) plus
@@ -305,9 +295,9 @@ impl Segment {
             + self.payload.len()
     }
 
-    /// True if this is a pure acknowledgment (no payload, no SYN/FIN).
+    /// True if this is a pure acknowledgment (no payload, no SYN).
     pub(crate) fn is_pure_ack(&self) -> bool {
-        self.is_empty() && self.flags.ack && !self.flags.syn && !self.flags.fin
+        self.is_empty() && self.flags.ack && !self.flags.syn
     }
 }
 
@@ -356,21 +346,20 @@ mod tests {
     }
 
     #[test]
-    fn end_seq_counts_syn_and_fin() {
+    fn end_seq_counts_syn() {
         let mut s = Segment::control(
             FlowId(1),
             SeqNum::new(5),
             SeqNum::new(0),
             Flags {
                 syn: true,
-                fin: true,
                 ..Flags::default()
             },
             0,
         );
-        assert_eq!(s.end_seq(), SeqNum::new(7));
-        s.flags.fin = false;
         assert_eq!(s.end_seq(), SeqNum::new(6));
+        s.flags.syn = false;
+        assert_eq!(s.end_seq(), SeqNum::new(5));
     }
 
     #[test]
@@ -423,7 +412,7 @@ mod tests {
     fn pure_ack_detection() {
         let mut s = data_segment(0, 1);
         assert!(s.is_pure_ack());
-        s.flags.fin = true;
+        s.flags.syn = true;
         assert!(!s.is_pure_ack());
     }
 }

@@ -103,8 +103,8 @@ pub enum Event {
     /// A scheduled endpoint crash: one client host (drawn from the fault
     /// plan's restart stream) loses all socket state and must reconnect.
     Restart,
-    /// A scheduled shard crash on the two-tier topology: one shard host
-    /// loses all socket state, and so does the far (proxy) end of every
+    /// A scheduled shard crash on the two-tier topology: the plan's shard
+    /// host loses all socket state, and so does the far (proxy) end of every
     /// connection terminating there — both sides wake with `Reset`.
     ShardCrash,
 }
@@ -112,7 +112,7 @@ pub enum Event {
 /// Which CPU context pays for transmit work triggered by socket actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Charge {
-    /// Application thread (send/connect/close syscalls).
+    /// Application thread (send/recv/connect syscalls).
     App,
     /// Softirq (ACKs, retransmissions, timer-driven sends).
     Softirq,
@@ -274,16 +274,6 @@ impl HostCtx<'_> {
         let read = self.host.socket_mut(sock).recv(now, max, out, self.actions);
         self.run_actions(sock);
         read
-    }
-
-    /// Initiates a graceful close.
-    pub fn close(&mut self, sock: SocketId) {
-        let now = self.now();
-        let env = TxEnv {
-            nic_in_flight: self.host.nic_in_flight(),
-        };
-        self.host.socket_mut(sock).close(now, env, self.actions);
-        self.run_actions(sock);
     }
 
     /// Charges `cost` of work to the application thread; returns the time
@@ -541,7 +531,6 @@ fn apply_actions(
             Charge::Softirq => &mut host.softirq_cpu,
         };
         cpu.run(now, host.costs.tx_doorbell);
-        host.doorbells += 1;
     }
 }
 
@@ -715,8 +704,8 @@ impl SimCore {
                 assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
                 self.hosts[first + b.shard].app_cpu.set_stall_schedule(b.windows);
             }
-            if let Some(target) = config.shard.crash_target {
-                assert!(target < count, "crash target shard {target} of {count}");
+            if let Some(c) = config.shard.crash {
+                assert!(c.shard < count, "crash shard {} of {count}", c.shard);
             }
         }
         let links = self.topology.num_links();
@@ -736,8 +725,8 @@ impl SimCore {
         if self.shard_tier.is_none() {
             return;
         }
-        if let Some(cs) = self.faults.as_ref().and_then(|p| p.config().shard.crash) {
-            queue.schedule_at(cs.first_at, Event::ShardCrash);
+        if let Some(c) = self.faults.as_ref().and_then(|p| p.config().shard.crash) {
+            queue.schedule_at(c.schedule.first_at, Event::ShardCrash);
         }
     }
 
@@ -915,14 +904,12 @@ impl SimCore {
                 }
             }
             Event::ShardCrash => {
-                let (first, count) = self.shard_tier?;
-                let plan = self.faults.as_mut()?;
-                let target = first + plan.pick_shard_crash_target(count);
-                if let Some(cs) = plan.config().shard.crash {
-                    if !cs.period.is_zero() {
-                        queue.schedule(cs.period, Event::ShardCrash);
-                    }
+                let (first, _) = self.shard_tier?;
+                let crash = self.faults.as_mut()?.fire_shard_crash()?;
+                if !crash.schedule.period.is_zero() {
+                    queue.schedule(crash.schedule.period, Event::ShardCrash);
                 }
+                let target = first + crash.shard;
                 // A shard crash takes down *both ends* of every connection
                 // terminating at the shard: the shard host loses its socket
                 // state exactly like a client restart, and the far (proxy)

@@ -6,15 +6,15 @@
 //! and driving the link). Keeping the socket side-effect-free makes every
 //! TCP behaviour unit-testable without a simulator.
 //!
-//! A connection is three parts, each the only writer of its state (the
-//! owner reads their fields and writes through their methods): `Tcb` — flow,
-//! RFC 793 state, epoch, configuration; `Tx` — send buffer, in-flight
+//! A connection is three parts: `Tcb` — flow, RFC 793 state, epoch,
+//! configuration, a plain record the owner writes; and `Tx` and `Rx`,
+//! each the only writer of its state (the owner reads their fields and
+//! writes through their methods). `Tx` — send buffer, in-flight
 //! ranges, RTT and congestion window, SACK-based recovery, the RTO, the
 //! batching gates under study (Nagle including the dynamically toggled
 //! mode, auto-corking against the NIC ring, TSO aggregation, the gradual
-//! batch limit), our FIN and what we share; `Rx` — reassembly, the ACK
-//! cursor, the SACK blocks, delayed ACKs, the peer's FIN and what the
-//! peer shared.
+//! batch limit) and what we share; `Rx` — reassembly, the ACK cursor,
+//! the SACK blocks, delayed ACKs and what the peer shared.
 //!
 //! The parts decide; the owner books. The three instrumented queues
 //! (*unacked*, *unread*, *ackdelay*) the paper's end-to-end estimator
@@ -41,7 +41,7 @@ use crate::segment::{Flags, FlowId, OptionSlot, Segment, TimestampOption};
 use crate::seq::SeqNum;
 
 use rx::Rx;
-use tcb::{Tcb, TcbEvent};
+use tcb::Tcb;
 use tx::Tx;
 
 /// Selects one of a socket's three instrumented queues.
@@ -51,7 +51,9 @@ type PickQueue = fn(&mut SocketQueues) -> &mut InstrumentedQueue;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(pub usize);
 
-/// Connection state (the subset of RFC 793 this stack uses).
+/// Connection state (the subset of RFC 793 this stack uses: connections
+/// are long-lived, so none closes gracefully; one ends only when its
+/// endpoint crashes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     /// Active open sent, awaiting SYN-ACK.
@@ -60,15 +62,7 @@ pub enum TcpState {
     SynReceived,
     /// Data may flow.
     Established,
-    /// We sent FIN, awaiting its ACK.
-    FinWait1,
-    /// Our FIN is acked; awaiting the peer's FIN.
-    FinWait2,
-    /// Peer sent FIN; we may still send.
-    CloseWait,
-    /// We sent FIN after CloseWait, awaiting its ACK.
-    LastAck,
-    /// Fully closed.
+    /// Torn down by an endpoint crash.
     Closed,
 }
 
@@ -95,7 +89,7 @@ pub enum WakeReason {
     Connected,
     /// Passive open completed (a new connection was accepted).
     Accepted,
-    /// In-order data (or EOF) is available to read.
+    /// In-order data is available to read.
     Readable,
     /// Send-buffer space was freed.
     Writable,
@@ -237,14 +231,10 @@ pub struct SocketStats {
     pub nagle_holds: u64,
     /// Times the transmit path corked a partial segment.
     pub cork_holds: u64,
-    /// Times TSO deferral held a window-limited sub-half-max chunk.
-    pub(crate) tso_defers: u64,
     /// Times the AIMD batch-limit gate held queued data.
     pub batch_limit_holds: u64,
     /// End-to-end exchanges attached to outgoing segments.
     pub exchanges_sent: u64,
-    /// Hint options attached to outgoing segments.
-    pub(crate) hints_sent: u64,
     /// Duplicate ACKs received.
     pub dup_acks: u64,
     /// Segments retransmitted in fast recovery (the part of
@@ -253,7 +243,7 @@ pub struct SocketStats {
     /// Fast-recovery episodes: started by the third duplicate ACK or by
     /// SACK evidence that the first unacked byte was lost (RFC 6675).
     pub sack_recoveries: u64,
-    /// Retransmission timeouts that fired on data or a FIN in flight.
+    /// Retransmission timeouts that fired on data in flight.
     pub rto_fires: u64,
 }
 
@@ -343,7 +333,7 @@ impl TcpSocket {
     /// Assigns the counter-state generation (the host does this once at
     /// registration).
     pub(crate) fn set_epoch(&mut self, epoch: u8) {
-        self.tcb.set_epoch(epoch);
+        self.tcb.epoch = epoch;
     }
 
     /// Tears the socket down in place — the endpoint-restart fault. The
@@ -357,7 +347,7 @@ impl TcpSocket {
     /// stamp must not sleep through the connection's death.
     pub(crate) fn reset(&mut self) {
         self.estimator_stamp += 1;
-        self.tcb.transition(TcbEvent::Crash);
+        self.tcb.state = TcpState::Closed;
         self.tx.reset();
     }
 
@@ -502,7 +492,7 @@ impl TcpSocket {
         env: TxEnv,
         actions: &mut Actions,
     ) -> usize {
-        if !matches!(self.tcb.state, TcpState::Established | TcpState::CloseWait) {
+        if self.tcb.state != TcpState::Established {
             return 0;
         }
         let accepted = self.tx.push(data.into());
@@ -541,21 +531,10 @@ impl TcpSocket {
         (bytes, messages)
     }
 
-    /// Initiates a graceful close (sends FIN once buffered data drains).
-    pub(crate) fn close(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
-        if self.tcb.transition(TcbEvent::Close) {
-            self.tx.want_fin();
-            self.poll_transmit(now, env, actions);
-        }
-    }
-
     /// Runs the transmit path: emits as many segments as the gates
     /// (window, Nagle, cork) allow.
     pub(crate) fn poll_transmit(&mut self, now: Nanos, env: TxEnv, actions: &mut Actions) {
-        if !matches!(
-            self.tcb.state,
-            TcpState::Established | TcpState::CloseWait | TcpState::FinWait1 | TcpState::LastAck
-        ) {
+        if self.tcb.state != TcpState::Established {
             return;
         }
         while let Some((chunk, retransmit)) =
@@ -563,12 +542,7 @@ impl TcpSocket {
         {
             self.emit_data(now, chunk, retransmit, actions);
         }
-        // Emit FIN once everything (including retransmittable data) is out.
-        if let Some(end) = self.tx.end_pass() {
-            let flags = Flags { fin: true, ack: true, ..Flags::default() };
-            actions.transmit(self.header(now, Tcb::seq(end), flags));
-            self.tx.arm_rto(actions);
-        }
+        self.tx.end_pass();
     }
 
     /// Builds every segment's header — the one place the ACK field and the
@@ -588,10 +562,8 @@ impl TcpSocket {
             let tsval = now.as_nanos() as u32;
             seg.options.timestamps = Some(TimestampOption { tsval, tsecr });
             seg.options.slot = self.rx.sack().map(OptionSlot::Sack);
-            if !flags.fin {
-                let (tcb, queues) = (&self.tcb, &self.queues);
-                self.tx.attach_exchange(now, tcb, queues, &mut self.stats, &mut seg.options);
-            }
+            let (tcb, queues) = (&self.tcb, &self.queues);
+            self.tx.attach_exchange(now, tcb, queues, &mut self.stats, &mut seg.options);
         }
         seg
     }
@@ -600,7 +572,7 @@ impl TcpSocket {
     /// `SynSent`, a SYN-ACK from `SynReceived` — and arms the RTO.
     fn send_handshake(&mut self, now: Nanos, actions: &mut Actions) {
         let ack = self.tcb.state == TcpState::SynReceived;
-        let seg = self.header(now, Tcb::ISS, Flags { syn: true, ack, ..Flags::default() });
+        let seg = self.header(now, Tcb::ISS, Flags { syn: true, ack });
         actions.transmit(seg);
         self.tx.arm_rto(actions);
     }
@@ -613,9 +585,8 @@ impl TcpSocket {
         }
         // wire_packets <= len/mss + 1, bounded by the send buffer.
         let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32;
-        let psh = chunk.boundaries.last() == Some(&(offset + len as u64));
         self.tx.on_sent(now, &chunk, retx);
-        let flags = Flags { ack: true, psh, ..Flags::default() };
+        let flags = Flags { ack: true, ..Flags::default() };
         let mut seg = self.header(now, Tcb::seq(offset), flags);
         seg.payload = chunk.bytes;
         seg.boundaries = chunk.boundaries;
@@ -668,7 +639,7 @@ impl TcpSocket {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack {
                     self.rx.on_peer_syn(seg.seq);
-                    self.tcb.transition(TcbEvent::Handshake);
+                    self.tcb.state = TcpState::Established;
                     // It acknowledges only our SYN: `on_ack` takes its window.
                     let (stats, invariants) = (&mut self.stats, &mut self.invariants);
                     self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
@@ -679,7 +650,7 @@ impl TcpSocket {
                 return;
             }
             TcpState::SynReceived if seg.flags.ack && seg.ack == Tcb::ISS + 1 => {
-                self.tcb.transition(TcbEvent::Handshake);
+                self.tcb.state = TcpState::Established;
                 self.tx.disarm_rto(actions);
                 actions.push(Action::Wake(WakeReason::Accepted));
                 // Fall through: the ACK may carry data.
@@ -706,11 +677,6 @@ impl TcpSocket {
             let decision = self.rx.ack_due(now, rto, seg, &res, self.tcb.config.mss);
             self.settle_ack(now, decision, actions);
         }
-        if seg.flags.fin && self.rx.on_fin(seg) {
-            self.tcb.transition(TcbEvent::PeerFin);
-            self.emit_pure_ack(now, actions);
-            actions.push(Action::Wake(WakeReason::Readable)); // EOF
-        }
         // New ACKs or window may unblock the transmit path.
         self.poll_transmit(now, env, actions);
         self.verify_invariants(now);
@@ -728,10 +694,6 @@ impl TcpSocket {
             if self.tx.snd.room() > 0 {
                 actions.push(Action::Wake(WakeReason::Writable));
             }
-        }
-        // An ACK past our FIN leaves nothing in flight: the RTO goes.
-        if acked.fin_acked && self.tcb.transition(TcbEvent::FinAcked) {
-            self.tx.disarm_rto(actions);
         }
         if let Some(chunk) = acked.fast_retransmit {
             self.emit_data(now, chunk, true, actions);

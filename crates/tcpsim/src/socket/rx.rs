@@ -22,7 +22,7 @@ const QUICK_ACKS: u32 = 16;
 pub(super) struct Rx {
     pub(super) rcv: RecvBuffer,
     /// The next sequence number expected from the peer: one past its SYN,
-    /// advanced with every in-order byte and once more for its FIN. Every
+    /// advanced with every in-order byte. Every
     /// ACK field carries it, and arriving sequence numbers unwrap against
     /// it paired with `rcv.rcv_nxt()`.
     pub(super) rcv_seq: SeqNum,
@@ -32,7 +32,6 @@ pub(super) struct Rx {
     pub(super) remote: RemoteStore,
     /// Received-but-unacked bytes and messages for the ackdelay queue.
     pending_ack: [i64; 2],
-    peer_fin: bool,
     /// When the last data segment arrived.
     last_data_at: Nanos,
     /// Data has arrived out of order on this connection: it is lossy.
@@ -50,7 +49,6 @@ impl Rx {
             delack: DelAck::new(config.delack),
             remote: RemoteStore::default(),
             pending_ack: [0; 2],
-            peer_fin: false,
             last_data_at: Nanos::ZERO,
             seen_hole: false,
             quick_acks: 0,
@@ -171,18 +169,5 @@ impl Rx {
     /// messages that left the unread queue.
     pub(super) fn read(&mut self, max: usize, out: &mut impl Extend<Payload>) -> (usize, usize) {
         self.rcv.read(max, out)
-    }
-
-    /// The peer's FIN: taken, and the ACK cursor moved past it, when it
-    /// lands exactly at `rcv_nxt` for the first time.
-    pub(super) fn on_fin(&mut self, seg: &Segment) -> bool {
-        let rcv_nxt = self.rcv.rcv_nxt();
-        let at = unwrap_seq(seg.seq, self.rcv_seq, rcv_nxt).map(|o| o + seg.payload.len() as u64);
-        if self.peer_fin || at != Some(rcv_nxt) {
-            return false;
-        }
-        self.rcv_seq += 1;
-        self.peer_fin = true;
-        true
     }
 }

@@ -6,9 +6,10 @@ use crate::seq::SeqNum;
 
 use super::TcpState;
 
-/// What both directions of a connection read and neither owns. The owner
-/// reads the fields; only [`transition`](Self::transition) and
-/// [`set_epoch`](Self::set_epoch) write them.
+/// What both directions of a connection read and neither owns: a plain
+/// record the owner writes. It moves `state` twice at most (the handshake
+/// completing writes `Established`, the endpoint crashing `Closed`) and
+/// sets `epoch` once, at registration.
 #[derive(Debug, Clone)]
 pub(super) struct Tcb {
     pub(super) flow: FlowId,
@@ -22,18 +23,6 @@ pub(super) struct Tcb {
     pub(super) epoch: u8,
 }
 
-/// What moves the connection state: the handshake completing, the
-/// endpoint crashing, our close, the peer's ACK of our FIN, and the peer's
-/// FIN arriving in order.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum TcbEvent {
-    Handshake,
-    Crash,
-    Close,
-    FinAcked,
-    PeerFin,
-}
-
 impl Tcb {
     /// Initial send sequence number (fixed: the simulator does not model
     /// ISN randomization attacks). The peer's is not kept: the receive
@@ -43,27 +32,5 @@ impl Tcb {
     /// The sequence number of stream byte `offset` (the SYN took `ISS`).
     pub(super) fn seq(offset: u64) -> SeqNum {
         Self::ISS.advance(1 + offset)
-    }
-
-    pub(super) fn set_epoch(&mut self, epoch: u8) {
-        self.epoch = epoch;
-    }
-
-    /// The RFC 793 transitions this stack uses; returns whether `event`
-    /// moved the state (an event a state does not expect is ignored).
-    pub(super) fn transition(&mut self, event: TcbEvent) -> bool {
-        use TcpState::*;
-        self.state = match (event, self.state) {
-            (TcbEvent::Handshake, _) => Established,
-            (TcbEvent::Crash, _) => Closed,
-            (TcbEvent::Close, Established) => FinWait1,
-            (TcbEvent::Close, CloseWait) => LastAck,
-            (TcbEvent::FinAcked, FinWait1) => FinWait2,
-            (TcbEvent::FinAcked, LastAck) => Closed,
-            (TcbEvent::PeerFin, Established) => CloseWait,
-            (TcbEvent::PeerFin, FinWait1 | FinWait2) => Closed,
-            _ => return false,
-        };
-        true
     }
 }

@@ -72,7 +72,6 @@ pub(super) struct Acked {
     pub(super) freed: [i64; 2],
     /// An unambiguous range gave an RTT sample.
     pub(super) sampled: bool,
-    pub(super) fin_acked: bool,
     pub(super) fast_retransmit: Option<SendChunk>,
 }
 
@@ -131,10 +130,6 @@ pub(super) struct Tx {
     batch_limit: Option<usize>,
     /// The cork timer fired: the next transmit pass ignores the cork.
     cork_override: bool,
-    /// FIN bookkeeping.
-    fin_wanted: bool,
-    fin_sent: bool,
-    fin_offset: Option<u64>,
     /// Last time an e2e exchange option was attached.
     last_exchange_tx: Option<Nanos>,
     /// Application hint to forward on the next transmit.
@@ -159,9 +154,6 @@ impl Tx {
             nagle_dynamic_on: false,
             batch_limit: config.batch_limit.map(|b| b as usize),
             cork_override: false,
-            fin_wanted: false,
-            fin_sent: false,
-            fin_offset: None,
             last_exchange_tx: None,
             hint: None,
         }
@@ -224,7 +216,6 @@ impl Tx {
         if let Some(snap) = self.hint.take() {
             let snapshot = WireSnapshot::pack(&snap, WireScale::default());
             options.hint = Some(HintOption { snapshot });
-            stats.hints_sent += 1;
         }
     }
 
@@ -237,16 +228,10 @@ impl Tx {
         accepted
     }
 
-    pub(super) fn want_fin(&mut self) {
-        self.fin_wanted = true;
-    }
-
     /// The endpoint crashed: nothing more leaves.
     pub(super) fn reset(&mut self) {
         self.rto_armed = false;
         self.corked = false;
-        self.fin_wanted = false;
-        self.fin_sent = false;
     }
 
     pub(super) fn backoff(&mut self) {
@@ -301,11 +286,10 @@ impl Tx {
             return None;
         }
         let in_flight = self.snd.in_flight();
-        let closing = self.fin_wanted && !self.fin_sent;
         // Gradual batch limit (§5): accumulate until `limit` bytes are
         // queued, unless nothing is in flight (progress guarantee — an ACK
         // is guaranteed to re-run this path otherwise).
-        if self.batch_limit.is_some_and(|limit| unsent < limit) && in_flight > 0 && !closing {
+        if self.batch_limit.is_some_and(|limit| unsent < limit) && in_flight > 0 {
             stats.batch_limit_holds += 1;
             return None;
         }
@@ -336,20 +320,15 @@ impl Tx {
                 && in_flight > 0
                 && len < tso_limit.min(self.window() / 2).max(mss)
             {
-                stats.tso_defers += 1;
                 return None;
             }
         } else {
             // A partial tail: Nagle, then auto-cork, may hold it.
-            let will_fin = closing && len == unsent;
-            if !nagle_allows(self.nagle_active(config.nagle), len, mss, in_flight, will_fin) {
+            if !nagle_allows(self.nagle_active(config.nagle), len, mss, in_flight) {
                 stats.nagle_holds += 1;
                 return None;
             }
-            if !self.cork_override
-                && !will_fin
-                && cork_holds(&config.cork, len, mss, env.nic_in_flight)
-            {
+            if !self.cork_override && cork_holds(&config.cork, len, mss, env.nic_in_flight) {
                 stats.cork_holds += 1;
                 if !self.corked {
                     self.corked = true;
@@ -479,16 +458,9 @@ impl Tx {
         self.in_flight.iter().find(overlaps).map(|f| (f.offset, f.end()))
     }
 
-    /// Ends a transmit pass. The cork override lasts one pass; a wanted FIN
-    /// goes once everything queued is out — returns its stream offset.
-    pub(super) fn end_pass(&mut self) -> Option<u64> {
+    /// Ends a transmit pass: the cork override lasts one pass.
+    pub(super) fn end_pass(&mut self) {
         self.cork_override = false;
-        if !self.fin_wanted || self.fin_sent || self.snd.unsent() > 0 {
-            return None;
-        }
-        self.fin_sent = true;
-        self.fin_offset = Some(self.snd.end());
-        self.fin_offset
     }
 
     /// Records a transmitted range: a new one for fresh data and the RTO
@@ -546,7 +518,6 @@ impl Tx {
             None => {
                 seg.payload.is_empty()
                     && !seg.flags.syn
-                    && !seg.flags.fin
                     && seg.window as usize == prev_peer_window
                     && self.snd.in_flight() > 0
             }
@@ -630,15 +601,13 @@ impl Tx {
         if self.recovery_point.is_some_and(|rp| ack_offset >= rp) {
             self.recovery_point = None;
         }
-        let fin_acked = self.fin_offset.is_some_and(|f| ack_offset > f);
-        let data_upto = if fin_acked { ack_offset - 1 } else { ack_offset };
-        let freed = self.snd.on_ack(data_upto);
-        let mut acked = Acked { fin_acked, ..Acked::default() };
+        let freed = self.snd.on_ack(ack_offset);
+        let mut acked = Acked::default();
         if freed.bytes == 0 {
             return acked;
         }
         let mut rtt_sample = None;
-        let covered = |f: &InFlight| f.end() <= data_upto;
+        let covered = |f: &InFlight| f.end() <= ack_offset;
         while let Some(f) = self.in_flight.front().copied().filter(covered) {
             self.in_flight.pop_front();
             self.sacked -= u32::from(f.sacked);
@@ -664,7 +633,7 @@ impl Tx {
             acked.sampled = true;
         }
         self.cc.on_ack(freed.bytes, self.lossy);
-        if self.snd.in_flight() == 0 && (fin_acked || !self.fin_sent) {
+        if self.snd.in_flight() == 0 {
             self.disarm_rto(actions);
         } else {
             self.arm_rto(actions);
@@ -688,20 +657,15 @@ impl Tx {
             self.recovery_point = Some(self.recovery_point.map_or(nxt, |rp| rp.max(nxt)));
             self.snd.rewind_to_una();
         }
-        if self.fin_sent && self.snd.unsent() == 0 {
-            // Retransmit the FIN itself.
-            self.fin_sent = false;
-        }
     }
 
-    /// After an RTO pass the RTO stays armed while data or the FIN is
-    /// outstanding. The pass may have emitted nothing (e.g. a closed peer
+    /// After an RTO pass the RTO stays armed while data is outstanding. The pass may have emitted nothing (e.g. a closed peer
     /// window gated the retransmission) and so never re-armed it; keep it
     /// alive unconditionally or the connection dies silently. This doubles
     /// as the persist/zero-window-probe timer. (Re-arming after an emit
     /// just re-sets the same deadline.)
     pub(super) fn rearm_rto(&mut self, actions: &mut Actions) {
-        if self.snd.unsent() == 0 && self.snd.in_flight() == 0 && !self.fin_wanted {
+        if self.snd.unsent() == 0 && self.snd.in_flight() == 0 {
             self.disarm_rto(actions);
         } else {
             self.arm_rto(actions);

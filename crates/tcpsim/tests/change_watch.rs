@@ -25,7 +25,7 @@ use littles::Nanos;
 use simnet::fault::GilbertElliott;
 use simnet::{
     CpuContext, EventQueue, FaultConfig, HostId, LinkConfig, Pcg32, RestartSchedule,
-    ShardFaultPlan, World,
+    ShardCrash, ShardFaultPlan, World,
 };
 use tcpsim::config::{CostConfig, RtoConfig, TcpConfig};
 use tcpsim::host::Host;
@@ -465,11 +465,13 @@ fn tier(seed: u64, parks: bool) -> (TierSim<Chatter, Relay, LazyEcho>, Stream) {
     let tcp = TcpConfig::default();
     let faults = FaultConfig {
         shard: ShardFaultPlan {
-            crash: Some(RestartSchedule {
-                first_at: Nanos::from_micros(20_411),
-                period: Nanos::from_micros(23_057),
+            crash: Some(ShardCrash {
+                shard: 0,
+                schedule: RestartSchedule {
+                    first_at: Nanos::from_micros(20_411),
+                    period: Nanos::from_micros(23_057),
+                },
             }),
-            crash_target: Some(0),
             ..ShardFaultPlan::default()
         },
         ..FaultConfig::default()

@@ -393,67 +393,6 @@ fn unread_delay_reflects_slow_reader() {
 }
 
 #[test]
-fn graceful_close_reaches_closed_on_both_ends() {
-    struct ClosingClient {
-        inner: ScriptClient,
-    }
-    impl App for ClosingClient {
-        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-            self.inner.on_start(ctx);
-            ctx.call_at(Nanos::from_millis(50), 99);
-        }
-        fn on_wake(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, reason: WakeReason) {
-            self.inner.on_wake(ctx, sock, reason);
-        }
-        fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
-            if token == 99 {
-                ctx.close(self.inner.sock.expect("connected"));
-            } else {
-                self.inner.on_call(ctx, token);
-            }
-        }
-    }
-    struct ClosingServer {
-        inner: EchoServer,
-    }
-    impl App for ClosingServer {
-        fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-            self.inner.on_start(ctx);
-        }
-        fn on_wake(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, reason: WakeReason) {
-            self.inner.on_wake(ctx, sock, reason);
-            // On EOF (readable with no data), close our side too.
-            if reason == WakeReason::Readable
-                && ctx.socket(sock).state() == TcpState::CloseWait
-                && ctx.socket(sock).recv_available() == 0
-            {
-                ctx.close(sock);
-            }
-        }
-        fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
-            self.inner.on_call(ctx, token);
-        }
-    }
-
-    let client = ClosingClient {
-        inner: ScriptClient::new(
-            TcpConfig::default(),
-            vec![(Nanos::from_millis(1), b"bye".to_vec())],
-        ),
-    };
-    let server = ClosingServer {
-        inner: EchoServer::default(),
-    };
-    let mut sim = NetSim::new(client, server, make_host(0), make_host(1), LinkConfig::default(), 3);
-    let mut queue = EventQueue::new();
-    sim.start(&mut queue);
-    run(&mut sim, &mut queue, Nanos::from_secs(2));
-
-    assert_eq!(sim.host(0).socket(SocketId(0)).state(), TcpState::Closed);
-    assert_eq!(sim.host(1).socket(SocketId(0)).state(), TcpState::Closed);
-}
-
-#[test]
 fn e2e_exchange_reaches_peer() {
     let (sim, _q) = run_echo(
         TcpConfig::default(),

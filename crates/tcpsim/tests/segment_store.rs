@@ -13,7 +13,7 @@ use littles::Nanos;
 use simnet::fault::GilbertElliott;
 use simnet::{
     run_until_idle, CorruptConfig, CpuContext, DuplicateConfig, EventQueue, FaultConfig,
-    FaultCounters, HostId, LinkConfig, RestartSchedule, ShardFaultPlan,
+    FaultCounters, HostId, LinkConfig, RestartSchedule, ShardCrash, ShardFaultPlan,
 };
 use tcpsim::config::{CostConfig, RtoConfig, TcpConfig};
 use tcpsim::host::Host;
@@ -213,8 +213,7 @@ fn a_shard_crash_and_a_client_restart_leave_the_store_empty() {
     let faults = FaultConfig {
         restart: Some(once(20_017)),
         shard: ShardFaultPlan {
-            crash: Some(once(30_029)),
-            crash_target: Some(0),
+            crash: Some(ShardCrash { shard: 0, schedule: once(30_029) }),
             ..ShardFaultPlan::default()
         },
         ..FaultConfig::default()

@@ -12,8 +12,8 @@
 
 use littles::Nanos;
 use simnet::{
-    CpuContext, EventQueue, FaultConfig, HostId, LinkConfig, RestartSchedule, ShardFaultPlan,
-    World,
+    CpuContext, EventQueue, FaultConfig, HostId, LinkConfig, RestartSchedule, ShardCrash,
+    ShardFaultPlan, World,
 };
 use tcpsim::config::{CostConfig, TcpConfig};
 use tcpsim::host::Host;
@@ -279,11 +279,13 @@ fn shard_crash_takes_both_ends_timers_out_of_the_queue() {
     let crash_at = Nanos::from_micros(5_020);
     let faults = FaultConfig {
         shard: ShardFaultPlan {
-            crash: Some(RestartSchedule {
-                first_at: crash_at,
-                period: Nanos::ZERO,
+            crash: Some(ShardCrash {
+                shard: 0,
+                schedule: RestartSchedule {
+                    first_at: crash_at,
+                    period: Nanos::ZERO,
+                },
             }),
-            crash_target: Some(0),
             ..ShardFaultPlan::default()
         },
         ..FaultConfig::default()
@@ -341,15 +343,17 @@ fn shard_crash_takes_both_ends_timers_out_of_the_queue() {
 /// A crash pinned to a shard the tier does not have is refused when the
 /// plan is installed, instead of silently crashing a different shard.
 #[test]
-#[should_panic(expected = "crash target shard 1 of 1")]
-fn out_of_range_crash_target_is_refused_at_install() {
+#[should_panic(expected = "crash shard 1 of 1")]
+fn out_of_range_crash_shard_is_refused_at_install() {
     let faults = FaultConfig {
         shard: ShardFaultPlan {
-            crash: Some(RestartSchedule {
-                first_at: Nanos::from_millis(5),
-                period: Nanos::ZERO,
+            crash: Some(ShardCrash {
+                shard: 1,
+                schedule: RestartSchedule {
+                    first_at: Nanos::from_millis(5),
+                    period: Nanos::ZERO,
+                },
             }),
-            crash_target: Some(1),
             ..ShardFaultPlan::default()
         },
         ..FaultConfig::default()

@@ -36,7 +36,7 @@ fn guarded_cfg(n: usize, fault: FaultConfig) -> RunConfig {
         fault,
         staleness_bound: Some(CHAOS_STALENESS_BOUND),
         breaker: Some(adversary_breaker()),
-        validate: Some(ValidateConfig::default()),
+        validate: Some(ValidateConfig),
         overrides: e2e_batching::e2e_apps::runner::Overrides {
             min_rto: Some(Nanos::from_millis(5)),
             max_rto: Some(Nanos::from_millis(40)),

@@ -286,7 +286,7 @@ fn sliced_drive_reads_out_what_run_point_reports() {
             cork: true,
         },
         staleness_bound: Some(CHAOS_STALENESS_BOUND),
-        validate: Some(ValidateConfig::default()),
+        validate: Some(ValidateConfig),
         ..n16_cfg(NagleSetting::Off)
     };
     let mut harness = Harness::star(&cfg);
@@ -336,7 +336,7 @@ fn parked_clients_report_what_periodic_clients_reported() {
         num_clients: 4,
         fault: AdversaryClass::Restart.fault_at(1.0),
         staleness_bound: Some(CHAOS_STALENESS_BOUND),
-        validate: Some(ValidateConfig::default()),
+        validate: Some(ValidateConfig),
         ..quiet
     };
     let golden = include_str!("golden/parked_points.txt");

@@ -179,7 +179,7 @@ fn nagle_only_plane_is_bitwise_identical_to_dynamic() {
             fault: ChaosClass::Loss.fault_at(0.25),
             staleness_bound: Some(CHAOS_STALENESS_BOUND),
             breaker: Some(adversary_breaker()),
-            validate: Some(ValidateConfig::default()),
+            validate: Some(ValidateConfig),
             overrides: Overrides {
                 min_rto: Some(Nanos::from_millis(5)),
                 max_rto: Some(Nanos::from_millis(40)),

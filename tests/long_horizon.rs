@@ -34,7 +34,7 @@ fn soak(rate: f64, tick: Nanos, warmup: Nanos, end: Nanos) -> NetSim<LancetClien
 
     let client = LancetClient::new(WorkloadSpec::fig4a(rate), profile.app, tcp, warmup, end)
         .with_tick_period(tick)
-        .with_recorder(EstimateRecorder::new(Unit::Bytes).with_validation(ValidateConfig::default()));
+        .with_recorder(EstimateRecorder::new(Unit::Bytes).with_validation(ValidateConfig));
     let server = RedisServer::new(profile.app);
     let (hosts, server_host) = star_hosts(1, &profile, tcp);
     let link = LinkConfig::default();

@@ -16,8 +16,8 @@ use e2e_batching::e2e_apps::{
 };
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::{
-    run, EventQueue, FaultConfig, LinkConfig, RestartSchedule, ShardBrownout, ShardFaultPlan,
-    WindowSchedule,
+    run, EventQueue, FaultConfig, LinkConfig, RestartSchedule, ShardBrownout, ShardCrash,
+    ShardFaultPlan, WindowSchedule,
 };
 use e2e_batching::tcpsim::{Event, TcpConfig, TierSim};
 
@@ -221,11 +221,13 @@ fn fifo_pairing_survives_upstream_reconnect() {
     // upstream's pairing queue is at its deepest.
     let faults = FaultConfig {
         shard: ShardFaultPlan {
-            crash: Some(RestartSchedule {
-                first_at: crash_at,
-                period: Nanos::ZERO,
+            crash: Some(ShardCrash {
+                shard: 0,
+                schedule: RestartSchedule {
+                    first_at: crash_at,
+                    period: Nanos::ZERO,
+                },
             }),
-            crash_target: Some(0),
             brownout: Some(ShardBrownout {
                 shard: 0,
                 windows: WindowSchedule {
