@@ -139,12 +139,7 @@ impl CpuContext {
     /// Values above 1.0 indicate the context was offered more than a core's
     /// worth of work during the window (the excess is queued backlog).
     pub fn utilization_since(&self, snap: &BusySnapshot, now: Nanos) -> f64 {
-        let dt = now.saturating_sub(snap.at);
-        if dt.is_zero() {
-            return 0.0;
-        }
-        (self.busy_accum.saturating_sub(snap.busy_accum)).as_nanos() as f64
-            / dt.as_nanos() as f64
+        snap.utilization_until(&self.busy_snapshot(now))
     }
 }
 
@@ -155,6 +150,20 @@ pub struct BusySnapshot {
     pub(crate) at: Nanos,
     /// Cumulative busy time at `at`.
     pub(crate) busy_accum: Nanos,
+}
+
+impl BusySnapshot {
+    /// Utilization (0..=1+) between this snapshot and a `later` one of the
+    /// same context: the busy time booked in between over the time in
+    /// between.
+    pub fn utilization_until(&self, later: &BusySnapshot) -> f64 {
+        let dt = later.at.saturating_sub(self.at);
+        if dt.is_zero() {
+            return 0.0;
+        }
+        (later.busy_accum.saturating_sub(self.busy_accum)).as_nanos() as f64
+            / dt.as_nanos() as f64
+    }
 }
 
 #[cfg(test)]
