@@ -126,6 +126,11 @@ cargo test -q --release -p tcpsim --test sack_sweep -- --ignored
 echo "==> every bench target compiles (micro included)"
 cargo bench -q -p bench --no-run
 
+echo "==> micro bench runs (~3 s; its asserts check the recorder flush's skip, the change watch and the timer re-arm)"
+# Timings are printed, never gated; the assert_eq!s after each row are
+# what fails here.
+cargo bench -q -p bench --bench micro
+
 echo "==> experiments smoke (all 13 registry entries: figures, §5 sketches, six grids)"
 # The smoke stdout is the tracked crates/bench/SMOKE.txt, so the
 # `git status` check below also fails on any drift in a smoke line —

@@ -30,7 +30,7 @@ use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
 
-use crate::runlog::{Checkpoints, Delta, Run, RunLog};
+use crate::runlog::{Checkpoints, Run, RunLog};
 
 /// What one estimator update reads from a socket: its local queue
 /// snapshots at `now`, the peer's latest exchange, and the smoothed RTT
@@ -48,50 +48,6 @@ fn estimator_inputs(
         ackdelay: snaps.ackdelay,
     };
     (local, socket.remote().unit(unit), socket.srtt())
-}
-
-/// The two figures of an [`Estimate`] that a recorder's range queries
-/// read, and so all it logs per tick.
-#[derive(Debug, Clone, Copy)]
-struct LoggedEstimate {
-    latency: Nanos,
-    throughput: f64,
-}
-
-impl LoggedEstimate {
-    fn of(estimate: Estimate) -> Self {
-        LoggedEstimate {
-            latency: estimate.latency,
-            throughput: estimate.throughput,
-        }
-    }
-}
-
-impl PartialEq for LoggedEstimate {
-    /// Bitwise, so that a run only ever merges samples whose sums are
-    /// interchangeable.
-    fn eq(&self, other: &Self) -> bool {
-        self.latency == other.latency && self.throughput.to_bits() == other.throughput.to_bits()
-    }
-}
-
-impl Delta for LoggedEstimate {
-    const ORIGIN: Self = LoggedEstimate {
-        latency: Nanos::ZERO,
-        throughput: 0.0,
-    };
-
-    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
-        self.latency.put(&prev.latency, out);
-        self.throughput.put(&prev.throughput, out);
-    }
-
-    fn get(prev: &Self, input: &mut &[u8]) -> Self {
-        LoggedEstimate {
-            latency: Nanos::get(&prev.latency, input),
-            throughput: f64::get(&prev.throughput, input),
-        }
-    }
 }
 
 /// Everything the estimator was fed at a recorder's last full step, plus
@@ -151,6 +107,11 @@ struct Deferral {
 
 /// Per-unit estimate recording (no actuation).
 ///
+/// What it keeps is the newest estimate and a checkpoint of the
+/// estimator's cumulative windows at every tick that folded in a fresh
+/// exchange; a range query is Little's law over the difference of two
+/// checkpoints (the paper's GETAVGS over one long window).
+///
 /// Cost and memory follow the connection's *activity*, not the tick
 /// count. A tick that finds the socket's
 /// [`estimator_stamp`](TcpSocket::estimator_stamp) where the previous
@@ -163,9 +124,8 @@ struct Deferral {
 /// can only repeat its predecessor, so [`flush`](Self::flush) applies all
 /// but the stretch's last in closed form
 /// ([`E2eEstimator::skip_static`]): replay cost follows the number of
-/// stretches, not their length. The sample log is run-length encoded, and
-/// over a static stretch the logged figures repeat, so it grows with the
-/// number of exchanges and queue events rather than with elapsed time.
+/// stretches, not their length, and the checkpoints grow with the number
+/// of exchanges rather than with elapsed time.
 #[derive(Debug, Clone)]
 pub struct EstimateRecorder {
     /// The message unit this recorder estimates in.
@@ -174,9 +134,6 @@ pub struct EstimateRecorder {
     estimator: E2eEstimator,
     /// Inputs of the last full step; `Some` whenever `deferral.seen` is.
     frozen: Option<Frozen>,
-    /// The recorded series of (latency, throughput), one sample per tick
-    /// that produced an estimate.
-    log: RunLog<LoggedEstimate>,
     /// The newest recorded estimate in full.
     last: Option<Estimate>,
     /// Checkpoints of the estimator's cumulative (local, remote) windows,
@@ -201,7 +158,6 @@ impl EstimateRecorder {
             deferral: Deferral::default(),
             estimator: E2eEstimator::new(WireScale::default(), 1.0),
             frozen: None,
-            log: RunLog::default(),
             last: None,
             cum_series: Checkpoints::default(),
             cum_epoch: 0,
@@ -297,7 +253,7 @@ impl EstimateRecorder {
             let mut k = 0;
             while k < run.count {
                 let at = run.at(k);
-                let logged = self.step(at, frozen.local_at(at), frozen.remote, frozen.srtt);
+                self.step(at, frozen.local_at(at), frozen.remote, frozen.srtt);
                 self.deferral.replayed += 1;
                 k += 1;
                 // The run's first tick closes a window of its own length
@@ -316,11 +272,8 @@ impl EstimateRecorder {
                     frozen.remote,
                     |t| frozen.local_at(t),
                 );
-                if let Some(sample) = logged {
-                    self.log.push_n(run.at(k), run.step, sample, skipped);
-                }
                 if let Some(slow) = before.filter(|_| skipped > 0) {
-                    self.assert_skip(slow, &run, k..k + skipped, &frozen, logged);
+                    self.assert_skip(slow, &run, k..k + skipped, &frozen);
                 }
                 k += skipped;
             }
@@ -329,22 +282,19 @@ impl EstimateRecorder {
 
     /// The skip precondition, checked rather than trusted: `slow`, the
     /// estimator from before the skip, is stepped through the skipped
-    /// ticks one at a time, and each must log what the skip logged for it;
-    /// stepped once more, through the tick that follows, it and the
-    /// estimator that skipped must be in the very same state.
+    /// ticks one at a time and then once more, through the tick that
+    /// follows; it and the estimator that skipped must then be in the very
+    /// same state.
     fn assert_skip(
         &self,
         mut slow: E2eEstimator,
         run: &Run<()>,
         skipped: std::ops::Range<u64>,
         frozen: &Frozen,
-        logged: Option<LoggedEstimate>,
     ) {
         for k in skipped.clone() {
             let at = run.at(k);
-            let estimate =
-                slow.update_validated(at, frozen.local_at(at), frozen.remote, frozen.srtt);
-            assert_eq!(estimate.map(LoggedEstimate::of), logged, "tick {k} of a skip at {at}");
+            slow.update_validated(at, frozen.local_at(at), frozen.remote, frozen.srtt);
         }
         let next = run.at(skipped.end);
         let mut fast = self.estimator.clone();
@@ -354,17 +304,15 @@ impl EstimateRecorder {
         assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "after the skip of {skipped:?}");
     }
 
-    /// One estimator update and its bookkeeping; returns what it logged.
+    /// One estimator update and its bookkeeping.
     fn step(
         &mut self,
         now: Nanos,
         local: EndpointSnapshots,
         remote: Option<WireExchange>,
         srtt: Option<Nanos>,
-    ) -> Option<LoggedEstimate> {
-        let estimate = self.estimator.update_validated(now, local, remote, srtt);
-        if let Some(estimate) = estimate {
-            self.log.push(now, LoggedEstimate::of(estimate));
+    ) {
+        if let Some(estimate) = self.estimator.update_validated(now, local, remote, srtt) {
             self.last = Some(estimate);
         }
         if self.estimator.remote_epoch() != self.cum_epoch {
@@ -372,11 +320,11 @@ impl EstimateRecorder {
             let (cl, cr) = self.estimator.cumulative_windows();
             self.cum_series.push((now, cl, cr));
         }
-        estimate.map(LoggedEstimate::of)
     }
 
     /// This recorder with no tick pending: itself, or a flushed copy.
-    /// Queries take `&self`; the copy is small now that the log is.
+    /// Queries take `&self`, and a copy is one packed column and a few
+    /// fixed-size fields.
     fn settled(&self) -> Cow<'_, Self> {
         if self.deferral.pending.is_empty() {
             return Cow::Borrowed(self);
@@ -397,14 +345,6 @@ impl EstimateRecorder {
         &self.estimator
     }
 
-    /// Every recorded `(time, latency, throughput)` sample up to the last
-    /// [`flush`](Self::flush), expanded from the run-length log.
-    pub fn samples(&self) -> impl Iterator<Item = (Nanos, Nanos, f64)> + '_ {
-        self.log.runs().flat_map(|run| {
-            (0..run.count).map(move |k| (run.at(k), run.value.latency, run.value.throughput))
-        })
-    }
-
     /// The cumulative-window checkpoints up to the last
     /// [`flush`](Self::flush): `(time, local, remote)` at every tick that
     /// folded in a fresh exchange, oldest first.
@@ -412,11 +352,6 @@ impl EstimateRecorder {
         &self,
     ) -> impl Iterator<Item = (Nanos, EndpointWindows, EndpointWindows)> + '_ {
         self.cum_series.iter()
-    }
-
-    /// Runs in the sample log — what its memory is proportional to.
-    pub fn log_runs(&self) -> usize {
-        self.log.len()
     }
 
     /// Ticks that found the socket unchanged and were deferred.
@@ -445,7 +380,8 @@ impl EstimateRecorder {
         (!near.unacked.dt.is_zero()).then_some((near, far))
     }
 
-    /// Mean estimated latency over `[from, to)`.
+    /// Mean estimated latency over `[from, to)`, or `None` when fewer than
+    /// two exchange checkpoints fall inside it.
     ///
     /// Evaluated by differencing cumulative queue windows across the range
     /// and applying the §3.2 decomposition to the one long window —
@@ -458,47 +394,20 @@ impl EstimateRecorder {
     /// estimate ~32× the measured latency. Over the long window both
     /// views are computed from hundreds of departures and the larger one
     /// is a faithful guard against underestimation, as in the paper.
-    /// Falls back to the plain mean of recorded samples when the range
-    /// holds fewer than two exchange checkpoints.
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let this = self.settled();
-        if let Some((near, far)) = this.range_windows(from, to) {
-            let lv = combine_delays(&near, &far).latency();
-            let rv = combine_delays(&far, &near).latency();
-            return Some(lv.max(rv));
-        }
-        let mut sum = 0u128;
-        let mut n = 0u64;
-        for (sample, k) in this.log.counts_in(from, to) {
-            sum += sample.latency.as_nanos() as u128 * k as u128;
-            n += k;
-        }
-        (n > 0).then(|| Nanos::from_nanos((sum / n as u128) as u64))
+        let (near, far) = self.settled().range_windows(from, to)?;
+        let lv = combine_delays(&near, &far).latency();
+        let rv = combine_delays(&far, &near).latency();
+        Some(lv.max(rv))
     }
 
     /// Mean estimated throughput over `[from, to)`: departures over
-    /// elapsed time from the range's cumulative window when available
-    /// (see [`Self::mean_latency_in`]), otherwise the plain mean of the
-    /// per-tick samples.
+    /// elapsed time from the range's cumulative window, or `None` when
+    /// fewer than two exchange checkpoints fall inside it (see
+    /// [`Self::mean_latency_in`]).
     pub fn mean_throughput_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        let this = self.settled();
-        if let Some((near, _)) = this.range_windows(from, to) {
-            return Some(near.unread.throughput());
-        }
-        // The sequential sum a per-tick log would form: samples of a run
-        // are added one by one (`x · k` rounds differently), except zeros,
-        // which leave any partial sum unchanged.
-        let mut sum = 0.0f64;
-        let mut n = 0u64;
-        for (sample, k) in this.log.counts_in(from, to) {
-            n += k;
-            if sample.throughput.to_bits() != 0 {
-                for _ in 0..k {
-                    sum += sample.throughput;
-                }
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+        let (near, _) = self.settled().range_windows(from, to)?;
+        Some(near.unread.throughput())
     }
 }
 
@@ -619,16 +528,14 @@ impl EstimateSource for EstimateRecorder {
     }
 }
 
-/// What a [`ListenerRecorder`] logs at a deciding tick: the two
-/// latencies its readers use, not the whole [`Estimate`].
+/// What a [`ListenerRecorder`] logs at a deciding tick: the latency its
+/// readers use, not the whole [`Estimate`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LoggedLatency {
     /// When the tick ran.
     pub(crate) at: Nanos,
     /// The estimate's latency.
     pub(crate) latency: Nanos,
-    /// The estimate's smoothed latency.
-    pub(crate) smoothed_latency: Nanos,
 }
 
 /// Listener-wide estimate recording (paper §3.2, last paragraph): one
@@ -832,7 +739,6 @@ impl ListenerPlaneDriver {
         self.recorder.series.push(LoggedLatency {
             at: ctx.now(),
             latency: logged.latency,
-            smoothed_latency: logged.smoothed_latency,
         });
         self.recorder.latest = Some(logged);
         self.decide(ctx, &aggregate, socks);
@@ -974,17 +880,84 @@ impl ProxyDriver {
 #[cfg(test)]
 mod tests {
     use batchpolicy::Objective;
-    use littles::Nanos;
+    use e2e_core::combine::combine_delays;
+    use littles::wire::{WireExchange, WireScale};
+    use littles::{Nanos, Snapshot};
+    use tcpsim::segment::{E2eOption, Flags, OptionSlot};
+    use tcpsim::seq::SeqNum;
+    use tcpsim::{Actions, FlowId, Segment, SocketId, TcpConfig, TcpSocket, TxEnv, Unit};
 
+    use super::EstimateRecorder;
     use crate::harness::Harness;
     use crate::runner::{NagleSetting, RunConfig};
     use crate::tier::{ShardSetting, TierRunConfig};
     use crate::workload::WorkloadSpec;
 
+    /// A bare segment carrying a peer's byte-unit exchange as of `now`:
+    /// one departure every 10 µs, three bytes queued throughout.
+    fn exchange_segment(now: Nanos) -> Segment {
+        let t = now.as_nanos();
+        let snap = Snapshot {
+            time: now,
+            total: t / 10_000,
+            integral: u128::from(t) * 3,
+        };
+        let exchange = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
+        let mut seg =
+            Segment::control(FlowId(0), SeqNum::new(0), SeqNum::new(0), Flags::default(), 0);
+        seg.options.slot = Some(OptionSlot::E2e(E2eOption::single(Unit::Bytes, exchange)));
+        seg
+    }
+
+    /// A range query is GETAVGS over the difference of the first and the
+    /// last checkpoint in range. A range holding fewer than two has no
+    /// answer, however many ticks in it estimated.
+    #[test]
+    fn a_range_answers_from_two_checkpoints_or_not_at_all() {
+        let tick = |k: u64| Nanos::from_micros(500) * k;
+        let mut actions = Actions::new();
+        let mut sock =
+            TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
+        let mut rec = EstimateRecorder::new(Unit::Bytes);
+        // Ticks 1–3 each find a fresh exchange, ticks 4–8 none.
+        for k in 1..=8 {
+            if k <= 3 {
+                actions.clear();
+                let seg = exchange_segment(tick(k));
+                sock.on_segment(tick(k), &seg, TxEnv::default(), &mut actions);
+            }
+            rec.tick_socket(tick(k), SocketId(0), &sock);
+        }
+        let checkpoints: Vec<_> = rec.checkpoints().collect();
+        assert_eq!(checkpoints.iter().map(|c| c.0).collect::<Vec<_>>(), [tick(2), tick(3)]);
+
+        // One checkpoint in [tick 3, tick 9), and an estimate at each of
+        // its six ticks.
+        let (from, to) = (tick(3), tick(9));
+        assert_eq!(rec.mean_latency_in(from, to), None);
+        assert_eq!(rec.mean_throughput_in(from, to), None);
+
+        // Two in [tick 2, tick 9): Little's law over their difference.
+        let (from, to) = (tick(2), tick(9));
+        let ((_, local0, remote0), (_, local1, remote1)) = (checkpoints[0], checkpoints[1]);
+        let (near, far) = (local1.since(&local0), remote1.since(&remote0));
+        let latency =
+            combine_delays(&near, &far).latency().max(combine_delays(&far, &near).latency());
+        assert!(!latency.is_zero());
+        assert_eq!(rec.mean_latency_in(from, to), Some(latency));
+        assert_eq!(
+            rec.mean_throughput_in(from, to).map(f64::to_bits),
+            Some(near.unread.throughput().to_bits())
+        );
+        assert_eq!(rec.latest().map(|e| e.at), Some(tick(8)), "every tick estimated");
+    }
+
     /// Every estimator the apps build smooths with α = 1, so each smoothed
     /// latency is its raw latency, bit for bit: a client's recorders and
     /// plane seat, the listener seat, and every proxy seat. Nothing here
-    /// keeps per-tick smoothing state that a skipped tick could miss.
+    /// keeps per-tick smoothing state that a skipped tick could miss, and
+    /// the readers that once took `smoothed_latency` (the hot-shard rank,
+    /// the hedge delay) read `latency` for the same bits.
     #[test]
     fn every_smoothed_latency_is_the_raw_latency() {
         let plane = NagleSetting::Plane { objective: Objective::MinLatency, delack: true, cork: true };
@@ -1003,10 +976,8 @@ mod tests {
             }
         }
         let listener = &star.world.server.plane.as_ref().expect("a listener seat").recorder;
-        assert!(!listener.series.is_empty(), "the listener seat logged nothing");
-        for logged in &listener.series {
-            assert_eq!(logged.smoothed_latency, logged.latency, "listener at {}", logged.at);
-        }
+        let est = listener.latest.expect("the listener seat estimated");
+        assert_eq!(est.smoothed_latency, est.latency, "listener");
 
         let adaptive = ShardSetting::Adaptive { objective: Objective::MinLatency };
         let mut tier = TierRunConfig::shard(WorkloadSpec::shard(8_000.0), adaptive);
@@ -1017,11 +988,8 @@ mod tests {
         let tier = Harness::tier(&tier).run();
         let proxy = tier.world.proxy.driver.as_ref().expect("proxy seats");
         for shard in 0..proxy.num_shards() {
-            let series = proxy.shard_series(shard);
-            assert!(!series.is_empty(), "shard {shard}'s seat logged nothing");
-            for logged in series {
-                assert_eq!(logged.smoothed_latency, logged.latency, "shard {shard} at {}", logged.at);
-            }
+            let est = proxy.latest_composed(shard).expect("every shard's seat estimated");
+            assert_eq!(est.smoothed_latency, est.latency, "shard {shard}");
         }
     }
 }

@@ -625,7 +625,7 @@ impl ProxyApp {
                         .driver
                         .as_ref()
                         .and_then(|d| d.latest_composed(req.failover))
-                        .map(|e| e.smoothed_latency);
+                        .map(|e| e.latency);
                     if now >= a.sent + defense.policy.hedge_delay(est_mean) {
                         hedges.push((id, req.failover));
                     }

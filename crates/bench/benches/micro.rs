@@ -163,9 +163,8 @@ fn bench_recorder_tick() {
 
 /// One `EstimateRecorder::flush` of 1 000 deferred ticks — what the tick
 /// that ends a 0.5 s silence pays. The estimator holds a remote window, so
-/// every one of the 1 000 logs a sample; two are replayed at the front,
-/// one at the end, the rest go in closed form (tick by tick this is
-/// ~95 µs).
+/// every one of the 1 000 estimates; two are replayed at the front, one at
+/// the end, the rest go in closed form (tick by tick this is ~95 µs).
 fn bench_recorder_flush() {
     let period = Nanos::from_micros(500);
     let mut actions = Actions::new();
@@ -178,12 +177,15 @@ fn bench_recorder_flush() {
         sock.on_segment(now, &exchange_segment(now), TxEnv::default(), &mut actions);
         rec.tick_socket(now, SocketId(0), &sock);
     }
+    let mut flushes = 0;
     bench("recorder_flush_static_1k", 20_000, || {
         rec.tick_static(now + period, period, 1_000);
         now += period * 1_000;
         rec.flush();
+        flushes += 1;
     });
-    assert_eq!(rec.samples().count() as u64, rec.deferred_ticks() + 2);
+    assert_eq!(rec.deferred_ticks(), 1_000 * flushes);
+    assert_eq!(rec.replayed_ticks(), 3 * flushes);
 }
 
 /// The check at the head of `apply_actions` — has a continuation parked on

@@ -321,7 +321,7 @@ mod tests {
 
     /// `n` seeded samples: mostly request latencies, some past the
     /// buckets allocated up front, some in the top bucket.
-    fn samples(seed: u64, n: usize, long: bool) -> Vec<Nanos> {
+    fn seeded_latencies(seed: u64, n: usize, long: bool) -> Vec<Nanos> {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..n)
             .map(|_| {
@@ -340,8 +340,8 @@ mod tests {
     #[test]
     fn sized_table_answers_as_the_full_table() {
         for seed in 0..12 {
-            let short = samples(seed, 2_000, false);
-            let long = samples(seed + 100, 2_000, true);
+            let short = seeded_latencies(seed, 2_000, false);
+            let long = seeded_latencies(seed + 100, 2_000, true);
             assert!(long.iter().any(|v| bucket_index(v.as_nanos()) == NUM_BUCKETS - 1));
             let (mut a, mut b) = (Histogram::new(), Histogram::new());
             let (mut ra, mut rb) = (full_size(), full_size());

@@ -127,10 +127,10 @@ fn estimator_and_validator_survive_u32_wire_clock_wrap() {
 }
 
 /// A long-lived, mostly idle connection must not pay for the ticks it
-/// sits through: the recorder's sample log grows with the exchanges the
+/// sits through: the recorder's checkpoints grow with the exchanges the
 /// peer sends, not with elapsed time.
 #[test]
-fn recorder_log_grows_with_exchanges_not_ticks() {
+fn recorder_checkpoints_grow_with_exchanges_not_ticks() {
     let tick = Nanos::from_micros(500);
     let end = Nanos::from_secs(4);
     let sim = soak(25.0, tick, Nanos::from_millis(100), end);
@@ -146,14 +146,14 @@ fn recorder_log_grows_with_exchanges_not_ticks() {
         "estimates were recorded"
     );
 
-    let runs = recorder.log_runs() as u64;
+    let checkpoints = recorder.checkpoints().count() as u64;
     assert!(
-        runs <= 4 * exchanges,
-        "{runs} log runs for {exchanges} exchanges"
+        checkpoints <= 4 * exchanges,
+        "{checkpoints} checkpoints for {exchanges} exchanges"
     );
     assert!(
-        runs * 10 < ticks,
-        "{runs} log runs over {ticks} ticks: the log still grows per tick"
+        checkpoints * 10 < ticks,
+        "{checkpoints} checkpoints over {ticks} ticks: they still grow per tick"
     );
     assert!(
         recorder.deferred_ticks() * 10 > ticks * 8,

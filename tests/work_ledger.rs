@@ -26,7 +26,7 @@
 //!   `fanin1024` is not in steady state when counting starts: its clients
 //!   still have a start-up backlog in flight at `WARM` (184 requests, 8 at
 //!   `END`), and the buffers that backlog gives back outweigh what the
-//!   recorders' series grow by, so its retained bytes read negative.
+//!   recorders' checkpoints grow by, so its retained bytes read negative.
 //!   `star64_loss` goes the other way: loss holds requests back, 90 are
 //!   in flight at `WARM` and 173 at `END`, and their buffers are kept;
 //! - events dispatched, by arm of `Event`. The stretch runs the loop
@@ -252,16 +252,16 @@ const TIER4_CEILING: Ledger = Ledger {
 const FANIN1024_CEILING: Ledger = Ledger {
     heap: per_profile(
         Heap {
-            allocs: 280_040, // 34.50 per request: mostly `assert_skip`'s witnesses
-            bytes: 300_094_160, // 36 976 per request
-            retained: -1_541_464, // -189.9 per request: the recorders' packed series
-            // grow by less than the buffers the 184 requests in flight at `WARM`
-            // (8 at `END`) give back
+            allocs: 276_756, // 34.10 per request: mostly `assert_skip`'s witnesses
+            bytes: 298_441_040, // 36 772 per request
+            retained: -2_379_864, // -293.2 per request: the recorders' packed
+            // checkpoints grow by less than the buffers the 184 requests in flight
+            // at `WARM` (8 at `END`) give back
         },
         Heap {
-            allocs: 36_032, // 4.44 per request
-            bytes: 134_015_504, // 16 513 per request
-            retained: -1_541_464,
+            allocs: 32_748, // 4.03 per request
+            bytes: 132_362_384, // 16 309 per request
+            retained: -2_379_864,
         },
     ),
     events: [32_504, 32_656, 347, 48_317, 49_062, 32_504, 0, 0], // 24.08 per request
@@ -271,15 +271,15 @@ const FANIN1024_CEILING: Ledger = Ledger {
 const STAR64_LOSS_CEILING: Ledger = Ledger {
     heap: per_profile(
         Heap {
-            allocs: 51_984, // 13.02 per request: the debug-only witnesses again
-            bytes: 99_063_843, // 24 809 per request
-            retained: 2_153_536, // 539.3 per request: 90 requests in flight at `WARM`,
+            allocs: 51_806, // 12.97 per request: the debug-only witnesses again
+            bytes: 98_517_283, // 24 672 per request
+            retained: 1_880_256, // 470.9 per request: 90 requests in flight at `WARM`,
             // 173 at `END`, their buffers still held
         },
         Heap {
-            allocs: 17_316, // 4.34 per request
-            bytes: 75_443_379, // 18 894 per request
-            retained: 2_153_536,
+            allocs: 17_138, // 4.29 per request
+            bytes: 74_896_819, // 18 757 per request
+            retained: 1_880_256,
         },
     ),
     events: [16_857, 16_857, 133, 23_178, 21_284, 17_034, 0, 0], // 23.88 per request
