@@ -677,7 +677,12 @@ impl<S> Seat<S> {
     /// the headline decision, and apply every knob's setting to every
     /// socket in `socks` — the plane's learned settings while the breaker
     /// is closed, its safe static corner otherwise.
-    fn decide(&mut self, ctx: &mut HostCtx<'_>, estimate: &Estimate, socks: &[SocketId]) {
+    fn decide(
+        &mut self,
+        ctx: &mut HostCtx<'_>,
+        estimate: &Estimate,
+        socks: impl IntoIterator<Item = SocketId>,
+    ) {
         let on = self.controller.offer(ctx.now(), estimate);
         self.on += u64::from(on);
         self.decisions += 1;
@@ -688,7 +693,7 @@ impl<S> Seat<S> {
             debug_assert_eq!(on, breaker.safe_on(), "degraded decision is the safe mode");
             breaker.inner().safe_settings(on)
         };
-        for &sock in socks {
+        for sock in socks {
             for &setting in &settings {
                 ctx.apply(sock, setting);
             }
@@ -702,7 +707,7 @@ impl PlaneDriver {
     pub(crate) fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
         self.recorder.tick(ctx, sock);
         if let Some(estimate) = self.recorder.latest() {
-            self.decide(ctx, &estimate, &[sock]);
+            self.decide(ctx, &estimate, [sock]);
         }
     }
 }
@@ -715,9 +720,13 @@ impl ListenerPlaneDriver {
 
     /// Runs one tick over every live connection: update each estimator,
     /// aggregate, decide once across every knob, actuate everywhere.
-    pub(crate) fn tick(&mut self, ctx: &mut HostCtx<'_>, socks: &[SocketId]) {
+    pub(crate) fn tick(
+        &mut self,
+        ctx: &mut HostCtx<'_>,
+        socks: impl Iterator<Item = SocketId> + Clone,
+    ) {
         let rec = &mut self.recorder;
-        for &sock in socks {
+        for sock in socks.clone() {
             feed(&mut rec.registry, ctx, rec.unit, sock.0 as u64, sock);
         }
         self.decide_on_aggregate(ctx, socks, None);
@@ -729,7 +738,7 @@ impl ListenerPlaneDriver {
     fn decide_on_aggregate(
         &mut self,
         ctx: &mut HostCtx<'_>,
-        socks: &[SocketId],
+        socks: impl IntoIterator<Item = SocketId>,
         front: Option<&Estimate>,
     ) {
         let Some(aggregate) = self.recorder.registry.aggregate() else {
@@ -851,7 +860,7 @@ impl ProxyDriver {
             // the composed view; until the front leg estimates (e.g.
             // clients still idle) the back leg alone is the best
             // available service view.
-            seat.decide_on_aggregate(ctx, &[sock], front.as_ref());
+            seat.decide_on_aggregate(ctx, [sock], front.as_ref());
         }
     }
 

@@ -141,11 +141,13 @@ pub struct LancetClient {
     tracker_at_end: Option<Snapshot>,
     /// Little's-law estimate recorders (one per unit under study).
     pub recorders: Vec<EstimateRecorder>,
-    /// Optional §5 AIMD batch-limit policy.
-    pub(crate) aimd: Option<AimdDriver>,
+    /// Optional §5 AIMD batch-limit policy. Boxed, like `plane`: few runs
+    /// fill these seats, and held inline they would make every client
+    /// 4 560 B, not 800.
+    pub(crate) aimd: Option<Box<AimdDriver>>,
     /// Optional control plane: dynamic Nagle, plus whichever further
     /// knobs it has attached.
-    pub plane: Option<PlaneDriver>,
+    pub plane: Option<Box<PlaneDriver>>,
 
     /// Requests issued.
     pub sent: u64,
@@ -227,14 +229,14 @@ impl LancetClient {
     /// Attaches a §5 AIMD batch-limit policy (used with `NagleMode::Off`;
     /// the limit gate replaces Nagle).
     pub(crate) fn with_aimd(mut self, aimd: AimdDriver) -> Self {
-        self.aimd = Some(aimd);
+        self.aimd = Some(Box::new(aimd));
         self
     }
 
     /// Attaches a control plane (requires `NagleMode::Dynamic` so the
     /// plane's Nagle decisions take effect).
     pub fn with_plane(mut self, plane: PlaneDriver) -> Self {
-        self.plane = Some(plane);
+        self.plane = Some(Box::new(plane));
         self
     }
 
@@ -437,5 +439,16 @@ impl App for LancetClient {
             }
             other => panic!("unknown client token {other:#x}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// A run of N clients holds N of these: the seats only plane and
+    /// AIMD runs fill stay out of line.
+    #[test]
+    fn a_client_is_800_bytes() {
+        let size = size_of::<super::LancetClient>();
+        assert!(size <= 800, "{size}");
     }
 }

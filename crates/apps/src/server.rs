@@ -8,15 +8,15 @@
 //! Figure 1 models (per-batch cost amortized over the batch).
 //!
 //! Each accepted socket gets one connection seat (`conn::Conn`: wake
-//! latches, command parser, response backlog); the server's own state is
-//! the store and `socks`, the ascending order its tick visits them in.
+//! latches, command parser, response backlog, and the hint recorder when
+//! hints are recorded), held in a `Vec` indexed by socket id: ids are
+//! dense on a host, so finding a seat is one index, and the tick visits
+//! the seats in ascending socket order by walking it.
 //!
 //! Like Redis, the server disables Nagle by default; experiments override
 //! this through [`TcpConfig::nagle`](tcpsim::TcpConfig) on the accept
 //! configuration, including the `Dynamic` mode driven by an attached
 //! [`ListenerPlaneDriver`].
-
-use std::collections::BTreeMap;
 
 use littles::Nanos;
 use tcpsim::{App, HostCtx, SocketId, WakeReason};
@@ -42,26 +42,27 @@ pub struct ServerStats {
     pub requests: u64,
 }
 
+/// What the server keeps per connection.
+struct Seat {
+    conn: Conn,
+    /// Hint-based estimate recording (paper §3.3), when enabled via
+    /// [`with_hint_recorder`](RedisServer::with_hint_recorder).
+    hints: Option<HintRecorder>,
+}
+
 /// The Redis-like server application.
 pub struct RedisServer {
     costs: AppCosts,
     kv: KvStore,
-    /// Connection state, keyed by socket id.
-    conns: BTreeMap<usize, Conn>,
-    /// The keys of `conns` in ascending order — the order the tick path
-    /// visits connections, whatever order they were accepted in. Kept
-    /// alongside the map so a tick does not rebuild it; like the map it
-    /// only grows (a reset connection keeps its entry and its socket).
-    socks: Vec<SocketId>,
+    /// Per-connection state, indexed by socket id; `None` for an id this
+    /// server has not seen. Only grows: a reset connection keeps its seat
+    /// and its socket.
+    seats: Vec<Option<Seat>>,
     /// Aggregate statistics.
     pub stats: ServerStats,
     /// Optional listener-wide control plane: one aggregate decision per
     /// tick, every knob it controls applied to every connection.
     pub plane: Option<ListenerPlaneDriver>,
-    /// Per-connection hint-based estimate recording (paper §3.3), when
-    /// enabled via [`with_hint_recorder`](RedisServer::with_hint_recorder):
-    /// one recorder per entry of `socks`, at the same index.
-    hint_recorders: Vec<HintRecorder>,
     hints_enabled: bool,
 }
 
@@ -71,11 +72,9 @@ impl RedisServer {
         RedisServer {
             costs,
             kv: KvStore::new(),
-            conns: BTreeMap::new(),
-            socks: Vec::new(),
+            seats: Vec::new(),
             stats: ServerStats::default(),
             plane: None,
-            hint_recorders: Vec::new(),
             hints_enabled: false,
         }
     }
@@ -103,7 +102,7 @@ impl RedisServer {
     /// recorder in `[from, to)`.
     pub fn hint_mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
         let (mut sum, mut n) = (0u64, 0u64);
-        for r in &self.hint_recorders {
+        for r in self.seats.iter().flatten().filter_map(|s| s.hints.as_ref()) {
             let (s, k) = r.latency_sum_in(from, to);
             sum += s;
             n += k;
@@ -111,17 +110,17 @@ impl RedisServer {
         (n > 0).then(|| Nanos::from_nanos(sum / n))
     }
 
-    /// The state of connection `sock`, created (and entered into the
-    /// tick order) on first use.
+    /// The state of connection `sock`, created on first use.
     fn conn(&mut self, sock: SocketId) -> &mut Conn {
-        self.conns.entry(sock.0).or_insert_with(|| {
-            let at = self.socks.binary_search(&sock).unwrap_or_else(|at| at);
-            self.socks.insert(at, sock);
-            if self.hints_enabled {
-                self.hint_recorders.insert(at, HintRecorder::new());
-            }
-            Conn::default()
-        })
+        if sock.0 >= self.seats.len() {
+            self.seats.resize_with(sock.0 + 1, || None);
+        }
+        let hints = self.hints_enabled;
+        let seat = self.seats[sock.0].get_or_insert_with(|| Seat {
+            conn: Conn::default(),
+            hints: hints.then(HintRecorder::new),
+        });
+        &mut seat.conn
     }
 
     fn process(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
@@ -167,13 +166,16 @@ impl App for RedisServer {
             KIND_TICK => {
                 // Ascending socket order keeps the tick path
                 // deterministic however many connections fan in.
-                for (rec, &s) in self.hint_recorders.iter_mut().zip(&self.socks) {
-                    rec.tick(ctx, s);
+                for (i, seat) in self.seats.iter_mut().enumerate() {
+                    if let Some(rec) = seat.as_mut().and_then(|s| s.hints.as_mut()) {
+                        rec.tick(ctx, SocketId(i));
+                    }
                 }
                 if let Some(plane) = self.plane.as_mut() {
                     // One listener-wide decision over the aggregate, not
                     // one per connection.
-                    plane.tick(ctx, &self.socks);
+                    let socks = self.seats.iter().enumerate().filter(|(_, s)| s.is_some());
+                    plane.tick(ctx, socks.map(|(i, _)| SocketId(i)));
                 }
                 ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
             }

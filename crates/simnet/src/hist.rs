@@ -5,9 +5,12 @@
 //! percentiles per offered load. A [`Histogram`] stores samples in
 //! logarithmic buckets with linear sub-buckets (the HdrHistogram layout),
 //! giving a bounded relative error (≤ 1/32 ≈ 3% here) at O(1) record cost
-//! and a few KiB of memory regardless of sample count. Only the buckets
-//! below ~2 s are allocated up front; the table grows to its full range
-//! on the first sample past them.
+//! and a few KiB of memory regardless of sample count. A run of many
+//! clients keeps one histogram per client, so a new histogram allocates
+//! only the buckets where request latencies fall, 1 µs to ~2.1 s, as
+//! `u32` counts: 672 buckets, 2 688 B. The table grows down to bucket 0
+//! or up to its full range on the first sample outside them, and a bucket
+//! that would pass `u32::MAX` panics rather than wrap.
 
 
 use littles::Nanos;
@@ -19,11 +22,9 @@ const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
 /// Octaves covered: values up to 2^(OCTAVES + SUB_BITS) ns ≈ 154 days.
 const OCTAVES: usize = 52;
 const NUM_BUCKETS: usize = (OCTAVES + 1) * SUB_BUCKETS as usize;
-/// Buckets a new histogram allocates: the values below 2^31 ns ≈ 2.1 s,
-/// where request latencies fall. A run of many clients keeps one
-/// histogram per client, so the other half of the table waits for a
-/// sample that needs it.
-const FIRST_BUCKETS: usize = 27 * SUB_BUCKETS as usize;
+/// The buckets a new histogram allocates: values from 2^10 ns ≈ 1 µs to
+/// below 2^31 ns ≈ 2.1 s, where request latencies fall.
+const FIRST_BUCKETS: std::ops::Range<usize> = 6 * SUB_BUCKETS as usize..27 * SUB_BUCKETS as usize;
 
 /// A latency histogram over nanosecond samples.
 ///
@@ -42,7 +43,10 @@ const FIRST_BUCKETS: usize = 27 * SUB_BUCKETS as usize;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: Vec<u64>,
+    /// The counts of buckets `lo..lo + counts.len()`; the buckets outside
+    /// are empty.
+    counts: Vec<u32>,
+    lo: usize,
     count: u64,
     sum: u128,
     min: u64,
@@ -78,11 +82,26 @@ fn bucket_midpoint(index: usize) -> u64 {
     base + width / 2
 }
 
+/// Adds `n` samples to `bucket`.
+///
+/// # Panics
+///
+/// Panics when the bucket would pass `u32::MAX` samples.
+#[inline]
+#[expect(clippy::panic, reason = "a count that wrapped would misreport every quantile")]
+fn add(bucket: &mut u32, n: u32) {
+    let Some(sum) = bucket.checked_add(n) else {
+        panic!("histogram bucket full: more than {} samples in one bucket", u32::MAX);
+    };
+    *bucket = sum;
+}
+
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; FIRST_BUCKETS],
+            counts: vec![0; FIRST_BUCKETS.len()],
+            lo: FIRST_BUCKETS.start,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -90,14 +109,29 @@ impl Histogram {
         }
     }
 
+    /// Grows the table to hold bucket `index`, if it is outside: down to
+    /// bucket 0 or up to the last bucket, whichever side it is on.
+    #[inline]
+    fn cover(&mut self, index: usize) {
+        if index < self.lo {
+            self.counts.splice(0..0, std::iter::repeat_n(0, self.lo));
+            self.lo = 0;
+        }
+        if index >= self.lo + self.counts.len() {
+            self.counts.resize(NUM_BUCKETS - self.lo, 0);
+        }
+    }
+
     /// Records one sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the sample's bucket already holds `u32::MAX` samples.
     pub fn record(&mut self, value: Nanos) {
         let v = value.as_nanos();
         let i = bucket_index(v);
-        if i >= self.counts.len() {
-            self.counts.resize(NUM_BUCKETS, 0);
-        }
-        self.counts[i] += 1;
+        self.cover(i);
+        add(&mut self.counts[i - self.lo], 1);
         self.count += 1;
         self.sum += v as u128;
         self.min = self.min.min(v);
@@ -143,11 +177,11 @@ impl Histogram {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen += u64::from(c);
             if seen >= rank {
                 // Clamp the representative value into the observed range so
                 // p0/p100 equal the exact min/max.
-                let mid = bucket_midpoint(i).clamp(self.min, self.max);
+                let mid = bucket_midpoint(self.lo + i).clamp(self.min, self.max);
                 return Some(Nanos::from_nanos(mid));
             }
         }
@@ -165,12 +199,17 @@ impl Histogram {
     }
 
     /// Merges another histogram into this one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a bucket would pass `u32::MAX` samples.
     pub fn merge(&mut self, other: &Histogram) {
-        if other.counts.len() > self.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        let (lo, hi) = (other.lo, other.lo + other.counts.len());
+        self.cover(lo);
+        self.cover(hi - 1);
+        let from = lo - self.lo;
+        for (a, &b) in self.counts[from..].iter_mut().zip(&other.counts) {
+            add(a, b);
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -303,11 +342,11 @@ mod tests {
         }
     }
 
-    /// A histogram with the whole table allocated, as every histogram
-    /// once was.
+    /// A histogram with the whole table allocated from bucket 0.
     fn full_size() -> Histogram {
         Histogram {
             counts: vec![0; NUM_BUCKETS],
+            lo: 0,
             ..Histogram::new()
         }
     }
@@ -319,18 +358,29 @@ mod tests {
         (h.count(), [h.mean(), h.min(), h.max()].into_iter().chain(quantiles).collect())
     }
 
-    /// `n` seeded samples: mostly request latencies, some past the
-    /// buckets allocated up front, some in the top bucket.
-    fn seeded_latencies(seed: u64, n: usize, long: bool) -> Vec<Nanos> {
+    /// Where [`seeded_latencies`] draws: inside the buckets allocated up
+    /// front, also below them, or also below and above them.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Reach {
+        Inside,
+        Below,
+        Both,
+    }
+
+    /// `n` seeded samples: mostly request latencies, 1 µs to 5 ms; with
+    /// `Below` some under 1 µs; with `Both` also some past the buckets
+    /// allocated up front and some in the top bucket.
+    fn seeded_latencies(seed: u64, n: usize, reach: Reach) -> Vec<Nanos> {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..n)
             .map(|_| {
                 x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-                let v = match (x >> 60, long) {
-                    (0, true) => x >> 1,                      // up to the top bucket
-                    (1, true) => u64::MAX - (x >> 50),        // the top bucket
-                    (2, true) => (1 << 31) + (x >> 40),       // just past the first buckets
-                    _ => (x >> 33) % 5_000_000,               // under 5 ms
+                let v = match (x >> 60, reach) {
+                    (0, Reach::Below | Reach::Both) => (x >> 33) % 1_024, // under 1 µs
+                    (1, Reach::Both) => x >> 1,                   // up to the top bucket
+                    (2, Reach::Both) => u64::MAX - (x >> 50),     // the top bucket
+                    (3, Reach::Both) => (1 << 31) + (x >> 40),    // past the first buckets
+                    _ => 1_024 + (x >> 33) % 5_000_000,           // 1 µs to 5 ms
                 };
                 Nanos::from_nanos(v)
             })
@@ -340,38 +390,68 @@ mod tests {
     #[test]
     fn sized_table_answers_as_the_full_table() {
         for seed in 0..12 {
-            let short = seeded_latencies(seed, 2_000, false);
-            let long = seeded_latencies(seed + 100, 2_000, true);
-            assert!(long.iter().any(|v| bucket_index(v.as_nanos()) == NUM_BUCKETS - 1));
-            let (mut a, mut b) = (Histogram::new(), Histogram::new());
-            let (mut ra, mut rb) = (full_size(), full_size());
-            for &v in &short {
-                a.record(v);
-                ra.record(v);
+            let reaches = [Reach::Inside, Reach::Below, Reach::Both];
+            let mut sized = Vec::new();
+            let mut full = Vec::new();
+            for (k, reach) in reaches.into_iter().enumerate() {
+                let samples = seeded_latencies(seed + 100 * k as u64, 2_000, reach);
+                let (mut h, mut r) = (Histogram::new(), full_size());
+                for &v in &samples {
+                    h.record(v);
+                    r.record(v);
+                }
+                assert_eq!(readout(&h), readout(&r), "seed {seed}, {k}");
+                let (lo, hi) = (h.lo, h.lo + h.counts.len());
+                match reach {
+                    Reach::Inside => assert_eq!((lo, hi), (FIRST_BUCKETS.start, FIRST_BUCKETS.end)),
+                    Reach::Below => assert_eq!((lo, hi), (0, FIRST_BUCKETS.end)),
+                    Reach::Both => {
+                        assert_eq!((lo, hi), (0, NUM_BUCKETS));
+                        let top = |v: &Nanos| bucket_index(v.as_nanos()) == NUM_BUCKETS - 1;
+                        assert!(samples.iter().any(top));
+                    }
+                }
+                sized.push((h, samples));
+                full.push(r);
             }
-            assert_eq!(a.counts.len(), FIRST_BUCKETS, "short samples need no growth");
-            for &v in &long {
-                b.record(v);
-                rb.record(v);
-            }
-            assert_eq!(readout(&a), readout(&ra), "seed {seed}");
-            assert_eq!(readout(&b), readout(&rb), "seed {seed}");
-            // Merges between the two lengths, both ways, and into new.
-            for (into, from, r_into, r_from) in [(&a, &b, &ra, &rb), (&b, &a, &rb, &ra)] {
-                let (mut got, mut want) = (into.clone(), r_into.clone());
-                got.merge(from);
-                want.merge(r_from);
-                assert_eq!(readout(&got), readout(&want), "seed {seed}: merge");
+            // Merges between every two extents, both ways, and into new.
+            for (i, j) in [(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)] {
+                let (mut got, mut want) = (sized[i].0.clone(), full[i].clone());
+                got.merge(&sized[j].0);
+                want.merge(&full[j]);
+                assert_eq!(readout(&got), readout(&want), "seed {seed}: merge {j} into {i}");
                 let mut fresh = Histogram::new();
                 fresh.merge(&got);
                 assert_eq!(readout(&fresh), readout(&want), "seed {seed}: merge into new");
             }
             // Refilled.
-            for &v in short.iter().chain(&long) {
-                b.record(v);
-                rb.record(v);
+            let (mut h, mut r) = (sized[0].0.clone(), full[0].clone());
+            for (_, samples) in &sized {
+                for &v in samples {
+                    h.record(v);
+                    r.record(v);
+                }
             }
-            assert_eq!(readout(&b), readout(&rb), "seed {seed}: refill");
+            assert_eq!(readout(&h), readout(&r), "seed {seed}: refill");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram bucket full")]
+    fn a_full_bucket_panics_rather_than_wrap() {
+        let mut h = Histogram::new();
+        let v = Nanos::from_micros(50);
+        h.counts[bucket_index(v.as_nanos()) - h.lo] = u32::MAX;
+        h.record(v);
+    }
+
+    #[test]
+    #[should_panic(expected = "histogram bucket full")]
+    fn a_merge_into_a_full_bucket_panics_rather_than_wrap() {
+        let (mut a, mut b) = (Histogram::new(), Histogram::new());
+        let v = Nanos::from_micros(50);
+        a.counts[bucket_index(v.as_nanos()) - a.lo] = u32::MAX;
+        b.record(v);
+        a.merge(&b);
     }
 }

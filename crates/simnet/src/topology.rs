@@ -107,30 +107,23 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range host, a self-link, or a second link
-    /// joining the same pair (one pipe per host pair keeps hop lookup
-    /// unambiguous).
+    /// Panics on an out-of-range host or a self-link. A second link
+    /// joining the same pair is refused by [`build`](Self::build).
     pub(crate) fn link(mut self, a: HostId, b: HostId, config: LinkConfig) -> Self {
         assert!(a.0 < self.num_hosts, "link endpoint {a:?} out of range");
         assert!(b.0 < self.num_hosts, "link endpoint {b:?} out of range");
         assert_ne!(a, b, "self-links are not allowed: {a:?}");
-        assert!(
-            !self
-                .links
-                .iter()
-                .any(|(x, y, _)| (*x == a && *y == b) || (*x == b && *y == a)),
-            "duplicate link between {a:?} and {b:?}"
-        );
         self.links.push((a, b, config));
         self
     }
 
-    /// Freezes the graph.
+    /// Freezes the graph, in O(L log L) over L links.
     ///
     /// # Panics
     ///
     /// Panics when the graph has no links (a topology must connect
-    /// something).
+    /// something), or when two links join the same pair of hosts (one
+    /// pipe per host pair keeps hop lookup unambiguous).
     pub(crate) fn build(self) -> Topology {
         assert!(!self.links.is_empty(), "topology needs at least one link");
         let mut links = Vec::with_capacity(self.links.len());
@@ -141,8 +134,13 @@ impl TopologyBuilder {
             adj[a.0].push((b, id, true));
             adj[b.0].push((a, id, false));
         }
-        for list in &mut adj {
+        for (host, list) in adj.iter_mut().enumerate() {
             list.sort_unstable_by_key(|(peer, _, _)| *peer);
+            // Sorted by peer, a pair joined twice lists its peer twice in a row.
+            for pair in list.windows(2) {
+                let (a, b) = (HostId(host), pair[0].0);
+                assert_ne!(b, pair[1].0, "duplicate link between {a:?} and {b:?}");
+            }
         }
         Topology { links, adj }
     }
@@ -356,12 +354,24 @@ mod tests {
             Topology::builder(3)
                 .link(HostId(0), HostId(1), LinkConfig::default())
                 .link(HostId(1), HostId(0), LinkConfig::default())
+                .build()
         });
         assert!(r.is_err(), "reversed duplicate must be rejected");
         let r = std::panic::catch_unwind(|| {
             Topology::builder(2).link(HostId(1), HostId(1), LinkConfig::default())
         });
         assert!(r.is_err(), "self-link must be rejected");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate link between HostId(1) and HostId(3)")]
+    fn build_refuses_a_pair_joined_twice() {
+        let _ = Topology::builder(4)
+            .link(HostId(0), HostId(1), LinkConfig::default())
+            .link(HostId(3), HostId(1), LinkConfig::default())
+            .link(HostId(2), HostId(1), LinkConfig::default())
+            .link(HostId(1), HostId(3), LinkConfig::default())
+            .build();
     }
 
     #[test]

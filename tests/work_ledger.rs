@@ -39,6 +39,12 @@
 //!   socket stands still sleeps through its ticks, and `fanin1024` is
 //!   where a client that stopped parking shows.
 //!
+//! Before the stretches, it weighs the `fanin1024` assembly: the live heap
+//! `Harness::star` leaves at time zero, per connection, under a ceiling
+//! of its own, and within 5 % of the same figure at 128 connections, so
+//! state that grows with the square of the connection count (as the
+//! client hosts' flow tables once did) fails it.
+//!
 //! Each ceiling is the figure the simulator had when it was recorded; it
 //! may only go down. The heap columns are recorded per profile: debug
 //! builds also run the recorders' debug-only witnesses (the estimator
@@ -200,7 +206,7 @@ impl Ledger {
 
 /// The heap ceiling of the build under test: `debug` with debug
 /// assertions on, `release` without.
-const fn per_profile(debug: Heap, release: Heap) -> Heap {
+const fn per_profile<T: Copy>(debug: T, release: T) -> T {
     if cfg!(debug_assertions) {
         debug
     } else {
@@ -287,6 +293,19 @@ const STAR64_LOSS_CEILING: Ledger = Ledger {
     completed: 3_993,
 };
 
+/// Ceiling on `fanin1024`'s live heap right after `Harness::star` has
+/// assembled and started it, at time zero: every client with its socket,
+/// flow table, histogram and recorders, the hosts and links, and the
+/// server, which has accepted nothing yet. Divided by the 1 024
+/// connections it is the bytes-per-connection column; the test also
+/// holds it within 5 % of the same figure at 128 connections, so a
+/// connection costs the same whatever the connection count.
+const ASSEMBLY_CEILING: i64 = per_profile(
+    10_499_776, // 10 254 per connection (26 382 before flow tables, histograms
+    // and client seats were sized to what a connection uses)
+    10_499_776,
+);
+
 /// A 64-client star at 64 kRPS in total: Figure 4a requests, no
 /// estimator.
 fn star64() -> NetSim<LancetClient, RedisServer> {
@@ -300,19 +319,28 @@ fn star64() -> NetSim<LancetClient, RedisServer> {
     NetSim::star(clients, server, client_hosts, server_host, LinkConfig::default(), 0x0A11_0C64)
 }
 
-/// Figure 4a's 80 kRPS over 1024 connections, a `NagleSetting::Off` star:
+/// Figure 4a's 80 kRPS over `n` connections, a `NagleSetting::Off` star:
 /// byte and message counters exchanged every 500 µs, every client
 /// estimating in both units and sending hints, the server recording them.
 /// `Harness::star` is the assembly `run_point` runs, so this is what
-/// `run_point` builds by construction.
-fn fanin1024() -> Harness<Star, RunConfig> {
+/// `run_point` builds by construction. The ledger's cell is `n = 1024`.
+fn fanin(n: usize) -> Harness<Star, RunConfig> {
     Harness::star(&RunConfig {
         warmup: WARM,
         measure: END - WARM,
         seed: 0x0A11_1024,
-        num_clients: 1024,
+        num_clients: n,
         ..RunConfig::new(WorkloadSpec::fig4a(80_000.0), NagleSetting::Off)
     })
+}
+
+/// The live heap of an assembled and started `fanin(n)` at time zero.
+fn assembly_live(n: usize) -> i64 {
+    let before = LIVE.load(Ordering::SeqCst);
+    let harness = fanin(n);
+    let live = LIVE.load(Ordering::SeqCst) - before;
+    drop(harness);
+    live
 }
 
 /// The benchmark's `star64_loss`: Figure 4a at 40 kRPS over 64
@@ -440,7 +468,7 @@ fn tier4_count() -> Reading {
 /// The harness's own world and queue, stepped here instead of by its
 /// stages.
 fn fanin1024_count() -> Reading {
-    let mut harness = fanin1024();
+    let mut harness = fanin(1024);
     count(&mut harness.world, &mut harness.queue, |s| &s.clients, NetSim::segment_store)
 }
 
@@ -451,6 +479,24 @@ fn star64_loss_count() -> Reading {
 
 #[test]
 fn steady_state_work_per_request_stays_under_ceiling() {
+    let live = assembly_live(1024);
+    let per_connection = live as f64 / 1024.0;
+    let at_128 = assembly_live(128) as f64 / 128.0;
+    println!(
+        "fanin1024 assembly: {live} B live at time zero, {per_connection:.0} B per connection \
+         ({at_128:.0} B at 128 connections)"
+    );
+    assert!(
+        live <= ASSEMBLY_CEILING,
+        "fanin1024: {live} B live after assembly ({per_connection:.0} per connection), \
+         ceiling {ASSEMBLY_CEILING} ({:.0})",
+        ASSEMBLY_CEILING as f64 / 1024.0,
+    );
+    assert!(
+        (per_connection - at_128).abs() <= 0.05 * at_128,
+        "a connection costs {per_connection:.0} B at 1024 connections and {at_128:.0} B at 128: \
+         per-connection state grows with the connection count"
+    );
     for (name, measure, ceiling) in [
         ("star64", star64_count as fn() -> Reading, STAR64_CEILING),
         ("tier4", tier4_count, TIER4_CEILING),
