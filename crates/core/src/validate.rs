@@ -137,7 +137,7 @@ pub struct ValidateCtx {
 }
 
 /// Stateful plausibility checker for one connection's exchange stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExchangeValidator {
     stats: ValidateStats,
     /// Consecutive rejections since the last accepted exchange (drives the
