@@ -9,6 +9,17 @@ echo "==> clippy.toml is checked in"
 # silently read as an empty ban, so its presence is asserted explicitly.
 test -s clippy.toml
 
+echo "==> rustfmt --check on the files rustfmt-files.txt lists (at least 9; the list only grows)"
+# The tree as a whole is not rustfmt-clean, so formatting is held file by
+# file: a listed file stays formatted. A change may format a file it
+# touches, in a commit of its own, and list it; raise the floor with the
+# list, never lower it.
+rustfmt_listed_min=9
+rustfmt_listed=$(grep -v '^#' rustfmt-files.txt | grep -c .)
+echo "$rustfmt_listed files listed (at least $rustfmt_listed_min)"
+test "$rustfmt_listed" -ge "$rustfmt_listed_min"
+grep -v '^#' rustfmt-files.txt | grep . | xargs rustfmt --check --edition 2021
+
 echo "==> tests take their hosts from e2e_apps::harness (no Host::new( under tests/)"
 # star_hosts / tier_hosts hold the host layout (id = index, each role's
 # stack and CPU context names); a test that spells it out again can drift
