@@ -203,7 +203,8 @@ mod tests {
         assert!(large > small);
         assert_eq!(
             (large - small).as_nanos(),
-            a.server_request_per_kib.as_nanos() * 16 - a.server_request_per_kib.as_nanos() * 100 / 1024
+            a.server_request_per_kib.as_nanos() * 16
+                - a.server_request_per_kib.as_nanos() * 100 / 1024
         );
     }
 

@@ -235,10 +235,7 @@ mod tests {
             Some(FailoverScenario::BrownoutCold),
         ));
         assert!(r.timeouts + r.hedges > 0, "fault plan never bit");
-        assert!(
-            r.retries + r.hedges > 0,
-            "defense never engaged: {r:?}"
-        );
+        assert!(r.retries + r.hedges > 0, "defense never engaged: {r:?}");
     }
 
     #[test]

@@ -157,16 +157,25 @@ impl<W: World<Event = Event>, S> Harness<W, S> {
     /// host's CPU accounting, so every slicing of a run reads the same CPU
     /// columns, and the drain's work is not among them.
     pub fn run_until(&mut self, t: Nanos) {
-        for edge in [self.window.0, self.window.1].into_iter().skip(self.cpu.len()) {
+        for edge in [self.window.0, self.window.1]
+            .into_iter()
+            .skip(self.cpu.len())
+        {
             if t < edge {
                 break;
             }
             self.events += run(&mut self.world, &mut self.queue, edge);
-            assert!(self.queue.now() <= edge, "CPU snapshot taken past a window edge");
+            assert!(
+                self.queue.now() <= edge,
+                "CPU snapshot taken past a window edge"
+            );
             let snaps = (0..self.hosts)
                 .map(|h| {
                     let host = (self.host)(&self.world, h);
-                    (host.app_cpu.busy_snapshot(edge), host.softirq_cpu.busy_snapshot(edge))
+                    (
+                        host.app_cpu.busy_snapshot(edge),
+                        host.softirq_cpu.busy_snapshot(edge),
+                    )
                 })
                 .collect();
             self.cpu.push(snaps);
@@ -188,9 +197,15 @@ impl<W: World<Event = Event>, S> Harness<W, S> {
     }
 
     /// Host `h`'s CPU utilization over the measurement window.
-    #[expect(clippy::expect_used, reason = "a readout before the window's end has no CPU columns")]
+    #[expect(
+        clippy::expect_used,
+        reason = "a readout before the window's end has no CPU columns"
+    )]
     fn cpu(&self, h: usize) -> CpuUtil {
-        let end = self.cpu.get(1).expect("read out before the run reached the window's end");
+        let end = self
+            .cpu
+            .get(1)
+            .expect("read out before the run reached the window's end");
         let (start, end) = (self.cpu[0][h], end[h]);
         CpuUtil {
             app: start.0.utilization_until(&end.0),
@@ -212,7 +227,10 @@ impl Harness<Star, RunConfig> {
             NagleSetting::Plane { .. } => NagleMode::Dynamic,
         };
         let mut tcp = tcp_config(mode, &cfg.overrides);
-        if let NagleSetting::Corner { delayed_ack, cork, .. } = cfg.nagle {
+        if let NagleSetting::Corner {
+            delayed_ack, cork, ..
+        } = cfg.nagle
+        {
             // Pin the remaining two knobs symmetrically on both endpoints:
             // quick-ack is the runtime `KnobSetting::DelAck` actuation frozen
             // into the initial config, the fixed cork limit is two MSS.
@@ -567,8 +585,7 @@ impl Harness<Tier, (TierRunConfig, usize)> {
         // replacement connection's exchanges carry a new epoch, and the back
         // registry must resynchronize rather than difference counters across
         // the wipe.
-        let driver =
-            ProxyDriver::new(Unit::Bytes, controllers).with_validation(ValidateConfig);
+        let driver = ProxyDriver::new(Unit::Bytes, controllers).with_validation(ValidateConfig);
 
         let (client_hosts, proxy_host, shard_hosts) = tier_hosts(n, k, &cfg.profile, edge_tcp);
         let shard_ids = shard_hosts.iter().map(|h| h.id).collect();

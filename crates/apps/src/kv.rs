@@ -204,16 +204,25 @@ mod tests {
             value: Payload::from_static(v),
             id: Some(id),
         };
-        let get = || Command::Get { key: Payload::from_static(b"k"), id: None };
+        let get = || Command::Get {
+            key: Payload::from_static(b"k"),
+            id: None,
+        };
         assert_eq!(kv.execute(set(b"first", 42)), Response::Ok);
         // A retry or hedge duplicate: acknowledged, never re-applied —
         // even if the duplicate carries different bytes.
         assert_eq!(kv.execute(set(b"dup", 42)), Response::Ok);
         assert_eq!(kv.dedup_hits(), 1);
-        assert_eq!(kv.execute(get()), Response::Value(Payload::from_static(b"first")));
+        assert_eq!(
+            kv.execute(get()),
+            Response::Value(Payload::from_static(b"first"))
+        );
         // A different id is a different request.
         assert_eq!(kv.execute(set(b"second", 43)), Response::Ok);
-        assert_eq!(kv.execute(get()), Response::Value(Payload::from_static(b"second")));
+        assert_eq!(
+            kv.execute(get()),
+            Response::Value(Payload::from_static(b"second"))
+        );
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub mod tier;
 pub mod workload;
 
 pub use cost::CostProfile;
-pub use driver::{
-    EstimateRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
-};
+pub use driver::{EstimateRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver};
 pub use failover::{FailoverArm, FailoverScenario};
 pub use harness::Harness;
 pub use loadgen::{KeyPool, LancetClient};
@@ -59,8 +57,8 @@ pub use proxy::{ProxyApp, Resilience, ShardRouter};
 pub use runner::{run_point, ClientResult, NagleSetting, PointResult, RunConfig};
 pub use server::RedisServer;
 pub use sweep::{run_sweep, SweepResult};
-pub use tier::{run_tier_point, ShardSetting, TierPointResult, TierRunConfig};
 /// The failover grid's name for [`run_tier_point`], kept for callers
 /// written against it.
 pub use tier::run_tier_point as run_failover_point;
+pub use tier::{run_tier_point, ShardSetting, TierPointResult, TierRunConfig};
 pub use workload::WorkloadSpec;

@@ -384,9 +384,9 @@ impl ProxyApp {
             policy: RetryPolicy::new(resilience.retry),
             retries: resilience.retries_enabled,
             hedging: resilience.hedging_enabled,
-            breakers: resilience.breaker.map_or_else(Vec::new, |b| {
-                vec![UpstreamBreaker::new(b); shards]
-            }),
+            breakers: resilience
+                .breaker
+                .map_or_else(Vec::new, |b| vec![UpstreamBreaker::new(b); shards]),
         });
         self
     }
@@ -399,7 +399,11 @@ impl ProxyApp {
 
     /// Total breaker trips across shards.
     pub fn breaker_trips(&self) -> u64 {
-        self.defense.iter().flat_map(|d| &d.breakers).map(|b| b.trips()).sum()
+        self.defense
+            .iter()
+            .flat_map(|d| &d.breakers)
+            .map(|b| b.trips())
+            .sum()
     }
 
     /// One shard's routing breaker, when breakers are configured.
@@ -410,7 +414,9 @@ impl ProxyApp {
     /// The deadline of an attempt sent at `now` (never scanned without a
     /// defense).
     fn deadline(&self, now: Nanos) -> Nanos {
-        self.defense.as_ref().map_or(Nanos::ZERO, |d| d.policy.attempt_deadline(now))
+        self.defense
+            .as_ref()
+            .map_or(Nanos::ZERO, |d| d.policy.attempt_deadline(now))
     }
 
     /// Attaches the per-shard estimation/control driver.
@@ -501,7 +507,10 @@ impl ProxyApp {
     /// retried/hedged writes; naive mode keeps the untagged wire
     /// byte-identical to the pre-resilience proxy.
     fn dispatch(&mut self, ctx: &mut HostCtx<'_>, id: u64, shard: usize) {
-        #[expect(clippy::expect_used, reason = "only requests held in `reqs` are dispatched")]
+        #[expect(
+            clippy::expect_used,
+            reason = "only requests held in `reqs` are dispatched"
+        )]
         let req = self.reqs.get(&id).expect("dispatching a pending request");
         let wire = req.cmd.to_wire(self.defense.as_ref().map(|_| id));
         let up = &mut self.ups[shard];
@@ -519,7 +528,10 @@ impl ProxyApp {
 
     /// One processing pass over a shard upstream: read, relay every
     /// complete response to the client that asked, FIFO.
-    #[expect(clippy::panic, reason = "without retries, an unpaired response breaks FIFO pairing")]
+    #[expect(
+        clippy::panic,
+        reason = "without retries, an unpaired response breaks FIFO pairing"
+    )]
     fn process_upstream(&mut self, ctx: &mut HostCtx<'_>, shard: usize) {
         let up = &mut self.ups[shard];
         if !up.conn.read(ctx, up.live()) {
@@ -569,8 +581,7 @@ impl ProxyApp {
     fn tick(&mut self, ctx: &mut HostCtx<'_>) {
         if let Some(mut driver) = self.driver.take() {
             // Sorted client order (BTreeMap) keeps the tick deterministic.
-            let client_socks: Vec<SocketId> =
-                self.conns.keys().map(|&s| SocketId(s)).collect();
+            let client_socks: Vec<SocketId> = self.conns.keys().map(|&s| SocketId(s)).collect();
             let upstreams: Vec<Option<SocketId>> = self.ups.iter().map(Upstream::live).collect();
             driver.tick(ctx, &client_socks, &upstreams);
             // Joint breaker feed: each *fresh* composed estimate reports
@@ -608,11 +619,7 @@ impl ProxyApp {
                     expired.push((id, a.shard));
                 }
             }
-            if defense.hedging
-                && !req.hedged
-                && req.failover != req.home
-                && req.live.len() == 1
-            {
+            if defense.hedging && !req.hedged && req.failover != req.home && req.live.len() == 1 {
                 let a = req.live[0];
                 if now < a.deadline {
                     // "Late" is judged against the *failover target's*
@@ -683,11 +690,10 @@ impl ProxyApp {
         if !req.live.is_empty() || req.retry_scheduled {
             return;
         }
-        let retry = self
-            .defense
-            .as_mut()
-            .filter(|d| d.retries)
-            .and_then(|d| d.policy.request_attempt(AttemptKind::Retry, req.attempts, id));
+        let retry = self.defense.as_mut().filter(|d| d.retries).and_then(|d| {
+            d.policy
+                .request_attempt(AttemptKind::Retry, req.attempts, id)
+        });
         match retry {
             Some(delay) => {
                 req.retry_scheduled = true;
@@ -735,7 +741,10 @@ impl ProxyApp {
             alt
         };
         let deadline = self.deadline(now);
-        #[expect(clippy::expect_used, reason = "a retry fires only for a request still in `reqs`")]
+        #[expect(
+            clippy::expect_used,
+            reason = "a retry fires only for a request still in `reqs`"
+        )]
         let req = self.reqs.get_mut(&id).expect("still pending");
         req.live.push(Attempt {
             shard: target,
@@ -763,10 +772,10 @@ impl ProxyApp {
         if req.hedged || req.live.len() != 1 || req.live[0].shard == target {
             return;
         }
-        let granted = self
-            .defense
-            .as_mut()
-            .and_then(|d| d.policy.request_attempt(AttemptKind::Hedge, req.attempts, id));
+        let granted = self.defense.as_mut().and_then(|d| {
+            d.policy
+                .request_attempt(AttemptKind::Hedge, req.attempts, id)
+        });
         if granted.is_none() {
             return;
         }
@@ -818,7 +827,9 @@ impl ProxyApp {
         let redial = (!up.reconnect_pending).then(|| {
             up.reconnect_pending = true;
             up.reconnect_attempts += 1;
-            defense.policy.reconnect_backoff(up.reconnect_attempts, shard as u64)
+            defense
+                .policy
+                .reconnect_backoff(up.reconnect_attempts, shard as u64)
         });
         for id in drained {
             self.attempt_failed(ctx, id, shard, false);
@@ -891,19 +902,26 @@ impl App for ProxyApp {
             }
             WakeReason::Accepted => *self.front(sock) = Conn::default(),
             WakeReason::Readable => match upstream {
-                Some(shard) => {
-                    self.ups[shard].conn.on_readable(ctx, token(KIND_UP_PROCESS, shard))
-                }
-                None => self.front(sock).on_readable(ctx, token(KIND_PROCESS, sock.0)),
+                Some(shard) => self.ups[shard]
+                    .conn
+                    .on_readable(ctx, token(KIND_UP_PROCESS, shard)),
+                None => self
+                    .front(sock)
+                    .on_readable(ctx, token(KIND_PROCESS, sock.0)),
             },
             WakeReason::Writable => match upstream {
-                Some(shard) => self.ups[shard].conn.on_writable(ctx, token(KIND_UP_FLUSH, shard)),
+                Some(shard) => self.ups[shard]
+                    .conn
+                    .on_writable(ctx, token(KIND_UP_FLUSH, shard)),
                 None => self.front(sock).on_writable(ctx, token(KIND_FLUSH, sock.0)),
             },
         }
     }
 
-    #[expect(clippy::panic, reason = "tokens are minted by this proxy; any other is a bug")]
+    #[expect(
+        clippy::panic,
+        reason = "tokens are minted by this proxy; any other is a bug"
+    )]
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
         let (kind, idx) = untoken(tok);
         match kind {
@@ -1051,7 +1069,10 @@ mod tests {
                 }
             }
         }
-        assert!(eligible > 800, "test vacuous: only {eligible} eligible keys");
+        assert!(
+            eligible > 800,
+            "test vacuous: only {eligible} eligible keys"
+        );
         // Consistency bound: only pairs adjacent to the removed shard's
         // vnodes may change — far fewer than a modulo scheme's ~100%.
         assert!(

@@ -114,7 +114,11 @@ pub fn encode_set(key: &[u8], value: &[u8]) -> Vec<u8> {
 /// Encodes an untagged SET whose `value_len`-byte value `fill` writes in
 /// place (it is handed zeroed bytes): the frame and the value are one
 /// allocation, and the value is written once.
-pub(crate) fn encode_set_with(key: &[u8], value_len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<u8> {
+pub(crate) fn encode_set_with(
+    key: &[u8],
+    value_len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
     let len = header_len(3) + bulk_len(3) + bulk_len(key.len()) + bulk_len(value_len);
     let mut out = Vec::with_capacity(len);
     push_header(&mut out, b'*', 3);
@@ -266,7 +270,10 @@ fn parse_command(buf: &Payload) -> Option<(Command, usize)> {
     assert_eq!(header.first(), Some(&b'*'), "expected array header");
     let nargs = parse_usize(&header[1..]).expect("array length");
     let mut args = [(0, 0); 4];
-    assert!((1..=args.len()).contains(&nargs), "commands have 1 to 4 arguments, not {nargs}");
+    assert!(
+        (1..=args.len()).contains(&nargs),
+        "commands have 1 to 4 arguments, not {nargs}"
+    );
     for arg in &mut args[..nargs] {
         let (bulk, n) = read_bulk(&data[used..])?;
         let (start, end) = bulk.expect("commands have no null args");
@@ -275,7 +282,9 @@ fn parse_command(buf: &Payload) -> Option<(Command, usize)> {
     }
     let arg = |i: usize| buf.slice(args[i].0, args[i].1);
     let id_arg = |i: usize| {
-        let bytes: [u8; 8] = data[args[i].0..args[i].1].try_into().expect("request id is 8 bytes");
+        let bytes: [u8; 8] = data[args[i].0..args[i].1]
+            .try_into()
+            .expect("request id is 8 bytes");
         u64::from_be_bytes(bytes)
     };
     let cmd = match &data[args[0].0..args[0].1] {
@@ -420,7 +429,8 @@ impl RespStream {
         if self.buf.try_append(&next) {
             return;
         }
-        let lacking = frame_len(&self.buf).map_or(next.len(), |len| len.saturating_sub(self.buf.len()));
+        let lacking =
+            frame_len(&self.buf).map_or(next.len(), |len| len.saturating_sub(self.buf.len()));
         // At least one byte, so a join always makes progress (`reads`
         // holds no empty view).
         let take = lacking.clamp(1, next.len());
@@ -557,7 +567,10 @@ mod tests {
                         value: value.clone().into(),
                         id,
                     };
-                    let get = Command::Get { key: key.clone().into(), id };
+                    let get = Command::Get {
+                        key: key.clone().into(),
+                        id,
+                    };
                     let (set_wire, get_wire) = match id {
                         None => (ref_set(&key, &value), ref_get(&key)),
                         Some(id) => (ref_set_with_id(&key, &value, id), ref_get_with_id(&key, id)),
@@ -726,7 +739,11 @@ mod tests {
                             1 => rng.gen_range(2_000) as usize,
                             _ => 16 * 1024 + rng.gen_range(4_000) as usize,
                         };
-                        Msg::Cmd(Command::Set { key, value: bytes(rng, len), id })
+                        Msg::Cmd(Command::Set {
+                            key,
+                            value: bytes(rng, len),
+                            id,
+                        })
                     }
                     2 => Msg::Cmd(Command::Get { key, id }),
                     3 => Msg::Resp(match rng.gen_range(3) {
@@ -758,11 +775,15 @@ mod tests {
             let (h, len) = match msg {
                 Msg::Cmd(cmd @ Command::Set { key, value, .. }) => {
                     let nargs = 3 + usize::from(cmd.id().is_some());
-                    (header_len(nargs) + bulk_len(3) + bulk_len(key.len()), value.len())
+                    (
+                        header_len(nargs) + bulk_len(3) + bulk_len(key.len()),
+                        value.len(),
+                    )
                 }
-                Msg::Cmd(cmd @ Command::Get { key, .. }) => {
-                    (header_len(2 + usize::from(cmd.id().is_some())) + bulk_len(3), key.len())
-                }
+                Msg::Cmd(cmd @ Command::Get { key, .. }) => (
+                    header_len(2 + usize::from(cmd.id().is_some())) + bulk_len(3),
+                    key.len(),
+                ),
                 Msg::Resp(Response::Value(value)) => (0, value.len()),
                 // `$-1` and `+OK`: between the two characters.
                 Msg::Resp(Response::Ok | Response::Nil) => (0, 10),
@@ -841,7 +862,10 @@ mod tests {
         let parsed = parse_fed(views, &msgs);
         assert_eq!(parsed, msgs);
         for msg in &parsed {
-            assert!(msg.views().iter().all(|v| within(v, &one)), "{msg:?} was copied");
+            assert!(
+                msg.views().iter().all(|v| within(v, &one)),
+                "{msg:?} was copied"
+            );
         }
 
         // 4. One allocation per message, each cut into adjacent views of
@@ -859,7 +883,10 @@ mod tests {
         let parsed = parse_fed(views, &msgs);
         assert_eq!(parsed, msgs);
         for (msg, wire) in parsed.iter().zip(&per_message) {
-            assert!(msg.views().iter().all(|v| within(v, wire)), "{msg:?} was copied");
+            assert!(
+                msg.views().iter().all(|v| within(v, wire)),
+                "{msg:?} was copied"
+            );
         }
     }
 

@@ -150,13 +150,18 @@ impl App for RedisServer {
     fn on_wake(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId, reason: WakeReason) {
         match reason {
             WakeReason::Accepted => *self.conn(sock) = Conn::default(),
-            WakeReason::Readable => self.conn(sock).on_readable(ctx, token(KIND_PROCESS, sock.0)),
+            WakeReason::Readable => self
+                .conn(sock)
+                .on_readable(ctx, token(KIND_PROCESS, sock.0)),
             WakeReason::Writable => self.conn(sock).on_writable(ctx, token(KIND_FLUSH, sock.0)),
             _ => {}
         }
     }
 
-    #[expect(clippy::panic, reason = "tokens are minted by this server; any other is a bug")]
+    #[expect(
+        clippy::panic,
+        reason = "tokens are minted by this server; any other is a bug"
+    )]
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, tok: u64) {
         let (kind, idx) = untoken(tok);
         let sock = SocketId(idx);

@@ -45,11 +45,7 @@ impl SweepResult {
     ) -> Option<f64> {
         self.rows
             .iter()
-            .filter(|row| {
-                pick(row)
-                    .measured_mean
-                    .is_some_and(|m| m <= slo)
-            })
+            .filter(|row| pick(row).measured_mean.is_some_and(|m| m <= slo))
             .map(|row| row.rate_rps)
             .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
     }

@@ -100,7 +100,11 @@ impl TierRunConfig {
     /// compared on identical transport behavior. The planes still run in
     /// every arm: the full arm's hedge timing and breaker confidence read
     /// their estimates, and the other arms pay the same overhead.
-    pub fn new(workload: WorkloadSpec, arm: FailoverArm, scenario: Option<FailoverScenario>) -> Self {
+    pub fn new(
+        workload: WorkloadSpec,
+        arm: FailoverArm,
+        scenario: Option<FailoverScenario>,
+    ) -> Self {
         TierRunConfig {
             workload,
             profile: CostProfile::shard_tier(),

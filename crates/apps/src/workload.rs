@@ -134,7 +134,8 @@ mod tests {
     #[test]
     fn set_request_spans_many_segments() {
         let w = WorkloadSpec::fig4a(1.0);
-        let bytes = crate::resp::encode_set(&vec![b'k'; w.key_size], &vec![0u8; w.value_size]).len();
+        let bytes =
+            crate::resp::encode_set(&vec![b'k'; w.key_size], &vec![0u8; w.value_size]).len();
         assert!(bytes > 16_384 && bytes < 16_500, "got {bytes}");
         // ~12 MSS-sized wire packets per request.
         assert_eq!(bytes.div_ceil(1448), 12);

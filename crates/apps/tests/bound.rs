@@ -16,8 +16,17 @@ fn old_within(p99: Nanos, oracle: Nanos, factor: f64, slack: Nanos) -> bool {
     p99 <= bound
 }
 
-const VALUES_NS: [u64; 9] =
-    [0, 1, 59_900, 60_900, 165_900, 811_000, 1_097_700, 339_738_600, 578_211_000];
+const VALUES_NS: [u64; 9] = [
+    0,
+    1,
+    59_900,
+    60_900,
+    165_900,
+    811_000,
+    1_097_700,
+    339_738_600,
+    578_211_000,
+];
 
 #[test]
 fn ratio_and_holds_match_the_old_per_cell_formulas() {
@@ -25,7 +34,11 @@ fn ratio_and_holds_match_the_old_per_cell_formulas() {
         for p99 in VALUES_NS.map(Nanos::from_nanos) {
             for oracle in VALUES_NS.map(Nanos::from_nanos) {
                 let ratio = Bound::ratio(Some(p99), Some(oracle)).expect("both sides measured");
-                assert_eq!(ratio.to_bits(), old_ratio(p99, oracle).to_bits(), "{p99} / {oracle}");
+                assert_eq!(
+                    ratio.to_bits(),
+                    old_ratio(p99, oracle).to_bits(),
+                    "{p99} / {oracle}"
+                );
                 assert_eq!(
                     bound.holds(Some(p99), Some(oracle)),
                     old_within(p99, oracle, bound.factor, bound.slack),
@@ -39,7 +52,13 @@ fn ratio_and_holds_match_the_old_per_cell_formulas() {
 #[test]
 fn a_missing_side_is_a_failed_run_not_a_pass() {
     let some = Some(Nanos::from_micros(100));
-    for bound in [CHAOS_BOUND, Bound { factor: 1e9, slack: Nanos::from_secs(3600) }] {
+    for bound in [
+        CHAOS_BOUND,
+        Bound {
+            factor: 1e9,
+            slack: Nanos::from_secs(3600),
+        },
+    ] {
         assert!(!bound.holds(None, some));
         assert!(!bound.holds(some, None));
         assert!(!bound.holds(None, None));
@@ -53,9 +72,16 @@ fn a_missing_side_is_a_failed_run_not_a_pass() {
 fn slack_absorbs_a_tiny_oracle() {
     // BENCH_chaos.json, reorder/1.0/N=4: 1097.7 µs against a 299.0 µs
     // oracle is 3.67x — past the factor alone, inside factor + slack.
-    let (p99, oracle) = (Some(Nanos::from_nanos(1_097_700)), Some(Nanos::from_micros(299)));
+    let (p99, oracle) = (
+        Some(Nanos::from_nanos(1_097_700)),
+        Some(Nanos::from_micros(299)),
+    );
     assert!(CHAOS_BOUND.holds(p99, oracle));
-    assert!(!Bound { slack: Nanos::ZERO, ..CHAOS_BOUND }.holds(p99, oracle));
+    assert!(!Bound {
+        slack: Nanos::ZERO,
+        ..CHAOS_BOUND
+    }
+    .holds(p99, oracle));
     // The edge is inclusive.
     let edge = Nanos::from_micros(3 * 299 + 300);
     assert!(CHAOS_BOUND.holds(Some(edge), oracle));
@@ -66,7 +92,10 @@ fn slack_absorbs_a_tiny_oracle() {
 fn a_zero_oracle_does_not_divide_by_zero() {
     let zero = Some(Nanos::ZERO);
     assert_eq!(Bound::ratio(zero, zero), Some(0.0));
-    assert_eq!(Bound::ratio(Some(Nanos::from_nanos(250)), zero), Some(250.0));
+    assert_eq!(
+        Bound::ratio(Some(Nanos::from_nanos(250)), zero),
+        Some(250.0)
+    );
     // Only the slack is left of the bound.
     assert!(KNOBS_BOUND.holds(Some(KNOBS_BOUND.slack), zero));
     assert!(!KNOBS_BOUND.holds(Some(KNOBS_BOUND.slack + Nanos::from_nanos(1)), zero));
@@ -74,7 +103,10 @@ fn a_zero_oracle_does_not_divide_by_zero() {
 
 #[test]
 fn worst_is_the_largest_measured_ratio() {
-    assert_eq!(Bound::worst([Some(1.2), None, Some(3.671), Some(0.94)].into_iter()), Some(3.671));
+    assert_eq!(
+        Bound::worst([Some(1.2), None, Some(3.671), Some(0.94)].into_iter()),
+        Some(3.671)
+    );
     assert_eq!(Bound::worst([None, None].into_iter()), None);
     assert_eq!(Bound::worst(std::iter::empty()), None);
 }

@@ -37,7 +37,10 @@ pub(crate) fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
     );
     for c in 0..=6 {
         let out = figure1_model(Figure1Params::paper(c as f64));
-        let outcome = match (out.batching_improves_latency(), out.batching_improves_throughput()) {
+        let outcome = match (
+            out.batching_improves_latency(),
+            out.batching_improves_throughput(),
+        ) {
             (true, true) => "batching improves BOTH (Fig 1a)",
             (false, true) => "throughput up, latency down (Fig 1c)",
             (false, false) => "batching degrades BOTH (Fig 1b)",
@@ -45,8 +48,10 @@ pub(crate) fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
         };
         println!(
             "{c:>3} | {:>12.2} {:>12.2} | {:>12.4} {:>12.4} | {outcome}",
-            out.batched.avg_latency, out.unbatched.avg_latency,
-            out.batched.throughput, out.unbatched.throughput,
+            out.batched.avg_latency,
+            out.unbatched.avg_latency,
+            out.batched.throughput,
+            out.unbatched.throughput,
         );
     }
     println!(
@@ -58,7 +63,10 @@ pub(crate) fn fig1(_smoke: bool, gates: &mut Gates) -> Option<Doc> {
     let regimes: Vec<(bool, bool)> = (0..=10)
         .map(|half_c| {
             let out = figure1_model(Figure1Params::paper(half_c as f64 / 2.0));
-            (out.batching_improves_latency(), out.batching_improves_throughput())
+            (
+                out.batching_improves_latency(),
+                out.batching_improves_throughput(),
+            )
         })
         .collect();
     let improving = regimes.iter().take_while(|r| r.0 && r.1).count();
@@ -90,8 +98,12 @@ pub(crate) fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
         let (r, nagle) = (&cell.result, if cell.nagle_on { "on" } else { "off" });
         println!(
             "{:>5} {nagle:>6} | {:>10} | {:>8.0}% {:>8.0}% | {:>8.0}% {:>8.0}%",
-            cell.platform, us(r.measured_mean), r.client_cpu.app * 100.0,
-            r.client_cpu.softirq * 100.0, r.server_cpu.app * 100.0, r.server_cpu.softirq * 100.0,
+            cell.platform,
+            us(r.measured_mean),
+            r.client_cpu.app * 100.0,
+            r.client_cpu.softirq * 100.0,
+            r.server_cpu.app * 100.0,
+            r.server_cpu.softirq * 100.0,
         );
     }
     let (client, server) = (data.client_cpu_ratio(), data.server_cpu_ratio());
@@ -99,16 +111,21 @@ pub(crate) fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     println!("(b) server CPU vm/bare: {server:.2}x  (paper: unchanged — same workload)");
     println!(
         "(c) Nagle helps bare: {}, helps VM: {} (see EXPERIMENTS.md)",
-        data.nagle_helps("bare"), data.nagle_helps("vm")
+        data.nagle_helps("bare"),
+        data.nagle_helps("vm")
     );
     // Cells are (bare off, bare on, vm off, vm on).
     let mean = |i: usize| {
-        data.cells[i].result.measured_mean.map_or(f64::NAN, |m| m.as_micros_f64())
+        data.cells[i]
+            .result
+            .measured_mean
+            .map_or(f64::NAN, |m| m.as_micros_f64())
     };
     println!(
         "    Nagle penalty (on − off): bare {:+.1} µs vs VM {:+.1} µs — the client's cost\n    \
          shifts the batching tradeoff even though the server sees the same load.",
-        mean(1) - mean(0), mean(3) - mean(2)
+        mean(1) - mean(0),
+        mean(3) - mean(2)
     );
     None
 }
@@ -116,7 +133,13 @@ pub(crate) fn fig2(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
 /// Figure 4a: SET-only, where the byte-estimated cutoff should coincide
 /// with the measured one.
 pub(crate) fn fig4a(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
-    fig4(smoke, "4a", WorkloadSpec::fig4a, 0xF4A, "paper 4a: these coincide")
+    fig4(
+        smoke,
+        "4a",
+        WorkloadSpec::fig4a,
+        0xF4A,
+        "paper 4a: these coincide",
+    )
 }
 
 /// Figure 4b: the 95:5 SET:GET mix, where the 16 KiB GET responses
@@ -155,14 +178,31 @@ fn fig4(
     let (cutoff_measured, cutoff_estimated) = (data.cutoff_rate(), data.estimated_cutoff_rate());
     println!(
         "{:>8} | {:>9} {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} {:>9}",
-        "rate", "off-meas", "off-byte", "off-msg", "off-hint", "on-meas", "on-byte", "on-msg",
+        "rate",
+        "off-meas",
+        "off-byte",
+        "off-msg",
+        "off-hint",
+        "on-meas",
+        "on-byte",
+        "on-msg",
         "on-hint"
     );
     let columns = |p: &PointResult| {
-        [p.measured_mean, p.estimated_bytes, p.estimated_messages, p.estimated_hint]
+        [
+            p.measured_mean,
+            p.estimated_bytes,
+            p.estimated_messages,
+            p.estimated_hint,
+        ]
     };
     let point_json = |p: &PointResult| {
-        let keys = ["measured_us", "est_bytes_us", "est_messages_us", "est_hint_us"];
+        let keys = [
+            "measured_us",
+            "est_bytes_us",
+            "est_messages_us",
+            "est_hint_us",
+        ];
         Json::obj(keys.into_iter().zip(columns(p).map(Json::us)))
     };
     let mut rows = Vec::new();
@@ -196,7 +236,11 @@ fn fig4(
         ("cutoff_measured_rps", json_rate(cutoff_measured)),
         ("cutoff_estimated_rps", json_rate(cutoff_estimated)),
     ];
-    Some(Doc { version: 1, header, sections: vec![("rows", Json::Arr(rows))] })
+    Some(Doc {
+        version: 1,
+        header,
+        sections: vec![("rows", Json::Arr(rows))],
+    })
 }
 
 /// The paper's §5 proposal, end to end: at each offered load, the two
@@ -219,7 +263,11 @@ pub(crate) fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let mut rows = Vec::new();
     for row in &data.rows {
         let dynamic = row.dynamic.as_ref().expect("dynamic included");
-        let (off, on, dy) = (row.off.measured_mean, row.on.measured_mean, dynamic.measured_mean);
+        let (off, on, dy) = (
+            row.off.measured_mean,
+            row.on.measured_mean,
+            dynamic.measured_mean,
+        );
         // An arm that measured nothing collapsed: it loses to anything.
         let cost = |mean: Option<Nanos>| mean.unwrap_or(Nanos::MAX);
         let winner = if cost(dy) <= cost(off).min(cost(on)) {
@@ -231,7 +279,10 @@ pub(crate) fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
         };
         println!(
             "{:>8.0} | {:>10} {:>10} {:>10} | {:>7.0}% {:>7.0}% | {winner}",
-            row.rate_rps, us(off), us(on), us(dy),
+            row.rate_rps,
+            us(off),
+            us(on),
+            us(dy),
             dynamic.client_on_fraction.unwrap_or(0.0) * 100.0,
             dynamic.server_on_fraction.unwrap_or(0.0) * 100.0,
         );
@@ -249,7 +300,11 @@ pub(crate) fn dynamic_toggle(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
          column should track min(off, on) at every rate — and can beat both by settling on\n\
          asymmetric per-endpoint settings."
     );
-    Some(Doc { version: 1, header: vec![], sections: vec![("rows", Json::Arr(rows))] })
+    Some(Doc {
+        version: 1,
+        header: vec![],
+        sections: vec![("rows", Json::Arr(rows))],
+    })
 }
 
 /// The §5 "Better Batching Heuristics" sketch, running: an AIMD-adapted
@@ -265,18 +320,29 @@ pub(crate) fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     } else {
         &[10_000.0, 40_000.0, 70_000.0, 85_000.0, 95_000.0]
     };
-    println!("{:>8} | {:>10} {:>10} {:>10} | {:>12}", "rate", "off", "on", "aimd", "mean limit B");
+    println!(
+        "{:>8} | {:>10} {:>10} {:>10} | {:>12}",
+        "rate", "off", "on", "aimd", "mean limit B"
+    );
     let mut rows = Vec::new();
     for &rate in rates {
         let point = |nagle| {
             let base = RunConfig::new(WorkloadSpec::fig4a(rate), nagle);
-            run_point(&RunConfig { warmup, measure, ..base })
+            run_point(&RunConfig {
+                warmup,
+                measure,
+                ..base
+            })
         };
         let (off, on) = (point(NagleSetting::Off), point(NagleSetting::On));
-        let aimd = point(NagleSetting::AimdLimit { objective: Objective::MinLatency });
+        let aimd = point(NagleSetting::AimdLimit {
+            objective: Objective::MinLatency,
+        });
         println!(
             "{rate:>8.0} | {:>10} {:>10} {:>10} | {:>12.0}",
-            us(off.measured_mean), us(on.measured_mean), us(aimd.measured_mean),
+            us(off.measured_mean),
+            us(on.measured_mean),
+            us(aimd.measured_mean),
             aimd.aimd_mean_limit.unwrap_or(f64::NAN),
         );
         rows.push(Json::obj([
@@ -284,7 +350,10 @@ pub(crate) fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
             ("off_us", Json::us(off.measured_mean)),
             ("on_us", Json::us(on.measured_mean)),
             ("aimd_us", Json::us(aimd.measured_mean)),
-            ("mean_limit_bytes", Json::opt(aimd.aimd_mean_limit, |l| Json::fixed(l, 0))),
+            (
+                "mean_limit_bytes",
+                Json::opt(aimd.aimd_mean_limit, |l| Json::fixed(l, 0)),
+            ),
         ]));
     }
     println!(
@@ -292,7 +361,11 @@ pub(crate) fn aimd_limit(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
          and multiplicative decrease on regression — the paper's congestion-control-style\n\
          alternative to on/off toggling."
     );
-    Some(Doc { version: 1, header: vec![], sections: vec![("rows", Json::Arr(rows))] })
+    Some(Doc {
+        version: 1,
+        header: vec![],
+        sections: vec![("rows", Json::Arr(rows))],
+    })
 }
 
 /// §5 ablations — the design knobs the paper calls out as open
@@ -305,7 +378,13 @@ pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     let (warmup, measure) = windows(smoke);
     let point = |nagle: NagleSetting, overrides: Overrides| {
         let base = RunConfig::new(WorkloadSpec::fig4a(RATE), nagle);
-        run_point(&RunConfig { warmup, measure, seed: SEED, overrides, ..base })
+        run_point(&RunConfig {
+            warmup,
+            measure,
+            seed: SEED,
+            overrides,
+            ..base
+        })
     };
     let dynamic = NagleSetting::dynamic(Objective::MinLatency);
     let none = Overrides::default();
@@ -313,11 +392,22 @@ pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
 
     println!("--- toggling granularity (dynamic policy decision period) ---");
     println!("{:>10} | {:>10} | note", "period", "latency µs");
-    for (label, period) in [("100µs", us100), ("1ms", ms1), ("10ms", Nanos::from_millis(10))] {
-        let r = point(dynamic, Overrides { policy_tick: Some(period), ..none });
+    for (label, period) in [
+        ("100µs", us100),
+        ("1ms", ms1),
+        ("10ms", Nanos::from_millis(10)),
+    ] {
+        let r = point(
+            dynamic,
+            Overrides {
+                policy_tick: Some(period),
+                ..none
+            },
+        );
         println!(
             "{label:>10} | {:>10} | client on-fraction {:.0}%",
-            us(r.measured_mean), r.client_on_fraction.unwrap_or(0.0) * 100.0
+            us(r.measured_mean),
+            r.client_on_fraction.unwrap_or(0.0) * 100.0
         );
     }
     println!("(paper: finer reacts faster, coarser resists noise; ~kernel tick suggested)\n");
@@ -325,7 +415,13 @@ pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     println!("--- estimate smoothing (per-arm score EWMA weight α) ---");
     println!("{:>6} | {:>10}", "alpha", "latency µs");
     for alpha in [1.0, 0.4, 0.1] {
-        let r = point(dynamic, Overrides { score_alpha: Some(alpha), ..none });
+        let r = point(
+            dynamic,
+            Overrides {
+                score_alpha: Some(alpha),
+                ..none
+            },
+        );
         println!("{alpha:>6.1} | {:>10}", us(r.measured_mean));
     }
 
@@ -336,10 +432,19 @@ pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     );
     let (us500, ms5) = (Nanos::from_micros(500), Nanos::from_millis(5));
     for (label, interval) in [("100µs", us100), ("500µs", us500), ("5ms", ms5)] {
-        let r = point(NagleSetting::Off, Overrides { exchange_interval: Some(interval), ..none });
+        let r = point(
+            NagleSetting::Off,
+            Overrides {
+                exchange_interval: Some(interval),
+                ..none
+            },
+        );
         println!(
             "{label:>10} | {:>10} {:>10} {:>10} | {}",
-            us(r.measured_mean), us(r.estimated_bytes), us(r.estimated_hint), r.exchanges_received
+            us(r.measured_mean),
+            us(r.estimated_bytes),
+            us(r.estimated_hint),
+            r.exchanges_received
         );
     }
     println!("(paper: \"Little's law estimates remain accurate regardless\")\n");
@@ -348,13 +453,35 @@ pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     println!("{:>22} | {:>10} | pkts→srv", "variant", "latency µs");
     let variants = [
         ("baseline", none),
-        ("TSO off", Overrides { tso: Some(false), ..none }),
-        ("auto-cork on", Overrides { autocork: Some(true), ..none }),
-        ("delack timeout 1ms", Overrides { delack_timeout: Some(ms1), ..none }),
+        (
+            "TSO off",
+            Overrides {
+                tso: Some(false),
+                ..none
+            },
+        ),
+        (
+            "auto-cork on",
+            Overrides {
+                autocork: Some(true),
+                ..none
+            },
+        ),
+        (
+            "delack timeout 1ms",
+            Overrides {
+                delack_timeout: Some(ms1),
+                ..none
+            },
+        ),
     ];
     for (label, overrides) in variants {
         let r = point(NagleSetting::On, overrides);
-        println!("{label:>22} | {:>10} | {}", us(r.measured_mean), r.packets_to_server);
+        println!(
+            "{label:>22} | {:>10} | {}",
+            us(r.measured_mean),
+            r.packets_to_server
+        );
     }
 
     println!("\n--- AIMD batch-limit controller (synthetic feedback) ---");
@@ -382,7 +509,8 @@ pub(crate) fn ablations(smoke: bool, _gates: &mut Gates) -> Option<Doc> {
     println!("limit trajectory (bytes): {trajectory:?}");
     println!(
         "increases {} / decreases {} — the sawtooth hugs the 32 KiB optimum",
-        aimd.increases(), aimd.decreases()
+        aimd.increases(),
+        aimd.decreases()
     );
     None
 }

@@ -26,7 +26,10 @@ use super::{json_rate, json_ratio, ratio, sweep, windows, Gates};
 fn bound_header(bound: Bound) -> Vec<(&'static str, Json)> {
     vec![
         ("bound_factor", Json::float(bound.factor)),
-        ("bound_slack_us", Json::fixed(bound.slack.as_micros_f64(), 1)),
+        (
+            "bound_slack_us",
+            Json::fixed(bound.slack.as_micros_f64(), 1),
+        ),
     ]
 }
 
@@ -55,7 +58,9 @@ fn breaker_trips(p: &PointResult) -> u64 {
 
 /// Link fault counters of a run, summed over links.
 fn link_faults(p: &PointResult) -> FaultCounters {
-    p.link_faults.iter().fold(FaultCounters::default(), |acc, x| acc.merged(*x))
+    p.link_faults
+        .iter()
+        .fold(FaultCounters::default(), |acc, x| acc.merged(*x))
 }
 
 /// Fan-in: how the Nagle cutoff moves right as one aggregate load spreads
@@ -67,7 +72,11 @@ pub(crate) fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     let (ns, rates, seed): (&[usize], &[f64], u64) = if smoke {
         (&[4], &[40_000.0, 80_000.0], 0xFA41)
     } else {
-        (&[1, 4, 16, 64, 256, 1024], &[40_000.0, 60_000.0, 75_000.0, 88_000.0, 105_000.0], SEED)
+        (
+            &[1, 4, 16, 64, 256, 1024],
+            &[40_000.0, 60_000.0, 75_000.0, 88_000.0, 105_000.0],
+            SEED,
+        )
     };
     let (mut rows, mut cutoffs) = (Vec::new(), Vec::new());
     for &n in ns {
@@ -82,7 +91,12 @@ pub(crate) fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             let (on_meas, on_est) = (p.on.measured_mean, p.on.estimated_bytes);
             println!(
                 "{:>8.0} | {:>9} {:>9} | {:>9} {:>9} | {:>8.0}",
-                p.rate_rps, us(off_meas), us(off_est), us(on_meas), us(on_est), p.off.achieved_rps,
+                p.rate_rps,
+                us(off_meas),
+                us(off_est),
+                us(on_meas),
+                us(on_est),
+                p.off.achieved_rps,
             );
             rows.push(Json::obj([
                 ("num_clients", n.into()),
@@ -96,9 +110,17 @@ pub(crate) fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             for (arm, point) in [("off", &p.off), ("on", &p.on)] {
                 let tag = format!("N={n}/{:.0} rps [{arm}]", p.rate_rps);
                 let ran = point.per_client.len();
-                gate!(gates, point.num_clients == n && ran == n, "{tag}: ran {ran} clients");
+                gate!(
+                    gates,
+                    point.num_clients == n && ran == n,
+                    "{tag}: ran {ran} clients"
+                );
                 let idle = point.per_client.iter().filter(|c| c.samples == 0).count();
-                gate!(gates, idle == 0, "{tag}: {idle} of {n} connections measured no samples");
+                gate!(
+                    gates,
+                    idle == 0,
+                    "{tag}: {idle} of {n} connections measured no samples"
+                );
             }
         }
         let (measured, estimated) = (data.cutoff_rate(), data.estimated_cutoff_rate());
@@ -110,7 +132,11 @@ pub(crate) fn fanin(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         ]));
     }
     let sections = vec![("rows", Json::Arr(rows)), ("cutoffs", Json::Arr(cutoffs))];
-    Some(Doc { version: 1, header: vec![], sections })
+    Some(Doc {
+        version: 1,
+        header: vec![],
+        sections,
+    })
 }
 
 /// Chaos: fault injection across the star topology. For each fault class
@@ -127,7 +153,11 @@ pub(crate) fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // that batching matters, low enough that a lossy connection still
     // drains its backlog.
     let (cells, rate, seed) = if smoke {
-        (cube(&[4], &[ChaosClass::Loss, ChaosClass::Blackout], &[1.0]), 40_000.0, 0xC405)
+        (
+            cube(&[4], &[ChaosClass::Loss, ChaosClass::Blackout], &[1.0]),
+            40_000.0,
+            0xC405,
+        )
     } else {
         (cube(&[4, 8], &ChaosClass::ALL, &[0.5, 1.0]), 24_000.0, SEED)
     };
@@ -152,7 +182,12 @@ pub(crate) fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         let (faults, trips) = (link_faults(adaptive), breaker_trips(adaptive));
         println!(
             "{n:>3} {:>12} {intensity:>5.2} | {:>9} {:>9} {:>9} | {:>9} {:>6} | {trips:>5} {:>6}",
-            class.name(), us(off_p99), us(on_p99), us(adaptive_p99), us(oracle), ratio(regression),
+            class.name(),
+            us(off_p99),
+            us(on_p99),
+            us(adaptive_p99),
+            us(oracle),
+            ratio(regression),
             faults.total(),
         );
         let faults_json = Json::obj([
@@ -160,7 +195,10 @@ pub(crate) fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             ("duplicates", faults.duplicates.into()),
             ("reorders", faults.reorders.into()),
             ("blackout_drops", faults.blackout_drops.into()),
-            ("blackout_us", Json::fixed(adaptive.fault_blackout_time.as_micros_f64(), 1)),
+            (
+                "blackout_us",
+                Json::fixed(adaptive.fault_blackout_time.as_micros_f64(), 1),
+            ),
         ]);
         rows.push(Json::obj([
             ("class", class.name().into()),
@@ -176,27 +214,51 @@ pub(crate) fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         ]));
 
         for (arm, p) in [("off", off), ("on", on), ("adaptive", adaptive)] {
-            gate!(gates, p.samples > 0, "{tag} [{arm}]: no samples survived the faults");
+            gate!(
+                gates,
+                p.samples > 0,
+                "{tag} [{arm}]: no samples survived the faults"
+            );
         }
         // The fault layer must actually have fired for this cell — a chaos
         // run where nothing went wrong gates nothing. Stalls and jitter
         // leave no link counter behind.
         let uncounted = matches!(class, ChaosClass::ServerStall | ChaosClass::Jitter);
         let dark = !adaptive.fault_blackout_time.is_zero();
-        gate!(gates, faults.total() > 0 || uncounted || dark, "{tag}: fault class never fired");
+        gate!(
+            gates,
+            faults.total() > 0 || uncounted || dark,
+            "{tag}: fault class never fired"
+        );
         // Loss must have dropped packets; a blackout must have darkened
         // the links for a measurable time and dropped what was in flight.
         let baseline = link_faults(off);
         if class == ChaosClass::Loss {
-            gate!(gates, baseline.drops > 0, "{tag}: loss cell dropped nothing");
+            gate!(
+                gates,
+                baseline.drops > 0,
+                "{tag}: loss cell dropped nothing"
+            );
         }
         if class == ChaosClass::Blackout {
-            gate!(gates, !off.fault_blackout_time.is_zero(), "{tag}: links never went dark");
-            gate!(gates, baseline.blackout_drops > 0, "{tag}: blackout windows dropped nothing");
+            gate!(
+                gates,
+                !off.fault_blackout_time.is_zero(),
+                "{tag}: links never went dark"
+            );
+            gate!(
+                gates,
+                baseline.blackout_drops > 0,
+                "{tag}: blackout windows dropped nothing"
+            );
         }
         // The adaptive stack must actually have been live.
         let a = adaptive;
-        gate!(gates, a.client_on_fraction.is_some(), "{tag}: adaptive arm ran without a toggler");
+        gate!(
+            gates,
+            a.client_on_fraction.is_some(),
+            "{tag}: adaptive arm ran without a toggler"
+        );
         gate!(
             gates,
             a.client_breaker_trips.is_some() && a.server_breaker_trips.is_some(),
@@ -207,13 +269,18 @@ pub(crate) fn chaos(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             gates,
             CHAOS_BOUND.holds(adaptive_p99, oracle),
             "{tag}: adaptive p99 {} µs exceeds {CHAOS_BOUND} of oracle {} µs",
-            us(adaptive_p99), us(oracle)
+            us(adaptive_p99),
+            us(oracle)
         );
     }
     let worst = Bound::worst(regressions.into_iter());
     println!("\nworst adaptive-vs-oracle P99 ratio: {}", ratio(worst));
     let sections = vec![("cells", Json::Arr(rows))];
-    Some(Doc { version: 1, header: bound_header(CHAOS_BOUND), sections })
+    Some(Doc {
+        version: 1,
+        header: bound_header(CHAOS_BOUND),
+        sections,
+    })
 }
 
 /// Knobs: the multi-knob control plane against the static knob cube. For
@@ -228,10 +295,20 @@ pub(crate) fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // cell stays un-saturated. Client per-response cost c: the calibrated
     // default, the Figure 2 bare-metal cost, and a heavier stand-in for
     // an expensive client.
-    let (us300, us4, us12) = (Nanos::from_nanos(300), Nanos::from_micros(4), Nanos::from_micros(12));
-    let (costs, ns) = if smoke { (vec![us4], vec![8]) } else { (vec![us300, us4, us12], vec![1, 4, 8]) };
-    let cells: Vec<(Nanos, usize)> =
-        costs.iter().flat_map(|&cost| ns.iter().map(move |&n| (cost, n))).collect();
+    let (us300, us4, us12) = (
+        Nanos::from_nanos(300),
+        Nanos::from_micros(4),
+        Nanos::from_micros(12),
+    );
+    let (costs, ns) = if smoke {
+        (vec![us4], vec![8])
+    } else {
+        (vec![us300, us4, us12], vec![1, 4, 8])
+    };
+    let cells: Vec<(Nanos, usize)> = costs
+        .iter()
+        .flat_map(|&cost| ns.iter().map(move |&n| (cost, n)))
+        .collect();
     let results = run_grid(cells.len(), default_threads(), |i| {
         let (cost, n) = cells[i];
         let arms = experiments::knobs_arms(cost, n, 24_000.0, windows(smoke), SEED);
@@ -239,16 +316,23 @@ pub(crate) fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     });
     println!(
         "{:>6} {:>3} | {:>9} {:>18} | {:>9} {:>9} {:>6} | {:>5} {:>5} {:>5} {:>5}",
-        "c-us", "N", "best-p99", "best-corner", "1knob-p99", "joint-p99", "ratio", "nag", "dack",
-        "cork", "expl"
+        "c-us",
+        "N",
+        "best-p99",
+        "best-corner",
+        "1knob-p99",
+        "joint-p99",
+        "ratio",
+        "nag",
+        "dack",
+        "cork",
+        "expl"
     );
     println!("{}", "-".repeat(104));
     let (mut rows, mut regressions) = (Vec::new(), Vec::new());
     // The joint plane strictly beats the Nagle-only one: the multi-knob
     // payoff.
-    let joint_wins = |joint: &PointResult, single: &PointResult| {
-        matches!((joint.measured_p99, single.measured_p99), (Some(j), Some(s)) if j < s)
-    };
+    let joint_wins = |joint: &PointResult, single: &PointResult| matches!((joint.measured_p99, single.measured_p99), (Some(j), Some(s)) if j < s);
     for (&(cost, n), [corners @ .., single, joint]) in cells.iter().zip(&results) {
         let tag = format!("c={cost}/N={n}");
         let best = (0..corners.len())
@@ -268,11 +352,14 @@ pub(crate) fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         println!(
             "{:>6.1} {n:>3} | {:>9} {best_label:>18} | {:>9} {:>9} {:>6} | {nagle:>5} \
              {delack:>5} {cork:>5} {explored:>5}",
-            cost.as_micros_f64(), us(best_p99), us(single.measured_p99), us(joint.measured_p99),
+            cost.as_micros_f64(),
+            us(best_p99),
+            us(single.measured_p99),
+            us(joint.measured_p99),
             ratio(regression),
         );
-        let corners_json = (0..corners.len())
-            .map(|k| (knob_corner_label(k), Json::us(corners[k].measured_p99)));
+        let corners_json =
+            (0..corners.len()).map(|k| (knob_corner_label(k), Json::us(corners[k].measured_p99)));
         let plane_json = Json::obj([
             ("nagle_switches", nagle.into()),
             ("delack_switches", delack.into()),
@@ -294,16 +381,26 @@ pub(crate) fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         ]));
 
         for (k, corner) in corners.iter().enumerate() {
-            gate!(gates, corner.samples > 0, "{tag} corner {}: no samples", knob_corner_label(k));
+            gate!(
+                gates,
+                corner.samples > 0,
+                "{tag} corner {}: no samples",
+                knob_corner_label(k)
+            );
         }
         gate!(
             gates,
             KNOBS_BOUND.holds(joint.measured_p99, best_p99),
             "{tag}: joint p99 {} µs exceeds {KNOBS_BOUND} of best corner {} µs",
-            us(joint.measured_p99), us(best_p99)
+            us(joint.measured_p99),
+            us(best_p99)
         );
         // The plane must actually have been live on every knob.
-        gate!(gates, joint.plane_nagle_switches.is_some(), "{tag}: no joint plane attached");
+        gate!(
+            gates,
+            joint.plane_nagle_switches.is_some(),
+            "{tag}: no joint plane attached"
+        );
         gate!(gates, explored > 0, "{tag}: the joint plane never explored");
     }
     let worst = Bound::worst(regressions.into_iter());
@@ -312,17 +409,24 @@ pub(crate) fn knobs(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         // The headline claim: on the hardest cell (highest c and N — where
         // the Nagle/delayed-ACK interaction bites), the joint plane must
         // strictly beat the Nagle-only plane.
-        let high = (0..cells.len()).max_by_key(|&i| cells[i]).expect("non-empty grid");
+        let high = (0..cells.len())
+            .max_by_key(|&i| cells[i])
+            .expect("non-empty grid");
         let ((cost, n), [.., single, joint]) = (cells[high], &results[high]);
         gate!(
             gates,
             joint_wins(joint, single),
             "high cell c={cost}/N={n}: joint {} µs does not beat nagle-only {} µs",
-            us(joint.measured_p99), us(single.measured_p99)
+            us(joint.measured_p99),
+            us(single.measured_p99)
         );
     }
     let sections = vec![("cells", Json::Arr(rows))];
-    Some(Doc { version: 1, header: bound_header(KNOBS_BOUND), sections })
+    Some(Doc {
+        version: 1,
+        header: bound_header(KNOBS_BOUND),
+        sections,
+    })
 }
 
 /// Extra slack for the adversary smoke grid only. The 150 ms smoke window
@@ -349,9 +453,20 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     // listener registry to the attack surface.
     let (cells, seed, bound) = if smoke {
         let slack = CHAOS_BOUND.slack + SMOKE_EXTRA_SLACK;
-        (cube(&[1], &AdversaryClass::ALL, &[1.0]), 0xC405, Bound { slack, ..CHAOS_BOUND })
+        (
+            cube(&[1], &AdversaryClass::ALL, &[1.0]),
+            0xC405,
+            Bound {
+                slack,
+                ..CHAOS_BOUND
+            },
+        )
     } else {
-        (cube(&[1, 2], &AdversaryClass::ALL, &[0.5, 1.0]), SEED, CHAOS_BOUND)
+        (
+            cube(&[1, 2], &AdversaryClass::ALL, &[0.5, 1.0]),
+            SEED,
+            CHAOS_BOUND,
+        )
     };
     let results = run_grid(cells.len(), default_threads(), |i| {
         let (n, class, intensity) = cells[i];
@@ -360,8 +475,19 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     });
     println!(
         "{:>3} {:>8} {:>5} | {:>9} {:>9} {:>9} {:>9} | {:>9} {:>6} {:>7} | {:>7} {:>6} {:>5}",
-        "N", "class", "int", "off-p99", "on-p99", "guard-p99", "expo-p99", "oracle", "g-rat",
-        "e-rat", "rejects", "epochs", "trips"
+        "N",
+        "class",
+        "int",
+        "off-p99",
+        "on-p99",
+        "guard-p99",
+        "expo-p99",
+        "oracle",
+        "g-rat",
+        "e-rat",
+        "rejects",
+        "epochs",
+        "trips"
     );
     println!("{}", "-".repeat(117));
     let (mut rows, mut regressions) = (Vec::new(), Vec::new());
@@ -378,8 +504,15 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         println!(
             "{n:>3} {:>8} {intensity:>5.2} | {:>9} {:>9} {:>9} {:>9} | {:>9} {:>6} {:>7} | \
              {:>7} {:>6} {trips:>5}",
-            class.name(), us(off.measured_p99), us(on.measured_p99), us(guarded_p99),
-            us(exposed_p99), us(oracle), ratio(regression), ratio(exposed_regression), v.rejected,
+            class.name(),
+            us(off.measured_p99),
+            us(on.measured_p99),
+            us(guarded_p99),
+            us(exposed_p99),
+            us(oracle),
+            ratio(regression),
+            ratio(exposed_regression),
+            v.rejected,
             v.epoch_changes,
         );
         let validation = Json::obj([
@@ -404,15 +537,28 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             ("validation", validation),
         ]));
 
-        for (arm, p) in [("off", off), ("on", on), ("guarded", g), ("exposed", exposed)] {
-            gate!(gates, p.samples > 0, "{tag} [{arm}]: no samples survived the faults");
+        for (arm, p) in [
+            ("off", off),
+            ("on", on),
+            ("guarded", g),
+            ("exposed", exposed),
+        ] {
+            gate!(
+                gates,
+                p.samples > 0,
+                "{tag} [{arm}]: no samples survived the faults"
+            );
         }
         // The fault layer must actually have hit the metadata path — an
         // adversary run where nothing was garbled or restarted gates
         // nothing.
         match class {
             AdversaryClass::Corrupt => {
-                gate!(gates, corruptions > 0, "{tag}: no exchange was ever corrupted");
+                gate!(
+                    gates,
+                    corruptions > 0,
+                    "{tag}: no exchange was ever corrupted"
+                );
                 gate!(
                     gates,
                     v.rejected > 0,
@@ -420,9 +566,21 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
                 );
             }
             AdversaryClass::Restart => {
-                gate!(gates, g.fault_restarts > 0, "{tag}: no restart was ever injected");
-                gate!(gates, g.client_restarts > 0, "{tag}: clients never observed a restart");
-                gate!(gates, v.epoch_changes > 0, "{tag}: restarts fired, no epoch change seen");
+                gate!(
+                    gates,
+                    g.fault_restarts > 0,
+                    "{tag}: no restart was ever injected"
+                );
+                gate!(
+                    gates,
+                    g.client_restarts > 0,
+                    "{tag}: clients never observed a restart"
+                );
+                gate!(
+                    gates,
+                    v.epoch_changes > 0,
+                    "{tag}: restarts fired, no epoch change seen"
+                );
                 // Recovery, not just survival: the guarded arm must keep
                 // serving a solid majority of the offered load across
                 // every die/reconnect/resync cycle.
@@ -430,7 +588,8 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
                     gates,
                     g.achieved_rps > 0.5 * g.offered_rps,
                     "{tag}: guarded arm served only {:.0}/{:.0} rps across restarts",
-                    g.achieved_rps, g.offered_rps
+                    g.achieved_rps,
+                    g.offered_rps
                 );
             }
         }
@@ -438,7 +597,8 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             gates,
             bound.holds(guarded_p99, oracle),
             "{tag}: guarded p99 {} µs exceeds {bound} of oracle {} µs",
-            us(guarded_p99), us(oracle)
+            us(guarded_p99),
+            us(oracle)
         );
         if !bound.holds(exposed_p99, oracle) {
             exposed_breaches += 1;
@@ -446,7 +606,10 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     }
     let worst = Bound::worst(regressions.into_iter());
     println!("\nworst guarded-vs-oracle P99 ratio: {}", ratio(worst));
-    println!("exposed arms breaking the bound: {exposed_breaches}/{}", cells.len());
+    println!(
+        "exposed arms breaking the bound: {exposed_breaches}/{}",
+        cells.len()
+    );
     // The ablation is the experiment's point: the same stack without
     // validation must demonstrably fail somewhere on the grid.
     gate!(
@@ -454,8 +617,15 @@ pub(crate) fn adversary(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         exposed_breaches > 0,
         "every exposed arm stayed within the bound — validation is not load-bearing on this grid"
     );
-    let sections = vec![("exposed_breaches", exposed_breaches.into()), ("cells", Json::Arr(rows))];
-    Some(Doc { version: 1, header: bound_header(CHAOS_BOUND), sections })
+    let sections = vec![
+        ("exposed_breaches", exposed_breaches.into()),
+        ("cells", Json::Arr(rows)),
+    ];
+    Some(Doc {
+        version: 1,
+        header: bound_header(CHAOS_BOUND),
+        sections,
+    })
 }
 
 /// Minimum fraction of measurement windows in which the service-level
@@ -470,10 +640,19 @@ fn shard_point_json(r: &TierPointResult) -> Json {
     Json::obj([
         ("p99_us", Json::us(r.measured_p99)),
         ("hot_shard", r.hot_shard.into()),
-        ("per_shard_requests", Json::arr(r.per_shard_requests.iter().map(|&n| n.into()))),
-        ("shard_estimates_us", Json::arr(r.shard_estimates.iter().map(|&e| Json::us(e)))),
+        (
+            "per_shard_requests",
+            Json::arr(r.per_shard_requests.iter().map(|&n| n.into())),
+        ),
+        (
+            "shard_estimates_us",
+            Json::arr(r.shard_estimates.iter().map(|&e| Json::us(e))),
+        ),
         ("hot_rank_fraction", json_ratio(r.hot_rank_fraction)),
-        ("shard_on_fraction", Json::arr(r.shard_on_fraction.iter().map(|&f| Json::debug(f)))),
+        (
+            "shard_on_fraction",
+            Json::arr(r.shard_on_fraction.iter().map(|&f| Json::debug(f))),
+        ),
     ])
 }
 
@@ -485,8 +664,11 @@ fn shard_point_json(r: &TierPointResult) -> Json {
 /// comfortably unsaturated to hot enough that the skewed shard's
 /// per-delivery receive work saturates its core under `TCP_NODELAY`.
 pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
-    let (rates, seed): (&[f64], u64) =
-        if smoke { (&[60_000.0], 0x5AAD) } else { (&[30_000.0, 60_000.0, 90_000.0], SEED) };
+    let (rates, seed): (&[f64], u64) = if smoke {
+        (&[60_000.0], 0x5AAD)
+    } else {
+        (&[30_000.0, 60_000.0, 90_000.0], SEED)
+    };
     let cells = run_grid(rates.len(), default_threads(), |i| {
         let arms = experiments::shard_arms(rates[i], 8, 4, 0.7, windows(smoke), seed);
         arms.map(|cfg| run_tier_point(&cfg))
@@ -508,8 +690,12 @@ pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         let rank = rank.map_or_else(|| "n/a".into(), |f| format!("{:.0}%", f * 100.0));
         println!(
             "{rate:>8.0} | {:>9} {:>9} {:>9} | {:>6} | {rank:>8} {:>8.2} | {:>16}",
-            us(off.measured_p99), us(on.measured_p99), us(adaptive.measured_p99),
-            ratio(regression), off.proxy_cpu.app, on_fractions.join(" "),
+            us(off.measured_p99),
+            us(on.measured_p99),
+            us(adaptive.measured_p99),
+            ratio(regression),
+            off.proxy_cpu.app,
+            on_fractions.join(" "),
         );
         rows.push(Json::obj([
             ("rate_rps", Json::fixed(rate, 0)),
@@ -521,7 +707,11 @@ pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
 
         for (arm, r) in [("off", off), ("on", on), ("adaptive", adaptive)] {
             let served = &r.per_shard_requests;
-            gate!(gates, r.samples > 0, "rate {rate}: {arm} arm recorded no samples");
+            gate!(
+                gates,
+                r.samples > 0,
+                "rate {rate}: {arm} arm recorded no samples"
+            );
             gate!(
                 gates,
                 served.iter().all(|&n| n > 0),
@@ -544,7 +734,8 @@ pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             gates,
             SHARD_BOUND.holds(adaptive.measured_p99, best),
             "rate {rate}: adaptive p99 {} µs exceeds {SHARD_BOUND} of best corner {} µs",
-            us(adaptive.measured_p99), us(best)
+            us(adaptive.measured_p99),
+            us(best)
         );
     }
     if !smoke {
@@ -565,12 +756,15 @@ pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
             gates,
             Bound::ratio(adaptive.measured_p99, best).is_some_and(|r| r < 1.0),
             "hot cell: adaptive p99 {} µs did not beat the best corner {} µs",
-            us(adaptive.measured_p99), us(best)
+            us(adaptive.measured_p99),
+            us(best)
         );
         // The win is per-shard, not a lucky global flip: the hot upstream's
         // plane settled on batching while at least one cold plane did not.
         let (fraction, hot) = (&adaptive.shard_on_fraction, adaptive.hot_shard);
-        let cold = (0..fraction.len()).filter(|&s| s != hot).map(|s| fraction[s]);
+        let cold = (0..fraction.len())
+            .filter(|&s| s != hot)
+            .map(|s| fraction[s]);
         let coldest = cold.fold(f64::INFINITY, f64::min);
         gate!(
             gates,
@@ -581,7 +775,11 @@ pub(crate) fn shard(smoke: bool, gates: &mut Gates) -> Option<Doc> {
     }
     let mut header = vec![("hot_rank_min", Json::float(SHARD_HOT_RANK_MIN))];
     header.extend(bound_header(SHARD_BOUND));
-    Some(Doc { version: 1, header, sections: vec![("cells", Json::Arr(rows))] })
+    Some(Doc {
+        version: 1,
+        header,
+        sections: vec![("cells", Json::Arr(rows))],
+    })
 }
 
 /// The naive proxy must exceed this P99 multiple of the oracle in at
@@ -642,23 +840,39 @@ pub(crate) fn failover(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         let scenario = scenario.label();
         println!(
             "scenario {scenario:<13} oracle: p99 {:>8}µs goodput {:>7.0} rps",
-            us(oracle.measured_p99), oracle.achieved_rps,
+            us(oracle.measured_p99),
+            oracle.achieved_rps,
         );
         println!(
             "  {:>12} | {:>9} {:>7} | {:>7} {:>6} {:>6} {:>5} {:>6} {:>6} {:>5}",
             "arm", "p99-us", "ratio", "rps", "t/o", "retry", "hedge", "trips", "fails", "dedup"
         );
-        let mut row = vec![("scenario", scenario.into()), ("oracle", failover_point_json(oracle))];
+        let mut row = vec![
+            ("scenario", scenario.into()),
+            ("oracle", failover_point_json(oracle)),
+        ];
         for (arm, r) in FailoverArm::ALL.iter().zip(arms) {
             let p99_ratio = Bound::ratio(r.measured_p99, oracle.measured_p99);
             let arm_ratio = p99_ratio.map_or_else(|| "n/a".into(), |x| format!("{x:.1}x"));
             println!(
                 "  {:>12} | {:>9} {arm_ratio:>7} | {:>7.0} {:>6} {:>6} {:>5} {:>6} {:>6} {:>5}",
-                arm.label(), us(r.measured_p99), r.achieved_rps, r.timeouts, r.retries, r.hedges,
-                r.breaker_trips, r.failed, r.dedup_hits,
+                arm.label(),
+                us(r.measured_p99),
+                r.achieved_rps,
+                r.timeouts,
+                r.retries,
+                r.hedges,
+                r.breaker_trips,
+                r.failed,
+                r.dedup_hits,
             );
             row.push((arm.label(), failover_point_json(r)));
-            gate!(gates, r.samples > 0, "{scenario}: {} arm recorded no samples", arm.label());
+            gate!(
+                gates,
+                r.samples > 0,
+                "{scenario}: {} arm recorded no samples",
+                arm.label()
+            );
         }
         rows.push(Json::obj(row));
 
@@ -681,7 +895,10 @@ pub(crate) fn failover(smoke: bool, gates: &mut Gates) -> Option<Doc> {
                 && full.achieved_rps >= FAILOVER_GOODPUT_MIN * oracle.achieved_rps,
             "{scenario}: full stack p99 {} µs / goodput {:.0} outside {FAILOVER_BOUND} of oracle \
              p99 {} µs / goodput {:.0}",
-            us(full.measured_p99), full.achieved_rps, us(oracle.measured_p99), oracle.achieved_rps
+            us(full.measured_p99),
+            full.achieved_rps,
+            us(oracle.measured_p99),
+            oracle.achieved_rps
         );
         // A naive proxy that stopped producing samples collapsed totally.
         let naive_ratio = Bound::ratio(naive.measured_p99, oracle.measured_p99);
@@ -704,10 +921,18 @@ pub(crate) fn failover(smoke: bool, gates: &mut Gates) -> Option<Doc> {
         gate!(gates, retries > 0, "no retry ever granted across the grid");
         gate!(gates, hedges > 0, "no hedge ever granted across the grid");
         gate!(gates, trips > 0, "no breaker ever tripped across the grid");
-        gate!(gates, dedups > 0, "idempotency window never deduplicated a write");
+        gate!(
+            gates,
+            dedups > 0,
+            "idempotency window never deduplicated a write"
+        );
     }
     let mut header = bound_header(FAILOVER_BOUND);
     header.push(("naive_factor", Json::float(FAILOVER_NAIVE_FACTOR)));
     header.push(("goodput_min", Json::float(FAILOVER_GOODPUT_MIN)));
-    Some(Doc { version: 1, header, sections: vec![("cells", Json::Arr(rows))] })
+    Some(Doc {
+        version: 1,
+        header,
+        sections: vec![("cells", Json::Arr(rows))],
+    })
 }

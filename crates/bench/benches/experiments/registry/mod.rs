@@ -107,7 +107,11 @@ impl Gates {
 
 /// The shared (warmup, measure) window for the mode.
 fn windows(smoke: bool) -> (Nanos, Nanos) {
-    if smoke { (SMOKE_WARMUP, SMOKE_MEASURE) } else { (WARMUP, MEASURE) }
+    if smoke {
+        (SMOKE_WARMUP, SMOKE_MEASURE)
+    } else {
+        (WARMUP, MEASURE)
+    }
 }
 
 /// Nagle off vs on (plus the ε-greedy dynamic policy when `dynamic`) at
@@ -192,13 +196,23 @@ pub(crate) fn drive(args: impl IntoIterator<Item = String>) -> i32 {
         println!("=== {}: {} ===\n", entry.name, entry.title);
         let mut gates = Gates::default();
         let doc = (entry.exec)(smoke, &mut gates);
-        assert_eq!(doc.is_some(), entry.emits, "{}: `emits` is wrong", entry.name);
+        assert_eq!(
+            doc.is_some(),
+            entry.emits,
+            "{}: `emits` is wrong",
+            entry.name
+        );
         if let (false, Some(doc)) = (smoke, &doc) {
             let path = doc.write(entry.name).expect("write BENCH json");
             println!("wrote {} ({} rows)", path.display(), doc.count());
         }
         if !gates.failures.is_empty() {
-            failures.extend(gates.failures.iter().map(|m| format!("{}: {m}", entry.name)));
+            failures.extend(
+                gates
+                    .failures
+                    .iter()
+                    .map(|m| format!("{}: {m}", entry.name)),
+            );
         } else if smoke {
             println!("{} smoke: OK ({})\n", entry.name, entry.smoke_ok);
         } else {
@@ -208,6 +222,10 @@ pub(crate) fn drive(args: impl IntoIterator<Item = String>) -> i32 {
     if failures.is_empty() {
         return 0;
     }
-    eprintln!("{} gate(s) failed:\n{}", failures.len(), failures.join("\n"));
+    eprintln!(
+        "{} gate(s) failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
     1
 }

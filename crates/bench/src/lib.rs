@@ -93,7 +93,11 @@ pub enum Json {
 impl Json {
     /// NaN and infinities have no JSON spelling: they become `null`.
     fn finite(v: f64, text: String) -> Json {
-        if v.is_finite() { Json::Num(text) } else { Json::Null }
+        if v.is_finite() {
+            Json::Num(text)
+        } else {
+            Json::Null
+        }
     }
 
     /// A float in `Display` form: shortest round-trip text, no trailing

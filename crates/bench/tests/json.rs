@@ -21,7 +21,10 @@ fn float_forms_match_the_checked_in_bytes() {
     assert_eq!(Json::float(1.0).render(), "1");
     assert_eq!(Json::float(0.5).render(), "0.5");
     assert_eq!(Json::debug(1.0).render(), "1.0");
-    assert_eq!(Json::debug(0.34676434676434675).render(), "0.34676434676434675");
+    assert_eq!(
+        Json::debug(0.34676434676434675).render(),
+        "0.34676434676434675"
+    );
     assert_eq!(Json::fixed(80_000.0, 0).render(), "80000");
     assert_eq!(Json::fixed(300.0, 1).render(), "300.0");
     assert_eq!(Json::fixed(1.0, 3).render(), "1.000");
@@ -39,7 +42,10 @@ fn strings_are_escaped() {
     assert_eq!(Json::from("+nagle-delack").render(), "\"+nagle-delack\"");
     assert_eq!(Json::from("a\"b\\c\nd\te").render(), r#""a\"b\\c\nd\te""#);
     assert_eq!(Json::from("\x01").render(), "\"\\u0001\"");
-    assert_eq!(Json::obj([("k\"", Json::Null)]).render(), r#"{"k\"": null}"#);
+    assert_eq!(
+        Json::obj([("k\"", Json::Null)]).render(),
+        r#"{"k\"": null}"#
+    );
 }
 
 #[test]
@@ -49,7 +55,10 @@ fn nesting_keeps_insertion_order() {
         ("a", Json::obj([("inner", Json::debug(0.25))])),
         ("empty", Json::obj(Vec::<(String, Json)>::new())),
     ]);
-    assert_eq!(v.render(), r#"{"z": [1, null, []], "a": {"inner": 0.25}, "empty": {}}"#);
+    assert_eq!(
+        v.render(),
+        r#"{"z": [1, null, []], "a": {"inner": 0.25}, "empty": {}}"#
+    );
 }
 
 #[test]
@@ -71,8 +80,15 @@ fn document_is_one_row_per_line_and_counts_its_rows() {
     assert_eq!(doc.render("demo"), expected);
 
     // A document with no array section has no rows.
-    let empty = Doc { version: 2, header: vec![], sections: vec![] };
-    assert_eq!(empty.render("e"), "{\n  \"version\": 2,\n  \"bench\": \"e\",\n  \"count\": 0\n}\n");
+    let empty = Doc {
+        version: 2,
+        header: vec![],
+        sections: vec![],
+    };
+    assert_eq!(
+        empty.render("e"),
+        "{\n  \"version\": 2,\n  \"bench\": \"e\",\n  \"count\": 0\n}\n"
+    );
 }
 
 /// The checked-in goldens are this writer's output: every one opens with
@@ -83,17 +99,34 @@ fn checked_in_goldens_have_the_document_layout() {
     let mut seen = 0;
     for file in std::fs::read_dir(dir).expect("read crates/bench").flatten() {
         let name = file.file_name().into_string().unwrap_or_default();
-        let Some(bench) = name.strip_prefix("BENCH_").and_then(|n| n.strip_suffix(".json")) else {
+        let Some(bench) = name
+            .strip_prefix("BENCH_")
+            .and_then(|n| n.strip_suffix(".json"))
+        else {
             continue;
         };
         let text = std::fs::read_to_string(file.path()).expect("read golden");
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("{"), "{name}");
-        assert!(lines.next().is_some_and(|l| l.starts_with("  \"version\": ")), "{name}");
-        assert_eq!(lines.next(), Some(format!("  \"bench\": \"{bench}\",").as_str()), "{name}");
+        assert!(
+            lines
+                .next()
+                .is_some_and(|l| l.starts_with("  \"version\": ")),
+            "{name}"
+        );
+        assert_eq!(
+            lines.next(),
+            Some(format!("  \"bench\": \"{bench}\",").as_str()),
+            "{name}"
+        );
         let count: usize = text
             .lines()
-            .find_map(|l| l.strip_prefix("  \"count\": ")?.strip_suffix(',')?.parse().ok())
+            .find_map(|l| {
+                l.strip_prefix("  \"count\": ")?
+                    .strip_suffix(',')?
+                    .parse()
+                    .ok()
+            })
             .unwrap_or_else(|| panic!("{name}: no count"));
         // Rows of the first array section: the lines up to its closing bracket.
         let rows = text

@@ -188,8 +188,7 @@ impl DelaySet {
     /// Evaluates the decomposition, clamped at zero (the subtraction is an
     /// approximation and can transiently undershoot).
     pub fn latency(&self) -> Nanos {
-        (self.unacked_near + self.unread_near + self.unread_far)
-            .saturating_sub(self.ackdelay_far)
+        (self.unacked_near + self.unread_near + self.unread_far).saturating_sub(self.ackdelay_far)
     }
 }
 

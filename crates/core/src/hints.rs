@@ -190,7 +190,10 @@ mod tests {
     fn duplicate_hint_returns_cached_estimate() {
         let mut t = RequestTracker::new(Nanos::ZERO);
         let mut est = HintEstimator::new(WireScale::UNSCALED);
-        est.update(WireSnapshot::pack(&t.snapshot(Nanos::ZERO), WireScale::UNSCALED));
+        est.update(WireSnapshot::pack(
+            &t.snapshot(Nanos::ZERO),
+            WireScale::UNSCALED,
+        ));
         t.create(Nanos::from_micros(1), 1);
         t.complete(Nanos::from_micros(11), 1);
         let snap = WireSnapshot::pack(&t.snapshot(Nanos::from_micros(20)), WireScale::UNSCALED);

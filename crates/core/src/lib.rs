@@ -60,6 +60,4 @@ pub use estimator::{E2eEstimator, Estimate};
 pub use hints::{HintEstimator, RequestTracker};
 pub use multi::{EstimatorRegistry, MultiConnectionAggregator};
 pub use route::Knob;
-pub use validate::{
-    ExchangeValidator, ValidateConfig, ValidateCtx, ValidateStats,
-};
+pub use validate::{ExchangeValidator, ValidateConfig, ValidateCtx, ValidateStats};

@@ -363,7 +363,10 @@ mod tests {
         a.add(est(1_000, 1_000.0));
         let e = a.aggregate().unwrap();
         assert_eq!(e.smoothed_latency, Nanos::from_micros(190));
-        assert_eq!(e.local_view, e.latency, "both views are the aggregate latency");
+        assert_eq!(
+            e.local_view, e.latency,
+            "both views are the aggregate latency"
+        );
         assert_eq!(e.remote_view, e.latency);
     }
 

@@ -123,7 +123,10 @@ mod tests {
     fn aggregate_views_route_the_same_components() {
         let mut agg = MultiConnectionAggregator::new();
         for throughput in [600.0, 400.0] {
-            agg.add(Estimate { throughput, ..est() });
+            agg.add(Estimate {
+                throughput,
+                ..est()
+            });
         }
         let e = agg.aggregate().unwrap();
         assert_eq!(e.knob_view(Knob::Nagle), e);

@@ -10,7 +10,6 @@
 //! ([`Snapshot::averages_since`]) yields [`Averages`]: average occupancy,
 //! throughput, and Little's-law queueing delay for the window between them.
 
-
 use crate::time::Nanos;
 
 /// Per-queue tracking state (the paper's Algorithm 1).
@@ -63,7 +62,8 @@ impl QueueState {
     ///
     /// In debug builds, panics if `now` precedes the last update or if the
     /// occupancy would go negative.
-    pub fn track(&mut self, now: Nanos, nitems: i64) { // hot-path: runs on every enqueue/dequeue
+    pub fn track(&mut self, now: Nanos, nitems: i64) {
+        // hot-path: runs on every enqueue/dequeue
         debug_assert!(
             now >= self.time,
             "TRACK time went backwards: {} < {}",

@@ -11,7 +11,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-
 /// A point in simulated time (or a span of it), in nanoseconds.
 ///
 /// `Nanos` is `Copy`, totally ordered, and supports saturating subtraction
@@ -28,9 +27,7 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_nanos(), 3_500);
 /// assert_eq!(t * 2, Nanos::from_nanos(7_000));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Nanos(u64);
 
 impl Nanos {

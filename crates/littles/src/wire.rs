@@ -145,7 +145,12 @@ impl WireSnapshot {
     /// Deserializes from 12 big-endian bytes.
     pub(crate) fn decode(buf: &[u8; SNAPSHOT_WIRE_BYTES]) -> Self {
         let u32_at = |i: usize| {
-            Wrapping(u32::from_be_bytes([buf[i], buf[i + 1], buf[i + 2], buf[i + 3]]))
+            Wrapping(u32::from_be_bytes([
+                buf[i],
+                buf[i + 1],
+                buf[i + 2],
+                buf[i + 3],
+            ]))
         };
         WireSnapshot {
             time: u32_at(0),
@@ -434,7 +439,10 @@ mod tests {
             for b in buf.iter_mut() {
                 *b = next().to_le_bytes()[0];
             }
-            assert_eq!(WireExchange::try_decode(&buf).is_ok(), len >= EXCHANGE_WIRE_BYTES);
+            assert_eq!(
+                WireExchange::try_decode(&buf).is_ok(),
+                len >= EXCHANGE_WIRE_BYTES
+            );
             let tagged = WireExchange::try_decode_tagged(&buf);
             assert_eq!(tagged.is_ok(), len >= TAGGED_EXCHANGE_WIRE_BYTES);
             if let Ok(ex) = tagged {
@@ -545,7 +553,12 @@ mod tests {
         let wb = WireSnapshot::pack(&before, scale);
         let wa = WireSnapshot::pack(&after, scale);
         // The raw packed value wrapped past zero…
-        assert!(wa.time < wb.time, "packed clock must wrap: {} vs {}", wa.time, wb.time);
+        assert!(
+            wa.time < wb.time,
+            "packed clock must wrap: {} vs {}",
+            wa.time,
+            wb.time
+        );
         // …but the wrapping difference is exactly the elapsed wire ticks.
         assert_eq!(wa.time - wb.time, Wrapping((4_096 * 2) >> scale.time_shift));
     }

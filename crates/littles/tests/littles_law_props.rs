@@ -102,8 +102,12 @@ fn integral_is_monotonic_and_total_counts_departures() {
         for _ in 0..steps {
             t += rng.range(1, 10_000);
             let want = rng.range(0, 9) as i64 - 3; // in [-3, 5]
-            // Clamp removals so occupancy never goes negative.
-            let delta = if want < 0 { -(-want).min(q.size()) } else { want };
+                                                   // Clamp removals so occupancy never goes negative.
+            let delta = if want < 0 {
+                -(-want).min(q.size())
+            } else {
+                want
+            };
             q.track(Nanos::from_nanos(t), delta);
             if delta < 0 {
                 expected_total += delta.unsigned_abs();
@@ -131,7 +135,11 @@ fn snapshot_windows_are_additive() {
         for i in 0..steps {
             t += rng.range(1, 10_000);
             let want = rng.range(0, 6) as i64 - 2; // in [-2, 3]
-            let delta = if want < 0 { -(-want).min(q.size()) } else { want };
+            let delta = if want < 0 {
+                -(-want).min(q.size())
+            } else {
+                want
+            };
             q.track(Nanos::from_nanos(t), delta);
             if i == split {
                 mid = Some(q.snapshot(Nanos::from_nanos(t)));

@@ -32,7 +32,10 @@ impl AimdBatchLimit {
     ///
     /// Panics unless `min ≤ initial ≤ max` and `step ≥ 1`.
     pub fn new(objective: Objective, initial: u64, min: u64, max: u64, step: u64) -> Self {
-        assert!(min <= initial && initial <= max, "initial outside [min,max]");
+        assert!(
+            min <= initial && initial <= max,
+            "initial outside [min,max]"
+        );
         assert!(step >= 1, "step must be positive");
         AimdBatchLimit {
             objective,

@@ -95,7 +95,10 @@ impl Lifecycle {
             "min_confidence out of range"
         );
         assert!(config.trip_after >= 1, "trip_after must be at least one");
-        assert!(config.restore_after >= 1, "restore_after must be at least one");
+        assert!(
+            config.restore_after >= 1,
+            "restore_after must be at least one"
+        );
         assert!(
             !config.initial_backoff.is_zero() && config.initial_backoff <= config.max_backoff,
             "backoff range inverted or zero"

@@ -22,7 +22,6 @@
 //! differs, and the server cannot observe it without an end-to-end
 //! exchange.
 
-
 /// Model parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Figure1Params {

@@ -123,7 +123,10 @@ impl ControlPlane {
     ///
     /// Panics if `exploration_window` is zero.
     pub fn new(nagle: EpsilonGreedy, exploration_window: u32) -> Self {
-        assert!(exploration_window >= 1, "exploration window must be positive");
+        assert!(
+            exploration_window >= 1,
+            "exploration window must be positive"
+        );
         ControlPlane {
             nagle,
             delack: None,
@@ -279,7 +282,10 @@ mod tests {
 
     fn full_plane(seed: u64, window: u32) -> ControlPlane {
         ControlPlane::new(greedy(seed), window)
-            .with_delack(DelAckToggler::new(greedy(seed ^ 1), Nanos::from_micros(500)))
+            .with_delack(DelAckToggler::new(
+                greedy(seed ^ 1),
+                Nanos::from_micros(500),
+            ))
             .with_cork(AimdBatchLimit::new(
                 Objective::MinLatency,
                 1_448,
@@ -317,7 +323,9 @@ mod tests {
             Nanos::from_micros(500),
         );
         let cork = AimdBatchLimit::new(Objective::MinLatency, 1_448, 1_448, 65_536, 1_448);
-        let mut plane = ControlPlane::new(nagle, 4).with_delack(delack).with_cork(cork);
+        let mut plane = ControlPlane::new(nagle, 4)
+            .with_delack(delack)
+            .with_cork(cork);
         assert_eq!(plane.knobs(), 3);
 
         let mut per_window = Vec::new();
@@ -337,11 +345,7 @@ mod tests {
                 plane.delack_explorations(),
                 plane.cork_explorations(),
             );
-            let advanced = [
-                after.0 > before.0,
-                after.1 > before.1,
-                after.2 > before.2,
-            ];
+            let advanced = [after.0 > before.0, after.1 > before.1, after.2 > before.2];
             assert_eq!(
                 advanced.iter().filter(|&&a| a).count(),
                 1,

@@ -295,9 +295,14 @@ mod tests {
             assert!(b9 >= us(600) && b9 <= us(1000), "b9 {b9:?}");
         }
         // Jitter actually spreads: not all ids share one backoff.
-        let distinct: std::collections::BTreeSet<u64> =
-            (0..256u64).map(|id| p.backoff_for(1, id).as_nanos()).collect();
-        assert!(distinct.len() > 50, "only {} distinct backoffs", distinct.len());
+        let distinct: std::collections::BTreeSet<u64> = (0..256u64)
+            .map(|id| p.backoff_for(1, id).as_nanos())
+            .collect();
+        assert!(
+            distinct.len() > 50,
+            "only {} distinct backoffs",
+            distinct.len()
+        );
     }
 
     #[test]

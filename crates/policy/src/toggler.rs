@@ -352,13 +352,16 @@ mod tests {
         t.decide_gated(&est(500, 1.0), true); // scores off; tries on
         assert!(t.current(), "unsampled arm forced");
         t.decide_gated(&est(100, 1.0), true); // scores on; on wins
-        // Exploration withheld: with both arms sampled it still picks the
-        // better one, even after the scores flip.
+                                              // Exploration withheld: with both arms sampled it still picks the
+                                              // better one, even after the scores flip.
         for _ in 0..20 {
             let lat = if t.current() { 600 } else { 50 };
             t.decide_gated(&est(lat, 1.0), false);
         }
-        assert!(!t.current(), "exploitation alone migrates to the better arm");
+        assert!(
+            !t.current(),
+            "exploitation alone migrates to the better arm"
+        );
     }
 
     #[test]

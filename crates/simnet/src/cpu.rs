@@ -12,7 +12,6 @@
 //! saturation knee in Figure 4, and the VM client of Figure 2 is a context
 //! whose costs carry a multiplier.
 
-
 use crate::fault::WindowSchedule;
 use littles::Nanos;
 
@@ -161,8 +160,7 @@ impl BusySnapshot {
         if dt.is_zero() {
             return 0.0;
         }
-        (later.busy_accum.saturating_sub(self.busy_accum)).as_nanos() as f64
-            / dt.as_nanos() as f64
+        (later.busy_accum.saturating_sub(self.busy_accum)).as_nanos() as f64 / dt.as_nanos() as f64
     }
 }
 
@@ -218,7 +216,10 @@ mod tests {
     fn zero_window_utilization_is_zero() {
         let c = CpuContext::new("app");
         let snap = c.busy_snapshot(Nanos::ZERO);
-        assert_eq!(c.utilization_since(&snap, Nanos::ZERO).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            c.utilization_since(&snap, Nanos::ZERO).to_bits(),
+            0.0f64.to_bits()
+        );
     }
 
     #[test]

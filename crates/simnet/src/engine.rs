@@ -147,7 +147,10 @@ pub fn run<W: World>(world: &mut W, queue: &mut EventQueue<W::Event>, until: Nan
         if at > until {
             break;
         }
-        #[expect(clippy::expect_used, reason = "peek_time just returned Some, so pop does too")]
+        #[expect(
+            clippy::expect_used,
+            reason = "peek_time just returned Some, so pop does too"
+        )]
         let (_, ev) = queue.pop().expect("peeked event exists");
         world.handle(queue, ev);
         n += 1;

@@ -556,7 +556,9 @@ mod tests {
         for i in 0..1000u64 {
             let d = plan.on_transmit(LinkId::from_index((i % 4) as usize), i % 2 == 0, us(i));
             assert!(!d.drop && !d.duplicate && d.extra_delay.is_zero());
-            assert!(plan.corrupt_exchange(LinkId::from_index((i % 4) as usize), i % 2 == 0, us(i)).is_none());
+            assert!(plan
+                .corrupt_exchange(LinkId::from_index((i % 4) as usize), i % 2 == 0, us(i))
+                .is_none());
         }
         // No RNG state advanced, no counters moved: bit-identical.
         assert_eq!(plan.loss_rng, pristine.loss_rng);
@@ -574,7 +576,10 @@ mod tests {
             shard: ShardFaultPlan {
                 crash: Some(ShardCrash {
                     shard: 2,
-                    schedule: RestartSchedule { first_at: us(100), period: Nanos::ZERO },
+                    schedule: RestartSchedule {
+                        first_at: us(100),
+                        period: Nanos::ZERO,
+                    },
                 }),
                 ..ShardFaultPlan::default()
             },
@@ -602,7 +607,9 @@ mod tests {
         let mut plan = FaultPlan::new(cfg, 11, 2);
         let mut hits = 0u64;
         for i in 0..4_000u64 {
-            if let Some(t) = plan.corrupt_exchange(LinkId::from_index((i % 2) as usize), i % 2 == 0, us(i)) {
+            if let Some(t) =
+                plan.corrupt_exchange(LinkId::from_index((i % 2) as usize), i % 2 == 0, us(i))
+            {
                 hits += 1;
                 assert!(t.field < 10, "field {}", t.field);
                 assert!(t.bit < 32, "bit {}", t.bit);
@@ -621,8 +628,12 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut plan = FaultPlan::new(cfg, 3, 1);
-        assert!(plan.corrupt_exchange(LinkId::from_index(0), true, us(499)).is_none());
-        assert!(plan.corrupt_exchange(LinkId::from_index(0), true, us(500)).is_some());
+        assert!(plan
+            .corrupt_exchange(LinkId::from_index(0), true, us(499))
+            .is_none());
+        assert!(plan
+            .corrupt_exchange(LinkId::from_index(0), true, us(500))
+            .is_some());
     }
 
     #[test]
@@ -641,7 +652,13 @@ mod tests {
         assert_eq!(picks_a, picks_b);
         assert!(picks_a.iter().all(|&t| t < 8));
         // Not degenerate: more than one distinct target over 64 draws.
-        assert!(picks_a.iter().collect::<std::collections::BTreeSet<_>>().len() > 1);
+        assert!(
+            picks_a
+                .iter()
+                .collect::<std::collections::BTreeSet<_>>()
+                .len()
+                > 1
+        );
         assert_eq!(a.restarts(), 64);
     }
 
@@ -660,11 +677,7 @@ mod tests {
         assert!((600..1_400).contains(&total), "loss count {total}");
         // Burstiness: a drop is far more likely right after a drop than
         // the stationary rate would suggest.
-        let after_drop = drops
-            .windows(2)
-            .filter(|w| w[0] && w[1])
-            .count() as f64
-            / total as f64;
+        let after_drop = drops.windows(2).filter(|w| w[0] && w[1]).count() as f64 / total as f64;
         assert!(after_drop > 0.4, "P(drop|drop) = {after_drop:.3}");
         assert_eq!(plan.per_link_counters()[0].drops, total as u64);
     }
@@ -700,7 +713,10 @@ mod tests {
         };
         let mut plan = FaultPlan::new(cfg, 3, 2);
         let dups = (0..10_000u64)
-            .filter(|&i| plan.on_transmit(LinkId::from_index(1), true, us(i)).duplicate)
+            .filter(|&i| {
+                plan.on_transmit(LinkId::from_index(1), true, us(i))
+                    .duplicate
+            })
             .count();
         assert!((800..1_200).contains(&dups), "dups {dups}");
     }

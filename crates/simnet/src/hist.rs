@@ -12,7 +12,6 @@
 //! or up to its full range on the first sample outside them, and a bucket
 //! that would pass `u32::MAX` panics rather than wrap.
 
-
 use littles::Nanos;
 
 /// Number of linear sub-buckets per power-of-two octave. Must be a power
@@ -88,10 +87,16 @@ fn bucket_midpoint(index: usize) -> u64 {
 ///
 /// Panics when the bucket would pass `u32::MAX` samples.
 #[inline]
-#[expect(clippy::panic, reason = "a count that wrapped would misreport every quantile")]
+#[expect(
+    clippy::panic,
+    reason = "a count that wrapped would misreport every quantile"
+)]
 fn add(bucket: &mut u32, n: u32) {
     let Some(sum) = bucket.checked_add(n) else {
-        panic!("histogram bucket full: more than {} samples in one bucket", u32::MAX);
+        panic!(
+            "histogram bucket full: more than {} samples in one bucket",
+            u32::MAX
+        );
     };
     *bucket = sum;
 }
@@ -355,7 +360,13 @@ mod tests {
     /// and every 0.1 % quantile.
     fn readout(h: &Histogram) -> (u64, Vec<Option<Nanos>>) {
         let quantiles = (0..=1000).map(|i| h.quantile(f64::from(i) / 1000.0));
-        (h.count(), [h.mean(), h.min(), h.max()].into_iter().chain(quantiles).collect())
+        (
+            h.count(),
+            [h.mean(), h.min(), h.max()]
+                .into_iter()
+                .chain(quantiles)
+                .collect(),
+        )
     }
 
     /// Where [`seeded_latencies`] draws: inside the buckets allocated up
@@ -374,13 +385,15 @@ mod tests {
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..n)
             .map(|_| {
-                x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
                 let v = match (x >> 60, reach) {
                     (0, Reach::Below | Reach::Both) => (x >> 33) % 1_024, // under 1 µs
-                    (1, Reach::Both) => x >> 1,                   // up to the top bucket
-                    (2, Reach::Both) => u64::MAX - (x >> 50),     // the top bucket
-                    (3, Reach::Both) => (1 << 31) + (x >> 40),    // past the first buckets
-                    _ => 1_024 + (x >> 33) % 5_000_000,           // 1 µs to 5 ms
+                    (1, Reach::Both) => x >> 1,                           // up to the top bucket
+                    (2, Reach::Both) => u64::MAX - (x >> 50),             // the top bucket
+                    (3, Reach::Both) => (1 << 31) + (x >> 40),            // past the first buckets
+                    _ => 1_024 + (x >> 33) % 5_000_000,                   // 1 µs to 5 ms
                 };
                 Nanos::from_nanos(v)
             })
@@ -419,10 +432,18 @@ mod tests {
                 let (mut got, mut want) = (sized[i].0.clone(), full[i].clone());
                 got.merge(&sized[j].0);
                 want.merge(&full[j]);
-                assert_eq!(readout(&got), readout(&want), "seed {seed}: merge {j} into {i}");
+                assert_eq!(
+                    readout(&got),
+                    readout(&want),
+                    "seed {seed}: merge {j} into {i}"
+                );
                 let mut fresh = Histogram::new();
                 fresh.merge(&got);
-                assert_eq!(readout(&fresh), readout(&want), "seed {seed}: merge into new");
+                assert_eq!(
+                    readout(&fresh),
+                    readout(&want),
+                    "seed {seed}: merge into new"
+                );
             }
             // Refilled.
             let (mut h, mut r) = (sized[0].0.clone(), full[0].clone());

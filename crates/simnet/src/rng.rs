@@ -6,7 +6,6 @@
 //! run. We deliberately avoid `rand`'s thread-local entropy here; the `rand`
 //! crate is still used by test-only code elsewhere in the workspace.
 
-
 use littles::Nanos;
 
 const PCG_MULT: u64 = 6364136223846793005;
@@ -299,11 +298,12 @@ mod tests {
         }
         let mut a = Pcg32::stream(11, Stream::FaultLoss);
         let vs_sibling = (0..64).filter(|_| a.next_u32() == b.next_u32()).count();
-        assert!(vs_sibling < 4, "{vs_sibling} collisions with sibling stream");
+        assert!(
+            vs_sibling < 4,
+            "{vs_sibling} collisions with sibling stream"
+        );
         let mut a = Pcg32::stream(11, Stream::FaultLoss);
-        let vs_plain = (0..64)
-            .filter(|_| a.next_u32() == plain.next_u32())
-            .count();
+        let vs_plain = (0..64).filter(|_| a.next_u32() == plain.next_u32()).count();
         assert!(vs_plain < 4, "{vs_plain} collisions with unlabeled stream");
     }
 

@@ -67,7 +67,10 @@ impl<T> Store<T> {
         self.live += 1;
         let i = self.free;
         if i == NIL {
-            #[expect(clippy::expect_used, reason = "documented: 2^32 live values is a caller bug")]
+            #[expect(
+                clippy::expect_used,
+                reason = "documented: 2^32 live values is a caller bug"
+            )]
             let i = u32::try_from(self.slots.len())
                 .ok()
                 .filter(|&i| i != NIL)
@@ -75,7 +78,8 @@ impl<T> Store<T> {
             self.slots.push(Slot::Full(value));
             return StoreKey(i);
         }
-        if let Slot::Free(next) = std::mem::replace(&mut self.slots[i as usize], Slot::Full(value)) {
+        if let Slot::Free(next) = std::mem::replace(&mut self.slots[i as usize], Slot::Full(value))
+        {
             self.free = next;
         }
         StoreKey(i)

@@ -195,7 +195,10 @@ impl Topology {
         client_link: LinkConfig,
         shard_link: LinkConfig,
     ) -> Topology {
-        assert!(num_clients > 0, "two-tier topology needs at least one client");
+        assert!(
+            num_clients > 0,
+            "two-tier topology needs at least one client"
+        );
         assert!(num_shards > 0, "two-tier topology needs at least one shard");
         let proxy = HostId(num_clients);
         let mut b = Topology::builder(num_clients + 1 + num_shards);
@@ -237,7 +240,10 @@ impl Topology {
     ///
     /// Panics when the hosts are not adjacent (multi-hop routing is the
     /// protocol layer's job, one link at a time).
-    #[expect(clippy::panic, reason = "routing over a missing link is a topology-construction bug")]
+    #[expect(
+        clippy::panic,
+        reason = "routing over a missing link is a topology-construction bug"
+    )]
     pub fn hop_index(&self, from: HostId, to: HostId) -> (LinkId, bool) {
         let list = &self.adj[from.0];
         match list.binary_search_by_key(&to, |(peer, _, _)| *peer) {

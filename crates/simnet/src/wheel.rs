@@ -279,7 +279,10 @@ impl<E> TimerWheel<E> {
                 (idx, cell.gen)
             }
             None => {
-                #[expect(clippy::expect_used, reason = "2^32 live timers would exhaust memory first")]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "2^32 live timers would exhaust memory first"
+                )]
                 let idx = u32::try_from(self.cells.len()).expect("wheel slab capacity");
                 self.cells.push(Cell {
                     gen: 0,
@@ -337,7 +340,10 @@ impl<E> TimerWheel<E> {
                 let next = self.cell(head).next;
                 debug_assert_eq!(self.cell(head).at, slot_time);
                 self.unlink(0, slot, head, NIL, next);
-                #[expect(clippy::expect_used, reason = "only released cells lose their event, and those are unlinked")]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "only released cells lose their event, and those are unlinked"
+                )]
                 let event = self.release(head).expect("linked cells hold an event");
                 return Some((slot_time, event));
             }
@@ -555,6 +561,10 @@ mod tests {
             assert!(w.cancel(tok));
             tok = w.schedule(w.now_ns() + 200_000_000 + round, 0);
         }
-        assert_eq!(w.cells.len(), cells, "cancelled cells must be reused at once");
+        assert_eq!(
+            w.cells.len(),
+            cells,
+            "cancelled cells must be reused at once"
+        );
     }
 }

@@ -165,6 +165,13 @@ fn steady_state_hot_path_does_not_allocate() {
         queue_allocs, 0,
         "event-queue hot path allocated {queue_allocs} time(s) in steady state"
     );
-    assert_eq!(store_allocs, 0, "store allocated {store_allocs} time(s) in steady state");
-    assert!(store.high_water() <= 2 * IN_FLIGHT as usize, "{}", store.high_water());
+    assert_eq!(
+        store_allocs, 0,
+        "store allocated {store_allocs} time(s) in steady state"
+    );
+    assert!(
+        store.high_water() <= 2 * IN_FLIGHT as usize,
+        "{}",
+        store.high_water()
+    );
 }

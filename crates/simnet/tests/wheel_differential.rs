@@ -97,10 +97,10 @@ fn thousand_round_differential_sweep() {
                 // enough to land several wheel levels up.
                 0..=39 => {
                     let delay = match rng.gen_range(4) {
-                        0 => rng.gen_range(64),                   // level 0
-                        1 => rng.gen_range(1 << 12),              // level ~2
-                        2 => rng.gen_range(1 << 30),              // level ~5
-                        _ => rng.gen_range(1 << 50),              // top levels
+                        0 => rng.gen_range(64),      // level 0
+                        1 => rng.gen_range(1 << 12), // level ~2
+                        2 => rng.gen_range(1 << 30), // level ~5
+                        _ => rng.gen_range(1 << 50), // top levels
                     };
                     let payload = (round * 1_000 + op) as u32;
                     let token = q.schedule(Nanos::from_nanos(delay), payload);
@@ -151,9 +151,8 @@ fn thousand_round_differential_sweep() {
                         assert_eq!(q.now().as_nanos(), t, "clock follows pop");
                         // Drop the fired event's handles so later cancels
                         // of them exercise the stale-token path knowingly.
-                        outstanding.retain(|o| {
-                            model.heap.iter().any(|Reverse((_, s, _))| *s == o.seq)
-                        });
+                        outstanding
+                            .retain(|o| model.heap.iter().any(|Reverse((_, s, _))| *s == o.seq));
                     }
                 }
                 // Peek (shared ref — must not mutate) and len exactness.
@@ -161,7 +160,11 @@ fn thousand_round_differential_sweep() {
                     let got = q.peek_time().map(Nanos::as_nanos);
                     let want = model.peek();
                     assert_eq!(got, want, "round {round} op {op}: peek diverged");
-                    assert_eq!(got, q.peek_time().map(Nanos::as_nanos), "peek is idempotent");
+                    assert_eq!(
+                        got,
+                        q.peek_time().map(Nanos::as_nanos),
+                        "peek is idempotent"
+                    );
                 }
             }
             assert_eq!(q.len(), model.len(), "round {round} op {op}: len diverged");
@@ -198,7 +201,12 @@ fn far_future_overflow_ordering() {
     for &(id, t) in &scrambled {
         q.schedule_at(Nanos::from_nanos(t), id);
     }
-    let mut expect: Vec<(u64, usize)> = times.iter().copied().enumerate().map(|(i, t)| (t, i)).collect();
+    let mut expect: Vec<(u64, usize)> = times
+        .iter()
+        .copied()
+        .enumerate()
+        .map(|(i, t)| (t, i))
+        .collect();
     expect.sort_unstable();
     for &(want_t, want_id) in &expect {
         let (at, id) = q.pop().expect("event remains");
@@ -282,12 +290,24 @@ fn cancel_at_every_list_position_and_across_a_cascade() {
         assert_eq!(w.peek(), model.peek());
         assert_eq!(w.len(), model.len());
     }
-    assert!(w.cancel(lonely.0) && model.cancel(lonely.1), "only cell of its slot");
+    assert!(
+        w.cancel(lonely.0) && model.cancel(lonely.1),
+        "only cell of its slot"
+    );
     assert_eq!(pop_both(&mut w, &mut model, "cascade"), Some((base, 91)));
     // The survivors now sit at finer levels than where they were placed.
-    assert!(w.cancel(same[1].0) && model.cancel(same[1].1), "across a cascade");
-    assert!(!w.cancel(same[1].0) && !model.cancel(same[1].1), "second cancel is stale");
-    assert_eq!(pop_both(&mut w, &mut model, "survivor"), Some((base + 30, 3)));
+    assert!(
+        w.cancel(same[1].0) && model.cancel(same[1].1),
+        "across a cascade"
+    );
+    assert!(
+        !w.cancel(same[1].0) && !model.cancel(same[1].1),
+        "second cancel is stale"
+    );
+    assert_eq!(
+        pop_both(&mut w, &mut model, "survivor"),
+        Some((base + 30, 3))
+    );
     assert_eq!(pop_both(&mut w, &mut model, "drained"), None);
     assert_eq!(w.slab_len(), 7, "seven entries were live at once");
 }
@@ -358,5 +378,8 @@ fn rearm_churn_matches_reference_and_slab_tracks_peak_live() {
         while pop_both(&mut w, &mut model, "drain").is_some() {}
         assert_eq!(w.len(), 0);
     }
-    assert!(rearms > 20_000 && fired > 1_000, "vacuous: {rearms} re-arms, {fired} fires");
+    assert!(
+        rearms > 20_000 && fired > 1_000,
+        "vacuous: {rearms} re-arms, {fired} fires"
+    );
 }

@@ -95,7 +95,11 @@ impl SendBuffer {
         let room = self.capacity.saturating_sub((self.end - self.una) as usize);
         let n = bytes.len().min(room);
         if n > 0 {
-            let kept = if n == bytes.len() { bytes } else { bytes.slice(0, n) };
+            let kept = if n == bytes.len() {
+                bytes
+            } else {
+                bytes.slice(0, n)
+            };
             self.chunks.push_back((self.end, kept));
             self.end += n as u64;
         }
@@ -189,7 +193,11 @@ impl SendBuffer {
     // hot-path: runs per emitted segment
     fn boundaries_in(&self, from: u64, to: u64) -> Vec<u64> {
         let first = self.boundaries.partition_point(|&b| b <= from);
-        self.boundaries.range(first..).copied().take_while(|&b| b <= to).collect()
+        self.boundaries
+            .range(first..)
+            .copied()
+            .take_while(|&b| b <= to)
+            .collect()
     }
 
     /// Processes a cumulative acknowledgment up to stream offset `upto`.
@@ -438,7 +446,10 @@ impl RecvBuffer {
         if self.ooo.is_empty() {
             return out;
         }
-        let mut stored = self.ooo.iter().map(|(&start, p)| (start, start + p.len() as u64));
+        let mut stored = self
+            .ooo
+            .iter()
+            .map(|(&start, p)| (start, start + p.len() as u64));
         let mut merged = stored.next();
         let mut latest = None;
         // The highest ranges not holding the latest arrival, ascending.
@@ -461,7 +472,9 @@ impl RecvBuffer {
             }
         }
         merged.map(&mut close);
-        let order = latest.into_iter().chain(highest.into_iter().rev().flatten());
+        let order = latest
+            .into_iter()
+            .chain(highest.into_iter().rev().flatten());
         for (slot, range) in out.iter_mut().zip(order) {
             *slot = Some(range);
         }
@@ -670,7 +683,10 @@ mod tests {
         let mut views: Vec<Payload> = Vec::new();
         assert_eq!(r.read(100, &mut views), (5, 1));
         assert_eq!(views.len(), 1);
-        assert!(std::ptr::eq(seg.as_ref().as_ptr(), views[0].as_ref().as_ptr()));
+        assert!(std::ptr::eq(
+            seg.as_ref().as_ptr(),
+            views[0].as_ref().as_ptr()
+        ));
     }
 
     #[test]
@@ -691,7 +707,10 @@ mod tests {
         assert_eq!(b.push(msg.clone()), 10);
         let c = b.take_chunk(100).unwrap();
         assert_eq!(&c.bytes[..], b"abcdefghij");
-        assert!(std::ptr::eq(c.bytes.as_ref().as_ptr(), msg.as_ref().as_ptr()));
+        assert!(std::ptr::eq(
+            c.bytes.as_ref().as_ptr(),
+            msg.as_ref().as_ptr()
+        ));
         // The caller still holds the rejected tail as a view of its own.
         let tail = msg.slice(10, msg.len());
         assert_eq!(&tail[..], b"klmnop");
@@ -705,12 +724,19 @@ mod tests {
             let end = (at + 50).min(256);
             r.ingest(at as u64, &msg.slice(at, end), &[]);
         }
-        assert_eq!(r.ready.len(), 1, "six adjacent segments are one ready chunk");
+        assert_eq!(
+            r.ready.len(),
+            1,
+            "six adjacent segments are one ready chunk"
+        );
         let mut views: Vec<Payload> = Vec::new();
         assert_eq!(r.read(usize::MAX, &mut views), (256, 0));
         assert_eq!(views.len(), 1);
         assert_eq!(views[0], msg);
-        assert!(std::ptr::eq(views[0].as_ref().as_ptr(), msg.as_ref().as_ptr()));
+        assert!(std::ptr::eq(
+            views[0].as_ref().as_ptr(),
+            msg.as_ref().as_ptr()
+        ));
     }
 
     #[test]
@@ -756,7 +782,12 @@ mod tests {
         let msgs: Vec<Payload> = [700usize, 300, 1000]
             .iter()
             .enumerate()
-            .map(|(i, &len)| (0..len).map(|j| (i * 7 + j) as u8).collect::<Vec<u8>>().into())
+            .map(|(i, &len)| {
+                (0..len)
+                    .map(|j| (i * 7 + j) as u8)
+                    .collect::<Vec<u8>>()
+                    .into()
+            })
             .collect();
         let stream = msgs.concat();
         let ends = [700u64, 1000, 2000];
@@ -777,7 +808,10 @@ mod tests {
             let mut views: Vec<Payload> = Vec::new();
             let (n, messages) = r.read(step, &mut views);
             assert_eq!(views.iter().map(|v| v.len()).sum::<usize>(), n);
-            let expected = ends.iter().filter(|&&e| e > pos && e <= pos + n as u64).count();
+            let expected = ends
+                .iter()
+                .filter(|&&e| e > pos && e <= pos + n as u64)
+                .count();
             assert_eq!(messages, expected, "read of {n} bytes at {pos}");
             out.extend(views.concat());
             pos += n as u64;
@@ -866,16 +900,28 @@ mod tests {
             r.ingest(at, &Payload::from_static(data), &[]);
         }
         // The latest arrival (14) leads; then the highest others, descending.
-        assert_eq!(r.sack_ranges(), [Some((14, 16)), Some((10, 12)), Some((6, 9))]);
+        assert_eq!(
+            r.sack_ranges(),
+            [Some((14, 16)), Some((10, 12)), Some((6, 9))]
+        );
         // A shorter copy at a stored offset leads, but does not shrink it.
         r.ingest(7, &Payload::from_static(b"h"), &[]);
-        assert_eq!(r.sack_ranges(), [Some((6, 9)), Some((14, 16)), Some((10, 12))]);
+        assert_eq!(
+            r.sack_ranges(),
+            [Some((6, 9)), Some((14, 16)), Some((10, 12))]
+        );
         r.ingest(3, &Payload::from_static(b"d"), &[]);
-        assert_eq!(r.sack_ranges(), [Some((2, 4)), Some((14, 16)), Some((10, 12))]);
+        assert_eq!(
+            r.sack_ranges(),
+            [Some((2, 4)), Some((14, 16)), Some((10, 12))]
+        );
         // Filling [0, 2) pulls 2..4 in order: the latest arrival is gone,
         // so the highest ranges are reported.
         r.ingest(0, &Payload::from_static(b"ab"), &[]);
-        assert_eq!(r.sack_ranges(), [Some((14, 16)), Some((10, 12)), Some((6, 9))]);
+        assert_eq!(
+            r.sack_ranges(),
+            [Some((14, 16)), Some((10, 12)), Some((6, 9))]
+        );
         r.ingest(4, &Payload::from_static(b"efghijklmnop"), &[]);
         assert_eq!(r.sack_ranges(), [None; 3]);
     }

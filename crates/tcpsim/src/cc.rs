@@ -62,7 +62,11 @@ impl CongestionControl {
         if self.in_slow_start() {
             // Exponential growth: cwnd += min(acked, MSS) per ACK, or every
             // byte acked with byte counting.
-            self.cwnd += if byte_counting { acked_bytes } else { acked_bytes.min(self.mss) };
+            self.cwnd += if byte_counting {
+                acked_bytes
+            } else {
+                acked_bytes.min(self.mss)
+            };
         } else {
             // Additive increase: one MSS per cwnd of acked data.
             self.acked_accum += acked_bytes;
@@ -120,7 +124,7 @@ mod tests {
     fn congestion_avoidance_grows_linearly() {
         let mut c = cc();
         c.on_rto(); // cwnd = 1 MSS, ssthresh = 5000
-        // Grow back to ssthresh via slow start.
+                    // Grow back to ssthresh via slow start.
         while c.in_slow_start() {
             c.on_ack(1000, false);
         }

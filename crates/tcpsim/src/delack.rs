@@ -106,7 +106,12 @@ impl DelAck {
     /// super-segments count their wire packets via `packets`).
     /// `force_quick` requests an immediate ACK (out-of-order data, window
     /// pressure).
-    pub(crate) fn on_data(&mut self, full_sized: bool, packets: u32, force_quick: bool) -> AckDecision {
+    pub(crate) fn on_data(
+        &mut self,
+        full_sized: bool,
+        packets: u32,
+        force_quick: bool,
+    ) -> AckDecision {
         self.pending_any = true;
         if full_sized {
             self.pending_full += packets;

@@ -43,7 +43,12 @@ pub(crate) const CORK_MAX_DELAY: Nanos = Nanos::from_micros(50);
 /// // Same with TCP_NODELAY → send.
 /// assert!(nagle_allows(false, 100, 1448, 5000));
 /// ```
-pub fn nagle_allows(nagle_on: bool, payload_len: usize, mss: usize, in_flight_bytes: usize) -> bool {
+pub fn nagle_allows(
+    nagle_on: bool,
+    payload_len: usize,
+    mss: usize,
+    in_flight_bytes: usize,
+) -> bool {
     if !nagle_on {
         return true;
     }

@@ -219,7 +219,12 @@ impl Host {
 
     /// Removes a timer's pending instance, if any, from `queue`.
     // hot-path: runs on every timer arm/cancel; must not allocate per call
-    pub(crate) fn cancel_timer<E>(&mut self, sock: SocketId, kind: TimerKind, queue: &mut EventQueue<E>) {
+    pub(crate) fn cancel_timer<E>(
+        &mut self,
+        sock: SocketId,
+        kind: TimerKind,
+        queue: &mut EventQueue<E>,
+    ) {
         if let Some(token) = self.timer_slot(sock, kind).take() {
             queue.cancel(token);
         }
@@ -228,7 +233,11 @@ impl Host {
     /// Removes every pending timer of `sock` from `queue` (the socket was
     /// reset: nothing armed on the old connection may fire on the new one).
     pub(crate) fn cancel_timers<E>(&mut self, sock: SocketId, queue: &mut EventQueue<E>) {
-        for token in self.pending[sock.0].timers.iter_mut().filter_map(Option::take) {
+        for token in self.pending[sock.0]
+            .timers
+            .iter_mut()
+            .filter_map(Option::take)
+        {
             queue.cancel(token);
         }
     }
@@ -317,9 +326,7 @@ impl Host {
     pub(crate) fn rx_cost(&self, seg: &Segment) -> Nanos {
         self.costs.rx_per_delivery
             + self.costs.rx_per_packet * seg.wire_packets as u64
-            + Nanos::from_nanos(
-                self.costs.rx_per_kib.as_nanos() * seg.payload.len() as u64 / 1024,
-            )
+            + Nanos::from_nanos(self.costs.rx_per_kib.as_nanos() * seg.payload.len() as u64 / 1024)
     }
 
     /// Transmit cost for a segment (excluding the doorbell). Pure ACKs use
@@ -388,7 +395,13 @@ mod tests {
         assert!(h.timer_pending(s, TimerKind::Rto));
         // Independent per timer kind.
         assert!(!h.timer_pending(s, TimerKind::Delack));
-        h.arm_timer(s, TimerKind::Delack, &mut q, Nanos::from_millis(40), TimerKind::Delack);
+        h.arm_timer(
+            s,
+            TimerKind::Delack,
+            &mut q,
+            Nanos::from_millis(40),
+            TimerKind::Delack,
+        );
         assert_eq!(q.len(), 2);
         // Firing empties the slot, so a later cancel cannot hit a stranger.
         assert_eq!(q.pop().map(|(_, k)| k), Some(TimerKind::Delack));
@@ -396,7 +409,13 @@ mod tests {
         h.cancel_timer(s, TimerKind::Delack, &mut q);
         assert_eq!(q.len(), 1);
         // A reset socket takes all of its timers out of the queue.
-        h.arm_timer(s, TimerKind::Cork, &mut q, Nanos::from_micros(200), TimerKind::Cork);
+        h.arm_timer(
+            s,
+            TimerKind::Cork,
+            &mut q,
+            Nanos::from_micros(200),
+            TimerKind::Cork,
+        );
         h.cancel_timers(s, &mut q);
         assert!(q.is_empty());
         assert!(!h.timer_pending(s, TimerKind::Rto) && !h.timer_pending(s, TimerKind::Cork));

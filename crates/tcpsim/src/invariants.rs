@@ -205,7 +205,10 @@ impl fmt::Display for InvariantViolation {
 /// Debug-assert wrapper: panics with the violation message in builds with
 /// debug assertions (tests, dev), does nothing in release.
 #[inline]
-#[expect(clippy::panic, reason = "the invariant gate: failing loudly is its job")]
+#[expect(
+    clippy::panic,
+    reason = "the invariant gate: failing loudly is its job"
+)]
 pub fn gate(result: Result<(), InvariantViolation>) {
     if cfg!(debug_assertions) {
         if let Err(v) = result {
@@ -363,7 +366,11 @@ impl SocketInvariants {
         }
         if (out_of_order || duplicate) && rcv_nxt_after != rcv_nxt_before {
             return Err(InvariantViolation::RxClassificationBroken {
-                kind: if duplicate { "duplicate" } else { "out-of-order" },
+                kind: if duplicate {
+                    "duplicate"
+                } else {
+                    "out-of-order"
+                },
                 before: rcv_nxt_before,
                 after: rcv_nxt_after,
             });
@@ -421,7 +428,11 @@ impl SocketInvariants {
         match sacked {
             Some(sacked) => {
                 let end = offset + len as u64;
-                Err(InvariantViolation::RetransmitSacked { offset, end, sacked })
+                Err(InvariantViolation::RetransmitSacked {
+                    offset,
+                    end,
+                    sacked,
+                })
             }
             None => Ok(()),
         }
@@ -439,7 +450,12 @@ impl SocketInvariants {
     ) -> Result<(), InvariantViolation> {
         self.sack_blocks += 1;
         if left <= una || right > high || left >= right {
-            return Err(InvariantViolation::SackOutOfWindow { left, right, una, high });
+            return Err(InvariantViolation::SackOutOfWindow {
+                left,
+                right,
+                una,
+                high,
+            });
         }
         Ok(())
     }
@@ -464,7 +480,8 @@ impl SocketInvariants {
     ) -> Result<(), InvariantViolation> {
         self.unacked
             .check("unacked", queues.unacked.size(Unit::Bytes))?;
-        self.unread.check("unread", queues.unread.size(Unit::Bytes))?;
+        self.unread
+            .check("unread", queues.unread.size(Unit::Bytes))?;
         self.ackdelay
             .check("ackdelay", queues.ackdelay.size(Unit::Bytes))?;
 
@@ -512,7 +529,10 @@ impl SocketInvariants {
     ///   nothing in flight, an open window, and no timer armed has no
     ///   future event to release it
     ///   ([`InvariantViolation::SenderStarved`]).
-    pub(crate) fn verify_actuation(&self, state: &ActuationState) -> Result<(), InvariantViolation> {
+    pub(crate) fn verify_actuation(
+        &self,
+        state: &ActuationState,
+    ) -> Result<(), InvariantViolation> {
         if !state.ack_pending {
             let stranded = self.ackdelay.balance("ackdelay")?;
             if stranded != 0 {
@@ -641,7 +661,11 @@ mod tests {
         assert_eq!(inv.on_retransmit(100, 100, None), Ok(()));
         assert!(matches!(
             inv.on_retransmit(100, 150, Some((200, 300))),
-            Err(InvariantViolation::RetransmitSacked { offset: 100, end: 250, .. })
+            Err(InvariantViolation::RetransmitSacked {
+                offset: 100,
+                end: 250,
+                ..
+            })
         ));
     }
 
@@ -659,11 +683,17 @@ mod tests {
         // A "duplicate" that moved the cursor is a contradiction.
         assert!(matches!(
             inv.on_rx_segment(false, true, 100, 200),
-            Err(InvariantViolation::RxClassificationBroken { kind: "duplicate", .. })
+            Err(InvariantViolation::RxClassificationBroken {
+                kind: "duplicate",
+                ..
+            })
         ));
         assert!(matches!(
             inv.on_rx_segment(true, false, 100, 200),
-            Err(InvariantViolation::RxClassificationBroken { kind: "out-of-order", .. })
+            Err(InvariantViolation::RxClassificationBroken {
+                kind: "out-of-order",
+                ..
+            })
         ));
     }
 

@@ -60,5 +60,5 @@ pub use queues::Unit;
 pub use segment::{FlowId, Segment};
 pub use sim::{App, Event, HostCtx, NetSim};
 pub use simnet::{LinkId, Topology};
-pub use tier::TierSim;
 pub use socket::{Action, Actions, SocketId, TcpSocket, TcpState, TimerKind, TxEnv, WakeReason};
+pub use tier::TierSim;

@@ -176,7 +176,10 @@ mod tests {
         assert_eq!((messages.total, messages.integral), (1, 2 * 2_000 + 1_000));
         // Packets are not counted: a well-formed empty queue.
         let packets = q.peek(now, Unit::Packets);
-        assert_eq!((q.size(Unit::Packets), packets.total, packets.integral), (0, 0, 0));
+        assert_eq!(
+            (q.size(Unit::Packets), packets.total, packets.integral),
+            (0, 0, 0)
+        );
         assert_eq!(packets.time, now);
     }
 

@@ -291,8 +291,7 @@ impl Segment {
     /// Total bytes on the wire: per-packet headers (with options) plus
     /// payload.
     pub(crate) fn wire_len(&self) -> usize {
-        (HEADER_BYTES + self.options.wire_bytes()) * self.wire_packets as usize
-            + self.payload.len()
+        (HEADER_BYTES + self.options.wire_bytes()) * self.wire_packets as usize + self.payload.len()
     }
 
     /// True if this is a pure acknowledgment (no payload, no SYN).
@@ -375,7 +374,10 @@ mod tests {
         let base = s.wire_len();
         s.options.timestamps = Some(TimestampOption { tsval: 1, tsecr: 2 });
         assert_eq!(s.wire_len(), base + TIMESTAMP_OPTION_BYTES);
-        s.options.slot = Some(OptionSlot::E2e(E2eOption::single(Unit::Bytes, WireExchange::default())));
+        s.options.slot = Some(OptionSlot::E2e(E2eOption::single(
+            Unit::Bytes,
+            WireExchange::default(),
+        )));
         assert_eq!(
             s.wire_len(),
             base + TIMESTAMP_OPTION_BYTES + E2E_OPTION_BYTES
@@ -386,11 +388,17 @@ mod tests {
     fn sack_option_counts_2_plus_8n_padded() {
         assert_eq!([1, 2, 3].map(sack_option_bytes), [12, 20, 28]);
         let mut sack = SackOption::default();
-        let block = SackBlock { left: SeqNum::new(10), right: SeqNum::new(20) };
+        let block = SackBlock {
+            left: SeqNum::new(10),
+            right: SeqNum::new(20),
+        };
         for _ in 0..MAX_SACK_BLOCKS {
             assert!(sack.push(block));
         }
-        assert!(!sack.push(block), "a fourth block does not fit beside timestamps");
+        assert!(
+            !sack.push(block),
+            "a fourth block does not fit beside timestamps"
+        );
         let mut s = data_segment(10, 2);
         let base = s.wire_len();
         s.options.slot = Some(OptionSlot::Sack(sack));

@@ -4,7 +4,6 @@
 //! meaningful between numbers less than 2³¹ apart. [`SeqNum`] mirrors the
 //! kernel's `before()`/`after()` helpers with wrapping add/sub.
 
-
 /// A 32-bit wrapping TCP sequence number.
 ///
 /// # Examples

@@ -137,7 +137,10 @@ impl FlowRoute {
     /// # Panics
     ///
     /// Panics when `host` is neither end of the flow.
-    #[expect(clippy::panic, reason = "documented: asking a third host is a caller bug")]
+    #[expect(
+        clippy::panic,
+        reason = "documented: asking a third host is a caller bug"
+    )]
     pub(crate) fn other(&self, host: HostId) -> HostId {
         if host == self.initiator {
             self.acceptor
@@ -348,10 +351,7 @@ impl HostCtx<'_> {
     /// state changed.
     pub fn apply(&mut self, sock: SocketId, setting: KnobSetting) -> bool {
         let now = self.now();
-        let changed = self
-            .host
-            .socket_mut(sock)
-            .apply(now, setting, self.actions);
+        let changed = self.host.socket_mut(sock).apply(now, setting, self.actions);
         if !self.actions.is_empty() {
             self.run_actions(sock);
         }
@@ -437,7 +437,10 @@ fn apply_actions(
                     Charge::App => host.app_cpu.busy_until(),
                     Charge::Softirq => host.softirq_cpu.busy_until(),
                 };
-                #[expect(clippy::expect_used, reason = "a flow is routed before its first segment")]
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a flow is routed before its first segment"
+                )]
                 let dst = routes
                     .get(seg.flow)
                     .expect("transmit on an unrouted flow")
@@ -474,8 +477,7 @@ fn apply_actions(
                             // counters lie. Applied before duplication so
                             // both copies carry the same lie.
                             if let Some(opt) = seg.options.e2e_mut() {
-                                if let Some(target) =
-                                    plan.corrupt_exchange(link_id, a_to_b, depart)
+                                if let Some(target) = plan.corrupt_exchange(link_id, a_to_b, depart)
                                 {
                                     garble_e2e(opt, target);
                                 }
@@ -541,7 +543,13 @@ fn apply_actions(
 #[inline]
 fn release_watch(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>) {
     if let Some((at, token)) = host.take_changed_watch(sock, queue) {
-        queue.schedule_at(at, Event::AppCall { host: host.id, token });
+        queue.schedule_at(
+            at,
+            Event::AppCall {
+                host: host.id,
+                token,
+            },
+        );
     }
 }
 
@@ -654,7 +662,11 @@ impl SimCore {
         seed: u64,
     ) -> Self {
         assert_eq!(hosts.len(), topology.num_hosts(), "one host per node");
-        assert_eq!(hosts.len(), default_peers.len(), "one default peer per host");
+        assert_eq!(
+            hosts.len(),
+            default_peers.len(),
+            "one default peer per host"
+        );
         for (i, h) in hosts.iter().enumerate() {
             assert_eq!(
                 h.id,
@@ -697,12 +709,16 @@ impl SimCore {
             return;
         }
         if let Some(stall) = config.server_stall {
-            self.hosts[stall_on.index()].app_cpu.set_stall_schedule(stall);
+            self.hosts[stall_on.index()]
+                .app_cpu
+                .set_stall_schedule(stall);
         }
         if let Some((first, count)) = self.shard_tier {
             if let Some(b) = config.shard.brownout {
                 assert!(b.shard < count, "brownout shard {} of {count}", b.shard);
-                self.hosts[first + b.shard].app_cpu.set_stall_schedule(b.windows);
+                self.hosts[first + b.shard]
+                    .app_cpu
+                    .set_stall_schedule(b.windows);
             }
             if let Some(c) = config.shard.crash {
                 assert!(c.shard < count, "crash shard {} of {count}", c.shard);
@@ -869,7 +885,8 @@ impl SimCore {
                     if !host.socket(id).is_corked() {
                         continue;
                     }
-                    host.socket_mut(id).on_nic_drained(now, env, &mut self.actions);
+                    host.socket_mut(id)
+                        .on_nic_drained(now, env, &mut self.actions);
                     self.run_softirq_actions(queue, h, id);
                     let host = &mut self.hosts[h.index()];
                     if host.socket(id).is_corked() {
@@ -973,7 +990,14 @@ impl<C: App, S: App> NetSim<C, S> {
         link_config: LinkConfig,
         seed: u64,
     ) -> Self {
-        Self::star(vec![client], server, vec![client_host], server_host, link_config, seed)
+        Self::star(
+            vec![client],
+            server,
+            vec![client_host],
+            server_host,
+            link_config,
+            seed,
+        )
     }
 
     /// Assembles an N-client star simulation. Client host `i` must carry
@@ -991,12 +1015,11 @@ impl<C: App, S: App> NetSim<C, S> {
         link_config: LinkConfig,
         seed: u64,
     ) -> Self {
-        assert!(!clients.is_empty(), "star simulation needs at least one client");
-        assert_eq!(
-            clients.len(),
-            client_hosts.len(),
-            "one host per client app"
+        assert!(
+            !clients.is_empty(),
+            "star simulation needs at least one client"
         );
+        assert_eq!(clients.len(), client_hosts.len(), "one host per client app");
         let n = clients.len();
         let server_id = HostId::from_index(n);
         let mut hosts = client_hosts;
@@ -1004,7 +1027,13 @@ impl<C: App, S: App> NetSim<C, S> {
         // Every host's plain connect() goes to the server (the server's
         // own self-entry is rejected by connect_to, as it should be).
         let default_peers = vec![server_id; n + 1];
-        let core = SimCore::new(hosts, Topology::star(n, link_config), default_peers, n, seed);
+        let core = SimCore::new(
+            hosts,
+            Topology::star(n, link_config),
+            default_peers,
+            n,
+            seed,
+        );
         NetSim {
             clients,
             server,
@@ -1029,7 +1058,14 @@ impl<C: App, S: App> NetSim<C, S> {
         seed: u64,
         fault_config: FaultConfig,
     ) -> Self {
-        let mut sim = Self::star(clients, server, client_hosts, server_host, link_config, seed);
+        let mut sim = Self::star(
+            clients,
+            server,
+            client_hosts,
+            server_host,
+            link_config,
+            seed,
+        );
         let server_id = sim.server_id();
         sim.core.install_faults(fault_config, seed, server_id);
         sim
@@ -1139,13 +1175,21 @@ mod tests {
     /// 240-byte `Segment`) fails here rather than in a benchmark.
     #[test]
     fn event_stays_within_24_bytes() {
-        assert!(std::mem::size_of::<Event>() <= 24, "{}", std::mem::size_of::<Event>());
+        assert!(
+            std::mem::size_of::<Event>() <= 24,
+            "{}",
+            std::mem::size_of::<Event>()
+        );
     }
 
     /// Every socket call's actions pass through one buffer; a transmission
     /// carries its segment's key, not the segment.
     #[test]
     fn action_stays_within_16_bytes() {
-        assert!(std::mem::size_of::<Action>() <= 16, "{}", std::mem::size_of::<Action>());
+        assert!(
+            std::mem::size_of::<Action>() <= 16,
+            "{}",
+            std::mem::size_of::<Action>()
+        );
     }
 }

@@ -277,7 +277,12 @@ impl TcpSocket {
              enable bytes or messages in ExchangeConfig::units"
         );
         TcpSocket {
-            tcb: Tcb { flow, config, state, epoch: 0 },
+            tcb: Tcb {
+                flow,
+                config,
+                state,
+                epoch: 0,
+            },
             tx: Tx::new(&config),
             rx: Rx::new(&config),
             queues: SocketQueues::new(now),
@@ -415,7 +420,8 @@ impl TcpSocket {
     /// (wrapped in [`gate`]) after each event; tests may call it directly.
     pub fn check_invariants(&mut self, now: Nanos) -> Result<(), InvariantViolation> {
         let (rcv, snd) = (&self.rx.rcv, &self.tx.snd);
-        self.invariants.verify(&self.queues, rcv.rcv_nxt(), rcv.read_pos(), now)?;
+        self.invariants
+            .verify(&self.queues, rcv.rcv_nxt(), rcv.read_pos(), now)?;
         let state = ActuationState {
             ack_pending: self.rx.delack.has_pending(),
             has_unsent: snd.unsent() > 0,
@@ -457,7 +463,12 @@ impl TcpSocket {
     /// from the switch instant on a timeout change. Callers must execute
     /// the returned actions and then re-run the transmit path so a
     /// loosened gate releases held data; `HostCtx::apply` does both.
-    pub(crate) fn apply(&mut self, now: Nanos, setting: KnobSetting, actions: &mut Actions) -> bool {
+    pub(crate) fn apply(
+        &mut self,
+        now: Nanos,
+        setting: KnobSetting,
+        actions: &mut Actions,
+    ) -> bool {
         let KnobSetting::DelAck(mode) = setting else {
             return self.tx.apply(setting);
         };
@@ -538,7 +549,8 @@ impl TcpSocket {
             return;
         }
         while let Some((chunk, retransmit)) =
-            self.tx.next_chunk(now, &self.tcb.config, env, &mut self.stats, actions)
+            self.tx
+                .next_chunk(now, &self.tcb.config, env, &mut self.stats, actions)
         {
             self.emit_data(now, chunk, retransmit, actions);
         }
@@ -563,7 +575,8 @@ impl TcpSocket {
             seg.options.timestamps = Some(TimestampOption { tsval, tsecr });
             seg.options.slot = self.rx.sack().map(OptionSlot::Sack);
             let (tcb, queues) = (&self.tcb, &self.queues);
-            self.tx.attach_exchange(now, tcb, queues, &mut self.stats, &mut seg.options);
+            self.tx
+                .attach_exchange(now, tcb, queues, &mut self.stats, &mut seg.options);
         }
         seg
     }
@@ -581,12 +594,18 @@ impl TcpSocket {
         let (offset, len) = (chunk.offset, chunk.bytes.len());
         gate(self.invariants.on_transmit(offset, len, retx));
         if retx {
-            gate(self.invariants.on_retransmit(offset, len, self.tx.sacked_overlap(offset, len)));
+            gate(
+                self.invariants
+                    .on_retransmit(offset, len, self.tx.sacked_overlap(offset, len)),
+            );
         }
         // wire_packets <= len/mss + 1, bounded by the send buffer.
         let wire_packets = len.div_ceil(self.tcb.config.mss).max(1) as u32;
         self.tx.on_sent(now, &chunk, retx);
-        let flags = Flags { ack: true, ..Flags::default() };
+        let flags = Flags {
+            ack: true,
+            ..Flags::default()
+        };
         let mut seg = self.header(now, Tcb::seq(offset), flags);
         seg.payload = chunk.bytes;
         seg.boundaries = chunk.boundaries;
@@ -624,7 +643,10 @@ impl TcpSocket {
     }
 
     fn emit_pure_ack(&mut self, now: Nanos, actions: &mut Actions) {
-        let flags = Flags { ack: true, ..Flags::default() };
+        let flags = Flags {
+            ack: true,
+            ..Flags::default()
+        };
         let seg = self.header(now, Tcb::seq(self.tx.snd.nxt()), flags);
         self.ack_sent(now, false, actions);
         self.stats.pure_acks_sent += 1;
@@ -642,7 +664,8 @@ impl TcpSocket {
                     self.tcb.state = TcpState::Established;
                     // It acknowledges only our SYN: `on_ack` takes its window.
                     let (stats, invariants) = (&mut self.stats, &mut self.invariants);
-                    self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
+                    self.tx
+                        .on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
                     self.tx.disarm_rto(actions);
                     self.emit_pure_ack(now, actions);
                     actions.push(Action::Wake(WakeReason::Connected));
@@ -665,7 +688,10 @@ impl TcpSocket {
         // ackdelay queues are booked here.
         if let Some((res, rcv_nxt_before, [bytes, messages])) = self.rx.reassemble(seg) {
             let (rcv_nxt, ooo, dup) = (self.rx.rcv.rcv_nxt(), res.out_of_order, res.duplicate);
-            gate(self.invariants.on_rx_segment(ooo, dup, rcv_nxt_before, rcv_nxt));
+            gate(
+                self.invariants
+                    .on_rx_segment(ooo, dup, rcv_nxt_before, rcv_nxt),
+            );
             if res.in_order_bytes > 0 {
                 self.invariants.unread.enter(res.in_order_bytes as u64);
                 self.track(now, |q| &mut q.unread, bytes, messages);
@@ -685,7 +711,9 @@ impl TcpSocket {
     /// ACK processing: `Tx` decides; the unacked queue is booked here.
     fn on_ack(&mut self, now: Nanos, seg: &Segment, actions: &mut Actions) {
         let (stats, invariants) = (&mut self.stats, &mut self.invariants);
-        let acked = self.tx.on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
+        let acked = self
+            .tx
+            .on_ack(now, seg, self.tcb.config.mss, stats, invariants, actions);
         let [bytes, messages] = acked.freed;
         if bytes > 0 {
             self.invariants.unacked.leave(bytes as u64);
@@ -782,7 +810,11 @@ mod tests {
         let last_seq = SeqNum::new((last_offset % (1 << 32)) as u32);
         // A little behind: still unwrappable (retransmitted old data).
         assert_eq!(
-            unwrap_seq(SeqNum::new(last_seq.raw().wrapping_sub(100)), last_seq, last_offset),
+            unwrap_seq(
+                SeqNum::new(last_seq.raw().wrapping_sub(100)),
+                last_seq,
+                last_offset
+            ),
             Some(last_offset - 100)
         );
         // Half the space ahead reads as behind (deltas ≥ 2³¹ are "old"):

@@ -94,7 +94,10 @@ impl Rx {
         let seq = |offset: u64| self.rcv_seq.advance(offset - rcv_nxt);
         let mut sack = SackOption::default();
         for (start, end) in ranges.into_iter().flatten() {
-            sack.push(SackBlock { left: seq(start), right: seq(end) });
+            sack.push(SackBlock {
+                left: seq(start),
+                right: seq(end),
+            });
         }
         Some(sack)
     }
@@ -105,7 +108,8 @@ impl Rx {
     /// sequence number too far behind to place.
     pub(super) fn reassemble(&mut self, seg: &Segment) -> Option<(IngestResult, u64, [i64; 2])> {
         let before = self.rcv.rcv_nxt();
-        let offset = unwrap_seq(seg.seq, self.rcv_seq, before).filter(|_| !seg.payload.is_empty())?;
+        let offset =
+            unwrap_seq(seg.seq, self.rcv_seq, before).filter(|_| !seg.payload.is_empty())?;
         let res = self.rcv.ingest(offset, &seg.payload, &seg.boundaries);
         self.rcv_seq = self.rcv_seq.advance(self.rcv.rcv_nxt() - before);
         let arrived = [res.in_order_bytes as i64, res.in_order_messages as i64];
@@ -138,7 +142,10 @@ impl Rx {
         let quick = self.quick_acks > 0;
         self.quick_acks = self.quick_acks.saturating_sub(1);
         let force_quick = impaired || quick || self.rcv.window() < mss;
-        match self.delack.on_data(full_sized, seg.wire_packets, force_quick) {
+        match self
+            .delack
+            .on_data(full_sized, seg.wire_packets, force_quick)
+        {
             AckDecision::SendNow => AckSwitch::Flush,
             AckDecision::Arm(delay) => AckSwitch::Rearm(delay),
             AckDecision::AlreadyArmed => AckSwitch::Nothing,

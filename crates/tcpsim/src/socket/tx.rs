@@ -174,7 +174,11 @@ impl Tx {
         match setting {
             KnobSetting::Nagle(on) => std::mem::replace(&mut self.nagle_dynamic_on, on) != on,
             KnobSetting::CorkLimit(limit) => {
-                let new = if limit == 0 { None } else { Some(limit as usize) };
+                let new = if limit == 0 {
+                    None
+                } else {
+                    Some(limit as usize)
+                };
                 std::mem::replace(&mut self.batch_limit, new) != new
             }
             KnobSetting::DelAck(_) => false,
@@ -200,9 +204,15 @@ impl Tx {
         let cfg = tcb.config.exchange;
         let due = |last: Nanos| now.saturating_sub(last) >= cfg.min_interval;
         let free = options.slot.is_none();
-        if free && cfg.enabled && cfg.units.iter().any(|&u| u) && self.last_exchange_tx.is_none_or(due)
+        if free
+            && cfg.enabled
+            && cfg.units.iter().any(|&u| u)
+            && self.last_exchange_tx.is_none_or(due)
         {
-            let mut opt = E2eOption { epoch: tcb.epoch, ..E2eOption::default() };
+            let mut opt = E2eOption {
+                epoch: tcb.epoch,
+                ..E2eOption::default()
+            };
             for ((unit, on), slot) in Unit::ALL.into_iter().zip(cfg.units).zip(&mut opt.exchanges) {
                 if on {
                     let exchange = queues.wire_exchange(now, unit, WireScale::default());
@@ -261,7 +271,11 @@ impl Tx {
         actions: &mut Actions,
     ) -> Option<(SendChunk, bool)> {
         let mss = config.mss;
-        let tso_limit = if config.tso.enabled { TSO_MAX_BYTES } else { mss };
+        let tso_limit = if config.tso.enabled {
+            TSO_MAX_BYTES
+        } else {
+            mss
+        };
         let pipe = self.pipe(mss);
         let cwnd_room = self.cc.cwnd().saturating_sub(pipe);
         if self.sacked > 0 {
@@ -269,7 +283,11 @@ impl Tx {
             let (loss, una) = (self.loss(mss), self.snd.una());
             // A range may end at `una`: acked, but not popped until the
             // next cumulative ACK.
-            if let Some(hole) = self.in_flight.iter().position(|f| f.end() > una && f.lost(loss)) {
+            if let Some(hole) = self
+                .in_flight
+                .iter()
+                .position(|f| f.end() > una && f.lost(loss))
+            {
                 // RFC 6675 NextSeg rule 1: resend the first lost range not
                 // yet resent while the window has an MSS of room beyond
                 // the pipe.
@@ -376,7 +394,10 @@ impl Tx {
     /// is lost too.
     fn loss(&self, mss: usize) -> Loss {
         let (mut ranges, mut bytes) = (0, 0);
-        let mut loss = Loss { below: 0, newest_sacked: Nanos::ZERO };
+        let mut loss = Loss {
+            below: 0,
+            newest_sacked: Nanos::ZERO,
+        };
         let byte_rule = u64::from(DUP_THRESH - 1) * mss as u64;
         for f in self.in_flight.iter().rev() {
             if f.sacked {
@@ -455,7 +476,10 @@ impl Tx {
     pub(super) fn sacked_overlap(&self, offset: u64, len: usize) -> Option<(u64, u64)> {
         let end = offset + len as u64;
         let overlaps = |f: &&InFlight| f.sacked && f.offset < end && f.end() > offset;
-        self.in_flight.iter().find(overlaps).map(|f| (f.offset, f.end()))
+        self.in_flight
+            .iter()
+            .find(overlaps)
+            .map(|f| (f.offset, f.end()))
     }
 
     /// Ends a transmit pass: the cork override lasts one pass.
@@ -472,7 +496,13 @@ impl Tx {
         if self.in_flight.get(at).is_some_and(|f| f.offset == offset) {
             return;
         }
-        let range = InFlight { offset, len, sent_at, retransmitted, sacked: false };
+        let range = InFlight {
+            offset,
+            len,
+            sent_at,
+            retransmitted,
+            sacked: false,
+        };
         self.in_flight.insert(at, range);
     }
 
@@ -498,7 +528,11 @@ impl Tx {
         if ack_offset > last {
             // On a lossy path the timestamp echo stands in for the RTT
             // sample Karn's rule withholds.
-            let echo = seg.options.timestamps.filter(|_| self.lossy).map(|ts| ts.tsecr);
+            let echo = seg
+                .options
+                .timestamps
+                .filter(|_| self.lossy)
+                .map(|ts| ts.tsecr);
             let mut acked = self.advance(now, ack_offset, echo, actions);
             if let Some(sack) = sack {
                 self.mark_sacked(sack, invariants);
@@ -528,7 +562,10 @@ impl Tx {
         self.dup_ack_count += 1;
         stats.dup_acks += 1;
         let fast_retransmit = self.maybe_recover(now, mss, self.dup_ack_count == DUP_THRESH, stats);
-        Acked { fast_retransmit, ..Acked::default() }
+        Acked {
+            fast_retransmit,
+            ..Acked::default()
+        }
     }
 
     /// Marks the in-flight ranges the SACK blocks cover; true if any was
@@ -583,7 +620,10 @@ impl Tx {
         stats.sack_recoveries += 1;
         stats.fast_retransmits += 1;
         let head = self.in_flight.partition_point(|f| f.end() <= una);
-        let everything = Loss { below: u64::MAX, newest_sacked: Nanos::ZERO };
+        let everything = Loss {
+            below: u64::MAX,
+            newest_sacked: Nanos::ZERO,
+        };
         Some(self.resend(now, head, in_flight.min(mss), everything))
     }
 
@@ -625,7 +665,9 @@ impl Tx {
             // `tsval` is the clock mod 2³²: only the wrapping difference
             // means anything.
             let rtt = echo.map(|echo| (now.as_nanos() as u32).wrapping_sub(echo));
-            rtt_sample = rtt.filter(|&rtt| rtt < 1 << 31).map(|rtt| Nanos::from_nanos(rtt.into()));
+            rtt_sample = rtt
+                .filter(|&rtt| rtt < 1 << 31)
+                .map(|rtt| Nanos::from_nanos(rtt.into()));
         }
         acked.freed = [freed.bytes as i64, freed.messages as i64];
         if let Some(rtt) = rtt_sample {

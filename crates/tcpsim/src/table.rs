@@ -44,7 +44,9 @@ impl<T> FlowMap<T> {
     pub(crate) fn get(&self, flow: FlowId) -> Option<&T> {
         // An id below the base wraps past every slot.
         let idx = flow.0.wrapping_sub(self.base);
-        self.slots.get(usize::try_from(idx).ok()?).and_then(Option::as_ref)
+        self.slots
+            .get(usize::try_from(idx).ok()?)
+            .and_then(Option::as_ref)
     }
 
     /// Binds `flow` to `value`, growing the table if the id is outside
@@ -57,7 +59,8 @@ impl<T> FlowMap<T> {
             self.base = flow.0;
         } else if flow.0 < self.base {
             let below = (self.base - flow.0) as usize;
-            self.slots.splice(0..0, std::iter::repeat_with(|| None).take(below));
+            self.slots
+                .splice(0..0, std::iter::repeat_with(|| None).take(below));
             self.base = flow.0;
         }
         let idx = (flow.0 - self.base) as usize;
@@ -155,7 +158,11 @@ mod tests {
         m.set(FlowId(3), 3);
         m.set(FlowId(5), 5);
         assert_eq!(m.remove(FlowId(3)), Some(3));
-        assert_eq!(m.slots.len(), 3, "a map still holding a flow keeps its slots");
+        assert_eq!(
+            m.slots.len(),
+            3,
+            "a map still holding a flow keeps its slots"
+        );
         assert_eq!(m.remove(FlowId(5)), Some(5));
         assert!(m.is_empty());
         m.set(FlowId(2_000), 2_000);

@@ -73,8 +73,14 @@ impl<C: App, P: App, S: App> TierSim<C, P, S> {
         seed: u64,
         fault_config: FaultConfig,
     ) -> Self {
-        assert!(!clients.is_empty(), "two-tier simulation needs at least one client");
-        assert!(!shards.is_empty(), "two-tier simulation needs at least one shard");
+        assert!(
+            !clients.is_empty(),
+            "two-tier simulation needs at least one client"
+        );
+        assert!(
+            !shards.is_empty(),
+            "two-tier simulation needs at least one shard"
+        );
         assert_eq!(clients.len(), client_hosts.len(), "one host per client app");
         assert_eq!(shards.len(), shard_hosts.len(), "one host per shard app");
         let n = clients.len();

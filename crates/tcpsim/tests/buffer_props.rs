@@ -105,7 +105,9 @@ fn recv_buffer_reassembles_any_order() {
         let dup_first = rng.gen_bool(0.5);
 
         // Split [0, len) into segments at the cut points.
-        let mut points: Vec<usize> = (0..n_cuts).map(|_| range(&mut rng, 0, data.len())).collect();
+        let mut points: Vec<usize> = (0..n_cuts)
+            .map(|_| range(&mut rng, 0, data.len()))
+            .collect();
         points.push(0);
         points.push(data.len());
         points.sort_unstable();

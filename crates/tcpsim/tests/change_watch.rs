@@ -24,8 +24,8 @@
 use littles::Nanos;
 use simnet::fault::GilbertElliott;
 use simnet::{
-    CpuContext, EventQueue, FaultConfig, HostId, LinkConfig, Pcg32, RestartSchedule,
-    ShardCrash, ShardFaultPlan, World,
+    CpuContext, EventQueue, FaultConfig, HostId, LinkConfig, Pcg32, RestartSchedule, ShardCrash,
+    ShardFaultPlan, World,
 };
 use tcpsim::config::{CostConfig, RtoConfig, TcpConfig};
 use tcpsim::host::Host;
@@ -285,7 +285,11 @@ impl App for Relay {
         }
         let from = SocketId(token as usize);
         let data = recv_flat(ctx, from);
-        let to = if Some(from) == self.front { self.back } else { self.front };
+        let to = if Some(from) == self.front {
+            self.back
+        } else {
+            self.front
+        };
         if let Some(to) = to {
             ctx.send(to, &data);
         }
@@ -337,7 +341,13 @@ fn drive<W: World<Event = Event>>(
     let mut last_tick: Vec<Option<Nanos>> = Vec::new();
     while queue.peek_time().is_some_and(|at| at <= until) {
         let (now, event) = queue.pop().expect("peeked event exists");
-        if matches!(event, Event::Timer { kind: TimerKind::Rto, .. }) {
+        if matches!(
+            event,
+            Event::Timer {
+                kind: TimerKind::Rto,
+                ..
+            }
+        ) {
             stream.rto_fires += 1;
         }
         if let Some(h) = host_of(&event) {
@@ -371,7 +381,11 @@ fn assert_same_ticks(what: &str, periodic: &Ticks, parking: &Ticks) {
     // The twin's last park may still be open; it has nothing to say yet
     // about the instants past it.
     let n = parking.log.len();
-    assert!(n > 0 && periodic.log.len() - n <= 16, "{what}: {n} of {}", periodic.log.len());
+    assert!(
+        n > 0 && periodic.log.len() - n <= 16,
+        "{what}: {n} of {}",
+        periodic.log.len()
+    );
     for (k, (want, got)) in periodic.log.iter().zip(&parking.log).enumerate() {
         assert_eq!(want, got, "{what}: tick {k}");
     }
@@ -431,33 +445,61 @@ fn parked_twin_sees_what_the_periodic_ticker_sees() {
         assert_eq!(p_stream.ties, vec![], "seed {seed}: pick a tie-free seed");
         assert_eq!(q_stream.ties, vec![], "seed {seed}: pick a tie-free seed");
         assert_eq!(p_stream.rto_fires, q_stream.rto_fires, "same traffic");
-        assert!(p_stream.rto_fires > 0, "seed {seed}: no retransmission timer fired");
+        assert!(
+            p_stream.rto_fires > 0,
+            "seed {seed}: no retransmission timer fired"
+        );
         let plan = periodic.fault_plan().expect("faults installed");
-        assert!(plan.restarts() >= 10, "seed {seed}: {} restarts", plan.restarts());
+        assert!(
+            plan.restarts() >= 10,
+            "seed {seed}: {} restarts",
+            plan.restarts()
+        );
         let drops: u64 = plan.per_link_counters().iter().map(|c| c.drops).sum();
         assert!(drops >= 5, "seed {seed}: {drops} drops");
 
         for (i, (a, b)) in periodic.clients.iter().zip(&parking.clients).enumerate() {
             assert_same_ticks(&format!("seed {seed} client {i}"), &a.ticks, &b.ticks);
             assert!(a.ticks.calls > 1_100);
-            assert!(b.ticks.longest_sleep >= 15, "client {i}: never slept to a deadline");
+            assert!(
+                b.ticks.longest_sleep >= 15,
+                "client {i}: never slept to a deadline"
+            );
             coincidences += b.ticks.deadline_coincidences;
             resets_after_fire += b.ticks.resets_after_fire;
             idle_deadlines += b.ticks.idle_deadlines;
         }
         // The talkers are called a few times per burst …
         for b in &parking.clients[..2] {
-            assert!(b.ticks.calls * 3 < b.ticks.log.len() as u64, "{} calls", b.ticks.calls);
+            assert!(
+                b.ticks.calls * 3 < b.ticks.log.len() as u64,
+                "{} calls",
+                b.ticks.calls
+            );
         }
         // … and the silent client for its deadlines and around its resets
         // (a handful of calls each) only: every other call would have
         // tripped the "called for a reason" assertion in `Ticks::tick`.
         let silent = &parking.clients[2].ticks;
-        assert!(silent.calls < 75 + 3 * plan.restarts(), "{} calls", silent.calls);
-        assert!(silent.idle_deadlines >= 60, "{} idle deadlines", silent.idle_deadlines);
+        assert!(
+            silent.calls < 75 + 3 * plan.restarts(),
+            "{} calls",
+            silent.calls
+        );
+        assert!(
+            silent.idle_deadlines >= 60,
+            "{} idle deadlines",
+            silent.idle_deadlines
+        );
     }
-    assert!(coincidences > 0, "no change ever moved a call onto its deadline");
-    assert!(resets_after_fire > 0, "no reset ever hit a released but unticked twin");
+    assert!(
+        coincidences > 0,
+        "no change ever moved a call onto its deadline"
+    );
+    assert!(
+        resets_after_fire > 0,
+        "no reset ever hit a released but unticked twin"
+    );
     assert!(idle_deadlines > 200);
 }
 
@@ -510,7 +552,11 @@ fn a_shard_crash_releases_the_relay_parked_on_its_upstream() {
         let (parking, q_stream) = tier(seed, true);
         assert_eq!(p_stream.ties, vec![], "seed {seed}: pick a tie-free seed");
         assert_eq!(q_stream.ties, vec![], "seed {seed}: pick a tie-free seed");
-        assert_same_ticks(&format!("seed {seed} relay"), &periodic.proxy.ticks, &parking.proxy.ticks);
+        assert_same_ticks(
+            &format!("seed {seed} relay"),
+            &periodic.proxy.ticks,
+            &parking.proxy.ticks,
+        );
         // Every crash shows in the log as a new upstream socket.
         let upstreams: std::collections::BTreeSet<_> = parking
             .proxy
@@ -519,11 +565,18 @@ fn a_shard_crash_releases_the_relay_parked_on_its_upstream() {
             .iter()
             .filter_map(|(_, seen)| seen.map(|(sock, _)| sock))
             .collect();
-        assert!(upstreams.len() >= 15, "seed {seed}: {} upstreams", upstreams.len());
+        assert!(
+            upstreams.len() >= 15,
+            "seed {seed}: {} upstreams",
+            upstreams.len()
+        );
         assert!(parking.proxy.ticks.calls * 2 < periodic.proxy.ticks.calls);
         resets_after_fire += parking.proxy.ticks.resets_after_fire;
     }
-    assert!(resets_after_fire > 0, "no crash ever hit a released but unticked relay");
+    assert!(
+        resets_after_fire > 0,
+        "no crash ever hit a released but unticked relay"
+    );
 }
 
 /// The tie rule, constructed: the only event that touches the socket lands
@@ -574,7 +627,14 @@ fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
             sock: None,
             ticks: Ticks::new(parks),
         };
-        let mut sim = NetSim::new(client, Mute, host(0, tcp), host(1, tcp), LinkConfig::default(), 1);
+        let mut sim = NetSim::new(
+            client,
+            Mute,
+            host(0, tcp),
+            host(1, tcp),
+            LinkConfig::default(),
+            1,
+        );
         let mut queue = EventQueue::new();
         sim.start(&mut queue);
         drive(&mut sim, &mut queue, Nanos::from_millis(7), |sim, h| {
@@ -585,15 +645,29 @@ fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
     let parking = run(true);
     let log = &parking.client().ticks.log;
     let stamp_at = |at: Nanos| {
-        let (_, seen) = log.iter().find(|(t, _)| *t == at).expect("a tick per grid instant");
+        let (_, seen) = log
+            .iter()
+            .find(|(t, _)| *t == at)
+            .expect("a tick per grid instant");
         seen.expect("connected").1
     };
     let before = stamp_at(send_at - PERIOD);
-    assert_eq!(stamp_at(send_at), before, "the instant of the change is booked as found");
-    assert!(stamp_at(send_at + PERIOD) > before, "the next instant ticks and sees the change");
+    assert_eq!(
+        stamp_at(send_at),
+        before,
+        "the instant of the change is booked as found"
+    );
+    assert!(
+        stamp_at(send_at + PERIOD) > before,
+        "the next instant ticks and sees the change"
+    );
     // Slept from the handshake's last change to the send, called at
     // `send_at + PERIOD`, once more after the ACK, then parked again.
-    assert!(parking.client().ticks.calls <= 6, "{} calls", parking.client().ticks.calls);
+    assert!(
+        parking.client().ticks.calls <= 6,
+        "{} calls",
+        parking.client().ticks.calls
+    );
 
     // Here the periodic chain's tick of that instant was queued *after*
     // the send (one period before `send_at`, the send at t = 0), so it runs
@@ -601,7 +675,16 @@ fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
     // books it: the one divergence the tie rule allows, and the reason the
     // differential seeds above must be tie-free.
     let periodic = run(false);
-    let seen_at = |at: Nanos| periodic.client().ticks.log.iter().find(|(t, _)| *t == at).unwrap().1;
+    let seen_at = |at: Nanos| {
+        periodic
+            .client()
+            .ticks
+            .log
+            .iter()
+            .find(|(t, _)| *t == at)
+            .unwrap()
+            .1
+    };
     assert!(seen_at(send_at).unwrap().1 > before);
     assert_eq!(seen_at(send_at - PERIOD).unwrap().1, before);
 }

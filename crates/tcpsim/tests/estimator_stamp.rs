@@ -123,9 +123,13 @@ fn settle(
     for _ in 0..256 {
         if to_server.is_empty() && to_client.is_empty() {
             *t += Nanos::from_micros(200);
-            watch.call(server, |s| s.on_timer(*t, TimerKind::Delack, env, &mut actions));
+            watch.call(server, |s| {
+                s.on_timer(*t, TimerKind::Delack, env, &mut actions)
+            });
             to_client = segs(&mut actions);
-            watch.call(client, |s| s.on_timer(*t, TimerKind::Delack, env, &mut actions));
+            watch.call(client, |s| {
+                s.on_timer(*t, TimerKind::Delack, env, &mut actions)
+            });
             to_server = segs(&mut actions);
             if to_server.is_empty() && to_client.is_empty() {
                 return;
@@ -158,7 +162,9 @@ fn busy_pair() -> (TcpSocket, TcpSocket, Nanos, Watch) {
     for round in 0..8 {
         t += Nanos::from_micros(50);
         let request = [MSS, 300, 2 * MSS + 700, 40][round % 4];
-        watch.call(&mut client, |s| s.send(t, vec![1; request], env, &mut actions));
+        watch.call(&mut client, |s| {
+            s.send(t, vec![1; request], env, &mut actions)
+        });
         if round == 2 {
             watch.call(&mut client, |s| s.send(t, vec![2; 90], env, &mut actions));
         }
@@ -166,20 +172,28 @@ fn busy_pair() -> (TcpSocket, TcpSocket, Nanos, Watch) {
         if round == 4 {
             to_server.clear();
             t += Nanos::from_millis(300);
-            watch.call(&mut client, |s| s.on_timer(t, TimerKind::Rto, env, &mut actions));
+            watch.call(&mut client, |s| {
+                s.on_timer(t, TimerKind::Rto, env, &mut actions)
+            });
             to_server = segs(&mut actions);
             assert!(!to_server.is_empty(), "the RTO resends");
         }
         settle(&mut client, &mut server, to_server, &mut t, &mut watch);
         t += Nanos::from_micros(30);
-        let (read, _) = watch.call(&mut server, |s| s.recv(t, usize::MAX, &mut sink, &mut actions));
+        let (read, _) = watch.call(&mut server, |s| {
+            s.recv(t, usize::MAX, &mut sink, &mut actions)
+        });
         assert!(read > 0, "round {round}: the request arrived");
-        watch.call(&mut server, |s| s.send(t, vec![3; 500 + 100 * round], env, &mut actions));
+        watch.call(&mut server, |s| {
+            s.send(t, vec![3; 500 + 100 * round], env, &mut actions)
+        });
         let to_client = segs(&mut actions);
         // The response leaves the server first: relay it by swapping roles.
         settle(&mut server, &mut client, to_client, &mut t, &mut watch);
         t += Nanos::from_micros(30);
-        watch.call(&mut client, |s| s.recv(t, usize::MAX, &mut sink, &mut actions));
+        watch.call(&mut client, |s| {
+            s.recv(t, usize::MAX, &mut sink, &mut actions)
+        });
         actions.clear();
     }
     assert!(client.stats().rto_fires > 0 && client.stats().retransmissions > 0);
@@ -196,7 +210,11 @@ fn every_byte_or_message_change_moves_the_stamp() {
         }
     }
     for sock in [&client, &server] {
-        assert_eq!(counts(sock).map(|q| q.map(|(size, _)| size)), [[0; 2]; 3], "drained");
+        assert_eq!(
+            counts(sock).map(|q| q.map(|(size, _)| size)),
+            [[0; 2]; 3],
+            "drained"
+        );
     }
 }
 
@@ -208,17 +226,29 @@ fn an_rto_that_only_resends_leaves_the_stamp_where_it_was() {
     let mut actions = Actions::new();
     let mut watch = Watch::default();
     // A one-way sender: it never receives data, so it owes no ACK.
-    watch.call(&mut client, |s| s.send(t0, vec![7; 5 * MSS], env, &mut actions));
+    watch.call(&mut client, |s| {
+        s.send(t0, vec![7; 5 * MSS], env, &mut actions)
+    });
     assert_eq!(segs(&mut actions).len(), 5, "the whole flight is lost");
     let (stamp, before) = (client.estimator_stamp(), counts(&client));
     let mut t = t0;
     for fire in 1..=2 {
         t += Nanos::from_millis(400 * fire);
-        watch.call(&mut client, |s| s.on_timer(t, TimerKind::Rto, env, &mut actions));
+        watch.call(&mut client, |s| {
+            s.on_timer(t, TimerKind::Rto, env, &mut actions)
+        });
         assert!(!segs(&mut actions).is_empty(), "RTO {fire} resends");
         assert_eq!(client.stats().rto_fires, fire);
-        assert_eq!(counts(&client), before, "RTO {fire} moved no byte or message");
-        assert_eq!(client.estimator_stamp(), stamp, "RTO {fire} moved the stamp");
+        assert_eq!(
+            counts(&client),
+            before,
+            "RTO {fire} moved no byte or message"
+        );
+        assert_eq!(
+            client.estimator_stamp(),
+            stamp,
+            "RTO {fire} moved the stamp"
+        );
     }
     assert!(client.stats().retransmissions >= 2);
 }
@@ -228,7 +258,10 @@ fn a_busy_socket_reads_empty_in_the_packet_unit() {
     let (client, server, now, _) = busy_pair();
     for sock in [&client, &server] {
         let packets = sock.local_snapshots(now, Unit::Packets);
-        for (name, snap) in QUEUES.iter().zip([packets.unacked, packets.unread, packets.ackdelay]) {
+        for (name, snap) in QUEUES
+            .iter()
+            .zip([packets.unacked, packets.unread, packets.ackdelay])
+        {
             assert_eq!((snap.total, snap.integral), (0, 0), "{name} in packets");
         }
         // The byte unit saw the traffic.

@@ -109,7 +109,11 @@ fn make_host(id: usize) -> Host {
     Host::new(
         HostId::from_index(id),
         CpuContext::new(if id == 0 { "client-app" } else { "server-app" }),
-        CpuContext::new(if id == 0 { "client-sirq" } else { "server-sirq" }),
+        CpuContext::new(if id == 0 {
+            "client-sirq"
+        } else {
+            "server-sirq"
+        }),
         CostConfig::default(),
         TcpConfig::default(),
     )
@@ -147,7 +151,10 @@ fn handshake_establishes_both_ends() {
     let client_sock = sim.host(0).socket(SocketId(0));
     assert_eq!(client_sock.state(), TcpState::Established);
     assert_eq!(sim.host(1).socket_count(), 1);
-    assert_eq!(sim.host(1).socket(SocketId(0)).state(), TcpState::Established);
+    assert_eq!(
+        sim.host(1).socket(SocketId(0)).state(),
+        TcpState::Established
+    );
     assert!(sim.client().connected_at.is_some());
 }
 
@@ -431,8 +438,14 @@ fn invariant_gates_clean_after_loopback_traffic() {
         let sock = sim.host_mut(h).socket_mut(SocketId(0));
         assert!(sock.check_invariants(now).is_ok(), "host {h} gates clean");
         // The ledgers saw real traffic — this is not a vacuous pass.
-        assert!(sock.invariants().unacked.entered() > 0, "host {h} unacked flow");
-        assert!(sock.invariants().unread.entered() > 0, "host {h} unread flow");
+        assert!(
+            sock.invariants().unacked.entered() > 0,
+            "host {h} unacked flow"
+        );
+        assert!(
+            sock.invariants().unread.entered() > 0,
+            "host {h} unread flow"
+        );
     }
 }
 
@@ -448,7 +461,10 @@ fn invariant_gate_fires_on_corrupted_queue_state() {
     );
     let now = q.now();
     let sock = sim.host_mut(0).socket_mut(SocketId(0));
-    assert!(sock.check_invariants(now).is_ok(), "clean before corruption");
+    assert!(
+        sock.check_invariants(now).is_ok(),
+        "clean before corruption"
+    );
 
     // Ten phantom bytes appear in the unacked queue without ever passing
     // through `send`: the double-entry ledger no longer balances against

@@ -101,7 +101,14 @@ fn run_writer(
         sock: None,
         toggle_at,
     };
-    let mut sim = NetSim::new(client, Sink::default(), host(0), host(1), LinkConfig::default(), 5);
+    let mut sim = NetSim::new(
+        client,
+        Sink::default(),
+        host(0),
+        host(1),
+        LinkConfig::default(),
+        5,
+    );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, until);
@@ -114,10 +121,7 @@ fn dynamic_mode_defaults_to_nodelay() {
         nagle: NagleMode::Dynamic,
         ..TcpConfig::default()
     };
-    let writes = vec![
-        (Nanos::from_millis(1), 100),
-        (Nanos::from_millis(1), 100),
-    ];
+    let writes = vec![(Nanos::from_millis(1), 100), (Nanos::from_millis(1), 100)];
     let (sim, _) = run_writer(config, writes, None, Nanos::from_millis(50));
     let stats = sim.host(0).socket(SocketId(0)).stats();
     assert_eq!(stats.nagle_holds, 0, "dynamic starts with batching off");
@@ -145,7 +149,10 @@ fn dynamic_toggle_on_enables_holding() {
         Nanos::from_millis(100),
     );
     let stats = sim.host(0).socket(SocketId(0)).stats();
-    assert!(stats.nagle_holds > 0, "toggled-on socket must hold the tail");
+    assert!(
+        stats.nagle_holds > 0,
+        "toggled-on socket must hold the tail"
+    );
     assert!(stats.data_segments_sent < 3, "held writes coalesce");
     assert_eq!(sim.server.received, 300);
 }
@@ -169,7 +176,14 @@ fn toggling_off_flushes_a_held_tail() {
         sock: None,
         toggle_at: Some((Nanos::from_millis(5), true)),
     };
-    let mut sim = NetSim::new(client, Sink::default(), host(0), host(1), LinkConfig::default(), 5);
+    let mut sim = NetSim::new(
+        client,
+        Sink::default(),
+        host(0),
+        host(1),
+        LinkConfig::default(),
+        5,
+    );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
     run(&mut sim, &mut queue, Nanos::from_millis(8));
@@ -245,10 +259,7 @@ fn autocork_holds_small_writes_while_ring_busy() {
     // A multi-packet write keeps the NIC ring busy for a few µs; an
     // immediately following small write should cork until the
     // completion interrupt.
-    let writes = vec![
-        (Nanos::from_millis(1), 3_000),
-        (Nanos::from_millis(1), 60),
-    ];
+    let writes = vec![(Nanos::from_millis(1), 3_000), (Nanos::from_millis(1), 60)];
     let (sim, _) = run_writer(config, writes, None, Nanos::from_millis(200));
     let stats = sim.host(0).socket(SocketId(0)).stats();
     assert!(stats.cork_holds > 0, "auto-cork should have held the tail");
@@ -426,7 +437,14 @@ fn cork_limit_knob_changes_on_wire_segment_sizes() {
             knobs,
             sock: None,
         };
-        let mut sim = NetSim::new(client, Sink::default(), host(0), host(1), LinkConfig::default(), 5);
+        let mut sim = NetSim::new(
+            client,
+            Sink::default(),
+            host(0),
+            host(1),
+            LinkConfig::default(),
+            5,
+        );
         let mut queue = EventQueue::new();
         sim.start(&mut queue);
         run(&mut sim, &mut queue, Nanos::from_millis(200));
@@ -434,10 +452,16 @@ fn cork_limit_knob_changes_on_wire_segment_sizes() {
     };
 
     let uncorked = run_with(vec![]);
-    let corked = run_with(vec![(Nanos::from_micros(500), KnobSetting::CorkLimit(2_000))]);
+    let corked = run_with(vec![(
+        Nanos::from_micros(500),
+        KnobSetting::CorkLimit(2_000),
+    )]);
 
     assert_eq!(uncorked.server.received, 8_000);
-    assert_eq!(corked.server.received, 8_000, "corked bytes still delivered");
+    assert_eq!(
+        corked.server.received, 8_000,
+        "corked bytes still delivered"
+    );
 
     let unc = uncorked.host(0).socket(SocketId(0)).stats();
     let cor = corked.host(0).socket(SocketId(0)).stats();

@@ -178,7 +178,11 @@ fn triple_dup_acks_trigger_exactly_one_fast_retransmit() {
     client.on_segment(t2, &dup_acks[3], env, &mut actions);
     assert!(segs(&mut actions).is_empty());
     assert_eq!(client.stats().dup_acks, 4);
-    assert_eq!(client.stats().fast_retransmits, 1, "once per recovery episode");
+    assert_eq!(
+        client.stats().fast_retransmits,
+        1,
+        "once per recovery episode"
+    );
     assert_eq!(client.stats().sack_recoveries, 1);
 
     // Delivering the retransmission plugs the hole: the receiver's
@@ -358,7 +362,10 @@ fn replayed_in_order_segment_is_classified_duplicate() {
     server.on_segment(t2, &data[0], env, &mut actions);
     let acks = segs(&mut actions);
     assert_eq!(server.invariants().rx_duplicates(), 1);
-    assert!(!acks.is_empty(), "duplicate arrival forces an immediate ACK");
+    assert!(
+        !acks.is_empty(),
+        "duplicate arrival forces an immediate ACK"
+    );
     assert_eq!(server.recv_available(), MSS, "payload not double-counted");
 }
 
@@ -428,7 +435,14 @@ fn two_holes_in_one_flight_are_repaired_within_one_rtt_without_an_rto() {
     let resent: Vec<_> = sent[8..].iter().map(|s| s.seq).collect();
     assert_eq!(resent, holes, "each hole resent once, nothing else");
     let stats = client.stats();
-    assert_eq!((stats.sack_recoveries, stats.fast_retransmits, stats.rto_fires), (1, 2, 0));
+    assert_eq!(
+        (
+            stats.sack_recoveries,
+            stats.fast_retransmits,
+            stats.rto_fires
+        ),
+        (1, 2, 0)
+    );
     // Both resends left in the same round trip as the SACKs that showed
     // the holes: the original flight at t0 + 20 µs, the repair at +60 µs.
     assert!(t <= t0 + Nanos::from_micros(200), "recovered by {t:?}");
@@ -439,7 +453,10 @@ fn dropped_tso_super_segment_is_lost_by_the_byte_rule_on_the_first_sack() {
     let t0 = Nanos::from_millis(1);
     let env = TxEnv::default();
     // The benchmark's transport: TSO on, Nagle off.
-    let tso = TcpConfig { nagle: NagleMode::Off, ..TcpConfig::default() };
+    let tso = TcpConfig {
+        nagle: NagleMode::Off,
+        ..TcpConfig::default()
+    };
     assert!(tso.tso.enabled);
     let (mut client, mut server) = established_with(tso, t0);
     let mut actions = Actions::new();
@@ -461,7 +478,10 @@ fn dropped_tso_super_segment_is_lost_by_the_byte_rule_on_the_first_sack() {
     let t1 = t0 + Nanos::from_micros(1_600);
     client.send(t1, vec![2; 16 * 1024], env, &mut actions);
     let second = segs(&mut actions);
-    assert!(first.iter().chain(&second).all(|s| s.wire_packets > 1 || s.len() < MSS));
+    assert!(first
+        .iter()
+        .chain(&second)
+        .all(|s| s.wire_packets > 1 || s.len() < MSS));
     let mut acks = Vec::new();
     for seg in &second {
         server.on_segment(t1, seg, env, &mut actions);
@@ -476,7 +496,11 @@ fn dropped_tso_super_segment_is_lost_by_the_byte_rule_on_the_first_sack() {
     assert_eq!(client.stats().sack_recoveries, 1);
     assert_eq!(retx.first().map(|s| s.seq), Some(first[0].seq));
     let resent: usize = retx.iter().map(Segment::len).sum();
-    assert_eq!(resent, first.iter().map(Segment::len).sum::<usize>(), "the whole hole, no more");
+    assert_eq!(
+        resent,
+        first.iter().map(Segment::len).sum::<usize>(),
+        "the whole hole, no more"
+    );
     for seg in &retx {
         server.on_segment(t2, seg, env, &mut actions);
     }
@@ -508,7 +532,10 @@ fn rto_after_sacks_resends_only_unsacked_bytes() {
         client.on_segment(t2, ack, env, &mut actions);
     }
     let fast = segs(&mut actions);
-    assert_eq!(fast.iter().map(|s| s.seq).collect::<Vec<_>>(), vec![data[0].seq]);
+    assert_eq!(
+        fast.iter().map(|s| s.seq).collect::<Vec<_>>(),
+        vec![data[0].seq]
+    );
 
     // The RTO resends from una, stepping over every SACKed range.
     let mut t = t2 + Nanos::from_millis(300);
@@ -516,7 +543,11 @@ fn rto_after_sacks_resends_only_unsacked_bytes() {
     let first = segs(&mut actions);
     let sent = relay(&mut client, &mut server, &mut t, first, &mut |_| false);
     let resent: Vec<_> = sent.iter().map(|s| s.seq).collect();
-    assert_eq!(resent, vec![data[0].seq, data[2].seq], "only the un-SACKed bytes");
+    assert_eq!(
+        resent,
+        vec![data[0].seq, data[2].seq],
+        "only the un-SACKed bytes"
+    );
     assert_eq!(server.recv_available(), 5 * MSS);
     assert_eq!(client.stats().rto_fires, 1);
 }
@@ -550,7 +581,16 @@ fn a_stream_with_no_out_of_order_arrival_carries_no_sack_option() {
         wire.extend(segs(&mut actions));
     }
     assert!(wire.len() > 60);
-    assert!(wire.iter().all(|s| s.options.sack().is_none()), "no SACK without a hole");
-    assert_eq!(server.invariants().rx_out_of_order() + client.invariants().rx_out_of_order(), 0);
-    assert_eq!(client.invariants().sack_blocks() + server.invariants().sack_blocks(), 0);
+    assert!(
+        wire.iter().all(|s| s.options.sack().is_none()),
+        "no SACK without a hole"
+    );
+    assert_eq!(
+        server.invariants().rx_out_of_order() + client.invariants().rx_out_of_order(),
+        0
+    );
+    assert_eq!(
+        client.invariants().sack_blocks() + server.invariants().sack_blocks(),
+        0
+    );
 }

@@ -101,10 +101,20 @@ impl World {
         if self.bad[from] && self.rng.gen_bool(0.5) {
             return;
         }
-        let extra = if self.rng.gen_bool(0.2) { self.rng.gen_range(200_000) } else { 0 };
+        let extra = if self.rng.gen_bool(0.2) {
+            self.rng.gen_range(200_000)
+        } else {
+            0
+        };
         let at = now + 10_000 + extra;
         if self.rng.gen_bool(0.05) {
-            self.schedule(at + 1_000, Ev::Deliver { to: 1 - from, seg: seg.clone() });
+            self.schedule(
+                at + 1_000,
+                Ev::Deliver {
+                    to: 1 - from,
+                    seg: seg.clone(),
+                },
+            );
         }
         self.schedule(at, Ev::Deliver { to: 1 - from, seg });
     }
@@ -164,7 +174,10 @@ fn sweep_one(seed: u64) -> u64 {
     let mut last = 0;
     while let Some(((now, _), ev)) = w.queue.pop_first() {
         last = now;
-        assert!(now < 20_000_000_000, "seed {seed:#x}: streams never completed");
+        assert!(
+            now < 20_000_000_000,
+            "seed {seed:#x}: streams never completed"
+        );
         let t = Nanos::from_nanos(now);
         let mut actions = Actions::new();
         let side = match ev {
@@ -196,15 +209,22 @@ fn sweep_one(seed: u64) -> u64 {
             }
         };
         w.apply(now, side, actions);
-        let done = w.messages_left == [0, 0] && w.read[0].len() == w.sent[0].len()
+        let done = w.messages_left == [0, 0]
+            && w.read[0].len() == w.sent[0].len()
             && w.read[1].len() == w.sent[1].len();
         if done {
             break;
         }
     }
     for side in [CLIENT, SERVER] {
-        assert!(w.sent[side].len() > 40, "seed {seed:#x}: side {side} sent little");
-        assert!(w.read[side] == w.sent[side], "seed {seed:#x}: stream {side} corrupted");
+        assert!(
+            w.sent[side].len() > 40,
+            "seed {seed:#x}: side {side} sent little"
+        );
+        assert!(
+            w.read[side] == w.sent[side],
+            "seed {seed:#x}: stream {side} corrupted"
+        );
         if let Err(v) = w.socks[side].check_invariants(Nanos::from_nanos(last)) {
             panic!("seed {seed:#x}: side {side}: {v}");
         }
@@ -217,7 +237,10 @@ fn sweep(seeds: u64) {
     for i in 0..seeds {
         blocks += sweep_one(0x5AC5_0000 + i);
     }
-    assert!(blocks > seeds, "the sweep must exercise SACK: {blocks} blocks");
+    assert!(
+        blocks > seeds,
+        "the sweep must exercise SACK: {blocks} blocks"
+    );
 }
 
 #[test]

@@ -45,7 +45,12 @@ struct Sender {
 
 impl Sender {
     fn new(config: TcpConfig, left: u64) -> Self {
-        Sender { config, left, sock: None, started: false }
+        Sender {
+            config,
+            left,
+            sock: None,
+            started: false,
+        }
     }
 }
 
@@ -163,7 +168,9 @@ fn host(idx: usize, tcp: TcpConfig) -> Host {
 }
 
 fn totals(per_link: Vec<FaultCounters>) -> FaultCounters {
-    per_link.into_iter().fold(FaultCounters::default(), FaultCounters::merged)
+    per_link
+        .into_iter()
+        .fold(FaultCounters::default(), FaultCounters::merged)
 }
 
 #[test]
@@ -197,30 +204,47 @@ fn loss_duplication_and_corruption_leave_the_store_empty() {
     sim.start(&mut queue);
     run_until_idle(&mut sim, &mut queue, BUDGET);
 
-    let fired = totals(sim.fault_plan().expect("faults installed").per_link_counters());
+    let fired = totals(
+        sim.fault_plan()
+            .expect("faults installed")
+            .per_link_counters(),
+    );
     assert!(fired.drops >= 20, "{} drops", fired.drops);
     assert!(fired.duplicates >= 20, "{} duplicates", fired.duplicates);
     assert!(fired.corruptions >= 5, "{} corruptions", fired.corruptions);
     let store = sim.segment_store();
-    assert!(store.high_water() > 3, "{} segments at most", store.high_water());
+    assert!(
+        store.high_water() > 3,
+        "{} segments at most",
+        store.high_water()
+    );
     assert_eq!(store.len(), 0, "segments left in the store of an idle run");
 }
 
 #[test]
 fn a_shard_crash_and_a_client_restart_leave_the_store_empty() {
     let tcp = TcpConfig::default();
-    let once = |at| RestartSchedule { first_at: Nanos::from_micros(at), period: Nanos::ZERO };
+    let once = |at| RestartSchedule {
+        first_at: Nanos::from_micros(at),
+        period: Nanos::ZERO,
+    };
     let faults = FaultConfig {
         restart: Some(once(20_017)),
         shard: ShardFaultPlan {
-            crash: Some(ShardCrash { shard: 0, schedule: once(30_029) }),
+            crash: Some(ShardCrash {
+                shard: 0,
+                schedule: once(30_029),
+            }),
             ..ShardFaultPlan::default()
         },
         ..FaultConfig::default()
     };
     let mut sim = TierSim::two_tier_with_faults(
         (0..2).map(|_| Sender::new(tcp, 400)).collect(),
-        Relay { shard: HostId::from_index(3), back: None },
+        Relay {
+            shard: HostId::from_index(3),
+            back: None,
+        },
         vec![Server { echo: false }],
         vec![host(0, tcp), host(1, tcp)],
         host(2, tcp),
@@ -237,6 +261,10 @@ fn a_shard_crash_and_a_client_restart_leave_the_store_empty() {
     let plan = sim.fault_plan().expect("faults installed");
     assert_eq!((plan.restarts(), plan.shard_crashes()), (1, 1));
     let store = sim.segment_store();
-    assert!(store.high_water() > 3, "{} segments at most", store.high_water());
+    assert!(
+        store.high_water() > 3,
+        "{} segments at most",
+        store.high_water()
+    );
     assert_eq!(store.len(), 0, "segments left in the store of an idle run");
 }

@@ -128,7 +128,11 @@ impl App for Relay {
     fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
         let from = SocketId(token as usize);
         let data = recv_flat(ctx, from);
-        let to = if Some(from) == self.front { self.back } else { self.front };
+        let to = if Some(from) == self.front {
+            self.back
+        } else {
+            self.front
+        };
         if let Some(to) = to.filter(|&to| ctx.socket(to).state() == TcpState::Established) {
             ctx.send(to, &data);
         }
@@ -208,14 +212,28 @@ fn steady_state_queue_holds_only_live_events() {
     }
     let client = sim.host(0).socket(SocketId(0)).stats();
     let server = sim.host(1).socket(SocketId(0)).stats();
-    assert!(client.data_segments_sent > 15_000, "the connection stayed busy: {client:?}");
-    assert_eq!(sim.client().received, server.bytes_sent, "every echo came back");
-    assert_eq!(client.retransmissions + server.retransmissions, 0, "loss-free");
+    assert!(
+        client.data_segments_sent > 15_000,
+        "the connection stayed busy: {client:?}"
+    );
+    assert_eq!(
+        sim.client().received,
+        server.bytes_sent,
+        "every echo came back"
+    );
+    assert_eq!(
+        client.retransmissions + server.retransmissions,
+        0,
+        "loss-free"
+    );
     // Each echo carries the ACK and each ACK re-arms or cancels the RTO, so
     // no timer of this run ever expires: any `Event::Timer` reaching the
     // dispatcher is a superseded arm.
     assert_eq!(timer_fires, 0, "superseded timer arms were dispatched");
-    assert!(deepest >= 4, "the bound above is not vacuous: peak {deepest}");
+    assert!(
+        deepest >= 4,
+        "the bound above is not vacuous: peak {deepest}"
+    );
 }
 
 #[test]
@@ -240,7 +258,12 @@ fn restart_takes_the_reset_sockets_timers_out_of_the_queue() {
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
-    drive(&mut sim, &mut queue, crash_at - Nanos::from_nanos(1), |_, _| {});
+    drive(
+        &mut sim,
+        &mut queue,
+        crash_at - Nanos::from_nanos(1),
+        |_, _| {},
+    );
     let old = SocketId(0);
     assert!(
         sim.host(0).timer_pending(old, TimerKind::Rto),
@@ -250,26 +273,41 @@ fn restart_takes_the_reset_sockets_timers_out_of_the_queue() {
     drive(&mut sim, &mut queue, crash_at, |_, _| {});
     assert_eq!(sim.host(0).socket(old).state(), TcpState::Closed);
     for kind in KINDS {
-        assert!(!sim.host(0).timer_pending(old, kind), "{kind:?} survived the reset");
+        assert!(
+            !sim.host(0).timer_pending(old, kind),
+            "{kind:?} survived the reset"
+        );
     }
 
     // Long enough for every timer armed before the crash to have come due.
     let mut fires_after = 0u32;
-    drive(&mut sim, &mut queue, Nanos::from_millis(450), |sim, event| {
-        if let Event::Timer { host, sock, kind } = *event {
-            assert_pending(sim.host(host.index()), sock, kind);
-            assert!(
-                (host.index(), sock) != (0, old),
-                "{kind:?} fired on the socket the restart reset"
-            );
-            fires_after += 1;
-        }
-    });
+    drive(
+        &mut sim,
+        &mut queue,
+        Nanos::from_millis(450),
+        |sim, event| {
+            if let Event::Timer { host, sock, kind } = *event {
+                assert_pending(sim.host(host.index()), sock, kind);
+                assert!(
+                    (host.index(), sock) != (0, old),
+                    "{kind:?} fired on the socket the restart reset"
+                );
+                fires_after += 1;
+            }
+        },
+    );
     assert_eq!(sim.client().resets, 1);
     let fresh = sim.host(0).socket(SocketId(1));
-    assert_eq!(fresh.state(), TcpState::Established, "the client reconnected");
+    assert_eq!(
+        fresh.state(),
+        TcpState::Established,
+        "the client reconnected"
+    );
     assert!(fresh.stats().data_segments_sent > 15_000);
-    assert!(fires_after > 0, "the surviving server socket's timers still run");
+    assert!(
+        fires_after > 0,
+        "the surviving server socket's timers still run"
+    );
 }
 
 #[test]
@@ -309,35 +347,62 @@ fn shard_crash_takes_both_ends_timers_out_of_the_queue() {
     );
     let mut queue = EventQueue::new();
     sim.start(&mut queue);
-    drive(&mut sim, &mut queue, crash_at - Nanos::from_nanos(1), |_, _| {});
+    drive(
+        &mut sim,
+        &mut queue,
+        crash_at - Nanos::from_nanos(1),
+        |_, _| {},
+    );
     let armed_before = (1..3)
         .flat_map(|h| sim.host(h).socket_ids().map(move |s| (h, s)))
         .filter(|&(h, s)| KINDS.iter().any(|&k| sim.host(h).timer_pending(s, k)))
         .count();
-    assert!(armed_before >= 2, "both back-leg ends should hold a timer at the crash");
+    assert!(
+        armed_before >= 2,
+        "both back-leg ends should hold a timer at the crash"
+    );
 
     drive(&mut sim, &mut queue, crash_at, |_, _| {});
     let reset: Vec<(usize, SocketId)> = closed_sockets(sim.host(1), 1)
         .chain(closed_sockets(sim.host(2), 2))
         .collect();
-    assert_eq!(reset.len(), 2, "the shard's socket and the relay's upstream: {reset:?}");
+    assert_eq!(
+        reset.len(),
+        2,
+        "the shard's socket and the relay's upstream: {reset:?}"
+    );
     for &(h, s) in &reset {
         for kind in KINDS {
-            assert!(!sim.host(h).timer_pending(s, kind), "{kind:?} survived on host {h}");
+            assert!(
+                !sim.host(h).timer_pending(s, kind),
+                "{kind:?} survived on host {h}"
+            );
         }
     }
 
-    drive(&mut sim, &mut queue, Nanos::from_millis(450), |sim, event| {
-        if let Event::Timer { host, sock, kind } = *event {
-            assert_pending(sim.host(host.index()), sock, kind);
-            assert!(
-                !reset.contains(&(host.index(), sock)),
-                "{kind:?} fired on {host:?}/{sock:?}, which the shard crash reset"
-            );
-        }
-    });
-    assert!(queue.len() <= 16, "{} events resident after recovery", queue.len());
-    assert!(sim.clients[0].received > 64 * 15_000, "traffic resumed through the new upstream");
+    drive(
+        &mut sim,
+        &mut queue,
+        Nanos::from_millis(450),
+        |sim, event| {
+            if let Event::Timer { host, sock, kind } = *event {
+                assert_pending(sim.host(host.index()), sock, kind);
+                assert!(
+                    !reset.contains(&(host.index(), sock)),
+                    "{kind:?} fired on {host:?}/{sock:?}, which the shard crash reset"
+                );
+            }
+        },
+    );
+    assert!(
+        queue.len() <= 16,
+        "{} events resident after recovery",
+        queue.len()
+    );
+    assert!(
+        sim.clients[0].received > 64 * 15_000,
+        "traffic resumed through the new upstream"
+    );
 }
 
 /// A crash pinned to a shard the tier does not have is refused when the

@@ -9,7 +9,9 @@ fn main() {
         .map(|a| a.parse().expect("rate"))
         .collect();
     let rates = if rates.is_empty() {
-        vec![5e3, 10e3, 20e3, 40e3, 60e3, 80e3, 100e3, 120e3, 140e3, 160e3]
+        vec![
+            5e3, 10e3, 20e3, 40e3, 60e3, 80e3, 100e3, 120e3, 140e3, 160e3,
+        ]
     } else {
         rates
     };

@@ -27,9 +27,8 @@ fn main() {
         let r = run_point(&cfg);
         let truth = r.tracker_mean.expect("tracker ran");
         let hinted = r.estimated_hint.expect("hints exchanged");
-        let err = (hinted.as_micros_f64() - truth.as_micros_f64()).abs()
-            / truth.as_micros_f64()
-            * 100.0;
+        let err =
+            (hinted.as_micros_f64() - truth.as_micros_f64()).abs() / truth.as_micros_f64() * 100.0;
         println!(
             "{:>8.0} | {:>16} {:>16} {:>9.1}%",
             rate,

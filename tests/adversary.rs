@@ -95,7 +95,10 @@ fn corruption_rejects_are_nonvacuous_and_trip_the_breaker() {
     assert!(corrupted > 0, "no exchange was ever corrupted");
 
     let v = r.validation.expect("validator configured");
-    assert!(v.accepted > 0, "every exchange rejected — validator too strict");
+    assert!(
+        v.accepted > 0,
+        "every exchange rejected — validator too strict"
+    );
     assert!(
         v.rejected > 0,
         "{corrupted} corruptions on the wire but zero rejections — validator vacuous"

@@ -27,9 +27,8 @@ fn aimd_beats_both_statics_in_the_mid_range() {
     let off = run_point(&cfg(rate, NagleSetting::Off));
     let on = run_point(&cfg(rate, NagleSetting::On));
     let a = run_point(&cfg(rate, aimd()));
-    let us = |r: &e2e_batching::e2e_apps::PointResult| {
-        r.measured_mean.expect("samples").as_micros_f64()
-    };
+    let us =
+        |r: &e2e_batching::e2e_apps::PointResult| r.measured_mean.expect("samples").as_micros_f64();
     assert!(
         us(&a) < us(&off) && us(&a) < us(&on),
         "AIMD {:.1} should beat off {:.1} and on {:.1} at {rate}",
@@ -45,9 +44,8 @@ fn aimd_stays_close_to_nodelay_at_low_load() {
     let off = run_point(&cfg(rate, NagleSetting::Off));
     let on = run_point(&cfg(rate, NagleSetting::On));
     let a = run_point(&cfg(rate, aimd()));
-    let us = |r: &e2e_batching::e2e_apps::PointResult| {
-        r.measured_mean.expect("samples").as_micros_f64()
-    };
+    let us =
+        |r: &e2e_batching::e2e_apps::PointResult| r.measured_mean.expect("samples").as_micros_f64();
     // Far closer to the NODELAY winner than to the Nagle loser.
     assert!(us(&a) < us(&off) + (us(&on) - us(&off)) * 0.25);
 }

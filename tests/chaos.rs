@@ -165,7 +165,10 @@ fn adaptive_policy_bounded_and_fallback_trips_under_blackout() {
             assert!(p.samples > 0, "{}/{label}: no samples", class.name());
         }
         // The static oracle: the better of the two static P99s.
-        let oracle = [off.measured_p99, on.measured_p99].into_iter().flatten().min();
+        let oracle = [off.measured_p99, on.measured_p99]
+            .into_iter()
+            .flatten()
+            .min();
         assert!(
             CHAOS_BOUND.holds(adaptive.measured_p99, oracle),
             "{}: adaptive p99 {:?} breaks the stated bound vs oracle {oracle:?}",

@@ -57,8 +57,14 @@ fn fig4a_cutoff_exists_and_estimates_find_it() {
     );
     // Figure 4a's second key claim: the estimated cutoff coincides with
     // the measured one (within one grid step here).
-    let m_idx = rates.iter().position(|r| r.to_bits() == measured.to_bits()).unwrap();
-    let e_idx = rates.iter().position(|r| r.to_bits() == estimated.to_bits()).unwrap();
+    let m_idx = rates
+        .iter()
+        .position(|r| r.to_bits() == measured.to_bits())
+        .unwrap();
+    let e_idx = rates
+        .iter()
+        .position(|r| r.to_bits() == estimated.to_bits())
+        .unwrap();
     assert!(
         m_idx.abs_diff(e_idx) <= 1,
         "cutoffs should coincide: measured {measured}, estimated {estimated}"
@@ -94,8 +100,8 @@ fn fig4a_latency_improvement_near_the_knee() {
         nagle: NagleSetting::On,
         ..base(rate)
     });
-    let ratio = off.measured_mean.unwrap().as_micros_f64()
-        / on.measured_mean.unwrap().as_micros_f64();
+    let ratio =
+        off.measured_mean.unwrap().as_micros_f64() / on.measured_mean.unwrap().as_micros_f64();
     assert!(
         ratio > 1.5,
         "expected a multi-x latency win near the knee, got {ratio:.2}x"

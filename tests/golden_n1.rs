@@ -22,8 +22,8 @@
 use e2e_batching::batchpolicy::Objective;
 use e2e_batching::e2e_apps::experiments::figure2;
 use e2e_batching::e2e_apps::failover::{FailoverArm, FailoverScenario};
-use e2e_batching::e2e_apps::tier::{run_tier_point, ShardSetting, TierPointResult, TierRunConfig};
 use e2e_batching::e2e_apps::runner::{run_point, NagleSetting, PointResult, RunConfig};
+use e2e_batching::e2e_apps::tier::{run_tier_point, ShardSetting, TierPointResult, TierRunConfig};
 use e2e_batching::e2e_apps::workload::WorkloadSpec;
 use e2e_batching::littles::Nanos;
 use e2e_batching::simnet::RestartSchedule;
@@ -100,7 +100,11 @@ fn compute_digest() -> String {
     );
     for cell in &f2.cells {
         lines.push(digest_point(
-            &format!("fig2/{}/{}", cell.platform, if cell.nagle_on { "on" } else { "off" }),
+            &format!(
+                "fig2/{}/{}",
+                cell.platform,
+                if cell.nagle_on { "on" } else { "off" }
+            ),
             &cell.result,
         ));
     }
@@ -210,7 +214,12 @@ fn tier_runs_match_golden() {
     let mut lines = Vec::new();
     for (tag, setting) in [
         ("shard/on", ShardSetting::Corner { nagle: true }),
-        ("shard/adaptive", ShardSetting::Adaptive { objective: Objective::MinLatency }),
+        (
+            "shard/adaptive",
+            ShardSetting::Adaptive {
+                objective: Objective::MinLatency,
+            },
+        ),
     ] {
         let cfg = TierRunConfig {
             num_clients: 2,
@@ -228,9 +237,24 @@ fn tier_runs_match_golden() {
     let (crash, brownout) = (FailoverScenario::CrashHot, FailoverScenario::BrownoutCold);
     for (tag, arm, scenario, client_restart) in [
         ("failover/oracle", FailoverArm::Full, None, None),
-        ("failover/crash/naive", FailoverArm::NoDefense, Some(crash), None),
-        ("failover/crash/full+restarts", FailoverArm::Full, Some(crash), Some(restarts)),
-        ("failover/brownout/full", FailoverArm::Full, Some(brownout), None),
+        (
+            "failover/crash/naive",
+            FailoverArm::NoDefense,
+            Some(crash),
+            None,
+        ),
+        (
+            "failover/crash/full+restarts",
+            FailoverArm::Full,
+            Some(crash),
+            Some(restarts),
+        ),
+        (
+            "failover/brownout/full",
+            FailoverArm::Full,
+            Some(brownout),
+            None,
+        ),
     ] {
         let cfg = TierRunConfig {
             num_clients: 2,

@@ -55,8 +55,14 @@ fn assert_bitwise_equal(a: &PointResult, b: &PointResult) {
     assert_eq!(a.packets_to_client, b.packets_to_client);
     assert_eq!(a.nagle_holds, b.nagle_holds);
     assert_eq!(a.exchanges_received, b.exchanges_received);
-    assert_eq!(opt_bits(a.client_on_fraction), opt_bits(b.client_on_fraction));
-    assert_eq!(opt_bits(a.server_on_fraction), opt_bits(b.server_on_fraction));
+    assert_eq!(
+        opt_bits(a.client_on_fraction),
+        opt_bits(b.client_on_fraction)
+    );
+    assert_eq!(
+        opt_bits(a.server_on_fraction),
+        opt_bits(b.server_on_fraction)
+    );
     assert_eq!(a.server_aggregate_latency, b.server_aggregate_latency);
     assert_eq!(a.per_client.len(), b.per_client.len());
     for (ca, cb) in a.per_client.iter().zip(&b.per_client) {

@@ -140,9 +140,14 @@ fn recorder_checkpoints_grow_with_exchanges_not_ticks() {
     let ticks = end.as_nanos() / tick.as_nanos();
     let sock = lg.sock.expect("client connected");
     let exchanges = sim.host(0).socket(sock).remote().received;
-    assert!(lg.completed > 50 && exchanges > 50, "the connection carried traffic");
     assert!(
-        recorder.mean_latency_in(Nanos::from_millis(100), end).is_some(),
+        lg.completed > 50 && exchanges > 50,
+        "the connection carried traffic"
+    );
+    assert!(
+        recorder
+            .mean_latency_in(Nanos::from_millis(100), end)
+            .is_some(),
         "estimates were recorded"
     );
 

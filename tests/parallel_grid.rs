@@ -47,10 +47,7 @@ fn parallel_grid_is_bitwise_identical_to_serial() {
             "cell {i}: achieved_rps diverged"
         );
         assert_eq!(p.samples, s.samples, "cell {i}: samples diverged");
-        assert_eq!(
-            p.measured_p99, s.measured_p99,
-            "cell {i}: p99 diverged"
-        );
+        assert_eq!(p.measured_p99, s.measured_p99, "cell {i}: p99 diverged");
         assert_eq!(
             p.packets_to_server, s.packets_to_server,
             "cell {i}: packet count diverged"

@@ -55,7 +55,10 @@ fn k4_skewed_grid_replays_bit_identically() {
         assert_eq!(a.per_shard_requests, b.per_shard_requests);
         assert_eq!(a.shard_estimates, b.shard_estimates);
         assert_eq!(a.shard_rtt_p99, b.shard_rtt_p99);
-        assert_eq!(a.hot_rank_fraction.map(f64::to_bits), b.hot_rank_fraction.map(f64::to_bits));
+        assert_eq!(
+            a.hot_rank_fraction.map(f64::to_bits),
+            b.hot_rank_fraction.map(f64::to_bits)
+        );
         for (fa, fb) in a.shard_on_fraction.iter().zip(&b.shard_on_fraction) {
             assert_eq!(fa.to_bits(), fb.to_bits());
         }
@@ -240,7 +243,8 @@ fn fifo_pairing_survives_upstream_reconnect() {
         start_at: warmup,
         ..FaultConfig::default()
     };
-    let timeouts = |p: ProxyApp| p.with_resilience(Resilience::timeout_only(RetryConfig::default()));
+    let timeouts =
+        |p: ProxyApp| p.with_resilience(Resilience::timeout_only(RetryConfig::default()));
     let k = 2;
     let (mut sim, mut queue) = start_tier((2, k), 24_000.0, (warmup, end), timeouts, faults);
 
@@ -256,7 +260,10 @@ fn fifo_pairing_survives_upstream_reconnect() {
     // Step past the crash: the reset must have drained the pile into
     // failures, leaving at most the trickle of post-reset dispatches.
     run(&mut sim, &mut queue, crash_at + Nanos::from_micros(100));
-    assert_eq!(sim.proxy.stats.upstream_resets, 1, "the crash resets the upstream once");
+    assert_eq!(
+        sim.proxy.stats.upstream_resets, 1,
+        "the crash resets the upstream once"
+    );
     let after = sim.proxy.upstream_waiting(0);
     assert!(
         after <= 4,
@@ -273,7 +280,10 @@ fn fifo_pairing_survives_upstream_reconnect() {
     // recovery means bounded failures, bounded orphans, closed books.
     run(&mut sim, &mut queue, end);
     let stats = &sim.proxy.stats;
-    assert!(stats.responses > 1000, "proxy kept serving after the reconnect");
+    assert!(
+        stats.responses > 1000,
+        "proxy kept serving after the reconnect"
+    );
     assert!(
         stats.failed <= 80,
         "failures must stay confined to the fault window, got {}",
@@ -286,7 +296,10 @@ fn fifo_pairing_survives_upstream_reconnect() {
     );
     for j in 0..k {
         let depth = sim.proxy.upstream_waiting(j);
-        assert!(depth <= 4, "shard {j}: {depth} requests still paired at end");
+        assert!(
+            depth <= 4,
+            "shard {j}: {depth} requests still paired at end"
+        );
     }
     assert!(
         sim.proxy.pending_requests() <= 8,
@@ -297,7 +310,9 @@ fn fifo_pairing_survives_upstream_reconnect() {
     // (to a live request or as an orphan), failed at teardown/deadline,
     // or is part of the end-of-run tail above.
     let answered = stats.responses + stats.orphan_responses;
-    let open = (0..k).map(|j| sim.proxy.upstream_waiting(j) as u64).sum::<u64>();
+    let open = (0..k)
+        .map(|j| sim.proxy.upstream_waiting(j) as u64)
+        .sum::<u64>();
     assert!(
         stats.forwarded <= answered + stats.failed + open,
         "attempts leaked: forwarded {} > answered {answered} + failed {} + open {open}",
