@@ -41,6 +41,7 @@ use simnet::{run, CpuContext, EventQueue, LinkConfig, Pcg32};
 use tcpsim::config::{CostConfig, DelAckConfig, ExchangeConfig};
 use tcpsim::segment::{E2eOption, Flags, OptionSlot};
 use tcpsim::seq::SeqNum;
+use tcpsim::socket::Action;
 use tcpsim::{
     Actions, App, FlowId, Host, HostCtx, HostId, NetSim, Payload, Segment, SocketId, TcpConfig,
     TcpSocket, TxEnv, Unit, WakeReason,
@@ -639,6 +640,8 @@ fn deferred_recorder_equals_tick_by_tick_reference() {
 /// recorders under test tick at instants the scenario picks.
 struct Hand {
     socket: TcpSocket,
+    /// The socket's id: a restart opens the next one.
+    id: SocketId,
     actions: Actions,
 }
 
@@ -646,7 +649,51 @@ impl Hand {
     fn new() -> Self {
         let mut actions = Actions::new();
         let socket = TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
-        Hand { socket, actions }
+        Hand {
+            socket,
+            id: SocketId(0),
+            actions,
+        }
+    }
+
+    /// An established socket, opened at `now`, with 1 000 bytes sent
+    /// that no ACK will cover: its unacked integral grows from `now` on,
+    /// so a later snapshot of it is ahead of any fresh socket's. Neither
+    /// side attaches exchanges of its own.
+    fn loaded(now: Nanos) -> Self {
+        let config = TcpConfig {
+            exchange: ExchangeConfig {
+                enabled: false,
+                ..ExchangeConfig::default()
+            },
+            ..TcpConfig::default()
+        };
+        let env = TxEnv::default();
+        let mut actions = Actions::new();
+        let mut socket = TcpSocket::client(FlowId(0), config, now, &mut actions);
+        let syn = sent(&mut actions).remove(0);
+        TcpSocket::server_on_syn(FlowId(0), config, now, &syn, &mut actions);
+        let synack = sent(&mut actions).remove(0);
+        actions.clear();
+        socket.on_segment(now, &synack, env, &mut actions);
+        actions.clear();
+        assert_eq!(socket.send(now, vec![7; 1_000], env, &mut actions), 1_000);
+        actions.clear();
+        Hand {
+            socket,
+            id: SocketId(0),
+            actions,
+        }
+    }
+
+    /// The endpoint restarts: the connection is replaced by a fresh one
+    /// (`loaded` at `now`) under the next socket id.
+    fn restart(&mut self, now: Nanos) {
+        let id = SocketId(self.id.0 + 1);
+        *self = Hand {
+            id,
+            ..Hand::loaded(now)
+        };
     }
 
     /// The peer's exchange as of `now`: one departure every 10 µs, three
@@ -677,12 +724,217 @@ impl Hand {
     }
 
     fn tick(&self, pair: &mut Pair, now: Nanos) {
-        pair.tick(now, SocketId(0), &self.socket);
+        pair.tick(now, self.id, &self.socket);
     }
+}
+
+/// The segments an action buffer transmitted, taken out of it.
+fn sent(actions: &mut Actions) -> Vec<Segment> {
+    let out = actions
+        .iter()
+        .filter_map(|a| match a {
+            Action::Transmit(key) => Some(actions.segment(*key).clone()),
+            _ => None,
+        })
+        .collect();
+    actions.clear();
+    out
 }
 
 fn us(n: u64) -> Nanos {
     Nanos::from_micros(n)
+}
+
+/// A recorder under test beside its reference, ticked at every instant a
+/// scenario picks — or, `parked`, only where a parked recorder-only
+/// client's tick runs: at an instant that finds a share arrived since its
+/// last tick, or a socket other than its last one's. The reference ticks
+/// at every instant either way.
+struct Scenario {
+    pair: Pair,
+    parked: bool,
+    seen: Option<(SocketId, u64)>,
+}
+
+impl Scenario {
+    fn new(validate: bool, parked: bool) -> Self {
+        Scenario {
+            pair: Pair::new(Unit::Bytes, None, validate),
+            parked,
+            seen: None,
+        }
+    }
+
+    fn tick(&mut self, hand: &Hand, now: Nanos) {
+        let seen = (hand.id, hand.socket.remote().received);
+        if self.parked && self.seen == Some(seen) {
+            self.pair.reference.tick(now, &hand.socket);
+            self.pair.deferred.tick_static(now, SPACING, 1);
+            return;
+        }
+        self.seen = Some(seen);
+        hand.tick(&mut self.pair, now);
+    }
+
+    /// Holds the recorder to its reference: every checkpoint bit for bit,
+    /// the validator's counters, and the range means over the whole run
+    /// and its halves. Returns the checkpoint instants.
+    fn assert_recorded_equal(&mut self, label: &str) -> Vec<Nanos> {
+        let label = format!("{label}, parked: {}", self.parked);
+        self.pair.deferred.flush();
+        let checkpoints: Vec<_> = self.pair.deferred.checkpoints().collect();
+        assert_eq!(checkpoints, self.pair.reference.cum_series, "{label}");
+        let end = checkpoints.last().map_or(Nanos::ZERO, |c| c.0) + SPACING;
+        for (from, to) in [(Nanos::ZERO, end), (Nanos::ZERO, end / 2), (end / 2, end)] {
+            self.pair.assert_queries_agree(from, to);
+        }
+        checkpoints.iter().map(|c| c.0).collect()
+    }
+}
+
+/// The scenarios' tick spacing.
+const SPACING: Nanos = Nanos::from_micros(500);
+
+/// The `k`-th tick instant.
+fn at(k: u64) -> Nanos {
+    SPACING * k
+}
+
+/// The exchange delivered 50 µs before tick `k`.
+fn before(k: u64) -> (Nanos, WireExchange) {
+    let t = at(k) - us(50);
+    (t, Hand::exchange(t))
+}
+
+/// The first tick has no local window: it takes the exchange on offer as
+/// the baseline and keeps no checkpoint. Each later fresh exchange is one
+/// checkpoint, taken at the first tick that sees it.
+#[test]
+fn the_first_tick_only_takes_the_baseline() {
+    for parked in [false, true] {
+        let mut hand = Hand::loaded(Nanos::ZERO);
+        let mut rec = Scenario::new(false, parked);
+        for k in 1..=8 {
+            if k % 3 != 0 {
+                let (t, exchange) = before(k);
+                hand.deliver(t, exchange);
+            }
+            rec.tick(&hand, at(k));
+        }
+        let times = rec.assert_recorded_equal("first tick");
+        assert_eq!(times, [2, 4, 5, 7, 8].map(at));
+    }
+}
+
+/// An endpoint restart replaces the socket: the first tick on the fresh
+/// one finds a local window `between` refuses (its counters restarted
+/// below the old socket's), and so folds neither that window nor the
+/// remote window of the exchange it admits there — the new connection's
+/// first, which becomes the baseline. A parked recorder's last snapshot
+/// of the old socket is from its last woken tick, four ticks before the
+/// reference's, and its refusal must fall as the reference's does.
+#[test]
+fn a_restart_refuses_the_local_window_and_that_ticks_remote_window() {
+    for parked in [false, true] {
+        let mut hand = Hand::loaded(Nanos::ZERO);
+        let mut rec = Scenario::new(false, parked);
+        for k in 1..=7 {
+            if k <= 3 {
+                let (t, exchange) = before(k);
+                hand.deliver(t, exchange);
+            }
+            rec.tick(&hand, at(k));
+        }
+        // The peer of the fresh connection counts from zero, in a new
+        // epoch.
+        let restart = at(7) + us(200);
+        hand.restart(restart);
+        for k in 8..=11 {
+            let t = at(k) - us(50);
+            hand.deliver(t, Hand::exchange(t - restart).with_epoch(1));
+            rec.tick(&hand, at(k));
+        }
+        let times = rec.assert_recorded_equal("restart");
+        assert_eq!(times, [2, 3, 9, 10, 11].map(at));
+    }
+}
+
+/// Under validation, an exchange from a new epoch resynchronises: it is
+/// counted, becomes the baseline, and forms no window; the next exchange
+/// of the new epoch is accepted again.
+#[test]
+fn an_epoch_change_under_validation_resynchronises() {
+    let mut hand = Hand::loaded(Nanos::ZERO);
+    let mut rec = Scenario::new(true, false);
+    let restart = at(3) + us(100);
+    for k in 1..=7 {
+        let (t, exchange) = before(k);
+        let exchange = if k <= 3 {
+            exchange
+        } else {
+            Hand::exchange(t - restart).with_epoch(1)
+        };
+        hand.deliver(t, exchange);
+        rec.tick(&hand, at(k));
+    }
+    let times = rec.assert_recorded_equal("epoch change");
+    assert_eq!(times, [2, 3, 5, 6, 7].map(at));
+    let stats = rec.pair.deferred.validation_stats().expect("validated");
+    assert_eq!(
+        (stats.accepted, stats.rejected, stats.epoch_changes),
+        (5, 0, 1)
+    );
+}
+
+/// A rejected exchange stays on offer until the next one arrives, and the
+/// validator judges it again at every tick, against that tick's local
+/// window: seven ticks, seven rejections. The next honest exchange forms
+/// one window across the whole rejected stretch.
+#[test]
+fn a_rejected_exchange_is_judged_again_on_every_tick() {
+    let mut hand = Hand::loaded(Nanos::ZERO);
+    let mut rec = Scenario::new(true, false);
+    for k in 1..=11 {
+        let (t, mut exchange) = before(k);
+        if k == 3 {
+            exchange.unread.total ^= 0x4000_0000;
+        }
+        if k <= 3 || k == 10 {
+            hand.deliver(t, exchange);
+        }
+        rec.tick(&hand, at(k));
+    }
+    let times = rec.assert_recorded_equal("reject");
+    assert_eq!(times, [2, 10].map(at));
+    let stats = rec.pair.deferred.validation_stats().expect("validated");
+    assert_eq!((stats.accepted, stats.rejected), (2, 7));
+}
+
+/// Checkpoints across the 2^42 ns wrap of the default-scale wire clock:
+/// the remote windows are differenced modulo the wrap, validated or not,
+/// ticked every instant or parked.
+#[test]
+fn checkpoints_cross_the_wire_clock_wrap() {
+    let start = WIRE_WRAP - at(6);
+    for (validate, parked) in [(false, false), (false, true), (true, false)] {
+        let mut hand = Hand::loaded(start);
+        let mut rec = Scenario::new(validate, parked);
+        for k in 1..=12 {
+            if k % 2 == 1 {
+                let t = start + at(k) - us(50);
+                hand.deliver(t, Hand::exchange(t));
+            }
+            rec.tick(&hand, start + at(k));
+        }
+        let times = rec.assert_recorded_equal(&format!("wrap, validated: {validate}"));
+        assert_eq!(times, [3, 5, 7, 9, 11].map(|k| start + at(k)));
+        if let Some(stats) = rec.pair.deferred.validation_stats() {
+            assert_eq!(
+                (stats.accepted, stats.rejected, stats.epoch_changes),
+                (5, 0, 0)
+            );
+        }
+    }
 }
 
 /// The tick period changes right after a full step: the quiet stretch's
