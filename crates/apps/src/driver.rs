@@ -12,20 +12,19 @@
 //! Dynamic Nagle toggling is the plane with only its Nagle knob attached;
 //! `AimdDriver` is the §5 gradual limit on its own.
 //!
-//! An [`EstimateRecorder`] does its work only when the socket has changed
-//! since the previous tick and otherwise defers it; the deferred ticks
-//! are later replayed through the unchanged estimator, except that where
-//! every replayed tick provably repeats the one before — all of a quiet
-//! stretch after its first tick — they are applied in closed form
-//! (DESIGN.md §11, "Activity-proportional estimation").
-
-use std::borrow::Cow;
+//! A client that only records holds plain [`EstimateRecorder`]s, which
+//! keep cumulative windows and run no estimator; only a seat steps an
+//! estimator, every tick (DESIGN.md §11, "Activity-proportional
+//! estimation").
 
 use batchpolicy::{AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, TickController};
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
 use e2e_core::compose::compose_two;
 use e2e_core::hints::HintEstimator;
-use e2e_core::{E2eEstimator, Estimate, EstimatorRegistry, ValidateConfig, ValidateStats};
+use e2e_core::{
+    Admitted, E2eEstimator, Estimate, EstimatorRegistry, ExchangeIntake, ValidateConfig,
+    ValidateStats,
+};
 use littles::wire::{WireExchange, WireScale};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
@@ -50,362 +49,92 @@ fn estimator_inputs(
     (local, socket.remote().unit(unit), socket.srtt())
 }
 
-/// Everything the estimator was fed at a recorder's last full step, plus
-/// the three queue occupancies at that instant. While the socket's
-/// [`estimator_stamp`](TcpSocket::estimator_stamp) stays put, no `TRACK`
-/// ran, so each queue's integral grows at exactly its occupancy and the
-/// inputs of any later tick follow from these without touching the
-/// socket.
-#[derive(Debug, Clone, Copy)]
-struct Frozen {
-    local: EndpointSnapshots,
-    /// Occupancy of (unacked, unread, ackdelay) at `local`'s instant.
-    sizes: [i64; 3],
-    remote: Option<WireExchange>,
-    srtt: Option<Nanos>,
-}
-
-impl Frozen {
-    fn capture(socket: &TcpSocket, now: Nanos, unit: Unit) -> Self {
-        let (local, remote, srtt) = estimator_inputs(socket, now, unit);
-        let q = socket.queues();
-        Frozen {
-            local,
-            sizes: [
-                q.unacked.size(unit),
-                q.unread.size(unit),
-                q.ackdelay.size(unit),
-            ],
-            remote,
-            srtt,
-        }
-    }
-
-    /// The local snapshots a fresh read at `at` would return.
-    fn local_at(&self, at: Nanos) -> EndpointSnapshots {
-        EndpointSnapshots {
-            unacked: self.local.unacked.advanced(self.sizes[0], at),
-            unread: self.local.unread.advanced(self.sizes[1], at),
-            ackdelay: self.local.ackdelay.advanced(self.sizes[2], at),
-        }
-    }
-}
-
-/// The part of a recorder that a tick over a static socket reads and
-/// writes — kept together so that such a tick stays within a cache line
-/// or two of the recorder.
-#[derive(Debug, Clone, Default)]
-struct Deferral {
-    /// The socket last stepped against and its estimator stamp then.
-    seen: Option<(SocketId, u64)>,
-    /// Ticks since that step which found the stamp unchanged and have
-    /// not been run through the estimator yet: one run, unless the tick
-    /// period changed under them.
-    pending: RunLog<()>,
-    /// Ticks ever deferred.
-    deferred: u64,
-    /// Deferred ticks run through the estimator one by one; the rest of
-    /// those flushed so far were applied in closed form.
-    replayed: u64,
-    /// When the estimator was last updated, stepped or skipped to.
-    last_at: Nanos,
-    /// The length of the local window that update closed, if the queues
-    /// stood still across it: it was a deferred tick, not a full step.
-    still: Option<Nanos>,
-    /// Estimator updates, stepped ticks and replayed ones alike.
-    updates: u64,
-    /// Closed-form skips, each over one or more deferred ticks.
-    skips: u64,
-}
-
-/// Per-unit estimate recording (no actuation).
+/// Per-unit estimate recording (no actuation), in one of two forms.
 ///
-/// What it keeps is its estimator, whose newest estimate is the
-/// recorder's, and a checkpoint of the estimator's cumulative windows at
-/// every tick that folded in a fresh exchange; a range query is Little's
-/// law over the difference of two checkpoints (the paper's GETAVGS over
-/// one long window).
+/// A *plain* recorder ([`EstimateRecorder::new`]: what a client that only
+/// records holds) keeps the paper's GETAVGS state and runs no estimator:
+/// the previous local snapshot, the last admitted exchange, the running
+/// sums of every local and every admitted remote window, and a checkpoint
+/// of both sums at every tick that folds in a fresh exchange. A range
+/// query is Little's law over the difference of two checkpoints. A local
+/// window is an exact difference of monotone counters, so on one socket
+/// the sum over any run of ticks is the window across the run: a plain
+/// recorder that skips the ticks that see no fresh exchange keeps the
+/// same checkpoints. One that validates does not skip: its validator
+/// judges each exchange against the local window of the tick that admits
+/// it, and a rejected one again at every tick.
 ///
-/// Cost and memory follow the connection's *activity*, not the tick
-/// count. A tick that finds the socket's
-/// [`estimator_stamp`](TcpSocket::estimator_stamp) where the previous
-/// tick left it only extends a pending run of deferred ticks; the next
-/// tick that sees a change (or any query) first replays that run through
-/// the unchanged [`E2eEstimator::update_validated`], with the inputs a
-/// fresh read would have returned (see `Frozen`), so every estimate,
-/// checkpoint and validator verdict is the one a tick-by-tick recorder
-/// produces. Once a replayed tick has closed a window of the run's
-/// spacing, every later one can only repeat it, so [`flush`](Self::flush)
-/// applies the rest of the run in closed form
-/// ([`E2eEstimator::skip_static`]): a quiet stretch costs one update,
-/// replay cost follows the number of stretches, not their length, and
-/// the checkpoints grow with the number of exchanges rather than with
-/// elapsed time.
+/// A *seat's source* (the [`EstimateSource::new`] of a [`PlaneDriver`],
+/// and an `AimdDriver`'s) steps an [`E2eEstimator`] on every tick: its
+/// newest estimate, [`latest`](Self::latest), is what the seat decides on.
+/// It keeps no checkpoints, so it answers no range.
 #[derive(Debug, Clone)]
 pub struct EstimateRecorder {
     /// The message unit this recorder estimates in.
     pub unit: Unit,
-    deferral: Deferral,
-    estimator: E2eEstimator,
-    /// Inputs of the last full step; `Some` whenever `deferral.seen` is.
-    frozen: Option<Frozen>,
-    /// Checkpoints of the estimator's cumulative (local, remote) windows,
-    /// taken at ticks that folded in a fresh exchange. Range queries
-    /// difference two checkpoints and evaluate the decomposition over the
-    /// resulting long window, instead of averaging noisy per-tick delay
-    /// ratios. Checkpointing at exchange ticks keeps both sides' sums
+    form: Form,
+}
+
+#[derive(Debug, Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "plain recorders are the many and are ticked inline; the few sources box their estimator"
+)]
+enum Form {
+    Plain(Getavgs),
+    Source {
+        estimator: Box<E2eEstimator>,
+        /// Estimator updates so far, one per tick.
+        updates: u64,
+    },
+}
+
+/// A plain recorder's state: cumulative windows and their checkpoints.
+#[derive(Debug, Clone)]
+struct Getavgs {
+    /// The local snapshots at the last tick.
+    prev_local: Option<EndpointSnapshots>,
+    /// The last admitted exchange, and the validator if there is one.
+    intake: ExchangeIntake,
+    /// Running sums of every local window, tick to tick.
+    cum_local: EndpointWindows,
+    /// Running sums of every remote window admitted at a tick with a
+    /// local window.
+    cum_remote: EndpointWindows,
+    /// `(time, cum_local, cum_remote)` at every tick that folded in a
+    /// remote window. Checkpointing at exchange ticks keeps both sums
     /// aligned to the same exchange boundaries and self-scales the memory:
     /// at high per-connection load it is one entry per tick, at high
     /// fan-in one entry per (sparse) exchange. Packed: a checkpoint
     /// differs from the one before by a few exchanges' worth.
-    cum_series: Checkpoints,
-    /// `remote_epoch` at the last checkpoint.
-    cum_epoch: u64,
+    checkpoints: Checkpoints,
 }
 
-impl EstimateRecorder {
-    /// Creates a recorder for one unit.
-    pub fn new(unit: Unit) -> Self {
-        EstimateRecorder {
-            unit,
-            deferral: Deferral::default(),
-            estimator: E2eEstimator::new(WireScale::default(), 1.0),
-            frozen: None,
-            cum_series: Checkpoints::default(),
-            cum_epoch: 0,
-        }
-    }
-
-    /// Bounds how long the estimator trusts a cached remote window (see
-    /// [`E2eEstimator::with_staleness_bound`]).
-    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
-        self.estimator = self.estimator.with_staleness_bound(bound);
-        self
-    }
-
-    /// Validates every incoming exchange against locally observable
-    /// signals before it can influence the estimate (see
-    /// [`e2e_core::ExchangeValidator`]).
-    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.estimator = self.estimator.with_validation(config);
-        self
-    }
-
-    /// Validation counters, if validation is enabled.
-    pub fn validation_stats(&self) -> Option<ValidateStats> {
-        self.settled().estimator.validation_stats()
-    }
-
-    /// Runs one tick against `sock`: a full step if the socket moved since
-    /// the last one, a deferred tick otherwise.
-    // hot-path: every client, every tick
-    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
-        self.tick_socket(ctx.now(), sock, ctx.socket(sock));
-    }
-
-    /// [`Self::tick`] against a socket held outside a simulation
-    /// (benchmarks and tests that drive a [`TcpSocket`] by hand).
-    pub fn tick_socket(&mut self, now: Nanos, sock: SocketId, socket: &TcpSocket) {
-        let stamp = socket.estimator_stamp();
-        if self.deferral.seen == Some((sock, stamp)) {
-            self.deferral.deferred += 1;
-            self.deferral.pending.push(now, ());
-            if cfg!(debug_assertions) {
-                self.assert_static(now, socket);
-            }
-            return;
-        }
-        self.flush();
-        let frozen = Frozen::capture(socket, now, self.unit);
-        self.step(now, frozen.local, frozen.remote, frozen.srtt);
-        self.frozen = Some(frozen);
-        self.deferral.seen = Some((sock, stamp));
-        self.deferral.still = None;
-    }
-
-    /// Books `count` ticks, `step` apart and the first at `first`, that
-    /// were never run because nothing could have changed under them: the
-    /// caller slept on the socket's estimator stamp (see
-    /// [`HostCtx::call_on_change`]) from a tick of this recorder until
-    /// after the last of them. Equal to `count` deferred
-    /// [`tick`](Self::tick)s.
-    pub fn tick_static(&mut self, first: Nanos, step: Nanos, count: u64) {
-        self.deferral.deferred += count;
-        self.deferral.pending.push_n(first, step, (), count);
-    }
-
-    /// The deferral precondition, checked rather than trusted: what a
-    /// deferred tick will be replayed with must be what the socket
-    /// returns right now. A mutation site that misses the stamp fails
-    /// here, in every debug-assertion run of the integration suite.
-    fn assert_static(&self, now: Nanos, socket: &TcpSocket) {
-        #[expect(
-            clippy::expect_used,
-            reason = "the stretch began with a full step, which sets `frozen`"
-        )]
-        let frozen = self
-            .frozen
-            .expect("a tick is deferred only after a full step");
-        let (local, remote, srtt) = estimator_inputs(socket, now, self.unit);
-        assert_eq!(
-            frozen.local_at(now),
-            local,
-            "queue moved under an unchanged stamp"
-        );
-        assert_eq!(
-            frozen.remote, remote,
-            "exchange arrived under an unchanged stamp"
-        );
-        assert_eq!(frozen.srtt, srtt, "SRTT moved under an unchanged stamp");
-    }
-
-    /// Accounts for every deferred tick, oldest first: through the
-    /// estimator one by one, except where a stretch of them can only
-    /// repeat the tick before.
-    // hot-path: every tick that ends a static stretch
-    pub fn flush(&mut self) {
-        let pending = std::mem::take(&mut self.deferral.pending);
-        if pending.is_empty() {
-            return;
-        }
-        #[expect(
-            clippy::expect_used,
-            reason = "the stretch began with a full step, which sets `frozen`"
-        )]
-        let frozen = self
-            .frozen
-            .expect("a tick is deferred only after a full step");
-        for run in pending.runs() {
-            let mut k = 0;
-            while k < run.count {
-                let at = run.at(k);
-                let gap = at - self.deferral.last_at;
-                // The ticks from here on that continue this gap: the rest
-                // of the run, unless the run's spacing starts after this
-                // tick (its first tick, or a run of one).
-                let n = if gap == run.step { run.count - k } else { 1 };
-                // Debug builds only: `assert_skip`'s witness.
-                let before = cfg!(debug_assertions).then(|| self.estimator.clone());
-                // Every one of them that provably repeats the last update,
-                // in closed form: all of them once that update closed a
-                // window of `gap` over the frozen queues, or before any
-                // remote window exists; fewer where the staleness bound
-                // lapses.
-                let skipped =
-                    self.estimator
-                        .skip_static(gap, n, frozen.remote, self.deferral.still, |t| {
-                            frozen.local_at(t)
-                        });
-                if skipped > 0 {
-                    if let Some(slow) = before {
-                        self.assert_skip(slow, at, gap, skipped, &frozen);
-                    }
-                    self.deferral.skips += 1;
-                    k += skipped;
-                    self.deferral.last_at = at + gap * (skipped - 1);
-                } else {
-                    self.step(at, frozen.local_at(at), frozen.remote, frozen.srtt);
-                    self.deferral.replayed += 1;
-                    k += 1;
-                }
-                self.deferral.still = Some(gap);
-            }
-        }
-    }
-
-    /// The skip precondition, checked rather than trusted: `slow`, the
-    /// estimator from before the skip, is stepped through the `skipped`
-    /// ticks one at a time, the first at `first`, `gap` apart; it and the
-    /// estimator that skipped must then be in the very same state.
-    fn assert_skip(
-        &self,
-        mut slow: E2eEstimator,
-        first: Nanos,
-        gap: Nanos,
-        skipped: u64,
-        frozen: &Frozen,
-    ) {
-        for k in 0..skipped {
-            let at = first + gap * k;
-            slow.update_validated(at, frozen.local_at(at), frozen.remote, frozen.srtt);
-        }
-        assert_eq!(
-            self.estimator, slow,
-            "after a skip of {skipped} from {first}"
-        );
-    }
-
-    /// One estimator update and its bookkeeping.
-    fn step(
+impl Getavgs {
+    fn tick(
         &mut self,
         now: Nanos,
         local: EndpointSnapshots,
         remote: Option<WireExchange>,
         srtt: Option<Nanos>,
     ) {
-        self.estimator.update_validated(now, local, remote, srtt);
-        self.deferral.updates += 1;
-        self.deferral.last_at = now;
-        if self.estimator.remote_epoch() != self.cum_epoch {
-            self.cum_epoch = self.estimator.remote_epoch();
-            let (cl, cr) = self.estimator.cumulative_windows();
-            self.cum_series.push((now, cl, cr));
+        let window = self
+            .prev_local
+            .and_then(|prev| EndpointWindows::between(&prev, &local));
+        self.prev_local = Some(local);
+        let admitted = self.intake.admit(remote, window, srtt);
+        // A tick whose local window is refused — the first one, or the
+        // first on a restarted socket — folds neither window, although it
+        // may have admitted a new baseline.
+        let Some(window) = window else {
+            return;
+        };
+        self.cum_local.merge(&window);
+        if let Admitted::Window(Some(far)) = admitted {
+            self.cum_remote.merge(&far);
+            self.checkpoints
+                .push((now, self.cum_local, self.cum_remote));
         }
-    }
-
-    /// This recorder with no tick pending: itself, or a flushed copy.
-    /// Queries take `&self`, and a copy is one packed column and a few
-    /// fixed-size fields.
-    fn settled(&self) -> Cow<'_, Self> {
-        if self.deferral.pending.is_empty() {
-            return Cow::Borrowed(self);
-        }
-        let mut copy = self.clone();
-        copy.flush();
-        Cow::Owned(copy)
-    }
-
-    /// The newest recorded estimate, every tick so far accounted for.
-    pub fn latest(&mut self) -> Option<Estimate> {
-        self.flush();
-        self.estimator.last()
-    }
-
-    /// The estimator, as of the last [`flush`](Self::flush).
-    pub fn estimator(&self) -> &E2eEstimator {
-        &self.estimator
-    }
-
-    /// The cumulative-window checkpoints up to the last
-    /// [`flush`](Self::flush): `(time, local, remote)` at every tick that
-    /// folded in a fresh exchange, oldest first.
-    pub fn checkpoints(
-        &self,
-    ) -> impl Iterator<Item = (Nanos, EndpointWindows, EndpointWindows)> + '_ {
-        self.cum_series.iter()
-    }
-
-    /// Ticks that found the socket unchanged and were deferred.
-    pub fn deferred_ticks(&self) -> u64 {
-        self.deferral.deferred
-    }
-
-    /// Deferred ticks that [`flush`](Self::flush) ran through the
-    /// estimator one by one; it applied the others in closed form.
-    pub fn replayed_ticks(&self) -> u64 {
-        self.deferral.replayed
-    }
-
-    /// Estimator updates so far: one per tick that found the socket
-    /// moved, plus the [`replayed_ticks`](Self::replayed_ticks).
-    pub fn estimator_updates(&self) -> u64 {
-        self.deferral.updates
-    }
-
-    /// Closed-form skips [`flush`](Self::flush) applied so far, each over
-    /// a stretch of deferred ticks.
-    pub fn closed_form_skips(&self) -> u64 {
-        self.deferral.skips
     }
 
     /// The cumulative-window difference across the checkpoints falling in
@@ -413,7 +142,7 @@ impl EstimateRecorder {
     /// range, or `None` when fewer than two checkpoints fall inside it.
     fn range_windows(&self, from: Nanos, to: Nanos) -> Option<(EndpointWindows, EndpointWindows)> {
         let mut inside = self
-            .cum_series
+            .checkpoints
             .iter()
             .filter(|(at, _, _)| *at >= from && *at < to);
         let first = inside.next()?;
@@ -421,6 +150,125 @@ impl EstimateRecorder {
         let near = last.1.since(&first.1);
         let far = last.2.since(&first.2);
         (!near.unacked.dt.is_zero()).then_some((near, far))
+    }
+}
+
+impl EstimateRecorder {
+    /// Creates a plain recorder for one unit.
+    pub fn new(unit: Unit) -> Self {
+        EstimateRecorder {
+            unit,
+            form: Form::Plain(Getavgs {
+                prev_local: None,
+                intake: ExchangeIntake::new(WireScale::default()),
+                cum_local: EndpointWindows::default(),
+                cum_remote: EndpointWindows::default(),
+                checkpoints: Checkpoints::default(),
+            }),
+        }
+    }
+
+    /// Bounds how long a source's estimator trusts a cached remote window
+    /// (see [`E2eEstimator::with_staleness_bound`]). A plain recorder
+    /// forms no estimate, so the bound changes nothing in it.
+    pub fn with_staleness_bound(mut self, bound: Nanos) -> Self {
+        self.form = match self.form {
+            Form::Source { estimator, updates } => Form::Source {
+                estimator: Box::new(estimator.with_staleness_bound(bound)),
+                updates,
+            },
+            plain => plain,
+        };
+        self
+    }
+
+    /// Validates every incoming exchange against locally observable
+    /// signals before it can count (see [`e2e_core::ExchangeValidator`]).
+    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
+        self.form = match self.form {
+            Form::Plain(mut g) => {
+                g.intake = g.intake.with_validation(config);
+                Form::Plain(g)
+            }
+            Form::Source { estimator, updates } => Form::Source {
+                estimator: Box::new(estimator.with_validation(config)),
+                updates,
+            },
+        };
+        self
+    }
+
+    /// Validation counters, if validation is enabled.
+    pub fn validation_stats(&self) -> Option<ValidateStats> {
+        match &self.form {
+            Form::Plain(g) => g.intake.validation_stats(),
+            Form::Source { estimator, .. } => estimator.validation_stats(),
+        }
+    }
+
+    /// Whether every tick counts: a source steps its estimator on each,
+    /// and a validator judges each fresh exchange against the local window
+    /// of the tick that admits it, and a rejected one again at every tick.
+    /// A plain recorder that does not validate changes only at a tick that
+    /// sees a fresh exchange or another socket.
+    pub(crate) fn ticks_every_period(&self) -> bool {
+        match &self.form {
+            Form::Plain(g) => g.intake.validation_stats().is_some(),
+            Form::Source { .. } => true,
+        }
+    }
+
+    /// Runs one tick against `sock`.
+    // hot-path: every client, every tick
+    pub fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
+        self.tick_socket(ctx.now(), ctx.socket(sock));
+    }
+
+    /// [`Self::tick`] against a socket held outside a simulation
+    /// (benchmarks and tests that drive a [`TcpSocket`] by hand).
+    pub fn tick_socket(&mut self, now: Nanos, socket: &TcpSocket) {
+        let (local, remote, srtt) = estimator_inputs(socket, now, self.unit);
+        match &mut self.form {
+            Form::Plain(g) => g.tick(now, local, remote, srtt),
+            Form::Source { estimator, updates } => {
+                estimator.update_validated(now, local, remote, srtt);
+                *updates += 1;
+            }
+        }
+    }
+
+    /// A source's newest estimate; a plain recorder has none.
+    pub fn latest(&self) -> Option<Estimate> {
+        match &self.form {
+            Form::Plain(_) => None,
+            Form::Source { estimator, .. } => estimator.last(),
+        }
+    }
+
+    /// A plain recorder's checkpoints, `(time, local, remote)` at every
+    /// tick that folded in a fresh exchange, oldest first.
+    pub fn checkpoints(
+        &self,
+    ) -> impl Iterator<Item = (Nanos, EndpointWindows, EndpointWindows)> + '_ {
+        self.getavgs()
+            .into_iter()
+            .flat_map(|g| g.checkpoints.iter())
+    }
+
+    /// Estimator updates so far: one per tick of a source, none in a plain
+    /// recorder.
+    pub fn estimator_updates(&self) -> u64 {
+        match &self.form {
+            Form::Plain(_) => 0,
+            Form::Source { updates, .. } => *updates,
+        }
+    }
+
+    fn getavgs(&self) -> Option<&Getavgs> {
+        match &self.form {
+            Form::Plain(g) => Some(g),
+            Form::Source { .. } => None,
+        }
     }
 
     /// Mean estimated latency over `[from, to)`, or `None` when fewer than
@@ -438,7 +286,7 @@ impl EstimateRecorder {
     /// views are computed from hundreds of departures and the larger one
     /// is a faithful guard against underestimation, as in the paper.
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let (near, far) = self.settled().range_windows(from, to)?;
+        let (near, far) = self.getavgs()?.range_windows(from, to)?;
         let lv = combine_delays(&near, &far).latency();
         let rv = combine_delays(&far, &near).latency();
         Some(lv.max(rv))
@@ -449,7 +297,7 @@ impl EstimateRecorder {
     /// fewer than two exchange checkpoints fall inside it (see
     /// [`Self::mean_latency_in`]).
     pub fn mean_throughput_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        let (near, _) = self.settled().range_windows(from, to)?;
+        let (near, _) = self.getavgs()?.range_windows(from, to)?;
         Some(near.unread.throughput())
     }
 }
@@ -515,7 +363,7 @@ impl AimdDriver {
     /// Creates a driver estimating in `unit` with the given controller.
     pub(crate) fn new(unit: Unit, controller: AimdBatchLimit) -> Self {
         AimdDriver {
-            recorder: EstimateRecorder::new(unit),
+            recorder: EstimateSource::new(unit),
             controller,
             limits: RunLog::default(),
         }
@@ -558,8 +406,15 @@ pub trait EstimateSource {
 }
 
 impl EstimateSource for EstimateRecorder {
+    /// A seat's source: an estimator stepped on every tick.
     fn new(unit: Unit) -> Self {
-        EstimateRecorder::new(unit)
+        EstimateRecorder {
+            unit,
+            form: Form::Source {
+                estimator: Box::new(E2eEstimator::new(WireScale::default(), 1.0)),
+                updates: 0,
+            },
+        }
     }
 
     fn with_staleness_bound(self, bound: Nanos) -> Self {
@@ -937,9 +792,9 @@ mod tests {
     use littles::{Nanos, Snapshot};
     use tcpsim::segment::{E2eOption, Flags, OptionSlot};
     use tcpsim::seq::SeqNum;
-    use tcpsim::{Actions, FlowId, Segment, SocketId, TcpConfig, TcpSocket, TxEnv, Unit};
+    use tcpsim::{Actions, FlowId, Segment, TcpConfig, TcpSocket, TxEnv, Unit};
 
-    use super::EstimateRecorder;
+    use super::{EstimateRecorder, EstimateSource};
     use crate::harness::Harness;
     use crate::runner::{NagleSetting, RunConfig};
     use crate::tier::{ShardSetting, TierRunConfig};
@@ -976,6 +831,7 @@ mod tests {
         let mut sock =
             TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
         let mut rec = EstimateRecorder::new(Unit::Bytes);
+        let mut source: EstimateRecorder = EstimateSource::new(Unit::Bytes);
         // Ticks 1–3 each find a fresh exchange, ticks 4–8 none.
         for k in 1..=8 {
             if k <= 3 {
@@ -983,7 +839,8 @@ mod tests {
                 let seg = exchange_segment(tick(k));
                 sock.on_segment(tick(k), &seg, TxEnv::default(), &mut actions);
             }
-            rec.tick_socket(tick(k), SocketId(0), &sock);
+            rec.tick_socket(tick(k), &sock);
+            source.tick_socket(tick(k), &sock);
         }
         let checkpoints: Vec<_> = rec.checkpoints().collect();
         assert_eq!(
@@ -991,8 +848,8 @@ mod tests {
             [tick(2), tick(3)]
         );
 
-        // One checkpoint in [tick 3, tick 9), and an estimate at each of
-        // its six ticks.
+        // One checkpoint in [tick 3, tick 9), and a source's estimate at
+        // each of its six ticks.
         let (from, to) = (tick(3), tick(9));
         assert_eq!(rec.mean_latency_in(from, to), None);
         assert_eq!(rec.mean_throughput_in(from, to), None);
@@ -1011,18 +868,20 @@ mod tests {
             Some(near.unread.throughput().to_bits())
         );
         assert_eq!(
-            rec.latest().map(|e| e.at),
+            source.latest().map(|e| e.at),
             Some(tick(8)),
             "every tick estimated"
         );
+        assert_eq!(source.checkpoints().count(), 0);
+        assert_eq!(source.mean_latency_in(from, to), None);
+        assert_eq!(rec.latest(), None, "a plain recorder estimates nothing");
     }
 
     /// Every estimator the apps build smooths with α = 1, so each smoothed
-    /// latency is its raw latency, bit for bit: a client's recorders and
-    /// plane seat, the listener seat, and every proxy seat. Nothing here
-    /// keeps per-tick smoothing state that a skipped tick could miss, and
-    /// the readers that once took `smoothed_latency` (the hot-shard rank,
-    /// the hedge delay) read `latency` for the same bits.
+    /// latency is its raw latency, bit for bit: a client's plane seat, the
+    /// listener seat, and every proxy seat (a client's plain recorders run
+    /// no estimator). The readers that once took `smoothed_latency` (the
+    /// hot-shard rank, the hedge delay) read `latency` for the same bits.
     #[test]
     fn every_smoothed_latency_is_the_raw_latency() {
         let plane = NagleSetting::Plane {
@@ -1036,13 +895,11 @@ mod tests {
             measure: Nanos::from_millis(60),
             ..RunConfig::new(WorkloadSpec::fig4b(20_000.0), plane)
         };
-        let mut star = Harness::star(&star).run();
-        for client in &mut star.world.clients {
-            let seat = client.plane.as_mut().map(|p| &mut p.recorder);
-            for rec in client.recorders.iter_mut().chain(seat) {
-                let est = rec.latest().expect("a client recorder estimated");
-                assert_eq!(est.smoothed_latency, est.latency);
-            }
+        let star = Harness::star(&star).run();
+        for client in &star.world.clients {
+            let seat = client.plane.as_ref().expect("a client seat");
+            let est = seat.recorder.latest().expect("a client seat estimated");
+            assert_eq!(est.smoothed_latency, est.latency);
         }
         let listener = &star
             .world

@@ -24,7 +24,10 @@ use tcpsim::config::{CostConfig, ExchangeConfig};
 use tcpsim::{Event, Host, HostId, NagleMode, NetSim, TcpConfig, TierSim, Unit};
 
 use crate::cost::CostProfile;
-use crate::driver::{AimdDriver, EstimateRecorder, ListenerPlaneDriver, PlaneDriver, ProxyDriver};
+use crate::driver::{
+    AimdDriver, EstimateRecorder, EstimateSource, ListenerPlaneDriver, PlaneDriver, ProxyDriver,
+    Seat,
+};
 use crate::loadgen::{KeyPool, LancetClient};
 use crate::proxy::{ProxyApp, ShardRouter};
 use crate::runner::{ClientResult, CpuUtil, NagleSetting, Overrides, PointResult, RunConfig};
@@ -91,6 +94,19 @@ fn shield<T: BatchToggler>(inner: T, breaker: Option<BreakerConfig>) -> CircuitB
         Some(bc) => CircuitBreaker::new(inner, bc),
         None => CircuitBreaker::disabled(inner),
     }
+}
+
+/// A seat guarded as `cfg` asks: a staleness bound on its estimators'
+/// trust in the peer's shared state (the breaker, when configured, acts
+/// on the confidence it decays), and peer-state validation.
+fn guard<S: EstimateSource>(mut seat: Seat<S>, cfg: &RunConfig) -> Seat<S> {
+    if let Some(bound) = cfg.staleness_bound {
+        seat = seat.with_staleness_bound(bound);
+    }
+    if let Some(v) = cfg.validate {
+        seat = seat.with_validation(v);
+    }
+    seat
 }
 
 fn tcp_config(nagle: NagleMode, ov: &Overrides) -> TcpConfig {
@@ -245,17 +261,14 @@ impl Harness<Star, RunConfig> {
         let tick = cfg.overrides.policy_tick.unwrap_or(Nanos::from_millis(1));
         let alpha = cfg.overrides.score_alpha.unwrap_or(0.4);
 
-        // A staleness bound degrades estimator confidence when the peer's
-        // shared state ages out; the breaker (when configured) acts on that.
+        // A client's plain recorders validate when the run does; they form
+        // no estimate, so a staleness bound means nothing to them.
         let recorder = |unit: Unit| -> EstimateRecorder {
-            let mut r = EstimateRecorder::new(unit);
-            if let Some(bound) = cfg.staleness_bound {
-                r = r.with_staleness_bound(bound);
+            let r = EstimateRecorder::new(unit);
+            match cfg.validate {
+                Some(v) => r.with_validation(v),
+                None => r,
             }
-            if let Some(v) = cfg.validate {
-                r = r.with_validation(v);
-            }
-            r
         };
         // A controller for one endpoint of a Plane run: the Nagle bandit
         // always, plus whichever of the two other knobs the configuration
@@ -315,10 +328,7 @@ impl Harness<Star, RunConfig> {
             // gives every further client an independent stream.
             let seed = cfg.seed ^ 0xC ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             if let Some(controller) = controller_for(seed) {
-                let mut driver = PlaneDriver::new(Unit::Bytes, controller);
-                // The plane's own estimate source, guarded like the others.
-                driver.recorder = recorder(Unit::Bytes);
-                client = client.with_plane(driver);
+                client = client.with_plane(guard(PlaneDriver::new(Unit::Bytes, controller), cfg));
             }
             clients.push(client);
         }
@@ -327,14 +337,10 @@ impl Harness<Star, RunConfig> {
         // One listener-wide plane fed the throughput-weighted aggregate over
         // every accepted connection.
         if let Some(controller) = controller_for(cfg.seed ^ 0x5) {
-            let mut driver = ListenerPlaneDriver::new(Unit::Bytes, controller);
-            if let Some(bound) = cfg.staleness_bound {
-                driver = driver.with_staleness_bound(bound);
-            }
-            if let Some(v) = cfg.validate {
-                driver = driver.with_validation(v);
-            }
-            server = server.with_plane(driver);
+            server = server.with_plane(guard(
+                ListenerPlaneDriver::new(Unit::Bytes, controller),
+                cfg,
+            ));
         }
 
         let (client_hosts, server_host) = star_hosts(n, &cfg.profile, tcp);

@@ -19,17 +19,14 @@
 //! * optionally a [`PlaneDriver`] steering Nagle (and, when attached,
 //!   delayed ACKs and the cork limit) dynamically, or an `AimdDriver`.
 //!
-//! All of it runs off one tick per `tick_period`. A client that only
-//! records (no plane, no AIMD seat) does not pay for the ticks that would
-//! find its socket untouched: every tick parks the chain on the socket's
-//! estimator stamp
-//! ([`HostCtx::call_on_change`]) instead of re-arming it, and the tick that
-//! resumes it books the grid instants slept through into the recorders as
-//! the static ticks they would have been. The park's deadline is the next
-//! tick with a job of its own — the tracker snapshots at the two window
-//! edges — and once the window has closed the chain is periodic again, so
-//! when a run ends every recorder has been ticked through its last instant
-//! and nothing needs settling (DESIGN.md §11, "Demand-armed ticks").
+//! All of it runs off one tick per `tick_period`. A client whose only
+//! seats are plain recorders that do not validate changes nothing at a
+//! tick that sees no new share from the peer: every tick parks the chain
+//! until the peer's next share arrives ([`HostCtx::call_on_change`]) instead
+//! of re-arming it, and counts the grid instants slept through. The park's
+//! deadline is the next tick with a job of its own — the tracker snapshots
+//! at the two window edges — and once the window has closed the chain is
+//! periodic again (DESIGN.md §11, "Exchange-armed ticks").
 
 use std::collections::VecDeque;
 
@@ -124,7 +121,7 @@ pub struct LancetClient {
     parked_at: Option<Nanos>,
     /// Ticks dispatched as events.
     pub ticks_run: u64,
-    /// Tick instants slept through while parked and booked afterwards.
+    /// Tick instants slept through while parked.
     pub(crate) ticks_skipped: u64,
     /// Number of `Reset` wakes observed (crash/restart fault injections).
     pub restarts_seen: u64,
@@ -334,13 +331,9 @@ impl LancetClient {
         self.ticks_run += 1;
         if let Some(parked_at) = self.parked_at.take() {
             // The grid instants strictly between the park and now: each
-            // would have found the socket as the parking tick did.
+            // would have found no new share.
             let slept = (now - parked_at).as_nanos() / period.as_nanos();
-            let skipped = slept.saturating_sub(1);
-            self.ticks_skipped += skipped;
-            for rec in &mut self.recorders {
-                rec.tick_static(parked_at + period, period, skipped);
-            }
+            self.ticks_skipped += slept.saturating_sub(1);
         }
         if now >= self.warmup_end && self.tracker_at_warmup.is_none() {
             self.tracker_at_warmup = Some(self.tracker.snapshot(now));
@@ -359,11 +352,14 @@ impl LancetClient {
             if let Some(plane) = self.plane.as_mut() {
                 plane.tick(ctx, sock);
             }
-            // A control seat decides every tick; recorders alone can sleep
-            // until the socket moves: whatever this tick found, each of
-            // them now holds the stamp it read, and a tick that finds it
-            // again is one they would defer.
-            if self.aimd.is_none() && self.plane.is_none() {
+            // A control seat decides every tick, and a validator judges
+            // every tick; plain recorders alone can sleep until the peer
+            // shares again.
+            let every = self
+                .recorders
+                .iter()
+                .any(EstimateRecorder::ticks_every_period);
+            if self.aimd.is_none() && self.plane.is_none() && !every {
                 quiet = Some(sock);
             }
         }

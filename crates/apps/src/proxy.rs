@@ -585,7 +585,7 @@ impl ProxyApp {
             let upstreams: Vec<Option<SocketId>> = self.ups.iter().map(Upstream::live).collect();
             driver.tick(ctx, &client_socks, &upstreams);
             // Joint breaker feed: each *fresh* composed estimate reports
-            // its confidence to the shard's breaker. Frozen estimates
+            // its confidence to the shard's breaker. Unchanging estimates
             // (dead upstream → no updates) are fed once, not every tick,
             // so stale confidence cannot out-vote accumulating timeouts.
             let now = ctx.now();

@@ -369,16 +369,6 @@ impl<T> Run<T> {
         true
     }
 
-    /// Appends `n` samples at spacing `step` to a run that is one sample
-    /// long or already has that spacing.
-    pub(crate) fn extend_by(&mut self, step: Nanos, n: u64) {
-        if self.count == 1 {
-            self.step = step;
-        }
-        debug_assert_eq!(self.step, step, "a run holds one spacing");
-        self.count += n;
-    }
-
     /// How many of the run's samples fall in `[from, to)`.
     pub(crate) fn count_in(&self, from: Nanos, to: Nanos) -> u64 {
         // Samples strictly before `t`: the index of the first one at or
@@ -450,19 +440,6 @@ impl<T: Delta + PartialEq> RunLog<T> {
         self.open = Some(Run::new(at, value));
     }
 
-    /// Appends `n` samples of `value`, `step` apart and the first at `at`
-    /// — what `n` calls of [`push`](Self::push) leave behind, in constant
-    /// time. The first two are pushed, which settles the run the stretch
-    /// lands in and that its spacing is `step`; the rest are a count.
-    pub(crate) fn push_n(&mut self, at: Nanos, step: Nanos, value: T, n: u64) {
-        for k in 0..n.min(2) {
-            self.push(at + step * k, value);
-        }
-        if let (Some(run), Some(rest)) = (&mut self.open, n.checked_sub(2)) {
-            run.extend_by(step, rest);
-        }
-    }
-
     /// The runs, oldest first.
     pub(crate) fn runs(&self) -> impl Iterator<Item = Run<T>> + '_ {
         self.closed.iter().chain(self.open)
@@ -473,11 +450,6 @@ impl<T: Delta + PartialEq> RunLog<T> {
     pub(crate) fn counts_in(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = (T, u64)> + '_ {
         self.runs()
             .map(move |run| (run.value, run.count_in(from, to)))
-    }
-
-    /// Whether nothing has been logged.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.open.is_none()
     }
 }
 
@@ -525,37 +497,6 @@ mod tests {
         }
         assert_eq!(expand(&log), pushes);
         assert!(log.runs().count() < pushes.len());
-    }
-
-    #[test]
-    fn push_n_equals_n_pushes() {
-        // Every way a stretch can meet the open run: none yet, same value
-        // at the same / another spacing, another value; every short length.
-        let preludes: [&[(u64, u64)]; 5] = [
-            &[],
-            &[(0, 7)],
-            &[(0, 7), (50, 7)],
-            &[(0, 7), (20, 7)],
-            &[(0, 9), (50, 9)],
-        ];
-        for prelude in preludes {
-            for n in 0..6 {
-                let (mut fast, mut slow) = (RunLog::default(), RunLog::default());
-                for &(at, v) in prelude {
-                    fast.push(us(at), v);
-                    slow.push(us(at), v);
-                }
-                fast.push_n(us(100), us(50), 7, n);
-                for k in 0..n {
-                    slow.push(us(100 + 50 * k), 7);
-                }
-                // What follows lands alike, too.
-                fast.push(us(100 + 50 * n), 7);
-                slow.push(us(100 + 50 * n), 7);
-                let (fast, slow): (Vec<_>, Vec<_>) = (fast.runs().collect(), slow.runs().collect());
-                assert_eq!(fast, slow, "{prelude:?} + {n}");
-            }
-        }
     }
 
     #[test]
@@ -609,9 +550,9 @@ mod tests {
     /// Gaps between stretches: none, one tick, and past 2^32 ns.
     const GAPS: [u64; 6] = [0, 1, 500_000, 1 << 32, (1 << 32) + 7, 1 << 40];
 
-    /// Pushes stretches of `values` at edge-case times — one sample, or
-    /// several by `push` or by `push_n` — and requires the log's expansion
-    /// to be exactly what was pushed.
+    /// Pushes stretches of `values` at edge-case times, one sample or
+    /// several, and requires the log's expansion to be exactly what was
+    /// pushed.
     fn sweep_log<T: Delta + PartialEq + std::fmt::Debug>(seed: u64, values: &[T]) {
         let mut rng = Sweep(seed);
         let mut log = RunLog::default();
@@ -622,12 +563,8 @@ mod tests {
             let step = Nanos::from_nanos(rng.pick(&[0, 1, 500_000, 1 << 33]));
             let value = rng.pick(values);
             let n = rng.pick(&[1, 1, 2, 3, 50, 1_000]);
-            if rng.next() % 2 == 0 {
-                log.push_n(at, step, value, n);
-            } else {
-                for k in 0..n {
-                    log.push(at + step * k, value);
-                }
+            for k in 0..n {
+                log.push(at + step * k, value);
             }
             pushed.extend((0..n).map(|k| (at + step * k, value)));
             at += step * (n - 1);
@@ -800,9 +737,10 @@ mod tests {
 
     /// What a recorded series costs: every checkpoint the recorders of a
     /// 64-client plane run keep (the benchmark's `star64_mix_plane` over
-    /// a short window), repacked, averages under a ceiling, 34.14 B when
-    /// it was set. With every field coded as a plain difference from the
-    /// entry before, a checkpoint here packed to 48.46 B.
+    /// a short window; the plane seats' sources keep none), repacked,
+    /// averages under a ceiling, 34.14 B when it was set. With every field
+    /// coded as a plain difference from the entry before, a checkpoint
+    /// here packed to 48.46 B.
     #[test]
     fn a_recorded_64_client_series_packs_under_its_ceiling() {
         use batchpolicy::{BreakerConfig, Objective};
@@ -826,12 +764,10 @@ mod tests {
             breaker: Some(BreakerConfig::default()),
             ..RunConfig::new(WorkloadSpec::fig4b(60_000.0), plane)
         };
-        let mut star = Harness::star(&config).run();
+        let star = Harness::star(&config).run();
         let (mut entries, mut bytes) = (0, 0);
-        for client in &mut star.world.clients {
-            let seat = client.plane.as_mut().map(|p| &mut p.recorder);
-            for rec in client.recorders.iter_mut().chain(seat) {
-                rec.flush();
+        for client in &star.world.clients {
+            for rec in &client.recorders {
                 let mut column = Checkpoints::default();
                 for entry in rec.checkpoints() {
                     column.push(entry);
@@ -842,7 +778,9 @@ mod tests {
         }
         let per_entry = bytes as f64 / entries as f64;
         println!("{entries} checkpoints, {bytes} B packed, {per_entry:.2} B each");
-        assert!(entries > 20_000, "{entries} checkpoints");
+        // 13 983 when the seats stopped keeping a copy of the byte
+        // recorders' column (20 975 with it).
+        assert!(entries > 13_000, "{entries} checkpoints");
         assert!(
             bytes * 100 <= entries * 3_415,
             "{per_entry:.2} B per checkpoint"

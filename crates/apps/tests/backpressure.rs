@@ -199,9 +199,9 @@ fn client_and_server_backlogs_carry_a_pair() {
         [pair(30_000.0), pair(50_000.0)],
         [
             "sent=1210 completed=1210 in_window=776 restarts=1 n=776 p50=35328 p99=84992 \
-             server_requests=1210 hint_ns=19750 events=26420",
+             server_requests=1210 hint_ns=19750 events=26393",
             "sent=2003 completed=1365 in_window=1101 restarts=1 n=1101 p50=2195456 p99=9306112 \
-             server_requests=1485 hint_ns=50108 events=81508",
+             server_requests=1485 hint_ns=50108 events=81482",
         ]
     );
 }
@@ -217,11 +217,11 @@ fn all_four_backlogs_carry_a_tier() {
         [tier(20_000.0), tier(30_000.0), tier(40_000.0)],
         [
             "sent=1672 completed=1671 n=1047 p50=65024 p99=109568 forwarded=1671 responses=1671 \
-             failed=0 resets=1 shard_requests=[888, 785] events=69954",
+             failed=0 resets=1 shard_requests=[888, 785] events=69896",
             "sent=2482 completed=2477 n=1570 p50=80896 p99=282624 forwarded=2481 responses=2478 \
-             failed=0 resets=1 shard_requests=[1292, 1189] events=108808",
+             failed=0 resets=1 shard_requests=[1292, 1189] events=108751",
             "sent=3248 completed=1993 n=1601 p50=9043968 p99=16384000 forwarded=2153 \
-             responses=739 failed=1257 resets=1 shard_requests=[859, 927] events=155559",
+             responses=739 failed=1257 resets=1 shard_requests=[859, 927] events=155502",
         ]
     );
 }

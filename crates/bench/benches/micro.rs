@@ -5,10 +5,10 @@
 //! quantifies what the repo benchmark's probes (`benchmark/benches/
 //! probes.rs`: TRACK, the wire encode/decode, a full estimator update,
 //! RESP parsing) do not: snapshotting, GETAVGS, packing one wire
-//! snapshot, a recorder tick over a static and over an active socket
-//! (cache-cold, as at N = 1024), the flush of a 1 000-tick static
-//! stretch, one socket-timer re-arm, the change-watch check at the head
-//! of every socket action batch, and an EWMA update.
+//! snapshot, a plain recorder's tick over a static socket and over one
+//! with a fresh exchange (cache-cold, as at N = 1024), one socket-timer
+//! re-arm, the change-watch check at the head of every socket action
+//! batch, and an EWMA update.
 //!
 //! Uses a small hand-rolled harness (median of timed batches) instead of
 //! criterion: the workspace builds with no registry dependencies.
@@ -109,15 +109,15 @@ fn exchange_segment(now: Nanos) -> Segment {
     seg
 }
 
-/// One `EstimateRecorder::tick` per connection, swept round-robin over
-/// 1024 connections so that — as in the N = 1024 fan-in — each tick finds
-/// its recorder and its socket out of cache. This is the row to hold
-/// against the benchmark's `apps.app_call.client.ns_per_event` (a client
-/// tick runs three of these plus one timer re-arm): `static` leaves the
-/// sockets untouched between sweeps, so every tick after the first is
-/// deferred; `active` moves a queue and delivers a fresh exchange on
-/// every socket before each sweep (untimed), so every tick replays
-/// nothing and steps the estimator in full.
+/// One plain `EstimateRecorder::tick` per connection, swept round-robin
+/// over 1024 connections so that — as in the N = 1024 fan-in — each tick
+/// finds its recorder and its socket out of cache. This is the row to hold
+/// against the benchmark's `apps.app_call.client.ns_per_event`: `static`
+/// leaves the sockets untouched between sweeps, as a client with a seat
+/// ticks its recorders between exchanges; `fresh` moves a queue and
+/// delivers a fresh exchange on every socket before each sweep (untimed),
+/// so every tick after the first folds it into a checkpoint — the tick a
+/// parked recorder-only client wakes for.
 #[expect(
     clippy::disallowed_methods,
     reason = "times each sweep's ticks alone, not the untimed setup"
@@ -128,7 +128,7 @@ fn bench_recorder_tick() {
     const BATCHES: usize = 9;
     let period = Nanos::from_micros(500);
 
-    for active in [false, true] {
+    for fresh in [false, true] {
         let mut actions = Actions::new();
         let mut socks: Vec<TcpSocket> = (0..CONNS)
             .map(|i| {
@@ -149,7 +149,7 @@ fn bench_recorder_tick() {
             let mut timed = 0u128;
             for _ in 0..SWEEPS {
                 now += period;
-                if active {
+                if fresh {
                     let seg = exchange_segment(now);
                     for sock in socks.iter_mut() {
                         let q = &mut sock.queues_mut().unacked;
@@ -160,59 +160,35 @@ fn bench_recorder_tick() {
                     }
                 }
                 let start = Instant::now();
-                for (i, (rec, sock)) in recorders.iter_mut().zip(&socks).enumerate() {
-                    rec.tick_socket(now, SocketId(i), sock);
+                for (rec, sock) in recorders.iter_mut().zip(&socks) {
+                    rec.tick_socket(now, sock);
                 }
                 timed += start.elapsed().as_nanos();
             }
             *slot = timed as f64 / (SWEEPS * CONNS as u64) as f64;
         }
         per_tick.sort_by(|a, b| a.total_cmp(b));
-        let name = if active {
-            "recorder_tick_active"
+        let name = if fresh {
+            "recorder_tick_fresh"
         } else {
-            "recorder_tick_static"
+            "recorder_tick_quiet"
         };
         println!(
             "{name:<28} {:>10.1} ns/iter (median of {BATCHES} batches x {SWEEPS} sweeps of {CONNS})",
             per_tick[BATCHES / 2]
         );
-        black_box(&recorders);
+        // The first tick takes the baseline; with fresh exchanges every
+        // later one is a checkpoint, without any none is.
+        let ticks = BATCHES as u64 * SWEEPS;
+        for rec in &recorders {
+            let expected = if fresh { ticks - 1 } else { 0 };
+            assert_eq!(rec.checkpoints().count() as u64, expected);
+        }
     }
-}
-
-/// One `EstimateRecorder::flush` of 1 000 deferred ticks — what the tick
-/// that ends a 0.5 s silence pays. The estimator holds a remote window, so
-/// every one of the 1 000 estimates; the first flush replays one tick,
-/// which closes a window of the spacing over the still queues, and from
-/// there on every flush is one closed-form skip (tick by tick this is
-/// ~95 µs).
-fn bench_recorder_flush() {
-    let period = Nanos::from_micros(500);
-    let mut actions = Actions::new();
-    let mut sock = TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
-    let mut rec = EstimateRecorder::new(Unit::Bytes);
-    let mut now = Nanos::ZERO;
-    for _ in 0..3 {
-        now += period;
-        actions.clear();
-        sock.on_segment(now, &exchange_segment(now), TxEnv::default(), &mut actions);
-        rec.tick_socket(now, SocketId(0), &sock);
-    }
-    let mut flushes = 0;
-    bench("recorder_flush_static_1k", 20_000, || {
-        rec.tick_static(now + period, period, 1_000);
-        now += period * 1_000;
-        rec.flush();
-        flushes += 1;
-    });
-    assert_eq!(rec.deferred_ticks(), 1_000 * flushes);
-    assert_eq!(rec.replayed_ticks(), 1);
-    assert_eq!(rec.closed_form_skips(), flushes);
 }
 
 /// The check at the head of `apply_actions` — has a continuation parked on
-/// this socket's estimator stamp been overtaken by a change? — round-robin
+/// this socket been overtaken by an arrival? — round-robin
 /// over 1 024 sockets, none of which has changed: with no watch armed (a
 /// server, a busy client) and with one on every socket (a fan-in of
 /// sleeping clients).
@@ -329,7 +305,6 @@ fn main() {
     bench_snapshot_and_averages();
     bench_wire_pack();
     bench_recorder_tick();
-    bench_recorder_flush();
     bench_timer_rearm();
     bench_change_watch();
     bench_ewma();

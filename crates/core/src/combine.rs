@@ -137,9 +137,9 @@ impl EndpointWindows {
         })
     }
 
-    /// Accumulates an adjacent window set into this one (see
-    /// [`QueueWindow::merge`]).
-    pub(crate) fn merge(&mut self, other: &EndpointWindows) {
+    /// Accumulates an adjacent window set into this one: component-wise
+    /// sums, the union window.
+    pub fn merge(&mut self, other: &EndpointWindows) {
         self.unacked.merge(&other.unacked);
         self.unread.merge(&other.unread);
         self.ackdelay.merge(&other.ackdelay);

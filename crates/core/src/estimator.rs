@@ -55,13 +55,105 @@ pub struct Estimate {
     pub components: DelaySet,
 }
 
-/// Per-connection estimator state. Two estimators compare equal when
-/// every later update would find them alike.
-#[derive(Debug, Clone, PartialEq)]
+/// The exchange-admission half of an estimator update: the last admitted
+/// exchange, which the next remote window is measured from, and the
+/// optional plausibility validator that judges each fresh exchange.
+/// [`E2eEstimator`] admits through one, and so does a recorder that keeps
+/// only cumulative windows (the paper's GETAVGS) and runs no estimator.
+#[derive(Debug, Clone)]
+pub struct ExchangeIntake {
+    scale: WireScale,
+    /// The last admitted exchange: the baseline of the next remote window.
+    prev: Option<WireExchange>,
+    /// Plausibility validator for incoming exchanges. `None` (the default)
+    /// trusts the peer unconditionally — the pre-validation behaviour.
+    validator: Option<ExchangeValidator>,
+}
+
+/// What [`ExchangeIntake::admit`] made of the exchange on offer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Admitted {
+    /// Nothing fresh: no exchange yet, or the one already admitted.
+    Nothing,
+    /// The first exchange: it is the baseline, and no window forms yet.
+    Baseline,
+    /// Accepted, and the baseline from now on: the remote window since
+    /// the previous baseline (`None` for an empty wire window).
+    Window(Option<EndpointWindows>),
+    /// From a new epoch (a peer restart, under validation): the baseline
+    /// restarts at it, and no window crosses the counter generations.
+    Resync,
+    /// Rejected by the validator: the baseline stays, and the exchange is
+    /// judged again at the next admission that still finds it on offer.
+    Rejected,
+}
+
+impl ExchangeIntake {
+    /// An intake with no baseline yet that trusts every exchange.
+    pub fn new(scale: WireScale) -> Self {
+        ExchangeIntake {
+            scale,
+            prev: None,
+            validator: None,
+        }
+    }
+
+    /// Judges every fresh exchange for plausibility before admitting it
+    /// (see `crate::validate`).
+    pub fn with_validation(mut self, config: ValidateConfig) -> Self {
+        self.validator = Some(ExchangeValidator::new(config));
+        self
+    }
+
+    /// Validation counters, if validation is enabled.
+    pub fn validation_stats(&self) -> Option<ValidateStats> {
+        self.validator.as_ref().map(|v| v.stats())
+    }
+
+    /// Admits `latest`, the peer's newest exchange, if it is fresh. A
+    /// validator judges it against `local`, the tick's local windows (if
+    /// any), and `srtt`, the locally measured smoothed RTT.
+    pub fn admit(
+        &mut self,
+        latest: Option<WireExchange>,
+        local: Option<EndpointWindows>,
+        srtt: Option<Nanos>,
+    ) -> Admitted {
+        let Some(cur) = latest else {
+            return Admitted::Nothing;
+        };
+        let Some(prev) = self.prev else {
+            self.prev = Some(cur);
+            return Admitted::Baseline;
+        };
+        if prev == cur {
+            return Admitted::Nothing;
+        }
+        let admission = match self.validator.as_mut() {
+            Some(v) => v.admit(&prev, &cur, self.scale, &ValidateCtx { srtt, local }),
+            None => Admission::Accept,
+        };
+        match admission {
+            Admission::Accept => {
+                self.prev = Some(cur);
+                Admitted::Window(EndpointWindows::between_wire(&prev, &cur, self.scale))
+            }
+            Admission::EpochChange => {
+                self.prev = Some(cur);
+                Admitted::Resync
+            }
+            Admission::Reject(_) => Admitted::Rejected,
+        }
+    }
+}
+
+/// Per-connection estimator state.
+#[derive(Debug, Clone)]
 pub struct E2eEstimator {
     scale: WireScale,
     prev_local: Option<EndpointSnapshots>,
-    prev_remote: Option<WireExchange>,
+    /// The baseline exchange and the validator.
+    intake: ExchangeIntake,
     /// Last remote window, reused across local ticks when exchanges arrive
     /// less often than policy ticks (the paper: estimates "remain accurate
     /// regardless" of exchange frequency).
@@ -82,28 +174,11 @@ pub struct E2eEstimator {
     /// the N = 64 fan-in estimate report the inter-arrival gap (~32×
     /// the measured latency) rather than the latency.
     cached_local_span: Option<EndpointWindows>,
-    /// Running sums of every valid local window since creation. Differencing
-    /// two checkpoints of this yields Little's-law delays over one long
-    /// window — integrals and departures summed *before* dividing — which is
-    /// the right way to average an estimate over a measurement range:
-    /// per-tick delay ratios are noisy whenever item residences straddle
-    /// window boundaries, and averaging the ratios (worse, max-ing noisy
-    /// view pairs) rectifies that noise into a positive bias.
-    cum_local: EndpointWindows,
-    /// Running sums of every accepted remote window since creation.
-    cum_remote: EndpointWindows,
-    /// Counts fresh remote windows folded in — an epoch for the peer's
-    /// shared 3-tuples, so callers can detect a peer that stopped sharing
-    /// even while `cached_remote` keeps estimates flowing.
-    remote_epoch: u64,
     /// Remote windows older than this are distrusted: confidence decays to
     /// zero across the bound, beyond it estimation falls back to the local
     /// queues alone. `None` trusts the cache forever (the pre-fault
     /// behaviour).
     staleness_bound: Option<Nanos>,
-    /// Plausibility validator for incoming exchanges. `None` (the default)
-    /// trusts the peer unconditionally — the pre-validation behaviour.
-    validator: Option<ExchangeValidator>,
     smoother: Ewma,
     last: Option<Estimate>,
 }
@@ -119,16 +194,12 @@ impl E2eEstimator {
         E2eEstimator {
             scale,
             prev_local: None,
-            prev_remote: None,
+            intake: ExchangeIntake::new(scale),
             cached_remote: None,
             remote_fresh_at: None,
             local_at_remote: None,
             cached_local_span: None,
-            cum_local: EndpointWindows::default(),
-            cum_remote: EndpointWindows::default(),
-            remote_epoch: 0,
             staleness_bound: None,
-            validator: None,
             smoother: Ewma::new(smoothing_alpha),
             last: None,
         }
@@ -152,35 +223,23 @@ impl E2eEstimator {
     /// [`Self::validation_stats`]; an epoch change resynchronizes instead
     /// of computing a cross-generation delta.
     pub fn with_validation(mut self, config: ValidateConfig) -> Self {
-        self.validator = Some(ExchangeValidator::new(config));
+        self.intake = self.intake.with_validation(config);
         self
     }
 
     /// Validation counters, if validation is enabled.
     pub fn validation_stats(&self) -> Option<ValidateStats> {
-        self.validator.as_ref().map(|v| v.stats())
+        self.intake.validation_stats()
     }
 
     /// Consecutive rejected exchanges since the last accepted one (zero
     /// when validation is disabled).
-    pub fn consecutive_rejects(&self) -> u32 {
-        self.validator
+    #[cfg(test)]
+    fn consecutive_rejects(&self) -> u32 {
+        self.intake
+            .validator
             .as_ref()
             .map_or(0, |v| v.consecutive_rejects())
-    }
-
-    /// Number of fresh remote windows folded in so far.
-    pub fn remote_epoch(&self) -> u64 {
-        self.remote_epoch
-    }
-
-    /// Running sums of all (local, remote) windows folded in so far.
-    /// Checkpoint these and difference two checkpoints with
-    /// `QueueWindow::since` to evaluate the decomposition over one long
-    /// window — the low-noise way to average latency over a range (see
-    /// the field docs on `cum_local`).
-    pub fn cumulative_windows(&self) -> (EndpointWindows, EndpointWindows) {
-        (self.cum_local, self.cum_remote)
     }
 
     /// Age of the cached remote window at `now`; `None` before the first
@@ -218,67 +277,42 @@ impl E2eEstimator {
             .as_ref()
             .and_then(|prev| EndpointWindows::between(prev, &local));
         self.prev_local = Some(local);
-        if let Some(w) = &local_window {
-            self.cum_local.merge(w);
-        }
 
         // Remote exchange-to-exchange window (only when a fresh exchange
-        // arrived; duplicates produce an empty window and are skipped).
-        // With a validator configured, the fresh exchange must first pass
-        // plausibility checks against locally observable signals.
-        let remote_window = match (self.prev_remote, remote_latest) {
-            (Some(prev), Some(cur)) if prev != cur => {
-                let admission = match self.validator.as_mut() {
-                    Some(v) => {
-                        let ctx = ValidateCtx {
-                            srtt,
-                            local: local_window,
-                        };
-                        v.admit(&prev, &cur, self.scale, &ctx)
-                    }
-                    None => Admission::Accept,
-                };
-                match admission {
-                    Admission::Accept => {
-                        self.prev_remote = Some(cur);
-                        // The local windows spanning the same interval as
-                        // the fresh remote window, for the span-aligned
-                        // far-side correction in the remote view.
-                        self.cached_local_span = self
-                            .local_at_remote
-                            .as_ref()
-                            .and_then(|prev| EndpointWindows::between(prev, &local));
-                        self.local_at_remote = Some(local);
-                        EndpointWindows::between_wire(&prev, &cur, self.scale)
-                    }
-                    Admission::EpochChange => {
-                        // Peer restart detected: the new exchange becomes
-                        // the delta baseline and the cached window is
-                        // dropped — resynchronization, never a wrapping
-                        // delta across counter generations.
-                        self.prev_remote = Some(cur);
-                        self.cached_remote = None;
-                        self.remote_fresh_at = None;
-                        self.local_at_remote = Some(local);
-                        self.cached_local_span = None;
-                        None
-                    }
-                    Admission::Reject(_) => {
-                        // Keep the last accepted baseline: the next
-                        // plausible exchange forms a (longer) valid
-                        // window across the rejected gap, and the aligned
-                        // local span (anchored at the last accepted tick)
-                        // will cover the same gap.
-                        None
-                    }
-                }
+        // arrived and was admitted; with a validator configured it must
+        // first pass plausibility checks against locally observable
+        // signals).
+        let remote_window = match self.intake.admit(remote_latest, local_window, srtt) {
+            Admitted::Window(window) => {
+                // The local windows spanning the same interval as the
+                // fresh remote window, for the span-aligned far-side
+                // correction in the remote view.
+                self.cached_local_span = self
+                    .local_at_remote
+                    .as_ref()
+                    .and_then(|prev| EndpointWindows::between(prev, &local));
+                self.local_at_remote = Some(local);
+                window
             }
-            (None, Some(cur)) => {
-                self.prev_remote = Some(cur);
+            Admitted::Resync => {
+                // Peer restart detected: the cached window is dropped —
+                // resynchronization, never a wrapping delta across
+                // counter generations.
+                self.cached_remote = None;
+                self.remote_fresh_at = None;
+                self.local_at_remote = Some(local);
+                self.cached_local_span = None;
+                None
+            }
+            Admitted::Baseline => {
                 self.local_at_remote = Some(local);
                 None
             }
-            _ => None,
+            // A rejected exchange leaves the last accepted baseline: the
+            // next plausible exchange forms a (longer) valid window across
+            // the rejected gap, and the aligned local span (anchored at the
+            // last accepted tick) will cover the same gap.
+            Admitted::Nothing | Admitted::Rejected => None,
         };
 
         let local_window = local_window?;
@@ -286,8 +320,6 @@ impl E2eEstimator {
             Some(w) => {
                 self.cached_remote = Some(w);
                 self.remote_fresh_at = Some(now);
-                self.remote_epoch += 1;
-                self.cum_remote.merge(&w);
                 (w, Nanos::ZERO)
             }
             None => {
@@ -376,114 +408,10 @@ impl E2eEstimator {
         };
         fresh
             * self
+                .intake
                 .validator
                 .as_ref()
                 .map_or(1.0, |v| v.confidence_factor())
-    }
-
-    /// Skips ahead over updates that could only repeat the previous one.
-    ///
-    /// For a connection nothing is happening to — no `TRACK` since the
-    /// previous update, so every integral grows at its held occupancy and
-    /// nothing departs — updates `step` apart all see the same integer
-    /// local window, and absent a new exchange the same cached remote
-    /// window. Once the previous update was fed that window too (`still`
-    /// is the length of the window it closed over the unmoved queues, and
-    /// equals `step`), each of them returns the previous latency and
-    /// throughput, and moves only `prev_local`, the running local sums,
-    /// and the time and confidence of the newest estimate. This applies up
-    /// to `max` such updates in closed form, at `from + k·step` for
-    /// `k = 1, 2, …` where `from` is the previous update's time,
-    /// `local(t)` being the snapshots an update at `t` would be fed, and
-    /// returns how many. Before the first remote window no update
-    /// estimates, so only the sums move and `still` does not matter.
-    ///
-    /// It applies fewer, possibly none, wherever an update could do
-    /// anything else:
-    ///
-    /// * `remote_latest` is an exchange the estimator has not adopted —
-    ///   fresh, or rejected by the validator, which is offered it again
-    ///   (and counts and demotes again) on every update;
-    /// * the previous update was fed another local window (`still` is not
-    ///   `Some(step)`);
-    /// * the smoother has not settled on the repeated latency;
-    /// * the staleness bound lapses: the skip ends at the last update
-    ///   still inside the bound (replay across it, then skip again).
-    ///
-    /// The estimator is then in the very state the skipped updates would
-    /// have left: the newest estimate carries the last skipped update's
-    /// time and the confidence [`update`](Self::update) gives an estimate
-    /// of its age.
-    pub fn skip_static(
-        &mut self,
-        step: Nanos,
-        max: u64,
-        remote_latest: Option<WireExchange>,
-        still: Option<Nanos>,
-        local: impl Fn(Nanos) -> EndpointSnapshots,
-    ) -> u64 {
-        let Some(prev) = self.prev_local else {
-            return 0;
-        };
-        let from = prev.unacked.time;
-        let ticks = self.repeatable_updates(from, step, max, remote_latest, still);
-        if ticks == 0 {
-            return 0;
-        }
-        let at = from + step * ticks;
-        let end = local(at);
-        // The sum of `ticks` adjacent windows is the window across them.
-        if let Some(w) = EndpointWindows::between(&prev, &end) {
-            self.cum_local.merge(&w);
-        }
-        self.prev_local = Some(end);
-        if self.cached_remote.is_some() {
-            let age = at.saturating_sub(self.remote_fresh_at.unwrap_or(at));
-            let confidence = self.confidence(age);
-            if let Some(last) = &mut self.last {
-                last.at = at;
-                last.confidence = confidence;
-            }
-        }
-        ticks
-    }
-
-    /// How many of up to `max` updates at `from + k·step` would repeat the
-    /// one at `from` (see [`skip_static`](Self::skip_static)).
-    fn repeatable_updates(
-        &self,
-        from: Nanos,
-        step: Nanos,
-        max: u64,
-        remote_latest: Option<WireExchange>,
-        still: Option<Nanos>,
-    ) -> u64 {
-        if step.is_zero() || (remote_latest.is_some() && remote_latest != self.prev_remote) {
-            return 0;
-        }
-        let (Some(_), Some(fresh_at)) = (self.cached_remote, self.remote_fresh_at) else {
-            // No remote window, no estimates: only the sums move.
-            return max;
-        };
-        if still != Some(step) {
-            return 0;
-        }
-        // The estimate being repeated is the one formed at `from`.
-        let Some(last) = self.last.filter(|e| e.at == from) else {
-            return 0;
-        };
-        let at_rest = (last.latency.as_nanos() as f64).to_bits();
-        if self.smoother.value().map(f64::to_bits) != Some(at_rest) {
-            return 0;
-        }
-        match self.staleness_bound {
-            // An update at `t` is inside the bound while `t − fresh_at ≤ bound`.
-            Some(bound) if !last.remote_stale => {
-                let inside = fresh_at.saturating_add(bound).saturating_sub(from);
-                (inside.as_nanos() / step.as_nanos()).min(max)
-            }
-            _ => max,
-        }
     }
 
     /// The most recent estimate, if any.
@@ -606,7 +534,7 @@ mod tests {
         let fresh = est.update(us(200), locals[1], Some(remotes[1])).unwrap();
         assert!((fresh.confidence - 1.0).abs() < 1e-9);
         assert!(!fresh.remote_stale);
-        assert_eq!(est.remote_epoch(), 1);
+        assert_eq!(est.remote_age(us(200)), Some(Nanos::ZERO));
 
         // The peer stops sharing: the cached window ages, confidence
         // decays linearly (1 − age/bound), the estimate itself holds.
@@ -631,14 +559,17 @@ mod tests {
         assert!(stale.latency < fresh.latency);
         assert!(stale.latency > Nanos::ZERO);
         assert_eq!(stale.local_view, stale.remote_view);
-        assert_eq!(est.remote_age(us(500)), Some(us(300)));
-        assert_eq!(est.remote_epoch(), 1, "no fresh window during the gap");
+        assert_eq!(
+            est.remote_age(us(500)),
+            Some(us(300)),
+            "no fresh window during the gap"
+        );
 
         // The peer resumes sharing: full-confidence estimation returns.
         let back = est.update(us(600), locals[5], Some(remotes[5])).unwrap();
         assert!((back.confidence - 1.0).abs() < 1e-9);
         assert!(!back.remote_stale);
-        assert_eq!(est.remote_epoch(), 2);
+        assert_eq!(est.remote_age(us(600)), Some(Nanos::ZERO));
         let err = back.latency.as_nanos().abs_diff(us(70).as_nanos());
         assert!(
             err < us(70).as_nanos() / 10,
@@ -835,169 +766,6 @@ mod tests {
             (poisoned.confidence - 1.0).abs() < 1e-9,
             "and reports full confidence"
         );
-    }
-
-    /// A connection that goes quiet after `synthetic_run`'s tenth period:
-    /// one request stays unacked, nothing else moves. Returns the warmed-up
-    /// estimator, the time of its last update and the snapshots any later
-    /// tick would read.
-    fn gone_quiet(
-        mut est: E2eEstimator,
-    ) -> (E2eEstimator, Nanos, impl Fn(Nanos) -> EndpointSnapshots) {
-        let us = Nanos::from_micros;
-        let (locals, remotes) = synthetic_run();
-        for i in 0..10 {
-            est.update(us((i as u64 + 1) * 100), locals[i], Some(remotes[i]));
-        }
-        let base = locals[9];
-        let local = move |t: Nanos| EndpointSnapshots {
-            unacked: base.unacked.advanced(1, t),
-            unread: base.unread.advanced(0, t),
-            ackdelay: base.ackdelay.advanced(0, t),
-        };
-        (est, us(1_000), local)
-    }
-
-    /// `n` ticks `step` apart after `from`, by `update` alone and with
-    /// every stretch that can be skipped skipped, the way a recorder's
-    /// flush goes: a tick is stepped, and from then on the queues stand
-    /// still across windows of one `step`. The two estimators must end up
-    /// in the same state. Returns how many ticks the skips covered.
-    fn skip_vs_stepwise(
-        est: E2eEstimator,
-        from: Nanos,
-        local: impl Fn(Nanos) -> EndpointSnapshots,
-        remote: Option<WireExchange>,
-        n: u64,
-    ) -> u64 {
-        let step = Nanos::from_micros(100);
-        let (mut slow, mut fast) = (est.clone(), est);
-        let mut samples = Vec::new();
-        let sample_at = |est: &mut E2eEstimator, k: u64| {
-            let at = from + step * k;
-            let e = est.update(at, local(at), remote);
-            e.map(|e| (e.latency, e.throughput.to_bits(), e.remote_stale))
-        };
-        for k in 1..=n {
-            samples.push(sample_at(&mut slow, k));
-        }
-        // The update at `from` closed a window over moving queues.
-        let (mut k, mut skipped, mut still) = (0, 0, None);
-        while k < n {
-            let m = fast.skip_static(step, n - k, remote, still, &local);
-            for j in k..k + m {
-                assert_eq!(
-                    samples[j as usize],
-                    samples[k as usize - 1],
-                    "skipped tick {}",
-                    j + 1
-                );
-            }
-            k += m;
-            skipped += m;
-            if k < n {
-                k += 1;
-                let sample = sample_at(&mut fast, k);
-                assert_eq!(sample, samples[k as usize - 1], "tick {k}");
-                still = Some(step);
-            }
-        }
-        assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-        skipped
-    }
-
-    #[test]
-    fn skip_covers_all_but_the_first_tick_of_a_silence() {
-        let (_, remotes) = synthetic_run();
-        let (est, from, local) = gone_quiet(E2eEstimator::new(WireScale::UNSCALED, 1.0));
-        // One tick in, and everything after it is skipped, the last tick
-        // included, whether the peer's last exchange is still on offer or
-        // not.
-        assert_eq!(
-            skip_vs_stepwise(est.clone(), from, &local, Some(remotes[9]), 2_500),
-            2_499
-        );
-        assert_eq!(skip_vs_stepwise(est, from, &local, None, 40), 39);
-    }
-
-    #[test]
-    fn skip_waits_for_a_window_of_one_spacing_unless_nothing_estimates() {
-        let us = Nanos::from_micros;
-        let (_, remotes) = synthetic_run();
-        let (est, from, local) = gone_quiet(E2eEstimator::new(WireScale::UNSCALED, 1.0));
-        for still in [None, Some(us(50)), Some(us(200))] {
-            let mut fast = est.clone();
-            assert_eq!(
-                fast.skip_static(us(100), 10, Some(remotes[9]), still, &local),
-                0
-            );
-            assert_eq!(
-                format!("{fast:?}"),
-                format!("{est:?}"),
-                "a refused skip moves nothing"
-            );
-        }
-        // Before the first remote window only the sums move, whatever the
-        // windows before were: the skip starts at once.
-        let (locals, _) = synthetic_run();
-        let mut slow = E2eEstimator::new(WireScale::UNSCALED, 1.0);
-        slow.update(from, locals[9], None);
-        let mut fast = slow.clone();
-        let held = |t: Nanos| EndpointSnapshots {
-            unacked: locals[9].unacked.advanced(1, t),
-            unread: locals[9].unread.advanced(0, t),
-            ackdelay: locals[9].ackdelay.advanced(0, t),
-        };
-        assert_eq!(fast.skip_static(us(100), 30, None, None, held), 30);
-        for k in 1..=30 {
-            let at = from + us(100 * k);
-            assert!(slow.update(at, held(at), None).is_none());
-        }
-        assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-    }
-
-    #[test]
-    fn skip_stops_at_the_staleness_bound_and_resumes_past_it() {
-        let (_, remotes) = synthetic_run();
-        let bound = Nanos::from_micros(1_250);
-        let est = E2eEstimator::new(WireScale::UNSCALED, 1.0).with_staleness_bound(bound);
-        let (est, from, local) = gone_quiet(est);
-        // Ticks 1–12 are inside the bound (age ≤ 1 250 µs), 13 is the first
-        // stale one and must be a real update; so is 1. The skips restamp
-        // the decaying confidence, so the states still compare equal.
-        assert_eq!(
-            skip_vs_stepwise(est, from, &local, Some(remotes[9]), 30),
-            28
-        );
-    }
-
-    #[test]
-    fn skip_refuses_a_pending_reject_and_an_unsettled_smoother() {
-        let (_, remotes) = synthetic_run();
-        let validated = E2eEstimator::new(WireScale::UNSCALED, 1.0).with_validation(ValidateConfig);
-        let (est, from, local) = gone_quiet(validated);
-        // A garbled exchange stays on offer: every tick re-rejects it.
-        let mut garbled = remotes[10];
-        garbled.unread.total ^= 0x4000_0000;
-        assert_eq!(
-            skip_vs_stepwise(est.clone(), from, &local, Some(garbled), 30),
-            0
-        );
-        let mut replayed = est.clone();
-        for k in 1..=30 {
-            let at = from + Nanos::from_micros(100 * k);
-            replayed.update(at, local(at), Some(garbled));
-        }
-        assert_eq!(replayed.validation_stats().unwrap().rejected, 30);
-        // The same estimator with nothing pending skips.
-        assert_eq!(
-            skip_vs_stepwise(est, from, &local, Some(remotes[9]), 30),
-            29
-        );
-
-        // A smoother still converging changes state on every tick.
-        let (est, from, local) = gone_quiet(E2eEstimator::new(WireScale::UNSCALED, 0.3));
-        assert_eq!(skip_vs_stepwise(est, from, &local, Some(remotes[9]), 12), 0);
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod validate;
 
 pub use combine::{combine_delays, DelaySet, EndpointSnapshots, EndpointWindows, QueueWindow};
 pub use compose::compose_two;
-pub use estimator::{E2eEstimator, Estimate};
+pub use estimator::{Admitted, E2eEstimator, Estimate, ExchangeIntake};
 pub use hints::{HintEstimator, RequestTracker};
 pub use multi::{EstimatorRegistry, MultiConnectionAggregator};
 pub use route::Knob;

@@ -160,6 +160,7 @@ impl ExchangeValidator {
     }
 
     /// Consecutive rejections since the last accepted exchange.
+    #[cfg(test)]
     pub(crate) fn consecutive_rejects(&self) -> u32 {
         self.consecutive
     }

@@ -9,9 +9,9 @@
 //! removes the superseded event from the queue instead of leaving it to
 //! fire as a no-op. Beside the timers sits at most one *change watch* per
 //! socket — an application continuation parked until the socket's
-//! [`estimator_stamp`](TcpSocket::estimator_stamp) moves (see
-//! `HostCtx::call_on_change`); it, too, holds exactly one queued event, its
-//! deadline's.
+//! [`arrivals`](TcpSocket::arrivals) move, that is until the peer's next
+//! share arrives or the socket is reset (see `HostCtx::call_on_change`);
+//! it, too, holds exactly one queued event, its deadline's.
 
 use simnet::{CpuContext, EventQueue, EventToken, Nanos};
 
@@ -25,12 +25,12 @@ use crate::table::FlowMap;
 pub use simnet::HostId;
 
 /// An application continuation parked on one socket's
-/// [`estimator_stamp`](TcpSocket::estimator_stamp): due at the first
-/// instant `armed_at + k·period` after the stamp moves, or at the deadline.
+/// [`arrivals`](TcpSocket::arrivals): due at the first instant
+/// `armed_at + k·period` after they move, or at the deadline.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
-    /// The socket's stamp when the application parked.
-    stamp: u64,
+    /// The socket's arrivals when the application parked.
+    arrivals: u64,
     armed_at: Nanos,
     period: Nanos,
     deadline_at: Nanos,
@@ -259,8 +259,8 @@ impl Host {
     /// Parks a continuation on `sock`: `event` (the call carrying `token`)
     /// is queued for `deadline`, and
     /// [`take_changed_watch`](Self::take_changed_watch) trades it for an
-    /// earlier call once the socket's estimator stamp has moved from where
-    /// it stands now. A watch still pending on the socket is superseded,
+    /// earlier call once the socket's arrivals have moved from where they
+    /// stand now. A watch still pending on the socket is superseded,
     /// its deadline call leaving `queue` — one parked continuation per
     /// socket, one queued event per continuation.
     ///
@@ -277,14 +277,14 @@ impl Host {
         event: E,
     ) {
         assert!(!period.is_zero(), "a watch needs a positive period");
-        let stamp = self.socket(sock).estimator_stamp();
+        let arrivals = self.socket(sock).arrivals();
         // `socket(sock)` has just bounds-checked the id.
         let watch = &mut self.pending[sock.0].watch;
         if let Some(superseded) = watch.take() {
             queue.cancel(superseded.deadline);
         }
         *watch = Some(Watch {
-            stamp,
+            arrivals,
             armed_at: queue.now(),
             period,
             deadline_at: deadline,
@@ -294,7 +294,7 @@ impl Host {
     }
 
     /// The change check every socket entry point ends in: when `sock`
-    /// carries a watch and its estimator stamp has moved since the watch
+    /// carries a watch and its arrivals have moved since the watch
     /// was armed, the watch is spent, its deadline call leaves `queue`, and
     /// the `(time, token)` of the call to queue instead comes back — the
     /// first instant of the watch's grid strictly after now (the deadline
@@ -309,7 +309,7 @@ impl Host {
         queue: &mut EventQueue<E>,
     ) -> Option<(Nanos, u64)> {
         let slot = &mut self.pending.get_mut(sock.0)?.watch;
-        if slot.as_ref()?.stamp == self.sockets.get(sock.0)?.estimator_stamp() {
+        if slot.as_ref()?.arrivals == self.sockets.get(sock.0)?.arrivals() {
             return None;
         }
         let watch = slot.take()?;
@@ -344,7 +344,8 @@ impl Host {
 mod tests {
     use super::*;
     use crate::payload::Payload;
-    use crate::socket::Actions;
+    use crate::segment::{E2eOption, OptionSlot};
+    use crate::socket::{Actions, TxEnv};
     use littles::Nanos;
 
     fn host() -> Host {
@@ -436,8 +437,19 @@ mod tests {
                 q.pop();
             }
         };
-        let touch = |h: &mut Host| {
-            h.socket_mut(s).queues_mut();
+        // The peer's share arrives, in a segment carrying nothing else.
+        let touch = |h: &mut Host, now: Nanos| {
+            let mut seg = Segment::control(
+                FlowId(7),
+                crate::seq::SeqNum::new(0),
+                crate::seq::SeqNum::new(0),
+                crate::segment::Flags::default(),
+                0,
+            );
+            seg.options.slot = Some(OptionSlot::E2e(E2eOption::default()));
+            let mut actions = Actions::new();
+            h.socket_mut(s)
+                .on_segment(now, &seg, TxEnv::default(), &mut actions);
         };
 
         // Parked at 1 ms on a 500 µs grid, deadline eight periods out.
@@ -449,7 +461,7 @@ mod tests {
 
         // The tie: a change at exactly a grid instant is due one period on.
         advance(&mut q, us(2_000));
-        touch(&mut h);
+        touch(&mut h, us(2_000));
         assert_eq!(h.take_changed_watch(s, &mut q), Some((us(2_500), 9)));
         assert!(q.is_empty(), "the deadline's call left the queue");
         assert_eq!(h.take_changed_watch(s, &mut q), None, "a watch fires once");
@@ -460,11 +472,11 @@ mod tests {
         h.arm_watch(s, &mut q, us(500), us(4_100), 9, "deadline");
         assert_eq!(q.len(), 1);
         advance(&mut q, us(2_720));
-        touch(&mut h);
+        touch(&mut h, us(2_720));
         assert_eq!(h.take_changed_watch(s, &mut q), Some((us(3_000), 9)));
         h.arm_watch(s, &mut q, us(500), us(4_100), 9, "deadline");
         advance(&mut q, us(3_900));
-        touch(&mut h);
+        touch(&mut h, us(3_900));
         assert_eq!(h.take_changed_watch(s, &mut q), Some((us(4_100), 9)));
 
         // Once the deadline's call has been made the application has its
@@ -472,7 +484,7 @@ mod tests {
         h.arm_watch(s, &mut q, us(500), us(4_400), 9, "deadline");
         advance(&mut q, us(4_500));
         assert!(q.is_empty(), "the deadline fired");
-        touch(&mut h);
+        touch(&mut h, us(4_500));
         assert_eq!(h.take_changed_watch(s, &mut q), None);
     }
 

@@ -316,15 +316,15 @@ impl HostCtx<'_> {
         self.call_at(done, token);
     }
 
-    /// Parks a periodic continuation on a socket nothing is happening to:
+    /// Parks a periodic continuation until the peer shares something:
     /// schedules `on_call(token)` at the first instant `now + k·period`
     /// strictly after the event in which `sock`'s
-    /// [`estimator_stamp`](TcpSocket::estimator_stamp) moves from where it
-    /// stands now, or at `deadline`, whichever comes first — exactly one
-    /// call, and until the change only the deadline's event is queued.
-    /// The caller accounts for the grid instants in between, at each of
-    /// which a periodic `call_after(period, token)` chain would have found
-    /// the stamp unchanged.
+    /// [`arrivals`](TcpSocket::arrivals) move from where they stand now (a
+    /// share arrives, or the socket is reset), or at `deadline`, whichever
+    /// comes first — exactly one call, and until the change only the
+    /// deadline's event is queued. At each grid instant in between, a
+    /// periodic `call_after(period, token)` chain would have found no new
+    /// share.
     ///
     /// **Tie rule.** The call is queued when the change is noticed (or,
     /// for the deadline, now), so among events carrying its exact
@@ -415,7 +415,7 @@ fn apply_actions(
     let now = queue.now();
     let host_id = host.id;
     // Every socket entry point ends here, so this is where a continuation
-    // parked on the socket's estimator stamp learns that it moved.
+    // parked on the socket's arrivals learns that they moved.
     release_watch(host, sock, queue);
     let mut transmitted = false;
     let Actions { list, segments } = actions;
@@ -537,8 +537,8 @@ fn apply_actions(
 }
 
 /// Queues the call of the continuation parked on `sock` (see
-/// [`HostCtx::call_on_change`]) if the socket's estimator stamp has moved
-/// under it.
+/// [`HostCtx::call_on_change`]) if the socket's arrivals have moved under
+/// it.
 // hot-path: runs on every socket action batch; must not allocate per call
 #[inline]
 fn release_watch(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>) {
@@ -555,7 +555,7 @@ fn release_watch(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>)
 
 /// One socket's share of a crash: its state is gone ([`TcpSocket::reset`]),
 /// its flow mapping and pending timers with it, a continuation parked on
-/// it is released (the reset moved the stamp), and the application wakes
+/// it is released (the reset counts as an arrival), and the application wakes
 /// with `Reset`.
 fn crash_socket(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>) {
     let host_id = host.id;

@@ -18,9 +18,8 @@
 //!
 //! The parts decide; the owner books. The three instrumented queues
 //! (*unacked*, *unread*, *ackdelay*) the paper's end-to-end estimator
-//! consumes, their invariant ledgers and the estimator change stamp stay
-//! on [`TcpSocket`], written only through `touch_queues()`: one `TRACK`
-//! sink serves both directions, and the stamp must see every call.
+//! consumes and their invariant ledgers stay on [`TcpSocket`]: one
+//! `TRACK` sink serves both directions.
 
 mod rx;
 mod tcb;
@@ -202,8 +201,8 @@ pub struct RemoteStore {
     pub(crate) exchanges: [Option<WireExchange>; 3],
     /// The latest application request-queue hint.
     pub hint: Option<WireSnapshot>,
-    /// Exchanges received in total — an epoch counter: any fresh peer
-    /// metadata bumps it, so staleness detectors can compare epochs.
+    /// Shares (exchange or hint options) received in total: any fresh
+    /// peer metadata bumps it.
     pub received: u64,
 }
 
@@ -259,13 +258,6 @@ pub struct TcpSocket {
     /// debug-only but the ledgers are always booked so tests can inspect
     /// them in any profile.
     invariants: SocketInvariants,
-    /// Change stamp over the state an end-to-end estimator reads from this
-    /// socket: advanced whenever one of the three instrumented queues, the
-    /// [`RemoteStore`] or the smoothed RTT may have changed. While two
-    /// reads return the same stamp, the queues were piecewise linear in
-    /// between (no `TRACK` call), so a periodic tick can extrapolate its
-    /// previous snapshots instead of taking new ones.
-    estimator_stamp: u64,
     stats: SocketStats,
 }
 
@@ -287,7 +279,6 @@ impl TcpSocket {
             rx: Rx::new(&config),
             queues: SocketQueues::new(now),
             invariants: SocketInvariants::new(),
-            estimator_stamp: 0,
             stats: SocketStats::default(),
         }
     }
@@ -347,11 +338,10 @@ impl TcpSocket {
     /// ignores all input, and never shares counters again. The host drops
     /// the flow mapping and invalidates pending timers; the application is
     /// woken separately to re-establish a fresh connection (whose new
-    /// socket gets a new epoch). Counts as a change for
-    /// [`estimator_stamp`](Self::estimator_stamp): whoever waits on the
-    /// stamp must not sleep through the connection's death.
+    /// socket gets a new epoch). Counts as an arrival (see
+    /// [`arrivals`](Self::arrivals)): whoever waits on them must not sleep
+    /// through the connection's death.
     pub(crate) fn reset(&mut self) {
-        self.estimator_stamp += 1;
         self.tcb.state = TcpState::Closed;
         self.tx.reset();
     }
@@ -371,29 +361,20 @@ impl TcpSocket {
         &self.rx.remote
     }
 
-    /// The estimator change stamp: equal across two reads only if no
-    /// instrumented queue, nothing in [`remote`](Self::remote) and not
-    /// [`srtt`](Self::srtt) changed in between. It is all a tick over a
-    /// static connection reads of the socket.
+    /// What a continuation parked on this socket waits to see move (see
+    /// `HostCtx::call_on_change`): the shares the peer's segments have
+    /// brought ([`RemoteStore::received`]), plus one once the socket is
+    /// reset, so that a park never outlives the connection.
     #[inline]
-    pub fn estimator_stamp(&self) -> u64 {
-        self.estimator_stamp
-    }
-
-    /// The instrumented queues for a `TRACK` call; advances the
-    /// estimator stamp. Every queue mutation in this module goes through
-    /// here, so the stamp cannot miss one.
-    #[inline]
-    fn touch_queues(&mut self) -> &mut SocketQueues {
-        self.estimator_stamp += 1;
-        &mut self.queues
+    pub fn arrivals(&self) -> u64 {
+        self.rx.remote.received + u64::from(self.tcb.state == TcpState::Closed)
     }
 
     /// `TRACK`s `bytes` and `messages` into the queue `pick` picks; a call
-    /// that moves neither leaves the queues and the stamp alone.
+    /// that moves neither leaves the queues alone.
     fn track(&mut self, now: Nanos, pick: PickQueue, bytes: i64, messages: i64) {
         if bytes != 0 || messages != 0 {
-            pick(self.touch_queues()).track(now, bytes, messages);
+            pick(&mut self.queues).track(now, bytes, messages);
         }
     }
 
@@ -412,7 +393,7 @@ impl TcpSocket {
     /// directly; the stack's own bookkeeping goes through the tracked
     /// send/receive paths so the ledgers stay in balance.
     pub fn queues_mut(&mut self) -> &mut SocketQueues {
-        self.touch_queues()
+        &mut self.queues
     }
 
     /// Runs every stateful invariant gate against the current queue and
@@ -656,7 +637,7 @@ impl TcpSocket {
     /// Processes one incoming segment. The host calls this after charging
     /// softirq receive costs.
     pub fn on_segment(&mut self, now: Nanos, seg: &Segment, env: TxEnv, actions: &mut Actions) {
-        self.estimator_stamp += self.rx.take_options(&seg.options);
+        self.rx.take_options(&seg.options);
         match self.tcb.state {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack {
@@ -718,7 +699,6 @@ impl TcpSocket {
         if bytes > 0 {
             self.invariants.unacked.leave(bytes as u64);
             self.track(now, |q| &mut q.unacked, -bytes, -messages);
-            self.estimator_stamp += u64::from(acked.sampled);
             if self.tx.snd.room() > 0 {
                 actions.push(Action::Wake(WakeReason::Writable));
             }

@@ -60,9 +60,9 @@ impl Rx {
         self.rcv_seq = seq + 1;
     }
 
-    /// Takes the peer's timestamp and shared state off an arriving segment;
-    /// returns how many shares (exchange, hint) it carried.
-    pub(super) fn take_options(&mut self, options: &Options) -> u64 {
+    /// Takes the peer's timestamp and shared state off an arriving segment,
+    /// counting the shares (exchange, hint) it carried.
+    pub(super) fn take_options(&mut self, options: &Options) {
         if let Some(ts) = options.timestamps {
             self.ts_recent = ts.tsval;
         }
@@ -79,9 +79,8 @@ impl Rx {
         if let Some(hint) = options.hint {
             self.remote.hint = Some(hint.snapshot);
         }
-        let shares = u64::from(options.e2e().is_some()) + u64::from(options.hint.is_some());
-        self.remote.received += shares;
-        shares
+        self.remote.received +=
+            u64::from(options.e2e().is_some()) + u64::from(options.hint.is_some());
     }
 
     /// The SACK blocks every ACK carries while out-of-order data is held

@@ -70,8 +70,6 @@ struct Loss {
 pub(super) struct Acked {
     /// The bytes and messages that left the unacked queue.
     pub(super) freed: [i64; 2],
-    /// An unambiguous range gave an RTT sample.
-    pub(super) sampled: bool,
     pub(super) fast_retransmit: Option<SendChunk>,
 }
 
@@ -672,7 +670,6 @@ impl Tx {
         acked.freed = [freed.bytes as i64, freed.messages as i64];
         if let Some(rtt) = rtt_sample {
             self.rtt.sample(rtt);
-            acked.sampled = true;
         }
         self.cc.on_ack(freed.bytes, self.lossy);
         if self.snd.in_flight() == 0 {

@@ -1,13 +1,14 @@
 //! Differential test of demand-armed ticks (`HostCtx::call_on_change`).
 //!
-//! An application that ticks every period reads its socket's
-//! `estimator_stamp` at each tick. Its twin parks the chain on the stamp
-//! after every tick instead and, when called again, writes down the grid
-//! instants it slept through with the stamp it parked on. Run against the
+//! An application that ticks every period reads its socket's `arrivals`
+//! (the peer's shares so far, plus one once the socket is reset) at each
+//! tick. Its twin parks the chain on them after every tick instead and,
+//! when called again, writes down the grid instants it slept through with
+//! the count it parked on. Run against the
 //! same seeded traffic — bursts and silences over a link that loses 1 % of
 //! its packets (so retransmission timers fire on an otherwise idle
 //! connection), periodic `Restart`s and `ShardCrash`es, deadlines every
-//! 8 ms — the two must have seen the same `(time, socket, stamp)` at every
+//! 8 ms — the two must have seen the same `(time, socket, arrivals)` at every
 //! instant. Ticks touch nothing but the event queue, and events that are
 //! not ticks keep their relative order, so the traffic of the two runs is
 //! identical by construction; what differs is only where a tick sits among
@@ -19,7 +20,7 @@
 //! The event stream itself is checked too: two tick calls on one host are
 //! never less than a period apart (one chain, whatever a `Reset` does to
 //! the socket under the watch), and a parked twin is only ever called for
-//! a reason — a changed stamp or its deadline.
+//! a reason — a new arrival or its deadline.
 
 use littles::Nanos;
 use simnet::fault::GilbertElliott;
@@ -49,7 +50,7 @@ const PERIOD: Nanos = Nanos::from_micros(500);
 /// multiple of this.
 const DEADLINE_EVERY: Nanos = Nanos::from_millis(8);
 
-/// What a tick saw: the socket it watches and that socket's stamp.
+/// What a tick saw: the socket it watches and that socket's arrivals.
 type Seen = Option<(SocketId, u64)>;
 
 struct Parked {
@@ -93,7 +94,7 @@ impl Ticks {
     fn tick(&mut self, ctx: &mut HostCtx<'_>, sock: Option<SocketId>) {
         let now = ctx.now();
         self.calls += 1;
-        let seen = sock.map(|s| (s, ctx.socket(s).estimator_stamp()));
+        let seen = sock.map(|s| (s, ctx.socket(s).arrivals()));
         if let Some(p) = self.parked.take() {
             let mut at = p.at + PERIOD;
             let mut slept = 0;
@@ -138,11 +139,11 @@ impl Ticks {
 
     /// The watched socket was reset. Nothing to do — the reset itself
     /// releases a parked chain — but worth counting when the chain had been
-    /// released already: the stamp is further than the reset alone (+1)
-    /// moves it.
+    /// released already: the arrivals are further than the reset alone
+    /// (+1) moves them.
     fn on_reset(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
         if let Some(p) = &self.parked {
-            if p.seen.0 == sock && ctx.socket(sock).estimator_stamp() > p.seen.1 + 1 {
+            if p.seen.0 == sock && ctx.socket(sock).arrivals() > p.seen.1 + 1 {
                 self.resets_after_fire += 1;
             }
         }
@@ -547,7 +548,8 @@ fn tier(seed: u64, parks: bool) -> (TierSim<Chatter, Relay, LazyEcho>, Stream) {
 #[test]
 fn a_shard_crash_releases_the_relay_parked_on_its_upstream() {
     let mut resets_after_fire = 0;
-    for seed in [5, 0xFACE] {
+    // Seed 1 is where a crash finds the relay released and unticked.
+    for seed in [5, 0xFACE, 1] {
         let (periodic, p_stream) = tier(seed, false);
         let (parking, q_stream) = tier(seed, true);
         assert_eq!(p_stream.ties, vec![], "seed {seed}: pick a tie-free seed");
@@ -579,39 +581,29 @@ fn a_shard_crash_releases_the_relay_parked_on_its_upstream() {
     );
 }
 
-/// The tie rule, constructed: the only event that touches the socket lands
-/// exactly on a grid instant. A periodic tick queued a period earlier runs
-/// before it and sees the old stamp; the parked twin books that instant
-/// with the old stamp as well and is called one period later.
+/// The tie rule, constructed: the only arrival on the socket after the
+/// handshake — its reset — lands exactly on a grid instant. A periodic
+/// tick queued a period earlier runs before it and sees the old count; the
+/// parked twin books that instant with the old count as well and is
+/// called one period later.
 #[test]
 fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
-    /// Ticks from t = 1 ms on and sends once, at exactly `send_at`.
-    struct OneSend {
-        send_at: Nanos,
+    /// Ticks from t = 1 ms on and sends nothing.
+    struct Quiet {
         sock: Option<SocketId>,
         ticks: Ticks,
     }
-    impl App for OneSend {
+    impl App for Quiet {
         fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
             self.sock = Some(ctx.connect(TcpConfig::default()));
-            // Queued before any tick: at `send_at` it runs ahead of a tick
-            // event of the same instant, as an arrival drawn long before
-            // would.
-            ctx.call_at(self.send_at, SEND);
             ctx.call_at(Nanos::from_millis(1), TICK);
         }
         fn on_wake(&mut self, _ctx: &mut HostCtx<'_>, _sock: SocketId, _reason: WakeReason) {}
-        fn on_call(&mut self, ctx: &mut HostCtx<'_>, token: u64) {
-            match token {
-                TICK => self.ticks.tick(ctx, self.sock),
-                _ => {
-                    ctx.send(self.sock.expect("connected"), &b"ping"[..]);
-                }
-            }
+        fn on_call(&mut self, ctx: &mut HostCtx<'_>, _token: u64) {
+            self.ticks.tick(ctx, self.sock);
         }
     }
-    /// Never reads, never answers: the client's stamp moves at the send
-    /// and when the ACK returns, and at no other time.
+    /// Never reads, never answers.
     struct Mute;
     impl App for Mute {
         fn on_start(&mut self, _ctx: &mut HostCtx<'_>) {}
@@ -620,64 +612,73 @@ fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
     }
 
     let tcp = TcpConfig::default();
-    let send_at = Nanos::from_millis(1) + PERIOD * 6;
+    let crash_at = Nanos::from_millis(1) + PERIOD * 6;
     let run = |parks: bool| {
-        let client = OneSend {
-            send_at,
+        let client = Quiet {
             sock: None,
             ticks: Ticks::new(parks),
         };
-        let mut sim = NetSim::new(
-            client,
+        // The crash is queued before any tick: at `crash_at` it runs ahead
+        // of a tick event of the same instant.
+        let faults = FaultConfig {
+            restart: Some(RestartSchedule {
+                first_at: crash_at,
+                period: Nanos::ZERO,
+            }),
+            ..FaultConfig::default()
+        };
+        let mut sim = NetSim::star_with_faults(
+            vec![client],
             Mute,
-            host(0, tcp),
+            vec![host(0, tcp)],
             host(1, tcp),
             LinkConfig::default(),
             1,
+            faults,
         );
         let mut queue = EventQueue::new();
         sim.start(&mut queue);
         drive(&mut sim, &mut queue, Nanos::from_millis(7), |sim, h| {
-            (h == 0).then_some(&sim.client().ticks)
+            sim.clients.get(h).map(|c| &c.ticks)
         });
         sim
     };
     let parking = run(true);
-    let log = &parking.client().ticks.log;
-    let stamp_at = |at: Nanos| {
+    let log = &parking.clients[0].ticks.log;
+    let arrivals_at = |at: Nanos| {
         let (_, seen) = log
             .iter()
             .find(|(t, _)| *t == at)
             .expect("a tick per grid instant");
         seen.expect("connected").1
     };
-    let before = stamp_at(send_at - PERIOD);
+    let before = arrivals_at(crash_at - PERIOD);
     assert_eq!(
-        stamp_at(send_at),
+        arrivals_at(crash_at),
         before,
         "the instant of the change is booked as found"
     );
-    assert!(
-        stamp_at(send_at + PERIOD) > before,
+    assert_eq!(
+        arrivals_at(crash_at + PERIOD),
+        before + 1,
         "the next instant ticks and sees the change"
     );
-    // Slept from the handshake's last change to the send, called at
-    // `send_at + PERIOD`, once more after the ACK, then parked again.
+    // Slept from the handshake to the crash, called at `crash_at +
+    // PERIOD`, then parked on the dead socket until the run ends.
     assert!(
-        parking.client().ticks.calls <= 6,
+        parking.clients[0].ticks.calls <= 3,
         "{} calls",
-        parking.client().ticks.calls
+        parking.clients[0].ticks.calls
     );
 
-    // Here the periodic chain's tick of that instant was queued *after*
-    // the send (one period before `send_at`, the send at t = 0), so it runs
+    // The periodic chain's tick of that instant was queued *after* the
+    // crash (one period before `crash_at`, the crash at t = 0), so it runs
     // second and sees the change one instant earlier than the parked twin
     // books it: the one divergence the tie rule allows, and the reason the
     // differential seeds above must be tie-free.
     let periodic = run(false);
     let seen_at = |at: Nanos| {
-        periodic
-            .client()
+        periodic.clients[0]
             .ticks
             .log
             .iter()
@@ -685,6 +686,6 @@ fn a_change_at_a_grid_instant_leaves_that_instant_unchanged_as_found() {
             .unwrap()
             .1
     };
-    assert!(seen_at(send_at).unwrap().1 > before);
-    assert_eq!(seen_at(send_at - PERIOD).unwrap().1, before);
+    assert_eq!(seen_at(crash_at).unwrap().1, before + 1);
+    assert_eq!(seen_at(crash_at - PERIOD).unwrap().1, before);
 }

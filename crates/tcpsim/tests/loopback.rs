@@ -347,6 +347,36 @@ fn queues_drain_after_quiescence() {
     }
 }
 
+/// Packets are not counted: however busy a socket, its queues read empty
+/// in the packet unit, while the byte unit saw the traffic.
+#[test]
+fn a_busy_socket_reads_empty_in_the_packet_unit() {
+    let (sim, q) = run_echo(
+        TcpConfig::default(),
+        LinkConfig::default(),
+        vec![
+            (Nanos::from_millis(1), vec![1u8; 5000]),
+            (Nanos::from_millis(2), vec![2u8; 300]),
+        ],
+        Nanos::from_millis(100),
+    );
+    let now = q.now();
+    for h in [0, 1] {
+        let sock = sim.host(h).socket(SocketId(0));
+        let packets = sock.local_snapshots(now, Unit::Packets);
+        let queues = [packets.unacked, packets.unread, packets.ackdelay];
+        for (name, snap) in ["unacked", "unread", "ackdelay"].iter().zip(queues) {
+            assert_eq!(
+                (snap.total, snap.integral),
+                (0, 0),
+                "host {h} {name} in packets"
+            );
+        }
+        let bytes = sock.local_snapshots(now, Unit::Bytes);
+        assert!(bytes.unacked.total > 0 && bytes.unread.total > 0 && bytes.ackdelay.total > 0);
+    }
+}
+
 #[test]
 fn unread_delay_reflects_slow_reader() {
     // A server that sits on data for a while before reading: the unread

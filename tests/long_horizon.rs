@@ -160,9 +160,4 @@ fn recorder_checkpoints_grow_with_exchanges_not_ticks() {
         checkpoints * 10 < ticks,
         "{checkpoints} checkpoints over {ticks} ticks: they still grow per tick"
     );
-    assert!(
-        recorder.deferred_ticks() * 10 > ticks * 8,
-        "only {} of {ticks} ticks deferred",
-        recorder.deferred_ticks()
-    );
 }

@@ -39,11 +39,10 @@
 //!   count could follow elapsed time rather than traffic. A client whose
 //!   socket stands still sleeps through its ticks, and `fanin1024` is
 //!   where a client that stopped parking shows;
-//! - estimator updates and closed-form skips over every client's
-//!   recorders (`EstimateRecorder::estimator_updates` and
-//!   `closed_form_skips`): a quiet stretch should cost at most one full
-//!   `update_validated` and one skip, and a recorder that replays what it
-//!   could skip shows here.
+//! - estimator updates over every client's recorders and plane seat
+//!   (`EstimateRecorder::estimator_updates`): a client that only records
+//!   keeps counters and runs no estimator, so `fanin1024` and
+//!   `star64_loss` must read exactly 0.
 //!
 //! Before the stretches, it weighs the `fanin1024` assembly: the live heap
 //! `Harness::star` leaves at time zero, per connection, under a ceiling
@@ -53,9 +52,8 @@
 //!
 //! Each ceiling is the figure the simulator had when it was recorded; it
 //! may only go down. Raising one is a re-record that has to be
-//! explained, like a golden. Both profiles are held to the same figures:
-//! the recorders' debug-only witnesses (in `EstimateRecorder::tick` and
-//! `flush`) compare in place and allocate nothing. Each cell runs twice
+//! explained, like a golden. Both profiles are held to the same figures.
+//! Each cell runs twice
 //! from fresh simulators and must count identically: the simulation is
 //! deterministic, so a count that moves between runs is a measurement
 //! error, not noise.
@@ -198,20 +196,10 @@ struct Ledger {
     events: [u64; 8],
     /// Client ticks dispatched, all clients.
     ticks: u64,
-    /// Estimator updates and closed-form skips, over every client's
-    /// recorders and plane seat.
-    estimator: Estimator,
-    completed: u64,
-}
-
-/// What the clients' `EstimateRecorder`s did to their estimators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Estimator {
-    /// `E2eEstimator` updates, each a full `update_validated`.
+    /// `E2eEstimator` updates, each a full `update_validated`, over every
+    /// client's recorders and plane seat.
     updates: u64,
-    /// `E2eEstimator::skip_static` calls that skipped, each over a quiet
-    /// stretch's repeats.
-    skips: u64,
+    completed: u64,
 }
 
 impl Ledger {
@@ -225,8 +213,7 @@ impl Ledger {
         .chain(ARMS.into_iter().zip(self.events))
         .chain([
             ("client ticks", self.ticks),
-            ("estimator updates", self.estimator.updates),
-            ("closed-form skips", self.estimator.skips),
+            ("estimator updates", self.updates),
         ])
         .map(|(column, used)| (column, i128::from(used)))
         .chain([("retained bytes", i128::from(self.heap.retained))])
@@ -239,21 +226,15 @@ impl Ledger {
 // byte per request, already fails. `events` reads Deliver, SoftirqRx,
 // Timer, AppWake, AppCall, NicComplete, Restart, ShardCrash.
 
-/// The estimator column of a cell whose clients hold no recorders.
-const NO_RECORDERS: Estimator = Estimator {
-    updates: 0,
-    skips: 0,
-};
-
 const STAR64_CEILING: Ledger = Ledger {
     heap: Heap {
         allocs: 25_768,     // 4.00 per request
         bytes: 106_497_062, // 16 549 per request: the 16 430-byte request, ~120 B more
         retained: 83_406,   // 13.0 per request
     },
-    events: [25_748, 25_742, 0, 38_235, 28_951, 25_746, 0, 0], // 22.44 per request
-    ticks: 5_531,                                              // 0.86 per request
-    estimator: NO_RECORDERS,
+    events: [25_748, 25_742, 0, 38_235, 26_648, 25_746, 0, 0], // 22.09 per request
+    ticks: 3_228,                                              // 0.50 per request
+    updates: 0,
     completed: 6_435,
 };
 const TIER4_CEILING: Ledger = Ledger {
@@ -262,41 +243,33 @@ const TIER4_CEILING: Ledger = Ledger {
         bytes: 1_577_340, // 1 372 per request
         retained: 56_072, // 48.8 per request
     },
-    events: [4_603, 4_601, 0, 8_793, 6_596, 4_603, 0, 0], // 25.39 per request
-    ticks: 643,                                           // 0.56 per request
-    estimator: NO_RECORDERS,
+    events: [4_603, 4_601, 0, 8_793, 6_257, 4_603, 0, 0], // 25.09 per request
+    ticks: 304,                                           // 0.26 per request
+    updates: 0,
     completed: 1_150,
 };
 const FANIN1024_CEILING: Ledger = Ledger {
     heap: Heap {
-        allocs: 33_450,      // 4.17 per request
-        bytes: 134_838_807,  // 16 794 per request
-        retained: 1_159_879, // 144.5 per request: the recorders' packed checkpoints
+        allocs: 33_363,      // 4.16 per request
+        bytes: 134_688_413,  // 16 775 per request
+        retained: 1_092_771, // 136.1 per request: the recorders' packed checkpoints
     },
-    events: [32_498, 32_486, 365, 48_135, 39_880, 32_500, 0, 0], // 23.15 per request
-    ticks: 10_821, // 1.35 per request, 0.058 of events
-    estimator: Estimator {
-        updates: 35_438, // 4.41 per request
-        skips: 15_080,   // 1.88 per request
-    },
+    events: [32_498, 32_486, 365, 48_135, 37_780, 32_500, 0, 0], // 22.89 per request
+    ticks: 8_721, // 1.09 per request, 0.047 of events
+    updates: 0,   // a client that only records runs no estimator
     completed: 8_029,
 };
 const STAR64_LOSS_CEILING: Ledger = Ledger {
     heap: Heap {
-        // 4.33 per request: 4.29 before checkpoint columns grew by a quarter
-        // (more, smaller reallocations).
-        allocs: 17_298,
-        bytes: 74_973_268, // 18 776 per request
-        // 411.7 per request: 90 requests in flight at `WARM`, 173 at `END`,
+        allocs: 17_277,    // 4.33 per request
+        bytes: 74_851_598, // 18 746 per request
+        // 406.8 per request: 90 requests in flight at `WARM`, 173 at `END`,
         // their buffers still held.
-        retained: 1_643_956,
+        retained: 1_624_316,
     },
-    events: [16_857, 16_857, 133, 23_178, 18_805, 17_034, 0, 0], // 23.26 per request
-    ticks: 3_875,                                                // 0.97 per request
-    estimator: Estimator {
-        updates: 12_646, // 3.17 per request
-        skips: 3_658,    // 0.92 per request
-    },
+    events: [16_857, 16_857, 133, 23_178, 17_913, 17_034, 0, 0], // 23.03 per request
+    ticks: 2_983,                                                // 0.75 per request
+    updates: 0,
     completed: 3_993,
 };
 
@@ -308,9 +281,10 @@ const STAR64_LOSS_CEILING: Ledger = Ledger {
 /// holds it within 5 % of the same figure at 128 connections, so a
 /// connection costs the same whatever the connection count.
 ///
-/// 10 126 B per connection; 26 382 before flow tables, histograms and
-/// client seats were sized to what a connection uses.
-const ASSEMBLY_CEILING: i64 = 10_368_704;
+/// 9 806 B per connection; 10 126 while a client's recorders each held
+/// an estimator, 26 382 before flow tables, histograms and client seats
+/// were sized to what a connection uses.
+const ASSEMBLY_CEILING: i64 = 10_041_024;
 
 /// A 64-client star at 64 kRPS in total: Figure 4a requests, no
 /// estimator.
@@ -416,19 +390,25 @@ fn tier4() -> TierSim<LancetClient, ProxyApp, RedisServer> {
 type Reading = (Ledger, f64, [u64; 2], [usize; 2]);
 
 /// What every client has done so far: requests completed, ticks run,
-/// requests sent, and its recorders' estimator work.
-fn tally(clients: &[LancetClient]) -> (u64, u64, u64, Estimator) {
-    clients.iter().fold(
-        (0, 0, 0, Estimator::default()),
-        |(done, ticks, sent, mut est), c| {
+/// requests sent, and its recorders' estimator updates.
+fn tally(clients: &[LancetClient]) -> (u64, u64, u64, u64) {
+    clients
+        .iter()
+        .fold((0, 0, 0, 0), |(done, ticks, sent, updates), c| {
             let seat = c.plane.as_ref().map(|p| &p.recorder);
-            for rec in c.recorders.iter().chain(seat) {
-                est.updates += rec.estimator_updates();
-                est.skips += rec.closed_form_skips();
-            }
-            (done + c.completed, ticks + c.ticks_run, sent + c.sent, est)
-        },
-    )
+            let updates = updates
+                + c.recorders
+                    .iter()
+                    .chain(seat)
+                    .map(|rec| rec.estimator_updates())
+                    .sum::<u64>();
+            (
+                done + c.completed,
+                ticks + c.ticks_run,
+                sent + c.sent,
+                updates,
+            )
+        })
 }
 
 /// Counts over `[warm, end]` on a started `sim`.
@@ -475,10 +455,7 @@ fn count<W: World<Event = Event>>(
         },
         events,
         ticks: ticks_end - ticks,
-        estimator: Estimator {
-            updates: est_end.updates - est.updates,
-            skips: est_end.skips - est.skips,
-        },
+        updates: est_end - est,
         completed: done_end - done,
     };
     let peaks = [segments(sim).high_water(), queue.slab_len()];
