@@ -355,11 +355,13 @@ impl LancetClient {
             // A control seat decides every tick, and a validator judges
             // every tick; plain recorders alone can sleep until the peer
             // shares again.
-            let every = self
-                .recorders
-                .iter()
-                .any(EstimateRecorder::ticks_every_period);
-            if self.aimd.is_none() && self.plane.is_none() && !every {
+            if self.aimd.is_none()
+                && self.plane.is_none()
+                && !self
+                    .recorders
+                    .iter()
+                    .any(EstimateRecorder::ticks_every_period)
+            {
                 quiet = Some(sock);
             }
         }

@@ -778,8 +778,6 @@ mod tests {
         }
         let per_entry = bytes as f64 / entries as f64;
         println!("{entries} checkpoints, {bytes} B packed, {per_entry:.2} B each");
-        // 13 983 when the seats stopped keeping a copy of the byte
-        // recorders' column (20 975 with it).
         assert!(entries > 13_000, "{entries} checkpoints");
         assert!(
             bytes * 100 <= entries * 3_415,
