@@ -60,7 +60,9 @@ fn estimator_inputs(
 /// window is an exact difference of monotone counters, so on one socket
 /// the sum over any run of ticks is the window across the run: a plain
 /// recorder that skips the ticks that see no fresh exchange keeps the
-/// same checkpoints. One that validates does not skip: its validator
+/// same checkpoints — up to a reset, which ends the socket: the sums run
+/// to the last tick before it, so where a reset can come no tick is
+/// skipped. One that validates does not skip either: its validator
 /// judges each exchange against the local window of the tick that admits
 /// it, and a rejected one again at every tick.
 ///

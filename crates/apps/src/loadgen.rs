@@ -20,10 +20,11 @@
 //!   delayed ACKs and the cork limit) dynamically, or an `AimdDriver`.
 //!
 //! All of it runs off one tick per `tick_period`. A client whose only
-//! seats are plain recorders that do not validate changes nothing at a
-//! tick that sees no new share from the peer: every tick parks the chain
-//! until the peer's next share arrives ([`HostCtx::call_on_change`]) instead
-//! of re-arming it, and counts the grid instants slept through. The park's
+//! seats are plain recorders that do not validate, in a run whose faults
+//! reset no connection, changes nothing at a tick that sees no new share
+//! from the peer: every tick parks the chain until the peer's next share
+//! arrives ([`HostCtx::call_on_change`]) instead of re-arming it, and
+//! counts the grid instants slept through. The park's
 //! deadline is the next tick with a job of its own — the tracker snapshots
 //! at the two window edges — and once the window has closed the chain is
 //! periodic again (DESIGN.md §11, "Exchange-armed ticks").
@@ -354,13 +355,16 @@ impl LancetClient {
             }
             // A control seat decides every tick, and a validator judges
             // every tick; plain recorders alone can sleep until the peer
-            // shares again.
+            // shares again. Not where a reset can end the connection: a
+            // plain recorder's local sums run to the last tick before the
+            // reset, and a sleeping chain would not have taken that tick.
             if self.aimd.is_none()
                 && self.plane.is_none()
                 && !self
                     .recorders
                     .iter()
                     .any(EstimateRecorder::ticks_every_period)
+                && (self.recorders.is_empty() || !ctx.faults_reset_connections())
             {
                 quiet = Some(sock);
             }

@@ -16,8 +16,12 @@
 //! last checkpoint in range, and `None` on both sides where fewer than two
 //! fall inside). Recorders that tick every period stand beside two that
 //! sleep, as a parked `LancetClient`'s do, until the peer's next share
-//! arrives or the socket changes. One recorder estimates in
-//! `Unit::Packets`, which no exchange carries.
+//! arrives — in the runs without restarts; where the faults can reset the
+//! connection they tick every period, as that client's do. One recorder
+//! estimates in `Unit::Packets`, which no exchange carries. `Reference`
+//! admits exchanges through the same `ExchangeIntake` as the recorder, so
+//! each run's checkpoints are also held to a digest recorded from the
+//! recorder this one replaced, which stepped an `E2eEstimator` every tick.
 //!
 //! Hand-driven scenarios then pin the edges: the first tick, a restart,
 //! an epoch change under validation, a reject judged again on every tick,
@@ -177,7 +181,7 @@ struct Churn {
     pairs: Vec<Pair>,
     /// Recorders that, as a parked recorder-only client's do, skip every
     /// tick that finds the socket and its arrivals where their last tick
-    /// left them.
+    /// left them, unless the faults can reset the connection.
     sleepers: Vec<Pair>,
     /// The `(socket, arrivals)` the sleepers' last tick saw.
     seen: Option<(SocketId, u64)>,
@@ -209,20 +213,21 @@ impl Churn {
                 pair.tick(now, socket);
             }
             let seen = Some((sock, socket.arrivals()));
+            let asleep = seen == self.seen && !ctx.faults_reset_connections();
             for pair in &mut self.sleepers {
-                if seen == self.seen {
+                if asleep {
                     pair.reference.tick(now, socket);
                 } else {
                     pair.tick(now, socket);
                 }
             }
-            self.slept += u64::from(seen == self.seen);
+            self.slept += u64::from(asleep);
             self.seen = seen;
             self.ticks += 1;
             // Query mid-run now and then.
             if self.ticks % 23 == 0 {
                 let back = self.us_between(200, 9_000);
-                for pair in &self.pairs {
+                for pair in self.pairs.iter().chain(&self.sleepers) {
                     pair.assert_queries_agree(now.saturating_sub(back), now + Nanos::from_nanos(1));
                 }
             }
@@ -348,7 +353,50 @@ const WIRE_WRAP: Nanos = Nanos::from_nanos(1 << 42);
 /// The final silence: 2 190 ticks at the later tick period.
 const SILENCE: Nanos = Nanos::from_millis(1_600);
 
-fn run_seed(seed: u64, coverage: &mut Coverage) {
+/// One checkpoint: `(time, local sums, remote sums)`.
+type Checkpoint = (Nanos, EndpointWindows, EndpointWindows);
+
+/// Folds `words` into an FNV-1a digest, byte by byte.
+fn fnv(hash: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Every field of one checkpoint, folded into `hash`.
+fn fold_checkpoint(hash: &mut u64, (at, local, remote): &Checkpoint) {
+    fnv(hash, [at.as_nanos()]);
+    for windows in [local, remote] {
+        for q in [windows.unacked, windows.unread, windows.ackdelay] {
+            let integral = [q.d_integral as u64, (q.d_integral >> 64) as u64];
+            fnv(
+                hash,
+                [q.dt.as_nanos(), q.d_total].into_iter().chain(integral),
+            );
+        }
+    }
+}
+
+/// Each seeded run's `(seed, restarts, checkpoints, digest)`: the
+/// checkpoints of all six recorders, counted, and digested field by field
+/// together with each validator's accepted, rejected and epoch-change
+/// counts. Recorded from the recorder that stepped an `E2eEstimator` on
+/// every tick and summed the windows it formed, ticked every period.
+const RECORDED: [(u64, bool, usize, u64); 8] = [
+    (3, true, 147, 0x5ced_ff76_67e7_afdf),
+    (0xD1FF, true, 140, 0x1d72_ebcd_608d_2cbb),
+    (0x5EED_2026, true, 147, 0xd91f_1ff1_dcfd_4949),
+    (77_777, true, 138, 0xf0be_c202_76e2_4d69),
+    (3, false, 176, 0x47d1_be6a_be0d_0521),
+    (0xD1FF, false, 150, 0x048e_bf8c_3427_fb26),
+    (0x5EED_2026, false, 151, 0x87c9_1149_70f6_6b37),
+    (77_777, false, 135, 0x3ede_c474_4453_8190),
+];
+
+/// Runs one seeded schedule, with or without an endpoint restart, holds
+/// every recorder to its reference and returns the run's checkpoint count
+/// and digest (see [`RECORDED`]).
+fn run_seed(seed: u64, restarts: bool, coverage: &mut Coverage) -> (usize, u64) {
     let start_at = WIRE_WRAP - Nanos::from_millis(45);
     let quiet_from = start_at + Nanos::from_millis(160);
     let end = quiet_from + SILENCE;
@@ -404,7 +452,7 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
     let restart_at = start_at + Nanos::from_millis(95);
     let faults = FaultConfig {
         corrupt: Some(CorruptConfig { probability: 0.08 }),
-        restart: Some(RestartSchedule {
+        restart: restarts.then_some(RestartSchedule {
             first_at: restart_at,
             period: Nanos::ZERO,
         }),
@@ -425,7 +473,9 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
     run(&mut sim, &mut queue, end);
 
     let client = &mut sim.clients[0];
-    assert!(client.ticks > 2_200, "seed {seed}: the tick chain ran");
+    let label = format!("seed {seed}, restarts: {restarts}");
+    assert!(client.ticks > 2_200, "{label}: the tick chain ran");
+    assert_eq!(client.slept == 0, restarts, "{label}: sleepers slept");
     coverage.slept_ticks += client.slept;
     let mut ranges = vec![
         (start_at, end),
@@ -443,50 +493,44 @@ fn run_seed(seed: u64, coverage: &mut Coverage) {
         let len = [300, 1_000, 2_500, 8_000, 40_000][client.rng.gen_range(5) as usize];
         ranges.push((from, from + Nanos::from_micros(len)));
     }
-    let label = format!("seed {seed}");
-    for pair in &client.pairs {
+    let (mut count, mut digest) = (0, 0xcbf2_9ce4_8422_2325);
+    for pair in client.pairs.iter().chain(&client.sleepers) {
         let checkpoints: Vec<_> = pair.recorder.checkpoints().collect();
         assert_eq!(checkpoints, pair.reference.cum_series, "{label}");
-    }
-    for pair in &client.sleepers {
-        let checkpoints: Vec<_> = pair.recorder.checkpoints().collect();
-        let tail = assert_equal_but_a_restart_tail(
-            &checkpoints,
-            &pair.reference.cum_series,
-            restart_at,
-            &label,
-        );
-        assert!(tail.is_some(), "{label}: no checkpoint after the restart");
-    }
-    // A sleeper's range that spans the restart sees its shortfall.
-    let spans = |&&(from, to): &&(Nanos, Nanos)| from < restart_at && restart_at < to;
-    for (pair, sleeps) in client
-        .pairs
-        .iter()
-        .map(|p| (p, false))
-        .chain(client.sleepers.iter().map(|p| (p, true)))
-    {
-        for (from, to) in ranges.iter().filter(|r| !sleeps || !spans(r)).copied() {
+        count += checkpoints.len();
+        for checkpoint in &checkpoints {
+            fold_checkpoint(&mut digest, checkpoint);
+        }
+        for &(from, to) in &ranges {
             pair.assert_queries_agree(from, to);
             match pair.reference.range_windows(from, to) {
                 Some(_) => coverage.checkpointed_means += 1,
                 None => coverage.unanswered_ranges += 1,
             }
         }
-        if let Some(stats) = pair.reference.intake.validation_stats() {
+        if let Some(stats) = pair.recorder.validation_stats() {
+            let verdicts = [stats.accepted, stats.rejected, stats.epoch_changes];
+            fnv(&mut digest, verdicts);
             coverage.stats.merge(&stats);
         }
     }
+    (count, digest)
 }
 
 #[test]
 fn recorder_equals_tick_by_tick_reference() {
     let mut coverage = Coverage::default();
-    for seed in [3, 0xD1FF, 0x5EED_2026, 77_777] {
-        run_seed(seed, &mut coverage);
+    for (seed, restarts, count, digest) in RECORDED {
+        let run = run_seed(seed, restarts, &mut coverage);
+        assert_eq!(
+            run,
+            (count, digest),
+            "seed {seed}, restarts: {restarts}: checkpoints and digest"
+        );
     }
     // The schedule must have exercised what it is there for: the sleepers
-    // slept through most of the run, and the validators saw every verdict.
+    // slept through most of the runs without restarts, and the validators
+    // saw every verdict.
     assert!(
         coverage.slept_ticks > 8_000,
         "slept {}",
@@ -583,10 +627,6 @@ impl Hand {
         self.socket
             .on_segment(now, &seg, TxEnv::default(), &mut self.actions);
     }
-
-    fn tick(&self, pair: &mut Pair, now: Nanos) {
-        pair.tick(now, &self.socket);
-    }
 }
 
 /// The segments an action buffer transmitted, taken out of it.
@@ -633,7 +673,7 @@ impl Scenario {
             return;
         }
         self.seen = Some(seen);
-        hand.tick(&mut self.pair, now);
+        self.pair.tick(now, &hand.socket);
     }
 
     /// Holds the recorder to its reference: every checkpoint bit for bit,
@@ -689,81 +729,34 @@ fn the_first_tick_only_takes_the_baseline() {
 /// one finds a local window `between` refuses (its counters restarted
 /// below the old socket's), and so folds neither that window nor the
 /// remote window of the exchange it admits there — the new connection's
-/// first, which becomes the baseline. A parked recorder's last snapshot
-/// of the old socket is from its last woken tick, four ticks before the
-/// reference's: its refusal falls as the reference's does, and its local
-/// sums miss the four windows after that wake, which no exchange followed
-/// (see `assert_equal_but_a_restart_tail`).
+/// first, which becomes the baseline. The local sums run to the last tick
+/// on the old socket, four ticks after its last exchange: a client whose
+/// connection can be reset ticks its recorders every period, because one
+/// asleep since that exchange would have no snapshot there.
 #[test]
 fn a_restart_refuses_the_local_window_and_that_ticks_remote_window() {
-    for parked in [false, true] {
-        let mut hand = Hand::loaded(Nanos::ZERO);
-        let mut rec = Scenario::new(false, parked);
-        for k in 1..=7 {
-            if k <= 3 {
-                let (t, exchange) = before(k);
-                hand.deliver(t, exchange);
-            }
-            rec.tick(&hand, at(k));
+    let mut hand = Hand::loaded(Nanos::ZERO);
+    let mut rec = Scenario::new(false, false);
+    for k in 1..=7 {
+        if k <= 3 {
+            let (t, exchange) = before(k);
+            hand.deliver(t, exchange);
         }
-        // The peer of the fresh connection counts from zero, in a new
-        // epoch.
-        let restart = at(7) + us(200);
-        hand.restart(restart);
-        for k in 8..=11 {
-            let t = at(k) - us(50);
-            hand.deliver(t, Hand::exchange(t - restart).with_epoch(1));
-            rec.tick(&hand, at(k));
-        }
-        let pair = &rec.pair;
-        let checkpoints: Vec<_> = pair.recorder.checkpoints().collect();
-        let times: Vec<_> = checkpoints.iter().map(|c| c.0).collect();
-        assert_eq!(times, [2, 3, 9, 10, 11].map(at));
-        let tail = assert_equal_but_a_restart_tail(
-            &checkpoints,
-            &pair.reference.cum_series,
-            restart,
-            "restart",
-        );
-        let missed = if parked { 4 } else { 0 };
-        assert_eq!(tail.map(|w| w.unacked.dt), Some(SPACING * missed));
-        // A range on either side of the restart answers as the reference's.
-        for (from, to) in [(Nanos::ZERO, restart), (restart, at(12))] {
-            pair.assert_queries_agree(from, to);
-        }
+        rec.tick(&hand, at(k));
     }
-}
-
-/// One checkpoint: `(time, local sums, remote sums)`.
-type Checkpoint = (Nanos, EndpointWindows, EndpointWindows);
-
-/// A parked recorder's checkpoints against the tick-by-tick reference's
-/// across one endpoint restart at `restart_at`: the same instants and
-/// remote sums, bit for bit, and the same local sums before the restart.
-/// After it the local sums fall short of the reference's by one constant
-/// window: the old socket's tail after the recorder's last wake, which it
-/// never saw (no exchange followed to wake it) and the reference summed.
-/// A range on one side of the restart differences two checkpoints with
-/// the same shortfall, so it answers the same. Returns the shortfall.
-fn assert_equal_but_a_restart_tail(
-    recorder: &[Checkpoint],
-    reference: &[Checkpoint],
-    restart_at: Nanos,
-    label: &str,
-) -> Option<EndpointWindows> {
-    assert_eq!(recorder.len(), reference.len(), "{label}: checkpoints");
-    let mut tail = None;
-    for (got, want) in recorder.iter().zip(reference) {
-        assert_eq!((got.0, got.2), (want.0, want.2), "{label}: at {}", got.0);
-        if got.0 < restart_at {
-            assert_eq!(got.1, want.1, "{label}: at {}", got.0);
-        } else {
-            let short = want.1.since(&got.1);
-            assert_eq!(got.1, want.1.since(&short), "{label}: at {}", got.0);
-            assert_eq!(*tail.get_or_insert(short), short, "{label}: at {}", got.0);
-        }
+    // The peer of the fresh connection counts from zero, in a new epoch.
+    let restart = at(7) + us(200);
+    hand.restart(restart);
+    for k in 8..=11 {
+        let t = at(k) - us(50);
+        hand.deliver(t, Hand::exchange(t - restart).with_epoch(1));
+        rec.tick(&hand, at(k));
     }
-    tail
+    let times = rec.assert_recorded_equal("restart");
+    assert_eq!(times, [2, 3, 9, 10, 11].map(at));
+    // At tick 9: every window from tick 1 on but the refused one, 7 → 8.
+    let (_, local, _) = rec.pair.recorder.checkpoints().nth(2).expect("tick 9");
+    assert_eq!(local.unacked.dt, SPACING * 7);
 }
 
 /// Under validation, an exchange from a new epoch resynchronises: it is

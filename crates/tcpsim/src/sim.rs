@@ -343,6 +343,15 @@ impl HostCtx<'_> {
             .arm_watch(sock, self.queue, period, deadline, token, event);
     }
 
+    /// Whether the run's fault plan can reset a connection: it schedules
+    /// endpoint restarts or shard crashes.
+    pub fn faults_reset_connections(&self) -> bool {
+        self.faults.as_ref().is_some_and(|plan| {
+            let config = plan.config();
+            config.restart.is_some() || config.shard.crash.is_some()
+        })
+    }
+
     /// Applies one control-plane [`KnobSetting`] to a socket through the
     /// uniform actuation path: dispatches to the socket's `apply`,
     /// executes any disposal actions it emits (a delayed-ACK flush or
