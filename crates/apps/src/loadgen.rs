@@ -19,20 +19,19 @@
 //! * optionally a [`PlaneDriver`] steering Nagle (and, when attached,
 //!   delayed ACKs and the cork limit) dynamically, or an `AimdDriver`.
 //!
-//! All of it runs off one tick per `tick_period`. A client whose only
+//! The recorders and seats run off one tick per `tick_period`; a client
+//! that holds none of them runs no tick chain at all. A client whose only
 //! seats are plain recorders that do not validate, in a run whose faults
 //! reset no connection, changes nothing at a tick that sees no new share
 //! from the peer: every tick parks the chain until the peer's next share
-//! arrives ([`HostCtx::call_on_change`]) instead of re-arming it, and
-//! counts the grid instants slept through. The park's
-//! deadline is the next tick with a job of its own — the tracker snapshots
-//! at the two window edges — and once the window has closed the chain is
-//! periodic again (DESIGN.md §11, "Exchange-armed ticks").
+//! arrives ([`HostCtx::call_on_change`]) instead of re-arming it (DESIGN.md
+//! §11, "Exchange-armed ticks"). The tracker is read by whoever needs it:
+//! the harness snapshots it at the edges of the measurement window.
 
 use std::collections::VecDeque;
 
 use e2e_core::RequestTracker;
-use littles::{Nanos, Snapshot};
+use littles::Nanos;
 use simnet::{Histogram, Pcg32};
 use tcpsim::{App, HostCtx, SocketId, TcpConfig, WakeReason};
 
@@ -117,13 +116,8 @@ pub struct LancetClient {
     /// Whether the arrival/tick chains have been started (exactly once, on
     /// the first `Connected` — a reconnect must not duplicate them).
     started: bool,
-    /// While the tick chain is parked on the socket: when it parked (the
-    /// last instant ticked).
-    parked_at: Option<Nanos>,
     /// Ticks dispatched as events.
     pub ticks_run: u64,
-    /// Tick instants slept through while parked.
-    pub(crate) ticks_skipped: u64,
     /// Number of `Reset` wakes observed (crash/restart fault injections).
     pub restarts_seen: u64,
     /// Parser, wake latches and write backlog of the current connection.
@@ -138,8 +132,6 @@ pub struct LancetClient {
     pub hist: Histogram,
     /// Application-level request tracker (ground truth / hints source).
     pub(crate) tracker: RequestTracker,
-    tracker_at_warmup: Option<Snapshot>,
-    tracker_at_end: Option<Snapshot>,
     /// Little's-law estimate recorders (one per unit under study).
     pub recorders: Vec<EstimateRecorder>,
     /// Optional §5 AIMD batch-limit policy. Boxed, like `plane`: few runs
@@ -178,9 +170,7 @@ impl LancetClient {
             use_hints: false,
             sock: None,
             started: false,
-            parked_at: None,
             ticks_run: 0,
-            ticks_skipped: 0,
             restarts_seen: 0,
             conn: Conn::default(),
             pending: VecDeque::new(),
@@ -188,8 +178,6 @@ impl LancetClient {
             key_pool: None,
             hist: Histogram::new(),
             tracker: RequestTracker::new(Nanos::ZERO),
-            tracker_at_warmup: None,
-            tracker_at_end: None,
             recorders: Vec::new(),
             aimd: None,
             plane: None,
@@ -247,12 +235,10 @@ impl LancetClient {
         self.completed_in_window as f64 / window.as_secs_f64()
     }
 
-    /// Application-level (tracker) averages over the measurement window —
-    /// the ground truth the §3.3 hints convey.
-    pub(crate) fn tracker_averages(&self) -> Option<littles::Averages> {
-        let a = self.tracker_at_warmup?;
-        let b = self.tracker_at_end?;
-        b.averages_since(&a)
+    /// Whether the client holds anything a tick runs: a recorder, a
+    /// plane seat or an AIMD seat.
+    fn ticks(&self) -> bool {
+        !self.recorders.is_empty() || self.aimd.is_some() || self.plane.is_some()
     }
 
     fn next_wire(&mut self, ctx: &mut HostCtx<'_>) -> (Vec<u8>, bool) {
@@ -325,67 +311,40 @@ impl LancetClient {
         }
     }
 
-    // hot-path: every client, every tick it cannot sleep through
+    // hot-path: every ticking client, every tick it cannot sleep through
     fn tick(&mut self, ctx: &mut HostCtx<'_>) {
-        let now = ctx.now();
         let period = self.tick_period;
         self.ticks_run += 1;
-        if let Some(parked_at) = self.parked_at.take() {
-            // The grid instants strictly between the park and now: each
-            // would have found no new share.
-            let slept = (now - parked_at).as_nanos() / period.as_nanos();
-            self.ticks_skipped += slept.saturating_sub(1);
-        }
-        if now >= self.warmup_end && self.tracker_at_warmup.is_none() {
-            self.tracker_at_warmup = Some(self.tracker.snapshot(now));
-        }
-        if now >= self.measure_end && self.tracker_at_end.is_none() {
-            self.tracker_at_end = Some(self.tracker.snapshot(now));
-        }
-        let mut quiet = None;
-        if let Some(sock) = self.sock {
-            for rec in &mut self.recorders {
-                rec.tick(ctx, sock);
-            }
-            if let Some(aimd) = self.aimd.as_mut() {
-                aimd.tick(ctx, sock);
-            }
-            if let Some(plane) = self.plane.as_mut() {
-                plane.tick(ctx, sock);
-            }
-            // A control seat decides every tick, and a validator judges
-            // every tick; plain recorders alone can sleep until the peer
-            // shares again. Not where a reset can end the connection: a
-            // plain recorder's local sums run to the last tick before the
-            // reset, and a sleeping chain would not have taken that tick.
-            if self.aimd.is_none()
-                && self.plane.is_none()
-                && !self
-                    .recorders
-                    .iter()
-                    .any(EstimateRecorder::ticks_every_period)
-                && (self.recorders.is_empty() || !ctx.faults_reset_connections())
-            {
-                quiet = Some(sock);
-            }
-        }
-        // The next tick that has a job whatever the socket does: the
-        // first at or past each window edge snapshots the tracker. Past
-        // both there is none, and the chain stays periodic to the end.
-        let edge = if self.tracker_at_warmup.is_none() {
-            Some(self.warmup_end)
-        } else if self.tracker_at_end.is_none() {
-            Some(self.measure_end)
-        } else {
-            None
+        let Some(sock) = self.sock else {
+            // Crashed: tick on through the outage.
+            ctx.call_after(period, TICK);
+            return;
         };
-        match (quiet, edge) {
-            (Some(sock), Some(edge)) => {
-                let periods = (edge - now).as_nanos().div_ceil(period.as_nanos());
-                ctx.call_on_change(sock, period, now + period * periods, TICK);
-                self.parked_at = Some(now);
-            }
-            _ => ctx.call_after(period, TICK),
+        for rec in &mut self.recorders {
+            rec.tick(ctx, sock);
+        }
+        if let Some(aimd) = self.aimd.as_mut() {
+            aimd.tick(ctx, sock);
+        }
+        if let Some(plane) = self.plane.as_mut() {
+            plane.tick(ctx, sock);
+        }
+        // A control seat decides every tick, and a validator judges every
+        // tick; plain recorders alone can sleep until the peer shares
+        // again. Not where a reset can end the connection: a plain
+        // recorder's local sums run to the last tick before the reset, and
+        // a sleeping chain would not have taken that tick.
+        let quiet = self.aimd.is_none()
+            && self.plane.is_none()
+            && !self
+                .recorders
+                .iter()
+                .any(EstimateRecorder::ticks_every_period)
+            && !ctx.faults_reset_connections();
+        if quiet {
+            ctx.call_on_change(sock, period, TICK);
+        } else {
+            ctx.call_after(period, TICK);
         }
     }
 }
@@ -405,7 +364,9 @@ impl App for LancetClient {
                     self.started = true;
                     let gap = ctx.rng.exp_duration(self.spec.mean_interarrival());
                     ctx.call_after(gap, ARRIVAL);
-                    ctx.call_after(self.tick_period, TICK);
+                    if self.ticks() {
+                        ctx.call_after(self.tick_period, TICK);
+                    }
                 }
             }
             WakeReason::Readable => self.conn.on_readable(ctx, PROCESS),

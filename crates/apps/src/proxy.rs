@@ -870,7 +870,10 @@ impl App for ProxyApp {
                 reconnect_attempts: 0,
             });
         }
-        ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
+        // Only the driver has work for the tick.
+        if self.driver.is_some() {
+            ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
+        }
         if self.defense.is_some() {
             ctx.call_after(SCAN_PERIOD, token(KIND_SCAN, 0));
         }

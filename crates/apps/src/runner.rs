@@ -186,10 +186,6 @@ pub struct ClientResult {
     pub exchanges_received: u64,
     /// Client ticks dispatched as events.
     pub ticks_run: u64,
-    /// Client tick instants slept through on an unchanged socket and
-    /// booked afterwards (see
-    /// `LancetClient::ticks_skipped`).
-    pub ticks_skipped: u64,
 }
 
 /// The result of one run.
@@ -222,7 +218,10 @@ pub struct PointResult {
     pub estimated_messages: Option<Nanos>,
     /// Hint-based estimate recorded at the server (§3.3).
     pub estimated_hint: Option<Nanos>,
-    /// Application-level tracker ground truth (client side).
+    /// Application-level tracker ground truth (client side): GETAVGS over
+    /// client 0's `create`/`complete` tracker, between the snapshots the
+    /// harness takes at the two edges of the measurement window — exactly
+    /// the window.
     pub tracker_mean: Option<Nanos>,
     /// The client's smoothed RTT — the paper's §2 inadequate baseline
     /// (misses application read delays; inflated by delayed ACKs).

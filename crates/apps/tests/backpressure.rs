@@ -15,7 +15,9 @@
 //! The expected figures were recorded by running this file unchanged at
 //! the commit before the applications shared one connection type; a
 //! change that reorders, drops or duplicates a single backlogged byte
-//! moves them.
+//! moves them. `events` alone describes the implementation: it is
+//! re-recorded when a change removes events that simulate nothing (a
+//! client or proxy with nothing to tick no longer runs a tick chain).
 
 use batchpolicy::{BreakerConfig, RetryConfig};
 use e2e_apps::harness::{star_hosts, tier_hosts};
@@ -199,9 +201,9 @@ fn client_and_server_backlogs_carry_a_pair() {
         [pair(30_000.0), pair(50_000.0)],
         [
             "sent=1210 completed=1210 in_window=776 restarts=1 n=776 p50=35328 p99=84992 \
-             server_requests=1210 hint_ns=19750 events=26393",
+             server_requests=1210 hint_ns=19750 events=26341",
             "sent=2003 completed=1365 in_window=1101 restarts=1 n=1101 p50=2195456 p99=9306112 \
-             server_requests=1485 hint_ns=50108 events=81482",
+             server_requests=1485 hint_ns=50108 events=81429",
         ]
     );
 }
@@ -217,11 +219,11 @@ fn all_four_backlogs_carry_a_tier() {
         [tier(20_000.0), tier(30_000.0), tier(40_000.0)],
         [
             "sent=1672 completed=1671 n=1047 p50=65024 p99=109568 forwarded=1671 responses=1671 \
-             failed=0 resets=1 shard_requests=[888, 785] events=69896",
+             failed=0 resets=1 shard_requests=[888, 785] events=69716",
             "sent=2482 completed=2477 n=1570 p50=80896 p99=282624 forwarded=2481 responses=2478 \
-             failed=0 resets=1 shard_requests=[1292, 1189] events=108751",
+             failed=0 resets=1 shard_requests=[1292, 1189] events=108570",
             "sent=3248 completed=1993 n=1601 p50=9043968 p99=16384000 forwarded=2153 \
-             responses=739 failed=1257 resets=1 shard_requests=[859, 927] events=155502",
+             responses=739 failed=1257 resets=1 shard_requests=[859, 927] events=155321",
         ]
     );
 }

@@ -10,8 +10,8 @@
 //! fire as a no-op. Beside the timers sits at most one *change watch* per
 //! socket — an application continuation parked until the socket's
 //! [`arrivals`](TcpSocket::arrivals) move, that is until the peer's next
-//! share arrives or the socket is reset (see `HostCtx::call_on_change`);
-//! it, too, holds exactly one queued event, its deadline's.
+//! share arrives or the socket is reset (see `HostCtx::call_on_change`).
+//! A parked watch keeps no event queued: the change queues its call.
 
 use simnet::{CpuContext, EventQueue, EventToken, Nanos};
 
@@ -26,17 +26,13 @@ pub use simnet::HostId;
 
 /// An application continuation parked on one socket's
 /// [`arrivals`](TcpSocket::arrivals): due at the first instant
-/// `armed_at + k·period` after they move, or at the deadline.
+/// `armed_at + k·period` after they move.
 #[derive(Debug, Clone, Copy)]
 struct Watch {
     /// The socket's arrivals when the application parked.
     arrivals: u64,
     armed_at: Nanos,
     period: Nanos,
-    deadline_at: Nanos,
-    /// The deadline's call in the event queue — the one event the watch
-    /// keeps queued. Stale once that call has been made.
-    deadline: EventToken,
     /// The application's continuation token.
     token: u64,
 }
@@ -256,69 +252,42 @@ impl Host {
         self.pending[sock.0].timers[kind as usize].is_some()
     }
 
-    /// Parks a continuation on `sock`: `event` (the call carrying `token`)
-    /// is queued for `deadline`, and
-    /// [`take_changed_watch`](Self::take_changed_watch) trades it for an
-    /// earlier call once the socket's arrivals have moved from where they
-    /// stand now. A watch still pending on the socket is superseded,
-    /// its deadline call leaving `queue` — one parked continuation per
-    /// socket, one queued event per continuation.
+    /// Parks a continuation on `sock` at `now`:
+    /// [`take_changed_watch`](Self::take_changed_watch) hands its call back
+    /// once the socket's arrivals have moved from where they stand now. A
+    /// watch still pending on the socket is superseded — one parked
+    /// continuation per socket, and none of them holds a queued event.
     ///
     /// # Panics
     ///
     /// Panics on an invalid id or a zero `period`.
-    pub fn arm_watch<E>(
-        &mut self,
-        sock: SocketId,
-        queue: &mut EventQueue<E>,
-        period: Nanos,
-        deadline: Nanos,
-        token: u64,
-        event: E,
-    ) {
+    pub fn arm_watch(&mut self, sock: SocketId, now: Nanos, period: Nanos, token: u64) {
         assert!(!period.is_zero(), "a watch needs a positive period");
         let arrivals = self.socket(sock).arrivals();
         // `socket(sock)` has just bounds-checked the id.
-        let watch = &mut self.pending[sock.0].watch;
-        if let Some(superseded) = watch.take() {
-            queue.cancel(superseded.deadline);
-        }
-        *watch = Some(Watch {
+        self.pending[sock.0].watch = Some(Watch {
             arrivals,
-            armed_at: queue.now(),
+            armed_at: now,
             period,
-            deadline_at: deadline,
-            deadline: queue.schedule_at(deadline, event),
             token,
         });
     }
 
     /// The change check every socket entry point ends in: when `sock`
-    /// carries a watch and its arrivals have moved since the watch
-    /// was armed, the watch is spent, its deadline call leaves `queue`, and
-    /// the `(time, token)` of the call to queue instead comes back — the
-    /// first instant of the watch's grid strictly after now (the deadline
-    /// itself at the latest). `None` otherwise, including for a watch whose
-    /// deadline call has already been made: the application has the
-    /// continuation back and the change owes it nothing.
+    /// carries a watch and its arrivals have moved since the watch was
+    /// armed, the watch is spent and the `(time, token)` of the call to
+    /// queue comes back — the first instant of the watch's grid strictly
+    /// after `now`. `None` otherwise.
     // hot-path: runs on every socket action batch; must not allocate per call
     #[inline]
-    pub fn take_changed_watch<E>(
-        &mut self,
-        sock: SocketId,
-        queue: &mut EventQueue<E>,
-    ) -> Option<(Nanos, u64)> {
+    pub fn take_changed_watch(&mut self, sock: SocketId, now: Nanos) -> Option<(Nanos, u64)> {
         let slot = &mut self.pending.get_mut(sock.0)?.watch;
         if slot.as_ref()?.arrivals == self.sockets.get(sock.0)?.arrivals() {
             return None;
         }
         let watch = slot.take()?;
-        if !queue.cancel(watch.deadline) {
-            return None;
-        }
-        let periods = (queue.now() - watch.armed_at).as_nanos() / watch.period.as_nanos();
-        let next = watch.armed_at + watch.period * (periods + 1);
-        Some((next.min(watch.deadline_at), watch.token))
+        let periods = (now - watch.armed_at).as_nanos() / watch.period.as_nanos();
+        Some((watch.armed_at + watch.period * (periods + 1), watch.token))
     }
 
     /// Softirq receive cost for a segment: one per-delivery charge (the
@@ -423,20 +392,12 @@ mod tests {
     }
 
     #[test]
-    fn watch_trades_its_deadline_for_the_next_grid_instant_after_a_change() {
+    fn watch_hands_back_the_next_grid_instant_after_a_change() {
         let us = Nanos::from_micros;
         let mut h = host();
         let mut actions = Actions::new();
         let sock = TcpSocket::client(FlowId(7), TcpConfig::default(), Nanos::ZERO, &mut actions);
         let s = h.add_socket(sock);
-        let mut q: EventQueue<&str> = EventQueue::new();
-        // Moves the clock to `at` with an event of no consequence.
-        let advance = |q: &mut EventQueue<&str>, at: Nanos| {
-            q.schedule_at(at, "clock");
-            while q.now() < at {
-                q.pop();
-            }
-        };
         // The peer's share arrives, in a segment carrying nothing else.
         let touch = |h: &mut Host, now: Nanos| {
             let mut seg = Segment::control(
@@ -452,40 +413,32 @@ mod tests {
                 .on_segment(now, &seg, TxEnv::default(), &mut actions);
         };
 
-        // Parked at 1 ms on a 500 µs grid, deadline eight periods out.
-        advance(&mut q, us(1_000));
-        h.arm_watch(s, &mut q, us(500), us(5_000), 9, "deadline");
-        assert_eq!(q.len(), 1, "the deadline's call is the one queued event");
-        assert_eq!(h.take_changed_watch(s, &mut q), None, "nothing moved");
-        assert_eq!(q.len(), 1);
+        // Parked at 1 ms on a 500 µs grid: however long nothing moves, the
+        // watch has nothing to say.
+        h.arm_watch(s, us(1_000), us(500), 9);
+        assert_eq!(h.take_changed_watch(s, us(1_700)), None, "nothing moved");
+        assert_eq!(h.take_changed_watch(s, us(90_000)), None, "nothing moved");
 
         // The tie: a change at exactly a grid instant is due one period on.
-        advance(&mut q, us(2_000));
         touch(&mut h, us(2_000));
-        assert_eq!(h.take_changed_watch(s, &mut q), Some((us(2_500), 9)));
-        assert!(q.is_empty(), "the deadline's call left the queue");
-        assert_eq!(h.take_changed_watch(s, &mut q), None, "a watch fires once");
+        assert_eq!(h.take_changed_watch(s, us(2_000)), Some((us(2_500), 9)));
+        assert_eq!(
+            h.take_changed_watch(s, us(2_000)),
+            None,
+            "a watch fires once"
+        );
 
-        // Mid-period: the next grid instant; inside the last period (or a
-        // deadline off the grid): the deadline itself. A re-arm supersedes.
-        h.arm_watch(s, &mut q, us(500), us(9_000), 9, "superseded");
-        h.arm_watch(s, &mut q, us(500), us(4_100), 9, "deadline");
-        assert_eq!(q.len(), 1);
-        advance(&mut q, us(2_720));
+        // Mid-period: the next grid instant. A re-arm supersedes.
+        h.arm_watch(s, us(2_500), us(500), 8);
+        h.arm_watch(s, us(2_500), us(500), 9);
         touch(&mut h, us(2_720));
-        assert_eq!(h.take_changed_watch(s, &mut q), Some((us(3_000), 9)));
-        h.arm_watch(s, &mut q, us(500), us(4_100), 9, "deadline");
-        advance(&mut q, us(3_900));
-        touch(&mut h, us(3_900));
-        assert_eq!(h.take_changed_watch(s, &mut q), Some((us(4_100), 9)));
+        assert_eq!(h.take_changed_watch(s, us(2_720)), Some((us(3_000), 9)));
+        assert_eq!(h.take_changed_watch(s, us(2_720)), None, "superseded");
 
-        // Once the deadline's call has been made the application has its
-        // continuation back: a later change owes it nothing.
-        h.arm_watch(s, &mut q, us(500), us(4_400), 9, "deadline");
-        advance(&mut q, us(4_500));
-        assert!(q.is_empty(), "the deadline fired");
-        touch(&mut h, us(4_500));
-        assert_eq!(h.take_changed_watch(s, &mut q), None);
+        // A change long after the park: the grid runs on from `armed_at`.
+        h.arm_watch(s, us(3_000), us(500), 9);
+        touch(&mut h, us(41_337));
+        assert_eq!(h.take_changed_watch(s, us(41_337)), Some((us(41_500), 9)));
     }
 
     #[test]

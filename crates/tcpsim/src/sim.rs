@@ -320,27 +320,22 @@ impl HostCtx<'_> {
     /// schedules `on_call(token)` at the first instant `now + k·period`
     /// strictly after the event in which `sock`'s
     /// [`arrivals`](TcpSocket::arrivals) move from where they stand now (a
-    /// share arrives, or the socket is reset), or at `deadline`, whichever
-    /// comes first — exactly one call, and until the change only the
-    /// deadline's event is queued. At each grid instant in between, a
-    /// periodic `call_after(period, token)` chain would have found no new
-    /// share.
+    /// share arrives, or the socket is reset) — exactly one call, and
+    /// until the change nothing is queued. At each grid instant in
+    /// between, a periodic `call_after(period, token)` chain would have
+    /// found no new share.
     ///
-    /// **Tie rule.** The call is queued when the change is noticed (or,
-    /// for the deadline, now), so among events carrying its exact
-    /// nanosecond it runs after those already queued; a periodic chain's
-    /// call, queued one period earlier, runs before anything queued during
-    /// that period. The two orders differ only when another event on this
-    /// host lands exactly on a grid instant, and then by rule: a change at
-    /// exactly `now + k·period` leaves that instant unchanged-as-found and
-    /// the call comes one period later.
-    pub fn call_on_change(&mut self, sock: SocketId, period: Nanos, deadline: Nanos, token: u64) {
-        let event = Event::AppCall {
-            host: self.host_id,
-            token,
-        };
-        self.host
-            .arm_watch(sock, self.queue, period, deadline, token, event);
+    /// **Tie rule.** The call is queued when the change is noticed, so
+    /// among events carrying its exact nanosecond it runs after those
+    /// already queued; a periodic chain's call, queued one period earlier,
+    /// runs before anything queued during that period. The two orders
+    /// differ only when another event on this host lands exactly on a grid
+    /// instant, and then by rule: a change at exactly `now + k·period`
+    /// leaves that instant unchanged-as-found and the call comes one
+    /// period later.
+    pub fn call_on_change(&mut self, sock: SocketId, period: Nanos, token: u64) {
+        let now = self.now();
+        self.host.arm_watch(sock, now, period, token);
     }
 
     /// Whether the run's fault plan can reset a connection: it schedules
@@ -551,7 +546,7 @@ fn apply_actions(
 // hot-path: runs on every socket action batch; must not allocate per call
 #[inline]
 fn release_watch(host: &mut Host, sock: SocketId, queue: &mut EventQueue<Event>) {
-    if let Some((at, token)) = host.take_changed_watch(sock, queue) {
+    if let Some((at, token)) = host.take_changed_watch(sock, queue.now()) {
         queue.schedule_at(
             at,
             Event::AppCall {
