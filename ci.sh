@@ -105,7 +105,7 @@ bench_correct tier8x4_brownout
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> the examples run (release; each panics with a named message on a missing figure)"
+echo "==> the examples run (release; each panics with a named message on a missing figure, hints_api also on a hint estimate more than 1 % off the client's truth)"
 cargo run -q --release --offline --example quickstart
 cargo run -q --release --offline --example hints_api
 

@@ -20,16 +20,15 @@
 use batchpolicy::{AimdBatchLimit, BreakerState, CircuitBreaker, ControlPlane, TickController};
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
 use e2e_core::compose::compose_two;
-use e2e_core::hints::HintEstimator;
 use e2e_core::{
     Admitted, E2eEstimator, Estimate, EstimatorRegistry, ExchangeIntake, ValidateConfig,
     ValidateStats,
 };
-use littles::wire::{WireExchange, WireScale};
+use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
 
-use crate::runlog::{Checkpoints, RunLog};
+use crate::runlog::{Checkpoints, HintCheckpoints};
 
 /// What one estimator update reads from a socket: its local queue
 /// snapshots at `now`, the peer's latest exchange, and the smoothed RTT
@@ -304,48 +303,57 @@ impl EstimateRecorder {
     }
 }
 
-/// Hint-based estimate recording (server side of §3.3).
+/// Hint-based estimate recording (server side of §3.3): GETAVGS over the
+/// client's one logical request queue.
 ///
-/// The log is run-length encoded: while no new hint arrives the
-/// estimator returns its cached estimate, and a tick only extends the
-/// newest run.
+/// Each fresh hint the connection forwards is folded into running sums of
+/// departures and of the occupancy integral: the wrapping differences of
+/// the wire's 32-bit counters from the hint before, so the sums stay in
+/// the wire's units and nothing is lost between hints however sparse they
+/// are. The sums are checkpointed when the integral has moved, at most
+/// once per `period`; a range query is Little's law over the difference
+/// of its first and last checkpoint.
 #[derive(Debug, Default)]
 pub(crate) struct HintRecorder {
-    estimator: HintEstimator,
-    /// The hint-estimated latency (if defined) at every tick that had an
-    /// estimate.
-    log: RunLog<Option<Nanos>>,
+    /// The last hint folded in.
+    prev: Option<WireSnapshot>,
+    /// Departures so far.
+    departures: u64,
+    /// The occupancy integral so far, in the wire's units.
+    integral: u64,
+    /// `(time, departures, integral)` at every checkpoint.
+    checkpoints: HintCheckpoints,
 }
 
 impl HintRecorder {
-    /// Creates a recorder.
-    pub(crate) fn new() -> Self {
-        HintRecorder {
-            estimator: HintEstimator::new(WireScale::default()),
-            log: RunLog::default(),
+    /// Folds in the connection's latest hint as of `now`: the first hint
+    /// only sets the baseline, and a hint already folded in adds nothing.
+    pub(crate) fn fold(&mut self, now: Nanos, hint: WireSnapshot, period: Nanos) {
+        let Some(prev) = self.prev.replace(hint) else {
+            return;
+        };
+        self.departures += u64::from((hint.total - prev.total).0);
+        self.integral += u64::from((hint.integral - prev.integral).0);
+        let &(at, _, integral) = self.checkpoints.newest();
+        if self.integral != integral && now >= at + period {
+            self.checkpoints.push((now, self.departures, self.integral));
         }
     }
 
-    /// Runs one tick against `sock`, consuming the latest forwarded hint.
-    pub(crate) fn tick(&mut self, ctx: &HostCtx<'_>, sock: SocketId) {
-        if let Some(hint) = ctx.socket(sock).remote().hint {
-            if let Some(est) = self.estimator.update(hint) {
-                self.log.push(ctx.now(), est.latency);
-            }
-        }
-    }
-
-    /// Sum and count of the defined hint-estimated latencies recorded in
-    /// `[from, to)`, in nanoseconds.
-    pub(crate) fn latency_sum_in(&self, from: Nanos, to: Nanos) -> (u64, u64) {
-        let (mut sum, mut n) = (0u64, 0u64);
-        for (latency, k) in self.log.counts_in(from, to) {
-            if let Some(latency) = latency {
-                sum += latency.as_nanos() * k;
-                n += k;
-            }
-        }
-        (sum, n)
+    /// Departures and integral (in the wire's units) between the first and
+    /// the last checkpoint in `[from, to)`; zero when fewer than two fall
+    /// inside.
+    pub(crate) fn sums_in(&self, from: Nanos, to: Nanos) -> (u64, u64) {
+        let mut inside = self
+            .checkpoints
+            .iter()
+            .skip_while(|c| c.0 < from)
+            .take_while(|c| c.0 < to);
+        let Some(first) = inside.next() else {
+            return (0, 0);
+        };
+        let last = inside.last().unwrap_or(first);
+        (last.1 - first.1, last.2 - first.2)
     }
 }
 
@@ -357,8 +365,10 @@ pub(crate) struct AimdDriver {
     /// The estimate source.
     pub(crate) recorder: EstimateRecorder,
     controller: AimdBatchLimit,
-    /// The limit applied at every deciding tick.
-    limits: RunLog<u64>,
+    /// The limits applied so far, summed, and the ticks that applied one:
+    /// read at two instants, their differences give the mean limit
+    /// between them.
+    pub(crate) limits: (u64, u64),
 }
 
 impl AimdDriver {
@@ -367,7 +377,7 @@ impl AimdDriver {
         AimdDriver {
             recorder: EstimateSource::new(unit),
             controller,
-            limits: RunLog::default(),
+            limits: (0, 0),
         }
     }
 
@@ -377,19 +387,10 @@ impl AimdDriver {
         self.recorder.tick(ctx, sock);
         if let Some(estimate) = self.recorder.latest() {
             let limit = self.controller.update(&estimate);
-            self.limits.push(ctx.now(), limit);
+            self.limits.0 += limit;
+            self.limits.1 += 1;
             ctx.apply(sock, KnobSetting::CorkLimit(limit));
         }
-    }
-
-    /// Mean limit over the recorded trajectory in `[from, to)`.
-    pub(crate) fn mean_limit_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        let (mut sum, mut n) = (0u64, 0u64);
-        for (limit, k) in self.limits.counts_in(from, to) {
-            sum += limit * k;
-            n += k;
-        }
-        (n > 0).then(|| sum as f64 / n as f64)
     }
 }
 
@@ -790,13 +791,14 @@ impl ProxyDriver {
 mod tests {
     use batchpolicy::Objective;
     use e2e_core::combine::combine_delays;
-    use littles::wire::{WireExchange, WireScale};
+    use e2e_core::RequestTracker;
+    use littles::wire::{WireExchange, WireScale, WireSnapshot};
     use littles::{Nanos, Snapshot};
     use tcpsim::segment::{E2eOption, Flags, OptionSlot};
     use tcpsim::seq::SeqNum;
     use tcpsim::{Actions, FlowId, Segment, TcpConfig, TcpSocket, TxEnv, Unit};
 
-    use super::{EstimateRecorder, EstimateSource};
+    use super::{EstimateRecorder, EstimateSource, HintRecorder};
     use crate::harness::Harness;
     use crate::runner::{NagleSetting, RunConfig};
     use crate::tier::{ShardSetting, TierRunConfig};
@@ -877,6 +879,56 @@ mod tests {
         assert_eq!(source.checkpoints().count(), 0);
         assert_eq!(source.mean_latency_in(from, to), None);
         assert_eq!(rec.latest(), None, "a plain recorder estimates nothing");
+    }
+
+    /// The server's hint fold, driven by hand through the unscaled wire.
+    /// A tracker first carries both counters to just short of the 32-bit
+    /// wrap; the first hint sets the baseline and folds nothing. Then a
+    /// request is created every 50 µs and completed 200 µs later, each
+    /// create sending a hint, which the server also reads a second time
+    /// before the next arrives. The sums count every departure once,
+    /// across the wrap, and Little's law over the checkpoints' difference
+    /// is the 200 µs every request took, exactly.
+    #[test]
+    fn hint_fold_reads_fifo_latency_exactly_across_the_wire_wrap() {
+        let us = Nanos::from_micros;
+        let period = us(500);
+        let hint =
+            |t: &RequestTracker, at| WireSnapshot::pack(&t.snapshot(at), WireScale::UNSCALED);
+        let mut tracker = RequestTracker::new(Nanos::ZERO);
+        tracker.create(Nanos::ZERO, u32::MAX - 5);
+        tracker.complete(Nanos::from_nanos(1), u32::MAX - 5);
+        let mut rec = HintRecorder::default();
+        let first = hint(&tracker, us(1));
+        rec.fold(us(1), first, period);
+        assert_eq!((rec.departures, rec.integral), (0, 0), "a baseline only");
+
+        // (time, complete before create at a tie, request)
+        let mut events: Vec<(Nanos, bool, u64)> = (0..40u64)
+            .flat_map(|j| [(us(10 + 50 * j), true, j), (us(210 + 50 * j), false, j)])
+            .collect();
+        events.sort_unstable();
+        let mut last = first;
+        for (at, create, _) in events {
+            if create {
+                tracker.create(at, 1);
+                last = hint(&tracker, at);
+                rec.fold(at, last, period);
+                rec.fold(at + us(1), last, period);
+            } else {
+                tracker.complete(at, 1);
+            }
+        }
+        assert!(last.total.0 < first.total.0 && last.integral.0 < first.integral.0);
+        // Completions at or before the last create: requests 0..=35.
+        assert_eq!(rec.departures, 36, "each departure counted once");
+
+        let at: Vec<Nanos> = rec.checkpoints.iter().map(|c| c.0).collect();
+        assert_eq!(at, [us(510), us(1_010), us(1_510)]);
+        let (departures, integral) = rec.sums_in(Nanos::ZERO, Nanos::from_secs(1));
+        assert_eq!(departures, 20);
+        assert_eq!(integral, 20 * us(200).as_nanos());
+        assert_eq!(rec.sums_in(us(1_000), us(1_500)), (0, 0), "one checkpoint");
     }
 
     /// Every estimator the apps build smooths with α = 1, so each smoothed

@@ -17,9 +17,7 @@ use batchpolicy::{
     AimdBatchLimit, BatchToggler, BreakerConfig, CircuitBreaker, ControlPlane, DelAckToggler,
     EpsilonGreedy, Objective, TickController,
 };
-use e2e_core::{
-    DelaySet, Estimate, MultiConnectionAggregator, RequestTracker, ValidateConfig, ValidateStats,
-};
+use e2e_core::{DelaySet, Estimate, MultiConnectionAggregator, ValidateConfig, ValidateStats};
 use littles::{Nanos, Snapshot};
 use simnet::{run, BusySnapshot, CpuContext, EventQueue, Histogram, LinkConfig, Pcg32, World};
 use tcpsim::config::{CostConfig, ExchangeConfig};
@@ -156,17 +154,42 @@ pub struct Harness<W, S> {
     /// snapshots.
     host: fn(&W, usize) -> &Host,
     hosts: usize,
-    /// The request tracker the edges read, where the result reports its
-    /// mean: the star's client 0.
-    tracker: Option<fn(&W) -> &RequestTracker>,
+    /// What the edges read of the star's client 0, where the result
+    /// reports it.
+    client0: Option<fn(&W, Nanos) -> Client0Edge>,
     /// Events handled by the stages so far.
     events: u64,
     /// Every host's (app, softirq) busy time at each edge of the
     /// measurement window the run has reached: none yet, the start, or the
     /// start and the end.
     cpu: Vec<Vec<(BusySnapshot, BusySnapshot)>>,
-    /// The tracker's snapshot at each edge reached, where there is one.
-    trackers: Vec<Snapshot>,
+    /// Client 0 at each edge reached, where it is read.
+    edges: Vec<Client0Edge>,
+}
+
+/// What the harness reads of the star's client 0 at an edge of the
+/// measurement window: its request tracker, the ground truth, and its
+/// AIMD driver's limit totals, where it has one.
+#[derive(Debug, Clone, Copy)]
+struct Client0Edge {
+    tracker: Snapshot,
+    aimd: Option<(u64, u64)>,
+}
+
+impl Client0Edge {
+    fn read(star: &Star, at: Nanos) -> Self {
+        let client = &star.clients[0];
+        Client0Edge {
+            tracker: client.tracker.snapshot(at),
+            aimd: client.aimd.as_ref().map(|a| a.limits),
+        }
+    }
+
+    /// The mean limit client 0's AIMD driver applied between two edges.
+    fn mean_limit_since(&self, start: &Self) -> Option<f64> {
+        let ((sum0, n0), (sum1, n1)) = (start.aimd?, self.aimd?);
+        (n1 > n0).then(|| (sum1 - sum0) as f64 / (n1 - n0) as f64)
+    }
 }
 
 impl<W: World<Event = Event>, S> Harness<W, S> {
@@ -177,7 +200,8 @@ impl<W: World<Event = Event>, S> Harness<W, S> {
 
     /// Runs every event due by `t`, counting them. A call that reaches an
     /// edge of the measurement window first stops there to snapshot every
-    /// host's CPU accounting and the star's ground-truth tracker, so every
+    /// host's CPU accounting and the star's client 0 (its ground-truth
+    /// tracker and its AIMD limit totals), so every
     /// slicing of a run reads the same CPU columns and ground truth, and
     /// the drain's work is not among them. A snapshot is a read: it
     /// dispatches no event.
@@ -204,8 +228,8 @@ impl<W: World<Event = Event>, S> Harness<W, S> {
                 })
                 .collect();
             self.cpu.push(snaps);
-            let tracker = self.tracker.map(|read| read(&self.world).snapshot(edge));
-            self.trackers.extend(tracker);
+            let client0 = self.client0.map(|read| read(&self.world, edge));
+            self.edges.extend(client0);
         }
         self.events += run(&mut self.world, &mut self.queue, t);
     }
@@ -373,10 +397,10 @@ impl Harness<Star, RunConfig> {
             window: (cfg.warmup, cfg.warmup + cfg.measure),
             host: Star::host,
             hosts: n + 1,
-            tracker: Some(|star| &star.clients[0].tracker),
+            client0: Some(Client0Edge::read),
             events: 0,
             cpu: Vec::new(),
-            trackers: Vec::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -477,6 +501,16 @@ impl Harness<Star, RunConfig> {
             stats
         });
 
+        let (tracker_mean, aimd_mean_limit) = match self.edges[..] {
+            [start, end] => (
+                end.tracker
+                    .averages_since(&start.tracker)
+                    .and_then(|a| a.delay),
+                end.mean_limit_since(&start),
+            ),
+            _ => (None, None),
+        };
+
         PointResult {
             offered_rps: cfg.workload.rate_rps,
             achieved_rps: per_client.iter().map(|c| c.achieved_rps).sum(),
@@ -487,10 +521,7 @@ impl Harness<Star, RunConfig> {
             estimated_bytes: rec(Unit::Bytes),
             estimated_messages: rec(Unit::Messages),
             estimated_hint: sim.server.hint_mean_latency_in(from, to),
-            tracker_mean: match self.trackers[..] {
-                [start, end] => end.averages_since(&start).and_then(|a| a.delay),
-                _ => None,
-            },
+            tracker_mean,
             srtt: lg0.sock.and_then(|s| sim.host(0).socket(s).srtt()),
             client_cpu: self.cpu(0),
             server_cpu: self.cpu(n),
@@ -498,7 +529,7 @@ impl Harness<Star, RunConfig> {
             packets_to_client: (0..n).map(|i| sim.link_for(i).b_to_a.packets_sent()).sum(),
             nagle_holds: client_nagle_holds + server_nagle_holds,
             client_on_fraction: lg0.plane.as_ref().map(|p| p.on_fraction()),
-            aimd_mean_limit: lg0.aimd.as_ref().and_then(|a| a.mean_limit_in(from, to)),
+            aimd_mean_limit,
             server_on_fraction: listener.map(|p| p.on_fraction()),
             exchanges_received: per_client.iter().map(|c| c.exchanges_received).sum(),
             num_clients: n,
@@ -649,10 +680,10 @@ impl Harness<Tier, (TierRunConfig, usize)> {
             window: (cfg.warmup, end),
             host: Tier::host,
             hosts: n + 1 + k,
-            tracker: None,
+            client0: None,
             events: 0,
             cpu: Vec::new(),
-            trackers: Vec::new(),
+            edges: Vec::new(),
         }
     }
 

@@ -1,19 +1,13 @@
-//! Run-length logs of periodically sampled values, stored packed.
+//! Packed append-only series.
 //!
-//! The recorders in [`crate::driver`] sample once per tick, and between
-//! socket events consecutive ticks sample the same value at a constant
-//! spacing. A [`Run`] stores such a stretch as `(first_at, step, count,
-//! value)`, so a log grows with the number of *changes*, not with the
-//! number of ticks, and range queries stay exact: a run's share of a
-//! range is a count, and integer sums over it are `value × count`.
-//!
-//! Every series a recorder keeps — its closed runs, its cumulative-window
-//! checkpoints — is a [`Column`]: one append-only byte vector in which
-//! each entry is written as LEB128 varints of its differences from the
-//! entry before it ([`Delta`]). Readers only ever scan a series in order,
-//! so nothing needs random access, and an entry that repeats most of its
-//! predecessor costs a byte or two per field instead of its full width.
-//! Every round trip is exact to the bit.
+//! Every series a recorder keeps — a client recorder's cumulative-window
+//! checkpoints, a server hint recorder's running sums — is a [`Column`]:
+//! one append-only byte vector in which each entry is written as LEB128
+//! varints of its differences from the entry before it ([`Delta`]).
+//! Readers only ever scan a series in order, so nothing needs random
+//! access, and an entry that repeats most of its predecessor costs a byte
+//! or two per field instead of its full width. Every round trip is exact
+//! to the bit.
 
 use e2e_core::combine::{EndpointWindows, QueueWindow};
 use littles::Nanos;
@@ -84,59 +78,6 @@ pub(crate) trait Delta: Copy {
 
     /// Reads back the entry [`put`](Self::put) wrote after `prev`.
     fn get(prev: &Self, input: &mut &[u8]) -> Self;
-}
-
-impl Delta for () {
-    const ORIGIN: Self = ();
-    const MAX_BYTES: usize = 0;
-
-    fn put(&self, _: &Self, _: &mut Vec<u8>) {}
-
-    fn get(_: &Self, _: &mut &[u8]) -> Self {}
-}
-
-impl Delta for u64 {
-    const ORIGIN: Self = 0;
-    const MAX_BYTES: usize = U64_BYTES;
-
-    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
-        put_diff(out, *prev, *self);
-    }
-
-    fn get(prev: &Self, input: &mut &[u8]) -> Self {
-        get_diff(input, *prev)
-    }
-}
-
-impl Delta for Nanos {
-    const ORIGIN: Self = Nanos::ZERO;
-    const MAX_BYTES: usize = U64_BYTES;
-
-    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
-        put_diff(out, prev.as_nanos(), self.as_nanos());
-    }
-
-    fn get(prev: &Self, input: &mut &[u8]) -> Self {
-        Nanos::from_nanos(get_diff(input, prev.as_nanos()))
-    }
-}
-
-/// A tag (0 for `None`), then the value against the previous one, or
-/// against zero when there was none.
-impl Delta for Option<Nanos> {
-    const ORIGIN: Self = None;
-    const MAX_BYTES: usize = 1 + U64_BYTES;
-
-    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
-        put_varint(out, u128::from(self.is_some()));
-        if let Some(value) = self {
-            value.put(&prev.unwrap_or(Nanos::ZERO), out);
-        }
-    }
-
-    fn get(prev: &Self, input: &mut &[u8]) -> Self {
-        (get_varint(input) != 0).then(|| Nanos::get(&prev.unwrap_or(Nanos::ZERO), input))
-    }
 }
 
 /// Appends `v` as the number of its trailing zero bits (128 for zero),
@@ -270,6 +211,27 @@ const WINDOWS_ORIGIN: EndpointWindows = {
     }
 };
 
+/// A hint recorder's checkpoint `(time, departures, integral)`: its
+/// running sums at `time`, the integral in the wire's units. Every field
+/// only grows, so each is coded as its rise.
+impl Delta for (Nanos, u64, u64) {
+    const ORIGIN: Self = (Nanos::ZERO, 0, 0);
+    const MAX_BYTES: usize = 3 * U64_BYTES;
+
+    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
+        put_rise(out, prev.0.as_nanos().into(), self.0.as_nanos().into());
+        put_rise(out, prev.1.into(), self.1.into());
+        put_rise(out, prev.2.into(), self.2.into());
+    }
+
+    fn get(prev: &Self, input: &mut &[u8]) -> Self {
+        let at = get_rise(input, prev.0.as_nanos().into()) as u64;
+        let departures = get_rise(input, prev.1.into()) as u64;
+        let integral = get_rise(input, prev.2.into()) as u64;
+        (Nanos::from_nanos(at), departures, integral)
+    }
+}
+
 /// An append-only series of entries, packed: each is written as its
 /// [`Delta`] from the entry before, the first from [`Delta::ORIGIN`]. The
 /// newest entry is also kept unpacked, as the base the next one is
@@ -308,6 +270,11 @@ impl<T: Delta> Column<T> {
         self.newest = entry;
     }
 
+    /// The newest entry, or [`Delta::ORIGIN`] before the first.
+    pub(crate) fn newest(&self) -> &T {
+        &self.newest
+    }
+
     /// The entries, oldest first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = T> + '_ {
         let (mut input, mut prev) = (&self.bytes[..], T::ORIGIN);
@@ -325,210 +292,13 @@ impl<T: Delta> Column<T> {
 /// oldest first.
 pub(crate) type Checkpoints = Column<(Nanos, EndpointWindows, EndpointWindows)>;
 
-/// `count ≥ 1` equal samples taken `step` apart, the first at `first_at`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Run<T> {
-    /// Time of the first sample.
-    pub(crate) first_at: Nanos,
-    /// Spacing between samples; zero while the run holds one sample.
-    pub(crate) step: Nanos,
-    /// Number of samples.
-    pub(crate) count: u64,
-    /// The value every sample has.
-    pub(crate) value: T,
-}
-
-impl<T> Run<T> {
-    /// A run of one sample.
-    pub(crate) fn new(at: Nanos, value: T) -> Self {
-        Run {
-            first_at: at,
-            step: Nanos::ZERO,
-            count: 1,
-            value,
-        }
-    }
-
-    /// Time of sample `k` (`k < count`).
-    pub(crate) fn at(&self, k: u64) -> Nanos {
-        self.first_at + self.step * k
-    }
-
-    /// Appends a sample taken at `at` if it continues the run's spacing
-    /// (the second sample sets the spacing); returns whether it did.
-    pub(crate) fn try_extend(&mut self, at: Nanos) -> bool {
-        if self.count == 1 {
-            match at.checked_sub(self.first_at) {
-                Some(step) => self.step = step,
-                None => return false,
-            }
-        } else if at != self.at(self.count) {
-            return false;
-        }
-        self.count += 1;
-        true
-    }
-
-    /// How many of the run's samples fall in `[from, to)`.
-    pub(crate) fn count_in(&self, from: Nanos, to: Nanos) -> u64 {
-        // Samples strictly before `t`: the index of the first one at or
-        // after it, capped at `count`.
-        let before = |t: Nanos| match t.checked_sub(self.first_at) {
-            None => 0,
-            Some(d) if d.is_zero() => 0,
-            Some(_) if self.step.is_zero() => self.count,
-            Some(d) => d.as_nanos().div_ceil(self.step.as_nanos()).min(self.count),
-        };
-        before(to).saturating_sub(before(from))
-    }
-}
-
-impl<T: Delta> Delta for Run<T> {
-    const ORIGIN: Self = Run {
-        first_at: Nanos::ZERO,
-        step: Nanos::ZERO,
-        count: 0,
-        value: T::ORIGIN,
-    };
-    const MAX_BYTES: usize = 3 * U64_BYTES + T::MAX_BYTES;
-
-    fn put(&self, prev: &Self, out: &mut Vec<u8>) {
-        self.first_at.put(&prev.first_at, out);
-        self.step.put(&prev.step, out);
-        self.count.put(&prev.count, out);
-        self.value.put(&prev.value, out);
-    }
-
-    fn get(prev: &Self, input: &mut &[u8]) -> Self {
-        Run {
-            first_at: Nanos::get(&prev.first_at, input),
-            step: Nanos::get(&prev.step, input),
-            count: u64::get(&prev.count, input),
-            value: T::get(&prev.value, input),
-        }
-    }
-}
-
-/// An append-only log of samples, stored as [`Run`]s: the closed ones in
-/// a packed [`Column`], the newest one inline, so that extending it
-/// touches no heap memory.
-#[derive(Debug, Clone)]
-pub(crate) struct RunLog<T> {
-    closed: Column<Run<T>>,
-    open: Option<Run<T>>,
-}
-
-impl<T: Delta> Default for RunLog<T> {
-    fn default() -> Self {
-        RunLog {
-            closed: Column::default(),
-            open: None,
-        }
-    }
-}
-
-impl<T: Delta + PartialEq> RunLog<T> {
-    /// Appends one sample: extends the newest run when the value and the
-    /// spacing continue it, starts a new run otherwise.
-    pub(crate) fn push(&mut self, at: Nanos, value: T) {
-        if let Some(run) = &mut self.open {
-            if run.value == value && run.try_extend(at) {
-                return;
-            }
-            self.closed.push(*run);
-        }
-        self.open = Some(Run::new(at, value));
-    }
-
-    /// The runs, oldest first.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = Run<T>> + '_ {
-        self.closed.iter().chain(self.open)
-    }
-
-    /// Each run's value with the number of its samples in `[from, to)`,
-    /// oldest run first — what an exact sum or mean over a range needs.
-    pub(crate) fn counts_in(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = (T, u64)> + '_ {
-        self.runs()
-            .map(move |run| (run.value, run.count_in(from, to)))
-    }
-}
+/// A hint recorder's checkpoints, `(time, departures, integral)`, oldest
+/// first.
+pub(crate) type HintCheckpoints = Column<(Nanos, u64, u64)>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn us(n: u64) -> Nanos {
-        Nanos::from_micros(n)
-    }
-
-    /// Expands a log back into its samples.
-    fn expand<T: Delta + PartialEq>(log: &RunLog<T>) -> Vec<(Nanos, T)> {
-        log.runs()
-            .flat_map(|r| (0..r.count).map(move |k| (r.at(k), r.value)))
-            .collect()
-    }
-
-    #[test]
-    fn equal_evenly_spaced_samples_share_a_run() {
-        let mut log = RunLog::default();
-        for k in 0..100 {
-            log.push(us(500 * k), 7u64);
-        }
-        assert_eq!(log.runs().count(), 1);
-        log.push(us(500 * 100), 8); // value change
-        log.push(us(500 * 101), 8);
-        log.push(us(500 * 101 + 200), 8); // spacing change
-        assert_eq!(log.runs().count(), 3);
-        assert_eq!(expand(&log).len(), 103);
-        assert_eq!(expand(&log).last(), Some(&(us(500 * 101 + 200), 8)));
-    }
-
-    #[test]
-    fn expansion_reproduces_every_push() {
-        // Irregular times, repeated values, repeated instants.
-        let pushes: Vec<(Nanos, u64)> = [0, 10, 20, 30, 30, 30, 45, 60, 75, 76, 77, 90]
-            .iter()
-            .zip([1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 1])
-            .map(|(&t, v)| (us(t), v))
-            .collect();
-        let mut log = RunLog::default();
-        for &(at, v) in &pushes {
-            log.push(at, v);
-        }
-        assert_eq!(expand(&log), pushes);
-        assert!(log.runs().count() < pushes.len());
-    }
-
-    #[test]
-    fn count_in_matches_a_per_sample_filter() {
-        let runs = [
-            Run {
-                first_at: us(100),
-                step: us(50),
-                count: 7,
-                value: (),
-            },
-            Run {
-                first_at: us(100),
-                step: Nanos::ZERO,
-                count: 3,
-                value: (),
-            },
-            Run::new(us(100), ()),
-        ];
-        let edges = [0, 99, 100, 101, 149, 150, 151, 399, 400, 401, 1000];
-        for run in &runs {
-            for &from in &edges {
-                for &to in &edges {
-                    let (from, to) = (us(from), us(to));
-                    let naive = (0..run.count)
-                        .filter(|&k| run.at(k) >= from && run.at(k) < to)
-                        .count() as u64;
-                    assert_eq!(run.count_in(from, to), naive, "{run:?} in [{from}, {to})");
-                }
-            }
-        }
-    }
 
     /// splitmix64: a seeded sweep without a dependency.
     struct Sweep(u64);
@@ -547,45 +317,29 @@ mod tests {
         }
     }
 
-    /// Gaps between stretches: none, one tick, and past 2^32 ns.
+    /// Gaps between entries: none, one tick, and past 2^32 ns.
     const GAPS: [u64; 6] = [0, 1, 500_000, 1 << 32, (1 << 32) + 7, 1 << 40];
 
-    /// Pushes stretches of `values` at edge-case times, one sample or
-    /// several, and requires the log's expansion to be exactly what was
-    /// pushed.
-    fn sweep_log<T: Delta + PartialEq + std::fmt::Debug>(seed: u64, values: &[T]) {
-        let mut rng = Sweep(seed);
-        let mut log = RunLog::default();
-        let mut pushed = Vec::new();
-        let mut at = Nanos::from_nanos(rng.next() >> 1);
-        for _ in 0..400 {
-            at += Nanos::from_nanos(rng.pick(&GAPS));
-            let step = Nanos::from_nanos(rng.pick(&[0, 1, 500_000, 1 << 33]));
-            let value = rng.pick(values);
-            let n = rng.pick(&[1, 1, 2, 3, 50, 1_000]);
-            for k in 0..n {
-                log.push(at + step * k, value);
-            }
-            pushed.extend((0..n).map(|k| (at + step * k, value)));
-            at += step * (n - 1);
-        }
-        assert!(
-            log.runs().count() < pushed.len(),
-            "seed {seed}: nothing merged"
-        );
-        assert_eq!(expand(&log), pushed, "seed {seed}");
-    }
-
+    /// A hint recorder's sums, each field grown by an edge-case rise —
+    /// none, one, a tick, and past 2^32 — read back as they were pushed.
     #[test]
     fn packed_logs_expand_to_what_was_pushed() {
-        let latencies: Vec<Option<Nanos>> = [None, Some(0), Some(1), Some(1 << 32), Some(u64::MAX)]
-            .into_iter()
-            .map(|v| v.map(Nanos::from_nanos))
-            .collect();
+        let rises = [0, 0, 1, 7, 500_000, 1 << 32, (1 << 32) + 7];
         for seed in 0..16 {
-            sweep_log(seed, &[0, 1, 7, 1 << 40, u64::MAX]);
-            sweep_log(seed, &latencies);
-            sweep_log(seed, &[(); 1]);
+            let mut rng = Sweep(seed);
+            let mut column = HintCheckpoints::default();
+            let mut pushed = Vec::new();
+            let mut entry = <(Nanos, u64, u64)>::ORIGIN;
+            for _ in 0..400 {
+                entry.0 += Nanos::from_nanos(rng.pick(&GAPS));
+                entry.1 += rng.pick(&rises);
+                entry.2 += rng.pick(&rises);
+                column.push(entry);
+                pushed.push(entry);
+                assert_eq!(*column.newest(), entry);
+            }
+            assert!(entry.2 > u64::from(u32::MAX), "seed {seed}");
+            assert_eq!(column.iter().collect::<Vec<_>>(), pushed, "seed {seed}");
         }
     }
 

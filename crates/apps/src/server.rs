@@ -10,14 +10,18 @@
 //! Each accepted socket gets one connection seat (`conn::Conn`: wake
 //! latches, command parser, response backlog, and the hint recorder when
 //! hints are recorded), held in a `Vec` indexed by socket id: ids are
-//! dense on a host, so finding a seat is one index, and the tick visits
-//! the seats in ascending socket order by walking it.
+//! dense on a host, so finding a seat is one index, and the plane's tick
+//! visits the seats in ascending socket order by walking it.
+//!
+//! A processing pass also folds the connection's latest forwarded hint
+//! into its recorder (paper §3.3), so hint recording needs no tick: the
+//! server runs a tick only for an attached [`ListenerPlaneDriver`].
 //!
 //! Like Redis, the server disables Nagle by default; experiments override
 //! this through [`TcpConfig::nagle`](tcpsim::TcpConfig) on the accept
-//! configuration, including the `Dynamic` mode driven by an attached
-//! [`ListenerPlaneDriver`].
+//! configuration, including the `Dynamic` mode driven by the plane.
 
+use littles::wire::WireScale;
 use littles::Nanos;
 use tcpsim::{App, HostCtx, SocketId, WakeReason};
 
@@ -32,7 +36,8 @@ const KIND_PROCESS: u64 = 1;
 const KIND_TICK: u64 = 2;
 const KIND_FLUSH: u64 = 3;
 
-/// The cadence of the tick that drives the plane and the hint recorders.
+/// The cadence of the plane's tick, and the least spacing of a hint
+/// recorder's checkpoints.
 const TICK_PERIOD: Nanos = Nanos::from_micros(500);
 
 /// Per-run server statistics.
@@ -99,32 +104,43 @@ impl RedisServer {
     }
 
     /// Mean hint-estimated latency pooled over every connection's
-    /// recorder in `[from, to)`.
+    /// recorder in `[from, to)`: Little's law over the departures and the
+    /// integral each recorder summed between its first and last
+    /// checkpoint in the range, or `None` when no departure was summed.
     pub fn hint_mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let (mut sum, mut n) = (0u64, 0u64);
+        let (mut departures, mut integral) = (0u64, 0u64);
         for r in self.seats.iter().flatten().filter_map(|s| s.hints.as_ref()) {
-            let (s, k) = r.latency_sum_in(from, to);
-            sum += s;
-            n += k;
+            let (d, i) = r.sums_in(from, to);
+            departures += d;
+            integral += i;
         }
-        (n > 0).then(|| Nanos::from_nanos(sum / n))
+        let item_ns = u128::from(integral) << WireScale::default().integral_shift;
+        (departures > 0).then(|| Nanos::from_nanos((item_ns / u128::from(departures)) as u64))
     }
 
-    /// The state of connection `sock`, created on first use.
-    fn conn(&mut self, sock: SocketId) -> &mut Conn {
+    /// The seat of connection `sock`, created on first use.
+    fn seat(&mut self, sock: SocketId) -> &mut Seat {
         if sock.0 >= self.seats.len() {
             self.seats.resize_with(sock.0 + 1, || None);
         }
         let hints = self.hints_enabled;
-        let seat = self.seats[sock.0].get_or_insert_with(|| Seat {
+        self.seats[sock.0].get_or_insert_with(|| Seat {
             conn: Conn::default(),
-            hints: hints.then(HintRecorder::new),
-        });
-        &mut seat.conn
+            hints: hints.then(HintRecorder::default),
+        })
+    }
+
+    /// The state of connection `sock`, created on first use.
+    fn conn(&mut self, sock: SocketId) -> &mut Conn {
+        &mut self.seat(sock).conn
     }
 
     fn process(&mut self, ctx: &mut HostCtx<'_>, sock: SocketId) {
-        self.conn(sock).read(ctx, Some(sock));
+        let seat = self.seat(sock);
+        seat.conn.read(ctx, Some(sock));
+        if let (Some(rec), Some(hint)) = (&mut seat.hints, ctx.socket(sock).remote().hint) {
+            rec.fold(ctx.now(), hint, TICK_PERIOD);
+        }
         let mut batch = 0u64;
         while let Some(cmd) = self.conn(sock).parser.next_command() {
             ctx.charge_app(self.costs.server_request(cmd.payload_len()));
@@ -142,7 +158,7 @@ impl RedisServer {
 
 impl App for RedisServer {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
-        if self.plane.is_some() || self.hints_enabled {
+        if self.plane.is_some() {
             ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
         }
     }
@@ -169,20 +185,14 @@ impl App for RedisServer {
             KIND_PROCESS => self.process(ctx, sock),
             KIND_FLUSH => self.conn(sock).flush(ctx, Some(sock)),
             KIND_TICK => {
-                // Ascending socket order keeps the tick path
-                // deterministic however many connections fan in.
-                for (i, seat) in self.seats.iter_mut().enumerate() {
-                    if let Some(rec) = seat.as_mut().and_then(|s| s.hints.as_mut()) {
-                        rec.tick(ctx, SocketId(i));
-                    }
-                }
                 if let Some(plane) = self.plane.as_mut() {
                     // One listener-wide decision over the aggregate, not
-                    // one per connection.
+                    // one per connection; ascending socket order keeps it
+                    // deterministic however many connections fan in.
                     let socks = self.seats.iter().enumerate().filter(|(_, s)| s.is_some());
                     plane.tick(ctx, socks.map(|(i, _)| SocketId(i)));
+                    ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
                 }
-                ctx.call_after(TICK_PERIOD, token(KIND_TICK, 0));
             }
             other => panic!("unknown server token kind {other}"),
         }

@@ -17,7 +17,10 @@
 //! change that reorders, drops or duplicates a single backlogged byte
 //! moves them. `events` alone describes the implementation: it is
 //! re-recorded when a change removes events that simulate nothing (a
-//! client or proxy with nothing to tick no longer runs a tick chain).
+//! client, proxy or server with nothing to tick no longer runs a tick
+//! chain). `hint_ns` is the server's estimate, not a simulated figure: it
+//! was re-recorded when the server came to read hints by difference
+//! instead of averaging per-tick estimates.
 
 use batchpolicy::{BreakerConfig, RetryConfig};
 use e2e_apps::harness::{star_hosts, tier_hosts};
@@ -201,9 +204,9 @@ fn client_and_server_backlogs_carry_a_pair() {
         [pair(30_000.0), pair(50_000.0)],
         [
             "sent=1210 completed=1210 in_window=776 restarts=1 n=776 p50=35328 p99=84992 \
-             server_requests=1210 hint_ns=19750 events=26341",
+             server_requests=1210 hint_ns=37865 events=26261",
             "sent=2003 completed=1365 in_window=1101 restarts=1 n=1101 p50=2195456 p99=9306112 \
-             server_requests=1485 hint_ns=50108 events=81429",
+             server_requests=1485 hint_ns=53773 events=81349",
         ]
     );
 }

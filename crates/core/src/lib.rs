@@ -24,8 +24,8 @@
 //! * `estimator` — [`E2eEstimator`]: the per-connection stateful
 //!   estimator an endpoint runs each policy tick.
 //! * [`hints`] — the §3.3 cooperative-application interface:
-//!   [`RequestTracker`] (`create(n)` / `complete(n)`) and the single-queue
-//!   estimate derived from forwarded hints.
+//!   [`RequestTracker`] (`create(n)` / `complete(n)`), the one logical
+//!   queue whose forwarded snapshots a server reads by difference.
 //! * `multi` — aggregation across connections for policies that toggle
 //!   batching machine-wide.
 //! * [`compose`] — composition of per-leg estimates along a multi-hop
@@ -57,7 +57,7 @@ mod validate;
 pub use combine::{combine_delays, DelaySet, EndpointSnapshots, EndpointWindows, QueueWindow};
 pub use compose::compose_two;
 pub use estimator::{Admitted, E2eEstimator, Estimate, ExchangeIntake};
-pub use hints::{HintEstimator, RequestTracker};
+pub use hints::RequestTracker;
 pub use multi::{EstimatorRegistry, MultiConnectionAggregator};
 pub use route::Knob;
 pub use validate::{ExchangeValidator, ValidateConfig, ValidateCtx, ValidateStats};

@@ -3,17 +3,23 @@
 //! A cooperative client wraps its request loop with `create(1)` /
 //! `complete(1)` on a [`RequestTracker`] and passes the tracker's queue
 //! state to `send` as ancillary data. The stack forwards it to the server
-//! inside a TCP option; the server's [`HintEstimator`] then reports the
-//! *client-defined* end-to-end latency without monitoring any TCP queue.
+//! inside a TCP option; the server folds each fresh hint into running sums
+//! of departures and of the queue's integral, and Little's law over their
+//! difference across the window is the *client-defined* end-to-end
+//! latency, without monitoring any TCP queue.
 //!
 //! The example prints the client's own ground truth next to what the
-//! server recovered from hints alone — they should agree closely.
+//! server recovered from hints alone, and panics if the two differ by more
+//! than 1 % at any rate.
 //!
 //! ```sh
 //! cargo run --release --example hints_api
 //! ```
 
 use e2e_apps::{run_point, NagleSetting, RunConfig, WorkloadSpec};
+
+/// The most the server's hint estimate may differ from the client's truth.
+const MAX_ERROR_PCT: f64 = 1.0;
 
 fn main() {
     println!("Cooperative estimation via create()/complete() hints\n");
@@ -35,6 +41,10 @@ fn main() {
             truth.to_string(),
             hinted.to_string(),
             err
+        );
+        assert!(
+            err <= MAX_ERROR_PCT,
+            "hint estimate off by more than {MAX_ERROR_PCT} % at {rate} RPS: {err:.2} %"
         );
     }
     println!(

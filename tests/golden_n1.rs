@@ -129,6 +129,33 @@ fn n1_runs_match_pre_refactor_golden() {
     check_or_bless(&compute_digest(), GOLDEN_PATH, "N=1 runs");
 }
 
+/// The server's hint estimate on one connection is Little's law over the
+/// client's own request queue, read by difference between two of its
+/// forwarded snapshots: on every N = 1 golden line `est_h` is within 1 %
+/// of `tracker`, client 0's tracker between the window's edges. The
+/// golden file is the one `n1_runs_match_pre_refactor_golden` holds the
+/// runs to.
+#[test]
+fn n1_hint_estimate_is_within_1_percent_of_the_tracker() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+    let golden = std::fs::read_to_string(path).expect("golden file");
+    let field = |line: &str, name: &str| -> f64 {
+        let value = line
+            .split(' ')
+            .find_map(|token| token.strip_prefix(name)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {name} in {line}"));
+        value.parse().unwrap_or_else(|_| panic!("{name}={value}"))
+    };
+    let mut lines = 0;
+    for line in golden.lines() {
+        let (hint, tracker) = (field(line, "est_h"), field(line, "tracker"));
+        let err = (hint - tracker).abs() / tracker;
+        assert!(err <= 0.01, "{:.2} % off: {line}", err * 100.0);
+        lines += 1;
+    }
+    assert_eq!(lines, 9);
+}
+
 /// N=16 fan-in digest: sixteen spokes share the server host, so this
 /// covers per-spoke link queues, softirq contention, and the aggregate
 /// estimate's weighting — the paths a graph-routing regression would

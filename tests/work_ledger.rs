@@ -259,24 +259,24 @@ const TIER4_CEILING: Ledger = Ledger {
 };
 const FANIN1024_CEILING: Ledger = Ledger {
     heap: Heap {
-        allocs: 33_363,      // 4.16 per request
-        bytes: 134_688_413,  // 16 775 per request
-        retained: 1_092_771, // 136.1 per request: the recorders' packed checkpoints
+        allocs: 33_355,      // 4.15 per request
+        bytes: 134_685_767,  // 16 775 per request
+        retained: 1_091_469, // 135.9 per request: the recorders' packed checkpoints
     },
-    events: [32_498, 32_486, 365, 48_135, 36_804, 32_500, 0, 0], // 22.77 per request
+    events: [32_498, 32_486, 365, 48_135, 36_604, 32_500, 0, 0], // 22.74 per request
     ticks: 7_745, // 0.96 per request, 0.042 of events
     updates: 0,   // a client that only records runs no estimator
     completed: 8_029,
 };
 const STAR64_LOSS_CEILING: Ledger = Ledger {
     heap: Heap {
-        allocs: 17_277,    // 4.33 per request
-        bytes: 74_851_598, // 18 746 per request
-        // 406.8 per request: 90 requests in flight at `WARM`, 173 at `END`,
+        allocs: 17_272,    // 4.33 per request
+        bytes: 74_849_871, // 18 745 per request
+        // 406.6 per request: 90 requests in flight at `WARM`, 173 at `END`,
         // their buffers still held.
-        retained: 1_624_316,
+        retained: 1_623_517,
     },
-    events: [16_857, 16_857, 133, 23_178, 17_865, 17_034, 0, 0], // 23.02 per request
+    events: [16_857, 16_857, 133, 23_178, 17_665, 17_034, 0, 0], // 22.97 per request
     ticks: 2_935,                                                // 0.74 per request
     updates: 0,
     completed: 3_993,
