@@ -131,7 +131,7 @@ cargo test -q --release -p tcpsim --test sack_sweep -- --ignored
 echo "==> every bench target compiles (micro included)"
 cargo bench -q -p bench --no-run
 
-echo "==> micro bench runs (~3 s; its asserts check the recorders' checkpoint counts, that a watch releases nothing until a share arrives, and the timer re-arm)"
+echo "==> micro bench runs (~3 s; its asserts check that a recorder's window spans every fresh exchange and a quiet one's has no answer, that a watch releases nothing until a share arrives, and the timer re-arm)"
 # Timings are printed, never gated; the assert_eq!s after each row are
 # what fails here.
 cargo bench -q -p bench --bench micro

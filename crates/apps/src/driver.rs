@@ -28,7 +28,7 @@ use littles::wire::{WireExchange, WireScale, WireSnapshot};
 use littles::Nanos;
 use tcpsim::{HostCtx, KnobSetting, SocketId, TcpSocket, Unit};
 
-use crate::runlog::{Checkpoints, HintCheckpoints};
+use crate::runlog::HintCheckpoints;
 
 /// What one estimator update reads from a socket: its local queue
 /// snapshots at `now`, the peer's latest exchange, and the smoothed RTT
@@ -51,24 +51,28 @@ fn estimator_inputs(
 /// Per-unit estimate recording (no actuation), in one of two forms.
 ///
 /// A *plain* recorder ([`EstimateRecorder::new`]: what a client that only
-/// records holds) keeps the paper's GETAVGS state and runs no estimator:
-/// the previous local snapshot, the last admitted exchange, the running
-/// sums of every local and every admitted remote window, and a checkpoint
-/// of both sums at every tick that folds in a fresh exchange. A range
-/// query is Little's law over the difference of two checkpoints. A local
-/// window is an exact difference of monotone counters, so on one socket
-/// the sum over any run of ticks is the window across the run: a plain
-/// recorder that skips the ticks that see no fresh exchange keeps the
-/// same checkpoints — up to a reset, which ends the socket: the sums run
-/// to the last tick before it, so where a reset can come no tick is
-/// skipped. One that validates does not skip either: its validator
-/// judges each exchange against the local window of the tick that admits
-/// it, and a rejected one again at every tick.
+/// records holds) keeps the paper's GETAVGS state for one measurement
+/// window, its client's (set by [`with_window`](Self::with_window), which
+/// `LancetClient::with_recorder` calls), and runs no estimator. A
+/// *checkpoint* is a tick that folds in a fresh exchange; the window's
+/// answer is the sum of every local and every admitted remote window
+/// between its first and its last checkpoint. So the recorder keeps the
+/// previous local snapshot, the last admitted exchange, the local windows
+/// since the last checkpoint, and both sums from the window's first
+/// checkpoint to its last so far: a fixed-size state that allocates
+/// nothing. A local window is an exact difference of monotone counters,
+/// so on one socket the sum over any run of ticks is the window across
+/// the run: a plain recorder that skips the ticks that see no fresh
+/// exchange keeps the same sums — up to a reset, which ends the socket:
+/// the sums run to the last tick before it, so where a reset can come no
+/// tick is skipped. One that validates does not skip either: its
+/// validator judges each exchange against the local window of the tick
+/// that admits it, and a rejected one again at every tick.
 ///
 /// A *seat's source* (the [`EstimateSource::new`] of a [`PlaneDriver`],
 /// and an `AimdDriver`'s) steps an [`E2eEstimator`] on every tick: its
 /// newest estimate, [`latest`](Self::latest), is what the seat decides on.
-/// It keeps no checkpoints, so it answers no range.
+/// It has no window, so it answers no range.
 #[derive(Debug, Clone)]
 pub struct EstimateRecorder {
     /// The message unit this recorder estimates in.
@@ -90,25 +94,20 @@ enum Form {
     },
 }
 
-/// A plain recorder's state: cumulative windows and their checkpoints.
+/// A plain recorder's state: GETAVGS over one measurement window.
 #[derive(Debug, Clone)]
 struct Getavgs {
     /// The local snapshots at the last tick.
     prev_local: Option<EndpointSnapshots>,
     /// The last admitted exchange, and the validator if there is one.
     intake: ExchangeIntake,
-    /// Running sums of every local window, tick to tick.
-    cum_local: EndpointWindows,
-    /// Running sums of every remote window admitted at a tick with a
-    /// local window.
-    cum_remote: EndpointWindows,
-    /// `(time, cum_local, cum_remote)` at every tick that folded in a
-    /// remote window. Checkpointing at exchange ticks keeps both sums
-    /// aligned to the same exchange boundaries and self-scales the memory:
-    /// at high per-connection load it is one entry per tick, at high
-    /// fan-in one entry per (sparse) exchange. Packed: a checkpoint
-    /// differs from the one before by a few exchanges' worth.
-    checkpoints: Checkpoints,
+    /// The measurement window `[from, to)` the recorder answers for.
+    window: (Nanos, Nanos),
+    /// Every local window since the last checkpoint.
+    local_since: EndpointWindows,
+    /// The (local, remote) sums from the window's first checkpoint to its
+    /// last so far; `None` before the first.
+    sums: Option<(EndpointWindows, EndpointWindows)>,
 }
 
 impl Getavgs {
@@ -130,43 +129,63 @@ impl Getavgs {
         let Some(window) = window else {
             return;
         };
-        self.cum_local.merge(&window);
-        if let Admitted::Window(Some(far)) = admitted {
-            self.cum_remote.merge(&far);
-            self.checkpoints
-                .push((now, self.cum_local, self.cum_remote));
+        self.local_since.merge(&window);
+        let Admitted::Window(Some(far)) = admitted else {
+            return;
+        };
+        // A checkpoint. The window's first one starts the sums; each later
+        // one inside it adds what came since the checkpoint before.
+        let (from, to) = self.window;
+        if now >= from && now < to {
+            match &mut self.sums {
+                None => self.sums = Some(Default::default()),
+                Some((near, remote)) => {
+                    near.merge(&self.local_since);
+                    remote.merge(&far);
+                }
+            }
         }
+        self.local_since = EndpointWindows::default();
     }
 
-    /// The cumulative-window difference across the checkpoints falling in
-    /// `[from, to)`: one long (local, remote) window pair covering the
-    /// range, or `None` when fewer than two checkpoints fall inside it.
-    fn range_windows(&self, from: Nanos, to: Nanos) -> Option<(EndpointWindows, EndpointWindows)> {
-        let mut inside = self
-            .checkpoints
-            .iter()
-            .filter(|(at, _, _)| *at >= from && *at < to);
-        let first = inside.next()?;
-        let last = inside.last()?;
-        let near = last.1.since(&first.1);
-        let far = last.2.since(&first.2);
+    /// See [`EstimateRecorder::windows_in`].
+    fn windows_in(&self, from: Nanos, to: Nanos) -> Option<(EndpointWindows, EndpointWindows)> {
+        assert!(
+            (from, to) == self.window,
+            "a plain recorder answers only for its window [{}, {}), not [{from}, {to})",
+            self.window.0,
+            self.window.1
+        );
+        // A lone checkpoint left the sums empty.
+        let (near, far) = self.sums?;
         (!near.unacked.dt.is_zero()).then_some((near, far))
     }
 }
 
 impl EstimateRecorder {
-    /// Creates a plain recorder for one unit.
+    /// Creates a plain recorder for one unit. Its window is empty until
+    /// [`with_window`](Self::with_window) gives it one.
     pub fn new(unit: Unit) -> Self {
         EstimateRecorder {
             unit,
             form: Form::Plain(Getavgs {
                 prev_local: None,
                 intake: ExchangeIntake::new(WireScale::default()),
-                cum_local: EndpointWindows::default(),
-                cum_remote: EndpointWindows::default(),
-                checkpoints: Checkpoints::default(),
+                window: (Nanos::ZERO, Nanos::ZERO),
+                local_since: EndpointWindows::default(),
+                sums: None,
             }),
         }
+    }
+
+    /// Sets the measurement window `[from, to)` a plain recorder answers
+    /// for: its client's, handed over by `LancetClient::with_recorder`. A
+    /// source has no window, so this changes nothing in it.
+    pub fn with_window(mut self, from: Nanos, to: Nanos) -> Self {
+        if let Form::Plain(g) = &mut self.form {
+            g.window = (from, to);
+        }
+        self
     }
 
     /// Bounds how long a source's estimator trusts a cached remote window
@@ -246,16 +265,6 @@ impl EstimateRecorder {
         }
     }
 
-    /// A plain recorder's checkpoints, `(time, local, remote)` at every
-    /// tick that folded in a fresh exchange, oldest first.
-    pub fn checkpoints(
-        &self,
-    ) -> impl Iterator<Item = (Nanos, EndpointWindows, EndpointWindows)> + '_ {
-        self.getavgs()
-            .into_iter()
-            .flat_map(|g| g.checkpoints.iter())
-    }
-
     /// Estimator updates so far: one per tick of a source, none in a plain
     /// recorder.
     pub fn estimator_updates(&self) -> u64 {
@@ -265,40 +274,48 @@ impl EstimateRecorder {
         }
     }
 
-    fn getavgs(&self) -> Option<&Getavgs> {
+    /// The window's cumulative (local, remote) window pair: the sums from
+    /// its first checkpoint to its last, or `None` when fewer than two fall
+    /// inside it, or in a source, which has no window.
+    ///
+    /// # Panics
+    ///
+    /// When a plain recorder is asked for a range other than its window:
+    /// it keeps nothing that answers another.
+    pub fn windows_in(&self, from: Nanos, to: Nanos) -> Option<(EndpointWindows, EndpointWindows)> {
         match &self.form {
-            Form::Plain(g) => Some(g),
+            Form::Plain(g) => g.windows_in(from, to),
             Form::Source { .. } => None,
         }
     }
 
-    /// Mean estimated latency over `[from, to)`, or `None` when fewer than
-    /// two exchange checkpoints fall inside it.
+    /// Mean estimated latency over the window `[from, to)`, or `None` when
+    /// fewer than two checkpoints fall inside it (see
+    /// [`Self::windows_in`], which also panics where this does).
     ///
-    /// Evaluated by differencing cumulative queue windows across the range
-    /// and applying the §3.2 decomposition to the one long window —
-    /// Little's law with integrals and departures summed *before*
-    /// dividing. Averaging the per-tick estimates instead is biased at low
-    /// per-connection load (high fan-in): item residences straddle tick
-    /// windows, the per-window delay ratios swing by milliseconds, and
-    /// taking the larger of two noisy views each tick rectifies that
-    /// noise into a positive bias that once made the N = 64 fan-in
-    /// estimate ~32× the measured latency. Over the long window both
-    /// views are computed from hundreds of departures and the larger one
-    /// is a faithful guard against underestimation, as in the paper.
+    /// Evaluated by applying the §3.2 decomposition to the window's one
+    /// long cumulative queue window — Little's law with integrals and
+    /// departures summed *before* dividing. Averaging the per-tick
+    /// estimates instead is biased at low per-connection load (high
+    /// fan-in): item residences straddle tick windows, the per-window
+    /// delay ratios swing by milliseconds, and taking the larger of two
+    /// noisy views each tick rectifies that noise into a positive bias
+    /// that once made the N = 64 fan-in estimate ~32× the measured
+    /// latency. Over the long window both views are computed from hundreds
+    /// of departures and the larger one is a faithful guard against
+    /// underestimation, as in the paper.
     pub fn mean_latency_in(&self, from: Nanos, to: Nanos) -> Option<Nanos> {
-        let (near, far) = self.getavgs()?.range_windows(from, to)?;
+        let (near, far) = self.windows_in(from, to)?;
         let lv = combine_delays(&near, &far).latency();
         let rv = combine_delays(&far, &near).latency();
         Some(lv.max(rv))
     }
 
-    /// Mean estimated throughput over `[from, to)`: departures over
-    /// elapsed time from the range's cumulative window, or `None` when
-    /// fewer than two exchange checkpoints fall inside it (see
-    /// [`Self::mean_latency_in`]).
+    /// Mean estimated throughput over the window `[from, to)`: departures
+    /// over elapsed time from its cumulative window, or `None` when fewer
+    /// than two checkpoints fall inside it (see [`Self::windows_in`]).
     pub fn mean_throughput_in(&self, from: Nanos, to: Nanos) -> Option<f64> {
-        let (near, _) = self.getavgs()?.range_windows(from, to)?;
+        let (near, _) = self.windows_in(from, to)?;
         Some(near.unread.throughput())
     }
 }
@@ -790,7 +807,7 @@ impl ProxyDriver {
 #[cfg(test)]
 mod tests {
     use batchpolicy::Objective;
-    use e2e_core::combine::combine_delays;
+    use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows, QueueWindow};
     use e2e_core::RequestTracker;
     use littles::wire::{WireExchange, WireScale, WireSnapshot};
     use littles::{Nanos, Snapshot};
@@ -804,16 +821,21 @@ mod tests {
     use crate::tier::{ShardSetting, TierRunConfig};
     use crate::workload::WorkloadSpec;
 
-    /// A bare segment carrying a peer's byte-unit exchange as of `now`:
-    /// one departure every 10 µs, three bytes queued throughout.
-    fn exchange_segment(now: Nanos) -> Segment {
+    /// A peer's byte-unit exchange as of `now`: one departure every 10 µs,
+    /// three bytes queued throughout.
+    fn exchange(now: Nanos) -> WireExchange {
         let t = now.as_nanos();
         let snap = Snapshot {
             time: now,
             total: t / 10_000,
             integral: u128::from(t) * 3,
         };
-        let exchange = WireExchange::pack(&snap, &snap, &snap, WireScale::default());
+        WireExchange::pack(&snap, &snap, &snap, WireScale::default())
+    }
+
+    /// A bare segment carrying [`exchange`]`(now)`.
+    fn exchange_segment(now: Nanos) -> Segment {
+        let exchange = exchange(now);
         let mut seg = Segment::control(
             FlowId(0),
             SeqNum::new(0),
@@ -825,17 +847,21 @@ mod tests {
         seg
     }
 
-    /// A range query is GETAVGS over the difference of the first and the
-    /// last checkpoint in range. A range holding fewer than two has no
-    /// answer, however many ticks in it estimated.
+    /// A window's answer is GETAVGS over the sums between its first and
+    /// its last checkpoint. A window holding fewer than two has no answer,
+    /// however many ticks in it estimated.
     #[test]
     fn a_range_answers_from_two_checkpoints_or_not_at_all() {
         let tick = |k: u64| Nanos::from_micros(500) * k;
         let mut actions = Actions::new();
         let mut sock =
             TcpSocket::client(FlowId(0), TcpConfig::default(), Nanos::ZERO, &mut actions);
-        let mut rec = EstimateRecorder::new(Unit::Bytes);
+        // Checkpoints at ticks 2 and 3: zero, one and two of them inside.
+        let windows = [(tick(4), tick(9)), (tick(3), tick(9)), (tick(2), tick(9))];
+        let mut recs =
+            windows.map(|(from, to)| EstimateRecorder::new(Unit::Bytes).with_window(from, to));
         let mut source: EstimateRecorder = EstimateSource::new(Unit::Bytes);
+        let mut local = Vec::new();
         // Ticks 1–3 each find a fresh exchange, ticks 4–8 none.
         for k in 1..=8 {
             if k <= 3 {
@@ -843,32 +869,50 @@ mod tests {
                 let seg = exchange_segment(tick(k));
                 sock.on_segment(tick(k), &seg, TxEnv::default(), &mut actions);
             }
-            rec.tick_socket(tick(k), &sock);
+            for rec in &mut recs {
+                rec.tick_socket(tick(k), &sock);
+            }
             source.tick_socket(tick(k), &sock);
+            let snaps = sock.local_snapshots(tick(k), Unit::Bytes);
+            local.push(EndpointSnapshots {
+                unacked: snaps.unacked,
+                unread: snaps.unread,
+                ackdelay: snaps.ackdelay,
+            });
         }
-        let checkpoints: Vec<_> = rec.checkpoints().collect();
-        assert_eq!(
-            checkpoints.iter().map(|c| c.0).collect::<Vec<_>>(),
-            [tick(2), tick(3)]
-        );
+        for (rec, (from, to)) in recs[..2].iter().zip(windows) {
+            assert_eq!(rec.windows_in(from, to), None, "[{from}, {to})");
+            assert_eq!(rec.mean_latency_in(from, to), None);
+            assert_eq!(rec.mean_throughput_in(from, to), None);
+        }
 
-        // One checkpoint in [tick 3, tick 9), and a source's estimate at
-        // each of its six ticks.
-        let (from, to) = (tick(3), tick(9));
-        assert_eq!(rec.mean_latency_in(from, to), None);
-        assert_eq!(rec.mean_throughput_in(from, to), None);
-
-        // Two in [tick 2, tick 9): Little's law over their difference.
-        let (from, to) = (tick(2), tick(9));
-        let ((_, local0, remote0), (_, local1, remote1)) = (checkpoints[0], checkpoints[1]);
-        let (near, far) = (local1.since(&local0), remote1.since(&remote0));
+        // Two: Little's law over what came between them, the local window
+        // from tick 2 to tick 3 and the peer's from its second exchange to
+        // its third.
+        let (from, to) = windows[2];
+        let near = EndpointWindows::between(&local[1], &local[2]).expect("a local window");
+        let remote = exchange(tick(3))
+            .unread
+            .window_since(&exchange(tick(2)).unread, WireScale::default())
+            .expect("a remote window");
+        let remote = QueueWindow {
+            dt: remote.dt,
+            d_total: remote.d_total,
+            d_integral: remote.d_integral,
+        };
+        let far = EndpointWindows {
+            unacked: remote,
+            unread: remote,
+            ackdelay: remote,
+        };
+        assert_eq!(recs[2].windows_in(from, to), Some((near, far)));
         let latency = combine_delays(&near, &far)
             .latency()
             .max(combine_delays(&far, &near).latency());
         assert!(!latency.is_zero());
-        assert_eq!(rec.mean_latency_in(from, to), Some(latency));
+        assert_eq!(recs[2].mean_latency_in(from, to), Some(latency));
         assert_eq!(
-            rec.mean_throughput_in(from, to).map(f64::to_bits),
+            recs[2].mean_throughput_in(from, to).map(f64::to_bits),
             Some(near.unread.throughput().to_bits())
         );
         assert_eq!(
@@ -876,9 +920,12 @@ mod tests {
             Some(tick(8)),
             "every tick estimated"
         );
-        assert_eq!(source.checkpoints().count(), 0);
-        assert_eq!(source.mean_latency_in(from, to), None);
-        assert_eq!(rec.latest(), None, "a plain recorder estimates nothing");
+        assert_eq!(
+            source.mean_latency_in(from, to),
+            None,
+            "a source has no window"
+        );
+        assert_eq!(recs[2].latest(), None, "a plain recorder estimates nothing");
     }
 
     /// The server's hint fold, driven by hand through the unscaled wire.

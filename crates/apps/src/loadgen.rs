@@ -14,8 +14,10 @@
 //!
 //! * a [`RequestTracker`] (`create`/`complete`) — the application-level
 //!   ground truth, optionally forwarded to the server as hints;
-//! * per-unit [`EstimateRecorder`]s — the byte/packet/message Little's-law
-//!   estimates of §3.2 (the "estimated" curves of Figure 4);
+//! * per-unit [`EstimateRecorder`]s — the Little's-law estimates of §3.2
+//!   over the measurement window (the "estimated" curves of Figure 4); the
+//!   harness builds a byte and a message recorder, since packets are not
+//!   counted;
 //! * optionally a [`PlaneDriver`] steering Nagle (and, when attached,
 //!   delayed ACKs and the cork limit) dynamically, or an `AimdDriver`.
 //!
@@ -209,9 +211,11 @@ impl LancetClient {
         self
     }
 
-    /// Adds a Little's-law estimate recorder for a unit.
+    /// Adds a Little's-law estimate recorder for a unit, answering for
+    /// this client's measurement window.
     pub fn with_recorder(mut self, recorder: EstimateRecorder) -> Self {
-        self.recorders.push(recorder);
+        self.recorders
+            .push(recorder.with_window(self.warmup_end, self.measure_end));
         self
     }
 

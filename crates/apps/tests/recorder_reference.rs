@@ -1,31 +1,40 @@
 //! Differential test of the counters-only recorder.
 //!
-//! A plain [`EstimateRecorder`] keeps the paper's GETAVGS state — the
-//! running sums of its local and admitted remote windows, and a checkpoint
-//! of both at every tick that folds in a fresh exchange — and may sleep
-//! through ticks that see no new share. `Reference` below is the recorder
-//! it replaced, written out plainly: a fresh read of the socket on every
-//! tick, every local window summed, the remote window of each admitted
-//! exchange summed at a tick whose local window is valid. Both tick
-//! against the same socket inside one simulation whose client sends in
-//! bursts separated by long silences, reads late, holds ACKs across ticks,
-//! changes its tick period, restarts, sees corrupted exchanges and runs
-//! across the 2^42 ns wire-clock wrap. Everything observable must come
-//! out equal: the checkpoints, bit for bit, the validator's counters, and
-//! the range means (Little's law over the difference of the first and
-//! last checkpoint in range, and `None` on both sides where fewer than two
-//! fall inside). Recorders that tick every period stand beside two that
-//! sleep, as a parked `LancetClient`'s do, until the peer's next share
-//! arrives — in the runs without restarts; where the faults can reset the
-//! connection they tick every period, as that client's do. One recorder
-//! estimates in `Unit::Packets`, which no exchange carries. `Reference`
-//! admits exchanges through the same `ExchangeIntake` as the recorder, so
-//! each run's checkpoints are also held to a digest recorded from the
-//! recorder this one replaced, which stepped an `E2eEstimator` every tick.
+//! A plain [`EstimateRecorder`] keeps the paper's GETAVGS state for one
+//! measurement window — the sums of its local and admitted remote windows
+//! from the window's first checkpoint (a tick that folds in a fresh
+//! exchange) to its last — and may sleep through ticks that see no new
+//! share. `Reference` below is the recorder it replaced, written out
+//! plainly: a fresh read of the socket on every tick, every local window
+//! summed, the remote window of each admitted exchange summed at a tick
+//! whose local window is valid, and a checkpoint of both sums at every
+//! tick that folds one in, for the whole run. Both tick against the same
+//! socket inside one simulation whose client sends in bursts separated by
+//! long silences, reads late, holds ACKs across ticks, changes its tick
+//! period, restarts, sees corrupted exchanges and runs across the 2^42 ns
+//! wire-clock wrap. Every range the run asks about is a recorder of its
+//! own, built for that window, and everything observable must come out
+//! equal: the window's sums, bit for bit, its means (Little's law over
+//! the difference of the reference's first and last checkpoint in range,
+//! and `None` on both sides where fewer than two fall inside) and the
+//! validator's counters. So each run is simulated twice: once with the
+//! reference alone, to learn the ranges its schedule asks about, then
+//! with a recorder for each. Recorders that tick every period stand
+//! beside two that sleep, as a parked `LancetClient`'s do, until the
+//! peer's next share arrives — in the runs without restarts; where the
+//! faults can reset the connection they tick every period, as that
+//! client's do. One recorder estimates in `Unit::Packets`, which no
+//! exchange carries. `Reference` admits exchanges through the same
+//! `ExchangeIntake` as the recorder, so each run's reference checkpoints
+//! are also held to a digest recorded from the recorder this one
+//! replaced, which stepped an `E2eEstimator` every tick.
 //!
-//! Hand-driven scenarios then pin the edges: the first tick, a restart,
+//! Hand-driven scenarios then pin the edges — the first tick, a restart,
 //! an epoch change under validation, a reject judged again on every tick,
-//! and the wire-clock wrap.
+//! and the wire-clock wrap — each with a recorder for every window whose
+//! edges are tick instants, so windows holding zero, one and many
+//! checkpoints. A recorder asked for a range other than its window says
+//! so.
 
 use e2e_apps::driver::EstimateRecorder;
 use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows};
@@ -118,44 +127,68 @@ impl Reference {
     }
 }
 
-/// A plain recorder and its reference, configured alike.
+/// A reference and a plain recorder for each window asked about, all
+/// configured alike.
 struct Pair {
-    recorder: EstimateRecorder,
+    recorders: Vec<((Nanos, Nanos), EstimateRecorder)>,
     reference: Reference,
 }
 
 impl Pair {
-    fn new(unit: Unit, validate: bool) -> Self {
-        let mut recorder = EstimateRecorder::new(unit);
-        if validate {
-            recorder = recorder.with_validation(ValidateConfig);
-        }
+    fn new(unit: Unit, validate: bool, windows: &[(Nanos, Nanos)]) -> Self {
+        let recorders = windows
+            .iter()
+            .map(|&(from, to)| {
+                let mut recorder = EstimateRecorder::new(unit).with_window(from, to);
+                if validate {
+                    recorder = recorder.with_validation(ValidateConfig);
+                }
+                ((from, to), recorder)
+            })
+            .collect();
         Pair {
-            recorder,
+            recorders,
             reference: Reference::new(unit, validate),
         }
     }
 
     fn tick(&mut self, now: Nanos, socket: &TcpSocket) {
-        self.recorder.tick_socket(now, socket);
+        for (_, recorder) in &mut self.recorders {
+            recorder.tick_socket(now, socket);
+        }
         self.reference.tick(now, socket);
     }
 
+    /// The recorder built for the window `[from, to)`.
+    fn recorder(&self, from: Nanos, to: Nanos) -> &EstimateRecorder {
+        let found = self.recorders.iter().find(|(w, _)| *w == (from, to));
+        match found {
+            Some((_, recorder)) => recorder,
+            None => panic!("no recorder for [{from}, {to})"),
+        }
+    }
+
     fn assert_queries_agree(&self, from: Nanos, to: Nanos) {
+        let recorder = self.recorder(from, to);
         assert_eq!(
-            self.recorder.mean_latency_in(from, to),
+            recorder.windows_in(from, to),
+            self.reference.range_windows(from, to),
+            "sums over [{from}, {to})"
+        );
+        assert_eq!(
+            recorder.mean_latency_in(from, to),
             self.reference.mean_latency_in(from, to),
             "mean latency over [{from}, {to})"
         );
         assert_eq!(
-            self.recorder.mean_throughput_in(from, to).map(f64::to_bits),
+            recorder.mean_throughput_in(from, to).map(f64::to_bits),
             self.reference
                 .mean_throughput_in(from, to)
                 .map(f64::to_bits),
             "mean throughput over [{from}, {to})"
         );
         assert_eq!(
-            self.recorder.validation_stats(),
+            recorder.validation_stats(),
             self.reference.intake.validation_stats()
         );
     }
@@ -190,6 +223,11 @@ struct Churn {
     /// No sends from here on: the run ends in one long silence.
     quiet_from: Nanos,
     ticks: u64,
+    /// The ranges asked about mid-run, in order.
+    asked: Vec<(Nanos, Nanos)>,
+    /// Whether the pairs hold a recorder for every range asked about, so
+    /// that each is checked where it is asked.
+    check: bool,
 }
 
 impl Churn {
@@ -224,11 +262,15 @@ impl Churn {
             self.slept += u64::from(asleep);
             self.seen = seen;
             self.ticks += 1;
-            // Query mid-run now and then.
+            // Query mid-run now and then: a window that ends with this tick.
             if self.ticks % 23 == 0 {
                 let back = self.us_between(200, 9_000);
-                for pair in self.pairs.iter().chain(&self.sleepers) {
-                    pair.assert_queries_agree(now.saturating_sub(back), now + Nanos::from_nanos(1));
+                let (from, to) = (now.saturating_sub(back), now + Nanos::from_nanos(1));
+                self.asked.push((from, to));
+                if self.check {
+                    for pair in self.pairs.iter().chain(&self.sleepers) {
+                        pair.assert_queries_agree(from, to);
+                    }
                 }
             }
         }
@@ -393,10 +435,12 @@ const RECORDED: [(u64, bool, usize, u64); 8] = [
     (77_777, false, 135, 0x3ede_c474_4453_8190),
 ];
 
-/// Runs one seeded schedule, with or without an endpoint restart, holds
-/// every recorder to its reference and returns the run's checkpoint count
-/// and digest (see [`RECORDED`]).
-fn run_seed(seed: u64, restarts: bool, coverage: &mut Coverage) -> (usize, u64) {
+/// One seeded schedule, with or without an endpoint restart, simulated
+/// with a recorder for each of `windows` in every pair, and checked mid-run
+/// when `windows` is not empty. Returns the client after the run and every
+/// range the run asks about: the ones asked mid-run, then the ones asked
+/// after it.
+fn simulate(seed: u64, restarts: bool, windows: &[(Nanos, Nanos)]) -> (Churn, Vec<(Nanos, Nanos)>) {
     let start_at = WIRE_WRAP - Nanos::from_millis(45);
     let quiet_from = start_at + Nanos::from_millis(160);
     let end = quiet_from + SILENCE;
@@ -424,21 +468,23 @@ fn run_seed(seed: u64, restarts: bool, coverage: &mut Coverage) -> (usize, u64) 
         started: false,
         read_pending: false,
         pairs: vec![
-            Pair::new(Unit::Bytes, true),
-            Pair::new(Unit::Messages, true),
-            Pair::new(Unit::Messages, false),
-            // Nothing counts packets and no exchange carries them: this
-            // recorder never folds a remote window.
-            Pair::new(Unit::Packets, true),
+            Pair::new(Unit::Bytes, true, windows),
+            Pair::new(Unit::Messages, true, windows),
+            Pair::new(Unit::Messages, false, windows),
+            // Nothing counts packets and no exchange carries them: these
+            // recorders never fold a remote window.
+            Pair::new(Unit::Packets, true, windows),
         ],
         sleepers: vec![
-            Pair::new(Unit::Bytes, false),
-            Pair::new(Unit::Messages, false),
+            Pair::new(Unit::Bytes, false, windows),
+            Pair::new(Unit::Messages, false, windows),
         ],
         seen: None,
         slept: 0,
         quiet_from,
         ticks: 0,
+        asked: Vec::new(),
+        check: !windows.is_empty(),
     };
     let host = |i: usize| {
         Host::new(
@@ -472,12 +518,9 @@ fn run_seed(seed: u64, restarts: bool, coverage: &mut Coverage) -> (usize, u64) 
     sim.start(&mut queue);
     run(&mut sim, &mut queue, end);
 
-    let client = &mut sim.clients[0];
-    let label = format!("seed {seed}, restarts: {restarts}");
-    assert!(client.ticks > 2_200, "{label}: the tick chain ran");
-    assert_eq!(client.slept == 0, restarts, "{label}: sleepers slept");
-    coverage.slept_ticks += client.slept;
-    let mut ranges = vec![
+    let mut client = sim.clients.swap_remove(0);
+    let mut asked = client.asked.clone();
+    asked.extend([
         (start_at, end),
         (Nanos::ZERO, WIRE_WRAP),
         (WIRE_WRAP, end),
@@ -487,28 +530,46 @@ fn run_seed(seed: u64, restarts: bool, coverage: &mut Coverage) -> (usize, u64) 
             quiet_from + Nanos::from_millis(2),
             quiet_from + Nanos::from_millis(7),
         ),
-    ];
+    ]);
     for _ in 0..300 {
         let from = start_at + Nanos::from_micros(client.rng.gen_range(160_000));
         let len = [300, 1_000, 2_500, 8_000, 40_000][client.rng.gen_range(5) as usize];
-        ranges.push((from, from + Nanos::from_micros(len)));
+        asked.push((from, from + Nanos::from_micros(len)));
     }
+    (client, asked)
+}
+
+/// Runs one seeded schedule twice — the reference alone, then with a
+/// recorder for every range the first run asked about — holds every
+/// recorder to its reference and returns the run's checkpoint count and
+/// digest (see [`RECORDED`]).
+fn run_seed(seed: u64, restarts: bool, coverage: &mut Coverage) -> (usize, u64) {
+    let (_, asked) = simulate(seed, restarts, &[]);
+    let mut windows = asked.clone();
+    windows.sort_unstable();
+    windows.dedup();
+    let (client, asked_again) = simulate(seed, restarts, &windows);
+    let label = format!("seed {seed}, restarts: {restarts}");
+    assert_eq!(asked_again, asked, "{label}: the second run asked alike");
+    assert!(client.ticks > 2_200, "{label}: the tick chain ran");
+    assert_eq!(client.slept == 0, restarts, "{label}: sleepers slept");
+    coverage.slept_ticks += client.slept;
+    let after_run = &asked[client.asked.len()..];
     let (mut count, mut digest) = (0, 0xcbf2_9ce4_8422_2325);
     for pair in client.pairs.iter().chain(&client.sleepers) {
-        let checkpoints: Vec<_> = pair.recorder.checkpoints().collect();
-        assert_eq!(checkpoints, pair.reference.cum_series, "{label}");
+        let checkpoints = &pair.reference.cum_series;
         count += checkpoints.len();
-        for checkpoint in &checkpoints {
+        for checkpoint in checkpoints {
             fold_checkpoint(&mut digest, checkpoint);
         }
-        for &(from, to) in &ranges {
+        for &(from, to) in after_run {
             pair.assert_queries_agree(from, to);
             match pair.reference.range_windows(from, to) {
                 Some(_) => coverage.checkpointed_means += 1,
                 None => coverage.unanswered_ranges += 1,
             }
         }
-        if let Some(stats) = pair.recorder.validation_stats() {
+        if let Some(stats) = pair.reference.intake.validation_stats() {
             let verdicts = [stats.accepted, stats.rejected, stats.epoch_changes];
             fnv(&mut digest, verdicts);
             coverage.stats.merge(&stats);
@@ -646,11 +707,15 @@ fn us(n: u64) -> Nanos {
     Nanos::from_micros(n)
 }
 
-/// A recorder under test beside its reference, ticked at every instant a
+/// Recorders under test beside their reference, ticked at every instant a
 /// scenario picks — or, `parked`, only where a parked recorder-only
 /// client's tick runs: at an instant that finds a share arrived since its
 /// last tick, or a socket other than its last one's. The reference ticks
-/// at every instant either way.
+/// at every instant either way. There is a recorder for every window
+/// between two edges, the edges being zero, every tick instant, and every
+/// instant one spacing after a tick and half of it: windows that hold
+/// zero, one and many checkpoints, and each window `[0, end)`, `[0,
+/// end / 2)` and `[end / 2, end)` for `end` one spacing past a checkpoint.
 struct Scenario {
     pair: Pair,
     parked: bool,
@@ -658,9 +723,20 @@ struct Scenario {
 }
 
 impl Scenario {
-    fn new(validate: bool, parked: bool) -> Self {
+    fn new(validate: bool, parked: bool, ticks: impl IntoIterator<Item = Nanos>) -> Self {
+        let mut edges = Vec::new();
+        for t in [Nanos::ZERO].into_iter().chain(ticks) {
+            edges.extend([t, t + SPACING, (t + SPACING) / 2]);
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let windows: Vec<_> = edges
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &from)| edges[i + 1..].iter().map(move |&to| (from, to)))
+            .collect();
         Scenario {
-            pair: Pair::new(Unit::Bytes, validate),
+            pair: Pair::new(Unit::Bytes, validate, &windows),
             parked,
             seen: None,
         }
@@ -676,17 +752,25 @@ impl Scenario {
         self.pair.tick(now, &hand.socket);
     }
 
-    /// Holds the recorder to its reference: every checkpoint bit for bit,
-    /// the validator's counters, and the range means over the whole run
-    /// and its halves. Returns the checkpoint instants.
+    /// Holds every recorder to the reference: its window's sums bit for
+    /// bit, its means and the validator's counters — the whole run and its
+    /// halves among them. Returns the reference's checkpoint instants.
     fn assert_recorded_equal(&self, label: &str) -> Vec<Nanos> {
         let label = format!("{label}, parked: {}", self.parked);
-        let checkpoints: Vec<_> = self.pair.recorder.checkpoints().collect();
-        assert_eq!(checkpoints, self.pair.reference.cum_series, "{label}");
+        let checkpoints = &self.pair.reference.cum_series;
         let end = checkpoints.last().map_or(Nanos::ZERO, |c| c.0) + SPACING;
         for (from, to) in [(Nanos::ZERO, end), (Nanos::ZERO, end / 2), (end / 2, end)] {
             self.pair.assert_queries_agree(from, to);
         }
+        let (mut answered, mut unanswered) = (0, 0);
+        for &((from, to), ref recorder) in &self.pair.recorders {
+            self.pair.assert_queries_agree(from, to);
+            match recorder.windows_in(from, to) {
+                Some(_) => answered += 1,
+                None => unanswered += 1,
+            }
+        }
+        assert!(answered > 0 && unanswered > 0, "{label}");
         checkpoints.iter().map(|c| c.0).collect()
     }
 }
@@ -712,7 +796,7 @@ fn before(k: u64) -> (Nanos, WireExchange) {
 fn the_first_tick_only_takes_the_baseline() {
     for parked in [false, true] {
         let mut hand = Hand::loaded(Nanos::ZERO);
-        let mut rec = Scenario::new(false, parked);
+        let mut rec = Scenario::new(false, parked, (1..=8).map(at));
         for k in 1..=8 {
             if k % 3 != 0 {
                 let (t, exchange) = before(k);
@@ -736,7 +820,7 @@ fn the_first_tick_only_takes_the_baseline() {
 #[test]
 fn a_restart_refuses_the_local_window_and_that_ticks_remote_window() {
     let mut hand = Hand::loaded(Nanos::ZERO);
-    let mut rec = Scenario::new(false, false);
+    let mut rec = Scenario::new(false, false, (1..=11).map(at));
     for k in 1..=7 {
         if k <= 3 {
             let (t, exchange) = before(k);
@@ -754,9 +838,15 @@ fn a_restart_refuses_the_local_window_and_that_ticks_remote_window() {
     }
     let times = rec.assert_recorded_equal("restart");
     assert_eq!(times, [2, 3, 9, 10, 11].map(at));
-    // At tick 9: every window from tick 1 on but the refused one, 7 → 8.
-    let (_, local, _) = rec.pair.recorder.checkpoints().nth(2).expect("tick 9");
-    assert_eq!(local.unacked.dt, SPACING * 7);
+    // From the checkpoint at tick 2 to the one at tick 9: every local
+    // window between them but the refused one, 7 → 8.
+    let (from, to) = (at(2), at(10));
+    let (local, _) = rec
+        .pair
+        .recorder(from, to)
+        .windows_in(from, to)
+        .expect("three checkpoints");
+    assert_eq!(local.unacked.dt, SPACING * 6);
 }
 
 /// Under validation, an exchange from a new epoch resynchronises: it is
@@ -765,7 +855,7 @@ fn a_restart_refuses_the_local_window_and_that_ticks_remote_window() {
 #[test]
 fn an_epoch_change_under_validation_resynchronises() {
     let mut hand = Hand::loaded(Nanos::ZERO);
-    let mut rec = Scenario::new(true, false);
+    let mut rec = Scenario::new(true, false, (1..=7).map(at));
     let restart = at(3) + us(100);
     for k in 1..=7 {
         let (t, exchange) = before(k);
@@ -779,7 +869,12 @@ fn an_epoch_change_under_validation_resynchronises() {
     }
     let times = rec.assert_recorded_equal("epoch change");
     assert_eq!(times, [2, 3, 5, 6, 7].map(at));
-    let stats = rec.pair.recorder.validation_stats().expect("validated");
+    let stats = rec
+        .pair
+        .reference
+        .intake
+        .validation_stats()
+        .expect("validated");
     assert_eq!(
         (stats.accepted, stats.rejected, stats.epoch_changes),
         (5, 0, 1)
@@ -793,7 +888,7 @@ fn an_epoch_change_under_validation_resynchronises() {
 #[test]
 fn a_rejected_exchange_is_judged_again_on_every_tick() {
     let mut hand = Hand::loaded(Nanos::ZERO);
-    let mut rec = Scenario::new(true, false);
+    let mut rec = Scenario::new(true, false, (1..=11).map(at));
     for k in 1..=11 {
         let (t, mut exchange) = before(k);
         if k == 3 {
@@ -806,19 +901,24 @@ fn a_rejected_exchange_is_judged_again_on_every_tick() {
     }
     let times = rec.assert_recorded_equal("reject");
     assert_eq!(times, [2, 10].map(at));
-    let stats = rec.pair.recorder.validation_stats().expect("validated");
+    let stats = rec
+        .pair
+        .reference
+        .intake
+        .validation_stats()
+        .expect("validated");
     assert_eq!((stats.accepted, stats.rejected), (2, 7));
 }
 
 /// Checkpoints across the 2^42 ns wrap of the default-scale wire clock:
 /// the remote windows are differenced modulo the wrap, validated or not,
-/// ticked every instant or parked.
+/// ticked every instant or parked, in windows before, across and after it.
 #[test]
 fn checkpoints_cross_the_wire_clock_wrap() {
     let start = WIRE_WRAP - at(6);
     for (validate, parked) in [(false, false), (false, true), (true, false)] {
         let mut hand = Hand::loaded(start);
-        let mut rec = Scenario::new(validate, parked);
+        let mut rec = Scenario::new(validate, parked, (1..=12).map(|k| start + at(k)));
         for k in 1..=12 {
             if k % 2 == 1 {
                 let t = start + at(k) - us(50);
@@ -828,11 +928,55 @@ fn checkpoints_cross_the_wire_clock_wrap() {
         }
         let times = rec.assert_recorded_equal(&format!("wrap, validated: {validate}"));
         assert_eq!(times, [3, 5, 7, 9, 11].map(|k| start + at(k)));
-        if let Some(stats) = rec.pair.recorder.validation_stats() {
+        if let Some(stats) = rec.pair.reference.intake.validation_stats() {
             assert_eq!(
                 (stats.accepted, stats.rejected, stats.epoch_changes),
                 (5, 0, 0)
             );
+        }
+    }
+}
+
+/// A plain recorder keeps only what its window's answer needs, so asking
+/// it about any other range is a caller error, and every reader says so.
+#[test]
+fn a_range_other_than_the_window_is_rejected() {
+    let (from, to) = (at(2), at(6));
+    let mut hand = Hand::loaded(Nanos::ZERO);
+    let mut rec = EstimateRecorder::new(Unit::Bytes).with_window(from, to);
+    for k in 1..=7 {
+        let (t, exchange) = before(k);
+        hand.deliver(t, exchange);
+        rec.tick_socket(at(k), &hand.socket);
+    }
+    assert!(
+        rec.mean_latency_in(from, to).is_some(),
+        "its window answers"
+    );
+    let others = [
+        (from, to + SPACING),
+        (from + SPACING, to),
+        (Nanos::ZERO, at(8)),
+    ];
+    for (other_from, other_to) in others {
+        let asks: [&dyn Fn(); 3] = [
+            &|| {
+                let _ = rec.windows_in(other_from, other_to);
+            },
+            &|| {
+                let _ = rec.mean_latency_in(other_from, other_to);
+            },
+            &|| {
+                let _ = rec.mean_throughput_in(other_from, other_to);
+            },
+        ];
+        for ask in asks {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(ask))
+                .expect_err("another range is refused");
+            let message = refused
+                .downcast_ref::<String>()
+                .expect("a formatted message");
+            assert!(message.contains("answers only for its window"), "{message}");
         }
     }
 }

@@ -116,8 +116,8 @@ fn exchange_segment(now: Nanos) -> Segment {
 /// leaves the sockets untouched between sweeps, as a client with a seat
 /// ticks its recorders between exchanges; `fresh` moves a queue and
 /// delivers a fresh exchange on every socket before each sweep (untimed),
-/// so every tick after the first folds it into a checkpoint — the tick a
-/// parked recorder-only client wakes for.
+/// so every tick after the first folds it into a checkpoint inside the
+/// recorder's window — the tick a parked recorder-only client wakes for.
 #[expect(
     clippy::disallowed_methods,
     reason = "times each sweep's ticks alone, not the untimed setup"
@@ -140,8 +140,11 @@ fn bench_recorder_tick() {
                 )
             })
             .collect();
+        // One window over every sweep, as a client's measurement window.
+        let ticks = BATCHES as u64 * SWEEPS;
+        let window = (Nanos::ZERO, period * (ticks + 1));
         let mut recorders: Vec<EstimateRecorder> = (0..CONNS)
-            .map(|_| EstimateRecorder::new(Unit::Bytes))
+            .map(|_| EstimateRecorder::new(Unit::Bytes).with_window(window.0, window.1))
             .collect();
         let mut now = Nanos::ZERO;
         let mut per_tick = [0f64; BATCHES];
@@ -178,11 +181,13 @@ fn bench_recorder_tick() {
             per_tick[BATCHES / 2]
         );
         // The first tick takes the baseline; with fresh exchanges every
-        // later one is a checkpoint, without any none is.
-        let ticks = BATCHES as u64 * SWEEPS;
+        // later one is a checkpoint, so the window's sums span every tick
+        // from the second to the last. Without any there is no checkpoint,
+        // and the window has no answer.
         for rec in &recorders {
-            let expected = if fresh { ticks - 1 } else { 0 };
-            assert_eq!(rec.checkpoints().count() as u64, expected);
+            let sums = rec.windows_in(window.0, window.1);
+            let spanned = sums.map(|(local, _)| local.unacked.dt);
+            assert_eq!(spanned, fresh.then(|| period * (ticks - 2)));
         }
     }
 }

@@ -25,9 +25,12 @@
 //! Packets, the paper's third candidate unit, are not counted; the name
 //! is kept for callers that read it, and reads an empty queue.
 //!
-//! [`sim::NetSim`] assembles two [`host::Host`]s (each with pinned app and
-//! softirq CPU contexts, mirroring the paper's core pinning) around a
-//! duplex link and runs [`sim::App`] implementations over the socket API.
+//! [`sim::NetSim`] assembles an N-client star: N client [`host::Host`]s,
+//! each on its own duplex link to one server host (every host with pinned
+//! app and softirq CPU contexts, mirroring the paper's core pinning), and
+//! runs [`sim::App`] implementations over the socket API; the two-host
+//! pair is its `N = 1` case. [`tier::TierSim`] is the two-tier variant:
+//! clients → proxy → sharded servers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,8 +28,9 @@
 //!   counts over a later stretch of its own (`FANIN_WARM..FANIN_END`,
 //!   8 in flight at its start and 22 at its end): at `WARM` its clients
 //!   still have a start-up backlog of 184 requests in flight, whose
-//!   buffers, given back, would outweigh what the recorders' checkpoints
-//!   grow by;
+//!   buffers, given back, would outweigh what the server's hint
+//!   checkpoints grow by (a client's recorders keep a fixed-size state
+//!   and grow by nothing);
 //! - events dispatched, by arm of `Event`. The stretch runs the loop
 //!   `simnet::run` runs, tallying each popped event before handing it to
 //!   `World::handle`, so the count is of what runs, however the code that
@@ -259,9 +260,11 @@ const TIER4_CEILING: Ledger = Ledger {
 };
 const FANIN1024_CEILING: Ledger = Ledger {
     heap: Heap {
-        allocs: 33_355,      // 4.15 per request
-        bytes: 134_685_767,  // 16 775 per request
-        retained: 1_091_469, // 135.9 per request: the recorders' packed checkpoints
+        allocs: 32_198,     // 4.01 per request
+        bytes: 133_028_367, // 16 568 per request
+        // 49.6 per request: 14 more requests in flight at the end than at
+        // the start, and the server's hint checkpoints.
+        retained: 398_519,
     },
     events: [32_498, 32_486, 365, 48_135, 36_604, 32_500, 0, 0], // 22.74 per request
     ticks: 7_745, // 0.96 per request, 0.042 of events
@@ -270,11 +273,11 @@ const FANIN1024_CEILING: Ledger = Ledger {
 };
 const STAR64_LOSS_CEILING: Ledger = Ledger {
     heap: Heap {
-        allocs: 17_272,    // 4.33 per request
-        bytes: 74_849_871, // 18 745 per request
-        // 406.6 per request: 90 requests in flight at `WARM`, 173 at `END`,
+        allocs: 16_943,    // 4.24 per request
+        bytes: 73_994_560, // 18 531 per request
+        // 357.9 per request: 90 requests in flight at `WARM`, 173 at `END`,
         // their buffers still held.
-        retained: 1_623_517,
+        retained: 1_429_069,
     },
     events: [16_857, 16_857, 133, 23_178, 17_665, 17_034, 0, 0], // 22.97 per request
     ticks: 2_935,                                                // 0.74 per request
@@ -290,11 +293,12 @@ const STAR64_LOSS_CEILING: Ledger = Ledger {
 /// holds it within 5 % of the same figure at 128 connections, so a
 /// connection costs the same whatever the connection count.
 ///
-/// 9 630 B per connection; 9 806 while a client kept its own tracker
-/// snapshots and parking bookkeeping, 10 126 while its recorders each
-/// held an estimator, 26 382 before flow tables, histograms and client
-/// seats were sized to what a connection uses.
-const ASSEMBLY_CEILING: i64 = 9_860_800;
+/// 9 182 B per connection; 9 630 while a client's recorders each kept a
+/// checkpoint column for the whole run, 9 806 while a client kept its own
+/// tracker snapshots and parking bookkeeping, 10 126 while its recorders
+/// each held an estimator, 26 382 before flow tables, histograms and
+/// client seats were sized to what a connection uses.
+const ASSEMBLY_CEILING: i64 = 9_402_048;
 
 /// A 64-client star at 64 kRPS in total: Figure 4a requests, no
 /// estimator.
