@@ -35,7 +35,7 @@ if git grep -n 'Unit::Packets' -- 'crates/*/src/*' \
     exit 1
 fi
 
-echo "==> the public surface is what another crate reads (at most 33 pub items no file outside their crate names)"
+echo "==> the public surface is what another crate reads (at most 30 pub items no file outside their crate names)"
 # rustc's dead-code lint cannot see a `pub` item, so an unread one stays
 # until something counts it. Listed: each `pub` item or field under
 # crates/*/src whose name, as a word, no tracked .rs file outside that
@@ -44,7 +44,7 @@ echo "==> the public surface is what another crate reads (at most 33 pub items n
 # a public signature exposes, fields a struct-update literal in another
 # crate needs, items only a doctest reads. Narrow a new one to `pub(crate)`
 # (then rustc says whether it is dead); never raise the count to fit it.
-pub_unread_max=33
+pub_unread_max=30
 pub_unread=$(for src in crates/*/src; do
     git grep -ohwE '[A-Za-z_][A-Za-z0-9_]*' -- '*.rs' ":(exclude)$src/" | awk -v src="$src" '
         { read[$0] = 1 }

@@ -39,13 +39,11 @@ fn estimator_inputs(
     now: Nanos,
     unit: Unit,
 ) -> (EndpointSnapshots, Option<WireExchange>, Option<Nanos>) {
-    let snaps = socket.local_snapshots(now, unit);
-    let local = EndpointSnapshots {
-        unacked: snaps.unacked,
-        unread: snaps.unread,
-        ackdelay: snaps.ackdelay,
-    };
-    (local, socket.remote().unit(unit), socket.srtt())
+    (
+        socket.local_snapshots(now, unit),
+        socket.remote().unit(unit),
+        socket.srtt(),
+    )
 }
 
 /// Per-unit estimate recording (no actuation), in one of two forms.
@@ -807,7 +805,7 @@ impl ProxyDriver {
 #[cfg(test)]
 mod tests {
     use batchpolicy::Objective;
-    use e2e_core::combine::{combine_delays, EndpointSnapshots, EndpointWindows, QueueWindow};
+    use e2e_core::combine::{combine_delays, EndpointWindows};
     use e2e_core::RequestTracker;
     use littles::wire::{WireExchange, WireScale, WireSnapshot};
     use littles::{Nanos, Snapshot};
@@ -873,12 +871,7 @@ mod tests {
                 rec.tick_socket(tick(k), &sock);
             }
             source.tick_socket(tick(k), &sock);
-            let snaps = sock.local_snapshots(tick(k), Unit::Bytes);
-            local.push(EndpointSnapshots {
-                unacked: snaps.unacked,
-                unread: snaps.unread,
-                ackdelay: snaps.ackdelay,
-            });
+            local.push(sock.local_snapshots(tick(k), Unit::Bytes));
         }
         for (rec, (from, to)) in recs[..2].iter().zip(windows) {
             assert_eq!(rec.windows_in(from, to), None, "[{from}, {to})");
@@ -895,11 +888,6 @@ mod tests {
             .unread
             .window_since(&exchange(tick(2)).unread, WireScale::default())
             .expect("a remote window");
-        let remote = QueueWindow {
-            dt: remote.dt,
-            d_total: remote.d_total,
-            d_integral: remote.d_integral,
-        };
         let far = EndpointWindows {
             unacked: remote,
             unread: remote,

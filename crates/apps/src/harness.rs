@@ -504,8 +504,8 @@ impl Harness<Star, RunConfig> {
         let (tracker_mean, aimd_mean_limit) = match self.edges[..] {
             [start, end] => (
                 end.tracker
-                    .averages_since(&start.tracker)
-                    .and_then(|a| a.delay),
+                    .window_since(&start.tracker)
+                    .and_then(|w| w.rounded_delay()),
                 end.mean_limit_since(&start),
             ),
             _ => (None, None),
@@ -787,7 +787,7 @@ mod tests {
         harness.run_until(to);
         let end = harness.world.clients[0].tracker.snapshot(to);
         harness.drain();
-        let want = end.averages_since(&start).and_then(|a| a.delay);
+        let want = end.window_since(&start).and_then(|w| w.rounded_delay());
         assert!(want.is_some(), "no request completed in the window");
         assert_eq!(harness.result().tracker_mean, want);
     }

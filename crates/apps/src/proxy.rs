@@ -332,6 +332,10 @@ pub struct ProxyApp {
     /// breaker, so a frozen (dead-upstream) estimate is fed only once and
     /// cannot keep relaxing the trip streak while timeouts accumulate.
     conf_fed_at: Vec<Nanos>,
+    /// The client sockets and upstreams each tick hands the driver,
+    /// cleared and refilled so a tick allocates nothing.
+    tick_socks: Vec<SocketId>,
+    tick_ups: Vec<Option<SocketId>>,
 }
 
 impl ProxyApp {
@@ -372,6 +376,8 @@ impl ProxyApp {
             next_req_id: 1,
             zombies: Vec::new(),
             conf_fed_at: vec![Nanos::ZERO; shards],
+            tick_socks: Vec::new(),
+            tick_ups: Vec::new(),
         }
     }
 
@@ -581,9 +587,12 @@ impl ProxyApp {
     fn tick(&mut self, ctx: &mut HostCtx<'_>) {
         if let Some(mut driver) = self.driver.take() {
             // Sorted client order (BTreeMap) keeps the tick deterministic.
-            let client_socks: Vec<SocketId> = self.conns.keys().map(|&s| SocketId(s)).collect();
-            let upstreams: Vec<Option<SocketId>> = self.ups.iter().map(Upstream::live).collect();
-            driver.tick(ctx, &client_socks, &upstreams);
+            self.tick_socks.clear();
+            self.tick_socks
+                .extend(self.conns.keys().map(|&s| SocketId(s)));
+            self.tick_ups.clear();
+            self.tick_ups.extend(self.ups.iter().map(Upstream::live));
+            driver.tick(ctx, &self.tick_socks, &self.tick_ups);
             // Joint breaker feed: each *fresh* composed estimate reports
             // its confidence to the shard's breaker. Unchanging estimates
             // (dead upstream → no updates) are fed once, not every tick,

@@ -79,12 +79,7 @@ impl Reference {
     }
 
     fn tick(&mut self, now: Nanos, socket: &TcpSocket) {
-        let snaps = socket.local_snapshots(now, self.unit);
-        let local = EndpointSnapshots {
-            unacked: snaps.unacked,
-            unread: snaps.unread,
-            ackdelay: snaps.ackdelay,
-        };
+        let local = socket.local_snapshots(now, self.unit);
         let window = self
             .prev_local
             .and_then(|prev| EndpointWindows::between(&prev, &local));

@@ -74,7 +74,10 @@ fn bench_snapshot_and_averages() {
         integral: 9_000_000,
     };
     bench("getavgs", 1_000_000, || {
-        black_box(cur.averages_since(&prev));
+        black_box(
+            cur.window_since(&prev)
+                .map(|w| (w.avg_occupancy(), w.throughput(), w.rounded_delay())),
+        );
     });
 }
 

@@ -15,106 +15,14 @@
 //! application.
 //!
 //! Everything here is a pure function over [`QueueWindow`]s — unit-less
-//! deltas recoverable either from full-resolution [`Snapshot`]s or from the
-//! wire-encoded 36-byte exchange.
+//! deltas recoverable either from full-resolution snapshots
+//! ([`EndpointSnapshots`]) or from the wire-encoded 36-byte exchange.
+//! Both types are `littles`'s, re-exported here.
 
-use littles::wire::{WireExchange, WireScale, WireSnapshot};
-use littles::{Nanos, Snapshot};
-
-/// One endpoint's three queue snapshots at a single instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EndpointSnapshots {
-    /// Sent-but-unacknowledged queue.
-    pub unacked: Snapshot,
-    /// Received-but-unread queue.
-    pub unread: Snapshot,
-    /// Received-but-unacked (delayed ACK) queue.
-    pub ackdelay: Snapshot,
-}
-
-/// The averages of one queue over a window: occupancy integral and
-/// departures over elapsed time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QueueWindow {
-    /// Window length.
-    pub dt: Nanos,
-    /// Items that departed during the window.
-    pub d_total: u64,
-    /// Occupancy integral growth (item-nanoseconds).
-    pub d_integral: u128,
-}
-
-impl QueueWindow {
-    /// Window between two full-resolution snapshots; `None` if inverted or
-    /// empty.
-    pub(crate) fn between(prev: &Snapshot, cur: &Snapshot) -> Option<QueueWindow> {
-        let dt = cur.time.checked_sub(prev.time)?;
-        if dt.is_zero() {
-            return None;
-        }
-        Some(QueueWindow {
-            dt,
-            d_total: cur.total.checked_sub(prev.total)?,
-            d_integral: cur.integral.checked_sub(prev.integral)?,
-        })
-    }
-
-    /// Window between two wire-encoded snapshots (wrap-aware).
-    pub(crate) fn between_wire(
-        prev: &WireSnapshot,
-        cur: &WireSnapshot,
-        scale: WireScale,
-    ) -> Option<QueueWindow> {
-        let w = cur.window_since(prev, scale)?;
-        Some(QueueWindow {
-            dt: w.dt,
-            d_total: w.d_total,
-            d_integral: w.d_integral,
-        })
-    }
-
-    /// Little's-law delay for this window, with the pragmatic fallbacks a
-    /// policy needs: an idle queue (no departures, no occupancy)
-    /// contributes zero; a stalled queue (occupancy but no departures)
-    /// contributes at least the window length.
-    pub fn delay(&self) -> Nanos {
-        if self.d_total > 0 {
-            Nanos::from_nanos((self.d_integral / self.d_total as u128) as u64)
-        } else if self.d_integral == 0 {
-            Nanos::ZERO
-        } else {
-            self.dt
-        }
-    }
-
-    /// Departure rate (items per second), i.e. the queue's throughput.
-    pub fn throughput(&self) -> f64 {
-        if self.dt.is_zero() {
-            0.0
-        } else {
-            self.d_total as f64 / self.dt.as_secs_f64()
-        }
-    }
-
-    /// Accumulates an adjacent window of the same queue into this one
-    /// (component-wise sums): the union window.
-    pub(crate) fn merge(&mut self, other: &QueueWindow) {
-        self.dt += other.dt;
-        self.d_total += other.d_total;
-        self.d_integral += other.d_integral;
-    }
-
-    /// The window spanning from `earlier`'s end to this window's end,
-    /// assuming both are cumulative sums from the same origin (each
-    /// component of `self` is ≥ the corresponding one in `earlier`).
-    pub(crate) fn since(&self, earlier: &QueueWindow) -> QueueWindow {
-        QueueWindow {
-            dt: self.dt.saturating_sub(earlier.dt),
-            d_total: self.d_total.saturating_sub(earlier.d_total),
-            d_integral: self.d_integral.saturating_sub(earlier.d_integral),
-        }
-    }
-}
+pub use littles::wire::EndpointSnapshots;
+use littles::wire::{WireExchange, WireScale};
+use littles::Nanos;
+pub use littles::QueueWindow;
 
 /// One endpoint's three queue windows over the same measurement interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -131,9 +39,9 @@ impl EndpointWindows {
     /// Windows between two snapshot sets of the same endpoint.
     pub fn between(prev: &EndpointSnapshots, cur: &EndpointSnapshots) -> Option<EndpointWindows> {
         Some(EndpointWindows {
-            unacked: QueueWindow::between(&prev.unacked, &cur.unacked)?,
-            unread: QueueWindow::between(&prev.unread, &cur.unread)?,
-            ackdelay: QueueWindow::between(&prev.ackdelay, &cur.ackdelay)?,
+            unacked: cur.unacked.window_since(&prev.unacked)?,
+            unread: cur.unread.window_since(&prev.unread)?,
+            ackdelay: cur.ackdelay.window_since(&prev.ackdelay)?,
         })
     }
 
@@ -146,7 +54,7 @@ impl EndpointWindows {
     }
 
     /// Per-queue difference of two cumulative window sets (see
-    /// `QueueWindow::since`).
+    /// [`QueueWindow::since`]).
     pub fn since(&self, earlier: &EndpointWindows) -> EndpointWindows {
         EndpointWindows {
             unacked: self.unacked.since(&earlier.unacked),
@@ -162,9 +70,9 @@ impl EndpointWindows {
         scale: WireScale,
     ) -> Option<EndpointWindows> {
         Some(EndpointWindows {
-            unacked: QueueWindow::between_wire(&prev.unacked, &cur.unacked, scale)?,
-            unread: QueueWindow::between_wire(&prev.unread, &cur.unread, scale)?,
-            ackdelay: QueueWindow::between_wire(&prev.ackdelay, &cur.ackdelay, scale)?,
+            unacked: cur.unacked.window_since(&prev.unacked, scale)?,
+            unread: cur.unread.window_since(&prev.unread, scale)?,
+            ackdelay: cur.ackdelay.window_since(&prev.ackdelay, scale)?,
         })
     }
 }
@@ -206,6 +114,7 @@ pub fn combine_delays(near: &EndpointWindows, far: &EndpointWindows) -> DelaySet
 #[cfg(test)]
 mod tests {
     use super::*;
+    use littles::Snapshot;
 
     fn window(dt_us: u64, total: u64, integral_item_us: u128) -> QueueWindow {
         QueueWindow {

@@ -63,15 +63,11 @@ impl RequestTracker {
         self.state.size()
     }
 
-    /// The snapshot to pass as ancillary data with `send`.
+    /// The snapshot to pass as ancillary data with `send`. The window
+    /// between two of them ([`Snapshot::window_since`]) is what the
+    /// *client* itself observes (useful for validation).
     pub fn snapshot(&self, now: Nanos) -> Snapshot {
         self.state.peek(now)
-    }
-
-    /// End-to-end averages between two of this tracker's snapshots — what
-    /// the *client* itself observes (useful for validation).
-    pub fn averages(prev: &Snapshot, cur: &Snapshot) -> Option<littles::Averages> {
-        cur.averages_since(prev)
     }
 }
 
@@ -101,8 +97,8 @@ mod tests {
             t.complete(Nanos::from_micros(i * 10 + 100), 1);
         }
         let s1 = t.snapshot(Nanos::from_micros(200));
-        let a = RequestTracker::averages(&s0, &s1).unwrap();
-        assert_eq!(a.delay.unwrap(), Nanos::from_micros(100));
+        let w = s1.window_since(&s0).unwrap();
+        assert_eq!(w.mean_delay(), Some(Nanos::from_micros(100)));
     }
 
     /// The server's estimate from two hints is their wire window: the
@@ -135,7 +131,7 @@ mod tests {
         let e = snap
             .window_since(&first, scale)
             .expect("second hint yields estimate");
-        assert_eq!(e.delay().unwrap(), Nanos::from_micros(200));
+        assert_eq!(e.mean_delay(), Some(Nanos::from_micros(200)));
         // 10 completions over 700 µs.
         let expect_tput = 10.0 / 700e-6;
         assert!((e.throughput() - expect_tput).abs() / expect_tput < 1e-9);
@@ -159,7 +155,7 @@ mod tests {
             "the repeat folds nothing"
         );
         assert_eq!(dup.window_since(&first, scale), Some(e1));
-        assert_eq!(e1.delay(), Some(Nanos::from_micros(10)));
+        assert_eq!(e1.mean_delay(), Some(Nanos::from_micros(10)));
     }
 
     #[test]
@@ -170,8 +166,8 @@ mod tests {
         t.create(Nanos::ZERO, 4);
         t.complete(Nanos::from_micros(100), 4);
         let s1 = t.snapshot(Nanos::from_micros(100));
-        let a = RequestTracker::averages(&s0, &s1).unwrap();
-        assert_eq!(a.delay.unwrap(), Nanos::from_micros(100));
-        assert_eq!(s1.total - s0.total, 4);
+        let w = s1.window_since(&s0).unwrap();
+        assert_eq!(w.mean_delay(), Some(Nanos::from_micros(100)));
+        assert_eq!(w.d_total, 4);
     }
 }

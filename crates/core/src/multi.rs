@@ -44,62 +44,52 @@ impl MultiConnectionAggregator {
     /// pulls the weighted confidence down, and it must not trip a breaker
     /// on its own.
     pub fn aggregate(&mut self) -> Option<Estimate> {
-        if self.estimates.is_empty() {
-            return None;
-        }
-        let total_tput: f64 = self.estimates.iter().map(|e| e.throughput).sum();
-        let n = self.estimates.len();
-        let weighted = |field: fn(&Estimate) -> Nanos| -> Nanos {
-            let ns = if total_tput > 0.0 {
-                self.estimates
-                    .iter()
-                    .map(|e| field(e).as_nanos() as f64 * (e.throughput / total_tput))
-                    .sum::<f64>()
-            } else {
-                self.estimates
-                    .iter()
-                    .map(|e| field(e).as_nanos() as f64)
-                    .sum::<f64>()
-                    / n as f64
-            };
-            Nanos::from_nanos(ns.round() as u64)
-        };
-        let latency = weighted(|e| e.latency);
-        let smoothed_latency = weighted(|e| e.smoothed_latency);
-        let components = DelaySet {
-            unacked_near: weighted(|e| e.components.unacked_near),
-            ackdelay_far: weighted(|e| e.components.ackdelay_far),
-            unread_near: weighted(|e| e.components.unread_near),
-            unread_far: weighted(|e| e.components.unread_far),
-        };
-        let confidence = if total_tput > 0.0 {
-            self.estimates
-                .iter()
-                .map(|e| e.confidence * (e.throughput / total_tput))
+        let aggregate = weighted_aggregate(self.estimates.iter().copied());
+        self.estimates.clear();
+        aggregate
+    }
+}
+
+/// The throughput-weighted aggregate of `estimates` (see
+/// [`MultiConnectionAggregator::aggregate`]), `None` when there are none.
+/// Each field is one pass over the estimates in their order, so the
+/// aggregate is the same to the bit whoever holds them.
+fn weighted_aggregate(estimates: impl Iterator<Item = Estimate> + Clone) -> Option<Estimate> {
+    let at = estimates.clone().map(|e| e.at).max()?;
+    let total_tput: f64 = estimates.clone().map(|e| e.throughput).sum();
+    let weighted = |field: &dyn Fn(&Estimate) -> f64| -> f64 {
+        if total_tput > 0.0 {
+            estimates
+                .clone()
+                .map(|e| field(&e) * (e.throughput / total_tput))
                 .sum::<f64>()
         } else {
-            self.estimates.iter().map(|e| e.confidence).sum::<f64>() / n as f64
-        };
-        let remote_stale = self.estimates.iter().all(|e| e.remote_stale);
-        let at = self
-            .estimates
-            .iter()
-            .map(|e| e.at)
-            .max()
-            .unwrap_or(Nanos::ZERO);
-        self.estimates.clear();
-        Some(Estimate {
-            at,
-            latency,
-            smoothed_latency,
-            throughput: total_tput,
-            local_view: latency,
-            remote_view: latency,
-            confidence,
-            remote_stale,
-            components,
-        })
-    }
+            // Every connection idle: the plain mean.
+            let n = estimates.clone().count();
+            estimates.clone().map(|e| field(&e)).sum::<f64>() / n as f64
+        }
+    };
+    let weighted_nanos = |field: fn(&Estimate) -> Nanos| -> Nanos {
+        let ns = weighted(&|e| field(e).as_nanos() as f64);
+        Nanos::from_nanos(ns.round() as u64)
+    };
+    let latency = weighted_nanos(|e| e.latency);
+    Some(Estimate {
+        at,
+        latency,
+        smoothed_latency: weighted_nanos(|e| e.smoothed_latency),
+        throughput: total_tput,
+        local_view: latency,
+        remote_view: latency,
+        confidence: weighted(&|e| e.confidence),
+        remote_stale: estimates.clone().all(|e| e.remote_stale),
+        components: DelaySet {
+            unacked_near: weighted_nanos(|e| e.components.unacked_near),
+            ackdelay_far: weighted_nanos(|e| e.components.ackdelay_far),
+            unread_near: weighted_nanos(|e| e.components.unread_near),
+            unread_far: weighted_nanos(|e| e.components.unread_far),
+        },
+    })
 }
 
 /// Per-host registry of per-connection estimators.
@@ -107,10 +97,10 @@ impl MultiConnectionAggregator {
 /// A listener-wide batching policy needs one `L` for the whole host, not
 /// one per connection. The registry owns an [`E2eEstimator`] per
 /// connection id (created lazily on first update), remembers each
-/// connection's latest estimate, and folds them through a
-/// [`MultiConnectionAggregator`] on demand — so a policy written against a
-/// single connection's [`Estimate`] sees the throughput-weighted
-/// aggregate instead.
+/// connection's latest estimate, and folds them on demand into the
+/// throughput-weighted aggregate a [`MultiConnectionAggregator`] computes
+/// — so a policy written against a single connection's [`Estimate`] sees
+/// that aggregate instead.
 ///
 /// Connection ids are small sequential integers (the simulation's flow
 /// counter), so estimators live in a dense `Vec` indexed by id — lookup
@@ -229,11 +219,12 @@ impl EstimatorRegistry {
     /// Throughput-weighted aggregate over every connection's latest
     /// estimate. `None` until at least one connection has estimated.
     pub fn aggregate(&self) -> Option<Estimate> {
-        let mut agg = MultiConnectionAggregator::new();
-        for est in self.estimators.iter().flatten().filter_map(|e| e.last()) {
-            agg.add(est);
-        }
-        agg.aggregate()
+        weighted_aggregate(
+            self.estimators
+                .iter()
+                .flatten()
+                .filter_map(E2eEstimator::last),
+        )
     }
 }
 

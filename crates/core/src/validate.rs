@@ -239,14 +239,16 @@ impl ExchangeValidator {
             None => (0.0, 0.0),
         };
         let bound = |reference: f64| RATE_FACTOR * (reference + RATE_FLOOR);
-        let windows = EndpointWindows::between_wire(prev, cur, scale);
-        let references = [
-            (cur.unacked, prev.unacked, local_rx_rate),
-            (cur.unread, prev.unread, local_tx_rate),
-            (cur.ackdelay, prev.ackdelay, local_tx_rate),
+        // Each queue is judged on its own: a queue whose wire window is
+        // empty is skipped, the others are still checked.
+        let windows = [
+            cur.unacked.window_since(&prev.unacked, scale),
+            cur.unread.window_since(&prev.unread, scale),
+            cur.ackdelay.window_since(&prev.ackdelay, scale),
         ];
-        for (c, p, reference) in references {
-            if let Some(w) = c.window_since(&p, scale) {
+        let references = [local_rx_rate, local_tx_rate, local_tx_rate];
+        for (w, reference) in windows.iter().zip(references) {
+            if let Some(w) = w {
                 if w.throughput() > bound(reference) {
                     return Err(RejectReason::Throughput);
                 }
@@ -258,12 +260,13 @@ impl ExchangeValidator {
         // The implied Little's-law delays must sit within a multiple of
         // the locally measured round-trip: queue residency an order of
         // magnitude beyond the path RTT budget is a garbled integral, not
-        // congestion. (Checked on the combined windows so the idle/stalled
-        // fallbacks match what the estimator would consume.)
-        if let Some(w) = windows {
+        // congestion. (Checked only when all three windows form, as the
+        // estimator would consume them, with the idle/stalled fallbacks
+        // it applies.)
+        if let [Some(unacked), Some(unread), Some(ackdelay)] = windows {
             let srtt = ctx.srtt.unwrap_or(DELAY_SRTT_FLOOR).max(DELAY_SRTT_FLOOR);
             let max_delay = Nanos::from_nanos((srtt.as_nanos() as f64 * DELAY_SRTT_FACTOR) as u64);
-            for q in [w.unacked, w.unread, w.ackdelay] {
+            for q in [unacked, unread, ackdelay] {
                 if q.delay() > max_delay {
                     return Err(RejectReason::Delay);
                 }

@@ -168,7 +168,7 @@ fn tracker_mean_exact_for_uniform_residency() {
             }
         }
         let s1 = t.snapshot(us(n * gap_us + residency_us + 1));
-        let avgs = RequestTracker::averages(&s0, &s1).unwrap();
-        assert_eq!(avgs.delay.unwrap(), us(residency_us));
+        let window = s1.window_since(&s0).unwrap();
+        assert_eq!(window.rounded_delay(), Some(us(residency_us)));
     }
 }

@@ -19,10 +19,13 @@
 //! # Modules
 //!
 //! * `time` — the `u64`-nanosecond [`Nanos`] timestamp used throughout.
-//! * `queue` — [`QueueState`] (`TRACK`), [`Snapshot`], and [`Averages`]
-//!   (`GETAVGS`).
+//! * `queue` — [`QueueState`] (`TRACK`), [`Snapshot`], and [`QueueWindow`]
+//!   (`GETAVGS`: the differences of two snapshots, and the averages they
+//!   give).
 //! * [`wire`] — the compact 36-byte peer exchange format (three 4-byte
-//!   counters per queue, three queues), with wrap-aware deltas.
+//!   counters per queue, three queues), with wrap-aware deltas that give
+//!   the same [`QueueWindow`], and an endpoint's three full-resolution
+//!   snapshots ([`wire::EndpointSnapshots`]).
 //! * `ewma` — exponentially weighted moving averages for smoothing noisy
 //!   estimates (paper §5, "Toggling Granularity").
 //!
@@ -40,8 +43,8 @@
 //! q.track(Nanos::from_micros(30), -4);
 //!
 //! let end = q.snapshot(Nanos::from_micros(30));
-//! let avgs = end.averages_since(&start).unwrap();
-//! assert!((avgs.avg_occupancy - 3.0).abs() < 1e-9); // 90 item-µs / 30 µs
+//! let window = end.window_since(&start).unwrap();
+//! assert!((window.avg_occupancy() - 3.0).abs() < 1e-9); // 90 item-µs / 30 µs
 //! ```
 
 #![forbid(unsafe_code)]
@@ -59,5 +62,5 @@ mod time;
 pub mod wire;
 
 pub use ewma::Ewma;
-pub use queue::{Averages, QueueState, Snapshot};
+pub use queue::{QueueState, QueueWindow, Snapshot};
 pub use time::Nanos;

@@ -7,8 +7,9 @@
 //!
 //! A [`Snapshot`] is the 3-tuple `(time, total, integral)` that peers
 //! exchange — `size` is not needed by `GETAVGS`. Subtracting two snapshots
-//! ([`Snapshot::averages_since`]) yields [`Averages`]: average occupancy,
-//! throughput, and Little's-law queueing delay for the window between them.
+//! ([`Snapshot::window_since`]) yields a [`QueueWindow`], from which
+//! average occupancy, throughput, and Little's-law queueing delay for the
+//! window between them follow.
 
 use crate::time::Nanos;
 
@@ -128,7 +129,7 @@ impl QueueState {
 ///
 /// `GETAVGS` never reads the instantaneous `size`, so snapshots omit it
 /// (paper §3.1). Two snapshots of the same queue delimit a measurement
-/// window; see [`Snapshot::averages_since`].
+/// window; see [`Snapshot::window_since`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     /// Time the snapshot was taken.
@@ -154,56 +155,121 @@ impl Snapshot {
         }
     }
 
-    /// The `GETAVGS` procedure: averages over the window from `prev` to
-    /// `self`.
+    /// The `GETAVGS` procedure: the window from `prev` to `self`.
     ///
-    /// Returns `None` if the window is empty or inverted (`Δtime ≤ 0`), in
-    /// which case no estimate can be formed.
-    pub fn averages_since(&self, prev: &Snapshot) -> Option<Averages> {
+    /// Returns `None` if the window is empty or inverted (`Δtime ≤ 0`), or
+    /// if a counter went backwards, in which case no estimate can be
+    /// formed.
+    pub fn window_since(&self, prev: &Snapshot) -> Option<QueueWindow> {
         let dt = self.time.checked_sub(prev.time)?;
         if dt.is_zero() {
             return None;
         }
-        let d_integral = self.integral.checked_sub(prev.integral)? as f64;
-        let d_total = self.total.checked_sub(prev.total)? as f64;
-        let dt_ns = dt.as_nanos() as f64;
-
-        let avg_occupancy = d_integral / dt_ns;
-        let throughput = d_total / (dt_ns / 1e9);
-        // `D = Q / λ` simplifies to `Δintegral / Δtotal`, directly in
-        // nanoseconds (item-ns over items).
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "a rounded, non-negative f64 delay; `as` saturates at u64::MAX ns"
-        )]
-        let delay = if d_total > 0.0 {
-            Some(Nanos::from_nanos((d_integral / d_total).round() as u64))
-        } else {
-            None
-        };
-        Some(Averages {
-            window: dt,
-            avg_occupancy,
-            throughput,
-            delay,
+        Some(QueueWindow {
+            dt,
+            d_total: self.total.checked_sub(prev.total)?,
+            d_integral: self.integral.checked_sub(prev.integral)?,
         })
     }
 }
 
-/// Window averages returned by `GETAVGS`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Averages {
+/// One queue over a window: the differences of two of its snapshots,
+/// taken at full resolution ([`Snapshot::window_since`]) or read off the
+/// wire ([`WireSnapshot::window_since`](crate::wire::WireSnapshot::window_since)).
+///
+/// Little's law reads everything off the three differences: average
+/// occupancy `Q = Δintegral / Δtime`, throughput `λ = Δtotal / Δtime` and
+/// queueing delay `D = Q / λ = Δintegral / Δtotal`.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct QueueWindow {
     /// Window length.
-    pub(crate) window: Nanos,
-    /// Average queue occupancy `Q` (items).
-    pub avg_occupancy: f64,
+    pub dt: Nanos,
+    /// Items that departed during the window.
+    pub d_total: u64,
+    /// Occupancy integral growth (item-nanoseconds).
+    pub d_integral: u128,
+}
+
+impl QueueWindow {
+    /// Average occupancy `Q` (items).
+    pub fn avg_occupancy(&self) -> f64 {
+        self.d_integral as f64 / self.dt.as_nanos() as f64
+    }
+
     /// Departure rate `λ` (items per second); by queuing theory this equals
-    /// the admitted arrival rate, i.e. the queue's throughput.
-    pub(crate) throughput: f64,
-    /// Little's-law queueing delay `D = Q/λ`; `None` when nothing departed
-    /// during the window (the delay is then undefined — either the queue was
-    /// idle, or items are stuck and the delay is unbounded).
-    pub delay: Option<Nanos>,
+    /// the admitted arrival rate, i.e. the queue's throughput. Zero for an
+    /// empty window.
+    pub fn throughput(&self) -> f64 {
+        if self.dt.is_zero() {
+            0.0
+        } else {
+            self.d_total as f64 / self.dt.as_secs_f64()
+        }
+    }
+
+    /// Little's-law delay `D = Δintegral / Δtotal`, floored to the
+    /// nanosecond; `None` when nothing departed (the delay is then
+    /// undefined — either the queue was idle, or items are stuck and the
+    /// delay is unbounded).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a mean residence in ns: under 2^(32 + integral_shift) from the wire, and past 2^64 ns only after centuries at full resolution"
+    )]
+    pub fn mean_delay(&self) -> Option<Nanos> {
+        if self.d_total == 0 {
+            return None;
+        }
+        Some(Nanos::from_nanos(
+            (self.d_integral / self.d_total as u128) as u64,
+        ))
+    }
+
+    /// [`mean_delay`](Self::mean_delay) divided in `f64` and rounded to
+    /// the nearest nanosecond: the rule a client's tracker reports its
+    /// ground-truth latency by.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a rounded, non-negative f64 delay; `as` saturates at u64::MAX ns"
+    )]
+    pub fn rounded_delay(&self) -> Option<Nanos> {
+        if self.d_total == 0 {
+            return None;
+        }
+        Some(Nanos::from_nanos(
+            (self.d_integral as f64 / self.d_total as f64).round() as u64,
+        ))
+    }
+
+    /// [`mean_delay`](Self::mean_delay) with the pragmatic fallbacks a
+    /// policy needs: an idle queue (no departures, no occupancy)
+    /// contributes zero; a stalled queue (occupancy but no departures)
+    /// contributes at least the window length.
+    pub fn delay(&self) -> Nanos {
+        match self.mean_delay() {
+            Some(delay) => delay,
+            None if self.d_integral == 0 => Nanos::ZERO,
+            None => self.dt,
+        }
+    }
+
+    /// Accumulates an adjacent window of the same queue into this one
+    /// (component-wise sums): the union window.
+    pub fn merge(&mut self, other: &QueueWindow) {
+        self.dt += other.dt;
+        self.d_total += other.d_total;
+        self.d_integral += other.d_integral;
+    }
+
+    /// The window spanning from `earlier`'s end to this window's end,
+    /// assuming both are cumulative sums from the same origin (each
+    /// component of `self` is ≥ the corresponding one in `earlier`).
+    pub fn since(&self, earlier: &QueueWindow) -> QueueWindow {
+        QueueWindow {
+            dt: self.dt.saturating_sub(earlier.dt),
+            d_total: self.d_total.saturating_sub(earlier.d_total),
+            d_integral: self.d_integral.saturating_sub(earlier.d_integral),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -237,13 +303,14 @@ mod tests {
         q.track(Nanos::from_micros(10), 3);
         q.track(Nanos::from_micros(30), -4);
         let end = q.snapshot(Nanos::from_micros(30));
-        let a = end.averages_since(&start).unwrap();
-        assert!((a.avg_occupancy - 3.0).abs() < 1e-12);
+        let w = end.window_since(&start).unwrap();
+        assert!((w.avg_occupancy() - 3.0).abs() < 1e-12);
         // Four departures over 30 µs.
         let expect_tput = 4.0 / 30e-6;
-        assert!((a.throughput - expect_tput).abs() / expect_tput < 1e-12);
+        assert!((w.throughput() - expect_tput).abs() / expect_tput < 1e-12);
         // D = Q/λ = Δintegral/Δtotal = 90/4 item-µs = 22.5 µs.
-        assert_eq!(a.delay.unwrap(), Nanos::from_nanos(22_500));
+        assert_eq!(w.mean_delay(), Some(Nanos::from_nanos(22_500)));
+        assert_eq!(w.rounded_delay(), w.mean_delay());
     }
 
     #[test]
@@ -281,7 +348,7 @@ mod tests {
     fn empty_window_yields_none() {
         let mut q = QueueState::new(Nanos::ZERO);
         let s = q.snapshot(Nanos::from_micros(1));
-        assert!(s.averages_since(&s).is_none());
+        assert!(s.window_since(&s).is_none());
     }
 
     #[test]
@@ -289,7 +356,7 @@ mod tests {
         let mut q = QueueState::new(Nanos::ZERO);
         let early = q.snapshot(Nanos::from_micros(1));
         let late = q.snapshot(Nanos::from_micros(2));
-        assert!(early.averages_since(&late).is_none());
+        assert!(early.window_since(&late).is_none());
     }
 
     #[test]
@@ -298,9 +365,12 @@ mod tests {
         let start = q.snapshot(Nanos::ZERO);
         q.track(Nanos::ZERO, 1);
         let end = q.snapshot(Nanos::from_micros(10));
-        let a = end.averages_since(&start).unwrap();
-        assert_eq!(a.delay, None);
-        assert_eq!(a.throughput.to_bits(), 0.0f64.to_bits());
+        let w = end.window_since(&start).unwrap();
+        assert_eq!((w.mean_delay(), w.rounded_delay()), (None, None));
+        assert_eq!(w.throughput().to_bits(), 0.0f64.to_bits());
+        // Occupancy with no departure: a stalled queue, delayed at least
+        // the window.
+        assert_eq!(w.delay(), Nanos::from_micros(10));
     }
 
     #[test]
@@ -317,24 +387,51 @@ mod tests {
             q.track(Nanos::from_micros(leave), -1);
         }
         let end = q.snapshot(Nanos::from_micros(20));
-        let a = end.averages_since(&start).unwrap();
-        assert_eq!(a.delay.unwrap(), Nanos::from_micros(10));
+        let w = end.window_since(&start).unwrap();
+        assert_eq!(w.mean_delay(), Some(Nanos::from_micros(10)));
     }
 
     #[test]
     fn windows_compose() {
-        // Averages over [a,c] must be derivable from snapshots alone,
-        // regardless of how many intermediate snapshots were taken.
+        // The window over [a,c] must be derivable from snapshots alone,
+        // regardless of how many intermediate snapshots were taken, and
+        // equals the merge of its two halves.
         let mut q = QueueState::new(Nanos::ZERO);
         let s0 = q.snapshot(Nanos::ZERO);
         q.track(Nanos::from_micros(1), 4);
-        let _mid = q.snapshot(Nanos::from_micros(5));
+        let mid = q.snapshot(Nanos::from_micros(5));
         q.track(Nanos::from_micros(9), -4);
         let s2 = q.snapshot(Nanos::from_micros(10));
-        let a = s2.averages_since(&s0).unwrap();
+        let w = s2.window_since(&s0).unwrap();
         // 4 items resident 1→9 µs: integral 32 item-µs over 10 µs.
-        assert!((a.avg_occupancy - 3.2).abs() < 1e-12);
-        assert_eq!(a.delay.unwrap(), Nanos::from_micros(8));
+        assert!((w.avg_occupancy() - 3.2).abs() < 1e-12);
+        assert_eq!(w.mean_delay(), Some(Nanos::from_micros(8)));
+        let mut halves = mid.window_since(&s0).unwrap();
+        halves.merge(&s2.window_since(&mid).unwrap());
+        assert_eq!(halves, w);
+        assert_eq!(
+            w.since(&mid.window_since(&s0).unwrap()),
+            s2.window_since(&mid).unwrap()
+        );
+    }
+
+    #[test]
+    fn delay_rules_floor_round_and_fall_back() {
+        let window = |d_total, d_integral| QueueWindow {
+            dt: Nanos::from_nanos(100),
+            d_total,
+            d_integral,
+        };
+        // 7 item-ns over 2 departures is 3.5 ns: the estimator's rule
+        // floors it, the tracker's rounds it.
+        let w = window(2, 7);
+        assert_eq!(w.mean_delay(), Some(Nanos::from_nanos(3)));
+        assert_eq!(w.delay(), Nanos::from_nanos(3));
+        assert_eq!(w.rounded_delay(), Some(Nanos::from_nanos(4)));
+        // No departure: idle contributes zero, stalled the window length.
+        assert_eq!(window(0, 0).delay(), Nanos::ZERO);
+        assert_eq!(window(0, 1).delay(), Nanos::from_nanos(100));
+        assert_eq!(window(0, 1).mean_delay(), None);
     }
 
     #[test]

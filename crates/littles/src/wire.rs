@@ -21,7 +21,7 @@
 
 use std::num::Wrapping;
 
-use crate::queue::Snapshot;
+use crate::queue::{QueueWindow, Snapshot};
 use crate::time::Nanos;
 
 /// Size in bytes of one encoded queue snapshot.
@@ -164,12 +164,12 @@ impl WireSnapshot {
     ///
     /// Correct as long as each counter advanced by fewer than 2³² scaled
     /// units since `prev`. Returns `None` for an empty window.
-    pub fn window_since(&self, prev: &WireSnapshot, scale: WireScale) -> Option<WireWindow> {
+    pub fn window_since(&self, prev: &WireSnapshot, scale: WireScale) -> Option<QueueWindow> {
         let Wrapping(dt_scaled) = self.time - prev.time;
         if dt_scaled == 0 {
             return None;
         }
-        Some(WireWindow {
+        Some(QueueWindow {
             dt: Nanos::from_nanos(u64::from(dt_scaled) << scale.time_shift),
             d_total: u64::from((self.total - prev.total).0),
             d_integral: u128::from((self.integral - prev.integral).0) << scale.integral_shift,
@@ -177,42 +177,17 @@ impl WireSnapshot {
     }
 }
 
-/// Un-scaled deltas recovered from two wire snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireWindow {
-    /// Window length.
-    pub dt: Nanos,
-    /// Departures during the window.
-    pub d_total: u64,
-    /// Integral growth during the window, item-nanoseconds.
-    pub d_integral: u128,
-}
-
-impl WireWindow {
-    /// Average occupancy `Q` over the window.
-    pub fn avg_occupancy(&self) -> f64 {
-        self.d_integral as f64 / self.dt.as_nanos() as f64
-    }
-
-    /// Throughput `λ` in items per second.
-    pub fn throughput(&self) -> f64 {
-        self.d_total as f64 / self.dt.as_secs_f64()
-    }
-
-    /// Little's-law delay `D = Δintegral / Δtotal`, `None` if nothing
-    /// departed.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "Δintegral / Δtotal ≤ Δintegral < 2^(32 + integral_shift) ns, inside u64 for every shift ≤ 32"
-    )]
-    pub fn delay(&self) -> Option<Nanos> {
-        if self.d_total == 0 {
-            return None;
-        }
-        Some(Nanos::from_nanos(
-            (self.d_integral / self.d_total as u128) as u64,
-        ))
-    }
+/// One endpoint's three full-resolution queue snapshots at one instant:
+/// what a [`WireExchange`] carries, before [`WireExchange::pack`] narrows
+/// each onto the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EndpointSnapshots {
+    /// Sent-but-unacknowledged queue.
+    pub unacked: Snapshot,
+    /// Received-but-unread queue.
+    pub unread: Snapshot,
+    /// Received-but-unacked (delayed ACK) queue.
+    pub ackdelay: Snapshot,
 }
 
 /// The three per-queue snapshots one endpoint shares with its peer.
@@ -464,7 +439,7 @@ mod tests {
         assert_eq!(w.dt, Nanos::from_nanos(300));
         assert_eq!(w.d_total, 4);
         assert_eq!(w.d_integral, 3_000);
-        assert_eq!(w.delay(), Some(Nanos::from_nanos(750)));
+        assert_eq!(w.mean_delay(), Some(Nanos::from_nanos(750)));
     }
 
     #[test]
@@ -524,7 +499,7 @@ mod tests {
         q.track(Nanos::from_micros(500), -8);
         let s1 = q.snapshot(Nanos::from_micros(1_000));
 
-        let full = s1.averages_since(&s0).unwrap().delay.unwrap();
+        let full = s1.window_since(&s0).unwrap().rounded_delay().unwrap();
         let scale = WireScale {
             time_shift: 10,
             integral_shift: 10,
@@ -532,7 +507,7 @@ mod tests {
         let w = WireSnapshot::pack(&s1, scale)
             .window_since(&WireSnapshot::pack(&s0, scale), scale)
             .unwrap();
-        let wire = w.delay().unwrap();
+        let wire = w.mean_delay().unwrap();
         let tolerance = Nanos::from_nanos((1u64 << scale.integral_shift) / 8 + 1);
         assert!(
             wire.as_nanos().abs_diff(full.as_nanos()) <= tolerance.as_nanos(),

@@ -13,7 +13,7 @@
 use std::num::Wrapping;
 
 use littles::wire::{WireExchange, WireScale, WireSnapshot};
-use littles::{Nanos, QueueState, Snapshot};
+use littles::{Nanos, QueueState, QueueWindow, Snapshot};
 
 /// Deterministic SplitMix64 — enough randomness for case generation
 /// without pulling in `rand` (littles cannot depend on simnet).
@@ -71,7 +71,7 @@ fn littles_law_matches_true_mean_residence() {
 
         let end_time = *departures.last().expect("non-empty schedule") + 1;
         let end = q.snapshot(Nanos::from_nanos(end_time));
-        let avgs = end.averages_since(&start).expect("non-empty window");
+        let window = end.window_since(&start).expect("non-empty window");
 
         let n = arrivals.len() as u128;
         let residence_sum: u128 = arrivals
@@ -81,7 +81,7 @@ fn littles_law_matches_true_mean_residence() {
             .sum();
         let true_mean_ns = residence_sum / n;
 
-        let measured = avgs.delay.expect("items departed").as_nanos() as u128;
+        let measured = window.rounded_delay().expect("items departed").as_nanos() as u128;
         // Integer division on both sides: allow 1 ns rounding slack.
         assert!(
             measured.abs_diff(true_mean_ns) <= 1,
@@ -124,7 +124,7 @@ fn integral_is_monotonic_and_total_counts_departures() {
 fn snapshot_windows_are_additive() {
     let mut rng = SplitMix64(0xCAFE);
     for _ in 0..200 {
-        // Averages over [0, T] must be consistent with the two sub-windows:
+        // The window over [0, T] must be consistent with the two sub-windows:
         // the integrals and totals add.
         let steps = rng.range(2, 60) as usize;
         let split = (rng.range(1, 59) as usize).min(steps - 1);
@@ -220,5 +220,82 @@ fn wire_window_delta_correct_across_wrap() {
             .expect("positive dt");
         assert_eq!(w.dt.as_nanos(), dt as u64);
         assert_eq!(w.d_total, dtotal as u64);
+    }
+}
+
+/// GETAVGS has one window whichever snapshots it is taken from: a queue's
+/// full-resolution window equals the one read off the unscaled wire,
+/// field for field, while all three 32-bit wire counters wrap inside the
+/// trace. And cumulative windows from one origin difference and re-merge
+/// exactly: `a.merge(&b.since(&a)) == b`.
+#[test]
+fn full_and_wire_windows_agree_across_the_wrap() {
+    let mut rng = SplitMix64(0x3A9_D1FF);
+    let wrap = 1u64 << 32;
+    let wire = |s: &Snapshot| WireSnapshot::pack(s, WireScale::UNSCALED);
+    for _ in 0..300 {
+        let (arrivals, departures) = fifo_schedule(&mut rng);
+        let n = arrivals.len() as u64;
+        let residence: u64 = arrivals.iter().zip(&departures).map(|(&a, &d)| d - a).sum();
+
+        // Bring each counter to just short of a wrap, by less than the
+        // trace advances it: the clock to 2^33 − r, the integral (one item
+        // held) and the departures (a same-instant churn) to 2^32 − r.
+        let r_time = rng.range(1, 1_000_000);
+        let r_total = rng.range(1, n + 1);
+        let r_integral = rng.range(1, residence + 1);
+        let t1 = 2 * wrap - r_time;
+        let held = wrap - r_integral;
+        let mut q = QueueState::new(Nanos::from_nanos(t1 - held));
+        q.track(Nanos::from_nanos(t1 - held), 1);
+        q.track(Nanos::from_nanos(t1), -1);
+        let churn = (wrap - 1 - r_total) as i64;
+        q.track(Nanos::from_nanos(t1), churn);
+        q.track(Nanos::from_nanos(t1), -churn);
+
+        let mut events: Vec<(u64, i64)> = arrivals
+            .iter()
+            .map(|&t| (t, 1i64))
+            .chain(departures.iter().map(|&t| (t, -1i64)))
+            .collect();
+        events.sort_by_key(|&(t, kind)| (t, kind));
+        let mut snaps = vec![q.peek(Nanos::from_nanos(t1))];
+        for (t, delta) in events {
+            let at = Nanos::from_nanos(t1 + t);
+            q.track(at, delta);
+            snaps.push(q.peek(at));
+        }
+        let last_departure = *departures.last().expect("non-empty schedule");
+        snaps.push(q.peek(Nanos::from_nanos(t1 + last_departure + 1_000_000)));
+
+        let (first, last) = (snaps[0], snaps[snaps.len() - 1]);
+        assert!(first.time.as_nanos() < 2 * wrap && last.time.as_nanos() > 2 * wrap);
+        assert!(first.total < wrap && last.total >= wrap);
+        assert!(first.integral < u128::from(wrap) && last.integral >= u128::from(wrap));
+
+        // Tick to tick, and from the first snapshot to each later one.
+        for pair in snaps.windows(2) {
+            let (prev, cur) = (&pair[0], &pair[1]);
+            assert_eq!(
+                cur.window_since(prev),
+                wire(cur).window_since(&wire(prev), WireScale::UNSCALED)
+            );
+        }
+        let mut cumulative: Vec<QueueWindow> = Vec::new();
+        for s in &snaps[1..] {
+            let full = s.window_since(&first);
+            assert_eq!(
+                full,
+                wire(s).window_since(&wire(&first), WireScale::UNSCALED)
+            );
+            cumulative.extend(full);
+        }
+
+        for (i, a) in cumulative.iter().enumerate() {
+            let b = cumulative[rng.range(i as u64, cumulative.len() as u64) as usize];
+            let mut merged = *a;
+            merged.merge(&b.since(a));
+            assert_eq!(merged, b);
+        }
     }
 }

@@ -18,7 +18,7 @@
 //! empty queue: nothing counts packets, and a socket configured to
 //! exchange them is rejected when it is opened.
 
-use littles::wire::{WireExchange, WireScale};
+use littles::wire::{EndpointSnapshots, WireExchange, WireScale};
 use littles::{Nanos, QueueState, Snapshot};
 
 /// The message unit used to count queue occupancy (paper §3.3).
@@ -125,10 +125,8 @@ impl SocketQueues {
     }
 
     /// Full-resolution snapshots of the three queues in one unit.
-    pub(crate) fn snapshots(&self, now: Nanos, unit: Unit) -> QueueSnapshots {
-        QueueSnapshots {
-            unit,
-            at: now,
+    pub(crate) fn snapshots(&self, now: Nanos, unit: Unit) -> EndpointSnapshots {
+        EndpointSnapshots {
             unacked: self.unacked.peek(now, unit),
             unread: self.unread.peek(now, unit),
             ackdelay: self.ackdelay.peek(now, unit),
@@ -140,21 +138,6 @@ impl SocketQueues {
         let s = self.snapshots(now, unit);
         WireExchange::pack(&s.unacked, &s.unread, &s.ackdelay, scale)
     }
-}
-
-/// The three full-resolution snapshots of one endpoint at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueueSnapshots {
-    /// The unit the snapshots are counted in.
-    pub(crate) unit: Unit,
-    /// Capture time.
-    pub(crate) at: Nanos,
-    /// Sent-but-unacked queue snapshot.
-    pub unacked: Snapshot,
-    /// Received-but-unread queue snapshot.
-    pub unread: Snapshot,
-    /// Delayed-ACK queue snapshot.
-    pub ackdelay: Snapshot,
 }
 
 #[cfg(test)]
@@ -233,15 +216,15 @@ mod tests {
         let end = Nanos::from_micros(200);
         let byte_delay = q
             .peek(end, Unit::Bytes)
-            .averages_since(&s0b)
+            .window_since(&s0b)
             .unwrap()
-            .delay
+            .rounded_delay()
             .unwrap();
         let msg_delay = q
             .peek(end, Unit::Messages)
-            .averages_since(&s0m)
+            .window_since(&s0m)
             .unwrap()
-            .delay
+            .rounded_delay()
             .unwrap();
         // Message-weighted: (100 + 10)/2 = 55 µs. Byte-weighted: dominated
         // by the 16 KiB message ≈ 10 µs.

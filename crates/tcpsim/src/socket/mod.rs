@@ -26,7 +26,7 @@ mod tcb;
 mod tx;
 
 use crate::payload::Payload;
-use littles::wire::{WireExchange, WireSnapshot};
+use littles::wire::{EndpointSnapshots, WireExchange, WireSnapshot};
 use littles::{Nanos, Snapshot};
 use simnet::{Store, StoreKey};
 
@@ -35,7 +35,7 @@ use crate::config::TcpConfig;
 use crate::delack::{AckSwitch, DelAck};
 use crate::invariants::{gate, ActuationState, InvariantViolation, SocketInvariants};
 use crate::knob::KnobSetting;
-use crate::queues::{InstrumentedQueue, QueueSnapshots, SocketQueues, Unit};
+use crate::queues::{InstrumentedQueue, SocketQueues, Unit};
 use crate::segment::{Flags, FlowId, OptionSlot, Segment, TimestampOption};
 use crate::seq::SeqNum;
 
@@ -352,7 +352,7 @@ impl TcpSocket {
     }
 
     /// Local queue snapshots at `now` in `unit`.
-    pub fn local_snapshots(&self, now: Nanos, unit: Unit) -> QueueSnapshots {
+    pub fn local_snapshots(&self, now: Nanos, unit: Unit) -> EndpointSnapshots {
         self.queues.snapshots(now, unit)
     }
 

@@ -421,8 +421,8 @@ fn unread_delay_reflects_slow_reader() {
     let sock = sim.host(1).socket(SocketId(0));
     let start = littles::Snapshot::default();
     let end = sock.local_snapshots(queue.now(), Unit::Bytes).unread;
-    let avgs = end.averages_since(&start).unwrap();
-    let measured = avgs.delay.expect("bytes were read");
+    let window = end.window_since(&start).unwrap();
+    let measured = window.rounded_delay().expect("bytes were read");
     assert!(
         measured >= delay && measured < delay * 3,
         "unread delay {measured} should be ≈ app read delay {delay}"
